@@ -15,6 +15,7 @@ import (
 	"github.com/assess-olap/assess/internal/cube"
 	"github.com/assess-olap/assess/internal/engine"
 	"github.com/assess-olap/assess/internal/labeling"
+	"github.com/assess-olap/assess/internal/mdm"
 	"github.com/assess-olap/assess/internal/obsv"
 	"github.com/assess-olap/assess/internal/plan"
 )
@@ -359,40 +360,83 @@ type Row struct {
 	Label      string
 }
 
-// Rows extracts the final result rows.
-func (r *Result) Rows() ([]Row, error) {
+// Columns is the columnar form of a result: one slice per field of Row,
+// all indexed by cell. Every slice aliases the result cube (and Dicts its
+// schema's dictionaries), so a Columns is free to take and must be
+// treated as read-only; cached results share their cube across requests.
+type Columns struct {
+	// Dicts holds the member dictionary of each coordinate position;
+	// Dicts[p].Name(Coords[i][p]) is cell i's member at position p.
+	Dicts  []*mdm.Dict
+	Coords []mdm.Coordinate
+	// Measure and Comparison are always present. Benchmark is nil when
+	// the result carries no benchmark column (every cell reads as NaN),
+	// Labels when it is unlabeled (every cell reads as NullLabel).
+	Measure    []float64
+	Benchmark  []float64
+	Comparison []float64
+	Labels     []string
+}
+
+// Columns returns the result's columns without copying any cell.
+func (r *Result) Columns() (Columns, error) {
 	b := r.Plan.Bound
 	c := r.Cube
 	mi, ok := c.MeasureIndex(b.MeasureName())
 	if !ok {
-		return nil, fmt.Errorf("exec: result lacks measure %s", b.MeasureName())
+		return Columns{}, fmt.Errorf("exec: result lacks measure %s", b.MeasureName())
 	}
-	bi, hasBench := c.MeasureIndex(b.BenchColumn())
 	ci, ok := c.MeasureIndex(r.Plan.ComparisonCol)
 	if !ok {
-		return nil, fmt.Errorf("exec: result lacks comparison column")
+		return Columns{}, fmt.Errorf("exec: result lacks comparison column")
 	}
-	rows := make([]Row, c.Len())
-	for i, coord := range c.Coords {
-		names := make([]string, len(coord))
-		for pIdx, id := range coord {
-			names[pIdx] = c.Schema.Dict(c.Group[pIdx]).Name(id)
+	cols := Columns{
+		Dicts:      make([]*mdm.Dict, len(c.Group)),
+		Coords:     c.Coords,
+		Measure:    c.Cols[mi],
+		Comparison: c.Cols[ci],
+		Labels:     c.Labels,
+	}
+	for p, g := range c.Group {
+		cols.Dicts[p] = c.Schema.Dict(g)
+	}
+	if bi, ok := c.MeasureIndex(b.BenchColumn()); ok {
+		cols.Benchmark = c.Cols[bi]
+	}
+	return cols, nil
+}
+
+// Rows extracts the final result rows: Columns, materialized cell by
+// cell for callers that want values rather than a wire encoding.
+func (r *Result) Rows() ([]Row, error) {
+	cols, err := r.Columns()
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Row, len(cols.Coords))
+	// One backing array for every coordinate's names; the full slice
+	// expression keeps an append on one row from reaching the next.
+	width := len(cols.Dicts)
+	names := make([]string, len(rows)*width)
+	for i, coord := range cols.Coords {
+		coordinate := names[i*width : (i+1)*width : (i+1)*width]
+		for p, id := range coord {
+			coordinate[p] = cols.Dicts[p].Name(id)
 		}
-		bench := math.NaN()
-		if hasBench {
-			bench = c.Cols[bi][i]
+		row := Row{
+			Coordinate: coordinate,
+			Measure:    cols.Measure[i],
+			Benchmark:  math.NaN(),
+			Comparison: cols.Comparison[i],
+			Label:      labeling.NullLabel,
 		}
-		label := labeling.NullLabel
-		if c.Labels != nil {
-			label = c.Labels[i]
+		if cols.Benchmark != nil {
+			row.Benchmark = cols.Benchmark[i]
 		}
-		rows[i] = Row{
-			Coordinate: names,
-			Measure:    c.Cols[mi][i],
-			Benchmark:  bench,
-			Comparison: c.Cols[ci][i],
-			Label:      label,
+		if cols.Labels != nil {
+			row.Label = cols.Labels[i]
 		}
+		rows[i] = row
 	}
 	return rows, nil
 }

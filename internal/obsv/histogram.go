@@ -20,15 +20,21 @@ const (
 	logGrowth  = 0.34657359028 // ln(√2), precomputed for the hot path
 )
 
-// Histogram is a fixed-size log-bucketed latency histogram with atomic
-// buckets: Observe is lock-free and allocation-free.
+// byteScale stretches the bucket bounds for histograms of sizes in
+// bytes: bucket 0 ends at 64 B and the last bound is ~4 GiB.
+const byteScale = 64 / histMin
+
+// Histogram is a fixed-size log-bucketed histogram with atomic buckets:
+// Observe is lock-free and allocation-free. scale multiplies every
+// bucket bound: 1 for latencies in seconds, byteScale for sizes.
 type Histogram struct {
 	buckets [numBuckets + 1]atomic.Int64 // +1 overflow bucket
 	count   atomic.Int64
 	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
+	scale   float64
 }
 
-func newHistogram() *Histogram { return &Histogram{} }
+func newHistogram(scale float64) *Histogram { return &Histogram{scale: scale} }
 
 // bucketIndex maps an observation (seconds) to its bucket: bucket i
 // covers (histMin·g^(i-1), histMin·g^i], with everything ≤ histMin in
@@ -60,12 +66,13 @@ func bucketLower(i int) float64 {
 	return histMin * math.Pow(histGrowth, float64(i-1))
 }
 
-// Observe records one value (in seconds; negatives count as zero).
+// Observe records one value (seconds, or bytes for a ByteHistogram;
+// negatives count as zero).
 func (h *Histogram) Observe(v float64) {
 	if v < 0 || math.IsNaN(v) {
 		v = 0
 	}
-	h.buckets[bucketIndex(v)].Add(1)
+	h.buckets[bucketIndex(v/h.scale)].Add(1)
 	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
@@ -102,7 +109,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 			continue
 		}
 		if cum+n >= rank {
-			lo, hi := bucketLower(i), bucketUpper(i)
+			lo, hi := bucketLower(i)*h.scale, bucketUpper(i)*h.scale
 			if math.IsInf(hi, 1) {
 				return lo // overflow bucket: report its lower bound
 			}
@@ -111,7 +118,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 		cum += n
 	}
-	return bucketUpper(numBuckets - 1)
+	return bucketUpper(numBuckets-1) * h.scale
 }
 
 // write renders the histogram in Prometheus exposition format:
@@ -125,7 +132,7 @@ func (h *Histogram) write(w io.Writer, name, labels string) {
 			continue
 		}
 		cum += n
-		fmt.Fprintf(w, "%s_bucket%s %d\n", name, mergeLabels(labels, "le", formatFloat(bucketUpper(i))), cum)
+		fmt.Fprintf(w, "%s_bucket%s %d\n", name, mergeLabels(labels, "le", formatFloat(bucketUpper(i)*h.scale)), cum)
 	}
 	count, sum := h.CountSum()
 	fmt.Fprintf(w, "%s_bucket%s %d\n", name, mergeLabels(labels, "le", "+Inf"), count)

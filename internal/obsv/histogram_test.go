@@ -3,6 +3,7 @@ package obsv
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -20,7 +21,7 @@ func relErr(got, want float64) float64 {
 }
 
 func TestQuantileUniform(t *testing.T) {
-	h := newHistogram()
+	h := newHistogram(1)
 	// Uniform 1ms..1000ms: true quantile q is ~q·999+1 ms.
 	const n = 100000
 	rng := rand.New(rand.NewSource(7))
@@ -41,7 +42,7 @@ func TestQuantileUniform(t *testing.T) {
 }
 
 func TestQuantilePointMass(t *testing.T) {
-	h := newHistogram()
+	h := newHistogram(1)
 	for i := 0; i < 1000; i++ {
 		h.Observe(0.010) // 10ms point mass
 	}
@@ -54,7 +55,7 @@ func TestQuantilePointMass(t *testing.T) {
 }
 
 func TestQuantileBimodal(t *testing.T) {
-	h := newHistogram()
+	h := newHistogram(1)
 	// 90% fast (100µs), 10% slow (1s): p50 near 100µs, p99 near 1s.
 	for i := 0; i < 900; i++ {
 		h.Observe(100e-6)
@@ -71,7 +72,7 @@ func TestQuantileBimodal(t *testing.T) {
 }
 
 func TestQuantileEdgeCases(t *testing.T) {
-	h := newHistogram()
+	h := newHistogram(1)
 	if got := h.Quantile(0.5); got != 0 {
 		t.Fatalf("empty histogram quantile = %v, want 0", got)
 	}
@@ -101,11 +102,34 @@ func TestBucketIndexMonotonic(t *testing.T) {
 }
 
 func TestCountSum(t *testing.T) {
-	h := newHistogram()
+	h := newHistogram(1)
 	h.Observe(0.1)
 	h.Observe(0.3)
 	n, sum := h.CountSum()
 	if n != 2 || math.Abs(sum-0.4) > 1e-12 {
 		t.Fatalf("count=%d sum=%v, want 2 and 0.4", n, sum)
+	}
+}
+
+// TestByteHistogram checks that a size histogram resolves values far
+// beyond the latency range (a 5 MB body) and renders byte-valued bounds.
+func TestByteHistogram(t *testing.T) {
+	r := NewRegistry()
+	h := r.ByteHistogram("resp_bytes", "sizes")
+	for i := 0; i < 100; i++ {
+		h.Observe(300)
+		h.Observe(5e6)
+	}
+	if got := h.Quantile(0.25); relErr(got, 300) > maxRelErr {
+		t.Errorf("p25 = %v, want ≈300 B", got)
+	}
+	if got := h.Quantile(0.99); relErr(got, 5e6) > maxRelErr {
+		t.Errorf("p99 = %v, want ≈5e6 B", got)
+	}
+	var sb strings.Builder
+	r.WritePrometheus(&sb)
+	if !strings.Contains(sb.String(), `resp_bytes_bucket{le="+Inf"} 200`) ||
+		strings.Contains(sb.String(), `e-0`) {
+		t.Errorf("exposition not in bytes:\n%s", sb.String())
 	}
 }

@@ -200,10 +200,21 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 	return s.gauge
 }
 
-// Histogram returns (registering on first use) the histogram series.
+// Histogram returns (registering on first use) the latency histogram
+// series: observations in seconds, buckets from 1 µs to ~64 s.
 func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
+	return r.histogram(name, help, 1, labels)
+}
+
+// ByteHistogram returns (registering on first use) a histogram series
+// for sizes: observations in bytes, buckets from 64 B to ~4 GiB.
+func (r *Registry) ByteHistogram(name, help string, labels ...string) *Histogram {
+	return r.histogram(name, help, byteScale, labels)
+}
+
+func (r *Registry) histogram(name, help string, scale float64, labels []string) *Histogram {
 	s := r.familyFor(name, help, kindHistogram).seriesFor(labels, func(s *series) {
-		s.hist = newHistogram()
+		s.hist = newHistogram(scale)
 	})
 	return s.hist
 }

@@ -22,13 +22,17 @@ type SlowLog struct {
 
 // SlowEntry is one slow-query log line.
 type SlowEntry struct {
-	Time        string  `json:"time"` // RFC 3339, UTC
-	RequestID   string  `json:"requestId,omitempty"`
-	Endpoint    string  `json:"endpoint"`
-	Statement   string  `json:"statement"`
-	Strategy    string  `json:"strategy,omitempty"`
-	Cache       string  `json:"cache,omitempty"`
-	Cells       int     `json:"cells,omitempty"`
+	Time      string `json:"time"` // RFC 3339, UTC
+	RequestID string `json:"requestId,omitempty"`
+	Endpoint  string `json:"endpoint"`
+	Statement string `json:"statement"`
+	Strategy  string `json:"strategy,omitempty"`
+	Cache     string `json:"cache,omitempty"`
+	Cells     int    `json:"cells,omitempty"`
+	// EncodeMs and Bytes describe the response body: the time spent
+	// encoding and writing it (part of TotalMs) and its size.
+	EncodeMs    float64 `json:"encodeMs,omitempty"`
+	Bytes       int64   `json:"bytes,omitempty"`
 	TotalMs     float64 `json:"totalMs"`
 	ThresholdMs float64 `json:"thresholdMs"`
 }

@@ -24,6 +24,7 @@ import (
 	"github.com/assess-olap/assess/internal/dist"
 	"github.com/assess-olap/assess/internal/engine"
 	"github.com/assess-olap/assess/internal/exec"
+	"github.com/assess-olap/assess/internal/mdm"
 	"github.com/assess-olap/assess/internal/obsv"
 	"github.com/assess-olap/assess/internal/parser"
 	"github.com/assess-olap/assess/internal/plan"
@@ -43,6 +44,25 @@ type Server struct {
 	start        time.Time
 	admission    *sched.Admission
 	tenantHeader string
+	// Body metrics of the two result endpoints, resolved once so the
+	// request path does no registry lookup.
+	assessEgress, queryEgress egressMetrics
+	writeErrors               *obsv.Counter
+}
+
+// egressMetrics are the per-endpoint series of streamed result bodies.
+type egressMetrics struct {
+	encodeSeconds *obsv.Histogram
+	responseBytes *obsv.Histogram
+}
+
+func newEgressMetrics(reg *obsv.Registry, endpoint string) egressMetrics {
+	return egressMetrics{
+		encodeSeconds: reg.Histogram("assess_server_encode_seconds",
+			"Time to encode a result body and write it to the client, by endpoint.", "endpoint", endpoint),
+		responseBytes: reg.ByteHistogram("assess_server_response_bytes",
+			"Result body size, by endpoint.", "endpoint", endpoint),
+	}
 }
 
 // DefaultTenantHeader identifies the tenant for admission fairness when
@@ -105,6 +125,10 @@ func New(session *core.Session, opts ...Option) *Server {
 // funcs: cache counters, catalog generation, and process gauges.
 func (s *Server) registerSessionMetrics() {
 	obsv.RegisterProcessMetrics(s.reg)
+	s.assessEgress = newEgressMetrics(s.reg, "/assess")
+	s.queryEgress = newEgressMetrics(s.reg, "/query")
+	s.writeErrors = s.reg.Counter("assess_server_write_errors_total",
+		"Result bodies abandoned because the client connection failed mid-write.")
 	s.reg.GaugeFunc("assess_catalog_generation",
 		"Catalog generation (cache-invalidation epoch).",
 		func() float64 { return float64(s.session.Generation()) })
@@ -148,17 +172,11 @@ type request struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// resultRow is one cell of an /assess response. NaN values (nulls from
-// assess*) are encoded as JSON nulls.
-type resultRow struct {
-	Coordinate []string `json:"coordinate"`
-	Measure    *float64 `json:"measure"`
-	Benchmark  *float64 `json:"benchmark"`
-	Comparison *float64 `json:"comparison"`
-	Label      string   `json:"label"`
-}
-
-type assessResponse struct {
+// assessHeader is every member of an /assess body except the last,
+// "rows": one object per cell with its coordinate, measure, benchmark,
+// comparison (NaN and ±Inf as null) and label, streamed from the result's
+// columns by the encoder.
+type assessHeader struct {
 	Strategy  string             `json:"strategy"`
 	Cells     int                `json:"cells"`
 	TotalMs   float64            `json:"totalMs"`
@@ -173,7 +191,6 @@ type assessResponse struct {
 	DegradedShards []string `json:"degradedShards,omitempty"`
 	// Trace is the span tree of this request (?trace=1 only).
 	Trace *obsv.SpanJSON `json:"trace,omitempty"`
-	Rows  []resultRow    `json:"rows"`
 }
 
 type errorResponse struct {
@@ -289,61 +306,97 @@ func (s *Server) assess(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]bool{"declared": true})
 		return
 	}
-	rows, err := res.Rows()
+	cols, err := res.Columns()
 	if err != nil {
 		writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	s.slow.Log(time.Since(start), obsv.SlowEntry{
-		RequestID: requestID(r.Context()),
-		Endpoint:  "/assess",
-		Statement: req.Statement,
-		Strategy:  res.Plan.Strategy.String(),
-		Cache:     string(state),
-		Cells:     res.Cube.Len(),
-	})
-	resp := assessResponse{
+	head := assessHeader{
 		Strategy:  res.Plan.Strategy.String(),
 		Cells:     res.Cube.Len(),
 		TotalMs:   float64(res.Total) / float64(time.Millisecond),
 		Breakdown: map[string]float64{},
 		Cache:     string(state),
 		Trace:     trace,
-		Rows:      make([]resultRow, len(rows)),
 	}
 	if note != nil && note.Partial() {
-		resp.Partial = true
-		resp.DegradedShards = note.DegradedShards()
+		head.Partial = true
+		head.DegradedShards = note.DegradedShards()
 	}
 	for p, d := range res.Breakdown {
 		if d > 0 {
-			resp.Breakdown[plan.Phase(p).String()] = float64(d) / float64(time.Millisecond)
+			head.Breakdown[plan.Phase(p).String()] = float64(d) / float64(time.Millisecond)
 		}
 	}
-	for i, row := range rows {
-		resp.Rows[i] = resultRow{
-			Coordinate: row.Coordinate,
-			Measure:    jsonFloat(row.Measure),
-			Benchmark:  jsonFloat(row.Benchmark),
-			Comparison: jsonFloat(row.Comparison),
-			Label:      row.Label,
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	encode, n := s.writeResult(w, r, s.assessEgress, head, cols.Dicts, func(e *encoder) { e.assessRows(cols) })
+	s.slow.Log(time.Since(start), obsv.SlowEntry{
+		RequestID: requestID(r.Context()),
+		Endpoint:  "/assess",
+		Statement: req.Statement,
+		Strategy:  head.Strategy,
+		Cache:     head.Cache,
+		Cells:     head.Cells,
+		EncodeMs:  float64(encode) / float64(time.Millisecond),
+		Bytes:     n,
+	})
 }
 
-// queryResponse is the body of a /query response: the derived cube.
-type queryResponse struct {
+// writeResult sends a 200 whose body is head plus the "rows" the encoder
+// streams (see encodeBody), and records the body's encode-and-write time
+// and size, which it returns for the slow-query log. A client that went
+// away mid-body counts as a write error and ends the encode early.
+func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, m egressMetrics, head any, dicts []*mdm.Dict, rows func(*encoder)) (time.Duration, int64) {
+	t0 := time.Now()
+	buf, err := json.Marshal(head)
+	if err != nil {
+		writeError(w, r, http.StatusInternalServerError, err)
+		return 0, 0
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	n, err := encodeBody(w, buf, dicts, rows)
+	if err != nil {
+		s.writeErrors.Inc()
+	}
+	d := time.Since(t0)
+	m.encodeSeconds.Observe(d.Seconds())
+	m.responseBytes.Observe(float64(n))
+	return d, n
+}
+
+// queryHeader is every member of a /query body except the last, "rows":
+// one object per cell of the derived cube, keyed by level and measure
+// name.
+type queryHeader struct {
 	Levels   []string `json:"levels"`
 	Measures []string `json:"measures"`
 	Cells    int      `json:"cells"`
 	TotalMs  float64  `json:"totalMs"`
-	// Partial / DegradedShards mirror assessResponse: set when shards
+	// Partial / DegradedShards mirror assessHeader: set when shards
 	// were lost and the coordinator served a degraded result.
-	Partial        bool             `json:"partial,omitempty"`
-	DegradedShards []string         `json:"degradedShards,omitempty"`
-	Trace          *obsv.SpanJSON   `json:"trace,omitempty"`
-	Rows           []map[string]any `json:"rows"`
+	Partial        bool           `json:"partial,omitempty"`
+	DegradedShards []string       `json:"degradedShards,omitempty"`
+	Trace          *obsv.SpanJSON `json:"trace,omitempty"`
+}
+
+// queryHead describes the derived cube: the header of its body and the
+// dictionary of each coordinate position. Levels is never nil, so a
+// query without group-by levels still says "levels":[].
+func queryHead(qr *core.QueryResult, trace *obsv.SpanJSON) (queryHeader, []*mdm.Dict) {
+	c := qr.Cube
+	head := queryHeader{
+		Levels:   make([]string, len(c.Group)),
+		Measures: c.Names,
+		Cells:    c.Len(),
+		TotalMs:  float64(qr.Total) / float64(time.Millisecond),
+		Trace:    trace,
+	}
+	dicts := make([]*mdm.Dict, len(c.Group))
+	for p, g := range c.Group {
+		head.Levels[p] = c.Schema.LevelName(g)
+		dicts[p] = c.Schema.Dict(g)
+	}
+	return head, dicts
 }
 
 // trackPartial wraps ctx with a dist.PartialNote when the session runs
@@ -375,37 +428,22 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, statusFor(err), err)
 		return
 	}
+	c := qr.Cube
+	head, dicts := queryHead(qr, finish())
+	if note != nil && note.Partial() {
+		head.Partial = true
+		head.DegradedShards = note.DegradedShards()
+	}
+	fields := queryFields(head.Levels, c.Names, c.Cols)
+	encode, n := s.writeResult(w, r, s.queryEgress, head, dicts, func(e *encoder) { e.queryRows(fields, c.Coords) })
 	s.slow.Log(time.Since(start), obsv.SlowEntry{
 		RequestID: requestID(r.Context()),
 		Endpoint:  "/query",
 		Statement: req.Statement,
-		Cells:     qr.Cube.Len(),
+		Cells:     head.Cells,
+		EncodeMs:  float64(encode) / float64(time.Millisecond),
+		Bytes:     n,
 	})
-	c := qr.Cube
-	resp := queryResponse{
-		Measures: c.Names,
-		Cells:    c.Len(),
-		TotalMs:  float64(qr.Total) / float64(time.Millisecond),
-		Trace:    finish(),
-	}
-	if note != nil && note.Partial() {
-		resp.Partial = true
-		resp.DegradedShards = note.DegradedShards()
-	}
-	for _, g := range c.Group {
-		resp.Levels = append(resp.Levels, c.Schema.LevelName(g))
-	}
-	for i, coord := range c.Coords {
-		row := map[string]any{}
-		for p, id := range coord {
-			row[resp.Levels[p]] = c.Schema.Dict(c.Group[p]).Name(id)
-		}
-		for j, name := range c.Names {
-			row[name] = jsonFloat(c.Cols[j][i])
-		}
-		resp.Rows = append(resp.Rows, row)
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) explain(w http.ResponseWriter, r *http.Request) {
@@ -595,13 +633,6 @@ func statusFor(err error) int {
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusUnprocessableEntity
-}
-
-func jsonFloat(v float64) *float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return nil
-	}
-	return &v
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -9,6 +9,7 @@
 #   OUT=/tmp/bench.json scripts/bench.sh  # write elsewhere (e.g. to compare)
 #   scripts/bench.sh check BenchmarkAssessCold   # regression gate vs baseline
 #   scripts/bench.sh allocs BenchmarkSelectiveColdScan  # allocation gate
+#   scripts/bench.sh allocs BenchmarkEncodeAssess       # ... of each sub-benchmark
 #
 # Compare two snapshots with: go run golang.org/x/perf/cmd/benchstat (if
 # available) or scripts/bench.sh plus any JSON diff; each record carries
@@ -24,12 +25,14 @@
 # `ratio <BenchmarkName> <metric> <min>` reruns a benchmark that reports
 # a custom metric (e.g. BenchmarkSharedScanSpeedup's "speedup", a paired
 # within-iteration ratio that is host-speed independent) and fails when
-# the best reported value falls below <min>:
+# the best reported value falls below <min> (for any sub-benchmark, when
+# it has them):
 #   scripts/bench.sh ratio BenchmarkSharedScanSpeedup speedup 2.0
 #
 # `allocs <BenchmarkName>` reruns with -benchmem and fails when the best
 # (minimum) allocs/op exceeds the baseline's best by more than
-# BENCH_ALLOC_PCT percent (default 20). Allocation counts barely vary
+# BENCH_ALLOC_PCT percent (default 20); a benchmark with sub-benchmarks
+# is checked sub-benchmark by sub-benchmark. Allocation counts barely vary
 # across hosts, so this gate is much tighter than the ns/op one — it
 # catches scratch-reuse regressions that wall-clock noise would hide.
 set -euo pipefail
@@ -50,32 +53,37 @@ import json, os, sys
 
 baseline_path, name, pct = sys.argv[1], sys.argv[2], float(sys.argv[3])
 
-def matches(full):
-    return full.split("-")[0] == name
+# The benchmark itself, or each of its sub-benchmarks (name/case), which
+# are gated one by one against their own baseline records.
+def case(full):
+    base = full.split("-")[0]
+    return base if base == name or base.startswith(name + "/") else None
 
+base_vals, cur_vals = {}, {}
 with open(baseline_path) as f:
-    base_vals = [r["allocs_per_op"] for r in json.load(f)
-                 if matches(r["name"]) and "allocs_per_op" in r]
-base = min(base_vals) if base_vals else None
-
-cur_vals = []
+    for r in json.load(f):
+        if case(r["name"]) and "allocs_per_op" in r:
+            base_vals.setdefault(case(r["name"]), []).append(r["allocs_per_op"])
 for line in os.environ["RAW"].splitlines():
     parts = line.split()
-    if parts and matches(parts[0]):
+    if parts and case(parts[0]):
         for value, unit in zip(parts[2::2], parts[3::2]):
             if unit == "allocs/op":
-                cur_vals.append(float(value))
-cur = min(cur_vals) if cur_vals else None
-if base is None:
-    sys.exit(f"allocs: {name} has no allocs_per_op in {baseline_path} "
-             "(regenerate with scripts/bench.sh)")
-if cur is None:
+                cur_vals.setdefault(case(parts[0]), []).append(float(value))
+if not cur_vals:
     sys.exit(f"allocs: {name} produced no allocs/op samples")
-limit = base * (1 + pct / 100.0)
-status = "ok" if cur <= limit else "REGRESSION"
-print(f"{name}: baseline {base:.0f} allocs/op, current {cur:.0f} allocs/op "
-      f"(limit {limit:.0f}, +{pct:.0f}%) -> {status}")
-if cur > limit:
+failed = False
+for c in sorted(cur_vals):
+    if c not in base_vals:
+        sys.exit(f"allocs: {c} has no allocs_per_op in {baseline_path} "
+                 "(regenerate with scripts/bench.sh)")
+    base, cur = min(base_vals[c]), min(cur_vals[c])
+    limit = base * (1 + pct / 100.0)
+    status = "ok" if cur <= limit else "REGRESSION"
+    print(f"{c}: baseline {base:.0f} allocs/op, current {cur:.0f} allocs/op "
+          f"(limit {limit:.0f}, +{pct:.0f}%) -> {status}")
+    failed = failed or cur > limit
+if failed:
     sys.exit(1)
 EOF
     exit 0
@@ -130,23 +138,29 @@ import os, sys
 
 name, metric, minval = sys.argv[1], sys.argv[2], float(sys.argv[3])
 
-def matches(full):
-    return full.split("-")[0] == name
+# The benchmark itself, or each of its sub-benchmarks (name/case): the
+# floor holds for every one of them.
+def case(full):
+    base = full.split("-")[0]
+    return base if base == name or base.startswith(name + "/") else None
 
-vals = []
+vals = {}
 for line in os.environ["RAW"].splitlines():
     parts = line.split()
-    if parts and matches(parts[0]):
+    if parts and case(parts[0]):
         for value, unit in zip(parts[2::2], parts[3::2]):
             if unit == metric:
-                vals.append(float(value))
+                vals.setdefault(case(parts[0]), []).append(float(value))
 if not vals:
     sys.exit(f"ratio: {name} reported no {metric} samples")
-best = max(vals)
-status = "ok" if best >= minval else "BELOW FLOOR"
-print(f"{name}: best {metric} {best:.3f} over {len(vals)} runs "
-      f"(floor {minval:.2f}) -> {status}")
-if best < minval:
+failed = False
+for c in sorted(vals):
+    best = max(vals[c])
+    status = "ok" if best >= minval else "BELOW FLOOR"
+    print(f"{c}: best {metric} {best:.3f} over {len(vals[c])} runs "
+          f"(floor {minval:.2f}) -> {status}")
+    failed = failed or best < minval
+if failed:
     sys.exit(1)
 EOF
     exit 0
