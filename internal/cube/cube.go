@@ -7,8 +7,8 @@ package cube
 
 import (
 	"fmt"
-	"math"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"github.com/assess-olap/assess/internal/mdm"
@@ -18,6 +18,11 @@ import (
 // of a group-by set to tuples of measure values, stored column-wise.
 // Derived (transformed, compared) measures are appended as extra columns;
 // the label column, being categorical, is kept separately in Labels.
+//
+// Assembly is columnar: producers hand Build whole columns, coordinates
+// are windows into one []int32 arena (Carve), and nothing is indexed until
+// the first Lookup asks for a cell by coordinate (index.go). A cube that
+// is only transformed, labelled, sorted and encoded never builds an index.
 type Cube struct {
 	Schema *mdm.Schema
 	Group  mdm.GroupBy
@@ -26,22 +31,27 @@ type Cube struct {
 	Cols   [][]float64 // Cols[j][i] = value of measure j in cell i
 	Labels []string    // optional, len == len(Coords) when present
 
-	index map[string]int // coordinate key → cell position
+	idx   *index  // coordinate → cell position, built on first use
+	arena []int32 // tail of the chunk AddCell carves coordinates from
 }
 
-// New creates an empty derived cube with the given measure columns.
+// New creates an empty derived cube with the given measure columns, to be
+// filled cell by cell with AddCell.
 func New(s *mdm.Schema, g mdm.GroupBy, names ...string) *Cube {
-	c := &Cube{Schema: s, Group: g, Names: append([]string(nil), names...)}
-	c.Cols = make([][]float64, len(c.Names))
-	c.index = make(map[string]int)
-	return c
+	return &Cube{
+		Schema: s,
+		Group:  g,
+		Names:  append([]string(nil), names...),
+		Cols:   make([][]float64, len(names)),
+		idx:    new(index),
+	}
 }
 
-// Build constructs a cube directly from prebuilt coordinate and column
-// slices, taking ownership of them (no copies): the bulk counterpart of
-// New+AddCell for producers that already hold columnar results, such as
-// the engine's view paths. Coordinates must be unique and every column
-// must have one value per coordinate.
+// Build is the bulk builder: it constructs a cube from whole coordinate
+// and measure columns, taking ownership of them (no copies) and building
+// no index. Every column must have one value per coordinate. Coordinates
+// are trusted to be unique, as every engine kernel and cube operator
+// produces them; BuildIndex checks it for cubes of other provenance.
 func Build(s *mdm.Schema, g mdm.GroupBy, names []string, coords []mdm.Coordinate, cols [][]float64) (*Cube, error) {
 	if len(cols) != len(names) {
 		return nil, fmt.Errorf("cube: %d columns for %d measure names", len(cols), len(names))
@@ -51,22 +61,25 @@ func Build(s *mdm.Schema, g mdm.GroupBy, names []string, coords []mdm.Coordinate
 			return nil, fmt.Errorf("cube: column %s has %d values for %d cells", names[j], len(cols[j]), len(coords))
 		}
 	}
-	c := &Cube{
+	return &Cube{
 		Schema: s,
 		Group:  g,
 		Names:  append([]string(nil), names...),
 		Coords: coords,
 		Cols:   cols,
-		index:  make(map[string]int, len(coords)),
+		idx:    new(index),
+	}, nil
+}
+
+// Carve cuts n coordinates of the given width out of one arena of member
+// ids laid out cell by cell, so a result's coordinates cost two
+// allocations, not one per cell. The coordinates alias ids.
+func Carve(ids []int32, n, width int) []mdm.Coordinate {
+	coords := make([]mdm.Coordinate, n)
+	for i := range coords {
+		coords[i] = ids[i*width : (i+1)*width : (i+1)*width]
 	}
-	for i, coord := range coords {
-		key := coord.Key()
-		if _, dup := c.index[key]; dup {
-			return nil, fmt.Errorf("cube: duplicate coordinate %s", coord.Format(s, g))
-		}
-		c.index[key] = i
-	}
-	return c, nil
+	return coords
 }
 
 // Len returns the number of cells, |C|.
@@ -82,18 +95,30 @@ func (c *Cube) MeasureIndex(name string) (int, bool) {
 	return 0, false
 }
 
-// AddCell appends one cell. Coordinates must be unique; vals must have one
-// value per measure column.
+// AddCell appends one cell, copying coord and vals. It is the checked,
+// one-cell-at-a-time entry for hand-built cubes: coordinates must be
+// unique (which indexes the cube) and vals must have one value per
+// measure column. Result-sized producers use Build.
 func (c *Cube) AddCell(coord mdm.Coordinate, vals []float64) error {
 	if len(vals) != len(c.Cols) {
 		return fmt.Errorf("cube: cell has %d values, cube has %d measures", len(vals), len(c.Cols))
 	}
-	key := coord.Key()
-	if _, dup := c.index[key]; dup {
+	if len(coord) != len(c.Group) {
+		return fmt.Errorf("cube: coordinate has %d members, group-by set has %d levels", len(coord), len(c.Group))
+	}
+	if err := c.BuildIndex(); err != nil {
+		return err
+	}
+	if !c.idx.tab.insert(coord, len(c.Coords), c.Coords) {
 		return fmt.Errorf("cube: duplicate coordinate %s", coord.Format(c.Schema, c.Group))
 	}
-	c.index[key] = len(c.Coords)
-	c.Coords = append(c.Coords, coord)
+	if cap(c.arena)-len(c.arena) < len(coord) {
+		// A fresh chunk, not a reallocation: earlier cells keep theirs.
+		c.arena = make([]int32, 0, max(2*cap(c.arena), 64*len(coord)))
+	}
+	at := len(c.arena)
+	c.arena = append(c.arena, coord...)
+	c.Coords = append(c.Coords, c.arena[at:len(c.arena):len(c.arena)])
 	for j, v := range vals {
 		c.Cols[j] = append(c.Cols[j], v)
 	}
@@ -107,10 +132,21 @@ func (c *Cube) MustAddCell(coord mdm.Coordinate, vals ...float64) {
 	}
 }
 
-// Lookup returns the cell position of the coordinate.
+// Lookup returns the cell position of the coordinate. The first call
+// indexes the cube; concurrent callers (cached results and view cubes are
+// shared across requests) are safe. Should the cube hold a coordinate
+// twice — BuildIndex reports that — the first cell wins.
 func (c *Cube) Lookup(coord mdm.Coordinate) (int, bool) {
-	i, ok := c.index[coord.Key()]
-	return i, ok
+	return c.index().tab.find(coord, nil)
+}
+
+// BuildIndex indexes the cube now rather than on the first Lookup and
+// reports a coordinate held by more than one cell.
+func (c *Cube) BuildIndex() error {
+	if dup := c.index().dup; dup >= 0 {
+		return fmt.Errorf("cube: duplicate coordinate %s", c.Coords[dup].Format(c.Schema, c.Group))
+	}
+	return nil
 }
 
 // Column returns the values of measure column j across all cells. The
@@ -140,217 +176,97 @@ func (c *Cube) SetLabels(labels []string) error {
 	return nil
 }
 
-// positions of the on-levels within a group-by set.
-func joinPositions(g mdm.GroupBy, on []mdm.LevelRef) ([]int, error) {
-	pos := make([]int, len(on))
-	for i, ref := range on {
-		p := g.PosOf(ref)
-		if p < 0 {
-			return nil, fmt.Errorf("cube: join level %d.%d not in group-by set", ref.Hier, ref.Level)
-		}
-		pos[i] = p
-	}
-	return pos, nil
-}
-
-// Join computes the natural join (drill-across) of two joinable cubes:
-// cells with equal coordinates are concatenated; non-matching cells are
-// dropped (or kept with NaN right measures when outer is true, which is
-// the left-outer join of the assess* variant). The right cube's measures
-// are renamed with the alias prefix (e.g. "benchmark.").
-func Join(left, right *Cube, alias string, outer bool) (*Cube, error) {
-	if !left.Group.Equal(right.Group) {
-		return nil, fmt.Errorf("cube: cubes are not joinable (different group-by sets)")
-	}
-	on := make([]mdm.LevelRef, len(left.Group))
-	copy(on, left.Group)
-	return PartialJoin(left, right, on, alias, outer)
-}
-
-// PartialJoin computes left ⋈_{on} right: cells match when their
-// coordinates agree on the given levels. Each left cell must match at most
-// one right cell (the assess plans guarantee this: the right cube is a
-// single slice); multiple matches are an error. Non-matching left cells
-// are dropped, or kept with NaN right measures when outer is true.
-func PartialJoin(left, right *Cube, on []mdm.LevelRef, alias string, outer bool) (*Cube, error) {
-	lpos, err := joinPositions(left.Group, on)
-	if err != nil {
-		return nil, err
-	}
-	rpos, err := joinPositions(right.Group, on)
-	if err != nil {
-		return nil, err
-	}
-	names := append([]string(nil), left.Names...)
-	for _, n := range right.Names {
-		names = append(names, alias+n)
-	}
-	out := New(left.Schema, left.Group, names...)
-
-	// Hash the right side on the join key, rejecting duplicates.
-	rindex := make(map[string]int, right.Len())
-	for i, coord := range right.Coords {
-		key := coord.KeyOn(rpos)
-		if _, dup := rindex[key]; dup {
-			return nil, fmt.Errorf("cube: partial join is ambiguous: right cube has several cells for key of %s",
-				coord.Format(right.Schema, right.Group))
-		}
-		rindex[key] = i
-	}
-	vals := make([]float64, len(names))
-	for i, coord := range left.Coords {
-		ri, ok := rindex[coord.KeyOn(lpos)]
-		if !ok && !outer {
-			continue
-		}
-		for j := range left.Cols {
-			vals[j] = left.Cols[j][i]
-		}
-		for j := range right.Cols {
-			if ok {
-				vals[len(left.Cols)+j] = right.Cols[j][ri]
-			} else {
-				vals[len(left.Cols)+j] = math.NaN()
-			}
-		}
-		if err := out.AddCell(coord.Clone(), append([]float64(nil), vals...)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// Pivot computes ⊞_{⟨m→name⟩, l, ref}(C): it keeps only the slice of level
-// l on member ref and, for each kept cell, appends the measures of its
-// neighbor cells (same coordinate except for l) as new measures. Each
-// neighbor contributes one renamed copy of every measure, in the order of
-// the neighbors slice; when neighbors is nil the members present in the
-// cube are used, ordered by member name (chronological for ISO-formatted
-// temporal members). When strict is true, cells missing any neighbor are
-// dropped (the paper's "is not null" filter); otherwise missing neighbor
-// measures are NaN. rename maps a (measure, neighbor member) pair to the
-// new column name; by default names are "m@member".
-func Pivot(c *Cube, level mdm.LevelRef, ref int32, neighbors []int32, strict bool, rename func(measure, member string) string) (*Cube, error) {
-	lp := c.Group.PosOf(level)
-	if lp < 0 {
-		return nil, fmt.Errorf("cube: pivot level not in group-by set")
-	}
-	if rename == nil {
-		rename = func(measure, member string) string { return measure + "@" + member }
-	}
-	dict := c.Schema.Dict(level)
-
-	if neighbors == nil {
-		// Collect the neighbor members present in the cube, ordered by name.
-		memberSet := make(map[int32]bool)
-		for _, coord := range c.Coords {
-			memberSet[coord[lp]] = true
-		}
-		neighbors = make([]int32, 0, len(memberSet))
-		for id := range memberSet {
-			if id != ref {
-				neighbors = append(neighbors, id)
-			}
-		}
-		sort.Slice(neighbors, func(i, j int) bool { return dict.Name(neighbors[i]) < dict.Name(neighbors[j]) })
-	}
-
-	names := append([]string(nil), c.Names...)
-	for _, id := range neighbors {
-		for _, m := range c.Names {
-			names = append(names, rename(m, dict.Name(id)))
-		}
-	}
-	out := New(c.Schema, c.Group, names...)
-
-	// Index all cells by (neighbor-member, other-coordinates) key.
-	others := make([]int, 0, len(c.Group)-1)
-	for p := range c.Group {
-		if p != lp {
-			others = append(others, p)
-		}
-	}
-	type sliceKey struct {
-		member int32
-		key    string
-	}
-	byKey := make(map[sliceKey]int, c.Len())
-	for i, coord := range c.Coords {
-		byKey[sliceKey{coord[lp], coord.KeyOn(others)}] = i
-	}
-
-	vals := make([]float64, len(names))
-cells:
-	for i, coord := range c.Coords {
-		if coord[lp] != ref {
-			continue
-		}
-		for j := range c.Cols {
-			vals[j] = c.Cols[j][i]
-		}
-		okey := coord.KeyOn(others)
-		w := len(c.Cols)
-		for _, id := range neighbors {
-			ni, ok := byKey[sliceKey{id, okey}]
-			for j := range c.Cols {
-				if ok {
-					vals[w] = c.Cols[j][ni]
-				} else {
-					if strict {
-						continue cells
-					}
-					vals[w] = math.NaN()
-				}
-				w++
-			}
-		}
-		if err := out.AddCell(coord.Clone(), append([]float64(nil), vals...)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // SortByCoordinate orders cells lexicographically by member names, for
-// deterministic rendering. It rebuilds the coordinate index.
+// deterministic rendering. Names are compared through the dictionaries'
+// rank tables — the composite of a cell's ranks is one uint64 that orders
+// like its names — so a cube already in order (the usual case for the
+// second sort of a statement) costs one pass and no allocation beyond the
+// keys, and one out of order is radix-sorted on integers. Columns are
+// permuted into fresh slices: cubes sharing the old ones (Project) are
+// unaffected.
 func (c *Cube) SortByCoordinate() {
-	order := make([]int, c.Len())
-	for i := range order {
-		order[i] = i
+	n := c.Len()
+	ranks := make([][]int32, len(c.Group))
+	cards := make([]int, len(c.Group))
+	for p, ref := range c.Group {
+		ranks[p] = c.Schema.Dict(ref).Ranks()
+		cards[p] = len(ranks[p])
 	}
-	name := func(i, p int) string { return c.Schema.Dict(c.Group[p]).Name(c.Coords[i][p]) }
-	sort.SliceStable(order, func(a, b int) bool {
-		for p := range c.Group {
-			na, nb := name(order[a], p), name(order[b], p)
-			if na != nb {
-				return na < nb
+	var order []int32 // order[dst] = src
+	if space := mdm.NewKeySpace(cards); !space.Wide() {
+		keys := make([]uint64, n)
+		for i, coord := range c.Coords {
+			for p, id := range coord {
+				keys[i] += uint64(ranks[p][id]) * space.Stride(p)
 			}
 		}
-		return false
-	})
-	coords := make([]mdm.Coordinate, c.Len())
-	cols := make([][]float64, len(c.Cols))
-	for j := range cols {
-		cols[j] = make([]float64, c.Len())
+		if slices.IsSorted(keys) {
+			return
+		}
+		order = radixOrder(keys)
+	} else {
+		// The rank space overflows 64 bits: compare rank tuples.
+		byRanks := func(a, b int32) int {
+			ca, cb := c.Coords[a], c.Coords[b]
+			for p := range ca {
+				if d := int(ranks[p][ca[p]]) - int(ranks[p][cb[p]]); d != 0 {
+					return d
+				}
+			}
+			return 0
+		}
+		order = make([]int32, n)
+		for i := range order {
+			order[i] = int32(i)
+		}
+		if slices.IsSortedFunc(order, byRanks) {
+			return
+		}
+		slices.SortStableFunc(order, byRanks)
 	}
-	var labels []string
+	c.Coords, c.Cols = take(c, order)
 	if c.Labels != nil {
-		labels = make([]string, c.Len())
+		c.Labels = gather(c.Labels, order)
 	}
-	for dst, src := range order {
-		coords[dst] = c.Coords[src]
-		for j := range cols {
-			cols[j][dst] = c.Cols[j][src]
+	c.idx = new(index) // positions moved; re-index on demand
+	c.arena = nil
+}
+
+// radixOrder returns the stable ascending order of keys — order[dst] is
+// the position of the dst-th smallest — by least-significant-digit radix
+// passes over as many 11-bit digits as the largest key has.
+func radixOrder(keys []uint64) []int32 {
+	const digit = 11
+	order, next := make([]int32, len(keys)), make([]int32, len(keys))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	for shift, width := 0, bits.Len64(slices.Max(keys)); shift < width; shift += digit {
+		var at [1 << digit]int32 // start of each digit's run in next
+		for _, k := range keys {
+			at[k>>shift&(1<<digit-1)]++
 		}
-		if labels != nil {
-			labels[dst] = c.Labels[src]
+		sum := int32(0)
+		for d, count := range at {
+			at[d], sum = sum, sum+count
 		}
+		for _, i := range order {
+			d := keys[i] >> shift & (1<<digit - 1)
+			next[at[d]] = i
+			at[d]++
+		}
+		order, next = next, order
 	}
-	c.Coords, c.Cols, c.Labels = coords, cols, labels
-	c.index = make(map[string]int, len(coords))
-	for i, coord := range coords {
-		c.index[coord.Key()] = i
+	return order
+}
+
+// gather returns col permuted or filtered by rows: out[k] = col[rows[k]].
+func gather[T any](col []T, rows []int32) []T {
+	out := make([]T, len(rows))
+	for k, i := range rows {
+		out[k] = col[i]
 	}
+	return out
 }
 
 // String renders the cube as a small table, for debugging and examples.

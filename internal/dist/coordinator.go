@@ -178,13 +178,16 @@ func (c *Coordinator) scatterGather(ctx context.Context, t *table, q engine.Quer
 	mDistShardsPruned.Add(int64(len(t.shards) - len(needed)))
 
 	start := time.Now()
+	// One key space for every partial of this scan: the merge compares
+	// keys across shards.
+	space := t.local.Schema.KeySpace(q.Group)
 	results := make([]shardResult, len(needed))
 	var wg sync.WaitGroup
 	for i, s := range needed {
 		wg.Add(1)
 		go func(i, s int) {
 			defer wg.Done()
-			results[i] = c.scanShard(ctx, t, s, req, plan, q)
+			results[i] = c.scanShard(ctx, t, s, req, plan, q, space)
 		}(i, s)
 	}
 	wg.Wait()
@@ -235,7 +238,7 @@ func (c *Coordinator) scatterGather(ctx context.Context, t *table, q engine.Quer
 // then the local fallback. Each attempt runs in its own goroutine so an
 // unresponsive replica is abandoned at the deadline rather than waited
 // on.
-func (c *Coordinator) scanShard(ctx context.Context, t *table, s int, req *ScanRequest, plan *partialPlan, q engine.Query) shardResult {
+func (c *Coordinator) scanShard(ctx context.Context, t *table, s int, req *ScanRequest, plan *partialPlan, q engine.Query, space *mdm.KeySpace) shardResult {
 	ss := t.shards[s]
 	var lastErr error
 	for attempt, cl := range ss.clients {
@@ -268,8 +271,11 @@ func (c *Coordinator) scanShard(ctx context.Context, t *table, s int, req *ScanR
 		}
 		cancel()
 		if ar.err == nil {
-			hDistShard.Observe(time.Since(a0).Seconds())
-			return shardResult{part: tableFrom(ar.part), gen: ar.gen}
+			var part *partialTable
+			if part, ar.err = tableFrom(ar.part, space); ar.err == nil {
+				hDistShard.Observe(time.Since(a0).Seconds())
+				return shardResult{part: part, gen: ar.gen}
+			}
 		}
 		ss.errors.Add(1)
 		mDistShardErrors.Inc()
@@ -287,7 +293,10 @@ func (c *Coordinator) scanShard(ctx context.Context, t *table, s int, req *ScanR
 			engine.Predicate{Level: t.level, Members: t.owned[s]})
 		part, err := c.eng.ScanWithOps(lq, plan.ops, plan.names)
 		if err == nil {
-			return shardResult{part: tableFrom(part), local: true}
+			var pt *partialTable
+			if pt, err = tableFrom(part, space); err == nil {
+				return shardResult{part: pt, local: true}
+			}
 		}
 		lastErr = err
 	}

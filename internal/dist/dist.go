@@ -271,24 +271,27 @@ func DecodeResponse(s *mdm.Schema, g mdm.GroupBy, names []string, buf []byte) (u
 	}
 	rowBytes := 4*ncoord + 8*ncols
 	body := buf[24:]
-	if len(body) != nrows*rowBytes {
-		return 0, nil, fmt.Errorf("dist: response body %d bytes, want %d", len(body), nrows*rowBytes)
+	if len(body) != nrows*rowBytes || (rowBytes == 0 && nrows > 1) {
+		return 0, nil, fmt.Errorf("dist: response body %d bytes for %d rows of %d", len(body), nrows, rowBytes)
 	}
-	c := cube.New(s, g, names...)
-	vals := make([]float64, ncols)
+	ids := make([]int32, nrows*ncoord)
+	cols := make([][]float64, ncols)
+	for j := range cols {
+		cols[j] = make([]float64, nrows)
+	}
 	for i := 0; i < nrows; i++ {
 		off := i * rowBytes
-		coord := make(mdm.Coordinate, ncoord)
 		for k := 0; k < ncoord; k++ {
-			coord[k] = int32(binary.LittleEndian.Uint32(body[off+4*k:]))
+			ids[i*ncoord+k] = int32(binary.LittleEndian.Uint32(body[off+4*k:]))
 		}
 		off += 4 * ncoord
 		for j := 0; j < ncols; j++ {
-			vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(body[off+8*j:]))
+			cols[j][i] = math.Float64frombits(binary.LittleEndian.Uint64(body[off+8*j:]))
 		}
-		if err := c.AddCell(coord, vals); err != nil {
-			return 0, nil, err
-		}
+	}
+	c, err := cube.Build(s, g, names, cube.Carve(ids, nrows, ncoord), cols)
+	if err != nil {
+		return 0, nil, err
 	}
 	return gen, c, nil
 }

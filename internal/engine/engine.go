@@ -262,8 +262,7 @@ func (e *Engine) scanAggregateOps(q Query, ops []mdm.AggOp, names []string) (*cu
 	prep.src = src
 	prep.rows = src.Rows()
 	mRowsScanned.Add(int64(prep.rows))
-	out := cube.New(f.Schema, q.Group, names...)
-	return e.runPrepared(prep, out)
+	return e.runPrepared(prep, f.Schema, names)
 }
 
 // buildScanPrep derives everything a scan needs before touching data:
@@ -359,8 +358,9 @@ func (e *Engine) buildScanPrep(f *storage.FactTable, q Query, ops []mdm.AggOp) (
 }
 
 // runPrepared drives a source-bound prepared scan through the dense or
-// hash kernels, serial or morsel-parallel, and materializes out.
-func (e *Engine) runPrepared(prep *preparedScan, out *cube.Cube) (*cube.Cube, error) {
+// hash kernels, serial or morsel-parallel, and materializes the result
+// under the given measure names.
+func (e *Engine) runPrepared(prep *preparedScan, s *mdm.Schema, names []string) (*cube.Cube, error) {
 	workers := scanWorkers(e.workers, prep.rows, e.parallelMinRows())
 	morsel := e.effectiveMorselSize()
 	if l := prep.denseLayout(e.denseKeyBudget()); l != nil {
@@ -377,7 +377,7 @@ func (e *Engine) runPrepared(prep *preparedScan, out *cube.Cube) (*cube.Cube, er
 		if err != nil {
 			return nil, err
 		}
-		return prep.finalizeDense(out, l, st)
+		return prep.finalizeDense(s, names, l, st)
 	}
 	mKernelHash.Inc()
 	var st scanState
@@ -392,7 +392,7 @@ func (e *Engine) runPrepared(prep *preparedScan, out *cube.Cube) (*cube.Cube, er
 	if err != nil {
 		return nil, err
 	}
-	return prep.finalize(out, st)
+	return prep.finalize(s, names, st)
 }
 
 // FactStorage describes one fact table's physical backend, surfaced by

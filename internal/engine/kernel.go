@@ -682,58 +682,73 @@ func (p *preparedScan) mergeDense(dst, src *denseState) {
 	}
 }
 
+// occupied lists the slots that saw a row, in ascending order (one of cnt
+// and seen is nil). The counting pass sizes the list exactly: one
+// allocation for any result.
+func (st *denseState) occupied() []int {
+	n := 0
+	for _, c := range st.cnt {
+		if c != 0 {
+			n++
+		}
+	}
+	for _, ok := range st.seen {
+		if ok {
+			n++
+		}
+	}
+	slots := make([]int, 0, n)
+	for slot, c := range st.cnt {
+		if c != 0 {
+			slots = append(slots, slot)
+		}
+	}
+	for slot, ok := range st.seen {
+		if ok {
+			slots = append(slots, slot)
+		}
+	}
+	return slots
+}
+
 // finalizeDense materializes the occupied slots as a derived cube,
 // decoding each composite key back into its coordinate. Serial scans
 // emit in first-seen order (st.touched), matching the hash path cell for
 // cell; parallel scans emit in ascending key order, which is coordinate-
-// lexicographic and independent of morsel scheduling.
-func (p *preparedScan) finalizeDense(out *cube.Cube, l *denseLayout, st *denseState) (*cube.Cube, error) {
-	emit := func(slot int) error {
-		coord := make(mdm.Coordinate, len(p.q.Group))
-		for gi := range p.q.Group {
-			coord[gi] = int32(slot / l.stride[gi] % l.card[gi])
-		}
-		vals := make([]float64, len(p.q.Measures))
-		for j := range p.q.Measures {
-			switch p.ops[j] {
-			case mdm.AggAvg:
-				vals[j] = st.vals[j][slot] / float64(st.cnt[slot])
-			case mdm.AggCount:
-				vals[j] = float64(st.cnt[slot])
-			default:
-				vals[j] = st.vals[j][slot]
+// lexicographic and independent of morsel scheduling. The cube is
+// assembled column by column: one coordinate arena and one slice per
+// measure, whatever the cell count.
+func (p *preparedScan) finalizeDense(s *mdm.Schema, names []string, l *denseLayout, st *denseState) (*cube.Cube, error) {
+	slots := st.touched
+	if slots == nil {
+		slots = st.occupied()
+	}
+	width := len(p.q.Group)
+	space := mdm.NewKeySpace(l.card)
+	coords := cube.Carve(make([]int32, len(slots)*width), len(slots), width)
+	for i, slot := range slots {
+		space.Decode(uint64(slot), coords[i])
+	}
+	cols := make([][]float64, len(p.q.Measures))
+	for j := range p.q.Measures {
+		col := make([]float64, len(slots))
+		switch p.ops[j] {
+		case mdm.AggAvg:
+			for i, slot := range slots {
+				col[i] = st.vals[j][slot] / float64(st.cnt[slot])
+			}
+		case mdm.AggCount:
+			for i, slot := range slots {
+				col[i] = float64(st.cnt[slot])
+			}
+		default:
+			for i, slot := range slots {
+				col[i] = st.vals[j][slot]
 			}
 		}
-		return out.AddCell(coord, vals)
+		cols[j] = col
 	}
-	if st.touched != nil {
-		for _, slot := range st.touched {
-			if err := emit(slot); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	if st.cnt != nil {
-		for slot, n := range st.cnt {
-			if n == 0 {
-				continue
-			}
-			if err := emit(slot); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	for slot, ok := range st.seen {
-		if !ok {
-			continue
-		}
-		if err := emit(slot); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return cube.Build(s, p.q.Group, names, coords, cols)
 }
 
 // runDenseSerial scans the fact data block by block, morsel by morsel,

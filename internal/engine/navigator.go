@@ -229,7 +229,7 @@ func (e *Engine) rollupFromView(f *storage.FactTable, v *matView, q Query) (*cub
 	}
 	workers := scanWorkers(e.workers, n, e.parallelMinRows())
 	morsel := e.effectiveMorselSize()
-	out := cube.New(s, q.Group, names...)
+	var out *cube.Cube
 	var err error
 	if l := prep.denseLayout(e.denseKeyBudget()); l != nil {
 		mKernelDense.Inc()
@@ -240,7 +240,7 @@ func (e *Engine) rollupFromView(f *storage.FactTable, v *matView, q Query) (*cub
 			st, err = prep.runDenseSerial(l, morsel)
 		}
 		if err == nil {
-			out, err = prep.finalizeDense(out, l, st)
+			out, err = prep.finalizeDense(s, names, l, st)
 		}
 	} else {
 		mKernelHash.Inc()
@@ -251,7 +251,7 @@ func (e *Engine) rollupFromView(f *storage.FactTable, v *matView, q Query) (*cub
 			st, err = prep.run()
 		}
 		if err == nil {
-			out, err = prep.finalize(out, st)
+			out, err = prep.finalize(s, names, st)
 		}
 	}
 	if err != nil {

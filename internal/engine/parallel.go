@@ -232,22 +232,30 @@ func (p *preparedScan) mergeTree(parts []scanState) scanState {
 	return parts[0]
 }
 
-// finalize materializes the merged state as a derived cube.
-func (p *preparedScan) finalize(schema *cube.Cube, st scanState) (*cube.Cube, error) {
-	for _, cell := range st.order {
+// finalize materializes the merged state as a derived cube, column by
+// column in the state's cell order.
+func (p *preparedScan) finalize(s *mdm.Schema, names []string, st scanState) (*cube.Cube, error) {
+	n := len(st.order)
+	width := len(p.q.Group)
+	coords := cube.Carve(make([]int32, n*width), n, width)
+	cols := make([][]float64, len(p.q.Measures))
+	for j := range cols {
+		cols[j] = make([]float64, n)
+	}
+	for i, cell := range st.order {
+		copy(coords[i], cell.coord)
 		for j := range p.q.Measures {
 			switch p.ops[j] {
 			case mdm.AggAvg:
-				cell.vals[j] /= float64(cell.cnt[j])
+				cols[j][i] = cell.vals[j] / float64(cell.cnt[j])
 			case mdm.AggCount:
-				cell.vals[j] = float64(cell.cnt[j])
+				cols[j][i] = float64(cell.cnt[j])
+			default:
+				cols[j][i] = cell.vals[j]
 			}
 		}
-		if err := schema.AddCell(cell.coord, cell.vals); err != nil {
-			return nil, err
-		}
 	}
-	return schema, nil
+	return cube.Build(s, p.q.Group, names, coords, cols)
 }
 
 // parallelScan drives workers over the scan source and hands each

@@ -225,13 +225,12 @@ func (e *Engine) SharedScan(fact string, reqs []ScanReq) []ScanResult {
 			out[sq.idx].Err = sq.err
 			continue
 		}
-		schema := cube.New(s, sq.prep.q.Group, sq.names...)
 		var c *cube.Cube
 		var err error
 		if sq.layout != nil {
-			c, err = sq.prep.finalizeDense(schema, sq.layout, sq.dense)
+			c, err = sq.prep.finalizeDense(s, sq.names, sq.layout, sq.dense)
 		} else {
-			c, err = sq.prep.finalize(schema, sq.hash)
+			c, err = sq.prep.finalize(s, sq.names, sq.hash)
 		}
 		out[sq.idx] = ScanResult{Cube: c, Err: err}
 	}

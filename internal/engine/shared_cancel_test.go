@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/assess-olap/assess/internal/mdm"
 	"github.com/assess-olap/assess/internal/storage"
@@ -106,9 +105,7 @@ func TestSharedScanSegmentCancelPrompt(t *testing.T) {
 		{Ctx: ctx, Query: Query{Fact: "T", Group: mdm.MustGroupBy(s, "k"), Measures: []int{0, 1}}},
 		{Ctx: ctx, Query: Query{Fact: "T", Group: mdm.MustGroupBy(s, "c"), Measures: []int{2}}},
 	}
-	start := time.Now()
 	results := e.SharedScan("T", reqs)
-	elapsed := time.Since(start)
 
 	for i, r := range results {
 		if !errors.Is(r.Err, context.Canceled) {
@@ -119,9 +116,6 @@ func TestSharedScanSegmentCancelPrompt(t *testing.T) {
 	if max := int64(cancelAt + workers); decodes > max {
 		t.Errorf("scan decoded %d blocks after mid-scan cancellation, want ≤ %d (of %d total)",
 			decodes, max, backend.blocks())
-	}
-	if elapsed > 5*time.Second {
-		t.Errorf("cancelled scan took %v", elapsed)
 	}
 
 	// A scan entered with an already-dead context must not decode a

@@ -367,7 +367,9 @@ cells:
 		}
 		filledArena[r*blocks+block] = true
 	}
-	out := cube.New(s, q.Group, names...)
+	// Keep the rows that have a reference-slice cell (and, when strict,
+	// every neighbor), then transpose the row arenas into columns.
+	keep := make([]int, 0, n)
 rowsLoop:
 	for r := 0; r < n; r++ {
 		filled := filledArena[r*blocks : (r+1)*blocks]
@@ -381,12 +383,20 @@ rowsLoop:
 				}
 			}
 		}
-		coord := mdm.Coordinate(coordArena[r*ng : (r+1)*ng : (r+1)*ng])
-		if err := out.AddCell(coord, valsArena[r*nv:(r+1)*nv:(r+1)*nv]); err != nil {
-			return nil, err
+		keep = append(keep, r)
+	}
+	coords := cube.Carve(make([]int32, len(keep)*ng), len(keep), ng)
+	cols := make([][]float64, nv)
+	for j := range cols {
+		cols[j] = make([]float64, len(keep))
+	}
+	for i, r := range keep {
+		copy(coords[i], coordArena[r*ng:(r+1)*ng])
+		for j, v := range valsArena[r*nv : (r+1)*nv] {
+			cols[j][i] = v
 		}
 	}
-	return out, nil
+	return cube.Build(s, q.Group, names, coords, cols)
 }
 
 // aggregateFromView answers an exact-match query from the view: filter
@@ -428,12 +438,9 @@ cells:
 	}
 	n := len(keep)
 	ng := len(q.Group)
-	coords := make([]mdm.Coordinate, n)
-	backing := make([]int32, n*ng)
+	coords := cube.Carve(make([]int32, n*ng), n, ng)
 	for oi, i := range keep {
-		c := backing[oi*ng : (oi+1)*ng : (oi+1)*ng]
-		copy(c, data.Coords[i])
-		coords[oi] = mdm.Coordinate(c)
+		copy(coords[oi], data.Coords[i])
 	}
 	cols := make([][]float64, len(q.Measures))
 	colBacking := make([]float64, n*len(q.Measures))

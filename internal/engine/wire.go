@@ -34,7 +34,9 @@ func encodeRows(c *cube.Cube) []byte {
 	return buf
 }
 
-// decodeRows materializes a client cube from the wire bytes.
+// decodeRows materializes a client cube from the wire bytes: every cell
+// is copied out of the cursor, into one coordinate arena and one slice
+// per measure.
 func decodeRows(s *mdm.Schema, g mdm.GroupBy, names []string, buf []byte) (*cube.Cube, error) {
 	rowLen := 4*len(g) + 8*len(names)
 	if rowLen == 0 {
@@ -43,25 +45,24 @@ func decodeRows(s *mdm.Schema, g mdm.GroupBy, names []string, buf []byte) (*cube
 	if len(buf)%rowLen != 0 {
 		return nil, fmt.Errorf("engine: corrupt result set: %d bytes for row length %d", len(buf), rowLen)
 	}
-	out := cube.New(s, g, names...)
 	n := len(buf) / rowLen
+	ids := make([]int32, n*len(g))
+	cols := make([][]float64, len(names))
+	for j := range cols {
+		cols[j] = make([]float64, n)
+	}
+	p := 0
 	for r := 0; r < n; r++ {
-		p := r * rowLen
-		coord := make(mdm.Coordinate, len(g))
-		for i := range coord {
-			coord[i] = int32(binary.LittleEndian.Uint32(buf[p:]))
+		for i := range g {
+			ids[r*len(g)+i] = int32(binary.LittleEndian.Uint32(buf[p:]))
 			p += 4
 		}
-		vals := make([]float64, len(names))
-		for j := range vals {
-			vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[p:]))
+		for j := range cols {
+			cols[j][r] = math.Float64frombits(binary.LittleEndian.Uint64(buf[p:]))
 			p += 8
 		}
-		if err := out.AddCell(coord, vals); err != nil {
-			return nil, err
-		}
 	}
-	return out, nil
+	return cube.Build(s, g, names, cube.Carve(ids, n, len(g)), cols)
 }
 
 // transfer moves an engine-side result set across the cursor boundary.

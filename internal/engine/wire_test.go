@@ -64,9 +64,14 @@ func TestWireRejectsCorruptBuffer(t *testing.T) {
 	if _, err := decodeRows(c.Schema, c.Group, c.Names, buf[:len(buf)-3]); err == nil {
 		t.Error("truncated buffer decoded")
 	}
-	// Duplicate rows collide on coordinates.
+	// Duplicate rows collide on coordinates. Decoding is index-free, so
+	// the collision surfaces when the cube is indexed.
 	dup := append(append([]byte{}, buf...), buf...)
-	if _, err := decodeRows(c.Schema, c.Group, c.Names, dup); err == nil {
-		t.Error("duplicate coordinates decoded")
+	out, err := decodeRows(c.Schema, c.Group, c.Names, dup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := out.BuildIndex(); err == nil {
+		t.Error("duplicate coordinates indexed")
 	}
 }

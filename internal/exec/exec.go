@@ -188,13 +188,14 @@ func RunContext(ctx context.Context, e *engine.Engine, p *plan.Plan) (*Result, e
 		stageSeconds[op.Phase].Observe(d.Seconds())
 		stats = append(stats, OpStat{Description: p.DescribeOp(i), Phase: op.Phase, Duration: d})
 	}
-	total := time.Since(start)
 	out, ok := cubes[p.Result]
 	if !ok {
 		return nil, fmt.Errorf("exec: plan produced no result cube %q", p.Result)
 	}
+	// A labelled result is already in order (the label op sorted it), so
+	// this is one pass; either way it is part of the statement's total.
 	out.SortByCoordinate()
-	return &Result{Plan: p, Cube: out, Breakdown: bd, OpStats: stats, Total: total}, nil
+	return &Result{Plan: p, Cube: out, Breakdown: bd, OpStats: stats, Total: time.Since(start)}, nil
 }
 
 // ExplainAnalyze renders the executed plan with per-operation timings.

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/assess-olap/assess/internal/engine"
@@ -237,4 +238,37 @@ func TestOpStatsAndExplainAnalyze(t *testing.T) {
 	if !strings.Contains(out, "NP plan") || !strings.Contains(out, "1.") {
 		t.Errorf("ExplainAnalyze:\n%s", out)
 	}
+}
+
+// TestSharedResultConcurrentReaders reads one result from eight
+// goroutines at once, as requests served the same cached result do:
+// Columns() aliases the cube, and the first Lookup indexes it lazily.
+// Run under -race.
+func TestSharedResultConcurrentReaders(t *testing.T) {
+	e, bd := session(t)
+	r := run(t, e, bd, `with SALES by month, store assess storeSales against 1000
+		using ratio(storeSales, 1000) labels quartiles`, plan.NP)
+	if r.Cube.Len() < 100 {
+		t.Fatalf("fixture result has %d cells", r.Cube.Len())
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			cols, err := r.Columns()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := w; i < len(cols.Coords); i += 8 {
+				at, ok := r.Cube.Lookup(cols.Coords[i])
+				if !ok || at != i || cols.Labels[at] != r.Cube.Labels[i] {
+					t.Errorf("Lookup(%v) = %d, %v; the cell is at %d", cols.Coords[i], at, ok, i)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -127,7 +127,10 @@ func (g GroupBy) String(s *Schema) string {
 // per level, aligned with the canonical order of the GroupBy.
 type Coordinate []int32
 
-// Key packs a coordinate into a string usable as a map key.
+// Key packs a coordinate into a string usable as a map key. Derived
+// cubes and the shard merge key on KeySpace's uint64 instead; this byte
+// string remains for the engine's hash kernel (ROADMAP item 2 moves that
+// onto the same key) and as KeySpace's overflow fallback (WideKey).
 func (c Coordinate) Key() string {
 	buf := make([]byte, 4*len(c))
 	for i, id := range c {
@@ -137,6 +140,8 @@ func (c Coordinate) Key() string {
 }
 
 // KeyOn packs the projection of the coordinate onto the given positions.
+// Like Key it survives only below the cube layer: the engine's fused
+// view→pivot pass (views.go) and WideKey.
 func (c Coordinate) KeyOn(pos []int) string {
 	buf := make([]byte, 4*len(pos))
 	for i, p := range pos {

@@ -8,6 +8,7 @@ package mdm
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // AggOp is the aggregation operator coupled with a measure (Definition 2.1).
@@ -50,6 +51,9 @@ type Measure struct {
 type Dict struct {
 	ids   map[string]int32
 	names []string
+	// ranks caches Ranks(); a table shorter than names predates the
+	// dictionary's growth and is rebuilt.
+	ranks atomic.Pointer[[]int32]
 }
 
 // NewDict returns an empty dictionary.
@@ -83,6 +87,28 @@ func (d *Dict) Len() int { return len(d.names) }
 // Names returns all member names in insertion order. The returned slice is
 // shared with the dictionary and must not be modified.
 func (d *Dict) Names() []string { return d.names }
+
+// Ranks returns the name-rank table of the dictionary: Ranks()[id] is the
+// position of member id in byte-wise name order, so comparing ranks is
+// comparing names. The table is cached until the dictionary grows, is
+// shared, and must not be modified. Like Name, it may be called from
+// concurrent readers.
+func (d *Dict) Ranks() []int32 {
+	if r := d.ranks.Load(); r != nil && len(*r) == len(d.names) {
+		return *r
+	}
+	order := make([]int32, len(d.names))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(a, b int) bool { return d.names[order[a]] < d.names[order[b]] })
+	ranks := make([]int32, len(order))
+	for pos, id := range order {
+		ranks[id] = int32(pos)
+	}
+	d.ranks.Store(&ranks)
+	return ranks
+}
 
 // SortedNames returns all member names in lexicographic order.
 func (d *Dict) SortedNames() []string {

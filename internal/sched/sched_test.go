@@ -269,38 +269,3 @@ func TestBatcherCoalesces(t *testing.T) {
 		t.Fatalf("batches = %d, queries = %d: nothing coalesced", st.Batches, st.Queries)
 	}
 }
-
-// TestBatcherAbandon cancels a request while it waits on its batch; the
-// call must return promptly with the context error while the rest of
-// the batch completes.
-func TestBatcherAbandon(t *testing.T) {
-	s, _, err := assess.NewSalesSession(2000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.EnableSharedScans(200 * time.Millisecond)
-	ctx, cancel := context.WithCancel(context.Background())
-	got := make(chan error, 1)
-	go func() {
-		_, err := s.QueryContext(ctx, `with SALES by product get quantity`)
-		got <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let it join the open batch
-	cancel()
-	select {
-	case err := <-got:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(150 * time.Millisecond):
-		t.Fatal("cancelled request did not return before the batch window closed")
-	}
-	// A healthy query afterwards still works.
-	if _, err := s.QueryContext(context.Background(), `with SALES by product get quantity`); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := s.BatcherStats()
-	if st.Abandoned != 1 {
-		t.Fatalf("abandoned = %d, want 1", st.Abandoned)
-	}
-}
