@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
+	"github.com/assess-olap/assess/internal/exec"
 	"github.com/assess-olap/assess/internal/qcache"
 	"github.com/assess-olap/assess/internal/sales"
 )
@@ -232,5 +236,90 @@ func TestSessionCacheDeclareInvalidates(t *testing.T) {
 	}
 	if _, state, err := s.ExecTracked(stmt); err != nil || state != qcache.StateMiss {
 		t.Fatalf("exec after declare = (%q, %v), want miss", state, err)
+	}
+}
+
+// TestTrackBody walks the contract between the session and a caller that
+// replies with encoded rows: the entry bound to the tracked Body can trade
+// its cube for the rows, tracked callers are then served without a cube,
+// and everyone else still gets one — by evaluating again.
+func TestTrackBody(t *testing.T) {
+	if _, body := newSession(t).TrackBody(context.Background()); body != nil {
+		t.Fatal("a session without a cache tracks a Body")
+	}
+	s, _ := newCachedSession(t, 2000)
+	run := func(tracked bool) (*exec.Result, CacheState, *qcache.Body) {
+		t.Helper()
+		ctx, body := context.Background(), (*qcache.Body)(nil)
+		if tracked {
+			ctx, body = s.TrackBody(ctx)
+		}
+		res, state, err := s.ExecTrackedContext(ctx, cachedStmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, state, body
+	}
+	res, state, body := run(true)
+	if state != qcache.StateMiss || res.Cube == nil {
+		t.Fatalf("cold exec = (%+v, %q)", res, state)
+	}
+	cells := res.Cube.Len()
+	body.SetLen(64)
+	_, state, body = run(true)
+	rows, filled := body.Rows(func(res *exec.Result, n int) []byte { return make([]byte, n) })
+	if state != qcache.StateHit || len(rows) != 64 || !filled {
+		t.Fatalf("first tracked hit = %q, rows (%d bytes, %v)", state, len(rows), filled)
+	}
+	res, state, body = run(true)
+	if state != qcache.StateHit || res.Cube != nil || res.Plan == nil || body.Cells() != cells {
+		t.Fatalf("tracked hit on kept rows = (%+v, %q), %d cells of %d", res, state, body.Cells(), cells)
+	}
+	res, state, _ = run(false)
+	if state != qcache.StateMiss || res.Cube == nil || res.Cube.Len() != cells {
+		t.Fatalf("untracked exec over kept rows = (%+v, %q), want an evaluation with its cube", res, state)
+	}
+	if res, state, _ = run(false); state != qcache.StateHit || res.Cube == nil {
+		t.Fatalf("untracked exec after the replacement = (%+v, %q)", res, state)
+	}
+}
+
+// TestCacheBytesFollowHeap holds the cache's byte accounting against the
+// heap: what the entries are charged is what keeping them costs, within a
+// tenth, for many small results (where the plan and statement dominate)
+// and for a few large ones (where the cube's columns do).
+func TestCacheBytesFollowHeap(t *testing.T) {
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC() // the second cycle empties what the first moved to the pools' victim caches
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for name, stmt := range map[string]string{
+		"small": `with SALES by product, country assess quantity against %d labels quartiles`,
+		"large": `with SALES by product, city, month assess quantity against %d labels quartiles`,
+	} {
+		s := NewSession()
+		if err := s.RegisterCube("SALES", sales.Generate(50000, 2).Fact); err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			for i := 0; i < 40; i++ {
+				if _, err := s.Exec(fmt.Sprintf(stmt, 100+i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		run() // dictionaries, pools and lazily built tables are in place
+		before := heap()
+		s.EnableCache(0)
+		run()
+		grown := heap() - before
+		st, _ := s.CacheStats()
+		if st.Entries != 40 || st.Bytes*10 < grown*9 || st.Bytes*9 > grown*10 {
+			t.Errorf("%s: %d entries charged %d bytes, the heap grew by %d", name, st.Entries, st.Bytes, grown)
+		}
+		runtime.KeepAlive(s)
 	}
 }

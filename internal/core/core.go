@@ -68,8 +68,9 @@ type CacheState = qcache.State
 type Session struct {
 	Engine *engine.Engine
 	Binder *semantic.Binder
-	// cache, when non-nil, memoizes finished execution results keyed by
-	// the fingerprint of the bound plan. Enable with EnableCache.
+	// cache, when non-nil, memoizes finished execution results, and the
+	// encoded bodies of those that repeat, keyed by the fingerprint of the
+	// bound plan. Enable with EnableCache.
 	cache *qcache.Cache
 	// regGen counts registry mutations (functions, labelers); folded into
 	// the cache generation so redefinitions invalidate cached results.
@@ -90,7 +91,8 @@ func NewSession() *Session {
 }
 
 // EnableCache attaches a query-result cache with the given byte budget
-// (<= 0 selects the 64 MiB default). Cached results are shared across
+// (<= 0 selects the 64 MiB default), the total for results and the
+// encoded bodies kept with them. Cached results are shared across
 // callers and must be treated as read-only. Call before serving traffic.
 func (s *Session) EnableCache(maxBytes int64) {
 	s.cache = qcache.New(maxBytes)
@@ -380,6 +382,20 @@ func (s *Session) CacheProbe(p *plan.Plan) CacheState {
 		return qcache.StateHit
 	}
 	return qcache.StateMiss
+}
+
+// TrackBody derives the context a server executes a statement under
+// when it can reply from the encoded rows the cache keeps with a result
+// that repeats (qcache.Body) instead of encoding the cube again. The
+// returned Body is nil when the session has no cache. A statement
+// executed under the context may hit an entry that holds only its rows:
+// its result then has no Cube, and the Body has the rows and the cell
+// count. Callers that do not track a Body always get the cube.
+func (s *Session) TrackBody(ctx context.Context) (context.Context, *qcache.Body) {
+	if s.cache == nil {
+		return ctx, nil
+	}
+	return qcache.TrackBody(ctx)
 }
 
 // ExplainCosts renders the estimated cost of every feasible plan for a

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"io"
 	"math"
 	"sort"
@@ -188,6 +189,39 @@ func encodeBody(w io.Writer, head []byte, dicts []*mdm.Dict, rows func(*encoder)
 	}
 	encoderPool.Put(e)
 	return n, err
+}
+
+// encodeAssessRows is how a cache entry's rows are filled (qcache.Body):
+// retainedRows of res, or nil when res has no columns to encode.
+func encodeAssessRows(res *exec.Result, n int) []byte {
+	cols, err := res.Columns()
+	if err != nil {
+		return nil
+	}
+	return retainedRows(cols, n)
+}
+
+// retainedRows encodes what follows the header in an /assess body —
+// `,"rows":[…]}` and the newline — into one allocation of n bytes, the
+// length a streamed reply of the same columns measured.
+func retainedRows(cols exec.Columns, n int) []byte {
+	buf := bytes.NewBuffer(make([]byte, 0, n))
+	// Under an empty header encodeBody writes the rows member alone: it
+	// cuts the header's closing brace and adds nothing. A bytes.Buffer
+	// does not fail a write.
+	_, _ = encodeBody(buf, []byte("}"), cols.Dicts, func(e *encoder) { e.assessRows(cols) })
+	return buf.Bytes()
+}
+
+// writeRetained writes the body encodeBody would have streamed for head
+// from rows, the bytes retainedRows kept of the same result.
+func writeRetained(w io.Writer, head, rows []byte) (int64, error) {
+	n, err := w.Write(head[:len(head)-1])
+	if err != nil {
+		return int64(n), err
+	}
+	m, err := w.Write(rows)
+	return int64(n + m), err
 }
 
 // flush writes the buffer out and reports whether the body can go on.

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -48,6 +49,8 @@ type Server struct {
 	// request path does no registry lookup.
 	assessEgress, queryEgress egressMetrics
 	writeErrors               *obsv.Counter
+	// Hits of /assess by how their body was produced.
+	bodyServed, bodyFilled, bodySkipped *obsv.Counter
 }
 
 // egressMetrics are the per-endpoint series of streamed result bodies.
@@ -129,6 +132,12 @@ func (s *Server) registerSessionMetrics() {
 	s.queryEgress = newEgressMetrics(s.reg, "/query")
 	s.writeErrors = s.reg.Counter("assess_server_write_errors_total",
 		"Result bodies abandoned because the client connection failed mid-write.")
+	bodyOutcome := func(outcome string) *obsv.Counter {
+		return s.reg.Counter("assess_cache_body_total",
+			"Cache hits of /assess by how the body was produced: served from bytes kept with the entry, filled (encoded into the entry and served from it), or skipped (encoded from the cube).",
+			"outcome", outcome)
+	}
+	s.bodyServed, s.bodyFilled, s.bodySkipped = bodyOutcome("served"), bodyOutcome("filled"), bodyOutcome("skipped")
 	s.reg.GaugeFunc("assess_catalog_generation",
 		"Catalog generation (cache-invalidation epoch).",
 		func() float64 { return float64(s.session.Generation()) })
@@ -150,9 +159,13 @@ func (s *Server) registerSessionMetrics() {
 		cacheStat(func(st qcache.Stats) int64 { return st.Misses }))
 	s.reg.CounterFunc("assess_cache_evictions_total", "Query-result cache evictions.",
 		cacheStat(func(st qcache.Stats) int64 { return st.Evictions }))
+	s.reg.CounterFunc("assess_cache_rejected_total", "Results not cached because one alone exceeds the cache budget.",
+		cacheStat(func(st qcache.Stats) int64 { return st.Rejected }))
+	s.reg.GaugeFunc("assess_cache_body_bytes", "Encoded bodies kept with cache entries, a part of assess_cache_bytes.",
+		cacheStat(func(st qcache.Stats) int64 { return st.BodyBytes }))
 	s.reg.GaugeFunc("assess_cache_entries", "Query-result cache resident entries.",
 		cacheStat(func(st qcache.Stats) int64 { return st.Entries }))
-	s.reg.GaugeFunc("assess_cache_bytes", "Query-result cache resident bytes.",
+	s.reg.GaugeFunc("assess_cache_bytes", "Query-result cache resident bytes, results and bodies.",
 		cacheStat(func(st qcache.Stats) int64 { return st.Bytes }))
 }
 
@@ -276,6 +289,7 @@ func (s *Server) assess(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, finish := withTrace(r, req.Trace)
 	ctx, note := s.trackPartial(ctx)
+	ctx, body := s.session.TrackBody(ctx)
 	start := time.Now()
 	defer func() { release(time.Since(start)) }()
 	var (
@@ -306,18 +320,17 @@ func (s *Server) assess(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]bool{"declared": true})
 		return
 	}
-	cols, err := res.Columns()
-	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
-		return
-	}
 	head := assessHeader{
 		Strategy:  res.Plan.Strategy.String(),
-		Cells:     res.Cube.Len(),
 		TotalMs:   float64(res.Total) / float64(time.Millisecond),
 		Breakdown: map[string]float64{},
 		Cache:     string(state),
 		Trace:     trace,
+	}
+	if res.Cube != nil {
+		head.Cells = res.Cube.Len()
+	} else {
+		head.Cells = body.Cells() // a hit on an entry that keeps rows, not the cube
 	}
 	if note != nil && note.Partial() {
 		head.Partial = true
@@ -328,7 +341,40 @@ func (s *Server) assess(w http.ResponseWriter, r *http.Request) {
 			head.Breakdown[plan.Phase(p).String()] = float64(d) / float64(time.Millisecond)
 		}
 	}
-	encode, n := s.writeResult(w, r, s.assessEgress, head, cols.Dicts, func(e *encoder) { e.assessRows(cols) })
+	// A hit is answered from the rows the cache keeps with the result when
+	// it has them, or can build them now; everything else streams from the
+	// cube and tells the cache how long its rows came out.
+	t0 := time.Now()
+	var rows []byte
+	if state == qcache.StateHit {
+		var filled bool
+		rows, filled = body.Rows(encodeAssessRows)
+		switch {
+		case rows == nil:
+			s.bodySkipped.Inc()
+		case filled:
+			s.bodyFilled.Inc()
+		default:
+			s.bodyServed.Inc()
+		}
+	}
+	var send func(w io.Writer, head []byte) (int64, error)
+	if rows != nil {
+		send = func(w io.Writer, head []byte) (int64, error) { return writeRetained(w, head, rows) }
+	} else {
+		cols, err := res.Columns()
+		if err != nil {
+			writeError(w, r, http.StatusInternalServerError, err)
+			return
+		}
+		send = func(w io.Writer, head []byte) (int64, error) {
+			return encodeBody(w, head, cols.Dicts, func(e *encoder) { e.assessRows(cols) })
+		}
+	}
+	encode, n, tail := s.writeResult(w, r, s.assessEgress, t0, head, send)
+	if rows == nil && tail > 0 {
+		body.SetLen(tail)
+	}
 	s.slow.Log(time.Since(start), obsv.SlowEntry{
 		RequestID: requestID(r.Context()),
 		Endpoint:  "/assess",
@@ -341,27 +387,32 @@ func (s *Server) assess(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// writeResult sends a 200 whose body is head plus the "rows" the encoder
-// streams (see encodeBody), and records the body's encode-and-write time
-// and size, which it returns for the slow-query log. A client that went
-// away mid-body counts as a write error and ends the encode early.
-func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, m egressMetrics, head any, dicts []*mdm.Dict, rows func(*encoder)) (time.Duration, int64) {
-	t0 := time.Now()
+// writeResult sends a 200 whose body is head — marshalled here — and what
+// send writes after it: the "rows" the encoder streams (encodeBody) or
+// bytes kept from an earlier encode (writeRetained). It records the time
+// since t0, when the caller began producing the body, and the body's
+// size, and returns both for the slow-query log, with the length of the
+// part after the header (0 unless all of it was written). A client that
+// went away mid-body counts as a write error and ends the encode early.
+func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, m egressMetrics, t0 time.Time, head any,
+	send func(w io.Writer, head []byte) (int64, error)) (d time.Duration, n int64, tail int) {
 	buf, err := json.Marshal(head)
 	if err != nil {
 		writeError(w, r, http.StatusInternalServerError, err)
-		return 0, 0
+		return 0, 0, 0
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	n, err := encodeBody(w, buf, dicts, rows)
+	n, err = send(w, buf)
 	if err != nil {
 		s.writeErrors.Inc()
+	} else {
+		tail = int(n) - (len(buf) - 1)
 	}
-	d := time.Since(t0)
+	d = time.Since(t0)
 	m.encodeSeconds.Observe(d.Seconds())
 	m.responseBytes.Observe(float64(n))
-	return d, n
+	return d, n, tail
 }
 
 // queryHeader is every member of a /query body except the last, "rows":
@@ -435,7 +486,9 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 		head.DegradedShards = note.DegradedShards()
 	}
 	fields := queryFields(head.Levels, c.Names, c.Cols)
-	encode, n := s.writeResult(w, r, s.queryEgress, head, dicts, func(e *encoder) { e.queryRows(fields, c.Coords) })
+	encode, n, _ := s.writeResult(w, r, s.queryEgress, time.Now(), head, func(w io.Writer, head []byte) (int64, error) {
+		return encodeBody(w, head, dicts, func(e *encoder) { e.queryRows(fields, c.Coords) })
+	})
 	s.slow.Log(time.Since(start), obsv.SlowEntry{
 		RequestID: requestID(r.Context()),
 		Endpoint:  "/query",
