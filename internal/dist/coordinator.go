@@ -143,7 +143,7 @@ func (c *Coordinator) Scan(ctx context.Context, q engine.Query, ops []mdm.AggOp,
 		if c.next != nil {
 			return c.next.Scan(ctx, q, ops, names)
 		}
-		return c.eng.ScanWithOps(q, ops, names)
+		return c.eng.ScanWithOps(ctx, q, ops, names)
 	}
 	return c.scatterGather(ctx, t, q, ops, names)
 }
@@ -291,7 +291,7 @@ func (c *Coordinator) scanShard(ctx context.Context, t *table, s int, req *ScanR
 		lq.Measures = plan.meas // ops[j] aggregates fact column Measures[j]
 		lq.Preds = append(append([]engine.Predicate(nil), q.Preds...),
 			engine.Predicate{Level: t.level, Members: t.owned[s]})
-		part, err := c.eng.ScanWithOps(lq, plan.ops, plan.names)
+		part, err := c.eng.ScanWithOps(ctx, lq, plan.ops, plan.names)
 		if err == nil {
 			var pt *partialTable
 			if pt, err = tableFrom(part, space); err == nil {

@@ -143,7 +143,7 @@ func TestScatterGatherMatchesSolo(t *testing.T) {
 		for _, tq := range testQueries {
 			q := engine.Query{Fact: "SALES", Group: tq.group, Preds: tq.preds, Measures: tq.meas}
 			nm := names(len(tq.ops))
-			want, err := rig.eng.ScanWithOps(q, tq.ops, nm)
+			want, err := rig.eng.ScanWithOps(context.Background(), q, tq.ops, nm)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -326,7 +326,7 @@ func TestCoordinatorAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := rig.eng.ScanWithOps(q, ops, names(1))
+	want, err := rig.eng.ScanWithOps(context.Background(), q, ops, names(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestHTTPWorkerRoundTrip(t *testing.T) {
 	for _, tq := range testQueries {
 		q := engine.Query{Fact: "SALES", Group: tq.group, Preds: tq.preds, Measures: tq.meas}
 		nm := names(len(tq.ops))
-		want, err := rig.eng.ScanWithOps(q, tq.ops, nm)
+		want, err := rig.eng.ScanWithOps(context.Background(), q, tq.ops, nm)
 		if err != nil {
 			t.Fatal(err)
 		}

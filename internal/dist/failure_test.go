@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -54,7 +55,7 @@ func TestRedispatchToReplica(t *testing.T) {
 	rig := newRig(t, 2000, 3, Config{}, func(lc *LocalCluster) [][]ShardClient {
 		return failingChains(lc, map[int]func(context.Context) error{0: crash}, true)
 	})
-	want, err := rig.eng.ScanWithOps(failQ, failOps, names(2))
+	want, err := rig.eng.ScanWithOps(context.Background(), failQ, failOps, names(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestLocalFallback(t *testing.T) {
 		chains[1][1].(*LocalClient).Hook = crash // replica dies too
 		return chains
 	})
-	want, err := rig.eng.ScanWithOps(failQ, failOps, names(2))
+	want, err := rig.eng.ScanWithOps(context.Background(), failQ, failOps, names(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestPolicyPartialAnnotates(t *testing.T) {
 	lq.Preds = append([]engine.Predicate(nil), engine.Predicate{
 		Level: rig.level, Members: rig.coord.tables["SALES"].owned[1],
 	})
-	want, err := rig.eng.ScanWithOps(lq, failOps, names(2))
+	want, err := rig.eng.ScanWithOps(context.Background(), lq, failOps, names(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,22 +162,18 @@ func TestPolicyPartialAnnotates(t *testing.T) {
 
 // TestStragglerRedispatch injects a straggler (blocks until the
 // per-shard deadline) as shard 0's primary: the replica must serve the
-// shard and the whole scan must complete promptly after one deadline.
+// shard: the re-dispatch counter and the exact result are the checks.
 func TestStragglerRedispatch(t *testing.T) {
 	rig := newRig(t, 2000, 2, Config{ShardTimeout: 50 * time.Millisecond}, func(lc *LocalCluster) [][]ShardClient {
 		return failingChains(lc, map[int]func(context.Context) error{0: straggle}, true)
 	})
-	want, err := rig.eng.ScanWithOps(failQ, failOps, names(2))
+	want, err := rig.eng.ScanWithOps(context.Background(), failQ, failOps, names(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
 	got, err := rig.coord.Scan(context.Background(), failQ, failOps, names(2))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("straggler stalled the scan for %v", elapsed)
 	}
 	diffCubes(t, "straggler", want, got)
 	if sh := rig.coord.Stats().Tables[0].Shards[0]; sh.Redispatches != 1 {
@@ -191,7 +188,7 @@ func TestHangingClientNeverHangs(t *testing.T) {
 	rig := newRig(t, 1000, 2, Config{ShardTimeout: 50 * time.Millisecond}, func(lc *LocalCluster) [][]ShardClient {
 		return failingChains(lc, map[int]func(context.Context) error{0: hang}, false)
 	})
-	want, err := rig.eng.ScanWithOps(failQ, failOps, names(2))
+	want, err := rig.eng.ScanWithOps(context.Background(), failQ, failOps, names(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,24 +212,47 @@ func TestHangingClientNeverHangs(t *testing.T) {
 	}
 }
 
-// TestCallerCancellation cancels the caller's context mid-fanout: the
+// TestCallerCancellation cancels the caller's context mid-fanout — from
+// inside the straggle hook, once both shards have entered it, so the
+// fan-out is provably in flight everywhere and no clock is involved: the
 // scan must return the context error, not a policy error.
 func TestCallerCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var entered atomic.Int32
+	straggleThenCancel := func(actx context.Context) error {
+		if entered.Add(1) == 2 {
+			cancel()
+		}
+		return straggle(actx)
+	}
 	rig := newRig(t, 1000, 2, Config{ShardTimeout: time.Minute, Policy: PolicyPartial}, func(lc *LocalCluster) [][]ShardClient {
-		return failingChains(lc, map[int]func(context.Context) error{0: straggle, 1: straggle}, false)
+		return failingChains(lc, map[int]func(context.Context) error{0: straggleThenCancel, 1: straggleThenCancel}, false)
 	})
 	rig.coord.tables["SALES"].fallback = false
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
 	_, err := rig.coord.Scan(ctx, failQ, failOps, names(2))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v, want context.Canceled", err)
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("cancellation took %v", elapsed)
+}
+
+// TestWorkerScanHonoursCancellation: a worker asked to scan under a
+// dead context — a coordinator that abandoned the attempt, a client
+// that hung up — returns the context's error instead of scanning its
+// shard to the end, and does not count a served scan.
+func TestWorkerScanHonoursCancellation(t *testing.T) {
+	rig := newRig(t, 1000, 2, Config{}, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := &ScanRequest{Fact: "SALES", Group: failQ.Group, Measures: failQ.Measures, Ops: []int{int(failOps[0]), int(failOps[1])}, Names: names(2)}
+	w := rig.lc.Workers[0]
+	if _, _, err := w.Scan(ctx, req); !errors.Is(err, context.Canceled) {
+		t.Fatalf("error %v, want context.Canceled", err)
+	}
+	if got := w.Stats().Scans; got != 0 {
+		t.Fatalf("cancelled scan counted as served (%d)", got)
+	}
+	if _, c, err := w.Scan(context.Background(), req); err != nil || c.Len() == 0 {
+		t.Fatalf("live scan: %v", err)
 	}
 }

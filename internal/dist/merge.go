@@ -1,7 +1,7 @@
 // Cross-shard partial merge: the coordinator-side half of the
 // distributive/algebraic decomposition in dist.go. Shard partials are
 // folded pairwise in log-depth rounds — the same shape as the engine's
-// in-process merge tree (engine/parallel.go) — and finalized into the
+// in-process merge tree (engine/kernel.go) — and finalized into the
 // cube the engine's own solo scan would have produced.
 package dist
 

@@ -38,17 +38,18 @@ func (w *Worker) Register(name string, f *storage.FactTable) error {
 
 // Scan evaluates one partial-aggregate request against the shard and
 // returns the shard fact's generation alongside the partial cube. The
-// scan itself is not interruptible (the engine's solo path carries no
-// context); the coordinator's per-shard deadline abandons stragglers
-// instead. The worker's zone maps still see the request's predicates,
-// so segment-backed shards prune exactly like a local scan would.
-func (w *Worker) Scan(_ context.Context, req *ScanRequest) (uint64, *cube.Cube, error) {
+// scan ends with ctx's error once ctx is cancelled — a coordinator that
+// abandoned the attempt at its per-shard deadline, or a client that hung
+// up, stops costing the worker decode work. The worker's zone maps still
+// see the request's predicates, so segment-backed shards prune exactly
+// like a local scan would.
+func (w *Worker) Scan(ctx context.Context, req *ScanRequest) (uint64, *cube.Cube, error) {
 	f, ok := w.eng.Fact(req.Fact)
 	if !ok {
 		return 0, nil, fmt.Errorf("dist: worker has no shard of fact %s", req.Fact)
 	}
 	q, ops := req.query()
-	c, err := w.eng.ScanWithOps(q, ops, req.Names)
+	c, err := w.eng.ScanWithOps(ctx, q, ops, req.Names)
 	if err != nil {
 		return 0, nil, err
 	}

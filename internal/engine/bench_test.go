@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"testing"
@@ -82,8 +81,9 @@ func BenchmarkKernelDense(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelHash is the same scan with the dense kernels disabled:
-// the per-row hash fallback, for comparison with BenchmarkKernelDense.
+// BenchmarkKernelHash is the same scan with the dense budget at zero:
+// every key goes through the slot table, for comparison with
+// BenchmarkKernelDense.
 func BenchmarkKernelHash(b *testing.B) {
 	e, _, q := benchDataset(b)
 	e.SetDenseKeyBudget(0)
@@ -117,37 +117,19 @@ func BenchmarkMorselScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkMergeTree measures the log-depth partial-state merge of the
-// hash fallback in isolation: 16 worker partials of 4096 cells each,
-// rebuilt outside the timed region (the regression benchmark for the
-// tree merge replacing the old pairwise fold).
+// BenchmarkMergeTree measures the log-depth merge of slot-table
+// partials in isolation: 16 worker partials of 4096 cells each over
+// 8192 distinct keys, rebuilt outside the timed region.
 func BenchmarkMergeTree(b *testing.B) {
 	const workers, cells = 16, 4096
-	p := &preparedScan{
-		q:   Query{Group: mdm.GroupBy{{Hier: 0, Level: 0}}, Measures: []int{0, 1}},
-		ops: []mdm.AggOp{mdm.AggSum, mdm.AggMax},
-	}
-	build := func() []scanState {
-		parts := make([]scanState, workers)
-		for w := range parts {
-			st := scanState{cells: make(map[string]*aggState)}
-			for c := 0; c < cells; c++ {
-				coord := mdm.Coordinate{int32((c + w) % (2 * cells))}
-				cell := &aggState{coord: coord, vals: []float64{float64(c), math.Inf(-1)}, cnt: []int64{1, 1}}
-				st.cells[coord.Key()] = cell
-				st.order = append(st.order, cell)
-			}
-			parts[w] = st
-		}
-		return parts
-	}
+	sq := mergeQuery()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		parts := build()
+		parts := mergeParts(sq, workers, cells)
 		b.StartTimer()
-		if got := p.mergeTree(parts); len(got.order) == 0 {
-			b.Fatal("empty merge result")
+		if got := sq.mergeTree(parts); len(got.keys) != 2*cells {
+			b.Fatalf("merged %d cells, want %d", len(got.keys), 2*cells)
 		}
 	}
 }
@@ -460,8 +442,8 @@ func BenchmarkSharedScan(b *testing.B) {
 
 // independentScans answers the 8 queries the way a server without
 // shared scans would: one goroutine per query, each running its own
-// solo pass concurrently over the same fact, re-decoding every segment
-// and competing for cache.
+// pass concurrently over the same fact, re-decoding every segment and
+// competing for cache.
 func independentScans(b *testing.B, e *Engine, reqs []ScanReq) {
 	var wg sync.WaitGroup
 	for _, req := range reqs {
@@ -480,9 +462,8 @@ func independentScans(b *testing.B, e *Engine, reqs []ScanReq) {
 }
 
 // BenchmarkIndependentScans answers the same 8 queries as 8 concurrent
-// independent passes (each a single-query SharedScan, which delegates
-// to the plain solo scan): the baseline the shared pass is gated
-// against.
+// independent passes (each a batch of one through the same pipeline):
+// the baseline the shared pass is gated against.
 func BenchmarkIndependentScans(b *testing.B) {
 	e, s := benchSharedEngine(b)
 	reqs := benchSharedReqs(s)

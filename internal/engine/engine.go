@@ -84,7 +84,7 @@ type Engine struct {
 	// generation that invalidates query-result cache entries.
 	gen atomic.Uint64
 	// batcher, when set, intercepts fact scans so concurrent queries can
-	// share one pass (see SetScanBatcher and SharedScan in shared.go).
+	// share one pass (see SetScanBatcher and SharedScan in scan.go).
 	batcher ScanBatcher
 }
 
@@ -168,13 +168,6 @@ func (e *Engine) rollupMap(fact string, f *storage.FactTable, ref mdm.LevelRef) 
 	return e.rollupMapFrom(fact, f, ref.Hier, 0, ref.Level)
 }
 
-// aggState accumulates one result cell.
-type aggState struct {
-	coord mdm.Coordinate
-	vals  []float64
-	cnt   []int64
-}
-
 // aggregate evaluates the get operator engine-side, before any transfer:
 // from the view lattice when a materialized view covers the query
 // (exactly, or at a strictly finer group-by set re-aggregated by the
@@ -196,7 +189,7 @@ func (e *Engine) aggregate(ctx context.Context, q Query) (*cube.Cube, error) {
 			return aggregateFromView(v, q)
 		}
 		mViewRollup.Inc()
-		return e.rollupFromView(e.facts[q.Fact], v, q)
+		return e.rollupFromView(ctx, e.facts[q.Fact], v, q)
 	}
 	return e.scanAggregate(ctx, q)
 }
@@ -211,36 +204,40 @@ func (e *Engine) scanAggregate(ctx context.Context, q Query) (*cube.Cube, error)
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown cube %s", q.Fact)
 	}
-	s := f.Schema
-	for _, mi := range q.Measures {
-		if mi < 0 || mi >= len(s.Measures) {
-			return nil, fmt.Errorf("engine: measure index %d out of range for %s", mi, q.Fact)
-		}
+	ops, names, err := schemaOps(f.Schema, q)
+	if err != nil {
+		return nil, err
 	}
+	if b := e.batcher; b != nil {
+		return b.Scan(ctx, q, ops, names)
+	}
+	return e.scanAggregateOps(ctx, q, ops, names)
+}
+
+// schemaOps reads the query's per-measure operators and output names off
+// the schema.
+func schemaOps(s *mdm.Schema, q Query) ([]mdm.AggOp, []string, error) {
 	ops := make([]mdm.AggOp, len(q.Measures))
 	names := make([]string, len(q.Measures))
 	for j, mi := range q.Measures {
+		if mi < 0 || mi >= len(s.Measures) {
+			return nil, nil, fmt.Errorf("engine: measure index %d out of range for %s", mi, q.Fact)
+		}
 		ops[j] = s.Measures[mi].Op
 		names[j] = s.Measures[mi].Name
 	}
-	if b := e.batcher; b != nil {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		return b.Scan(ctx, q, ops, names)
-	}
-	return e.scanAggregateOps(q, ops, names)
+	return ops, names, nil
 }
 
 // ScanWithOps evaluates a fact scan with caller-supplied per-measure
-// operators and output names, bypassing views and the scan batcher.
-// The distributed layer (internal/dist) builds on it twice: workers
-// compute shard-side partials with it (zone-map pruning still applies
-// via q.Preds), and the coordinator's local fallback reproduces a lost
-// shard's partial by scanning the local copy under a synthesized
-// shard-ownership predicate.
-func (e *Engine) ScanWithOps(q Query, ops []mdm.AggOp, names []string) (*cube.Cube, error) {
-	return e.scanAggregateOps(q, ops, names)
+// operators and output names, bypassing views and the scan batcher; a
+// cancelled ctx ends the scan with the context's error. The distributed
+// layer (internal/dist) builds on it twice: workers compute shard-side
+// partials with it (zone-map pruning still applies via q.Preds), and the
+// coordinator's local fallback reproduces a lost shard's partial by
+// scanning the local copy under a synthesized shard-ownership predicate.
+func (e *Engine) ScanWithOps(ctx context.Context, q Query, ops []mdm.AggOp, names []string) (*cube.Cube, error) {
+	return e.scanAggregateOps(ctx, q, ops, names)
 }
 
 // scanAggregateOps is scanAggregate with the per-measure operators and
@@ -248,74 +245,55 @@ func (e *Engine) ScanWithOps(q Query, ops []mdm.AggOp, names []string) (*cube.Cu
 // q.Measures index fact columns, ops[j] aggregates column q.Measures[j]
 // into output names[j]. Materialization uses this to request auxiliary
 // columns (raw AVG sums, per-cell counts) beyond the schema's measures.
-func (e *Engine) scanAggregateOps(q Query, ops []mdm.AggOp, names []string) (*cube.Cube, error) {
+// It is a batch of one through the scan pipeline (scan.go).
+func (e *Engine) scanAggregateOps(ctx context.Context, q Query, ops []mdm.AggOp, names []string) (*cube.Cube, error) {
 	f, ok := e.facts[q.Fact]
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown cube %s", q.Fact)
 	}
-	prep, need, preds, err := e.buildScanPrep(f, q, ops)
+	sq, err := e.prepare(ctx, f, q, ops)
 	if err != nil {
 		return nil, err
 	}
-	src := f.ScanSource(need, preds)
-	defer src.Close()
-	prep.src = src
-	prep.rows = src.Rows()
-	mRowsScanned.Add(int64(prep.rows))
-	return e.runPrepared(prep, f.Schema, names)
+	e.scanFact(f, []*scanQuery{sq})
+	if sq.err != nil {
+		return nil, sq.err
+	}
+	return sq.finalize(f.Schema, names, sq.out)
 }
 
-// buildScanPrep derives everything a scan needs before touching data:
-// predicate acceptance vectors, group-level roll-up maps and
-// cardinalities, the column set the scan will read, and the predicate
-// forms usable for zone-map pruning. The returned preparedScan has no
-// source attached yet — the caller binds src/rows, which is what lets a
-// shared scan (shared.go) prepare N queries against one source.
-func (e *Engine) buildScanPrep(f *storage.FactTable, q Query, ops []mdm.AggOp) (*preparedScan, storage.ColSet, []storage.LevelPred, error) {
-	var none storage.ColSet
+// prepare derives everything a fact scan needs before touching data:
+// predicate acceptance vectors, group-level roll-up maps and the key
+// space over their cardinalities, the column set the scan will read, and
+// the predicate forms usable for zone-map pruning.
+func (e *Engine) prepare(ctx context.Context, f *storage.FactTable, q Query, ops []mdm.AggOp) (*scanQuery, error) {
 	s := f.Schema
 	for _, mi := range q.Measures {
 		if mi < 0 || mi >= f.NumMeasures() {
-			return nil, none, nil, fmt.Errorf("engine: measure index %d out of range for %s", mi, q.Fact)
+			return nil, fmt.Errorf("engine: measure index %d out of range for %s", mi, q.Fact)
 		}
 	}
 	// Per-hierarchy acceptance vectors over base member ids.
 	accepts := make([][]bool, len(s.Hiers))
 	for _, p := range q.Preds {
 		if p.Level.Hier < 0 || p.Level.Hier >= len(s.Hiers) {
-			return nil, none, nil, fmt.Errorf("engine: predicate hierarchy out of range for %s", q.Fact)
+			return nil, fmt.Errorf("engine: predicate hierarchy out of range for %s", q.Fact)
 		}
 		h := s.Hiers[p.Level.Hier]
 		if p.Level.Level < 0 || p.Level.Level >= h.Depth() {
-			return nil, none, nil, fmt.Errorf("engine: predicate level out of range for hierarchy %s", h.Name())
+			return nil, fmt.Errorf("engine: predicate level out of range for hierarchy %s", h.Name())
 		}
-		want := make(map[int32]bool, len(p.Members))
-		for _, m := range p.Members {
-			want[m] = true
-		}
-		rm := e.rollupMap(q.Fact, f, p.Level)
-		acc := accepts[p.Level.Hier]
-		if acc == nil {
-			acc = make([]bool, h.Dict(0).Len())
-			for i := range acc {
-				acc[i] = true
-			}
-			accepts[p.Level.Hier] = acc
-		}
-		for base := range acc {
-			if acc[base] && !want[rm[base]] {
-				acc[base] = false
-			}
-		}
+		accepts[p.Level.Hier] = narrowAccepts(accepts[p.Level.Hier], h.Dict(0).Len(),
+			e.rollupMap(q.Fact, f, p.Level), p.Members)
 	}
 	// Per-group-level roll-up maps and level cardinalities. The
 	// cardinalities are snapshotted here, after the roll-up maps, so the
-	// dense layout sees a domain at least as large as any id a map emits.
+	// key space sees a domain at least as large as any id a map emits.
 	gmaps := make([][]int32, len(q.Group))
 	cards := make([]int, len(q.Group))
 	for gi, ref := range q.Group {
 		if ref.Hier < 0 || ref.Hier >= len(s.Hiers) {
-			return nil, none, nil, fmt.Errorf("engine: group-by hierarchy out of range for %s", q.Fact)
+			return nil, fmt.Errorf("engine: group-by hierarchy out of range for %s", q.Fact)
 		}
 		gmaps[gi] = e.rollupMap(q.Fact, f, ref)
 		cards[gi] = s.Dict(ref).Len()
@@ -347,52 +325,40 @@ func (e *Engine) buildScanPrep(f *storage.FactTable, q Query, ops []mdm.AggOp) (
 		needKeys[p.Level.Hier] = true
 		preds[i] = storage.LevelPred{Hier: p.Level.Hier, Level: p.Level.Level, Members: p.Members}
 	}
-	prep := &preparedScan{
-		q:       q,
-		accepts: accepts,
-		gmaps:   gmaps,
-		cards:   cards,
-		ops:     ops,
+	sq := &scanQuery{
+		ctx:      ctx,
+		group:    q.Group,
+		measures: q.Measures,
+		ops:      ops,
+		accepts:  accepts,
+		gmaps:    gmaps,
+		need:     storage.ColSet{Keys: needKeys, Meas: needMeas, PredOnly: predOnly},
+		preds:    preds,
 	}
-	return prep, storage.ColSet{Keys: needKeys, Meas: needMeas, PredOnly: predOnly}, preds, nil
+	sq.init(cards, e.denseKeyBudget())
+	return sq, nil
 }
 
-// runPrepared drives a source-bound prepared scan through the dense or
-// hash kernels, serial or morsel-parallel, and materializes the result
-// under the given measure names.
-func (e *Engine) runPrepared(prep *preparedScan, s *mdm.Schema, names []string) (*cube.Cube, error) {
-	workers := scanWorkers(e.workers, prep.rows, e.parallelMinRows())
-	morsel := e.effectiveMorselSize()
-	if l := prep.denseLayout(e.denseKeyBudget()); l != nil {
-		mKernelDense.Inc()
-		var st *denseState
-		var err error
-		if workers >= 2 {
-			mScansParallel.Inc()
-			st, err = prep.runDenseParallel(l, workers, scanMorsel(morsel, prep.rows, workers))
-		} else {
-			mScansSerial.Inc()
-			st, err = prep.runDenseSerial(l, morsel)
+// narrowAccepts intersects acc — the accepted ids of a hierarchy's
+// source level, nil meaning all n of them — with the ids that rm rolls up
+// to one of members.
+func narrowAccepts(acc []bool, n int, rm []int32, members []int32) []bool {
+	want := make(map[int32]bool, len(members))
+	for _, m := range members {
+		want[m] = true
+	}
+	if acc == nil {
+		acc = make([]bool, n)
+		for i := range acc {
+			acc[i] = true
 		}
-		if err != nil {
-			return nil, err
+	}
+	for id := range acc {
+		if acc[id] && !want[rm[id]] {
+			acc[id] = false
 		}
-		return prep.finalizeDense(s, names, l, st)
 	}
-	mKernelHash.Inc()
-	var st scanState
-	var err error
-	if workers >= 2 {
-		mScansParallel.Inc()
-		st, err = prep.runParallel(workers, scanMorsel(morsel, prep.rows, workers))
-	} else {
-		mScansSerial.Inc()
-		st, err = prep.run()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return prep.finalize(s, names, st)
+	return acc
 }
 
 // FactStorage describes one fact table's physical backend, surfaced by
@@ -435,9 +401,9 @@ func (e *Engine) Get(q Query) (*cube.Cube, error) {
 	return e.GetContext(context.Background(), q)
 }
 
-// GetContext is Get with a caller context: with a scan batcher installed
-// the context joins (and can detach from) a shared scan; without one it
-// only matters to the batcher, so the plain variants use Background.
+// GetContext is Get with a caller context: cancelling it ends the fact
+// scan — the query's own, or its part in a batcher's shared pass — with
+// the context's error.
 func (e *Engine) GetContext(ctx context.Context, q Query) (*cube.Cube, error) {
 	c, err := e.aggregate(ctx, q)
 	if err != nil {

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"github.com/assess-olap/assess/internal/cube"
@@ -10,26 +12,29 @@ import (
 	"github.com/assess-olap/assess/internal/storage"
 )
 
-// Vectorized dense-key aggregation kernels. Level columns are already
-// dictionary-encoded, so a scan's group-by set maps to a dense integer
-// key space: the composite key of a row is the mixed-radix number formed
-// by its group-level member ids, and the whole space has
-// Π |Dom(g_i)| slots. When that product fits the engine's slot budget,
-// the scan aggregates into flat accumulator arrays indexed by composite
-// key — block-at-a-time loops over selection vectors, no hashing, no
-// per-row allocation — and falls back to the hash tables of parallel.go
-// otherwise. Dense and hash kernels agree bit-exactly on integer-valued
-// measures (integer sums are exact in float64 regardless of order),
-// which the differential oracle cross-checks per query.
+// The aggregation kernel. Level columns are already dictionary-encoded,
+// so a scan's group-by set maps to an integer key space: the composite
+// key of a row is the mixed-radix number formed by its group-level member
+// ids (mdm.KeySpace), and the whole space has Π |Dom(g_i)| keys. Every
+// morsel goes through the same steps — selection vector, composite keys
+// column-at-a-time, slot lookup, one tight accumulate loop per requested
+// measure — into flat accumulator columns indexed by slot. When the key
+// space fits the engine's slot budget the slot IS the key (dense); when
+// it does not, an open-addressing table hands out compact slots in
+// first-seen order and grows the same columns (hash). Accumulate, merge
+// and finalize are shared; the two differ in slot lookup only, and agree
+// bit-exactly on integer-valued measures (integer sums are exact in
+// float64 regardless of order), which the differential oracle
+// cross-checks per query.
 
 // DefaultDenseKeyBudget is the default maximum number of dense key-space
-// slots (per worker) before a scan falls back to hash aggregation. Each
+// slots (per worker) before a scan falls back to the slot table. Each
 // slot costs 8 bytes per requested measure plus an 8-byte row count, per
 // worker, for the duration of the scan.
 const DefaultDenseKeyBudget = 1 << 20
 
 // DefaultMorselSize is the default number of fact rows per morsel, the
-// unit of work claimed by scan workers (see parallel.go).
+// unit of work claimed by scan workers (see scan.go).
 const DefaultMorselSize = 64 * 1024
 
 // SetDenseKeyBudget sets the dense key-space slot budget: a scan whose
@@ -76,102 +81,185 @@ func (e *Engine) effectiveMorselSize() int {
 	return e.morselSize
 }
 
-// denseLayout is the mixed-radix layout of a dense composite key space:
-// coordinate digit gi of slot s is (s / stride[gi]) % card[gi].
-type denseLayout struct {
-	card   []int // |Dom(g_i)| per group position
-	stride []int // Π card[gi+1:]
-	slots  int   // Π card, ≤ the engine budget
-}
-
-// denseLayout returns the dense key-space layout for the scan's group-by
-// set, or nil when a level domain is empty or the space exceeds budget
-// (including multiplicative overflow: the check is budget/card, never
-// the raw product).
-func (p *preparedScan) denseLayout(budget int) *denseLayout {
-	if budget <= 0 {
-		return nil
-	}
-	n := len(p.q.Group)
-	l := &denseLayout{card: make([]int, n), stride: make([]int, n), slots: 1}
-	for gi := n - 1; gi >= 0; gi-- {
-		card := p.cards[gi]
-		if card == 0 || l.slots > budget/card {
-			return nil
+// init completes a scanQuery whose operators, acceptance vectors and
+// roll-up maps are set: it lays out the composite key space over the
+// group levels' cardinalities and decides dense or hash — dense when no
+// level domain is empty and the space fits the budget (the check is
+// budget/card, never the raw product, so it cannot overflow).
+func (sq *scanQuery) init(cards []int, budget int) {
+	for _, op := range sq.ops {
+		if op == mdm.AggCount || op == mdm.AggAvg {
+			sq.needCnt = true
 		}
-		l.card[gi] = card
-		l.stride[gi] = l.slots
-		l.slots *= card
 	}
-	return l
+	for _, acc := range sq.accepts {
+		if acc != nil {
+			sq.filtered = true
+		}
+	}
+	sq.space = mdm.NewKeySpace(cards)
+	if budget <= 0 {
+		return
+	}
+	slots := 1
+	for _, card := range cards {
+		if card == 0 || slots > budget/card {
+			return
+		}
+		slots *= card
+	}
+	sq.dense = slots
 }
 
-// denseState is one worker's accumulator arrays over the key space. All
-// measures of a cell see the same accepted rows, so one row count per
-// slot serves every requested measure (and decides slot occupancy).
-// Scans with no count- or avg-valued measure don't need the count at
-// all: a one-byte seen flag per slot tracks occupancy instead, which
-// keeps the occupancy array 8x smaller and turns the per-row
+// aggTable is one worker's accumulator columns for one query, indexed by
+// slot. All measures of a cell see the same accepted rows, so one row
+// count per slot serves every requested measure (and decides slot
+// occupancy). Scans with no count- or avg-valued measure don't need the
+// count at all: a one-byte seen flag per slot tracks occupancy instead,
+// which keeps the occupancy column 8x smaller and turns the per-row
 // count increment into a mostly-not-taken branch.
-type denseState struct {
+//
+// On a dense table the slot is the composite key and the columns span the
+// key space from the start. Otherwise the slot table below assigns the
+// next free slot to each key it has not met, and the columns grow with
+// it; slots never move once assigned.
+type aggTable struct {
 	vals [][]float64 // per requested measure; nil for count measures
 	cnt  []int64     // accepted rows per slot; nil when seen suffices
 	seen []bool      // slot occupancy when no measure needs a count
-	// touched records slots in first-seen order on serial scans, so the
-	// dense path emits cells in exactly the order the hash path would.
-	// Parallel scans leave it nil and emit in ascending key order.
-	touched []int
+
+	keys  []uint64 // slot → composite key
+	index []int32  // open addressing over keys: bucket → slot+1, 0 = empty
+	shift uint     // 64 - log2(len(index))
+	// Key spaces past 64 bits have no composite key: slots are found by
+	// the coordinate's byte-string key and remember their coordinate.
+	wide   map[string]int32
+	coords []int32 // slot-major
 }
 
-func (p *preparedScan) newDenseState(l *denseLayout, trackOrder bool) *denseState {
-	st := &denseState{vals: make([][]float64, len(p.q.Measures))}
-	needCnt := false
-	for j := range p.q.Measures {
-		if p.ops[j] == mdm.AggCount || p.ops[j] == mdm.AggAvg {
-			needCnt = true
-		}
+// newTable returns an empty partial for the query.
+func (sq *scanQuery) newTable() *aggTable {
+	t := &aggTable{vals: make([][]float64, len(sq.ops))}
+	switch {
+	case sq.dense > 0:
+		t.grow(sq, sq.dense)
+	case sq.space.Wide():
+		t.wide = make(map[string]int32)
+	default:
+		t.index = make([]int32, 1<<10)
+		t.shift = 64 - 10
 	}
-	if needCnt {
-		st.cnt = make([]int64, l.slots)
+	return t
+}
+
+// size is the number of slots the columns hold (one of cnt and seen is
+// nil).
+func (t *aggTable) size() int { return len(t.cnt) + len(t.seen) }
+
+// grow extends the columns to size slots; new slots hold each operator's
+// identity, so merging or finalizing an untouched slot is a no-op.
+func (t *aggTable) grow(sq *scanQuery, size int) {
+	from := t.size()
+	if sq.needCnt {
+		t.cnt = append(t.cnt, make([]int64, size-from)...)
 	} else {
-		st.seen = make([]bool, l.slots)
+		t.seen = append(t.seen, make([]bool, size-from)...)
 	}
-	for j := range p.q.Measures {
-		switch p.ops[j] {
-		case mdm.AggCount:
+	for j, op := range sq.ops {
+		if op == mdm.AggCount {
 			continue // finalized from cnt
-		case mdm.AggMin, mdm.AggMax:
-			a := make([]float64, l.slots)
-			init := math.Inf(1)
-			if p.ops[j] == mdm.AggMax {
-				init = math.Inf(-1)
+		}
+		col := append(t.vals[j], make([]float64, size-from)...)
+		var init float64
+		switch op {
+		case mdm.AggMin:
+			init = math.Inf(1)
+		case mdm.AggMax:
+			init = math.Inf(-1)
+		}
+		if init != 0 {
+			for s := from; s < size; s++ {
+				col[s] = init
 			}
-			for s := range a {
-				a[s] = init
+		}
+		t.vals[j] = col
+	}
+}
+
+// reserve makes room for every slot the table has assigned.
+func (t *aggTable) reserve(sq *scanQuery, slots int) {
+	if slots > t.size() {
+		t.grow(sq, max(slots, 2*t.size()))
+	}
+}
+
+// fibHash is 2^64 / φ: multiplying by it and keeping the top bits spreads
+// the mixed-radix keys, whose low digits are the last group level, over
+// the buckets.
+const fibHash = 0x9E3779B97F4A7C15
+
+// slots translates composite keys into slots in place, assigning the next
+// free slot to every key it meets for the first time; collisions probe
+// linearly.
+func (t *aggTable) slots(dk []uint64) {
+	for i, k := range dk {
+		mask := len(t.index) - 1
+		for h := int(k * fibHash >> t.shift); ; h = (h + 1) & mask {
+			s := t.index[h]
+			if s == 0 {
+				t.keys = append(t.keys, k)
+				s = int32(len(t.keys))
+				t.index[h] = s
+				if 2*len(t.keys) > len(t.index) {
+					t.rehash()
+				}
+			} else if t.keys[s-1] != k {
+				continue
 			}
-			st.vals[j] = a
-		default:
-			st.vals[j] = make([]float64, l.slots)
+			dk[i] = uint64(s - 1)
+			break
 		}
 	}
-	if trackOrder {
-		st.touched = make([]int, 0, 1024)
+}
+
+// rehash doubles the bucket array and re-inserts every slot under its
+// key; the slots themselves — and so the columns — stay where they are.
+func (t *aggTable) rehash() {
+	t.shift--
+	t.index = make([]int32, 2*len(t.index))
+	mask := len(t.index) - 1
+	for s, k := range t.keys {
+		h := int(k * fibHash >> t.shift)
+		for t.index[h] != 0 {
+			h = (h + 1) & mask
+		}
+		t.index[h] = int32(s + 1)
 	}
-	return st
+}
+
+// wideSlot is slots for one coordinate of a key space past 64 bits.
+func (t *aggTable) wideSlot(coord mdm.Coordinate) uint64 {
+	key := mdm.WideKey(coord, nil)
+	s, ok := t.wide[key]
+	if !ok {
+		s = int32(len(t.wide))
+		t.wide[key] = s
+		t.coords = append(t.coords, coord...)
+	}
+	return uint64(s)
 }
 
 // morselScratch is per-worker reusable kernel memory: the selection
-// vector of accepted row indices, the dense keys aligned with it, the
-// block decode buffers for segment-backed scans, and the coordinate
-// buffer of the hash path.
+// vector of accepted row indices, the composite keys (then slots) aligned
+// with it, the block decode buffers for segment-backed scans, the
+// coordinate buffer of wide key spaces, and a batch's pooled level-code
+// columns for the current morsel (see levelShare in scan.go).
 type morselScratch struct {
 	sel   []int
-	dk    []int
+	dk    []uint64
 	block storage.BlockScratch
 	coord mdm.Coordinate
-	// lv holds a shared scan's pooled level-code columns for the current
-	// morsel (see levelShare in shared.go).
-	lv [][]int32
+	lv    [][]int32
 }
 
 // scratchPool recycles morsel scratch across scans and workers. A
@@ -192,24 +280,15 @@ func putScratch(sc *morselScratch) {
 	scratchPool.Put(sc)
 }
 
-// hasPreds reports whether any hierarchy carries an acceptance vector.
-func (p *preparedScan) hasPreds() bool {
-	for _, acc := range p.accepts {
-		if acc != nil {
-			return true
-		}
-	}
-	return false
-}
-
 // selection evaluates the scan predicates once over the block-local
 // morsel [lo, hi) into a reusable selection vector of accepted row
 // indices: the first predicated hierarchy fills the vector, later ones
-// compact it in place. When the backend already evaluated the predicates
-// (cols.Sel non-nil, late materialization), the vector is read straight
-// off the selection bitmap — same rows, same ascending order — and the
-// acceptance vectors are not re-evaluated.
-func (p *preparedScan) selection(sc *morselScratch, cols storage.BlockCols, lo, hi int) []int {
+// compact it in place. When the predicates were already evaluated
+// (cols.Sel non-nil: late materialization in the backend, or a batch's
+// per-query bitmap), the vector is read straight off the selection
+// bitmap — same rows, same ascending order — and the acceptance vectors
+// are not re-evaluated.
+func (sq *scanQuery) selection(sc *morselScratch, cols storage.BlockCols, lo, hi int) []int {
 	if cols.Sel != nil {
 		sc.sel = storage.AppendSelIndices(sc.sel[:0], cols.Sel, lo, hi)
 		return sc.sel
@@ -220,7 +299,7 @@ func (p *preparedScan) selection(sc *morselScratch, cols storage.BlockCols, lo, 
 	sel := sc.sel[:hi-lo]
 	first := true
 	n := 0
-	for h, acc := range p.accepts {
+	for h, acc := range sq.accepts {
 		if acc == nil {
 			continue
 		}
@@ -247,15 +326,15 @@ func (p *preparedScan) selection(sc *morselScratch, cols storage.BlockCols, lo, 
 	return sel[:n]
 }
 
-// predSel evaluates the scan's acceptance vectors over every row of a
-// decoded block into a selection bitmap. Shared scans open their union
-// source predicate-free, so each predicated query derives its own
-// per-block bitmap engine-side once per decode and the morsel kernels
-// consume it through the same cols.Sel path late materialization uses —
-// an empty bitmap skips the query for the whole block. Returns the
-// bitmap (reusing buf when it fits) and the surviving-row count; callers
-// must guard with hasPreds.
-func (p *preparedScan) predSel(cols storage.BlockCols, buf []uint64) ([]uint64, int) {
+// predSel evaluates the query's acceptance vectors over every row of a
+// decoded block into a selection bitmap. Batches open their union source
+// predicate-free, so each predicated query derives its own per-block
+// bitmap engine-side once per decode and the kernel consumes it through
+// the same cols.Sel path late materialization uses — an empty bitmap
+// skips the query for the whole block. Returns the bitmap (reusing buf
+// when it fits) and the surviving-row count; callers must guard with
+// sq.filtered.
+func (sq *scanQuery) predSel(cols storage.BlockCols, buf []uint64) ([]uint64, int) {
 	words := (cols.Rows + 63) >> 6
 	if cap(buf) < words {
 		buf = make([]uint64, words)
@@ -263,7 +342,7 @@ func (p *preparedScan) predSel(cols storage.BlockCols, buf []uint64) ([]uint64, 
 	buf = buf[:words]
 	first := true
 	count := 0
-	for h, acc := range p.accepts {
+	for h, acc := range sq.accepts {
 		if acc == nil {
 			continue
 		}
@@ -306,245 +385,165 @@ func (p *preparedScan) predSel(cols storage.BlockCols, buf []uint64) ([]uint64, 
 	return buf, count
 }
 
-// denseMorsel aggregates one morsel into the worker's dense state:
-// selection vector (skipped entirely on unpredicated scans), then
-// composite keys column-at-a-time, then one tight loop per requested
-// measure. sel == nil means the identity selection over [lo, hi).
-func (p *preparedScan) denseMorsel(st *denseState, l *denseLayout, sc *morselScratch, cols storage.BlockCols, lo, hi int) {
+// morsel aggregates rows [lo, hi) of a block into the table: selection
+// vector (skipped entirely when every row is accepted), composite keys,
+// slot lookup off the dense path, then accumulate. lv holds the batch's
+// pooled level-code columns for this morsel (nil outside batches): group
+// positions the query subscribed (sq.share[gi] >= 0) read their member
+// ids from there instead of re-walking the query's own roll-up map.
+func (sq *scanQuery) morsel(t *aggTable, sc *morselScratch, cols storage.BlockCols, lo, hi int, lv [][]int32) {
 	var sel []int
 	n := hi - lo
-	if cols.Sel != nil {
-		// The backend filtered rows already; SelCount == Rows means every
-		// row survived and the identity selection stands.
-		if cols.SelCount < cols.Rows {
-			sel = p.selection(sc, cols, lo, hi)
-			n = len(sel)
-			if n == 0 {
-				return
-			}
-		}
-	} else if p.hasPreds() {
-		sel = p.selection(sc, cols, lo, hi)
+	// A bitmap with SelCount == Rows means every row survived and the
+	// identity selection stands.
+	if (cols.Sel != nil && cols.SelCount < cols.Rows) || (cols.Sel == nil && sq.filtered) {
+		sel = sq.selection(sc, cols, lo, hi)
 		n = len(sel)
 		if n == 0 {
 			return
 		}
 	}
 	if cap(sc.dk) < n {
-		sc.dk = make([]int, n)
+		sc.dk = make([]uint64, n)
 	}
 	dk := sc.dk[:n]
-	if len(p.q.Group) == 0 {
-		for i := range dk {
-			dk[i] = 0
+	if sq.space.Wide() {
+		sq.wideSlots(t, sc, dk, sel, cols, lo)
+		t.reserve(sq, len(t.wide))
+	} else {
+		sq.compositeKeys(dk, sel, cols, lo, lv)
+		if sq.dense == 0 {
+			t.slots(dk)
+			t.reserve(sq, len(t.keys))
 		}
 	}
-	// The first group position initializes dk (no clear pass); later
-	// positions accumulate into it.
-	for gi, ref := range p.q.Group {
-		gm := p.gmaps[gi]
+	sq.accum(t, dk, sel, cols, lo)
+}
+
+// compositeKeys fills dk with the composite key of every selected row,
+// one group position at a time: the first initializes dk (no clear pass),
+// later positions accumulate into it. sel == nil means the identity
+// selection starting at row lo.
+func (sq *scanQuery) compositeKeys(dk []uint64, sel []int, cols storage.BlockCols, lo int, lv [][]int32) {
+	if len(sq.group) == 0 {
+		clear(dk)
+	}
+	for gi, ref := range sq.group {
+		stride := sq.space.Stride(gi)
+		gm := sq.gmaps[gi]
 		keys := cols.Keys[ref.Hier]
-		stride := l.stride[gi]
 		switch {
-		case sel == nil && gi == 0 && stride == 1:
-			for i := range dk {
-				dk[i] = int(gm[keys[lo+i]])
+		case sq.share != nil && sq.share[gi] >= 0:
+			// Subscribers are unpredicated, so the pooled column aligns
+			// with the identity selection.
+			col := lv[sq.share[gi]]
+			if gi == 0 {
+				for i := range dk {
+					dk[i] = uint64(col[i]) * stride
+				}
+			} else {
+				for i := range dk {
+					dk[i] += uint64(col[i]) * stride
+				}
 			}
 		case sel == nil && gi == 0:
 			for i := range dk {
-				dk[i] = int(gm[keys[lo+i]]) * stride
-			}
-		case sel == nil && stride == 1:
-			for i := range dk {
-				dk[i] += int(gm[keys[lo+i]])
+				dk[i] = uint64(gm[keys[lo+i]]) * stride
 			}
 		case sel == nil:
 			for i := range dk {
-				dk[i] += int(gm[keys[lo+i]]) * stride
-			}
-		case gi == 0 && stride == 1:
-			for i, r := range sel {
-				dk[i] = int(gm[keys[r]])
+				dk[i] += uint64(gm[keys[lo+i]]) * stride
 			}
 		case gi == 0:
 			for i, r := range sel {
-				dk[i] = int(gm[keys[r]]) * stride
-			}
-		case stride == 1:
-			for i, r := range sel {
-				dk[i] += int(gm[keys[r]])
+				dk[i] = uint64(gm[keys[r]]) * stride
 			}
 		default:
 			for i, r := range sel {
-				dk[i] += int(gm[keys[r]]) * stride
+				dk[i] += uint64(gm[keys[r]]) * stride
 			}
 		}
 	}
-	p.denseAccum(st, dk, sel, cols, lo)
 }
 
-// denseMorselShared is denseMorsel for an unpredicated query inside a
-// shared scan: group positions with a pooled level column (share[gi] >= 0
-// indexes lv) compose their dense keys from the pre-mapped codes instead
-// of re-walking the query's own rollup map row by row.
-func (p *preparedScan) denseMorselShared(st *denseState, l *denseLayout, sc *morselScratch, cols storage.BlockCols, lo, hi int, lv [][]int32, share []int) {
-	n := hi - lo
-	if cap(sc.dk) < n {
-		sc.dk = make([]int, n)
+// wideSlots fills dk with slots directly, row by row: a key space past
+// 64 bits has no composite key to vectorize over.
+func (sq *scanQuery) wideSlots(t *aggTable, sc *morselScratch, dk []uint64, sel []int, cols storage.BlockCols, lo int) {
+	if cap(sc.coord) < len(sq.group) {
+		sc.coord = make(mdm.Coordinate, len(sq.group))
 	}
-	dk := sc.dk[:n]
-	if len(p.q.Group) == 0 {
-		for i := range dk {
-			dk[i] = 0
+	coord := sc.coord[:len(sq.group)]
+	for i := range dk {
+		r := lo + i
+		if sel != nil {
+			r = sel[i]
 		}
+		for gi, ref := range sq.group {
+			coord[gi] = sq.gmaps[gi][cols.Keys[ref.Hier][r]]
+		}
+		dk[i] = t.wideSlot(coord)
 	}
-	// The first group position initializes dk (no clear pass); later
-	// positions accumulate into it.
-	for gi, ref := range p.q.Group {
-		stride := l.stride[gi]
-		if si := share[gi]; si >= 0 {
-			col := lv[si]
-			switch {
-			case gi == 0 && stride == 1:
-				for i := range dk {
-					dk[i] = int(col[i])
-				}
-			case gi == 0:
-				for i := range dk {
-					dk[i] = int(col[i]) * stride
-				}
-			case stride == 1:
-				for i := range dk {
-					dk[i] += int(col[i])
-				}
-			default:
-				for i := range dk {
-					dk[i] += int(col[i]) * stride
-				}
-			}
-			continue
-		}
-		gm := p.gmaps[gi]
-		keys := cols.Keys[ref.Hier]
-		switch {
-		case gi == 0 && stride == 1:
-			for i := range dk {
-				dk[i] = int(gm[keys[lo+i]])
-			}
-		case gi == 0:
-			for i := range dk {
-				dk[i] = int(gm[keys[lo+i]]) * stride
-			}
-		case stride == 1:
-			for i := range dk {
-				dk[i] += int(gm[keys[lo+i]])
-			}
-		default:
-			for i := range dk {
-				dk[i] += int(gm[keys[lo+i]]) * stride
-			}
-		}
-	}
-	p.denseAccum(st, dk, nil, cols, lo)
 }
 
-// denseAccum folds one morsel's composite keys into the accumulators:
-// slot row counts first, then the measure columns. Two or three
-// sum-valued measures (sum/avg) are accumulated in one fused pass — the
-// composite key loads once per row however many measures ride the scan —
-// which changes nothing about per-slot addition order, so results stay
-// bit-identical to the per-measure loops.
-func (p *preparedScan) denseAccum(st *denseState, dk []int, sel []int, cols storage.BlockCols, lo int) {
+// accum folds one morsel's slots into the accumulators: slot row counts
+// first, then the measure columns. Two or three sum-valued measures
+// (sum/avg) are accumulated in one fused pass — the slot loads once per
+// row however many measures ride the scan — which changes nothing about
+// per-slot addition order, so results stay bit-identical to the
+// per-measure loops.
+func (sq *scanQuery) accum(t *aggTable, dk []uint64, sel []int, cols storage.BlockCols, lo int) {
 	var a0, a1, a2, c0, c1, c2 []float64
 	ns := 0
-	fused := true
-	for j, mi := range p.q.Measures {
-		if p.ops[j] != mdm.AggSum && p.ops[j] != mdm.AggAvg {
+	for j, mi := range sq.measures {
+		if sq.ops[j] != mdm.AggSum && sq.ops[j] != mdm.AggAvg {
 			continue
 		}
 		switch ns {
 		case 0:
-			a0, c0 = st.vals[j], cols.Meas[mi]
+			a0, c0 = t.vals[j], cols.Meas[mi]
 		case 1:
-			a1, c1 = st.vals[j], cols.Meas[mi]
+			a1, c1 = t.vals[j], cols.Meas[mi]
 		case 2:
-			a2, c2 = st.vals[j], cols.Meas[mi]
-		default:
-			fused = false
+			a2, c2 = t.vals[j], cols.Meas[mi]
 		}
 		ns++
 	}
-	fused = fused && ns >= 2
+	fused := ns == 2 || ns == 3
 	switch {
-	case !fused && st.cnt != nil:
-		if st.touched != nil {
-			for _, k := range dk {
-				if st.cnt[k] == 0 {
-					st.touched = append(st.touched, k)
-				}
-				st.cnt[k]++
-			}
-		} else {
-			for _, k := range dk {
-				st.cnt[k]++
-			}
+	case !fused && t.cnt != nil:
+		for _, k := range dk {
+			t.cnt[k]++
 		}
 	case !fused:
-		seen := st.seen
-		if st.touched != nil {
-			for _, k := range dk {
-				if !seen[k] {
-					seen[k] = true
-					st.touched = append(st.touched, k)
-				}
-			}
-		} else {
-			for _, k := range dk {
-				if !seen[k] {
-					seen[k] = true
-				}
+		seen := t.seen
+		for _, k := range dk {
+			if !seen[k] {
+				seen[k] = true
 			}
 		}
-	case st.cnt != nil:
-		// Occupancy rides the fused pass: one composite-key load per row
-		// covers the row count and every sum column.
-		cnt := st.cnt
+	case t.cnt != nil:
+		// Occupancy rides the fused pass: one slot load per row covers
+		// the row count and every sum column.
+		cnt := t.cnt
 		switch {
-		case sel == nil && ns == 3 && st.touched == nil:
-			for i, k := range dk {
-				r := lo + i
-				cnt[k]++
-				a0[k] += c0[r]
-				a1[k] += c1[r]
-				a2[k] += c2[r]
-			}
-		case sel == nil && st.touched == nil:
-			for i, k := range dk {
-				r := lo + i
-				cnt[k]++
-				a0[k] += c0[r]
-				a1[k] += c1[r]
-			}
 		case sel == nil && ns == 3:
 			for i, k := range dk {
 				r := lo + i
-				if cnt[k] == 0 {
-					st.touched = append(st.touched, k)
-				}
 				cnt[k]++
 				a0[k] += c0[r]
 				a1[k] += c1[r]
 				a2[k] += c2[r]
 			}
-		default:
+		case sel == nil:
 			for i, k := range dk {
 				r := lo + i
-				if sel != nil {
-					r = sel[i]
-				}
-				if st.touched != nil && cnt[k] == 0 {
-					st.touched = append(st.touched, k)
-				}
+				cnt[k]++
+				a0[k] += c0[r]
+				a1[k] += c1[r]
+			}
+		default:
+			for i, k := range dk {
+				r := sel[i]
 				cnt[k]++
 				a0[k] += c0[r]
 				a1[k] += c1[r]
@@ -554,49 +553,32 @@ func (p *preparedScan) denseAccum(st *denseState, dk []int, sel []int, cols stor
 			}
 		}
 	default:
-		seen := st.seen
+		seen := t.seen
 		switch {
-		case sel == nil && ns == 3 && st.touched == nil:
-			for i, k := range dk {
-				r := lo + i
-				if !seen[k] {
-					seen[k] = true
-				}
-				a0[k] += c0[r]
-				a1[k] += c1[r]
-				a2[k] += c2[r]
-			}
-		case sel == nil && st.touched == nil:
-			for i, k := range dk {
-				r := lo + i
-				if !seen[k] {
-					seen[k] = true
-				}
-				a0[k] += c0[r]
-				a1[k] += c1[r]
-			}
 		case sel == nil && ns == 3:
 			for i, k := range dk {
 				r := lo + i
 				if !seen[k] {
 					seen[k] = true
-					st.touched = append(st.touched, k)
 				}
 				a0[k] += c0[r]
 				a1[k] += c1[r]
 				a2[k] += c2[r]
 			}
-		default:
+		case sel == nil:
 			for i, k := range dk {
 				r := lo + i
-				if sel != nil {
-					r = sel[i]
-				}
 				if !seen[k] {
 					seen[k] = true
-					if st.touched != nil {
-						st.touched = append(st.touched, k)
-					}
+				}
+				a0[k] += c0[r]
+				a1[k] += c1[r]
+			}
+		default:
+			for i, k := range dk {
+				r := sel[i]
+				if !seen[k] {
+					seen[k] = true
 				}
 				a0[k] += c0[r]
 				a1[k] += c1[r]
@@ -606,13 +588,13 @@ func (p *preparedScan) denseAccum(st *denseState, dk []int, sel []int, cols stor
 			}
 		}
 	}
-	for j, mi := range p.q.Measures {
-		op := p.ops[j]
+	for j, mi := range sq.measures {
+		op := sq.ops[j]
 		if fused && (op == mdm.AggSum || op == mdm.AggAvg) {
 			continue
 		}
 		col := cols.Meas[mi]
-		acc := st.vals[j]
+		acc := t.vals[j]
 		switch op {
 		case mdm.AggSum, mdm.AggAvg:
 			if sel == nil {
@@ -648,62 +630,149 @@ func (p *preparedScan) denseAccum(st *denseState, dk []int, sel []int, cols stor
 	}
 }
 
-// mergeDense folds src into dst with flat array sums (element-wise min
-// and max for those operators; untouched slots hold the operator's
-// identity, so merging them is a no-op).
-func (p *preparedScan) mergeDense(dst, src *denseState) {
-	if dst.cnt != nil {
-		for s, n := range src.cnt {
-			dst.cnt[s] += n
+// merge folds the partial src into dst, slot-wise by operator (untouched
+// slots hold the operator's identity, so merging them is a no-op). Dense
+// partials share their slots; otherwise src's cells are first looked up —
+// or assigned — in dst's slot table.
+func (sq *scanQuery) merge(dst, src *aggTable) {
+	var at []uint64 // src slot → dst slot; nil when they coincide
+	switch {
+	case src.wide != nil:
+		w := len(sq.group)
+		at = make([]uint64, len(src.wide))
+		for s := range at {
+			at[s] = dst.wideSlot(src.coords[s*w : (s+1)*w])
 		}
-	} else {
+		dst.reserve(sq, len(dst.wide))
+	case sq.dense == 0:
+		at = slices.Clone(src.keys)
+		dst.slots(at)
+		dst.reserve(sq, len(dst.keys))
+	}
+	n := src.size()
+	if at != nil {
+		n = len(at)
+	}
+	switch {
+	case dst.cnt != nil && at == nil:
+		for s, c := range src.cnt {
+			dst.cnt[s] += c
+		}
+	case dst.cnt != nil:
+		for s, c := range src.cnt[:n] {
+			dst.cnt[at[s]] += c
+		}
+	case at == nil:
 		for s, v := range src.seen {
 			if v {
 				dst.seen[s] = true
 			}
 		}
+	default:
+		// Every assigned slot of a slot table saw a row.
+		for _, d := range at {
+			dst.seen[d] = true
+		}
 	}
-	for j := range p.q.Measures {
-		a, b := dst.vals[j], src.vals[j]
-		switch p.ops[j] {
-		case mdm.AggSum, mdm.AggAvg:
-			for s, v := range b {
-				a[s] += v
-			}
-		case mdm.AggMin:
+	for j, op := range sq.ops {
+		if op == mdm.AggCount {
+			continue
+		}
+		a, b := dst.vals[j], src.vals[j][:n]
+		switch {
+		case op == mdm.AggMin && at == nil:
 			for s, v := range b {
 				a[s] = math.Min(a[s], v)
 			}
-		case mdm.AggMax:
+		case op == mdm.AggMin:
+			for s, v := range b {
+				a[at[s]] = math.Min(a[at[s]], v)
+			}
+		case op == mdm.AggMax && at == nil:
 			for s, v := range b {
 				a[s] = math.Max(a[s], v)
+			}
+		case op == mdm.AggMax:
+			for s, v := range b {
+				a[at[s]] = math.Max(a[at[s]], v)
+			}
+		case at == nil:
+			for s, v := range b {
+				a[s] += v
+			}
+		default:
+			for s, v := range b {
+				a[at[s]] += v
 			}
 		}
 	}
 }
 
-// occupied lists the slots that saw a row, in ascending order (one of cnt
-// and seen is nil). The counting pass sizes the list exactly: one
-// allocation for any result.
-func (st *denseState) occupied() []int {
+// mergeTree folds the per-worker partials in a log-depth tree: every
+// round merges the back half into the front half concurrently, so the
+// critical path is ⌈log2 n⌉ merges instead of n-1. Workers that never
+// claimed a morsel left a nil partial; no partial at all yields an empty
+// table.
+func (sq *scanQuery) mergeTree(parts []*aggTable) *aggTable {
+	parts = slices.DeleteFunc(parts, func(t *aggTable) bool { return t == nil })
+	if len(parts) == 0 {
+		return sq.newTable()
+	}
+	for n := len(parts); n > 1; {
+		half := n / 2
+		var wg sync.WaitGroup
+		for i := 1; i < half; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				sq.merge(parts[i], parts[n-1-i])
+			}(i)
+		}
+		sq.merge(parts[0], parts[n-1])
+		wg.Wait()
+		n -= half
+	}
+	return parts[0]
+}
+
+// occupied lists the slots that saw a row in ascending composite-key
+// order, which is coordinate-lexicographic and independent of morsel
+// scheduling. Dense slots are keys, so a counting pass sizes the list
+// exactly and a second fills it; slot tables sort their slots — all of
+// them occupied — by key, or by coordinate when the space is wide.
+func (sq *scanQuery) occupied(t *aggTable) []int {
+	if sq.dense == 0 {
+		slots := make([]int, max(len(t.keys), len(t.wide)))
+		for s := range slots {
+			slots[s] = s
+		}
+		if w := len(sq.group); t.wide != nil {
+			slices.SortFunc(slots, func(a, b int) int {
+				return slices.Compare(t.coords[a*w:(a+1)*w], t.coords[b*w:(b+1)*w])
+			})
+		} else {
+			slices.SortFunc(slots, func(a, b int) int { return cmp.Compare(t.keys[a], t.keys[b]) })
+		}
+		return slots
+	}
 	n := 0
-	for _, c := range st.cnt {
+	for _, c := range t.cnt {
 		if c != 0 {
 			n++
 		}
 	}
-	for _, ok := range st.seen {
+	for _, ok := range t.seen {
 		if ok {
 			n++
 		}
 	}
 	slots := make([]int, 0, n)
-	for slot, c := range st.cnt {
+	for slot, c := range t.cnt {
 		if c != 0 {
 			slots = append(slots, slot)
 		}
 	}
-	for slot, ok := range st.seen {
+	for slot, ok := range t.seen {
 		if ok {
 			slots = append(slots, slot)
 		}
@@ -711,69 +780,42 @@ func (st *denseState) occupied() []int {
 	return slots
 }
 
-// finalizeDense materializes the occupied slots as a derived cube,
-// decoding each composite key back into its coordinate. Serial scans
-// emit in first-seen order (st.touched), matching the hash path cell for
-// cell; parallel scans emit in ascending key order, which is coordinate-
-// lexicographic and independent of morsel scheduling. The cube is
-// assembled column by column: one coordinate arena and one slice per
-// measure, whatever the cell count.
-func (p *preparedScan) finalizeDense(s *mdm.Schema, names []string, l *denseLayout, st *denseState) (*cube.Cube, error) {
-	slots := st.touched
-	if slots == nil {
-		slots = st.occupied()
-	}
-	width := len(p.q.Group)
-	space := mdm.NewKeySpace(l.card)
+// finalize materializes the occupied slots as a derived cube, decoding
+// each composite key back into its coordinate. The cube is assembled
+// column by column: one coordinate arena and one slice per measure,
+// whatever the cell count.
+func (sq *scanQuery) finalize(s *mdm.Schema, names []string, t *aggTable) (*cube.Cube, error) {
+	slots := sq.occupied(t)
+	width := len(sq.group)
 	coords := cube.Carve(make([]int32, len(slots)*width), len(slots), width)
 	for i, slot := range slots {
-		space.Decode(uint64(slot), coords[i])
+		switch {
+		case t.wide != nil:
+			copy(coords[i], t.coords[slot*width:])
+		case sq.dense > 0:
+			sq.space.Decode(uint64(slot), coords[i])
+		default:
+			sq.space.Decode(t.keys[slot], coords[i])
+		}
 	}
-	cols := make([][]float64, len(p.q.Measures))
-	for j := range p.q.Measures {
+	cols := make([][]float64, len(sq.ops))
+	for j, op := range sq.ops {
 		col := make([]float64, len(slots))
-		switch p.ops[j] {
+		switch op {
 		case mdm.AggAvg:
 			for i, slot := range slots {
-				col[i] = st.vals[j][slot] / float64(st.cnt[slot])
+				col[i] = t.vals[j][slot] / float64(t.cnt[slot])
 			}
 		case mdm.AggCount:
 			for i, slot := range slots {
-				col[i] = float64(st.cnt[slot])
+				col[i] = float64(t.cnt[slot])
 			}
 		default:
 			for i, slot := range slots {
-				col[i] = st.vals[j][slot]
+				col[i] = t.vals[j][slot]
 			}
 		}
 		cols[j] = col
 	}
-	return cube.Build(s, p.q.Group, names, coords, cols)
-}
-
-// runDenseSerial scans the fact data block by block, morsel by morsel,
-// on the calling goroutine, reusing one scratch across morsels. Blocks
-// pruned by zone maps are skipped before decode; pruning preserves the
-// first-seen cell order because a pruned block holds no accepted rows.
-func (p *preparedScan) runDenseSerial(l *denseLayout, morsel int) (*denseState, error) {
-	st := p.newDenseState(l, true)
-	sc := getScratch()
-	defer putScratch(sc)
-	n := int64(0)
-	for b := 0; b < p.src.Blocks(); b++ {
-		cols, ok, err := p.src.Block(b, &sc.block)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		for lo := 0; lo < cols.Rows; lo += morsel {
-			hi := min(lo+morsel, cols.Rows)
-			p.denseMorsel(st, l, sc, cols, lo, hi)
-			n++
-		}
-	}
-	mMorsels.Add(n)
-	return st, nil
+	return cube.Build(s, sq.group, names, coords, cols)
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,9 +10,10 @@ import (
 	"github.com/assess-olap/assess/internal/storage"
 )
 
-// Kernel tests: the dense-key vectorized path against the hash fallback,
-// serial against morsel-parallel, and the edge cases of the dense key
-// space (budget overflow, cardinality growth, degenerate selections).
+// Kernel tests: the edge cases of the key space (budget overflow,
+// cardinality growth, degenerate selections) and the morsel scheduler
+// under contention. What the kernels compute is checked against a
+// row-at-a-time aggregator in reference_test.go.
 
 // twoHierSchema builds K(k→g) × C(c) with every aggregation operator.
 func twoHierSchema(kCard, cCard int) *mdm.Schema {
@@ -48,8 +51,8 @@ func intFact(s *mdm.Schema, rows int, seed int64) *storage.FactTable {
 }
 
 // kernelEngines returns the four kernel configurations under test, all
-// registered over the same fact: serial hash (the reference), serial
-// dense, morsel-parallel hash, and morsel-parallel dense.
+// registered over the same fact: serial hash, serial dense,
+// morsel-parallel hash, and morsel-parallel dense.
 func kernelEngines(t *testing.T, f *storage.FactTable) map[string]*Engine {
 	t.Helper()
 	out := make(map[string]*Engine)
@@ -79,117 +82,46 @@ func kernelEngines(t *testing.T, f *storage.FactTable) map[string]*Engine {
 	return out
 }
 
-func TestKernelDenseMatchesHash(t *testing.T) {
-	s := twoHierSchema(60, 11)
-	f := intFact(s, 5000, 7)
-	engines := kernelEngines(t, f)
-	ref := engines["hash-serial"]
-	kRef, kID := member(t, s, "g", memberName(2))
-	queries := map[string]Query{
-		"by-k":      {Fact: "T", Group: mdm.MustGroupBy(s, "k"), Measures: []int{0, 1, 2, 3, 4}},
-		"by-g-c":    {Fact: "T", Group: mdm.MustGroupBy(s, "g", "c"), Measures: []int{0, 1, 2, 3, 4}},
-		"by-k-c":    {Fact: "T", Group: mdm.MustGroupBy(s, "k", "c"), Measures: []int{0, 2}},
-		"total":     {Fact: "T", Group: mdm.MustGroupBy(s), Measures: []int{0, 1, 2, 3, 4}},
-		"predicate": {Fact: "T", Group: mdm.MustGroupBy(s, "c"), Preds: []Predicate{{Level: kRef, Members: []int32{kID}}}, Measures: []int{0, 4}},
-	}
-	for qn, q := range queries {
-		want, err := ref.Get(q)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", qn, err)
-		}
-		for en, e := range engines {
-			if en == "hash-serial" {
-				continue
-			}
-			got, err := e.Get(q)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", qn, en, err)
-			}
-			if got.Len() != want.Len() {
-				t.Fatalf("%s/%s: %d cells, reference has %d", qn, en, got.Len(), want.Len())
-			}
-			for i, coord := range want.Coords {
-				gi, ok := got.Lookup(coord)
-				if !ok {
-					t.Fatalf("%s/%s: coordinate %s missing", qn, en, coord.Format(s, want.Group))
-				}
-				for j := range want.Cols {
-					if want.Cols[j][i] != got.Cols[j][gi] {
-						t.Errorf("%s/%s %s measure %s: got %v, reference %v (must be bit-exact on integer measures)",
-							qn, en, coord.Format(s, want.Group), want.Names[j], got.Cols[j][gi], want.Cols[j][i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestKernelSerialDenseOrderMatchesHash pins the cell emission order:
-// serial dense scans must emit in first-seen row order, exactly like the
-// serial hash path, so switching the default kernel is invisible to any
-// order-sensitive consumer.
-func TestKernelSerialDenseOrderMatchesHash(t *testing.T) {
-	s := twoHierSchema(40, 5)
-	f := intFact(s, 2000, 11)
-	engines := kernelEngines(t, f)
-	q := Query{Fact: "T", Group: mdm.MustGroupBy(s, "k", "c"), Measures: []int{0}}
-	want, err := engines["hash-serial"].Get(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := engines["dense-serial"].Get(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != want.Len() {
-		t.Fatalf("dense %d cells, hash %d", got.Len(), want.Len())
-	}
-	for i := range want.Coords {
-		for p := range want.Coords[i] {
-			if want.Coords[i][p] != got.Coords[i][p] {
-				t.Fatalf("cell %d: dense order %v, hash order %v", i, got.Coords[i], want.Coords[i])
-			}
-		}
-	}
-}
-
 func TestDenseLayout(t *testing.T) {
-	prep := &preparedScan{q: Query{Group: make(mdm.GroupBy, 3)}, cards: []int{5, 7, 3}}
-	l := prep.denseLayout(200)
-	if l == nil {
-		t.Fatal("105 slots within a budget of 200 must be dense-eligible")
+	layout := func(cards []int, budget int) *scanQuery {
+		sq := &scanQuery{group: make(mdm.GroupBy, len(cards))}
+		sq.init(cards, budget)
+		return sq
 	}
-	if l.slots != 105 {
-		t.Errorf("slots = %d, want 105", l.slots)
+	sq := layout([]int{5, 7, 3}, 200)
+	if sq.dense != 105 {
+		t.Fatalf("dense = %d, want 105 slots within a budget of 200", sq.dense)
 	}
-	for gi, want := range []int{21, 3, 1} {
-		if l.stride[gi] != want {
-			t.Errorf("stride[%d] = %d, want %d", gi, l.stride[gi], want)
+	for gi, want := range []uint64{21, 3, 1} {
+		if got := sq.space.Stride(gi); got != want {
+			t.Errorf("stride[%d] = %d, want %d", gi, got, want)
 		}
 	}
-	if prep.denseLayout(105) == nil {
+	if layout([]int{5, 7, 3}, 105).dense == 0 {
 		t.Error("slots == budget must be dense-eligible")
 	}
-	if prep.denseLayout(104) != nil {
+	if layout([]int{5, 7, 3}, 104).dense != 0 {
 		t.Error("slots > budget must fall back to hash")
 	}
-	if prep.denseLayout(0) != nil {
+	if layout([]int{5, 7, 3}, 0).dense != 0 {
 		t.Error("budget 0 must disable the dense path")
 	}
 	// Empty group-by set: one slot, the grand total.
-	total := &preparedScan{cards: nil}
-	if l := total.denseLayout(1); l == nil || l.slots != 1 {
-		t.Errorf("empty group-by layout = %+v, want 1 slot", l)
+	if got := layout(nil, 1).dense; got != 1 {
+		t.Errorf("empty group-by layout = %d slots, want 1", got)
 	}
 	// A level with an empty domain cannot be laid out densely.
-	empty := &preparedScan{q: Query{Group: make(mdm.GroupBy, 1)}, cards: []int{0}}
-	if empty.denseLayout(100) != nil {
+	if layout([]int{0}, 100).dense != 0 {
 		t.Error("empty level domain must fall back to hash")
 	}
-	// The budget check must not overflow on huge cardinality products.
-	huge := &preparedScan{q: Query{Group: make(mdm.GroupBy, 3)}, cards: []int{1 << 30, 1 << 30, 1 << 30}}
-	if huge.denseLayout(1<<30) != nil {
-		t.Error("2^90 slots must fall back to hash without overflowing")
+	// The budget check must not overflow on huge cardinality products,
+	// and a product past 64 bits has no composite key at all.
+	huge := layout([]int{1 << 30, 1 << 30, 1 << 30}, 1<<30)
+	if huge.dense != 0 || !huge.space.Wide() {
+		t.Error("2^90 slots must fall back to the wide-key table without overflowing")
+	}
+	if layout([]int{1 << 30, 1 << 30}, 1<<30).space.Wide() {
+		t.Error("2^60 slots still have a 64-bit composite key")
 	}
 }
 
@@ -241,14 +173,17 @@ func TestKernelEmptyFactTable(t *testing.T) {
 // below the per-worker row floor stays serial (one morsel, no workers),
 // even with parallelism configured.
 func TestKernelSingleMorselFallsBackToSerial(t *testing.T) {
-	if got := scanWorkers(8, 100, parallelThreshold); got != 0 {
-		t.Errorf("scanWorkers(8, 100, 64Ki) = %d, want 0 (serial)", got)
+	shape := New()
+	shape.SetParallelism(8)
+	if w, m := shape.scanShape(100); w != 1 || m != DefaultMorselSize {
+		t.Errorf("scanShape(100) = %d workers, morsel %d; want 1 (serial), the default morsel", w, m)
 	}
-	if got := scanWorkers(8, 4*parallelThreshold, parallelThreshold); got != 4 {
-		t.Errorf("scanWorkers(8, 256Ki, 64Ki) = %d, want 4", got)
+	if w, _ := shape.scanShape(4 * parallelThreshold); w != 4 {
+		t.Errorf("scanShape(256Ki) = %d workers, want 4", w)
 	}
-	if got := scanMorsel(DefaultMorselSize, 1000, 4); got != 250 {
-		t.Errorf("scanMorsel = %d, want 250 (at least one morsel per worker)", got)
+	shape.SetParallelMinRows(250)
+	if w, m := shape.scanShape(1000); w != 4 || m != 250 {
+		t.Errorf("scanShape(1000) = %d workers, morsel %d; want 4, 250 (at least one morsel per worker)", w, m)
 	}
 	s := twoHierSchema(10, 3)
 	f := intFact(s, 100, 3)
@@ -299,8 +234,8 @@ func TestDenseBudgetOverflowMidRegistry(t *testing.T) {
 	if _, err := e.Get(q); err != nil {
 		t.Fatal(err) // populates the roll-up map caches at cardinality 8
 	}
-	if prep := (&preparedScan{q: q, cards: []int{8}}); prep.denseLayout(e.denseKeyBudget()) == nil {
-		t.Fatal("pre-growth key space should be dense-eligible")
+	if sq, err := e.prepare(context.Background(), f, q, []mdm.AggOp{mdm.AggSum}); err != nil || sq.dense != 8 {
+		t.Fatalf("pre-growth key space should be dense-eligible: %d slots, err %v", sq.dense, err)
 	}
 	// Mid-registry growth: 24 new members, then rows referencing them.
 	h := s.Hiers[0]
@@ -310,7 +245,10 @@ func TestDenseBudgetOverflowMidRegistry(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		f.MustAppend([]int32{int32(8 + i%24)}, []float64{1000})
 	}
-	got, err := e.Get(q) // 32 > 16 slots: must take the hash fallback
+	if sq, err := e.prepare(context.Background(), f, q, []mdm.AggOp{mdm.AggSum}); err != nil || sq.dense != 0 {
+		t.Fatalf("32 > 16 slots must take the hash fallback: %d slots, err %v", sq.dense, err)
+	}
+	got, err := e.Get(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +359,7 @@ func TestSelectionVectorExtremes(t *testing.T) {
 // TestMorselWorkStealingStress drives the shared morsel cursor with all
 // cores and single-digit morsels, repeatedly, so `go test -race` (the CI
 // morsel step) exercises concurrent claiming, private-state isolation,
-// and both merge trees.
+// and the merge tree.
 func TestMorselWorkStealingStress(t *testing.T) {
 	s := twoHierSchema(50, 6)
 	f := intFact(s, 4000, 31)
@@ -469,6 +407,137 @@ func TestMorselWorkStealingStress(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestSlotTableGrowthKeepsSlots inserts enough keys to rehash the bucket
+// array several times: every key must keep the slot it was first given,
+// slots must be handed out in first-seen order, and looking all keys up
+// again must assign nothing new.
+func TestSlotTableGrowthKeepsSlots(t *testing.T) {
+	sq := mergeQuery()
+	tab := sq.newTable()
+	buckets := len(tab.index)
+	const n = 20000
+	key := func(i int) uint64 { return uint64(i) * 0x10001 << 20 } // collides in the low bits
+	first := make([]uint64, n)
+	for i := range first {
+		dk := []uint64{key(i), key(i / 2)} // one new key, one seen before
+		tab.slots(dk)
+		if dk[0] != uint64(i) || dk[1] != uint64(i/2) {
+			t.Fatalf("key %d got slots %v, want [%d %d]", i, dk, i, i/2)
+		}
+		first[i] = dk[0]
+	}
+	if len(tab.index) <= buckets {
+		t.Fatalf("bucket array never grew past %d for %d keys", buckets, n)
+	}
+	again := make([]uint64, n)
+	for i := range again {
+		again[i] = key(i)
+	}
+	tab.slots(again)
+	for i := range again {
+		if again[i] != first[i] {
+			t.Fatalf("key %d moved from slot %d to %d across rehashes", i, first[i], again[i])
+		}
+	}
+	if len(tab.keys) != n {
+		t.Fatalf("table holds %d slots after a lookup-only pass, want %d", len(tab.keys), n)
+	}
+}
+
+// TestSlotTableGrownSlotsHoldIdentities: columns grown for new slots must
+// start from each operator's identity, or the first MIN/MAX into a slot
+// would be compared against a stale zero.
+func TestSlotTableGrownSlotsHoldIdentities(t *testing.T) {
+	sq := &scanQuery{measures: []int{0, 1, 2, 3}, ops: []mdm.AggOp{mdm.AggMin, mdm.AggMax, mdm.AggSum, mdm.AggCount}}
+	sq.init(nil, 0)
+	tab := sq.newTable()
+	for _, slots := range []int{3, 700, 5000} {
+		tab.reserve(sq, slots)
+		if tab.size() < slots || len(tab.cnt) != tab.size() || tab.seen != nil {
+			t.Fatalf("reserve(%d): %d slots, %d counts", slots, tab.size(), len(tab.cnt))
+		}
+		for s := 0; s < tab.size(); s++ {
+			if !math.IsInf(tab.vals[0][s], 1) || !math.IsInf(tab.vals[1][s], -1) || tab.vals[2][s] != 0 || tab.cnt[s] != 0 {
+				t.Fatalf("slot %d of %d starts at min %v max %v sum %v cnt %d", s, tab.size(),
+					tab.vals[0][s], tab.vals[1][s], tab.vals[2][s], tab.cnt[s])
+			}
+		}
+	}
+	if tab.vals[3] != nil {
+		t.Error("a count measure keeps no value column")
+	}
+}
+
+// mergeQuery is a one-level SUM+MAX query on the slot table, the shape of
+// the merge tests and BenchmarkMergeTree.
+func mergeQuery() *scanQuery {
+	sq := &scanQuery{
+		group:    mdm.GroupBy{{Hier: 0, Level: 0}},
+		measures: []int{0, 1},
+		ops:      []mdm.AggOp{mdm.AggSum, mdm.AggMax},
+	}
+	sq.init([]int{1 << 20}, 0)
+	return sq
+}
+
+// mergeParts builds one partial per worker: worker w holds the cells keys
+// (c + w·cells/4) mod 2·cells, each with value c, so neighbouring workers
+// overlap in three quarters of their keys and all 2·cells keys occur. The
+// rows go through the kernel's own morsel path.
+func mergeParts(sq *scanQuery, workers, cells int) []*aggTable {
+	sq.gmaps = [][]int32{make([]int32, 2*cells)}
+	for i := range sq.gmaps[0] {
+		sq.gmaps[0][i] = int32(i)
+	}
+	parts := make([]*aggTable, workers)
+	sc := new(morselScratch)
+	for w := range parts {
+		keys := make([]int32, cells)
+		vals := make([]float64, cells)
+		for c := range keys {
+			keys[c] = int32((c + w*cells/4) % (2 * cells))
+			vals[c] = float64(c)
+		}
+		parts[w] = sq.newTable()
+		cols := storage.BlockCols{Keys: [][]int32{keys}, Meas: [][]float64{vals, vals}, Rows: cells}
+		sq.morsel(parts[w], sc, cols, 0, cells, nil)
+	}
+	return parts
+}
+
+// TestMergeTreeSixteenWorkers folds 16 overlapping slot-table partials
+// (run under -race in CI: the tree merges pairs concurrently) and checks
+// every cell against the closed form.
+func TestMergeTreeSixteenWorkers(t *testing.T) {
+	const workers, cells = 16, 512
+	sq := mergeQuery()
+	out := sq.mergeTree(mergeParts(sq, workers, cells))
+	if len(out.keys) != 2*cells {
+		t.Fatalf("merged %d cells, want %d", len(out.keys), 2*cells)
+	}
+	c, err := sq.finalize(twoHierSchema(1, 1), []string{"s", "hi"}, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, coord := range c.Coords {
+		if int(coord[0]) != i {
+			t.Fatalf("cell %d has key %d: not in ascending key order", i, coord[0])
+		}
+		// Worker w holds key i with value (i - w·cells/4) mod 2·cells, when
+		// that is below cells.
+		sum, hi := 0.0, math.Inf(-1)
+		for w := 0; w < workers; w++ {
+			if v := (i - w*cells/4 + workers*2*cells) % (2 * cells); v < cells {
+				sum += float64(v)
+				hi = math.Max(hi, float64(v))
+			}
+		}
+		if c.Cols[0][i] != sum || c.Cols[1][i] != hi {
+			t.Errorf("key %d: sum %v max %v, want %v %v", i, c.Cols[0][i], c.Cols[1][i], sum, hi)
 		}
 	}
 }

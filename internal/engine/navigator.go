@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -15,9 +16,9 @@ import (
 // level of the same hierarchy, and every predicate level derivable the
 // same way. Exact matches are served by a filter over the view's cells
 // (views.go); strictly coarser queries re-aggregate the view's cells
-// through the same dense-key/hash kernels as fact scans (morsel-parallel
-// above the usual threshold), so a 500k-row scan collapses to a pass
-// over a few thousand view cells. The adaptive admission layer watches
+// through the same scan pipeline as fact scans (morsel-parallel above the
+// usual threshold), so a 500k-row scan collapses to a pass over a few
+// thousand view cells. The adaptive admission layer watches
 // queries that miss every view and auto-materializes the hottest
 // group-by sets under a byte budget, evicting least-recently-used
 // admitted views and dropping any view whose fact table has since
@@ -138,13 +139,13 @@ func (e *Engine) repairStaleViews(fact string, f *storage.FactTable, ver uint64)
 }
 
 // rollupFromView answers a query strictly coarser than the view by
-// re-aggregating the view's cells through the scan kernels: the view's
-// columnar keys play the fact key columns, roll-up maps go from the view
-// level (not the base level) to the query level, and measures are
-// rewritten distributively — SUM/MIN/MAX as themselves, COUNT as a SUM
-// of the view's per-cell row counts, AVG as a SUM of the view's raw sums
-// recombined with the summed counts after the kernel.
-func (e *Engine) rollupFromView(f *storage.FactTable, v *matView, q Query) (*cube.Cube, error) {
+// running the view's cells through the scan pipeline as a batch of one:
+// the view's columnar keys play the fact key columns, roll-up maps go from
+// the view level (not the base level) to the query level, and measures
+// are rewritten distributively — SUM/MIN/MAX as themselves, COUNT as a
+// SUM of the view's per-cell row counts, AVG as a SUM of the view's raw
+// sums recombined with the summed counts after the scan.
+func (e *Engine) rollupFromView(ctx context.Context, f *storage.FactTable, v *matView, q Query) (*cube.Cube, error) {
 	s := f.Schema
 	n := v.data.Len()
 	keys := make([][]int32, len(s.Hiers))
@@ -152,25 +153,8 @@ func (e *Engine) rollupFromView(f *storage.FactTable, v *matView, q Query) (*cub
 	for _, p := range q.Preds {
 		vp := v.group.Pos(p.Level.Hier) // ≥ 0 with level ≤ p's: covers() checked
 		from := v.group[vp].Level
-		h := s.Hiers[p.Level.Hier]
-		want := make(map[int32]bool, len(p.Members))
-		for _, m := range p.Members {
-			want[m] = true
-		}
-		rm := e.rollupMapFrom(q.Fact, f, p.Level.Hier, from, p.Level.Level)
-		acc := accepts[p.Level.Hier]
-		if acc == nil {
-			acc = make([]bool, h.Dict(from).Len())
-			for i := range acc {
-				acc[i] = true
-			}
-			accepts[p.Level.Hier] = acc
-		}
-		for id := range acc {
-			if acc[id] && !want[rm[id]] {
-				acc[id] = false
-			}
-		}
+		accepts[p.Level.Hier] = narrowAccepts(accepts[p.Level.Hier], s.Hiers[p.Level.Hier].Dict(from).Len(),
+			e.rollupMapFrom(q.Fact, f, p.Level.Hier, from, p.Level.Level), p.Members)
 		keys[p.Level.Hier] = v.keyCols[vp]
 	}
 	gmaps := make([][]int32, len(q.Group))
@@ -218,42 +202,14 @@ func (e *Engine) rollupFromView(f *storage.FactTable, v *matView, q Query) (*cub
 	for i := range idx {
 		idx[i] = i
 	}
-	prep := &preparedScan{
-		q:       Query{Fact: q.Fact, Group: q.Group, Measures: idx},
-		src:     storage.ColumnsSource(keys, meas, n),
-		rows:    n,
-		accepts: accepts,
-		gmaps:   gmaps,
-		cards:   cards,
-		ops:     ops,
+	sq := &scanQuery{ctx: ctx, group: q.Group, measures: idx, ops: ops, accepts: accepts, gmaps: gmaps}
+	sq.init(cards, e.denseKeyBudget())
+	workers, morsel := e.scanShape(n)
+	scan([]*scanQuery{sq}, storage.ColumnsSource(keys, meas, n), workers, morsel)
+	if sq.err != nil {
+		return nil, sq.err
 	}
-	workers := scanWorkers(e.workers, n, e.parallelMinRows())
-	morsel := e.effectiveMorselSize()
-	var out *cube.Cube
-	var err error
-	if l := prep.denseLayout(e.denseKeyBudget()); l != nil {
-		mKernelDense.Inc()
-		var st *denseState
-		if workers >= 2 {
-			st, err = prep.runDenseParallel(l, workers, scanMorsel(morsel, n, workers))
-		} else {
-			st, err = prep.runDenseSerial(l, morsel)
-		}
-		if err == nil {
-			out, err = prep.finalizeDense(s, names, l, st)
-		}
-	} else {
-		mKernelHash.Inc()
-		var st scanState
-		if workers >= 2 {
-			st, err = prep.runParallel(workers, scanMorsel(morsel, n, workers))
-		} else {
-			st, err = prep.run()
-		}
-		if err == nil {
-			out, err = prep.finalize(s, names, st)
-		}
-	}
+	out, err := sq.finalize(s, names, sq.out)
 	if err != nil {
 		return nil, err
 	}

@@ -10,72 +10,6 @@ import (
 	"github.com/assess-olap/assess/internal/testutil"
 )
 
-// TestParallelScanMatchesSerial verifies that the partitioned scan with
-// partial-state merging produces exactly the serial result for every
-// aggregation operator.
-func TestParallelScanMatchesSerial(t *testing.T) {
-	// A schema exercising every operator over enough rows to cross the
-	// parallel threshold.
-	h := mdm.NewHierarchy("K", "k", "g")
-	for i := 0; i < 500; i++ {
-		h.MustAddMember(memberName(i), memberName(i%7))
-	}
-	s := mdm.NewSchema("T", []*mdm.Hierarchy{h}, []mdm.Measure{
-		{Name: "s", Op: mdm.AggSum},
-		{Name: "a", Op: mdm.AggAvg},
-		{Name: "lo", Op: mdm.AggMin},
-		{Name: "hi", Op: mdm.AggMax},
-		{Name: "n", Op: mdm.AggCount},
-	})
-	serial := New()
-	parallel := New()
-	parallel.SetParallelism(4)
-	fact := buildRandomFact(t, s, 4*parallelThreshold)
-	if err := serial.Register("T", fact); err != nil {
-		t.Fatal(err)
-	}
-	if err := parallel.Register("T", fact); err != nil {
-		t.Fatal(err)
-	}
-	for _, group := range [][]string{{"k"}, {"g"}, {}} {
-		q := Query{Fact: "T", Group: mdm.MustGroupBy(s, group...), Measures: []int{0, 1, 2, 3, 4}}
-		a, err := serial.Get(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := parallel.Get(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Len() != b.Len() {
-			t.Fatalf("group %v: serial %d cells, parallel %d", group, a.Len(), b.Len())
-		}
-		for i, coord := range a.Coords {
-			bi, ok := b.Lookup(coord)
-			if !ok {
-				t.Fatalf("group %v: coordinate missing from parallel result", group)
-			}
-			for j := range a.Cols {
-				x, y := a.Cols[j][i], b.Cols[j][bi]
-				// Partitioned sums reorder float additions; sum and avg may
-				// differ by rounding noise. Min, max, and count are exact.
-				switch a.Names[j] {
-				case "s", "a":
-					if !testutil.FloatNear(x, y, 1e-9) {
-						t.Errorf("group %v measure %s: serial %g parallel %g",
-							group, a.Names[j], x, y)
-					}
-				default:
-					if x != y {
-						t.Errorf("group %v measure %s: serial %g parallel %g",
-							group, a.Names[j], x, y)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestSetParallelismDefaults(t *testing.T) {
 	e := New()
 	e.SetParallelism(0) // selects NumCPU

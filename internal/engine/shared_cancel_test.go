@@ -14,15 +14,22 @@ import (
 
 // countingBackend is a fake segment backend that slices a resident
 // fact into many small blocks and counts every decode, with a hook at
-// a chosen decode number — the instrument for proving the shared
-// scan's segment path notices cancellation promptly instead of
-// decoding to the end.
+// a chosen decode number and an optional block that fails to decode —
+// the instrument for proving a scan's segment path notices cancellation
+// and decode errors promptly instead of decoding to the end.
 type countingBackend struct {
 	f         *storage.FactTable
 	blockRows int
 	decodes   atomic.Int64
 	onDecode  func(n int64)
+	// failBlock, when positive, is the block whose decode fails;
+	// afterFail counts the decodes requested once it has.
+	failBlock int
+	failed    atomic.Bool
+	afterFail atomic.Int64
 }
+
+var errBadBlock = errors.New("countingBackend: injected decode error")
 
 func (b *countingBackend) Rows() int { return b.f.Rows() }
 
@@ -55,6 +62,13 @@ func (s *countingSource) BlockRows(bi int) int {
 }
 
 func (s *countingSource) Block(bi int, _ *storage.BlockScratch) (storage.BlockCols, bool, error) {
+	if s.b.failed.Load() {
+		s.b.afterFail.Add(1)
+	}
+	if s.b.failBlock > 0 && bi == s.b.failBlock {
+		s.b.failed.Store(true)
+		return storage.BlockCols{}, false, errBadBlock
+	}
 	n := s.b.decodes.Add(1)
 	if s.b.onDecode != nil {
 		s.b.onDecode(n)
@@ -335,5 +349,102 @@ func TestSharedScanSegmentUncancelledStillComplete(t *testing.T) {
 	}
 	if decodes := backend.decodes.Load(); decodes < int64(backend.blocks()) {
 		t.Fatalf("only %d of %d blocks decoded on an uncancelled scan", decodes, backend.blocks())
+	}
+}
+
+// TestScanCancelBatchOfOne: an unbatched scan — ScanWithOps as the
+// distributed worker calls it, GetContext as /assess calls it with no
+// batcher installed — is a batch of one, and its context is honoured
+// like any member's. Cancelled from inside the k-th block decode, the
+// scan returns context.Canceled having decoded at most the blocks
+// already in flight, one per worker.
+func TestScanCancelBatchOfOne(t *testing.T) {
+	const cancelAt = 5
+	s := twoHierSchema(60, 11)
+	res := intFact(s, 4000, 3)
+	q := Query{Fact: "T", Group: mdm.MustGroupBy(s, "k"), Measures: []int{0, 1}}
+	for _, workers := range []int{1, 4} {
+		scans := map[string]func(*Engine, context.Context) error{
+			"ScanWithOps": func(e *Engine, ctx context.Context) error {
+				_, err := e.ScanWithOps(ctx, q, []mdm.AggOp{mdm.AggSum, mdm.AggAvg}, []string{"s", "a"})
+				return err
+			},
+			"GetContext": func(e *Engine, ctx context.Context) error {
+				_, err := e.GetContext(ctx, q)
+				return err
+			},
+		}
+		for name, scan := range scans {
+			backend := &countingBackend{f: res, blockRows: 10}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			backend.onDecode = func(n int64) {
+				if n == cancelAt {
+					cancel()
+				}
+			}
+			e := New()
+			e.SetParallelism(workers)
+			e.SetParallelMinRows(1)
+			if err := e.Register("T", storage.NewSegmentTable(s, backend)); err != nil {
+				t.Fatal(err)
+			}
+			detached := mSharedDetached.Value()
+			if err := scan(e, ctx); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s, %d workers: err %v, want context.Canceled", name, workers, err)
+			}
+			if got, most := backend.decodes.Load(), int64(cancelAt+workers); got > most {
+				t.Errorf("%s, %d workers: decoded %d blocks after cancellation at block %d, want ≤ %d (of %d)",
+					name, workers, got, cancelAt, most, backend.blocks())
+			}
+			if d := mSharedDetached.Value() - detached; d != 1 {
+				t.Errorf("%s, %d workers: detached counter moved by %d, want 1", name, workers, d)
+			}
+		}
+	}
+}
+
+// TestScanBlockError: the first block decode error stops further
+// claims — at most the claims already in flight, one per other worker,
+// reach the source afterwards — and every query still attached reports
+// it, in a batch of one and in a batch of three, serial and parallel.
+func TestScanBlockError(t *testing.T) {
+	const failBlock = 7
+	s := twoHierSchema(60, 11)
+	res := intFact(s, 4000, 3)
+	queries := []Query{
+		{Fact: "T", Group: mdm.MustGroupBy(s, "k"), Measures: []int{0, 1}},
+		{Fact: "T", Group: mdm.MustGroupBy(s, "c"), Measures: []int{2}},
+		{Fact: "T", Group: mdm.MustGroupBy(s), Measures: []int{4}},
+	}
+	for _, workers := range []int{1, 4} {
+		for _, batch := range []int{1, 3} {
+			backend := &countingBackend{f: res, blockRows: 10, failBlock: failBlock}
+			e := New()
+			e.SetParallelism(workers)
+			e.SetParallelMinRows(1)
+			if err := e.Register("T", storage.NewSegmentTable(s, backend)); err != nil {
+				t.Fatal(err)
+			}
+			reqs := make([]ScanReq, batch)
+			for i := range reqs {
+				reqs[i] = ScanReq{Ctx: context.Background(), Query: queries[i]}
+			}
+			morsels := mMorsels.Value()
+			for i, r := range e.SharedScan("T", reqs) {
+				if !errors.Is(r.Err, errBadBlock) {
+					t.Errorf("%d workers, batch of %d, query %d: err %v, want the decode error", workers, batch, i, r.Err)
+				}
+			}
+			if got := backend.afterFail.Load(); got >= int64(workers) {
+				t.Errorf("%d workers, batch of %d: %d blocks requested after the failure, want < %d (of %d)",
+					workers, batch, got, workers, backend.blocks())
+			}
+			// Blocks 0..failBlock-1 hold one morsel each and were all
+			// claimed before the failing one.
+			if got := mMorsels.Value() - morsels; got < failBlock {
+				t.Errorf("%d workers, batch of %d: %d morsels reported, want ≥ %d", workers, batch, got, failBlock)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -17,7 +18,7 @@ import (
 // group-by set; the aggregate navigator (navigator.go) then answers any
 // query whose group-by set is reachable by roll-up from the view's —
 // exact matches by a filter over |view| cells, coarser queries by
-// re-aggregating the view's cells through the scan kernels.
+// re-aggregating the view's cells through the scan pipeline.
 
 type viewKey struct {
 	fact string
@@ -140,7 +141,7 @@ func (e *Engine) buildView(fact string, f *storage.FactTable, g mdm.GroupBy, aut
 		ops = append(ops, mdm.AggCount)
 		names = append(names, "·cnt")
 	}
-	raw, err := e.scanAggregateOps(Query{Fact: fact, Group: g, Measures: idx}, ops, names)
+	raw, err := e.scanAggregateOps(context.Background(), Query{Fact: fact, Group: g, Measures: idx}, ops, names)
 	if err != nil {
 		return nil, err
 	}
