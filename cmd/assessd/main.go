@@ -24,7 +24,7 @@
 //
 //	assessd [-addr :8080] [-data sales|ssb] [-rows 50000] [-sf 0.01]
 //	        [-seed 42] [-load cube.bin] [-store-dir DIR] [-resident]
-//	        [-store-eager] [-store-gather-cutoff 0.25]
+//	        [-store-eager]
 //	        [-worker] [-shards N] [-shard-index I] [-shard-addrs URLS]
 //	        [-shard-level LEVEL] [-shard-timeout 2s] [-dist-policy fail|partial]
 //	        [-parallel 0]
@@ -71,8 +71,6 @@ func main() {
 		resident   = flag.Bool("resident", false, "with -store-dir, load the segment directories fully into memory")
 		storeEager = flag.Bool("store-eager", false,
 			"with -store-dir, disable late materialization: decode every needed column in full (debug/compare)")
-		storeGather = flag.Float64("store-gather-cutoff", -1,
-			"with -store-dir, selectivity at or below which surviving rows are gather-decoded (0 disables, <0 = default)")
 		parallel  = flag.Int("parallel", 1, "fact-scan parallelism (0 = all cores)")
 		denseBudg = flag.Int("dense-budget", engine.DefaultDenseKeyBudget,
 			"dense aggregation key-space budget in slots (0 = hash kernels only)")
@@ -122,16 +120,7 @@ func main() {
 		policy:     *distPolicy,
 	}
 
-	// Flag semantics (-1 = library default, 0 = disable) invert the
-	// colstore convention (0 = default, <0 = disable); translate here.
-	storeOpts := colstore.Options{Eager: *storeEager}
-	switch {
-	case *storeGather == 0:
-		storeOpts.GatherCutoff = -1
-	case *storeGather > 0:
-		storeOpts.GatherCutoff = *storeGather
-	}
-	session, closeStores, err := open(*data, *rows, *sf, *seed, *load, *storeDir, *resident, storeOpts)
+	session, closeStores, err := open(*data, *rows, *sf, *seed, *load, *storeDir, *resident, colstore.Options{Eager: *storeEager})
 	if err != nil {
 		log.Fatal(err)
 	}

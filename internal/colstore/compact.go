@@ -26,8 +26,10 @@ import (
 	"github.com/assess-olap/assess/internal/storage"
 )
 
-// compact runs one full pass (fold + merge). Caller holds compactMu.
-func (st *Store) compact() error {
+// compact runs one full pass: fold, merge and, when upgrade is set, a
+// rewrite of whatever version 1 segments the merge left. Caller holds
+// compactMu, so nothing else changes the segment list meanwhile.
+func (st *Store) compact(upgrade bool) error {
 	worked, err := st.foldWAL()
 	if err != nil {
 		return err
@@ -36,7 +38,13 @@ func (st *Store) compact() error {
 	if err != nil {
 		return err
 	}
-	if worked || merged {
+	upgraded := false
+	if upgrade {
+		if upgraded, err = st.upgradeSegments(); err != nil {
+			return err
+		}
+	}
+	if worked || merged || upgraded {
 		st.compactions.Add(1)
 		mCompactions.Inc()
 	}
@@ -166,51 +174,87 @@ func (st *Store) mergeRuns() (bool, error) {
 			}
 			lo, hi, sum = -1, -1, 0
 		}
+		st.mu.Unlock()
 		if lo < 0 || hi <= lo {
-			st.mu.Unlock()
 			return merged, nil
 		}
-		run := make([]*segment, hi-lo+1)
-		copy(run, st.segs[lo:hi+1])
-		for _, s := range run {
-			s.acquire() // pin for reading outside the lock
+		if err := st.rewrite(lo, hi); err != nil {
+			return merged, err
 		}
-		seq := st.seq
-		st.seq++
-		st.mu.Unlock()
+		merged = true
+	}
+}
 
-		keys, meas, err := st.concatSegments(run, sum)
-		if err == nil {
-			path := filepath.Join(st.dir, segName(seq))
-			if _, err = writeSegment(path, keys, meas, sum, st.ruMaps); err == nil {
-				var seg *segment
-				if seg, err = openSegment(path, st.opts.NoMmap); err == nil {
-					st.mu.Lock()
-					rest := append([]*segment{}, st.segs[:lo]...)
-					rest = append(rest, seg)
-					rest = append(rest, st.segs[hi+1:]...)
-					st.segs = rest
-					err = st.writeManifest()
-					st.mu.Unlock()
-					if err == nil {
-						// Drop the store's reference to the replaced
-						// segments and unlink once scans drain.
-						for _, s := range run {
-							s.removeOnRelease.Store(true)
-							s.release() // store's own reference
-						}
-						merged = true
-					}
-				}
-			}
+// upgradeSegments rewrites, one by one, the segments written before
+// postings existed; the rows and their order do not change.
+func (st *Store) upgradeSegments() (bool, error) {
+	upgraded := false
+	for i := 0; ; i++ {
+		st.mu.Lock()
+		for i < len(st.segs) && st.segs[i].foot.post != nil {
+			i++
 		}
+		done := i >= len(st.segs)
+		st.mu.Unlock()
+		if done {
+			return upgraded, nil
+		}
+		if err := st.rewrite(i, i); err != nil {
+			return upgraded, err
+		}
+		upgraded = true
+	}
+}
+
+// rewrite replaces the adjacent segments st.segs[lo..hi] by one newly
+// written segment holding the same rows in the same order.
+func (st *Store) rewrite(lo, hi int) error {
+	st.mu.Lock()
+	run := make([]*segment, hi-lo+1)
+	copy(run, st.segs[lo:hi+1])
+	rows := 0
+	for _, s := range run {
+		s.acquire() // pin for reading outside the lock
+		rows += s.foot.rows
+	}
+	seq := st.seq
+	st.seq++
+	st.mu.Unlock()
+	defer func() {
 		for _, s := range run {
 			s.release() // the pin taken above
 		}
-		if err != nil {
-			return merged, err
-		}
+	}()
+
+	keys, meas, err := st.concatSegments(run, rows)
+	if err != nil {
+		return err
 	}
+	path := filepath.Join(st.dir, segName(seq))
+	if _, err := writeSegment(path, keys, meas, rows, st.ruMaps); err != nil {
+		return err
+	}
+	seg, err := openSegment(path, st.opts.NoMmap)
+	if err != nil {
+		return err
+	}
+	st.mu.Lock()
+	rest := append([]*segment{}, st.segs[:lo]...)
+	rest = append(rest, seg)
+	rest = append(rest, st.segs[hi+1:]...)
+	st.segs = rest
+	err = st.writeManifest()
+	st.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	// Drop the store's reference to the replaced segments and unlink
+	// once scans drain.
+	for _, s := range run {
+		s.removeOnRelease.Store(true)
+		s.release()
+	}
+	return nil
 }
 
 // concatSegments decodes the given segments into fresh concatenated

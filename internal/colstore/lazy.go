@@ -1,15 +1,20 @@
-// Late materialization: predicate-first evaluation over packed codes.
+// Late materialization: predicate-first evaluation in code space.
 // A scan's LevelPreds are prepared once into (a) sorted member sets with
 // min/max bounds for zone-map probes — a couple of comparisons and a
 // binary search per segment instead of a linear member sweep — and (b)
-// per-hierarchy acceptance vectors over base-level codes, derived from
-// the store's resident rollup maps exactly as the engine derives its
-// own, so code-space filtering is bit-exact with engine-side filtering.
-// decodeInto evaluates the vectors against decoded key columns before
-// touching any measure payload: const-encoded key columns resolve the
-// whole segment in O(1), packed columns produce a selection bitmap, an
-// empty bitmap skips measure decode entirely, and sparse selections
-// gather-decode only the surviving rows.
+// per-hierarchy acceptance over base-level codes, as a vector and as a
+// sorted code list, derived from the store's resident rollup maps
+// exactly as the engine derives its own, so code-space filtering is
+// bit-exact with engine-side filtering. selectRows evaluates them per
+// segment before any needed column is touched: the accepted codes'
+// postings give every predicate's exact match count and the smallest
+// builds the selection bitmap in time proportional to its matches; the
+// other predicates intersect by probing the packed codes of the rows
+// still set. A segment without postings (format version 1, or a column
+// the writer left unindexed) sweeps the first predicate's codes instead
+// — the same kernels the tests use as the reference. An empty bitmap
+// skips the segment and sparse selections gather-decode only the
+// surviving rows.
 package colstore
 
 import (
@@ -29,11 +34,12 @@ type preparedPred struct {
 }
 
 // scanPlan is the per-scan prepared predicate set: prune probes for the
-// zone maps plus per-hierarchy base-code acceptance vectors for
-// row-level code-space filtering.
+// zone maps plus per-hierarchy base-code acceptance for row-level
+// code-space filtering.
 type scanPlan struct {
 	preds   []preparedPred
-	accepts [][]bool // per hierarchy; nil = no predicate on it
+	accepts [][]bool  // per hierarchy; nil = no predicate on it
+	codes   [][]int32 // accepts as sorted code lists, for postings lookups
 	// filtered lists the hierarchies with non-nil accepts, so the block
 	// path iterates predicated hierarchies only.
 	filtered []int
@@ -66,7 +72,11 @@ func (st *Store) prepare(preds []storage.LevelPred) *scanPlan {
 	if len(preds) == 0 {
 		return nil
 	}
-	plan := &scanPlan{preds: preparePreds(preds), accepts: make([][]bool, len(st.ruMaps))}
+	plan := &scanPlan{
+		preds:   preparePreds(preds),
+		accepts: make([][]bool, len(st.ruMaps)),
+		codes:   make([][]int32, len(st.ruMaps)),
+	}
 	for _, p := range preds {
 		if p.Hier < 0 || p.Hier >= len(st.ruMaps) || p.Level < 0 || p.Level >= len(st.ruMaps[p.Hier]) {
 			continue
@@ -93,11 +103,124 @@ func (st *Store) prepare(preds []storage.LevelPred) *scanPlan {
 		plan.accepts[p.Hier] = acc
 	}
 	for h, acc := range plan.accepts {
-		if acc != nil {
-			plan.filtered = append(plan.filtered, h)
+		if acc == nil {
+			continue
 		}
+		plan.filtered = append(plan.filtered, h)
+		codes := []int32{} // non-nil: an empty list accepts nothing
+		for c, ok := range acc {
+			if ok {
+				codes = append(codes, int32(c))
+			}
+		}
+		plan.codes[h] = codes
 	}
 	return plan
+}
+
+// selectRows evaluates the plan's predicates against the segment and
+// leaves the selection bitmap and its population count in cols (a zero
+// count means no row matches and the bitmap is not to be used). It
+// returns the bytes read. The bitmap is the same whichever predicate
+// builds it, so row order and every aggregate downstream are too.
+func (s *segment) selectRows(plan *scanPlan, need storage.ColSet, cols *storage.BlockCols, sc *storage.BlockScratch) (readBytes int64, err error) {
+	foot := s.foot
+	// O(1) code-space test: a const-encoded predicated key column
+	// settles the whole segment before anything is read.
+	for _, h := range plan.filtered {
+		if h >= len(foot.keys) || foot.keys[h].enc != kencConst {
+			continue
+		}
+		if c := int(uint32(foot.keys[h].base)); c >= len(plan.accepts[h]) || !plan.accepts[h][c] {
+			return 0, nil
+		}
+	}
+	mLazyFiltered.Inc()
+	// Every indexed predicate's exact match count is a sum of offset
+	// differences; the smallest one builds the bitmap.
+	best, bestCount, fetched := -1, 0, -1
+	var bestPost postings
+	var bestCodes []int32
+	for _, h := range plan.filtered {
+		if h >= len(foot.post) || foot.post[h].kind == postNone {
+			continue
+		}
+		p, err := s.postings(h, sc)
+		if err != nil {
+			return 0, err
+		}
+		fetched = h
+		codes := p.clip(plan.codes[h])
+		n := p.count(codes)
+		readBytes += 8 * int64(len(codes))
+		if n == 0 {
+			return readBytes, nil
+		}
+		if best < 0 || n < bestCount {
+			best, bestCount, bestPost, bestCodes = h, n, p, codes
+		}
+	}
+	sel := sc.SelBuf(foot.rows)
+	count, first := foot.rows, true
+	if best >= 0 {
+		if fetched != best {
+			// A pread blob reuses the scratch a later fetch filled.
+			if bestPost, err = s.postings(best, sc); err != nil {
+				return 0, err
+			}
+		}
+		bestPost.fill(sel, bestCodes)
+		readBytes += (int64(bestCount)*int64(bestPost.w) + 7) / 8
+		count, first = bestCount, false
+		mSelectPostings.Inc()
+	}
+	for _, h := range plan.filtered {
+		if h >= len(foot.keys) || foot.keys[h].enc == kencConst || h == best {
+			continue
+		}
+		km, acc := &foot.keys[h], plan.accepts[h]
+		payload, err := s.keyPayload(h, sc)
+		if err != nil {
+			return 0, err
+		}
+		readBytes += km.size
+		if km.enc == kencPacked {
+			lo, w := int32(uint32(km.base)), uint(km.width)
+			if first {
+				count = selInitPacked(sel, foot.rows, acc, lo, w, payload)
+			} else {
+				count = selAndPacked(sel, acc, lo, w, payload)
+			}
+		} else {
+			// Raw-encoded keys (wider than the pack limit) have no
+			// code-space kernel: decode into scratch for the test, and
+			// hand the column over if the scan reads it anyway.
+			dst := sc.KeyBuf(h, len(foot.keys), foot.rows)
+			decodeKeys(dst, km.enc, km.width, km.base, payload)
+			if first {
+				count = selInit(sel, dst, acc)
+			} else {
+				count = selAnd(sel, dst, acc)
+			}
+			if need.NeedKey(h) && !need.PredOnlyKey(h) {
+				cols.Keys[h] = dst
+			}
+		}
+		if first {
+			first = false
+			mSelectLinear.Inc()
+		}
+		if count == 0 {
+			return readBytes, nil
+		}
+	}
+	if first {
+		// Every predicated column is const-accepted: all rows match.
+		setRange(sel, 0, foot.rows)
+	}
+	mRowsSelected.Add(int64(count))
+	cols.Sel, cols.SelCount = sel, count
+	return readBytes, nil
 }
 
 // prunedByPreds probes the zone maps with prepared predicates: identical
@@ -122,6 +245,10 @@ func (foot *footer) prunedByPreds(pps []preparedPred) bool {
 	return false
 }
 
+// accepted reports whether acc accepts code c. Codes come off disk: one
+// outside the dictionary the vector was built over matches nothing.
+func accepted(acc []bool, c int32) bool { return uint(c) < uint(len(acc)) && acc[c] }
+
 // selInit fills sel with the rows col's acceptance vector passes and
 // returns the surviving count. Trailing bits beyond len(col) stay zero.
 func selInit(sel []uint64, col []int32, acc []bool) int {
@@ -133,7 +260,7 @@ func selInit(sel []uint64, col []int32, acc []bool) int {
 		}
 		var word uint64
 		for j, v := range c {
-			if acc[v] {
+			if accepted(acc, v) {
 				word |= 1 << uint(j)
 			}
 		}
@@ -160,7 +287,7 @@ func selInitPacked(sel []uint64, rows int, acc []bool, lo int32, w uint, payload
 		unpackWordsKeys(buf[:m], lo, w, payload[base/8*int(w):])
 		var word uint64
 		for j := 0; j < m; j++ {
-			if acc[buf[j]] {
+			if accepted(acc, buf[j]) {
 				word |= 1 << uint(j)
 			}
 		}
@@ -181,7 +308,7 @@ func selAndPacked(sel []uint64, acc []bool, lo int32, w uint, payload []byte) in
 		base := wi << 6
 		for t := word; t != 0; t &= t - 1 {
 			j := bits.TrailingZeros64(t)
-			if !acc[lo+int32(unpackU64(payload, base+j, w))] {
+			if !accepted(acc, lo+int32(unpackU64(payload, base+j, w))) {
 				word &^= 1 << uint(j)
 			}
 		}
@@ -202,7 +329,7 @@ func selAnd(sel []uint64, col []int32, acc []bool) int {
 		base := w << 6
 		for t := word; t != 0; t &= t - 1 {
 			j := bits.TrailingZeros64(t)
-			if !acc[col[base+j]] {
+			if !accepted(acc, col[base+j]) {
 				word &^= 1 << uint(j)
 			}
 		}

@@ -240,13 +240,32 @@ func lazySum(t *testing.T, st *Store, preds []storage.LevelPred, accept func(h0,
 	return sum, rows
 }
 
+// countingBlob records every byte range a scan fetches from a segment.
+type countingBlob struct {
+	blob
+	fetched *[][2]int64 // [off, off+n)
+}
+
+func (b countingBlob) bytes(off int64, n int, scratch *[]byte) ([]byte, error) {
+	*b.fetched = append(*b.fetched, [2]int64{off, off + int64(n)})
+	return b.blob.bytes(off, n, scratch)
+}
+
 // TestPredOnlyColumnsNeverMaterialized pins the ColSet.PredOnly
 // contract: a column that is filtered on but not grouped by is
-// evaluated in code space (selInitPacked/selAndPacked) and omitted
-// from every block that carries a selection bitmap, while the bitmap
-// itself stays identical to the materialize-then-filter path.
+// evaluated in code space and omitted from every block that carries a
+// selection bitmap, while the bitmap itself stays identical to the
+// materialize-then-filter path. On these (indexed) segments it also
+// pins that the evaluation is sub-linear by count, not by timer: no
+// bitmap is built by sweeping a column, and the payload of the column
+// whose postings build the bitmap is not even fetched — with a single
+// predicate, no predicate payload is.
 func TestPredOnlyColumnsNeverMaterialized(t *testing.T) {
 	st, keys, meas := lazyFixture(t, Options{})
+	fetched := make([][][2]int64, len(st.segs))
+	for i, seg := range st.segs {
+		seg.blob = countingBlob{blob: seg.blob, fetched: &fetched[i]}
+	}
 	cases := []struct {
 		name     string
 		predOnly []bool
@@ -286,6 +305,33 @@ func TestPredOnlyColumnsNeverMaterialized(t *testing.T) {
 					wantRows++
 				}
 			}
+			for i := range fetched {
+				fetched[i] = nil
+			}
+			linearBefore, postingsBefore := mSelectLinear.Value(), mSelectPostings.Value()
+			defer func() {
+				if mSelectLinear.Value() != linearBefore || mSelectPostings.Value() == postingsBefore {
+					t.Fatalf("bitmaps built by %d sweeps and %d postings lookups, want postings only",
+						mSelectLinear.Value()-linearBefore, mSelectPostings.Value()-postingsBefore)
+				}
+				for i, seg := range st.segs {
+					touched := 0
+					for _, p := range tc.preds {
+						km := seg.foot.keys[p.Hier]
+						for _, f := range fetched[i] {
+							if f[0] < km.off+km.size && km.off < f[1] {
+								touched++
+								break
+							}
+						}
+					}
+					// Only predicates after the one that built the
+					// bitmap probe their column's codes.
+					if touched > len(tc.preds)-1 {
+						t.Fatalf("segment %d: %d of %d predicate payloads fetched", i, touched, len(tc.preds))
+					}
+				}
+			}()
 			src := st.Snapshot(storage.ColSet{PredOnly: tc.predOnly}, tc.preds)
 			defer src.Close()
 			var sc storage.BlockScratch
@@ -452,10 +498,11 @@ func TestEagerOptionDisablesRowFiltering(t *testing.T) {
 	}
 }
 
-// TestGatherCutoffDisabled proves a negative cutoff forces full measure
+// TestGatherCutoffDisabled proves a zero cutoff forces full measure
 // decode even for very sparse selections.
 func TestGatherCutoffDisabled(t *testing.T) {
-	st, keys, meas := lazyFixture(t, Options{GatherCutoff: -1})
+	st, keys, meas := lazyFixture(t, Options{})
+	st.DisableGather()
 	gatheredBefore := mLazyGathered.Value()
 	wantSum, wantRows := 0.0, 0
 	for r := range keys[1] {

@@ -2,6 +2,8 @@ package colstore
 
 import "github.com/assess-olap/assess/internal/obsv"
 
+const selectsHelp = "Segments whose selection bitmap was built, by access path: from postings (work proportional to the matches) or by a linear sweep over a predicate column's codes (segments without postings)."
+
 // Store-level metrics, published to the process registry like the
 // engine's scan counters. Tests assert zone-map pruning through
 // mPruned rather than reaching into reader internals.
@@ -14,6 +16,10 @@ var (
 		"Segments decoded for scans.")
 	hDecodeBytes = obsv.Default.Histogram("assess_store_decode_bytes",
 		"Compressed bytes read per segment decode.")
+	mSelectPostings = obsv.Default.Counter("assess_store_index_selects_total", selectsHelp, "path", "postings")
+	mSelectLinear   = obsv.Default.Counter("assess_store_index_selects_total", selectsHelp, "path", "linear")
+	mRowsSelected   = obsv.Default.Counter("assess_store_rows_selected_total",
+		"Rows that passed code-space predicate evaluation in segments (the set bits of every selection bitmap handed to a scan).")
 	mLazyFiltered = obsv.Default.Counter("assess_store_lazy_filtered_total",
 		"Segments whose predicates were evaluated in code space before measure decode (late materialization).")
 	mLazySkipped = obsv.Default.Counter("assess_store_lazy_skipped_total",

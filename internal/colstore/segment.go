@@ -1,8 +1,9 @@
 // Segment files: the immutable on-disk unit of the store. A segment is
 // a column-major encoding of a run of fact rows in append order:
 //
-//	"ASSESSSEG\x01"                          magic
+//	"ASSESSSEG\x02"                          magic (format version 2)
 //	key column payloads, measure column payloads
+//	postings sections, one per indexed key column (see postings.go)
 //	footer:
 //	  u32 rows, u8 nkeys, u8 nmeas
 //	  per key column:
@@ -10,12 +11,21 @@
 //	    u8 nlevels, nlevels × (u32 min, u32 max)   ← zone maps
 //	  per measure column:
 //	    u8 enc, u8 width, u64 base, u64 off, u64 len, u32 crc
+//	  per key column (version 2 only):
+//	    u8 kind, u8 width, u32 ncodes, u64 off, u64 len, u32 crc   ← postings
 //	u32 footerLen, "ASG1"                    trailer
+//
+// Version 1 files ("ASSESSSEG\x01") end their footer after the measure
+// columns and carry no postings; they stay readable and predicates on
+// them sweep the packed codes. Every segment written now is version 2.
 //
 // The zone maps record the min/max rolled-up dictionary code of the
 // segment's rows at every level of every hierarchy, so a predicate at
-// any level can prove a segment irrelevant without decoding it.
-// Payload CRCs (Castagnoli) are verified on every decode.
+// any level can prove a segment irrelevant without decoding it. The
+// postings list the row ids of each base-level code, so a predicate
+// finds its rows without reading the column. Section CRCs (Castagnoli)
+// are verified on every decode; everything the footer says about a
+// section is checked against the file before any of it is trusted.
 package colstore
 
 import (
@@ -29,9 +39,10 @@ import (
 )
 
 var (
-	segMagic  = []byte("ASSESSSEG\x01")
-	segTrail  = []byte("ASG1")
-	castTable = crc32.MakeTable(crc32.Castagnoli)
+	segMagicV1 = []byte("ASSESSSEG\x01")
+	segMagic   = []byte("ASSESSSEG\x02")
+	segTrail   = []byte("ASG1")
+	castTable  = crc32.MakeTable(crc32.Castagnoli)
 )
 
 // zoneMap is the [min, max] rolled-up code range of one level.
@@ -59,6 +70,7 @@ type footer struct {
 	rows int
 	keys []keyMeta
 	meas []measMeta
+	post []postMeta // per key column; nil for a version 1 segment
 }
 
 // rollupMaps returns, for each level d of h, the base→level-d code map.
@@ -75,6 +87,22 @@ func rollupMaps(h *mdm.Hierarchy) [][]int32 {
 	return maps
 }
 
+// segWriter appends sections to a segment file under construction,
+// keeping the running offset each footer entry records.
+type segWriter struct {
+	f   *os.File
+	off int64
+}
+
+func (w *segWriter) put(p []byte) (off, size int64, crc uint32, err error) {
+	off, size = w.off, int64(len(p))
+	if _, err = w.f.Write(p); err != nil {
+		return 0, 0, 0, err
+	}
+	w.off += size
+	return off, size, crc32.Checksum(p, castTable), nil
+}
+
 // writeSegment encodes rows [0, rows) of the given columns into path
 // (via tmp+rename) and returns the parsed footer. ruMaps must hold one
 // rollup map set per hierarchy, as built by rollupMaps.
@@ -84,18 +112,24 @@ func writeSegment(path string, keys [][]int32, meas [][]float64, rows int, ruMap
 		return nil, err
 	}
 	defer f.Close()
-	if _, err := f.Write(segMagic); err != nil {
+	w := segWriter{f: f}
+	if _, _, _, err := w.put(segMagic); err != nil {
 		return nil, err
 	}
-	off := int64(len(segMagic))
-	foot := &footer{rows: rows, keys: make([]keyMeta, len(keys)), meas: make([]measMeta, len(meas))}
+	foot := &footer{
+		rows: rows,
+		keys: make([]keyMeta, len(keys)),
+		meas: make([]measMeta, len(meas)),
+		post: make([]postMeta, len(keys)),
+	}
 	for h, col := range keys {
 		col = col[:rows]
 		enc, width, base, payload := encodeKeys(col)
 		km := &foot.keys[h]
 		km.enc, km.width, km.base = enc, width, base
-		km.off, km.size = off, int64(len(payload))
-		km.crc = crc32.Checksum(payload, castTable)
+		if km.off, km.size, km.crc, err = w.put(payload); err != nil {
+			return nil, err
+		}
 		km.zones = make([]zoneMap, len(ruMaps[h]))
 		for d, m := range ruMaps[h] {
 			z := zoneMap{lo: m[col[0]], hi: m[col[0]]}
@@ -110,24 +144,26 @@ func writeSegment(path string, keys [][]int32, meas [][]float64, rows int, ruMap
 			}
 			km.zones[d] = z
 		}
-		if _, err := f.Write(payload); err != nil {
-			return nil, err
-		}
-		off += int64(len(payload))
 	}
 	for m, col := range meas {
-		col = col[:rows]
-		enc, width, base, payload := encodeMeas(col)
+		enc, width, base, payload := encodeMeas(col[:rows])
 		mm := &foot.meas[m]
 		mm.enc, mm.width, mm.base = enc, width, base
-		mm.off, mm.size = off, int64(len(payload))
-		mm.crc = crc32.Checksum(payload, castTable)
-		if _, err := f.Write(payload); err != nil {
+		if mm.off, mm.size, mm.crc, err = w.put(payload); err != nil {
 			return nil, err
 		}
-		off += int64(len(payload))
 	}
-	if err := writeFooter(f, foot); err != nil {
+	for h, col := range keys {
+		if foot.keys[h].enc != kencPacked {
+			continue // const columns settle in O(1); raw ones have no code range to index
+		}
+		pm, payload := buildPostings(col[:rows], int32(uint32(foot.keys[h].base)))
+		if pm.off, pm.size, pm.crc, err = w.put(payload); err != nil {
+			return nil, err
+		}
+		foot.post[h] = pm
+	}
+	if _, err := f.Write(appendFooter(nil, foot)); err != nil {
 		return nil, err
 	}
 	if err := f.Sync(); err != nil {
@@ -143,8 +179,10 @@ func writeSegment(path string, keys [][]int32, meas [][]float64, rows int, ruMap
 	return foot, nil
 }
 
-func writeFooter(f *os.File, foot *footer) error {
-	var buf []byte
+// appendFooter renders foot and the trailer onto buf. A footer without
+// postings entries (post == nil) renders in the version 1 layout.
+func appendFooter(buf []byte, foot *footer) []byte {
+	start := len(buf)
 	u32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
 	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	u32(uint32(foot.rows))
@@ -168,48 +206,52 @@ func writeFooter(f *os.File, foot *footer) error {
 		u64(uint64(mm.size))
 		u32(mm.crc)
 	}
-	u32(uint32(len(buf) + 8)) // footerLen counts itself and the trailer
-	buf = append(buf, segTrail...)
-	_, err := f.Write(buf)
-	return err
+	for _, pm := range foot.post {
+		buf = append(buf, pm.kind, pm.width)
+		u32(uint32(pm.ncodes))
+		u64(uint64(pm.off))
+		u64(uint64(pm.size))
+		u32(pm.crc)
+	}
+	u32(uint32(len(buf) - start + 8)) // footerLen counts itself and the trailer
+	return append(buf, segTrail...)
 }
 
-// readFooter parses the footer of an open segment file of the given size.
-func readFooter(f *os.File, size int64) (*footer, error) {
-	var tail [8]byte
-	if size < int64(len(segMagic))+8 {
-		return nil, fmt.Errorf("colstore: segment too short (%d bytes)", size)
-	}
-	if _, err := f.ReadAt(tail[:], size-8); err != nil {
-		return nil, err
-	}
-	if string(tail[4:]) != string(segTrail) {
-		return nil, fmt.Errorf("colstore: bad segment trailer")
-	}
-	footLen := int64(binary.LittleEndian.Uint32(tail[:4]))
-	if footLen < 8 || footLen > size {
-		return nil, fmt.Errorf("colstore: implausible footer length %d", footLen)
-	}
-	// footLen counts the body plus the 8-byte trailer (footerLen field
-	// + magic); the body starts footLen bytes from the end.
-	buf := make([]byte, footLen-8)
-	if _, err := f.ReadAt(buf, size-footLen); err != nil {
-		return nil, err
-	}
+func corruptf(format string, args ...any) error {
+	return fmt.Errorf("colstore: corrupt segment: "+format, args...)
+}
+
+// parseFooter parses and validates a footer body (the footer without
+// its 8-byte trailer). version is the file's format version and bodyEnd
+// the file offset where the sections end and the footer begins: every
+// section must lie in [len(magic), bodyEnd) and have exactly the length
+// its encoding, width and the row count imply, so no later decode can
+// read outside its payload or size a buffer the file does not justify.
+func parseFooter(buf []byte, version int, bodyEnd int64) (*footer, error) {
 	pos := 0
 	need := func(n int) error {
 		if pos+n > len(buf) {
-			return fmt.Errorf("colstore: truncated segment footer")
+			return corruptf("truncated footer")
 		}
 		return nil
 	}
 	u32 := func() uint32 { v := binary.LittleEndian.Uint32(buf[pos:]); pos += 4; return v }
 	u64 := func() uint64 { v := binary.LittleEndian.Uint64(buf[pos:]); pos += 8; return v }
 	u8 := func() uint8 { v := buf[pos]; pos++; return v }
+	// inside checks a section against the file and its expected length.
+	inside := func(off, size, want int64) error {
+		if size != want || off < int64(len(segMagic)) || off > bodyEnd || size > bodyEnd-off {
+			return corruptf("section [%d, +%d) does not fit (want %d bytes below %d)", off, size, want, bodyEnd)
+		}
+		return nil
+	}
 	if err := need(6); err != nil {
 		return nil, err
 	}
 	foot := &footer{rows: int(u32())}
+	if foot.rows < 1 {
+		return nil, corruptf("no rows")
+	}
 	nk, nm := int(u8()), int(u8())
 	foot.keys = make([]keyMeta, nk)
 	foot.meas = make([]measMeta, nm)
@@ -222,6 +264,22 @@ func readFooter(f *os.File, size int64) (*footer, error) {
 		km.base = u64()
 		km.off, km.size = int64(u64()), int64(u64())
 		km.crc = u32()
+		var want int64
+		switch km.enc {
+		case kencConst:
+		case kencPacked:
+			if km.width < 1 || km.width > 32 {
+				return nil, corruptf("key column %d packed at %d bits", h, km.width)
+			}
+			want = int64(packedLen(foot.rows, uint(km.width)))
+		case kencRaw:
+			want = 4 * int64(foot.rows)
+		default:
+			return nil, corruptf("key column %d has unknown encoding %d", h, km.enc)
+		}
+		if err := inside(km.off, km.size, want); err != nil {
+			return nil, err
+		}
 		nz := int(u8())
 		if err := need(8 * nz); err != nil {
 			return nil, err
@@ -240,6 +298,48 @@ func readFooter(f *os.File, size int64) (*footer, error) {
 		mm.base = u64()
 		mm.off, mm.size = int64(u64()), int64(u64())
 		mm.crc = u32()
+		var want int64
+		switch mm.enc {
+		case mencConst:
+		case mencRaw:
+			want = 8 * int64(foot.rows)
+		case mencFOR, mencDelta:
+			// The delta decoder divides by the width; the writer never
+			// emits a zero-width delta (all-equal values are const).
+			if mm.width > maxPackWidth || mm.enc == mencDelta && mm.width == 0 {
+				return nil, corruptf("measure column %d packed at %d bits", m, mm.width)
+			}
+			want = int64(packedLen(foot.rows, uint(mm.width)))
+		default:
+			return nil, corruptf("measure column %d has unknown encoding %d", m, mm.enc)
+		}
+		if err := inside(mm.off, mm.size, want); err != nil {
+			return nil, err
+		}
+	}
+	if version < 2 {
+		return foot, nil
+	}
+	foot.post = make([]postMeta, nk)
+	for h := range foot.post {
+		if err := need(26); err != nil {
+			return nil, err
+		}
+		pm := &foot.post[h]
+		pm.kind, pm.width = u8(), u8()
+		pm.ncodes = int(u32())
+		pm.off, pm.size = int64(u64()), int64(u64())
+		pm.crc = u32()
+		if pm.kind == postNone {
+			continue // the rest of the entry is unused
+		}
+		want, err := pm.check(foot.rows, &foot.keys[h])
+		if err != nil {
+			return nil, fmt.Errorf("%w (key column %d)", err, h)
+		}
+		if err := inside(pm.off, pm.size, want); err != nil {
+			return nil, err
+		}
 	}
 	return foot, nil
 }
@@ -269,17 +369,16 @@ func (foot *footer) prunedBy(preds []storage.LevelPred) bool {
 
 // decodeInto decodes the segment's needed columns into sc and returns
 // the block. When plan is non-nil the segment is late-materialized:
-// predicates are evaluated in code space against the key columns before
-// any measure payload is touched — a const-encoded predicated key
-// resolves the segment in O(1), packed ones build a selection bitmap,
-// an empty bitmap skips the segment (ok=false, like a zone-map prune),
-// and selections at or below gatherCutoff×rows gather-decode the
-// remaining key and measure columns (selected rows only). Key columns
-// marked predicate-only (storage.ColSet.PredOnly) are evaluated in
-// code space straight off their packed payloads and omitted from the
-// block whenever a bitmap is produced. Verifies payload CRCs — once
-// per open segment for stable (mmap) blobs, every fetch for pread;
-// counts decode metrics.
+// predicates are evaluated before any needed column is touched — a
+// const-encoded predicated key resolves the segment in O(1), the others
+// build a selection bitmap (selectRows: from postings where the segment
+// has them), an empty bitmap skips the segment (ok=false, like a
+// zone-map prune), and selections at or below gatherCutoff×rows
+// gather-decode the needed key and measure columns (selected rows
+// only). Key columns marked predicate-only (storage.ColSet.PredOnly)
+// are omitted from the block whenever a bitmap is produced. Section
+// CRCs are verified once per open segment for stable (mmap) blobs,
+// every fetch for pread; counts decode metrics.
 func (s *segment) decodeInto(need storage.ColSet, plan *scanPlan, gatherCutoff float64, sc *storage.BlockScratch) (storage.BlockCols, bool, error) {
 	foot := s.foot
 	cols := storage.BlockCols{
@@ -287,102 +386,17 @@ func (s *segment) decodeInto(need storage.ColSet, plan *scanPlan, gatherCutoff f
 		Meas: make([][]float64, len(foot.meas)),
 		Rows: foot.rows,
 	}
-	if plan != nil {
-		// O(1) code-space test: a const-encoded predicated key column
-		// settles the whole segment before any payload is read.
-		for _, h := range plan.filtered {
-			if h >= len(foot.keys) || foot.keys[h].enc != kencConst {
-				continue
-			}
-			if c := int(uint32(foot.keys[h].base)); c >= len(plan.accepts[h]) || !plan.accepts[h][c] {
-				mLazySkipped.Inc()
-				return cols, false, nil
-			}
-		}
-	}
-	// Predicated key columns the scan consumes (grouped by as well as
-	// filtered on) are decoded in full first: the selection bitmap is
-	// built from them, so they cannot wait for it. Predicate-only
-	// columns are left alone — the bitmap loop below evaluates them in
-	// code space straight off their packed payloads. Every other needed
-	// key column is deferred until the bitmap exists and can be
-	// gather-decoded like a measure when the selection is sparse.
 	var readBytes int64
-	for h := range foot.keys {
-		if plan == nil || h >= len(plan.accepts) || plan.accepts[h] == nil || need.PredOnlyKey(h) {
-			continue
-		}
-		km := &foot.keys[h]
-		payload, err := s.payload(h, km.off, km.size, km.crc, sc)
+	if plan != nil && len(plan.filtered) > 0 {
+		n, err := s.selectRows(plan, need, &cols, sc)
 		if err != nil {
 			return cols, false, err
 		}
-		dst := sc.KeyBuf(h, len(foot.keys), foot.rows)
-		decodeKeys(dst, km.enc, km.width, km.base, payload)
-		cols.Keys[h] = dst
-		readBytes += km.size
-	}
-	if plan != nil && len(plan.filtered) > 0 {
-		sel := sc.SelBuf(foot.rows)
-		count, first := foot.rows, true
-		for _, h := range plan.filtered {
-			if h >= len(foot.keys) || foot.keys[h].enc == kencConst {
-				continue // const columns were settled above
-			}
-			km := &foot.keys[h]
-			if col := cols.Keys[h]; col != nil {
-				if first {
-					count = selInit(sel, col, plan.accepts[h])
-					first = false
-				} else if count > 0 {
-					count = selAnd(sel, col, plan.accepts[h])
-				}
-				continue
-			}
-			// Predicate-only column: evaluate acceptance in code space
-			// off the packed payload without ever materializing it.
-			payload, err := s.payload(h, km.off, km.size, km.crc, sc)
-			if err != nil {
-				return cols, false, err
-			}
-			readBytes += km.size
-			if km.enc != kencPacked {
-				// Raw-encoded keys (wider than the pack limit) have no
-				// code-space kernel; decode into scratch for the test
-				// but keep the column out of the block.
-				dst := sc.KeyBuf(h, len(foot.keys), foot.rows)
-				decodeKeys(dst, km.enc, km.width, km.base, payload)
-				if first {
-					count = selInit(sel, dst, plan.accepts[h])
-					first = false
-				} else if count > 0 {
-					count = selAnd(sel, dst, plan.accepts[h])
-				}
-				continue
-			}
-			lo, w := int32(uint32(km.base)), uint(km.width)
-			if first {
-				count = selInitPacked(sel, foot.rows, plan.accepts[h], lo, w, payload)
-				first = false
-			} else if count > 0 {
-				count = selAndPacked(sel, plan.accepts[h], lo, w, payload)
-			}
-		}
-		if first {
-			// Every predicated column is const-accepted: all rows match.
-			for i := range sel {
-				sel[i] = ^uint64(0)
-			}
-			if tail := uint(foot.rows) & 63; tail != 0 {
-				sel[len(sel)-1] = ^uint64(0) >> (64 - tail)
-			}
-		}
-		mLazyFiltered.Inc()
-		if count == 0 {
+		readBytes += n
+		if cols.SelCount == 0 {
 			mLazySkipped.Inc()
 			return cols, false, nil
 		}
-		cols.Sel, cols.SelCount = sel, count
 	}
 	gather := cols.Sel != nil && float64(cols.SelCount) <= gatherCutoff*float64(foot.rows)
 	for h := range foot.keys {
@@ -395,7 +409,7 @@ func (s *segment) decodeInto(need storage.ColSet, plan *scanPlan, gatherCutoff f
 			continue
 		}
 		km := &foot.keys[h]
-		payload, err := s.payload(h, km.off, km.size, km.crc, sc)
+		payload, err := s.keyPayload(h, sc)
 		if err != nil {
 			return cols, false, err
 		}
@@ -413,7 +427,7 @@ func (s *segment) decodeInto(need storage.ColSet, plan *scanPlan, gatherCutoff f
 			continue
 		}
 		mm := &foot.meas[m]
-		payload, err := s.payload(len(foot.keys)+m, mm.off, mm.size, mm.crc, sc)
+		payload, err := s.measPayload(m, sc)
 		if err != nil {
 			return cols, false, err
 		}
@@ -429,29 +443,4 @@ func (s *segment) decodeInto(need storage.ColSet, plan *scanPlan, gatherCutoff f
 	mDecoded.Inc()
 	hDecodeBytes.Observe(float64(readBytes))
 	return cols, true, nil
-}
-
-// payload fetches and CRC-checks one column payload. idx is the
-// column's position in the segment's verification cache (key columns
-// first, then measures): stable blobs verify each payload once per
-// open segment — the mapping returns the same bytes on every fetch —
-// while pread blobs re-verify every fetch.
-func (s *segment) payload(idx int, off, size int64, crc uint32, sc *storage.BlockScratch) ([]byte, error) {
-	if size == 0 {
-		return nil, nil
-	}
-	p, err := s.blob.bytes(off, int(size), &sc.Buf)
-	if err != nil {
-		return nil, fmt.Errorf("colstore: %s: %w", s.path, err)
-	}
-	if s.verified != nil && s.verified[idx].Load() {
-		return p, nil
-	}
-	if got := crc32.Checksum(p, castTable); got != crc {
-		return nil, fmt.Errorf("colstore: %s: column checksum mismatch (corrupt segment)", s.path)
-	}
-	if s.verified != nil {
-		s.verified[idx].Store(true)
-	}
-	return p, nil
 }

@@ -39,7 +39,7 @@ func (st *Store) Snapshot(need storage.ColSet, preds []storage.LevelPred) storag
 		pruned:       make([]bool, len(st.segs)),
 		need:         need,
 		lazy:         !st.opts.Eager,
-		gatherCutoff: st.opts.GatherCutoff,
+		gatherCutoff: st.gatherCutoff,
 		tailKeys:     make([][]int32, len(st.tailKeys)),
 		tailMeas:     make([][]float64, len(st.tailMeas)),
 		tailRows:     st.tailRows,

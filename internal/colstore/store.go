@@ -56,13 +56,13 @@ type Options struct {
 	// materialized (the pre-lazy behavior, kept for ablation and the
 	// eager oracle axes).
 	Eager bool
-	// GatherCutoff is the selectivity at or below which sparse
-	// selections gather-decode mencRaw/mencFOR measure columns instead
-	// of fully materializing them (selected/rows ≤ cutoff). 0 defaults
-	// to 0.25; negative disables gather decode while keeping the rest
-	// of the lazy path.
-	GatherCutoff float64
 }
+
+// gatherCutoff is the selectivity at or below which a selection
+// gather-decodes the needed key and measure columns (selected rows
+// only) instead of fully materializing them. Measured, not tuned per
+// store: see docs/storage.md.
+const gatherCutoff = 0.25
 
 func (o Options) withDefaults() Options {
 	if o.SegmentRows <= 0 {
@@ -70,11 +70,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.AutoCompactRows == 0 {
 		o.AutoCompactRows = o.SegmentRows
-	}
-	if o.GatherCutoff == 0 {
-		o.GatherCutoff = 0.25
-	} else if o.GatherCutoff < 0 {
-		o.GatherCutoff = 0
 	}
 	return o
 }
@@ -99,6 +94,9 @@ type Store struct {
 	schema *mdm.Schema
 	opts   Options
 	ruMaps [][][]int32 // per hierarchy, per level: base→code rollup map
+	// gatherCutoff is the package constant; a field so tests can switch
+	// gather decode off.
+	gatherCutoff float64
 
 	mu       sync.Mutex
 	segs     []*segment
@@ -187,6 +185,11 @@ func Open(dir string, opts Options) (*Store, error) {
 			seg.release()
 			return nil, fmt.Errorf("colstore: %s: manifest says %d rows, footer says %d", ms.File, ms.Rows, seg.foot.rows)
 		}
+		if len(seg.foot.keys) != len(s.Hiers) || len(seg.foot.meas) != len(s.Measures) {
+			st.closeSegs()
+			seg.release()
+			return nil, fmt.Errorf("colstore: %s: %d key and %d measure columns do not match the schema", ms.File, len(seg.foot.keys), len(seg.foot.meas))
+		}
 		st.segs = append(st.segs, seg)
 		st.segRows += seg.foot.rows
 	}
@@ -237,6 +240,8 @@ func newStore(dir string, s *mdm.Schema, opts Options) *Store {
 		tailKeys: make([][]int32, len(s.Hiers)),
 		tailMeas: make([][]float64, len(s.Measures)),
 		ruMaps:   make([][][]int32, len(s.Hiers)),
+
+		gatherCutoff: gatherCutoff,
 	}
 	for h, hier := range s.Hiers {
 		st.ruMaps[h] = rollupMaps(hier)
@@ -292,7 +297,7 @@ func (st *Store) Append(keys []int32, vals []float64) error {
 			defer st.compacting.Store(false)
 			st.compactMu.Lock()
 			defer st.compactMu.Unlock()
-			st.compact()
+			st.compact(false)
 		}()
 	}
 	return nil
@@ -316,13 +321,14 @@ func (st *Store) Info() storage.SegmentInfo {
 	return info
 }
 
-// Compact synchronously folds the WAL tail into segments and merges
-// adjacent undersized segments. Safe to call concurrently with scans
-// and appends.
+// Compact synchronously folds the WAL tail into segments, merges
+// adjacent undersized segments, and rewrites any segment still in the
+// index-less version 1 format, so one call upgrades an old store. Safe
+// to call concurrently with scans and appends.
 func (st *Store) Compact() error {
 	st.compactMu.Lock()
 	defer st.compactMu.Unlock()
-	return st.compact()
+	return st.compact(true)
 }
 
 // Close flushes and closes the store. Outstanding snapshots keep their
