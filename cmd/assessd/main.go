@@ -24,14 +24,13 @@
 //
 //	assessd [-addr :8080] [-data sales|ssb] [-rows 50000] [-sf 0.01]
 //	        [-seed 42] [-load cube.bin] [-store-dir DIR] [-resident]
-//	        [-store-eager]
 //	        [-worker] [-shards N] [-shard-index I] [-shard-addrs URLS]
 //	        [-shard-level LEVEL] [-shard-timeout 2s] [-dist-policy fail|partial]
 //	        [-parallel 0]
 //	        [-dense-budget 1048576] [-morsel-size 65536]
 //	        [-cache on|off] [-cache-mb 64]
 //	        [-auto-views] [-view-mb 64]
-//	        [-batch-window 500us] [-admit-slots 0] [-max-queue 256]
+//	        [-admit-slots 0] [-max-queue 256]
 //	        [-latency-budget 2s] [-tenant-header X-Tenant]
 //	        [-debug-addr :6060] [-slow-query-ms 500] [-slow-query-log path]
 package main
@@ -61,26 +60,22 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		data       = flag.String("data", "sales", "dataset: sales or ssb")
-		rows       = flag.Int("rows", 50_000, "fact rows for the sales dataset")
-		sf         = flag.Float64("sf", 0.01, "scale factor for the ssb dataset")
-		seed       = flag.Int64("seed", 42, "generator seed")
-		load       = flag.String("load", "", "serve a cube loaded from a file instead of generating one")
-		storeDir   = flag.String("store-dir", "", "serve cubes from columnar segment directories (out-of-core; see ssbgen -out-dir)")
-		resident   = flag.Bool("resident", false, "with -store-dir, load the segment directories fully into memory")
-		storeEager = flag.Bool("store-eager", false,
-			"with -store-dir, disable late materialization: decode every needed column in full (debug/compare)")
+		addr      = flag.String("addr", ":8080", "listen address")
+		data      = flag.String("data", "sales", "dataset: sales or ssb")
+		rows      = flag.Int("rows", 50_000, "fact rows for the sales dataset")
+		sf        = flag.Float64("sf", 0.01, "scale factor for the ssb dataset")
+		seed      = flag.Int64("seed", 42, "generator seed")
+		load      = flag.String("load", "", "serve a cube loaded from a file instead of generating one")
+		storeDir  = flag.String("store-dir", "", "serve cubes from columnar segment directories (out-of-core; see ssbgen -out-dir)")
+		resident  = flag.Bool("resident", false, "with -store-dir, load the segment directories fully into memory")
 		parallel  = flag.Int("parallel", 1, "fact-scan parallelism (0 = all cores)")
 		denseBudg = flag.Int("dense-budget", engine.DefaultDenseKeyBudget,
 			"dense aggregation key-space budget in slots (0 = hash kernels only)")
-		morsel    = flag.Int("morsel-size", engine.DefaultMorselSize, "fact-scan morsel size in rows")
-		cache     = flag.String("cache", "on", "query-result cache: on or off")
-		cacheMB   = flag.Int("cache-mb", 64, "query-result cache budget in MiB")
-		autoViews = flag.Bool("auto-views", false, "adaptively materialize hot group-by sets as views")
-		viewMB    = flag.Int("view-mb", 64, "auto-materialized view budget in MiB")
-		batchWin  = flag.Duration("batch-window", 0,
-			"shared-scan batching window (e.g. 500us); concurrent queries against one cube coalesce into a single scan; 0 disables")
+		morsel     = flag.Int("morsel-size", engine.DefaultMorselSize, "fact-scan morsel size in rows")
+		cache      = flag.String("cache", "on", "query-result cache: on or off")
+		cacheMB    = flag.Int("cache-mb", 64, "query-result cache budget in MiB")
+		autoViews  = flag.Bool("auto-views", false, "adaptively materialize hot group-by sets as views")
+		viewMB     = flag.Int("view-mb", 64, "auto-materialized view budget in MiB")
 		admitSlots = flag.Int("admit-slots", 0,
 			"admission-control execution slots (0 = GOMAXPROCS; admission enabled when -max-queue or -latency-budget is set)")
 		maxQueue = flag.Int("max-queue", 0,
@@ -120,7 +115,7 @@ func main() {
 		policy:     *distPolicy,
 	}
 
-	session, closeStores, err := open(*data, *rows, *sf, *seed, *load, *storeDir, *resident, colstore.Options{Eager: *storeEager})
+	session, closeStores, err := open(*data, *rows, *sf, *seed, *load, *storeDir, *resident)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -173,11 +168,6 @@ func main() {
 	if *autoViews {
 		session.EnableAutoViews(int64(*viewMB) << 20)
 	}
-	if *batchWin > 0 {
-		session.EnableSharedScans(*batchWin)
-	}
-	// Distribution last: the coordinator becomes the engine's scan
-	// batcher and chains to the shared-scan batcher for unsharded facts.
 	if distCfg.active() {
 		if err := enableDistributed(session, distCfg); err != nil {
 			log.Fatal(err)
@@ -253,10 +243,10 @@ func openSlowLog(path string, threshold time.Duration) (*obsv.SlowLog, error) {
 	return obsv.NewSlowLog(f, threshold), nil
 }
 
-func open(data string, rows int, sf float64, seed int64, load, storeDir string, resident bool, opts colstore.Options) (*assess.Session, func(), error) {
+func open(data string, rows int, sf float64, seed int64, load, storeDir string, resident bool) (*assess.Session, func(), error) {
 	noop := func() {}
 	if storeDir != "" {
-		return openStoreDir(storeDir, resident, opts)
+		return openStoreDir(storeDir, resident)
 	}
 	if load != "" {
 		f, err := assess.LoadCubeFile(load)
@@ -282,7 +272,7 @@ func open(data string, rows int, sf float64, seed int64, load, storeDir string, 
 // store subdirectories are each registered under their schema name.
 // Out-of-core by default; -resident decodes everything into memory.
 // The returned function closes the underlying stores.
-func openStoreDir(dir string, resident bool, opts colstore.Options) (*assess.Session, func(), error) {
+func openStoreDir(dir string, resident bool) (*assess.Session, func(), error) {
 	s := assess.NewSession()
 	var closers []func() error
 	closeAll := func() {
@@ -304,7 +294,7 @@ func openStoreDir(dir string, resident bool, opts colstore.Options) (*assess.Ses
 			}
 		} else {
 			var st *colstore.Store
-			if f, st, err = persist.OpenCubeDir(sub, opts); err != nil {
+			if f, st, err = persist.OpenCubeDir(sub, colstore.Options{}); err != nil {
 				return nil, closeAll, fmt.Errorf("assessd: %s: %w", sub, err)
 			}
 			closers = append(closers, st.Close)

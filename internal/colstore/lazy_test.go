@@ -648,8 +648,9 @@ func TestPreparedPruneMatchesLinear(t *testing.T) {
 	}
 }
 
-// TestPrunePlanProbe checks the storage.PrunePlanner implementation the
-// shared scanner uses: per-block decisions must match PrunedFor.
+// TestPrunePlanProbe checks the storage.PrunePlanner implementation kept
+// for the frozen benchmark module: per-block decisions must match
+// PrunedFor.
 func TestPrunePlanProbe(t *testing.T) {
 	st := pruneFixture(t)
 	src := st.Snapshot(storage.ColSet{}, nil)

@@ -94,6 +94,11 @@ func (sn *snapshot) Block(b int, sc *storage.BlockScratch) (storage.BlockCols, b
 	return storage.BlockCols{Keys: sn.tailKeys, Meas: sn.tailMeas, Rows: sn.tailRows}, true, nil
 }
 
+// PrunedFor, PrunePlan and prunePlanProbe below have no caller in the
+// program since scans stopped sharing sources: they answer the seam test
+// of the frozen benchmark module, which asserts them on a snapshot at run
+// time, and leave with its benchmark-only PR (ROADMAP item 1c).
+
 // PrunedFor implements storage.PruneProber: zone maps of segment blocks
 // answer arbitrary predicate sets; the WAL tail has no zone maps and is
 // never pruned.

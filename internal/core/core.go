@@ -24,7 +24,6 @@ import (
 	"github.com/assess-olap/assess/internal/parser"
 	"github.com/assess-olap/assess/internal/plan"
 	"github.com/assess-olap/assess/internal/qcache"
-	"github.com/assess-olap/assess/internal/sched"
 	"github.com/assess-olap/assess/internal/semantic"
 	"github.com/assess-olap/assess/internal/storage"
 )
@@ -75,9 +74,6 @@ type Session struct {
 	// regGen counts registry mutations (functions, labelers); folded into
 	// the cache generation so redefinitions invalidate cached results.
 	regGen atomic.Uint64
-	// batcher, when non-nil, coalesces concurrent fact scans into shared
-	// multi-query passes. Enable with EnableSharedScans.
-	batcher *sched.Batcher
 	// dist, when non-nil, scatter-gathers scans over sharded facts.
 	// Enable with EnableDistributed.
 	dist *dist.Coordinator
@@ -107,36 +103,11 @@ func (s *Session) CacheStats() (stats qcache.Stats, ok bool) {
 	return s.cache.Stats(), true
 }
 
-// EnableSharedScans installs the scan batcher: fact scans arriving
-// within the given window (<= 0 selects the sched default) are batched
-// into one shared multi-query pass. Results are bit-identical to
-// unbatched execution; each scan pays at most one window of added
-// latency for the chance to share the pass. Call before serving
-// traffic, like the other engine knobs.
-func (s *Session) EnableSharedScans(window time.Duration) {
-	s.batcher = sched.NewBatcher(s.Engine, window)
-	s.Engine.SetScanBatcher(s.batcher)
-}
-
-// BatcherStats snapshots the shared-scan batcher counters; ok is false
-// when shared scans are not enabled.
-func (s *Session) BatcherStats() (stats sched.BatcherStats, ok bool) {
-	if s.batcher == nil {
-		return sched.BatcherStats{}, false
-	}
-	return s.batcher.Stats(), true
-}
-
 // EnableDistributed installs a distributed scatter-gather coordinator
-// as the session's scan batcher. Scans of facts the coordinator knows
-// as sharded fan out to shard workers; everything else falls through
-// to the previously-installed batcher (call EnableSharedScans first to
-// keep shared-scan admission for non-sharded facts) or to a direct
-// engine scan. Call before serving traffic, after the other enables.
+// on the session's engine. Scans of facts the coordinator knows as
+// sharded fan out to shard workers; everything else falls through to a
+// direct engine scan. Call before serving traffic.
 func (s *Session) EnableDistributed(c *dist.Coordinator) {
-	if s.batcher != nil {
-		c.SetFallback(s.batcher)
-	}
 	s.dist = c
 	s.Engine.SetScanBatcher(c)
 }

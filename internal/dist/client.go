@@ -100,7 +100,34 @@ var defaultHTTPClient = &http.Client{
 	},
 }
 
-func (c *HTTPClient) post(ctx context.Context, path string, body any) ([]byte, error) {
+// maxScanReply caps a /dist/scan reply whatever the request: the bound
+// derived from a group-by's key space saturates here (wide spaces).
+// maxSmallReply bounds /dist/append replies and the error bodies quoted
+// in messages.
+const (
+	maxScanReply  = 1 << 30
+	maxSmallReply = 64 << 10
+)
+
+// scanReplyLimit is the longest frame a correct shard can send for req:
+// the ADP1 header plus one row for every key of the group-by's key space
+// over the coordinator's dictionaries.
+func scanReplyLimit(req *ScanRequest, s *mdm.Schema) int64 {
+	rowBytes := int64(4*len(req.Group) + 8*len(req.Names))
+	rows := int64(1)
+	for _, ref := range req.Group {
+		card := int64(max(s.Dict(ref).Len(), 1))
+		if rows > maxScanReply/card {
+			return maxScanReply
+		}
+		rows *= card
+	}
+	return min(respHeader+rows*rowBytes, maxScanReply)
+}
+
+// post sends body as JSON and returns the reply, which may be at most
+// limit bytes long: a shard that streams more is an error, not memory.
+func (c *HTTPClient) post(ctx context.Context, path string, body any, limit int64) ([]byte, error) {
 	js, err := json.Marshal(body)
 	if err != nil {
 		return nil, err
@@ -115,18 +142,24 @@ func (c *HTTPClient) post(ctx context.Context, path string, body any) ([]byte, e
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		// The status is the error; a body that fails to arrive only
+		// shortens the message.
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, maxSmallReply))
+		return nil, fmt.Errorf("dist: %s%s: %s: %s", c.BaseURL, path, resp.Status, bytes.TrimSpace(msg))
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	if err != nil {
 		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("dist: %s%s: %s: %s", c.BaseURL, path, resp.Status, bytes.TrimSpace(data))
+	if int64(len(data)) > limit {
+		return nil, fmt.Errorf("dist: %s%s: reply exceeds the %d bytes the request allows", c.BaseURL, path, limit)
 	}
 	return data, nil
 }
 
 func (c *HTTPClient) Scan(ctx context.Context, req *ScanRequest, s *mdm.Schema) (uint64, *cube.Cube, error) {
-	data, err := c.post(ctx, "/dist/scan", req)
+	data, err := c.post(ctx, "/dist/scan", req, scanReplyLimit(req, s))
 	if err != nil {
 		return 0, nil, err
 	}
@@ -144,7 +177,7 @@ type appendResponse struct {
 }
 
 func (c *HTTPClient) Append(ctx context.Context, fact string, keys []int32, vals []float64) (uint64, error) {
-	data, err := c.post(ctx, "/dist/append", appendRequest{Fact: fact, Keys: keys, Vals: vals})
+	data, err := c.post(ctx, "/dist/append", appendRequest{Fact: fact, Keys: keys, Vals: vals}, maxSmallReply)
 	if err != nil {
 		return 0, err
 	}

@@ -1,9 +1,8 @@
 // Coordinator: plans each fact scan once, fans per-shard requests out
 // concurrently, and merges the partials. It implements
 // engine.ScanBatcher, so installing it on a session routes every
-// query-path scan here; facts without a shard table fall through to the
-// previously-installed batcher (shared-scan admission) or a direct
-// engine scan, which keeps distribution composable with the scheduler.
+// query-path scan here; facts without a shard table fall through to a
+// direct engine scan.
 package dist
 
 import (
@@ -64,9 +63,8 @@ type table struct {
 
 // Coordinator scatter-gathers scans over sharded facts.
 type Coordinator struct {
-	eng  *engine.Engine
-	cfg  Config
-	next engine.ScanBatcher // fallback for non-sharded facts
+	eng *engine.Engine
+	cfg Config
 
 	mu     sync.RWMutex
 	tables map[string]*table
@@ -85,11 +83,6 @@ func NewCoordinator(eng *engine.Engine, cfg Config) *Coordinator {
 	}
 	return &Coordinator{eng: eng, cfg: cfg, tables: make(map[string]*table)}
 }
-
-// SetFallback chains the batcher that handles scans of non-sharded
-// facts (typically the shared-scan admission batcher). Must be set
-// before queries start.
-func (c *Coordinator) SetFallback(b engine.ScanBatcher) { c.next = b }
 
 // AddTable declares fact as sharded across the given replica chains
 // (chains[s] is shard s's primary followed by its replicas). localFallback
@@ -140,9 +133,6 @@ func (c *Coordinator) tableFor(fact string) *table {
 func (c *Coordinator) Scan(ctx context.Context, q engine.Query, ops []mdm.AggOp, names []string) (*cube.Cube, error) {
 	t := c.tableFor(q.Fact)
 	if t == nil {
-		if c.next != nil {
-			return c.next.Scan(ctx, q, ops, names)
-		}
 		return c.eng.ScanWithOps(ctx, q, ops, names)
 	}
 	return c.scatterGather(ctx, t, q, ops, names)

@@ -23,7 +23,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -231,35 +230,29 @@ func (r *ScanRequest) query() (engine.Query, []mdm.AggOp) {
 // respMagic versions the binary partial-aggregate response format.
 const respMagic = "ADP1"
 
-// EncodeResponse serializes a worker's partial cube: magic, the shard
-// fact's generation, and the cells as little-endian int32 coordinates
-// followed by float64 bit patterns per partial column — the same
-// row-wire idiom as the engine/client cursor format.
+// respHeader is the length of the ADP1 header: magic, the shard fact's
+// generation (u64), then coordinate, column and row counts (u32 each).
+const respHeader = 4 + 8 + 12
+
+// EncodeResponse serializes a worker's partial cube: the ADP1 header,
+// then the cells in the engine's row codec (engine.AppendRows).
 func EncodeResponse(gen uint64, c *cube.Cube) []byte {
-	ncoord := len(c.Group)
-	ncols := len(c.Cols)
-	nrows := c.Len()
-	buf := make([]byte, 0, 4+8+12+nrows*(4*ncoord+8*ncols))
+	buf := make([]byte, 0, respHeader+c.Len()*(4*len(c.Group)+8*len(c.Cols)))
 	buf = append(buf, respMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, gen)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(ncoord))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(ncols))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(nrows))
-	for i := 0; i < nrows; i++ {
-		for _, id := range c.Coords[i] {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
-		}
-		for j := 0; j < ncols; j++ {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Cols[j][i]))
-		}
-	}
-	return buf
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.Group)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.Cols)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Len()))
+	return engine.AppendRows(buf, c)
 }
 
 // DecodeResponse parses an encoded partial response against the
 // coordinator's schema and the request's group-by and partial names.
+// Shape and body length are checked against the header before anything
+// is allocated, so a frame costs no more memory than its own length
+// implies.
 func DecodeResponse(s *mdm.Schema, g mdm.GroupBy, names []string, buf []byte) (uint64, *cube.Cube, error) {
-	if len(buf) < 4+8+12 || string(buf[:4]) != respMagic {
+	if len(buf) < respHeader || string(buf[:4]) != respMagic {
 		return 0, nil, fmt.Errorf("dist: bad response header")
 	}
 	gen := binary.LittleEndian.Uint64(buf[4:])
@@ -270,26 +263,19 @@ func DecodeResponse(s *mdm.Schema, g mdm.GroupBy, names []string, buf []byte) (u
 		return 0, nil, fmt.Errorf("dist: response shape %dx%d, want %dx%d", ncoord, ncols, len(g), len(names))
 	}
 	rowBytes := 4*ncoord + 8*ncols
-	body := buf[24:]
+	body := buf[respHeader:]
 	if len(body) != nrows*rowBytes || (rowBytes == 0 && nrows > 1) {
 		return 0, nil, fmt.Errorf("dist: response body %d bytes for %d rows of %d", len(body), nrows, rowBytes)
 	}
-	ids := make([]int32, nrows*ncoord)
-	cols := make([][]float64, ncols)
-	for j := range cols {
-		cols[j] = make([]float64, nrows)
+	var c *cube.Cube
+	var err error
+	if rowBytes == 0 {
+		// No levels and no columns: the one possible cell has no bytes,
+		// so only the header says whether it is there.
+		c, err = cube.Build(s, g, names, cube.Carve(nil, nrows, 0), nil)
+	} else {
+		c, err = engine.DecodeRows(s, g, names, body)
 	}
-	for i := 0; i < nrows; i++ {
-		off := i * rowBytes
-		for k := 0; k < ncoord; k++ {
-			ids[i*ncoord+k] = int32(binary.LittleEndian.Uint32(body[off+4*k:]))
-		}
-		off += 4 * ncoord
-		for j := 0; j < ncols; j++ {
-			cols[j][i] = math.Float64frombits(binary.LittleEndian.Uint64(body[off+8*j:]))
-		}
-	}
-	c, err := cube.Build(s, g, names, cube.Carve(ids, nrows, ncoord), cols)
 	if err != nil {
 		return 0, nil, err
 	}

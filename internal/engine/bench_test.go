@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -352,148 +351,6 @@ func BenchmarkSelectiveColdScan(b *testing.B) {
 		if _, err := eager.Get(q); err != nil {
 			b.Fatal(err)
 		}
-		ratios = append(ratios, float64(time.Since(t1))/float64(t1.Sub(t0)))
-	}
-	sort.Float64s(ratios)
-	b.ReportMetric(ratios[len(ratios)/2], "speedup")
-}
-
-// benchSharedEngine is the shared-scan benchmark dataset: the SSB fact
-// over deliberately small segments (many block boundaries), so the
-// per-segment open/decode work dominates the way it does on facts much
-// larger than memory — exactly the cost a shared pass pays once instead
-// of once per query.
-func benchSharedEngine(b *testing.B) (*Engine, *mdm.Schema) {
-	b.Helper()
-	ds := ssb.Generate(0.05, 42) // 300k rows
-	dir := b.TempDir()
-	opts := colstore.Options{SegmentRows: 1 << 12, AutoCompactRows: -1}
-	if err := persist.SaveCubeDir(dir, ds.Fact, opts); err != nil {
-		b.Fatal(err)
-	}
-	seg, st, err := persist.OpenCubeDir(dir, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { st.Close() })
-	e := New()
-	if err := e.Register("LINEORDER", seg); err != nil {
-		b.Fatal(err)
-	}
-	return e, seg.Schema
-}
-
-// benchSharedReqs is the multi-query workload of the shared-scan
-// benchmarks: 8 distinct low-cardinality group-by sets, all three
-// measures each, each filtered on a hierarchy outside its group-by —
-// the shape of a burst of concurrent dashboard queries that roll the
-// same cube up different ways under different slicers. The filter
-// members are spread uniformly through the fact, so zone maps cannot
-// prune for any query and every pass decodes every segment: the solo
-// baseline pays full decode per query for a small accepted row set,
-// which is exactly the redundancy a shared pass eliminates.
-func benchSharedReqs(s *mdm.Schema) []ScanReq {
-	ri, _ := s.MeasureIndex("revenue")
-	qi, _ := s.MeasureIndex("quantity")
-	ci, _ := s.MeasureIndex("supplycost")
-	groups := [][]string{
-		{"year", "cnation"}, {"month", "cregion"}, {"cnation", "snation"},
-		{"cregion", "year", "category"}, {"snation", "month"}, {"brand", "year"},
-		{"category", "snation"}, {"cnation", "mfgr"},
-	}
-	filters := []struct {
-		level  string
-		member int32
-	}{
-		{"mfgr", 2}, {"category", 7}, {"year", 3}, {"snation", 11},
-		{"mfgr", 1}, {"cnation", 5}, {"year", 5}, {"month", 17},
-	}
-	reqs := make([]ScanReq, len(groups))
-	for i, g := range groups {
-		reqs[i] = ScanReq{Query: Query{
-			Fact:  "LINEORDER",
-			Group: mdm.MustGroupBy(s, g...),
-			Preds: []Predicate{{
-				Level:   mdm.MustGroupBy(s, filters[i].level)[0],
-				Members: []int32{filters[i].member},
-			}},
-			Measures: []int{ri, qi, ci},
-		}}
-	}
-	return reqs
-}
-
-// BenchmarkSharedScan answers 8 distinct group-by queries in ONE shared
-// pass over the segment-backed fact: each segment is decoded once and
-// feeds all 8 accumulator sets. Gated in CI against
-// BenchmarkIndependentScans at >= 2x (scripts/bench.sh ratio).
-func BenchmarkSharedScan(b *testing.B) {
-	e, s := benchSharedEngine(b)
-	reqs := benchSharedReqs(s)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range e.SharedScan("LINEORDER", reqs) {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
-		}
-	}
-}
-
-// independentScans answers the 8 queries the way a server without
-// shared scans would: one goroutine per query, each running its own
-// pass concurrently over the same fact, re-decoding every segment and
-// competing for cache.
-func independentScans(b *testing.B, e *Engine, reqs []ScanReq) {
-	var wg sync.WaitGroup
-	for _, req := range reqs {
-		req := req
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, r := range e.SharedScan("LINEORDER", []ScanReq{req}) {
-				if r.Err != nil {
-					b.Error(r.Err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// BenchmarkIndependentScans answers the same 8 queries as 8 concurrent
-// independent passes (each a batch of one through the same pipeline):
-// the baseline the shared pass is gated against.
-func BenchmarkIndependentScans(b *testing.B) {
-	e, s := benchSharedEngine(b)
-	reqs := benchSharedReqs(s)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		independentScans(b, e, reqs)
-	}
-}
-
-// BenchmarkSharedScanSpeedup measures the shared-scan advantage as a
-// paired ratio: each iteration times the batched pass and the 8
-// independent passes back to back, so host noise lands on both sides of
-// a pair and cancels out of the reported "speedup" metric (the median
-// of the per-iteration independent/shared ratios). This is the number
-// scripts/bench.sh ratio gates on; ns/op here covers both sides and is
-// not meaningful on its own.
-func BenchmarkSharedScanSpeedup(b *testing.B) {
-	e, s := benchSharedEngine(b)
-	reqs := benchSharedReqs(s)
-	ratios := make([]float64, 0, b.N)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		for _, r := range e.SharedScan("LINEORDER", reqs) {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
-		}
-		t1 := time.Now()
-		independentScans(b, e, reqs)
 		ratios = append(ratios, float64(time.Since(t1))/float64(t1.Sub(t0)))
 	}
 	sort.Float64s(ratios)

@@ -83,22 +83,24 @@ type Engine struct {
 	// with the fact tables' append versions it forms the monotonic
 	// generation that invalidates query-result cache entries.
 	gen atomic.Uint64
-	// batcher, when set, intercepts fact scans so concurrent queries can
-	// share one pass (see SetScanBatcher and SharedScan in scan.go).
+	// batcher, when set, answers query-path fact scans in the engine's
+	// place (see SetScanBatcher).
 	batcher ScanBatcher
 }
 
-// ScanBatcher coalesces concurrently-arriving fact scans into shared
-// passes; internal/sched implements it on top of Engine.SharedScan.
-// Scan must return exactly the cube the engine's own scan for (q, ops,
-// names) would produce. Only query-path scans are routed through the
-// batcher — view materialization keeps its direct scan.
+// ScanBatcher is the seam through which dist.Coordinator takes over the
+// scans of sharded facts; nothing batches scans any more (the name stays
+// because the frozen benchmark module compiles against it). Scan must
+// return exactly the cube the engine's own scan for (q, ops, names) would
+// produce. Only query-path scans are routed through it — view
+// materialization keeps its direct scan.
 type ScanBatcher interface {
 	Scan(ctx context.Context, q Query, ops []mdm.AggOp, names []string) (*cube.Cube, error)
 }
 
-// SetScanBatcher installs (or, with nil, removes) the scan batcher.
-// Like the other engine knobs it must be set before queries start.
+// SetScanBatcher installs (or, with nil, removes) the coordinator that
+// scans sharded facts. Like the engine knobs it must be set before
+// queries start.
 func (e *Engine) SetScanBatcher(b ScanBatcher) { e.batcher = b }
 
 type rollupKey struct {
@@ -197,8 +199,8 @@ func (e *Engine) aggregate(ctx context.Context, q Query) (*cube.Cube, error) {
 // scanAggregate scans the fact table (serially, or partitioned across
 // workers when parallelism is enabled), filters rows through the
 // predicates, and aggregates the requested measures by the group-by
-// coordinates. With a scan batcher installed the scan is submitted there
-// instead, so concurrent queries over the same fact share one pass.
+// coordinates. With a coordinator installed (SetScanBatcher) the scan is
+// submitted there instead.
 func (e *Engine) scanAggregate(ctx context.Context, q Query) (*cube.Cube, error) {
 	f, ok := e.facts[q.Fact]
 	if !ok {
@@ -230,7 +232,7 @@ func schemaOps(s *mdm.Schema, q Query) ([]mdm.AggOp, []string, error) {
 }
 
 // ScanWithOps evaluates a fact scan with caller-supplied per-measure
-// operators and output names, bypassing views and the scan batcher; a
+// operators and output names, bypassing views and the coordinator; a
 // cancelled ctx ends the scan with the context's error. The distributed
 // layer (internal/dist) builds on it twice: workers compute shard-side
 // partials with it (zone-map pruning still applies via q.Preds), and the
@@ -245,7 +247,6 @@ func (e *Engine) ScanWithOps(ctx context.Context, q Query, ops []mdm.AggOp, name
 // q.Measures index fact columns, ops[j] aggregates column q.Measures[j]
 // into output names[j]. Materialization uses this to request auxiliary
 // columns (raw AVG sums, per-cell counts) beyond the schema's measures.
-// It is a batch of one through the scan pipeline (scan.go).
 func (e *Engine) scanAggregateOps(ctx context.Context, q Query, ops []mdm.AggOp, names []string) (*cube.Cube, error) {
 	f, ok := e.facts[q.Fact]
 	if !ok {
@@ -255,11 +256,11 @@ func (e *Engine) scanAggregateOps(ctx context.Context, q Query, ops []mdm.AggOp,
 	if err != nil {
 		return nil, err
 	}
-	e.scanFact(f, []*scanQuery{sq})
-	if sq.err != nil {
-		return nil, sq.err
+	t, err := e.scanFact(f, sq)
+	if err != nil {
+		return nil, err
 	}
-	return sq.finalize(f.Schema, names, sq.out)
+	return sq.finalize(f.Schema, names, t)
 }
 
 // prepare derives everything a fact scan needs before touching data:
@@ -402,8 +403,7 @@ func (e *Engine) Get(q Query) (*cube.Cube, error) {
 }
 
 // GetContext is Get with a caller context: cancelling it ends the fact
-// scan — the query's own, or its part in a batcher's shared pass — with
-// the context's error.
+// scan with the context's error.
 func (e *Engine) GetContext(ctx context.Context, q Query) (*cube.Cube, error) {
 	c, err := e.aggregate(ctx, q)
 	if err != nil {

@@ -3,7 +3,6 @@ package engine
 import (
 	"cmp"
 	"math"
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -251,15 +250,13 @@ func (t *aggTable) wideSlot(coord mdm.Coordinate) uint64 {
 
 // morselScratch is per-worker reusable kernel memory: the selection
 // vector of accepted row indices, the composite keys (then slots) aligned
-// with it, the block decode buffers for segment-backed scans, the
-// coordinate buffer of wide key spaces, and a batch's pooled level-code
-// columns for the current morsel (see levelShare in scan.go).
+// with it, the block decode buffers for segment-backed scans, and the
+// coordinate buffer of wide key spaces.
 type morselScratch struct {
 	sel   []int
 	dk    []uint64
 	block storage.BlockScratch
 	coord mdm.Coordinate
-	lv    [][]int32
 }
 
 // scratchPool recycles morsel scratch across scans and workers. A
@@ -273,21 +270,15 @@ var scratchPool = sync.Pool{New: func() any { return new(morselScratch) }}
 
 func getScratch() *morselScratch { return scratchPool.Get().(*morselScratch) }
 
-func putScratch(sc *morselScratch) {
-	for i := range sc.lv {
-		sc.lv[i] = nil // drop refs into a scan's level-share pool
-	}
-	scratchPool.Put(sc)
-}
+func putScratch(sc *morselScratch) { scratchPool.Put(sc) }
 
 // selection evaluates the scan predicates once over the block-local
 // morsel [lo, hi) into a reusable selection vector of accepted row
 // indices: the first predicated hierarchy fills the vector, later ones
-// compact it in place. When the predicates were already evaluated
-// (cols.Sel non-nil: late materialization in the backend, or a batch's
-// per-query bitmap), the vector is read straight off the selection
-// bitmap — same rows, same ascending order — and the acceptance vectors
-// are not re-evaluated.
+// compact it in place. When the backend already evaluated the predicates
+// (cols.Sel non-nil: late materialization), the vector is read straight
+// off the selection bitmap — same rows, same ascending order — and the
+// acceptance vectors are not re-evaluated.
 func (sq *scanQuery) selection(sc *morselScratch, cols storage.BlockCols, lo, hi int) []int {
 	if cols.Sel != nil {
 		sc.sel = storage.AppendSelIndices(sc.sel[:0], cols.Sel, lo, hi)
@@ -326,72 +317,10 @@ func (sq *scanQuery) selection(sc *morselScratch, cols storage.BlockCols, lo, hi
 	return sel[:n]
 }
 
-// predSel evaluates the query's acceptance vectors over every row of a
-// decoded block into a selection bitmap. Batches open their union source
-// predicate-free, so each predicated query derives its own per-block
-// bitmap engine-side once per decode and the kernel consumes it through
-// the same cols.Sel path late materialization uses — an empty bitmap
-// skips the query for the whole block. Returns the bitmap (reusing buf
-// when it fits) and the surviving-row count; callers must guard with
-// sq.filtered.
-func (sq *scanQuery) predSel(cols storage.BlockCols, buf []uint64) ([]uint64, int) {
-	words := (cols.Rows + 63) >> 6
-	if cap(buf) < words {
-		buf = make([]uint64, words)
-	}
-	buf = buf[:words]
-	first := true
-	count := 0
-	for h, acc := range sq.accepts {
-		if acc == nil {
-			continue
-		}
-		col := cols.Keys[h]
-		count = 0
-		if first {
-			first = false
-			for wi := range buf {
-				base := wi << 6
-				m := cols.Rows - base
-				if m > 64 {
-					m = 64
-				}
-				var word uint64
-				for j := 0; j < m; j++ {
-					if acc[col[base+j]] {
-						word |= 1 << uint(j)
-					}
-				}
-				buf[wi] = word
-				count += bits.OnesCount64(word)
-			}
-			continue
-		}
-		for wi, word := range buf {
-			if word == 0 {
-				continue
-			}
-			base := wi << 6
-			for t := word; t != 0; t &= t - 1 {
-				j := bits.TrailingZeros64(t)
-				if !acc[col[base+j]] {
-					word &^= 1 << uint(j)
-				}
-			}
-			buf[wi] = word
-			count += bits.OnesCount64(word)
-		}
-	}
-	return buf, count
-}
-
 // morsel aggregates rows [lo, hi) of a block into the table: selection
 // vector (skipped entirely when every row is accepted), composite keys,
-// slot lookup off the dense path, then accumulate. lv holds the batch's
-// pooled level-code columns for this morsel (nil outside batches): group
-// positions the query subscribed (sq.share[gi] >= 0) read their member
-// ids from there instead of re-walking the query's own roll-up map.
-func (sq *scanQuery) morsel(t *aggTable, sc *morselScratch, cols storage.BlockCols, lo, hi int, lv [][]int32) {
+// slot lookup off the dense path, then accumulate.
+func (sq *scanQuery) morsel(t *aggTable, sc *morselScratch, cols storage.BlockCols, lo, hi int) {
 	var sel []int
 	n := hi - lo
 	// A bitmap with SelCount == Rows means every row survived and the
@@ -411,7 +340,7 @@ func (sq *scanQuery) morsel(t *aggTable, sc *morselScratch, cols storage.BlockCo
 		sq.wideSlots(t, sc, dk, sel, cols, lo)
 		t.reserve(sq, len(t.wide))
 	} else {
-		sq.compositeKeys(dk, sel, cols, lo, lv)
+		sq.compositeKeys(dk, sel, cols, lo)
 		if sq.dense == 0 {
 			t.slots(dk)
 			t.reserve(sq, len(t.keys))
@@ -424,7 +353,7 @@ func (sq *scanQuery) morsel(t *aggTable, sc *morselScratch, cols storage.BlockCo
 // one group position at a time: the first initializes dk (no clear pass),
 // later positions accumulate into it. sel == nil means the identity
 // selection starting at row lo.
-func (sq *scanQuery) compositeKeys(dk []uint64, sel []int, cols storage.BlockCols, lo int, lv [][]int32) {
+func (sq *scanQuery) compositeKeys(dk []uint64, sel []int, cols storage.BlockCols, lo int) {
 	if len(sq.group) == 0 {
 		clear(dk)
 	}
@@ -433,19 +362,6 @@ func (sq *scanQuery) compositeKeys(dk []uint64, sel []int, cols storage.BlockCol
 		gm := sq.gmaps[gi]
 		keys := cols.Keys[ref.Hier]
 		switch {
-		case sq.share != nil && sq.share[gi] >= 0:
-			// Subscribers are unpredicated, so the pooled column aligns
-			// with the identity selection.
-			col := lv[sq.share[gi]]
-			if gi == 0 {
-				for i := range dk {
-					dk[i] = uint64(col[i]) * stride
-				}
-			} else {
-				for i := range dk {
-					dk[i] += uint64(col[i]) * stride
-				}
-			}
 		case sel == nil && gi == 0:
 			for i := range dk {
 				dk[i] = uint64(gm[keys[lo+i]]) * stride

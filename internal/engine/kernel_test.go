@@ -504,7 +504,7 @@ func mergeParts(sq *scanQuery, workers, cells int) []*aggTable {
 		}
 		parts[w] = sq.newTable()
 		cols := storage.BlockCols{Keys: [][]int32{keys}, Meas: [][]float64{vals, vals}, Rows: cells}
-		sq.morsel(parts[w], sc, cols, 0, cells, nil)
+		sq.morsel(parts[w], sc, cols, 0, cells)
 	}
 	return parts
 }

@@ -20,20 +20,10 @@ var (
 		"Fact-scan aggregation kernel selections by mode.", "mode", "hash")
 	mMorsels = obsv.Default.Counter("assess_engine_morsels_total",
 		"Morsels processed by morsel-driven fact scans.")
-	// Batch metrics: one "shared scan" is one pass answering two or more
-	// queries; queries counts the attached requests, skipped the blocks no
-	// attached query needed decoded. Detached counts the requests that
-	// left any scan mid-way, a batch of one included.
-	mSharedScans = obsv.Default.Counter("assess_engine_shared_scans_total",
-		"Multi-query shared passes executed (batches of 2+ queries).")
-	mSharedQueries = obsv.Default.Counter("assess_engine_shared_queries_total",
-		"Queries answered by multi-query shared passes.")
-	mSharedBlocksSkipped = obsv.Default.Counter("assess_engine_shared_blocks_skipped_total",
-		"Blocks skipped by a shared scan because every attached query pruned them.")
-	mSharedQueryBlocksSkipped = obsv.Default.Counter("assess_engine_shared_query_blocks_skipped_total",
-		"Per-query block skips in shared scans: a query's engine-side selection bitmap proved no row of a decoded block matches.")
-	mSharedDetached = obsv.Default.Counter("assess_engine_shared_detached_total",
-		"Requests that left a fact scan on context cancellation, batched or not.")
+	// The name predates the one-query scan; it is the one cancellation
+	// counter and dashboards already read it.
+	mDetached = obsv.Default.Counter("assess_engine_shared_detached_total",
+		"Requests that left a fact scan on context cancellation.")
 	mTransferBytes = obsv.Default.Counter("assess_engine_transfer_bytes_total",
 		"Bytes crossing the engine-to-client cursor boundary.")
 	mTransferCells = obsv.Default.Counter("assess_engine_transfer_cells_total",

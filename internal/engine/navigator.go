@@ -205,11 +205,11 @@ func (e *Engine) rollupFromView(ctx context.Context, f *storage.FactTable, v *ma
 	sq := &scanQuery{ctx: ctx, group: q.Group, measures: idx, ops: ops, accepts: accepts, gmaps: gmaps}
 	sq.init(cards, e.denseKeyBudget())
 	workers, morsel := e.scanShape(n)
-	scan([]*scanQuery{sq}, storage.ColumnsSource(keys, meas, n), workers, morsel)
-	if sq.err != nil {
-		return nil, sq.err
+	t, err := scan(sq, storage.ColumnsSource(keys, meas, n), workers, morsel)
+	if err != nil {
+		return nil, err
 	}
-	out, err := sq.finalize(s, names, sq.out)
+	out, err := sq.finalize(s, names, t)
 	if err != nil {
 		return nil, err
 	}

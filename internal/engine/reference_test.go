@@ -18,9 +18,8 @@ import (
 )
 
 // The scan pipeline against a reference. Dense and hash scans share
-// accumulate, merge and finalize, serial and parallel share the worker
-// body, and a batch of one is a batch: comparing them to each other
-// checks none of that. refAggregate below is written for this file, one
+// accumulate, merge and finalize, and serial and parallel share the
+// worker body: comparing them to each other checks none of that. refAggregate below is written for this file, one
 // row and one map entry at a time, and every configuration of the
 // pipeline must reproduce its cells, in ascending coordinate order, with
 // its values — bit for bit, because the generated measures are
@@ -151,8 +150,8 @@ func refGrow(t *testing.T, f *storage.FactTable, rng *rand.Rand) {
 }
 
 // dyingCtx reports cancellation from its fourth Err call on: a request
-// that is admitted to a scan and leaves it after a morsel or two, without
-// a clock.
+// that starts a scan and leaves it after a morsel or two, without a
+// clock.
 type dyingCtx struct {
 	context.Context
 	calls atomic.Int64
@@ -196,10 +195,6 @@ func TestKernelMatchesReference(t *testing.T) {
 	for i := range cases {
 		cases[i].q.Fact = "T"
 	}
-	// Two batches of five with mixed predicates; the second mixes wide,
-	// dense and zero-level queries.
-	batches := [][]int{{0, 1, 2, 3, 4}, {7, 8, 9, 6, 3}}
-
 	for _, rows := range []int{0, 3000} {
 		for _, backend := range []string{"resident", "segment", "view"} {
 			for _, budget := range []int{-1, 0} {
@@ -280,36 +275,12 @@ func TestKernelMatchesReference(t *testing.T) {
 								}
 								coords, vals := want(ci)
 								sameCells(t, label, got, coords, vals)
-							}
-							if backend == "view" {
-								return // the navigator answers one query at a time
-							}
-							for bi, batch := range batches {
-								for _, dying := range []int{-1, 1} {
-									if dying >= 0 && rows == 0 {
-										continue // no morsel to leave from
-									}
-									reqs := make([]ScanReq, len(batch))
-									for i, ci := range batch {
-										reqs[i] = ScanReq{Ctx: context.Background(), Query: cases[ci].q}
-										if i == dying {
-											reqs[i].Ctx = &dyingCtx{Context: context.Background()}
-										}
-									}
-									for i, r := range e.SharedScan("T", reqs) {
-										label := fmt.Sprintf("%s batch %d (member %d leaves) query %d", phase, bi, dying, i)
-										if i == dying {
-											if !errors.Is(r.Err, context.Canceled) {
-												t.Errorf("%s: err %v, want context.Canceled", label, r.Err)
-											}
-											continue
-										}
-										if r.Err != nil {
-											t.Fatalf("%s: %v", label, r.Err)
-										}
-										coords, vals := want(batch[i])
-										sameCells(t, label, r.Cube, coords, vals)
-									}
+								if rows == 0 {
+									continue // no morsel to leave from
+								}
+								dying := &dyingCtx{Context: context.Background()}
+								if _, err := e.aggregate(dying, c.q); !errors.Is(err, context.Canceled) {
+									t.Errorf("%s, request leaves mid-scan: err %v, want context.Canceled", label, err)
 								}
 							}
 						}

@@ -328,14 +328,22 @@ func (e *Engine) pivotFromView(v *matView, q Query, level mdm.LevelRef, ref int3
 		valsArena   []float64
 		filledArena []bool
 	)
-	rows := make(map[string]int) // others-key → row ordinal
-	n := 0
+	// Output rows are keyed on the coordinate without the pivot level.
 	others := make([]int, 0, ng-1)
-	for p := range q.Group {
+	cards := make([]int, 0, ng-1)
+	for p, ref := range q.Group {
 		if p != lp {
 			others = append(others, p)
+			cards = append(cards, s.Dict(ref).Len())
 		}
 	}
+	space := mdm.NewKeySpace(cards)
+	rows := make(map[uint64]int) // others-key → row ordinal
+	var wideRows map[string]int  // the same, for a key space past 64 bits
+	if space.Wide() {
+		wideRows = make(map[string]int)
+	}
+	n := 0
 cells:
 	for i, coord := range data.Coords {
 		block, wanted := slicePos[coord[lp]]
@@ -347,12 +355,30 @@ cells:
 				continue cells
 			}
 		}
-		key := coord.KeyOn(others)
-		r, seen := rows[key]
+		var (
+			key     uint64
+			wideKey string
+			r       int
+			seen    bool
+		)
+		if wideRows != nil {
+			wideKey = mdm.WideKey(coord, others)
+			r, seen = wideRows[wideKey]
+		} else {
+			var ok bool
+			if key, ok = space.Key(coord, others); !ok {
+				return nil, fmt.Errorf("engine: view cell %v lies outside its dictionaries", coord)
+			}
+			r, seen = rows[key]
+		}
 		if !seen {
 			r = n
 			n++
-			rows[key] = r
+			if wideRows != nil {
+				wideRows[wideKey] = r
+			} else {
+				rows[key] = r
+			}
 			coordArena = append(coordArena, coord...)
 			coordArena[r*ng+lp] = ref
 			for j := 0; j < nv; j++ {

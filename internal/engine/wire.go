@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/assess-olap/assess/internal/cube"
 	"github.com/assess-olap/assess/internal/mdm"
@@ -16,28 +17,26 @@ import (
 // the transfer volume of a plan a genuine, measurable cost rather than a
 // simulated delay.
 
-// encodeRows serializes all cells of a cube.
-func encodeRows(c *cube.Cube) []byte {
-	rowLen := 4*len(c.Group) + 8*len(c.Cols)
-	buf := make([]byte, 0, rowLen*c.Len())
-	var scratch [8]byte
+// AppendRows appends the wire form of every cell of c to buf. It is the
+// one row codec: the shard RPC of internal/dist frames the same bytes
+// behind its own header.
+func AppendRows(buf []byte, c *cube.Cube) []byte {
+	buf = slices.Grow(buf, (4*len(c.Group)+8*len(c.Cols))*c.Len())
 	for i, coord := range c.Coords {
 		for _, id := range coord {
-			binary.LittleEndian.PutUint32(scratch[:4], uint32(id))
-			buf = append(buf, scratch[:4]...)
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
 		}
 		for j := range c.Cols {
-			binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(c.Cols[j][i]))
-			buf = append(buf, scratch[:]...)
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Cols[j][i]))
 		}
 	}
 	return buf
 }
 
-// decodeRows materializes a client cube from the wire bytes: every cell
+// DecodeRows materializes a client cube from the wire bytes: every cell
 // is copied out of the cursor, into one coordinate arena and one slice
-// per measure.
-func decodeRows(s *mdm.Schema, g mdm.GroupBy, names []string, buf []byte) (*cube.Cube, error) {
+// per measure. What it allocates is bounded by len(buf).
+func DecodeRows(s *mdm.Schema, g mdm.GroupBy, names []string, buf []byte) (*cube.Cube, error) {
 	rowLen := 4*len(g) + 8*len(names)
 	if rowLen == 0 {
 		return cube.New(s, g, names...), nil
@@ -67,8 +66,8 @@ func decodeRows(s *mdm.Schema, g mdm.GroupBy, names []string, buf []byte) (*cube
 
 // transfer moves an engine-side result set across the cursor boundary.
 func transfer(c *cube.Cube) (*cube.Cube, error) {
-	buf := encodeRows(c)
+	buf := AppendRows(nil, c)
 	mTransferBytes.Add(int64(len(buf)))
 	mTransferCells.Add(int64(c.Len()))
-	return decodeRows(c.Schema, c.Group, c.Names, buf)
+	return DecodeRows(c.Schema, c.Group, c.Names, buf)
 }

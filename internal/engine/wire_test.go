@@ -60,14 +60,14 @@ func TestWireEmptyCube(t *testing.T) {
 
 func TestWireRejectsCorruptBuffer(t *testing.T) {
 	c := wireFixture(t)
-	buf := encodeRows(c)
-	if _, err := decodeRows(c.Schema, c.Group, c.Names, buf[:len(buf)-3]); err == nil {
+	buf := AppendRows(nil, c)
+	if _, err := DecodeRows(c.Schema, c.Group, c.Names, buf[:len(buf)-3]); err == nil {
 		t.Error("truncated buffer decoded")
 	}
 	// Duplicate rows collide on coordinates. Decoding is index-free, so
 	// the collision surfaces when the cube is indexed.
 	dup := append(append([]byte{}, buf...), buf...)
-	out, err := decodeRows(c.Schema, c.Group, c.Names, dup)
+	out, err := DecodeRows(c.Schema, c.Group, c.Names, dup)
 	if err != nil {
 		t.Fatal(err)
 	}

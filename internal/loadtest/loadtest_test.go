@@ -2,6 +2,7 @@ package loadtest_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -13,24 +14,23 @@ import (
 )
 
 // newTarget builds an in-process serving stack: small sales dataset,
-// shared scans on, admission with the given shape.
-func newTarget(t *testing.T, slots, maxQueue int) (loadtest.HandlerTarget, *assess.Session) {
+// admission with the given shape.
+func newTarget(t *testing.T, slots, maxQueue int) (loadtest.HandlerTarget, *sched.Admission) {
 	t.Helper()
 	session, _, err := assess.NewSalesSession(3000, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	session.EnableSharedScans(200 * time.Microsecond)
 	adm := sched.NewAdmission(slots, maxQueue, 0)
 	srv := server.New(session, server.WithAdmission(adm, ""))
-	return loadtest.HandlerTarget{Handler: srv.Handler(), TenantHeader: server.DefaultTenantHeader}, session
+	return loadtest.HandlerTarget{Handler: srv.Handler(), TenantHeader: server.DefaultTenantHeader}, adm
 }
 
 // TestClosedLoopSmoke is the short-mode harness run wired into the
 // normal test suite: a small closed-loop experiment must complete with
 // zero errors and sane latency accounting.
 func TestClosedLoopSmoke(t *testing.T) {
-	target, session := newTarget(t, 8, 0)
+	target, _ := newTarget(t, 8, 0)
 	res := loadtest.Closed(context.Background(), target, loadtest.DefaultSalesMix(), 4, 25, 42)
 	if res.Errors != 0 {
 		t.Fatalf("errors = %d, want 0", res.Errors)
@@ -49,12 +49,6 @@ func TestClosedLoopSmoke(t *testing.T) {
 	}
 	if res.Throughput() <= 0 {
 		t.Fatal("zero throughput")
-	}
-	// The batcher must have seen the traffic (coalescing is timing-
-	// dependent, but every query flows through it).
-	st, ok := session.BatcherStats()
-	if !ok || st.Queries != int64(res.Requests) {
-		t.Fatalf("batcher queries = %d (ok=%v), want %d", st.Queries, ok, res.Requests)
 	}
 	// Render the table — mostly asserting it doesn't blow up.
 	if out := loadtest.Table([]loadtest.Result{res}); out == "" {
@@ -133,11 +127,43 @@ func TestMultiTargetAgainstCluster(t *testing.T) {
 	}
 }
 
+// shedSignal passes requests through to a target and signals the first
+// one that was shed.
+type shedSignal struct {
+	loadtest.Target
+	shed chan struct{} // buffered 1
+}
+
+func (s shedSignal) Do(ctx context.Context, req loadtest.Request) error {
+	err := s.Target.Do(ctx, req)
+	if errors.Is(err, loadtest.ErrShed) {
+		select {
+		case s.shed <- struct{}{}:
+		default:
+		}
+	}
+	return err
+}
+
 // TestClosedLoopSheds overloads a 1-slot, 1-deep admission queue and
-// checks shed traffic is tallied as shed, not as errors.
+// checks shed traffic is tallied as shed, not as errors. The test holds
+// the one slot itself until a request has been shed, so the overload does
+// not depend on how long a statement takes: one worker queues, and every
+// arrival behind it finds the queue full.
 func TestClosedLoopSheds(t *testing.T) {
-	target, _ := newTarget(t, 1, 1)
-	res := loadtest.Closed(context.Background(), target, loadtest.DefaultSalesMix(), 8, 10, 42)
+	inner, adm := newTarget(t, 1, 1)
+	release, err := adm.Acquire(context.Background(), "holder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := shedSignal{Target: inner, shed: make(chan struct{}, 1)}
+	done := make(chan loadtest.Result, 1)
+	go func() {
+		done <- loadtest.Closed(context.Background(), target, loadtest.DefaultSalesMix(), 8, 10, 42)
+	}()
+	<-target.shed
+	release(time.Millisecond)
+	res := <-done
 	if res.Errors != 0 {
 		t.Fatalf("errors = %d, want 0 (shed must not count as error)", res.Errors)
 	}

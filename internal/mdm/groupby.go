@@ -140,8 +140,7 @@ func (c Coordinate) Key() string {
 }
 
 // KeyOn packs the projection of the coordinate onto the given positions.
-// Like Key it survives only below the cube layer: the engine's fused
-// view→pivot pass (views.go) and WideKey.
+// Its one caller outside tests is WideKey.
 func (c Coordinate) KeyOn(pos []int) string {
 	buf := make([]byte, 4*len(pos))
 	for i, p := range pos {

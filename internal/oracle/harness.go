@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"time"
 
 	"github.com/assess-olap/assess/internal/colstore"
 	"github.com/assess-olap/assess/internal/core"
@@ -66,13 +65,10 @@ type Report struct {
 // code-space predicate evaluation, selection bitmaps, segment skips, and
 // gather decode must also reproduce the reference bit-for-bit — lazy+par
 // layers the morsel-parallel dense kernels on top, consuming backend
-// bitmaps across worker-stolen blocks.
-// The batched axes route every fact scan through the shared-scan
-// batcher (internal/sched): the per-statement pass exercises the
-// single-query delegation, and a second concurrent sweep (see Run)
-// re-executes every (statement, strategy) pair at once so arrivals
-// genuinely coalesce into multi-query shared scans — both must
-// reproduce the reference bit-for-bit.
+// bitmaps across worker-stolen blocks, and is the axis of the concurrent
+// sweep (see Run): every (statement, strategy) pair re-executed at once,
+// so concurrent scans over one segment store — shared snapshots, pooled
+// scratch — must reproduce the reference too.
 // The sharded axes hash-split both cubes across an in-process cluster
 // (1, 2, 3, or 5 shards by seed) and scatter-gather every scan through
 // internal/dist: partial aggregation on each shard, wire encode/decode,
@@ -88,7 +84,7 @@ var axes = []struct {
 	dense    bool
 	segment  bool
 	lazy     bool // segment store in late-materialized (default) mode
-	batched  bool
+	sweep    bool // also runs the concurrent sweep
 	sharded  bool
 }{
 	{"base", false, "", false, false, false, false, false, false},
@@ -104,9 +100,7 @@ var axes = []struct {
 	{"segment", false, "", false, false, true, false, false, false},
 	{"segment+par", true, "", false, true, true, false, false, false},
 	{"lazy", false, "", false, false, true, true, false, false},
-	{"lazy+par", true, "", false, true, true, true, false, false},
-	{"batched", false, "", false, true, false, false, true, false},
-	{"batched+segment", true, "", false, false, true, false, true, false},
+	{"lazy+par", true, "", false, true, true, true, true, false},
 	{"sharded", false, "", false, false, false, false, false, true},
 	{"sharded+par", true, "", false, true, false, false, false, true},
 }
@@ -142,11 +136,6 @@ const oracleDenseBudget = 1 << 22
 // generated facts (hundreds to a few thousand rows), so every sweep
 // crosses many segment boundaries.
 const oracleSegmentRows = 256
-
-// oracleBatchWindow is the shared-scan batching window of the batched
-// axes: short enough that the serial per-statement pass stays fast,
-// long enough that the concurrent sweep's arrivals coalesce.
-const oracleBatchWindow = 200 * time.Microsecond
 
 // traceEnabled turns on span collection for every oracle execution
 // (ORACLE_TRACE=1): each statement runs under a live trace, proving the
@@ -252,7 +241,7 @@ func shardSession(s *core.Session, fact, ext *storage.FactTable, n int, parallel
 	return nil
 }
 
-func buildSession(c *Case, parallel bool, views string, cache, dense, segment, lazy, batched bool, shards int) (*core.Session, func(), error) {
+func buildSession(c *Case, parallel bool, views string, cache, dense, segment, lazy bool, shards int) (*core.Session, func(), error) {
 	cleanup := func() {}
 	fact, ext := c.Fact, c.ExtFact
 	if segment {
@@ -307,9 +296,6 @@ func buildSession(c *Case, parallel bool, views string, cache, dense, segment, l
 	if cache {
 		s.EnableCache(0)
 	}
-	if batched {
-		s.EnableSharedScans(oracleBatchWindow)
-	}
 	if shards > 0 {
 		if err := shardSession(s, fact, ext, shards, parallel, dense); err != nil {
 			return nil, cleanup, err
@@ -338,7 +324,7 @@ func Run(seed int64) *Report {
 		if ax.sharded {
 			shards = shardCountFor(seed)
 		}
-		s, cleanup, err := buildSession(c, ax.parallel, ax.views, ax.cache, ax.dense, ax.segment, ax.lazy, ax.batched, shards)
+		s, cleanup, err := buildSession(c, ax.parallel, ax.views, ax.cache, ax.dense, ax.segment, ax.lazy, shards)
 		defer cleanup()
 		if err != nil {
 			add("", "setup/"+ax.name, err.Error())
@@ -348,7 +334,7 @@ func Run(seed int64) *Report {
 	}
 	base := sessions[0]
 
-	// References for the concurrent batched sweep below.
+	// References for the concurrent sweep below.
 	wants := make(map[string][]exec.Row, len(c.Statements))
 	kinds := make(map[string]parser.BenchmarkKind, len(c.Statements))
 
@@ -439,13 +425,12 @@ func Run(seed int64) *Report {
 		}
 	}
 
-	// Concurrent sweep: the per-statement loop above drove the batched
-	// axes one query at a time (single-query batches). Now fire every
-	// (statement, strategy) pair at once against each batched session so
-	// concurrent arrivals genuinely coalesce into multi-query shared
-	// scans; every result must still match the reference bit-for-bit.
+	// Concurrent sweep: the per-statement loop above ran one query at a
+	// time. Now fire every (statement, strategy) pair at once against the
+	// sweep axis' session, so its scans overlap on one segment store;
+	// every result must still match the reference bit-for-bit.
 	for i, ax := range axes {
-		if !ax.batched {
+		if !ax.sweep {
 			continue
 		}
 		sess := sessions[i]

@@ -133,7 +133,7 @@ func TestGeneratorShapes(t *testing.T) {
 		if len(c.Statements) < len(stmtKinds) {
 			t.Fatalf("seed %d: only %d statements", seed, len(c.Statements))
 		}
-		s, _, err := buildSession(c, false, "", false, false, false, false, false, 0)
+		s, _, err := buildSession(c, false, "", false, false, false, false, 0)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -174,7 +174,7 @@ func TestLatticeViewsGenerated(t *testing.T) {
 		if len(c.LatticeViews) == 0 {
 			t.Fatalf("seed %d: no lattice views generated", seed)
 		}
-		if _, _, err := buildSession(c, false, "lattice", false, false, false, false, false, 0); err != nil {
+		if _, _, err := buildSession(c, false, "lattice", false, false, false, false, 0); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -187,7 +187,7 @@ func TestFeasibleStrategiesCovered(t *testing.T) {
 	counts := make(map[string]int)
 	for _, seed := range defaultSeeds {
 		c := Generate(seed)
-		s, _, err := buildSession(c, false, "", false, false, false, false, false, 0)
+		s, _, err := buildSession(c, false, "", false, false, false, false, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

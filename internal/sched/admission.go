@@ -1,3 +1,8 @@
+// Package sched is the server's admission control: per-tenant fair
+// queuing, bounded queue depth, and latency-based backpressure in front
+// of query execution. It is wired through internal/server and never
+// changes what a query computes — admission only decides when (or
+// whether) a request runs.
 package sched
 
 import (
@@ -33,6 +38,8 @@ type Admission struct {
 	rejFull   int64
 	rejBudget int64
 	cancelled int64
+
+	onEnqueue func() // test hook: a caller has joined the queue and is about to wait
 }
 
 type tenantQueue struct {
@@ -119,6 +126,9 @@ func (a *Admission) Acquire(ctx context.Context, tenant string) (func(latency ti
 	a.queued++
 	gQueueDepth.Set(float64(a.queued))
 	a.mu.Unlock()
+	if a.onEnqueue != nil {
+		a.onEnqueue()
+	}
 
 	t0 := time.Now()
 	select {

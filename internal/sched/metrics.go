@@ -17,12 +17,4 @@ var (
 		"Requests currently waiting in the admission queue.")
 	hWaitSeconds = obsv.Default.Histogram("assess_sched_wait_seconds",
 		"Time queued requests waited for an execution slot.")
-	mBatches = obsv.Default.Counter("assess_sched_batches_total",
-		"Scan batches executed by the shared-scan batcher.")
-	mBatchedQueries = obsv.Default.Counter("assess_sched_batched_queries_total",
-		"Queries submitted through the shared-scan batcher.")
-	hBatchSize = obsv.Default.Histogram("assess_sched_batch_size",
-		"Queries per executed scan batch.")
-	mBatchAbandoned = obsv.Default.Counter("assess_sched_batch_abandoned_total",
-		"Requests that stopped waiting on a batch (context cancelled).")
 )

@@ -87,14 +87,13 @@ func TestAdmissionStress(t *testing.T) {
 	}
 }
 
-// TestSharedScanAppendRace races appends to a segment-backed fact
-// against 32 query goroutines running through the shared-scan batcher
-// with the query-result cache on, some with randomly-expiring contexts
-// (mid-batch disconnects). After the writer finishes, results must
-// match a fresh uncached, unbatched session over the same fact —
-// generation-based invalidation must not serve pre-append results.
-// Run under -race.
-func TestSharedScanAppendRace(t *testing.T) {
+// TestScanAppendRace races appends to a segment-backed fact against 32
+// query goroutines with the query-result cache on, some with
+// randomly-expiring contexts (mid-scan disconnects). After the writer
+// finishes, results must match a fresh uncached session over the same
+// fact — generation-based invalidation must not serve pre-append
+// results. Run under -race.
+func TestScanAppendRace(t *testing.T) {
 	ds := assess.GenerateSales(3000, 5)
 	dir := t.TempDir()
 	opts := colstore.Options{SegmentRows: 256, AutoCompactRows: -1}
@@ -112,7 +111,6 @@ func TestSharedScanAppendRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.EnableCache(1 << 20)
-	s.EnableSharedScans(200 * time.Microsecond)
 
 	gets := []string{
 		`with SALES by product get quantity`,
@@ -125,8 +123,12 @@ func TestSharedScanAppendRace(t *testing.T) {
 	}
 
 	stop := make(chan struct{})
+	// tick holds at most one "a reader finished a statement" signal: the
+	// writer takes one between appends, so every append lands with reads
+	// in flight however fast or slow the host runs them.
+	tick := make(chan struct{}, 1)
 	var wg sync.WaitGroup
-	errCh := make(chan error, 64)
+	errCh := make(chan error, 32) // one per reader
 	for w := 0; w < 32; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -141,7 +143,7 @@ func TestSharedScanAppendRace(t *testing.T) {
 				ctx := context.Background()
 				cancel := context.CancelFunc(func() {})
 				if rng.Intn(4) == 0 {
-					// A disconnecting client: may expire mid-batch or mid-scan.
+					// A disconnecting client: may expire mid-scan.
 					ctx, cancel = context.WithTimeout(ctx, time.Duration(rng.Intn(500))*time.Microsecond)
 				}
 				var err error
@@ -152,14 +154,19 @@ func TestSharedScanAppendRace(t *testing.T) {
 				}
 				cancel()
 				if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-					select {
-					case errCh <- err:
-					default:
-					}
+					errCh <- err
 					return
+				}
+				select {
+				case tick <- struct{}{}:
+				default:
 				}
 			}
 		}(w)
+	}
+	finish := func() {
+		close(stop)
+		wg.Wait()
 	}
 
 	// The writer: append copies of existing rows while scans are in
@@ -176,20 +183,25 @@ func TestSharedScanAppendRace(t *testing.T) {
 			vals[m] = ds.Fact.Meas[m][i]
 		}
 		if err := fact.Append(keys, vals); err != nil {
+			finish()
 			t.Fatal(err)
 		}
-		time.Sleep(500 * time.Microsecond)
+		select {
+		case <-tick:
+		case err := <-errCh:
+			finish()
+			t.Fatal(err)
+		}
 	}
-	close(stop)
-	wg.Wait()
+	finish()
 	select {
 	case err := <-errCh:
 		t.Fatal(err)
 	default:
 	}
 
-	// Coherence: the cached+batched session must now agree with a fresh
-	// plain session over the same (post-append) fact.
+	// Coherence: the cached session must now agree with a fresh plain
+	// session over the same (post-append) fact.
 	fresh := assess.NewSession()
 	if err := fresh.RegisterCube("SALES", fact); err != nil {
 		t.Fatal(err)

@@ -3,25 +3,18 @@ package sched_test
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
-	assess "github.com/assess-olap/assess"
 	"github.com/assess-olap/assess/internal/sched"
 )
 
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached in time")
-		}
-		time.Sleep(time.Millisecond)
-	}
+// enqueued installs an enqueue hook on a and returns the channel it
+// signals: one receive per caller that has joined the queue.
+func enqueued(a *sched.Admission) <-chan struct{} {
+	ch := make(chan struct{}, 8) // more than any test here queues at once
+	a.SetOnEnqueue(func() { ch <- struct{}{} })
+	return ch
 }
 
 func TestAdmissionFastPath(t *testing.T) {
@@ -48,6 +41,7 @@ func TestAdmissionFastPath(t *testing.T) {
 
 func TestAdmissionQueueFull(t *testing.T) {
 	a := sched.NewAdmission(1, 1, 0)
+	joined := enqueued(a)
 	release, err := a.Acquire(context.Background(), "t")
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +55,7 @@ func TestAdmissionQueueFull(t *testing.T) {
 		}
 		queued <- err
 	}()
-	waitFor(t, func() bool { return a.Stats().Queued == 1 })
+	<-joined
 	// Queue is full: the next arrival is shed.
 	_, err = a.Acquire(context.Background(), "t")
 	var rej *sched.Rejection
@@ -88,6 +82,7 @@ func TestAdmissionQueueFull(t *testing.T) {
 // granted ahead of A's backlog.
 func TestAdmissionFairness(t *testing.T) {
 	a := sched.NewAdmission(1, 0, 0)
+	joined := enqueued(a)
 	release, err := a.Acquire(context.Background(), "A")
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +92,7 @@ func TestAdmissionFairness(t *testing.T) {
 		release func(time.Duration)
 	}
 	grants := make(chan grant, 8)
-	enqueue := func(tenant string, want int) {
+	enqueue := func(tenant string) {
 		go func() {
 			r, err := a.Acquire(context.Background(), tenant)
 			if err != nil {
@@ -106,13 +101,13 @@ func TestAdmissionFairness(t *testing.T) {
 			}
 			grants <- grant{tenant, r}
 		}()
-		waitFor(t, func() bool { return a.Stats().Queued == want })
+		<-joined
 	}
 	// Deterministic arrival order: A, A, A, then B.
-	enqueue("A", 1)
-	enqueue("A", 2)
-	enqueue("A", 3)
-	enqueue("B", 4)
+	enqueue("A")
+	enqueue("A")
+	enqueue("A")
+	enqueue("B")
 	release(0)
 	// Grants must alternate tenants: A, B, A, A.
 	var order []string
@@ -162,6 +157,7 @@ func TestAdmissionBudgetSheds(t *testing.T) {
 
 func TestAdmissionCancelWhileQueued(t *testing.T) {
 	a := sched.NewAdmission(1, 0, 0)
+	joined := enqueued(a)
 	release, err := a.Acquire(context.Background(), "t")
 	if err != nil {
 		t.Fatal(err)
@@ -172,12 +168,15 @@ func TestAdmissionCancelWhileQueued(t *testing.T) {
 		_, err := a.Acquire(ctx, "t")
 		got <- err
 	}()
-	waitFor(t, func() bool { return a.Stats().Queued == 1 })
+	<-joined
 	cancel()
 	if err := <-got; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	waitFor(t, func() bool { return a.Stats().Queued == 0 })
+	// The waiter left the queue before Acquire returned.
+	if st := a.Stats(); st.Queued != 0 {
+		t.Fatalf("queued = %d after the cancelled acquire returned, want 0", st.Queued)
+	}
 	// The cancelled waiter must not absorb the next grant.
 	release(time.Millisecond)
 	if _, err := a.Acquire(context.Background(), "t"); err != nil {
@@ -185,87 +184,5 @@ func TestAdmissionCancelWhileQueued(t *testing.T) {
 	}
 	if st := a.Stats(); st.CancelledWaits != 1 {
 		t.Fatalf("cancelledWaits = %d, want 1", st.CancelledWaits)
-	}
-}
-
-// TestBatcherCoalesces drives concurrent identical-fact queries through
-// a session with shared scans enabled and checks (a) results are
-// bit-exact against an unbatched session, (b) at least one multi-query
-// batch formed.
-func TestBatcherCoalesces(t *testing.T) {
-	shared, _, err := assess.NewSalesSession(4000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared.EnableSharedScans(100 * time.Millisecond)
-	solo, _, err := assess.NewSalesSession(4000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stmts := []string{
-		`with SALES by product get quantity`,
-		`with SALES by country get quantity`,
-		`with SALES by product, country get quantity`,
-		`with SALES for country = 'Italy' by product get quantity`,
-	}
-	const fan = 3 // goroutines per statement
-	var wg sync.WaitGroup
-	errs := make(chan error, len(stmts)*fan)
-	start := make(chan struct{})
-	for _, stmt := range stmts {
-		for i := 0; i < fan; i++ {
-			wg.Add(1)
-			go func(stmt string) {
-				defer wg.Done()
-				<-start
-				qr, err := shared.QueryContext(context.Background(), stmt)
-				if err != nil {
-					errs <- fmt.Errorf("%s: %w", stmt, err)
-					return
-				}
-				want, err := solo.QueryContext(context.Background(), stmt)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if qr.Cube.Len() != want.Cube.Len() {
-					errs <- fmt.Errorf("%s: %d cells, want %d", stmt, qr.Cube.Len(), want.Cube.Len())
-					return
-				}
-				for j := range want.Cube.Coords {
-					for p := range want.Cube.Coords[j] {
-						if qr.Cube.Coords[j][p] != want.Cube.Coords[j][p] {
-							errs <- fmt.Errorf("%s: coord mismatch at %d", stmt, j)
-							return
-						}
-					}
-					for m := range want.Cube.Cols {
-						if qr.Cube.Cols[m][j] != want.Cube.Cols[m][j] {
-							errs <- fmt.Errorf("%s: value mismatch at %d", stmt, j)
-							return
-						}
-					}
-				}
-			}(stmt)
-		}
-	}
-	close(start)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	st, ok := shared.BatcherStats()
-	if !ok {
-		t.Fatal("BatcherStats not available after EnableSharedScans")
-	}
-	if st.Queries != int64(len(stmts)*fan) {
-		t.Fatalf("batched queries = %d, want %d", st.Queries, len(stmts)*fan)
-	}
-	if st.MaxBatch < 2 {
-		t.Fatalf("maxBatch = %d, want >= 2 (no coalescing happened)", st.MaxBatch)
-	}
-	if st.Batches >= st.Queries {
-		t.Fatalf("batches = %d, queries = %d: nothing coalesced", st.Batches, st.Queries)
 	}
 }

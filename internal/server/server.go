@@ -557,8 +557,8 @@ type statsResponse struct {
 	// Storage describes each registered fact table's backend: resident
 	// or segment, with segment/WAL/compaction counters for the latter.
 	Storage []engine.FactStorage `json:"storage"`
-	// Scheduler is the shared-scan batcher and admission-control section,
-	// null when neither is enabled.
+	// Scheduler is the admission-control section, null when admission is
+	// off.
 	Scheduler *schedStats `json:"scheduler,omitempty"`
 	// Dist is the scatter-gather coordinator section — per-table shard
 	// snapshots (targets, generation, scans, errors, redispatches,
@@ -590,16 +590,9 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 	if st, ok := s.session.CacheStats(); ok {
 		resp.Cache = &st
 	}
-	var sc schedStats
-	if bs, ok := s.session.BatcherStats(); ok {
-		sc.Batcher = &bs
-	}
 	if s.admission != nil {
 		as := s.admission.Stats()
-		sc.Admission = &as
-	}
-	if sc.Batcher != nil || sc.Admission != nil {
-		resp.Scheduler = &sc
+		resp.Scheduler = &schedStats{Admission: &as}
 	}
 	if ds, ok := s.session.DistStats(); ok {
 		resp.Dist = &ds
@@ -607,9 +600,8 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// schedStats groups the scheduler snapshots on /stats.
+// schedStats is the scheduler section of /stats.
 type schedStats struct {
-	Batcher   *sched.BatcherStats   `json:"batcher,omitempty"`
 	Admission *sched.AdmissionStats `json:"admission,omitempty"`
 }
 

@@ -179,33 +179,21 @@ type ScanSource interface {
 	Close()
 }
 
-// PruneProber is an optional ScanSource capability: it answers whether a
-// block could be zone-map-pruned under a predicate set *other than* the
-// one the source was opened with, without decoding the block. Shared
-// scans (engine.SharedScan) open one source with no predicates for N
-// queries at once, then use this probe to skip decoding a block only
-// when every attached query prunes it, and to skip aggregating a decoded
-// block for the individual queries that prune it.
+// PruneProber has no caller in the program; it leaves with the
+// benchmark-only PR of ROADMAP item 1c (the frozen module's seam test
+// asserts it on a colstore snapshot, which is its one implementer).
 type PruneProber interface {
 	// PrunedFor reports whether block b provably contains no row
-	// satisfying preds. It must be a necessary condition only (like
-	// Snapshot pruning): false negatives are fine, false positives are
-	// not.
+	// satisfying preds: a necessary condition only, like Snapshot pruning.
 	PrunedFor(b int, preds []LevelPred) bool
 }
 
-// PrunePlan is a prepared, reusable prune probe for one predicate set:
-// member sets are sorted and min-maxed once, then every block test is a
-// couple of comparisons plus a binary search. Same necessary-condition
-// contract as PruneProber.
+// PrunePlan has no caller in the program; it leaves with PruneProber.
 type PrunePlan interface {
 	Pruned(b int) bool
 }
 
-// PrunePlanner is an optional ScanSource capability alongside
-// PruneProber: it prepares a predicate set once for probing many blocks.
-// SharedScan prefers it over PrunedFor, which re-derives the member sets
-// on every call.
+// PrunePlanner has no caller in the program; it leaves with PruneProber.
 type PrunePlanner interface {
 	PrunePlan(preds []LevelPred) PrunePlan
 }

@@ -23,11 +23,11 @@
 # e.g. BENCH_CHECK_PCT=3 for an overhead check on the baseline host).
 #
 # `ratio <BenchmarkName> <metric> <min>` reruns a benchmark that reports
-# a custom metric (e.g. BenchmarkSharedScanSpeedup's "speedup", a paired
+# a custom metric (e.g. BenchmarkShardedSpeedup's "speedup", a paired
 # within-iteration ratio that is host-speed independent) and fails when
 # the best reported value falls below <min> (for any sub-benchmark, when
 # it has them):
-#   scripts/bench.sh ratio BenchmarkSharedScanSpeedup speedup 2.0
+#   scripts/bench.sh ratio BenchmarkShardedSpeedup speedup 2.0
 #
 # `allocs <BenchmarkName>` reruns with -benchmem and fails when the best
 # (minimum) allocs/op exceeds the baseline's best by more than

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Load-test the serving layer end to end: start assessd with shared
-# scans and admission control on, sweep closed-loop concurrency and
-# open-loop arrival rates with cmd/loadgen, and print the
+# Load-test the serving layer end to end: start assessd with admission
+# control on, sweep closed-loop concurrency and open-loop arrival rates
+# with cmd/loadgen, and print the
 # latency-vs-scale tables (p50/p95/p99, throughput, shed counts).
 #
 # Usage:
@@ -10,10 +10,8 @@
 #
 # Tunables (environment):
 #   ROWS          sales fact rows (default 200000; SMOKE shrinks it)
-#   BATCH_WINDOW  shared-scan batching window (default 500us)
 #   MAX_QUEUE     admission queue depth (default 256)
-#   ADMIT_SLOTS   admission execution slots (default 16; must exceed the
-#                 batch fan-in or admission serializes away coalescing)
+#   ADMIT_SLOTS   admission execution slots (default 16)
 #   ADDR          listen address (default 127.0.0.1:18321)
 #   SELECTIVITY   fraction of narrow-predicate statements in the mix
 #                 (default 0.5; exercises late materialization)
@@ -23,7 +21,6 @@ cd "$(dirname "$0")/.."
 
 ADDR="${ADDR:-127.0.0.1:18321}"
 SELECTIVITY="${SELECTIVITY:-0.5}"
-BATCH_WINDOW="${BATCH_WINDOW:-500us}"
 MAX_QUEUE="${MAX_QUEUE:-256}"
 ADMIT_SLOTS="${ADMIT_SLOTS:-16}"
 if [[ -n "${SMOKE:-}" ]]; then
@@ -47,9 +44,9 @@ echo "== building assessd and loadgen"
 go build -o "$bin/assessd" ./cmd/assessd
 go build -o "$bin/loadgen" ./cmd/loadgen
 
-echo "== starting assessd on $ADDR (rows=$ROWS batch-window=$BATCH_WINDOW max-queue=$MAX_QUEUE)"
+echo "== starting assessd on $ADDR (rows=$ROWS max-queue=$MAX_QUEUE)"
 "$bin/assessd" -addr "$ADDR" -data sales -rows "$ROWS" -parallel 0 \
-    -batch-window "$BATCH_WINDOW" -max-queue "$MAX_QUEUE" -admit-slots "$ADMIT_SLOTS" \
+    -max-queue "$MAX_QUEUE" -admit-slots "$ADMIT_SLOTS" \
     -slow-query-ms 0 2>"$bin/assessd.log" &
 server_pid=$!
 
