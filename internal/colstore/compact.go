@@ -105,6 +105,8 @@ func (st *Store) foldWAL() (bool, error) {
 		newSegs = append(newSegs, seg)
 	}
 
+	st.appendMu.Lock()
+	defer st.appendMu.Unlock()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	// Step 2: acknowledge the fold in the manifest under the old epoch.

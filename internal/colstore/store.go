@@ -98,6 +98,11 @@ type Store struct {
 	// gather decode off.
 	gatherCutoff float64
 
+	// appendMu serializes appends with each other and with the WAL
+	// rotation, so the WAL write — a system call per row — happens outside
+	// mu and a snapshot never waits behind it. walF and closed change only
+	// with both held; appendMu is taken first.
+	appendMu sync.Mutex
 	mu       sync.Mutex
 	segs     []*segment
 	segRows  int
@@ -277,18 +282,21 @@ func (st *Store) tailAppend(keys []int32, vals []float64) {
 // Append durably appends one row: WAL first, then the resident tail.
 // Once the tail passes AutoCompactRows a background fold kicks off.
 func (st *Store) Append(keys []int32, vals []float64) error {
-	st.mu.Lock()
+	rec := walRecord(keys, vals)
+	st.appendMu.Lock()
 	if st.closed {
-		st.mu.Unlock()
+		st.appendMu.Unlock()
 		return fmt.Errorf("colstore: store is closed")
 	}
-	if _, err := st.walF.Write(walRecord(keys, vals)); err != nil {
-		st.mu.Unlock()
+	if _, err := st.walF.Write(rec); err != nil {
+		st.appendMu.Unlock()
 		return fmt.Errorf("colstore: wal append: %w", err)
 	}
+	st.mu.Lock()
 	st.tailAppend(keys, vals)
 	trigger := st.opts.AutoCompactRows > 0 && st.tailRows >= st.opts.AutoCompactRows
 	st.mu.Unlock()
+	st.appendMu.Unlock()
 	mWALAppends.Inc()
 	if trigger && st.compacting.CompareAndSwap(false, true) {
 		st.wg.Add(1)
@@ -335,6 +343,8 @@ func (st *Store) Compact() error {
 // segment references until released.
 func (st *Store) Close() error {
 	st.wg.Wait()
+	st.appendMu.Lock()
+	defer st.appendMu.Unlock()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/assess-olap/assess/internal/exec"
+	"github.com/assess-olap/assess/internal/obsv"
 	"github.com/assess-olap/assess/internal/qcache"
 	"github.com/assess-olap/assess/internal/sales"
 )
@@ -127,9 +128,9 @@ func TestSessionCacheInvalidation(t *testing.T) {
 // aggregate navigator's generation handling with the query cache in
 // front: a hot group-by set is auto-admitted, a fact append bumps the
 // session generation, and the next evaluation must neither serve the
-// stale cache entry nor the stale auto view — the view is dropped, the
-// fact rescanned, and the result matches a session that never had
-// views or a cache.
+// stale cache entry nor the stale auto view — the view survives,
+// absorbs the appended row by delta (a refresh, not a rebuild), and the
+// result matches a session that never had views or a cache.
 func TestSessionAutoViewInvalidation(t *testing.T) {
 	s, ds := newCachedSession(t, 5000)
 	s.EnableAutoViews(0) // default 64 MiB budget
@@ -170,13 +171,26 @@ func TestSessionAutoViewInvalidation(t *testing.T) {
 		t.Fatalf("generation after append = %d, want %d", got, gen+1)
 	}
 
+	if vs := s.ViewStats(); len(vs.Views) != 1 || !vs.Views[0].Stale || vs.Views[0].Rows != 5000 {
+		t.Fatalf("after the append: views = %+v, want the admitted view, stale at mark 5000", vs.Views)
+	}
+	refreshed, rebuilt, absorbed := staleAction("refreshed"), staleAction("rebuilt"), refreshRows()
 	res, state, err := s.ExecTracked(stmts[0])
 	if err != nil || state != qcache.StateMiss {
 		t.Fatalf("exec after append = (%q, %v), want miss", state, err)
 	}
-	// The stale auto view must be dropped, not rebuilt or served.
-	if vs := s.ViewStats(); len(vs.Views) != 0 {
-		t.Fatalf("stale auto view survived the append: %+v", vs.Views)
+	// The stale auto view must survive and be served, one row fresher.
+	if vs = s.ViewStats(); len(vs.Views) != 1 || !vs.Views[0].Auto || vs.Views[0].Stale || vs.Views[0].Rows != 5001 {
+		t.Fatalf("after the read: views = %+v, want the admitted view, fresh at mark 5001", vs.Views)
+	}
+	if d := staleAction("refreshed") - refreshed; d != 1 {
+		t.Errorf("the read refreshed %d views, want 1", d)
+	}
+	if d := staleAction("rebuilt") - rebuilt; d != 0 {
+		t.Errorf("the read rebuilt %d views, want 0", d)
+	}
+	if d := refreshRows() - absorbed; d != 1 {
+		t.Errorf("the refresh absorbed %d rows, want the 1 appended", d)
 	}
 
 	// Against a reference session that never saw a view or a cache, the
@@ -209,6 +223,15 @@ func TestSessionAutoViewInvalidation(t *testing.T) {
 	if _, state, err := s.ExecTracked(stmts[0]); err != nil || state != qcache.StateHit {
 		t.Fatalf("re-exec after append = (%q, %v), want hit", state, err)
 	}
+}
+
+// staleAction reads assess_engine_view_stale_total for one action.
+func staleAction(action string) int64 {
+	return obsv.Default.Counter("assess_engine_view_stale_total", "", "action", action).Value()
+}
+
+func refreshRows() int64 {
+	return obsv.Default.Counter("assess_engine_view_refresh_rows_total", "").Value()
 }
 
 // TestSessionCacheOffByDefault: without EnableCache every exec evaluates

@@ -356,3 +356,67 @@ func BenchmarkSelectiveColdScan(b *testing.B) {
 	sort.Float64s(ratios)
 	b.ReportMetric(ratios[len(ratios)/2], "speedup")
 }
+
+// BenchmarkViewRefresh measures what absorbing an append by delta buys
+// over rebuilding the view, as a paired ratio: on a segment-backed SSB
+// fact of 1.2 M rows with a (cnation, year) view, each iteration appends
+// 10 000 rows, times the read of one tile (which finds the view stale and
+// refreshes it from the rows past its mark), then times a build of the
+// same view from row 0 plus the same read off it — what that read cost
+// before. "speedup" is the median per-iteration rebuild/refresh ratio
+// (host-speed independent; the number scripts/bench.sh ratio gates on).
+// ns/op covers both sides and is not meaningful on its own.
+func BenchmarkViewRefresh(b *testing.B) {
+	ds := ssb.Generate(0.2, 42) // 1.2 M rows
+	f, _ := segmentFact(b, ds.Fact, colstore.Options{AutoCompactRows: -1})
+	e := New()
+	if err := e.Register("LINEORDER", f); err != nil {
+		b.Fatal(err)
+	}
+	ri, _ := f.Schema.MeasureIndex("revenue")
+	q := Query{Fact: "LINEORDER", Group: mdm.MustGroupBy(f.Schema, "cnation", "year"), Measures: []int{ri}}
+	if err := e.Materialize(q.Fact, q.Group); err != nil {
+		b.Fatal(err)
+	}
+	keys := make([]int32, len(ds.Fact.Keys))
+	vals := make([]float64, len(ds.Fact.Meas))
+	refreshed, rebuilt := mViewRefreshed.Value(), mViewRebuilt.Value()
+	ratios := make([]float64, 0, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := i * 10000; r < (i+1)*10000; r++ {
+			for h := range keys {
+				keys[h] = ds.Fact.Keys[h][r%ds.Fact.Rows()]
+			}
+			for m := range vals {
+				vals[m] = ds.Fact.Meas[m][r%ds.Fact.Rows()]
+			}
+			if err := f.Append(keys, vals); err != nil {
+				b.Fatal(err)
+			}
+		}
+		t0 := time.Now()
+		if _, err := e.Get(q); err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		v, err := e.buildView(q.Fact, f, q.Group, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, err := aggregateFromView(v, q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := transfer(c); err != nil {
+			b.Fatal(err)
+		}
+		ratios = append(ratios, float64(time.Since(t1))/float64(t1.Sub(t0)))
+	}
+	b.StopTimer()
+	if d := mViewRefreshed.Value() - refreshed; d != int64(b.N) || mViewRebuilt.Value() != rebuilt {
+		b.Fatalf("%d reads refreshed the view %d times and rebuilt it %d times", b.N, d, mViewRebuilt.Value()-rebuilt)
+	}
+	sort.Float64s(ratios)
+	b.ReportMetric(ratios[len(ratios)/2], "speedup")
+}

@@ -47,11 +47,11 @@ type Query struct {
 // materialized views. Queries may run concurrently (e.g. from the HTTP
 // server); fact registration and the knob setters must happen before
 // queries start, but the view catalog is guarded by viewMu — adaptive
-// admission and stale-view repair mutate it mid-traffic.
+// admission and view refresh mutate it mid-traffic.
 type Engine struct {
 	facts map[string]*storage.FactTable
 	// viewMu guards views and the byte accounting below; admission and
-	// stale repair write while queries read.
+	// view refresh write while queries read.
 	viewMu    sync.RWMutex
 	views     map[viewKey]*matView
 	viewBytes int64 // approximate resident bytes, all views

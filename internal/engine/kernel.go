@@ -96,6 +96,7 @@ func (sq *scanQuery) init(cards []int, budget int) {
 			sq.filtered = true
 		}
 	}
+	sq.cards = cards
 	sq.space = mdm.NewKeySpace(cards)
 	if budget <= 0 {
 		return
@@ -651,25 +652,10 @@ func (sq *scanQuery) mergeTree(parts []*aggTable) *aggTable {
 	return parts[0]
 }
 
-// occupied lists the slots that saw a row in ascending composite-key
-// order, which is coordinate-lexicographic and independent of morsel
-// scheduling. Dense slots are keys, so a counting pass sizes the list
-// exactly and a second fills it; slot tables sort their slots — all of
-// them occupied — by key, or by coordinate when the space is wide.
-func (sq *scanQuery) occupied(t *aggTable) []int {
+// cells counts the slots that saw a row.
+func (sq *scanQuery) cells(t *aggTable) int {
 	if sq.dense == 0 {
-		slots := make([]int, max(len(t.keys), len(t.wide)))
-		for s := range slots {
-			slots[s] = s
-		}
-		if w := len(sq.group); t.wide != nil {
-			slices.SortFunc(slots, func(a, b int) int {
-				return slices.Compare(t.coords[a*w:(a+1)*w], t.coords[b*w:(b+1)*w])
-			})
-		} else {
-			slices.SortFunc(slots, func(a, b int) int { return cmp.Compare(t.keys[a], t.keys[b]) })
-		}
-		return slots
+		return max(len(t.keys), len(t.wide))
 	}
 	n := 0
 	for _, c := range t.cnt {
@@ -682,7 +668,30 @@ func (sq *scanQuery) occupied(t *aggTable) []int {
 			n++
 		}
 	}
-	slots := make([]int, 0, n)
+	return n
+}
+
+// occupied lists the slots that saw a row in ascending composite-key
+// order, which is coordinate-lexicographic and independent of morsel
+// scheduling. Dense slots are keys, so a counting pass sizes the list
+// exactly and a second fills it; slot tables sort their slots — all of
+// them occupied — by key, or by coordinate when the space is wide.
+func (sq *scanQuery) occupied(t *aggTable) []int {
+	if sq.dense == 0 {
+		slots := make([]int, sq.cells(t))
+		for s := range slots {
+			slots[s] = s
+		}
+		if w := len(sq.group); t.wide != nil {
+			slices.SortFunc(slots, func(a, b int) int {
+				return slices.Compare(t.coords[a*w:(a+1)*w], t.coords[b*w:(b+1)*w])
+			})
+		} else {
+			slices.SortFunc(slots, func(a, b int) int { return cmp.Compare(t.keys[a], t.keys[b]) })
+		}
+		return slots
+	}
+	slots := make([]int, 0, sq.cells(t))
 	for slot, c := range t.cnt {
 		if c != 0 {
 			slots = append(slots, slot)
@@ -696,12 +705,16 @@ func (sq *scanQuery) occupied(t *aggTable) []int {
 	return slots
 }
 
-// finalize materializes the occupied slots as a derived cube, decoding
-// each composite key back into its coordinate. The cube is assembled
-// column by column: one coordinate arena and one slice per measure,
-// whatever the cell count.
+// finalize materializes the occupied slots as a derived cube. The cube is
+// assembled column by column: one coordinate arena and one slice per
+// measure, whatever the cell count.
 func (sq *scanQuery) finalize(s *mdm.Schema, names []string, t *aggTable) (*cube.Cube, error) {
 	slots := sq.occupied(t)
+	return cube.Build(s, sq.group, names, sq.coords(t, slots), sq.columns(t, slots))
+}
+
+// coords decodes each slot's composite key back into its coordinate.
+func (sq *scanQuery) coords(t *aggTable, slots []int) []mdm.Coordinate {
 	width := len(sq.group)
 	coords := cube.Carve(make([]int32, len(slots)*width), len(slots), width)
 	for i, slot := range slots {
@@ -714,8 +727,21 @@ func (sq *scanQuery) finalize(s *mdm.Schema, names []string, t *aggTable) (*cube
 			sq.space.Decode(t.keys[slot], coords[i])
 		}
 	}
+	return coords
+}
+
+// columns reads each operator's finished value off the slots' accumulators.
+// When every slot of the table is occupied the slots are 0, 1, 2, … and a
+// sum, min or max column is the accumulator column copied whole; a view
+// refresh pays this once per read that races an append, so it matters.
+func (sq *scanQuery) columns(t *aggTable, slots []int) [][]float64 {
+	whole := sq.dense > 0 && len(slots) == sq.dense
 	cols := make([][]float64, len(sq.ops))
 	for j, op := range sq.ops {
+		if whole && op != mdm.AggAvg && op != mdm.AggCount {
+			cols[j] = slices.Clone(t.vals[j])
+			continue
+		}
 		col := make([]float64, len(slots))
 		switch op {
 		case mdm.AggAvg:
@@ -733,5 +759,5 @@ func (sq *scanQuery) finalize(s *mdm.Schema, names []string, t *aggTable) (*cube
 		}
 		cols[j] = col
 	}
-	return cube.Build(s, sq.group, names, coords, cols)
+	return cols
 }

@@ -7,7 +7,7 @@ import "github.com/assess-olap/assess/internal/obsv"
 // query is a handful of atomic adds, so they stay on unconditionally.
 var (
 	mRowsScanned = obsv.Default.Counter("assess_engine_rows_scanned_total",
-		"Fact-table rows scanned by aggregate queries (views excluded).")
+		"Fact-table rows covered by fact scans: the whole table for a query or a view build, the rows past the view's mark for a refresh.")
 	mScansSerial = obsv.Default.Counter("assess_engine_scans_total",
 		"Aggregate evaluations by mode.", "mode", "serial")
 	mScansParallel = obsv.Default.Counter("assess_engine_scans_total",
@@ -42,8 +42,15 @@ var (
 		"Views auto-materialized by the adaptive admission layer.")
 	mViewEvictions = obsv.Default.Counter("assess_engine_view_evictions_total",
 		"Admitted views evicted by the LRU byte budget.")
-	mViewStaleDropped = obsv.Default.Counter("assess_engine_view_stale_total",
-		"Stale views handled after fact growth, by action.", "action", "dropped")
+	// A stale view is refreshed (the rows past its mark absorbed), rebuilt
+	// from row 0 when the delta cannot be trusted, or dropped when its
+	// scan fails.
+	mViewRefreshed = obsv.Default.Counter("assess_engine_view_stale_total",
+		"Stale views handled after fact growth, by action.", "action", "refreshed")
 	mViewRebuilt = obsv.Default.Counter("assess_engine_view_stale_total",
 		"Stale views handled after fact growth, by action.", "action", "rebuilt")
+	mViewStaleDropped = obsv.Default.Counter("assess_engine_view_stale_total",
+		"Stale views handled after fact growth, by action.", "action", "dropped")
+	mViewRefreshRows = obsv.Default.Counter("assess_engine_view_refresh_rows_total",
+		"Fact rows absorbed into views by refreshes.")
 )

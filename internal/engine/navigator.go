@@ -21,8 +21,9 @@ import (
 // thousand view cells. The adaptive admission layer watches
 // queries that miss every view and auto-materializes the hottest
 // group-by sets under a byte budget, evicting least-recently-used
-// admitted views and dropping any view whose fact table has since
-// grown (generation-based invalidation, consistent with qcache).
+// admitted views. A view whose fact table has since grown absorbs the
+// appended rows — those past its high-water mark — the next time a
+// query picks it (views.go, absorb).
 
 // covers reports whether the view can answer the query: the view's
 // group-by set rolls up to the query's, and every predicate hierarchy is
@@ -41,101 +42,100 @@ func (v *matView) covers(q Query) bool {
 }
 
 // pickView scans the view catalog under viewMu (held by the caller) for
-// the best fresh covering view: an exact group-by match when one exists
-// (no re-aggregation needed, and never more cells than a finer view),
-// otherwise the covering view with the fewest cells. stale reports
-// whether any view of the fact — covering or not — is out of date.
-func (e *Engine) pickView(q Query, ver uint64) (best *matView, exact, stale bool) {
+// the best covering view: an exact group-by match when one exists (no
+// re-aggregation needed, and never more cells than a finer view),
+// otherwise the covering view with the fewest cells. A view behind its
+// fact counts like any other — lookupView absorbs the rows it lacks
+// before serving it — so an append changes neither the choice nor the
+// planner's statistics.
+func (e *Engine) pickView(q Query) (best *matView, exact bool) {
 	gkey := groupKey(q.Group)
 	for key, v := range e.views {
-		if key.fact != q.Fact {
-			continue
-		}
-		if v.factVer != ver {
-			stale = true
-			continue
-		}
-		if !v.covers(q) {
+		if key.fact != q.Fact || !v.covers(q) {
 			continue
 		}
 		if key.gkey == gkey {
-			return v, true, stale
+			return v, true
 		}
 		if best == nil || v.data.Len() < best.data.Len() {
 			best = v
 		}
 	}
-	return best, false, stale
+	return best, false
 }
 
-// lookupView resolves the query against the view lattice, repairing any
-// stale views of the fact on the way: admitted views are dropped (their
-// group-by sets must re-earn admission against the new data), explicit
-// ones are rebuilt in place. The returned view, if any, is fresh; exact
-// reports a group-by match that needs no re-aggregation.
+// lookupView resolves the query against the view lattice and returns the
+// view to answer it from, brought up to the fact's current version if it
+// was behind; exact reports a group-by match that needs no
+// re-aggregation. Only the chosen view is refreshed: the others catch up
+// when a query picks them.
 func (e *Engine) lookupView(q Query) (v *matView, exact bool) {
 	f, ok := e.facts[q.Fact]
 	if !ok {
 		return nil, false
 	}
-	ver := f.Version()
-	e.viewMu.RLock()
-	best, exact, stale := e.pickView(q, ver)
-	e.viewMu.RUnlock()
-	if stale {
-		e.repairStaleViews(q.Fact, f, ver)
+	for {
 		e.viewMu.RLock()
-		best, exact, _ = e.pickView(q, ver)
+		v, exact = e.pickView(q)
 		e.viewMu.RUnlock()
+		if v == nil {
+			return nil, false
+		}
+		if v.factVer.Load() != f.Version() {
+			if v = e.refreshView(f, v); v == nil {
+				continue // the catalog changed under the refresh: choose again
+			}
+		}
+		v.lastUse.Store(e.useTick.Add(1))
+		v.hits.Add(1)
+		return v, exact
 	}
-	if best != nil {
-		best.lastUse.Store(e.useTick.Add(1))
-		best.hits.Add(1)
-	}
-	return best, exact
 }
 
-// repairStaleViews brings every view of the fact up to the observed
-// version: admitted views are dropped, explicit ones rebuilt from the
-// current fact rows (dropped if the rebuild fails). Rebuilds run outside
-// the lock; a concurrent repair of the same view resolves by re-checking
-// freshness before the swap.
-func (e *Engine) repairStaleViews(fact string, f *storage.FactTable, ver uint64) {
-	type staleView struct {
-		key viewKey
-		v   *matView
+// refreshView absorbs the fact rows a stale view lacks and publishes the
+// result in its place, one rule for explicit and admitted views alike.
+// Refreshes of one view are serialized, and each starts from the view's
+// then-current mark, so racing readers never fold a row in twice: the
+// loser of the race finds the winner's view and, if the fact has not
+// moved again, returns it as is. A view whose scan fails is dropped. The
+// result is nil when the view is no longer the one in the catalog.
+func (e *Engine) refreshView(f *storage.FactTable, v *matView) *matView {
+	a, key := v.acc, viewKey{v.acc.q.Fact, groupKey(v.group)}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	e.viewMu.RLock()
+	cur := e.views[key]
+	e.viewMu.RUnlock()
+	if cur == nil || cur.acc != a {
+		return nil
 	}
-	var rebuild []staleView
+	if cur.factVer.Load() == f.Version() {
+		return cur
+	}
+	nv, delta, err := e.absorb(f, a, cur)
+	switch {
+	case err != nil:
+		mViewStaleDropped.Inc()
+	case delta:
+		mViewRefreshed.Inc()
+		mViewRefreshRows.Add(int64(nv.rows - cur.rows))
+	default:
+		mViewRebuilt.Inc()
+	}
+	if nv == cur {
+		return cur
+	}
 	e.viewMu.Lock()
-	for key, v := range e.views {
-		if key.fact != fact || v.factVer == ver {
-			continue
-		}
-		if v.auto {
-			e.dropViewLocked(key, v)
-			mViewStaleDropped.Inc()
-			continue
-		}
-		rebuild = append(rebuild, staleView{key, v})
+	defer e.viewMu.Unlock()
+	// Eviction and re-materialization take viewMu only.
+	if e.views[key] != cur {
+		return nil
 	}
-	e.viewMu.Unlock()
-	for _, sv := range rebuild {
-		nv, err := e.buildView(fact, f, sv.v.group, false)
-		e.viewMu.Lock()
-		cur, ok := e.views[sv.key]
-		switch {
-		case !ok || cur.factVer == ver:
-			// Dropped or already repaired by a concurrent query.
-		case err != nil:
-			e.dropViewLocked(sv.key, cur)
-			mViewStaleDropped.Inc()
-		default:
-			e.dropViewLocked(sv.key, cur)
-			e.installView(sv.key, nv)
-			mViewRebuilt.Inc()
-		}
-		e.viewMu.Unlock()
+	e.dropViewLocked(key, cur)
+	if nv != nil {
+		e.installView(key, nv)
 	}
+	return nv
 }
 
 // rollupFromView answers a query strictly coarser than the view by
@@ -464,6 +464,8 @@ type ViewInfo struct {
 	Auto   bool     `json:"auto"`
 	Hits   int64    `json:"hits"`
 	Stale  bool     `json:"stale"`
+	// Rows is the view's high-water mark: the fact rows it has absorbed.
+	Rows int `json:"rows"`
 }
 
 // ViewStats is the navigator section of the stats endpoints.
@@ -498,7 +500,8 @@ func (e *Engine) ViewStatsSnapshot() ViewStats {
 			Bytes:  v.bytes,
 			Auto:   v.auto,
 			Hits:   v.hits.Load(),
-			Stale:  v.factVer != f.Version(),
+			Stale:  v.factVer.Load() != f.Version(),
+			Rows:   v.rows,
 		})
 	}
 	e.viewMu.RUnlock()
@@ -521,18 +524,14 @@ func (e *Engine) ViewBytes() int64 {
 }
 
 // CoveringViewCells implements the cost model's lattice statistic: the
-// cell count of the cheapest fresh view that covers the query — exact or
+// cell count of the cheapest view that covers the query — exact or
 // coarser-by-rollup — if any. It is a pure peek: no LRU touch, no hit
-// counting, no stale repair.
+// counting, no refresh (a view a few appended rows behind has, to the
+// cost model's precision, the cells it will have once refreshed).
 func (e *Engine) CoveringViewCells(q Query) (int, bool) {
-	f, ok := e.facts[q.Fact]
-	if !ok {
-		return 0, false
-	}
-	ver := f.Version()
 	e.viewMu.RLock()
 	defer e.viewMu.RUnlock()
-	best, _, _ := e.pickView(q, ver)
+	best, _ := e.pickView(q)
 	if best == nil {
 		return 0, false
 	}

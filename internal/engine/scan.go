@@ -90,8 +90,13 @@ type scanQuery struct {
 	accepts  [][]bool    // per hierarchy: accepted member ids at the source's level
 	filtered bool        // some hierarchy carries an acceptance vector
 	gmaps    [][]int32   // per group position: source-level id → group-level id
+	cards    []int       // per group position: the level's cardinality at prepare time
 	space    *mdm.KeySpace
 	dense    int // slots of the key space when it fits the dense budget, else 0
+	// into, when set, is a table of this key space that already holds
+	// rows: the scan accumulates into it in place and returns it. A scan
+	// that fails leaves it partly updated, fit only to be discarded.
+	into *aggTable
 
 	// What a fact scan opens its source with: the columns the query
 	// touches and its predicates in prunable form.
@@ -151,6 +156,7 @@ func scan(sq *scanQuery, src storage.ScanSource, workers, morsel int) (*aggTable
 	}
 	st := new(scanState)
 	parts := make([]*aggTable, workers)
+	parts[0] = sq.into
 
 	// The single block is decoded once here; every worker reads it.
 	nb := src.Blocks()
@@ -236,6 +242,11 @@ func scan(sq *scanQuery, src storage.ScanSource, workers, morsel int) (*aggTable
 func (e *Engine) scanFact(f *storage.FactTable, sq *scanQuery) (*aggTable, error) {
 	src := f.ScanSource(sq.need, sq.preds)
 	defer src.Close()
+	return e.scanRows(src, sq)
+}
+
+// scanRows sizes and runs the scan of fact rows the source covers.
+func (e *Engine) scanRows(src storage.ScanSource, sq *scanQuery) (*aggTable, error) {
 	rows := src.Rows()
 	mRowsScanned.Add(int64(rows))
 	workers, morsel := e.scanShape(rows)

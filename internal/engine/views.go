@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"github.com/assess-olap/assess/internal/cube"
@@ -33,12 +35,16 @@ func groupKey(g mdm.GroupBy) string {
 	return string(buf)
 }
 
-// matView is one materialized view: the finalized aggregate served to
-// exact-match queries, plus the auxiliary state the navigator needs to
-// roll its cells up to coarser group-by sets. AVG is not distributive,
-// so each AVG measure keeps its raw per-cell sum alongside the finalized
-// quotient, and cnt holds the fact rows behind each cell; a coarser AVG
-// recombines as Σsums/Σcnt, and COUNT re-aggregates by summing cnt.
+// matView is one materialized view as readers see it: the finalized
+// aggregate served to exact-match queries, plus the auxiliary state the
+// navigator needs to roll its cells up to coarser group-by sets. AVG is
+// not distributive, so each AVG measure keeps its raw per-cell sum
+// alongside the finalized quotient, and cnt holds the fact rows behind
+// each cell; a coarser AVG recombines as Σsums/Σcnt, and COUNT
+// re-aggregates by summing cnt. Everything but the version tag and the
+// use counters is immutable: absorbing appended rows publishes a new
+// matView, so a reader keeps consistent columns for as long as it holds
+// the old one.
 type matView struct {
 	group mdm.GroupBy
 	data  *cube.Cube // finalized measure columns, one per schema measure
@@ -53,14 +59,47 @@ type matView struct {
 	cnt []float64
 	// bytes approximates resident size, for the admission budget.
 	bytes int64
-	// factVer is the fact table's append version at build time; a newer
-	// version makes the view stale.
-	factVer uint64
-	// auto marks views admitted by the adaptive layer (evictable), as
-	// opposed to explicitly materialized ones (rebuilt when stale).
-	auto    bool
+	// rows is the high-water mark: the view aggregates exactly the first
+	// rows rows of the fact in append order. It is Rows() of the source
+	// that fed the view, never the fact's version, which moves without
+	// rows (AdvanceVersion) and ahead of a snapshot taken after reading it.
+	rows int
+	// factVer is a fact version at which the view held every row; a newer
+	// one makes it stale until refreshView has looked past the mark.
+	factVer atomic.Uint64
+	// auto marks views admitted by the adaptive layer (evictable).
+	auto bool
+	// acc is shared by every matView published for this view.
+	acc     *viewAccum
 	lastUse atomic.Int64
 	hits    atomic.Int64
+}
+
+// viewAccum is the state behind a view that absorbing appends updates in
+// place: the accumulator table its columns were finalized from. Readers
+// never see it; mu serializes the refreshes of the view and guards every
+// field, and the view's current matView is only ever replaced under it.
+type viewAccum struct {
+	mu sync.Mutex
+	// q and ops are the view's build scan: every schema measure (named in
+	// names), then a raw-sum column per AVG measure (an extra SUM over the
+	// same fact column), then one COUNT of fact rows per cell.
+	q      Query
+	ops    []mdm.AggOp
+	names  []string
+	avgIdx []int // schema measures aggregated by AVG
+	auto   bool  // admitted by the adaptive layer
+	// sq is the prepared scan t was accumulated through; t holds the
+	// view's first rows rows, or is nil when it was not worth keeping:
+	// sparse is then set for good, and every later scan goes through a
+	// slot table, which is as large as its cells and always kept.
+	sq     *scanQuery
+	t      *aggTable
+	sparse bool
+	// slots is occupied(t) as of the last finalize. Slots are only ever
+	// added, so an unchanged count means an unchanged list, and the
+	// coordinates derived from it are reused.
+	slots []int
 }
 
 // viewSizeBytes approximates a view's resident size: measure columns
@@ -108,75 +147,120 @@ func (e *Engine) Materialize(fact string, g mdm.GroupBy) error {
 	return nil
 }
 
-// buildView scans the fact table once and captures both the finalized
-// aggregate and the navigator's auxiliary columns: for every AVG measure
-// a raw-sum column (requested as an extra SUM over the same fact
-// column), plus one COUNT column of fact rows per cell.
+// buildView scans the fact table once into a new view.
 func (e *Engine) buildView(fact string, f *storage.FactTable, g mdm.GroupBy, auto bool) (*matView, error) {
-	s := f.Schema
-	ver := f.Version()
-	nm := len(s.Measures)
-	idx := make([]int, 0, nm+2)
-	ops := make([]mdm.AggOp, 0, nm+2)
-	names := make([]string, 0, nm+2)
-	for i, m := range s.Measures {
-		idx = append(idx, i)
-		ops = append(ops, m.Op)
-		names = append(names, m.Name)
+	a := &viewAccum{q: Query{Fact: fact, Group: append(mdm.GroupBy(nil), g...)}, auto: auto}
+	for i, m := range f.Schema.Measures {
+		a.q.Measures = append(a.q.Measures, i)
+		a.ops = append(a.ops, m.Op)
+		a.names = append(a.names, m.Name)
 	}
-	var avgIdx []int
-	for i, m := range s.Measures {
+	for i, m := range f.Schema.Measures {
 		if m.Op == mdm.AggAvg {
-			avgIdx = append(avgIdx, i)
-			idx = append(idx, i)
-			ops = append(ops, mdm.AggSum)
-			names = append(names, m.Name+"·sum")
+			a.avgIdx = append(a.avgIdx, i)
+			a.q.Measures = append(a.q.Measures, i)
+			a.ops = append(a.ops, mdm.AggSum)
 		}
 	}
-	cntCol := -1
-	if nm > 0 {
+	if len(a.names) > 0 {
 		// COUNT never reads its measure column, so any valid index works.
-		cntCol = len(idx)
-		idx = append(idx, 0)
-		ops = append(ops, mdm.AggCount)
-		names = append(names, "·cnt")
+		a.q.Measures = append(a.q.Measures, 0)
+		a.ops = append(a.ops, mdm.AggCount)
 	}
-	raw, err := e.scanAggregateOps(context.Background(), Query{Fact: fact, Group: g, Measures: idx}, ops, names)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	v, _, err := e.absorb(f, a, nil)
+	return v, err
+}
+
+// retainSlotsPerCell bounds the accumulator table a view keeps: a dense
+// table spans its whole key space, and one with more than this many slots
+// per cell it produced is let go rather than held for the view's lifetime.
+const retainSlotsPerCell = 8
+
+// absorb brings the view behind a (whose mu the caller holds) up to the
+// fact's current rows and returns the matView to publish; cur is the
+// current one, nil for a first build. When the retained table can be
+// trusted, only the rows past cur's mark are scanned, through the same
+// kernel into the same table — on a serial scan every accumulator sees the
+// additions a build from row 0 would make, in the same order — and delta
+// reports it; cur itself comes back when no row was past the mark.
+// Otherwise (fewer rows than the mark, a group level whose dictionary grew
+// under the retained key space, no retained table) the view is built from
+// row 0. After an error the table is spent and the caller drops the view.
+func (e *Engine) absorb(f *storage.FactTable, a *viewAccum, cur *matView) (v *matView, delta bool, err error) {
+	ver := f.Version()
+	sq, err := e.prepare(context.Background(), f, a.q, a.ops)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	n := raw.Len()
-	v := &matView{
-		group:   append(mdm.GroupBy(nil), g...),
-		factVer: ver,
-		auto:    auto,
-		sums:    make([][]float64, nm),
+	if a.sparse {
+		sq.dense = 0
 	}
-	for k, mi := range avgIdx {
-		v.sums[mi] = raw.Cols[nm+k]
+	src := f.ScanSource(sq.need, nil)
+	defer src.Close()
+	rows := src.Rows()
+	delta = cur != nil && a.t != nil && rows >= cur.rows &&
+		sq.dense == a.sq.dense && slices.Equal(sq.cards, a.sq.cards)
+	if delta && rows == cur.rows {
+		cur.factVer.Store(ver)
+		return cur, true, nil
 	}
-	if cntCol >= 0 {
-		v.cnt = raw.Cols[cntCol]
+	from := 0
+	if delta {
+		from, sq.into = cur.rows, a.t
+	} else {
+		a.slots = nil
+	}
+	a.sq, a.t = sq, nil
+	t, err := e.scanRows(storage.RowsFrom(src, from), sq)
+	if err != nil {
+		return nil, false, err
+	}
+
+	s := f.Schema
+	nm := len(s.Measures)
+	v = &matView{group: a.q.Group, rows: rows, auto: a.auto, acc: a, sums: make([][]float64, nm)}
+	v.factVer.Store(ver)
+	if cur != nil {
+		v.hits.Store(cur.hits.Load())
+	}
+	var coords []mdm.Coordinate
+	if n := sq.cells(t); delta && n == len(a.slots) {
+		coords, v.keyCols = cur.data.Coords, cur.keyCols
+	} else {
+		a.slots = sq.occupied(t)
+		coords = sq.coords(t, a.slots)
+		v.keyCols = make([][]int32, len(v.group))
+		backing := make([]int32, n*len(v.group))
+		for gi := range v.keyCols {
+			col := backing[gi*n : (gi+1)*n : (gi+1)*n]
+			for i, coord := range coords {
+				col[i] = coord[gi]
+			}
+			v.keyCols[gi] = col
+		}
+	}
+	cols := sq.columns(t, a.slots)
+	for k, mi := range a.avgIdx {
+		v.sums[mi] = cols[nm+k]
+	}
+	if nm > 0 {
+		v.cnt = cols[len(cols)-1]
 	}
 	// The data cube served to exact-match queries carries only the
 	// finalized measure columns; the aux columns live beside it.
-	raw.Names = raw.Names[:nm]
-	raw.Cols = raw.Cols[:nm]
-	v.data = raw
-	v.keyCols = make([][]int32, len(g))
-	if len(g) > 0 {
-		backing := make([]int32, n*len(g))
-		for gi := range g {
-			v.keyCols[gi] = backing[gi*n : (gi+1)*n : (gi+1)*n]
-		}
-		for i, coord := range raw.Coords {
-			for gi, id := range coord {
-				v.keyCols[gi][i] = id
-			}
-		}
+	if v.data, err = cube.Build(s, v.group, a.names, coords, cols[:nm]); err != nil {
+		return nil, false, err
 	}
-	v.bytes = viewSizeBytes(n, len(g), nm, len(avgIdx))
-	return v, nil
+	v.bytes = viewSizeBytes(len(coords), len(v.group), nm, len(a.avgIdx))
+	if t.size() > retainSlotsPerCell*max(len(coords), 1024) {
+		a.sparse = true
+	} else {
+		a.t = t
+		v.bytes += int64(t.size()) * 8 * int64(len(cols))
+	}
+	return v, delta, nil
 }
 
 // installView inserts a built view under viewMu (held by the caller) and
@@ -218,18 +302,14 @@ func (e *Engine) FactRows(fact string) int {
 	return f.Rows()
 }
 
-// ViewCells returns the cardinality of the fresh materialized view at
-// exactly the group-by set, if one exists.
+// ViewCells returns the cardinality of the materialized view at exactly
+// the group-by set, if one exists (refreshed or not: see
+// CoveringViewCells).
 func (e *Engine) ViewCells(fact string, g mdm.GroupBy) (int, bool) {
-	f, ok := e.facts[fact]
-	if !ok {
-		return 0, false
-	}
-	ver := f.Version()
 	e.viewMu.RLock()
 	defer e.viewMu.RUnlock()
 	v, ok := e.views[viewKey{fact, groupKey(g)}]
-	if !ok || v.factVer != ver {
+	if !ok {
 		return 0, false
 	}
 	return v.data.Len(), true

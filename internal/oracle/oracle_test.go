@@ -3,13 +3,19 @@ package oracle
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/assess-olap/assess/internal/colstore"
 	"github.com/assess-olap/assess/internal/core"
+	"github.com/assess-olap/assess/internal/cube"
+	"github.com/assess-olap/assess/internal/exec"
+	"github.com/assess-olap/assess/internal/obsv"
 	"github.com/assess-olap/assess/internal/parser"
 	"github.com/assess-olap/assess/internal/persist"
 	"github.com/assess-olap/assess/internal/plan"
@@ -213,18 +219,25 @@ func TestFeasibleStrategiesCovered(t *testing.T) {
 func copyFact(f *storage.FactTable) *storage.FactTable {
 	cp := storage.NewFactTable(f.Schema)
 	cp.Reserve(f.Rows())
-	keys := make([]int32, len(f.Keys))
-	vals := make([]float64, len(f.Meas))
-	for r := 0; r < f.Rows(); r++ {
+	replayRows(f, 0, f.Rows(), cp)
+	return cp
+}
+
+// replayRows appends rows [lo, hi) of the resident table src to every dst.
+func replayRows(src *storage.FactTable, lo, hi int, dsts ...*storage.FactTable) {
+	keys := make([]int32, len(src.Keys))
+	vals := make([]float64, len(src.Meas))
+	for r := lo; r < hi; r++ {
 		for h := range keys {
-			keys[h] = f.Keys[h][r]
+			keys[h] = src.Keys[h][r]
 		}
 		for m := range vals {
-			vals[m] = f.Meas[m][r]
+			vals[m] = src.Meas[m][r]
 		}
-		cp.MustAppend(keys, vals)
+		for _, dst := range dsts {
+			dst.MustAppend(keys, vals)
+		}
 	}
-	return cp
 }
 
 // TestShardedAppendReconciliation sweeps the statement batch across an
@@ -444,4 +457,217 @@ func TestSegmentWALCompaction(t *testing.T) {
 			sweep("after-compact")
 		})
 	}
+}
+
+// TestViewMaintenanceByDelta is the oracle's append phase for
+// materialized views. Each configuration — the views, lattice and segment
+// axes, the last with views added and morsel-parallel scans, so that a
+// delta large enough is absorbed by several workers — starts from the
+// first half of the generated fact and receives the second half in
+// bursts, reads in between: a short burst; one longer than a segment,
+// followed on the segment store by an explicit Compact, which leaves
+// every view's mark inside a folded segment; a version bump with no row;
+// a single row; the rest. After each step every delta-maintained view is
+// read whole and must equal, cell for cell and bit for bit — the measures
+// are integers, AVG, MIN, MAX and COUNT included — the same view freshly
+// built over the same storage, and the view-less resident reference; the
+// statement batch must agree three ways too (coarser queries and the
+// fused pivot go through the views' auxiliary columns). No view may be
+// dropped on the way, and none rebuilt more than once: a view whose dense
+// table was too sparse to keep is rebuilt through a slot table the first
+// time it is found stale, and refreshed like the others from then on.
+func TestViewMaintenanceByDelta(t *testing.T) {
+	counter := func(action string) int64 {
+		return obsv.Default.Counter("assess_engine_view_stale_total", "", "action", action).Value()
+	}
+	for _, seed := range seedsUnderTest(t) {
+		for _, ax := range []struct {
+			name                     string
+			views                    string
+			dense, segment, parallel bool
+		}{
+			{"views", "exact", true, false, false},
+			{"lattice", "lattice", false, false, false},
+			{"segment", "lattice", true, true, true},
+		} {
+			ax := ax
+			t.Run(fmt.Sprintf("seed%d/%s", seed, ax.name), func(t *testing.T) {
+				c := Generate(seed)
+				half := c.Fact.Rows() / 2
+				prefix := storage.NewFactTable(c.Schema)
+				replayRows(c.Fact, 0, half, prefix)
+
+				ref := core.NewSession()
+				if err := ref.RegisterCube(TargetCube, prefix); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.RegisterCube(ExtCube, c.ExtFact); err != nil {
+					t.Fatal(err)
+				}
+
+				fact, ext := copyFact(prefix), c.ExtFact
+				if ax.segment {
+					var cf, ce func()
+					var err error
+					if fact, cf, err = segmentCopy(prefix, false); err != nil {
+						t.Fatal(err)
+					}
+					defer cf()
+					if ext, ce, err = segmentCopy(c.ExtFact, false); err != nil {
+						t.Fatal(err)
+					}
+					defer ce()
+					persist.ReconcileSchemas(fact.Schema, ext.Schema)
+				}
+				sets := c.Views
+				if ax.views == "lattice" {
+					sets = c.LatticeViews
+				}
+				// viewSession materializes the axis' views over the current
+				// rows of fact: once for the maintained session, then after
+				// every step for the freshly built one it is held against.
+				viewSession := func() *core.Session {
+					s := core.NewSession()
+					if err := s.RegisterCube(TargetCube, fact); err != nil {
+						t.Fatal(err)
+					}
+					if err := s.RegisterCube(ExtCube, ext); err != nil {
+						t.Fatal(err)
+					}
+					s.Engine.SetDenseKeyBudget(0)
+					if ax.dense {
+						s.Engine.SetDenseKeyBudget(oracleDenseBudget)
+					}
+					if ax.parallel {
+						s.Engine.SetParallelism(oracleWorkers)
+						s.Engine.SetParallelMinRows(oracleMinParRows)
+						s.Engine.SetMorselSize(oracleMorselRows)
+					}
+					for _, v := range sets {
+						if err := s.Materialize(TargetCube, v...); err != nil {
+							t.Fatal(err)
+						}
+						if err := s.Materialize(ExtCube, v...); err != nil {
+							t.Fatal(err)
+						}
+					}
+					return s
+				}
+				maintained := viewSession()
+				// Cache on: a result kept across an append would diverge.
+				maintained.EnableCache(0)
+
+				measures := make([]string, len(c.Schema.Measures))
+				for i, m := range c.Schema.Measures {
+					measures[i] = m.Name
+				}
+				check := func(stage string) {
+					t.Helper()
+					fresh := viewSession()
+					for _, v := range sets {
+						stmt := fmt.Sprintf("with %s by %s get %s", TargetCube, strings.Join(v, ", "), strings.Join(measures, ", "))
+						got, err := maintained.Query(stmt)
+						if err != nil {
+							t.Fatalf("%s: maintained: %v\n  stmt: %s", stage, err, stmt)
+						}
+						for name, other := range map[string]*core.Session{"a fresh build": fresh, "the view-less reference": ref} {
+							want, err := other.Query(stmt)
+							if err != nil {
+								t.Fatalf("%s: %s: %v\n  stmt: %s", stage, name, err, stmt)
+							}
+							if d := diffCubesExact(want.Cube, got.Cube); d != "" {
+								t.Errorf("%s: maintained view %v differs from %s: %s", stage, v, name, d)
+							}
+						}
+					}
+					for _, stmt := range c.Statements {
+						kind, err := ref.BenchmarkKind(stmt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, strat := range core.FeasibleStrategies(kind) {
+							rows := make([][]exec.Row, 0, 3)
+							for _, s := range []*core.Session{ref, fresh, maintained} {
+								res, _, _, err := execTracked(s, stmt, strat)
+								if err != nil {
+									t.Fatalf("%s/%v: %v\n  stmt: %s", stage, strat, err, stmt)
+								}
+								r, err := canonRows(res)
+								if err != nil {
+									t.Fatal(err)
+								}
+								rows = append(rows, r)
+							}
+							if d := diffRows(rows[0], rows[1]); d != "" {
+								t.Errorf("%s/%v: fresh views diverge from the reference: %s\n  stmt: %s", stage, strat, d, stmt)
+							}
+							if d := diffRows(rows[0], rows[2]); d != "" {
+								t.Errorf("%s/%v: maintained views diverge from the reference: %s\n  stmt: %s", stage, strat, d, stmt)
+							}
+						}
+					}
+					for _, vi := range maintained.ViewStats().Views {
+						if vi.Fact == TargetCube && !vi.Stale && vi.Rows != fact.Rows() {
+							t.Errorf("%s: view %v is tagged fresh at mark %d; the fact has %d rows", stage, vi.Levels, vi.Rows, fact.Rows())
+						}
+					}
+				}
+
+				refreshed, rebuilt, dropped := counter("refreshed"), counter("rebuilt"), counter("dropped")
+				at := half
+				burst := func(n int) {
+					replayRows(c.Fact, at, at+n, prefix, fact)
+					at += n
+				}
+				check("cold")
+				burst(37)
+				check("short burst")
+				burst(oracleSegmentRows + 41)
+				if ax.segment {
+					st := fact.Segments().(*colstore.Store)
+					if err := st.Compact(); err != nil {
+						t.Fatal(err)
+					}
+					if info := st.Info(); info.TailRows != 0 || info.Compactions == 0 {
+						t.Fatalf("compaction did not fold the tail: %+v", info)
+					}
+				}
+				check("burst longer than a segment")
+				fact.AdvanceVersion(5)
+				check("version bump without rows")
+				burst(1)
+				check("one row")
+				burst(c.Fact.Rows() - at)
+				check("the rest")
+
+				if d := counter("rebuilt") - rebuilt; d > int64(len(sets)) {
+					t.Errorf("%d rebuilds of %d views; a view is rebuilt once at most", d, len(sets))
+				}
+				if d := counter("dropped") - dropped; d != 0 {
+					t.Errorf("%d views were dropped", d)
+				}
+				if len(sets) > 0 && counter("refreshed") == refreshed {
+					t.Error("no view was ever refreshed: the phase did not exercise the delta path")
+				}
+			})
+		}
+	}
+}
+
+// diffCubesExact compares two coordinate-sorted cubes bit for bit.
+func diffCubesExact(want, got *cube.Cube) string {
+	if got.Len() != want.Len() || len(got.Cols) != len(want.Cols) {
+		return fmt.Sprintf("%d cells × %d measures, want %d × %d", got.Len(), len(got.Cols), want.Len(), len(want.Cols))
+	}
+	for i, coord := range want.Coords {
+		if !slices.Equal(got.Coords[i], coord) {
+			return fmt.Sprintf("cell %d is %v, want %v", i, got.Coords[i], coord)
+		}
+		for j := range want.Cols {
+			if math.Float64bits(got.Cols[j][i]) != math.Float64bits(want.Cols[j][i]) {
+				return fmt.Sprintf("cell %v measure %s = %v, want %v", coord, want.Names[j], got.Cols[j][i], want.Cols[j][i])
+			}
+		}
+	}
+	return ""
 }

@@ -16,12 +16,42 @@ import (
 	"github.com/assess-olap/assess/internal/sched"
 )
 
+// hangups collects the cancel functions of requests that are to be
+// abandoned, and drops them all when the event the test is about occurs:
+// cancellation lands wherever the abandoned requests happen to be, and no
+// timer decides when.
+type hangups struct {
+	mu  sync.Mutex
+	fns []context.CancelFunc
+}
+
+func (h *hangups) add(cancel context.CancelFunc) {
+	h.mu.Lock()
+	h.fns = append(h.fns, cancel)
+	h.mu.Unlock()
+}
+
+func (h *hangups) fire() {
+	h.mu.Lock()
+	fns := h.fns
+	h.fns = nil
+	h.mu.Unlock()
+	for _, cancel := range fns {
+		cancel()
+	}
+}
+
 // TestAdmissionStress hammers the admission controller from 32
-// goroutines mixing normal acquire/release, queued waits, random
-// context cancellation, and shed traffic (tiny queue + tight budget),
-// then checks the accounting balances. Run under -race.
+// goroutines mixing normal acquire/release, queued waits, context
+// cancellation, and shed traffic (tiny queue + tight budget), then checks
+// the accounting balances. One acquire in three is abandoned: its context
+// is cancelled the next time any caller joins the queue — itself, as soon
+// as it has queued, or whoever queues while it waits or holds a slot. Run
+// under -race.
 func TestAdmissionStress(t *testing.T) {
 	a := sched.NewAdmission(2, 4, 50*time.Millisecond)
+	var abandoned hangups
+	a.SetOnEnqueue(abandoned.fire)
 	tenants := []string{"a", "b", "c", "d"}
 	const workers = 32
 	var wg sync.WaitGroup
@@ -36,7 +66,8 @@ func TestAdmissionStress(t *testing.T) {
 				ctx := context.Background()
 				cancel := context.CancelFunc(func() {})
 				if rng.Intn(3) == 0 {
-					ctx, cancel = context.WithTimeout(ctx, time.Duration(rng.Intn(200))*time.Microsecond)
+					ctx, cancel = context.WithCancel(ctx)
+					abandoned.add(cancel)
 				}
 				release, err := a.Acquire(ctx, tenants[rng.Intn(len(tenants))])
 				var rej *sched.Rejection
@@ -70,6 +101,7 @@ func TestAdmissionStress(t *testing.T) {
 	}
 	wg.Wait()
 	st := a.Stats()
+	t.Logf("%d ok, %d shed, %d cancelled", ok, shed, cancelled)
 	if st.Active != 0 || st.Queued != 0 {
 		t.Fatalf("controller not drained: %+v", st)
 	}
@@ -88,11 +120,12 @@ func TestAdmissionStress(t *testing.T) {
 }
 
 // TestScanAppendRace races appends to a segment-backed fact against 32
-// query goroutines with the query-result cache on, some with
-// randomly-expiring contexts (mid-scan disconnects). After the writer
-// finishes, results must match a fresh uncached session over the same
-// fact — generation-based invalidation must not serve pre-append
-// results. Run under -race.
+// query goroutines with the query-result cache on, a quarter of their
+// statements abandoned when the next append lands (disconnects, mid-scan
+// where that is where the statement is). After the writer finishes,
+// results must match a fresh uncached session over the same fact —
+// generation-based invalidation must not serve pre-append results. Run
+// under -race.
 func TestScanAppendRace(t *testing.T) {
 	ds := assess.GenerateSales(3000, 5)
 	dir := t.TempDir()
@@ -122,6 +155,7 @@ func TestScanAppendRace(t *testing.T) {
 		`with SALES by product assess quantity labels quartiles`,
 	}
 
+	var disconnects hangups
 	stop := make(chan struct{})
 	// tick holds at most one "a reader finished a statement" signal: the
 	// writer takes one between appends, so every append lands with reads
@@ -143,8 +177,9 @@ func TestScanAppendRace(t *testing.T) {
 				ctx := context.Background()
 				cancel := context.CancelFunc(func() {})
 				if rng.Intn(4) == 0 {
-					// A disconnecting client: may expire mid-scan.
-					ctx, cancel = context.WithTimeout(ctx, time.Duration(rng.Intn(500))*time.Microsecond)
+					// A disconnecting client: gone at the next append.
+					ctx, cancel = context.WithCancel(ctx)
+					disconnects.add(cancel)
 				}
 				var err error
 				if rng.Intn(2) == 0 {
@@ -186,6 +221,7 @@ func TestScanAppendRace(t *testing.T) {
 			finish()
 			t.Fatal(err)
 		}
+		disconnects.fire()
 		select {
 		case <-tick:
 		case err := <-errCh:

@@ -8,7 +8,10 @@
 // whose zone maps prove no row can match the scan's predicates.
 package storage
 
-import "math/bits"
+import (
+	"errors"
+	"math/bits"
+)
 
 // LevelPred describes one scan predicate for zone-map pruning: the
 // accepted member ids at one level of one hierarchy. Pruning treats the
@@ -247,4 +250,71 @@ func (s columnsSource) Block(b int, _ *BlockScratch) (BlockCols, bool, error) {
 // ScanSource (zero-copy; the caller's slices are aliased).
 func ColumnsSource(keys [][]int32, meas [][]float64, rows int) ScanSource {
 	return columnsSource{keys: keys, meas: meas, rows: rows}
+}
+
+// rowsFrom is a source without its first rows (see RowsFrom).
+type rowsFrom struct {
+	src   ScanSource
+	first int // first block of src that holds a row at or past the cut
+	skip  int // rows of that block before the cut
+	rows  int
+}
+
+// RowsFrom narrows src to the rows at or past row from. Blocks
+// concatenate to the table in append order, so a row count is a position:
+// whatever the layout — resident columns, segments, segments a compaction
+// has since merged, the WAL tail — rows [from, Rows()) are the rows
+// appended after the table held from rows. Blocks that end at or before
+// the cut are skipped on BlockRows alone, never decoded; the one block the
+// cut falls inside is served with its leading rows sliced off. src must
+// have been opened without predicates: a block that carries a selection
+// bitmap is an error. Closing the result closes src.
+func RowsFrom(src ScanSource, from int) ScanSource {
+	if from <= 0 {
+		return src
+	}
+	r := &rowsFrom{src: src, skip: from, rows: max(src.Rows()-from, 0)}
+	for nb := src.Blocks(); r.first < nb && r.skip >= src.BlockRows(r.first); r.first++ {
+		r.skip -= src.BlockRows(r.first)
+	}
+	return r
+}
+
+func (r *rowsFrom) Rows() int   { return r.rows }
+func (r *rowsFrom) Blocks() int { return r.src.Blocks() - r.first }
+func (r *rowsFrom) Close()      { r.src.Close() }
+
+func (r *rowsFrom) BlockRows(b int) int {
+	if b == 0 {
+		return r.src.BlockRows(r.first) - r.skip
+	}
+	return r.src.BlockRows(r.first + b)
+}
+
+func (r *rowsFrom) Block(b int, sc *BlockScratch) (BlockCols, bool, error) {
+	cols, ok, err := r.src.Block(r.first+b, sc)
+	if err != nil || !ok {
+		return cols, ok, err
+	}
+	if cols.Sel != nil {
+		return BlockCols{}, false, errors.New("storage: RowsFrom over a source opened with predicates")
+	}
+	if b == 0 && r.skip > 0 {
+		// The outer slices may be the table's own (resident blocks alias
+		// them), so the trimmed columns get fresh ones.
+		cols.Keys, cols.Meas, cols.Rows = trimCols(cols.Keys, r.skip), trimCols(cols.Meas, r.skip), cols.Rows-r.skip
+	}
+	return cols, true, nil
+}
+
+// trimCols returns the columns without their first n values; columns the
+// scan did not request stay nil.
+func trimCols[T any](cols [][]T, n int) [][]T {
+	out := make([][]T, len(cols))
+	for i, col := range cols {
+		if col != nil {
+			out[i] = col[n:]
+		}
+	}
+	return out
 }
