@@ -27,7 +27,6 @@
 //	        [-worker] [-shards N] [-shard-index I] [-shard-addrs URLS]
 //	        [-shard-level LEVEL] [-shard-timeout 2s] [-dist-policy fail|partial]
 //	        [-parallel 0]
-//	        [-dense-budget 1048576] [-morsel-size 65536]
 //	        [-cache on|off] [-cache-mb 64]
 //	        [-auto-views] [-view-mb 64]
 //	        [-admit-slots 0] [-max-queue 256]
@@ -51,7 +50,6 @@ import (
 
 	assess "github.com/assess-olap/assess"
 	"github.com/assess-olap/assess/internal/colstore"
-	"github.com/assess-olap/assess/internal/engine"
 	"github.com/assess-olap/assess/internal/obsv"
 	"github.com/assess-olap/assess/internal/persist"
 	"github.com/assess-olap/assess/internal/sched"
@@ -60,18 +58,15 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		data      = flag.String("data", "sales", "dataset: sales or ssb")
-		rows      = flag.Int("rows", 50_000, "fact rows for the sales dataset")
-		sf        = flag.Float64("sf", 0.01, "scale factor for the ssb dataset")
-		seed      = flag.Int64("seed", 42, "generator seed")
-		load      = flag.String("load", "", "serve a cube loaded from a file instead of generating one")
-		storeDir  = flag.String("store-dir", "", "serve cubes from columnar segment directories (out-of-core; see ssbgen -out-dir)")
-		resident  = flag.Bool("resident", false, "with -store-dir, load the segment directories fully into memory")
-		parallel  = flag.Int("parallel", 1, "fact-scan parallelism (0 = all cores)")
-		denseBudg = flag.Int("dense-budget", engine.DefaultDenseKeyBudget,
-			"dense aggregation key-space budget in slots (0 = hash kernels only)")
-		morsel     = flag.Int("morsel-size", engine.DefaultMorselSize, "fact-scan morsel size in rows")
+		addr       = flag.String("addr", ":8080", "listen address")
+		data       = flag.String("data", "sales", "dataset: sales or ssb")
+		rows       = flag.Int("rows", 50_000, "fact rows for the sales dataset")
+		sf         = flag.Float64("sf", 0.01, "scale factor for the ssb dataset")
+		seed       = flag.Int64("seed", 42, "generator seed")
+		load       = flag.String("load", "", "serve a cube loaded from a file instead of generating one")
+		storeDir   = flag.String("store-dir", "", "serve cubes from columnar segment directories (out-of-core; see ssbgen -out-dir)")
+		resident   = flag.Bool("resident", false, "with -store-dir, load the segment directories fully into memory")
+		parallel   = flag.Int("parallel", 1, "fact-scan parallelism (0 = all cores)")
 		cache      = flag.String("cache", "on", "query-result cache: on or off")
 		cacheMB    = flag.Int("cache-mb", 64, "query-result cache budget in MiB")
 		autoViews  = flag.Bool("auto-views", false, "adaptively materialize hot group-by sets as views")
@@ -156,8 +151,6 @@ func main() {
 	if *parallel != 1 {
 		session.Engine.SetParallelism(*parallel)
 	}
-	session.Engine.SetDenseKeyBudget(*denseBudg)
-	session.Engine.SetMorselSize(*morsel)
 	switch *cache {
 	case "on":
 		session.EnableCache(int64(*cacheMB) << 20)

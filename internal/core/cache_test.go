@@ -137,7 +137,7 @@ func TestSessionAutoViewInvalidation(t *testing.T) {
 
 	// Three statements with distinct cache fingerprints over one
 	// group-by set: the third engine miss crosses the admission
-	// threshold (DefaultAutoViewMinQueries) and materializes it.
+	// threshold (autoViewMinQueries) and materializes it.
 	stmts := []string{
 		`with SALES by product, country assess quantity labels quartiles`,
 		`with SALES by product, country assess storeSales labels quartiles`,

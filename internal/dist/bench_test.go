@@ -3,17 +3,21 @@ package dist
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/assess-olap/assess/internal/colstore"
+	"github.com/assess-olap/assess/internal/cube"
 	"github.com/assess-olap/assess/internal/engine"
 	"github.com/assess-olap/assess/internal/mdm"
 	"github.com/assess-olap/assess/internal/persist"
 	"github.com/assess-olap/assess/internal/ssb"
+	"github.com/assess-olap/assess/internal/storage"
 )
 
 // benchDataset caches the SSB fact across benchmarks: generation is
@@ -164,4 +168,74 @@ func BenchmarkShardedSpeedup(b *testing.B) {
 	}
 	sort.Float64s(ratios)
 	b.ReportMetric(ratios[len(ratios)/2], "speedup")
+}
+
+// BenchmarkShardMerge is the coordinator's combine alone — two shards'
+// replies, three SUM columns, handed to engine.Combine — at the three
+// result shapes of the cold_sharded workload: 175 cells that both shards
+// hold in full (year × nation, 7 × 25), 42 000 cells split between the
+// shards (customer × year under customer sharding, 6 000 × 7), and
+// 82 061 cells scattered over a 200 000-slot key space with a third of
+// them on both shards.
+func BenchmarkShardMerge(b *testing.B) {
+	for _, shape := range []struct {
+		cells, a, c int
+		both        float64 // share of the cells both shards hold
+	}{{175, 7, 25, 1}, {42000, 6000, 7, 0}, {82061, 8000, 25, 0.33}} {
+		b.Run(fmt.Sprintf("cells=%d", shape.cells), func(b *testing.B) {
+			hiers := []*mdm.Hierarchy{mdm.NewHierarchy("A", "a"), mdm.NewHierarchy("C", "c")}
+			for i := 0; i < shape.a; i++ {
+				hiers[0].MustAddMember(fmt.Sprint(i))
+			}
+			for i := 0; i < shape.c; i++ {
+				hiers[1].MustAddMember(fmt.Sprint(i))
+			}
+			s := mdm.NewSchema("M", hiers, []mdm.Measure{{Name: "x", Op: mdm.AggSum}, {Name: "y", Op: mdm.AggSum}, {Name: "z", Op: mdm.AggSum}})
+			eng := engine.New()
+			if err := eng.Register("M", storage.NewFactTable(s)); err != nil {
+				b.Fatal(err)
+			}
+			g := mdm.GroupBy{{Hier: 0}, {Hier: 1}}
+			plan := engine.Decompose([]int{0, 1, 2}, benchOps)
+			rng := rand.New(rand.NewSource(1))
+			var ids [2][]int32
+			for _, key := range rng.Perm(shape.a * shape.c)[:shape.cells] {
+				coord := []int32{int32(key / shape.c), int32(key % shape.c)}
+				switch on := rng.Float64(); {
+				case on < shape.both:
+					ids[0], ids[1] = append(ids[0], coord...), append(ids[1], coord...)
+				default:
+					sh := shardOf(coord[0], 2)
+					ids[sh] = append(ids[sh], coord...)
+				}
+			}
+			parts := make([]*cube.Cube, 2)
+			for i := range parts {
+				// A shard replies in ascending key order.
+				n := len(ids[i]) / 2
+				coords := cube.Carve(ids[i], n, 2)
+				slices.SortFunc(coords, func(x, y mdm.Coordinate) int { return slices.Compare(x, y) })
+				cols := make([][]float64, 3)
+				for j := range cols {
+					cols[j] = make([]float64, n)
+					for r := range cols[j] {
+						cols[j][r] = float64(rng.Intn(1 << 20))
+					}
+				}
+				var err error
+				if parts[i], err = cube.Build(s, g, []string{"p0", "p1", "p2"}, coords, cols); err != nil {
+					b.Fatal(err)
+				}
+			}
+			q := engine.Query{Fact: "M", Group: g, Measures: []int{0, 1, 2}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out, err := eng.Combine(context.Background(), q, plan, benchNames, parts)
+				if err != nil || out.Len() != shape.cells {
+					b.Fatalf("%v: %d cells", err, out.Len())
+				}
+			}
+		})
+	}
 }

@@ -1,5 +1,5 @@
 // Coordinator: plans each fact scan once, fans per-shard requests out
-// concurrently, and merges the partials. It implements
+// concurrently, and has the engine combine the replies. It implements
 // engine.ScanBatcher, so installing it on a session routes every
 // query-path scan here; facts without a shard table fall through to a
 // direct engine scan.
@@ -97,8 +97,7 @@ func (c *Coordinator) AddTable(fact string, level mdm.LevelRef, chains [][]Shard
 	if len(chains) == 0 {
 		return fmt.Errorf("dist: fact %s: no shards", fact)
 	}
-	if level.Hier < 0 || level.Hier >= len(f.Schema.Hiers) ||
-		level.Level < 0 || level.Level >= f.Schema.Hiers[level.Hier].Depth() {
+	if !f.Schema.HasLevel(level) {
 		return fmt.Errorf("dist: fact %s: shard level out of range", fact)
 	}
 	t := &table{
@@ -138,25 +137,23 @@ func (c *Coordinator) Scan(ctx context.Context, q engine.Query, ops []mdm.AggOp,
 	return c.scatterGather(ctx, t, q, ops, names)
 }
 
-// shardResult is one shard's partial: its decoded table, the shard
+// shardResult is one shard's part: its decoded cells, the shard
 // generation (remote scans only), and how it was served.
 type shardResult struct {
-	part  *partialTable
+	part  *cube.Cube
 	gen   uint64
 	local bool // served by local fallback; gen is not a shard generation
 	err   error
 }
 
 func (c *Coordinator) scatterGather(ctx context.Context, t *table, q engine.Query, ops []mdm.AggOp, names []string) (*cube.Cube, error) {
-	plan := decompose(q.Measures, ops)
-	req := &ScanRequest{
-		Fact:     q.Fact,
-		Group:    []mdm.LevelRef(q.Group),
-		Measures: plan.meas,
-		Names:    plan.names,
-	}
-	for _, op := range plan.ops {
+	// The shards compute the sub-aggregates the engine lays out for the
+	// request.
+	plan := engine.Decompose(q.Measures, ops)
+	req := &ScanRequest{Fact: q.Fact, Group: []mdm.LevelRef(q.Group), Measures: plan.Measures}
+	for k, op := range plan.Ops {
 		req.Ops = append(req.Ops, int(op))
+		req.Names = append(req.Names, fmt.Sprintf("p%d", k))
 	}
 	for _, p := range q.Preds {
 		req.Preds = append(req.Preds, WirePred{Hier: p.Level.Hier, Level: p.Level.Level, Members: p.Members})
@@ -168,16 +165,13 @@ func (c *Coordinator) scatterGather(ctx context.Context, t *table, q engine.Quer
 	mDistShardsPruned.Add(int64(len(t.shards) - len(needed)))
 
 	start := time.Now()
-	// One key space for every partial of this scan: the merge compares
-	// keys across shards.
-	space := t.local.Schema.KeySpace(q.Group)
 	results := make([]shardResult, len(needed))
 	var wg sync.WaitGroup
 	for i, s := range needed {
 		wg.Add(1)
 		go func(i, s int) {
 			defer wg.Done()
-			results[i] = c.scanShard(ctx, t, s, req, plan, q, space)
+			results[i] = c.scanShard(ctx, t, s, req)
 		}(i, s)
 	}
 	wg.Wait()
@@ -185,7 +179,7 @@ func (c *Coordinator) scatterGather(ctx context.Context, t *table, q engine.Quer
 
 	var failed []int
 	var lastErr error
-	parts := make([]*partialTable, 0, len(results))
+	parts := make([]*cube.Cube, 0, len(results))
 	for i, r := range results {
 		if r.err != nil {
 			failed = append(failed, needed[i])
@@ -206,7 +200,7 @@ func (c *Coordinator) scatterGather(ctx context.Context, t *table, q engine.Quer
 			mDistUnavailable.Inc()
 			return nil, &Unavailable{Fact: q.Fact, Shards: failed, Err: lastErr}
 		}
-		// PolicyPartial: merge what arrived, annotate the request, and
+		// PolicyPartial: combine what arrived, annotate the request, and
 		// bump the local fact's version so the degraded result can
 		// never be served from the query cache as if it were complete.
 		c.partials.Add(1)
@@ -218,17 +212,17 @@ func (c *Coordinator) scatterGather(ctx context.Context, t *table, q engine.Quer
 	}
 
 	m0 := time.Now()
-	merged := plan.mergeTree(parts)
-	out, err := plan.finalize(t.local.Schema, q.Group, names, merged)
+	out, err := c.eng.Combine(ctx, q, plan, names, parts)
 	hDistMerge.Observe(time.Since(m0).Seconds())
 	return out, err
 }
 
 // scanShard tries shard s's replica chain under per-attempt deadlines,
-// then the local fallback. Each attempt runs in its own goroutine so an
+// then the local fallback: the request's own scan narrowed to the
+// members shard s owns. Each attempt runs in its own goroutine so an
 // unresponsive replica is abandoned at the deadline rather than waited
 // on.
-func (c *Coordinator) scanShard(ctx context.Context, t *table, s int, req *ScanRequest, plan *partialPlan, q engine.Query, space *mdm.KeySpace) shardResult {
+func (c *Coordinator) scanShard(ctx context.Context, t *table, s int, req *ScanRequest) shardResult {
 	ss := t.shards[s]
 	var lastErr error
 	for attempt, cl := range ss.clients {
@@ -261,11 +255,8 @@ func (c *Coordinator) scanShard(ctx context.Context, t *table, s int, req *ScanR
 		}
 		cancel()
 		if ar.err == nil {
-			var part *partialTable
-			if part, ar.err = tableFrom(ar.part, space); ar.err == nil {
-				hDistShard.Observe(time.Since(a0).Seconds())
-				return shardResult{part: part, gen: ar.gen}
-			}
+			hDistShard.Observe(time.Since(a0).Seconds())
+			return shardResult{part: ar.part, gen: ar.gen}
 		}
 		ss.errors.Add(1)
 		mDistShardErrors.Inc()
@@ -277,15 +268,12 @@ func (c *Coordinator) scanShard(ctx context.Context, t *table, s int, req *ScanR
 		}
 		ss.fallbacks.Add(1)
 		mDistLocalFallbacks.Inc()
-		lq := q
-		lq.Measures = plan.meas // ops[j] aggregates fact column Measures[j]
-		lq.Preds = append(append([]engine.Predicate(nil), q.Preds...),
-			engine.Predicate{Level: t.level, Members: t.owned[s]})
-		part, err := c.eng.ScanWithOps(ctx, lq, plan.ops, plan.names)
+		q, ops, err := req.query()
 		if err == nil {
-			var pt *partialTable
-			if pt, err = tableFrom(part, space); err == nil {
-				return shardResult{part: pt, local: true}
+			q.Preds = append(q.Preds, engine.Predicate{Level: t.level, Members: t.owned[s]})
+			var part *cube.Cube
+			if part, err = c.eng.ScanWithOps(ctx, q, ops, req.Names); err == nil {
+				return shardResult{part: part, local: true}
 			}
 		}
 		lastErr = err

@@ -6,14 +6,14 @@
 // compact partial-aggregate RPC (see http.go). A Coordinator implements
 // engine.ScanBatcher: it plans each fact scan once, fans per-shard
 // requests out concurrently (routing around shards the predicates prove
-// empty), and merges the distributive/algebraic partials in a log-depth
-// merge tree, shipping AVG as (sum,count) exactly like the lattice
-// navigator does for views.
+// empty), and hands the replies to the engine, which re-aggregates them
+// as it does a view's cells (engine.Decompose, engine.Combine): what each
+// operator's sub-aggregate is and how sub-aggregates recombine is the
+// engine's rule, and this package never looks at an operator.
 //
-// The decomposition keeps results bit-exact for the measures the oracle
-// generates: SUM/MIN/MAX/COUNT are distributive, AVG is algebraic via
-// (sum,count), and integer-valued partials make the cross-shard merge
-// order irrelevant. Failure handling — per-shard deadlines, re-dispatch
+// Results are bit-exact for the measures the oracle generates:
+// integer-valued sub-aggregates make the order in which shards are
+// combined irrelevant. Failure handling — per-shard deadlines, re-dispatch
 // to replicas, local fallback, and a configurable partial-result policy
 // — lives in coordinator.go; docs/distribution.md documents the wire
 // format and the coherence contract.
@@ -137,55 +137,6 @@ func (n *PartialNote) DegradedShards() []string {
 	return append([]string(nil), n.shards...)
 }
 
-// partialPlan decomposes the requested aggregates into distributive
-// partials the shards compute and the coordinator merges: SUM, MIN,
-// MAX, COUNT map to themselves (merged with sum, min, max, sum), and
-// the algebraic AVG ships as a (sum,count) pair finalized to sum/count
-// after the merge — the same decomposition the lattice navigator uses
-// when answering from coarser views.
-type partialPlan struct {
-	ops   []mdm.AggOp // shard-side operator per partial column
-	meas  []int       // fact measure index per partial column
-	names []string    // partial column names ("p0", "p1", ...)
-	merge []mdm.AggOp // cross-shard combine per partial (Sum/Min/Max)
-	// out[j] holds the partial column indices backing requested
-	// measure j: {sum, count} for AVG, {col, -1} for everything else.
-	out [][2]int
-	// finalOps[j] is the originally requested operator for measure j.
-	finalOps []mdm.AggOp
-}
-
-func decompose(measures []int, ops []mdm.AggOp) *partialPlan {
-	p := &partialPlan{
-		out:      make([][2]int, len(ops)),
-		finalOps: append([]mdm.AggOp(nil), ops...),
-	}
-	add := func(op mdm.AggOp, meas int, merge mdm.AggOp) int {
-		idx := len(p.ops)
-		p.ops = append(p.ops, op)
-		p.meas = append(p.meas, meas)
-		p.names = append(p.names, fmt.Sprintf("p%d", idx))
-		p.merge = append(p.merge, merge)
-		return idx
-	}
-	for j, op := range ops {
-		m := measures[j]
-		switch op {
-		case mdm.AggAvg:
-			p.out[j] = [2]int{add(mdm.AggSum, m, mdm.AggSum), add(mdm.AggCount, m, mdm.AggSum)}
-		case mdm.AggCount:
-			p.out[j] = [2]int{add(mdm.AggCount, m, mdm.AggSum), -1}
-		case mdm.AggMin:
-			p.out[j] = [2]int{add(mdm.AggMin, m, mdm.AggMin), -1}
-		case mdm.AggMax:
-			p.out[j] = [2]int{add(mdm.AggMax, m, mdm.AggMax), -1}
-		default:
-			p.out[j] = [2]int{add(mdm.AggSum, m, mdm.AggSum), -1}
-		}
-	}
-	return p
-}
-
 // WirePred is one scan predicate on the wire: accepted member ids at
 // one level of one hierarchy.
 type WirePred struct {
@@ -208,7 +159,14 @@ type ScanRequest struct {
 	Names    []string       `json:"names"`
 }
 
-func (r *ScanRequest) query() (engine.Query, []mdm.AggOp) {
+// query turns the request into the engine's terms, rejecting what only a
+// malformed request holds and the engine's own checks would not see: a
+// name list that does not pair with the operators, or an operator the
+// engine does not have.
+func (r *ScanRequest) query() (engine.Query, []mdm.AggOp, error) {
+	if len(r.Names) != len(r.Ops) {
+		return engine.Query{}, nil, fmt.Errorf("dist: scan request names %d columns for %d operators", len(r.Names), len(r.Ops))
+	}
 	q := engine.Query{
 		Fact:     r.Fact,
 		Group:    mdm.GroupBy(r.Group),
@@ -222,9 +180,11 @@ func (r *ScanRequest) query() (engine.Query, []mdm.AggOp) {
 	}
 	ops := make([]mdm.AggOp, len(r.Ops))
 	for i, o := range r.Ops {
-		ops[i] = mdm.AggOp(o)
+		if ops[i] = mdm.AggOp(o); !ops[i].Valid() {
+			return engine.Query{}, nil, fmt.Errorf("dist: scan request has unknown operator %d", o)
+		}
 	}
-	return q, ops
+	return q, ops, nil
 }
 
 // respMagic versions the binary partial-aggregate response format.

@@ -118,6 +118,20 @@ var testQueries = []struct {
 		ops:   []mdm.AggOp{mdm.AggSum, mdm.AggAvg},
 	},
 	{
+		// Every shard is routed away: nothing to combine.
+		name:  "pred-no-member",
+		group: mdm.GroupBy{{Hier: 3, Level: 2}},
+		preds: []engine.Predicate{{Level: mdm.LevelRef{Hier: 2, Level: 0}, Members: []int32{}}},
+		meas:  []int{0, 1},
+		ops:   []mdm.AggOp{mdm.AggSum, mdm.AggCount},
+	},
+	{
+		name:  "pred-no-member-no-group",
+		preds: []engine.Predicate{{Level: mdm.LevelRef{Hier: 2, Level: 0}, Members: []int32{}}},
+		meas:  []int{0},
+		ops:   []mdm.AggOp{mdm.AggAvg},
+	},
+	{
 		name:  "pred-other-hierarchy",
 		group: mdm.GroupBy{{Hier: 2, Level: 1}},
 		preds: []engine.Predicate{{Level: mdm.LevelRef{Hier: 3, Level: 2}, Members: []int32{0, 1}}},

@@ -1,9 +1,13 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -254,5 +258,52 @@ func TestWorkerScanHonoursCancellation(t *testing.T) {
 	}
 	if _, c, err := w.Scan(context.Background(), req); err != nil || c.Len() == 0 {
 		t.Fatalf("live scan: %v", err)
+	}
+}
+
+// TestWorkerScanRejectsMalformed posts requests no coordinator would send
+// to a worker's /dist/scan. What the request gets wrong about the schema
+// or about itself is a 422, never a panic — the accumulate loops run on
+// morsel goroutines, where a panic takes the process — and what is merely
+// unusual is answered.
+func TestWorkerScanRejectsMalformed(t *testing.T) {
+	rig := newRig(t, 1000, 2, Config{}, nil)
+	srv := httptest.NewServer(rig.lc.Workers[0].Handler())
+	defer srv.Close()
+	country := mdm.LevelRef{Hier: 3, Level: 2}
+	for _, tc := range []struct {
+		name string
+		req  ScanRequest
+		ok   bool
+	}{
+		{"well-formed", ScanRequest{Group: []mdm.LevelRef{country}, Measures: []int{0, 1}, Ops: []int{0, 1}, Names: names(2)}, true},
+		{"group level past the hierarchy", ScanRequest{Group: []mdm.LevelRef{{Hier: 0, Level: 9}}, Measures: []int{0}, Ops: []int{0}, Names: names(1)}, false},
+		{"negative group level", ScanRequest{Group: []mdm.LevelRef{{Hier: 0, Level: -1}}, Measures: []int{0}, Ops: []int{0}, Names: names(1)}, false},
+		{"group hierarchy out of range", ScanRequest{Group: []mdm.LevelRef{{Hier: 7, Level: 0}}, Measures: []int{0}, Ops: []int{0}, Names: names(1)}, false},
+		{"fewer operators than measures", ScanRequest{Group: []mdm.LevelRef{country}, Measures: []int{0, 1}, Ops: []int{0}, Names: names(1)}, false},
+		{"fewer names than operators", ScanRequest{Group: []mdm.LevelRef{country}, Measures: []int{0, 1}, Ops: []int{0, 0}, Names: names(1)}, false},
+		{"unknown operator", ScanRequest{Group: []mdm.LevelRef{country}, Measures: []int{0}, Ops: []int{99}, Names: names(1)}, false},
+		{"negative operator", ScanRequest{Group: []mdm.LevelRef{country}, Measures: []int{0}, Ops: []int{-1}, Names: names(1)}, false},
+		{"a hierarchy grouped by twice", ScanRequest{Group: []mdm.LevelRef{{Hier: 3, Level: 0}, country}, Measures: []int{0}, Ops: []int{0}, Names: names(1)}, true},
+		{"predicate members outside the dictionary", ScanRequest{Group: []mdm.LevelRef{country}, Measures: []int{0}, Ops: []int{0}, Names: names(1),
+			Preds: []WirePred{{Hier: 2, Level: 0, Members: []int32{-5, 3, 1 << 30}}}}, true},
+	} {
+		tc.req.Fact = "SALES"
+		body, err := json.Marshal(&tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/dist/scan", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		want := http.StatusUnprocessableEntity
+		if tc.ok {
+			want = http.StatusOK
+		}
+		if resp.StatusCode != want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, want)
+		}
 	}
 }

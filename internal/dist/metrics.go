@@ -28,5 +28,5 @@ var (
 	hDistShard = obsv.Default.Histogram("assess_dist_shard_seconds",
 		"Per-shard partial scan latency (successful attempts).")
 	hDistMerge = obsv.Default.Histogram("assess_dist_merge_seconds",
-		"Coordinator-side partial merge and finalize time.")
+		"Coordinator-side combine of shard replies (engine.Combine) and finalize time.")
 )

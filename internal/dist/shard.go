@@ -54,8 +54,7 @@ func SplitFact(f *storage.FactTable, level mdm.LevelRef, n int) ([]*storage.Fact
 	if n < 1 {
 		return nil, fmt.Errorf("dist: cannot split into %d shards", n)
 	}
-	if level.Hier < 0 || level.Hier >= len(f.Schema.Hiers) ||
-		level.Level < 0 || level.Level >= f.Schema.Hiers[level.Hier].Depth() {
+	if !f.Schema.HasLevel(level) {
 		return nil, fmt.Errorf("dist: shard level out of range for schema %s", f.Schema.Name)
 	}
 	shards := make([]*storage.FactTable, n)

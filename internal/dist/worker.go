@@ -48,7 +48,10 @@ func (w *Worker) Scan(ctx context.Context, req *ScanRequest) (uint64, *cube.Cube
 	if !ok {
 		return 0, nil, fmt.Errorf("dist: worker has no shard of fact %s", req.Fact)
 	}
-	q, ops := req.query()
+	q, ops, err := req.query()
+	if err != nil {
+		return 0, nil, err
+	}
 	c, err := w.eng.ScanWithOps(ctx, q, ops, req.Names)
 	if err != nil {
 		return 0, nil, err

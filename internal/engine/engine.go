@@ -163,13 +163,6 @@ func (e *Engine) Facts() []string {
 	return out
 }
 
-// rollupMap returns the memoized map from base-level member ids of the
-// level's hierarchy to member ids at the level itself (the from=0 case
-// of rollupMapFrom in navigator.go).
-func (e *Engine) rollupMap(fact string, f *storage.FactTable, ref mdm.LevelRef) []int32 {
-	return e.rollupMapFrom(fact, f, ref.Hier, 0, ref.Level)
-}
-
 // aggregate evaluates the get operator engine-side, before any transfer:
 // from the view lattice when a materialized view covers the query
 // (exactly, or at a strictly finer group-by set re-aggregated by the
@@ -213,7 +206,7 @@ func (e *Engine) scanAggregate(ctx context.Context, q Query) (*cube.Cube, error)
 	if b := e.batcher; b != nil {
 		return b.Scan(ctx, q, ops, names)
 	}
-	return e.scanAggregateOps(ctx, q, ops, names)
+	return e.ScanWithOps(ctx, q, ops, names)
 }
 
 // schemaOps reads the query's per-measure operators and output names off
@@ -231,23 +224,16 @@ func schemaOps(s *mdm.Schema, q Query) ([]mdm.AggOp, []string, error) {
 	return ops, names, nil
 }
 
-// ScanWithOps evaluates a fact scan with caller-supplied per-measure
-// operators and output names, bypassing views and the coordinator; a
-// cancelled ctx ends the scan with the context's error. The distributed
-// layer (internal/dist) builds on it twice: workers compute shard-side
-// partials with it (zone-map pruning still applies via q.Preds), and the
-// coordinator's local fallback reproduces a lost shard's partial by
+// ScanWithOps is scanAggregate with the per-measure operators and output
+// names supplied by the caller instead of read off the schema, bypassing
+// views and the coordinator: q.Measures index fact columns, ops[j]
+// aggregates column q.Measures[j] into output names[j]. A cancelled ctx
+// ends the scan with the context's error. The distributed layer
+// (internal/dist) builds on it twice: workers compute a shard's
+// sub-aggregates with it (zone-map pruning still applies via q.Preds), and
+// the coordinator's local fallback reproduces a lost shard's part by
 // scanning the local copy under a synthesized shard-ownership predicate.
 func (e *Engine) ScanWithOps(ctx context.Context, q Query, ops []mdm.AggOp, names []string) (*cube.Cube, error) {
-	return e.scanAggregateOps(ctx, q, ops, names)
-}
-
-// scanAggregateOps is scanAggregate with the per-measure operators and
-// output names supplied by the caller instead of read off the schema:
-// q.Measures index fact columns, ops[j] aggregates column q.Measures[j]
-// into output names[j]. Materialization uses this to request auxiliary
-// columns (raw AVG sums, per-cell counts) beyond the schema's measures.
-func (e *Engine) scanAggregateOps(ctx context.Context, q Query, ops []mdm.AggOp, names []string) (*cube.Cube, error) {
 	f, ok := e.facts[q.Fact]
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown cube %s", q.Fact)
@@ -269,6 +255,9 @@ func (e *Engine) scanAggregateOps(ctx context.Context, q Query, ops []mdm.AggOp,
 // the predicate forms usable for zone-map pruning.
 func (e *Engine) prepare(ctx context.Context, f *storage.FactTable, q Query, ops []mdm.AggOp) (*scanQuery, error) {
 	s := f.Schema
+	if len(ops) != len(q.Measures) {
+		return nil, fmt.Errorf("engine: %d operators for %d measures of %s", len(ops), len(q.Measures), q.Fact)
+	}
 	for _, mi := range q.Measures {
 		if mi < 0 || mi >= f.NumMeasures() {
 			return nil, fmt.Errorf("engine: measure index %d out of range for %s", mi, q.Fact)
@@ -277,15 +266,11 @@ func (e *Engine) prepare(ctx context.Context, f *storage.FactTable, q Query, ops
 	// Per-hierarchy acceptance vectors over base member ids.
 	accepts := make([][]bool, len(s.Hiers))
 	for _, p := range q.Preds {
-		if p.Level.Hier < 0 || p.Level.Hier >= len(s.Hiers) {
-			return nil, fmt.Errorf("engine: predicate hierarchy out of range for %s", q.Fact)
+		if !s.HasLevel(p.Level) {
+			return nil, fmt.Errorf("engine: predicate level out of range for %s", q.Fact)
 		}
-		h := s.Hiers[p.Level.Hier]
-		if p.Level.Level < 0 || p.Level.Level >= h.Depth() {
-			return nil, fmt.Errorf("engine: predicate level out of range for hierarchy %s", h.Name())
-		}
-		accepts[p.Level.Hier] = narrowAccepts(accepts[p.Level.Hier], h.Dict(0).Len(),
-			e.rollupMap(q.Fact, f, p.Level), p.Members)
+		accepts[p.Level.Hier] = narrowAccepts(accepts[p.Level.Hier], s.Hiers[p.Level.Hier].Dict(0).Len(),
+			e.rollupMapFrom(q.Fact, f, p.Level.Hier, 0, p.Level.Level), p.Members)
 	}
 	// Per-group-level roll-up maps and level cardinalities. The
 	// cardinalities are snapshotted here, after the roll-up maps, so the
@@ -293,10 +278,10 @@ func (e *Engine) prepare(ctx context.Context, f *storage.FactTable, q Query, ops
 	gmaps := make([][]int32, len(q.Group))
 	cards := make([]int, len(q.Group))
 	for gi, ref := range q.Group {
-		if ref.Hier < 0 || ref.Hier >= len(s.Hiers) {
-			return nil, fmt.Errorf("engine: group-by hierarchy out of range for %s", q.Fact)
+		if !s.HasLevel(ref) {
+			return nil, fmt.Errorf("engine: group-by level out of range for %s", q.Fact)
 		}
-		gmaps[gi] = e.rollupMap(q.Fact, f, ref)
+		gmaps[gi] = e.rollupMapFrom(q.Fact, f, ref.Hier, 0, ref.Level)
 		cards[gi] = s.Dict(ref).Len()
 	}
 	// Columns the scan touches and predicates usable for segment

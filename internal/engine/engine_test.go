@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -103,6 +104,16 @@ func TestGetUnknownCubeAndBadQuery(t *testing.T) {
 	q.Group = mdm.GroupBy{{Hier: 99, Level: 0}}
 	if _, err := e.Get(q); err == nil {
 		t.Fatal("group-by hierarchy out of range accepted")
+	}
+	for _, level := range []int{-1, 99} {
+		q.Group = mdm.GroupBy{{Hier: 0, Level: level}}
+		if _, err := e.Get(q); err == nil {
+			t.Fatalf("group-by level %d accepted", level)
+		}
+	}
+	q = freshFruitQuery(t, s, "Italy")
+	if _, err := e.ScanWithOps(context.Background(), q, make([]mdm.AggOp, len(q.Measures)+1), nil); err == nil {
+		t.Fatal("more operators than measures accepted")
 	}
 }
 

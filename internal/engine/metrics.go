@@ -15,9 +15,9 @@ var (
 	mScansView = obsv.Default.Counter("assess_engine_scans_total",
 		"Aggregate evaluations by mode.", "mode", "view")
 	mKernelDense = obsv.Default.Counter("assess_engine_kernel_total",
-		"Fact-scan aggregation kernel selections by mode.", "mode", "dense")
+		"Aggregation kernel selections by mode, one per scan: fact scans, view builds and roll-ups, shard replies combined.", "mode", "dense")
 	mKernelHash = obsv.Default.Counter("assess_engine_kernel_total",
-		"Fact-scan aggregation kernel selections by mode.", "mode", "hash")
+		"Aggregation kernel selections by mode, one per scan: fact scans, view builds and roll-ups, shard replies combined.", "mode", "hash")
 	mMorsels = obsv.Default.Counter("assess_engine_morsels_total",
 		"Morsels processed by morsel-driven fact scans.")
 	// The name predates the one-query scan; it is the one cancellation

@@ -139,15 +139,16 @@ func (e *Engine) refreshView(f *storage.FactTable, v *matView) *matView {
 }
 
 // rollupFromView answers a query strictly coarser than the view by
-// running the view's cells through the scan pipeline as a batch of one:
-// the view's columnar keys play the fact key columns, roll-up maps go from
-// the view level (not the base level) to the query level, and measures
-// are rewritten distributively — SUM/MIN/MAX as themselves, COUNT as a
-// SUM of the view's per-cell row counts, AVG as a SUM of the view's raw
-// sums recombined with the summed counts after the scan.
+// re-aggregating the view's cells (reaggregate, partials.go): the view's
+// columnar keys play the fact key columns, roll-up maps go from the view
+// level (not the base level) to the query level, and the view's
+// sub-aggregate columns stand in for the requested measures'.
 func (e *Engine) rollupFromView(ctx context.Context, f *storage.FactTable, v *matView, q Query) (*cube.Cube, error) {
 	s := f.Schema
-	n := v.data.Len()
+	ops, names, err := schemaOps(s, q)
+	if err != nil {
+		return nil, err
+	}
 	keys := make([][]int32, len(s.Hiers))
 	accepts := make([][]bool, len(s.Hiers))
 	for _, p := range q.Preds {
@@ -158,73 +159,22 @@ func (e *Engine) rollupFromView(ctx context.Context, f *storage.FactTable, v *ma
 		keys[p.Level.Hier] = v.keyCols[vp]
 	}
 	gmaps := make([][]int32, len(q.Group))
-	cards := make([]int, len(q.Group))
 	for gi, ref := range q.Group {
 		vp := v.group.Pos(ref.Hier)
 		gmaps[gi] = e.rollupMapFrom(q.Fact, f, ref.Hier, v.group[vp].Level, ref.Level)
-		cards[gi] = s.Dict(ref).Len()
 		keys[ref.Hier] = v.keyCols[vp]
 	}
-	meas := make([][]float64, 0, len(q.Measures)+1)
-	ops := make([]mdm.AggOp, 0, len(q.Measures)+1)
-	names := make([]string, 0, len(q.Measures)+1)
-	var avgCols []int // output positions holding raw AVG sums
+	// The view holds a sub-aggregate column for every schema measure, so
+	// each column of the query's layout is one of the view's.
+	p, held := Decompose(q.Measures, ops), v.acc.p
+	cols := make([][]float64, len(p.Ops))
 	for j, mi := range q.Measures {
-		if mi < 0 || mi >= len(s.Measures) {
-			return nil, fmt.Errorf("engine: measure index %d out of range for %s", mi, q.Fact)
-		}
-		m := s.Measures[mi]
-		names = append(names, m.Name)
-		switch m.Op {
-		case mdm.AggAvg:
-			meas = append(meas, v.sums[mi])
-			ops = append(ops, mdm.AggSum)
-			avgCols = append(avgCols, j)
-		case mdm.AggCount:
-			meas = append(meas, v.cnt)
-			ops = append(ops, mdm.AggSum)
-		case mdm.AggMin, mdm.AggMax:
-			meas = append(meas, v.data.Cols[mi])
-			ops = append(ops, m.Op)
-		default:
-			meas = append(meas, v.data.Cols[mi])
-			ops = append(ops, mdm.AggSum)
-		}
+		cols[p.col[j]] = v.parts[held.col[mi]]
 	}
-	cntPos := -1
-	if len(avgCols) > 0 {
-		cntPos = len(meas)
-		meas = append(meas, v.cnt)
-		ops = append(ops, mdm.AggSum)
-		names = append(names, "·cnt")
+	if p.cnt >= 0 {
+		cols[p.cnt] = v.parts[held.cnt]
 	}
-	idx := make([]int, len(meas))
-	for i := range idx {
-		idx[i] = i
-	}
-	sq := &scanQuery{ctx: ctx, group: q.Group, measures: idx, ops: ops, accepts: accepts, gmaps: gmaps}
-	sq.init(cards, e.denseKeyBudget())
-	workers, morsel := e.scanShape(n)
-	t, err := scan(sq, storage.ColumnsSource(keys, meas, n), workers, morsel)
-	if err != nil {
-		return nil, err
-	}
-	out, err := sq.finalize(s, names, t)
-	if err != nil {
-		return nil, err
-	}
-	if cntPos >= 0 {
-		cnt := out.Cols[cntPos]
-		for _, j := range avgCols {
-			col := out.Cols[j]
-			for i := range col {
-				col[i] /= cnt[i]
-			}
-		}
-		out.Names = out.Names[:cntPos]
-		out.Cols = out.Cols[:cntPos]
-	}
-	return out, nil
+	return e.reaggregate(ctx, s, q.Group, q.Group, gmaps, accepts, p, names, storage.ColumnsSource(keys, cols, v.data.Len()))
 }
 
 // rollupMapFrom returns (building and caching on first use) the map from
@@ -254,21 +204,20 @@ func (e *Engine) rollupMapFrom(fact string, f *storage.FactTable, hier, from, to
 
 // Adaptive view admission. Every aggregate that misses the view lattice
 // tallies its (fact, group-by set); once a set has been requested
-// SetAutoViewMinQueries times and its estimated cell count is small
+// autoViewMinQueries times and its estimated cell count is small
 // enough relative to the fact table (the benefit test), it is
 // materialized — provided its estimated size fits the byte budget, with
 // least-recently-used admitted views evicted to make room.
 
-// DefaultAutoViewMinQueries is how many times a group-by set must miss
-// the view lattice before the admission layer materializes it.
-const DefaultAutoViewMinQueries = 3
+// autoViewMinQueries is how many times a group-by set must miss the view
+// lattice before the admission layer materializes it.
+const autoViewMinQueries = 3
 
 // autoAdmit is the admission tally, guarded by its own small mutex (the
 // views map itself is guarded by viewMu).
 type autoAdmit struct {
 	enabled  bool
 	budget   int64
-	minHits  int
 	tally    map[viewKey]*viewTally
 	building map[viewKey]bool
 }
@@ -305,14 +254,6 @@ func (e *Engine) SetAutoViewBudget(bytes int64) {
 	e.auto.budget = bytes
 }
 
-// SetAutoViewMinQueries sets how many lattice misses a group-by set
-// needs before admission (values < 1 restore the default).
-func (e *Engine) SetAutoViewMinQueries(n int) {
-	e.autoMu.Lock()
-	defer e.autoMu.Unlock()
-	e.auto.minHits = n
-}
-
 // DefaultAutoViewBudget is the admission byte budget when none is set.
 const DefaultAutoViewBudget = 64 << 20
 
@@ -321,13 +262,6 @@ func (a *autoAdmit) effectiveBudget() int64 {
 		return DefaultAutoViewBudget
 	}
 	return a.budget
-}
-
-func (a *autoAdmit) effectiveMinHits() int {
-	if a.minHits < 1 {
-		return DefaultAutoViewMinQueries
-	}
-	return a.minHits
 }
 
 // noteViewMiss tallies a query that no view could answer and decides
@@ -358,7 +292,7 @@ func (e *Engine) noteViewMiss(q Query, f *storage.FactTable) bool {
 	t.count++
 	rows := f.Rows()
 	est := estimatedCells(f, t.group, rows)
-	admit := t.count >= a.effectiveMinHits() &&
+	admit := t.count >= autoViewMinQueries &&
 		2*est <= rows && // benefit: the view must out-coarsen the fact
 		viewSizeBytes(est, len(t.group), len(f.Schema.Measures), countAvgs(f.Schema)) <= a.effectiveBudget()
 	if admit {

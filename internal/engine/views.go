@@ -36,12 +36,11 @@ func groupKey(g mdm.GroupBy) string {
 }
 
 // matView is one materialized view as readers see it: the finalized
-// aggregate served to exact-match queries, plus the auxiliary state the
-// navigator needs to roll its cells up to coarser group-by sets. AVG is
-// not distributive, so each AVG measure keeps its raw per-cell sum
-// alongside the finalized quotient, and cnt holds the fact rows behind
-// each cell; a coarser AVG recombines as Σsums/Σcnt, and COUNT
-// re-aggregates by summing cnt. Everything but the version tag and the
+// aggregate served to exact-match queries, plus what the navigator needs
+// to roll its cells up to coarser group-by sets — the sub-aggregate
+// columns the finalized ones were read from (partials.go): AVG is not
+// distributive, so a coarser AVG recombines as Σsums/Σcounts, and COUNT
+// re-aggregates by summing counts. Everything but the version tag and the
 // use counters is immutable: absorbing appended rows publishes a new
 // matView, so a reader keeps consistent columns for as long as it holds
 // the old one.
@@ -51,12 +50,9 @@ type matView struct {
 	// keyCols are the view's coordinates stored columnar (one member-id
 	// column per group position), the layout the scan kernels consume.
 	keyCols [][]int32
-	// sums[mi] is the raw per-cell sum of schema measure mi; non-nil only
-	// for AVG measures.
-	sums [][]float64
-	// cnt is the number of fact rows aggregated into each cell (nil when
-	// the schema has no measures).
-	cnt []float64
+	// parts are the sub-aggregate columns behind data, laid out by acc.p;
+	// a measure that is its own sub-aggregate shares its column with data.
+	parts [][]float64
 	// bytes approximates resident size, for the admission budget.
 	bytes int64
 	// rows is the high-water mark: the view aggregates exactly the first
@@ -78,17 +74,16 @@ type matView struct {
 // viewAccum is the state behind a view that absorbing appends updates in
 // place: the accumulator table its columns were finalized from. Readers
 // never see it; mu serializes the refreshes of the view and guards every
-// field, and the view's current matView is only ever replaced under it.
+// field but q, p, names and auto, which are fixed at build, and the
+// view's current matView is only ever replaced under it.
 type viewAccum struct {
 	mu sync.Mutex
-	// q and ops are the view's build scan: every schema measure (named in
-	// names), then a raw-sum column per AVG measure (an extra SUM over the
-	// same fact column), then one COUNT of fact rows per cell.
-	q      Query
-	ops    []mdm.AggOp
-	names  []string
-	avgIdx []int // schema measures aggregated by AVG
-	auto   bool  // admitted by the adaptive layer
+	// q is the view's build scan: the sub-aggregates p behind every schema
+	// measure (named in names), over the whole fact.
+	q     Query
+	p     *Partials
+	names []string
+	auto  bool // admitted by the adaptive layer
 	// sq is the prepared scan t was accumulated through; t holds the
 	// view's first rows rows, or is nil when it was not worth keeping:
 	// sparse is then set for good, and every later scan goes through a
@@ -149,34 +144,33 @@ func (e *Engine) Materialize(fact string, g mdm.GroupBy) error {
 
 // buildView scans the fact table once into a new view.
 func (e *Engine) buildView(fact string, f *storage.FactTable, g mdm.GroupBy, auto bool) (*matView, error) {
-	a := &viewAccum{q: Query{Fact: fact, Group: append(mdm.GroupBy(nil), g...)}, auto: auto}
+	a := &viewAccum{auto: auto}
+	all := make([]int, len(f.Schema.Measures))
+	ops := make([]mdm.AggOp, len(all))
 	for i, m := range f.Schema.Measures {
-		a.q.Measures = append(a.q.Measures, i)
-		a.ops = append(a.ops, m.Op)
+		all[i], ops[i] = i, m.Op
 		a.names = append(a.names, m.Name)
 	}
-	for i, m := range f.Schema.Measures {
-		if m.Op == mdm.AggAvg {
-			a.avgIdx = append(a.avgIdx, i)
-			a.q.Measures = append(a.q.Measures, i)
-			a.ops = append(a.ops, mdm.AggSum)
-		}
-	}
-	if len(a.names) > 0 {
-		// COUNT never reads its measure column, so any valid index works.
-		a.q.Measures = append(a.q.Measures, 0)
-		a.ops = append(a.ops, mdm.AggCount)
-	}
+	a.p = Decompose(all, ops)
+	a.q = Query{Fact: fact, Group: append(mdm.GroupBy(nil), g...), Measures: a.p.Measures}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	v, _, err := e.absorb(f, a, nil)
 	return v, err
 }
 
-// retainSlotsPerCell bounds the accumulator table a view keeps: a dense
-// table spans its whole key space, and one with more than this many slots
-// per cell it produced is let go rather than held for the view's lifetime.
+// retainSlotsPerCell bounds a dense table, which spans its whole key
+// space, by the cells it is for: a view lets one with more slots per cell
+// than this go rather than hold it for its lifetime, and a re-aggregation
+// of few cells (reaggregate) does not zero one to begin with. The slot
+// table, as large as its cells, does the job instead.
 const retainSlotsPerCell = 8
+
+// worthDense reports whether a dense table of slots slots is within that
+// bound for cells cells.
+func worthDense(slots, cells int) bool {
+	return slots <= retainSlotsPerCell*max(cells, 1024)
+}
 
 // absorb brings the view behind a (whose mu the caller holds) up to the
 // fact's current rows and returns the matView to publish; cur is the
@@ -190,7 +184,7 @@ const retainSlotsPerCell = 8
 // row 0. After an error the table is spent and the caller drops the view.
 func (e *Engine) absorb(f *storage.FactTable, a *viewAccum, cur *matView) (v *matView, delta bool, err error) {
 	ver := f.Version()
-	sq, err := e.prepare(context.Background(), f, a.q, a.ops)
+	sq, err := e.prepare(context.Background(), f, a.q, a.p.Ops)
 	if err != nil {
 		return nil, false, err
 	}
@@ -219,8 +213,7 @@ func (e *Engine) absorb(f *storage.FactTable, a *viewAccum, cur *matView) (v *ma
 	}
 
 	s := f.Schema
-	nm := len(s.Measures)
-	v = &matView{group: a.q.Group, rows: rows, auto: a.auto, acc: a, sums: make([][]float64, nm)}
+	v = &matView{group: a.q.Group, rows: rows, auto: a.auto, acc: a}
 	v.factVer.Store(ver)
 	if cur != nil {
 		v.hits.Store(cur.hits.Load())
@@ -241,24 +234,18 @@ func (e *Engine) absorb(f *storage.FactTable, a *viewAccum, cur *matView) (v *ma
 			v.keyCols[gi] = col
 		}
 	}
-	cols := sq.columns(t, a.slots)
-	for k, mi := range a.avgIdx {
-		v.sums[mi] = cols[nm+k]
-	}
-	if nm > 0 {
-		v.cnt = cols[len(cols)-1]
-	}
-	// The data cube served to exact-match queries carries only the
-	// finalized measure columns; the aux columns live beside it.
-	if v.data, err = cube.Build(s, v.group, a.names, coords, cols[:nm]); err != nil {
+	v.parts = sq.columns(t, a.slots)
+	// The data cube served to exact-match queries carries the finalized
+	// measure columns; the sub-aggregates live beside it.
+	if v.data, err = cube.Build(s, v.group, a.names, coords, a.p.read(v.parts)); err != nil {
 		return nil, false, err
 	}
-	v.bytes = viewSizeBytes(len(coords), len(v.group), nm, len(a.avgIdx))
-	if t.size() > retainSlotsPerCell*max(len(coords), 1024) {
-		a.sparse = true
-	} else {
+	v.bytes = viewSizeBytes(len(coords), len(v.group), len(s.Measures), countAvgs(s))
+	if worthDense(t.size(), len(coords)) {
 		a.t = t
-		v.bytes += int64(t.size()) * 8 * int64(len(cols))
+		v.bytes += int64(t.size()) * 8 * int64(len(v.parts))
+	} else {
+		a.sparse = true
 	}
 	return v, delta, nil
 }
@@ -319,14 +306,10 @@ func (e *Engine) ViewCells(fact string, g mdm.GroupBy) (int, bool) {
 // 0 if unknown.
 func (e *Engine) LevelCardinality(fact string, ref mdm.LevelRef) int {
 	f, ok := e.facts[fact]
-	if !ok || ref.Hier < 0 || ref.Hier >= len(f.Schema.Hiers) {
+	if !ok || !f.Schema.HasLevel(ref) {
 		return 0
 	}
-	h := f.Schema.Hiers[ref.Hier]
-	if ref.Level < 0 || ref.Level >= h.Depth() {
-		return 0
-	}
-	return h.Dict(ref.Level).Len()
+	return f.Schema.Dict(ref).Len()
 }
 
 // viewChecks compiles the predicate checks of an exact view match.

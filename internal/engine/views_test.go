@@ -160,13 +160,13 @@ func TestAutoAdmissionAndEviction(t *testing.T) {
 	qi, _ := s.MeasureIndex("quantity")
 
 	qa := Query{Fact: "SALES", Group: mdm.MustGroupBy(s, "product", "country"), Measures: []int{qi}}
-	for i := 0; i < DefaultAutoViewMinQueries; i++ {
+	for i := 0; i < autoViewMinQueries; i++ {
 		if _, err := e.Get(qa); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if e.Views() != 1 {
-		t.Fatalf("views after %d identical queries = %d, want 1", DefaultAutoViewMinQueries, e.Views())
+		t.Fatalf("views after %d identical queries = %d, want 1", autoViewMinQueries, e.Views())
 	}
 
 	// Budget = the first view's actual bytes: the second admission can
@@ -175,7 +175,7 @@ func TestAutoAdmissionAndEviction(t *testing.T) {
 	// no miss would ever be tallied.
 	e.SetAutoViewBudget(e.ViewBytes())
 	qb := Query{Fact: "SALES", Group: mdm.MustGroupBy(s, "month"), Measures: []int{qi}}
-	for i := 0; i < DefaultAutoViewMinQueries; i++ {
+	for i := 0; i < autoViewMinQueries; i++ {
 		if _, err := e.Get(qb); err != nil {
 			t.Fatal(err)
 		}

@@ -23,6 +23,10 @@ const (
 	AggCount
 )
 
+// Valid reports whether op is one of the supported operators; operators
+// arrive as bare integers over the shard RPC.
+func (op AggOp) Valid() bool { return op >= AggSum && op <= AggCount }
+
 // String returns the SQL spelling of the operator.
 func (op AggOp) String() string {
 	switch op {
@@ -290,6 +294,12 @@ func (s *Schema) FindLevel(level string) (ref LevelRef, ok bool) {
 		}
 	}
 	return LevelRef{}, false
+}
+
+// HasLevel reports whether r names a level of the schema; the accessors
+// below index with r unchecked.
+func (s *Schema) HasLevel(r LevelRef) bool {
+	return r.Hier >= 0 && r.Hier < len(s.Hiers) && r.Level >= 0 && r.Level < s.Hiers[r.Hier].Depth()
 }
 
 // LevelName returns the name of the referenced level.

@@ -72,8 +72,8 @@ type Report struct {
 // The sharded axes hash-split both cubes across an in-process cluster
 // (1, 2, 3, or 5 shards by seed) and scatter-gather every scan through
 // internal/dist: partial aggregation on each shard, wire encode/decode,
-// and the log-depth merge tree must reproduce the unsharded reference
-// bit-for-bit — the generator's integer-valued measures make every
+// and the engine's combine of the replies must reproduce the unsharded
+// reference bit-for-bit — the generator's integer-valued measures make every
 // shard association order exact. sharded+par additionally runs each
 // worker's scans morsel-parallel on the dense kernels.
 var axes = []struct {
