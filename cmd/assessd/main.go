@@ -15,6 +15,10 @@
 // With -debug-addr set, a second listener serves net/http/pprof,
 // expvar (/debug/vars), and /metrics, kept off the serving port.
 //
+// `-parallel N` is the workers one statement is given: its fact scans
+// are split over that many goroutines, and a result of more than a few
+// 512-row chunks is formatted by as many while the handler writes.
+//
 // Distribution: `-shards N` scatter-gathers every query over N
 // in-process shard workers; `-shard-addrs` points at remote workers
 // started with `-worker -shards N -shard-index I` (replicas joined
@@ -66,7 +70,7 @@ func main() {
 		load       = flag.String("load", "", "serve a cube loaded from a file instead of generating one")
 		storeDir   = flag.String("store-dir", "", "serve cubes from columnar segment directories (out-of-core; see ssbgen -out-dir)")
 		resident   = flag.Bool("resident", false, "with -store-dir, load the segment directories fully into memory")
-		parallel   = flag.Int("parallel", 1, "fact-scan parallelism (0 = all cores)")
+		parallel   = flag.Int("parallel", 1, "workers per statement, for its fact scans and for encoding its result (0 = all cores)")
 		cache      = flag.String("cache", "on", "query-result cache: on or off")
 		cacheMB    = flag.Int("cache-mb", 64, "query-result cache budget in MiB")
 		autoViews  = flag.Bool("auto-views", false, "adaptively materialize hot group-by sets as views")

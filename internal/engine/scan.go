@@ -45,6 +45,10 @@ func (e *Engine) SetParallelism(n int) {
 	e.workers = n
 }
 
+// Parallelism is the number of workers a statement is given: what its
+// fact scans may use, and what the server may format its result with.
+func (e *Engine) Parallelism() int { return max(1, e.workers) }
+
 // SetParallelMinRows sets the minimum number of fact rows each worker
 // must receive before a scan is partitioned (values below 1 restore the
 // 64 Ki default). Production keeps the default — partitioning tiny scans

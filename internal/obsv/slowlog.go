@@ -29,12 +29,15 @@ type SlowEntry struct {
 	Strategy  string `json:"strategy,omitempty"`
 	Cache     string `json:"cache,omitempty"`
 	Cells     int    `json:"cells,omitempty"`
-	// EncodeMs and Bytes describe the response body: the time spent
-	// encoding and writing it (part of TotalMs) and its size.
-	EncodeMs    float64 `json:"encodeMs,omitempty"`
-	Bytes       int64   `json:"bytes,omitempty"`
-	TotalMs     float64 `json:"totalMs"`
-	ThresholdMs float64 `json:"thresholdMs"`
+	// EncodeMs, EncodeWorkers and Bytes describe the response body: the
+	// time spent encoding and writing it (part of TotalMs), how many
+	// goroutines formatted it (1 is the handler's own; absent when the
+	// body was written from rows kept with a cache entry) and its size.
+	EncodeMs      float64 `json:"encodeMs,omitempty"`
+	EncodeWorkers int     `json:"encodeWorkers,omitempty"`
+	Bytes         int64   `json:"bytes,omitempty"`
+	TotalMs       float64 `json:"totalMs"`
+	ThresholdMs   float64 `json:"thresholdMs"`
 }
 
 // NewSlowLog builds a slow-query log writing to w. Queries at or above

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -61,7 +62,8 @@ func TestRetainedRowsMatchStreamedBody(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := len(streamed) - (len(missHead) - 1) // what writeResult reports as the tail
-		rows := retainedRows(cols, n)
+		b := assessBody(cols)
+		rows := retainedRows(context.Background(), b, n, b.workers(2))
 		if len(rows) != n || cap(rows) != n {
 			t.Errorf("%s: %d retained bytes in an allocation of %d, measured %d", name, len(rows), cap(rows), n)
 		}
@@ -382,6 +384,9 @@ func TestBodyObservability(t *testing.T) {
 		`assess_cache_body_total{outcome="skipped"} 0`,
 		`assess_cache_body_bytes ` + strconv.Itoa(kept),
 		`assess_cache_rejected_total 0`,
+		// The miss and the hit that filled were encoded; the served hit was not.
+		`assess_server_encode_bodies_total{endpoint="/assess",mode="inline"} 2`,
+		`assess_server_encode_bodies_total{endpoint="/assess",mode="parallel"} 0`,
 	} {
 		if !strings.Contains(rec.Body.String(), want+"\n") {
 			t.Errorf("/metrics lacks %q", want)
@@ -404,9 +409,18 @@ func TestBodyObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(sink.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("%d slow-log lines, want 3", len(lines))
+	}
 	var last obsv.SlowEntry
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
-		t.Fatal(err)
+	for i, wantWorkers := range []int{1, 1, 0} { // streamed, filled, served from kept rows
+		last = obsv.SlowEntry{}
+		if err := json.Unmarshal([]byte(lines[i]), &last); err != nil {
+			t.Fatal(err)
+		}
+		if last.EncodeWorkers != wantWorkers {
+			t.Errorf("slow entry %d: encodeWorkers %d, want %d", i, last.EncodeWorkers, wantWorkers)
+		}
 	}
 	if last.Cache != "hit" || last.Bytes != int64(len(body)) || last.Cells != traced.Cells || last.Cells == 0 ||
 		last.EncodeMs <= 0 || last.EncodeMs > last.TotalMs {

@@ -2,11 +2,15 @@ package server
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"io"
 	"math"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"unicode/utf8"
 
 	"github.com/assess-olap/assess/internal/exec"
@@ -15,19 +19,31 @@ import (
 )
 
 // Columnar result egress. The /assess and /query bodies are written
-// straight from the result cube's columns into one pooled buffer that is
-// flushed to the client as it fills: no per-cell row structs, no
-// reflection, and no whole-body buffer. The bytes are exactly what
-// encoding/json produces for the same response (compact, HTML-escaped,
-// trailing newline); encode_test.go holds the encoding/json reference
-// and compares the two byte for byte.
+// straight from the result cube's columns, chunkRows rows at a time: no
+// per-cell row structs, no reflection, and no whole-body buffer. A body
+// of a few chunks is formatted and written by the handler goroutine; a
+// longer one, under a statement that was given more than one worker, is
+// formatted by that many goroutines while the handler writes their chunks
+// in order. The bytes are exactly what encoding/json produces for the same
+// response (compact, HTML-escaped, trailing newline); encode_test.go holds
+// the encoding/json reference and compares the two byte for byte.
 
-// bodyFlushBytes is how full the body buffer gets before it is written
-// out. The buffer is allocated with bodySlackBytes beyond that so the
-// row that crosses the mark rarely regrows it.
 const (
-	bodyFlushBytes = 64 << 10
-	bodySlackBytes = 4 << 10
+	// chunkRows is how many rows are formatted between two writes: about
+	// 64 KiB of an /assess body, large enough that a write is a small
+	// share of formatting it, small enough that the first leaves early
+	// and the chunks a parallel body holds in flight stay a few hundred
+	// KiB.
+	chunkRows = 512
+	// chunkBytes is what a chunk buffer starts with, so that a typical
+	// chunk does not regrow it.
+	chunkBytes = 80 << 10
+	// minParallelChunks is the shortest body that is worth starting
+	// workers for.
+	minParallelChunks = 4
+	// laneChunks is how many chunks a worker may have formatted and not
+	// yet written: one being written while it formats the next.
+	laneChunks = 2
 )
 
 // htmlSafe marks the ASCII bytes encoding/json copies into a string
@@ -134,34 +150,30 @@ type memberCol struct {
 	spans []memberSpan // by member id
 }
 
-// encoder appends one body to buf and hands it to w in bodyFlushBytes
-// pieces. Member names are escaped once per distinct id per body, into
-// escaped, and copied from there for every further cell. It only reads
-// the cube it encodes: cache hits share one cube between requests.
+// encoder formats rows of one body into buf. Member names are escaped
+// once per distinct id per body, into escaped, and copied from there for
+// every further cell. It only reads the cube it encodes: cache hits share
+// one cube between requests, and the workers of one body share it too.
 type encoder struct {
-	w       io.Writer
-	buf     []byte
-	written int64
-	err     error // first write error; nothing is written after it
+	buf []byte
+	// spare is the second chunk buffer of a worker: the one the handler
+	// is writing while the worker formats into buf.
+	spare []byte
 
 	members []memberCol
 	escaped []byte
-	epoch   uint64 // bodies this encoder has written; stamps memberSpans
+	epoch   uint64 // bodies this encoder has worked on; stamps memberSpans
 }
 
 var encoderPool = sync.Pool{New: func() any {
-	return &encoder{buf: make([]byte, 0, bodyFlushBytes+bodySlackBytes)}
+	return &encoder{buf: make([]byte, 0, chunkBytes)}
 }}
 
-// encodeBody writes head — a marshalled JSON object — to w with a
-// trailing "rows" member whose elements rows appends, then the newline
-// encoding/json's Encoder ends a value with. dicts are the dictionaries
-// of the coordinate positions rows passes to member. It returns the
-// bytes written and the first write error; after one, rows stops at its
-// next flush check and nothing more is formatted.
-func encodeBody(w io.Writer, head []byte, dicts []*mdm.Dict, rows func(*encoder)) (int64, error) {
+// getEncoder takes an encoder from the pool and points it at the
+// dictionaries of a body's coordinate positions.
+func getEncoder(dicts []*mdm.Dict) *encoder {
 	e := encoderPool.Get().(*encoder)
-	e.w, e.buf, e.written, e.err, e.escaped = w, e.buf[:0], 0, nil, e.escaped[:0]
+	e.buf, e.escaped = e.buf[:0], e.escaped[:0]
 	e.epoch++
 	for len(e.members) < len(dicts) {
 		e.members = append(e.members, memberCol{})
@@ -175,41 +187,172 @@ func encodeBody(w io.Writer, head []byte, dicts []*mdm.Dict, rows func(*encoder)
 		// Entries left by earlier bodies carry earlier epochs.
 		m.spans = m.spans[:len(m.names)]
 	}
+	return e
+}
 
-	e.buf = append(e.buf, head[:len(head)-1]...)
-	e.buf = append(e.buf, `,"rows":[`...)
-	rows(e)
-	e.buf = append(e.buf, "]}\n"...)
-	e.flush()
-
-	n, err := e.written, e.err
-	e.w = nil
-	for p := range dicts {
+func putEncoder(e *encoder) {
+	for p := range e.members {
 		e.members[p].names = nil // do not pin a dictionary from the pool
 	}
 	encoderPool.Put(e)
-	return n, err
 }
 
-// encodeAssessRows is how a cache entry's rows are filled (qcache.Body):
-// retainedRows of res, or nil when res has no columns to encode.
-func encodeAssessRows(res *exec.Result, n int) []byte {
-	cols, err := res.Columns()
-	if err != nil {
-		return nil
+// body is the rows of a result as the driver sees them. Gray et al.'s
+// cube is a relation, one self-contained row per cell, so any range of
+// rows can be formatted without its neighbours.
+type body struct {
+	n     int         // rows
+	dicts []*mdm.Dict // of the coordinate positions rows passes to member
+	// rows appends rows [lo, hi) to e.buf, each but row 0 after a comma.
+	rows func(e *encoder, lo, hi int)
+}
+
+// chunks is how many pieces the body is formatted and written in; an
+// empty body has one, which holds the brackets.
+func (b body) chunks() int { return max(1, (b.n+chunkRows-1)/chunkRows) }
+
+// workers is how many goroutines format the body under a statement that
+// was given budget of them: 1, the handler's own, unless the body is long
+// enough to pay for starting more.
+func (b body) workers(budget int) int {
+	chunks := b.chunks()
+	if budget < 2 || chunks < minParallelChunks {
+		return 1
 	}
-	return retainedRows(cols, n)
+	return min(budget, chunks)
+}
+
+// format is the one chunk loop: it formats chunks first, first+stride, …
+// of b, handing each to emit, which returns the buffer the next one goes
+// into, or false to stop. The head of the body is in e.buf when chunk 0 is
+// formatted, and the tail follows the last row, so the chunks in order are
+// the body.
+func (e *encoder) format(b body, first, stride int, emit func(chunk []byte) ([]byte, bool)) {
+	for k, chunks := first, b.chunks(); k < chunks; k += stride {
+		lo := k * chunkRows
+		hi := min(lo+chunkRows, b.n)
+		b.rows(e, lo, hi)
+		if hi == b.n {
+			e.buf = append(e.buf, "]}\n"...)
+		}
+		var ok bool
+		if e.buf, ok = emit(e.buf); !ok {
+			return
+		}
+	}
+}
+
+// encodeBody writes head — a marshalled JSON object — to w with a
+// trailing "rows" member holding b's rows, then the newline
+// encoding/json's Encoder ends a value with. It returns the bytes written
+// and the first write error, or ctx's once it is cancelled; after either,
+// no further chunk is formatted.
+//
+// workers is b.workers of the statement's budget. With one, the calling
+// goroutine formats and writes chunk after chunk from one pooled buffer.
+// With more, worker i formats chunks i, i+workers, … into the two buffers
+// of its own encoder while the calling goroutine — the only one that
+// touches w, an http.ResponseWriter is not safe for anything else — writes
+// them in order; it does not return before every worker has, and a panic
+// on a worker is raised again here, where net/http's recover confines it
+// to the connection.
+func encodeBody(ctx context.Context, w io.Writer, head []byte, b body, workers int) (written int64, err error) {
+	write := func(chunk []byte) bool {
+		if err = ctx.Err(); err != nil {
+			return false
+		}
+		var n int
+		n, err = w.Write(chunk)
+		written += int64(n)
+		return err == nil
+	}
+	first := getEncoder(b.dicts)
+	first.buf = append(first.buf, head[:len(head)-1]...)
+	first.buf = append(first.buf, `,"rows":[`...)
+	if workers < 2 {
+		first.format(b, 0, 1, func(chunk []byte) ([]byte, bool) { return chunk[:0], write(chunk) })
+		putEncoder(first)
+		return written, err
+	}
+
+	type lane struct {
+		e *encoder
+		// out carries formatted chunks to the writer and free the
+		// writer's word that one of them has been written; neither holds
+		// more than laneChunks, so a send never blocks.
+		out  chan []byte
+		free chan struct{}
+	}
+	var (
+		lanes    = make([]lane, workers)
+		stop     atomic.Bool
+		wg       sync.WaitGroup
+		panicked atomic.Pointer[string]
+	)
+	for i := range lanes {
+		l := &lanes[i]
+		l.e = first
+		if i > 0 {
+			l.e = getEncoder(b.dicts)
+		}
+		if l.e.spare == nil {
+			l.e.spare = make([]byte, 0, chunkBytes)
+		}
+		l.out, l.free = make(chan []byte, laneChunks), make(chan struct{}, laneChunks)
+		l.free <- struct{}{} // the spare buffer
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer close(l.out) // ends the writer's wait if the lane ended early
+			defer func() {
+				if r := recover(); r != nil {
+					stop.Store(true)
+					msg := fmt.Sprintf("%v [recovered on an encode worker]\n%s", r, debug.Stack())
+					panicked.CompareAndSwap(nil, &msg)
+				}
+			}()
+			e := l.e
+			e.format(b, i, workers, func(chunk []byte) ([]byte, bool) {
+				l.out <- chunk
+				_, ok := <-l.free
+				e.spare, chunk = chunk, e.spare[:0]
+				return chunk, ok && !stop.Load()
+			})
+		}(i)
+	}
+	for k, chunks := 0, b.chunks(); k < chunks; k++ {
+		l := &lanes[k%workers]
+		chunk, ok := <-l.out
+		if !ok || !write(chunk) {
+			break
+		}
+		l.free <- struct{}{}
+	}
+	stop.Store(true)
+	for i := range lanes {
+		close(lanes[i].free) // wakes a worker waiting for a buffer
+	}
+	wg.Wait()
+	if msg := panicked.Load(); msg != nil {
+		panic(*msg)
+	}
+	for i := range lanes {
+		putEncoder(lanes[i].e)
+	}
+	return written, err
 }
 
 // retainedRows encodes what follows the header in an /assess body —
 // `,"rows":[…]}` and the newline — into one allocation of n bytes, the
-// length a streamed reply of the same columns measured.
-func retainedRows(cols exec.Columns, n int) []byte {
+// length a streamed reply of the same columns measured. It is how a cache
+// entry's rows are filled (qcache.Body); nil when ctx ended first.
+func retainedRows(ctx context.Context, b body, n, workers int) []byte {
 	buf := bytes.NewBuffer(make([]byte, 0, n))
 	// Under an empty header encodeBody writes the rows member alone: it
-	// cuts the header's closing brace and adds nothing. A bytes.Buffer
-	// does not fail a write.
-	_, _ = encodeBody(buf, []byte("}"), cols.Dicts, func(e *encoder) { e.assessRows(cols) })
+	// cuts the header's closing brace and adds nothing.
+	if _, err := encodeBody(ctx, buf, []byte("}"), b, workers); err != nil {
+		return nil
+	}
 	return buf.Bytes()
 }
 
@@ -224,23 +367,6 @@ func writeRetained(w io.Writer, head, rows []byte) (int64, error) {
 	return int64(n + m), err
 }
 
-// flush writes the buffer out and reports whether the body can go on.
-func (e *encoder) flush() bool {
-	if e.err != nil {
-		return false
-	}
-	n, err := e.w.Write(e.buf)
-	e.written += int64(n)
-	e.err = err
-	e.buf = e.buf[:0]
-	return err == nil
-}
-
-// rowDone flushes a full buffer; false means the client is gone.
-func (e *encoder) rowDone() bool {
-	return len(e.buf) < bodyFlushBytes || e.flush()
-}
-
 // member appends the quoted name of member id at coordinate position p.
 func (e *encoder) member(p int, id int32) {
 	m := &e.members[p]
@@ -253,15 +379,20 @@ func (e *encoder) member(p int, id int32) {
 	e.buf = append(e.buf, e.escaped[sp.off:sp.end]...)
 }
 
-// assessRows appends the cells of an /assess result:
+// assessBody is the rows of an /assess result.
+func assessBody(c exec.Columns) body {
+	return body{len(c.Coords), c.Dicts, func(e *encoder, lo, hi int) { e.assessRows(c, lo, hi) }}
+}
+
+// assessRows appends cells [lo, hi) of an /assess result:
 // {"coordinate":[…],"measure":…,"benchmark":…,"comparison":…,"label":…}.
-func (e *encoder) assessRows(c exec.Columns) {
-	for i, coord := range c.Coords {
+func (e *encoder) assessRows(c exec.Columns, lo, hi int) {
+	for i := lo; i < hi; i++ {
 		if i > 0 {
 			e.buf = append(e.buf, ',')
 		}
 		e.buf = append(e.buf, `{"coordinate":[`...)
-		for p, id := range coord {
+		for p, id := range c.Coords[i] {
 			if p > 0 {
 				e.buf = append(e.buf, ',')
 			}
@@ -284,9 +415,6 @@ func (e *encoder) assessRows(c exec.Columns) {
 			e.buf = appendString(e.buf, labeling.NullLabel)
 		}
 		e.buf = append(e.buf, '}')
-		if !e.rowDone() {
-			return
-		}
 	}
 }
 
@@ -323,14 +451,20 @@ func queryFields(levels, measures []string, cols [][]float64) []queryField {
 	return fields
 }
 
-// queryRows appends the cells of a /query result, one object per cell
-// keyed by level and measure name.
-func (e *encoder) queryRows(fields []queryField, coords []mdm.Coordinate) {
-	for i, coord := range coords {
+// queryBody is the rows of a /query result.
+func queryBody(fields []queryField, dicts []*mdm.Dict, coords []mdm.Coordinate) body {
+	return body{len(coords), dicts, func(e *encoder, lo, hi int) { e.queryRows(fields, coords, lo, hi) }}
+}
+
+// queryRows appends cells [lo, hi) of a /query result, one object per
+// cell keyed by level and measure name.
+func (e *encoder) queryRows(fields []queryField, coords []mdm.Coordinate, lo, hi int) {
+	for i := lo; i < hi; i++ {
 		if i > 0 {
 			e.buf = append(e.buf, ',')
 		}
 		e.buf = append(e.buf, '{')
+		coord := coords[i]
 		for k := range fields {
 			f := &fields[k]
 			if k > 0 {
@@ -344,8 +478,5 @@ func (e *encoder) queryRows(fields []queryField, coords []mdm.Coordinate) {
 			}
 		}
 		e.buf = append(e.buf, '}')
-		if !e.rowDone() {
-			return
-		}
 	}
 }

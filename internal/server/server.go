@@ -57,14 +57,35 @@ type Server struct {
 type egressMetrics struct {
 	encodeSeconds *obsv.Histogram
 	responseBytes *obsv.Histogram
+	// Bodies encoded, by who formatted them: the handler goroutine
+	// alone, or workers beside it.
+	inline, parallel *obsv.Counter
 }
 
 func newEgressMetrics(reg *obsv.Registry, endpoint string) egressMetrics {
+	bodies := func(mode string) *obsv.Counter {
+		return reg.Counter("assess_server_encode_bodies_total",
+			"Result bodies encoded, by endpoint and mode: inline (formatted by the handler goroutine) or parallel (formatted by the statement's workers, written by the handler). Bodies served from a cache entry's kept rows are not encoded.",
+			"endpoint", endpoint, "mode", mode)
+	}
 	return egressMetrics{
 		encodeSeconds: reg.Histogram("assess_server_encode_seconds",
 			"Time to encode a result body and write it to the client, by endpoint.", "endpoint", endpoint),
 		responseBytes: reg.ByteHistogram("assess_server_response_bytes",
 			"Result body size, by endpoint.", "endpoint", endpoint),
+		inline:   bodies("inline"),
+		parallel: bodies("parallel"),
+	}
+}
+
+// encoded counts a body that workers goroutines formatted; none did when
+// it was written from rows kept with a cache entry.
+func (m egressMetrics) encoded(workers int) {
+	switch {
+	case workers > 1:
+		m.parallel.Inc()
+	case workers == 1:
+		m.inline.Inc()
 	}
 }
 
@@ -131,7 +152,7 @@ func (s *Server) registerSessionMetrics() {
 	s.assessEgress = newEgressMetrics(s.reg, "/assess")
 	s.queryEgress = newEgressMetrics(s.reg, "/query")
 	s.writeErrors = s.reg.Counter("assess_server_write_errors_total",
-		"Result bodies abandoned because the client connection failed mid-write.")
+		"Result bodies abandoned because the client connection failed mid-write or the request was cancelled.")
 	bodyOutcome := func(outcome string) *obsv.Counter {
 		return s.reg.Counter("assess_cache_body_total",
 			"Cache hits of /assess by how the body was produced: served from bytes kept with the entry, filled (encoded into the entry and served from it), or skipped (encoded from the cube).",
@@ -345,10 +366,22 @@ func (s *Server) assess(w http.ResponseWriter, r *http.Request) {
 	// it has them, or can build them now; everything else streams from the
 	// cube and tells the cache how long its rows came out.
 	t0 := time.Now()
-	var rows []byte
+	budget := s.session.Engine.Parallelism()
+	var (
+		rows    []byte
+		workers int // that encoded this body; 0 when it is written from kept rows
+	)
 	if state == qcache.StateHit {
 		var filled bool
-		rows, filled = body.Rows(encodeAssessRows)
+		rows, filled = body.Rows(func(res *exec.Result, n int) []byte {
+			cols, err := res.Columns()
+			if err != nil {
+				return nil
+			}
+			b := assessBody(cols)
+			workers = b.workers(budget)
+			return retainedRows(r.Context(), b, n, workers)
+		})
 		switch {
 		case rows == nil:
 			s.bodySkipped.Inc()
@@ -367,23 +400,27 @@ func (s *Server) assess(w http.ResponseWriter, r *http.Request) {
 			writeError(w, r, http.StatusInternalServerError, err)
 			return
 		}
+		b := assessBody(cols)
+		workers = b.workers(budget)
 		send = func(w io.Writer, head []byte) (int64, error) {
-			return encodeBody(w, head, cols.Dicts, func(e *encoder) { e.assessRows(cols) })
+			return encodeBody(r.Context(), w, head, b, workers)
 		}
 	}
 	encode, n, tail := s.writeResult(w, r, s.assessEgress, t0, head, send)
+	s.assessEgress.encoded(workers)
 	if rows == nil && tail > 0 {
 		body.SetLen(tail)
 	}
 	s.slow.Log(time.Since(start), obsv.SlowEntry{
-		RequestID: requestID(r.Context()),
-		Endpoint:  "/assess",
-		Statement: req.Statement,
-		Strategy:  head.Strategy,
-		Cache:     head.Cache,
-		Cells:     head.Cells,
-		EncodeMs:  float64(encode) / float64(time.Millisecond),
-		Bytes:     n,
+		RequestID:     requestID(r.Context()),
+		Endpoint:      "/assess",
+		Statement:     req.Statement,
+		Strategy:      head.Strategy,
+		Cache:         head.Cache,
+		Cells:         head.Cells,
+		EncodeMs:      float64(encode) / float64(time.Millisecond),
+		EncodeWorkers: workers,
+		Bytes:         n,
 	})
 }
 
@@ -485,17 +522,20 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 		head.Partial = true
 		head.DegradedShards = note.DegradedShards()
 	}
-	fields := queryFields(head.Levels, c.Names, c.Cols)
+	b := queryBody(queryFields(head.Levels, c.Names, c.Cols), dicts, c.Coords)
+	workers := b.workers(s.session.Engine.Parallelism())
 	encode, n, _ := s.writeResult(w, r, s.queryEgress, time.Now(), head, func(w io.Writer, head []byte) (int64, error) {
-		return encodeBody(w, head, dicts, func(e *encoder) { e.queryRows(fields, c.Coords) })
+		return encodeBody(r.Context(), w, head, b, workers)
 	})
+	s.queryEgress.encoded(workers)
 	s.slow.Log(time.Since(start), obsv.SlowEntry{
-		RequestID: requestID(r.Context()),
-		Endpoint:  "/query",
-		Statement: req.Statement,
-		Cells:     head.Cells,
-		EncodeMs:  float64(encode) / float64(time.Millisecond),
-		Bytes:     n,
+		RequestID:     requestID(r.Context()),
+		Endpoint:      "/query",
+		Statement:     req.Statement,
+		Cells:         head.Cells,
+		EncodeMs:      float64(encode) / float64(time.Millisecond),
+		EncodeWorkers: workers,
+		Bytes:         n,
 	})
 }
 
