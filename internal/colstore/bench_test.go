@@ -31,7 +31,7 @@ func benchStore(b *testing.B) *Store {
 
 // scanAll decodes every non-pruned block and returns the row count.
 func scanAll(b *testing.B, st *Store, preds []storage.LevelPred) int {
-	src := st.Snapshot(storage.ColSet{}, preds)
+	src := st.scan(storage.ColSet{}, preds)
 	defer src.Close()
 	var sc storage.BlockScratch
 	rows := 0

@@ -19,7 +19,6 @@ type BulkWriter struct {
 	dir    string
 	schema *mdm.Schema
 	opts   Options
-	ruMaps [][][]int32
 
 	keys [][]int32
 	meas [][]float64
@@ -46,13 +45,9 @@ func CreateBulk(dir string, s *mdm.Schema, opts Options) (*BulkWriter, error) {
 		dir:    dir,
 		schema: s,
 		opts:   opts.withDefaults(),
-		ruMaps: make([][][]int32, len(s.Hiers)),
 		keys:   make([][]int32, len(s.Hiers)),
 		meas:   make([][]float64, len(s.Measures)),
 		seq:    1,
-	}
-	for h, hier := range s.Hiers {
-		w.ruMaps[h] = rollupMaps(hier)
 	}
 	for h := range w.keys {
 		w.keys[h] = make([]int32, 0, w.opts.SegmentRows)
@@ -98,7 +93,7 @@ func (w *BulkWriter) flush() error {
 		return nil
 	}
 	name := segName(w.seq)
-	if _, err := writeSegment(filepath.Join(w.dir, name), w.keys, w.meas, w.rows, w.ruMaps); err != nil {
+	if _, err := writeSegment(filepath.Join(w.dir, name), w.keys, w.meas, w.rows, levelMaps(w.schema.Hiers)); err != nil {
 		w.err = err
 		return err
 	}

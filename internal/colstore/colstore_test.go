@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/assess-olap/assess/internal/mdm"
@@ -431,5 +432,200 @@ func TestColumnProjection(t *testing.T) {
 		if cols.Keys[0][r] != wantK[0][r] || cols.Meas[1][r] != wantM[1][r] {
 			t.Fatalf("projected row %d mismatch", r)
 		}
+	}
+}
+
+// TestAppendAfterDictionaryGrowth registers members after the store is
+// open — a base member under an existing parent, and one under a new
+// parent — and appends rows that carry them. The store keeps no roll-up
+// tables of its own to fall behind: the rows fold into segments (zone maps
+// included), predicated scans select exactly the rows a resident table
+// over the same schema holds, before and after compaction, and the grown
+// dictionary is on disk when the store is reopened. A key past the live
+// dictionary is an error that names the hierarchy.
+func TestAppendAfterDictionaryGrowth(t *testing.T) {
+	dir := t.TempDir()
+	s := testSchema(t, 100)
+	opts := Options{SegmentRows: 64, AutoCompactRows: -1}
+	st, err := Create(dir, s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, res := storage.NewSegmentTable(s, st), storage.NewFactTable(s)
+	both := func(keys []int32, vals []float64) {
+		t.Helper()
+		for _, f := range []*storage.FactTable{seg, res} {
+			if err := f.Append(keys, vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	keys, meas := genRows(s, 200, 5)
+	for r := range keys[0] {
+		both([]int32{keys[0][r], keys[1][r]}, []float64{meas[0][r], meas[1][r]})
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Hiers[0]
+	late := h.MustAddMember("b-late", itoa("m", 3))
+	later := h.MustAddMember("b-later", "m-new")
+	newMid, _ := h.Dict(1).Lookup("m-new")
+	for i := 0; i < 70; i++ {
+		both([]int32{[]int32{late, later, 31}[i%3], int32(i % 50)}, []float64{float64(i), 1})
+	}
+	if err := st.Append([]int32{later + 1, 0}, []float64{1, 1}); err == nil || !strings.Contains(err.Error(), "hierarchy H") {
+		t.Fatalf("a key past the dictionary: err %v, want one naming hierarchy H", err)
+	}
+
+	preds := [][]storage.LevelPred{
+		{{Hier: 0, Level: 1, Members: []int32{3}}}, // b-0030 … b-0039 and b-late
+		{{Hier: 0, Level: 0, Members: []int32{late, 5}}},
+		{{Hier: 0, Level: 1, Members: []int32{newMid}}}, // b-later alone
+		{{Hier: 0, Level: 1, Members: []int32{3, newMid, 9}}},
+		{{Hier: 0, Level: 1, Members: []int32{3}}, {Hier: 1, Level: 0, Members: rangeMembers(0, 20)}},
+	}
+	// sum adds measure 0 over the rows a predicated scan selects: the
+	// bitmap where the store filtered, the same prepared vectors where it
+	// left filtering to the caller (the WAL tail).
+	sum := func(st *Store, ps []storage.LevelPred) (total float64, rows int) {
+		t.Helper()
+		src := st.scan(storage.ColSet{}, ps)
+		defer src.Close()
+		var sc storage.BlockScratch
+		for b := 0; b < src.Blocks(); b++ {
+			cols, ok, err := src.Block(b, &sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; ok && r < cols.Rows; r++ {
+				pass := cols.Sel == nil || cols.Selected(r)
+				for _, p := range ps {
+					pass = pass && (cols.Sel != nil || p.Accept[cols.Keys[p.Hier][r]])
+				}
+				if pass {
+					total += cols.Meas[0][r]
+					rows++
+				}
+			}
+		}
+		return total, rows
+	}
+	check := func(phase string, st *Store) {
+		t.Helper()
+		for i, ps := range preds {
+			var want float64
+			n := 0
+		rows:
+			for r := 0; r < res.Rows(); r++ {
+				for _, p := range ps {
+					hit := false
+					for _, m := range p.Members {
+						hit = hit || s.Hiers[p.Hier].Rollup(res.Keys[p.Hier][r], 0, p.Level) == m
+					}
+					if !hit {
+						continue rows
+					}
+				}
+				want += res.Meas[0][r]
+				n++
+			}
+			if n == 0 {
+				t.Fatalf("predicate set %d selects nothing in the reference", i)
+			}
+			if got, rows := sum(st, ps); got != want || rows != n {
+				t.Errorf("%s, predicate set %d: %v over %d rows, the resident table says %v over %d", phase, i, got, rows, want, n)
+			}
+		}
+	}
+	check("in the WAL tail", st)
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if info := st.Info(); info.TailRows != 0 || info.SegmentRows != 270 {
+		t.Fatalf("after Compact: %+v, want 270 rows in segments", info)
+	}
+	check("compacted", st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err = Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if id, ok := st.Schema().Hiers[0].Dict(0).Lookup("b-later"); !ok || id != later {
+		t.Fatalf("reopened dictionary holds b-later as %d (%v), want %d", id, ok, later)
+	}
+	if got := st.Schema().Hiers[0].Rollup(later, 0, 1); got != newMid {
+		t.Fatalf("reopened b-later rolls up to %d, want %d", got, newMid)
+	}
+	check("reopened", st)
+}
+
+// TestAppendAfterDictionaryGrowthDuringFolds registers members and appends
+// the rows that carry them from one goroutine — AddMember must not overlap
+// an Append or a scan of its schema, a rule the caller can keep — while
+// auto-compaction folds and merges on the store's own goroutine, which the
+// caller cannot see: a fold rolls codes up through the level maps the store
+// captured when the rows entered the tail, never through the live
+// hierarchy. Run under the race detector.
+func TestAppendAfterDictionaryGrowthDuringFolds(t *testing.T) {
+	s := testSchema(t, 100)
+	st, err := Create(t.TempDir(), s, Options{SegmentRows: 32, AutoCompactRows: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	h := s.Hiers[0]
+	var want float64
+	rows := 0
+	for i := 0; i < 300; i++ {
+		id := h.MustAddMember(itoa("late", i), itoa("late-m", i/7))
+		if err := st.Append([]int32{id, int32(i % 50)}, []float64{float64(i), 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Append([]int32{int32(i % 100), int32(i % 50)}, []float64{1, 1}); err != nil {
+			t.Fatal(err)
+		}
+		if i/7 == 40 {
+			want += float64(i)
+			rows++
+		}
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Info().Compactions < 2 {
+		t.Fatalf("%d compactions: no background fold ran beside the appends", st.Info().Compactions)
+	}
+	mid, _ := h.Dict(1).Lookup(itoa("late-m", 40))
+	src := st.scan(storage.ColSet{}, []storage.LevelPred{{Hier: 0, Level: 1, Members: []int32{mid}}})
+	defer src.Close()
+	var sc storage.BlockScratch
+	var got float64
+	n, decoded := 0, 0
+	for b := 0; b < src.Blocks()-1; b++ {
+		cols, ok, err := src.Block(b, &sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			continue
+		}
+		decoded++
+		for r := 0; r < cols.Rows; r++ {
+			if cols.Selected(r) {
+				got += cols.Meas[0][r]
+				n++
+			}
+		}
+	}
+	if got != want || n != rows {
+		t.Fatalf("mid %d: %v over %d rows, want %v over %d", mid, got, n, want, rows)
+	}
+	if segs := st.Info().Segments; decoded == 0 || decoded > segs/4 {
+		t.Fatalf("%d of %d segments decoded: zone maps written beside AddMember do not prune", decoded, segs)
 	}
 }

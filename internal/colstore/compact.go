@@ -72,6 +72,7 @@ func (st *Store) foldWAL() (bool, error) {
 	chunks := (fold + st.opts.SegmentRows - 1) / st.opts.SegmentRows
 	firstSeq := st.seq
 	st.seq += uint64(chunks)
+	ruMaps := st.ruMaps
 	st.mu.Unlock()
 
 	// Step 1: write the segment files without blocking appends.
@@ -95,7 +96,7 @@ func (st *Store) foldWAL() (bool, error) {
 			cm[m] = meas[m][lo:hi]
 		}
 		path := filepath.Join(st.dir, segName(firstSeq+uint64(c)))
-		if _, err := writeSegment(path, ck, cm, hi-lo, st.ruMaps); err != nil {
+		if _, err := writeSegment(path, ck, cm, hi-lo, ruMaps); err != nil {
 			return fail(err)
 		}
 		seg, err := openSegment(path, st.opts.NoMmap)
@@ -221,6 +222,7 @@ func (st *Store) rewrite(lo, hi int) error {
 	}
 	seq := st.seq
 	st.seq++
+	ruMaps := st.ruMaps
 	st.mu.Unlock()
 	defer func() {
 		for _, s := range run {
@@ -233,7 +235,7 @@ func (st *Store) rewrite(lo, hi int) error {
 		return err
 	}
 	path := filepath.Join(st.dir, segName(seq))
-	if _, err := writeSegment(path, keys, meas, rows, st.ruMaps); err != nil {
+	if _, err := writeSegment(path, keys, meas, rows, ruMaps); err != nil {
 		return err
 	}
 	seg, err := openSegment(path, st.opts.NoMmap)

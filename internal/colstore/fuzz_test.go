@@ -38,8 +38,8 @@ func FuzzOpenSegment(f *testing.F) {
 	f.Add(raw)
 
 	plans := []*scanPlan{
-		st.prepare([]storage.LevelPred{{Hier: 1, Level: 0, Members: []int32{3, 7, 31}}}),
-		st.prepare([]storage.LevelPred{
+		st.plan([]storage.LevelPred{{Hier: 1, Level: 0, Members: []int32{3, 7, 31}}}),
+		st.plan([]storage.LevelPred{
 			{Hier: 0, Level: 1, Members: []int32{0, 2, 5, 9}},
 			{Hier: 1, Level: 0, Members: rangeMembers(5, 40)},
 		}),

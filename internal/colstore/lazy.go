@@ -1,16 +1,16 @@
 // Late materialization: predicate-first evaluation in code space.
-// A scan's LevelPreds are prepared once into (a) sorted member sets with
+// A scan's LevelPreds are planned once into (a) sorted member sets with
 // min/max bounds for zone-map probes — a couple of comparisons and a
 // binary search per segment instead of a linear member sweep — and (b)
-// per-hierarchy acceptance over base-level codes, as a vector and as a
-// sorted code list, derived from the store's resident rollup maps
-// exactly as the engine derives its own, so code-space filtering is
-// bit-exact with engine-side filtering. selectRows evaluates them per
-// segment before any needed column is touched: the accepted codes'
-// postings give every predicate's exact match count and the smallest
-// builds the selection bitmap in time proportional to its matches; the
-// other predicates intersect by probing the packed codes of the rows
-// still set. A segment without postings (format version 1, or a column
+// per-hierarchy acceptance over base-level codes: the vector the caller
+// prepared (storage.LevelPred.Accept; the store derives none, so segment
+// rows and the WAL tail the engine filters pass through the very same
+// vector) and, from it, the sorted code list the postings are looked up
+// with. selectRows evaluates them per segment before any needed column is
+// touched: the accepted codes' postings give every predicate's exact
+// match count and the smallest builds the selection bitmap in time
+// proportional to its matches; the other predicates intersect by probing
+// the packed codes of the rows still set. A segment without postings (format version 1, or a column
 // the writer left unindexed) sweeps the first predicate's codes instead
 // — the same kernels the tests use as the reference. An empty bitmap
 // skips the segment and sparse selections gather-decode only the
@@ -38,16 +38,14 @@ type preparedPred struct {
 // code-space filtering.
 type scanPlan struct {
 	preds   []preparedPred
-	accepts [][]bool  // per hierarchy; nil = no predicate on it
+	accepts [][]bool  // per hierarchy, the caller's vector; nil = no predicate on it
 	codes   [][]int32 // accepts as sorted code lists, for postings lookups
 	// filtered lists the hierarchies with non-nil accepts, so the block
 	// path iterates predicated hierarchies only.
 	filtered []int
 }
 
-// preparePreds builds the prune-probe forms alone (no acceptance
-// vectors); it needs nothing from the store, so shared scans can prepare
-// arbitrary predicate sets against an open snapshot.
+// preparePreds builds the prune-probe forms alone.
 func preparePreds(preds []storage.LevelPred) []preparedPred {
 	if len(preds) == 0 {
 		return nil
@@ -65,42 +63,27 @@ func preparePreds(preds []storage.LevelPred) []preparedPred {
 	return pps
 }
 
-// prepare builds the full scan plan: prune probes plus acceptance
-// vectors over base codes via the store's rollup maps. Returns nil when
-// there is nothing to prepare.
-func (st *Store) prepare(preds []storage.LevelPred) *scanPlan {
+// newPlan builds the scan plan over hiers hierarchies: prune probes plus
+// row-level acceptance. The predicates come prepared by storage.Accepts; an
+// unprepared one is the caller's bug and panics, since the selection bitmap
+// promises the full predicate set. Returns nil when there is nothing to
+// plan.
+func newPlan(hiers int, preds []storage.LevelPred) *scanPlan {
 	if len(preds) == 0 {
 		return nil
 	}
 	plan := &scanPlan{
 		preds:   preparePreds(preds),
-		accepts: make([][]bool, len(st.ruMaps)),
-		codes:   make([][]int32, len(st.ruMaps)),
+		accepts: make([][]bool, hiers),
+		codes:   make([][]int32, hiers),
 	}
 	for _, p := range preds {
-		if p.Hier < 0 || p.Hier >= len(st.ruMaps) || p.Level < 0 || p.Level >= len(st.ruMaps[p.Hier]) {
-			continue
+		if p.Accept == nil {
+			panic("colstore: scan predicate not prepared by storage.Accepts")
 		}
-		rm := st.ruMaps[p.Hier][p.Level]
-		want := make([]bool, st.schema.Hiers[p.Hier].Dict(p.Level).Len())
-		for _, m := range p.Members {
-			if int(m) < len(want) && m >= 0 {
-				want[m] = true
-			}
+		if p.Hier >= 0 && p.Hier < hiers {
+			plan.accepts[p.Hier] = p.Accept
 		}
-		acc := plan.accepts[p.Hier]
-		if acc == nil {
-			acc = make([]bool, len(rm))
-			for base, lc := range rm {
-				acc[base] = want[lc]
-			}
-		} else {
-			// A second predicate on the same hierarchy intersects.
-			for base, lc := range rm {
-				acc[base] = acc[base] && want[lc]
-			}
-		}
-		plan.accepts[p.Hier] = acc
 	}
 	for h, acc := range plan.accepts {
 		if acc == nil {

@@ -214,7 +214,7 @@ func lazyFixture(t *testing.T, opts Options) (*Store, [][]int32, [][]float64) {
 // otherwise filtered manually by accept).
 func lazySum(t *testing.T, st *Store, preds []storage.LevelPred, accept func(h0, h1 int32) bool) (sum float64, rows int) {
 	t.Helper()
-	src := st.Snapshot(storage.ColSet{}, preds)
+	src := st.scan(storage.ColSet{}, preds)
 	defer src.Close()
 	var sc storage.BlockScratch
 	for b := 0; b < src.Blocks(); b++ {
@@ -332,7 +332,7 @@ func TestPredOnlyColumnsNeverMaterialized(t *testing.T) {
 					}
 				}
 			}()
-			src := st.Snapshot(storage.ColSet{PredOnly: tc.predOnly}, tc.preds)
+			src := st.scan(storage.ColSet{PredOnly: tc.predOnly}, tc.preds)
 			defer src.Close()
 			var sc storage.BlockScratch
 			var sum float64
@@ -481,7 +481,7 @@ func TestLazyMatchesEager(t *testing.T) {
 func TestEagerOptionDisablesRowFiltering(t *testing.T) {
 	st, _, _ := lazyFixture(t, Options{Eager: true})
 	filteredBefore := mLazyFiltered.Value()
-	src := st.Snapshot(storage.ColSet{}, []storage.LevelPred{{Hier: 1, Level: 0, Members: []int32{7}}})
+	src := st.scan(storage.ColSet{}, []storage.LevelPred{{Hier: 1, Level: 0, Members: []int32{7}}})
 	defer src.Close()
 	var sc storage.BlockScratch
 	for b := 0; b < src.Blocks(); b++ {
@@ -549,7 +549,7 @@ func TestConstFastPath(t *testing.T) {
 	var sc storage.BlockScratch
 
 	skippedBefore := mLazySkipped.Value()
-	reject := st.prepare([]storage.LevelPred{{Hier: 0, Level: 0, Members: []int32{6}}})
+	reject := st.plan([]storage.LevelPred{{Hier: 0, Level: 0, Members: []int32{6}}})
 	cols, ok, err := seg.decodeInto(storage.ColSet{}, reject, 0.25, &sc)
 	if err != nil {
 		t.Fatal(err)
@@ -565,7 +565,7 @@ func TestConstFastPath(t *testing.T) {
 	}
 
 	// Const-accepted: all rows pass, bitmap is the identity.
-	pass := st.prepare([]storage.LevelPred{{Hier: 0, Level: 0, Members: []int32{5}}})
+	pass := st.plan([]storage.LevelPred{{Hier: 0, Level: 0, Members: []int32{5}}})
 	cols, ok, err = seg.decodeInto(storage.ColSet{}, pass, 0.25, &sc)
 	if err != nil || !ok {
 		t.Fatalf("const-accepting plan: ok=%v err=%v", ok, err)
@@ -634,7 +634,7 @@ func TestPreparedPruneMatchesLinear(t *testing.T) {
 			}
 		}
 		before := mPruned.Value()
-		src := st.Snapshot(storage.ColSet{}, preds)
+		src := st.scan(storage.ColSet{}, preds)
 		var sc storage.BlockScratch
 		for b := 0; b < src.Blocks(); b++ {
 			if _, _, err := src.Block(b, &sc); err != nil {

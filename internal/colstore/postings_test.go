@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -306,7 +307,7 @@ func checkSelection(t *testing.T, st *Store, idx, lin *segment, keys [][]int32, 
 	}
 	accept := func(r int) bool {
 		for i, p := range preds {
-			if !members[i][st.ruMaps[p.Hier][p.Level][keys[p.Hier][r]]] {
+			if !members[i][st.schema.Hiers[p.Hier].Rollup(keys[p.Hier][r], 0, p.Level)] {
 				return false
 			}
 		}
@@ -318,7 +319,7 @@ func checkSelection(t *testing.T, st *Store, idx, lin *segment, keys [][]int32, 
 			wantCount++
 		}
 	}
-	plan := st.prepare(preds)
+	plan := st.plan(preds)
 	var sa, sb storage.BlockScratch
 	got, gotOK, err := idx.decodeInto(need, plan, gatherCutoff, &sa)
 	if err != nil {
@@ -659,7 +660,7 @@ func TestCorruptPostingsRejected(t *testing.T) {
 			}
 			var sc storage.BlockScratch
 			for attempt := 0; attempt < 2; attempt++ { // a failed check must not be cached as passed
-				_, _, err = seg.decodeInto(storage.ColSet{}, st.prepare(preds), gatherCutoff, &sc)
+				_, _, err = seg.decodeInto(storage.ColSet{}, st.plan(preds), gatherCutoff, &sc)
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) || !strings.Contains(err.Error(), "corrupt segment") {
 					t.Fatalf("%s (noMmap=%v): err = %v, want a corrupt-segment error mentioning %q", tc.name, noMmap, err, tc.wantErr)
 				}
@@ -724,13 +725,14 @@ func TestPostingsConcurrentUpgradeAndCompaction(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var sc storage.BlockScratch
+			preds := slices.Clone(preds) // each scan prepares its own
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				src := st.Snapshot(storage.ColSet{PredOnly: []bool{false, true}}, preds)
+				src := st.scan(storage.ColSet{PredOnly: []bool{false, true}}, preds)
 				sum, rows, off := 0.0, 0, 0
 				for b := 0; b < src.Blocks(); b++ {
 					base := off
@@ -743,6 +745,11 @@ func TestPostingsConcurrentUpgradeAndCompaction(t *testing.T) {
 					}
 					if !ok {
 						continue
+					}
+					if b < src.Blocks()-1 && cols.Sel == nil {
+						src.Close()
+						t.Errorf("segment block %d came without a selection: the scan only pruned", b)
+						return
 					}
 					for r := 0; r < cols.Rows && base+r < fixed; r++ {
 						if cols.Sel != nil && !cols.Selected(r) || cols.Sel == nil && !want[cols.Keys[1][r]] {

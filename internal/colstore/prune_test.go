@@ -34,7 +34,7 @@ func pruneFixture(t *testing.T) *Store {
 func scanCount(t *testing.T, st *Store, preds []storage.LevelPred) (decoded, pruned, rows int) {
 	t.Helper()
 	prunedBefore := mPruned.Value()
-	src := st.Snapshot(storage.ColSet{}, preds)
+	src := st.scan(storage.ColSet{}, preds)
 	defer src.Close()
 	var sc storage.BlockScratch
 	for b := 0; b < src.Blocks(); b++ {
@@ -128,7 +128,7 @@ func TestPruningIsExactlyNecessary(t *testing.T) {
 		return mid == 3 || mid == 17 || mid == 44
 	}
 	sum := func(preds []storage.LevelPred) float64 {
-		src := st.Snapshot(storage.ColSet{}, preds)
+		src := st.scan(storage.ColSet{}, preds)
 		defer src.Close()
 		var sc storage.BlockScratch
 		total := 0.0

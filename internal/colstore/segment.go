@@ -73,20 +73,6 @@ type footer struct {
 	post []postMeta // per key column; nil for a version 1 segment
 }
 
-// rollupMaps returns, for each level d of h, the base→level-d code map.
-func rollupMaps(h *mdm.Hierarchy) [][]int32 {
-	maps := make([][]int32, h.Depth())
-	n := h.Dict(0).Len()
-	for d := range maps {
-		m := make([]int32, n)
-		for id := int32(0); int(id) < n; id++ {
-			m[id] = h.Rollup(id, 0, d)
-		}
-		maps[d] = m
-	}
-	return maps
-}
-
 // segWriter appends sections to a segment file under construction,
 // keeping the running offset each footer entry records.
 type segWriter struct {
@@ -103,9 +89,26 @@ func (w *segWriter) put(p []byte) (off, size int64, crc uint32, err error) {
 	return off, size, crc32.Checksum(p, castTable), nil
 }
 
+// levelMaps returns, per hierarchy and per level d, mdm's base→d level map
+// as it stands now. The tables are immutable, so a writer on another
+// goroutine may keep reading them while Hierarchy.AddMember runs; they
+// cover every base member registered before the call.
+func levelMaps(hiers []*mdm.Hierarchy) [][][]int32 {
+	maps := make([][][]int32, len(hiers))
+	for h, hier := range hiers {
+		maps[h] = make([][]int32, hier.Depth())
+		for d := range maps[h] {
+			maps[h][d] = hier.LevelMap(0, d)
+		}
+	}
+	return maps
+}
+
 // writeSegment encodes rows [0, rows) of the given columns into path
-// (via tmp+rename) and returns the parsed footer. ruMaps must hold one
-// rollup map set per hierarchy, as built by rollupMaps.
+// (via tmp+rename) and returns the parsed footer. ruMaps are the
+// hierarchies' levelMaps, taken no earlier than the rows were accepted:
+// every code a row carries has its entry. The live hierarchies are not
+// read here — folds and merges run on the store's own goroutine.
 func writeSegment(path string, keys [][]int32, meas [][]float64, rows int, ruMaps [][][]int32) (*footer, error) {
 	f, err := os.Create(path + ".tmp")
 	if err != nil {

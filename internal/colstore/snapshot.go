@@ -26,12 +26,12 @@ type snapshot struct {
 	rows     int
 }
 
-// Snapshot captures a consistent view for one scan. preds are prepared
-// once (sorted member sets for the zone-map probes, acceptance vectors
-// over base codes for late materialization) and evaluated against every
-// segment; with Options.Eager the predicates prune segments only and
-// row-exact filtering stays with the engine. The caller must Close the
-// snapshot to release segment references.
+// Snapshot captures a consistent view for one scan. preds, prepared by
+// storage.Accepts, are planned once (sorted member sets for the zone-map
+// probes; the acceptance vectors over base codes they carry, for late
+// materialization) and evaluated against every segment; with Options.Eager
+// they prune segments only and row-exact filtering stays with the engine.
+// The caller must Close the snapshot to release segment references.
 func (st *Store) Snapshot(need storage.ColSet, preds []storage.LevelPred) storage.ScanSource {
 	st.mu.Lock()
 	sn := &snapshot{
@@ -58,7 +58,7 @@ func (st *Store) Snapshot(need storage.ColSet, preds []storage.LevelPred) storag
 		sn.tailMeas[m] = col[:st.tailRows]
 	}
 	st.mu.Unlock()
-	sn.plan = st.prepare(preds)
+	sn.plan = newPlan(len(st.schema.Hiers), preds)
 	if sn.plan != nil {
 		for i, s := range sn.segs {
 			sn.pruned[i] = s.foot.prunedByPreds(sn.plan.preds)

@@ -93,7 +93,6 @@ type Store struct {
 	dir    string
 	schema *mdm.Schema
 	opts   Options
-	ruMaps [][][]int32 // per hierarchy, per level: base→code rollup map
 	// gatherCutoff is the package constant; a field so tests can switch
 	// gather decode off.
 	gatherCutoff float64
@@ -114,6 +113,11 @@ type Store struct {
 	walSkip  int // records at the head of wal.log already folded
 	seq      uint64
 	closed   bool
+	// ruMaps are the hierarchies' levelMaps as of the last dictionary
+	// growth an appended row showed (written with appendMu and mu both
+	// held): what folds and merges roll zone maps up through, and the
+	// base-level cardinalities schema.bin records.
+	ruMaps [][][]int32
 
 	// compactMu serializes compaction passes; compacting keeps Append
 	// from piling up background goroutines behind a running pass.
@@ -244,21 +248,15 @@ func newStore(dir string, s *mdm.Schema, opts Options) *Store {
 		opts:     opts.withDefaults(),
 		tailKeys: make([][]int32, len(s.Hiers)),
 		tailMeas: make([][]float64, len(s.Measures)),
-		ruMaps:   make([][][]int32, len(s.Hiers)),
+		ruMaps:   levelMaps(s.Hiers),
 
 		gatherCutoff: gatherCutoff,
-	}
-	for h, hier := range s.Hiers {
-		st.ruMaps[h] = rollupMaps(hier)
 	}
 	return st
 }
 
 // Schema returns the cube schema stored alongside the segments.
 func (st *Store) Schema() *mdm.Schema { return st.schema }
-
-// Dir returns the store's directory.
-func (st *Store) Dir() string { return st.dir }
 
 // Rows returns the total logical row count (segments + WAL tail).
 func (st *Store) Rows() int {
@@ -280,13 +278,18 @@ func (st *Store) tailAppend(keys []int32, vals []float64) {
 }
 
 // Append durably appends one row: WAL first, then the resident tail.
-// Once the tail passes AutoCompactRows a background fold kicks off.
+// Once the tail passes AutoCompactRows a background fold kicks off. A key
+// outside its hierarchy's dictionary is an error.
 func (st *Store) Append(keys []int32, vals []float64) error {
 	rec := walRecord(keys, vals)
 	st.appendMu.Lock()
 	if st.closed {
 		st.appendMu.Unlock()
 		return fmt.Errorf("colstore: store is closed")
+	}
+	if err := st.persistGrowth(keys); err != nil {
+		st.appendMu.Unlock()
+		return err
 	}
 	if _, err := st.walF.Write(rec); err != nil {
 		st.appendMu.Unlock()
@@ -308,6 +311,36 @@ func (st *Store) Append(keys []int32, vals []float64) error {
 			st.compact(false)
 		}()
 	}
+	return nil
+}
+
+// persistGrowth checks a row's keys against the live dictionaries and,
+// when one names a base member registered after schema.bin was written,
+// rewrites the file and takes the level maps anew before the row reaches
+// the WAL (appendMu held): a reopened store must find every code its WAL
+// and segments hold in its dictionaries, and a fold every code of the tail
+// in ruMaps. This is the one place the store reads a live hierarchy, on
+// the appender's goroutine: Hierarchy.AddMember must not overlap an Append
+// or a scan of its schema, and need not know about background folds.
+func (st *Store) persistGrowth(keys []int32) error {
+	grown := false
+	for h, k := range keys {
+		hier := st.schema.Hiers[h]
+		if n := hier.Dict(0).Len(); k < 0 || int(k) >= n {
+			return fmt.Errorf("colstore: key %d out of range for hierarchy %s (%d members)", k, hier.Name(), n)
+		}
+		grown = grown || int(k) >= len(st.ruMaps[h][0])
+	}
+	if !grown {
+		return nil
+	}
+	if err := writeSchemaFile(filepath.Join(st.dir, schemaName), st.schema); err != nil {
+		return fmt.Errorf("colstore: rewriting the schema after dictionary growth: %w", err)
+	}
+	ruMaps := levelMaps(st.schema.Hiers)
+	st.mu.Lock()
+	st.ruMaps = ruMaps
+	st.mu.Unlock()
 	return nil
 }
 
@@ -404,8 +437,10 @@ func writeManifestFile(dir string, man manifest) error {
 	return os.Rename(path+".tmp", path)
 }
 
+// writeSchemaFile writes the schema via tmp+rename: a rewrite after
+// dictionary growth must never leave a torn file behind.
 func writeSchemaFile(path string, s *mdm.Schema) error {
-	f, err := os.Create(path)
+	f, err := os.Create(path + ".tmp")
 	if err != nil {
 		return err
 	}
@@ -421,7 +456,10 @@ func writeSchemaFile(path string, s *mdm.Schema) error {
 		f.Close()
 		return err
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(path+".tmp", path)
 }
 
 func readSchemaFile(path string) (*mdm.Schema, error) {

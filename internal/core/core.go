@@ -277,18 +277,13 @@ func (s *Session) PrepareCostBasedContext(ctx context.Context, stmt string) (*pl
 // ExecCostBased runs a statement with the cheapest plan according to the
 // cost model.
 func (s *Session) ExecCostBased(stmt string) (*exec.Result, error) {
-	r, _, err := s.ExecCostBasedTracked(stmt)
+	r, _, err := s.ExecCostBasedTrackedContext(context.Background(), stmt)
 	return r, err
 }
 
-// ExecCostBasedTracked is ExecCostBased, also reporting whether the
-// result came from the query-result cache.
-func (s *Session) ExecCostBasedTracked(stmt string) (*exec.Result, CacheState, error) {
-	return s.ExecCostBasedTrackedContext(context.Background(), stmt)
-}
-
-// ExecCostBasedTrackedContext is ExecCostBasedTracked with lifecycle
-// tracing threaded through the context.
+// ExecCostBasedTrackedContext is ExecCostBased, also reporting whether the
+// result came from the query-result cache, with lifecycle tracing threaded
+// through the context.
 func (s *Session) ExecCostBasedTrackedContext(ctx context.Context, stmt string) (*exec.Result, CacheState, error) {
 	start := time.Now()
 	p, err := s.PrepareCostBasedContext(ctx, stmt)

@@ -128,8 +128,8 @@ func randomCoords(rng *rand.Rand, s *mdm.Schema, g mdm.GroupBy, density float64,
 				coord[p] = pin[p]
 			}
 		}
-		if rng.Float64() < density && !seen[coord.Key()] {
-			seen[coord.Key()] = true
+		if rng.Float64() < density && !seen[mdm.WideKey(coord, nil)] {
+			seen[mdm.WideKey(coord, nil)] = true
 			coords = append(coords, coord)
 		}
 	}

@@ -39,7 +39,7 @@ func (c *refCube) AddCell(coord mdm.Coordinate, vals []float64) error {
 	if len(vals) != len(c.Cols) {
 		return fmt.Errorf("cube: cell has %d values, cube has %d measures", len(vals), len(c.Cols))
 	}
-	key := coord.Key()
+	key := mdm.WideKey(coord, nil)
 	if _, dup := c.index[key]; dup {
 		return fmt.Errorf("cube: duplicate coordinate %s", coord.Format(c.Schema, c.Group))
 	}
@@ -52,7 +52,7 @@ func (c *refCube) AddCell(coord mdm.Coordinate, vals []float64) error {
 }
 
 func (c *refCube) Lookup(coord mdm.Coordinate) (int, bool) {
-	i, ok := c.index[coord.Key()]
+	i, ok := c.index[mdm.WideKey(coord, nil)]
 	return i, ok
 }
 
@@ -82,7 +82,7 @@ func refPartialJoin(left, right *refCube, on []mdm.LevelRef, alias string, outer
 
 	rindex := make(map[string]int, right.Len())
 	for i, coord := range right.Coords {
-		key := coord.KeyOn(rpos)
+		key := mdm.WideKey(coord, rpos)
 		if _, dup := rindex[key]; dup {
 			return nil, fmt.Errorf("cube: partial join is ambiguous: right cube has several cells for key of %s",
 				coord.Format(right.Schema, right.Group))
@@ -91,7 +91,7 @@ func refPartialJoin(left, right *refCube, on []mdm.LevelRef, alias string, outer
 	}
 	vals := make([]float64, len(names))
 	for i, coord := range left.Coords {
-		ri, ok := rindex[coord.KeyOn(lpos)]
+		ri, ok := rindex[mdm.WideKey(coord, lpos)]
 		if !ok && !outer {
 			continue
 		}
@@ -156,7 +156,7 @@ func refPivot(c *refCube, level mdm.LevelRef, ref int32, neighbors []int32, stri
 	}
 	byKey := make(map[sliceKey]int, c.Len())
 	for i, coord := range c.Coords {
-		byKey[sliceKey{coord[lp], coord.KeyOn(others)}] = i
+		byKey[sliceKey{coord[lp], mdm.WideKey(coord, others)}] = i
 	}
 
 	vals := make([]float64, len(names))
@@ -168,7 +168,7 @@ cells:
 		for j := range c.Cols {
 			vals[j] = c.Cols[j][i]
 		}
-		okey := coord.KeyOn(others)
+		okey := mdm.WideKey(coord, others)
 		w := len(c.Cols)
 		for _, id := range neighbors {
 			ni, ok := byKey[sliceKey{id, okey}]
@@ -356,6 +356,6 @@ func (c *refCube) SortByCoordinate() {
 	c.Coords, c.Cols, c.Labels = coords, cols, labels
 	c.index = make(map[string]int, len(coords))
 	for i, coord := range coords {
-		c.index[coord.Key()] = i
+		c.index[mdm.WideKey(coord, nil)] = i
 	}
 }

@@ -284,69 +284,29 @@ func (c *Coordinator) scanShard(ctx context.Context, t *table, s int, req *ScanR
 // route returns the shard indices a query with the given predicates
 // must touch, in ascending order. Predicates on hierarchies other than
 // the shard hierarchy cannot prune shards; predicates on the shard
-// hierarchy narrow the compatible shard-level members (exactly at the
-// shard level, by rolling predicate members up from finer levels, or by
-// keeping shard-level members whose roll-up survives a coarser
-// predicate), and only the shards owning a compatible member are
-// scanned. All predicates still travel with the request, so worker zone
-// maps prune further within each shard.
+// hierarchy narrow the compatible shard-level members (mdm's Accept at
+// the shard level: exact for a predicate at or above it, the members a
+// finer predicate's rows roll up to otherwise), and only the shards
+// owning a compatible member are scanned. All predicates still travel
+// with the request, so worker zone maps prune further within each shard.
 func (t *table) route(preds []engine.Predicate) []int {
 	hier := t.local.Schema.Hiers[t.level.Hier]
-	var compat map[int32]bool // nil = unconstrained
+	var compat []bool // nil = unconstrained
 	for _, p := range preds {
-		if p.Level.Hier != t.level.Hier {
-			continue
+		if p.Level.Hier == t.level.Hier {
+			compat = hier.Accept(compat, t.level.Level, p.Level.Level, p.Members)
 		}
-		set := make(map[int32]bool)
-		switch {
-		case p.Level.Level == t.level.Level:
-			for _, m := range p.Members {
-				set[m] = true
-			}
-		case p.Level.Level > t.level.Level:
-			// Coarser predicate: keep shard-level members rolling up
-			// into it.
-			accept := make(map[int32]bool, len(p.Members))
-			for _, m := range p.Members {
-				accept[m] = true
-			}
-			n := int32(hier.Dict(t.level.Level).Len())
-			for id := int32(0); id < n; id++ {
-				if accept[hier.Rollup(id, t.level.Level, p.Level.Level)] {
-					set[id] = true
-				}
-			}
-		default:
-			// Finer predicate: its members roll up to shard-level ones.
-			for _, m := range p.Members {
-				set[hier.Rollup(m, p.Level.Level, t.level.Level)] = true
-			}
-		}
-		if compat == nil {
-			compat = set
-			continue
-		}
-		for id := range compat {
-			if !set[id] {
-				delete(compat, id)
-			}
-		}
-	}
-	if compat == nil {
-		all := make([]int, len(t.shards))
-		for i := range all {
-			all[i] = i
-		}
-		return all
 	}
 	n := len(t.shards)
 	hit := make([]bool, n)
-	for id := range compat {
-		hit[shardOf(id, n)] = true
+	for id, ok := range compat {
+		if ok {
+			hit[shardOf(int32(id), n)] = true
+		}
 	}
 	var out []int
-	for s, h := range hit {
-		if h {
+	for s := range hit {
+		if hit[s] || compat == nil {
 			out = append(out, s)
 		}
 	}
@@ -392,7 +352,12 @@ func (c *Coordinator) Append(ctx context.Context, fact string, keys []int32, val
 		}
 		return f.Append(keys, vals)
 	}
-	s := shardOf(rollKey(t.local.Schema, t.level, keys[t.level.Hier]), len(t.shards))
+	hier := t.local.Schema.Hiers[t.level.Hier]
+	member := hier.LevelMap(0, t.level.Level)
+	if h := t.level.Hier; h >= len(keys) || uint(keys[h]) >= uint(len(member)) {
+		return fmt.Errorf("dist: append to %s: no key inside the dictionary of shard hierarchy %s", fact, hier.Name())
+	}
+	s := shardOf(member[keys[t.level.Hier]], len(t.shards))
 	ss := t.shards[s]
 	var gen uint64
 	var err error

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/assess-olap/assess/internal/cube"
@@ -31,7 +33,9 @@ func newRig(t *testing.T, rows, shards int, cfg Config, chains func(*LocalCluste
 	if err := eng.Register("SALES", ds.Fact); err != nil {
 		t.Fatal(err)
 	}
-	level := mdm.LevelRef{Hier: 2, Level: 0} // product, the widest base dict
+	// product, the widest base dict: a row's product key is its shard-level
+	// member, so tests name a row's owner as shardOf(key, shards).
+	level := mdm.LevelRef{Hier: 2, Level: 0}
 	lc := NewLocalCluster(shards)
 	if err := lc.AddFact("SALES", ds.Fact, level); err != nil {
 		t.Fatal(err)
@@ -270,6 +274,59 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRouteMatchesRollup holds route to its definition — one Rollup per
+// base member — at a shard level in the middle of its hierarchy, so that
+// predicates finer than, at and coarser than the shard level, alone and
+// intersected, all occur.
+func TestRouteMatchesRollup(t *testing.T) {
+	ds := sales.Generate(200, 7)
+	const hier, shardLevel, n = 0, 1, 5 // dates sharded by month
+	tab := &table{local: ds.Fact, level: mdm.LevelRef{Hier: hier, Level: shardLevel}, shards: make([]*shardState, n)}
+	h := ds.Schema.Hiers[hier]
+	on := func(level int, members ...int32) engine.Predicate {
+		return engine.Predicate{Level: mdm.LevelRef{Hier: hier, Level: level}, Members: members}
+	}
+	elsewhere := engine.Predicate{Level: mdm.LevelRef{Hier: 2, Level: 0}, Members: []int32{1}}
+	for i, preds := range [][]engine.Predicate{
+		nil,
+		{elsewhere},
+		{on(0, 3, 100, 400)},
+		{on(0, 3, 4, 5)}, // one month
+		{on(1, 2, 7)},
+		{on(2, 1)},
+		{on(1)},
+		{on(0, 3, 100, 400), elsewhere, on(2, 0)},
+		{on(1, 2, 7, 20), on(0, 70, 650)},
+		{on(2, 0), on(2, 1)},
+	} {
+		// A shard is needed when it owns a month that, for every
+		// predicate, holds a date rolling up into the predicate's members.
+		var want []int
+		for s := 0; s < n; s++ {
+			needed := false
+			for month := int32(0); int(month) < h.Dict(shardLevel).Len() && !needed; month++ {
+				needed = shardOf(month, n) == s
+				for _, p := range preds {
+					if p.Level.Hier != hier {
+						continue
+					}
+					some := false
+					for date := int32(0); int(date) < h.Dict(0).Len(); date++ {
+						some = some || h.Rollup(date, 0, shardLevel) == month && slices.Contains(p.Members, h.Rollup(date, 0, p.Level.Level))
+					}
+					needed = needed && some
+				}
+			}
+			if needed {
+				want = append(want, s)
+			}
+		}
+		if got := tab.route(preds); !slices.Equal(got, want) {
+			t.Errorf("case %d: routed to shards %v, the roll-up says %v", i, got, want)
+		}
+	}
+}
+
 // TestGenerationReconciliation drives an append directly into a worker
 // shard (bypassing the coordinator) and checks the next merge folds the
 // shard's new generation into the local fact's version — the mechanism
@@ -285,7 +342,7 @@ func TestGenerationReconciliation(t *testing.T) {
 
 	keys := []int32{0, 0, 0, 0}
 	vals := []float64{1, 1, 1}
-	if _, err := rig.lc.Workers[shardOf(rollKey(rig.ds.Schema, rig.level, 0), 2)].Append("SALES", keys, vals); err != nil {
+	if _, err := rig.lc.Workers[shardOf(0, 2)].Append("SALES", keys, vals); err != nil {
 		t.Fatal(err)
 	}
 	if got := rig.ds.Fact.Version(); got != before {
@@ -331,9 +388,21 @@ func TestCoordinatorAppend(t *testing.T) {
 	if got := rig.ds.Fact.Version(); got != before+1 {
 		t.Fatalf("version %d after coordinator append, want %d", got, before+1)
 	}
-	owner := shardOf(rollKey(rig.ds.Schema, rig.level, 6), 3)
+	owner := shardOf(6, 3)
 	if got := rig.lc.Workers[owner].Stats().Appends; got != 1 {
 		t.Fatalf("owning worker saw %d appends, want 1", got)
+	}
+	// A shard key outside the dictionary has no owner: an error naming the
+	// hierarchy, before any shard is chosen.
+	shardHier := rig.ds.Fact.Schema.Hiers[2]
+	for _, bad := range [][]int32{{1, 1, int32(shardHier.Dict(0).Len()), 1}, {1, 1, -1, 1}, {1, 1}} {
+		err := rig.coord.Append(context.Background(), "SALES", bad, vals)
+		if err == nil || !strings.Contains(err.Error(), shardHier.Name()) {
+			t.Fatalf("append of keys %v: err %v, want one naming hierarchy %s", bad, err, shardHier.Name())
+		}
+	}
+	if got := rig.ds.Fact.Rows(); got != rowsBefore+1 {
+		t.Fatalf("local rows %d after refused appends, want %d", got, rowsBefore+1)
 	}
 
 	got, err := rig.coord.Scan(context.Background(), q, ops, names(1))
@@ -397,7 +466,7 @@ func TestHTTPWorkerRoundTrip(t *testing.T) {
 	if err := coord.Append(context.Background(), "SALES", []int32{0, 0, 3, 0}, []float64{2, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	owner := shardOf(rollKey(rig.ds.Schema, rig.level, 3), 2)
+	owner := shardOf(3, 2)
 	if got := rig.lc.Workers[owner].Stats().Appends; got != 1 {
 		t.Fatalf("HTTP append did not reach owning worker (appends=%d)", got)
 	}

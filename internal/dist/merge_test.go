@@ -36,7 +36,7 @@ type refTable struct{ cells map[string]*refCell }
 // part repeats is folded twice.
 func refMergeInto(dst *refTable, colOps []mdm.AggOp, c *cube.Cube) {
 	for i, coord := range c.Coords {
-		dc, ok := dst.cells[coord.Key()]
+		dc, ok := dst.cells[mdm.WideKey(coord, nil)]
 		if !ok {
 			dc = &refCell{coord: coord, vals: make([]float64, len(colOps))}
 			for j, op := range colOps {
@@ -47,7 +47,7 @@ func refMergeInto(dst *refTable, colOps []mdm.AggOp, c *cube.Cube) {
 					dc.vals[j] = math.Inf(-1)
 				}
 			}
-			dst.cells[coord.Key()] = dc
+			dst.cells[mdm.WideKey(coord, nil)] = dc
 		}
 		for j, op := range colOps {
 			switch v := c.Cols[j][i]; op {

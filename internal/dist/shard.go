@@ -40,12 +40,6 @@ func AutoShardLevel(s *mdm.Schema) mdm.LevelRef {
 	return mdm.LevelRef{Hier: best, Level: 0}
 }
 
-// rollKey maps a base-level key of the shard hierarchy to its member at
-// the shard level.
-func rollKey(s *mdm.Schema, level mdm.LevelRef, base int32) int32 {
-	return s.Hiers[level.Hier].Rollup(base, 0, level.Level)
-}
-
 // SplitFact partitions f's rows into n resident shard tables sharing
 // f's schema, assigning each row by the hash of its member at level.
 // It reads through the scan-source contract, so both resident and
@@ -63,6 +57,8 @@ func SplitFact(f *storage.FactTable, level mdm.LevelRef, n int) ([]*storage.Fact
 	}
 	src := f.ScanSource(storage.ColSet{}, nil)
 	defer src.Close()
+	// Base key of the shard hierarchy → its member at the shard level.
+	member := f.Schema.Hiers[level.Hier].LevelMap(0, level.Level)
 	var sc storage.BlockScratch
 	keys := make([]int32, f.NumHiers())
 	vals := make([]float64, f.NumMeasures())
@@ -81,7 +77,7 @@ func SplitFact(f *storage.FactTable, level mdm.LevelRef, n int) ([]*storage.Fact
 			for m := range vals {
 				vals[m] = cols.Meas[m][r]
 			}
-			s := shardOf(rollKey(f.Schema, level, keys[level.Hier]), n)
+			s := shardOf(member[keys[level.Hier]], n)
 			if err := shards[s].Append(keys, vals); err != nil {
 				return nil, err
 			}

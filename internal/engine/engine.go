@@ -61,10 +61,6 @@ type Engine struct {
 	// autoMu guards the adaptive-admission tally and knobs.
 	autoMu sync.Mutex
 	auto   autoAdmit
-	// memoized roll-up maps: member id at a finer level → member id at a
-	// coarser level. Queries populate this lazily, so it has its own lock.
-	rollupMu sync.RWMutex
-	rollups  map[rollupKey][]int32
 	// noFusion disables the pipelined view→pivot path (ablation knob).
 	noFusion bool
 	// workers is the fact-scan parallelism (1 = serial, the default).
@@ -103,18 +99,11 @@ type ScanBatcher interface {
 // queries start.
 func (e *Engine) SetScanBatcher(b ScanBatcher) { e.batcher = b }
 
-type rollupKey struct {
-	fact     string
-	hier     int
-	from, to int
-}
-
 // New returns an empty engine.
 func New() *Engine {
 	return &Engine{
-		facts:   make(map[string]*storage.FactTable),
-		views:   make(map[viewKey]*matView),
-		rollups: make(map[rollupKey][]int32),
+		facts: make(map[string]*storage.FactTable),
+		views: make(map[viewKey]*matView),
 	}
 }
 
@@ -249,10 +238,10 @@ func (e *Engine) ScanWithOps(ctx context.Context, q Query, ops []mdm.AggOp, name
 	return sq.finalize(f.Schema, names, t)
 }
 
-// prepare derives everything a fact scan needs before touching data:
-// predicate acceptance vectors, group-level roll-up maps and the key
-// space over their cardinalities, the column set the scan will read, and
-// the predicate forms usable for zone-map pruning.
+// prepare lays out everything a fact scan needs before touching data: the
+// predicates with their acceptance vectors, group-level roll-up maps (both
+// read off the hierarchies, which own the derivation) and the key space
+// over their cardinalities, and the column set the scan will read.
 func (e *Engine) prepare(ctx context.Context, f *storage.FactTable, q Query, ops []mdm.AggOp) (*scanQuery, error) {
 	s := f.Schema
 	if len(ops) != len(q.Measures) {
@@ -263,15 +252,17 @@ func (e *Engine) prepare(ctx context.Context, f *storage.FactTable, q Query, ops
 			return nil, fmt.Errorf("engine: measure index %d out of range for %s", mi, q.Fact)
 		}
 	}
-	// Per-hierarchy acceptance vectors over base member ids.
-	accepts := make([][]bool, len(s.Hiers))
-	for _, p := range q.Preds {
+	// The predicates in the backend's form, and their acceptance vectors
+	// over base member ids: derived once per predicated hierarchy, read by
+	// the kernel's selection and by a backend that filters rows itself.
+	preds := make([]storage.LevelPred, len(q.Preds))
+	for i, p := range q.Preds {
 		if !s.HasLevel(p.Level) {
 			return nil, fmt.Errorf("engine: predicate level out of range for %s", q.Fact)
 		}
-		accepts[p.Level.Hier] = narrowAccepts(accepts[p.Level.Hier], s.Hiers[p.Level.Hier].Dict(0).Len(),
-			e.rollupMapFrom(q.Fact, f, p.Level.Hier, 0, p.Level.Level), p.Members)
+		preds[i] = storage.LevelPred{Hier: p.Level.Hier, Level: p.Level.Level, Members: p.Members}
 	}
+	accepts := storage.Accepts(s, preds)
 	// Per-group-level roll-up maps and level cardinalities. The
 	// cardinalities are snapshotted here, after the roll-up maps, so the
 	// key space sees a domain at least as large as any id a map emits.
@@ -281,7 +272,7 @@ func (e *Engine) prepare(ctx context.Context, f *storage.FactTable, q Query, ops
 		if !s.HasLevel(ref) {
 			return nil, fmt.Errorf("engine: group-by level out of range for %s", q.Fact)
 		}
-		gmaps[gi] = e.rollupMapFrom(q.Fact, f, ref.Hier, 0, ref.Level)
+		gmaps[gi] = s.Hiers[ref.Hier].LevelMap(0, ref.Level)
 		cards[gi] = s.Dict(ref).Len()
 	}
 	// Columns the scan touches and predicates usable for segment
@@ -296,9 +287,8 @@ func (e *Engine) prepare(ctx context.Context, f *storage.FactTable, q Query, ops
 	for _, mi := range q.Measures {
 		needMeas[mi] = true
 	}
-	preds := make([]storage.LevelPred, len(q.Preds))
 	var predOnly []bool
-	for i, p := range q.Preds {
+	for _, p := range q.Preds {
 		if !needKeys[p.Level.Hier] {
 			// Filtered on but not grouped by: a bitmap-producing
 			// backend may evaluate this column in code space and never
@@ -309,7 +299,6 @@ func (e *Engine) prepare(ctx context.Context, f *storage.FactTable, q Query, ops
 			predOnly[p.Level.Hier] = true
 		}
 		needKeys[p.Level.Hier] = true
-		preds[i] = storage.LevelPred{Hier: p.Level.Hier, Level: p.Level.Level, Members: p.Members}
 	}
 	sq := &scanQuery{
 		ctx:      ctx,
@@ -323,28 +312,6 @@ func (e *Engine) prepare(ctx context.Context, f *storage.FactTable, q Query, ops
 	}
 	sq.init(cards, e.denseKeyBudget())
 	return sq, nil
-}
-
-// narrowAccepts intersects acc — the accepted ids of a hierarchy's
-// source level, nil meaning all n of them — with the ids that rm rolls up
-// to one of members.
-func narrowAccepts(acc []bool, n int, rm []int32, members []int32) []bool {
-	want := make(map[int32]bool, len(members))
-	for _, m := range members {
-		want[m] = true
-	}
-	if acc == nil {
-		acc = make([]bool, n)
-		for i := range acc {
-			acc[i] = true
-		}
-	}
-	for id := range acc {
-		if acc[id] && !want[rm[id]] {
-			acc[id] = false
-		}
-	}
-	return acc
 }
 
 // FactStorage describes one fact table's physical backend, surfaced by

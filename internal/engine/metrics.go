@@ -20,10 +20,8 @@ var (
 		"Aggregation kernel selections by mode, one per scan: fact scans, view builds and roll-ups, shard replies combined.", "mode", "hash")
 	mMorsels = obsv.Default.Counter("assess_engine_morsels_total",
 		"Morsels processed by morsel-driven fact scans.")
-	// The name predates the one-query scan; it is the one cancellation
-	// counter and dashboards already read it.
-	mDetached = obsv.Default.Counter("assess_engine_shared_detached_total",
-		"Requests that left a fact scan on context cancellation.")
+	mCancelled = obsv.Default.Counter("assess_engine_scans_cancelled_total",
+		"Scans ended by their request's context: the caller hung up, or a coordinator abandoned the shard attempt.")
 	mTransferBytes = obsv.Default.Counter("assess_engine_transfer_bytes_total",
 		"Bytes crossing the engine-to-client cursor boundary.")
 	mTransferCells = obsv.Default.Counter("assess_engine_transfer_cells_total",

@@ -149,20 +149,18 @@ func (e *Engine) rollupFromView(ctx context.Context, f *storage.FactTable, v *ma
 	if err != nil {
 		return nil, err
 	}
+	acc, err := v.accepts(s, q)
+	if err != nil {
+		return nil, err
+	}
 	keys := make([][]int32, len(s.Hiers))
 	accepts := make([][]bool, len(s.Hiers))
-	for _, p := range q.Preds {
-		vp := v.group.Pos(p.Level.Hier) // ≥ 0 with level ≤ p's: covers() checked
-		from := v.group[vp].Level
-		accepts[p.Level.Hier] = narrowAccepts(accepts[p.Level.Hier], s.Hiers[p.Level.Hier].Dict(from).Len(),
-			e.rollupMapFrom(q.Fact, f, p.Level.Hier, from, p.Level.Level), p.Members)
-		keys[p.Level.Hier] = v.keyCols[vp]
+	for vp, ref := range v.group {
+		keys[ref.Hier], accepts[ref.Hier] = v.keyCols[vp], acc[vp]
 	}
 	gmaps := make([][]int32, len(q.Group))
 	for gi, ref := range q.Group {
-		vp := v.group.Pos(ref.Hier)
-		gmaps[gi] = e.rollupMapFrom(q.Fact, f, ref.Hier, v.group[vp].Level, ref.Level)
-		keys[ref.Hier] = v.keyCols[vp]
+		gmaps[gi] = s.Hiers[ref.Hier].LevelMap(v.group[v.group.Pos(ref.Hier)].Level, ref.Level)
 	}
 	// The view holds a sub-aggregate column for every schema measure, so
 	// each column of the query's layout is one of the view's.
@@ -175,31 +173,6 @@ func (e *Engine) rollupFromView(ctx context.Context, f *storage.FactTable, v *ma
 		cols[p.cnt] = v.parts[held.cnt]
 	}
 	return e.reaggregate(ctx, s, q.Group, q.Group, gmaps, accepts, p, names, storage.ColumnsSource(keys, cols, v.data.Len()))
-}
-
-// rollupMapFrom returns (building and caching on first use) the map from
-// member ids at the from level to member ids at the coarser to level of
-// the hierarchy. The base-level maps of plain fact scans are the from=0
-// case. A cached map shorter than the from level's current domain is
-// stale and rebuilt.
-func (e *Engine) rollupMapFrom(fact string, f *storage.FactTable, hier, from, to int) []int32 {
-	key := rollupKey{fact, hier, from, to}
-	h := f.Schema.Hiers[hier]
-	n := h.Dict(from).Len()
-	e.rollupMu.RLock()
-	m, ok := e.rollups[key]
-	e.rollupMu.RUnlock()
-	if ok && len(m) == n {
-		return m
-	}
-	m = make([]int32, n)
-	for id := int32(0); int(id) < n; id++ {
-		m[id] = h.Rollup(id, from, to)
-	}
-	e.rollupMu.Lock()
-	e.rollups[key] = m
-	e.rollupMu.Unlock()
-	return m
 }
 
 // Adaptive view admission. Every aggregate that misses the view lattice

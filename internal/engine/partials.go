@@ -156,7 +156,7 @@ func (e *Engine) Combine(ctx context.Context, q Query, p *Partials, names []stri
 			return nil, fmt.Errorf("engine: group-by level out of range for %s", q.Fact)
 		}
 		from[gi] = mdm.LevelRef{Hier: gi}
-		gmaps[gi] = e.rollupMapFrom(q.Fact, f, ref.Hier, ref.Level, ref.Level)
+		gmaps[gi] = f.Schema.Hiers[ref.Hier].LevelMap(ref.Level, ref.Level)
 	}
 	cells := make([]storage.ScanSource, len(parts))
 	for i, c := range parts {

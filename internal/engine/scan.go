@@ -136,7 +136,7 @@ func (st *scanState) alive(ctx context.Context) bool {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			if st.fail(err) {
-				mDetached.Inc()
+				mCancelled.Inc()
 			}
 			return false
 		}

@@ -300,7 +300,7 @@ func TestScanCancelBatchOfOne(t *testing.T) {
 			if err := e.Register("T", storage.NewSegmentTable(s, backend)); err != nil {
 				t.Fatal(err)
 			}
-			detached := mDetached.Value()
+			detached := mCancelled.Value()
 			if err := scan(e, ctx); !errors.Is(err, context.Canceled) {
 				t.Errorf("%s, %d workers: err %v, want context.Canceled", name, workers, err)
 			}
@@ -308,7 +308,7 @@ func TestScanCancelBatchOfOne(t *testing.T) {
 				t.Errorf("%s, %d workers: decoded %d blocks after cancellation at block %d, want ≤ %d (of %d)",
 					name, workers, got, cancelAt, most, backend.blocks())
 			}
-			if d := mDetached.Value() - detached; d != 1 {
+			if d := mCancelled.Value() - detached; d != 1 {
 				t.Errorf("%s, %d workers: detached counter moved by %d, want 1", name, workers, d)
 			}
 		}

@@ -312,34 +312,30 @@ func (e *Engine) LevelCardinality(fact string, ref mdm.LevelRef) int {
 	return f.Schema.Dict(ref).Len()
 }
 
-// viewChecks compiles the predicate checks of an exact view match.
-func viewChecks(v *cube.Cube, q Query) ([]predCheck, error) {
-	s := v.Schema
-	checks := make([]predCheck, 0, len(q.Preds))
+// accepts evaluates q's predicates over the view's cells: per group
+// position of the view, the accepted member ids at the view's level, nil
+// where q holds no predicate. A predicate the view cannot derive — its
+// hierarchy aggregated away, or held at a coarser level — is an error.
+func (v *matView) accepts(s *mdm.Schema, q Query) ([][]bool, error) {
+	acc := make([][]bool, len(v.group))
 	for _, p := range q.Preds {
-		pos := q.Group.Pos(p.Level.Hier)
-		if pos < 0 || q.Group[pos].Level > p.Level.Level {
+		vp := v.group.Pos(p.Level.Hier)
+		if vp < 0 || v.group[vp].Level > p.Level.Level {
 			return nil, fmt.Errorf("engine: predicate on %s not derivable from the view", s.LevelName(p.Level))
 		}
-		want := make(map[int32]bool, len(p.Members))
-		for _, m := range p.Members {
-			want[m] = true
-		}
-		checks = append(checks, predCheck{pos: pos, from: q.Group[pos].Level, to: p.Level.Level, want: want})
+		acc[vp] = s.Hiers[p.Level.Hier].Accept(acc[vp], v.group[vp].Level, p.Level.Level, p.Members)
 	}
-	return checks, nil
+	return acc, nil
 }
 
-type predCheck struct {
-	pos  int // coordinate position in the view's group-by
-	from int // the view level
-	to   int // the predicate level
-	want map[int32]bool
-}
-
-func (c predCheck) pass(s *mdm.Schema, g mdm.GroupBy, coord mdm.Coordinate) bool {
-	h := s.Hiers[g[c.pos].Hier]
-	return c.want[h.Rollup(coord[c.pos], c.from, c.to)]
+// keeps reports whether cell i of the view passes acc.
+func (v *matView) keeps(acc [][]bool, i int) bool {
+	for vp, a := range acc {
+		if a != nil && !a[v.keyCols[vp][i]] {
+			return false
+		}
+	}
+	return true
 }
 
 // pivotFromView evaluates the pushed get+pivot of a POP plan in one
@@ -349,11 +345,11 @@ func (c predCheck) pass(s *mdm.Schema, g mdm.GroupBy, coord mdm.Coordinate) bool
 // offset — no per-row coordinate clones or value-slice allocations.
 func (e *Engine) pivotFromView(v *matView, q Query, level mdm.LevelRef, ref int32, neighbors []int32, strict bool, rename func(measure, member string) string) (*cube.Cube, error) {
 	data := v.data
-	checks, err := viewChecks(data, q)
+	s := data.Schema
+	acc, err := v.accepts(s, q)
 	if err != nil {
 		return nil, err
 	}
-	s := data.Schema
 	if rename == nil {
 		rename = func(measure, member string) string { return measure + "@" + member }
 	}
@@ -407,16 +403,10 @@ func (e *Engine) pivotFromView(v *matView, q Query, level mdm.LevelRef, ref int3
 		wideRows = make(map[string]int)
 	}
 	n := 0
-cells:
 	for i, coord := range data.Coords {
 		block, wanted := slicePos[coord[lp]]
-		if !wanted {
+		if !wanted || !v.keeps(acc, i) {
 			continue
-		}
-		for _, c := range checks {
-			if !c.pass(s, q.Group, coord) {
-				continue cells
-			}
 		}
 		var (
 			key     uint64
@@ -505,26 +495,22 @@ func aggregateFromView(v *matView, q Query) (*cube.Cube, error) {
 		}
 		names[j] = s.Measures[mi].Name
 	}
-	checks, err := viewChecks(data, q)
-	if err != nil {
-		return nil, err
-	}
-	if len(checks) == 0 {
+	if len(q.Preds) == 0 {
 		cols := make([][]float64, len(q.Measures))
 		for j, mi := range q.Measures {
 			cols[j] = data.Cols[mi]
 		}
 		return cube.Build(s, q.Group, names, data.Coords, cols)
 	}
+	acc, err := v.accepts(s, q)
+	if err != nil {
+		return nil, err
+	}
 	keep := make([]int, 0, data.Len())
-cells:
-	for i, coord := range data.Coords {
-		for _, c := range checks {
-			if !c.pass(s, q.Group, coord) {
-				continue cells
-			}
+	for i := range data.Coords {
+		if v.keeps(acc, i) {
+			keep = append(keep, i)
 		}
-		keep = append(keep, i)
 	}
 	n := len(keep)
 	ng := len(q.Group)

@@ -1,7 +1,6 @@
 package mdm
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -126,28 +125,6 @@ func (g GroupBy) String(s *Schema) string {
 // Coordinate is a coordinate of a group-by set: a tuple of member ids, one
 // per level, aligned with the canonical order of the GroupBy.
 type Coordinate []int32
-
-// Key packs a coordinate into a string usable as a map key. Derived
-// cubes and the shard merge key on KeySpace's uint64 instead; this byte
-// string remains for the engine's hash kernel (ROADMAP item 2 moves that
-// onto the same key) and as KeySpace's overflow fallback (WideKey).
-func (c Coordinate) Key() string {
-	buf := make([]byte, 4*len(c))
-	for i, id := range c {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(id))
-	}
-	return string(buf)
-}
-
-// KeyOn packs the projection of the coordinate onto the given positions.
-// Its one caller outside tests is WideKey.
-func (c Coordinate) KeyOn(pos []int) string {
-	buf := make([]byte, 4*len(pos))
-	for i, p := range pos {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(c[p]))
-	}
-	return string(buf)
-}
 
 // Clone returns a copy of the coordinate.
 func (c Coordinate) Clone() Coordinate {

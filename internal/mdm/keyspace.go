@@ -1,6 +1,9 @@
 package mdm
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // KeySpace is the composite-key codec of a tuple of levels. A cube cell
 // is an address in the cross-product of its levels' member domains
@@ -91,8 +94,17 @@ func (k *KeySpace) Decode(key uint64, c Coordinate) {
 // of coordinates a space cannot encode): the byte-string packing of the
 // coordinate, or of its projection onto pos when pos is non-nil.
 func WideKey(c Coordinate, pos []int) string {
-	if pos == nil {
-		return c.Key()
+	n := len(c)
+	if pos != nil {
+		n = len(pos)
 	}
-	return c.KeyOn(pos)
+	buf := make([]byte, 0, 4*n)
+	for i := 0; i < n; i++ {
+		id := c[i]
+		if pos != nil {
+			id = c[pos[i]]
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
+	}
+	return string(buf)
 }

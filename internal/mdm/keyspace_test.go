@@ -81,8 +81,8 @@ func TestKeySpaceWide(t *testing.T) {
 		t.Error("a coordinate has a key in a space with an empty level")
 	}
 	c := Coordinate{7, 1 << 20, 3}
-	if WideKey(c, nil) != c.Key() || WideKey(c, []int{2, 0}) != c.KeyOn([]int{2, 0}) {
-		t.Error("WideKey is not the byte-string key")
+	if WideKey(c, nil) != "\x07\x00\x00\x00\x00\x00\x10\x00\x03\x00\x00\x00" || WideKey(c, []int{2, 0}) != "\x03\x00\x00\x00\x07\x00\x00\x00" {
+		t.Error("WideKey is not the little-endian byte-string key")
 	}
 }
 

@@ -134,6 +134,8 @@ type Hierarchy struct {
 	parent [][]int32
 	// props holds the descriptive properties of levels (properties.go).
 	props map[propKey][]float64
+	// maps caches LevelMap, one slot per (from, to) pair of levels.
+	maps []atomic.Pointer[[]int32]
 }
 
 // NewHierarchy creates a hierarchy with the given levels listed from finest
@@ -149,6 +151,7 @@ func NewHierarchy(name string, levels ...string) *Hierarchy {
 		h.dicts[i] = NewDict()
 	}
 	h.parent = make([][]int32, len(levels)-1)
+	h.maps = make([]atomic.Pointer[[]int32], len(levels)*len(levels))
 	return h
 }
 
@@ -224,6 +227,68 @@ func (h *Hierarchy) Rollup(id int32, from, to int) int32 {
 		id = h.parent[d][id]
 	}
 	return id
+}
+
+// LevelMap returns the roll-up function between two levels as a table:
+// LevelMap(from, to)[id] is the ancestor at level depth `to` of member id at
+// level depth `from` (from <= to; from == to is the identity). The table is
+// built on first use and rebuilt once the from level's dictionary has
+// outgrown it, so a caller sees every member registered before the call.
+// It is shared and must not be modified; like Dict.Ranks it may be called
+// from concurrent readers. Scans, view roll-ups, zone maps and the shard
+// router all read roll-up through it.
+func (h *Hierarchy) LevelMap(from, to int) []int32 {
+	slot := &h.maps[from*len(h.levels)+to]
+	n := h.dicts[from].Len()
+	if m := slot.Load(); m != nil && len(*m) == n {
+		return *m
+	}
+	m := make([]int32, n)
+	for id := range m {
+		m[id] = h.Rollup(int32(id), from, to)
+	}
+	slot.Store(&m)
+	return m
+}
+
+// Accept evaluates a selection predicate — level depth `level` ∈ members
+// (Definition 2.6) — over the member ids of level depth `at`, and
+// intersects it into acc: the accepted ids of level `at` so far, nil
+// meaning all of them. acc is updated in place when non-nil and returned.
+// With at <= level the answer is exact: id passes when it rolls up to one
+// of members. With at > level the ids are coarser than the predicate and
+// the answer is its existential projection: id passes when some member
+// rolls up to it (what routing a query to the shards that own level-`at`
+// members needs). Members outside the level's dictionary match nothing.
+// The want-set is a []bool over the dictionary: no map is probed.
+func (h *Hierarchy) Accept(acc []bool, at, level int, members []int32) []bool {
+	pass := make([]bool, h.dicts[at].Len())
+	if at >= level {
+		// Each member marks the id it rolls up to (itself when at == level).
+		up := h.LevelMap(level, at)
+		for _, m := range members {
+			if uint(m) < uint(len(up)) {
+				pass[up[m]] = true
+			}
+		}
+	} else {
+		want := make([]bool, h.dicts[level].Len())
+		for _, m := range members {
+			if uint(m) < uint(len(want)) {
+				want[m] = true
+			}
+		}
+		for id, anc := range h.LevelMap(at, level) {
+			pass[id] = want[anc]
+		}
+	}
+	if acc == nil {
+		return pass
+	}
+	for id := range acc {
+		acc[id] = acc[id] && pass[id]
+	}
+	return acc
 }
 
 // Validate checks that every registered member has a parent at each coarser

@@ -160,9 +160,9 @@ func TestCoordinateKeyInjective(t *testing.T) {
 	f := func(a, b int32, c, d int32) bool {
 		c1, c2 := Coordinate{a, c}, Coordinate{b, d}
 		if a == b && c == d {
-			return c1.Key() == c2.Key()
+			return WideKey(c1, nil) == WideKey(c2, nil)
 		}
-		return c1.Key() != c2.Key()
+		return WideKey(c1, nil) != WideKey(c2, nil)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -171,8 +171,8 @@ func TestCoordinateKeyInjective(t *testing.T) {
 
 func TestCoordinateKeyOnProjection(t *testing.T) {
 	c := Coordinate{7, 9, 11}
-	if c.KeyOn([]int{0, 2}) != (Coordinate{7, 11}).Key() {
-		t.Error("KeyOn projection differs from key of projected coordinate")
+	if WideKey(c, []int{0, 2}) != WideKey(Coordinate{7, 11}, nil) {
+		t.Error("the key of a projection differs from the key of the projected coordinate")
 	}
 }
 

@@ -11,17 +11,41 @@ package storage
 import (
 	"errors"
 	"math/bits"
+
+	"github.com/assess-olap/assess/internal/mdm"
 )
 
-// LevelPred describes one scan predicate for zone-map pruning: the
-// accepted member ids at one level of one hierarchy. Pruning treats the
-// predicate as a necessary condition only — a backend may skip a block
-// when it can prove no row satisfies the predicate, and must serve the
-// block otherwise. Row-exact filtering stays with the engine.
+// LevelPred describes one scan predicate: the accepted member ids at one
+// level of one hierarchy. For pruning it is a necessary condition only — a
+// backend may skip a block when it can prove no row satisfies the
+// predicate, and must serve the block otherwise.
 type LevelPred struct {
 	Hier    int
 	Level   int
 	Members []int32
+	// Accept is the predicate prepared for row-exact filtering (Accepts):
+	// Accept[id] reports whether base member id of the hierarchy passes
+	// every predicate the scan holds on it, so the predicates of one
+	// hierarchy share one vector. A backend filters rows on it and derives
+	// nothing itself, so a scan's predicates always pass through Accepts;
+	// only the zone-map probes (PruneProber, PrunePlanner) read bare ones.
+	Accept []bool
+}
+
+// Accepts prepares a scan's predicates against the schema: it derives, once
+// per predicated hierarchy (mdm.Hierarchy.Accept), the acceptance vector
+// over base member ids, sets it as the Accept of every predicate on that
+// hierarchy, and returns the vectors per hierarchy — nil where the scan
+// has no predicate. Levels must be levels of the schema.
+func Accepts(s *mdm.Schema, preds []LevelPred) [][]bool {
+	accepts := make([][]bool, len(s.Hiers))
+	for _, p := range preds {
+		accepts[p.Hier] = s.Hiers[p.Hier].Accept(accepts[p.Hier], 0, p.Level, p.Members)
+	}
+	for i := range preds {
+		preds[i].Accept = accepts[preds[i].Hier]
+	}
+	return accepts
 }
 
 // ColSet says which columns a scan will touch, so block decodes can
@@ -132,23 +156,6 @@ func AppendSelIndices(dst []int, sel []uint64, lo, hi int) []int {
 		}
 	}
 	return dst
-}
-
-// CountSel returns the number of set bits in sel within [lo, hi).
-func CountSel(sel []uint64, lo, hi int) int {
-	n := 0
-	for w := lo >> 6; w <= (hi-1)>>6; w++ {
-		word := sel[w]
-		base := w << 6
-		if base < lo {
-			word &= ^uint64(0) << (uint(lo) & 63)
-		}
-		if base+64 > hi {
-			word &= ^uint64(0) >> (uint(base+64-hi) & 63)
-		}
-		n += bits.OnesCount64(word)
-	}
-	return n
 }
 
 // MeasBuf returns scratch measure column m with capacity for n rows.
