@@ -5,11 +5,14 @@
 // Usage:
 //
 //	assess [-data sales|figure1|ssb] [-rows 50000] [-sf 0.01] [-seed 42]
+//	       [-load DIR] [-save DIR]
 //	       [-plan best|np|jop|pop] [-explain] [statement]
 //
 // With a statement argument it runs once and prints the labeled result;
 // without one it reads statements from stdin, terminated by a semicolon
-// or a blank line.
+// or a blank line. -save writes every cube of the session (and its
+// declared labelers) to a directory of cube directories and exits; -load
+// opens such a directory instead of generating a dataset.
 package main
 
 import (
@@ -17,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 
 	assess "github.com/assess-olap/assess"
@@ -33,8 +37,8 @@ func main() {
 		timing    = flag.Bool("time", false, "print the execution-time breakdown")
 		costs     = flag.Bool("costs", false, "print the estimated cost of every feasible plan")
 		suggest   = flag.Int("suggest", 0, "complete a partial statement and print up to N ranked suggestions")
-		load      = flag.String("load", "", "load the cube from a file saved with -save instead of generating it")
-		save      = flag.String("save", "", "save the generated dataset's primary cube to a file and exit")
+		load      = flag.String("load", "", "open the cubes of a directory saved with -save (or written by ssbgen -out-dir) instead of generating them")
+		save      = flag.String("save", "", "save every cube of the session to a directory and exit")
 		script    = flag.String("f", "", "execute the ';'-separated statements of a script file")
 		highlight = flag.Bool("highlights", false, "print the anomalous cells (|z| ≥ 2) of each result")
 	)
@@ -46,7 +50,7 @@ func main() {
 		fatal(err)
 	}
 	if *save != "" {
-		if err := saveCube(session, *save); err != nil {
+		if err := saveSession(session, *save); err != nil {
 			fatal(err)
 		}
 		return
@@ -102,30 +106,33 @@ func main() {
 	}
 }
 
-func saveCube(s *assess.Session, path string) error {
-	for _, name := range []string{"SALES", "LINEORDER"} {
-		if f, ok := s.Engine.Fact(name); ok {
-			if err := assess.SaveCubeFile(path, f); err != nil {
-				return err
-			}
-			fmt.Printf("saved cube %s (%d rows) to %s\n", name, f.Rows(), path)
-			return nil
-		}
+func saveSession(s *assess.Session, dir string) error {
+	if err := assess.SaveSession(dir, s); err != nil {
+		return err
 	}
-	return fmt.Errorf("no cube to save")
+	fmt.Printf("saved %s to %s\n", describeCubes(s), dir)
+	return nil
+}
+
+// describeCubes lists the session's cubes with their row counts.
+func describeCubes(s *assess.Session) string {
+	names := s.Engine.Facts()
+	sort.Strings(names)
+	for i, name := range names {
+		f, _ := s.Engine.Fact(name)
+		names[i] = fmt.Sprintf("%s (%d rows)", name, f.Rows())
+	}
+	return "cubes " + strings.Join(names, ", ")
 }
 
 func openSession(data string, rows int, sf float64, seed int64, load string) (*assess.Session, string, error) {
 	if load != "" {
-		f, err := assess.LoadCubeFile(load)
+		// Resident, so no store stays open behind the session.
+		s, _, err := assess.OpenSession(load, true)
 		if err != nil {
 			return nil, "", err
 		}
-		s := assess.NewSession()
-		if err := s.RegisterCube(f.Schema.Name, f); err != nil {
-			return nil, "", err
-		}
-		return s, fmt.Sprintf("loaded cube %s: %d fact rows from %s", f.Schema.Name, f.Rows(), load), nil
+		return s, fmt.Sprintf("loaded %s from %s", describeCubes(s), load), nil
 	}
 	switch data {
 	case "sales":

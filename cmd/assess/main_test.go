@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	assess "github.com/assess-olap/assess"
 )
 
 // captureStdout redirects os.Stdout around fn.
@@ -158,36 +160,56 @@ func TestRunSuggestOutput(t *testing.T) {
 	}
 }
 
+// TestSaveAndLoadRoundTrip saves the sales session — both cubes and a
+// declared labeler — as a directory, loads it, and demands the generated
+// session's output for an External statement against the second cube and
+// for a Sibling statement labeled by the declared labeler.
 func TestSaveAndLoadRoundTrip(t *testing.T) {
-	s, _, err := openSession("figure1", 0, 0, 0, "")
+	s, _, err := openSession("sales", 3000, 0, 5, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "c.cube")
-	out, err := captureStdout(t, func() error { return saveCube(s, path) })
+	if err := runOne(s, `declare labels signs as {[-inf, 0): down, [0, inf]: up}`, "best", false, false); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "session")
+	out, err := captureStdout(t, func() error { return saveSession(s, dir) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "saved cube SALES") {
+	if !strings.Contains(out, "saved cubes SALES (3000 rows), SALES_TARGET") {
 		t.Errorf("save output: %s", out)
 	}
-	s2, banner, err := openSession("", 0, 0, 0, path)
+	loaded, banner, err := openSession("", 0, 0, 0, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(banner, "loaded cube SALES") {
+	if !strings.Contains(banner, "loaded cubes SALES (3000 rows), SALES_TARGET") {
 		t.Errorf("banner: %s", banner)
 	}
-	if _, err := captureStdout(t, func() error {
-		return runOne(s2, exampleStatement, "np", false, false)
-	}); err != nil {
-		t.Errorf("statement over loaded cube: %v", err)
+	for _, stmt := range []string{
+		`with SALES by month assess storeSales against SALES_TARGET.expectedSales
+			using normDifference(storeSales, benchmark.expectedSales) labels quartiles`,
+		`with SALES for country = 'Italy' by product, country assess quantity
+			against country = 'France' using difference(quantity, benchmark.quantity) labels signs`,
+	} {
+		// The last line of the output is the cell count, plan and time.
+		run := func(s *assess.Session) string {
+			out, err := captureStdout(t, func() error { return runOne(s, stmt, "best", false, false) })
+			if err != nil {
+				t.Fatalf("%s: %v", firstLine(stmt), err)
+			}
+			return out[:strings.LastIndex(strings.TrimSuffix(out, "\n"), "\n")+1]
+		}
+		if want, got := run(s), run(loaded); got != want || want == "" {
+			t.Errorf("%s: loaded session printed\n%s\nwant\n%s", firstLine(stmt), got, want)
+		}
 	}
-	// Saving a session with no known cube fails.
-	empty, _, _ := openSession("figure1", 0, 0, 0, "")
-	_ = empty
-	if err := saveCube(s2, filepath.Join(t.TempDir(), "x.cube")); err != nil {
-		t.Errorf("saving loaded cube: %v", err)
+	if err := saveSession(loaded, dir); err == nil {
+		t.Error("saving over an existing session directory succeeded")
+	}
+	if err := saveSession(assess.NewSession(), filepath.Join(t.TempDir(), "empty")); err == nil {
+		t.Error("saving a session with no cube succeeded")
 	}
 }
 

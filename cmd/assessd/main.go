@@ -24,10 +24,14 @@
 // started with `-worker -shards N -shard-index I` (replicas joined
 // with '|'). See docs/distribution.md.
 //
+// `-store-dir DIR` serves the cubes of a directory written by
+// `assess -save` or `ssbgen -out-dir` (or a single cube directory),
+// scanned out of core unless `-resident` decodes them into memory.
+//
 // Usage:
 //
 //	assessd [-addr :8080] [-data sales|ssb] [-rows 50000] [-sf 0.01]
-//	        [-seed 42] [-load cube.bin] [-store-dir DIR] [-resident]
+//	        [-seed 42] [-store-dir DIR] [-resident]
 //	        [-worker] [-shards N] [-shard-index I] [-shard-addrs URLS]
 //	        [-shard-level LEVEL] [-shard-timeout 2s] [-dist-policy fail|partial]
 //	        [-parallel 0]
@@ -48,14 +52,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
 	assess "github.com/assess-olap/assess"
-	"github.com/assess-olap/assess/internal/colstore"
 	"github.com/assess-olap/assess/internal/obsv"
-	"github.com/assess-olap/assess/internal/persist"
 	"github.com/assess-olap/assess/internal/sched"
 	"github.com/assess-olap/assess/internal/server"
 )
@@ -67,8 +68,7 @@ func main() {
 		rows       = flag.Int("rows", 50_000, "fact rows for the sales dataset")
 		sf         = flag.Float64("sf", 0.01, "scale factor for the ssb dataset")
 		seed       = flag.Int64("seed", 42, "generator seed")
-		load       = flag.String("load", "", "serve a cube loaded from a file instead of generating one")
-		storeDir   = flag.String("store-dir", "", "serve cubes from columnar segment directories (out-of-core; see ssbgen -out-dir)")
+		storeDir   = flag.String("store-dir", "", "serve the cubes of a directory of cube directories (out-of-core; see assess -save and ssbgen -out-dir)")
 		resident   = flag.Bool("resident", false, "with -store-dir, load the segment directories fully into memory")
 		parallel   = flag.Int("parallel", 1, "workers per statement, for its fact scans and for encoding its result (0 = all cores)")
 		cache      = flag.String("cache", "on", "query-result cache: on or off")
@@ -114,7 +114,7 @@ func main() {
 		policy:     *distPolicy,
 	}
 
-	session, closeStores, err := open(*data, *rows, *sf, *seed, *load, *storeDir, *resident)
+	session, closeStores, err := open(*data, *rows, *sf, *seed, *storeDir, *resident)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -240,18 +240,13 @@ func openSlowLog(path string, threshold time.Duration) (*obsv.SlowLog, error) {
 	return obsv.NewSlowLog(f, threshold), nil
 }
 
-func open(data string, rows int, sf float64, seed int64, load, storeDir string, resident bool) (*assess.Session, func(), error) {
-	noop := func() {}
+// open builds the session to serve: the cubes of storeDir (through
+// assess.OpenSession, out-of-core unless resident), else a generated
+// dataset. The returned function closes the on-disk stores.
+func open(data string, rows int, sf float64, seed int64, storeDir string, resident bool) (*assess.Session, func() error, error) {
+	noop := func() error { return nil }
 	if storeDir != "" {
-		return openStoreDir(storeDir, resident)
-	}
-	if load != "" {
-		f, err := assess.LoadCubeFile(load)
-		if err != nil {
-			return nil, noop, err
-		}
-		s := assess.NewSession()
-		return s, noop, s.RegisterCube(f.Schema.Name, f)
+		return assess.OpenSession(storeDir, resident)
 	}
 	switch data {
 	case "sales":
@@ -262,80 +257,4 @@ func open(data string, rows int, sf float64, seed int64, load, storeDir string, 
 		return s, noop, err
 	}
 	return nil, noop, fmt.Errorf("unknown dataset %q", data)
-}
-
-// openStoreDir serves cubes from columnar segment directories: dir may
-// itself be a store directory (one cube) or a parent whose immediate
-// store subdirectories are each registered under their schema name.
-// Out-of-core by default; -resident decodes everything into memory.
-// The returned function closes the underlying stores.
-func openStoreDir(dir string, resident bool) (*assess.Session, func(), error) {
-	s := assess.NewSession()
-	var closers []func() error
-	closeAll := func() {
-		for _, c := range closers {
-			c()
-		}
-	}
-	dirs, err := storeDirs(dir)
-	if err != nil {
-		return nil, closeAll, err
-	}
-	facts := make([]*assess.FactTable, len(dirs))
-	schemas := make([]*assess.Schema, len(dirs))
-	for i, sub := range dirs {
-		var f *assess.FactTable
-		if resident {
-			if f, err = persist.LoadCubeDirResident(sub); err != nil {
-				return nil, closeAll, fmt.Errorf("assessd: %s: %w", sub, err)
-			}
-		} else {
-			var st *colstore.Store
-			if f, st, err = persist.OpenCubeDir(sub, colstore.Options{}); err != nil {
-				return nil, closeAll, fmt.Errorf("assessd: %s: %w", sub, err)
-			}
-			closers = append(closers, st.Close)
-		}
-		facts[i], schemas[i] = f, f.Schema
-	}
-	// Cubes written over shared dimensions (e.g. LINEORDER and
-	// LINEORDER_BUDGET) decode their hierarchies independently; restore
-	// the sharing that external-benchmark joins require.
-	persist.ReconcileSchemas(schemas...)
-	for i, f := range facts {
-		if err := s.RegisterCube(f.Schema.Name, f); err != nil {
-			return nil, closeAll, err
-		}
-		labelers, err := persist.LoadLabelers(dirs[i])
-		if err != nil {
-			return nil, closeAll, fmt.Errorf("assessd: %s: %w", dirs[i], err)
-		}
-		for _, l := range labelers {
-			if err := s.RegisterLabeler(l); err != nil {
-				return nil, closeAll, err
-			}
-		}
-	}
-	return s, closeAll, nil
-}
-
-// storeDirs resolves the cube directories under dir.
-func storeDirs(dir string) ([]string, error) {
-	if colstore.IsStoreDir(dir) {
-		return []string{dir}, nil
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var dirs []string
-	for _, e := range entries {
-		if sub := filepath.Join(dir, e.Name()); e.IsDir() && colstore.IsStoreDir(sub) {
-			dirs = append(dirs, sub)
-		}
-	}
-	if len(dirs) == 0 {
-		return nil, fmt.Errorf("assessd: no segment directories under %s", dir)
-	}
-	return dirs, nil
 }

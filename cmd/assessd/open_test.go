@@ -1,0 +1,48 @@
+package main
+
+import (
+	"path/filepath"
+	"testing"
+
+	assess "github.com/assess-olap/assess"
+)
+
+// TestOpenServesSavedSession serves a directory written the way
+// assess -save writes it, out-of-core and resident: both cubes are
+// registered, their hierarchies joined for an External statement, and
+// the declared labeler is back.
+func TestOpenServesSavedSession(t *testing.T) {
+	gen, _, err := assess.NewSalesSession(2000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gen.Declare(`declare labels signs as {[-inf, 0): down, [0, inf]: up}`); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "sales")
+	if err := assess.SaveSession(dir, gen); err != nil {
+		t.Fatal(err)
+	}
+	const stmt = `with SALES by year assess storeSales against SALES_TARGET.expectedSales
+		using difference(storeSales, benchmark.expectedSales) labels signs`
+	want, err := gen.Exec(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, resident := range []bool{false, true} {
+		s, closeStores, err := open("sales", 0, 0, 0, dir, resident)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Exec(stmt)
+		if err != nil {
+			t.Fatalf("resident %v: %v", resident, err)
+		}
+		if g, w := got.Cube.String(), want.Cube.String(); g != w {
+			t.Errorf("resident %v: served\n%s\nwant\n%s", resident, g, w)
+		}
+		if err := closeStores(); err != nil {
+			t.Error(err)
+		}
+	}
+}

@@ -48,29 +48,34 @@ func TestFacadeLabelerConstructors(t *testing.T) {
 	}
 }
 
-// TestFacadePersistence exercises the public save/load and CSV wrappers.
+// TestFacadePersistence exercises the public session save/open and CSV
+// wrappers.
 func TestFacadePersistence(t *testing.T) {
 	ds := assess.FigureOneDataset()
-	var buf bytes.Buffer
-	if err := assess.SaveCube(&buf, ds.Fact); err != nil {
+	orig := assess.NewSession()
+	if err := orig.RegisterCube("SALES", ds.Fact); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := assess.LoadCube(&buf)
+	dir := t.TempDir() + "/figure1"
+	if err := assess.SaveSession(dir, orig); err != nil {
+		t.Fatal(err)
+	}
+	s, closeStores, err := assess.OpenSession(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Rows() != ds.Fact.Rows() {
-		t.Fatalf("rows %d, want %d", loaded.Rows(), ds.Fact.Rows())
+	defer func() {
+		if err := closeStores(); err != nil {
+			t.Error(err)
+		}
+	}()
+	loaded, ok := s.Engine.Fact("SALES")
+	if !ok || loaded.Rows() != ds.Fact.Rows() || loaded.Resident() {
+		t.Fatalf("opened SALES: %v, resident %v", ok, ok && loaded.Resident())
 	}
-	path := t.TempDir() + "/f.cube"
-	if err := assess.SaveCubeFile(path, ds.Fact); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := assess.LoadCubeFile(path); err != nil {
-		t.Fatal(err)
-	}
+	// CSV reads the out-of-core cube through its scan source.
 	var csvBuf bytes.Buffer
-	if err := assess.ExportCSV(&csvBuf, ds.Fact); err != nil {
+	if err := assess.ExportCSV(&csvBuf, loaded); err != nil {
 		t.Fatal(err)
 	}
 	imported, err := assess.ImportCSV(bytes.NewReader(csvBuf.Bytes()), ds.Schema)
@@ -80,11 +85,7 @@ func TestFacadePersistence(t *testing.T) {
 	if imported.Rows() != ds.Fact.Rows() {
 		t.Errorf("CSV round trip: %d rows", imported.Rows())
 	}
-	// A reloaded cube answers the paper's worked example identically.
-	s := assess.NewSession()
-	if err := s.RegisterCube("SALES", loaded); err != nil {
-		t.Fatal(err)
-	}
+	// A reopened cube answers the paper's worked example identically.
 	res, err := s.Exec(siblingStatement)
 	if err != nil {
 		t.Fatal(err)

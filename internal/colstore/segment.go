@@ -29,10 +29,10 @@
 package colstore
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"os"
 
 	"github.com/assess-olap/assess/internal/mdm"
 	"github.com/assess-olap/assess/internal/storage"
@@ -74,19 +74,18 @@ type footer struct {
 }
 
 // segWriter appends sections to a segment file under construction,
-// keeping the running offset each footer entry records.
+// keeping the running offset each footer entry records. A write error
+// sticks in the bufio.Writer and surfaces when CommitFile flushes it.
 type segWriter struct {
-	f   *os.File
+	w   *bufio.Writer
 	off int64
 }
 
-func (w *segWriter) put(p []byte) (off, size int64, crc uint32, err error) {
+func (w *segWriter) put(p []byte) (off, size int64, crc uint32) {
 	off, size = w.off, int64(len(p))
-	if _, err = w.f.Write(p); err != nil {
-		return 0, 0, 0, err
-	}
+	w.w.Write(p)
 	w.off += size
-	return off, size, crc32.Checksum(p, castTable), nil
+	return off, size, crc32.Checksum(p, castTable)
 }
 
 // levelMaps returns, per hierarchy and per level d, mdm's base→d level map
@@ -105,77 +104,59 @@ func levelMaps(hiers []*mdm.Hierarchy) [][][]int32 {
 }
 
 // writeSegment encodes rows [0, rows) of the given columns into path
-// (via tmp+rename) and returns the parsed footer. ruMaps are the
+// (through CommitFile) and returns the parsed footer. ruMaps are the
 // hierarchies' levelMaps, taken no earlier than the rows were accepted:
 // every code a row carries has its entry. The live hierarchies are not
 // read here — folds and merges run on the store's own goroutine.
 func writeSegment(path string, keys [][]int32, meas [][]float64, rows int, ruMaps [][][]int32) (*footer, error) {
-	f, err := os.Create(path + ".tmp")
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	w := segWriter{f: f}
-	if _, _, _, err := w.put(segMagic); err != nil {
-		return nil, err
-	}
 	foot := &footer{
 		rows: rows,
 		keys: make([]keyMeta, len(keys)),
 		meas: make([]measMeta, len(meas)),
 		post: make([]postMeta, len(keys)),
 	}
-	for h, col := range keys {
-		col = col[:rows]
-		enc, width, base, payload := encodeKeys(col)
-		km := &foot.keys[h]
-		km.enc, km.width, km.base = enc, width, base
-		if km.off, km.size, km.crc, err = w.put(payload); err != nil {
-			return nil, err
-		}
-		km.zones = make([]zoneMap, len(ruMaps[h]))
-		for d, m := range ruMaps[h] {
-			z := zoneMap{lo: m[col[0]], hi: m[col[0]]}
-			for _, c := range col {
-				rc := m[c]
-				if rc < z.lo {
-					z.lo = rc
+	err := CommitFile(path, func(bw *bufio.Writer) error {
+		w := segWriter{w: bw}
+		w.put(segMagic)
+		for h, col := range keys {
+			col = col[:rows]
+			enc, width, base, payload := encodeKeys(col)
+			km := &foot.keys[h]
+			km.enc, km.width, km.base = enc, width, base
+			km.off, km.size, km.crc = w.put(payload)
+			km.zones = make([]zoneMap, len(ruMaps[h]))
+			for d, m := range ruMaps[h] {
+				z := zoneMap{lo: m[col[0]], hi: m[col[0]]}
+				for _, c := range col {
+					rc := m[c]
+					if rc < z.lo {
+						z.lo = rc
+					}
+					if rc > z.hi {
+						z.hi = rc
+					}
 				}
-				if rc > z.hi {
-					z.hi = rc
-				}
+				km.zones[d] = z
 			}
-			km.zones[d] = z
 		}
-	}
-	for m, col := range meas {
-		enc, width, base, payload := encodeMeas(col[:rows])
-		mm := &foot.meas[m]
-		mm.enc, mm.width, mm.base = enc, width, base
-		if mm.off, mm.size, mm.crc, err = w.put(payload); err != nil {
-			return nil, err
+		for m, col := range meas {
+			enc, width, base, payload := encodeMeas(col[:rows])
+			mm := &foot.meas[m]
+			mm.enc, mm.width, mm.base = enc, width, base
+			mm.off, mm.size, mm.crc = w.put(payload)
 		}
-	}
-	for h, col := range keys {
-		if foot.keys[h].enc != kencPacked {
-			continue // const columns settle in O(1); raw ones have no code range to index
+		for h, col := range keys {
+			if foot.keys[h].enc != kencPacked {
+				continue // const columns settle in O(1); raw ones have no code range to index
+			}
+			pm, payload := buildPostings(col[:rows], int32(uint32(foot.keys[h].base)))
+			pm.off, pm.size, pm.crc = w.put(payload)
+			foot.post[h] = pm
 		}
-		pm, payload := buildPostings(col[:rows], int32(uint32(foot.keys[h].base)))
-		if pm.off, pm.size, pm.crc, err = w.put(payload); err != nil {
-			return nil, err
-		}
-		foot.post[h] = pm
-	}
-	if _, err := f.Write(appendFooter(nil, foot)); err != nil {
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-	if err := os.Rename(path+".tmp", path); err != nil {
+		_, err := bw.Write(appendFooter(nil, foot))
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	mSegsWritten.Inc()

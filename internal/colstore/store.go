@@ -20,6 +20,8 @@
 package colstore
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -277,9 +279,13 @@ func (st *Store) tailAppend(keys []int32, vals []float64) {
 	st.tailRows++
 }
 
-// Append durably appends one row: WAL first, then the resident tail.
-// Once the tail passes AutoCompactRows a background fold kicks off. A key
-// outside its hierarchy's dictionary is an error.
+// Append appends one row: WAL first, then the resident tail. The WAL
+// record reaches the file in one write(2) before Append returns, so a
+// returned Append survives a process crash. It is not fsync'd here: it
+// survives power loss once the next fold, Compact or Close has finished,
+// since each of those fsyncs the rows it carries. Once the tail passes
+// AutoCompactRows a background fold kicks off. A key outside its
+// hierarchy's dictionary is an error.
 func (st *Store) Append(keys []int32, vals []float64) error {
 	rec := walRecord(keys, vals)
 	st.appendMu.Lock()
@@ -372,8 +378,8 @@ func (st *Store) Compact() error {
 	return st.compact(true)
 }
 
-// Close flushes and closes the store. Outstanding snapshots keep their
-// segment references until released.
+// Close fsyncs the WAL and closes the store. Outstanding snapshots keep
+// their segment references until released.
 func (st *Store) Close() error {
 	st.wg.Wait()
 	st.appendMu.Lock()
@@ -384,7 +390,10 @@ func (st *Store) Close() error {
 		return nil
 	}
 	st.closed = true
-	err := st.walF.Close()
+	err := st.walF.Sync()
+	if cerr := st.walF.Close(); err == nil {
+		err = cerr
+	}
 	st.closeSegsLocked()
 	return err
 }
@@ -418,61 +427,72 @@ func writeManifestFile(dir string, man manifest) error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(dir, manifestName)
-	f, err := os.Create(path + ".tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(raw, '\n')); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(path+".tmp", path)
+	return CommitFile(filepath.Join(dir, manifestName), func(w *bufio.Writer) error {
+		w.Write(raw)
+		return w.WriteByte('\n')
+	})
 }
 
-// writeSchemaFile writes the schema via tmp+rename: a rewrite after
+// writeSchemaFile writes the schema through CommitFile: a rewrite after
 // dictionary growth must never leave a torn file behind.
 func writeSchemaFile(path string, s *mdm.Schema) error {
-	f, err := os.Create(path + ".tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(schemaMagic); err != nil {
-		f.Close()
-		return err
-	}
-	if err := schemaio.Write(f, s); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(path+".tmp", path)
+	return CommitFile(path, func(w *bufio.Writer) error {
+		w.Write(schemaMagic)
+		return schemaio.Write(w, s)
+	})
 }
 
 func readSchemaFile(path string) (*mdm.Schema, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	head := make([]byte, len(schemaMagic))
-	if _, err := f.Read(head); err != nil || string(head) != string(schemaMagic) {
+	if !bytes.HasPrefix(data, schemaMagic) {
 		return nil, fmt.Errorf("colstore: %s is not a store schema", path)
 	}
-	return schemaio.Read(f)
+	return schemaio.Read(data[len(schemaMagic):])
+}
+
+// CommitFile replaces path with what write puts through a buffered
+// writer, atomically and durably: the bytes go to path.tmp, which is
+// fsync'd, closed and renamed over path, and then the directory is
+// fsync'd so the rename itself survives power loss. On error path is
+// untouched and the temporary removed. Every file of a cube directory is
+// written this way: segments, MANIFEST, schema.bin, the rotated wal.log
+// and internal/persist's labelers.bin.
+func CommitFile(path string, write func(w *bufio.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriterSize(f, 64<<10)
+	err = write(w)
+	if err == nil {
+		err = w.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // segName formats a segment file name for sequence number n.

@@ -13,6 +13,7 @@
 package colstore
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -25,37 +26,20 @@ var walMagic = []byte("ASSESSWAL\x01")
 
 const walHeaderLen = 10 + 8
 
-// createWAL writes a fresh WAL at path seeded with the given
-// pre-rendered records (via tmp+rename when replacing an existing log,
-// so the swap is atomic) and returns the open handle positioned for
-// appends.
+// createWAL commits a fresh WAL at path seeded with the given
+// pre-rendered records (through CommitFile, so replacing an existing log
+// is atomic) and returns it reopened for appends.
 func createWAL(path string, epoch uint64, records []byte) (*os.File, error) {
-	f, err := os.Create(path + ".tmp")
+	err := CommitFile(path, func(w *bufio.Writer) error {
+		w.Write(walMagic)
+		w.Write(binary.LittleEndian.AppendUint64(nil, epoch))
+		_, err := w.Write(records)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	hdr := make([]byte, walHeaderLen)
-	copy(hdr, walMagic)
-	binary.LittleEndian.PutUint64(hdr[10:], epoch)
-	if _, err := f.Write(hdr); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if len(records) > 0 {
-		if _, err := f.Write(records); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := os.Rename(path+".tmp", path); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return f, nil
+	return os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 }
 
 // walRecord renders one append as a WAL record.

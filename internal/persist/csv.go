@@ -27,16 +27,19 @@ func ExportCSV(w io.Writer, f *storage.FactTable) error {
 		return err
 	}
 	row := make([]string, len(header))
-	for r := 0; r < f.Rows(); r++ {
-		for h := range s.Hiers {
-			row[h] = s.Hiers[h].Dict(0).Name(f.Keys[h][r])
+	src := f.ScanSource(storage.ColSet{}, nil)
+	defer src.Close()
+	err := copyRows(func(keys []int32, vals []float64) error {
+		for h, k := range keys {
+			row[h] = s.Hiers[h].Dict(0).Name(k)
 		}
-		for m := range s.Measures {
-			row[len(s.Hiers)+m] = strconv.FormatFloat(f.Meas[m][r], 'g', -1, 64)
+		for m, v := range vals {
+			row[len(keys)+m] = strconv.FormatFloat(v, 'g', -1, 64)
 		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
+		return cw.Write(row)
+	}, src, len(s.Hiers), len(s.Measures))
+	if err != nil {
+		return err
 	}
 	cw.Flush()
 	return cw.Error()

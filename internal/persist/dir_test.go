@@ -24,8 +24,7 @@ func TestCubeDirRoundTripResident(t *testing.T) {
 	}
 	assertSameFact(t, ds.Fact, loaded)
 
-	// Level-property tables survive the segment format: schema.bin uses
-	// the same codec as the single-file format.
+	// Level-property tables survive the segment format in schema.bin.
 	ref, _ := loaded.Schema.FindLevel("country")
 	h := loaded.Schema.Hiers[ref.Hier]
 	italy, ok := loaded.Schema.Dict(ref).Lookup("Italy")

@@ -3,57 +3,85 @@ package persist
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"github.com/assess-olap/assess/internal/colstore"
 	"github.com/assess-olap/assess/internal/engine"
+	"github.com/assess-olap/assess/internal/labeling"
 	"github.com/assess-olap/assess/internal/mdm"
 	"github.com/assess-olap/assess/internal/sales"
 	"github.com/assess-olap/assess/internal/storage"
 )
 
-func TestBinaryRoundTrip(t *testing.T) {
-	ds := sales.Generate(3000, 77)
-	var buf bytes.Buffer
-	if err := SaveCube(&buf, ds.Fact); err != nil {
+// saveSales writes the SALES and SALES_TARGET cubes of a generated
+// dataset, and one declared labeler, as a session directory.
+func saveSales(t *testing.T, rows int, seed int64) (*sales.Dataset, string) {
+	t.Helper()
+	ds := sales.Generate(rows, seed)
+	dir := t.TempDir()
+	cubes := map[string]*storage.FactTable{"SALES": ds.Fact, "SALES_TARGET": ds.External}
+	passfail := labeling.MustRanges("passfail", []labeling.Interval{
+		{Lo: labeling.Inf(-1), Hi: 0, HiOpen: true, Label: "fail"},
+		{Lo: 0, Hi: labeling.Inf(1), Label: "pass"},
+	})
+	if err := SaveDir(dir, cubes, []*labeling.Ranges{passfail}); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadCube(&buf)
+	return ds, dir
+}
+
+// byName indexes opened facts by their schema names.
+func byName(o *Opened) map[string]*storage.FactTable {
+	out := map[string]*storage.FactTable{}
+	for _, f := range o.Facts {
+		out[f.Schema.Name] = f
+	}
+	return out
+}
+
+func TestBinaryRoundTrip(t *testing.T) {
+	ds, dir := saveSales(t, 3000, 77)
+	o, err := OpenDir(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameFact(t, ds.Fact, loaded)
-
-	// Properties survive the round trip.
-	ref, _ := loaded.Schema.FindLevel("country")
-	h := loaded.Schema.Hiers[ref.Hier]
-	italy, ok := loaded.Schema.Dict(ref).Lookup("Italy")
-	if !ok {
-		t.Fatal("Italy lost")
+	defer o.Close()
+	facts := byName(o)
+	if len(facts) != 2 {
+		t.Fatalf("opened %d cubes, want 2", len(o.Facts))
 	}
-	if got := h.PropertyValue(ref.Level, "population", italy); got != 59.0 {
-		t.Errorf("population = %g, want 59", got)
+	assertSameFact(t, ds.Fact, facts["SALES"])
+	assertSameFact(t, ds.External, facts["SALES_TARGET"])
+	// The two cubes decode their hierarchies separately; OpenDir must give
+	// them back the shared objects an external benchmark joins over.
+	for h, hier := range facts["SALES"].Schema.Hiers {
+		if facts["SALES_TARGET"].Schema.Hiers[h] != hier {
+			t.Errorf("hierarchy %s not shared after OpenDir", hier.Name())
+		}
+	}
+	if len(o.Labelers) != 1 || o.Labelers[0].Name() != "passfail" {
+		t.Errorf("labelers: %v", o.Labelers)
 	}
 }
 
 func TestBinaryRoundTripPreservesQueryResults(t *testing.T) {
-	ds := sales.Generate(4000, 79)
-	var buf bytes.Buffer
-	if err := SaveCube(&buf, ds.Fact); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadCube(&buf)
+	ds, dir := saveSales(t, 4000, 79)
+	o, err := OpenDir(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The same cube query over original and reloaded cubes must agree.
-	run := func(fact interface{}) map[string]float64 {
-		e := engine.New()
-		var f = ds.Fact
-		if fact != nil {
-			f = loaded
+	defer func() {
+		if err := o.Close(); err != nil {
+			t.Error(err)
 		}
+	}()
+	// The same cube query over original and out-of-core reopened cubes
+	// must agree.
+	run := func(f *storage.FactTable) map[string]float64 {
+		e := engine.New()
 		if err := e.Register("SALES", f); err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +101,11 @@ func TestBinaryRoundTripPreservesQueryResults(t *testing.T) {
 		}
 		return out
 	}
-	a, b := run(nil), run(loaded)
+	loaded := byName(o)["SALES"]
+	if loaded.Resident() {
+		t.Fatal("OpenDir without resident returned a resident table")
+	}
+	a, b := run(ds.Fact), run(loaded)
 	if len(a) != len(b) {
 		t.Fatalf("cell counts differ: %d vs %d", len(a), len(b))
 	}
@@ -86,50 +118,75 @@ func TestBinaryRoundTripPreservesQueryResults(t *testing.T) {
 
 func TestSaveLoadFile(t *testing.T) {
 	ds := sales.FigureOne()
-	path := filepath.Join(t.TempDir(), "sales.cube")
-	if err := SaveCubeFile(path, ds.Fact); err != nil {
+	// A single cube directory opens as a one-cube session.
+	dir := t.TempDir()
+	if err := SaveCubeDir(dir, ds.Fact, colstore.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadCubeFile(path)
+	o, err := OpenDir(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameFact(t, ds.Fact, loaded)
-	if _, err := LoadCubeFile(filepath.Join(t.TempDir(), "missing.cube")); err == nil {
-		t.Error("missing file loaded")
+	if len(o.Facts) != 1 || len(o.Labelers) != 0 {
+		t.Fatalf("opened %d cubes and %d labelers, want 1 and 0", len(o.Facts), len(o.Labelers))
+	}
+	assertSameFact(t, ds.Fact, o.Facts[0])
+	if _, err := OpenDir(filepath.Join(t.TempDir(), "missing"), true); err == nil {
+		t.Error("missing directory opened")
+	}
+	if err := SaveDir(t.TempDir(), nil, nil); err == nil {
+		t.Error("saving no cubes succeeded")
+	}
+	// A cube directory is never overwritten.
+	parent := t.TempDir()
+	cubes := map[string]*storage.FactTable{"SALES": ds.Fact}
+	if err := SaveDir(parent, cubes, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveDir(parent, cubes, nil); err == nil {
+		t.Error("saving over an existing cube directory succeeded")
 	}
 }
 
 func TestLoadRejectsCorruptInput(t *testing.T) {
-	cases := map[string][]byte{
-		"empty":       {},
-		"wrong magic": []byte("NOTACUBEXX\x01\x00\x00\x00"),
-		"truncated":   []byte("ASSESSCUBE\x01"),
+	if _, err := OpenDir(t.TempDir(), true); err == nil {
+		t.Error("directory without cubes opened")
 	}
-	for name, data := range cases {
-		if _, err := LoadCube(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s input accepted", name)
+	corrupt := map[string]func(dir string) error{
+		"wrong schema magic": func(dir string) error {
+			return os.WriteFile(filepath.Join(dir, "SALES", "schema.bin"), []byte("NOTASCHEMA\x01"), 0o644)
+		},
+		"truncated schema": func(dir string) error {
+			path := filepath.Join(dir, "SALES", "schema.bin")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			return os.WriteFile(path, data[:len(data)-9], 0o644)
+		},
+		"truncated labelers": func(dir string) error {
+			path := filepath.Join(dir, LabelersFile)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			return os.WriteFile(path, data[:len(data)-1], 0o644)
+		},
+		"foreign labelers": func(dir string) error {
+			return os.WriteFile(filepath.Join(dir, LabelersFile), []byte("NOTLABELS\x01\x00\x00\x00\x00"), 0o644)
+		},
+	}
+	for name, damage := range corrupt {
+		_, dir := saveSales(t, 200, 5)
+		if err := damage(dir); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Wrong version.
-	ds := sales.FigureOne()
-	var buf bytes.Buffer
-	if err := SaveCube(&buf, ds.Fact); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	data[len("ASSESSCUBE")] = 99
-	if _, err := LoadCube(bytes.NewReader(data)); err == nil {
-		t.Error("future version accepted")
-	}
-	// Truncated mid-facts.
-	var buf2 bytes.Buffer
-	if err := SaveCube(&buf2, ds.Fact); err != nil {
-		t.Fatal(err)
-	}
-	half := buf2.Bytes()[:buf2.Len()-9]
-	if _, err := LoadCube(bytes.NewReader(half)); err == nil {
-		t.Error("truncated fact data accepted")
+		for _, resident := range []bool{true, false} {
+			if o, err := OpenDir(dir, resident); err == nil {
+				o.Close()
+				t.Errorf("%s (resident %v) accepted", name, resident)
+			}
+		}
 	}
 }
 

@@ -1,12 +1,9 @@
 // Package schemaio is the binary codec for cube schemas — name,
 // hierarchies with member dictionaries, part-of links, level-property
-// tables, and measures with aggregation operators. It is shared by the
-// single-file cube format of internal/persist and the on-disk segment
-// directories of internal/colstore, so a schema serialized by either
-// container round-trips through the other unchanged.
+// tables, and measures with aggregation operators. internal/colstore
+// stores it as the body of a cube directory's schema.bin.
 //
-// The byte format is exactly the schema section of the persist v1 cube
-// file (all integers little-endian):
+// Layout (all integers little-endian, strings u32-length-prefixed):
 //
 //	name, hierarchy count
 //	per hierarchy: name, levels, one full roll-up path per base member,
@@ -19,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"github.com/assess-olap/assess/internal/mdm"
 )
@@ -86,130 +84,188 @@ func Write(w io.Writer, s *mdm.Schema) error {
 	return ew.err
 }
 
-// Read deserializes a schema written by Write, consuming exactly the
-// schema's bytes from r (no read-ahead, so r may carry trailing data).
-func Read(r io.Reader) (*mdm.Schema, error) {
-	name, err := readString(r)
-	if err != nil {
-		return nil, err
-	}
-	nh, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if nh > 64 {
-		return nil, fmt.Errorf("schemaio: implausible hierarchy count %d", nh)
-	}
+// Read deserializes a schema written by Write. It accepts exactly the
+// bytes Write produces: every count and length is checked against the
+// bytes left before anything is sized from it, members and properties
+// must come in the order Write emits them, and no byte may trail, so a
+// schema Read accepts encodes back to the same bytes.
+func Read(data []byte) (*mdm.Schema, error) {
+	r := &reader{b: data}
+	name := r.str()
+	nh := r.count(64, 20)
 	hiers := make([]*mdm.Hierarchy, nh)
 	for i := range hiers {
-		hname, err := readString(r)
+		h, err := readHierarchy(r)
 		if err != nil {
 			return nil, err
-		}
-		nl, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		if nl == 0 || nl > 32 {
-			return nil, fmt.Errorf("schemaio: implausible level count %d", nl)
-		}
-		levels := make([]string, nl)
-		for d := range levels {
-			if levels[d], err = readString(r); err != nil {
-				return nil, err
-			}
-		}
-		h := mdm.NewHierarchy(hname, levels...)
-		nbase, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		path := make([]string, nl)
-		for m := uint32(0); m < nbase; m++ {
-			for d := range path {
-				if path[d], err = readString(r); err != nil {
-					return nil, err
-				}
-			}
-			if _, err := h.AddMember(path...); err != nil {
-				return nil, fmt.Errorf("schemaio: %w", err)
-			}
-		}
-		// Per-level dictionaries: intern any members not on a base path.
-		for d := 1; d < int(nl); d++ {
-			n, err := readU32(r)
-			if err != nil {
-				return nil, err
-			}
-			for m := uint32(0); m < n; m++ {
-				member, err := readString(r)
-				if err != nil {
-					return nil, err
-				}
-				h.Dict(d).Intern(member)
-			}
-		}
-		// Property tables.
-		np, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		for p := uint32(0); p < np; p++ {
-			depth, err := readU32(r)
-			if err != nil {
-				return nil, err
-			}
-			pname, err := readString(r)
-			if err != nil {
-				return nil, err
-			}
-			if err := h.AddProperty(levels[depth], pname); err != nil {
-				return nil, err
-			}
-			n, err := readU32(r)
-			if err != nil {
-				return nil, err
-			}
-			for id := uint32(0); id < n; id++ {
-				bits, err := readU64(r)
-				if err != nil {
-					return nil, err
-				}
-				v := math.Float64frombits(bits)
-				if math.IsNaN(v) {
-					continue // NaN marks an unset property value
-				}
-				member := h.Dict(int(depth)).Name(int32(id))
-				if err := h.SetProperty(levels[depth], member, pname, v); err != nil {
-					return nil, err
-				}
-			}
 		}
 		hiers[i] = h
 	}
-	nm, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if nm == 0 || nm > 1024 {
-		return nil, fmt.Errorf("schemaio: implausible measure count %d", nm)
+	nm := r.count(1024, 8)
+	if r.err == nil && nm == 0 {
+		r.fail("no measures")
 	}
 	measures := make([]mdm.Measure, nm)
 	for i := range measures {
-		mn, err := readString(r)
-		if err != nil {
-			return nil, err
+		measures[i].Name = r.str()
+		if op := r.u32(); op > uint32(mdm.AggCount) {
+			r.fail("unknown aggregation operator %d", op)
+		} else {
+			measures[i].Op = mdm.AggOp(op)
 		}
-		op, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		if op > uint32(mdm.AggCount) {
-			return nil, fmt.Errorf("schemaio: unknown aggregation operator %d", op)
-		}
-		measures[i] = mdm.Measure{Name: mn, Op: mdm.AggOp(op)}
+	}
+	if r.err == nil && len(r.b) > 0 {
+		r.fail("%d trailing bytes", len(r.b))
+	}
+	if r.err != nil {
+		return nil, r.err
 	}
 	return mdm.NewSchema(name, hiers, measures), nil
+}
+
+// readHierarchy decodes one hierarchy section.
+func readHierarchy(r *reader) (*mdm.Hierarchy, error) {
+	hname := r.str()
+	nl := r.count(32, 4)
+	if r.err == nil && nl == 0 {
+		r.fail("hierarchy %q has no levels", hname)
+	}
+	levels := make([]string, nl)
+	for d := range levels {
+		levels[d] = r.str()
+		if slices.Contains(levels[:d], levels[d]) {
+			r.fail("hierarchy %q repeats level %q", hname, levels[d])
+		}
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	h := mdm.NewHierarchy(hname, levels...)
+	// Each base member is one full path, 4 bytes per level at least.
+	nbase := r.count(math.MaxInt32, 4*nl)
+	path := make([]string, nl)
+	for m := 0; m < nbase && r.err == nil; m++ {
+		for d := range path {
+			path[d] = r.str()
+		}
+		if r.err != nil {
+			break
+		}
+		if id, err := h.AddMember(path...); err != nil {
+			return nil, fmt.Errorf("schemaio: %w", err)
+		} else if int(id) != m {
+			r.fail("base member %q listed twice", path[0])
+		}
+	}
+	// Per-level dictionaries in id order: the members the paths interned,
+	// then any no base member reaches.
+	for d := 1; d < nl; d++ {
+		n := r.count(math.MaxInt32, 4)
+		if r.err == nil && n < h.Dict(d).Len() {
+			r.fail("level %q lists %d of its %d members", levels[d], n, h.Dict(d).Len())
+		}
+		for m := 0; m < n && r.err == nil; m++ {
+			if member := r.str(); r.err == nil && h.Dict(d).Intern(member) != int32(m) {
+				r.fail("level %q lists member %q out of order", levels[d], member)
+			}
+		}
+	}
+	// Property tables, by level and then by name.
+	np := r.count(math.MaxInt32, 12)
+	prevDepth, prevName := 0, ""
+	for p := 0; p < np && r.err == nil; p++ {
+		depth := int(r.u32())
+		pname := r.str()
+		if r.err != nil {
+			break
+		}
+		if depth >= nl || depth < prevDepth || (p > 0 && depth == prevDepth && pname <= prevName) {
+			r.fail("property %q at level depth %d out of order", pname, depth)
+			break
+		}
+		prevDepth, prevName = depth, pname
+		if err := h.AddProperty(levels[depth], pname); err != nil {
+			return nil, err
+		}
+		dict := h.Dict(depth)
+		if n := r.count(math.MaxInt32, 8); r.err == nil && n != dict.Len() {
+			r.fail("property %q has %d values for %d members", pname, n, dict.Len())
+		}
+		for id := 0; id < dict.Len() && r.err == nil; id++ {
+			bits := r.u64()
+			v := math.Float64frombits(bits)
+			if math.IsNaN(v) {
+				if bits != unset {
+					r.fail("property %q holds a NaN other than the unset mark", pname)
+				}
+				continue // NaN marks an unset property value
+			}
+			if err := h.SetProperty(levels[depth], dict.Name(int32(id)), pname, v); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return h, nil
+}
+
+// unset is the bit pattern Write gives an unset property value.
+var unset = math.Float64bits(math.NaN())
+
+// reader decodes little-endian integers and strings from a byte slice,
+// keeping the first error; after one, every read returns zero.
+type reader struct {
+	b   []byte
+	err error
+}
+
+func (r *reader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("schemaio: "+format, args...)
+	}
+}
+
+func (r *reader) take(n int) []byte {
+	if r.err == nil && n > len(r.b) {
+		r.fail("truncated schema: want %d bytes, %d left", n, len(r.b))
+	}
+	if r.err != nil {
+		return nil
+	}
+	p := r.b[:n]
+	r.b = r.b[n:]
+	return p
+}
+
+func (r *reader) u32() uint32 {
+	if p := r.take(4); p != nil {
+		return binary.LittleEndian.Uint32(p)
+	}
+	return 0
+}
+
+func (r *reader) u64() uint64 {
+	if p := r.take(8); p != nil {
+		return binary.LittleEndian.Uint64(p)
+	}
+	return 0
+}
+
+func (r *reader) str() string { return string(r.take(int(r.u32()))) }
+
+// count reads a count of at most max items, each of which takes at least
+// size bytes, and rejects one the bytes left cannot hold.
+func (r *reader) count(max, size int) int {
+	n := int(r.u32())
+	if r.err == nil && (n > max || n*size > len(r.b)) {
+		r.fail("implausible count %d for %d bytes left", n, len(r.b))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
 }
 
 // errWriter performs unchecked writes and keeps the first error, the
@@ -243,35 +299,4 @@ func (ew *errWriter) writeString(s string) {
 	if ew.err == nil {
 		_, ew.err = io.WriteString(ew.w, s)
 	}
-}
-
-func readU32(r io.Reader) (uint32, error) {
-	var buf [4]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, fmt.Errorf("schemaio: truncated schema: %w", err)
-	}
-	return binary.LittleEndian.Uint32(buf[:]), nil
-}
-
-func readU64(r io.Reader) (uint64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, fmt.Errorf("schemaio: truncated schema: %w", err)
-	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
-}
-
-func readString(r io.Reader) (string, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<20 {
-		return "", fmt.Errorf("schemaio: implausible string length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("schemaio: truncated string: %w", err)
-	}
-	return string(buf), nil
 }

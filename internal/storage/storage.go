@@ -17,6 +17,8 @@ package storage
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"github.com/assess-olap/assess/internal/mdm"
@@ -25,11 +27,15 @@ import (
 // FactTable is a columnar fact table. For the resident backend,
 // Keys[h][r] is the base-level member id of hierarchy h for row r and
 // Meas[m][r] the value of measure m; for the segment backend both are
-// nil and the data lives behind seg.
+// nil and the data lives behind seg. Append grows the resident columns
+// under mu, and ScanSource and Rows read their headers and the row count
+// together under it, so a scan beside appends sees a consistent prefix;
+// Keys and Meas may be read directly only while no Append runs.
 type FactTable struct {
 	Schema *mdm.Schema
 	Keys   [][]int32
 	Meas   [][]float64
+	mu     sync.Mutex
 	rows   int
 	// version counts Appends; readable concurrently with queries so the
 	// engine can derive a catalog generation for result-cache validity.
@@ -87,18 +93,23 @@ func (f *FactTable) Rows() int {
 	if f.seg != nil {
 		return f.seg.Rows()
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	return f.rows
 }
 
 // ScanSource returns a block iterator over the fact data. need narrows
 // the decoded columns and preds enable zone-map pruning for the segment
-// backend; resident tables serve one zero-copy block regardless. The
-// caller must Close the source.
+// backend; resident tables serve one zero-copy block regardless, over
+// the rows appended before the call. The caller must Close the source.
 func (f *FactTable) ScanSource(need ColSet, preds []LevelPred) ScanSource {
 	if f.seg != nil {
 		return f.seg.Snapshot(need, preds)
 	}
-	return columnsSource{keys: f.Keys, meas: f.Meas, rows: f.rows}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	// Copy the column headers: Append replaces them in place.
+	return columnsSource{keys: slices.Clone(f.Keys), meas: slices.Clone(f.Meas), rows: f.rows}
 }
 
 // checkRow validates one row against the schema's dictionaries.
@@ -132,6 +143,7 @@ func (f *FactTable) Append(keys []int32, vals []float64) error {
 		f.version.Add(1)
 		return nil
 	}
+	f.mu.Lock()
 	for h, k := range keys {
 		f.Keys[h] = append(f.Keys[h], k)
 	}
@@ -139,6 +151,7 @@ func (f *FactTable) Append(keys []int32, vals []float64) error {
 		f.Meas[m] = append(f.Meas[m], v)
 	}
 	f.rows++
+	f.mu.Unlock()
 	f.version.Add(1)
 	return nil
 }
@@ -155,6 +168,8 @@ func (f *FactTable) Reserve(n int) {
 	if f.seg != nil {
 		return
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	for h := range f.Keys {
 		if cap(f.Keys[h]) < n {
 			col := make([]int32, len(f.Keys[h]), n)

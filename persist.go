@@ -3,23 +3,61 @@ package assess
 import (
 	"io"
 
+	"github.com/assess-olap/assess/internal/labeling"
 	"github.com/assess-olap/assess/internal/persist"
 )
 
-// SaveCube writes a detailed cube — schema, hierarchies, dictionaries,
-// part-of links, level properties, and fact data — in the library's
-// binary format.
-func SaveCube(w io.Writer, f *FactTable) error { return persist.SaveCube(w, f) }
+// SaveSession writes every cube registered on s into dir, one cube
+// directory each (named after the cube), with the range-based labelers
+// declared on the session in dir's labeler sidecar. Library labelers are
+// not written: every session has them.
+func SaveSession(dir string, s *Session) error {
+	cubes := make(map[string]*FactTable)
+	for _, name := range s.Engine.Facts() {
+		cubes[name], _ = s.Engine.Fact(name)
+	}
+	library := labeling.NewRegistry()
+	var declared []*labeling.Ranges
+	for _, name := range s.Binder.Labelers.Names() {
+		l, _ := s.Binder.Labelers.Lookup(name)
+		if r, ok := l.(*labeling.Ranges); ok {
+			if _, lib := library.Lookup(name); !lib {
+				declared = append(declared, r)
+			}
+		}
+	}
+	return persist.SaveDir(dir, cubes, declared)
+}
 
-// LoadCube reads a cube written by SaveCube, rebuilding the schema and
-// the fact table. The returned table is ready to register on a session.
-func LoadCube(r io.Reader) (*FactTable, error) { return persist.LoadCube(r) }
-
-// SaveCubeFile writes a cube to a file.
-func SaveCubeFile(path string, f *FactTable) error { return persist.SaveCubeFile(path, f) }
-
-// LoadCubeFile reads a cube from a file.
-func LoadCubeFile(path string) (*FactTable, error) { return persist.LoadCubeFile(path) }
+// OpenSession opens a directory written by SaveSession (or by ssbgen
+// -out-dir, or a single cube directory) as a session: each cube is
+// registered under its schema name, hierarchies the cubes share are
+// reconciled so external benchmarks join them, and the saved labelers
+// are registered. Cubes stay on disk and are scanned out of core unless
+// resident is set, which decodes them into memory. The returned function
+// closes the on-disk stores once the session is no longer used.
+func OpenSession(dir string, resident bool) (*Session, func() error, error) {
+	o, err := persist.OpenDir(dir, resident)
+	if err != nil {
+		return nil, nil, err
+	}
+	s := NewSession()
+	for _, f := range o.Facts {
+		if err = s.RegisterCube(f.Schema.Name, f); err != nil {
+			break
+		}
+	}
+	for _, l := range o.Labelers {
+		if err == nil {
+			err = s.RegisterLabeler(l)
+		}
+	}
+	if err != nil {
+		o.Close()
+		return nil, nil, err
+	}
+	return s, o.Close, nil
+}
 
 // ExportCSV writes the fact rows as CSV: a header with the base level of
 // every hierarchy and the measure names, then one row per fact.
