@@ -1,5 +1,5 @@
 // Ablation benchmarks for the design choices flagged in DESIGN.md §5:
-// materialized views, the pipelined view→pivot evaluation, and the
+// materialized views, cost-based plan selection, the past window and the
 // cursor-transfer boundary. Run with `go test -bench Ablation`.
 package assess_test
 
@@ -13,7 +13,6 @@ import (
 )
 
 const ablationSibling = 2 // index of the Sibling intention
-const ablationPast = 3    // index of the Past intention
 
 // ablationEnv builds an SSB session, optionally without materialized
 // views.
@@ -66,32 +65,6 @@ func BenchmarkAblationMaterializedViews(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPivotFusion compares the pipelined view→pivot path of
-// POP against materializing the aggregate before pivoting (the same
-// query, same view, fusion toggled).
-func BenchmarkAblationPivotFusion(b *testing.B) {
-	in := experiments.Intentions()[ablationPast]
-	if in.Name != "Past" {
-		b.Fatal("intention order changed")
-	}
-	env := ablationEnv(b, true)
-	for _, fused := range []bool{true, false} {
-		name := "fused"
-		if !fused {
-			name = "materialized"
-		}
-		b.Run(name, func(b *testing.B) {
-			env.Session.Engine.SetPivotFusion(fused)
-			defer env.Session.Engine.SetPivotFusion(true)
-			for i := 0; i < b.N; i++ {
-				if _, err := env.Session.ExecWith(in.Statement, plan.POP); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationCostModel measures the planning overhead of
 // cost-based selection against the fixed heuristic.
 func BenchmarkAblationCostModel(b *testing.B) {
@@ -118,8 +91,9 @@ func BenchmarkAblationCostModel(b *testing.B) {
 }
 
 // BenchmarkAblationPastWindow sweeps the past-benchmark window k: NP and
-// JOP transfer and pivot k slices per cell, while POP's pipelined pivot
-// grows only in its column count.
+// JOP transfer and pivot k slices per cell, while POP pivots engine-side
+// and transfers one row per target cell, growing only in its column
+// count.
 func BenchmarkAblationPastWindow(b *testing.B) {
 	env := ablationEnv(b, true)
 	for _, k := range []int{2, 4, 8, 16} {

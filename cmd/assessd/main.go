@@ -35,7 +35,7 @@
 //	        [-worker] [-shards N] [-shard-index I] [-shard-addrs URLS]
 //	        [-shard-level LEVEL] [-shard-timeout 2s] [-dist-policy fail|partial]
 //	        [-parallel 0]
-//	        [-cache on|off] [-cache-mb 64]
+//	        [-cache-mb 64]
 //	        [-auto-views] [-view-mb 64]
 //	        [-admit-slots 0] [-max-queue 256]
 //	        [-latency-budget 2s] [-tenant-header X-Tenant]
@@ -71,8 +71,7 @@ func main() {
 		storeDir   = flag.String("store-dir", "", "serve the cubes of a directory of cube directories (out-of-core; see assess -save and ssbgen -out-dir)")
 		resident   = flag.Bool("resident", false, "with -store-dir, load the segment directories fully into memory")
 		parallel   = flag.Int("parallel", 1, "workers per statement, for its fact scans and for encoding its result (0 = all cores)")
-		cache      = flag.String("cache", "on", "query-result cache: on or off")
-		cacheMB    = flag.Int("cache-mb", 64, "query-result cache budget in MiB")
+		cacheMB    = flag.Int("cache-mb", 64, "query-result cache budget in MiB (0 = no cache)")
 		autoViews  = flag.Bool("auto-views", false, "adaptively materialize hot group-by sets as views")
 		viewMB     = flag.Int("view-mb", 64, "auto-materialized view budget in MiB")
 		admitSlots = flag.Int("admit-slots", 0,
@@ -155,12 +154,8 @@ func main() {
 	if *parallel != 1 {
 		session.Engine.SetParallelism(*parallel)
 	}
-	switch *cache {
-	case "on":
-		session.EnableCache(int64(*cacheMB) << 20)
-	case "off":
-	default:
-		log.Fatalf("assessd: -cache must be on or off, got %q", *cache)
+	if err := enableCache(session, *cacheMB); err != nil {
+		log.Fatal(err)
 	}
 	if *autoViews {
 		session.EnableAutoViews(int64(*viewMB) << 20)
@@ -204,7 +199,7 @@ func main() {
 				"addr", api.String(),
 				"debugAddr", addrString(debug),
 				"cubes", session.Engine.Facts(),
-				"cache", *cache,
+				"cacheMB", *cacheMB,
 				"slowQueryMs", *slowMS)
 		},
 	})
@@ -257,4 +252,16 @@ func open(data string, rows int, sf float64, seed int64, storeDir string, reside
 		return s, noop, err
 	}
 	return nil, noop, fmt.Errorf("unknown dataset %q", data)
+}
+
+// enableCache gives the session a query-result cache of mb MiB; 0 leaves
+// it without one.
+func enableCache(session *assess.Session, mb int) error {
+	if mb < 0 {
+		return fmt.Errorf("assessd: -cache-mb must be 0 (no cache) or more, got %d", mb)
+	}
+	if mb > 0 {
+		session.EnableCache(int64(mb) << 20)
+	}
+	return nil
 }

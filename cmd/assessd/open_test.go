@@ -46,3 +46,27 @@ func TestOpenServesSavedSession(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheMBSwitchesTheCache: -cache-mb is the result cache's one flag —
+// 0 serves without a cache, a positive budget attaches one of that many
+// MiB, and a negative one is refused.
+func TestCacheMBSwitchesTheCache(t *testing.T) {
+	for _, c := range []struct {
+		mb        int
+		wantCache bool
+		wantErr   bool
+	}{{0, false, false}, {1, true, false}, {64, true, false}, {-1, false, true}} {
+		s := newSalesSession(t)
+		err := enableCache(s, c.mb)
+		if (err != nil) != c.wantErr {
+			t.Errorf("-cache-mb %d: err %v", c.mb, err)
+		}
+		st, ok := s.CacheStats()
+		if ok != c.wantCache {
+			t.Errorf("-cache-mb %d: cache attached %v, want %v", c.mb, ok, c.wantCache)
+		}
+		if ok && st.BudgetBytes != int64(c.mb)<<20 {
+			t.Errorf("-cache-mb %d: budget %d bytes", c.mb, st.BudgetBytes)
+		}
+	}
+}

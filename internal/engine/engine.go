@@ -61,8 +61,6 @@ type Engine struct {
 	// autoMu guards the adaptive-admission tally and knobs.
 	autoMu sync.Mutex
 	auto   autoAdmit
-	// noFusion disables the pipelined view→pivot path (ablation knob).
-	noFusion bool
 	// workers is the fact-scan parallelism (1 = serial, the default).
 	workers int
 	// minParRows is the minimum rows per worker before a scan is
@@ -136,12 +134,6 @@ func (e *Engine) Fact(name string) (*storage.FactTable, bool) {
 	f, ok := e.facts[name]
 	return f, ok
 }
-
-// SetPivotFusion toggles the pipelined view→pivot evaluation of POP
-// plans (enabled by default). Disabling it makes GetPivoted materialize
-// the aggregate before pivoting — the ablation measured by
-// BenchmarkAblationPivotFusion.
-func (e *Engine) SetPivotFusion(enabled bool) { e.noFusion = !enabled }
 
 // Facts returns the names of the registered detailed cubes.
 func (e *Engine) Facts() []string {
@@ -391,7 +383,10 @@ func (e *Engine) GetJoinedContext(ctx context.Context, qc, qb Query, on []mdm.Le
 
 // GetPivoted evaluates one cube query covering all slices and pivots it
 // engine-side on the reference member: the get+pivot subexpression pushed
-// to SQL by a Pivot-Optimized Plan (Listing 5). neighbors fixes the
+// to SQL by a Pivot-Optimized Plan (Listing 5). The aggregate is answered
+// like any other (exact view, roll-up of a finer view, or fact scan) and
+// pivoted by cube.Pivot, the same operator an NP plan runs client-side,
+// so only the pivoted rows cross the cursor boundary. neighbors fixes the
 // benchmark slice columns (nil infers them from the data). When strict is
 // true, cells missing any neighbor slice are filtered out (the "is not
 // null" clauses); the assess* variant keeps them with nulls.
@@ -401,18 +396,6 @@ func (e *Engine) GetPivoted(q Query, level mdm.LevelRef, ref int32, neighbors []
 
 // GetPivotedContext is GetPivoted with a caller context (see GetContext).
 func (e *Engine) GetPivotedContext(ctx context.Context, q Query, level mdm.LevelRef, ref int32, neighbors []int32, strict bool, rename func(measure, member string) string) (*cube.Cube, error) {
-	// When a materialized view matches the query's group-by set exactly,
-	// the get and the pivot are evaluated in one pipelined pass, as a
-	// DBMS would (Listing 5). Coarser lattice covers still help — the
-	// aggregate below is answered by the navigator — but are pivoted
-	// from the materialized aggregate, not fused.
-	if v, exact := e.lookupView(q); v != nil && exact && neighbors != nil && !e.noFusion {
-		p, err := e.pivotFromView(v, q, level, ref, neighbors, strict, rename)
-		if err != nil {
-			return nil, err
-		}
-		return transfer(p)
-	}
 	c, err := e.aggregate(ctx, q)
 	if err != nil {
 		return nil, err

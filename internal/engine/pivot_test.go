@@ -2,29 +2,31 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/assess-olap/assess/internal/mdm"
 	"github.com/assess-olap/assess/internal/sales"
 )
 
-// TestFusedPivotMatchesUnfused: the pipelined view→pivot path and the
-// materialize-then-pivot path produce identical cubes, for sibling- and
-// past-shaped pivots, strict and non-strict.
-func TestFusedPivotMatchesUnfused(t *testing.T) {
+// TestPivotFromViewMatchesScan: a POP get+pivot answered from an exact
+// view pivots the same cube as one answered by a fact scan, for sibling-
+// and past-shaped pivots, strict and non-strict, and so does one rolled
+// up from a finer view; each call adds exactly one hit to the view it was
+// answered from.
+func TestPivotFromViewMatchesScan(t *testing.T) {
 	ds := sales.Generate(20_000, 61)
 	s := ds.Schema
-	fused := New()
-	unfused := New()
-	unfused.SetPivotFusion(false)
-	for _, e := range []*Engine{fused, unfused} {
+	viewed := New()
+	scanned := New()
+	for _, e := range []*Engine{viewed, scanned} {
 		if err := e.Register("SALES", ds.Fact); err != nil {
 			t.Fatal(err)
 		}
-		for _, levels := range [][]string{{"product", "country"}, {"month", "store"}} {
-			if err := e.Materialize("SALES", mdm.MustGroupBy(s, levels...)); err != nil {
-				t.Fatal(err)
-			}
+	}
+	for _, levels := range [][]string{{"product", "country"}, {"month", "store"}} {
+		if err := viewed.Materialize("SALES", mdm.MustGroupBy(s, levels...)); err != nil {
+			t.Fatal(err)
 		}
 	}
 	qi, _ := s.MeasureIndex("quantity")
@@ -43,45 +45,67 @@ func TestFusedPivotMatchesUnfused(t *testing.T) {
 
 	cases := []struct {
 		name      string
+		view      []string // levels of the view that answers q
 		q         Query
 		level     mdm.LevelRef
 		ref       int32
 		neighbors []int32
 	}{
 		{
-			name: "sibling",
+			name: "sibling", view: []string{"product", "country"},
 			q: Query{Fact: "SALES", Group: mdm.MustGroupBy(s, "product", "country"),
 				Preds:    []Predicate{{Level: countryRef, Members: []int32{italy, france}}},
 				Measures: []int{qi}},
 			level: countryRef, ref: italy, neighbors: []int32{france},
 		},
 		{
-			name: "sibling-sparse",
+			name: "sibling-sparse", view: []string{"product", "country"},
 			q: Query{Fact: "SALES", Group: mdm.MustGroupBy(s, "product", "country"),
 				Preds:    []Predicate{{Level: countryRef, Members: []int32{italy, greece}}},
 				Measures: []int{qi}},
 			level: countryRef, ref: italy, neighbors: []int32{greece},
 		},
 		{
-			name: "past",
+			name: "sibling-rollup", view: []string{"product", "country"},
+			q: Query{Fact: "SALES", Group: mdm.MustGroupBy(s, "type", "country"),
+				Preds:    []Predicate{{Level: countryRef, Members: []int32{italy, france}}},
+				Measures: []int{qi}},
+			level: countryRef, ref: italy, neighbors: []int32{france},
+		},
+		{
+			name: "past", view: []string{"month", "store"},
 			q: Query{Fact: "SALES", Group: mdm.MustGroupBy(s, "month", "store"),
 				Preds:    []Predicate{{Level: monthRef, Members: months}},
 				Measures: []int{si}},
 			level: monthRef, ref: months[4], neighbors: months[:4],
 		},
 	}
+	// hits reads the hit count of the view at the given levels.
+	hits := func(levels []string) int64 {
+		for _, vi := range viewed.ViewStatsSnapshot().Views {
+			if slices.Equal(vi.Levels, levels) {
+				return vi.Hits
+			}
+		}
+		t.Fatalf("no view at %v", levels)
+		return 0
+	}
 	for _, c := range cases {
 		for _, strict := range []bool{true, false} {
-			a, err := fused.GetPivoted(c.q, c.level, c.ref, c.neighbors, strict, nil)
+			before := hits(c.view)
+			a, err := viewed.GetPivoted(c.q, c.level, c.ref, c.neighbors, strict, nil)
 			if err != nil {
-				t.Fatalf("%s fused: %v", c.name, err)
+				t.Fatalf("%s from the view: %v", c.name, err)
 			}
-			b, err := unfused.GetPivoted(c.q, c.level, c.ref, c.neighbors, strict, nil)
+			if d := hits(c.view) - before; d != 1 {
+				t.Errorf("%s strict=%v: the view counted %d hits for one pivot, want 1", c.name, strict, d)
+			}
+			b, err := scanned.GetPivoted(c.q, c.level, c.ref, c.neighbors, strict, nil)
 			if err != nil {
-				t.Fatalf("%s unfused: %v", c.name, err)
+				t.Fatalf("%s from a scan: %v", c.name, err)
 			}
 			if a.Len() != b.Len() {
-				t.Fatalf("%s strict=%v: fused %d cells, unfused %d", c.name, strict, a.Len(), b.Len())
+				t.Fatalf("%s strict=%v: view %d cells, scan %d", c.name, strict, a.Len(), b.Len())
 			}
 			if len(a.Names) != len(b.Names) {
 				t.Fatalf("%s: columns differ: %v vs %v", c.name, a.Names, b.Names)
@@ -89,12 +113,12 @@ func TestFusedPivotMatchesUnfused(t *testing.T) {
 			for i, coord := range a.Coords {
 				bi, ok := b.Lookup(coord)
 				if !ok {
-					t.Fatalf("%s strict=%v: coordinate missing from unfused result", c.name, strict)
+					t.Fatalf("%s strict=%v: coordinate missing from the scanned result", c.name, strict)
 				}
 				for j := range a.Cols {
 					x, y := a.Cols[j][i], b.Cols[j][bi]
 					if x != y && !(math.IsNaN(x) && math.IsNaN(y)) {
-						t.Errorf("%s strict=%v %s: fused %g unfused %g",
+						t.Errorf("%s strict=%v %s: view %g scan %g",
 							c.name, strict, a.Names[j], x, y)
 					}
 				}

@@ -167,8 +167,8 @@ func TestViewRefreshOnlyThePickedView(t *testing.T) {
 		}
 	}
 	appendRandom(t, rand.New(rand.NewSource(1)), s, 20, f)
-	if n, ok := e.ViewCells("T", fine); !ok || n == 0 {
-		t.Fatal("ViewCells lost the stale view")
+	if n, ok := e.CoveringViewCells(Query{Fact: "T", Group: fine}); !ok || n == 0 {
+		t.Fatal("CoveringViewCells lost the stale view")
 	}
 	if n, ok := e.CoveringViewCells(Query{Fact: "T", Group: coarse}); !ok || n != 7 {
 		t.Fatalf("CoveringViewCells = %d, %v for a stale exact view of 7 cells", n, ok)

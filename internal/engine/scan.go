@@ -21,11 +21,16 @@
 // block claim and at morsel granularity; a cancelled query ends the scan
 // with its context error. The first block decode error ends it too. Either
 // way workers stop claiming work and the scan reports that first error.
+// So does a panic on any worker — in a kernel, or in the backend's block
+// decode: the worker recovers it into a *PanicError that fails the scan,
+// so one query's bug never takes the process down with it.
 package engine
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -127,6 +132,26 @@ func (st *scanState) fail(err error) bool {
 	return true
 }
 
+// PanicError is the outcome of a scan whose worker panicked: the panic's
+// value and the stack of the goroutine it was raised on.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("engine: scan worker panicked: %v", e.Value)
+}
+
+// contain recovers a panic on the worker it is deferred by and fails the
+// scan with it.
+func (st *scanState) contain() {
+	if r := recover(); r != nil {
+		mPanics.Inc()
+		st.fail(&PanicError{Value: r, Stack: debug.Stack()})
+	}
+}
+
 // alive reports whether the scan should go on, polling the query's
 // context on the way.
 func (st *scanState) alive(ctx context.Context) bool {
@@ -166,16 +191,20 @@ func scan(sq *scanQuery, src storage.ScanSource, workers, morsel int) (*aggTable
 	nb := src.Blocks()
 	var one storage.BlockCols
 	if nb == 1 && st.alive(sq.ctx) {
-		cols, ok, err := src.Block(0, new(storage.BlockScratch))
-		switch {
-		case err != nil:
-			st.fail(err)
-		case ok:
-			one = cols
-		}
+		func() {
+			defer st.contain()
+			cols, ok, err := src.Block(0, new(storage.BlockScratch))
+			switch {
+			case err != nil:
+				st.fail(err)
+			case ok:
+				one = cols
+			}
+		}()
 	}
 	var morsels atomic.Int64
 	worker := func(w int) {
+		defer st.contain()
 		sc := getScratch()
 		defer putScratch(sc)
 		n := int64(0)

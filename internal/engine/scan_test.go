@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -345,5 +347,52 @@ func TestScanBlockError(t *testing.T) {
 		if got := mMorsels.Value() - morsels; got < failBlock {
 			t.Errorf("%d workers: %d morsels reported, want ≥ %d", workers, got, failBlock)
 		}
+	}
+}
+
+// TestScanWorkerPanic: a panic in the k-th block decode fails the scan
+// with a *PanicError carrying the stack, serial and parallel, counts it
+// in assess_query_panics_total, and leaves the engine answering the next
+// query.
+func TestScanWorkerPanic(t *testing.T) {
+	const panicAt = 5
+	s := twoHierSchema(60, 11)
+	res := intFact(s, 4000, 3)
+	q := Query{Fact: "T", Group: mdm.MustGroupBy(s, "k"), Measures: []int{0, 1}}
+	ops, _, err := schemaOps(s, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coords, vals := refAggregate(res, q, ops)
+	for _, workers := range []int{1, 4} {
+		backend := &countingBackend{f: res, blockRows: 10}
+		backend.onDecode = func(n int64) {
+			if n == panicAt {
+				panic("injected decode panic")
+			}
+		}
+		e := New()
+		e.SetParallelism(workers)
+		e.SetParallelMinRows(1)
+		if err := e.Register("T", storage.NewSegmentTable(s, backend)); err != nil {
+			t.Fatal(err)
+		}
+		panics := mPanics.Value()
+		_, err := e.aggregate(context.Background(), q)
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%d workers: err %v, want a *PanicError", workers, err)
+		}
+		if pe.Value != "injected decode panic" || !strings.Contains(string(pe.Stack), "(*countingSource).Block") {
+			t.Errorf("%d workers: panic %v with a %d-byte stack", workers, pe.Value, len(pe.Stack))
+		}
+		if got := mPanics.Value() - panics; got != 1 {
+			t.Errorf("%d workers: %d panics counted, want 1", workers, got)
+		}
+		got, err := e.aggregate(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%d workers: the query after the panic: %v", workers, err)
+		}
+		sameCells(t, fmt.Sprintf("%d workers, after the panic", workers), got, coords, vals)
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -289,19 +288,6 @@ func (e *Engine) FactRows(fact string) int {
 	return f.Rows()
 }
 
-// ViewCells returns the cardinality of the materialized view at exactly
-// the group-by set, if one exists (refreshed or not: see
-// CoveringViewCells).
-func (e *Engine) ViewCells(fact string, g mdm.GroupBy) (int, bool) {
-	e.viewMu.RLock()
-	defer e.viewMu.RUnlock()
-	v, ok := e.views[viewKey{fact, groupKey(g)}]
-	if !ok {
-		return 0, false
-	}
-	return v.data.Len(), true
-}
-
 // LevelCardinality returns |Dom(l)| for a level of the cube's schema, or
 // 0 if unknown.
 func (e *Engine) LevelCardinality(fact string, ref mdm.LevelRef) int {
@@ -336,147 +322,6 @@ func (v *matView) keeps(acc [][]bool, i int) bool {
 		}
 	}
 	return true
-}
-
-// pivotFromView evaluates the pushed get+pivot of a POP plan in one
-// pipelined pass over the view, the way a DBMS executes Listing 5: no
-// intermediate aggregate is materialized; each view cell flows straight
-// into its output row. Row state lives in chunked arenas addressed by
-// offset — no per-row coordinate clones or value-slice allocations.
-func (e *Engine) pivotFromView(v *matView, q Query, level mdm.LevelRef, ref int32, neighbors []int32, strict bool, rename func(measure, member string) string) (*cube.Cube, error) {
-	data := v.data
-	s := data.Schema
-	acc, err := v.accepts(s, q)
-	if err != nil {
-		return nil, err
-	}
-	if rename == nil {
-		rename = func(measure, member string) string { return measure + "@" + member }
-	}
-	lp := q.Group.PosOf(level)
-	if lp < 0 {
-		return nil, fmt.Errorf("engine: pivot level not in group-by set")
-	}
-	dict := s.Dict(level)
-	baseNames := make([]string, len(q.Measures))
-	for j, mi := range q.Measures {
-		if mi < 0 || mi >= len(s.Measures) {
-			return nil, fmt.Errorf("engine: measure index %d out of range for %s", mi, q.Fact)
-		}
-		baseNames[j] = s.Measures[mi].Name
-	}
-	names := append([]string(nil), baseNames...)
-	for _, id := range neighbors {
-		for _, m := range baseNames {
-			names = append(names, rename(m, dict.Name(id)))
-		}
-	}
-	slicePos := make(map[int32]int, len(neighbors)+1) // member → block index (0 = ref)
-	slicePos[ref] = 0
-	for i, id := range neighbors {
-		slicePos[id] = i + 1
-	}
-	nm := len(q.Measures)
-	ng := len(q.Group)
-	nv := len(names)
-	blocks := len(neighbors) + 1
-	// Arenas of per-row state, addressed by row ordinal: appends may
-	// reallocate the backing arrays, so rows are plain ints, not slices.
-	var (
-		coordArena  []int32
-		valsArena   []float64
-		filledArena []bool
-	)
-	// Output rows are keyed on the coordinate without the pivot level.
-	others := make([]int, 0, ng-1)
-	cards := make([]int, 0, ng-1)
-	for p, ref := range q.Group {
-		if p != lp {
-			others = append(others, p)
-			cards = append(cards, s.Dict(ref).Len())
-		}
-	}
-	space := mdm.NewKeySpace(cards)
-	rows := make(map[uint64]int) // others-key → row ordinal
-	var wideRows map[string]int  // the same, for a key space past 64 bits
-	if space.Wide() {
-		wideRows = make(map[string]int)
-	}
-	n := 0
-	for i, coord := range data.Coords {
-		block, wanted := slicePos[coord[lp]]
-		if !wanted || !v.keeps(acc, i) {
-			continue
-		}
-		var (
-			key     uint64
-			wideKey string
-			r       int
-			seen    bool
-		)
-		if wideRows != nil {
-			wideKey = mdm.WideKey(coord, others)
-			r, seen = wideRows[wideKey]
-		} else {
-			var ok bool
-			if key, ok = space.Key(coord, others); !ok {
-				return nil, fmt.Errorf("engine: view cell %v lies outside its dictionaries", coord)
-			}
-			r, seen = rows[key]
-		}
-		if !seen {
-			r = n
-			n++
-			if wideRows != nil {
-				wideRows[wideKey] = r
-			} else {
-				rows[key] = r
-			}
-			coordArena = append(coordArena, coord...)
-			coordArena[r*ng+lp] = ref
-			for j := 0; j < nv; j++ {
-				valsArena = append(valsArena, nan)
-			}
-			for b := 0; b < blocks; b++ {
-				filledArena = append(filledArena, false)
-			}
-		}
-		vals := valsArena[r*nv : (r+1)*nv]
-		for j, mi := range q.Measures {
-			vals[block*nm+j] = data.Cols[mi][i]
-		}
-		filledArena[r*blocks+block] = true
-	}
-	// Keep the rows that have a reference-slice cell (and, when strict,
-	// every neighbor), then transpose the row arenas into columns.
-	keep := make([]int, 0, n)
-rowsLoop:
-	for r := 0; r < n; r++ {
-		filled := filledArena[r*blocks : (r+1)*blocks]
-		if !filled[0] {
-			continue // no reference-slice cell: not a target cell
-		}
-		if strict {
-			for _, f := range filled {
-				if !f {
-					continue rowsLoop
-				}
-			}
-		}
-		keep = append(keep, r)
-	}
-	coords := cube.Carve(make([]int32, len(keep)*ng), len(keep), ng)
-	cols := make([][]float64, nv)
-	for j := range cols {
-		cols[j] = make([]float64, len(keep))
-	}
-	for i, r := range keep {
-		copy(coords[i], coordArena[r*ng:(r+1)*ng])
-		for j, v := range valsArena[r*nv : (r+1)*nv] {
-			cols[j][i] = v
-		}
-	}
-	return cube.Build(s, q.Group, names, coords, cols)
 }
 
 // aggregateFromView answers an exact-match query from the view: filter
@@ -530,5 +375,3 @@ func aggregateFromView(v *matView, q Query) (*cube.Cube, error) {
 	}
 	return cube.Build(s, q.Group, names, coords, cols)
 }
-
-var nan = math.NaN()

@@ -24,7 +24,7 @@ import (
 type Discrepancy struct {
 	Seed   int64
 	Stmt   string
-	Axis   string // e.g. "par+views/JOP", "cache/POP warm"
+	Axis   string // e.g. "par+lattice/JOP", "cache/POP warm"
 	Detail string
 }
 
@@ -55,20 +55,23 @@ type Report struct {
 // strictly finer covering views (Case.LatticeViews), forcing the
 // aggregate navigator to re-aggregate view cells through the roll-up
 // lattice — serially on the hash kernels (lattice) and morsel-parallel
-// on the dense kernels (par+lattice).
-// The storage dimension (segment axes) rebuilds both cubes as
-// segment-backed tables in a temp directory with segments far smaller
-// than the fact, so block-at-a-time scans, segment decode, and zone-map
+// on the dense kernels (par+lattice). A cache axis runs every statement
+// cold, then warm, and its cold run is the same configuration without
+// the cache: "cache" is the serial dense kernel and "cache+par+views" the
+// morsel-parallel one over exact views, so neither has an axis of its own.
+// The storage dimension (segment axes) writes both cubes once per seed
+// as segment directories with segments far smaller than the fact
+// (segmentStores), so block-at-a-time scans, segment decode, and zone-map
 // pruning must reproduce the resident reference bit-for-bit. The segment
-// axes pin the eager decode path (colstore.Options.Eager); the lazy axes
-// run the same stores in the default late-materialized mode, so
-// code-space predicate evaluation, selection bitmaps, segment skips, and
-// gather decode must also reproduce the reference bit-for-bit — lazy+par
-// layers the morsel-parallel dense kernels on top, consuming backend
-// bitmaps across worker-stolen blocks, and is the axis of the concurrent
-// sweep (see Run): every (statement, strategy) pair re-executed at once,
-// so concurrent scans over one segment store — shared snapshots, pooled
-// scratch — must reproduce the reference too.
+// axes open them in the eager decode path (colstore.Options.Eager); the
+// lazy axes open the same directories in the default late-materialized
+// mode, so code-space predicate evaluation, selection bitmaps, segment
+// skips, and gather decode must also reproduce the reference
+// bit-for-bit — lazy+par layers the morsel-parallel dense kernels on
+// top, consuming backend bitmaps across worker-stolen blocks, and is the
+// axis of the concurrent sweep (see Run): every (statement, strategy)
+// pair re-executed at once, so concurrent scans over one segment store —
+// shared snapshots, pooled scratch — must reproduce the reference too.
 // The sharded axes hash-split both cubes across an in-process cluster
 // (1, 2, 3, or 5 shards by seed) and scatter-gather every scan through
 // internal/dist: partial aggregation on each shard, wire encode/decode,
@@ -76,23 +79,11 @@ type Report struct {
 // reference bit-for-bit — the generator's integer-valued measures make every
 // shard association order exact. sharded+par additionally runs each
 // worker's scans morsel-parallel on the dense kernels.
-var axes = []struct {
-	name     string
-	parallel bool
-	views    string // "", "exact", or "lattice"
-	cache    bool
-	dense    bool
-	segment  bool
-	lazy     bool // segment store in late-materialized (default) mode
-	sweep    bool // also runs the concurrent sweep
-	sharded  bool
-}{
+var axes = []axis{
 	{"base", false, "", false, false, false, false, false, false},
-	{"dense", false, "", false, true, false, false, false, false},
 	{"par", true, "", false, false, false, false, false, false},
 	{"dense+par", true, "", false, true, false, false, false, false},
 	{"views", false, "exact", false, true, false, false, false, false},
-	{"par+views", true, "exact", false, true, false, false, false, false},
 	{"lattice", false, "lattice", false, false, false, false, false, false},
 	{"par+lattice", true, "lattice", false, true, false, false, false, false},
 	{"cache", false, "", true, true, false, false, false, false},
@@ -103,6 +94,19 @@ var axes = []struct {
 	{"lazy+par", true, "", false, true, true, true, true, false},
 	{"sharded", false, "", false, false, false, false, false, true},
 	{"sharded+par", true, "", false, true, false, false, false, true},
+}
+
+// axis is one session configuration of the harness.
+type axis struct {
+	name     string
+	parallel bool
+	views    string // "", "exact", or "lattice"
+	cache    bool   // a cold run, then a warm one: the cold run alone is the axis without the cache
+	dense    bool
+	segment  bool
+	lazy     bool // segment store in late-materialized (default) mode
+	sweep    bool // also runs the concurrent sweep
+	sharded  bool
 }
 
 // oracleShardCounts rotates the sharded axes' cluster size by seed:
@@ -180,27 +184,81 @@ func checkTrace(root *obsv.Span) string {
 	return walk(root)
 }
 
-// segmentCopy rebuilds a resident fact table as a segment-backed one in
-// a fresh temp directory. Background compaction is disabled so the
-// segment layout is deterministic; eager pins the pre-late-
-// materialization decode path (false leaves the default lazy mode on).
-// The returned cleanup closes the store and removes the directory.
-func segmentCopy(f *storage.FactTable, eager bool) (*storage.FactTable, func(), error) {
+// segmentOpts keeps the oracle's segment layout deterministic: segments
+// far smaller than the generated facts and background compaction off.
+// eager pins the pre-late-materialization decode path (false leaves the
+// default lazy mode on).
+func segmentOpts(eager bool) colstore.Options {
+	return colstore.Options{SegmentRows: oracleSegmentRows, AutoCompactRows: -1, Eager: eager}
+}
+
+// saveSegmentDir writes a resident fact table as a segment directory in a
+// fresh temp directory and returns its path.
+func saveSegmentDir(f *storage.FactTable) (string, error) {
 	dir, err := os.MkdirTemp("", "oracle-seg-")
+	if err != nil {
+		return "", err
+	}
+	if err := persist.SaveCubeDir(dir, f, segmentOpts(false)); err != nil {
+		os.RemoveAll(dir)
+		return "", err
+	}
+	return dir, nil
+}
+
+// segmentCopy rebuilds a resident fact table as a segment-backed one in
+// a fresh temp directory. The returned cleanup closes the store and
+// removes the directory.
+func segmentCopy(f *storage.FactTable, eager bool) (*storage.FactTable, func(), error) {
+	dir, err := saveSegmentDir(f)
 	if err != nil {
 		return nil, nil, err
 	}
-	opts := colstore.Options{SegmentRows: oracleSegmentRows, AutoCompactRows: -1, Eager: eager}
-	if err := persist.SaveCubeDir(dir, f, opts); err != nil {
-		os.RemoveAll(dir)
-		return nil, nil, err
-	}
-	seg, st, err := persist.OpenCubeDir(dir, opts)
+	seg, st, err := persist.OpenCubeDir(dir, segmentOpts(eager))
 	if err != nil {
 		os.RemoveAll(dir)
 		return nil, nil, err
 	}
 	return seg, func() { st.Close(); os.RemoveAll(dir) }, nil
+}
+
+// segmentStores writes each cube of the case as a segment directory once
+// and opens both directories once per decode mode: segs[0] is the eager
+// (fact, external) pair, segs[1] the lazy one, each shared by its mode's
+// two axes — none of them appends or compacts. The cleanup closes every
+// store and removes both directories.
+func segmentStores(c *Case) (segs [2][2]*storage.FactTable, cleanup func(), err error) {
+	var closers []func() error
+	var dirs []string
+	cleanup = func() {
+		for _, closeStore := range closers {
+			closeStore()
+		}
+		for _, dir := range dirs {
+			os.RemoveAll(dir)
+		}
+	}
+	for i, f := range []*storage.FactTable{c.Fact, c.ExtFact} {
+		dir, err := saveSegmentDir(f)
+		if err != nil {
+			return segs, cleanup, err
+		}
+		dirs = append(dirs, dir)
+		for mode, eager := range []bool{true, false} {
+			seg, st, err := persist.OpenCubeDir(dir, segmentOpts(eager))
+			if err != nil {
+				return segs, cleanup, err
+			}
+			closers = append(closers, st.Close)
+			segs[mode][i] = seg
+		}
+	}
+	for _, pair := range segs {
+		// The copies decode their hierarchies independently; restore the
+		// pointer sharing external-benchmark joins require.
+		persist.ReconcileSchemas(pair[0].Schema, pair[1].Schema)
+	}
+	return segs, cleanup, nil
 }
 
 // shardSession splits both cubes across an in-process cluster of n
@@ -241,67 +299,52 @@ func shardSession(s *core.Session, fact, ext *storage.FactTable, n int, parallel
 	return nil
 }
 
-func buildSession(c *Case, parallel bool, views string, cache, dense, segment, lazy bool, shards int) (*core.Session, func(), error) {
-	cleanup := func() {}
-	fact, ext := c.Fact, c.ExtFact
-	if segment {
-		var cf, ce func()
-		var err error
-		if fact, cf, err = segmentCopy(c.Fact, !lazy); err != nil {
-			return nil, cleanup, err
-		}
-		if ext, ce, err = segmentCopy(c.ExtFact, !lazy); err != nil {
-			cf()
-			return nil, cleanup, err
-		}
-		cleanup = func() { cf(); ce() }
-		// The copies decode their hierarchies independently; restore the
-		// pointer sharing external-benchmark joins require.
-		persist.ReconcileSchemas(fact.Schema, ext.Schema)
-	}
+// buildSession registers fact and ext (the case's cubes, or their
+// segment-backed copies) in a new session configured as ax.
+func buildSession(c *Case, ax axis, fact, ext *storage.FactTable, shards int) (*core.Session, error) {
 	s := core.NewSession()
 	if err := s.RegisterCube(TargetCube, fact); err != nil {
-		return nil, cleanup, err
+		return nil, err
 	}
 	if err := s.RegisterCube(ExtCube, ext); err != nil {
-		return nil, cleanup, err
+		return nil, err
 	}
-	if dense {
+	if ax.dense {
 		s.Engine.SetDenseKeyBudget(oracleDenseBudget)
 	} else {
 		s.Engine.SetDenseKeyBudget(0)
 	}
-	if parallel {
+	if ax.parallel {
 		s.Engine.SetParallelism(oracleWorkers)
 		s.Engine.SetParallelMinRows(oracleMinParRows)
 		s.Engine.SetMorselSize(oracleMorselRows)
 	}
-	if views != "" {
+	if ax.views != "" {
 		// The hierarchies are shared, so every view level set applies to
 		// the external cube too, putting the view path under the benchmark
 		// queries as well as the target queries.
 		sets := c.Views
-		if views == "lattice" {
+		if ax.views == "lattice" {
 			sets = c.LatticeViews
 		}
 		for _, v := range sets {
 			if err := s.Materialize(TargetCube, v...); err != nil {
-				return nil, cleanup, err
+				return nil, err
 			}
 			if err := s.Materialize(ExtCube, v...); err != nil {
-				return nil, cleanup, err
+				return nil, err
 			}
 		}
 	}
-	if cache {
+	if ax.cache {
 		s.EnableCache(0)
 	}
 	if shards > 0 {
-		if err := shardSession(s, fact, ext, shards, parallel, dense); err != nil {
-			return nil, cleanup, err
+		if err := shardSession(s, fact, ext, shards, ax.parallel, ax.dense); err != nil {
+			return nil, err
 		}
 	}
-	return s, cleanup, nil
+	return s, nil
 }
 
 // Run generates the case for a seed and cross-checks every statement
@@ -318,14 +361,26 @@ func Run(seed int64) *Report {
 		})
 	}
 
+	segs, cleanup, err := segmentStores(c)
+	defer cleanup()
+	if err != nil {
+		add("", "setup/segment", err.Error())
+		return rep
+	}
 	sessions := make([]*core.Session, len(axes))
 	for i, ax := range axes {
-		shards := 0
+		fact, ext, shards := c.Fact, c.ExtFact, 0
+		if ax.segment {
+			mode := 0
+			if ax.lazy {
+				mode = 1
+			}
+			fact, ext = segs[mode][0], segs[mode][1]
+		}
 		if ax.sharded {
 			shards = shardCountFor(seed)
 		}
-		s, cleanup, err := buildSession(c, ax.parallel, ax.views, ax.cache, ax.dense, ax.segment, ax.lazy, shards)
-		defer cleanup()
+		s, err := buildSession(c, ax, fact, ext, shards)
 		if err != nil {
 			add("", "setup/"+ax.name, err.Error())
 			return rep

@@ -139,7 +139,7 @@ func TestGeneratorShapes(t *testing.T) {
 		if len(c.Statements) < len(stmtKinds) {
 			t.Fatalf("seed %d: only %d statements", seed, len(c.Statements))
 		}
-		s, _, err := buildSession(c, false, "", false, false, false, false, 0)
+		s, err := buildSession(c, axis{}, c.Fact, c.ExtFact, 0)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -180,7 +180,7 @@ func TestLatticeViewsGenerated(t *testing.T) {
 		if len(c.LatticeViews) == 0 {
 			t.Fatalf("seed %d: no lattice views generated", seed)
 		}
-		if _, _, err := buildSession(c, false, "lattice", false, false, false, false, 0); err != nil {
+		if _, err := buildSession(c, axis{views: "lattice"}, c.Fact, c.ExtFact, 0); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -193,7 +193,7 @@ func TestFeasibleStrategiesCovered(t *testing.T) {
 	counts := make(map[string]int)
 	for _, seed := range defaultSeeds {
 		c := Generate(seed)
-		s, _, err := buildSession(c, false, "", false, false, false, false, 0)
+		s, err := buildSession(c, axis{}, c.Fact, c.ExtFact, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -471,8 +471,8 @@ func TestSegmentWALCompaction(t *testing.T) {
 // read whole and must equal, cell for cell and bit for bit — the measures
 // are integers, AVG, MIN, MAX and COUNT included — the same view freshly
 // built over the same storage, and the view-less resident reference; the
-// statement batch must agree three ways too (coarser queries and the
-// fused pivot go through the views' auxiliary columns). No view may be
+// statement batch must agree three ways too (coarser queries go through
+// the views' auxiliary columns, POP pivots through their exact cells). No view may be
 // dropped on the way, and none rebuilt more than once: a view whose dense
 // table was too sparse to keep is rebuilt through a slot table the first
 // time it is found stale, and refreshed like the others from then on.

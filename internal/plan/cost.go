@@ -25,9 +25,6 @@ type Stats interface {
 	// FactRows returns the cardinality of a detailed cube, or 0 if
 	// unknown.
 	FactRows(fact string) int
-	// ViewCells returns the cardinality of the materialized view at
-	// exactly the group-by set, if one exists.
-	ViewCells(fact string, g mdm.GroupBy) (int, bool)
 	// CoveringViewCells returns the cell count of the cheapest
 	// materialized view that can answer the query through the roll-up
 	// lattice — an exact group-by match or any finer covering view —
@@ -87,13 +84,10 @@ func Estimate(p *Plan, stats Stats) float64 {
 		case OpGetPivoted:
 			all := estimateCard(op.Query, stats)
 			out := all / float64(len(op.Neighbors)+1)
-			if fused(op.Query, stats) {
-				// Pipelined view pivot: one pass, one hash per input cell.
-				total += inputCost(op.Query, stats) + wHash*all + wTransfer*out
-			} else {
-				// Aggregate first, then pivot the materialized result.
-				total += inputCost(op.Query, stats) + wHash*all + wHash*all + wTransfer*out
-			}
+			// The engine aggregates, then pivots: one hash per aggregated
+			// cell, as OpClientPivot charges, and only the pivoted rows
+			// cross the cursor boundary.
+			total += inputCost(op.Query, stats) + wHash*all + wTransfer*out
 			card[op.Dst] = out
 		case OpClientJoin:
 			a, b := card[op.SrcA], card[op.SrcB]
@@ -173,26 +167,6 @@ func inputCost(q engine.Query, stats Stats) float64 {
 		return wScan * float64(n)
 	}
 	return wScan * float64(stats.FactRows(q.Fact))
-}
-
-// fused mirrors the engine's pivot-fusion rule: only an exact-group view
-// pipelines the get+pivot in one pass (coarser covers are re-aggregated
-// first, then pivoted from the materialized aggregate).
-func fused(q engine.Query, stats Stats) bool {
-	_, ok := stats.ViewCells(q.Fact, q.Group)
-	return ok && viewCovers(q)
-}
-
-// viewCovers mirrors the engine's exact-match rule: every predicate
-// level must be derivable from the group-by coordinates.
-func viewCovers(q engine.Query) bool {
-	for _, p := range q.Preds {
-		pos := q.Group.Pos(p.Level.Hier)
-		if pos < 0 || q.Group[pos].Level > p.Level.Level {
-			return false
-		}
-	}
-	return true
 }
 
 // estimateCard estimates |C| of a cube query: the product of the

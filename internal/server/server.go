@@ -717,6 +717,10 @@ func statusFor(err error) int {
 	if errors.As(err, &unavail) {
 		return http.StatusServiceUnavailable
 	}
+	var pe *engine.PanicError
+	if errors.As(err, &pe) {
+		return http.StatusInternalServerError
+	}
 	return http.StatusUnprocessableEntity
 }
 
@@ -742,5 +746,12 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
 	if errors.As(err, &unavail) {
 		kind = "unavailable"
 	}
-	writeJSON(w, status, errorResponse{Error: err.Error(), Kind: kind, RequestID: requestID(r.Context())})
+	id := requestID(r.Context())
+	var pe *engine.PanicError
+	if errors.As(err, &pe) {
+		// The client gets the panic's value; the stack goes to the log,
+		// as net/http does with a handler's own panic.
+		slog.Error("query panicked", "requestId", id, "error", err, "stack", string(pe.Stack))
+	}
+	writeJSON(w, status, errorResponse{Error: err.Error(), Kind: kind, RequestID: id})
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // TestPlansAgreeWithMaterializedViews re-checks plan equivalence when
-// the engine answers gets (and pipelined pivots) from materialized
+// the engine answers gets (and the aggregates under POP pivots) from materialized
 // views, the configuration of the paper's experiments.
 func TestPlansAgreeWithMaterializedViews(t *testing.T) {
 	build := func(materialize bool) *assess.Session {
