@@ -36,7 +36,6 @@
 //	        [-shard-level LEVEL] [-shard-timeout 2s] [-dist-policy fail|partial]
 //	        [-parallel 0]
 //	        [-cache-mb 64]
-//	        [-auto-views] [-view-mb 64]
 //	        [-admit-slots 0] [-max-queue 256]
 //	        [-latency-budget 2s] [-tenant-header X-Tenant]
 //	        [-debug-addr :6060] [-slow-query-ms 500] [-slow-query-log path]
@@ -71,9 +70,7 @@ func main() {
 		storeDir   = flag.String("store-dir", "", "serve the cubes of a directory of cube directories (out-of-core; see assess -save and ssbgen -out-dir)")
 		resident   = flag.Bool("resident", false, "with -store-dir, load the segment directories fully into memory")
 		parallel   = flag.Int("parallel", 1, "workers per statement, for its fact scans and for encoding its result (0 = all cores)")
-		cacheMB    = flag.Int("cache-mb", 64, "query-result cache budget in MiB (0 = no cache)")
-		autoViews  = flag.Bool("auto-views", false, "adaptively materialize hot group-by sets as views")
-		viewMB     = flag.Int("view-mb", 64, "auto-materialized view budget in MiB")
+		cacheMB    = flag.Int("cache-mb", 64, "query-result cache budget in MiB, and the same again for adaptively admitted views (0 = neither)")
 		admitSlots = flag.Int("admit-slots", 0,
 			"admission-control execution slots (0 = GOMAXPROCS; admission enabled when -max-queue or -latency-budget is set)")
 		maxQueue = flag.Int("max-queue", 0,
@@ -156,9 +153,6 @@ func main() {
 	}
 	if err := enableCache(session, *cacheMB); err != nil {
 		log.Fatal(err)
-	}
-	if *autoViews {
-		session.EnableAutoViews(int64(*viewMB) << 20)
 	}
 	if distCfg.active() {
 		if err := enableDistributed(session, distCfg); err != nil {
@@ -254,8 +248,9 @@ func open(data string, rows int, sf float64, seed int64, storeDir string, reside
 	return nil, noop, fmt.Errorf("unknown dataset %q", data)
 }
 
-// enableCache gives the session a query-result cache of mb MiB; 0 leaves
-// it without one.
+// enableCache gives the session a query-result cache of mb MiB and
+// admits views under a budget of as many again; 0 leaves it without
+// either.
 func enableCache(session *assess.Session, mb int) error {
 	if mb < 0 {
 		return fmt.Errorf("assessd: -cache-mb must be 0 (no cache) or more, got %d", mb)

@@ -47,9 +47,10 @@ func TestOpenServesSavedSession(t *testing.T) {
 	}
 }
 
-// TestCacheMBSwitchesTheCache: -cache-mb is the result cache's one flag —
-// 0 serves without a cache, a positive budget attaches one of that many
-// MiB, and a negative one is refused.
+// TestCacheMBSwitchesTheCache: -cache-mb is the one flag of the result
+// cache and of view admission — 0 serves without either, a positive
+// budget attaches a cache of that many MiB and admits views under as many
+// again, and a negative one is refused.
 func TestCacheMBSwitchesTheCache(t *testing.T) {
 	for _, c := range []struct {
 		mb        int
@@ -67,6 +68,10 @@ func TestCacheMBSwitchesTheCache(t *testing.T) {
 		}
 		if ok && st.BudgetBytes != int64(c.mb)<<20 {
 			t.Errorf("-cache-mb %d: budget %d bytes", c.mb, st.BudgetBytes)
+		}
+		vs := s.ViewStats()
+		if vs.AutoEnabled != c.wantCache || (ok && vs.BudgetBytes != int64(c.mb)<<20) {
+			t.Errorf("-cache-mb %d: view admission on %v with %d bytes", c.mb, vs.AutoEnabled, vs.BudgetBytes)
 		}
 	}
 }

@@ -88,10 +88,15 @@ func NewSession() *Session {
 
 // EnableCache attaches a query-result cache with the given byte budget
 // (<= 0 selects the 64 MiB default), the total for results and the
-// encoded bodies kept with them. Cached results are shared across
-// callers and must be treated as read-only. Call before serving traffic.
+// encoded bodies kept with them, and turns on the engine's adaptive view
+// admission under a budget of the same size: a covering set whose misses
+// have swept as many rows as its view takes to build is materialized,
+// with LRU eviction among admitted views. Cached results are shared
+// across callers and must be treated as read-only. Call before serving
+// traffic.
 func (s *Session) EnableCache(maxBytes int64) {
 	s.cache = qcache.New(maxBytes)
+	s.Engine.SetAutoViews(s.cache.Stats().BudgetBytes)
 }
 
 // CacheStats snapshots the cache counters; ok is false when no cache is
@@ -125,16 +130,6 @@ func (s *Session) DistStats() (stats dist.Stats, ok bool) {
 // is not enabled); the server uses it to route appends and expose
 // shard snapshots.
 func (s *Session) Distributed() *dist.Coordinator { return s.dist }
-
-// EnableAutoViews turns on the engine's adaptive view admission: hot
-// group-by sets that keep missing the view lattice are auto-materialized
-// under the given byte budget (<= 0 selects the engine default), with
-// LRU eviction among admitted views. Safe to call before serving
-// traffic; admission itself is concurrency-safe afterwards.
-func (s *Session) EnableAutoViews(budgetBytes int64) {
-	s.Engine.SetAutoViewBudget(budgetBytes)
-	s.Engine.SetAutoViews(true)
-}
 
 // ViewStats snapshots the engine's materialized-view catalog and
 // admission accounting (the /stats view section).

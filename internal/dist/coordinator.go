@@ -171,6 +171,13 @@ func (c *Coordinator) scatterGather(ctx context.Context, t *table, q engine.Quer
 		wg.Add(1)
 		go func(i, s int) {
 			defer wg.Done()
+			// A panic fails this shard like any shard error, never the
+			// process.
+			defer func() {
+				if r := recover(); r != nil {
+					results[i] = shardResult{err: engine.Recovered(r)}
+				}
+			}()
 			results[i] = c.scanShard(ctx, t, s, req)
 		}(i, s)
 	}
@@ -244,6 +251,14 @@ func (c *Coordinator) scanShard(ctx context.Context, t *table, s int, req *ScanR
 		ch := make(chan attemptResult, 1)
 		a0 := time.Now()
 		go func(cl ShardClient) {
+			// A client that panics fails the attempt, which then goes the
+			// way of any failed one: the next replica, the local copy or
+			// the policy.
+			defer func() {
+				if r := recover(); r != nil {
+					ch <- attemptResult{err: engine.Recovered(r)}
+				}
+			}()
 			gen, part, err := cl.Scan(actx, req, t.local.Schema)
 			ch <- attemptResult{gen: gen, part: part, err: err}
 		}(cl)

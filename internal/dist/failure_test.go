@@ -15,6 +15,7 @@ import (
 	"github.com/assess-olap/assess/internal/cube"
 	"github.com/assess-olap/assess/internal/engine"
 	"github.com/assess-olap/assess/internal/mdm"
+	"github.com/assess-olap/assess/internal/obsv"
 )
 
 var errInjected = errors.New("injected worker crash")
@@ -161,6 +162,59 @@ func TestPolicyPartialAnnotates(t *testing.T) {
 	}
 	if rig.coord.Stats().Partials != 1 {
 		t.Fatalf("partials counter %d, want 1", rig.coord.Stats().Partials)
+	}
+}
+
+// TestFanOutPanic gives shard 0 a primary whose Scan panics. The panic is
+// recovered on the attempt's goroutine into an *engine.PanicError,
+// counted once, and fails the attempt like any shard error: with a
+// replica the replica serves the shard; without one the local copy does,
+// or, with the fallback off, the fail policy answers *Unavailable
+// carrying the panic. Every way, the process goes on.
+func TestFanOutPanic(t *testing.T) {
+	panics := obsv.Default.Counter("assess_query_panics_total", "")
+	for _, c := range []struct {
+		name     string
+		replicas bool
+		fallback bool
+	}{{"2 replicas", true, true}, {"1 replica, local fallback", false, true}, {"1 replica, fail policy", false, false}} {
+		rig := newRig(t, 2000, 2, Config{Policy: PolicyFail}, func(lc *LocalCluster) [][]ShardClient {
+			return failingChains(lc, map[int]func(context.Context) error{0: func(context.Context) error {
+				panic("injected shard panic")
+			}}, c.replicas)
+		})
+		rig.coord.tables["SALES"].fallback = c.fallback
+		want, err := rig.eng.ScanWithOps(context.Background(), failQ, failOps, names(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := panics.Value()
+		got, err := rig.coord.Scan(context.Background(), failQ, failOps, names(2))
+		if d := panics.Value() - before; d != 1 {
+			t.Errorf("%s: %d panics counted, want 1", c.name, d)
+		}
+		sh := rig.coord.Stats().Tables[0].Shards[0]
+		if sh.Errors != 1 {
+			t.Errorf("%s: shard 0 errors %d, want 1", c.name, sh.Errors)
+		}
+		if !c.fallback {
+			var u *Unavailable
+			var pe *engine.PanicError
+			if !errors.As(err, &u) || !errors.As(err, &pe) || pe.Value != "injected shard panic" || len(pe.Stack) == 0 {
+				t.Fatalf("%s: error %v, want *Unavailable carrying the *engine.PanicError", c.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		diffCubes(t, c.name, want, got)
+		if c.replicas && sh.Redispatches != 1 {
+			t.Errorf("%s: redispatches %d, want 1", c.name, sh.Redispatches)
+		}
+		if !c.replicas && sh.Fallbacks != 1 {
+			t.Errorf("%s: fallbacks %d, want 1", c.name, sh.Fallbacks)
+		}
 	}
 }
 

@@ -75,7 +75,8 @@ type Engine struct {
 	morselSize int
 	// gen counts catalog mutations (Register, Materialize); together
 	// with the fact tables' append versions it forms the monotonic
-	// generation that invalidates query-result cache entries.
+	// generation that invalidates query-result cache entries. Admitting
+	// or evicting a view changes no answer and leaves it alone.
 	gen atomic.Uint64
 	// batcher, when set, answers query-path fact scans in the engine's
 	// place (see SetScanBatcher).
@@ -117,10 +118,12 @@ func (e *Engine) Register(name string, f *storage.FactTable) error {
 
 // Generation is the monotonic catalog generation: it advances whenever a
 // cube is registered or materialized and whenever rows are appended to a
-// registered fact table. Query-result cache entries are tagged with the
-// generation observed at evaluation time; a later generation makes them
-// stale. Registering facts concurrently with queries is already
-// unsupported (see Engine doc), so summing fact versions here is safe.
+// registered fact table, never when adaptive admission admits or evicts
+// a view, which changes no answer. Query-result cache entries are tagged
+// with the generation observed at evaluation time; a later generation
+// makes them stale. Registering facts concurrently with queries is
+// already unsupported (see Engine doc), so summing fact versions here is
+// safe.
 func (e *Engine) Generation() uint64 {
 	g := e.gen.Load()
 	for _, f := range e.facts {
@@ -147,18 +150,11 @@ func (e *Engine) Facts() []string {
 // aggregate evaluates the get operator engine-side, before any transfer:
 // from the view lattice when a materialized view covers the query
 // (exactly, or at a strictly finer group-by set re-aggregated by the
-// navigator), otherwise by a fact-table scan. Lattice misses feed the
-// adaptive admission tally; a miss that earns admission is answered from
-// the freshly admitted view.
+// navigator), otherwise by a fact-table scan. A lattice miss feeds the
+// rows its scan swept to the adaptive admission tally once the scan has
+// answered it.
 func (e *Engine) aggregate(ctx context.Context, q Query) (*cube.Cube, error) {
-	v, exact := e.lookupView(q)
-	if v == nil {
-		mViewMiss.Inc()
-		if f, ok := e.facts[q.Fact]; ok && e.noteViewMiss(q, f) {
-			v, exact = e.lookupView(q)
-		}
-	}
-	if v != nil {
+	if v, exact := e.lookupView(q); v != nil {
 		mScansView.Inc()
 		if exact {
 			mViewExact.Inc()
@@ -167,27 +163,35 @@ func (e *Engine) aggregate(ctx context.Context, q Query) (*cube.Cube, error) {
 		mViewRollup.Inc()
 		return e.rollupFromView(ctx, e.facts[q.Fact], v, q)
 	}
-	return e.scanAggregate(ctx, q)
+	mViewMiss.Inc()
+	c, swept, err := e.scanAggregate(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	e.noteViewMiss(q, swept)
+	return c, nil
 }
 
 // scanAggregate scans the fact table (serially, or partitioned across
 // workers when parallelism is enabled), filters rows through the
 // predicates, and aggregates the requested measures by the group-by
-// coordinates. With a coordinator installed (SetScanBatcher) the scan is
-// submitted there instead.
-func (e *Engine) scanAggregate(ctx context.Context, q Query) (*cube.Cube, error) {
+// coordinates; it reports the rows the scan swept. With a coordinator
+// installed (SetScanBatcher) the scan is submitted there instead, and
+// counts as a sweep of the whole fact.
+func (e *Engine) scanAggregate(ctx context.Context, q Query) (*cube.Cube, int, error) {
 	f, ok := e.facts[q.Fact]
 	if !ok {
-		return nil, fmt.Errorf("engine: unknown cube %s", q.Fact)
+		return nil, 0, fmt.Errorf("engine: unknown cube %s", q.Fact)
 	}
 	ops, names, err := schemaOps(f.Schema, q)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if b := e.batcher; b != nil {
-		return b.Scan(ctx, q, ops, names)
+		c, err := b.Scan(ctx, q, ops, names)
+		return c, f.Rows(), err
 	}
-	return e.ScanWithOps(ctx, q, ops, names)
+	return e.scanWithOps(ctx, f, q, ops, names)
 }
 
 // schemaOps reads the query's per-measure operators and output names off
@@ -219,15 +223,23 @@ func (e *Engine) ScanWithOps(ctx context.Context, q Query, ops []mdm.AggOp, name
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown cube %s", q.Fact)
 	}
+	c, _, err := e.scanWithOps(ctx, f, q, ops, names)
+	return c, err
+}
+
+// scanWithOps is ScanWithOps over the registered fact f, reporting the
+// rows the scan swept.
+func (e *Engine) scanWithOps(ctx context.Context, f *storage.FactTable, q Query, ops []mdm.AggOp, names []string) (*cube.Cube, int, error) {
 	sq, err := e.prepare(ctx, f, q, ops)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	t, err := e.scanFact(f, sq)
+	t, swept, err := e.scanFact(f, sq)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return sq.finalize(f.Schema, names, t)
+	c, err := sq.finalize(f.Schema, names, t)
+	return c, swept, err
 }
 
 // prepare lays out everything a fact scan needs before touching data: the

@@ -23,7 +23,7 @@ var (
 	mCancelled = obsv.Default.Counter("assess_engine_scans_cancelled_total",
 		"Scans ended by their request's context: the caller hung up, or a coordinator abandoned the shard attempt.")
 	mPanics = obsv.Default.Counter("assess_query_panics_total",
-		"Panics recovered on scan workers: each failed its query, which answered with an internal error, and the process went on.")
+		"Panics recovered on scan workers and shard fan-out goroutines: each failed its query or shard attempt, and the process went on.")
 	mTransferBytes = obsv.Default.Counter("assess_engine_transfer_bytes_total",
 		"Bytes crossing the engine-to-client cursor boundary.")
 	mTransferCells = obsv.Default.Counter("assess_engine_transfer_cells_total",

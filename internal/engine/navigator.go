@@ -18,12 +18,12 @@ import (
 // (views.go); strictly coarser queries re-aggregate the view's cells
 // through the same scan pipeline as fact scans (morsel-parallel above the
 // usual threshold), so a 500k-row scan collapses to a pass over a few
-// thousand view cells. The adaptive admission layer watches
-// queries that miss every view and auto-materializes the hottest
-// group-by sets under a byte budget, evicting least-recently-used
-// admitted views. A view whose fact table has since grown absorbs the
-// appended rows — those past its high-water mark — the next time a
-// query picks it (views.go, absorb).
+// thousand view cells. The adaptive admission layer watches queries
+// that miss every view and auto-materializes the covering sets whose
+// misses have swept as many rows as a build would, under a byte budget,
+// evicting least-recently-used admitted views. A view whose fact table
+// has since grown absorbs the appended rows — those past its high-water
+// mark — the next time a query picks it (views.go, absorb).
 
 // covers reports whether the view can answer the query: the view's
 // group-by set rolls up to the query's, and every predicate hierarchy is
@@ -133,6 +133,7 @@ func (e *Engine) refreshView(f *storage.FactTable, v *matView) *matView {
 	}
 	e.dropViewLocked(key, cur)
 	if nv != nil {
+		nv.auto = cur.auto
 		e.installView(key, nv)
 	}
 	return nv
@@ -175,108 +176,119 @@ func (e *Engine) rollupFromView(ctx context.Context, f *storage.FactTable, v *ma
 	return e.reaggregate(ctx, s, q.Group, q.Group, gmaps, accepts, p, names, storage.ColumnsSource(keys, cols, v.data.Len()))
 }
 
-// Adaptive view admission. Every aggregate that misses the view lattice
-// tallies its (fact, group-by set); once a set has been requested
-// autoViewMinQueries times and its estimated cell count is small
-// enough relative to the fact table (the benefit test), it is
-// materialized — provided its estimated size fits the byte budget, with
-// least-recently-used admitted views evicted to make room.
+// Adaptive view admission is rent-or-buy. Every aggregate that misses
+// the view lattice adds the rows its scan swept to the tally of its
+// covering set — the coarsest group-by set whose view could have answered
+// it. Repeated misses pay rent in swept rows; a build costs one sweep of
+// the whole fact. So once a set has been sighted twice and its misses
+// have swept as many rows as the fact holds, it is bought: materialized,
+// provided its estimated cell count is at most half the fact rows (the
+// view must out-coarsen the fact) and its estimated size fits the byte
+// budget, with least-recently-used admitted views evicted to make room.
+// A full scan of a resident fact earns its set a view on the second miss;
+// a selective statement answered from a segment store's postings sweeps
+// few rows and takes as many misses as it takes to sweep the fact.
 
-// autoViewMinQueries is how many times a group-by set must miss the view
-// lattice before the admission layer materializes it.
-const autoViewMinQueries = 3
+// minViewSightings is how many misses a covering set needs before its
+// swept rows may buy it a view: one full scan is not yet a pattern.
+const minViewSightings = 2
 
 // autoAdmit is the admission tally, guarded by its own small mutex (the
-// views map itself is guarded by viewMu).
+// views map itself is guarded by viewMu). A budget of 0 turns admission
+// off.
 type autoAdmit struct {
-	enabled  bool
 	budget   int64
 	tally    map[viewKey]*viewTally
 	building map[viewKey]bool
 }
 
 type viewTally struct {
-	group mdm.GroupBy
-	count int
+	group  mdm.GroupBy
+	misses int
+	swept  int
 }
 
 // maxTallyEntries bounds the admission tally; a workload with more
-// distinct cold group-by sets than this resets the tally rather than
+// distinct cold covering sets than this resets the tally rather than
 // growing without bound.
 const maxTallyEntries = 4096
 
-// SetAutoViews enables or disables adaptive view admission. Disabling
-// keeps already-admitted views (they are still correct; they just stop
-// being replenished).
-func (e *Engine) SetAutoViews(enabled bool) {
+// SetAutoViews turns adaptive view admission on with a budget of bytes
+// for the admitted views, or off with 0. Turning it off keeps the views
+// already admitted (they are still correct; they just stop being
+// replenished). Explicit views don't count against the budget.
+func (e *Engine) SetAutoViews(bytes int64) {
 	e.autoMu.Lock()
 	defer e.autoMu.Unlock()
-	e.auto.enabled = enabled
-	if enabled && e.auto.tally == nil {
+	e.auto.budget = max(bytes, 0)
+	if e.auto.tally == nil {
 		e.auto.tally = make(map[viewKey]*viewTally)
 		e.auto.building = make(map[viewKey]bool)
 	}
 }
 
-// SetAutoViewBudget caps the total bytes of admitted (auto) views;
-// values ≤ 0 restore the default of 64 MiB. Explicit views don't count
-// against the budget.
-func (e *Engine) SetAutoViewBudget(bytes int64) {
-	e.autoMu.Lock()
-	defer e.autoMu.Unlock()
-	e.auto.budget = bytes
-}
-
-// DefaultAutoViewBudget is the admission byte budget when none is set.
-const DefaultAutoViewBudget = 64 << 20
-
-func (a *autoAdmit) effectiveBudget() int64 {
-	if a.budget <= 0 {
-		return DefaultAutoViewBudget
+// coveringSet is the coarsest group-by set whose view answers q: q's
+// group-by set, with each predicate level added, or taking the place of
+// the grouped level of its hierarchy where it is finer.
+func coveringSet(q Query) mdm.GroupBy {
+	g := append(mdm.GroupBy(nil), q.Group...)
+	for _, p := range q.Preds {
+		switch pos := g.Pos(p.Level.Hier); {
+		case pos < 0:
+			g = append(g, p.Level)
+		case p.Level.Level < g[pos].Level:
+			g[pos] = p.Level
+		}
 	}
-	return a.budget
+	return g
 }
 
-// noteViewMiss tallies a query that no view could answer and decides
-// whether its group-by set has earned materialization, reporting whether
-// a view was admitted (the caller re-resolves against the lattice). The
-// build itself runs outside both locks; the building set keeps
-// concurrent queries from admitting the same set twice.
-func (e *Engine) noteViewMiss(q Query, f *storage.FactTable) bool {
+// noteViewMiss adds a lattice miss that swept swept rows to the tally of
+// q's covering set and materializes the set once it has earned it. The
+// build runs outside both locks; the building set, and the check for a
+// view installed since the miss, keep concurrent misses from building
+// one set twice.
+func (e *Engine) noteViewMiss(q Query, swept int) {
+	f, ok := e.facts[q.Fact]
+	if !ok {
+		return
+	}
 	e.autoMu.Lock()
 	a := &e.auto
-	if !a.enabled || len(q.Group) == 0 {
+	if a.budget == 0 {
 		e.autoMu.Unlock()
-		return false
+		return
 	}
-	key := viewKey{q.Fact, groupKey(q.Group)}
-	if a.building[key] {
+	g := coveringSet(q)
+	key := viewKey{q.Fact, groupKey(g)}
+	if len(g) == 0 || a.building[key] || e.hasView(key) {
 		e.autoMu.Unlock()
-		return false
+		return
 	}
 	t := a.tally[key]
 	if t == nil {
 		if len(a.tally) >= maxTallyEntries {
 			a.tally = make(map[viewKey]*viewTally)
 		}
-		t = &viewTally{group: append(mdm.GroupBy(nil), q.Group...)}
+		t = &viewTally{group: g}
 		a.tally[key] = t
 	}
-	t.count++
+	t.misses++
+	t.swept += swept
 	rows := f.Rows()
-	est := estimatedCells(f, t.group, rows)
-	admit := t.count >= autoViewMinQueries &&
+	est := estimatedCells(f, g, rows)
+	admit := t.misses >= minViewSightings && t.swept >= rows &&
 		2*est <= rows && // benefit: the view must out-coarsen the fact
-		viewSizeBytes(est, len(t.group), len(f.Schema.Measures), countAvgs(f.Schema)) <= a.effectiveBudget()
+		viewSizeBytes(est, len(g), len(f.Schema.Measures), countAvgs(f.Schema)) <= a.budget
 	if admit {
 		a.building[key] = true
 	}
-	budget := a.effectiveBudget()
+	budget := a.budget
 	e.autoMu.Unlock()
 	if !admit {
-		return false
+		return
 	}
-	ok := e.admitView(key, f, t.group, budget)
+	ok = e.admitView(key, f, g, budget)
 	e.autoMu.Lock()
 	delete(e.auto.building, key)
 	if ok {
@@ -284,15 +296,22 @@ func (e *Engine) noteViewMiss(q Query, f *storage.FactTable) bool {
 	} else if t := e.auto.tally[key]; t != nil {
 		// The estimate lied (build failed or over budget): poison the
 		// tally so the set doesn't pay for a rebuild every few misses.
-		t.count = -1 << 30
+		t.misses = -1 << 30
 	}
 	e.autoMu.Unlock()
-	return ok
 }
 
-// admitView materializes an earned group-by set and installs it under
+// hasView reports whether a view is installed under key.
+func (e *Engine) hasView(key viewKey) bool {
+	e.viewMu.RLock()
+	defer e.viewMu.RUnlock()
+	return e.views[key] != nil
+}
+
+// admitView materializes an earned covering set and installs it under
 // the budget, evicting least-recently-used admitted views to make room.
 func (e *Engine) admitView(key viewKey, f *storage.FactTable, g mdm.GroupBy, budget int64) bool {
+	mViewAdmissions.Inc()
 	v, err := e.buildView(key.fact, f, g, true)
 	if err != nil || v.bytes > budget {
 		return false
@@ -300,7 +319,7 @@ func (e *Engine) admitView(key viewKey, f *storage.FactTable, g mdm.GroupBy, bud
 	e.viewMu.Lock()
 	defer e.viewMu.Unlock()
 	if _, dup := e.views[key]; dup {
-		return true // someone else installed it; the lattice now covers q
+		return true // materialized explicitly meanwhile; the lattice covers the set
 	}
 	for e.autoBytes+v.bytes > budget {
 		if !e.evictLRULocked() {
@@ -308,8 +327,6 @@ func (e *Engine) admitView(key viewKey, f *storage.FactTable, g mdm.GroupBy, bud
 		}
 	}
 	e.installView(key, v)
-	mViewAdmissions.Inc()
-	e.gen.Add(1)
 	return true
 }
 
@@ -331,7 +348,6 @@ func (e *Engine) evictLRULocked() bool {
 	}
 	e.dropViewLocked(victimKey, victim)
 	mViewEvictions.Inc()
-	e.gen.Add(1)
 	return true
 }
 
@@ -388,7 +404,7 @@ type ViewStats struct {
 // accounting, sorted by fact then levels for stable output.
 func (e *Engine) ViewStatsSnapshot() ViewStats {
 	e.autoMu.Lock()
-	st := ViewStats{AutoEnabled: e.auto.enabled, BudgetBytes: e.auto.effectiveBudget()}
+	st := ViewStats{AutoEnabled: e.auto.budget > 0, BudgetBytes: e.auto.budget}
 	e.autoMu.Unlock()
 	e.viewMu.RLock()
 	st.Bytes = e.viewBytes

@@ -122,7 +122,7 @@ func (e *Engine) reaggregate(ctx context.Context, s *mdm.Schema, g, from mdm.Gro
 			continue
 		}
 		workers, morsel := e.scanShape(part.Rows())
-		t, err := scan(sq, part, workers, morsel)
+		t, _, err := scan(sq, part, workers, morsel)
 		if err != nil {
 			return nil, err
 		}

@@ -132,8 +132,9 @@ func (st *scanState) fail(err error) bool {
 	return true
 }
 
-// PanicError is the outcome of a scan whose worker panicked: the panic's
-// value and the stack of the goroutine it was raised on.
+// PanicError is the outcome of a query whose scan worker, or shard
+// fan-out goroutine, panicked: the panic's value and the stack of the
+// goroutine it was raised on.
 type PanicError struct {
 	Value any
 	Stack []byte
@@ -143,12 +144,20 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("engine: scan worker panicked: %v", e.Value)
 }
 
+// Recovered turns the value of a recover() into the error its query
+// fails with, counted in assess_query_panics_total. Call it from the
+// deferred function that recovered, so the stack is the panicking
+// goroutine's.
+func Recovered(r any) *PanicError {
+	mPanics.Inc()
+	return &PanicError{Value: r, Stack: debug.Stack()}
+}
+
 // contain recovers a panic on the worker it is deferred by and fails the
 // scan with it.
 func (st *scanState) contain() {
 	if r := recover(); r != nil {
-		mPanics.Inc()
-		st.fail(&PanicError{Value: r, Stack: debug.Stack()})
+		st.fail(Recovered(r))
 	}
 }
 
@@ -170,14 +179,17 @@ func (st *scanState) alive(ctx context.Context) bool {
 }
 
 // scan drives the query over the source with the given number of workers
-// and returns its merged table, or the reason the scan ended early. A
-// single-block source — a resident table, a view's columns — is decoded
-// once, zero-copy, and workers steal fixed-size morsels inside the block.
+// and returns its merged table and the rows it swept, or the reason the
+// scan ended early. A block's rows all count as swept unless the backend
+// handed a selection bitmap, whose set rows are the ones visited; a
+// pruned block sweeps none. A single-block source — a resident table, a
+// view's columns — is decoded once, zero-copy, and workers steal
+// fixed-size morsels inside the block.
 // A multi-block (segment) source has workers steal whole blocks instead:
 // each claimed block is decoded once into the worker's own scratch and
 // iterated morsel by morsel locally, so decode cost is paid once per
 // segment and the decoded buffers stay worker-private.
-func scan(sq *scanQuery, src storage.ScanSource, workers, morsel int) (*aggTable, error) {
+func scan(sq *scanQuery, src storage.ScanSource, workers, morsel int) (*aggTable, int, error) {
 	if sq.dense > 0 {
 		mKernelDense.Inc()
 	} else {
@@ -202,7 +214,8 @@ func scan(sq *scanQuery, src storage.ScanSource, workers, morsel int) (*aggTable
 			}
 		}()
 	}
-	var morsels atomic.Int64
+	var morsels, swept atomic.Int64
+	swept.Store(int64(one.Swept()))
 	worker := func(w int) {
 		defer st.contain()
 		sc := getScratch()
@@ -244,6 +257,7 @@ func scan(sq *scanQuery, src storage.ScanSource, workers, morsel int) (*aggTable
 			if !ok {
 				continue
 			}
+			swept.Add(int64(cols.Swept()))
 			for lo := 0; lo < cols.Rows; lo += morsel {
 				aggregate(cols, lo, min(lo+morsel, cols.Rows))
 			}
@@ -264,22 +278,22 @@ func scan(sq *scanQuery, src storage.ScanSource, workers, morsel int) (*aggTable
 	}
 	mMorsels.Add(morsels.Load())
 	if st.err != nil {
-		return nil, st.err
+		return nil, 0, st.err
 	}
-	return sq.mergeTree(parts), nil
+	return sq.mergeTree(parts), int(swept.Load()), nil
 }
 
 // scanFact answers the query over f: it opens the source with the
 // query's own predicates and predicate-only columns, sizes the scan and
 // runs it.
-func (e *Engine) scanFact(f *storage.FactTable, sq *scanQuery) (*aggTable, error) {
+func (e *Engine) scanFact(f *storage.FactTable, sq *scanQuery) (*aggTable, int, error) {
 	src := f.ScanSource(sq.need, sq.preds)
 	defer src.Close()
 	return e.scanRows(src, sq)
 }
 
 // scanRows sizes and runs the scan of fact rows the source covers.
-func (e *Engine) scanRows(src storage.ScanSource, sq *scanQuery) (*aggTable, error) {
+func (e *Engine) scanRows(src storage.ScanSource, sq *scanQuery) (*aggTable, int, error) {
 	rows := src.Rows()
 	mRowsScanned.Add(int64(rows))
 	workers, morsel := e.scanShape(rows)

@@ -62,7 +62,9 @@ type matView struct {
 	// factVer is a fact version at which the view held every row; a newer
 	// one makes it stale until refreshView has looked past the mark.
 	factVer atomic.Uint64
-	// auto marks views admitted by the adaptive layer (evictable).
+	// auto marks views admitted by the adaptive layer (evictable). It is
+	// read and written under the engine's viewMu once the view is
+	// published: Materialize promotes an admitted view in place.
 	auto bool
 	// acc is shared by every matView published for this view.
 	acc     *viewAccum
@@ -73,8 +75,8 @@ type matView struct {
 // viewAccum is the state behind a view that absorbing appends updates in
 // place: the accumulator table its columns were finalized from. Readers
 // never see it; mu serializes the refreshes of the view and guards every
-// field but q, p, names and auto, which are fixed at build, and the
-// view's current matView is only ever replaced under it.
+// field but q, p and names, which are fixed at build, and the view's
+// current matView is only ever replaced under it.
 type viewAccum struct {
 	mu sync.Mutex
 	// q is the view's build scan: the sub-aggregates p behind every schema
@@ -82,7 +84,6 @@ type viewAccum struct {
 	q     Query
 	p     *Partials
 	names []string
-	auto  bool // admitted by the adaptive layer
 	// sq is the prepared scan t was accumulated through; t holds the
 	// view's first rows rows, or is nil when it was not worth keeping:
 	// sparse is then set for good, and every later scan goes through a
@@ -112,38 +113,61 @@ func viewSizeBytes(cells, groups, measures, avgs int) int64 {
 }
 
 // Materialize pre-aggregates the named fact table at the group-by set
-// (all measures, no predicates) and registers the result as a view.
-// Re-materializing the same view is an error.
+// (all measures, no predicates) and registers the result as a view. A
+// view the adaptive layer admitted at the set is promoted instead: it is
+// never evicted again and leaves the admission budget. Re-materializing
+// an explicit view is an error.
 func (e *Engine) Materialize(fact string, g mdm.GroupBy) error {
 	f, ok := e.facts[fact]
 	if !ok {
 		return fmt.Errorf("engine: unknown cube %s", fact)
 	}
 	key := viewKey{fact, groupKey(g)}
-	e.viewMu.RLock()
-	_, dup := e.views[key]
-	e.viewMu.RUnlock()
-	if dup {
-		return fmt.Errorf("engine: view on %s %s already materialized", fact, g.String(f.Schema))
-	}
-	v, err := e.buildView(fact, f, g, false)
+	promoted, err := e.promote(key, f.Schema, g)
 	if err != nil {
 		return err
 	}
-	e.viewMu.Lock()
-	if _, dup := e.views[key]; dup {
+	if !promoted {
+		v, err := e.buildView(fact, f, g, false)
+		if err != nil {
+			return err
+		}
+		e.viewMu.Lock()
+		raced := e.views[key] != nil
+		if !raced {
+			e.installView(key, v)
+		}
 		e.viewMu.Unlock()
-		return fmt.Errorf("engine: view on %s %s already materialized", fact, g.String(f.Schema))
+		if raced {
+			// Admitted or materialized during the build: promote that
+			// view, or report it.
+			return e.Materialize(fact, g)
+		}
 	}
-	e.installView(key, v)
-	e.viewMu.Unlock()
 	e.gen.Add(1)
 	return nil
 }
 
+// promote makes the admitted view under key explicit, and reports whether
+// there was one; an explicit view there is an error.
+func (e *Engine) promote(key viewKey, s *mdm.Schema, g mdm.GroupBy) (bool, error) {
+	e.viewMu.Lock()
+	defer e.viewMu.Unlock()
+	v := e.views[key]
+	if v == nil {
+		return false, nil
+	}
+	if !v.auto {
+		return false, fmt.Errorf("engine: view on %s %s already materialized", key.fact, g.String(s))
+	}
+	v.auto = false
+	e.autoBytes -= v.bytes
+	return true, nil
+}
+
 // buildView scans the fact table once into a new view.
 func (e *Engine) buildView(fact string, f *storage.FactTable, g mdm.GroupBy, auto bool) (*matView, error) {
-	a := &viewAccum{auto: auto}
+	a := &viewAccum{}
 	all := make([]int, len(f.Schema.Measures))
 	ops := make([]mdm.AggOp, len(all))
 	for i, m := range f.Schema.Measures {
@@ -155,7 +179,11 @@ func (e *Engine) buildView(fact string, f *storage.FactTable, g mdm.GroupBy, aut
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	v, _, err := e.absorb(f, a, nil)
-	return v, err
+	if err != nil {
+		return nil, err
+	}
+	v.auto = auto
+	return v, nil
 }
 
 // retainSlotsPerCell bounds a dense table, which spans its whole key
@@ -206,13 +234,13 @@ func (e *Engine) absorb(f *storage.FactTable, a *viewAccum, cur *matView) (v *ma
 		a.slots = nil
 	}
 	a.sq, a.t = sq, nil
-	t, err := e.scanRows(storage.RowsFrom(src, from), sq)
+	t, _, err := e.scanRows(storage.RowsFrom(src, from), sq)
 	if err != nil {
 		return nil, false, err
 	}
 
 	s := f.Schema
-	v = &matView{group: a.q.Group, rows: rows, auto: a.auto, acc: a}
+	v = &matView{group: a.q.Group, rows: rows, acc: a}
 	v.factVer.Store(ver)
 	if cur != nil {
 		v.hits.Store(cur.hits.Load())

@@ -146,36 +146,37 @@ func TestViewCoversCoarserGroup(t *testing.T) {
 }
 
 // TestAutoAdmissionAndEviction drives the adaptive admission layer
-// directly: a repeated group-by set earns a view at the admission
-// threshold, and once the byte budget is tightened to one view's worth,
-// admitting the next hot set evicts the least-recently-used auto view.
+// directly: a repeated group-by set over a resident fact earns a view on
+// its second miss, and once the byte budget is tightened to one view's
+// worth, admitting the next hot set evicts the least-recently-used auto
+// view.
 func TestAutoAdmissionAndEviction(t *testing.T) {
 	ds := sales.Generate(8000, 39)
 	e := New()
 	if err := e.Register("SALES", ds.Fact); err != nil {
 		t.Fatal(err)
 	}
-	e.SetAutoViews(true)
+	e.SetAutoViews(64 << 20)
 	s := ds.Schema
 	qi, _ := s.MeasureIndex("quantity")
 
 	qa := Query{Fact: "SALES", Group: mdm.MustGroupBy(s, "product", "country"), Measures: []int{qi}}
-	for i := 0; i < autoViewMinQueries; i++ {
+	for i := 0; i < minViewSightings; i++ {
 		if _, err := e.Get(qa); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if e.Views() != 1 {
-		t.Fatalf("views after %d identical queries = %d, want 1", autoViewMinQueries, e.Views())
+		t.Fatalf("views after %d identical queries = %d, want 1", minViewSightings, e.Views())
 	}
 
 	// Budget = the first view's actual bytes: the second admission can
 	// only fit by evicting it. The second hot set must use a hierarchy
 	// the first view aggregated away, or the lattice would cover it and
 	// no miss would ever be tallied.
-	e.SetAutoViewBudget(e.ViewBytes())
+	e.SetAutoViews(e.ViewBytes())
 	qb := Query{Fact: "SALES", Group: mdm.MustGroupBy(s, "month"), Measures: []int{qi}}
-	for i := 0; i < autoViewMinQueries; i++ {
+	for i := 0; i < minViewSightings; i++ {
 		if _, err := e.Get(qb); err != nil {
 			t.Fatal(err)
 		}

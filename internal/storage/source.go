@@ -95,6 +95,15 @@ type BlockCols struct {
 	SelCount int
 }
 
+// Swept is the rows a scan of the block visits: the selected ones when
+// the backend handed a bitmap, else all of them.
+func (b BlockCols) Swept() int {
+	if b.Sel != nil {
+		return b.SelCount
+	}
+	return b.Rows
+}
+
 // Selected reports whether row r passed the backend's predicate
 // evaluation; callers check Sel != nil first.
 func (b BlockCols) Selected(r int) bool { return b.Sel[r>>6]>>(uint(r)&63)&1 != 0 }
