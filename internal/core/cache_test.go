@@ -124,33 +124,6 @@ func TestSessionCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestAdmissionKeepsCacheHits: a cache turns view admission on, and the
-// miss that admits a view leaves the generation alone — the view changes
-// no answer — so a statement cached before the admission is still a hit
-// after it.
-func TestAdmissionKeepsCacheHits(t *testing.T) {
-	s, _ := newCachedSession(t, 5000)
-	gen := s.Generation()
-	stmts := []string{
-		`with SALES by product, country assess quantity labels quartiles`,
-		`with SALES by product, country assess storeSales labels quartiles`,
-	}
-	for _, stmt := range stmts {
-		if _, state, err := s.ExecTracked(stmt); err != nil || state != qcache.StateMiss {
-			t.Fatalf("cold exec %q = (%q, %v), want miss", stmt, state, err)
-		}
-	}
-	if vs := s.ViewStats(); len(vs.Views) != 1 || !vs.Views[0].Auto {
-		t.Fatalf("views = %+v, want one auto view", vs.Views)
-	}
-	if got := s.Generation(); got != gen {
-		t.Fatalf("generation after an admission = %d, want %d", got, gen)
-	}
-	if _, state, err := s.ExecTracked(stmts[0]); err != nil || state != qcache.StateHit {
-		t.Fatalf("exec after the admission = (%q, %v), want hit", state, err)
-	}
-}
-
 // TestSessionAutoViewInvalidation is the end-to-end regression for the
 // aggregate navigator's generation handling with the query cache in
 // front: a hot group-by set is auto-admitted, a fact append bumps the
@@ -160,6 +133,7 @@ func TestAdmissionKeepsCacheHits(t *testing.T) {
 // result matches a session that never had views or a cache.
 func TestSessionAutoViewInvalidation(t *testing.T) {
 	s, ds := newCachedSession(t, 5000)
+	gen := s.Generation()
 
 	// Two statements with distinct cache fingerprints over one group-by
 	// set: each sweeps the whole resident fact, so the second engine miss
@@ -177,10 +151,17 @@ func TestSessionAutoViewInvalidation(t *testing.T) {
 	if len(vs.Views) != 1 || !vs.Views[0].Auto {
 		t.Fatalf("after %d misses: views = %+v, want one auto view", len(stmts), vs.Views)
 	}
+	// The admission changes no answer, so it leaves the generation alone
+	// and a statement cached before it is still a hit.
+	if got := s.Generation(); got != gen {
+		t.Fatalf("generation after an admission = %d, want %d", got, gen)
+	}
+	if _, state, err := s.ExecTracked(stmts[0]); err != nil || state != qcache.StateHit {
+		t.Fatalf("exec after the admission = (%q, %v), want hit", state, err)
+	}
 
 	// One appended fact row: the generation bumps, so the cached entries
 	// and the admitted view are both stale.
-	gen := s.Generation()
 	keys := make([]int32, len(ds.Fact.Keys))
 	for h := range keys {
 		keys[h] = ds.Fact.Keys[h][0]

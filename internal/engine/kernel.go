@@ -730,6 +730,27 @@ func (sq *scanQuery) coords(t *aggTable, slots []int) []mdm.Coordinate {
 	return coords
 }
 
+// wholeTable rebuilds a dense table every slot of which is occupied from
+// the columns columns read off it (the slots are then 0, 1, 2, …): a sum,
+// min or max accumulator is its column, the counts are a count column.
+// An average is not invertible, so sq's operators must have none.
+func (sq *scanQuery) wholeTable(cols [][]float64) *aggTable {
+	t := sq.newTable()
+	for j, op := range sq.ops {
+		if op != mdm.AggCount {
+			copy(t.vals[j], cols[j])
+			continue
+		}
+		for s, c := range cols[j] {
+			t.cnt[s] = int64(c)
+		}
+	}
+	for s := range t.seen {
+		t.seen[s] = true
+	}
+	return t
+}
+
 // columns reads each operator's finished value off the slots' accumulators.
 // When every slot of the table is occupied the slots are 0, 1, 2, … and a
 // sum, min or max column is the accumulator column copied whole; a view

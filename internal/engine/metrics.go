@@ -39,7 +39,7 @@ var (
 	gViewBytes = obsv.Default.Gauge("assess_engine_view_bytes",
 		"Approximate resident bytes of materialized views.")
 	mViewAdmissions = obsv.Default.Counter("assess_engine_view_admissions_total",
-		"Views auto-materialized by the adaptive admission layer.")
+		"Views installed by the adaptive admission layer.")
 	mViewEvictions = obsv.Default.Counter("assess_engine_view_evictions_total",
 		"Admitted views evicted by the LRU byte budget.")
 	// A stale view is refreshed (the rows past its mark absorbed), rebuilt

@@ -229,7 +229,9 @@ func (e *Engine) SetAutoViews(bytes int64) {
 
 // coveringSet is the coarsest group-by set whose view answers q: q's
 // group-by set, with each predicate level added, or taking the place of
-// the grouped level of its hierarchy where it is finer.
+// the grouped level of its hierarchy where it is finer. It is returned
+// in canonical (hierarchy) order, so a set earned through a predicate
+// shares its key with the same set grouped or materialized directly.
 func coveringSet(q Query) mdm.GroupBy {
 	g := append(mdm.GroupBy(nil), q.Group...)
 	for _, p := range q.Preds {
@@ -240,6 +242,7 @@ func coveringSet(q Query) mdm.GroupBy {
 			g[pos] = p.Level
 		}
 	}
+	sort.Slice(g, func(i, j int) bool { return g[i].Hier < g[j].Hier })
 	return g
 }
 
@@ -311,7 +314,6 @@ func (e *Engine) hasView(key viewKey) bool {
 // admitView materializes an earned covering set and installs it under
 // the budget, evicting least-recently-used admitted views to make room.
 func (e *Engine) admitView(key viewKey, f *storage.FactTable, g mdm.GroupBy, budget int64) bool {
-	mViewAdmissions.Inc()
 	v, err := e.buildView(key.fact, f, g, true)
 	if err != nil || v.bytes > budget {
 		return false
@@ -327,6 +329,7 @@ func (e *Engine) admitView(key viewKey, f *storage.FactTable, g mdm.GroupBy, bud
 		}
 	}
 	e.installView(key, v)
+	mViewAdmissions.Inc()
 	return true
 }
 

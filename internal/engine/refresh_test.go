@@ -10,6 +10,7 @@ import (
 	"github.com/assess-olap/assess/internal/colstore"
 	"github.com/assess-olap/assess/internal/mdm"
 	"github.com/assess-olap/assess/internal/persist"
+	"github.com/assess-olap/assess/internal/sales"
 	"github.com/assess-olap/assess/internal/storage"
 )
 
@@ -145,6 +146,72 @@ func TestViewRefreshMatchesBuild(t *testing.T) {
 				}
 				coords, vals := refAggregate(f, q, ops)
 				sameCells(t, name, got, coords, vals)
+			}
+		}
+	}
+}
+
+// TestViewRefreshWholeTable: a build that occupies every slot of its
+// dense table keeps neither the table nor its slot list — the view's own
+// columns are its accumulators — and the first append rebuilds both from
+// those columns and refreshes by delta, exactly as a kept table would,
+// reusing the view's coordinates; from then on they are kept. One fact
+// has counts (and an average, a min and a max) behind its views, the
+// other only sums, whose table tracks occupancy instead.
+func TestViewRefreshWholeTable(t *testing.T) {
+	s := twoHierSchema(60, 11)
+	counted := intFact(s, 2000, 5)
+	rng := rand.New(rand.NewSource(5))
+	ds := sales.Generate(4000, 51)
+	sums := ds.Fact
+	for _, c := range []struct {
+		name   string
+		f      *storage.FactTable
+		g      mdm.GroupBy
+		append func(n int)
+	}{
+		{"counts", counted, mdm.MustGroupBy(s, "g", "c"), func(n int) { appendRandom(t, rng, s, n, counted) }},
+		{"sums", sums, mdm.MustGroupBy(ds.Schema, "year", "country"), func(n int) {
+			keys, vals := make([]int32, len(sums.Keys)), make([]float64, len(sums.Meas))
+			for range n {
+				r := rng.Intn(sums.Rows())
+				for h := range keys {
+					keys[h] = sums.Keys[h][r]
+				}
+				for m := range vals {
+					vals[m] = sums.Meas[m][r]
+				}
+				if err := sums.Append(keys, vals); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	} {
+		e := New()
+		if err := e.Register("T", c.f); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Materialize("T", c.g); err != nil {
+			t.Fatal(err)
+		}
+		v := viewAt(t, e, c.g)
+		if a := v.acc; a.t != nil || a.slots != nil || !a.whole || a.sq.dense == 0 || v.data.Len() != a.sq.dense {
+			t.Fatalf("%s: after the build: table kept %v, slots kept %v, whole %v, %d cells of %d slots; want neither kept for a whole dense table",
+				c.name, a.t != nil, a.slots != nil, a.whole, v.data.Len(), a.sq.dense)
+		}
+		for i, batch := range []int{3, 40} {
+			c.append(batch)
+			before, prev := readStale(), v
+			v = viewAt(t, e, c.g)
+			if d := readStale().since(before); d != (staleCounts{refreshed: 1, rows: int64(batch), scanned: int64(batch)}) {
+				t.Fatalf("%s, append %d: %+v, want one refresh of the %d rows", c.name, i, d, batch)
+			}
+			sameAsBuild(t, fmt.Sprintf("%s, append %d", c.name, i), e, v)
+			if &v.keyCols[0][0] != &prev.keyCols[0][0] {
+				t.Errorf("%s, append %d: coordinates rebuilt though no cell was added", c.name, i)
+			}
+			if v.acc.t == nil || len(v.acc.slots) != v.data.Len() || v.acc.whole {
+				t.Fatalf("%s, append %d: table or slots not kept after a refresh", c.name, i)
 			}
 		}
 	}

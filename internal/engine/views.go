@@ -87,10 +87,15 @@ type viewAccum struct {
 	// sq is the prepared scan t was accumulated through; t holds the
 	// view's first rows rows, or is nil when it was not worth keeping:
 	// sparse is then set for good, and every later scan goes through a
-	// slot table, which is as large as its cells and always kept.
+	// slot table, which is as large as its cells and always kept. A build
+	// from row 0 that occupies every slot of a dense table keeps neither
+	// table nor slots (whole): the view's parts are its columns and the
+	// slots are 0, 1, 2, …, and the first delta rebuilds both, so a view
+	// that never sees an append does not hold its accumulators twice.
 	sq     *scanQuery
 	t      *aggTable
 	sparse bool
+	whole  bool
 	// slots is occupied(t) as of the last finalize. Slots are only ever
 	// added, so an unchanged count means an unchanged list, and the
 	// coordinates derived from it are reused.
@@ -221,7 +226,7 @@ func (e *Engine) absorb(f *storage.FactTable, a *viewAccum, cur *matView) (v *ma
 	src := f.ScanSource(sq.need, nil)
 	defer src.Close()
 	rows := src.Rows()
-	delta = cur != nil && a.t != nil && rows >= cur.rows &&
+	delta = cur != nil && (a.t != nil || a.whole) && rows >= cur.rows &&
 		sq.dense == a.sq.dense && slices.Equal(sq.cards, a.sq.cards)
 	if delta && rows == cur.rows {
 		cur.factVer.Store(ver)
@@ -229,11 +234,15 @@ func (e *Engine) absorb(f *storage.FactTable, a *viewAccum, cur *matView) (v *ma
 	}
 	from := 0
 	if delta {
+		if a.t == nil {
+			a.t = sq.wholeTable(cur.parts)
+			a.slots = sq.occupied(a.t)
+		}
 		from, sq.into = cur.rows, a.t
 	} else {
 		a.slots = nil
 	}
-	a.sq, a.t = sq, nil
+	a.sq, a.t, a.whole = sq, nil, false
 	t, _, err := e.scanRows(storage.RowsFrom(src, from), sq)
 	if err != nil {
 		return nil, false, err
@@ -268,10 +277,13 @@ func (e *Engine) absorb(f *storage.FactTable, a *viewAccum, cur *matView) (v *ma
 		return nil, false, err
 	}
 	v.bytes = viewSizeBytes(len(coords), len(v.group), len(s.Measures), countAvgs(s))
-	if worthDense(t.size(), len(coords)) {
+	switch {
+	case !delta && sq.dense > 0 && len(a.slots) == sq.dense:
+		a.whole, a.slots = true, nil
+	case worthDense(t.size(), len(coords)):
 		a.t = t
 		v.bytes += int64(t.size()) * 8 * int64(len(v.parts))
-	} else {
+	default:
 		a.sparse = true
 	}
 	return v, delta, nil

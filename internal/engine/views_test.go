@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/assess-olap/assess/internal/mdm"
+	"github.com/assess-olap/assess/internal/obsv"
 	"github.com/assess-olap/assess/internal/sales"
 )
 
@@ -149,7 +150,9 @@ func TestViewCoversCoarserGroup(t *testing.T) {
 // directly: a repeated group-by set over a resident fact earns a view on
 // its second miss, and once the byte budget is tightened to one view's
 // worth, admitting the next hot set evicts the least-recently-used auto
-// view.
+// view. A view changes no answer, so neither the admissions nor the
+// eviction advance Generation; an append and an explicit Materialize
+// still do.
 func TestAutoAdmissionAndEviction(t *testing.T) {
 	ds := sales.Generate(8000, 39)
 	e := New()
@@ -159,6 +162,9 @@ func TestAutoAdmissionAndEviction(t *testing.T) {
 	e.SetAutoViews(64 << 20)
 	s := ds.Schema
 	qi, _ := s.MeasureIndex("quantity")
+	gen := e.Generation()
+	evictions := obsv.Default.Counter("assess_engine_view_evictions_total", "")
+	evicted := evictions.Value()
 
 	qa := Query{Fact: "SALES", Group: mdm.MustGroupBy(s, "product", "country"), Measures: []int{qi}}
 	for i := 0; i < minViewSightings; i++ {
@@ -191,6 +197,29 @@ func TestAutoAdmissionAndEviction(t *testing.T) {
 	}
 	if st.AutoBytes > st.BudgetBytes {
 		t.Fatalf("auto bytes %d exceed budget %d", st.AutoBytes, st.BudgetBytes)
+	}
+	if d := evictions.Value() - evicted; d != 1 {
+		t.Fatalf("evictions %d, want 1", d)
+	}
+	if got := e.Generation(); got != gen {
+		t.Fatalf("generation after admissions and an eviction = %d, want %d", got, gen)
+	}
+
+	row := make([]int32, len(ds.Fact.Keys))
+	for h := range row {
+		row[h] = ds.Fact.Keys[h][0]
+	}
+	if err := ds.Fact.Append(row, make([]float64, len(ds.Fact.Meas))); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Generation(); got != gen+1 {
+		t.Fatalf("generation after an append = %d, want %d", got, gen+1)
+	}
+	if err := e.Materialize("SALES", mdm.MustGroupBy(s, "store")); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Generation(); got != gen+2 {
+		t.Fatalf("generation after Materialize = %d, want %d", got, gen+2)
 	}
 }
 

@@ -280,6 +280,10 @@ func TestShardedAppendReconciliation(t *testing.T) {
 				t.Fatal(err)
 			}
 			sh.EnableCache(0)
+			// Without admission: a view is built and kept fresh from the
+			// coordinator's local copy, so it would answer the sweeps
+			// instead of the shards whose reconciliation they check.
+			sh.Engine.SetAutoViews(0)
 			coord := sh.Distributed()
 
 			sweep := func(stage string) {
@@ -386,8 +390,10 @@ func TestSegmentWALCompaction(t *testing.T) {
 			}
 			// Cache on: a stale hit after an append would diverge from the
 			// resident reference, so the sweeps also prove generation-based
-			// invalidation works for WAL'd appends.
+			// invalidation works for WAL'd appends. Admission off, so every
+			// sweep scans the segments and WAL tail rather than a view.
 			seg.EnableCache(0)
+			seg.Engine.SetAutoViews(0)
 
 			sweep := func(stage string) {
 				t.Helper()
