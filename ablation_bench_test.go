@@ -1,6 +1,5 @@
 // Ablation benchmarks for the design choices flagged in DESIGN.md §5:
-// materialized views, cost-based plan selection, the past window and the
-// cursor-transfer boundary. Run with `go test -bench Ablation`.
+// materialized views, the past window and the cursor-transfer boundary. Run with `go test -bench Ablation`.
 package assess_test
 
 import (
@@ -63,31 +62,6 @@ func BenchmarkAblationMaterializedViews(b *testing.B) {
 			})
 		}
 	}
-}
-
-// BenchmarkAblationCostModel measures the planning overhead of
-// cost-based selection against the fixed heuristic.
-func BenchmarkAblationCostModel(b *testing.B) {
-	env := ablationEnv(b, true)
-	in := experiments.Intentions()[ablationSibling]
-	b.Run("heuristic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := env.Session.Prepare(in.Statement); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cost-based", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p, err := env.Session.PrepareCostBased(in.Statement)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if p.Strategy != plan.POP {
-				b.Fatalf("cost-based choice = %v, want POP", p.Strategy)
-			}
-		}
-	})
 }
 
 // BenchmarkAblationPastWindow sweeps the past-benchmark window k: NP and

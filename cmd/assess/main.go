@@ -32,10 +32,9 @@ func main() {
 		rows      = flag.Int("rows", 50_000, "fact rows for the sales dataset")
 		sf        = flag.Float64("sf", 0.01, "scale factor for the ssb dataset")
 		seed      = flag.Int64("seed", 42, "generator seed")
-		planStr   = flag.String("plan", "best", "execution plan: best, cost, np, jop, or pop")
+		planStr   = flag.String("plan", "best", "execution plan: best, np, jop, or pop")
 		explain   = flag.Bool("explain", false, "print the plan instead of executing")
 		timing    = flag.Bool("time", false, "print the execution-time breakdown")
-		costs     = flag.Bool("costs", false, "print the estimated cost of every feasible plan")
 		suggest   = flag.Int("suggest", 0, "complete a partial statement and print up to N ranked suggestions")
 		load      = flag.String("load", "", "open the cubes of a directory saved with -save (or written by ssbgen -out-dir) instead of generating them")
 		save      = flag.String("save", "", "save every cube of the session to a directory and exit")
@@ -66,10 +65,6 @@ func main() {
 		switch {
 		case *suggest > 0:
 			err = runSuggest(session, stmt, *suggest)
-		case *costs:
-			var out string
-			out, err = session.ExplainCosts(stmt)
-			fmt.Print(out)
 		default:
 			err = runOne(session, stmt, *planStr, *explain, *timing)
 		}
@@ -226,54 +221,24 @@ func runOne(s *assess.Session, stmt, planStr string, explain, timing bool) error
 		fmt.Printf("(%d cells, %v)\n", qr.Cube.Len(), qr.Total)
 		return nil
 	}
-	var strategy assess.Strategy
-	best := false
-	costBased := false
-	switch strings.ToLower(planStr) {
-	case "best", "":
-		best = true
-	case "cost":
-		costBased = true
-	case "np":
-		strategy = assess.NP
-	case "jop":
-		strategy = assess.JOP
-	case "pop":
-		strategy = assess.POP
-	default:
-		return fmt.Errorf("unknown plan %q (want best, np, jop, or pop)", planStr)
+	prepare, run := s.Prepare, s.Exec
+	if name := strings.ToLower(planStr); name != "best" && name != "" {
+		strategy, ok := map[string]assess.Strategy{"np": assess.NP, "jop": assess.JOP, "pop": assess.POP}[name]
+		if !ok {
+			return fmt.Errorf("unknown plan %q (want best, np, jop, or pop)", planStr)
+		}
+		prepare = func(stmt string) (*assess.Plan, error) { return s.PrepareWith(stmt, strategy) }
+		run = func(stmt string) (*assess.Result, error) { return s.ExecWith(stmt, strategy) }
 	}
 	if explain {
-		var (
-			p   *assess.Plan
-			err error
-		)
-		switch {
-		case costBased:
-			p, err = s.PrepareCostBased(stmt)
-		case best:
-			p, err = s.Prepare(stmt)
-		default:
-			p, err = s.PrepareWith(stmt, strategy)
-		}
+		p, err := prepare(stmt)
 		if err != nil {
 			return err
 		}
 		fmt.Print(p.Explain())
 		return nil
 	}
-	var (
-		res *assess.Result
-		err error
-	)
-	switch {
-	case costBased:
-		res, err = s.ExecCostBased(stmt)
-	case best:
-		res, err = s.Exec(stmt)
-	default:
-		res, err = s.ExecWith(stmt, strategy)
-	}
+	res, err := run(stmt)
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,7 @@
 // Command assessd serves assess statements over HTTP/JSON for
 // interactive analysis:
 //
-//	POST /assess   {"statement": "...", "plan": "best|cost|np|jop|pop"}
+//	POST /assess   {"statement": "...", "plan": "best|np|jop|pop"}
 //	POST /explain  {"statement": "..."}
 //	POST /validate {"statement": "..."}
 //	POST /suggest  {"statement": "<partial>", "max": 3}

@@ -2,7 +2,8 @@
 // all implemented here — ancestor benchmarks (milk against its
 // category), descriptive level properties (per-capita sales), statement
 // completion with interest ranking, coordinate-dependent labeling
-// (quartiles within each country), and cost-based plan selection.
+// (quartiles within each country) — followed by the plan the paper's
+// rule (POP, else JOP, else NP) picks for a sibling statement.
 package main
 
 import (
@@ -66,23 +67,24 @@ func main() {
 		fmt.Printf("%d. interest %.3f (%d cells): %s\n", i+1, sg.Score, sg.Cells, sg.Note)
 	}
 
-	// 5. Cost-based plan selection: estimated costs per feasible plan,
-	// and the plan the optimizer picks.
-	fmt.Println("\n── cost-based optimization ──")
+	// 5. Plan selection: the paper's rule (POP when applicable, else
+	// JOP, else NP) picks the strategy from the benchmark kind alone.
+	fmt.Println("\n── plan selection ──")
 	stmt := `with SALES for country = 'Italy' by product, country
 		assess quantity against country = 'France'
 		using difference(quantity, benchmark.quantity)
 		labels {[-inf, 0): down, [0, inf]: up}`
-	costs, err := session.ExplainCosts(stmt)
+	kind, err := session.BenchmarkKind(stmt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(costs)
-	p, err := session.PrepareCostBased(stmt)
+	fmt.Printf("%v benchmark: feasible %v, best %v\n",
+		kind, assess.FeasibleStrategies(kind), assess.BestStrategy(kind))
+	p, err := session.Prepare(stmt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("optimizer picks %v\n", p.Strategy)
+	fmt.Print(p.Explain())
 }
 
 func printRows(res *assess.Result, n int) {

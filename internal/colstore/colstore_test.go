@@ -253,6 +253,93 @@ func TestWALTornTailRecovery(t *testing.T) {
 	}
 }
 
+// TestWALRecordKeyOutOfRange: a record that passes the length and CRC
+// checks is not a torn tail, so a key the dictionaries do not hold fails
+// the open instead of reaching a scan that indexes a level map with it.
+func TestWALRecordKeyOutOfRange(t *testing.T) {
+	dir := t.TempDir()
+	s := testSchema(t, 100)
+	st, err := Create(dir, s, Options{SegmentRows: 1 << 18, AutoCompactRows: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, meas := genRows(s, 50, 4)
+	appendRows(t, st, keys, meas)
+	st.Close()
+	walPath := filepath.Join(dir, walName)
+	for _, bad := range [][]int32{{1 << 20, 0}, {0, -1}} {
+		raw, err := os.ReadFile(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt := append(raw, walRecord(bad, []float64{1, 1})...)
+		if err := os.WriteFile(walPath, corrupt, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(dir, Options{})
+		if err == nil {
+			n := st.Rows()
+			st.Close()
+			t.Fatalf("a WAL record with keys %v opened a store of %d rows", bad, n)
+		}
+		h := 0
+		if bad[0] == 0 {
+			h = 1
+		}
+		want := fmt.Sprintf("key %d out of range for hierarchy %s", bad[h], s.Hiers[h].Name())
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("open error %q does not say %q", err, want)
+		}
+		if err := os.WriteFile(walPath, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Rows() != 50 {
+		t.Fatalf("rows after restoring the WAL = %d, want 50", st.Rows())
+	}
+}
+
+// TestManifestSegmentOutsideStore: a manifest names segments by plain
+// file names inside the store's directory; a path that leaves it is
+// refused before anything is opened.
+func TestManifestSegmentOutsideStore(t *testing.T) {
+	dir := copyDir(t, filepath.Join("testdata", "v1store"))
+	outside := filepath.Join(filepath.Dir(dir), "x.seg")
+	raw, err := os.ReadFile(filepath.Join(dir, "seg-000003.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(outside, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Remove(outside)
+	for _, name := range []string{"../x.seg", "sub/seg-000003.seg", outside, "", ".", ".."} {
+		man := fmt.Sprintf(`{"formatVersion": 1, "seq": 4, "segments": [{"file": %q, "rows": 88}], "walEpoch": 2}`, name)
+		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(man), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(dir, Options{})
+		if err == nil {
+			st.Close()
+			t.Fatalf("segment %q opened", name)
+		}
+		if !strings.Contains(err.Error(), "not a segment file name") {
+			t.Errorf("segment %q: %v", name, err)
+		}
+	}
+	// Nothing was cleaned up on the way to the refusal.
+	for _, name := range []string{"seg-000001.seg", "seg-000002.seg", "seg-000003.seg"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
 func TestCrashBetweenWALRotationAndManifest(t *testing.T) {
 	dir := t.TempDir()
 	s := testSchema(t, 100)

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -182,6 +183,11 @@ func Open(dir string, opts Options) (*Store, error) {
 	if man.FormatVersion != 1 {
 		return nil, fmt.Errorf("colstore: unsupported store format %d", man.FormatVersion)
 	}
+	for _, ms := range man.Segments {
+		if filepath.Base(ms.File) != ms.File || !strings.HasSuffix(ms.File, ".seg") {
+			return nil, fmt.Errorf("colstore: bad manifest in %s: segment %q is not a segment file name", dir, ms.File)
+		}
+	}
 	cleanOrphans(dir, man)
 	st := newStore(dir, s, opts)
 	st.seq = man.Seq
@@ -217,8 +223,14 @@ func Open(dir string, opts Options) (*Store, error) {
 	} else {
 		st.walEpoch = epoch
 	}
-	epoch, _, validLen, err := replayWAL(walPath, len(s.Hiers), len(s.Measures), skip, func(keys []int32, vals []float64) {
+	epoch, _, validLen, err := replayWAL(walPath, len(s.Hiers), len(s.Measures), skip, func(keys []int32, vals []float64) error {
+		for h, k := range keys {
+			if err := checkKey(s.Hiers[h], k); err != nil {
+				return fmt.Errorf("colstore: %s: %w", walPath, err)
+			}
+		}
 		st.tailAppend(keys, vals)
+		return nil
 	})
 	if err != nil {
 		st.closeSegs()
@@ -331,9 +343,8 @@ func (st *Store) Append(keys []int32, vals []float64) error {
 func (st *Store) persistGrowth(keys []int32) error {
 	grown := false
 	for h, k := range keys {
-		hier := st.schema.Hiers[h]
-		if n := hier.Dict(0).Len(); k < 0 || int(k) >= n {
-			return fmt.Errorf("colstore: key %d out of range for hierarchy %s (%d members)", k, hier.Name(), n)
+		if err := checkKey(st.schema.Hiers[h], k); err != nil {
+			return fmt.Errorf("colstore: %w", err)
 		}
 		grown = grown || int(k) >= len(st.ruMaps[h][0])
 	}
@@ -347,6 +358,15 @@ func (st *Store) persistGrowth(keys []int32) error {
 	st.mu.Lock()
 	st.ruMaps = ruMaps
 	st.mu.Unlock()
+	return nil
+}
+
+// checkKey bounds a row's key by its hierarchy's base dictionary, the
+// one rule for a key an append brings and a key the WAL replays.
+func checkKey(hier *mdm.Hierarchy, k int32) error {
+	if n := hier.Dict(0).Len(); k < 0 || int(k) >= n {
+		return fmt.Errorf("key %d out of range for hierarchy %s (%d members)", k, hier.Name(), n)
+	}
 	return nil
 }
 

@@ -9,7 +9,9 @@
 //	records: u32 len | len bytes (nkeys × i32, nmeas × f64, LE) | u32 crc
 //
 // Replay tolerates a torn final record (partial write at crash): it
-// stops at the first record whose length, bounds, or CRC is invalid.
+// stops at the first record whose length, bounds, or CRC is invalid. A
+// record that passes those checks is not torn, so a key in it that the
+// store's dictionaries do not hold fails the replay.
 package colstore
 
 import (
@@ -64,8 +66,9 @@ func walRecord(keys []int32, vals []float64) []byte {
 // the first skip ones (decoded through emit), and the byte length of
 // the valid prefix. A torn or corrupt tail ends replay silently; the
 // caller truncates to validLen so later appends extend the intact
-// prefix rather than landing after unreadable bytes.
-func replayWAL(path string, nkeys, nmeas, skip int, emit func(keys []int32, vals []float64)) (epoch uint64, count int, validLen int64, err error) {
+// prefix rather than landing after unreadable bytes. An error from emit
+// ends replay with that error.
+func replayWAL(path string, nkeys, nmeas, skip int, emit func(keys []int32, vals []float64) error) (epoch uint64, count int, validLen int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, 0, err
@@ -98,7 +101,9 @@ func replayWAL(path string, nkeys, nmeas, skip int, emit func(keys []int32, vals
 				vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[p:]))
 				p += 8
 			}
-			emit(keys, vals)
+			if err := emit(keys, vals); err != nil {
+				return 0, 0, 0, err
+			}
 		}
 		count++
 		pos += 4 + n + 4

@@ -186,13 +186,7 @@ func (s *Session) Prepare(stmt string) (*plan.Plan, error) {
 // PrepareContext is Prepare with the query lifecycle traced into the
 // context's span tree (obsv.NewTrace): parse → bind → plan-select.
 func (s *Session) PrepareContext(ctx context.Context, stmt string) (*plan.Plan, error) {
-	b, err := s.bindContext(ctx, stmt)
-	if err != nil {
-		return nil, err
-	}
-	return s.buildPlan(ctx, b, func() (*plan.Plan, error) {
-		return plan.Build(b, BestStrategy(b.Bench.Kind))
-	})
+	return s.prepare(ctx, stmt, BestStrategy)
 }
 
 // PrepareWith parses, binds, and plans a statement with an explicit
@@ -203,20 +197,19 @@ func (s *Session) PrepareWith(stmt string, strategy plan.Strategy) (*plan.Plan, 
 
 // PrepareWithContext is PrepareWith with lifecycle tracing.
 func (s *Session) PrepareWithContext(ctx context.Context, stmt string, strategy plan.Strategy) (*plan.Plan, error) {
+	return s.prepare(ctx, stmt, func(parser.BenchmarkKind) plan.Strategy { return strategy })
+}
+
+// prepare binds a statement and builds the plan of the strategy pick
+// returns for its benchmark kind, in the "plan" span, noting the
+// strategy.
+func (s *Session) prepare(ctx context.Context, stmt string, pick func(parser.BenchmarkKind) plan.Strategy) (*plan.Plan, error) {
 	b, err := s.bindContext(ctx, stmt)
 	if err != nil {
 		return nil, err
 	}
-	return s.buildPlan(ctx, b, func() (*plan.Plan, error) {
-		return plan.Build(b, strategy)
-	})
-}
-
-// buildPlan wraps strategy selection + plan construction in the
-// "plan" span, noting the chosen strategy.
-func (s *Session) buildPlan(ctx context.Context, b *semantic.Bound, build func() (*plan.Plan, error)) (*plan.Plan, error) {
 	_, sp := obsv.StartSpan(ctx, "plan")
-	p, err := build()
+	p, err := plan.Build(b, pick(b.Bench.Kind))
 	if err != nil {
 		mErrPlan.Inc()
 	} else if sp != nil {
@@ -224,10 +217,6 @@ func (s *Session) buildPlan(ctx context.Context, b *semantic.Bound, build func()
 	}
 	sp.End()
 	return p, err
-}
-
-func (s *Session) bind(stmt string) (*semantic.Bound, error) {
-	return s.bindContext(context.Background(), stmt)
 }
 
 // bindContext parses and binds under "parse" and "bind" spans, counting
@@ -248,44 +237,6 @@ func (s *Session) bindContext(ctx context.Context, stmt string) (*semantic.Bound
 		return nil, err
 	}
 	return b, nil
-}
-
-// PrepareCostBased plans a statement by choosing the feasible strategy
-// with the lowest estimated cost (the cost-based optimization of the
-// paper's future work, Section 8), using the engine's statistics:
-// fact-table cardinalities, dictionary sizes, and materialized views.
-func (s *Session) PrepareCostBased(stmt string) (*plan.Plan, error) {
-	return s.PrepareCostBasedContext(context.Background(), stmt)
-}
-
-// PrepareCostBasedContext is PrepareCostBased with lifecycle tracing.
-func (s *Session) PrepareCostBasedContext(ctx context.Context, stmt string) (*plan.Plan, error) {
-	b, err := s.bindContext(ctx, stmt)
-	if err != nil {
-		return nil, err
-	}
-	return s.buildPlan(ctx, b, func() (*plan.Plan, error) {
-		return plan.ChooseByCost(b, s.Engine)
-	})
-}
-
-// ExecCostBased runs a statement with the cheapest plan according to the
-// cost model.
-func (s *Session) ExecCostBased(stmt string) (*exec.Result, error) {
-	r, _, err := s.ExecCostBasedTrackedContext(context.Background(), stmt)
-	return r, err
-}
-
-// ExecCostBasedTrackedContext is ExecCostBased, also reporting whether the
-// result came from the query-result cache, with lifecycle tracing threaded
-// through the context.
-func (s *Session) ExecCostBasedTrackedContext(ctx context.Context, stmt string) (*exec.Result, CacheState, error) {
-	start := time.Now()
-	p, err := s.PrepareCostBasedContext(ctx, stmt)
-	if err != nil {
-		return nil, qcache.StateOff, err
-	}
-	return s.finishRun(ctx, p, start)
 }
 
 // run executes a built plan, consulting the query-result cache when one
@@ -323,9 +274,15 @@ func (s *Session) run(ctx context.Context, p *plan.Plan) (*exec.Result, CacheSta
 	return res, state, err
 }
 
-// finishRun executes the prepared plan and observes the end-to-end
-// statement latency on success.
-func (s *Session) finishRun(ctx context.Context, p *plan.Plan, start time.Time) (*exec.Result, CacheState, error) {
+// execute prepares a statement with the strategy pick returns for its
+// benchmark kind, runs it, and observes the end-to-end statement latency
+// on success.
+func (s *Session) execute(ctx context.Context, stmt string, pick func(parser.BenchmarkKind) plan.Strategy) (*exec.Result, CacheState, error) {
+	start := time.Now()
+	p, err := s.prepare(ctx, stmt, pick)
+	if err != nil {
+		return nil, qcache.StateOff, err
+	}
 	res, state, err := s.run(ctx, p)
 	if err == nil {
 		mQuerySeconds.Observe(time.Since(start).Seconds())
@@ -359,16 +316,6 @@ func (s *Session) TrackBody(ctx context.Context) (context.Context, *qcache.Body)
 	return qcache.TrackBody(ctx)
 }
 
-// ExplainCosts renders the estimated cost of every feasible plan for a
-// statement.
-func (s *Session) ExplainCosts(stmt string) (string, error) {
-	b, err := s.bind(stmt)
-	if err != nil {
-		return "", err
-	}
-	return plan.ExplainCosts(b, s.Engine), nil
-}
-
 // Exec runs a statement with the best feasible strategy. A declare
 // statement ("declare labels <name> {ranges}") registers a named
 // labeling function instead of producing a result, and returns (nil,
@@ -393,12 +340,7 @@ func (s *Session) ExecTrackedContext(ctx context.Context, stmt string) (*exec.Re
 		mDeclares.Inc()
 		return nil, qcache.StateOff, s.Declare(stmt)
 	}
-	start := time.Now()
-	p, err := s.PrepareContext(ctx, stmt)
-	if err != nil {
-		return nil, qcache.StateOff, err
-	}
-	return s.finishRun(ctx, p, start)
+	return s.execute(ctx, stmt, BestStrategy)
 }
 
 // QueryResult is the outcome of a plain cube query (get statement).
@@ -496,12 +438,7 @@ func (s *Session) ExecWithTracked(stmt string, strategy plan.Strategy) (*exec.Re
 
 // ExecWithTrackedContext is ExecWithTracked with lifecycle tracing.
 func (s *Session) ExecWithTrackedContext(ctx context.Context, stmt string, strategy plan.Strategy) (*exec.Result, CacheState, error) {
-	start := time.Now()
-	p, err := s.PrepareWithContext(ctx, stmt, strategy)
-	if err != nil {
-		return nil, qcache.StateOff, err
-	}
-	return s.finishRun(ctx, p, start)
+	return s.execute(ctx, stmt, func(parser.BenchmarkKind) plan.Strategy { return strategy })
 }
 
 // Explain returns the plan description for a statement under the best
@@ -543,7 +480,7 @@ func FeasibleStrategies(kind parser.BenchmarkKind) []plan.Strategy {
 // BenchmarkKind parses a statement far enough to report its benchmark
 // kind (useful to the experiment harness).
 func (s *Session) BenchmarkKind(stmt string) (parser.BenchmarkKind, error) {
-	b, err := s.bind(stmt)
+	b, err := s.bindContext(context.Background(), stmt)
 	if err != nil {
 		return 0, err
 	}
@@ -553,7 +490,7 @@ func (s *Session) BenchmarkKind(stmt string) (parser.BenchmarkKind, error) {
 // Cardinality returns |C|, the number of cells of the target cube of the
 // statement (Table 2 of the paper).
 func (s *Session) Cardinality(stmt string) (int, error) {
-	b, err := s.bind(stmt)
+	b, err := s.bindContext(context.Background(), stmt)
 	if err != nil {
 		return 0, err
 	}
@@ -564,7 +501,7 @@ func (s *Session) Cardinality(stmt string) (int, error) {
 
 // Validate parses and binds a statement, returning the first error.
 func (s *Session) Validate(stmt string) error {
-	_, err := s.bind(stmt)
+	_, err := s.bindContext(context.Background(), stmt)
 	return err
 }
 

@@ -136,7 +136,7 @@ func TestMustExecPanics(t *testing.T) {
 	s.MustExec(`with NOPE by month assess x labels quartiles`)
 }
 
-func TestMaterializeAndCostBased(t *testing.T) {
+func TestMaterializeAndPrepare(t *testing.T) {
 	s := newSession(t)
 	if err := s.Materialize("SALES", "product", "country"); err != nil {
 		t.Fatal(err)
@@ -149,32 +149,19 @@ func TestMaterializeAndCostBased(t *testing.T) {
 	}
 	stmt := `with SALES for country = 'Italy' by product, country
 		assess quantity against country = 'France' labels quartiles`
-	p, err := s.PrepareCostBased(stmt)
+	p, err := s.Prepare(stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Strategy != plan.POP {
-		t.Errorf("cost-based strategy = %v", p.Strategy)
+		t.Errorf("Prepare picked %v for a sibling statement, want POP", p.Strategy)
 	}
-	res, err := s.ExecCostBased(stmt)
+	res, err := s.Exec(stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cube.Len() == 0 {
 		t.Error("empty result")
-	}
-	costs, err := s.ExplainCosts(stmt)
-	if err != nil || !strings.Contains(costs, "POP") {
-		t.Errorf("ExplainCosts = %q (%v)", costs, err)
-	}
-	if _, err := s.PrepareCostBased("garbage"); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := s.ExecCostBased("garbage"); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := s.ExplainCosts("garbage"); err == nil {
-		t.Error("garbage accepted")
 	}
 }
 

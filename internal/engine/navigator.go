@@ -46,8 +46,7 @@ func (v *matView) covers(q Query) bool {
 // re-aggregation needed, and never more cells than a finer view),
 // otherwise the covering view with the fewest cells. A view behind its
 // fact counts like any other — lookupView absorbs the rows it lacks
-// before serving it — so an append changes neither the choice nor the
-// planner's statistics.
+// before serving it — so an append does not change the choice.
 func (e *Engine) pickView(q Query) (best *matView, exact bool) {
 	gkey := groupKey(q.Group)
 	for key, v := range e.views {
@@ -447,19 +446,4 @@ func (e *Engine) ViewBytes() int64 {
 	e.viewMu.RLock()
 	defer e.viewMu.RUnlock()
 	return e.viewBytes
-}
-
-// CoveringViewCells implements the cost model's lattice statistic: the
-// cell count of the cheapest view that covers the query — exact or
-// coarser-by-rollup — if any. It is a pure peek: no LRU touch, no hit
-// counting, no refresh (a view a few appended rows behind has, to the
-// cost model's precision, the cells it will have once refreshed).
-func (e *Engine) CoveringViewCells(q Query) (int, bool) {
-	e.viewMu.RLock()
-	defer e.viewMu.RUnlock()
-	best, _ := e.pickView(q)
-	if best == nil {
-		return 0, false
-	}
-	return best.data.Len(), true
 }

@@ -219,7 +219,7 @@ func TestViewRefreshWholeTable(t *testing.T) {
 
 // TestViewRefreshOnlyThePickedView: an append leaves every view of the
 // fact stale, a read refreshes the one it is answered from, and the
-// planner's statistics go on counting the others as covering.
+// navigator goes on picking the others as covering.
 func TestViewRefreshOnlyThePickedView(t *testing.T) {
 	s := twoHierSchema(60, 11)
 	f := intFact(s, 500, 5)
@@ -234,11 +234,18 @@ func TestViewRefreshOnlyThePickedView(t *testing.T) {
 		}
 	}
 	appendRandom(t, rand.New(rand.NewSource(1)), s, 20, f)
-	if n, ok := e.CoveringViewCells(Query{Fact: "T", Group: fine}); !ok || n == 0 {
-		t.Fatal("CoveringViewCells lost the stale view")
+	e.viewMu.RLock()
+	vFine, exactFine := e.pickView(Query{Fact: "T", Group: fine})
+	vCoarse, exactCoarse := e.pickView(Query{Fact: "T", Group: coarse})
+	e.viewMu.RUnlock()
+	if vFine == nil || !exactFine || vFine.data.Len() == 0 {
+		t.Fatal("pickView lost the stale view")
 	}
-	if n, ok := e.CoveringViewCells(Query{Fact: "T", Group: coarse}); !ok || n != 7 {
-		t.Fatalf("CoveringViewCells = %d, %v for a stale exact view of 7 cells", n, ok)
+	if vCoarse == nil || !exactCoarse {
+		t.Fatal("pickView lost the stale exact view")
+	}
+	if n := vCoarse.data.Len(); n != 7 {
+		t.Fatalf("pickView chose a view of %d cells for a stale exact view of 7", n)
 	}
 	if _, err := e.Get(Query{Fact: "T", Group: coarse, Measures: []int{0}}); err != nil {
 		t.Fatal(err)

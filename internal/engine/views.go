@@ -318,26 +318,6 @@ func (e *Engine) Views() int {
 	return len(e.views)
 }
 
-// FactRows implements the cost model's statistics interface: the
-// cardinality of a detailed cube, or 0 if unknown.
-func (e *Engine) FactRows(fact string) int {
-	f, ok := e.facts[fact]
-	if !ok {
-		return 0
-	}
-	return f.Rows()
-}
-
-// LevelCardinality returns |Dom(l)| for a level of the cube's schema, or
-// 0 if unknown.
-func (e *Engine) LevelCardinality(fact string, ref mdm.LevelRef) int {
-	f, ok := e.facts[fact]
-	if !ok || !f.Schema.HasLevel(ref) {
-		return 0
-	}
-	return f.Schema.Dict(ref).Len()
-}
-
 // accepts evaluates q's predicates over the view's cells: per group
 // position of the view, the accepted member ids at the view's level, nil
 // where q holds no predicate. A predicate the view cannot derive — its

@@ -36,8 +36,12 @@ type SlowEntry struct {
 	EncodeMs      float64 `json:"encodeMs,omitempty"`
 	EncodeWorkers int     `json:"encodeWorkers,omitempty"`
 	Bytes         int64   `json:"bytes,omitempty"`
-	TotalMs       float64 `json:"totalMs"`
-	ThresholdMs   float64 `json:"thresholdMs"`
+	// Error and Stack describe a statement that panicked: the error it
+	// failed with and the stack of the goroutine that panicked.
+	Error       string  `json:"error,omitempty"`
+	Stack       string  `json:"stack,omitempty"`
+	TotalMs     float64 `json:"totalMs"`
+	ThresholdMs float64 `json:"thresholdMs"`
 }
 
 // NewSlowLog builds a slow-query log writing to w. Queries at or above
@@ -63,10 +67,11 @@ func (l *SlowLog) Threshold() time.Duration {
 	return l.threshold
 }
 
-// Log writes an entry if the elapsed time reaches the threshold.
-// Nil-safe, so servers hold a possibly-nil *SlowLog without branching.
+// Log writes an entry if the elapsed time reaches the threshold, and an
+// entry carrying a Stack whatever the time. Nil-safe, so servers hold a
+// possibly-nil *SlowLog without branching.
 func (l *SlowLog) Log(elapsed time.Duration, e SlowEntry) {
-	if l == nil || l.threshold <= 0 || elapsed < l.threshold {
+	if l == nil || l.threshold <= 0 || (elapsed < l.threshold && e.Stack == "") {
 		return
 	}
 	e.Time = time.Now().UTC().Format(time.RFC3339Nano)

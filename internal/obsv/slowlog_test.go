@@ -37,6 +37,21 @@ func TestSlowLogThreshold(t *testing.T) {
 	}
 }
 
+// TestSlowLogStackWhateverTheTime: an entry carrying a stack is written
+// below the threshold too.
+func TestSlowLogStackWhateverTheTime(t *testing.T) {
+	var buf bytes.Buffer
+	sl := NewSlowLog(&buf, time.Hour)
+	sl.Log(time.Microsecond, SlowEntry{Statement: "s", Error: "panicked", Stack: "goroutine 1"})
+	if err := sl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var e SlowEntry
+	if err := json.Unmarshal(buf.Bytes(), &e); err != nil || e.Error != "panicked" || e.Stack != "goroutine 1" {
+		t.Fatalf("entry %q (%v)", buf.String(), err)
+	}
+}
+
 func TestSlowLogBufferedUntilFlush(t *testing.T) {
 	var buf bytes.Buffer
 	sl := NewSlowLog(&buf, time.Millisecond)
@@ -56,6 +71,7 @@ func TestSlowLogDisabledAndNil(t *testing.T) {
 	var buf bytes.Buffer
 	sl := NewSlowLog(&buf, 0) // non-positive threshold disables
 	sl.Log(time.Hour, SlowEntry{Statement: "s"})
+	sl.Log(0, SlowEntry{Statement: "s", Error: "panicked", Stack: "goroutine 1"})
 	sl.Flush()
 	if buf.Len() != 0 {
 		t.Fatal("disabled slow log must not write")

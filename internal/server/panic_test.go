@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -8,8 +9,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/assess-olap/assess/internal/core"
+	"github.com/assess-olap/assess/internal/obsv"
 	"github.com/assess-olap/assess/internal/sales"
 	"github.com/assess-olap/assess/internal/storage"
 )
@@ -77,5 +80,54 @@ func TestScanPanicAnswers500(t *testing.T) {
 	hresp.Body.Close()
 	if hresp.StatusCode != http.StatusOK {
 		t.Errorf("/healthz after the panic: status %d", hresp.StatusCode)
+	}
+}
+
+// TestScanPanicReachesSlowLog: a statement whose scan panics writes one
+// slow-log entry with its error and stack, however far below the
+// threshold it failed, on /assess and /query alike.
+func TestScanPanicReachesSlowLog(t *testing.T) {
+	session := core.NewSession()
+	ds := sales.FigureOne()
+	f := storage.NewSegmentTable(ds.Schema, panicBackend{rows: ds.Fact.Rows()})
+	if err := session.RegisterCube("SALES", f); err != nil {
+		t.Fatal(err)
+	}
+	var sink bytes.Buffer
+	slow := obsv.NewSlowLog(&sink, time.Hour)
+	srv := httptest.NewServer(New(session, WithRegistry(obsv.NewRegistry()), WithSlowLog(slow)).Handler())
+	t.Cleanup(srv.Close)
+	for _, c := range []struct{ endpoint, stmt string }{
+		{"/assess", siblingStatement},
+		{"/query", "with SALES by country get quantity"},
+	} {
+		sink.Reset()
+		resp, body := post(t, srv, c.endpoint, map[string]any{"statement": c.stmt})
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("%s: status %d, want 500: %s", c.endpoint, resp.StatusCode, body)
+		}
+		if err := slow.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(sink.String()), "\n")
+		var e obsv.SlowEntry
+		if len(lines) != 1 || json.Unmarshal([]byte(lines[0]), &e) != nil {
+			t.Fatalf("%s: slow log %q, want one entry", c.endpoint, sink.String())
+		}
+		if e.Endpoint != c.endpoint || e.Statement != c.stmt || e.RequestID != resp.Header.Get(RequestIDHeader) ||
+			!strings.Contains(e.Error, "injected block panic") || !strings.Contains(e.Stack, "goroutine") {
+			t.Errorf("%s: slow entry %+v", c.endpoint, e)
+		}
+	}
+	// A statement that fails without a panic stays out of the log.
+	sink.Reset()
+	if resp, body := post(t, srv, "/assess", map[string]any{"statement": "garbage"}); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if err := slow.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if sink.Len() != 0 {
+		t.Errorf("a syntax error reached the slow log: %s", sink.String())
 	}
 }

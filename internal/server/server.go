@@ -1,5 +1,5 @@
 // Package server exposes a session over HTTP/JSON for interactive
-// analysis: submit assess statements, explain plans and costs, validate,
+// analysis: submit assess statements, explain plans, validate,
 // complete partial statements, and inspect the catalog. All handlers are
 // stateless wrappers around a core.Session.
 //
@@ -198,7 +198,7 @@ func (s *Server) Handler() http.Handler { return s.handler }
 type request struct {
 	// Statement is the assess statement (possibly partial for /suggest).
 	Statement string `json:"statement"`
-	// Plan selects the strategy: "", "best", "cost", "np", "jop", "pop".
+	// Plan selects the strategy: "", "best", "np", "jop", "pop".
 	Plan string `json:"plan,omitempty"`
 	// Max bounds /suggest results.
 	Max int `json:"max,omitempty"`
@@ -304,6 +304,11 @@ func (s *Server) assess(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	strategy, best, err := parsePlan(req.Plan)
+	if err != nil {
+		writeError(w, r, http.StatusBadRequest, err)
+		return
+	}
 	release, ok := s.admit(w, r)
 	if !ok {
 		return
@@ -316,23 +321,14 @@ func (s *Server) assess(w http.ResponseWriter, r *http.Request) {
 	var (
 		res   *exec.Result
 		state core.CacheState
-		err   error
 	)
-	switch req.Plan {
-	case "", "best":
+	if best {
 		res, state, err = s.session.ExecTrackedContext(ctx, req.Statement)
-	case "cost":
-		res, state, err = s.session.ExecCostBasedTrackedContext(ctx, req.Statement)
-	default:
-		strategy, perr := parsePlan(req.Plan)
-		if perr != nil {
-			writeError(w, r, http.StatusBadRequest, perr)
-			return
-		}
+	} else {
 		res, state, err = s.session.ExecWithTrackedContext(ctx, req.Statement, strategy)
 	}
 	if err != nil {
-		writeError(w, r, statusFor(err), err)
+		s.fail(w, r, "/assess", req.Statement, start, err)
 		return
 	}
 	trace := finish()
@@ -513,7 +509,7 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 	defer func() { release(time.Since(start)) }()
 	qr, err := s.session.QueryContext(ctx, req.Statement)
 	if err != nil {
-		writeError(w, r, statusFor(err), err)
+		s.fail(w, r, "/query", req.Statement, start, err)
 		return
 	}
 	c := qr.Cube
@@ -544,33 +540,25 @@ func (s *Server) explain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	strategy, best, err := parsePlan(req.Plan)
+	if err != nil {
+		writeError(w, r, http.StatusBadRequest, err)
+		return
+	}
 	ctx, finish := withTrace(r, req.Trace)
-	var (
-		p   *plan.Plan
-		err error
-	)
-	switch req.Plan {
-	case "", "best":
+	var p *plan.Plan
+	if best {
 		p, err = s.session.PrepareContext(ctx, req.Statement)
-	case "cost":
-		p, err = s.session.PrepareCostBasedContext(ctx, req.Statement)
-	default:
-		strategy, perr := parsePlan(req.Plan)
-		if perr != nil {
-			writeError(w, r, http.StatusBadRequest, perr)
-			return
-		}
+	} else {
 		p, err = s.session.PrepareWithContext(ctx, req.Statement, strategy)
 	}
 	if err != nil {
 		writeError(w, r, statusFor(err), err)
 		return
 	}
-	costs, _ := s.session.ExplainCosts(req.Statement)
 	resp := map[string]any{
 		"strategy": p.Strategy.String(),
 		"plan":     p.Explain(),
-		"costs":    costs,
 	}
 	if state := s.session.CacheProbe(p); state != "" {
 		// Whether executing this statement right now would hit the cache.
@@ -693,16 +681,20 @@ func readRequest(w http.ResponseWriter, r *http.Request) (request, bool) {
 	return req, true
 }
 
-func parsePlan(name string) (plan.Strategy, error) {
+// parsePlan resolves a request's plan name: "best" (or none) leaves the
+// choice to the session's rule, the others force a strategy.
+func parsePlan(name string) (strategy plan.Strategy, best bool, err error) {
 	switch name {
+	case "", "best":
+		return 0, true, nil
 	case "np", "NP":
-		return plan.NP, nil
+		return plan.NP, false, nil
 	case "jop", "JOP":
-		return plan.JOP, nil
+		return plan.JOP, false, nil
 	case "pop", "POP":
-		return plan.POP, nil
+		return plan.POP, false, nil
 	}
-	return 0, fmt.Errorf("unknown plan %q (want best, cost, np, jop, or pop)", name)
+	return 0, false, fmt.Errorf("unknown plan %q (want best, np, jop, or pop)", name)
 }
 
 // statusFor maps statement errors to 400, shard unavailability under
@@ -730,6 +722,26 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// fail answers a statement that failed. The client of one that panicked
+// gets the panic's value; its stack goes to the server's log, as net/http
+// does with a handler's own panic, and to the slow log whatever the
+// threshold.
+func (s *Server) fail(w http.ResponseWriter, r *http.Request, endpoint, stmt string, start time.Time, err error) {
+	var pe *engine.PanicError
+	if errors.As(err, &pe) {
+		id := requestID(r.Context())
+		slog.Error("query panicked", "requestId", id, "error", err, "stack", string(pe.Stack))
+		s.slow.Log(time.Since(start), obsv.SlowEntry{
+			RequestID: id,
+			Endpoint:  endpoint,
+			Statement: stmt,
+			Error:     err.Error(),
+			Stack:     string(pe.Stack),
+		})
+	}
+	writeError(w, r, statusFor(err), err)
+}
+
 // writeError renders the consistent error body: message, error kind, and
 // the request ID so the failure can be found in the logs.
 func writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
@@ -746,12 +758,5 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
 	if errors.As(err, &unavail) {
 		kind = "unavailable"
 	}
-	id := requestID(r.Context())
-	var pe *engine.PanicError
-	if errors.As(err, &pe) {
-		// The client gets the panic's value; the stack goes to the log,
-		// as net/http does with a handler's own panic.
-		slog.Error("query panicked", "requestId", id, "error", err, "stack", string(pe.Stack))
-	}
-	writeJSON(w, status, errorResponse{Error: err.Error(), Kind: kind, RequestID: id})
+	writeJSON(w, status, errorResponse{Error: err.Error(), Kind: kind, RequestID: requestID(r.Context())})
 }
