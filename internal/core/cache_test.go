@@ -212,7 +212,8 @@ func TestSessionAutoViewInvalidation(t *testing.T) {
 	if res.Cube.Len() != want.Cube.Len() || res.Cube.Len() == 0 {
 		t.Fatalf("post-append result has %d cells, reference %d", res.Cube.Len(), want.Cube.Len())
 	}
-	for i, coord := range want.Cube.Coords {
+	for i := range want.Cube.Len() {
+		coord := want.Cube.Coord(i)
 		j, ok := res.Cube.Lookup(coord)
 		if !ok {
 			t.Fatalf("cell %v missing from post-append result", coord)

@@ -354,13 +354,21 @@ func (r *QueryResult) Render() string { return r.Cube.String() }
 
 // Query executes a plain cube query written with the get operator:
 // "with C0 [for P] by G get m1, m2". The result is the derived cube of
-// Definition 2.6, sorted by coordinate.
+// Definition 2.6, sorted by coordinate, with its deprecated Coords filled
+// for callers that still range over them.
 func (s *Session) Query(stmt string) (*QueryResult, error) {
-	return s.QueryContext(context.Background(), stmt)
+	qr, err := s.QueryContext(context.Background(), stmt)
+	if err == nil {
+		qr.Cube.Coords = make([]mdm.Coordinate, qr.Cube.Len())
+		for i := range qr.Cube.Coords {
+			qr.Cube.Coords[i] = qr.Cube.Coord(i)
+		}
+	}
+	return qr, err
 }
 
 // QueryContext is Query with lifecycle tracing (parse → bind →
-// execute/engine.scan spans).
+// execute/engine.scan spans), and with Coords left nil.
 func (s *Session) QueryContext(ctx context.Context, stmt string) (*QueryResult, error) {
 	_, sp := obsv.StartSpan(ctx, "parse")
 	st, err := parser.Parse(stmt)

@@ -77,7 +77,8 @@ func TestPropertyP3JoinEqualsPivot(t *testing.T) {
 			if !ok {
 				t.Fatalf("trial %d: pivot lacks benchmark column: %v", trial, pivoted.Names)
 			}
-			for i, coord := range joined.Coords {
+			for i := range joined.Len() {
+				coord := joined.Coord(i)
 				pi, found := pivoted.Lookup(coord)
 				if !found {
 					t.Fatalf("trial %d: pivot lacks %s", trial, coord.Format(s, g))
@@ -113,7 +114,8 @@ func TestPropertyP1TransformCommutativity(t *testing.T) {
 		_, _, all, _, _, _, _, _ := randomCubes(rng)
 		mk := func() *Cube {
 			c := New(all.Schema, all.Group, "m")
-			for i, coord := range all.Coords {
+			for i := range all.Len() {
+				coord := all.Coord(i)
 				c.MustAddCell(coord.Clone(), all.Cols[0][i])
 			}
 			return c
@@ -135,7 +137,8 @@ func TestPropertyP1TransformCommutativity(t *testing.T) {
 		for _, name := range []string{"d", "n"} {
 			ja, _ := a.MeasureIndex(name)
 			jb, _ := b.MeasureIndex(name)
-			for i, coord := range a.Coords {
+			for i := range a.Len() {
+				coord := a.Coord(i)
 				bi, ok := b.Lookup(coord)
 				if !ok || a.Cols[ja][i] != b.Cols[jb][bi] {
 					t.Fatalf("trial %d: transforms do not commute on %s", trial, name)
@@ -162,7 +165,8 @@ func TestPropertyP2PushJoinThroughTransform(t *testing.T) {
 		}
 		// Pre-transform path: transform B, then join.
 		b1 := New(bench.Schema, bench.Group, "m")
-		for i, coord := range bench.Coords {
+		for i := range bench.Len() {
+			coord := bench.Coord(i)
 			b1.MustAddCell(coord.Clone(), bench.Cols[0][i])
 		}
 		if err := b1.AppendMeasure("t", scale(b1.Column(0))); err != nil {
@@ -186,7 +190,8 @@ func TestPropertyP2PushJoinThroughTransform(t *testing.T) {
 		if pre.Len() != post.Len() {
 			t.Fatalf("trial %d: different cardinalities %d vs %d", trial, pre.Len(), post.Len())
 		}
-		for i, coord := range pre.Coords {
+		for i := range pre.Len() {
+			coord := pre.Coord(i)
 			pi, ok := post.Lookup(coord)
 			if !ok || pre.Cols[tj][i] != post.Cols[tj2][pi] {
 				t.Fatalf("trial %d: P2 violated at %v", trial, coord)

@@ -70,14 +70,18 @@ var (
 
 func assembleColumns(b testing.TB, s *mdm.Schema, g mdm.GroupBy, space *mdm.KeySpace, revenue []float64, labels []string) *Cube {
 	n, width := len(revenue), len(g)
-	// Dense finalize: decode every occupied slot, copy its accumulator.
-	coords := Carve(make([]int32, n*width), n, width)
-	col := make([]float64, n)
-	for slot := range revenue {
-		space.Decode(uint64(slot), coords[slot])
-		col[slot] = revenue[slot]
+	// Dense finalize: decode every occupied slot into the key columns,
+	// copy its accumulator.
+	keys := make([][]int32, width)
+	for p := range keys {
+		keys[p] = make([]int32, n)
+		for slot := range keys[p] {
+			keys[p][slot] = space.Member(uint64(slot), p)
+		}
 	}
-	engineSide, err := Build(s, g, []string{"revenue"}, coords, [][]float64{col})
+	col := make([]float64, n)
+	copy(col, revenue)
+	engineSide, err := Build(s, g, []string{"revenue"}, n, keys, [][]float64{col})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -85,23 +89,26 @@ func assembleColumns(b testing.TB, s *mdm.Schema, g mdm.GroupBy, space *mdm.KeyS
 	// columns on the client side.
 	rowLen := 4*width + 8
 	buf := make([]byte, 0, rowLen*n)
-	for i, coord := range engineSide.Coords {
-		for _, id := range coord {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
+	for i := range n {
+		for _, col := range engineSide.Keys {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(col[i]))
 		}
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(engineSide.Cols[0][i]))
 	}
-	ids := make([]int32, n*width)
+	ids := make([][]int32, width)
+	for k := range ids {
+		ids[k] = make([]int32, n)
+	}
 	vals := make([]float64, n)
 	for r, p := 0, 0; r < n; r++ {
-		for k := 0; k < width; k++ {
-			ids[r*width+k] = int32(binary.LittleEndian.Uint32(buf[p:]))
+		for k := range ids {
+			ids[k][r] = int32(binary.LittleEndian.Uint32(buf[p:]))
 			p += 4
 		}
 		vals[r] = math.Float64frombits(binary.LittleEndian.Uint64(buf[p:]))
 		p += 8
 	}
-	c, err := Build(s, g, []string{"revenue"}, Carve(ids, n, width), [][]float64{vals})
+	c, err := Build(s, g, []string{"revenue"}, n, ids, [][]float64{vals})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -129,7 +136,9 @@ func assembleReference(s *mdm.Schema, g mdm.GroupBy, space *mdm.KeySpace, revenu
 	engineSide := refNew(s, g, "revenue")
 	for slot := range revenue {
 		coord := make(mdm.Coordinate, width)
-		space.Decode(uint64(slot), coord)
+		for p := range coord {
+			coord[p] = space.Member(uint64(slot), p)
+		}
 		engineSide.AddCell(coord, []float64{revenue[slot]})
 	}
 	rowLen := 4*width + 8

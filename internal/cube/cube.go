@@ -3,6 +3,9 @@
 // natural join ⋈, the partial join ⋈_{l1..lm}, the left-outer join used by
 // the assess* variant, and the pivot ⊞. Cubes respect the closure
 // property: every operator takes cubes and produces cubes.
+// A cube's coordinates are grouping columns, one member-id column per
+// level (Cube.Keys), in one layout from the engine's kernels to the
+// server's encoders; operators pack and probe keys column by column.
 package cube
 
 import (
@@ -16,23 +19,34 @@ import (
 
 // Cube is a derived cube: a sparse partial function from the coordinates
 // of a group-by set to tuples of measure values, stored column-wise.
-// Derived (transformed, compared) measures are appended as extra columns;
-// the label column, being categorical, is kept separately in Labels.
+// Coordinates are grouping columns too (Gray et al.): Keys holds one
+// member-id column per position of the group-by set, so cell i sits at
+// ⟨Keys[0][i], …, Keys[|G|-1][i]⟩. Derived (transformed, compared)
+// measures are appended as extra columns; the label column, being
+// categorical, is kept separately in Labels.
 //
-// Assembly is columnar: producers hand Build whole columns, coordinates
-// are windows into one []int32 arena (Carve), and nothing is indexed until
-// the first Lookup asks for a cell by coordinate (index.go). A cube that
-// is only transformed, labelled, sorted and encoded never builds an index.
+// Assembly is columnar: producers hand Build whole columns, and nothing is
+// indexed until the first Lookup asks for a cell by coordinate (index.go).
+// A cube that is only transformed, labelled, sorted and encoded never
+// builds an index. No operator writes into a column a cube holds, so
+// cubes share columns (Project, a view's exact hits).
 type Cube struct {
 	Schema *mdm.Schema
 	Group  mdm.GroupBy
-	Names  []string // measure column names, e.g. "quantity", "benchmark.quantity", "diff"
-	Coords []mdm.Coordinate
+	Names  []string    // measure column names, e.g. "quantity", "benchmark.quantity", "diff"
+	Keys   [][]int32   // Keys[p][i] = member id of cell i at group position p
 	Cols   [][]float64 // Cols[j][i] = value of measure j in cell i
-	Labels []string    // optional, len == len(Coords) when present
+	Labels []string    // optional, one per cell when present
 
-	idx   *index  // coordinate → cell position, built on first use
-	arena []int32 // tail of the chunk AddCell carves coordinates from
+	// Coords is nil on every cube but the results of core.Session.Query,
+	// which fills it for callers outside the program that still range
+	// over it; nothing in the program reads it.
+	//
+	// Deprecated: use Keys or Coord. ROADMAP.md item 14 deletes it.
+	Coords []mdm.Coordinate
+
+	n   int    // cells: a grand total has one and no key column to count
+	idx *index // coordinate → cell position, built on first use
 }
 
 // New creates an empty derived cube with the given measure columns, to be
@@ -42,48 +56,57 @@ func New(s *mdm.Schema, g mdm.GroupBy, names ...string) *Cube {
 		Schema: s,
 		Group:  g,
 		Names:  append([]string(nil), names...),
+		Keys:   make([][]int32, len(g)),
 		Cols:   make([][]float64, len(names)),
 		idx:    new(index),
 	}
 }
 
-// Build is the bulk builder: it constructs a cube from whole coordinate
-// and measure columns, taking ownership of them (no copies) and building
-// no index. Every column must have one value per coordinate. Coordinates
-// are trusted to be unique, as every engine kernel and cube operator
-// produces them; BuildIndex checks it for cubes of other provenance.
-func Build(s *mdm.Schema, g mdm.GroupBy, names []string, coords []mdm.Coordinate, cols [][]float64) (*Cube, error) {
+// Build is the bulk builder: it constructs a cube of n cells from whole
+// key and measure columns, taking ownership of them (no copies) and
+// building no index. There is one key column per group-by level and every
+// column holds n values. Coordinates are trusted to be unique, as every
+// engine kernel and cube operator produces them; BuildIndex checks it for
+// cubes of other provenance.
+func Build(s *mdm.Schema, g mdm.GroupBy, names []string, n int, keys [][]int32, cols [][]float64) (*Cube, error) {
+	if len(keys) != len(g) {
+		return nil, fmt.Errorf("cube: %d key columns for %d levels", len(keys), len(g))
+	}
 	if len(cols) != len(names) {
 		return nil, fmt.Errorf("cube: %d columns for %d measure names", len(cols), len(names))
 	}
+	for p := range keys {
+		if len(keys[p]) != n {
+			return nil, fmt.Errorf("cube: key column %d has %d members for %d cells", p, len(keys[p]), n)
+		}
+	}
 	for j := range cols {
-		if len(cols[j]) != len(coords) {
-			return nil, fmt.Errorf("cube: column %s has %d values for %d cells", names[j], len(cols[j]), len(coords))
+		if len(cols[j]) != n {
+			return nil, fmt.Errorf("cube: column %s has %d values for %d cells", names[j], len(cols[j]), n)
 		}
 	}
 	return &Cube{
 		Schema: s,
 		Group:  g,
 		Names:  append([]string(nil), names...),
-		Coords: coords,
+		Keys:   keys,
 		Cols:   cols,
+		n:      n,
 		idx:    new(index),
 	}, nil
 }
 
-// Carve cuts n coordinates of the given width out of one arena of member
-// ids laid out cell by cell, so a result's coordinates cost two
-// allocations, not one per cell. The coordinates alias ids.
-func Carve(ids []int32, n, width int) []mdm.Coordinate {
-	coords := make([]mdm.Coordinate, n)
-	for i := range coords {
-		coords[i] = ids[i*width : (i+1)*width : (i+1)*width]
-	}
-	return coords
-}
-
 // Len returns the number of cells, |C|.
-func (c *Cube) Len() int { return len(c.Coords) }
+func (c *Cube) Len() int { return c.n }
+
+// Coord returns a fresh copy of cell i's coordinate.
+func (c *Cube) Coord(i int) mdm.Coordinate {
+	coord := make(mdm.Coordinate, len(c.Keys))
+	for p, col := range c.Keys {
+		coord[p] = col[i]
+	}
+	return coord
+}
 
 // MeasureIndex returns the column position of the named measure.
 func (c *Cube) MeasureIndex(name string) (int, bool) {
@@ -109,19 +132,17 @@ func (c *Cube) AddCell(coord mdm.Coordinate, vals []float64) error {
 	if err := c.BuildIndex(); err != nil {
 		return err
 	}
-	if !c.idx.tab.insert(coord, len(c.Coords), c.Coords) {
+	if _, dup := c.Lookup(coord); dup {
 		return fmt.Errorf("cube: duplicate coordinate %s", coord.Format(c.Schema, c.Group))
 	}
-	if cap(c.arena)-len(c.arena) < len(coord) {
-		// A fresh chunk, not a reallocation: earlier cells keep theirs.
-		c.arena = make([]int32, 0, max(2*cap(c.arena), 64*len(coord)))
+	for p, id := range coord {
+		c.Keys[p] = append(c.Keys[p], id)
 	}
-	at := len(c.arena)
-	c.arena = append(c.arena, coord...)
-	c.Coords = append(c.Coords, c.arena[at:len(c.arena):len(c.arena)])
 	for j, v := range vals {
 		c.Cols[j] = append(c.Cols[j], v)
 	}
+	c.idx.tab.add(coord, c.n, c.Keys)
+	c.n++
 	return nil
 }
 
@@ -137,14 +158,18 @@ func (c *Cube) MustAddCell(coord mdm.Coordinate, vals ...float64) {
 // shared across requests) are safe. Should the cube hold a coordinate
 // twice — BuildIndex reports that — the first cell wins.
 func (c *Cube) Lookup(coord mdm.Coordinate) (int, bool) {
-	return c.index().tab.find(coord, nil)
+	if len(coord) != len(c.Keys) {
+		return 0, false
+	}
+	at := c.index().tab.lookup(one(coord), 1)[0]
+	return int(at), at >= 0
 }
 
 // BuildIndex indexes the cube now rather than on the first Lookup and
 // reports a coordinate held by more than one cell.
 func (c *Cube) BuildIndex() error {
 	if dup := c.index().dup; dup >= 0 {
-		return fmt.Errorf("cube: duplicate coordinate %s", c.Coords[dup].Format(c.Schema, c.Group))
+		return fmt.Errorf("cube: duplicate coordinate %s", c.Coord(dup).Format(c.Schema, c.Group))
 	}
 	return nil
 }
@@ -179,13 +204,12 @@ func (c *Cube) SetLabels(labels []string) error {
 // SortByCoordinate orders cells lexicographically by member names, for
 // deterministic rendering. Names are compared through the dictionaries'
 // rank tables — the composite of a cell's ranks is one uint64 that orders
-// like its names — so a cube already in order (the usual case for the
-// second sort of a statement) costs one pass and no allocation beyond the
-// keys, and one out of order is radix-sorted on integers. Columns are
-// permuted into fresh slices: cubes sharing the old ones (Project) are
-// unaffected.
+// like its names, summed column by column — so a cube already in order
+// (the usual case for the second sort of a statement) costs one pass and
+// no allocation beyond the keys, and one out of order is radix-sorted on
+// integers. Columns are permuted into fresh slices: cubes sharing the old
+// ones (Project) are unaffected.
 func (c *Cube) SortByCoordinate() {
-	n := c.Len()
 	ranks := make([][]int32, len(c.Group))
 	cards := make([]int, len(c.Group))
 	for p, ref := range c.Group {
@@ -194,10 +218,11 @@ func (c *Cube) SortByCoordinate() {
 	}
 	var order []int32 // order[dst] = src
 	if space := mdm.NewKeySpace(cards); !space.Wide() {
-		keys := make([]uint64, n)
-		for i, coord := range c.Coords {
-			for p, id := range coord {
-				keys[i] += uint64(ranks[p][id]) * space.Stride(p)
+		keys := make([]uint64, c.n)
+		for p, col := range c.Keys {
+			rank, stride := ranks[p], space.Stride(p)
+			for i, id := range col {
+				keys[i] += uint64(rank[id]) * stride
 			}
 		}
 		if slices.IsSorted(keys) {
@@ -207,15 +232,14 @@ func (c *Cube) SortByCoordinate() {
 	} else {
 		// The rank space overflows 64 bits: compare rank tuples.
 		byRanks := func(a, b int32) int {
-			ca, cb := c.Coords[a], c.Coords[b]
-			for p := range ca {
-				if d := int(ranks[p][ca[p]]) - int(ranks[p][cb[p]]); d != 0 {
+			for p, col := range c.Keys {
+				if d := int(ranks[p][col[a]]) - int(ranks[p][col[b]]); d != 0 {
 					return d
 				}
 			}
 			return 0
 		}
-		order = make([]int32, n)
+		order = make([]int32, c.n)
 		for i := range order {
 			order[i] = int32(i)
 		}
@@ -224,12 +248,11 @@ func (c *Cube) SortByCoordinate() {
 		}
 		slices.SortStableFunc(order, byRanks)
 	}
-	c.Coords, c.Cols = take(c, order)
+	c.Keys, c.Cols = take(c, order)
 	if c.Labels != nil {
 		c.Labels = gather(c.Labels, order)
 	}
 	c.idx = new(index) // positions moved; re-index on demand
-	c.arena = nil
 }
 
 // radixOrder returns the stable ascending order of keys — order[dst] is
@@ -282,9 +305,9 @@ func (c *Cube) String() string {
 		b.WriteString("label")
 	}
 	b.WriteByte('\n')
-	for i, coord := range c.Coords {
-		for p, id := range coord {
-			fmt.Fprintf(&b, "%s\t", c.Schema.Dict(c.Group[p]).Name(id))
+	for i := range c.n {
+		for p, col := range c.Keys {
+			fmt.Fprintf(&b, "%s\t", c.Schema.Dict(c.Group[p]).Name(col[i]))
 		}
 		for j := range c.Cols {
 			fmt.Fprintf(&b, "%g\t", c.Cols[j][i])

@@ -47,7 +47,7 @@ func fixture(t *testing.T) (*mdm.Schema, mdm.GroupBy, *Cube, *Cube) {
 
 func TestAddCellDuplicate(t *testing.T) {
 	_, _, c, _ := fixture(t)
-	if err := c.AddCell(c.Coords[0].Clone(), []float64{1}); err == nil {
+	if err := c.AddCell(c.Coord(0), []float64{1}); err == nil {
 		t.Fatal("duplicate coordinate accepted")
 	}
 	if err := c.AddCell(mdm.Coordinate{3, 0}, []float64{1, 2}); err == nil {
@@ -70,7 +70,8 @@ func TestPartialJoinFigureOne(t *testing.T) {
 		t.Fatal("benchmark.quantity column missing")
 	}
 	// Paper Figure 1: ⟨Apple, Italy⟩ maps onto ⟨Apple, France⟩ = 150.
-	for i, coord := range d.Coords {
+	for i := range d.Len() {
+		coord := d.Coord(i)
 		prod := s.Dict(d.Group[0]).Name(coord[0])
 		country := s.Dict(d.Group[1]).Name(coord[1])
 		if country != "Italy" {
@@ -96,7 +97,8 @@ func TestNaturalJoinMatchesOnFullCoordinate(t *testing.T) {
 	s, g, c, _ := fixture(t)
 	// A benchmark with identical coordinates (external-benchmark shape).
 	b2 := New(s, g, "expected")
-	for i, coord := range c.Coords {
+	for i := range c.Len() {
+		coord := c.Coord(i)
 		b2.MustAddCell(coord.Clone(), c.Cols[0][i]*2)
 	}
 	j, err := Join(c, b2, "benchmark.", false)
@@ -107,7 +109,7 @@ func TestNaturalJoinMatchesOnFullCoordinate(t *testing.T) {
 		t.Fatalf("|J| = %d, want 3", j.Len())
 	}
 	ej, _ := j.MeasureIndex("benchmark.expected")
-	for i := range j.Coords {
+	for i := range j.Len() {
 		if j.Cols[ej][i] != 2*j.Cols[0][i] {
 			t.Errorf("cell %d: expected %g, got %g", i, 2*j.Cols[0][i], j.Cols[ej][i])
 		}
@@ -118,7 +120,8 @@ func TestLeftOuterJoinKeepsUnmatched(t *testing.T) {
 	s, _, c, b := fixture(t)
 	// Remove Lemon from the benchmark by rebuilding it.
 	b2 := New(s, b.Group, "quantity")
-	for i, coord := range b.Coords {
+	for i := range b.Len() {
+		coord := b.Coord(i)
 		if s.Dict(b.Group[0]).Name(coord[0]) == "Lemon" {
 			continue
 		}
@@ -141,7 +144,7 @@ func TestLeftOuterJoinKeepsUnmatched(t *testing.T) {
 	}
 	qj, _ := outer.MeasureIndex("benchmark.quantity")
 	var sawNaN bool
-	for i := range outer.Coords {
+	for i := range outer.Len() {
 		if math.IsNaN(outer.Cols[qj][i]) {
 			sawNaN = true
 		}
@@ -155,7 +158,8 @@ func TestPartialJoinAmbiguous(t *testing.T) {
 	s, g, c, b := fixture(t)
 	// Add a second France-side slice member so two cells share the product key.
 	b2 := New(s, g, "quantity")
-	for i, coord := range b.Coords {
+	for i := range b.Len() {
+		coord := b.Coord(i)
 		b2.MustAddCell(coord.Clone(), b.Cols[0][i])
 	}
 	italy, _ := s.Hiers[1].Dict(0).Lookup("Italy")
@@ -171,10 +175,12 @@ func TestPivotFigureTwo(t *testing.T) {
 	s, g, c, b := fixture(t)
 	// C' = both slices in one cube (the POP get of Example 4.4).
 	cp := New(s, g, "quantity")
-	for i, coord := range c.Coords {
+	for i := range c.Len() {
+		coord := c.Coord(i)
 		cp.MustAddCell(coord.Clone(), c.Cols[0][i])
 	}
-	for i, coord := range b.Coords {
+	for i := range b.Len() {
+		coord := b.Coord(i)
 		cp.MustAddCell(coord.Clone(), b.Cols[0][i])
 	}
 	country, _ := s.FindLevel("country")
@@ -191,7 +197,8 @@ func TestPivotFigureTwo(t *testing.T) {
 		t.Fatal("qtyFrance column missing")
 	}
 	want := map[string]float64{"Apple": 150, "Pear": 110, "Lemon": 20}
-	for i, coord := range d.Coords {
+	for i := range d.Len() {
+		coord := d.Coord(i)
 		prod := s.Dict(d.Group[0]).Name(coord[0])
 		if got := d.Cols[qf][i]; got != want[prod] {
 			t.Errorf("%s: qtyFrance = %g, want %g", prod, got, want[prod])
@@ -205,10 +212,12 @@ func TestPivotFigureTwo(t *testing.T) {
 func TestPivotStrictDropsIncomplete(t *testing.T) {
 	s, g, c, b := fixture(t)
 	cp := New(s, g, "quantity")
-	for i, coord := range c.Coords {
+	for i := range c.Len() {
+		coord := c.Coord(i)
 		cp.MustAddCell(coord.Clone(), c.Cols[0][i])
 	}
-	for i, coord := range b.Coords {
+	for i := range b.Len() {
+		coord := b.Coord(i)
 		if s.Dict(g[0]).Name(coord[0]) == "Lemon" {
 			continue // France has no Lemon cell
 		}
@@ -308,7 +317,8 @@ func TestSortByCoordinate(t *testing.T) {
 	c.MustAddCell(mdm.Coordinate{3, 0}, 5) // Banana, Italy
 	c.SortByCoordinate()
 	names := make([]string, c.Len())
-	for i, coord := range c.Coords {
+	for i := range c.Len() {
+		coord := c.Coord(i)
 		names[i] = s.Dict(c.Group[0]).Name(coord[0])
 	}
 	want := "Apple,Banana,Lemon,Pear"
@@ -316,7 +326,8 @@ func TestSortByCoordinate(t *testing.T) {
 		t.Errorf("sorted products = %s, want %s", got, want)
 	}
 	// Index must be rebuilt: lookups still work.
-	for i, coord := range c.Coords {
+	for i := range c.Len() {
+		coord := c.Coord(i)
 		if j, ok := c.Lookup(coord); !ok || j != i {
 			t.Fatalf("index stale after sort at cell %d", i)
 		}

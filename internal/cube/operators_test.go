@@ -90,15 +90,17 @@ func fill(s *mdm.Schema, g mdm.GroupBy, names []string, coords []mdm.Coordinate,
 		}
 		return both{c, r}
 	}
-	ids := make([]int32, 0, len(coords)*len(g))
+	keys := make([][]int32, len(g))
 	cols := make([][]float64, len(names))
 	for i, coord := range coords {
-		ids = append(ids, coord...)
+		for p, id := range coord {
+			keys[p] = append(keys[p], id)
+		}
 		for j := range cols {
 			cols[j] = append(cols[j], vals[i][j])
 		}
 	}
-	c, err := Build(s, g, names, Carve(ids, len(coords), len(g)), cols)
+	c, err := Build(s, g, names, len(coords), keys, cols)
 	if err != nil {
 		panic(err)
 	}
@@ -175,8 +177,8 @@ func same(t *testing.T, what string, got *Cube, gerr error, want *refCube, werr 
 		t.Fatalf("%s: %d cells, reference %d", what, got.Len(), want.Len())
 	}
 	for i := range want.Coords {
-		if !slices.Equal(got.Coords[i], want.Coords[i]) {
-			t.Fatalf("%s: cell %d is %v, reference %v", what, i, got.Coords[i], want.Coords[i])
+		if !slices.Equal(got.Coord(i), want.Coords[i]) {
+			t.Fatalf("%s: cell %d is %v, reference %v", what, i, got.Coord(i), want.Coords[i])
 		}
 		for j := range want.Cols {
 			if math.Float64bits(got.Cols[j][i]) != math.Float64bits(want.Cols[j][i]) {
@@ -188,7 +190,8 @@ func same(t *testing.T, what string, got *Cube, gerr error, want *refCube, werr 
 		t.Fatalf("%s: labels differ from the reference", what)
 	}
 	// The lazily built index agrees with the cells as they now stand.
-	for i, coord := range got.Coords {
+	for i := range got.Len() {
+		coord := got.Coord(i)
 		if at, ok := got.Lookup(coord); !ok || at != i {
 			t.Fatalf("%s: Lookup(%v) = %d, %v; the cell is at %d", what, coord, at, ok, i)
 		}
@@ -353,18 +356,21 @@ func TestSliceProjectSortMatchReference(t *testing.T) {
 
 		// Sorting permutes into fresh columns: a projection made before
 		// keeps the order it was made in.
-		before := slices.Clone(c.c.Coords)
+		before := make([][]int32, len(c.c.Keys))
+		for p, col := range c.c.Keys {
+			before[p] = slices.Clone(col)
+		}
 		c.c.SortByCoordinate()
 		c.r.SortByCoordinate()
 		same(t, "SortByCoordinate", c.c, nil, c.r, nil)
-		if gerr == nil && !slices.EqualFunc(proj.Coords, before, func(a, b mdm.Coordinate) bool { return slices.Equal(a, b) }) {
+		if gerr == nil && !slices.EqualFunc(proj.Keys, before, func(a, b []int32) bool { return slices.Equal(a, b) }) {
 			t.Fatal("sorting a cube reordered its earlier projection")
 		}
 		// A second sort finds the order already there and moves nothing.
-		if c.c.Len() > 0 {
-			first := &c.c.Coords[0]
+		if c.c.Len() > 0 && len(c.c.Keys) > 0 {
+			first := &c.c.Keys[0][0]
 			c.c.SortByCoordinate()
-			if first != &c.c.Coords[0] {
+			if first != &c.c.Keys[0][0] {
 				t.Fatal("sorting a sorted cube reallocated its coordinates")
 			}
 			same(t, "SortByCoordinate twice", c.c, nil, c.r, nil)
@@ -508,7 +514,7 @@ func TestSortAfterDictionaryGrowth(t *testing.T) {
 	c.c.SortByCoordinate()
 	c.r.SortByCoordinate()
 	same(t, "after growth", c.c, nil, c.r, nil)
-	if first := s.Dict(g[0]).Name(c.c.Coords[0][0]); first != "a" {
+	if first := s.Dict(g[0]).Name(c.c.Keys[0][0]); first != "a" {
 		t.Fatalf("first cell after growth is %q, want the new member a", first)
 	}
 	// A cube indexed before the growth does not find the new member, and
@@ -537,14 +543,14 @@ func TestSortAfterDictionaryGrowth(t *testing.T) {
 // says so.
 func TestDuplicateCoordinates(t *testing.T) {
 	_, g, c, _ := fixture(t)
-	if err := c.AddCell(c.Coords[1], []float64{1}); err == nil {
+	if err := c.AddCell(c.Coord(1), []float64{1}); err == nil {
 		t.Fatal("AddCell accepted a duplicate coordinate")
 	}
 	if err := c.AddCell(mdm.Coordinate{0}, []float64{1}); err == nil {
 		t.Fatal("AddCell accepted a coordinate of the wrong arity")
 	}
-	ids := []int32{0, 0, 1, 0, 0, 0}
-	bulk, err := Build(c.Schema, g, []string{"q"}, Carve(ids, 3, 2), [][]float64{{1, 2, 3}})
+	ids := [][]int32{{0, 1, 0}, {0, 0, 0}}
+	bulk, err := Build(c.Schema, g, []string{"q"}, 3, ids, [][]float64{{1, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +570,7 @@ func TestDuplicateCoordinates(t *testing.T) {
 	if _, err := RollupJoin(c, bulk, "b.", false); err == nil {
 		t.Fatal("RollupJoin accepted a benchmark with a duplicate coordinate")
 	}
-	if _, err := Build(c.Schema, g, []string{"q"}, Carve(ids, 3, 2), [][]float64{{1, 2}}); err == nil {
+	if _, err := Build(c.Schema, g, []string{"q"}, 3, ids, [][]float64{{1, 2}}); err == nil {
 		t.Fatal("Build accepted a short column")
 	}
 }
@@ -585,9 +591,9 @@ func TestSharedCubeConcurrentLookup(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 200; k++ {
 				i := (k*7 + w) % c.Len()
-				at, ok := c.Lookup(c.Coords[i])
+				at, ok := c.Lookup(c.Coord(i))
 				if !ok || at != i {
-					t.Errorf("worker %d: Lookup(%v) = %d, %v; the cell is at %d", w, c.Coords[i], at, ok, i)
+					t.Errorf("worker %d: Lookup(%v) = %d, %v; the cell is at %d", w, c.Coord(i), at, ok, i)
 					return
 				}
 			}

@@ -9,23 +9,32 @@ import (
 )
 
 // The operators below share one shape: decide, per output cell, which
-// source cells it draws from (row lists), then assemble the output
-// column by column through Build — one coordinate arena and one slice per
-// measure, however many cells.
+// source cells it draws from (row lists), probing an index with key
+// columns rather than cell by cell, then assemble the output column by
+// column through Build — one slice per key position and per measure,
+// however many cells.
 
-// take copies the cells rows of c: their coordinates into one fresh
-// arena, and every measure column.
-func take(c *Cube, rows []int32) ([]mdm.Coordinate, [][]float64) {
-	width := len(c.Group)
-	coords := Carve(make([]int32, len(rows)*width), len(rows), width)
-	for k, i := range rows {
-		copy(coords[k], c.Coords[i])
+// take copies the cells rows of c: every key column and every measure
+// column.
+func take(c *Cube, rows []int32) ([][]int32, [][]float64) {
+	keys := make([][]int32, len(c.Keys))
+	for p, col := range c.Keys {
+		keys[p] = gather(col, rows)
 	}
 	cols := make([][]float64, len(c.Cols))
 	for j, col := range c.Cols {
 		cols[j] = gather(col, rows)
 	}
-	return coords, cols
+	return keys, cols
+}
+
+// filled returns a column of n copies of id.
+func filled(id int32, n int) []int32 {
+	col := make([]int32, n)
+	for i := range col {
+		col[i] = id
+	}
+	return col
 }
 
 // matched returns the measure columns of c gathered by rows, with NaN
@@ -46,6 +55,14 @@ func matched(c *Cube, rows []int32) [][]float64 {
 	return cols
 }
 
+// joined assembles a join's output: the left cells lrows, then the right
+// measures of the cells rrows (NaN where a row is negative) under the
+// alias prefix.
+func joined(left, right *Cube, alias string, lrows, rrows []int32) (*Cube, error) {
+	keys, cols := take(left, lrows)
+	return Build(left.Schema, left.Group, joinNames(left, right, alias), len(lrows), keys, append(cols, matched(right, rrows)...))
+}
+
 // joinNames is the output header of a join: the left names, then the
 // right names under the alias prefix.
 func joinNames(left, right *Cube, alias string) []string {
@@ -61,25 +78,26 @@ func joinNames(left, right *Cube, alias string) []string {
 // position lp. Rewriting that position of such a cube cannot make two of
 // its (unique) coordinates collide.
 func singleSlice(c *Cube, lp int) bool {
-	for _, coord := range c.Coords {
-		if coord[lp] != c.Coords[0][lp] {
+	col := c.Keys[lp]
+	for _, id := range col {
+		if id != col[0] {
 			return false
 		}
 	}
 	return true
 }
 
-// positions of the on-levels within a group-by set.
-func joinPositions(g mdm.GroupBy, on []mdm.LevelRef) ([]int, error) {
-	pos := make([]int, len(on))
+// joinKeys returns the key columns of the on-levels within c.
+func joinKeys(c *Cube, on []mdm.LevelRef) ([][]int32, error) {
+	keys := make([][]int32, len(on))
 	for i, ref := range on {
-		p := g.PosOf(ref)
+		p := c.Group.PosOf(ref)
 		if p < 0 {
 			return nil, fmt.Errorf("cube: join level %d.%d not in group-by set", ref.Hier, ref.Level)
 		}
-		pos[i] = p
+		keys[i] = c.Keys[p]
 	}
-	return pos, nil
+	return keys, nil
 }
 
 // Join computes the natural join (drill-across) of two joinable cubes:
@@ -102,11 +120,11 @@ func Join(left, right *Cube, alias string, outer bool) (*Cube, error) {
 // single slice); multiple matches are an error. Non-matching left cells
 // are dropped, or kept with NaN right measures when outer is true.
 func PartialJoin(left, right *Cube, on []mdm.LevelRef, alias string, outer bool) (*Cube, error) {
-	lpos, err := joinPositions(left.Group, on)
+	lkeys, err := joinKeys(left, on)
 	if err != nil {
 		return nil, err
 	}
-	rpos, err := joinPositions(right.Group, on)
+	rkeys, err := joinKeys(right, on)
 	if err != nil {
 		return nil, err
 	}
@@ -117,26 +135,20 @@ func PartialJoin(left, right *Cube, on []mdm.LevelRef, alias string, outer bool)
 	for i, ref := range on {
 		cards[i] = max(left.Schema.Dict(ref).Len(), right.Schema.Dict(ref).Len())
 	}
-	rtab, dup := newTable(mdm.NewKeySpace(cards), rpos, right.Coords)
+	rtab, dup := newTable(mdm.NewKeySpace(cards), rkeys, right.Len())
 	if dup >= 0 {
 		return nil, fmt.Errorf("cube: partial join is ambiguous: right cube has several cells for key of %s",
-			right.Coords[dup].Format(right.Schema, right.Group))
+			right.Coord(dup).Format(right.Schema, right.Group))
 	}
 	lrows := make([]int32, 0, left.Len())
 	rrows := make([]int32, 0, left.Len())
-	for i, coord := range left.Coords {
-		ri, ok := rtab.find(coord, lpos)
-		if !ok {
-			if !outer {
-				continue
-			}
-			ri = -1
+	for i, ri := range rtab.lookup(lkeys, left.Len()) {
+		if ri >= 0 || outer {
+			lrows = append(lrows, int32(i))
+			rrows = append(rrows, ri)
 		}
-		lrows = append(lrows, int32(i))
-		rrows = append(rrows, int32(ri))
 	}
-	coords, cols := take(left, lrows)
-	return Build(left.Schema, left.Group, joinNames(left, right, alias), coords, append(cols, matched(right, rrows)...))
+	return joined(left, right, alias, lrows, rrows)
 }
 
 // Pivot computes ⊞_{⟨m→name⟩, l, ref}(C): it keeps only the slice of level
@@ -162,8 +174,8 @@ func Pivot(c *Cube, level mdm.LevelRef, ref int32, neighbors []int32, strict boo
 	if neighbors == nil {
 		// Collect the neighbor members present in the cube, ordered by name.
 		present := make(map[int32]bool)
-		for _, coord := range c.Coords {
-			present[coord[lp]] = true
+		for _, id := range c.Keys[lp] {
+			present[id] = true
 		}
 		neighbors = make([]int32, 0, len(present))
 		for id := range present {
@@ -183,43 +195,41 @@ func Pivot(c *Cube, level mdm.LevelRef, ref int32, neighbors []int32, strict boo
 	}
 
 	// A cell's neighbor is its own coordinate with the level's member
-	// replaced: a probe of the cube's index.
+	// replaced: the reference slice's key columns, the level's column
+	// filled with the neighbor, probe the cube's index.
 	if err := c.BuildIndex(); err != nil {
 		return nil, err
 	}
-	var rows []int32  // kept reference-slice cells
-	var nrows []int32 // their neighbor cells, len(neighbors) per kept cell
-	probe := make(mdm.Coordinate, len(c.Group))
-cells:
-	for i, coord := range c.Coords {
-		if coord[lp] != ref {
-			continue
+	var rows []int32 // the reference slice's cells
+	for i, id := range c.Keys[lp] {
+		if id == ref {
+			rows = append(rows, int32(i))
 		}
-		copy(probe, coord)
-		at := len(nrows)
-		for _, id := range neighbors {
-			probe[lp] = id
-			ni, ok := c.Lookup(probe)
-			if !ok {
-				if strict {
-					nrows = nrows[:at]
-					continue cells
-				}
-				ni = -1
-			}
-			nrows = append(nrows, int32(ni))
-		}
-		rows = append(rows, int32(i))
 	}
-	coords, cols := take(c, rows)
-	of := make([]int32, len(rows)) // one neighbor's cell per kept cell
-	for b := range neighbors {
-		for k := range of {
-			of[k] = nrows[k*len(neighbors)+b]
-		}
-		cols = append(cols, matched(c, of)...)
+	probe := make([][]int32, len(c.Keys))
+	for p, col := range c.Keys {
+		probe[p] = gather(col, rows)
 	}
-	return Build(c.Schema, c.Group, names, coords, cols)
+	nrows := make([][]int32, len(neighbors)) // per neighbor, its cell for each of rows
+	for b, id := range neighbors {
+		probe[lp] = filled(id, len(rows))
+		nrows[b] = c.idx.tab.lookup(probe, len(rows))
+	}
+	keep := make([]int32, 0, len(rows)) // strict drops a cell missing a neighbor
+	for k := range rows {
+		missing := false
+		for _, of := range nrows {
+			missing = missing || of[k] < 0
+		}
+		if !strict || !missing {
+			keep = append(keep, int32(k))
+		}
+	}
+	keys, cols := take(c, gather(rows, keep))
+	for _, of := range nrows {
+		cols = append(cols, matched(c, gather(of, keep))...)
+	}
+	return Build(c.Schema, c.Group, names, len(keep), keys, cols)
 }
 
 // MultiplyJoin computes the one-to-many partial join used by
@@ -244,32 +254,29 @@ func MultiplyJoin(left, right *Cube, level mdm.LevelRef, members []int32, alias 
 	if err := right.BuildIndex(); err != nil {
 		return nil, err
 	}
+	// One probe per member: the left key columns with the level's column
+	// filled with the member.
+	probe := slices.Clone(left.Keys)
+	found := make([][]int32, len(members)) // per member, the right cell of each left cell
+	for m, member := range members {
+		probe[lp] = filled(member, left.Len())
+		found[m] = right.idx.tab.lookup(probe, left.Len())
+	}
 	var lrows, rrows, slice []int32 // per output row: left cell, right cell, member
-	probe := make(mdm.Coordinate, len(left.Group))
-	for i, coord := range left.Coords {
-		copy(probe, coord)
-		for _, member := range members {
-			probe[lp] = member
-			ri, ok := right.Lookup(probe)
-			if !ok {
-				if !outer {
-					continue
-				}
-				ri = -1
+	for i := range left.Len() {
+		for m, member := range members {
+			if ri := found[m][i]; ri >= 0 || outer {
+				lrows = append(lrows, int32(i))
+				rrows = append(rrows, ri)
+				slice = append(slice, member)
 			}
-			lrows = append(lrows, int32(i))
-			rrows = append(rrows, int32(ri))
-			slice = append(slice, member)
 		}
 	}
-	coords, cols := take(left, lrows)
-	for k, member := range slice {
-		coords[k][lp] = member
-	}
-	out, err := Build(left.Schema, left.Group, joinNames(left, right, alias), coords, append(cols, matched(right, rrows)...))
+	out, err := joined(left, right, alias, lrows, rrows)
 	if err != nil {
 		return nil, err
 	}
+	out.Keys[lp] = slice
 	// Distinct members over a single left slice cannot repeat an output
 	// coordinate; anything else is checked.
 	distinct := slices.Clone(members)
@@ -295,31 +302,41 @@ func RollupJoin(target, bench *Cube, alias string, outer bool) (*Cube, error) {
 	if err := bench.BuildIndex(); err != nil {
 		return nil, err
 	}
+	// Each target cell probes with rup_G'(γ) (mdm.Coordinate.Rollup): its
+	// key columns rolled up to the benchmark's levels.
+	up := make([][]int32, len(bench.Group))
+	for bp, ref := range bench.Group {
+		tp := target.Group.Pos(ref.Hier)
+		col := target.Keys[tp]
+		if from := target.Group[tp].Level; from != ref.Level {
+			lm := target.Schema.Hiers[ref.Hier].LevelMap(from, ref.Level)
+			col = make([]int32, target.Len())
+			for i, id := range target.Keys[tp] {
+				col[i] = lm[id]
+			}
+		}
+		up[bp] = col
+	}
 	trows := make([]int32, 0, target.Len())
 	brows := make([]int32, 0, target.Len())
-	// up is rup_G'(γ) of the current cell (mdm.Coordinate.Rollup), reused.
-	up := make(mdm.Coordinate, len(bench.Group))
-	from := make([]int, len(bench.Group)) // target position of each benchmark level
-	for bp, ref := range bench.Group {
-		from[bp] = target.Group.Pos(ref.Hier)
-	}
-	for i, coord := range target.Coords {
-		for bp, ref := range bench.Group {
-			tp := from[bp]
-			up[bp] = target.Schema.Hiers[ref.Hier].Rollup(coord[tp], target.Group[tp].Level, ref.Level)
+	for i, bi := range bench.idx.tab.lookup(up, target.Len()) {
+		if bi >= 0 || outer {
+			trows = append(trows, int32(i))
+			brows = append(brows, bi)
 		}
-		bi, ok := bench.Lookup(up)
-		if !ok {
-			if !outer {
-				continue
-			}
-			bi = -1
-		}
-		trows = append(trows, int32(i))
-		brows = append(brows, int32(bi))
 	}
-	coords, cols := take(target, trows)
-	return Build(target.Schema, target.Group, joinNames(target, bench, alias), coords, append(cols, matched(bench, brows)...))
+	return joined(target, bench, alias, trows, brows)
+}
+
+// Select returns the cube of the cells rows of c, in that order: every key
+// and measure column, and the labels, gathered into fresh slices.
+func (c *Cube) Select(rows []int32) *Cube {
+	keys, cols := take(c, rows)
+	out := &Cube{Schema: c.Schema, Group: c.Group, Names: slices.Clone(c.Names), Keys: keys, Cols: cols, n: len(rows), idx: new(index)}
+	if c.Labels != nil {
+		out.Labels = gather(c.Labels, rows)
+	}
+	return out
 }
 
 // Project returns a cube keeping only the named measure columns, renamed
@@ -347,7 +364,7 @@ func (c *Cube) Project(keep []string, rename map[string]string) (*Cube, error) {
 		}
 		seen[n] = true
 	}
-	out, err := Build(c.Schema, c.Group, names, c.Coords, cols)
+	out, err := Build(c.Schema, c.Group, names, c.n, c.Keys, cols)
 	if err != nil {
 		return nil, err
 	}
@@ -368,21 +385,12 @@ func (c *Cube) ReplaceSlice(level mdm.LevelRef, member int32) (*Cube, error) {
 	for i := range all {
 		all[i] = int32(i)
 	}
-	coords, cols := take(c, all)
-	for _, coord := range coords {
-		coord[lp] = member
-	}
-	out, err := Build(c.Schema, c.Group, c.Names, coords, cols)
-	if err != nil {
-		return nil, err
-	}
+	out := c.Select(all)
+	out.Keys[lp] = filled(member, c.n)
 	if !singleSlice(c, lp) {
 		if err := out.BuildIndex(); err != nil {
 			return nil, err
 		}
-	}
-	if c.Labels != nil {
-		out.Labels = append([]string(nil), c.Labels...)
 	}
 	return out, nil
 }

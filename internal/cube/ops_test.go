@@ -56,7 +56,8 @@ func TestMultiplyJoin(t *testing.T) {
 	}
 	mj, _ := inner.MeasureIndex("sales")
 	// Every output row repeats the target's measure.
-	for i, coord := range inner.Coords {
+	for i := range inner.Len() {
+		coord := inner.Coord(i)
 		store := coord[1]
 		wantTarget := 140.0
 		if store == 1 {
@@ -97,7 +98,7 @@ func TestMultiplyJoinOuterFillsAllSlices(t *testing.T) {
 	}
 	bj, _ := outer.MeasureIndex("benchmark.sales")
 	nans := 0
-	for i := range outer.Coords {
+	for i := range outer.Len() {
 		if math.IsNaN(outer.Cols[bj][i]) {
 			nans++
 		}
@@ -140,7 +141,7 @@ func TestProject(t *testing.T) {
 		t.Errorf("projection changed cardinality: %d vs %d", p.Len(), c.Len())
 	}
 	// Lookups still work on the shared index.
-	if _, ok := p.Lookup(c.Coords[0]); !ok {
+	if _, ok := p.Lookup(c.Coord(0)); !ok {
 		t.Error("projection lost the coordinate index")
 	}
 	if _, err := c.Project([]string{"nosuch"}, nil); err == nil {
@@ -156,7 +157,8 @@ func TestReplaceSlice(t *testing.T) {
 	month, _ := s.FindLevel("month")
 	// Take the June slice and move it to July.
 	june := New(s, c.Group, "sales")
-	for i, coord := range c.Coords {
+	for i := range c.Len() {
+		coord := c.Coord(i)
 		if coord[0] == ids[3] {
 			june.MustAddCell(coord.Clone(), c.Cols[0][i])
 		}
@@ -168,9 +170,9 @@ func TestReplaceSlice(t *testing.T) {
 	if moved.Len() != june.Len() {
 		t.Fatalf("ReplaceSlice changed cardinality")
 	}
-	for _, coord := range moved.Coords {
-		if coord[0] != ids[4] {
-			t.Errorf("coordinate not replaced: %v", coord)
+	for i, id := range moved.Keys[0] {
+		if id != ids[4] {
+			t.Errorf("coordinate not replaced: %v", moved.Coord(i))
 		}
 	}
 	// Replacing a multi-slice cube collides.

@@ -65,12 +65,23 @@ func refJoin(left, right *refCube, alias string, outer bool) (*refCube, error) {
 	return refPartialJoin(left, right, on, alias, outer)
 }
 
+// refJoinPositions finds the on-levels within a group-by set.
+func refJoinPositions(g mdm.GroupBy, on []mdm.LevelRef) ([]int, error) {
+	pos := make([]int, len(on))
+	for i, ref := range on {
+		if pos[i] = g.PosOf(ref); pos[i] < 0 {
+			return nil, fmt.Errorf("cube: join level %d.%d not in group-by set", ref.Hier, ref.Level)
+		}
+	}
+	return pos, nil
+}
+
 func refPartialJoin(left, right *refCube, on []mdm.LevelRef, alias string, outer bool) (*refCube, error) {
-	lpos, err := joinPositions(left.Group, on)
+	lpos, err := refJoinPositions(left.Group, on)
 	if err != nil {
 		return nil, err
 	}
-	rpos, err := joinPositions(right.Group, on)
+	rpos, err := refJoinPositions(right.Group, on)
 	if err != nil {
 		return nil, err
 	}

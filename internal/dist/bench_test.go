@@ -198,23 +198,25 @@ func BenchmarkShardMerge(b *testing.B) {
 			g := mdm.GroupBy{{Hier: 0}, {Hier: 1}}
 			plan := engine.Decompose([]int{0, 1, 2}, benchOps)
 			rng := rand.New(rand.NewSource(1))
-			var ids [2][]int32
+			var keys [2][]int
 			for _, key := range rng.Perm(shape.a * shape.c)[:shape.cells] {
-				coord := []int32{int32(key / shape.c), int32(key % shape.c)}
 				switch on := rng.Float64(); {
 				case on < shape.both:
-					ids[0], ids[1] = append(ids[0], coord...), append(ids[1], coord...)
+					keys[0], keys[1] = append(keys[0], key), append(keys[1], key)
 				default:
-					sh := shardOf(coord[0], 2)
-					ids[sh] = append(ids[sh], coord...)
+					sh := shardOf(int32(key/shape.c), 2)
+					keys[sh] = append(keys[sh], key)
 				}
 			}
 			parts := make([]*cube.Cube, 2)
 			for i := range parts {
 				// A shard replies in ascending key order.
-				n := len(ids[i]) / 2
-				coords := cube.Carve(ids[i], n, 2)
-				slices.SortFunc(coords, func(x, y mdm.Coordinate) int { return slices.Compare(x, y) })
+				slices.Sort(keys[i])
+				n := len(keys[i])
+				ids := [][]int32{make([]int32, n), make([]int32, n)}
+				for r, key := range keys[i] {
+					ids[0][r], ids[1][r] = int32(key/shape.c), int32(key%shape.c)
+				}
 				cols := make([][]float64, 3)
 				for j := range cols {
 					cols[j] = make([]float64, n)
@@ -223,7 +225,7 @@ func BenchmarkShardMerge(b *testing.B) {
 					}
 				}
 				var err error
-				if parts[i], err = cube.Build(s, g, []string{"p0", "p1", "p2"}, coords, cols); err != nil {
+				if parts[i], err = cube.Build(s, g, []string{"p0", "p1", "p2"}, n, ids, cols); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -232,7 +232,7 @@ func DecodeResponse(s *mdm.Schema, g mdm.GroupBy, names []string, buf []byte) (u
 	if rowBytes == 0 {
 		// No levels and no columns: the one possible cell has no bytes,
 		// so only the header says whether it is there.
-		c, err = cube.Build(s, g, names, cube.Carve(nil, nrows, 0), nil)
+		c, err = cube.Build(s, g, names, nrows, nil, nil)
 	} else {
 		c, err = engine.DecodeRows(s, g, names, body)
 	}

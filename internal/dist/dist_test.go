@@ -64,7 +64,8 @@ func diffCubes(t *testing.T, label string, want, got *cube.Cube) {
 	if len(want.Cols) != len(got.Cols) {
 		t.Fatalf("%s: %d columns, want %d", label, len(got.Cols), len(want.Cols))
 	}
-	for i, coord := range want.Coords {
+	for i := range want.Len() {
+		coord := want.Coord(i)
 		j, ok := got.Lookup(coord)
 		if !ok {
 			t.Fatalf("%s: missing coordinate %v", label, coord)

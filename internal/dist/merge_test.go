@@ -35,7 +35,8 @@ type refTable struct{ cells map[string]*refCell }
 // a new coordinate starts from each column's identity, a coordinate the
 // part repeats is folded twice.
 func refMergeInto(dst *refTable, colOps []mdm.AggOp, c *cube.Cube) {
-	for i, coord := range c.Coords {
+	for i := range c.Len() {
+		coord := c.Coord(i)
 		dc, ok := dst.cells[mdm.WideKey(coord, nil)]
 		if !ok {
 			dc = &refCell{coord: coord, vals: make([]float64, len(colOps))}
@@ -100,7 +101,10 @@ func refMerge(s *mdm.Schema, g mdm.GroupBy, ops, colOps []mdm.AggOp, names []str
 // shard scan could have produced (positive integer counts, floats
 // elsewhere).
 func shardPart(rng *rand.Rand, s *mdm.Schema, g mdm.GroupBy, colOps []mdm.AggOp, coords []mdm.Coordinate) *cube.Cube {
-	ids := make([]int32, 0, len(coords)*len(g))
+	keys := make([][]int32, len(g))
+	for p := range keys {
+		keys[p] = make([]int32, len(coords))
+	}
 	cols := make([][]float64, len(colOps))
 	names := make([]string, len(colOps))
 	for j := range cols {
@@ -108,7 +112,9 @@ func shardPart(rng *rand.Rand, s *mdm.Schema, g mdm.GroupBy, colOps []mdm.AggOp,
 		names[j] = fmt.Sprint("p", j)
 	}
 	for i, coord := range coords {
-		ids = append(ids, coord...)
+		for p, id := range coord {
+			keys[p][i] = id
+		}
 		for j, op := range colOps {
 			if op == mdm.AggCount {
 				cols[j][i] = float64(1 + rng.Intn(9))
@@ -117,7 +123,7 @@ func shardPart(rng *rand.Rand, s *mdm.Schema, g mdm.GroupBy, colOps []mdm.AggOp,
 			}
 		}
 	}
-	c, err := cube.Build(s, g, names, cube.Carve(ids, len(coords), len(g)), cols)
+	c, err := cube.Build(s, g, names, len(coords), keys, cols)
 	if err != nil {
 		panic(err)
 	}
@@ -177,13 +183,13 @@ func (r *mergeRig) mergeBoth(t *testing.T, what string, g mdm.GroupBy, parts []*
 	if got.Len() != want.Len() {
 		t.Fatalf("%s: %d cells, reference %d", what, got.Len(), want.Len())
 	}
-	for i := range want.Coords {
-		if !slices.Equal(got.Coords[i], want.Coords[i]) {
-			t.Fatalf("%s: cell %d is %v, reference %v", what, i, got.Coords[i], want.Coords[i])
+	for i := range want.Len() {
+		if !slices.Equal(got.Coord(i), want.Coord(i)) {
+			t.Fatalf("%s: cell %d is %v, reference %v", what, i, got.Coord(i), want.Coord(i))
 		}
 		for j := range want.Cols {
 			if math.Float64bits(got.Cols[j][i]) != math.Float64bits(want.Cols[j][i]) {
-				t.Fatalf("%s: cell %v %s = %v, reference %v", what, want.Coords[i], r.names[j], got.Cols[j][i], want.Cols[j][i])
+				t.Fatalf("%s: cell %v %s = %v, reference %v", what, want.Coord(i), r.names[j], got.Cols[j][i], want.Cols[j][i])
 			}
 		}
 	}
@@ -340,7 +346,7 @@ func TestMergeRejectsForeignIds(t *testing.T) {
 	n := int32(s.Dict(g[0]).Len())
 	r := newMergeRig(t, s, []int{0}, []mdm.AggOp{mdm.AggSum}, []string{"sum"})
 	for _, id := range []int32{n, -1} {
-		c, err := cube.Build(s, g, []string{"p0"}, cube.Carve([]int32{0, id}, 2, 1), [][]float64{{1, 2}})
+		c, err := cube.Build(s, g, []string{"p0"}, 2, [][]int32{{0, id}}, [][]float64{{1, 2}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"github.com/assess-olap/assess/internal/mdm"
 	"github.com/assess-olap/assess/internal/obsv"
 	"github.com/assess-olap/assess/internal/sales"
+	"github.com/assess-olap/assess/internal/storage"
 )
 
 func viewAdmissions() int64 {
@@ -174,7 +175,7 @@ func TestMaterializePromotesAdmittedView(t *testing.T) {
 	// A budget of exactly the promoted view's bytes: were it still
 	// counted against the budget, the (month) admission would have to
 	// evict it to fit.
-	e.SetAutoViews(e.ViewBytes())
+	e.SetAutoViews(e.ViewStatsSnapshot().Bytes)
 	for range minViewSightings {
 		if _, err := e.Get(Query{Fact: "SALES", Group: mdm.MustGroupBy(s, "month"), Measures: []int{qi}}); err != nil {
 			t.Fatal(err)
@@ -262,5 +263,39 @@ func TestAdmissionConcurrentMisses(t *testing.T) {
 	}
 	if d := viewAdmissions() - admitted; d != 1 {
 		t.Fatalf("admissions after one more read %d, want 1", d)
+	}
+}
+
+// TestRowsScannedCountsSwept: a scan charges assess_engine_rows_scanned_total
+// with the rows it swept. A statement sliced on one product over a segment
+// store with postings visits that product's rows only, not the fact's.
+func TestRowsScannedCountsSwept(t *testing.T) {
+	ds := sales.Generate(20000, 43)
+	s := ds.Schema
+	pref, _ := s.FindLevel("product")
+	const product = 3
+	selected := 0
+	for _, k := range ds.Fact.Keys[pref.Hier] {
+		if k == product {
+			selected++
+		}
+	}
+	seg, _ := segmentFact(t, ds.Fact, colstore.Options{SegmentRows: 4096, AutoCompactRows: -1})
+	for name, f := range map[string]*storage.FactTable{"resident": ds.Fact, "segment": seg} {
+		e := New()
+		if err := e.Register("SALES", f); err != nil {
+			t.Fatal(err)
+		}
+		want := selected
+		if name == "resident" {
+			want = f.Rows() // no postings: every row is visited
+		}
+		before := mRowsScanned.Value()
+		if _, err := e.Get(byCountryFor(t, s, "product", product)); err != nil {
+			t.Fatal(err)
+		}
+		if got := mRowsScanned.Value() - before; got != int64(want) {
+			t.Errorf("%s: rows scanned grew by %d, want %d of %d rows", name, got, want, f.Rows())
+		}
 	}
 }

@@ -104,7 +104,6 @@ func BenchmarkMorselScaling(b *testing.B) {
 			e, s, q := benchDataset(b)
 			q.Group = mdm.MustGroupBy(s, "year")
 			e.SetParallelism(w)
-			e.SetParallelMinRows(8192)
 			e.SetMorselSize(16384)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -63,9 +63,6 @@ type Engine struct {
 	auto   autoAdmit
 	// workers is the fact-scan parallelism (1 = serial, the default).
 	workers int
-	// minParRows is the minimum rows per worker before a scan is
-	// partitioned (0 selects the parallelThreshold default).
-	minParRows int
 	// denseBudget is the dense key-space slot budget: >0 explicit,
 	// 0 the DefaultDenseKeyBudget default, <0 dense kernels disabled
 	// (see SetDenseKeyBudget in kernel.go).
@@ -368,15 +365,11 @@ func (e *Engine) GetContext(ctx context.Context, q Query) (*cube.Cube, error) {
 	return transfer(c)
 }
 
-// GetJoined evaluates two cube queries and their (partial, possibly
-// left-outer) join engine-side, transferring only the joined rows: the
-// subexpression C ⋈ B pushed to SQL by a Join-Optimized Plan (Listing 4).
-// The right cube's measures are prefixed with alias.
-func (e *Engine) GetJoined(qc, qb Query, on []mdm.LevelRef, alias string, outer bool) (*cube.Cube, error) {
-	return e.GetJoinedContext(context.Background(), qc, qb, on, alias, outer)
-}
-
-// GetJoinedContext is GetJoined with a caller context (see GetContext).
+// GetJoinedContext evaluates two cube queries and their (partial,
+// possibly left-outer) join engine-side, transferring only the joined
+// rows: the subexpression C ⋈ B pushed to SQL by a Join-Optimized Plan
+// (Listing 4). The right cube's measures are prefixed with alias.
+// Cancelling ctx ends the fact scans (see GetContext).
 func (e *Engine) GetJoinedContext(ctx context.Context, qc, qb Query, on []mdm.LevelRef, alias string, outer bool) (*cube.Cube, error) {
 	c, err := e.aggregate(ctx, qc)
 	if err != nil {
@@ -393,20 +386,16 @@ func (e *Engine) GetJoinedContext(ctx context.Context, qc, qb Query, on []mdm.Le
 	return transfer(j)
 }
 
-// GetPivoted evaluates one cube query covering all slices and pivots it
-// engine-side on the reference member: the get+pivot subexpression pushed
-// to SQL by a Pivot-Optimized Plan (Listing 5). The aggregate is answered
-// like any other (exact view, roll-up of a finer view, or fact scan) and
-// pivoted by cube.Pivot, the same operator an NP plan runs client-side,
-// so only the pivoted rows cross the cursor boundary. neighbors fixes the
-// benchmark slice columns (nil infers them from the data). When strict is
-// true, cells missing any neighbor slice are filtered out (the "is not
-// null" clauses); the assess* variant keeps them with nulls.
-func (e *Engine) GetPivoted(q Query, level mdm.LevelRef, ref int32, neighbors []int32, strict bool, rename func(measure, member string) string) (*cube.Cube, error) {
-	return e.GetPivotedContext(context.Background(), q, level, ref, neighbors, strict, rename)
-}
-
-// GetPivotedContext is GetPivoted with a caller context (see GetContext).
+// GetPivotedContext evaluates one cube query covering all slices and
+// pivots it engine-side on the reference member: the get+pivot
+// subexpression pushed to SQL by a Pivot-Optimized Plan (Listing 5). The
+// aggregate is answered like any other (exact view, roll-up of a finer
+// view, or fact scan) and pivoted by cube.Pivot, the same operator an NP
+// plan runs client-side, so only the pivoted rows cross the cursor
+// boundary. neighbors fixes the benchmark slice columns (nil infers them
+// from the data). When strict is true, cells missing any neighbor slice
+// are filtered out (the "is not null" clauses); the assess* variant keeps
+// them with nulls.
 func (e *Engine) GetPivotedContext(ctx context.Context, q Query, level mdm.LevelRef, ref int32, neighbors []int32, strict bool, rename func(measure, member string) string) (*cube.Cube, error) {
 	c, err := e.aggregate(ctx, q)
 	if err != nil {
@@ -419,16 +408,10 @@ func (e *Engine) GetPivotedContext(ctx context.Context, q Query, level mdm.Level
 	return transfer(p)
 }
 
-// GetMultiplied evaluates two cube queries and their one-to-many partial
-// join engine-side (the pushed C ⋈ B of a Join-Optimized Plan over a past
-// benchmark, Example 5.3): one output row per (target cell, slice member)
-// pair, transferred once.
-func (e *Engine) GetMultiplied(qc, qb Query, level mdm.LevelRef, members []int32, alias string, outer bool) (*cube.Cube, error) {
-	return e.GetMultipliedContext(context.Background(), qc, qb, level, members, alias, outer)
-}
-
-// GetMultipliedContext is GetMultiplied with a caller context (see
-// GetContext).
+// GetMultipliedContext evaluates two cube queries and their one-to-many
+// partial join engine-side (the pushed C ⋈ B of a Join-Optimized Plan
+// over a past benchmark, Example 5.3): one output row per (target cell,
+// slice member) pair, transferred once.
 func (e *Engine) GetMultipliedContext(ctx context.Context, qc, qb Query, level mdm.LevelRef, members []int32, alias string, outer bool) (*cube.Cube, error) {
 	c, err := e.aggregate(ctx, qc)
 	if err != nil {
@@ -445,17 +428,11 @@ func (e *Engine) GetMultipliedContext(ctx context.Context, qc, qb Query, level m
 	return transfer(m)
 }
 
-// GetRollupJoined evaluates the target query and its ancestor benchmark
-// engine-side: the benchmark is the target query re-grouped at the
-// coarser group-by set, and each target cell is joined with the
+// GetRollupJoinedContext evaluates the target query and its ancestor
+// benchmark engine-side: the benchmark is the target query re-grouped at
+// the coarser group-by set, and each target cell is joined with the
 // benchmark cell its coordinate rolls up to. Only the joined rows cross
 // to the client (the JOP form of an ancestor benchmark).
-func (e *Engine) GetRollupJoined(qc, qb Query, alias string, outer bool) (*cube.Cube, error) {
-	return e.GetRollupJoinedContext(context.Background(), qc, qb, alias, outer)
-}
-
-// GetRollupJoinedContext is GetRollupJoined with a caller context (see
-// GetContext).
 func (e *Engine) GetRollupJoinedContext(ctx context.Context, qc, qb Query, alias string, outer bool) (*cube.Cube, error) {
 	c, err := e.aggregate(ctx, qc)
 	if err != nil {

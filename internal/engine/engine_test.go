@@ -70,7 +70,8 @@ func TestGetExampleTwoSeven(t *testing.T) {
 	}
 	want := map[string]float64{"Apple": 100, "Pear": 90, "Lemon": 30}
 	qj := cellValue(t, s, c, "quantity")
-	for i, coord := range c.Coords {
+	for i := range c.Len() {
+		coord := c.Coord(i)
 		prod := s.Dict(c.Group[0]).Name(coord[0])
 		if got := c.Cols[qj][i]; got != want[prod] {
 			t.Errorf("%s: quantity = %g, want %g", prod, got, want[prod])
@@ -122,7 +123,7 @@ func TestGetJoinedSibling(t *testing.T) {
 	qc := freshFruitQuery(t, s, "Italy")
 	qb := freshFruitQuery(t, s, "France")
 	product, _ := s.FindLevel("product")
-	d, err := e.GetJoined(qc, qb, []mdm.LevelRef{product}, "benchmark.", false)
+	d, err := e.GetJoinedContext(context.Background(), qc, qb, []mdm.LevelRef{product}, "benchmark.", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,8 @@ func TestGetJoinedSibling(t *testing.T) {
 	want := map[string][2]float64{
 		"Apple": {100, 150}, "Pear": {90, 110}, "Lemon": {30, 20},
 	}
-	for i, coord := range d.Coords {
+	for i := range d.Len() {
+		coord := d.Coord(i)
 		prod := s.Dict(d.Group[0]).Name(coord[0])
 		if d.Cols[qj][i] != want[prod][0] || d.Cols[bj][i] != want[prod][1] {
 			t.Errorf("%s: (%g, %g), want %v", prod, d.Cols[qj][i], d.Cols[bj][i], want[prod])
@@ -149,7 +151,7 @@ func TestGetPivotedSibling(t *testing.T) {
 	countryRef, italy := member(t, s, "country", "Italy")
 	_, france := member(t, s, "country", "France")
 	q.Preds[1] = Predicate{Level: countryRef, Members: []int32{italy, france}}
-	d, err := e.GetPivoted(q, countryRef, italy, nil, true,
+	d, err := e.GetPivotedContext(context.Background(), q, countryRef, italy, nil, true,
 		func(m, member string) string { return "qtyFrance" })
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +161,8 @@ func TestGetPivotedSibling(t *testing.T) {
 	}
 	qf := cellValue(t, s, d, "qtyFrance")
 	want := map[string]float64{"Apple": 150, "Pear": 110, "Lemon": 20}
-	for i, coord := range d.Coords {
+	for i := range d.Len() {
+		coord := d.Coord(i)
 		prod := s.Dict(d.Group[0]).Name(coord[0])
 		if got := d.Cols[qf][i]; got != want[prod] {
 			t.Errorf("%s: qtyFrance = %g, want %g", prod, got, want[prod])
@@ -182,13 +185,13 @@ func TestJOPEqualsNPEqualsPOP(t *testing.T) {
 	countryRef, italy := member(t, s, "country", "Italy")
 	_, france := member(t, s, "country", "France")
 
-	jop, err := e.GetJoined(qc, qb, []mdm.LevelRef{product}, "benchmark.", false)
+	jop, err := e.GetJoinedContext(context.Background(), qc, qb, []mdm.LevelRef{product}, "benchmark.", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	qAll := freshFruitQuery(t, s, "Italy")
 	qAll.Preds[1] = Predicate{Level: countryRef, Members: []int32{italy, france}}
-	pop, err := e.GetPivoted(qAll, countryRef, italy, nil, true,
+	pop, err := e.GetPivotedContext(context.Background(), qAll, countryRef, italy, nil, true,
 		func(m, member string) string { return "benchmark." + m })
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +201,8 @@ func TestJOPEqualsNPEqualsPOP(t *testing.T) {
 	}
 	bj := cellValue(t, s, jop, "benchmark.quantity")
 	bp := cellValue(t, s, pop, "benchmark.quantity")
-	for i, coord := range jop.Coords {
+	for i := range jop.Len() {
+		coord := jop.Coord(i)
 		pi, ok := pop.Lookup(coord)
 		if !ok {
 			t.Fatalf("coordinate %s missing from POP result", coord.Format(s, jop.Group))
@@ -290,7 +294,7 @@ func TestWireRoundTripNaN(t *testing.T) {
 	// Outer join against an empty benchmark: NaNs must survive the wire.
 	qb := freshFruitQuery(t, s, "Spain")
 	product, _ := s.FindLevel("product")
-	d, err := e.GetJoined(qc, qb, []mdm.LevelRef{product}, "benchmark.", true)
+	d, err := e.GetJoinedContext(context.Background(), qc, qb, []mdm.LevelRef{product}, "benchmark.", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +302,7 @@ func TestWireRoundTripNaN(t *testing.T) {
 		t.Fatalf("|D| = %d, want 3", d.Len())
 	}
 	bj := cellValue(t, s, d, "benchmark.quantity")
-	for i := range d.Coords {
+	for i := range d.Len() {
 		if !math.IsNaN(d.Cols[bj][i]) {
 			t.Errorf("cell %d: NaN lost in transfer: %g", i, d.Cols[bj][i])
 		}

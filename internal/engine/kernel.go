@@ -64,7 +64,9 @@ func (e *Engine) denseKeyBudget() int {
 
 // SetMorselSize sets the number of fact rows per scan morsel (values
 // below 1 restore DefaultMorselSize). Smaller morsels balance skewed
-// predicate work across workers at the cost of more queue traffic.
+// predicate work across workers at the cost of more queue traffic. A
+// morsel is also each worker's row floor: a scan gets no more workers
+// than it has morsels (scanShape).
 func (e *Engine) SetMorselSize(rows int) {
 	if rows < 1 {
 		rows = DefaultMorselSize
@@ -705,29 +707,34 @@ func (sq *scanQuery) occupied(t *aggTable) []int {
 	return slots
 }
 
-// finalize materializes the occupied slots as a derived cube. The cube is
-// assembled column by column: one coordinate arena and one slice per
-// measure, whatever the cell count.
+// finalize materializes the occupied slots as a derived cube, assembled
+// column by column: one slice per group position and per measure, whatever
+// the cell count.
 func (sq *scanQuery) finalize(s *mdm.Schema, names []string, t *aggTable) (*cube.Cube, error) {
 	slots := sq.occupied(t)
-	return cube.Build(s, sq.group, names, sq.coords(t, slots), sq.columns(t, slots))
+	return cube.Build(s, sq.group, names, len(slots), sq.keys(t, slots), sq.columns(t, slots))
 }
 
-// coords decodes each slot's composite key back into its coordinate.
-func (sq *scanQuery) coords(t *aggTable, slots []int) []mdm.Coordinate {
+// keys decodes each slot's composite key back into the member ids of its
+// coordinate, one column per group position.
+func (sq *scanQuery) keys(t *aggTable, slots []int) [][]int32 {
 	width := len(sq.group)
-	coords := cube.Carve(make([]int32, len(slots)*width), len(slots), width)
-	for i, slot := range slots {
-		switch {
-		case t.wide != nil:
-			copy(coords[i], t.coords[slot*width:])
-		case sq.dense > 0:
-			sq.space.Decode(uint64(slot), coords[i])
-		default:
-			sq.space.Decode(t.keys[slot], coords[i])
+	keys := make([][]int32, width)
+	for gi := range keys {
+		col := make([]int32, len(slots))
+		for i, slot := range slots {
+			switch {
+			case t.wide != nil:
+				col[i] = t.coords[slot*width+gi]
+			case sq.dense > 0:
+				col[i] = sq.space.Member(uint64(slot), gi)
+			default:
+				col[i] = sq.space.Member(t.keys[slot], gi)
+			}
 		}
+		keys[gi] = col
 	}
-	return coords
+	return keys
 }
 
 // wholeTable rebuilds a dense table every slot of which is occupied from

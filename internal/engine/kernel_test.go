@@ -71,7 +71,6 @@ func kernelEngines(t *testing.T, f *storage.FactTable) map[string]*Engine {
 		}
 		if cfg.parallel {
 			e.SetParallelism(4)
-			e.SetParallelMinRows(50)
 			e.SetMorselSize(64)
 		}
 		if err := e.Register("T", f); err != nil {
@@ -178,10 +177,10 @@ func TestKernelSingleMorselFallsBackToSerial(t *testing.T) {
 	if w, m := shape.scanShape(100); w != 1 || m != DefaultMorselSize {
 		t.Errorf("scanShape(100) = %d workers, morsel %d; want 1 (serial), the default morsel", w, m)
 	}
-	if w, _ := shape.scanShape(4 * parallelThreshold); w != 4 {
+	if w, _ := shape.scanShape(4 * DefaultMorselSize); w != 4 {
 		t.Errorf("scanShape(256Ki) = %d workers, want 4", w)
 	}
-	shape.SetParallelMinRows(250)
+	shape.SetMorselSize(250)
 	if w, m := shape.scanShape(1000); w != 4 || m != 250 {
 		t.Errorf("scanShape(1000) = %d workers, morsel %d; want 4, 250 (at least one morsel per worker)", w, m)
 	}
@@ -272,7 +271,8 @@ func TestDenseBudgetOverflowMidRegistry(t *testing.T) {
 	if got.Len() != want.Len() {
 		t.Fatalf("post-growth scan has %d cells, want %d", got.Len(), want.Len())
 	}
-	for i, coord := range want.Coords {
+	for i := range want.Len() {
+		coord := want.Coord(i)
 		gi, ok := got.Lookup(coord)
 		if !ok || got.Cols[0][gi] != want.Cols[0][i] {
 			t.Errorf("cell %v: got %v, want %v", coord, got.Cols[0][gi], want.Cols[0][i])
@@ -291,7 +291,8 @@ func TestDenseBudgetOverflowMidRegistry(t *testing.T) {
 	if cg.Len() != wg.Len() {
 		t.Fatalf("post-growth by-g scan has %d cells, want %d", cg.Len(), wg.Len())
 	}
-	for i, coord := range wg.Coords {
+	for i := range wg.Len() {
+		coord := wg.Coord(i)
 		gi, ok := cg.Lookup(coord)
 		if !ok || cg.Cols[0][gi] != wg.Cols[0][i] {
 			t.Errorf("by-g cell %v: got %v, want %v", coord, cg.Cols[0][gi], wg.Cols[0][i])
@@ -342,7 +343,8 @@ func TestSelectionVectorExtremes(t *testing.T) {
 		if full.Len() != free.Len() {
 			t.Fatalf("%s: all-true predicate has %d cells, unpredicated %d", name, full.Len(), free.Len())
 		}
-		for i, coord := range free.Coords {
+		for i := range free.Len() {
+			coord := free.Coord(i)
 			fi, ok := full.Lookup(coord)
 			if !ok {
 				t.Fatalf("%s: coordinate missing under all-true predicate", name)
@@ -379,7 +381,6 @@ func TestMorselWorkStealingStress(t *testing.T) {
 		for _, dense := range []bool{true, false} {
 			e := New()
 			e.SetParallelism(workers)
-			e.SetParallelMinRows(1)
 			e.SetMorselSize(7)
 			if !dense {
 				e.SetDenseKeyBudget(0)
@@ -395,7 +396,8 @@ func TestMorselWorkStealingStress(t *testing.T) {
 				if got.Len() != want.Len() {
 					t.Fatalf("workers=%d dense=%v round %d: %d cells, want %d", workers, dense, round, got.Len(), want.Len())
 				}
-				for i, coord := range want.Coords {
+				for i := range want.Len() {
+					coord := want.Coord(i)
 					gi, ok := got.Lookup(coord)
 					if !ok {
 						t.Fatalf("workers=%d dense=%v round %d: coordinate missing", workers, dense, round)
@@ -523,7 +525,8 @@ func TestMergeTreeSixteenWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, coord := range c.Coords {
+	for i := range c.Len() {
+		coord := c.Coord(i)
 		if int(coord[0]) != i {
 			t.Fatalf("cell %d has key %d: not in ascending key order", i, coord[0])
 		}

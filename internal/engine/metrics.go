@@ -7,7 +7,7 @@ import "github.com/assess-olap/assess/internal/obsv"
 // query is a handful of atomic adds, so they stay on unconditionally.
 var (
 	mRowsScanned = obsv.Default.Counter("assess_engine_rows_scanned_total",
-		"Fact-table rows covered by fact scans: the whole table for a query or a view build, the rows past the view's mark for a refresh.")
+		"Fact-table rows swept by fact scans that answered: every row of a block decoded, or only the rows its postings selected; none of a pruned block. A view build sweeps the whole table, a refresh the rows past the view's mark.")
 	mScansSerial = obsv.Default.Counter("assess_engine_scans_total",
 		"Aggregate evaluations by mode.", "mode", "serial")
 	mScansParallel = obsv.Default.Counter("assess_engine_scans_total",

@@ -140,7 +140,7 @@ func (e *Engine) refreshView(f *storage.FactTable, v *matView) *matView {
 
 // rollupFromView answers a query strictly coarser than the view by
 // re-aggregating the view's cells (reaggregate, partials.go): the view's
-// columnar keys play the fact key columns, roll-up maps go from the view
+// key columns play the fact key columns, roll-up maps go from the view
 // level (not the base level) to the query level, and the view's
 // sub-aggregate columns stand in for the requested measures'.
 func (e *Engine) rollupFromView(ctx context.Context, f *storage.FactTable, v *matView, q Query) (*cube.Cube, error) {
@@ -156,7 +156,7 @@ func (e *Engine) rollupFromView(ctx context.Context, f *storage.FactTable, v *ma
 	keys := make([][]int32, len(s.Hiers))
 	accepts := make([][]bool, len(s.Hiers))
 	for vp, ref := range v.group {
-		keys[ref.Hier], accepts[ref.Hier] = v.keyCols[vp], acc[vp]
+		keys[ref.Hier], accepts[ref.Hier] = v.data.Keys[vp], acc[vp]
 	}
 	gmaps := make([][]int32, len(q.Group))
 	for gi, ref := range q.Group {
@@ -281,7 +281,7 @@ func (e *Engine) noteViewMiss(q Query, swept int) {
 	est := estimatedCells(f, g, rows)
 	admit := t.misses >= minViewSightings && t.swept >= rows &&
 		2*est <= rows && // benefit: the view must out-coarsen the fact
-		viewSizeBytes(est, len(g), len(f.Schema.Measures), countAvgs(f.Schema)) <= a.budget
+		viewSizeBytes(est, len(g), viewCols(f.Schema)) <= a.budget
 	if admit {
 		a.building[key] = true
 	}
@@ -370,16 +370,6 @@ func estimatedCells(f *storage.FactTable, g mdm.GroupBy, rows int) int {
 	return cells
 }
 
-func countAvgs(s *mdm.Schema) int {
-	n := 0
-	for _, m := range s.Measures {
-		if m.Op == mdm.AggAvg {
-			n++
-		}
-	}
-	return n
-}
-
 // ViewInfo describes one materialized view for stats endpoints.
 type ViewInfo struct {
 	Fact   string   `json:"fact"`
@@ -438,12 +428,4 @@ func (e *Engine) ViewStatsSnapshot() ViewStats {
 		return fmt.Sprint(a.Levels) < fmt.Sprint(b.Levels)
 	})
 	return st
-}
-
-// ViewBytes reports the approximate resident bytes of all materialized
-// views (for the server's scrape-time gauge).
-func (e *Engine) ViewBytes() int64 {
-	e.viewMu.RLock()
-	defer e.viewMu.RUnlock()
-	return e.viewBytes
 }

@@ -133,7 +133,7 @@ func (e *Engine) reaggregate(ctx context.Context, s *mdm.Schema, g, from mdm.Gro
 		t = sq.newTable()
 	}
 	slots := sq.occupied(t)
-	return cube.Build(s, g, names, sq.coords(t, slots), p.read(sq.columns(t, slots)))
+	return cube.Build(s, g, names, len(slots), sq.keys(t, slots), p.read(sq.columns(t, slots)))
 }
 
 // Combine re-aggregates parts — cubes at q's group-by set whose columns
@@ -164,24 +164,14 @@ func (e *Engine) Combine(ctx context.Context, q Query, p *Partials, names []stri
 			return nil, fmt.Errorf("engine: part %d is %d levels by %d columns, the request %d by %d",
 				i, len(c.Group), len(c.Cols), len(from), len(p.Ops))
 		}
-		n := c.Len()
-		keys := make([][]int32, len(from))
-		backing := make([]int32, n*len(from))
-		for gi := range keys {
-			keys[gi] = backing[gi*n : (gi+1)*n : (gi+1)*n]
-		}
-		for r, coord := range c.Coords {
-			if len(coord) != len(from) {
-				return nil, fmt.Errorf("engine: part %d: cell %v has %d member ids for %d levels", i, coord, len(coord), len(from))
-			}
-			for gi, id := range coord {
+		for gi, col := range c.Keys {
+			for r, id := range col {
 				if id < 0 || int(id) >= len(gmaps[gi]) {
-					return nil, fmt.Errorf("engine: part %d: cell %v lies outside the dictionaries of %s", i, coord, q.Fact)
+					return nil, fmt.Errorf("engine: part %d: cell %v lies outside the dictionaries of %s", i, c.Coord(r), q.Fact)
 				}
-				keys[gi][r] = id
 			}
 		}
-		cells[i] = storage.ColumnsSource(keys, c.Cols, n)
+		cells[i] = storage.ColumnsSource(c.Keys, c.Cols, c.Len())
 	}
 	return e.reaggregate(ctx, f.Schema, q.Group, from, gmaps, nil, p, names, cells...)
 }

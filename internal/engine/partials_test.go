@@ -75,7 +75,7 @@ func TestCombineEqualsRollupEqualsScan(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameCells(t, label+" combined", got, want.Coords, want.Cols)
+				sameCells(t, label+" combined", got, coordsOf(want), want.Cols)
 
 				if len(g) == 0 {
 					continue // no view at the empty group-by set
@@ -83,7 +83,7 @@ func TestCombineEqualsRollupEqualsScan(t *testing.T) {
 				if got, err = e.rollupFromView(ctx, f, viewAt(t, e, g), q); err != nil {
 					t.Fatal(err)
 				}
-				sameCells(t, label+" from the view", got, want.Coords, want.Cols)
+				sameCells(t, label+" from the view", got, coordsOf(want), want.Cols)
 			}
 		}
 	}
@@ -123,5 +123,5 @@ func TestReaggregateSkipsADenseTableForFewCells(t *testing.T) {
 		t.Fatalf("combining %d cells over 800 000 slots: %d dense, %d slot-table scans", part.Len(),
 			mKernelDense.Value()-dense, mKernelHash.Value()-hash)
 	}
-	sameCells(t, "few cells", got, want.Coords, want.Cols)
+	sameCells(t, "few cells", got, coordsOf(want), want.Cols)
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"slices"
 	"testing"
@@ -93,14 +94,14 @@ func TestPivotFromViewMatchesScan(t *testing.T) {
 	for _, c := range cases {
 		for _, strict := range []bool{true, false} {
 			before := hits(c.view)
-			a, err := viewed.GetPivoted(c.q, c.level, c.ref, c.neighbors, strict, nil)
+			a, err := viewed.GetPivotedContext(context.Background(), c.q, c.level, c.ref, c.neighbors, strict, nil)
 			if err != nil {
 				t.Fatalf("%s from the view: %v", c.name, err)
 			}
 			if d := hits(c.view) - before; d != 1 {
 				t.Errorf("%s strict=%v: the view counted %d hits for one pivot, want 1", c.name, strict, d)
 			}
-			b, err := scanned.GetPivoted(c.q, c.level, c.ref, c.neighbors, strict, nil)
+			b, err := scanned.GetPivotedContext(context.Background(), c.q, c.level, c.ref, c.neighbors, strict, nil)
 			if err != nil {
 				t.Fatalf("%s from a scan: %v", c.name, err)
 			}
@@ -110,7 +111,8 @@ func TestPivotFromViewMatchesScan(t *testing.T) {
 			if len(a.Names) != len(b.Names) {
 				t.Fatalf("%s: columns differ: %v vs %v", c.name, a.Names, b.Names)
 			}
-			for i, coord := range a.Coords {
+			for i := range a.Len() {
+				coord := a.Coord(i)
 				bi, ok := b.Lookup(coord)
 				if !ok {
 					t.Fatalf("%s strict=%v: coordinate missing from the scanned result", c.name, strict)
@@ -139,14 +141,14 @@ func TestGetMultipliedValidation(t *testing.T) {
 	q := Query{Fact: "SALES", Group: mdm.MustGroupBy(s, "product", "country"), Measures: []int{qi}}
 	bad := q
 	bad.Fact = "NOPE"
-	if _, err := e.GetMultiplied(bad, q, countryRef, nil, "b.", false); err == nil {
+	if _, err := e.GetMultipliedContext(context.Background(), bad, q, countryRef, nil, "b.", false); err == nil {
 		t.Error("unknown left fact accepted")
 	}
-	if _, err := e.GetMultiplied(q, bad, countryRef, nil, "b.", false); err == nil {
+	if _, err := e.GetMultipliedContext(context.Background(), q, bad, countryRef, nil, "b.", false); err == nil {
 		t.Error("unknown right fact accepted")
 	}
 	monthRef, _ := s.FindLevel("month")
-	if _, err := e.GetMultiplied(q, q, monthRef, nil, "b.", false); err == nil {
+	if _, err := e.GetMultipliedContext(context.Background(), q, q, monthRef, nil, "b.", false); err == nil {
 		t.Error("multiply level outside the group-by accepted")
 	}
 }
@@ -161,7 +163,7 @@ func TestGetRollupJoinedValidation(t *testing.T) {
 	qi, _ := s.MeasureIndex("quantity")
 	qc := Query{Fact: "SALES", Group: mdm.MustGroupBy(s, "product"), Measures: []int{qi}}
 	qb := Query{Fact: "SALES", Group: mdm.MustGroupBy(s, "type"), Measures: []int{qi}}
-	j, err := e.GetRollupJoined(qc, qb, "benchmark.", false)
+	j, err := e.GetRollupJoinedContext(context.Background(), qc, qb, "benchmark.", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,15 +172,15 @@ func TestGetRollupJoinedValidation(t *testing.T) {
 	}
 	// Benchmark group that the target does not roll up to.
 	qbad := Query{Fact: "SALES", Group: mdm.MustGroupBy(s, "month"), Measures: []int{qi}}
-	if _, err := e.GetRollupJoined(qc, qbad, "benchmark.", false); err == nil {
+	if _, err := e.GetRollupJoinedContext(context.Background(), qc, qbad, "benchmark.", false); err == nil {
 		t.Error("non-rollup benchmark group accepted")
 	}
 	bad := qc
 	bad.Fact = "NOPE"
-	if _, err := e.GetRollupJoined(bad, qb, "b.", false); err == nil {
+	if _, err := e.GetRollupJoinedContext(context.Background(), bad, qb, "b.", false); err == nil {
 		t.Error("unknown target fact accepted")
 	}
-	if _, err := e.GetRollupJoined(qc, bad, "b.", false); err == nil {
+	if _, err := e.GetRollupJoinedContext(context.Background(), qc, bad, "b.", false); err == nil {
 		t.Error("unknown benchmark fact accepted")
 	}
 }

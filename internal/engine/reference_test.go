@@ -230,7 +230,6 @@ func TestKernelMatchesReference(t *testing.T) {
 						e := New()
 						e.SetDenseKeyBudget(budget)
 						e.SetParallelism(workers)
-						e.SetParallelMinRows(50)
 						e.SetMorselSize(64)
 						if err := e.Register("T", fact); err != nil {
 							t.Fatal(err)
@@ -295,6 +294,15 @@ func TestKernelMatchesReference(t *testing.T) {
 	}
 }
 
+// coordsOf lists every cell's coordinate.
+func coordsOf(c *cube.Cube) []mdm.Coordinate {
+	coords := make([]mdm.Coordinate, c.Len())
+	for i := range coords {
+		coords[i] = c.Coord(i)
+	}
+	return coords
+}
+
 // sameCells requires the cube to hold exactly the reference's cells, in
 // its order, with its values.
 func sameCells(t *testing.T, label string, got *cube.Cube, coords []mdm.Coordinate, vals [][]float64) {
@@ -303,8 +311,8 @@ func sameCells(t *testing.T, label string, got *cube.Cube, coords []mdm.Coordina
 		t.Fatalf("%s: %d cells, reference has %d", label, got.Len(), len(coords))
 	}
 	for i, coord := range coords {
-		if !slices.Equal(got.Coords[i], coord) {
-			t.Fatalf("%s: cell %d is %v, reference has %v (ascending key order)", label, i, got.Coords[i], coord)
+		if !slices.Equal(got.Coord(i), coord) {
+			t.Fatalf("%s: cell %d is %v, reference has %v (ascending key order)", label, i, got.Coord(i), coord)
 		}
 		for j := range vals {
 			if got.Cols[j][i] != vals[j][i] {

@@ -55,14 +55,14 @@ func sameAsBuild(t *testing.T, label string, e *Engine, v *matView) {
 	if v.rows != want.rows || v.rows != f.Rows() {
 		t.Fatalf("%s: mark %d, a fresh build has %d, the fact %d rows", label, v.rows, want.rows, f.Rows())
 	}
-	sameCells(t, label, v.data, want.data.Coords, want.data.Cols)
+	sameCells(t, label, v.data, coordsOf(want.data), want.data.Cols)
 	for k := range want.parts {
 		if !slices.Equal(v.parts[k], want.parts[k]) {
 			t.Errorf("%s: sub-aggregate column %d differs from a fresh build", label, k)
 		}
 	}
-	for gi := range want.keyCols {
-		if !slices.Equal(v.keyCols[gi], want.keyCols[gi]) {
+	for gi := range want.data.Keys {
+		if !slices.Equal(v.data.Keys[gi], want.data.Keys[gi]) {
 			t.Errorf("%s: key column %d differs from a fresh build", label, gi)
 		}
 	}
@@ -207,7 +207,7 @@ func TestViewRefreshWholeTable(t *testing.T) {
 				t.Fatalf("%s, append %d: %+v, want one refresh of the %d rows", c.name, i, d, batch)
 			}
 			sameAsBuild(t, fmt.Sprintf("%s, append %d", c.name, i), e, v)
-			if &v.keyCols[0][0] != &prev.keyCols[0][0] {
+			if &v.data.Keys[0][0] != &prev.data.Keys[0][0] {
 				t.Errorf("%s, append %d: coordinates rebuilt though no cell was added", c.name, i)
 			}
 			if v.acc.t == nil || len(v.acc.slots) != v.data.Len() || v.acc.whole {
@@ -413,8 +413,8 @@ func TestViewRefreshFallbacks(t *testing.T) {
 		if d := readStale().since(before); d.dropped != 1 || d.refreshed != 0 || d.rebuilt != 0 {
 			t.Fatalf("%+v, want the view dropped", d)
 		}
-		if e.Views() != 0 || e.ViewBytes() != 0 {
-			t.Fatalf("%d views, %d bytes after the drop", e.Views(), e.ViewBytes())
+		if e.Views() != 0 || e.ViewStatsSnapshot().Bytes != 0 {
+			t.Fatalf("%d views, %d bytes after the drop", e.Views(), e.ViewStatsSnapshot().Bytes)
 		}
 	})
 }
@@ -431,7 +431,7 @@ func TestViewRefreshAcrossCompaction(t *testing.T) {
 	seg, st := segmentFact(t, res, colstore.Options{SegmentRows: 256, AutoCompactRows: -1})
 	for name, cfg := range map[string]func(*Engine){
 		"serial":   func(*Engine) {},
-		"parallel": func(e *Engine) { e.SetParallelism(4); e.SetParallelMinRows(50); e.SetMorselSize(64) },
+		"parallel": func(e *Engine) { e.SetParallelism(4); e.SetMorselSize(64) },
 	} {
 		e := New()
 		cfg(e)
@@ -500,7 +500,7 @@ func TestViewRefreshRace(t *testing.T) {
 	seg, st := segmentFact(t, res, colstore.Options{SegmentRows: 256, AutoCompactRows: -1})
 	e := New()
 	e.SetParallelism(2)
-	e.SetParallelMinRows(50)
+	e.SetMorselSize(50)
 	if err := e.Register("T", seg); err != nil {
 		t.Fatal(err)
 	}

@@ -38,9 +38,6 @@ import (
 	"github.com/assess-olap/assess/internal/storage"
 )
 
-// parallelThreshold is the default minimum row count per worker.
-const parallelThreshold = 65536
-
 // SetParallelism sets the number of workers used by fact scans. Values
 // below 1 select runtime.NumCPU(); 1 (the default) is serial.
 func (e *Engine) SetParallelism(n int) {
@@ -54,34 +51,15 @@ func (e *Engine) SetParallelism(n int) {
 // fact scans may use, and what the server may format its result with.
 func (e *Engine) Parallelism() int { return max(1, e.workers) }
 
-// SetParallelMinRows sets the minimum number of fact rows each worker
-// must receive before a scan is partitioned (values below 1 restore the
-// 64 Ki default). Production keeps the default — partitioning tiny scans
-// costs more than it saves — while the differential oracle lowers it to
-// exercise the partial-state merge on small generated facts.
-func (e *Engine) SetParallelMinRows(n int) {
-	if n < 1 {
-		n = parallelThreshold
-	}
-	e.minParRows = n
-}
-
-// parallelMinRows returns the effective per-worker row threshold.
-func (e *Engine) parallelMinRows() int {
-	if e.minParRows < 1 {
-		return parallelThreshold
-	}
-	return e.minParRows
-}
-
 // scanShape picks the worker count and morsel size for a scan over rows
 // rows: the configured parallelism capped so each worker averages at
-// least the per-worker row floor (below two workers the scan is serial),
-// and the configured morsel size clamped so a parallel scan yields at
-// least one morsel per worker.
+// least one morsel — partitioning a smaller scan costs more than it
+// saves, and below two workers the scan is serial — and the configured
+// morsel size clamped so a parallel scan yields at least one morsel per
+// worker.
 func (e *Engine) scanShape(rows int) (workers, morsel int) {
-	workers = min(e.workers, rows/e.parallelMinRows())
 	morsel = e.effectiveMorselSize()
+	workers = min(e.workers, rows/morsel)
 	if workers < 2 {
 		return 1, morsel
 	}
@@ -292,15 +270,18 @@ func (e *Engine) scanFact(f *storage.FactTable, sq *scanQuery) (*aggTable, int, 
 	return e.scanRows(src, sq)
 }
 
-// scanRows sizes and runs the scan of fact rows the source covers.
+// scanRows sizes and runs the scan of fact rows the source covers, and
+// counts the rows it swept once it has answered.
 func (e *Engine) scanRows(src storage.ScanSource, sq *scanQuery) (*aggTable, int, error) {
-	rows := src.Rows()
-	mRowsScanned.Add(int64(rows))
-	workers, morsel := e.scanShape(rows)
+	workers, morsel := e.scanShape(src.Rows())
 	if workers > 1 {
 		mScansParallel.Inc()
 	} else {
 		mScansSerial.Inc()
 	}
-	return scan(sq, src, workers, morsel)
+	t, swept, err := scan(sq, src, workers, morsel)
+	if err == nil {
+		mRowsScanned.Add(int64(swept))
+	}
+	return t, swept, err
 }

@@ -157,7 +157,7 @@ func TestScanSegmentCancelPrompt(t *testing.T) {
 
 	e := New()
 	e.SetParallelism(workers)
-	e.SetParallelMinRows(1)
+	e.SetMorselSize(10) // one morsel per block
 	seg := storage.NewSegmentTable(s, backend)
 	if err := e.Register("T", seg); err != nil {
 		t.Fatal(err)
@@ -202,7 +202,6 @@ func TestScanLazyConcurrentAppendRace(t *testing.T) {
 	}
 	e := segmentEngine(t, resident, func(e *Engine) {
 		e.SetParallelism(4)
-		e.SetParallelMinRows(50)
 		e.SetMorselSize(64)
 	})
 	seg, ok := e.Fact("T")
@@ -298,7 +297,7 @@ func TestScanCancelBatchOfOne(t *testing.T) {
 			}
 			e := New()
 			e.SetParallelism(workers)
-			e.SetParallelMinRows(1)
+			e.SetMorselSize(10) // one morsel per block
 			if err := e.Register("T", storage.NewSegmentTable(s, backend)); err != nil {
 				t.Fatal(err)
 			}
@@ -330,7 +329,7 @@ func TestScanBlockError(t *testing.T) {
 		backend := &countingBackend{f: res, blockRows: 10, failBlock: failBlock}
 		e := New()
 		e.SetParallelism(workers)
-		e.SetParallelMinRows(1)
+		e.SetMorselSize(10) // one morsel per block
 		if err := e.Register("T", storage.NewSegmentTable(s, backend)); err != nil {
 			t.Fatal(err)
 		}
@@ -373,7 +372,7 @@ func TestScanWorkerPanic(t *testing.T) {
 		}
 		e := New()
 		e.SetParallelism(workers)
-		e.SetParallelMinRows(1)
+		e.SetMorselSize(10) // one morsel per block
 		if err := e.Register("T", storage.NewSegmentTable(s, backend)); err != nil {
 			t.Fatal(err)
 		}

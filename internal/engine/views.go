@@ -35,8 +35,9 @@ func groupKey(g mdm.GroupBy) string {
 }
 
 // matView is one materialized view as readers see it: the finalized
-// aggregate served to exact-match queries, plus what the navigator needs
-// to roll its cells up to coarser group-by sets — the sub-aggregate
+// aggregate served to exact-match queries, whose key columns are also what
+// the navigator feeds the scan kernels to roll its cells up to coarser
+// group-by sets, plus the sub-aggregate
 // columns the finalized ones were read from (partials.go): AVG is not
 // distributive, so a coarser AVG recombines as Σsums/Σcounts, and COUNT
 // re-aggregates by summing counts. Everything but the version tag and the
@@ -45,10 +46,7 @@ func groupKey(g mdm.GroupBy) string {
 // the old one.
 type matView struct {
 	group mdm.GroupBy
-	data  *cube.Cube // finalized measure columns, one per schema measure
-	// keyCols are the view's coordinates stored columnar (one member-id
-	// column per group position), the layout the scan kernels consume.
-	keyCols [][]int32
+	data  *cube.Cube // key columns and finalized measure columns, one per schema measure
 	// parts are the sub-aggregate columns behind data, laid out by acc.p;
 	// a measure that is its own sub-aggregate shares its column with data.
 	parts [][]float64
@@ -97,24 +95,36 @@ type viewAccum struct {
 	sparse bool
 	whole  bool
 	// slots is occupied(t) as of the last finalize. Slots are only ever
-	// added, so an unchanged count means an unchanged list, and the
-	// coordinates derived from it are reused.
+	// added, so an unchanged count means an unchanged list, and the key
+	// columns derived from it are reused.
 	slots []int
 }
 
-// viewSizeBytes approximates a view's resident size: measure columns
-// (finalized + AVG sums + cnt), row-wise coordinates, columnar key
-// copies, and the per-cell index entry.
-func viewSizeBytes(cells, groups, measures, avgs int) int64 {
-	cols := int64(measures + avgs)
-	if measures > 0 {
-		cols++ // cnt
+// viewSizeBytes approximates the heap a view of cells cells holds: a
+// member-id column per group level and a float64 column per
+// sub-aggregate, plus a finalized column per AVG (viewCols). Its cube is
+// never indexed, and a retained accumulator table is charged on top
+// (absorb). TestViewBytesFollowHeap holds it against the heap.
+func viewSizeBytes(cells, groups, cols int) int64 {
+	return int64(cells) * (4*int64(groups) + 8*int64(cols))
+}
+
+// viewCols counts the float64 columns of a view over s: a sub-aggregate
+// per measure that is not a COUNT, one count column shared by the AVGs
+// and COUNTs, and each AVG's finalized column.
+func viewCols(s *mdm.Schema) int {
+	n, cnt := 0, 0
+	for _, m := range s.Measures {
+		switch m.Op {
+		case mdm.AggCount:
+			cnt = 1
+		case mdm.AggAvg:
+			n, cnt = n+2, 1
+		default:
+			n++
+		}
 	}
-	perCell := 8*cols + // measure columns
-		4*int64(groups) + 24 + // row-wise coordinate + slice header
-		4*int64(groups) + // columnar key copies
-		4*int64(groups) + 48 // index key string + map entry
-	return int64(cells) * perCell
+	return n + cnt
 }
 
 // Materialize pre-aggregates the named fact table at the group-by set
@@ -254,33 +264,25 @@ func (e *Engine) absorb(f *storage.FactTable, a *viewAccum, cur *matView) (v *ma
 	if cur != nil {
 		v.hits.Store(cur.hits.Load())
 	}
-	var coords []mdm.Coordinate
-	if n := sq.cells(t); delta && n == len(a.slots) {
-		coords, v.keyCols = cur.data.Coords, cur.keyCols
+	var keys [][]int32
+	if delta && sq.cells(t) == len(a.slots) {
+		keys = cur.data.Keys
 	} else {
 		a.slots = sq.occupied(t)
-		coords = sq.coords(t, a.slots)
-		v.keyCols = make([][]int32, len(v.group))
-		backing := make([]int32, n*len(v.group))
-		for gi := range v.keyCols {
-			col := backing[gi*n : (gi+1)*n : (gi+1)*n]
-			for i, coord := range coords {
-				col[i] = coord[gi]
-			}
-			v.keyCols[gi] = col
-		}
+		keys = sq.keys(t, a.slots)
 	}
+	n := len(a.slots)
 	v.parts = sq.columns(t, a.slots)
 	// The data cube served to exact-match queries carries the finalized
 	// measure columns; the sub-aggregates live beside it.
-	if v.data, err = cube.Build(s, v.group, a.names, coords, a.p.read(v.parts)); err != nil {
+	if v.data, err = cube.Build(s, v.group, a.names, n, keys, a.p.read(v.parts)); err != nil {
 		return nil, false, err
 	}
-	v.bytes = viewSizeBytes(len(coords), len(v.group), len(s.Measures), countAvgs(s))
+	v.bytes = viewSizeBytes(n, len(v.group), viewCols(s))
 	switch {
-	case !delta && sq.dense > 0 && len(a.slots) == sq.dense:
+	case !delta && sq.dense > 0 && n == sq.dense:
 		a.whole, a.slots = true, nil
-	case worthDense(t.size(), len(coords)):
+	case worthDense(t.size(), n):
 		a.t = t
 		v.bytes += int64(t.size()) * 8 * int64(len(v.parts))
 	default:
@@ -337,7 +339,7 @@ func (v *matView) accepts(s *mdm.Schema, q Query) ([][]bool, error) {
 // keeps reports whether cell i of the view passes acc.
 func (v *matView) keeps(acc [][]bool, i int) bool {
 	for vp, a := range acc {
-		if a != nil && !a[v.keyCols[vp][i]] {
+		if a != nil && !a[v.data.Keys[vp][i]] {
 			return false
 		}
 	}
@@ -346,10 +348,10 @@ func (v *matView) keeps(acc [][]bool, i int) bool {
 
 // aggregateFromView answers an exact-match query from the view: filter
 // the cells through the predicates and project the requested measures,
-// O(|view|) instead of a fact scan. Output columns are built in bulk
-// over preallocated backing arrays; the unpredicated case aliases the
-// view's storage outright (results are copied at the cursor boundary
-// before anything can mutate them).
+// O(|view|) instead of a fact scan. The kept cells are gathered column by
+// column; the unpredicated case aliases the view's columns outright
+// (results are copied at the cursor boundary before anything can mutate
+// them).
 func aggregateFromView(v *matView, q Query) (*cube.Cube, error) {
 	data := v.data
 	s := data.Schema
@@ -360,38 +362,23 @@ func aggregateFromView(v *matView, q Query) (*cube.Cube, error) {
 		}
 		names[j] = s.Measures[mi].Name
 	}
-	if len(q.Preds) == 0 {
-		cols := make([][]float64, len(q.Measures))
-		for j, mi := range q.Measures {
-			cols[j] = data.Cols[mi]
-		}
-		return cube.Build(s, q.Group, names, data.Coords, cols)
+	cols := make([][]float64, len(q.Measures))
+	for j, mi := range q.Measures {
+		cols[j] = data.Cols[mi]
+	}
+	all, err := cube.Build(s, q.Group, names, data.Len(), data.Keys, cols)
+	if err != nil || len(q.Preds) == 0 {
+		return all, err
 	}
 	acc, err := v.accepts(s, q)
 	if err != nil {
 		return nil, err
 	}
-	keep := make([]int, 0, data.Len())
-	for i := range data.Coords {
+	keep := make([]int32, 0, data.Len())
+	for i := range data.Len() {
 		if v.keeps(acc, i) {
-			keep = append(keep, i)
+			keep = append(keep, int32(i))
 		}
 	}
-	n := len(keep)
-	ng := len(q.Group)
-	coords := cube.Carve(make([]int32, n*ng), n, ng)
-	for oi, i := range keep {
-		copy(coords[oi], data.Coords[i])
-	}
-	cols := make([][]float64, len(q.Measures))
-	colBacking := make([]float64, n*len(q.Measures))
-	for j, mi := range q.Measures {
-		col := colBacking[j*n : (j+1)*n : (j+1)*n]
-		src := data.Cols[mi]
-		for oi, i := range keep {
-			col[oi] = src[i]
-		}
-		cols[j] = col
-	}
-	return cube.Build(s, q.Group, names, coords, cols)
+	return all.Select(keep), nil
 }

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/assess-olap/assess/internal/mdm"
 	"github.com/assess-olap/assess/internal/obsv"
 	"github.com/assess-olap/assess/internal/sales"
+	"github.com/assess-olap/assess/internal/ssb"
 )
 
 func TestViewAnswersMatchScan(t *testing.T) {
@@ -52,7 +54,8 @@ func TestViewAnswersMatchScan(t *testing.T) {
 	if a.Len() != b.Len() || a.Len() == 0 {
 		t.Fatalf("view answer has %d cells, scan %d", a.Len(), b.Len())
 	}
-	for i, coord := range a.Coords {
+	for i := range a.Len() {
+		coord := a.Coord(i)
 		bi, ok := b.Lookup(coord)
 		if !ok {
 			t.Fatalf("cell %s missing from scan answer", coord.Format(s, g))
@@ -130,7 +133,8 @@ func TestViewCoversCoarserGroup(t *testing.T) {
 	if a.Len() != b.Len() || a.Len() == 0 {
 		t.Fatalf("rollup answer has %d cells, scan %d", a.Len(), b.Len())
 	}
-	for i, coord := range a.Coords {
+	for i := range a.Len() {
+		coord := a.Coord(i)
 		bi, ok := b.Lookup(coord)
 		if !ok {
 			t.Fatalf("cell %s missing from scan answer", coord.Format(s, q.Group))
@@ -180,7 +184,7 @@ func TestAutoAdmissionAndEviction(t *testing.T) {
 	// only fit by evicting it. The second hot set must use a hierarchy
 	// the first view aggregated away, or the lattice would cover it and
 	// no miss would ever be tallied.
-	e.SetAutoViews(e.ViewBytes())
+	e.SetAutoViews(e.ViewStatsSnapshot().Bytes)
 	qb := Query{Fact: "SALES", Group: mdm.MustGroupBy(s, "month"), Measures: []int{qi}}
 	for i := 0; i < minViewSightings; i++ {
 		if _, err := e.Get(qb); err != nil {
@@ -239,4 +243,41 @@ func TestMaterializeErrors(t *testing.T) {
 	if err := e.Materialize("SALES", g); err == nil {
 		t.Error("duplicate materialization accepted")
 	}
+}
+
+// TestViewBytesFollowHeap holds a view's byte charge, which admission
+// spends its budget by, against the heap the view keeps: within 15 % for a
+// whole (year, customer) view over an SSB fact, where every slot of the
+// key space holds a cell.
+func TestViewBytesFollowHeap(t *testing.T) {
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC() // the second cycle empties what the first moved to the pools' victim caches
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	ds := ssb.Generate(0.05, 7)
+	e := New()
+	if err := e.Register("LINEORDER", ds.Fact); err != nil {
+		t.Fatal(err)
+	}
+	g := mdm.MustGroupBy(ds.Schema, "year", "customer")
+	// A scan at the view's set first, so roll-up tables and pools are in place.
+	if _, err := e.Get(Query{Fact: "LINEORDER", Group: g, Measures: []int{0}}); err != nil {
+		t.Fatal(err)
+	}
+	before := heap()
+	if err := e.Materialize("LINEORDER", g); err != nil {
+		t.Fatal(err)
+	}
+	grown := heap() - before
+	st := e.ViewStatsSnapshot()
+	if cells := st.Views[0].Cells; cells != ds.Schema.Dict(g[0]).Len()*ds.Schema.Dict(g[1]).Len() {
+		t.Fatalf("fixture view has %d cells, not every (year, customer)", cells)
+	}
+	if st.Bytes*100 < grown*85 || st.Bytes*100 > grown*115 {
+		t.Errorf("view of %d cells charged %d bytes, the heap grew by %d", st.Views[0].Cells, st.Bytes, grown)
+	}
+	runtime.KeepAlive(e)
 }

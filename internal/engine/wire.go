@@ -22,20 +22,22 @@ import (
 // behind its own header.
 func AppendRows(buf []byte, c *cube.Cube) []byte {
 	buf = slices.Grow(buf, (4*len(c.Group)+8*len(c.Cols))*c.Len())
-	for i, coord := range c.Coords {
-		for _, id := range coord {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
+	for i := range c.Len() {
+		for _, col := range c.Keys {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(col[i]))
 		}
-		for j := range c.Cols {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Cols[j][i]))
+		for _, col := range c.Cols {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(col[i]))
 		}
 	}
 	return buf
 }
 
 // DecodeRows materializes a client cube from the wire bytes: every cell
-// is copied out of the cursor, into one coordinate arena and one slice
-// per measure. What it allocates is bounded by len(buf).
+// is copied out of the cursor, into one slice per key position and per
+// measure. What it allocates is bounded by len(buf). A row of no bytes
+// cannot be counted, so bytes for zero levels and zero measures decode to
+// no cells.
 func DecodeRows(s *mdm.Schema, g mdm.GroupBy, names []string, buf []byte) (*cube.Cube, error) {
 	rowLen := 4*len(g) + 8*len(names)
 	if rowLen == 0 {
@@ -45,23 +47,25 @@ func DecodeRows(s *mdm.Schema, g mdm.GroupBy, names []string, buf []byte) (*cube
 		return nil, fmt.Errorf("engine: corrupt result set: %d bytes for row length %d", len(buf), rowLen)
 	}
 	n := len(buf) / rowLen
-	ids := make([]int32, n*len(g))
+	keys := make([][]int32, len(g))
+	for p := range keys {
+		keys[p] = make([]int32, n)
+	}
 	cols := make([][]float64, len(names))
 	for j := range cols {
 		cols[j] = make([]float64, n)
 	}
-	p := 0
-	for r := 0; r < n; r++ {
-		for i := range g {
-			ids[r*len(g)+i] = int32(binary.LittleEndian.Uint32(buf[p:]))
-			p += 4
+	for r := range n {
+		row := buf[r*rowLen:]
+		for p, col := range keys {
+			col[r] = int32(binary.LittleEndian.Uint32(row[4*p:]))
 		}
-		for j := range cols {
-			cols[j][r] = math.Float64frombits(binary.LittleEndian.Uint64(buf[p:]))
-			p += 8
+		row = row[4*len(g):]
+		for j, col := range cols {
+			col[r] = math.Float64frombits(binary.LittleEndian.Uint64(row[8*j:]))
 		}
 	}
-	return cube.Build(s, g, names, cube.Carve(ids, n, len(g)), cols)
+	return cube.Build(s, g, names, n, keys, cols)
 }
 
 // transfer moves an engine-side result set across the cursor boundary.

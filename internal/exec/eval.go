@@ -62,10 +62,10 @@ func eval(e semantic.Expr, c *cube.Cube) (value, error) {
 				c.Schema.LevelName(e.Level), e.Name)
 		}
 		h := c.Schema.Hiers[e.Level.Hier]
-		from := c.Group[pos].Level
+		up := h.LevelMap(c.Group[pos].Level, e.Level.Level)
 		out := make([]float64, c.Len())
-		for i, coord := range c.Coords {
-			out[i] = h.PropertyValue(e.Level.Level, e.Name, h.Rollup(coord[pos], from, e.Level.Level))
+		for i, id := range c.Keys[pos] {
+			out[i] = h.PropertyValue(e.Level.Level, e.Name, up[id])
 		}
 		return value{col: out}, nil
 	case *semantic.CallExpr:

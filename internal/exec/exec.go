@@ -366,10 +366,11 @@ type Row struct {
 // schema's dictionaries), so a Columns is free to take and must be
 // treated as read-only; cached results share their cube across requests.
 type Columns struct {
-	// Dicts holds the member dictionary of each coordinate position;
-	// Dicts[p].Name(Coords[i][p]) is cell i's member at position p.
-	Dicts  []*mdm.Dict
-	Coords []mdm.Coordinate
+	// Dicts holds the member dictionary of each coordinate position and
+	// Keys its member-id column: Dicts[p].Name(Keys[p][i]) is cell i's
+	// member at position p.
+	Dicts []*mdm.Dict
+	Keys  [][]int32
 	// Measure and Comparison are always present. Benchmark is nil when
 	// the result carries no benchmark column (every cell reads as NaN),
 	// Labels when it is unlabeled (every cell reads as NullLabel).
@@ -393,7 +394,7 @@ func (r *Result) Columns() (Columns, error) {
 	}
 	cols := Columns{
 		Dicts:      make([]*mdm.Dict, len(c.Group)),
-		Coords:     c.Coords,
+		Keys:       c.Keys,
 		Measure:    c.Cols[mi],
 		Comparison: c.Cols[ci],
 		Labels:     c.Labels,
@@ -414,15 +415,15 @@ func (r *Result) Rows() ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Row, len(cols.Coords))
+	rows := make([]Row, len(cols.Measure))
 	// One backing array for every coordinate's names; the full slice
 	// expression keeps an append on one row from reaching the next.
 	width := len(cols.Dicts)
 	names := make([]string, len(rows)*width)
-	for i, coord := range cols.Coords {
+	for i := range rows {
 		coordinate := names[i*width : (i+1)*width : (i+1)*width]
-		for p, id := range coord {
-			coordinate[p] = cols.Dicts[p].Name(id)
+		for p, col := range cols.Keys {
+			coordinate[p] = cols.Dicts[p].Name(col[i])
 		}
 		row := Row{
 			Coordinate: coordinate,

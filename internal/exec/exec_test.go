@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/assess-olap/assess/internal/engine"
+	"github.com/assess-olap/assess/internal/mdm"
 	"github.com/assess-olap/assess/internal/parser"
 	"github.com/assess-olap/assess/internal/plan"
 	"github.com/assess-olap/assess/internal/sales"
@@ -261,10 +262,14 @@ func TestSharedResultConcurrentReaders(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			for i := w; i < len(cols.Coords); i += 8 {
-				at, ok := r.Cube.Lookup(cols.Coords[i])
+			for i := w; i < len(cols.Measure); i += 8 {
+				coord := make(mdm.Coordinate, len(cols.Keys))
+				for p, col := range cols.Keys {
+					coord[p] = col[i]
+				}
+				at, ok := r.Cube.Lookup(coord)
 				if !ok || at != i || cols.Labels[at] != r.Cube.Labels[i] {
-					t.Errorf("Lookup(%v) = %d, %v; the cell is at %d", cols.Coords[i], at, ok, i)
+					t.Errorf("Lookup(%v) = %d, %v; the cell is at %d", coord, at, ok, i)
 					return
 				}
 			}

@@ -21,12 +21,10 @@ func applyLabeler(b *semantic.Bound, c *cube.Cube, col []float64) ([]string, err
 	if pos < 0 || c.Group[pos].Level > b.Within.Level {
 		return nil, fmt.Errorf("within level not derivable from the result's group-by")
 	}
-	h := c.Schema.Hiers[b.Within.Hier]
-	from := c.Group[pos].Level
+	up := c.Schema.Hiers[b.Within.Hier].LevelMap(c.Group[pos].Level, b.Within.Level)
 	groups := make(map[int32][]int)
-	for i, coord := range c.Coords {
-		g := h.Rollup(coord[pos], from, b.Within.Level)
-		groups[g] = append(groups[g], i)
+	for i, id := range c.Keys[pos] {
+		groups[up[id]] = append(groups[up[id]], i)
 	}
 	out := make([]string, len(col))
 	vals := make([]float64, 0, 64)

@@ -2,6 +2,7 @@ package mdm
 
 import (
 	"encoding/binary"
+	"math"
 	"math/bits"
 )
 
@@ -52,42 +53,40 @@ func (s *Schema) KeySpace(g GroupBy) *KeySpace {
 	return NewKeySpace(cards)
 }
 
-// Wide reports that the space exceeds 64 bits: Key, Stride and Decode are
+// Wide reports that the space exceeds 64 bits: Keys, Stride and Member are
 // unusable and WideKey is the key.
 func (k *KeySpace) Wide() bool { return k.wide }
 
 // Stride returns the weight of position p in the composite key.
 func (k *KeySpace) Stride(p int) uint64 { return k.stride[p] }
 
-// Key encodes a coordinate, or its projection onto the positions pos when
-// pos is non-nil; either way the encoded members align with the space's
-// levels. It reports false when a member id lies outside its level's
-// cardinality, or the coordinate has another number of members than the
-// space has levels: such a coordinate has no key in this space, and equals
-// no coordinate that has.
-func (k *KeySpace) Key(c Coordinate, pos []int) (uint64, bool) {
-	if pos == nil && len(c) != len(k.card) {
-		return 0, false
-	}
-	var key uint64
-	for p := range k.card {
-		id := c[p]
-		if pos != nil {
-			id = c[pos[p]]
+// NoKey stands for the key of a cell the space cannot encode. Every key
+// is below the product of the cardinalities, which fits 64 bits, so no
+// coordinate has it.
+const NoKey = math.MaxUint64
+
+// Keys encodes n cells whose member ids stand in columns, cols[p] at the
+// space's level p, into one composite key per cell, column by column. A
+// cell with an id outside its level's cardinality gets NoKey.
+func (k *KeySpace) Keys(cols [][]int32, n int) []uint64 {
+	keys := make([]uint64, n)
+	for p, col := range cols {
+		card, stride := k.card[p], k.stride[p]
+		for i, id := range col[:n] {
+			switch {
+			case uint64(uint32(id)) >= card:
+				keys[i] = NoKey
+			case keys[i] != NoKey:
+				keys[i] += uint64(id) * stride
+			}
 		}
-		if uint64(uint32(id)) >= k.card[p] {
-			return 0, false
-		}
-		key += uint64(id) * k.stride[p]
 	}
-	return key, true
+	return keys
 }
 
-// Decode writes the coordinate of key into c.
-func (k *KeySpace) Decode(key uint64, c Coordinate) {
-	for p := range c {
-		c[p] = int32(key / k.stride[p] % k.card[p])
-	}
+// Member returns the member id at position p of key's coordinate.
+func (k *KeySpace) Member(key uint64, p int) int32 {
+	return int32(key / k.stride[p] % k.card[p])
 }
 
 // WideKey is the fallback key of a space that does not fit 64 bits (and

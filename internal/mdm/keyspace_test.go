@@ -28,9 +28,9 @@ func TestKeySpaceRoundTripAndOrder(t *testing.T) {
 			return c
 		}
 		a, b := draw(), draw()
-		ka, ok := k.Key(a, nil)
-		kb, ok2 := k.Key(b, nil)
-		if !ok || !ok2 {
+		keys := k.Keys(columns(a, b), 2)
+		ka, kb := keys[0], keys[1]
+		if ka == NoKey || kb == NoKey {
 			t.Fatalf("in-range coordinates %v %v have no key in %v", a, b, cards)
 		}
 		// Keys order like coordinates order by member id.
@@ -38,31 +38,34 @@ func TestKeySpaceRoundTripAndOrder(t *testing.T) {
 			t.Fatalf("keys of %v and %v compare %d, coordinates %d", a, b, got, want)
 		}
 		back := make(Coordinate, len(cards))
-		k.Decode(ka, back)
+		for p := range back {
+			back[p] = k.Member(ka, p)
+		}
 		if !slices.Equal(back, a) {
 			t.Fatalf("decode(key(%v)) = %v", a, back)
 		}
-		// Projecting onto every position in order is the whole coordinate.
-		pos := make([]int, len(cards))
-		for p := range pos {
-			pos[p] = p
-		}
-		if on, ok := k.Key(a, pos); !ok || on != ka {
-			t.Fatalf("Key on all positions = %d, Key = %d", on, ka)
-		}
 		if len(cards) > 0 {
-			out := slices.Clone(a)
+			// An id past its level, or negative, has no key; the cells
+			// beside it keep theirs.
+			out, neg := slices.Clone(a), slices.Clone(a)
 			p := rng.Intn(len(out))
-			out[p] = int32(cards[p]) + int32(rng.Intn(3))
-			if _, ok := k.Key(out, nil); ok {
-				t.Fatalf("%v has a key in %v", out, cards)
-			}
-			out[p] = -1
-			if _, ok := k.Key(out, pos); ok {
-				t.Fatalf("%v has a key in %v", out, cards)
+			out[p], neg[p] = int32(cards[p])+int32(rng.Intn(3)), -1
+			if got := k.Keys(columns(a, out, neg, b), 4); got[1] != NoKey || got[2] != NoKey || got[0] != ka || got[3] != kb {
+				t.Fatalf("keys of %v, %v, %v, %v in %v = %v", a, out, neg, b, cards, got)
 			}
 		}
 	}
+}
+
+// columns lays coordinates out as key columns, one per position.
+func columns(coords ...Coordinate) [][]int32 {
+	cols := make([][]int32, len(coords[0]))
+	for p := range cols {
+		for _, c := range coords {
+			cols[p] = append(cols[p], c[p])
+		}
+	}
+	return cols
 }
 
 func TestKeySpaceWide(t *testing.T) {
@@ -77,7 +80,7 @@ func TestKeySpaceWide(t *testing.T) {
 	if k.Wide() {
 		t.Error("a space with an empty level reported wide")
 	}
-	if _, ok := k.Key(Coordinate{1, 0}, nil); ok {
+	if k.Keys(columns(Coordinate{1, 0}), 1)[0] != NoKey {
 		t.Error("a coordinate has a key in a space with an empty level")
 	}
 	c := Coordinate{7, 1 << 20, 3}

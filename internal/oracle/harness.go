@@ -120,14 +120,13 @@ func shardCountFor(seed int64) int {
 	return oracleShardCounts[int(seed)%len(oracleShardCounts)]
 }
 
-// oracleWorkers is the scan parallelism of the parallel axes,
-// oracleMinParRows the per-worker row floor, and oracleMorselRows the
-// morsel size: low enough that the generated facts (hundreds to a few
-// thousand rows) genuinely split into more morsels than workers, so
-// work-stealing and the partial-state merges are on the tested path.
+// oracleWorkers is the scan parallelism of the parallel axes, and
+// oracleMorselRows the morsel size, which is also each worker's row floor:
+// low enough that the generated facts (hundreds to a few thousand rows)
+// genuinely split into more morsels than workers, so work-stealing and
+// the partial-state merges are on the tested path.
 const (
 	oracleWorkers    = 4
-	oracleMinParRows = 97
 	oracleMorselRows = 53
 )
 
@@ -284,7 +283,6 @@ func shardSession(s *core.Session, fact, ext *storage.FactTable, n int, parallel
 		}
 		if parallel {
 			we.SetParallelism(oracleWorkers)
-			we.SetParallelMinRows(oracleMinParRows)
 			we.SetMorselSize(oracleMorselRows)
 		}
 	}
@@ -316,7 +314,6 @@ func buildSession(c *Case, ax axis, fact, ext *storage.FactTable, shards int) (*
 	}
 	if ax.parallel {
 		s.Engine.SetParallelism(oracleWorkers)
-		s.Engine.SetParallelMinRows(oracleMinParRows)
 		s.Engine.SetMorselSize(oracleMorselRows)
 	}
 	if ax.views != "" {

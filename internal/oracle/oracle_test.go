@@ -546,7 +546,6 @@ func TestViewMaintenanceByDelta(t *testing.T) {
 					}
 					if ax.parallel {
 						s.Engine.SetParallelism(oracleWorkers)
-						s.Engine.SetParallelMinRows(oracleMinParRows)
 						s.Engine.SetMorselSize(oracleMorselRows)
 					}
 					for _, v := range sets {
@@ -665,9 +664,10 @@ func diffCubesExact(want, got *cube.Cube) string {
 	if got.Len() != want.Len() || len(got.Cols) != len(want.Cols) {
 		return fmt.Sprintf("%d cells × %d measures, want %d × %d", got.Len(), len(got.Cols), want.Len(), len(want.Cols))
 	}
-	for i, coord := range want.Coords {
-		if !slices.Equal(got.Coords[i], coord) {
-			return fmt.Sprintf("cell %d is %v, want %v", i, got.Coords[i], coord)
+	for i := range want.Len() {
+		coord := want.Coord(i)
+		if !slices.Equal(got.Coord(i), coord) {
+			return fmt.Sprintf("cell %d is %v, want %v", i, got.Coord(i), coord)
 		}
 		for j := range want.Cols {
 			if math.Float64bits(got.Cols[j][i]) != math.Float64bits(want.Cols[j][i]) {

@@ -96,7 +96,8 @@ func TestBinaryRoundTripPreservesQueryResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := map[string]float64{}
-		for i, coord := range c.Coords {
+		for i := range c.Len() {
+			coord := c.Coord(i)
 			out[coord.Format(s, c.Group)] = c.Cols[0][i]
 		}
 		return out

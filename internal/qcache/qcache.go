@@ -376,8 +376,8 @@ func (c *Cache) Stats() Stats {
 
 // resultBytes is what a cached result keeps alive: the plan, the bound
 // statement and the per-operation stats, and, unless encoded rows took
-// its place, the cube — coordinate headers and member ids, measure
-// columns and label headers (label text is interned per labeler). Result
+// its place, the cube — member-id columns, measure columns and label
+// headers (label text is interned per labeler). Result
 // cubes are built without an index, and nothing looks a cached one up by
 // coordinate, so none is charged. TestCacheBytesFollowHeap in
 // internal/core holds the sum against the heap.
@@ -389,7 +389,9 @@ func resultBytes(r *exec.Result) int64 {
 	)
 	size := int64(fixed) + int64(len(r.OpStats))*96
 	if c := r.Cube; c != nil {
-		size += heapBytes(int64(cap(c.Coords))*sliceHeader) + heapBytes(int64(c.Len()*len(c.Group))*4)
+		for _, col := range c.Keys {
+			size += sliceHeader + heapBytes(int64(cap(col))*4)
+		}
 		for _, col := range c.Cols {
 			size += sliceHeader + heapBytes(int64(cap(col))*8)
 		}

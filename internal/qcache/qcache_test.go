@@ -182,7 +182,7 @@ func TestOversizedResultNotCached(t *testing.T) {
 	if st := c.Stats(); st.Entries != 1 || st.Rejected != 0 || st.Bytes <= budget/16 {
 		t.Fatalf("result under the budget not cached: %+v", st)
 	}
-	do(2, 4000)
+	do(2, 8000)
 	if st := c.Stats(); st.Entries != 1 || st.Rejected != 1 || !c.Peek(testKey(0, 1), 1) {
 		t.Fatalf("oversized result cached, uncounted, or evicted others: %+v", st)
 	}
@@ -473,9 +473,9 @@ func TestBodyUnderBudget(t *testing.T) {
 	const budget = 64 << 10
 	c := qcache.New(budget)
 	var fills atomic.Int32
-	tracked(t, c, testKey(1, 0), 1, fakeResult(t, 400)) // ~18 KiB, the oldest
+	tracked(t, c, testKey(1, 0), 1, fakeResult(t, 1000)) // ~16 KiB, the oldest
 	_, _, b := tracked(t, c, testKey(2, 0), 1, fakeResult(t, 100))
-	_, _, big := tracked(t, c, testKey(3, 0), 1, fakeResult(t, 400))
+	_, _, big := tracked(t, c, testKey(3, 0), 1, fakeResult(t, 1000))
 	if st := c.Stats(); st.Entries != 3 || st.Evictions != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -486,7 +486,7 @@ func TestBodyUnderBudget(t *testing.T) {
 		t.Fatalf("rows longer than the budget = (%d bytes, %v), %d fills", len(rows), filled, fills.Load())
 	}
 
-	// Half the budget in rows on top of two 18 KiB results: the oldest goes.
+	// Half the budget in rows on top of two 16 KiB results: the oldest goes.
 	b.SetLen(budget / 2)
 	_, _, hit = tracked(t, c, testKey(2, 0), 1, nil)
 	if rows, filled := hit.Rows(rowsOf(&fills)); len(rows) != budget/2 || !filled {

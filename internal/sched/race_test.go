@@ -5,13 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	assess "github.com/assess-olap/assess"
 	"github.com/assess-olap/assess/internal/colstore"
-	"github.com/assess-olap/assess/internal/mdm"
+	"github.com/assess-olap/assess/internal/cube"
 	"github.com/assess-olap/assess/internal/persist"
 	"github.com/assess-olap/assess/internal/sched"
 )
@@ -251,7 +252,7 @@ func TestScanAppendRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := diffCubes(got.Cube.Coords, want.Cube.Coords, got.Cube.Cols, want.Cube.Cols); d != "" {
+		if d := diffCubes(got.Cube, want.Cube); d != "" {
 			t.Errorf("%s: %s", stmt, d)
 		}
 	}
@@ -285,20 +286,18 @@ func TestScanAppendRace(t *testing.T) {
 	}
 }
 
-func diffCubes(gotCoords, wantCoords []mdm.Coordinate, gotCols, wantCols [][]float64) string {
-	if len(gotCoords) != len(wantCoords) {
-		return fmt.Sprintf("%d cells, want %d", len(gotCoords), len(wantCoords))
+func diffCubes(got, want *cube.Cube) string {
+	if got.Len() != want.Len() {
+		return fmt.Sprintf("%d cells, want %d", got.Len(), want.Len())
 	}
-	for i := range wantCoords {
-		for p := range wantCoords[i] {
-			if gotCoords[i][p] != wantCoords[i][p] {
-				return fmt.Sprintf("coordinate mismatch at cell %d", i)
-			}
+	for p := range want.Keys {
+		if !slices.Equal(got.Keys[p], want.Keys[p]) {
+			return fmt.Sprintf("coordinate mismatch at position %d", p)
 		}
 	}
-	for m := range wantCols {
-		for i := range wantCols[m] {
-			if gotCols[m][i] != wantCols[m][i] {
+	for m := range want.Cols {
+		for i := range want.Cols[m] {
+			if got.Cols[m][i] != want.Cols[m][i] {
 				return fmt.Sprintf("value mismatch at measure %d cell %d", m, i)
 			}
 		}

@@ -381,7 +381,7 @@ func (e *encoder) member(p int, id int32) {
 
 // assessBody is the rows of an /assess result.
 func assessBody(c exec.Columns) body {
-	return body{len(c.Coords), c.Dicts, func(e *encoder, lo, hi int) { e.assessRows(c, lo, hi) }}
+	return body{len(c.Measure), c.Dicts, func(e *encoder, lo, hi int) { e.assessRows(c, lo, hi) }}
 }
 
 // assessRows appends cells [lo, hi) of an /assess result:
@@ -392,11 +392,11 @@ func (e *encoder) assessRows(c exec.Columns, lo, hi int) {
 			e.buf = append(e.buf, ',')
 		}
 		e.buf = append(e.buf, `{"coordinate":[`...)
-		for p, id := range c.Coords[i] {
+		for p, col := range c.Keys {
 			if p > 0 {
 				e.buf = append(e.buf, ',')
 			}
-			e.member(p, id)
+			e.member(p, col[i])
 		}
 		e.buf = append(e.buf, `],"measure":`...)
 		e.buf = appendFloat(e.buf, c.Measure[i])
@@ -451,20 +451,20 @@ func queryFields(levels, measures []string, cols [][]float64) []queryField {
 	return fields
 }
 
-// queryBody is the rows of a /query result.
-func queryBody(fields []queryField, dicts []*mdm.Dict, coords []mdm.Coordinate) body {
-	return body{len(coords), dicts, func(e *encoder, lo, hi int) { e.queryRows(fields, coords, lo, hi) }}
+// queryBody is the rows of a /query result of n cells with the key
+// columns keys.
+func queryBody(fields []queryField, dicts []*mdm.Dict, keys [][]int32, n int) body {
+	return body{n, dicts, func(e *encoder, lo, hi int) { e.queryRows(fields, keys, lo, hi) }}
 }
 
 // queryRows appends cells [lo, hi) of a /query result, one object per
 // cell keyed by level and measure name.
-func (e *encoder) queryRows(fields []queryField, coords []mdm.Coordinate, lo, hi int) {
+func (e *encoder) queryRows(fields []queryField, keys [][]int32, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		if i > 0 {
 			e.buf = append(e.buf, ',')
 		}
 		e.buf = append(e.buf, '{')
-		coord := coords[i]
 		for k := range fields {
 			f := &fields[k]
 			if k > 0 {
@@ -472,7 +472,7 @@ func (e *encoder) queryRows(fields []queryField, coords []mdm.Coordinate, lo, hi
 			}
 			e.buf = append(e.buf, f.key...)
 			if f.pos >= 0 {
-				e.member(f.pos, coord[f.pos])
+				e.member(f.pos, keys[f.pos][i])
 			} else {
 				e.buf = appendFloat(e.buf, f.col[i])
 			}

@@ -90,12 +90,12 @@ func referenceAssessTo(t testing.TB, w io.Writer, head assessHeader, c exec.Colu
 	resp := assessResponse{
 		Strategy: head.Strategy, Cells: head.Cells, TotalMs: head.TotalMs, Breakdown: head.Breakdown,
 		Cache: head.Cache, Partial: head.Partial, DegradedShards: head.DegradedShards, Trace: head.Trace,
-		Rows: make([]resultRow, len(c.Coords)),
+		Rows: make([]resultRow, len(c.Measure)),
 	}
-	for i, coord := range c.Coords {
-		names := make([]string, len(coord))
-		for p, id := range coord {
-			names[p] = c.Dicts[p].Name(id)
+	for i := range resp.Rows {
+		names := make([]string, len(c.Keys))
+		for p, col := range c.Keys {
+			names[p] = c.Dicts[p].Name(col[i])
 		}
 		bench := math.NaN()
 		if c.Benchmark != nil {
@@ -116,7 +116,8 @@ func referenceAssessTo(t testing.TB, w io.Writer, head assessHeader, c exec.Colu
 type queryTable struct {
 	levels []string
 	dicts  []*mdm.Dict
-	coords []mdm.Coordinate
+	keys   [][]int32
+	n      int // cells
 	names  []string
 	cols   [][]float64
 }
@@ -135,10 +136,10 @@ func referenceQueryTo(t testing.TB, w io.Writer, head queryHeader, q queryTable)
 		Partial: head.Partial, DegradedShards: head.DegradedShards, Trace: head.Trace,
 		Rows: []map[string]any{},
 	}
-	for i, coord := range q.coords {
+	for i := range q.n {
 		row := map[string]any{}
-		for p, id := range coord {
-			row[q.levels[p]] = q.dicts[p].Name(id)
+		for p, col := range q.keys {
+			row[q.levels[p]] = q.dicts[p].Name(col[i])
 		}
 		for j, name := range q.names {
 			row[name] = jsonFloat(q.cols[j][i])
@@ -171,7 +172,7 @@ func encodeAssess(t testing.TB, head assessHeader, c exec.Columns) []byte {
 }
 
 func (q queryTable) body() body {
-	return queryBody(queryFields(q.levels, q.names, q.cols), q.dicts, q.coords)
+	return queryBody(queryFields(q.levels, q.names, q.cols), q.dicts, q.keys, q.n)
 }
 
 func encodeQuery(t testing.TB, head queryHeader, q queryTable) []byte {
@@ -207,14 +208,14 @@ func hostileColumns() exec.Columns {
 	n := len(hostileFloats)
 	c := exec.Columns{
 		Dicts:      []*mdm.Dict{d0, d1},
-		Coords:     make([]mdm.Coordinate, n),
+		Keys:       [][]int32{make([]int32, n), make([]int32, n)},
 		Measure:    make([]float64, n),
 		Benchmark:  make([]float64, n),
 		Comparison: make([]float64, n),
 		Labels:     make([]string, n),
 	}
-	for i := range c.Coords {
-		c.Coords[i] = mdm.Coordinate{int32(i % len(hostileNames)), int32((i * 7) % len(hostileNames))}
+	for i := range n {
+		c.Keys[0][i], c.Keys[1][i] = int32(i%len(hostileNames)), int32((i*7)%len(hostileNames))
 		c.Measure[i] = hostileFloats[i]
 		c.Benchmark[i] = hostileFloats[(i+1)%n]
 		c.Comparison[i] = hostileFloats[(i+5)%n]
@@ -228,7 +229,7 @@ func TestEncodeAssessMatchesEncodingJSON(t *testing.T) {
 	noBench, noLabels := hostile, hostile
 	noBench.Benchmark, noLabels.Labels = nil, nil
 	zeroLevel := exec.Columns{
-		Dicts: []*mdm.Dict{}, Coords: []mdm.Coordinate{{}},
+		Dicts: []*mdm.Dict{}, Keys: [][]int32{},
 		Measure: []float64{1}, Comparison: []float64{2}, Labels: []string{"ok"},
 	}
 	empty := exec.Columns{Dicts: hostile.Dicts}
@@ -259,7 +260,7 @@ func TestEncodeAssessMatchesEncodingJSON(t *testing.T) {
 func TestEncodeQueryMatchesEncodingJSON(t *testing.T) {
 	h := hostileColumns()
 	hostile := queryTable{
-		levels: []string{"pro<duct", "coun\"try"}, dicts: h.Dicts, coords: h.Coords,
+		levels: []string{"pro<duct", "coun\"try"}, dicts: h.Dicts, keys: h.Keys, n: len(h.Measure),
 		names: []string{"zeta", "Alpha", "m&m", "\xff"}, cols: [][]float64{h.Measure, h.Benchmark, h.Comparison, h.Measure},
 	}
 	// A measure named like a level replaces it, and of two columns with
@@ -270,9 +271,9 @@ func TestEncodeQueryMatchesEncodingJSON(t *testing.T) {
 	sameLevels := hostile
 	sameLevels.levels = []string{"l", "l"}
 	zeroLevel := queryTable{
-		levels: nil, dicts: nil, coords: []mdm.Coordinate{{}}, names: []string{"quantity"}, cols: [][]float64{{7}},
+		levels: nil, dicts: nil, n: 1, names: []string{"quantity"}, cols: [][]float64{{7}},
 	}
-	nothing := queryTable{coords: []mdm.Coordinate{{}, {}}}
+	nothing := queryTable{n: 2}
 	empty := queryTable{levels: hostile.levels, dicts: h.Dicts, names: []string{"q"}, cols: [][]float64{nil}}
 	plain := queryHeader{Levels: []string{"product", "country"}, Measures: []string{"quantity"}, Cells: 2, TotalMs: 0.25}
 	full := queryHeader{
@@ -314,14 +315,14 @@ func gridColumns(n int) exec.Columns {
 	}
 	c := exec.Columns{
 		Dicts:      []*mdm.Dict{d0, d1},
-		Coords:     make([]mdm.Coordinate, n),
+		Keys:       [][]int32{make([]int32, n), make([]int32, n)},
 		Measure:    make([]float64, n),
 		Benchmark:  make([]float64, n),
 		Comparison: make([]float64, n),
 		Labels:     make([]string, n),
 	}
-	for i := range c.Coords {
-		c.Coords[i] = mdm.Coordinate{int32((i / 7) % d0.Len()), int32((i * 7) % d1.Len())}
+	for i := range n {
+		c.Keys[0][i], c.Keys[1][i] = int32((i/7)%d0.Len()), int32((i*7)%d1.Len())
 		c.Measure[i] = hostileFloats[i%len(hostileFloats)] + float64(i/len(hostileFloats))/3
 		c.Benchmark[i] = hostileFloats[(i+1)%len(hostileFloats)]
 		c.Comparison[i] = c.Measure[i] / c.Benchmark[i]
@@ -343,7 +344,7 @@ func TestEncodeIdentityGrid(t *testing.T) {
 		noBench.Benchmark, noLabels.Labels = nil, nil
 		ahead := assessHeader{Strategy: "NP", Cells: n, TotalMs: 1.5, Breakdown: map[string]float64{"Get C": 1}}
 		q := queryTable{
-			levels: []string{"custo<mer", "year"}, dicts: cols.Dicts, coords: cols.Coords,
+			levels: []string{"custo<mer", "year"}, dicts: cols.Dicts, keys: cols.Keys, n: n,
 			names: []string{"zeta", "Alpha", "m&m"}, cols: [][]float64{cols.Measure, cols.Benchmark, cols.Comparison},
 		}
 		qhead := queryHeader{Levels: q.levels, Measures: q.names, Cells: n, TotalMs: 0.25}
@@ -414,8 +415,8 @@ func TestEncodeWorkers(t *testing.T) {
 func TestEncodeWorkerPanicStaysInRequest(t *testing.T) {
 	good := syntheticColumns(20 * chunkRows)
 	bad := syntheticColumns(20 * chunkRows)
-	bad.Coords[15*chunkRows+7] = mdm.Coordinate{int32(bad.Dicts[0].Len()), 0}
-	head := assessHeader{Strategy: "NP", Cells: len(good.Coords), Breakdown: map[string]float64{}}
+	bad.Keys[0][15*chunkRows+7], bad.Keys[1][15*chunkRows+7] = int32(bad.Dicts[0].Len()), 0
+	head := assessHeader{Strategy: "NP", Cells: len(good.Measure), Breakdown: map[string]float64{}}
 	want := referenceAssess(t, head, good)
 
 	inBad := make(chan struct{})
@@ -572,17 +573,17 @@ func syntheticColumns(n int) exec.Columns {
 	}
 	c := exec.Columns{
 		Dicts:      []*mdm.Dict{customers, years},
-		Coords:     make([]mdm.Coordinate, n),
+		Keys:       [][]int32{make([]int32, n), make([]int32, n)},
 		Measure:    make([]float64, n),
 		Benchmark:  make([]float64, n),
 		Comparison: make([]float64, n),
 		Labels:     make([]string, n),
 	}
-	for i := range c.Coords {
+	for i := range n {
 		if i%7 == 0 {
 			customers.Intern(fmt.Sprintf("Customer#%09d", i/7))
 		}
-		c.Coords[i] = mdm.Coordinate{int32(i / 7), int32(i % 7)}
+		c.Keys[0][i], c.Keys[1][i] = int32(i/7), int32(i%7)
 		c.Measure[i] = float64(1000000+i*37) + 0.25*float64(i%4)
 		c.Benchmark[i] = 2500000
 		c.Comparison[i] = c.Measure[i] / c.Benchmark[i]
@@ -683,7 +684,7 @@ func TestQueryNeverEmitsNull(t *testing.T) {
 	total := cube.New(sales.Schema(), mdm.GroupBy{}, "quantity")
 	total.MustAddCell(mdm.Coordinate{}, 42)
 	head, dicts := queryHead(&core.QueryResult{Cube: total}, nil)
-	q := queryTable{levels: head.Levels, dicts: dicts, coords: total.Coords, names: total.Names, cols: total.Cols}
+	q := queryTable{levels: head.Levels, dicts: dicts, keys: total.Keys, n: total.Len(), names: total.Names, cols: total.Cols}
 	want := `{"levels":[],"measures":["quantity"],"cells":1,"totalMs":0,"rows":[{"quantity":42}]}` + "\n"
 	if got := encodeQuery(t, head, q); string(got) != want {
 		t.Errorf("grand total:\n got %s\nwant %s", got, want)
@@ -1062,7 +1063,7 @@ func BenchmarkEncodeQuery(b *testing.B) {
 	const n = 42000
 	cols := syntheticColumns(n)
 	q := queryTable{
-		levels: []string{"customer", "year"}, dicts: cols.Dicts, coords: cols.Coords,
+		levels: []string{"customer", "year"}, dicts: cols.Dicts, keys: cols.Keys, n: n,
 		names: []string{"revenue", "quantity"}, cols: [][]float64{cols.Measure, cols.Comparison},
 	}
 	head := queryHeader{Levels: q.levels, Measures: q.names, Cells: n, TotalMs: 20.5}

@@ -48,7 +48,7 @@ func TestScanPanicAnswers500(t *testing.T) {
 		t.Fatal(err)
 	}
 	session.Engine.SetParallelism(2)
-	session.Engine.SetParallelMinRows(1)
+	session.Engine.SetMorselSize(1)
 	srv := httptest.NewServer(New(session).Handler())
 	t.Cleanup(srv.Close)
 	resp, body := post(t, srv, "/assess", map[string]any{"statement": siblingStatement})

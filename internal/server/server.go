@@ -518,7 +518,7 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 		head.Partial = true
 		head.DegradedShards = note.DegradedShards()
 	}
-	b := queryBody(queryFields(head.Levels, c.Names, c.Cols), dicts, c.Coords)
+	b := queryBody(queryFields(head.Levels, c.Names, c.Cols), dicts, c.Keys, c.Len())
 	workers := b.workers(s.session.Engine.Parallelism())
 	encode, n, _ := s.writeResult(w, r, s.queryEgress, time.Now(), head, func(w io.Writer, head []byte) (int64, error) {
 		return encodeBody(r.Context(), w, head, b, workers)
