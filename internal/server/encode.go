@@ -5,10 +5,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"runtime/debug"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"unicode/utf8"
@@ -106,35 +104,6 @@ func appendString(dst []byte, s string) []byte {
 	}
 	dst = append(dst, s[start:]...)
 	return append(dst, '"')
-}
-
-// appendFloat appends f as encoding/json formats a float64 — shortest
-// round-trip digits, 'e' notation below 1e-6 and from 1e21 with a
-// two-digit negative exponent trimmed to one — except that NaN and ±Inf,
-// which encoding/json rejects, become null (the nulls of assess*).
-func appendFloat(dst []byte, f float64) []byte {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return append(dst, "null"...)
-	}
-	abs := math.Abs(f)
-	if abs < 1<<53 {
-		// Integer-valued (sums of integer measures, counts): every such
-		// value is exact, so its digits are its shortest form. Zero is
-		// left to strconv, which keeps the sign of -0.
-		if i := int64(f); float64(i) == f && i != 0 {
-			return strconv.AppendInt(dst, i, 10)
-		}
-	}
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
-		// e-09 → e-9, as encoding/json does.
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-		return dst
-	}
-	return strconv.AppendFloat(dst, f, 'f', -1, 64)
 }
 
 // memberSpan locates one member's escaped, quoted name in

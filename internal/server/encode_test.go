@@ -9,8 +9,10 @@ import (
 	"io"
 	"log"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -183,12 +185,19 @@ func encodeQuery(t testing.TB, head queryHeader, q queryTable) []byte {
 
 // hostileFloats are the values where float formatting has an edge:
 // nulls, the sign of zero, both switches to 'e' notation, the exponent
-// clean-up, the integer fast path's limits, denormals and the extremes.
+// clean-up, the integer fast path's limits, denormals and the extremes,
+// and the float kernel's branches: exact powers of two (an interval
+// narrower below), the least subnormals, 17-digit shortest forms and
+// exponents of one, two and three digits.
 var hostileFloats = []float64{
 	math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1, -1, 0.5, 1.0 / 3,
 	1e21, 9.999999999999999e20, -1e21, 1e-6, 9.999999999999999e-7, 1e-7, -1e-7, 1.5e-9, 1e-10,
 	5e-324, 2.2250738585072014e-308, math.MaxFloat64, -math.MaxFloat64,
 	1 << 53, 1<<53 - 1, -(1 << 53), 1<<53 + 2, 1e15, 123456789012345680, 1e20, 42, -7, 1234567.25,
+	0x1p-1074, 0x1p-1022, 0x1p-1, 0x1p52, 0x1p60, 0x1p1023, 2.225073858507201e-308,
+	1e-323, 1.5e-323, 8e-323, 0.30000000000000004, 2.0 / 3, -2.0 / 3,
+	1.2345678901234567e-7, -1.0000000000000001e-10, 3.3333333333333335e-100, -7.5e-300, 1.7976931348623157e21,
+	4.125e100, 1e308, 123456.78901234568,
 }
 
 // hostileNames are member names that need every escape encoding/json
@@ -706,6 +715,94 @@ func FuzzEncodeString(f *testing.F) {
 	})
 }
 
+// strconvFloat is the strconv path the float kernel replaced: the second
+// reference beside encoding/json.
+func strconvFloat(dst []byte, f float64) []byte {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return append(dst, "null"...)
+	}
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
+		// e-09 → e-9, as encoding/json does.
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+		return dst
+	}
+	return strconv.AppendFloat(dst, f, 'f', -1, 64)
+}
+
+// ssbLikeFloats are n values shaped like SSB answers, half measures and
+// half comparisons: sums of a few qty·price·(1−discount) revenues, and
+// the ratio of such a sum to its budget, each row's revenue jittered by
+// ±15 % — 15 to 17 significant digits, almost none integral.
+func ssbLikeFloats(n int, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]float64, n)
+	for i := range out {
+		var sum, budget float64
+		for range 1 + rng.Intn(8) {
+			qty := float64(1 + rng.Intn(50))
+			discount := float64(rng.Intn(11)) / 100
+			revenue := qty * (900 + 1200*rng.Float64()) * (1 - discount)
+			sum += revenue
+			budget += revenue * (0.85 + 0.3*rng.Float64())
+		}
+		if out[i] = sum; i%2 == 1 {
+			out[i] = sum / budget
+		}
+	}
+	return out
+}
+
+// TestAppendFloatMatchesReference holds the float kernel to strconv byte
+// for byte: at every power of two and every power of ten a float64 has,
+// both neighbours of each, in both signs; at the least subnormals; at
+// random bit patterns; and at SSB-like sums and ratios. A subsample goes
+// through encoding/json as well.
+func TestAppendFloatMatchesReference(t *testing.T) {
+	var edges []float64
+	for p := -1074; p <= 1023; p++ {
+		edges = append(edges, math.Ldexp(1, p))
+	}
+	for k := -324; k <= 308; k++ {
+		v, err := strconv.ParseFloat(fmt.Sprintf("1e%d", k), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges = append(edges, v)
+	}
+	var values []float64
+	for _, v := range edges {
+		for _, w := range []float64{math.Nextafter(v, 0), v, math.Nextafter(v, math.Inf(1))} {
+			values = append(values, w, -w)
+		}
+	}
+	for bits := uint64(1); bits < 1<<16; bits++ {
+		values = append(values, math.Float64frombits(bits))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 2_000_000 {
+		values = append(values, math.Float64frombits(rng.Uint64()))
+	}
+	values = append(values, ssbLikeFloats(1_000_000, 2)...)
+
+	var got, want []byte
+	for i, v := range values {
+		got, want = appendFloat(got[:0], v), strconvFloat(want[:0], v)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("appendFloat(%v) (bits %#x) = %s, strconv gives %s", v, math.Float64bits(v), got, want)
+		}
+		if i%(len(values)/10_000) != 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			continue
+		}
+		if js, err := json.Marshal(v); err != nil || !bytes.Equal(got, js) {
+			t.Fatalf("appendFloat(%v) = %s, encoding/json gives %s (%v)", v, got, js, err)
+		}
+	}
+}
+
 func FuzzEncodeFloat(f *testing.F) {
 	for _, v := range hostileFloats {
 		f.Add(math.Float64bits(v))
@@ -1057,6 +1154,25 @@ func BenchmarkEncodeAssess(b *testing.B) {
 	b.Run("cells=100", run(100, 1))
 	b.Run("cells=42000/workers=1", run(42000, 1))
 	b.Run("cells=42000/workers=2", run(42000, 2))
+}
+
+// BenchmarkAppendFloat holds the float kernel to its speedup over the
+// strconv path it replaced, on SSB-like sums and ratios of 15 to 17
+// digits. syntheticColumns does not fit: its measures have two decimals
+// and its benchmark is an integer constant, so two of its three floats
+// per row are the short cases.
+func BenchmarkAppendFloat(b *testing.B) {
+	values := ssbLikeFloats(4096, 3)
+	buf := make([]byte, 0, 32*len(values))
+	run := func(format func([]byte, float64) []byte) func() {
+		return func() {
+			buf = buf[:0]
+			for _, v := range values {
+				buf = format(buf, v)
+			}
+		}
+	}
+	benchmarkEncode(b, run(appendFloat), run(strconvFloat))
 }
 
 func BenchmarkEncodeQuery(b *testing.B) {
