@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -184,6 +185,96 @@ func BenchmarkIndexedSelect(b *testing.B) {
 			}
 			sort.Float64s(ratios)
 			b.ReportMetric(ratios[len(ratios)/2], "speedup")
+		})
+	}
+}
+
+// BenchmarkGatherCutoff is the sweep gatherCutoff is read off: on one
+// 262 144-row segment's columns — a 14-bit packed key, a 23-bit FOR
+// measure and a raw measure — and a uniform selection of 1 to 60 % of
+// the rows, each iteration times the two ways a Filtered block can hand
+// the selected rows over, back to back: gather-decode them densely, or
+// decode every row and compact the column in place. Each column's
+// median per-iteration compact/gather ratio is reported as
+// "<column>-speedup" and the three columns together (what one cutoff
+// decides for a block) as "speedup": above 1 gathering wins. ns/op
+// covers both sides and is not meaningful on its own.
+func BenchmarkGatherCutoff(b *testing.B) {
+	const rows = 1 << 18
+	rng := rand.New(rand.NewSource(9))
+	keys := make([]int32, rows)
+	forVals := make([]float64, rows)
+	rawVals := make([]float64, rows)
+	for r := range keys {
+		keys[r] = int32(rng.Intn(1 << 14))
+		forVals[r] = float64(rng.Intn(1 << 23))
+		rawVals[r] = rng.Float64() * 1e6
+	}
+	type column struct {
+		name       string
+		enc, width uint8
+		base       uint64
+		payload    []byte
+	}
+	var cols [3]column
+	cols[0].name = "key14"
+	cols[0].enc, cols[0].width, cols[0].base, cols[0].payload = encodeKeys(keys)
+	cols[1].name = "for23"
+	cols[1].enc, cols[1].width, cols[1].base, cols[1].payload = encodeMeas(forVals)
+	cols[2].name = "raw"
+	cols[2].enc, cols[2].width, cols[2].base, cols[2].payload = encodeMeas(rawVals)
+	if cols[0].enc != kencPacked || cols[0].width != 14 || cols[1].enc != mencFOR || cols[1].width != 23 || cols[2].enc != mencRaw {
+		b.Fatalf("columns encode as %d/%d, %d/%d, %d", cols[0].enc, cols[0].width, cols[1].enc, cols[1].width, cols[2].enc)
+	}
+	for _, pct := range []int{1, 5, 15, 25, 40, 60, 80} {
+		b.Run(fmt.Sprintf("sel=%dpct", pct), func(b *testing.B) {
+			sel := make([]uint64, rows>>6)
+			for r := 0; r < rows; r++ {
+				if rng.Intn(100) < pct {
+					sel[r>>6] |= 1 << uint(r&63)
+				}
+			}
+			idx := selectedRows(nil, sel)
+			kGather, kFull := make([]int32, len(idx)), make([]int32, rows)
+			mGather, mFull := make([]float64, len(idx)), make([]float64, rows)
+			ratios := make([][]float64, len(cols)+1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var gatherAll, compactAll time.Duration
+				for c := range cols {
+					col := &cols[c]
+					t0 := time.Now()
+					if c == 0 {
+						gatherKeys(kGather, col.enc, col.width, col.base, col.payload, idx)
+					} else {
+						gatherMeas(mGather, col.enc, col.width, col.base, col.payload, idx)
+					}
+					t1 := time.Now()
+					if c == 0 {
+						decodeKeys(kFull, col.enc, col.width, col.base, col.payload)
+						if got := compact(kFull, idx); got[len(got)-1] != kGather[len(idx)-1] {
+							b.Fatalf("%s: compacted %d, gathered %d", col.name, got[len(got)-1], kGather[len(idx)-1])
+						}
+					} else {
+						decodeMeas(mFull, col.enc, col.width, col.base, col.payload)
+						if got := compact(mFull, idx); got[len(got)-1] != mGather[len(idx)-1] {
+							b.Fatalf("%s: compacted %v, gathered %v", col.name, got[len(got)-1], mGather[len(idx)-1])
+						}
+					}
+					gather, full := t1.Sub(t0), time.Since(t1)
+					gatherAll, compactAll = gatherAll+gather, compactAll+full
+					ratios[c] = append(ratios[c], float64(full)/float64(gather))
+				}
+				ratios[len(cols)] = append(ratios[len(cols)], float64(compactAll)/float64(gatherAll))
+			}
+			for c, rs := range ratios {
+				sort.Float64s(rs)
+				unit := "speedup"
+				if c < len(cols) {
+					unit = cols[c].name + "-speedup"
+				}
+				b.ReportMetric(rs[len(rs)/2], unit)
+			}
 		})
 	}
 }

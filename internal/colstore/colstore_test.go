@@ -572,9 +572,9 @@ func TestAppendAfterDictionaryGrowth(t *testing.T) {
 		{{Hier: 0, Level: 1, Members: []int32{3, newMid, 9}}},
 		{{Hier: 0, Level: 1, Members: []int32{3}}, {Hier: 1, Level: 0, Members: rangeMembers(0, 20)}},
 	}
-	// sum adds measure 0 over the rows a predicated scan selects: the
-	// bitmap where the store filtered, the same prepared vectors where it
-	// left filtering to the caller (the WAL tail).
+	// sum adds measure 0 over the rows a predicated scan selects: every
+	// row of a block the store filtered, the rows the same prepared
+	// vectors accept where it left filtering to the caller (the WAL tail).
 	sum := func(st *Store, ps []storage.LevelPred) (total float64, rows int) {
 		t.Helper()
 		src := st.scan(storage.ColSet{}, ps)
@@ -586,9 +586,9 @@ func TestAppendAfterDictionaryGrowth(t *testing.T) {
 				t.Fatal(err)
 			}
 			for r := 0; ok && r < cols.Rows; r++ {
-				pass := cols.Sel == nil || cols.Selected(r)
+				pass := true
 				for _, p := range ps {
-					pass = pass && (cols.Sel != nil || p.Accept[cols.Keys[p.Hier][r]])
+					pass = pass && (cols.Filtered || p.Accept[cols.Keys[p.Hier][r]])
 				}
 				if pass {
 					total += cols.Meas[0][r]
@@ -702,11 +702,12 @@ func TestAppendAfterDictionaryGrowthDuringFolds(t *testing.T) {
 			continue
 		}
 		decoded++
+		if !cols.Filtered {
+			t.Fatalf("segment block %d was not filtered by the store", b)
+		}
 		for r := 0; r < cols.Rows; r++ {
-			if cols.Selected(r) {
-				got += cols.Meas[0][r]
-				n++
-			}
+			got += cols.Meas[0][r]
+			n++
 		}
 	}
 	if got != want || n != rows {

@@ -395,61 +395,45 @@ func unpackWordsDelta(dst []float64, v0 int64, w uint, payload []byte) {
 	}
 }
 
-// gatherKeys decodes only the rows set in sel (a little-endian row
-// bitmap) out of a key payload, leaving every other slot of dst
-// untouched — callers must read selected rows only. It reports whether
-// the encoding supports random access: kencPacked and kencRaw do;
-// kencConst never carries a payload and is decoded for free.
-func gatherKeys(dst []int32, enc, width uint8, base uint64, payload []byte, sel []uint64) bool {
+// gatherKeys decodes rows idx of a key payload densely: dst[k] is row
+// idx[k] (len(dst) == len(idx)). It reports whether the encoding
+// supports random access: kencPacked and kencRaw do; kencConst never
+// carries a payload and is decoded for free.
+func gatherKeys(dst []int32, enc, width uint8, base uint64, payload []byte, idx []int32) bool {
+	dst = dst[:len(idx)]
 	switch enc {
 	case kencPacked:
 		lo, w := int32(uint32(base)), uint(width)
-		for wi, word := range sel {
-			for word != 0 {
-				r := wi<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				dst[r] = lo + int32(unpackU64(payload, r, w))
-			}
+		for k, r := range idx {
+			dst[k] = lo + int32(unpackU64(payload, int(r), w))
 		}
 		return true
 	case kencRaw:
-		for wi, word := range sel {
-			for word != 0 {
-				r := wi<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				dst[r] = int32(binary.LittleEndian.Uint32(payload[4*r:]))
-			}
+		for k, r := range idx {
+			dst[k] = int32(binary.LittleEndian.Uint32(payload[4*int(r):]))
 		}
 		return true
 	}
 	return false
 }
 
-// gatherMeas decodes only the rows set in sel (a little-endian row
-// bitmap) out of a measure payload, leaving every other slot of dst
-// untouched — callers must read selected rows only. It reports whether
-// the encoding supports random access: mencRaw and mencFOR do, mencDelta
-// does not (each value depends on the running sum) and mencConst never
-// reaches here (decoded for free).
-func gatherMeas(dst []float64, enc, width uint8, base uint64, payload []byte, sel []uint64) bool {
+// gatherMeas decodes rows idx of a measure payload densely: dst[k] is
+// row idx[k] (len(dst) == len(idx)). It reports whether the encoding
+// supports random access: mencRaw and mencFOR do, mencDelta does not
+// (each value depends on the running sum) and mencConst never reaches
+// here (decoded for free).
+func gatherMeas(dst []float64, enc, width uint8, base uint64, payload []byte, idx []int32) bool {
+	dst = dst[:len(idx)]
 	switch enc {
 	case mencRaw:
-		for wi, word := range sel {
-			for word != 0 {
-				r := wi<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				dst[r] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*r:]))
-			}
+		for k, r := range idx {
+			dst[k] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*int(r):]))
 		}
 		return true
 	case mencFOR:
 		lo, w := int64(base), uint(width)
-		for wi, word := range sel {
-			for word != 0 {
-				r := wi<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				dst[r] = float64(lo + int64(unpackU64(payload, r, w)))
-			}
+		for k, r := range idx {
+			dst[k] = float64(lo + int64(unpackU64(payload, int(r), w)))
 		}
 		return true
 	}

@@ -1,7 +1,9 @@
 package colstore
 
 import (
+	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -12,11 +14,12 @@ import (
 
 // FuzzOpenSegment feeds arbitrary bytes to the segment reader. The
 // property: opening and decoding either fail with an error or yield a
-// block whose selection bitmap is exactly what the linear reference —
-// the acceptance vector applied to the fully decoded columns — says;
-// never a panic, never a bit set past the last row. Seeded from a
-// version 1 file (the checked-in fixture) and a version 2 file of the
-// same schema.
+// Filtered block that holds, row for row, every key and measure value of
+// exactly the rows the linear reference — the acceptance vector applied
+// to the fully decoded columns — accepts, whether the columns were
+// gathered or decoded whole and compacted; never a panic. Seeded from a
+// version 1 file (the checked-in fixture) and two version 2 files of the
+// same schema, one of them with a delta-encoded measure.
 func FuzzOpenSegment(f *testing.F) {
 	s := testSchema(f, 120)
 	st := newStore(f.TempDir(), s, Options{})
@@ -28,15 +31,24 @@ func FuzzOpenSegment(f *testing.F) {
 		f.Add(raw)
 	}
 	keys, meas := genRows(s, 300, 23)
-	v2 := filepath.Join(f.TempDir(), "seed.seg")
-	if _, err := writeSegment(v2, keys, meas, 300, st.ruMaps); err != nil {
-		f.Fatal(err)
+	ramp := make([]float64, 300)
+	for r := range ramp {
+		ramp[r] = float64(3*r + r%2)
 	}
-	raw, err := os.ReadFile(v2)
-	if err != nil {
-		f.Fatal(err)
+	if enc, _, _, _ := encodeMeas(ramp); enc != mencDelta {
+		f.Fatalf("the ramp encodes as %d, not delta", enc)
 	}
-	f.Add(raw)
+	for i, m := range [][]float64{meas[0], ramp} {
+		v2 := filepath.Join(f.TempDir(), fmt.Sprintf("seed%d.seg", i))
+		if _, err := writeSegment(v2, keys, [][]float64{m, meas[1]}, 300, st.ruMaps); err != nil {
+			f.Fatal(err)
+		}
+		raw, err := os.ReadFile(v2)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
 
 	plans := []*scanPlan{
 		st.plan([]storage.LevelPred{{Hier: 1, Level: 0, Members: []int32{3, 7, 31}}}),
@@ -97,30 +109,64 @@ func checkFuzzedSegment(t *testing.T, seg *segment, plans []*scanPlan) {
 	if err != nil || !ok {
 		return
 	}
-	for _, plan := range plans {
-		got, ok, err := seg.decodeInto(storage.ColSet{}, plan, gatherCutoff, &sc)
-		if err != nil {
+	// Cutoff 1 gathers every column that can be gathered; cutoff 0
+	// decodes every column whole and compacts it.
+	for _, cutoff := range []float64{0, 1} {
+		for _, plan := range plans {
+			got, ok, err := seg.decodeInto(storage.ColSet{}, plan, cutoff, &sc)
+			if err != nil {
+				continue
+			}
+			checkFuzzedBlock(t, all, got, ok, plan)
+		}
+	}
+}
+
+// checkFuzzedBlock compares a predicated decode with the linear reference
+// over the segment's full decode: row k of the block must be the k-th
+// accepted row, key for key and measure bit for measure bit.
+func checkFuzzedBlock(t *testing.T, all, got storage.BlockCols, ok bool, plan *scanPlan) {
+	if ok && (!got.Filtered || len(got.Keys) != len(all.Keys) || len(got.Meas) != len(all.Meas)) {
+		t.Fatalf("predicated block: Filtered=%v, %d keys, %d measures", got.Filtered, len(got.Keys), len(got.Meas))
+	}
+	for h := range got.Keys {
+		if ok && len(got.Keys[h]) != got.Rows {
+			t.Fatalf("key column %d holds %d rows of %d", h, len(got.Keys[h]), got.Rows)
+		}
+	}
+	for m := range got.Meas {
+		if ok && len(got.Meas[m]) != got.Rows {
+			t.Fatalf("measure column %d holds %d rows of %d", m, len(got.Meas[m]), got.Rows)
+		}
+	}
+	k := 0
+	for r := 0; r < all.Rows; r++ {
+		sel := true
+		for _, h := range plan.filtered {
+			sel = sel && accepted(plan.accepts[h], all.Keys[h][r])
+		}
+		if !sel {
 			continue
 		}
-		want := 0
-		for r := 0; r < foot.rows; r++ {
-			sel := true
-			for _, h := range plan.filtered {
-				sel = sel && accepted(plan.accepts[h], all.Keys[h][r])
+		if ok && k < got.Rows {
+			for h := range all.Keys {
+				if got.Keys[h][k] != all.Keys[h][r] {
+					t.Fatalf("block row %d (segment row %d): key %d = %d, full decode says %d", k, r, h, got.Keys[h][k], all.Keys[h][r])
+				}
 			}
-			if sel {
-				want++
-			}
-			if ok && got.Selected(r) != sel {
-				t.Fatalf("row %d selected=%v, linear reference says %v", r, got.Selected(r), sel)
+			for m := range all.Meas {
+				if math.Float64bits(got.Meas[m][k]) != math.Float64bits(all.Meas[m][r]) {
+					t.Fatalf("block row %d (segment row %d): measure %d = %v, full decode says %v", k, r, m, got.Meas[m][k], all.Meas[m][r])
+				}
 			}
 		}
-		if !ok && want != 0 {
-			t.Fatalf("segment skipped although %d rows match", want)
-		}
-		if ok && (got.SelCount != want || popcount(got.Sel) != want) {
-			t.Fatalf("SelCount %d, popcount %d, reference %d", got.SelCount, popcount(got.Sel), want)
-		}
+		k++
+	}
+	if !ok && k != 0 {
+		t.Fatalf("segment skipped although %d rows match", k)
+	}
+	if ok && got.Rows != k {
+		t.Fatalf("block holds %d rows, reference accepts %d", got.Rows, k)
 	}
 }
 

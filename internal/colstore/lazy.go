@@ -13,8 +13,10 @@
 // the packed codes of the rows still set. A segment without postings (format version 1, or a column
 // the writer left unindexed) sweeps the first predicate's codes instead
 // — the same kernels the tests use as the reference. An empty bitmap
-// skips the segment and sparse selections gather-decode only the
-// surviving rows.
+// skips the segment; otherwise its rows become the block's index vector
+// and every needed column is handed over compacted to them — sparse
+// selections gather-decode only those rows, dense ones decode whole and
+// compact in place.
 package colstore
 
 import (
@@ -102,11 +104,11 @@ func newPlan(hiers int, preds []storage.LevelPred) *scanPlan {
 }
 
 // selectRows evaluates the plan's predicates against the segment and
-// leaves the selection bitmap and its population count in cols (a zero
-// count means no row matches and the bitmap is not to be used). It
-// returns the bytes read. The bitmap is the same whichever predicate
-// builds it, so row order and every aggregate downstream are too.
-func (s *segment) selectRows(plan *scanPlan, need storage.ColSet, cols *storage.BlockCols, sc *storage.BlockScratch) (readBytes int64, err error) {
+// returns the selection bitmap (sc.Sel) with its population count — zero
+// when no row matches, and then the bitmap is not to be used — and the
+// bytes read. The bitmap is the same whichever predicate builds it, so
+// row order and every aggregate downstream are too.
+func (s *segment) selectRows(plan *scanPlan, need storage.ColSet, cols *storage.BlockCols, sc *storage.BlockScratch) (sel []uint64, count int, readBytes int64, err error) {
 	foot := s.foot
 	// O(1) code-space test: a const-encoded predicated key column
 	// settles the whole segment before anything is read.
@@ -115,7 +117,7 @@ func (s *segment) selectRows(plan *scanPlan, need storage.ColSet, cols *storage.
 			continue
 		}
 		if c := int(uint32(foot.keys[h].base)); c >= len(plan.accepts[h]) || !plan.accepts[h][c] {
-			return 0, nil
+			return nil, 0, 0, nil
 		}
 	}
 	mLazyFiltered.Inc()
@@ -130,26 +132,26 @@ func (s *segment) selectRows(plan *scanPlan, need storage.ColSet, cols *storage.
 		}
 		p, err := s.postings(h, sc)
 		if err != nil {
-			return 0, err
+			return nil, 0, 0, err
 		}
 		fetched = h
 		codes := p.clip(plan.codes[h])
 		n := p.count(codes)
 		readBytes += 8 * int64(len(codes))
 		if n == 0 {
-			return readBytes, nil
+			return nil, 0, readBytes, nil
 		}
 		if best < 0 || n < bestCount {
 			best, bestCount, bestPost, bestCodes = h, n, p, codes
 		}
 	}
-	sel := sc.SelBuf(foot.rows)
+	sel = sc.SelBuf(foot.rows)
 	count, first := foot.rows, true
 	if best >= 0 {
 		if fetched != best {
 			// A pread blob reuses the scratch a later fetch filled.
 			if bestPost, err = s.postings(best, sc); err != nil {
-				return 0, err
+				return nil, 0, 0, err
 			}
 		}
 		bestPost.fill(sel, bestCodes)
@@ -164,7 +166,7 @@ func (s *segment) selectRows(plan *scanPlan, need storage.ColSet, cols *storage.
 		km, acc := &foot.keys[h], plan.accepts[h]
 		payload, err := s.keyPayload(h, sc)
 		if err != nil {
-			return 0, err
+			return nil, 0, 0, err
 		}
 		readBytes += km.size
 		if km.enc == kencPacked {
@@ -177,7 +179,8 @@ func (s *segment) selectRows(plan *scanPlan, need storage.ColSet, cols *storage.
 		} else {
 			// Raw-encoded keys (wider than the pack limit) have no
 			// code-space kernel: decode into scratch for the test, and
-			// hand the column over if the scan reads it anyway.
+			// hand the column over, to be compacted, if the scan reads
+			// it anyway.
 			dst := sc.KeyBuf(h, len(foot.keys), foot.rows)
 			decodeKeys(dst, km.enc, km.width, km.base, payload)
 			if first {
@@ -194,7 +197,7 @@ func (s *segment) selectRows(plan *scanPlan, need storage.ColSet, cols *storage.
 			mSelectLinear.Inc()
 		}
 		if count == 0 {
-			return readBytes, nil
+			return nil, 0, readBytes, nil
 		}
 	}
 	if first {
@@ -202,8 +205,27 @@ func (s *segment) selectRows(plan *scanPlan, need storage.ColSet, cols *storage.
 		setRange(sel, 0, foot.rows)
 	}
 	mRowsSelected.Add(int64(count))
-	cols.Sel, cols.SelCount = sel, count
-	return readBytes, nil
+	return sel, count, readBytes, nil
+}
+
+// selectedRows appends the rows set in sel to dst, ascending.
+func selectedRows(dst []int32, sel []uint64) []int32 {
+	for w, word := range sel {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, int32(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	return dst
+}
+
+// compact moves the selected rows of a fully decoded column to its front
+// in one sequential pass and returns them. idx ascends, so idx[k] ≥ k and
+// no row is overwritten before it is read.
+func compact[T int32 | float64](col []T, idx []int32) []T {
+	for k, r := range idx {
+		col[k] = col[r]
+	}
+	return col[:len(idx)]
 }
 
 // prunedByPreds probes the zone maps with prepared predicates: identical

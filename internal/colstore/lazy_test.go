@@ -3,6 +3,7 @@ package colstore
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/assess-olap/assess/internal/storage"
@@ -117,8 +118,9 @@ func TestEncodeDecodeRandomRoundTrip(t *testing.T) {
 }
 
 // TestGatherMeasMatchesFullDecode checks that selective gather decode
-// produces, on the selected slots, exactly what a full decode produces —
-// and that unsupported encodings refuse.
+// produces, densely, exactly the selected rows of a full decode — the
+// same as compacting the full decode — and that unsupported encodings
+// refuse.
 func TestGatherMeasMatchesFullDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	n := 777
@@ -142,28 +144,25 @@ func TestGatherMeasMatchesFullDecode(t *testing.T) {
 		full := make([]float64, n)
 		decodeMeas(full, enc, width, base, payload)
 		sel := make([]uint64, (n+63)>>6)
-		selected := 0
 		for r := 0; r < n; r++ {
 			if rng.Intn(10) == 0 {
 				sel[r>>6] |= 1 << uint(r&63)
-				selected++
 			}
 		}
-		dst := make([]float64, n)
-		for i := range dst {
-			dst[i] = math.NaN() // gather must not touch unselected slots
-		}
-		if !gatherMeas(dst, enc, width, base, payload, sel) {
+		idx := selectedRows(nil, sel)
+		dst := make([]float64, len(idx)+1)
+		dst[len(idx)] = math.NaN() // gather must not write past the selection
+		if !gatherMeas(dst, enc, width, base, payload, idx) {
 			t.Fatalf("%s: gather refused a supported encoding", name)
 		}
-		for r := 0; r < n; r++ {
-			if sel[r>>6]>>(uint(r)&63)&1 != 0 {
-				if dst[r] != full[r] {
-					t.Fatalf("%s: selected slot %d: got %v want %v", name, r, dst[r], full[r])
-				}
-			} else if !math.IsNaN(dst[r]) {
-				t.Fatalf("%s: unselected slot %d was written", name, r)
+		compacted := compact(slices.Clone(full), idx)
+		for k, r := range idx {
+			if dst[k] != full[r] || compacted[k] != full[r] {
+				t.Fatalf("%s: selected row %d: gathered %v, compacted %v, want %v", name, r, dst[k], compacted[k], full[r])
 			}
+		}
+		if !math.IsNaN(dst[len(idx)]) {
+			t.Fatalf("%s: gather wrote past the %d selected rows", name, len(idx))
 		}
 	}
 	// Delta and const require sequential/free decode and must refuse.
@@ -173,7 +172,7 @@ func TestGatherMeasMatchesFullDecode(t *testing.T) {
 	}
 	if enc, width, base, payload := encodeMeas(ramp); enc != mencDelta {
 		t.Fatalf("ramp did not delta-encode (enc %d)", enc)
-	} else if gatherMeas(make([]float64, n), enc, width, base, payload, make([]uint64, (n+63)>>6)) {
+	} else if gatherMeas(make([]float64, n), enc, width, base, payload, []int32{0, 5}) {
 		t.Fatal("gather accepted delta encoding")
 	}
 }
@@ -210,8 +209,8 @@ func lazyFixture(t *testing.T, opts Options) (*Store, [][]int32, [][]float64) {
 }
 
 // lazySum scans with the given preds and sums measure 0 over the rows
-// the source reports accepted (the Sel bitmap when present, every row
-// otherwise filtered manually by accept).
+// the source reports accepted (every row of a Filtered block, the rows
+// of any other block filtered manually by accept).
 func lazySum(t *testing.T, st *Store, preds []storage.LevelPred, accept func(h0, h1 int32) bool) (sum float64, rows int) {
 	t.Helper()
 	src := st.scan(storage.ColSet{}, preds)
@@ -226,15 +225,10 @@ func lazySum(t *testing.T, st *Store, preds []storage.LevelPred, accept func(h0,
 			continue
 		}
 		for r := 0; r < cols.Rows; r++ {
-			if cols.Sel != nil {
-				if !cols.Selected(r) {
-					continue
-				}
-			} else if !accept(cols.Keys[0][r], cols.Keys[1][r]) {
-				continue
+			if cols.Filtered || accept(cols.Keys[0][r], cols.Keys[1][r]) {
+				sum += cols.Meas[0][r]
+				rows++
 			}
-			sum += cols.Meas[0][r]
-			rows++
 		}
 	}
 	return sum, rows
@@ -253,9 +247,8 @@ func (b countingBlob) bytes(off int64, n int, scratch *[]byte) ([]byte, error) {
 
 // TestPredOnlyColumnsNeverMaterialized pins the ColSet.PredOnly
 // contract: a column that is filtered on but not grouped by is
-// evaluated in code space and omitted from every block that carries a
-// selection bitmap, while the bitmap itself stays identical to the
-// materialize-then-filter path. On these (indexed) segments it also
+// evaluated in code space and omitted from every Filtered block, while
+// the rows selected stay identical to the materialize-then-filter path. On these (indexed) segments it also
 // pins that the evaluation is sub-linear by count, not by timer: no
 // bitmap is built by sweeping a column, and the payload of the column
 // whose postings build the bitmap is not even fetched — with a single
@@ -347,12 +340,12 @@ func TestPredOnlyColumnsNeverMaterialized(t *testing.T) {
 				if !ok {
 					continue
 				}
-				if cols.Sel == nil {
-					// Only the resident WAL tail may skip the bitmap,
+				if !cols.Filtered {
+					// Only the resident WAL tail may come unfiltered,
 					// and then every column must be present for the
 					// consumer to filter itself.
 					if b < src.Blocks()-1 {
-						t.Fatalf("segment block %d without a bitmap", b)
+						t.Fatalf("segment block %d came unfiltered", b)
 					}
 					for h := range tc.predOnly {
 						if cols.Rows > 0 && cols.Keys[h] == nil {
@@ -367,15 +360,10 @@ func TestPredOnlyColumnsNeverMaterialized(t *testing.T) {
 					}
 				}
 				for r := 0; r < cols.Rows; r++ {
-					if cols.Sel != nil {
-						if !cols.Selected(r) {
-							continue
-						}
-					} else if !accept(blockOff + r) {
-						continue
+					if cols.Filtered || accept(blockOff+r) {
+						sum += cols.Meas[0][r]
+						rows++
 					}
-					sum += cols.Meas[0][r]
-					rows++
 				}
 			}
 			if sum != wantSum || rows != wantRows {
@@ -489,8 +477,8 @@ func TestEagerOptionDisablesRowFiltering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok && cols.Sel != nil {
-			t.Fatalf("block %d carries a selection bitmap on an eager store", b)
+		if ok && cols.Filtered {
+			t.Fatalf("block %d came filtered from an eager store", b)
 		}
 	}
 	if d := mLazyFiltered.Value() - filteredBefore; d != 0 {
@@ -564,19 +552,16 @@ func TestConstFastPath(t *testing.T) {
 		t.Fatalf("const rejection skipped %d, want 1", d)
 	}
 
-	// Const-accepted: all rows pass, bitmap is the identity.
+	// Const-accepted: all rows pass, in a Filtered block of every row.
 	pass := st.plan([]storage.LevelPred{{Hier: 0, Level: 0, Members: []int32{5}}})
 	cols, ok, err = seg.decodeInto(storage.ColSet{}, pass, 0.25, &sc)
 	if err != nil || !ok {
 		t.Fatalf("const-accepting plan: ok=%v err=%v", ok, err)
 	}
-	if cols.Sel == nil || cols.SelCount != 100 {
-		t.Fatalf("const-accepting plan: SelCount=%d, want identity over 100 rows", cols.SelCount)
+	if !cols.Filtered || cols.Rows != 100 || len(cols.Meas[0]) != 100 {
+		t.Fatalf("const-accepting plan: Filtered=%v over %d rows, want all 100", cols.Filtered, cols.Rows)
 	}
 	for r := 0; r < 100; r++ {
-		if !cols.Selected(r) {
-			t.Fatalf("row %d not selected under const-accepting plan", r)
-		}
 		if cols.Meas[0][r] != float64(r) {
 			t.Fatalf("row %d measure: got %v", r, cols.Meas[0][r])
 		}

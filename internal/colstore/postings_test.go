@@ -335,41 +335,36 @@ func checkSelection(t *testing.T, st *Store, idx, lin *segment, keys [][]int32, 
 	if !gotOK {
 		return
 	}
-	if len(preds) == 0 {
-		if got.Sel != nil {
-			t.Fatal("bitmap on an unpredicated decode")
-		}
-	} else {
-		if got.SelCount != wantCount || got.SelCount != popcount(got.Sel) || ref.SelCount != wantCount {
-			t.Fatalf("preds %+v: SelCount %d, popcount %d, linear %d, reference %d", preds, got.SelCount, popcount(got.Sel), ref.SelCount, wantCount)
-		}
-		for w := range ref.Sel {
-			if got.Sel[w] != ref.Sel[w] {
-				t.Fatalf("preds %+v: bitmap word %d = %#x, linear says %#x", preds, w, got.Sel[w], ref.Sel[w])
-			}
-		}
+	if got.Filtered != (len(preds) > 0) || ref.Filtered != got.Filtered || got.Rows != ref.Rows {
+		t.Fatalf("preds %+v: indexed Filtered=%v over %d rows, linear Filtered=%v over %d", preds, got.Filtered, got.Rows, ref.Filtered, ref.Rows)
 	}
+	if got.Filtered && got.Rows != wantCount {
+		t.Fatalf("preds %+v: %d rows selected, reference %d", preds, got.Rows, wantCount)
+	}
+	// Row k of a Filtered block is the k-th accepted row of the segment,
+	// on both access paths.
+	k := 0
 	for r := 0; r < rows; r++ {
-		if got.Sel != nil && got.Selected(r) != accept(r) {
-			t.Fatalf("preds %+v: row %d selected=%v, reference says %v", preds, r, got.Selected(r), accept(r))
-		}
-		if got.Sel != nil && !got.Selected(r) {
+		if got.Filtered && !accept(r) {
 			continue
 		}
-		for h := range keys {
-			if need.PredOnlyKey(h) {
-				if got.Keys[h] != nil {
-					t.Fatalf("preds %+v: predicate-only column %d materialized", preds, h)
+		for _, b := range []storage.BlockCols{got, ref} {
+			for h := range keys {
+				if need.PredOnlyKey(h) && got.Filtered {
+					if b.Keys[h] != nil {
+						t.Fatalf("preds %+v: predicate-only column %d materialized", preds, h)
+					}
+				} else if b.Keys[h][k] != keys[h][r] {
+					t.Fatalf("preds %+v: key %d row %d (block row %d) = %d, want %d", preds, h, r, k, b.Keys[h][k], keys[h][r])
 				}
-			} else if got.Keys[h][r] != keys[h][r] {
-				t.Fatalf("preds %+v: key %d row %d = %d, want %d", preds, h, r, got.Keys[h][r], keys[h][r])
+			}
+			for m := range meas {
+				if b.Meas[m][k] != meas[m][r] {
+					t.Fatalf("preds %+v: measure %d row %d (block row %d) = %v, want %v", preds, m, r, k, b.Meas[m][k], meas[m][r])
+				}
 			}
 		}
-		for m := range meas {
-			if got.Meas[m][r] != meas[m][r] {
-				t.Fatalf("preds %+v: measure %d row %d = %v, want %v", preds, m, r, got.Meas[m][r], meas[m][r])
-			}
-		}
+		k++
 	}
 }
 
@@ -699,8 +694,8 @@ func TestCorruptPostingsRejected(t *testing.T) {
 // TestPostingsConcurrentUpgradeAndCompaction races predicated scans —
 // whose first touch of each segment fills the shared verification cache
 // — against the upgrade of the version 1 fixture, appends, WAL folds
-// and merges. Every scan must see exactly the fixture's rows at the
-// front of the store, whichever generation of segments it pinned.
+// and merges. Every scan must see exactly the matching rows of the
+// store's first Rows() rows, whichever generation of segments it pinned.
 func TestPostingsConcurrentUpgradeAndCompaction(t *testing.T) {
 	dir, keys, meas := v1Fixture(t)
 	st, err := Open(dir, Options{SegmentRows: 256, AutoCompactRows: -1})
@@ -710,13 +705,18 @@ func TestPostingsConcurrentUpgradeAndCompaction(t *testing.T) {
 	defer st.Close()
 	preds := []storage.LevelPred{{Hier: 1, Level: 0, Members: []int32{3, 7, 31, 44}}}
 	want := map[int32]bool{3: true, 7: true, 31: true, 44: true}
-	const fixed = 620
-	wantSum, wantRows := 0.0, 0
-	for r := 0; r < fixed; r++ {
-		if want[keys[1][r]] {
-			wantSum += meas[0][r]
-			wantRows++
+	moreK, moreM := genRows(st.Schema(), 900, 19)
+	// wantSum[n], wantRows[n]: the matching rows among the first n, summed
+	// in append order as a scan sums them.
+	wantSum, wantRows := []float64{0}, []int{0}
+	allMeas := append(slices.Clone(meas[0]), moreM[0]...)
+	for i, k := range append(slices.Clone(keys[1]), moreK[1]...) {
+		sum, rows := wantSum[i], wantRows[i]
+		if want[k] {
+			sum += allMeas[i]
+			rows++
 		}
+		wantSum, wantRows = append(wantSum, sum), append(wantRows, rows)
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -733,10 +733,8 @@ func TestPostingsConcurrentUpgradeAndCompaction(t *testing.T) {
 				default:
 				}
 				src := st.scan(storage.ColSet{PredOnly: []bool{false, true}}, preds)
-				sum, rows, off := 0.0, 0, 0
+				sum, rows := 0.0, 0
 				for b := 0; b < src.Blocks(); b++ {
-					base := off
-					off += src.BlockRows(b)
 					cols, ok, err := src.Block(b, &sc)
 					if err != nil {
 						src.Close()
@@ -746,28 +744,27 @@ func TestPostingsConcurrentUpgradeAndCompaction(t *testing.T) {
 					if !ok {
 						continue
 					}
-					if b < src.Blocks()-1 && cols.Sel == nil {
+					if b < src.Blocks()-1 && !cols.Filtered {
 						src.Close()
-						t.Errorf("segment block %d came without a selection: the scan only pruned", b)
+						t.Errorf("segment block %d came unfiltered: the scan only pruned", b)
 						return
 					}
-					for r := 0; r < cols.Rows && base+r < fixed; r++ {
-						if cols.Sel != nil && !cols.Selected(r) || cols.Sel == nil && !want[cols.Keys[1][r]] {
-							continue
+					for r := 0; r < cols.Rows; r++ {
+						if cols.Filtered || want[cols.Keys[1][r]] {
+							sum += cols.Meas[0][r]
+							rows++
 						}
-						sum += cols.Meas[0][r]
-						rows++
 					}
 				}
+				n := src.Rows()
 				src.Close()
-				if sum != wantSum || rows != wantRows {
-					t.Errorf("scan saw %v/%d over the fixture rows, want %v/%d", sum, rows, wantSum, wantRows)
+				if sum != wantSum[n] || rows != wantRows[n] {
+					t.Errorf("scan saw %v/%d over the first %d rows, want %v/%d", sum, rows, n, wantSum[n], wantRows[n])
 					return
 				}
 			}
 		}()
 	}
-	moreK, moreM := genRows(st.Schema(), 900, 19)
 	for round := 0; round < 6; round++ {
 		if err := st.Compact(); err != nil {
 			t.Fatal(err)

@@ -141,11 +141,9 @@ func TestPruningIsExactlyNecessary(t *testing.T) {
 				continue
 			}
 			for r := 0; r < cols.Rows; r++ {
-				// Unselected slots of a block that carries a bitmap
-				// hold garbage, the predicate column's included.
-				if cols.Sel != nil && !cols.Selected(r) {
-					continue
-				}
+				// A Filtered block holds the accepted rows alone, its
+				// predicate column compacted with them, so the manual
+				// filter passes every one of its rows.
 				if accept(cols.Keys[0][r]) {
 					total += cols.Meas[0][r]
 				}

@@ -356,13 +356,16 @@ func (foot *footer) prunedBy(preds []storage.LevelPred) bool {
 // predicates are evaluated before any needed column is touched — a
 // const-encoded predicated key resolves the segment in O(1), the others
 // build a selection bitmap (selectRows: from postings where the segment
-// has them), an empty bitmap skips the segment (ok=false, like a
-// zone-map prune), and selections at or below gatherCutoff×rows
-// gather-decode the needed key and measure columns (selected rows
-// only). Key columns marked predicate-only (storage.ColSet.PredOnly)
-// are omitted from the block whenever a bitmap is produced. Section
-// CRCs are verified once per open segment for stable (mmap) blobs,
-// every fetch for pread; counts decode metrics.
+// has them) — and an empty bitmap skips the segment (ok=false, like a
+// zone-map prune). Otherwise the block is Filtered: its set rows, taken
+// once into an index vector (sc.Idx), are the block's rows, and every
+// needed column comes compacted to them. Selections at or below
+// gatherCutoff×rows gather-decode the packed and raw columns (selected
+// rows only); delta measures, larger selections and raw predicate keys
+// already decoded whole are compacted in place. Key columns marked
+// predicate-only (storage.ColSet.PredOnly) are omitted from a Filtered
+// block. Section CRCs are verified once per open segment for stable
+// (mmap) blobs, every fetch for pread; counts decode metrics.
 func (s *segment) decodeInto(need storage.ColSet, plan *scanPlan, gatherCutoff float64, sc *storage.BlockScratch) (storage.BlockCols, bool, error) {
 	foot := s.foot
 	cols := storage.BlockCols{
@@ -371,25 +374,35 @@ func (s *segment) decodeInto(need storage.ColSet, plan *scanPlan, gatherCutoff f
 		Rows: foot.rows,
 	}
 	var readBytes int64
+	var idx []int32 // the selected rows; nil keeps every row
 	if plan != nil && len(plan.filtered) > 0 {
-		n, err := s.selectRows(plan, need, &cols, sc)
+		sel, count, n, err := s.selectRows(plan, need, &cols, sc)
 		if err != nil {
 			return cols, false, err
 		}
 		readBytes += n
-		if cols.SelCount == 0 {
+		if count == 0 {
 			mLazySkipped.Inc()
 			return cols, false, nil
 		}
+		if count < foot.rows {
+			sc.Idx = selectedRows(sc.Idx[:0], sel)
+			idx = sc.Idx
+		}
+		cols.Rows, cols.Filtered = count, true
 	}
-	gather := cols.Sel != nil && float64(cols.SelCount) <= gatherCutoff*float64(foot.rows)
+	gather := idx != nil && float64(len(idx)) <= gatherCutoff*float64(foot.rows)
 	for h := range foot.keys {
-		if cols.Keys[h] != nil || !need.NeedKey(h) {
+		if cols.Keys[h] != nil {
+			// A raw predicate key selectRows decoded whole.
+			if idx != nil {
+				cols.Keys[h] = compact(cols.Keys[h], idx)
+			}
 			continue
 		}
-		if cols.Sel != nil && need.PredOnlyKey(h) {
-			// The bitmap already accounts for this predicate and no
-			// consumer reads the column itself (ColSet.PredOnly).
+		if !need.NeedKey(h) || cols.Filtered && need.PredOnlyKey(h) {
+			// A Filtered block already accounts for a predicate-only
+			// column and no consumer reads it (ColSet.PredOnly).
 			continue
 		}
 		km := &foot.keys[h]
@@ -397,11 +410,16 @@ func (s *segment) decodeInto(need storage.ColSet, plan *scanPlan, gatherCutoff f
 		if err != nil {
 			return cols, false, err
 		}
-		dst := sc.KeyBuf(h, len(foot.keys), foot.rows)
-		if gather && gatherKeys(dst, km.enc, km.width, km.base, payload, cols.Sel) {
-			mLazyGathered.Inc()
-		} else {
+		dst := sc.KeyBuf(h, len(foot.keys), cols.Rows)
+		switch {
+		case idx == nil || km.enc == kencConst:
 			decodeKeys(dst, km.enc, km.width, km.base, payload)
+		case gather && gatherKeys(dst, km.enc, km.width, km.base, payload, idx):
+			mLazyGathered.Inc()
+		default:
+			dst = sc.KeyBuf(h, len(foot.keys), foot.rows)
+			decodeKeys(dst, km.enc, km.width, km.base, payload)
+			dst = compact(dst, idx)
 		}
 		cols.Keys[h] = dst
 		readBytes += km.size
@@ -415,11 +433,16 @@ func (s *segment) decodeInto(need storage.ColSet, plan *scanPlan, gatherCutoff f
 		if err != nil {
 			return cols, false, err
 		}
-		dst := sc.MeasBuf(m, len(foot.meas), foot.rows)
-		if gather && gatherMeas(dst, mm.enc, mm.width, mm.base, payload, cols.Sel) {
-			mLazyGathered.Inc()
-		} else {
+		dst := sc.MeasBuf(m, len(foot.meas), cols.Rows)
+		switch {
+		case idx == nil || mm.enc == mencConst:
 			decodeMeas(dst, mm.enc, mm.width, mm.base, payload)
+		case gather && gatherMeas(dst, mm.enc, mm.width, mm.base, payload, idx):
+			mLazyGathered.Inc()
+		default:
+			dst = sc.MeasBuf(m, len(foot.meas), foot.rows)
+			decodeMeas(dst, mm.enc, mm.width, mm.base, payload)
+			dst = compact(dst, idx)
 		}
 		cols.Meas[m] = dst
 		readBytes += mm.size

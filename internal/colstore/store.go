@@ -63,9 +63,9 @@ type Options struct {
 
 // gatherCutoff is the selectivity at or below which a selection
 // gather-decodes the needed key and measure columns (selected rows
-// only) instead of fully materializing them. Measured, not tuned per
-// store: see docs/storage.md.
-const gatherCutoff = 0.25
+// only) instead of decoding them whole and compacting them. Measured,
+// not tuned per store: see docs/storage.md (BenchmarkGatherCutoff).
+const gatherCutoff = 0.5
 
 func (o Options) withDefaults() Options {
 	if o.SegmentRows <= 0 {

@@ -291,9 +291,9 @@ func (e *Engine) prepare(ctx context.Context, f *storage.FactTable, q Query, ops
 	var predOnly []bool
 	for _, p := range q.Preds {
 		if !needKeys[p.Level.Hier] {
-			// Filtered on but not grouped by: a bitmap-producing
-			// backend may evaluate this column in code space and never
-			// materialize it (storage.ColSet.PredOnly).
+			// Filtered on but not grouped by: a backend that hands
+			// over Filtered blocks may evaluate this column in code
+			// space and never materialize it (storage.ColSet.PredOnly).
 			if predOnly == nil {
 				predOnly = make([]bool, len(s.Hiers))
 			}

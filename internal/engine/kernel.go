@@ -278,15 +278,10 @@ func putScratch(sc *morselScratch) { scratchPool.Put(sc) }
 // selection evaluates the scan predicates once over the block-local
 // morsel [lo, hi) into a reusable selection vector of accepted row
 // indices: the first predicated hierarchy fills the vector, later ones
-// compact it in place. When the backend already evaluated the predicates
-// (cols.Sel non-nil: late materialization), the vector is read straight
-// off the selection bitmap — same rows, same ascending order — and the
-// acceptance vectors are not re-evaluated.
+// compact it in place. A Filtered block never comes here: its backend
+// already evaluated the predicates and left no predicate-only column to
+// evaluate them on.
 func (sq *scanQuery) selection(sc *morselScratch, cols storage.BlockCols, lo, hi int) []int {
-	if cols.Sel != nil {
-		sc.sel = storage.AppendSelIndices(sc.sel[:0], cols.Sel, lo, hi)
-		return sc.sel
-	}
 	if cap(sc.sel) < hi-lo {
 		sc.sel = make([]int, hi-lo)
 	}
@@ -321,14 +316,13 @@ func (sq *scanQuery) selection(sc *morselScratch, cols storage.BlockCols, lo, hi
 }
 
 // morsel aggregates rows [lo, hi) of a block into the table: selection
-// vector (skipped entirely when every row is accepted), composite keys,
-// slot lookup off the dense path, then accumulate.
+// vector (skipped entirely when every row is accepted, as in a Filtered
+// block), composite keys, slot lookup off the dense path, then
+// accumulate.
 func (sq *scanQuery) morsel(t *aggTable, sc *morselScratch, cols storage.BlockCols, lo, hi int) {
 	var sel []int
 	n := hi - lo
-	// A bitmap with SelCount == Rows means every row survived and the
-	// identity selection stands.
-	if (cols.Sel != nil && cols.SelCount < cols.Rows) || (cols.Sel == nil && sq.filtered) {
+	if sq.filtered && !cols.Filtered {
 		sel = sq.selection(sc, cols, lo, hi)
 		n = len(sel)
 		if n == 0 {

@@ -158,11 +158,11 @@ func (st *scanState) alive(ctx context.Context) bool {
 
 // scan drives the query over the source with the given number of workers
 // and returns its merged table and the rows it swept, or the reason the
-// scan ended early. A block's rows all count as swept unless the backend
-// handed a selection bitmap, whose set rows are the ones visited; a
-// pruned block sweeps none. A single-block source — a resident table, a
-// view's columns — is decoded once, zero-copy, and workers steal
-// fixed-size morsels inside the block.
+// scan ended early. A block's rows all count as swept — for a Filtered
+// block, the rows its backend selected — and a pruned block sweeps none.
+// A single-block source — a resident table, a view's columns — is
+// decoded once, zero-copy, and workers steal fixed-size morsels inside
+// the block.
 // A multi-block (segment) source has workers steal whole blocks instead:
 // each claimed block is decoded once into the worker's own scratch and
 // iterated morsel by morsel locally, so decode cost is paid once per
@@ -193,7 +193,7 @@ func scan(sq *scanQuery, src storage.ScanSource, workers, morsel int) (*aggTable
 		}()
 	}
 	var morsels, swept atomic.Int64
-	swept.Store(int64(one.Swept()))
+	swept.Store(int64(one.Rows))
 	worker := func(w int) {
 		defer st.contain()
 		sc := getScratch()
@@ -235,7 +235,7 @@ func scan(sq *scanQuery, src storage.ScanSource, workers, morsel int) (*aggTable
 			if !ok {
 				continue
 			}
-			swept.Add(int64(cols.Swept()))
+			swept.Add(int64(cols.Rows))
 			for lo := 0; lo < cols.Rows; lo += morsel {
 				aggregate(cols, lo, min(lo+morsel, cols.Rows))
 			}

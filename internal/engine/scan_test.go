@@ -1,10 +1,15 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +17,7 @@ import (
 
 	"github.com/assess-olap/assess/internal/colstore"
 	"github.com/assess-olap/assess/internal/mdm"
+	"github.com/assess-olap/assess/internal/obsv"
 	"github.com/assess-olap/assess/internal/persist"
 	"github.com/assess-olap/assess/internal/storage"
 )
@@ -188,7 +194,7 @@ func TestScanSegmentCancelPrompt(t *testing.T) {
 
 // TestScanLazyConcurrentAppendRace hammers the late-materialized
 // segment path under -race: concurrent parallel scans of predicated and
-// unpredicated queries (backend selection bitmaps, pooled per-worker
+// unpredicated queries (Filtered backend blocks, pooled per-worker
 // block scratch, gather decode) racing WAL appends and snapshot turnover
 // on a real colstore backend. The assertions are weak on purpose — no errors, plausible
 // results — because the value of the test is what the race detector
@@ -394,4 +400,143 @@ func TestScanWorkerPanic(t *testing.T) {
 		}
 		sameCells(t, fmt.Sprintf("%d workers, after the panic", workers), got, coords, vals)
 	}
+}
+
+// TestFilteredBlocksSweptOnce: a predicated segment scan gets Filtered
+// blocks — the rows the predicates accept and nothing else, the
+// predicate-only key column left nil — and aggregates them as they are.
+// assess_engine_rows_scanned_total grows by exactly the segment rows the
+// reference filter accepts plus the unfiltered WAL tail, and the cells
+// are the reference's, for each way a segment selects: from postings, by
+// a linear sweep of a version 1 segment, and by a const-encoded
+// predicated key that accepts the whole segment. A Filtered block that
+// re-entered the engine's selection would index the nil column and fail
+// the scan, or filter its rows twice.
+func TestFilteredBlocksSweptOnce(t *testing.T) {
+	s := twoHierSchema(60, 11)
+	byC := storage.NewFactTable(s) // c constant over each run of 256 rows
+	rng := rand.New(rand.NewSource(8))
+	for r := 0; r < 11*256; r++ {
+		v := float64(rng.Intn(2001) - 1000)
+		byC.MustAppend([]int32{int32(rng.Intn(60)), int32(r / 256)}, []float64{v, v, v, v, 0})
+	}
+	cases := []struct {
+		name   string
+		dir    string
+		group  string
+		pred   string
+		member []int32
+		path   string // the selection path that must run; "" for neither
+	}{
+		{"postings", savedDir(t, intFact(s, 4000, 3)), "k", "c", []int32{2, 5}, "postings"},
+		{"version 1 sweep", copiedDir(t, filepath.Join("..", "colstore", "testdata", "v1store")), "mid", "g", []int32{3, 7, 31}, "linear"},
+		{"const-accepted", savedDir(t, byC), "k", "c", []int32{4}, ""},
+	}
+	selects := func() map[string]float64 {
+		return map[string]float64{
+			"postings": storeCounter(t, `assess_store_index_selects_total{path="postings"}`),
+			"linear":   storeCounter(t, `assess_store_index_selects_total{path="linear"}`),
+		}
+	}
+	for _, tc := range cases {
+		res, err := persist.LoadCubeDirResident(tc.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg, st, err := persist.OpenCubeDir(tc.dir, colstore.Options{AutoCompactRows: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		sch := seg.Schema
+		pref, _ := sch.FindLevel(tc.pred)
+		q := Query{Fact: "T", Group: mdm.MustGroupBy(sch, tc.group),
+			Preds: []Predicate{{Level: pref, Members: tc.member}}, Measures: []int{0}}
+		ops, _, err := schemaOps(sch, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coords, vals := refAggregate(res, q, ops)
+		info := st.Info()
+		want := info.TailRows
+		for r := 0; r < info.SegmentRows; r++ {
+			if slices.Contains(tc.member, sch.Hiers[pref.Hier].Rollup(res.Keys[pref.Hier][r], 0, pref.Level)) {
+				want++
+			}
+		}
+		if want == info.TailRows {
+			t.Fatalf("%s: no segment row matches", tc.name)
+		}
+		for _, workers := range []int{1, 2} {
+			e := New()
+			e.SetParallelism(workers)
+			e.SetMorselSize(64)
+			if err := e.Register("T", seg); err != nil {
+				t.Fatal(err)
+			}
+			scanned, before := mRowsScanned.Value(), selects()
+			got, err := e.aggregate(context.Background(), q)
+			if err != nil {
+				t.Fatalf("%s, %d workers: %v", tc.name, workers, err)
+			}
+			label := fmt.Sprintf("%s, %d workers", tc.name, workers)
+			sameCells(t, label, got, coords, vals)
+			if d := mRowsScanned.Value() - scanned; d != int64(want) {
+				t.Errorf("%s: rows scanned grew by %d, want %d (%d of them the WAL tail)", label, d, want, info.TailRows)
+			}
+			for path, n := range selects() {
+				if moved := n != before[path]; moved != (path == tc.path) {
+					t.Errorf("%s: %s selections moved %v, want %v", label, path, moved, path == tc.path)
+				}
+			}
+		}
+	}
+}
+
+// savedDir writes f as a segment store of 256-row segments.
+func savedDir(t *testing.T, f *storage.FactTable) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := persist.SaveCubeDir(dir, f, colstore.Options{SegmentRows: 256, AutoCompactRows: -1}); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// copiedDir copies a store directory, so opening it may write.
+func copiedDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// storeCounter reads one series of the process registry.
+func storeCounter(t *testing.T, series string) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	obsv.Default.WritePrometheus(&buf)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("no series %s in the registry", series)
+	return 0
 }

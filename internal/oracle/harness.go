@@ -68,7 +68,7 @@ type Report struct {
 // mode, so code-space predicate evaluation, selection bitmaps, segment
 // skips, and gather decode must also reproduce the reference
 // bit-for-bit — lazy+par layers the morsel-parallel dense kernels on
-// top, consuming backend bitmaps across worker-stolen blocks, and is the
+// top, consuming Filtered blocks across worker-stolen blocks, and is the
 // axis of the concurrent sweep (see Run): every (statement, strategy)
 // pair re-executed at once, so concurrent scans over one segment store —
 // shared snapshots, pooled scratch — must reproduce the reference too.

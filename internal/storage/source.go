@@ -10,7 +10,6 @@ package storage
 
 import (
 	"errors"
-	"math/bits"
 
 	"github.com/assess-olap/assess/internal/mdm"
 )
@@ -55,11 +54,11 @@ type ColSet struct {
 	Meas []bool // per measure
 	// PredOnly marks key columns needed solely to evaluate the scan's
 	// predicates — filtered on but not grouped by. A backend that
-	// evaluates the full predicate set row-exactly (returns blocks
-	// with Sel non-nil) may leave these columns nil in BlockCols:
-	// once a selection bitmap says which rows survive, no consumer
-	// reads a predicate-only column again. Backends that do not
-	// produce bitmaps must materialize them like any other needed key.
+	// evaluates the full predicate set row-exactly (returns Filtered
+	// blocks) leaves these columns nil in BlockCols: once only the
+	// surviving rows remain, no consumer reads a predicate-only column
+	// again. A block that is not Filtered must materialize them like
+	// any other needed key.
 	PredOnly []bool
 }
 
@@ -82,31 +81,16 @@ func (c ColSet) NeedMeas(m int) bool { return c.Meas == nil || c.Meas[m] }
 type BlockCols struct {
 	Keys [][]int32
 	Meas [][]float64
+	// Rows is the length of every column the block carries.
 	Rows int
-	// Sel, when non-nil, is a little-endian row-selection bitmap of Rows
-	// bits: the backend already evaluated the scan's full predicate set
-	// row-exactly (late materialization), and consumers must visit set
-	// rows only — unselected slots of gather-decoded measure columns hold
-	// garbage. Sel == nil means the backend did no row-level filtering
-	// and the engine filters on decoded codes as usual.
-	Sel []uint64
-	// SelCount is the number of set bits in Sel (meaningless when Sel is
-	// nil). SelCount == Rows means every row matched.
-	SelCount int
+	// Filtered reports that the backend already evaluated the scan's full
+	// predicate set row-exactly (late materialization): the block holds
+	// exactly the rows that pass, densely and in table order, so
+	// consumers must not filter it again — predicate-only key columns
+	// (ColSet.PredOnly) are nil in it. Without it the block holds every
+	// row of its range and the engine filters on decoded codes.
+	Filtered bool
 }
-
-// Swept is the rows a scan of the block visits: the selected ones when
-// the backend handed a bitmap, else all of them.
-func (b BlockCols) Swept() int {
-	if b.Sel != nil {
-		return b.SelCount
-	}
-	return b.Rows
-}
-
-// Selected reports whether row r passed the backend's predicate
-// evaluation; callers check Sel != nil first.
-func (b BlockCols) Selected(r int) bool { return b.Sel[r>>6]>>(uint(r)&63)&1 != 0 }
 
 // BlockScratch is per-worker reusable decode memory. Each concurrent
 // consumer of a ScanSource must use its own scratch; the returned
@@ -116,8 +100,10 @@ type BlockScratch struct {
 	Meas [][]float64
 	// Buf stages compressed bytes for pread-backed readers.
 	Buf []byte
-	// Sel is the selection-bitmap buffer for late-materializing backends.
+	// Sel and Idx are a late-materializing backend's row selection: its
+	// bitmap and the selected rows it compacts the block's columns to.
 	Sel []uint64
+	Idx []int32
 }
 
 // KeyBuf returns scratch key column h with capacity for n rows.
@@ -143,28 +129,6 @@ func (sc *BlockScratch) SelBuf(n int) []uint64 {
 		sc.Sel[i] = 0
 	}
 	return sc.Sel
-}
-
-// AppendSelIndices appends the indices of the bits set in sel within
-// [lo, hi) to dst and returns it. Engines use it to turn a backend
-// selection bitmap into the row-index selection vectors their kernels
-// consume, morsel by morsel.
-func AppendSelIndices(dst []int, sel []uint64, lo, hi int) []int {
-	for w := lo >> 6; w <= (hi-1)>>6; w++ {
-		word := sel[w]
-		base := w << 6
-		if base < lo {
-			word &= ^uint64(0) << (uint(lo) & 63)
-		}
-		if base+64 > hi {
-			word &= ^uint64(0) >> (uint(base+64-hi) & 63)
-		}
-		for word != 0 {
-			dst = append(dst, base+bits.TrailingZeros64(word))
-			word &= word - 1
-		}
-	}
-	return dst
 }
 
 // MeasBuf returns scratch measure column m with capacity for n rows.
@@ -283,8 +247,8 @@ type rowsFrom struct {
 // appended after the table held from rows. Blocks that end at or before
 // the cut are skipped on BlockRows alone, never decoded; the one block the
 // cut falls inside is served with its leading rows sliced off. src must
-// have been opened without predicates: a block that carries a selection
-// bitmap is an error. Closing the result closes src.
+// have been opened without predicates: a Filtered block is an error.
+// Closing the result closes src.
 func RowsFrom(src ScanSource, from int) ScanSource {
 	if from <= 0 {
 		return src
@@ -312,7 +276,7 @@ func (r *rowsFrom) Block(b int, sc *BlockScratch) (BlockCols, bool, error) {
 	if err != nil || !ok {
 		return cols, ok, err
 	}
-	if cols.Sel != nil {
+	if cols.Filtered {
 		return BlockCols{}, false, errors.New("storage: RowsFrom over a source opened with predicates")
 	}
 	if b == 0 && r.skip > 0 {

@@ -8,12 +8,13 @@ import (
 
 // blocksSource serves rows 0..n-1 of a one-key, one-measure table (key r%7,
 // measure r) cut into blocks of the given sizes, and records which blocks
-// were decoded. A positive sel marks that block as filtered by the backend.
+// were decoded. A positive filtered marks that block as filtered by the
+// backend.
 type blocksSource struct {
-	sizes   []int
-	sel     int
-	decoded []int
-	closed  bool
+	sizes    []int
+	filtered int
+	decoded  []int
+	closed   bool
 }
 
 func (s *blocksSource) Rows() int {
@@ -38,9 +39,7 @@ func (s *blocksSource) Block(b int, _ *BlockScratch) (BlockCols, bool, error) {
 		cols.Keys[0][i] = int32((lo + i) % 7)
 		cols.Meas[0][i] = float64(lo + i)
 	}
-	if s.sel > 0 && b == s.sel {
-		cols.Sel, cols.SelCount = make([]uint64, (cols.Rows+63)/64), 0
-	}
+	cols.Filtered = s.filtered > 0 && b == s.filtered
 	return cols, true, nil
 }
 
@@ -109,16 +108,16 @@ func TestRowsFrom(t *testing.T) {
 	}
 }
 
-// TestRowsFromRejectsSelections: a block that comes with a selection
-// bitmap was filtered by the backend, and a row range over filtered rows
-// is not a position in the table.
+// TestRowsFromRejectsSelections: a Filtered block holds only the rows the
+// backend selected, and a row range over filtered rows is not a position
+// in the table.
 func TestRowsFromRejectsSelections(t *testing.T) {
-	src := RowsFrom(&blocksSource{sizes: []int{5, 4, 3}, sel: 2}, 6)
+	src := RowsFrom(&blocksSource{sizes: []int{5, 4, 3}, filtered: 2}, 6)
 	if _, _, err := src.Block(0, new(BlockScratch)); err != nil {
 		t.Fatalf("plain block: %v", err)
 	}
 	if _, _, err := src.Block(1, new(BlockScratch)); err == nil || !strings.Contains(err.Error(), "predicates") {
-		t.Fatalf("block with Sel: err = %v, want an error naming the predicates", err)
+		t.Fatalf("Filtered block: err = %v, want an error naming the predicates", err)
 	}
 }
 
