@@ -3,6 +3,7 @@ package colstore
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"sort"
 	"testing"
 	"time"
@@ -275,6 +276,58 @@ func BenchmarkGatherCutoff(b *testing.B) {
 				}
 				b.ReportMetric(rs[len(rs)/2], unit)
 			}
+		})
+	}
+}
+
+// BenchmarkStoreAppend appends rows one at a time, as a writer beside a
+// dashboard does, on each WAL write path, and reports ns/row. A fresh
+// store every 1<<16 rows (outside the timer) keeps the tail and the log
+// small whatever b.N is.
+func BenchmarkStoreAppend(b *testing.B) {
+	for _, mapped := range []bool{true, false} {
+		name := "mapped"
+		if !mapped {
+			name = "positional"
+		}
+		b.Run(name, func(b *testing.B) {
+			const batch = 1 << 16
+			s := testSchema(b, 500)
+			keys, meas := genRows(s, batch, 1)
+			row, vals := make([]int32, 2), make([]float64, 2)
+			var st *Store
+			fresh := func() {
+				if st != nil {
+					st.Close()
+					os.RemoveAll(st.dir)
+				}
+				dir, err := os.MkdirTemp(b.TempDir(), "store")
+				if err != nil {
+					b.Fatal(err)
+				}
+				if st, err = Create(dir, s, Options{AutoCompactRows: -1}); err != nil {
+					b.Fatal(err)
+				}
+				if !mapped {
+					st.positionalWAL()
+				}
+			}
+			fresh()
+			defer func() { st.Close() }()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := i % batch
+				if r == 0 && i > 0 {
+					b.StopTimer()
+					fresh()
+					b.StartTimer()
+				}
+				row[0], row[1], vals[0], vals[1] = keys[0][r], keys[1][r], meas[0][r], meas[1][r]
+				if err := st.Append(row, vals); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/row")
 		})
 	}
 }

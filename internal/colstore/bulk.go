@@ -118,12 +118,10 @@ func (w *BulkWriter) Close() error {
 	if err := w.flush(); err != nil {
 		return err
 	}
-	walF, err := createWAL(filepath.Join(w.dir, walName), 1, nil)
-	if err != nil {
+	if err := writeWAL(filepath.Join(w.dir, walName), 1, nil); err != nil {
 		w.err = err
 		return err
 	}
-	walF.Close()
 	man := manifest{FormatVersion: 1, Seq: w.seq, Segments: w.segs, WALEpoch: 1, WALSkip: 0}
 	if err := writeManifestFile(w.dir, man); err != nil {
 		w.err = err

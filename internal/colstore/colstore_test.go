@@ -209,54 +209,139 @@ func TestSegmentTableMatchesResident(t *testing.T) {
 	}
 }
 
+// onWALPaths runs f once on each WAL write path: the mapped window, and
+// the positional write that stands in for it where mapping is
+// unavailable. f passes every store it creates or opens through use
+// before the first append.
+func onWALPaths(t *testing.T, f func(t *testing.T, use func(*Store) *Store)) {
+	for _, mapped := range []bool{true, false} {
+		name := "mapped"
+		if !mapped {
+			name = "positional"
+		}
+		t.Run(name, func(t *testing.T) {
+			f(t, func(st *Store) *Store {
+				if !mapped {
+					st.positionalWAL()
+				}
+				return st
+			})
+		})
+	}
+}
+
+// TestWALTornTailRecovery: a torn final record, the zeros a killed
+// mapped log leaves past its last record, and both together reopen to
+// the intact prefix, cut to exactly its length, and the store takes
+// appends after it.
 func TestWALTornTailRecovery(t *testing.T) {
-	dir := t.TempDir()
-	s := testSchema(t, 100)
-	st, err := Create(dir, s, Options{SegmentRows: 1 << 18, AutoCompactRows: -1})
+	zeroTail := func(b []byte) []byte { return append(b, make([]byte, walWindow-len(b))...) }
+	cases := []struct {
+		name  string
+		crash func(raw []byte) []byte
+		rows  int
+	}{
+		{"torn", func(raw []byte) []byte { return raw[:len(raw)-5] }, 49},
+		{"zeros", func(raw []byte) []byte { return zeroTail(raw) }, 50},
+		{"torn+zeros", func(raw []byte) []byte { return zeroTail(raw[:len(raw)-5]) }, 49},
+	}
+	onWALPaths(t, func(t *testing.T, use func(*Store) *Store) {
+		for _, c := range cases {
+			t.Run(c.name, func(t *testing.T) {
+				dir := t.TempDir()
+				s := testSchema(t, 100)
+				st, err := Create(dir, s, Options{SegmentRows: 1 << 18, AutoCompactRows: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantK, wantM := genRows(s, 50, 4)
+				appendRows(t, use(st), wantK, wantM)
+				st.Close()
+				walPath := filepath.Join(dir, walName)
+				raw, err := os.ReadFile(walPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				recLen := int64(len(raw)-walHeaderLen) / 50
+				if err := os.WriteFile(walPath, c.crash(raw[:len(raw):len(raw)]), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				st2, err := Open(dir, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				use(st2)
+				defer st2.Close()
+				if st2.Rows() != c.rows {
+					t.Fatalf("rows after crash = %d, want %d", st2.Rows(), c.rows)
+				}
+				checkWALLen(t, walPath, walHeaderLen+int64(c.rows)*recLen)
+				gotK, gotM := readAll(t, st2.Snapshot(storage.ColSet{}, nil), 2, 2)
+				for h := range wantK {
+					wantK[h] = wantK[h][:c.rows]
+				}
+				for m := range wantM {
+					wantM[m] = wantM[m][:c.rows]
+				}
+				checkEqual(t, wantK, wantM, gotK, gotM)
+				// The store still accepts appends after recovery, and
+				// Close leaves no zero tail behind them.
+				if err := st2.Append([]int32{1, 1}, []float64{1, 1}); err != nil {
+					t.Fatal(err)
+				}
+				if st2.Rows() != c.rows+1 {
+					t.Fatalf("rows after post-recovery append = %d", st2.Rows())
+				}
+				if err := st2.Close(); err != nil {
+					t.Fatal(err)
+				}
+				checkWALLen(t, walPath, walHeaderLen+int64(c.rows+1)*recLen)
+			})
+		}
+	})
+}
+
+func checkWALLen(t *testing.T, walPath string, want int64) {
+	t.Helper()
+	fi, err := os.Stat(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantK, wantM := genRows(s, 50, 4)
-	appendRows(t, st, wantK, wantM)
-	st.Close()
-	// Simulate a crash mid-append: chop bytes off the last WAL record.
-	walPath := filepath.Join(dir, walName)
-	raw, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
+	if fi.Size() != want {
+		t.Fatalf("%s holds %d bytes, want %d", walPath, fi.Size(), want)
 	}
-	if err := os.WriteFile(walPath, raw[:len(raw)-5], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if st2.Rows() != 49 {
-		t.Fatalf("rows after torn tail = %d, want 49", st2.Rows())
-	}
-	gotK, gotM := readAll(t, st2.Snapshot(storage.ColSet{}, nil), 2, 2)
-	for h := range wantK {
-		wantK[h] = wantK[h][:49]
-	}
-	for m := range wantM {
-		wantM[m] = wantM[m][:49]
-	}
-	checkEqual(t, wantK, wantM, gotK, gotM)
-	// The store still accepts appends after recovery.
-	if err := st2.Append([]int32{1, 1}, []float64{1, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if st2.Rows() != 50 {
-		t.Fatalf("rows after post-recovery append = %d", st2.Rows())
-	}
+}
+
+// TestAppendAllocFree: an append encodes its record straight into the
+// log, mapped or positional, so a row costs no allocation beyond the
+// tail columns' amortized growth.
+func TestAppendAllocFree(t *testing.T) {
+	onWALPaths(t, func(t *testing.T, use func(*Store) *Store) {
+		s := testSchema(t, 100)
+		st, err := Create(t.TempDir(), s, Options{AutoCompactRows: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer use(st).Close()
+		keys, vals := []int32{3, 7}, []float64{1, 2.5}
+		if n := testing.AllocsPerRun(10000, func() {
+			if err := st.Append(keys, vals); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("Append allocates %v times per row", n)
+		}
+	})
 }
 
 // TestWALRecordKeyOutOfRange: a record that passes the length and CRC
 // checks is not a torn tail, so a key the dictionaries do not hold fails
 // the open instead of reaching a scan that indexes a level map with it.
 func TestWALRecordKeyOutOfRange(t *testing.T) {
+	onWALPaths(t, testWALRecordKeyOutOfRange)
+}
+
+func testWALRecordKeyOutOfRange(t *testing.T, use func(*Store) *Store) {
 	dir := t.TempDir()
 	s := testSchema(t, 100)
 	st, err := Create(dir, s, Options{SegmentRows: 1 << 18, AutoCompactRows: -1})
@@ -264,7 +349,7 @@ func TestWALRecordKeyOutOfRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys, meas := genRows(s, 50, 4)
-	appendRows(t, st, keys, meas)
+	appendRows(t, use(st), keys, meas)
 	st.Close()
 	walPath := filepath.Join(dir, walName)
 	for _, bad := range [][]int32{{1 << 20, 0}, {0, -1}} {
@@ -272,7 +357,7 @@ func TestWALRecordKeyOutOfRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		corrupt := append(raw, walRecord(bad, []float64{1, 1})...)
+		corrupt := append(raw, appendRecord(nil, bad, []float64{1, 1})...)
 		if err := os.WriteFile(walPath, corrupt, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -341,6 +426,10 @@ func TestManifestSegmentOutsideStore(t *testing.T) {
 }
 
 func TestCrashBetweenWALRotationAndManifest(t *testing.T) {
+	onWALPaths(t, testCrashBetweenWALRotationAndManifest)
+}
+
+func testCrashBetweenWALRotationAndManifest(t *testing.T, use func(*Store) *Store) {
 	dir := t.TempDir()
 	s := testSchema(t, 100)
 	st, err := Create(dir, s, Options{SegmentRows: 64, AutoCompactRows: -1})
@@ -348,7 +437,7 @@ func TestCrashBetweenWALRotationAndManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantK, wantM := genRows(s, 200, 5)
-	appendRows(t, st, wantK, wantM)
+	appendRows(t, use(st), wantK, wantM)
 	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}

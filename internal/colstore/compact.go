@@ -130,14 +130,18 @@ func (st *Store) foldWAL() (bool, error) {
 		for m := range vals {
 			vals[m] = st.tailMeas[m][r]
 		}
-		records = append(records, walRecord(row, vals)...)
+		records = appendRecord(records, row, vals)
 	}
-	newWAL, err := createWAL(filepath.Join(st.dir, walName), st.walEpoch+1, records)
+	walPath := filepath.Join(st.dir, walName)
+	if err := writeWAL(walPath, st.walEpoch+1, records); err != nil {
+		return false, err
+	}
+	newWAL, err := openWAL(walPath, st.walMapped)
 	if err != nil {
 		return false, err
 	}
-	st.walF.Close()
-	st.walF = newWAL
+	st.wal.close(false)
+	st.wal = newWAL
 	st.walEpoch++
 	st.walSkip = 0
 	// Trim the resident tail to the unfolded remainder (fresh backing

@@ -19,3 +19,12 @@ func (st *Store) plan(preds []storage.LevelPred) *scanPlan {
 // on, so tests can compare it with full materialization; production
 // code always runs with the gatherCutoff constant.
 func (st *Store) DisableGather() { st.gatherCutoff = 0 }
+
+// positionalWAL puts the store on the WAL's fallback path, one
+// positional write per record as where mmap is unavailable, for its
+// current log and every log a fold rotates to.
+func (st *Store) positionalWAL() {
+	st.walMapped = false
+	st.wal.unmap()
+	st.wal.mapped = false
+}

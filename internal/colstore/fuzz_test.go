@@ -184,8 +184,12 @@ func FuzzReplayWAL(f *testing.F) {
 	f.Add(wal)
 	f.Add(wal[:len(wal)-5])
 	f.Add(wal[:walHeaderLen])
-	f.Add(append(wal[:len(wal):len(wal)], walRecord([]int32{1 << 20, 0}, []float64{1, 1})...))
-	f.Add(append(wal[:len(wal):len(wal)], walRecord([]int32{0, -1}, []float64{1, 1})...))
+	f.Add(appendRecord(wal[:len(wal):len(wal)], []int32{1 << 20, 0}, []float64{1, 1}))
+	f.Add(appendRecord(wal[:len(wal):len(wal)], []int32{0, -1}, []float64{1, 1}))
+	// What a killed mapped log leaves: zeros up to a window's end past
+	// the intact records, or past a torn one.
+	f.Add(append(wal[:len(wal):len(wal)], make([]byte, walWindow-len(wal))...))
+	f.Add(append(wal[:len(wal)-5:len(wal)-5], make([]byte, walWindow-len(wal)+5)...))
 	dir := copyDir(f, src)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(filepath.Join(dir, walName), data, 0o644); err != nil {
@@ -214,7 +218,7 @@ func FuzzReplayWAL(f *testing.F) {
 // closeNoSync releases what Open took without Close's fsync of the
 // log, which would bound a fuzzer by the disk.
 func closeNoSync(st *Store) {
-	st.walF.Close()
+	st.wal.close(false)
 	st.closeSegs()
 }
 

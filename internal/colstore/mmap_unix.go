@@ -28,3 +28,14 @@ func (m mapped) bytes(off int64, n int, _ *[]byte) ([]byte, error) {
 func (m mapped) stable() bool { return true }
 
 func (m mapped) close() error { return syscall.Munmap(m.data) }
+
+// walMaps reports that walLog can map its window.
+const walMaps = true
+
+// mmapWindow maps n bytes of f at off for reading and writing, shared
+// with the page cache.
+func mmapWindow(f *os.File, off int64, n int) ([]byte, error) {
+	return syscall.Mmap(int(f.Fd()), off, n, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+}
+
+func munmapWindow(b []byte) { syscall.Munmap(b) }

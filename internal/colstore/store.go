@@ -99,11 +99,15 @@ type Store struct {
 	// gatherCutoff is the package constant; a field so tests can switch
 	// gather decode off.
 	gatherCutoff float64
+	// walMapped is walMaps, whether a log opened for this store maps
+	// its window; a field so tests can force positional writes.
+	walMapped bool
 
 	// appendMu serializes appends with each other and with the WAL
-	// rotation, so the WAL write — a system call per row — happens outside
-	// mu and a snapshot never waits behind it. walF and closed change only
-	// with both held; appendMu is taken first.
+	// rotation, so the WAL write — a copy into the mapped log, or a
+	// positional write — happens outside mu and a snapshot never waits
+	// behind it. wal and closed change only with both held; appendMu is
+	// taken first.
 	appendMu sync.Mutex
 	mu       sync.Mutex
 	segs     []*segment
@@ -111,7 +115,7 @@ type Store struct {
 	tailKeys [][]int32
 	tailMeas [][]float64
 	tailRows int
-	walF     *os.File
+	wal      *walLog
 	walEpoch uint64
 	walSkip  int // records at the head of wal.log already folded
 	seq      uint64
@@ -151,16 +155,20 @@ func Create(dir string, s *mdm.Schema, opts Options) (*Store, error) {
 	if err := writeSchemaFile(filepath.Join(dir, schemaName), s); err != nil {
 		return nil, err
 	}
-	walF, err := createWAL(filepath.Join(dir, walName), 1, nil)
-	if err != nil {
+	walPath := filepath.Join(dir, walName)
+	if err := writeWAL(walPath, 1, nil); err != nil {
 		return nil, err
 	}
 	st := newStore(dir, s, opts)
-	st.walF = walF
+	wal, err := openWAL(walPath, st.walMapped)
+	if err != nil {
+		return nil, err
+	}
+	st.wal = wal
 	st.walEpoch = 1
 	st.seq = 1
 	if err := st.writeManifest(); err != nil {
-		walF.Close()
+		wal.close(false)
 		return nil, err
 	}
 	return st, nil
@@ -246,12 +254,12 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, err
 		}
 	}
-	walF, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
+	wal, err := openWAL(walPath, st.walMapped)
 	if err != nil {
 		st.closeSegs()
 		return nil, err
 	}
-	st.walF = walF
+	st.wal = wal
 	return st, nil
 }
 
@@ -265,6 +273,7 @@ func newStore(dir string, s *mdm.Schema, opts Options) *Store {
 		ruMaps:   levelMaps(s.Hiers),
 
 		gatherCutoff: gatherCutoff,
+		walMapped:    walMaps,
 	}
 	return st
 }
@@ -292,14 +301,15 @@ func (st *Store) tailAppend(keys []int32, vals []float64) {
 }
 
 // Append appends one row: WAL first, then the resident tail. The WAL
-// record reaches the file in one write(2) before Append returns, so a
-// returned Append survives a process crash. It is not fsync'd here: it
-// survives power loss once the next fold, Compact or Close has finished,
-// since each of those fsyncs the rows it carries. Once the tail passes
-// AutoCompactRows a background fold kicks off. A key outside its
-// hierarchy's dictionary is an error.
+// record is encoded straight into the log's mapped window (or, without
+// one, written with one positional write) before Append returns, so it
+// is in the page cache and a returned Append survives a process crash.
+// It is not fsync'd here: it survives power loss once the next fold,
+// Compact or Close has finished, since each of those fsyncs the rows it
+// carries. A fault on the mapping fails this and every later Append with
+// the same error. Once the tail passes AutoCompactRows a background fold
+// kicks off. A key outside its hierarchy's dictionary is an error.
 func (st *Store) Append(keys []int32, vals []float64) error {
-	rec := walRecord(keys, vals)
 	st.appendMu.Lock()
 	if st.closed {
 		st.appendMu.Unlock()
@@ -309,9 +319,9 @@ func (st *Store) Append(keys []int32, vals []float64) error {
 		st.appendMu.Unlock()
 		return err
 	}
-	if _, err := st.walF.Write(rec); err != nil {
+	if err := st.wal.append(keys, vals); err != nil {
 		st.appendMu.Unlock()
-		return fmt.Errorf("colstore: wal append: %w", err)
+		return err
 	}
 	st.mu.Lock()
 	st.tailAppend(keys, vals)
@@ -398,8 +408,8 @@ func (st *Store) Compact() error {
 	return st.compact(true)
 }
 
-// Close fsyncs the WAL and closes the store. Outstanding snapshots keep
-// their segment references until released.
+// Close cuts the WAL's zero tail, fsyncs the log and closes the store.
+// Outstanding snapshots keep their segment references until released.
 func (st *Store) Close() error {
 	st.wg.Wait()
 	st.appendMu.Lock()
@@ -410,10 +420,7 @@ func (st *Store) Close() error {
 		return nil
 	}
 	st.closed = true
-	err := st.walF.Sync()
-	if cerr := st.walF.Close(); err == nil {
-		err = cerr
-	}
+	err := st.wal.close(true)
 	st.closeSegsLocked()
 	return err
 }
