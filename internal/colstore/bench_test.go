@@ -8,6 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/assess-olap/assess/internal/engine"
+	"github.com/assess-olap/assess/internal/mdm"
+	"github.com/assess-olap/assess/internal/ssb"
 	"github.com/assess-olap/assess/internal/storage"
 )
 
@@ -330,4 +333,101 @@ func BenchmarkStoreAppend(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/row")
 		})
 	}
+}
+
+// benchSelectiveEngines builds two segment-backed copies of the same
+// SSB fact, each behind an engine: one late-materialized (production:
+// predicates evaluated on packed codes, measures gather-decoded under
+// the selection), one decoding eagerly (row-level filtering off,
+// zone-map pruning only, the pre-late-materialization pipeline). The
+// predicate selects one of 1000 brands (~300 of 300k rows) whose rows
+// are spread uniformly, so zone maps prune nothing for either store and
+// the entire gap is row-level work.
+func benchSelectiveEngines(b *testing.B) (lazy, eager *engine.Engine, q engine.Query) {
+	b.Helper()
+	ds := ssb.Generate(0.05, 42) // 300k rows
+	opts := Options{SegmentRows: 1 << 16, AutoCompactRows: -1}
+	build := func(eagerDecode bool) *engine.Engine {
+		dir := b.TempDir()
+		w, err := CreateBulk(dir, ds.Schema, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		keys := make([]int32, len(ds.Fact.Keys))
+		vals := make([]float64, len(ds.Fact.Meas))
+		for r := range ds.Fact.Rows() {
+			for h := range keys {
+				keys[h] = ds.Fact.Keys[h][r]
+			}
+			for m := range vals {
+				vals[m] = ds.Fact.Meas[m][r]
+			}
+			if err := w.Append(keys, vals); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+		st, err := Open(dir, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { st.Close() })
+		if eagerDecode {
+			st.decodeEagerly()
+		}
+		e := engine.New()
+		if err := e.Register("LINEORDER", storage.NewSegmentTable(st.Schema(), st)); err != nil {
+			b.Fatal(err)
+		}
+		return e
+	}
+	lazy, eager = build(false), build(true)
+	ri, _ := ds.Schema.MeasureIndex("revenue")
+	qi, _ := ds.Schema.MeasureIndex("quantity")
+	ci, _ := ds.Schema.MeasureIndex("supplycost")
+	q = engine.Query{
+		Fact:     "LINEORDER",
+		Group:    mdm.MustGroupBy(ds.Schema, "year"),
+		Preds:    []engine.Predicate{{Level: mdm.MustGroupBy(ds.Schema, "brand")[0], Members: []int32{77}}},
+		Measures: []int{ri, qi, ci},
+	}
+	return lazy, eager, q
+}
+
+// BenchmarkSelectiveColdScan measures what late materialization buys a
+// selective cold scan, as a paired ratio: each iteration runs the same
+// low-selectivity query against the lazy store and the eager store back
+// to back, and "speedup" is the median per-iteration eager/lazy ratio
+// (host-speed independent; the number scripts/bench.sh ratio gates on).
+// ns/op covers both sides and is not meaningful on its own.
+func BenchmarkSelectiveColdScan(b *testing.B) {
+	lazy, eager, q := benchSelectiveEngines(b)
+	lc, err := lazy.Get(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ec, err := eager.Get(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if lc.Len() == 0 || lc.Len() != ec.Len() {
+		b.Fatalf("lazy store returned %d cells, eager %d", lc.Len(), ec.Len())
+	}
+	ratios := make([]float64, 0, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		if _, err := lazy.Get(q); err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		if _, err := eager.Get(q); err != nil {
+			b.Fatal(err)
+		}
+		ratios = append(ratios, float64(time.Since(t1))/float64(t1.Sub(t0)))
+	}
+	sort.Float64s(ratios)
+	b.ReportMetric(ratios[len(ratios)/2], "speedup")
 }

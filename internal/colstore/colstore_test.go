@@ -124,9 +124,15 @@ func TestStoreAppendSnapshotReopen(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			s := testSchema(t, 500)
-			st, err := Create(dir, s, Options{SegmentRows: 128, AutoCompactRows: -1, NoMmap: noMmap})
+			opts := Options{SegmentRows: 128, AutoCompactRows: -1}
+			st, err := Create(dir, s, opts)
 			if err != nil {
 				t.Fatal(err)
+			}
+			reopen := Open
+			if noMmap {
+				st.preadSegments()
+				reopen = openPread
 			}
 			wantK, wantM := genRows(s, 1000, 1)
 			appendRows(t, st, wantK, wantM)
@@ -159,7 +165,7 @@ func TestStoreAppendSnapshotReopen(t *testing.T) {
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
-			st2, err := Open(dir, Options{SegmentRows: 128, AutoCompactRows: -1, NoMmap: noMmap})
+			st2, err := reopen(dir, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

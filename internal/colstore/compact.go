@@ -99,7 +99,7 @@ func (st *Store) foldWAL() (bool, error) {
 		if _, err := writeSegment(path, ck, cm, hi-lo, ruMaps); err != nil {
 			return fail(err)
 		}
-		seg, err := openSegment(path, st.opts.NoMmap)
+		seg, err := openSegment(path, st.noMmap)
 		if err != nil {
 			return fail(err)
 		}
@@ -242,7 +242,7 @@ func (st *Store) rewrite(lo, hi int) error {
 	if _, err := writeSegment(path, keys, meas, rows, ruMaps); err != nil {
 		return err
 	}
-	seg, err := openSegment(path, st.opts.NoMmap)
+	seg, err := openSegment(path, st.noMmap)
 	if err != nil {
 		return err
 	}

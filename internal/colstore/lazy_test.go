@@ -181,12 +181,10 @@ func TestGatherMeasMatchesFullDecode(t *testing.T) {
 // code 7 appears ONLY in segment 0, while every segment's hierarchy-1
 // zone map spans [0, 49] — so a pred on code 7 is invisible to zone maps
 // and only row-level code-space evaluation can skip segments 1..3.
-func lazyFixture(t *testing.T, opts Options) (*Store, [][]int32, [][]float64) {
+func lazyFixture(t *testing.T) (*Store, [][]int32, [][]float64) {
 	t.Helper()
 	s := testSchema(t, 500)
-	opts.SegmentRows = 250
-	opts.AutoCompactRows = -1
-	st, err := Create(t.TempDir(), s, opts)
+	st, err := Create(t.TempDir(), s, Options{SegmentRows: 250, AutoCompactRows: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +252,7 @@ func (b countingBlob) bytes(off int64, n int, scratch *[]byte) ([]byte, error) {
 // whose postings build the bitmap is not even fetched — with a single
 // predicate, no predicate payload is.
 func TestPredOnlyColumnsNeverMaterialized(t *testing.T) {
-	st, keys, meas := lazyFixture(t, Options{})
+	st, keys, meas := lazyFixture(t)
 	fetched := make([][][2]int64, len(st.segs))
 	for i, seg := range st.segs {
 		seg.blob = countingBlob{blob: seg.blob, fetched: &fetched[i]}
@@ -382,7 +380,7 @@ func rangeMembers(lo, hi int32) []int32 {
 }
 
 func TestLazySkipsSegmentsZoneMapsCannot(t *testing.T) {
-	st, keys, meas := lazyFixture(t, Options{})
+	st, keys, meas := lazyFixture(t)
 	preds := []storage.LevelPred{{Hier: 1, Level: 0, Members: []int32{7}}}
 	accept := func(_, h1 int32) bool { return h1 == 7 }
 
@@ -432,8 +430,9 @@ func TestLazyMatchesEager(t *testing.T) {
 		},
 		nil,
 	}
-	st, _, _ := lazyFixture(t, Options{})
-	eag, _, _ := lazyFixture(t, Options{Eager: true})
+	st, _, _ := lazyFixture(t)
+	eag, _, _ := lazyFixture(t)
+	eag.decodeEagerly()
 	for i, preds := range predCases {
 		accept := func(h0, h1 int32) bool {
 			for _, p := range preds {
@@ -467,7 +466,8 @@ func TestLazyMatchesEager(t *testing.T) {
 }
 
 func TestEagerOptionDisablesRowFiltering(t *testing.T) {
-	st, _, _ := lazyFixture(t, Options{Eager: true})
+	st, _, _ := lazyFixture(t)
+	st.decodeEagerly()
 	filteredBefore := mLazyFiltered.Value()
 	src := st.scan(storage.ColSet{}, []storage.LevelPred{{Hier: 1, Level: 0, Members: []int32{7}}})
 	defer src.Close()
@@ -489,7 +489,7 @@ func TestEagerOptionDisablesRowFiltering(t *testing.T) {
 // TestGatherCutoffDisabled proves a zero cutoff forces full measure
 // decode even for very sparse selections.
 func TestGatherCutoffDisabled(t *testing.T) {
-	st, keys, meas := lazyFixture(t, Options{})
+	st, keys, meas := lazyFixture(t)
 	st.DisableGather()
 	gatheredBefore := mLazyGathered.Value()
 	wantSum, wantRows := 0.0, 0

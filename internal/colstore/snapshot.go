@@ -14,8 +14,8 @@ type snapshot struct {
 	need   storage.ColSet
 
 	// plan is the prepared predicate set (nil without predicates); lazy
-	// gates row-level code-space filtering (Options.Eager turns it off,
-	// keeping the prepared zone-map probes).
+	// gates row-level code-space filtering (a store's eager switch turns
+	// it off, keeping the prepared zone-map probes).
 	plan         *scanPlan
 	lazy         bool
 	gatherCutoff float64
@@ -29,8 +29,9 @@ type snapshot struct {
 // Snapshot captures a consistent view for one scan. preds, prepared by
 // storage.Accepts, are planned once (sorted member sets for the zone-map
 // probes; the acceptance vectors over base codes they carry, for late
-// materialization) and evaluated against every segment; with Options.Eager
-// they prune segments only and row-exact filtering stays with the engine.
+// materialization) and evaluated against every segment; on an eager store
+// (a test-only switch) they prune segments only and row-exact filtering
+// stays with the engine.
 // The caller must Close the snapshot to release segment references.
 func (st *Store) Snapshot(need storage.ColSet, preds []storage.LevelPred) storage.ScanSource {
 	st.mu.Lock()
@@ -38,7 +39,7 @@ func (st *Store) Snapshot(need storage.ColSet, preds []storage.LevelPred) storag
 		segs:         make([]*segment, len(st.segs)),
 		pruned:       make([]bool, len(st.segs)),
 		need:         need,
-		lazy:         !st.opts.Eager,
+		lazy:         !st.eager,
 		gatherCutoff: st.gatherCutoff,
 		tailKeys:     make([][]int32, len(st.tailKeys)),
 		tailMeas:     make([][]float64, len(st.tailMeas)),

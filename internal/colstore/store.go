@@ -51,14 +51,6 @@ type Options struct {
 	// this many rows (0 defaults to SegmentRows; negative disables
 	// background folds entirely — Compact still works).
 	AutoCompactRows int
-	// NoMmap forces pread readers even where mmap is available.
-	NoMmap bool
-	// Eager disables late materialization: predicates still prune
-	// segments via zone maps, but no code-space row filtering or
-	// selective measure decode happens and every block is fully
-	// materialized (the pre-lazy behavior, kept for ablation and the
-	// eager oracle axes).
-	Eager bool
 }
 
 // gatherCutoff is the selectivity at or below which a selection
@@ -102,6 +94,12 @@ type Store struct {
 	// walMapped is walMaps, whether a log opened for this store maps
 	// its window; a field so tests can force positional writes.
 	walMapped bool
+	// noMmap reads segments with pread even where mmap is available, and
+	// eager turns late materialization off: snapshots prune segments by
+	// zone map only, with no code-space row filtering or selective
+	// decode. Both are false in production; fields so tests can compare
+	// the paths (export_test.go).
+	noMmap, eager bool
 
 	// appendMu serializes appends with each other and with the WAL
 	// rotation, so the WAL write — a copy into the mapped log, or a
@@ -175,7 +173,10 @@ func Create(dir string, s *mdm.Schema, opts Options) (*Store, error) {
 }
 
 // Open opens an existing store directory, replaying the WAL tail.
-func Open(dir string, opts Options) (*Store, error) {
+func Open(dir string, opts Options) (*Store, error) { return open(dir, opts, false) }
+
+// open is Open, reading segments with pread when noMmap is set.
+func open(dir string, opts Options, noMmap bool) (*Store, error) {
 	s, err := readSchemaFile(filepath.Join(dir, schemaName))
 	if err != nil {
 		return nil, err
@@ -198,9 +199,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	cleanOrphans(dir, man)
 	st := newStore(dir, s, opts)
+	st.noMmap = noMmap
 	st.seq = man.Seq
 	for _, ms := range man.Segments {
-		seg, err := openSegment(filepath.Join(dir, ms.File), st.opts.NoMmap)
+		seg, err := openSegment(filepath.Join(dir, ms.File), st.noMmap)
 		if err != nil {
 			st.closeSegs()
 			return nil, err

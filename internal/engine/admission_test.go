@@ -299,3 +299,68 @@ func TestRowsScannedCountsSwept(t *testing.T) {
 		}
 	}
 }
+
+// TestAdmissionSkipsInstalledAndEmptySets holds the tally to the
+// installed-view rule: a miss whose covering set already has a view,
+// materialized or admitted, leaves the tally untouched and buys nothing,
+// and so does a miss on the grand total, whose covering set is empty.
+func TestAdmissionSkipsInstalledAndEmptySets(t *testing.T) {
+	ds := sales.Generate(8000, 53)
+	s := ds.Schema
+	qi, _ := s.MeasureIndex("quantity")
+	rows := ds.Fact.Rows()
+	tally := func(e *Engine) int {
+		e.autoMu.Lock()
+		defer e.autoMu.Unlock()
+		return len(e.auto.tally)
+	}
+	miss := func(e *Engine, q Query) {
+		for range minViewSightings + 1 {
+			e.noteViewMiss(q, rows)
+		}
+	}
+
+	// A materialized view: a query sliced on one month misses under its
+	// covering set (month, country), which is installed.
+	e := salesEngine(t, ds)
+	e.SetAutoViews(64 << 20)
+	if err := e.Materialize("SALES", mdm.MustGroupBy(s, "country", "month")); err != nil {
+		t.Fatal(err)
+	}
+	miss(e, byCountryFor(t, s, "month", 0))
+	if n, v := tally(e), e.Views(); n != 0 || v != 1 {
+		t.Errorf("materialized set: %d tally entries and %d views after its misses, want 0 and 1", n, v)
+	}
+
+	// An admitted view: once bought, further misses on its set neither
+	// tally nor buy it again.
+	e = salesEngine(t, ds)
+	e.SetAutoViews(64 << 20)
+	q := Query{Fact: "SALES", Group: mdm.MustGroupBy(s, "product", "country"), Measures: []int{qi}}
+	for range minViewSightings {
+		if _, err := e.Get(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := e.ViewStatsSnapshot(); len(st.Views) != 1 || !st.Views[0].Auto {
+		t.Fatalf("views = %+v, want one admitted view", st.Views)
+	}
+	admissions := viewAdmissions()
+	miss(e, q)
+	if n, v, a := tally(e), e.Views(), viewAdmissions()-admissions; n != 0 || v != 1 || a != 0 {
+		t.Errorf("admitted set: %d tally entries, %d views and %d admissions after its misses, want 0, 1 and 0", n, v, a)
+	}
+
+	// The grand total: its covering set is empty, so nothing is tallied
+	// however often it misses.
+	e = salesEngine(t, ds)
+	e.SetAutoViews(64 << 20)
+	for range minViewSightings + 1 {
+		if _, err := e.Get(Query{Fact: "SALES", Measures: []int{qi}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, v := tally(e), e.Views(); n != 0 || v != 0 {
+		t.Errorf("grand total: %d tally entries and %d views after its misses, want none", n, v)
+	}
+}

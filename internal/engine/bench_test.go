@@ -85,7 +85,7 @@ func BenchmarkKernelDense(b *testing.B) {
 // BenchmarkKernelDense.
 func BenchmarkKernelHash(b *testing.B) {
 	e, _, q := benchDataset(b)
-	e.SetDenseKeyBudget(0)
+	e.setDenseKeyBudget(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Get(q); err != nil {
@@ -277,83 +277,6 @@ func BenchmarkColdScanParallel(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// benchSelectiveEngines builds two segment-backed copies of the same
-// SSB fact: one late-materialized (the default — predicates evaluated
-// on packed codes, measures gather-decoded under the selection), one
-// with Eager set (row-level filtering off, zone-map pruning only — the
-// pre-late-materialization pipeline). The predicate selects one of
-// 1000 brands (~300 of 300k rows) whose rows are spread uniformly, so
-// zone maps prune nothing for either store and the entire gap is
-// row-level work.
-func benchSelectiveEngines(b *testing.B) (lazy, eager *Engine, q Query) {
-	b.Helper()
-	ds := ssb.Generate(0.05, 42) // 300k rows
-	build := func(opts colstore.Options) *Engine {
-		dir := b.TempDir()
-		if err := persist.SaveCubeDir(dir, ds.Fact, opts); err != nil {
-			b.Fatal(err)
-		}
-		seg, st, err := persist.OpenCubeDir(dir, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { st.Close() })
-		e := New()
-		if err := e.Register("LINEORDER", seg); err != nil {
-			b.Fatal(err)
-		}
-		return e
-	}
-	lazy = build(colstore.Options{SegmentRows: 1 << 16, AutoCompactRows: -1})
-	eager = build(colstore.Options{SegmentRows: 1 << 16, AutoCompactRows: -1, Eager: true})
-	ri, _ := ds.Schema.MeasureIndex("revenue")
-	qi, _ := ds.Schema.MeasureIndex("quantity")
-	ci, _ := ds.Schema.MeasureIndex("supplycost")
-	q = Query{
-		Fact:     "LINEORDER",
-		Group:    mdm.MustGroupBy(ds.Schema, "year"),
-		Preds:    []Predicate{{Level: mdm.MustGroupBy(ds.Schema, "brand")[0], Members: []int32{77}}},
-		Measures: []int{ri, qi, ci},
-	}
-	return lazy, eager, q
-}
-
-// BenchmarkSelectiveColdScan measures what late materialization buys a
-// selective cold scan, as a paired ratio: each iteration runs the same
-// low-selectivity query against the lazy store and the eager store back
-// to back, and "speedup" is the median per-iteration eager/lazy ratio
-// (host-speed independent; the number scripts/bench.sh ratio gates on).
-// ns/op covers both sides and is not meaningful on its own.
-func BenchmarkSelectiveColdScan(b *testing.B) {
-	lazy, eager, q := benchSelectiveEngines(b)
-	lc, err := lazy.Get(q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ec, err := eager.Get(q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if lc.Len() == 0 || lc.Len() != ec.Len() {
-		b.Fatalf("lazy store returned %d cells, eager %d", lc.Len(), ec.Len())
-	}
-	ratios := make([]float64, 0, b.N)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		if _, err := lazy.Get(q); err != nil {
-			b.Fatal(err)
-		}
-		t1 := time.Now()
-		if _, err := eager.Get(q); err != nil {
-			b.Fatal(err)
-		}
-		ratios = append(ratios, float64(time.Since(t1))/float64(t1.Sub(t0)))
-	}
-	sort.Float64s(ratios)
-	b.ReportMetric(ratios[len(ratios)/2], "speedup")
 }
 
 // BenchmarkViewRefresh measures what absorbing an append by delta buys

@@ -64,8 +64,8 @@ type Engine struct {
 	// workers is the fact-scan parallelism (1 = serial, the default).
 	workers int
 	// denseBudget is the dense key-space slot budget: >0 explicit,
-	// 0 the DefaultDenseKeyBudget default, <0 dense kernels disabled
-	// (see SetDenseKeyBudget in kernel.go).
+	// 0 the defaultDenseKeyBudget default, <0 dense kernels disabled.
+	// Production never sets it; tests do, through setDenseKeyBudget.
 	denseBudget int
 	// morselSize is the scan morsel size in rows (0 selects the
 	// DefaultMorselSize default).

@@ -19,3 +19,18 @@ func newFact(t *testing.T, s *mdm.Schema, vals [][]float64, keys []int32) *stora
 	}
 	return f
 }
+
+// setDenseKeyBudget sets the dense key-space slot budget: a scan whose
+// group-by key space has more slots than the budget uses the slot table.
+// 0 disables the dense kernels entirely; negative values restore
+// defaultDenseKeyBudget.
+func (e *Engine) setDenseKeyBudget(slots int) {
+	switch {
+	case slots > 0:
+		e.denseBudget = slots
+	case slots == 0:
+		e.denseBudget = -1
+	default:
+		e.denseBudget = 0
+	}
+}

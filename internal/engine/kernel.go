@@ -23,39 +23,24 @@ import (
 // first-seen order and grows the same columns (hash). Accumulate, merge
 // and finalize are shared; the two differ in slot lookup only, and agree
 // bit-exactly on integer-valued measures (integer sums are exact in
-// float64 regardless of order), which the differential oracle
-// cross-checks per query.
+// float64 regardless of order), which TestKernelMatchesReference checks
+// against a map-based reference for both lookups.
 
-// DefaultDenseKeyBudget is the default maximum number of dense key-space
-// slots (per worker) before a scan falls back to the slot table. Each
-// slot costs 8 bytes per requested measure plus an 8-byte row count, per
+// defaultDenseKeyBudget is the maximum number of dense key-space slots
+// (per worker) before a scan falls back to the slot table. Each slot
+// costs 8 bytes per requested measure plus an 8-byte row count, per
 // worker, for the duration of the scan.
-const DefaultDenseKeyBudget = 1 << 20
+const defaultDenseKeyBudget = 1 << 20
 
 // DefaultMorselSize is the default number of fact rows per morsel, the
 // unit of work claimed by scan workers (see scan.go).
 const DefaultMorselSize = 64 * 1024
 
-// SetDenseKeyBudget sets the dense key-space slot budget: a scan whose
-// group-by key space has more slots than the budget uses the hash
-// fallback. 0 disables the dense kernels entirely; negative values
-// restore DefaultDenseKeyBudget.
-func (e *Engine) SetDenseKeyBudget(slots int) {
-	switch {
-	case slots > 0:
-		e.denseBudget = slots
-	case slots == 0:
-		e.denseBudget = -1
-	default:
-		e.denseBudget = 0
-	}
-}
-
 // denseKeyBudget returns the effective slot budget (0 = dense disabled).
 func (e *Engine) denseKeyBudget() int {
 	switch {
 	case e.denseBudget == 0:
-		return DefaultDenseKeyBudget
+		return defaultDenseKeyBudget
 	case e.denseBudget < 0:
 		return 0
 	}

@@ -67,7 +67,7 @@ func kernelEngines(t *testing.T, f *storage.FactTable) map[string]*Engine {
 	} {
 		e := New()
 		if !cfg.dense {
-			e.SetDenseKeyBudget(0)
+			e.setDenseKeyBudget(0)
 		}
 		if cfg.parallel {
 			e.SetParallelism(4)
@@ -126,19 +126,19 @@ func TestDenseLayout(t *testing.T) {
 
 func TestSetDenseKeyBudget(t *testing.T) {
 	e := New()
-	if got := e.denseKeyBudget(); got != DefaultDenseKeyBudget {
-		t.Errorf("default budget = %d, want %d", got, DefaultDenseKeyBudget)
+	if got := e.denseKeyBudget(); got != defaultDenseKeyBudget {
+		t.Errorf("default budget = %d, want %d", got, defaultDenseKeyBudget)
 	}
-	e.SetDenseKeyBudget(1234)
+	e.setDenseKeyBudget(1234)
 	if got := e.denseKeyBudget(); got != 1234 {
 		t.Errorf("budget = %d, want 1234", got)
 	}
-	e.SetDenseKeyBudget(0)
+	e.setDenseKeyBudget(0)
 	if got := e.denseKeyBudget(); got != 0 {
 		t.Errorf("budget = %d, want 0 (disabled)", got)
 	}
-	e.SetDenseKeyBudget(-1)
-	if got := e.denseKeyBudget(); got != DefaultDenseKeyBudget {
+	e.setDenseKeyBudget(-1)
+	if got := e.denseKeyBudget(); got != defaultDenseKeyBudget {
 		t.Errorf("budget = %d, want restored default", got)
 	}
 	e.SetMorselSize(77)
@@ -190,7 +190,7 @@ func TestKernelSingleMorselFallsBackToSerial(t *testing.T) {
 		e := New()
 		e.SetParallelism(8)
 		if !dense {
-			e.SetDenseKeyBudget(0)
+			e.setDenseKeyBudget(0)
 		}
 		if err := e.Register("T", f); err != nil {
 			t.Fatal(err)
@@ -225,7 +225,7 @@ func TestDenseBudgetOverflowMidRegistry(t *testing.T) {
 	}
 	s, f := build()
 	e := New()
-	e.SetDenseKeyBudget(16) // 8 base members fit, the grown domain will not
+	e.setDenseKeyBudget(16) // 8 base members fit, the grown domain will not
 	if err := e.Register("T", f); err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestDenseBudgetOverflowMidRegistry(t *testing.T) {
 		f2.MustAppend([]int32{int32(8 + i%24)}, []float64{1000})
 	}
 	ref := New()
-	ref.SetDenseKeyBudget(0)
+	ref.setDenseKeyBudget(0)
 	if err := ref.Register("T", f2); err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestMorselWorkStealingStress(t *testing.T) {
 	s := twoHierSchema(50, 6)
 	f := intFact(s, 4000, 31)
 	ref := New()
-	ref.SetDenseKeyBudget(0)
+	ref.setDenseKeyBudget(0)
 	if err := ref.Register("T", f); err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestMorselWorkStealingStress(t *testing.T) {
 			e.SetParallelism(workers)
 			e.SetMorselSize(7)
 			if !dense {
-				e.SetDenseKeyBudget(0)
+				e.setDenseKeyBudget(0)
 			}
 			if err := e.Register("T", f); err != nil {
 				t.Fatal(err)

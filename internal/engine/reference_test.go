@@ -228,7 +228,7 @@ func TestKernelMatchesReference(t *testing.T) {
 							refRows(t, fact, rng, rows, 60, 1023)
 						}
 						e := New()
-						e.SetDenseKeyBudget(budget)
+						e.setDenseKeyBudget(budget)
 						e.SetParallelism(workers)
 						e.SetMorselSize(64)
 						if err := e.Register("T", fact); err != nil {

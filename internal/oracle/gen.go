@@ -6,8 +6,10 @@
 // every statement along every execution axis — NP vs JOP vs POP plan,
 // serial vs partitioned fact scan, scan vs exact materialized view vs
 // roll-up from a strictly finer view, and cache-off vs cold vs warm
-// query-result cache — and asserts that all of them produce the same
-// canonicalized result set.
+// query-result cache, segment store and shards — and asserts that all
+// of them produce the same canonicalized result set, which the tests
+// hold in turn to a referee evaluated from the language's definitions
+// (referee_test.go).
 //
 // The paper's central optimization claim (Section 5) is that the JOP
 // and POP rewrites are semantically equivalent to the naive plan; the

@@ -40,60 +40,55 @@ type Report struct {
 	Statements    int
 	Comparisons   int // result sets checked against the reference
 	Discrepancies []Discrepancy
+	// Wants holds the reference's canonical rows by statement, for every
+	// statement the reference evaluated.
+	Wants map[string][]exec.Row
 }
 
 // axes are the session configurations the harness cross-checks. The
-// reference is NP on the first (serial hash kernel, no views, no cache);
-// every other axis must reproduce it bit-for-bit on coordinates and
-// labels and ULP-exactly on numeric columns, for every feasible
-// strategy. The kernel dimension (dense vs hash × serial vs
-// morsel-parallel) pins the vectorized dense-key kernels of
-// internal/engine against the hash path: the generator emits
-// integer-valued measures, so the two must agree bit-exactly. The views
-// dimension has two modes: "exact" materializes the statements' own
-// group-by sets (views served verbatim), "lattice" materializes
-// strictly finer covering views (Case.LatticeViews), forcing the
-// aggregate navigator to re-aggregate view cells through the roll-up
-// lattice — serially on the hash kernels (lattice) and morsel-parallel
-// on the dense kernels (par+lattice). A cache axis runs every statement
-// cold, then warm, and its cold run is the same configuration without
-// the cache: "cache" is the serial dense kernel and "cache+par+views" the
-// morsel-parallel one over exact views, so neither has an axis of its own.
-// The storage dimension (segment axes) writes both cubes once per seed
-// as segment directories with segments far smaller than the fact
-// (segmentStores), so block-at-a-time scans, segment decode, and zone-map
-// pruning must reproduce the resident reference bit-for-bit. The segment
-// axes open them in the eager decode path (colstore.Options.Eager); the
-// lazy axes open the same directories in the default late-materialized
-// mode, so code-space predicate evaluation, selection bitmaps, segment
-// skips, and gather decode must also reproduce the reference
-// bit-for-bit — lazy+par layers the morsel-parallel dense kernels on
-// top, consuming Filtered blocks across worker-stolen blocks, and is the
+// reference is NP on the first (serial scan, no views, no cache), itself
+// held to the referee (referee_test.go), which evaluates every statement
+// from the language's definitions; every other axis must reproduce it
+// bit-for-bit on coordinates and labels and ULP-exactly on numeric
+// columns, for every feasible strategy. Every axis runs the engine's
+// default kernels: the generated key spaces fit the dense budget, and
+// the slot-table fallback is held to the same reference in engine's own
+// reference tests. The par axes split each scan into morsels across
+// workers. The views dimension has two modes: "exact" materializes the
+// statements' own group-by sets (views served verbatim), "lattice"
+// materializes strictly finer covering views (Case.LatticeViews),
+// forcing the aggregate navigator to re-aggregate view cells through the
+// roll-up lattice, serially (lattice) and morsel-parallel
+// (par+lattice). A cache axis runs every statement cold, then warm, and
+// its cold run is the same configuration without the cache: "cache" is
+// the serial scan and "cache+par+views" the morsel-parallel one over
+// exact views, so neither has an axis of its own. The segment axes
+// write both cubes once per seed as segment directories with segments
+// far smaller than the fact (segmentStores), so block-at-a-time scans,
+// zone-map pruning, code-space predicates, segment skips and gather
+// decode must reproduce the resident reference bit-for-bit; segment+par
+// consumes the filtered blocks across worker-stolen morsels and is the
 // axis of the concurrent sweep (see Run): every (statement, strategy)
-// pair re-executed at once, so concurrent scans over one segment store —
-// shared snapshots, pooled scratch — must reproduce the reference too.
-// The sharded axes hash-split both cubes across an in-process cluster
-// (1, 2, 3, or 5 shards by seed) and scatter-gather every scan through
-// internal/dist: partial aggregation on each shard, wire encode/decode,
-// and the engine's combine of the replies must reproduce the unsharded
-// reference bit-for-bit — the generator's integer-valued measures make every
-// shard association order exact. sharded+par additionally runs each
-// worker's scans morsel-parallel on the dense kernels.
+// pair re-executed at once, so concurrent scans over one segment store
+// (shared snapshots, pooled scratch) must reproduce the reference too.
+// The sharded axis hash-splits both cubes across an in-process cluster
+// (1, 2, 3, or 5 shards by seed) and scatter-gathers every scan through
+// internal/dist, each worker scanning morsel-parallel: partial
+// aggregation on each shard, wire encode/decode, and the engine's
+// combine of the replies must reproduce the unsharded reference
+// bit-for-bit (the generator's integer-valued measures make every shard
+// association order exact).
 var axes = []axis{
-	{"base", false, "", false, false, false, false, false, false},
-	{"par", true, "", false, false, false, false, false, false},
-	{"dense+par", true, "", false, true, false, false, false, false},
-	{"views", false, "exact", false, true, false, false, false, false},
-	{"lattice", false, "lattice", false, false, false, false, false, false},
-	{"par+lattice", true, "lattice", false, true, false, false, false, false},
-	{"cache", false, "", true, true, false, false, false, false},
-	{"cache+par+views", true, "exact", true, true, false, false, false, false},
-	{"segment", false, "", false, false, true, false, false, false},
-	{"segment+par", true, "", false, true, true, false, false, false},
-	{"lazy", false, "", false, false, true, true, false, false},
-	{"lazy+par", true, "", false, true, true, true, true, false},
-	{"sharded", false, "", false, false, false, false, false, true},
-	{"sharded+par", true, "", false, true, false, false, false, true},
+	{name: "base"},
+	{name: "par", parallel: true},
+	{name: "views", views: "exact"},
+	{name: "lattice", views: "lattice"},
+	{name: "par+lattice", parallel: true, views: "lattice"},
+	{name: "cache", cache: true},
+	{name: "cache+par+views", parallel: true, views: "exact", cache: true},
+	{name: "segment", segment: true},
+	{name: "segment+par", parallel: true, segment: true, sweep: true},
+	{name: "sharded", parallel: true, sharded: true},
 }
 
 // axis is one session configuration of the harness.
@@ -102,20 +97,18 @@ type axis struct {
 	parallel bool
 	views    string // "", "exact", or "lattice"
 	cache    bool   // a cold run, then a warm one: the cold run alone is the axis without the cache
-	dense    bool
 	segment  bool
-	lazy     bool // segment store in late-materialized (default) mode
 	sweep    bool // also runs the concurrent sweep
 	sharded  bool
 }
 
-// oracleShardCounts rotates the sharded axes' cluster size by seed:
+// oracleShardCounts rotates the sharded axis' cluster size by seed:
 // a 1-shard cluster pins the degenerate wire round trip, the larger
 // counts exercise genuine cross-shard merges. Over a wide sweep every
 // count is hit many times.
 var oracleShardCounts = []int{1, 2, 3, 5}
 
-// shardCountFor picks the sharded axes' cluster size for a seed.
+// shardCountFor picks the sharded axis' cluster size for a seed.
 func shardCountFor(seed int64) int {
 	return oracleShardCounts[int(seed)%len(oracleShardCounts)]
 }
@@ -129,11 +122,6 @@ const (
 	oracleWorkers    = 4
 	oracleMorselRows = 53
 )
-
-// oracleDenseBudget forces the dense kernels onto every generated
-// group-by set (their key spaces stay far smaller than this) on the
-// dense axes; the hash axes disable dense with SetDenseKeyBudget(0).
-const oracleDenseBudget = 1 << 22
 
 // oracleSegmentRows keeps segment-axis segments far smaller than the
 // generated facts (hundreds to a few thousand rows), so every sweep
@@ -185,35 +173,21 @@ func checkTrace(root *obsv.Span) string {
 
 // segmentOpts keeps the oracle's segment layout deterministic: segments
 // far smaller than the generated facts and background compaction off.
-// eager pins the pre-late-materialization decode path (false leaves the
-// default lazy mode on).
-func segmentOpts(eager bool) colstore.Options {
-	return colstore.Options{SegmentRows: oracleSegmentRows, AutoCompactRows: -1, Eager: eager}
-}
-
-// saveSegmentDir writes a resident fact table as a segment directory in a
-// fresh temp directory and returns its path.
-func saveSegmentDir(f *storage.FactTable) (string, error) {
-	dir, err := os.MkdirTemp("", "oracle-seg-")
-	if err != nil {
-		return "", err
-	}
-	if err := persist.SaveCubeDir(dir, f, segmentOpts(false)); err != nil {
-		os.RemoveAll(dir)
-		return "", err
-	}
-	return dir, nil
-}
+var segmentOpts = colstore.Options{SegmentRows: oracleSegmentRows, AutoCompactRows: -1}
 
 // segmentCopy rebuilds a resident fact table as a segment-backed one in
 // a fresh temp directory. The returned cleanup closes the store and
 // removes the directory.
-func segmentCopy(f *storage.FactTable, eager bool) (*storage.FactTable, func(), error) {
-	dir, err := saveSegmentDir(f)
+func segmentCopy(f *storage.FactTable) (*storage.FactTable, func(), error) {
+	dir, err := os.MkdirTemp("", "oracle-seg-")
 	if err != nil {
 		return nil, nil, err
 	}
-	seg, st, err := persist.OpenCubeDir(dir, segmentOpts(eager))
+	if err := persist.SaveCubeDir(dir, f, segmentOpts); err != nil {
+		os.RemoveAll(dir)
+		return nil, nil, err
+	}
+	seg, st, err := persist.OpenCubeDir(dir, segmentOpts)
 	if err != nil {
 		os.RemoveAll(dir)
 		return nil, nil, err
@@ -221,51 +195,31 @@ func segmentCopy(f *storage.FactTable, eager bool) (*storage.FactTable, func(), 
 	return seg, func() { st.Close(); os.RemoveAll(dir) }, nil
 }
 
-// segmentStores writes each cube of the case as a segment directory once
-// and opens both directories once per decode mode: segs[0] is the eager
-// (fact, external) pair, segs[1] the lazy one, each shared by its mode's
-// two axes — none of them appends or compacts. The cleanup closes every
-// store and removes both directories.
-func segmentStores(c *Case) (segs [2][2]*storage.FactTable, cleanup func(), err error) {
-	var closers []func() error
-	var dirs []string
-	cleanup = func() {
-		for _, closeStore := range closers {
-			closeStore()
-		}
-		for _, dir := range dirs {
-			os.RemoveAll(dir)
-		}
+// segmentStores writes each cube of the case as a segment directory and
+// opens it once: the (fact, external) pair both segment axes share, since
+// neither appends or compacts. The cleanup closes both stores and removes
+// both directories.
+func segmentStores(c *Case) (fact, ext *storage.FactTable, cleanup func(), err error) {
+	fact, closeFact, err := segmentCopy(c.Fact)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	for i, f := range []*storage.FactTable{c.Fact, c.ExtFact} {
-		dir, err := saveSegmentDir(f)
-		if err != nil {
-			return segs, cleanup, err
-		}
-		dirs = append(dirs, dir)
-		for mode, eager := range []bool{true, false} {
-			seg, st, err := persist.OpenCubeDir(dir, segmentOpts(eager))
-			if err != nil {
-				return segs, cleanup, err
-			}
-			closers = append(closers, st.Close)
-			segs[mode][i] = seg
-		}
+	ext, closeExt, err := segmentCopy(c.ExtFact)
+	if err != nil {
+		closeFact()
+		return nil, nil, nil, err
 	}
-	for _, pair := range segs {
-		// The copies decode their hierarchies independently; restore the
-		// pointer sharing external-benchmark joins require.
-		persist.ReconcileSchemas(pair[0].Schema, pair[1].Schema)
-	}
-	return segs, cleanup, nil
+	// The copies decode their hierarchies independently; restore the
+	// pointer sharing external-benchmark joins require.
+	persist.ReconcileSchemas(fact.Schema, ext.Schema)
+	return fact, ext, func() { closeFact(); closeExt() }, nil
 }
 
 // shardSession splits both cubes across an in-process cluster of n
 // workers (hash-sharded on the first hierarchy's base level) and
-// installs a scatter-gather coordinator on s. The worker engines get
-// the same kernel knobs as the coordinator session so the sharded axes
-// test the intended kernel dimension shard-side too.
-func shardSession(s *core.Session, fact, ext *storage.FactTable, n int, parallel, dense bool) error {
+// installs a scatter-gather coordinator on s. parallel gives every
+// worker the parallel axes' morsel-parallel scans.
+func shardSession(s *core.Session, fact, ext *storage.FactTable, n int, parallel bool) error {
 	level := mdm.LevelRef{Hier: 0, Level: 0}
 	lc := dist.NewLocalCluster(n)
 	if err := lc.AddFact(TargetCube, fact, level); err != nil {
@@ -275,15 +229,9 @@ func shardSession(s *core.Session, fact, ext *storage.FactTable, n int, parallel
 		return err
 	}
 	for _, w := range lc.Workers {
-		we := w.Engine()
-		if dense {
-			we.SetDenseKeyBudget(oracleDenseBudget)
-		} else {
-			we.SetDenseKeyBudget(0)
-		}
 		if parallel {
-			we.SetParallelism(oracleWorkers)
-			we.SetMorselSize(oracleMorselRows)
+			w.Engine().SetParallelism(oracleWorkers)
+			w.Engine().SetMorselSize(oracleMorselRows)
 		}
 	}
 	coord := dist.NewCoordinator(s.Engine, dist.Config{})
@@ -306,11 +254,6 @@ func buildSession(c *Case, ax axis, fact, ext *storage.FactTable, shards int) (*
 	}
 	if err := s.RegisterCube(ExtCube, ext); err != nil {
 		return nil, err
-	}
-	if ax.dense {
-		s.Engine.SetDenseKeyBudget(oracleDenseBudget)
-	} else {
-		s.Engine.SetDenseKeyBudget(0)
 	}
 	if ax.parallel {
 		s.Engine.SetParallelism(oracleWorkers)
@@ -337,7 +280,7 @@ func buildSession(c *Case, ax axis, fact, ext *storage.FactTable, shards int) (*
 		s.EnableCache(0)
 	}
 	if shards > 0 {
-		if err := shardSession(s, fact, ext, shards, ax.parallel, ax.dense); err != nil {
+		if err := shardSession(s, fact, ext, shards, ax.parallel); err != nil {
 			return nil, err
 		}
 	}
@@ -358,21 +301,17 @@ func Run(seed int64) *Report {
 		})
 	}
 
-	segs, cleanup, err := segmentStores(c)
-	defer cleanup()
+	segFact, segExt, cleanup, err := segmentStores(c)
 	if err != nil {
 		add("", "setup/segment", err.Error())
 		return rep
 	}
+	defer cleanup()
 	sessions := make([]*core.Session, len(axes))
 	for i, ax := range axes {
 		fact, ext, shards := c.Fact, c.ExtFact, 0
 		if ax.segment {
-			mode := 0
-			if ax.lazy {
-				mode = 1
-			}
-			fact, ext = segs[mode][0], segs[mode][1]
+			fact, ext = segFact, segExt
 		}
 		if ax.sharded {
 			shards = shardCountFor(seed)
@@ -386,8 +325,9 @@ func Run(seed int64) *Report {
 	}
 	base := sessions[0]
 
-	// References for the concurrent sweep below.
+	// References for the concurrent sweep below and the caller.
 	wants := make(map[string][]exec.Row, len(c.Statements))
+	rep.Wants = wants
 	kinds := make(map[string]parser.BenchmarkKind, len(c.Statements))
 
 	for _, stmt := range c.Statements {
