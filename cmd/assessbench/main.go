@@ -27,7 +27,7 @@ import (
 func main() {
 	var (
 		experiment = flag.String("experiment", "all", "table1, table2, table3, fig3, fig4, or all")
-		runs       = flag.Int("runs", 3, "timed runs per (intention, plan, scale); times are averaged")
+		runs       = flag.Int("runs", 3, "rounds per (intention, scale), each running every plan once in alternating order; a plan's time is its median round")
 		seed       = flag.Int64("seed", 42, "generator seed")
 		quick      = flag.Bool("quick", false, "use small scale presets for a smoke run")
 		sf1        = flag.Float64("sf1", 0.01, "scale factor of the SSB1 preset")

@@ -52,14 +52,8 @@ type Cube struct {
 // New creates an empty derived cube with the given measure columns, to be
 // filled cell by cell with AddCell.
 func New(s *mdm.Schema, g mdm.GroupBy, names ...string) *Cube {
-	return &Cube{
-		Schema: s,
-		Group:  g,
-		Names:  append([]string(nil), names...),
-		Keys:   make([][]int32, len(g)),
-		Cols:   make([][]float64, len(names)),
-		idx:    new(index),
-	}
+	c, _ := Build(s, g, names, 0, make([][]int32, len(g)), make([][]float64, len(names)))
+	return c
 }
 
 // Build is the bulk builder: it constructs a cube of n cells from whole
@@ -110,24 +104,23 @@ func (c *Cube) Coord(i int) mdm.Coordinate {
 
 // MeasureIndex returns the column position of the named measure.
 func (c *Cube) MeasureIndex(name string) (int, bool) {
-	for j, n := range c.Names {
-		if n == name {
-			return j, true
-		}
-	}
-	return 0, false
+	j := slices.Index(c.Names, name)
+	return j, j >= 0
 }
 
 // AddCell appends one cell, copying coord and vals. It is the checked,
-// one-cell-at-a-time entry for hand-built cubes: coordinates must be
-// unique (which indexes the cube) and vals must have one value per
-// measure column. Result-sized producers use Build.
+// one-cell-at-a-time entry for hand-built cubes: member ids must be in
+// their levels' dictionaries, coordinates unique (which indexes the cube)
+// and vals one value per measure column. Result-sized producers use Build.
 func (c *Cube) AddCell(coord mdm.Coordinate, vals []float64) error {
 	if len(vals) != len(c.Cols) {
 		return fmt.Errorf("cube: cell has %d values, cube has %d measures", len(vals), len(c.Cols))
 	}
 	if len(coord) != len(c.Group) {
 		return fmt.Errorf("cube: coordinate has %d members, group-by set has %d levels", len(coord), len(c.Group))
+	}
+	if err := c.members(coord); err != nil {
+		return err
 	}
 	if err := c.BuildIndex(); err != nil {
 		return err
@@ -141,8 +134,22 @@ func (c *Cube) AddCell(coord mdm.Coordinate, vals []float64) error {
 	for j, v := range vals {
 		c.Cols[j] = append(c.Cols[j], v)
 	}
-	c.idx.tab.add(coord, c.n, c.Keys)
 	c.n++
+	// A member added to a dictionary after the index was built lies
+	// outside the index's space: index the cube again over the current one.
+	if c.idx.slots.Index(one(coord), 1)[0] < 0 {
+		c.idx.build(c.Schema.KeySpace(c.Group), c.Keys, c.n)
+	}
+	return nil
+}
+
+// members reports a member id of coord outside its level's dictionary.
+func (c *Cube) members(coord mdm.Coordinate) error {
+	for p, id := range coord {
+		if n := c.Schema.Dict(c.Group[p]).Len(); id < 0 || int(id) >= n {
+			return fmt.Errorf("cube: member id %d is outside level %s (%d members)", id, c.Schema.LevelName(c.Group[p]), n)
+		}
+	}
 	return nil
 }
 
@@ -156,22 +163,29 @@ func (c *Cube) MustAddCell(coord mdm.Coordinate, vals ...float64) {
 // Lookup returns the cell position of the coordinate. The first call
 // indexes the cube; concurrent callers (cached results and view cubes are
 // shared across requests) are safe. Should the cube hold a coordinate
-// twice — BuildIndex reports that — the first cell wins.
+// twice — BuildIndex reports that — the first cell wins. A member id
+// outside the indexed space finds nothing.
 func (c *Cube) Lookup(coord mdm.Coordinate) (int, bool) {
 	if len(coord) != len(c.Keys) {
 		return 0, false
 	}
-	at := c.index().tab.lookup(one(coord), 1)[0]
+	at := c.index().lookup(one(coord), 1)[0]
 	return int(at), at >= 0
 }
 
 // BuildIndex indexes the cube now rather than on the first Lookup and
-// reports a coordinate held by more than one cell.
+// reports a cell it cannot index: one holding a coordinate an earlier cell
+// holds, or a member id outside its level's dictionary.
 func (c *Cube) BuildIndex() error {
-	if dup := c.index().dup; dup >= 0 {
-		return fmt.Errorf("cube: duplicate coordinate %s", c.Coord(dup).Format(c.Schema, c.Group))
+	bad := c.index().bad
+	if bad < 0 {
+		return nil
 	}
-	return nil
+	coord := c.Coord(bad)
+	if err := c.members(coord); err != nil {
+		return err
+	}
+	return fmt.Errorf("cube: duplicate coordinate %s", coord.Format(c.Schema, c.Group))
 }
 
 // Column returns the values of measure column j across all cells. The
@@ -210,6 +224,9 @@ func (c *Cube) SetLabels(labels []string) error {
 // integers. Columns are permuted into fresh slices: cubes sharing the old
 // ones (Project) are unaffected.
 func (c *Cube) SortByCoordinate() {
+	if c.n < 2 {
+		return
+	}
 	ranks := make([][]int32, len(c.Group))
 	cards := make([]int, len(c.Group))
 	for p, ref := range c.Group {
@@ -228,25 +245,18 @@ func (c *Cube) SortByCoordinate() {
 		if slices.IsSorted(keys) {
 			return
 		}
-		order = radixOrder(keys)
+		order = radixOrder(keys, positions(c.n))
 	} else {
-		// The rank space overflows 64 bits: compare rank tuples.
-		byRanks := func(a, b int32) int {
-			for p, col := range c.Keys {
-				if d := int(ranks[p][col[a]]) - int(ranks[p][col[b]]); d != 0 {
-					return d
-				}
+		// The rank space overflows 64 bits: sort on one level's ranks at
+		// a time, the last level first.
+		order = positions(c.n)
+		for p := len(c.Keys) - 1; p >= 0; p-- {
+			keys := make([]uint64, c.n)
+			for i, id := range c.Keys[p] {
+				keys[i] = uint64(ranks[p][id])
 			}
-			return 0
+			order = radixOrder(keys, order)
 		}
-		order = make([]int32, c.n)
-		for i := range order {
-			order[i] = int32(i)
-		}
-		if slices.IsSortedFunc(order, byRanks) {
-			return
-		}
-		slices.SortStableFunc(order, byRanks)
 	}
 	c.Keys, c.Cols = take(c, order)
 	if c.Labels != nil {
@@ -255,15 +265,13 @@ func (c *Cube) SortByCoordinate() {
 	c.idx = new(index) // positions moved; re-index on demand
 }
 
-// radixOrder returns the stable ascending order of keys — order[dst] is
-// the position of the dst-th smallest — by least-significant-digit radix
-// passes over as many 11-bit digits as the largest key has.
-func radixOrder(keys []uint64) []int32 {
+// radixOrder sorts order, positions into keys, stably by key: after it
+// keys[order[0]] ≤ keys[order[1]] ≤ …, ties in their former order. It
+// makes least-significant-digit radix passes over as many 11-bit digits
+// as the largest key has, reusing order's memory.
+func radixOrder(keys []uint64, order []int32) []int32 {
 	const digit = 11
-	order, next := make([]int32, len(keys)), make([]int32, len(keys))
-	for i := range order {
-		order[i] = int32(i)
-	}
+	next := make([]int32, len(keys))
 	for shift, width := 0, bits.Len64(slices.Max(keys)); shift < width; shift += digit {
 		var at [1 << digit]int32 // start of each digit's run in next
 		for _, k := range keys {
@@ -281,6 +289,15 @@ func radixOrder(keys []uint64) []int32 {
 		order, next = next, order
 	}
 	return order
+}
+
+// positions returns 0, 1, …, n-1.
+func positions(n int) []int32 {
+	rows := make([]int32, n)
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return rows
 }
 
 // gather returns col permuted or filtered by rows: out[k] = col[rows[k]].

@@ -55,6 +55,77 @@ func TestAddCellDuplicate(t *testing.T) {
 	}
 }
 
+// TestAddCellRejectsForeignMember: a member id outside its level's
+// dictionary is refused with the level's name, and the cube still
+// renders.
+func TestAddCellRejectsForeignMember(t *testing.T) {
+	_, _, c, _ := fixture(t)
+	for _, tc := range []struct {
+		coord mdm.Coordinate
+		level string
+	}{{mdm.Coordinate{4, 0}, "product"}, {mdm.Coordinate{0, -1}, "country"}, {mdm.Coordinate{0, 2}, "country"}} {
+		err := c.AddCell(tc.coord, []float64{1})
+		if err == nil || !strings.Contains(err.Error(), tc.level) {
+			t.Fatalf("AddCell(%v) = %v, want an error naming level %s", tc.coord, err, tc.level)
+		}
+	}
+	if c.Len() != 3 || !strings.Contains(c.String(), "Lemon") {
+		t.Fatalf("cube changed or does not render after refused cells:\n%s", c)
+	}
+	// A bulk-built cube is trusted until it is indexed, which names the
+	// level too.
+	bulk, err := Build(c.Schema, c.Group, []string{"q"}, 2, [][]int32{{0, 9}, {0, 0}}, [][]float64{{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bulk.BuildIndex(); err == nil || !strings.Contains(err.Error(), "product") {
+		t.Fatalf("BuildIndex = %v, want an error naming level product", err)
+	}
+	if _, err := PartialJoin(c, bulk, c.Group, "b.", false); err == nil || !strings.Contains(err.Error(), "product") {
+		t.Fatalf("PartialJoin = %v, want an error naming level product", err)
+	}
+}
+
+// TestAddCellAfterDictionaryGrowth indexes a cube, adds a member to a
+// dictionary and then a cell holding it: the cube is indexed again over
+// the grown space, and Lookup finds the new cell and the old ones, in a
+// space of 64 bits and in one past it.
+func TestAddCellAfterDictionaryGrowth(t *testing.T) {
+	s, _, c, _ := fixture(t)
+	ws, wg := wideSchema()
+	wide := New(ws, wg, "m")
+	wide.MustAddCell(mdm.Coordinate{1, 2, 3, 4, 5, 6, 7}, 1)
+	wide.MustAddCell(mdm.Coordinate{7, 6, 5, 4, 3, 2, 1}, 2)
+	for _, tc := range []struct {
+		c      *Cube
+		hier   *mdm.Hierarchy
+		member []string
+	}{{c, s.Hiers[0], []string{"Kiwi", "Fresh Fruit"}}, {wide, ws.Hiers[0], []string{"Kiwi"}}} {
+		if err := tc.c.BuildIndex(); err != nil {
+			t.Fatal(err)
+		}
+		old := tc.c.Coord(1)
+		coord := tc.c.Coord(0)
+		coord[0] = tc.hier.MustAddMember(tc.member...)
+		if at, ok := tc.c.Lookup(coord); ok {
+			t.Fatalf("found %v at %d before it was added", coord, at)
+		}
+		if err := tc.c.AddCell(coord, []float64{5}); err != nil {
+			t.Fatal(err)
+		}
+		n := tc.c.Len()
+		if at, ok := tc.c.Lookup(coord); !ok || at != n-1 {
+			t.Fatalf("Lookup of the new cell %v = %d, %v; want %d", coord, at, ok, n-1)
+		}
+		if at, ok := tc.c.Lookup(old); !ok || at != 1 {
+			t.Fatalf("Lookup of the old cell %v = %d, %v; want 1", old, at, ok)
+		}
+		if err := tc.c.AddCell(coord, []float64{6}); err == nil {
+			t.Fatal("AddCell accepted the new coordinate twice")
+		}
+	}
+}
+
 func TestPartialJoinFigureOne(t *testing.T) {
 	s, _, c, b := fixture(t)
 	product, _ := s.FindLevel("product")

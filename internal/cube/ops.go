@@ -59,19 +59,27 @@ func matched(c *Cube, rows []int32) [][]float64 {
 // measures of the cells rrows (NaN where a row is negative) under the
 // alias prefix.
 func joined(left, right *Cube, alias string, lrows, rrows []int32) (*Cube, error) {
-	keys, cols := take(left, lrows)
-	return Build(left.Schema, left.Group, joinNames(left, right, alias), len(lrows), keys, append(cols, matched(right, rrows)...))
-}
-
-// joinNames is the output header of a join: the left names, then the
-// right names under the alias prefix.
-func joinNames(left, right *Cube, alias string) []string {
-	names := make([]string, 0, len(left.Names)+len(right.Names))
-	names = append(names, left.Names...)
+	names := slices.Clone(left.Names)
 	for _, n := range right.Names {
 		names = append(names, alias+n)
 	}
-	return names
+	keys, cols := take(left, lrows)
+	return Build(left.Schema, left.Group, names, len(lrows), keys, append(cols, matched(right, rrows)...))
+}
+
+// joinFound is joined for a probe that found right cell found[i] for left
+// cell i, -1 for none: an unmatched left cell is dropped, or kept with NaN
+// right measures when outer is true.
+func joinFound(left, right *Cube, alias string, found []int32, outer bool) (*Cube, error) {
+	lrows := make([]int32, 0, len(found))
+	rrows := make([]int32, 0, len(found))
+	for i, ri := range found {
+		if ri >= 0 || outer {
+			lrows = append(lrows, int32(i))
+			rrows = append(rrows, ri)
+		}
+	}
+	return joined(left, right, alias, lrows, rrows)
 }
 
 // singleSlice reports whether every cell carries the same member at
@@ -135,20 +143,15 @@ func PartialJoin(left, right *Cube, on []mdm.LevelRef, alias string, outer bool)
 	for i, ref := range on {
 		cards[i] = max(left.Schema.Dict(ref).Len(), right.Schema.Dict(ref).Len())
 	}
-	rtab, dup := newTable(mdm.NewKeySpace(cards), rkeys, right.Len())
-	if dup >= 0 {
-		return nil, fmt.Errorf("cube: partial join is ambiguous: right cube has several cells for key of %s",
-			right.Coord(dup).Format(right.Schema, right.Group))
-	}
-	lrows := make([]int32, 0, left.Len())
-	rrows := make([]int32, 0, left.Len())
-	for i, ri := range rtab.lookup(lkeys, left.Len()) {
-		if ri >= 0 || outer {
-			lrows = append(lrows, int32(i))
-			rrows = append(rrows, ri)
+	rix := new(index).build(mdm.NewKeySpace(cards), rkeys, right.Len())
+	if bad := rix.bad; bad >= 0 {
+		if err := right.members(right.Coord(bad)); err != nil {
+			return nil, err
 		}
+		return nil, fmt.Errorf("cube: partial join is ambiguous: right cube has several cells for key of %s",
+			right.Coord(bad).Format(right.Schema, right.Group))
 	}
-	return joined(left, right, alias, lrows, rrows)
+	return joinFound(left, right, alias, rix.lookup(lkeys, left.Len()), outer)
 }
 
 // Pivot computes ⊞_{⟨m→name⟩, l, ref}(C): it keeps only the slice of level
@@ -213,17 +216,17 @@ func Pivot(c *Cube, level mdm.LevelRef, ref int32, neighbors []int32, strict boo
 	nrows := make([][]int32, len(neighbors)) // per neighbor, its cell for each of rows
 	for b, id := range neighbors {
 		probe[lp] = filled(id, len(rows))
-		nrows[b] = c.idx.tab.lookup(probe, len(rows))
+		nrows[b] = c.idx.lookup(probe, len(rows))
 	}
 	keep := make([]int32, 0, len(rows)) // strict drops a cell missing a neighbor
+cells:
 	for k := range rows {
-		missing := false
 		for _, of := range nrows {
-			missing = missing || of[k] < 0
+			if strict && of[k] < 0 {
+				continue cells
+			}
 		}
-		if !strict || !missing {
-			keep = append(keep, int32(k))
-		}
+		keep = append(keep, int32(k))
 	}
 	keys, cols := take(c, gather(rows, keep))
 	for _, of := range nrows {
@@ -243,13 +246,12 @@ func Pivot(c *Cube, level mdm.LevelRef, ref int32, neighbors []int32, strict boo
 // where no match exists (the assess* variant); otherwise only actual
 // matches are emitted.
 func MultiplyJoin(left, right *Cube, level mdm.LevelRef, members []int32, alias string, outer bool) (*Cube, error) {
-	lp := left.Group.PosOf(level)
-	rp := right.Group.PosOf(level)
-	if lp < 0 || rp < 0 {
-		return nil, fmt.Errorf("cube: multiply-join level not in both group-by sets")
-	}
 	if !left.Group.Equal(right.Group) {
 		return nil, fmt.Errorf("cube: cubes are not joinable (different group-by sets)")
+	}
+	lp := left.Group.PosOf(level)
+	if lp < 0 {
+		return nil, fmt.Errorf("cube: multiply-join level not in both group-by sets")
 	}
 	if err := right.BuildIndex(); err != nil {
 		return nil, err
@@ -260,7 +262,7 @@ func MultiplyJoin(left, right *Cube, level mdm.LevelRef, members []int32, alias 
 	found := make([][]int32, len(members)) // per member, the right cell of each left cell
 	for m, member := range members {
 		probe[lp] = filled(member, left.Len())
-		found[m] = right.idx.tab.lookup(probe, left.Len())
+		found[m] = right.idx.lookup(probe, left.Len())
 	}
 	var lrows, rrows, slice []int32 // per output row: left cell, right cell, member
 	for i := range left.Len() {
@@ -317,15 +319,7 @@ func RollupJoin(target, bench *Cube, alias string, outer bool) (*Cube, error) {
 		}
 		up[bp] = col
 	}
-	trows := make([]int32, 0, target.Len())
-	brows := make([]int32, 0, target.Len())
-	for i, bi := range bench.idx.tab.lookup(up, target.Len()) {
-		if bi >= 0 || outer {
-			trows = append(trows, int32(i))
-			brows = append(brows, bi)
-		}
-	}
-	return joined(target, bench, alias, trows, brows)
+	return joinFound(target, bench, alias, bench.idx.lookup(up, target.Len()), outer)
 }
 
 // Select returns the cube of the cells rows of c, in that order: every key
@@ -357,12 +351,10 @@ func (c *Cube) Project(keep []string, rename map[string]string) (*Cube, error) {
 		names[i] = out
 		cols[i] = c.Cols[j]
 	}
-	seen := make(map[string]bool, len(names))
-	for _, n := range names {
-		if seen[n] {
+	for i, n := range names {
+		if slices.Contains(names[:i], n) {
 			return nil, fmt.Errorf("cube: projection produces duplicate column %q", n)
 		}
-		seen[n] = true
 	}
 	out, err := Build(c.Schema, c.Group, names, c.n, c.Keys, cols)
 	if err != nil {
@@ -381,11 +373,7 @@ func (c *Cube) ReplaceSlice(level mdm.LevelRef, member int32) (*Cube, error) {
 	if lp < 0 {
 		return nil, fmt.Errorf("cube: slice level not in group-by set")
 	}
-	all := make([]int32, c.Len())
-	for i := range all {
-		all[i] = int32(i)
-	}
-	out := c.Select(all)
+	out := c.Select(positions(c.n))
 	out.Keys[lp] = filled(member, c.n)
 	if !singleSlice(c, lp) {
 		if err := out.BuildIndex(); err != nil {

@@ -126,8 +126,8 @@ func BenchmarkMergeTree(b *testing.B) {
 		b.StopTimer()
 		parts := mergeParts(sq, workers, cells)
 		b.StartTimer()
-		if got := sq.mergeTree(parts); len(got.keys) != 2*cells {
-			b.Fatalf("merged %d cells, want %d", len(got.keys), 2*cells)
+		if got := sq.mergeTree(parts); got.slots.Len() != 2*cells {
+			b.Fatalf("merged %d cells, want %d", got.slots.Len(), 2*cells)
 		}
 	}
 }

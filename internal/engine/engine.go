@@ -358,32 +358,35 @@ func (e *Engine) Get(q Query) (*cube.Cube, error) {
 // GetContext is Get with a caller context: cancelling it ends the fact
 // scan with the context's error.
 func (e *Engine) GetContext(ctx context.Context, q Query) (*cube.Cube, error) {
-	c, err := e.aggregate(ctx, q)
+	return e.pushed(ctx, func(cs ...*cube.Cube) (*cube.Cube, error) { return cs[0], nil }, q)
+}
+
+// pushed evaluates the queries engine-side and transfers only op of their
+// cubes: the subexpression a plan pushes to SQL.
+func (e *Engine) pushed(ctx context.Context, op func(cs ...*cube.Cube) (*cube.Cube, error), qs ...Query) (*cube.Cube, error) {
+	cs := make([]*cube.Cube, len(qs))
+	for i, q := range qs {
+		c, err := e.aggregate(ctx, q)
+		if err != nil {
+			return nil, err
+		}
+		cs[i] = c
+	}
+	out, err := op(cs...)
 	if err != nil {
 		return nil, err
 	}
-	return transfer(c)
+	return transfer(out)
 }
 
 // GetJoinedContext evaluates two cube queries and their (partial,
 // possibly left-outer) join engine-side, transferring only the joined
 // rows: the subexpression C ⋈ B pushed to SQL by a Join-Optimized Plan
 // (Listing 4). The right cube's measures are prefixed with alias.
-// Cancelling ctx ends the fact scans (see GetContext).
 func (e *Engine) GetJoinedContext(ctx context.Context, qc, qb Query, on []mdm.LevelRef, alias string, outer bool) (*cube.Cube, error) {
-	c, err := e.aggregate(ctx, qc)
-	if err != nil {
-		return nil, err
-	}
-	b, err := e.aggregate(ctx, qb)
-	if err != nil {
-		return nil, err
-	}
-	j, err := cube.PartialJoin(c, b, on, alias, outer)
-	if err != nil {
-		return nil, err
-	}
-	return transfer(j)
+	return e.pushed(ctx, func(cs ...*cube.Cube) (*cube.Cube, error) {
+		return cube.PartialJoin(cs[0], cs[1], on, alias, outer)
+	}, qc, qb)
 }
 
 // GetPivotedContext evaluates one cube query covering all slices and
@@ -397,15 +400,9 @@ func (e *Engine) GetJoinedContext(ctx context.Context, qc, qb Query, on []mdm.Le
 // are filtered out (the "is not null" clauses); the assess* variant keeps
 // them with nulls.
 func (e *Engine) GetPivotedContext(ctx context.Context, q Query, level mdm.LevelRef, ref int32, neighbors []int32, strict bool, rename func(measure, member string) string) (*cube.Cube, error) {
-	c, err := e.aggregate(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	p, err := cube.Pivot(c, level, ref, neighbors, strict, rename)
-	if err != nil {
-		return nil, err
-	}
-	return transfer(p)
+	return e.pushed(ctx, func(cs ...*cube.Cube) (*cube.Cube, error) {
+		return cube.Pivot(cs[0], level, ref, neighbors, strict, rename)
+	}, q)
 }
 
 // GetMultipliedContext evaluates two cube queries and their one-to-many
@@ -413,19 +410,9 @@ func (e *Engine) GetPivotedContext(ctx context.Context, q Query, level mdm.Level
 // over a past benchmark, Example 5.3): one output row per (target cell,
 // slice member) pair, transferred once.
 func (e *Engine) GetMultipliedContext(ctx context.Context, qc, qb Query, level mdm.LevelRef, members []int32, alias string, outer bool) (*cube.Cube, error) {
-	c, err := e.aggregate(ctx, qc)
-	if err != nil {
-		return nil, err
-	}
-	b, err := e.aggregate(ctx, qb)
-	if err != nil {
-		return nil, err
-	}
-	m, err := cube.MultiplyJoin(c, b, level, members, alias, outer)
-	if err != nil {
-		return nil, err
-	}
-	return transfer(m)
+	return e.pushed(ctx, func(cs ...*cube.Cube) (*cube.Cube, error) {
+		return cube.MultiplyJoin(cs[0], cs[1], level, members, alias, outer)
+	}, qc, qb)
 }
 
 // GetRollupJoinedContext evaluates the target query and its ancestor
@@ -434,19 +421,9 @@ func (e *Engine) GetMultipliedContext(ctx context.Context, qc, qb Query, level m
 // benchmark cell its coordinate rolls up to. Only the joined rows cross
 // to the client (the JOP form of an ancestor benchmark).
 func (e *Engine) GetRollupJoinedContext(ctx context.Context, qc, qb Query, alias string, outer bool) (*cube.Cube, error) {
-	c, err := e.aggregate(ctx, qc)
-	if err != nil {
-		return nil, err
-	}
-	b, err := e.aggregate(ctx, qb)
-	if err != nil {
-		return nil, err
-	}
-	j, err := cube.RollupJoin(c, b, alias, outer)
-	if err != nil {
-		return nil, err
-	}
-	return transfer(j)
+	return e.pushed(ctx, func(cs ...*cube.Cube) (*cube.Cube, error) {
+		return cube.RollupJoin(cs[0], cs[1], alias, outer)
+	}, qc, qb)
 }
 
 // Cardinality returns |C| for a cube query without transferring the

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sync"
@@ -18,13 +17,10 @@ import (
 // morsel goes through the same steps — selection vector, composite keys
 // column-at-a-time, slot lookup, one tight accumulate loop per requested
 // measure — into flat accumulator columns indexed by slot. When the key
-// space fits the engine's slot budget the slot IS the key (dense); when
-// it does not, an open-addressing table hands out compact slots in
-// first-seen order and grows the same columns (hash). Accumulate, merge
-// and finalize are shared; the two differ in slot lookup only, and agree
-// bit-exactly on integer-valued measures (integer sums are exact in
-// float64 regardless of order), which TestKernelMatchesReference checks
-// against a map-based reference for both lookups.
+// space fits the engine's slot budget the slot IS the key (dense);
+// otherwise an mdm.Slots table hands out slots (hash). The two differ in
+// slot lookup only and agree bit-exactly on integer-valued measures (exact
+// in float64 in any order): TestKernelMatchesReference checks both.
 
 // defaultDenseKeyBudget is the maximum number of dense key-space slots
 // (per worker) before a scan falls back to the slot table. Each slot
@@ -70,8 +66,7 @@ func (e *Engine) effectiveMorselSize() int {
 // init completes a scanQuery whose operators, acceptance vectors and
 // roll-up maps are set: it lays out the composite key space over the
 // group levels' cardinalities and decides dense or hash — dense when no
-// level domain is empty and the space fits the budget (the check is
-// budget/card, never the raw product, so it cannot overflow).
+// level domain is empty and the space fits the budget.
 func (sq *scanQuery) init(cards []int, budget int) {
 	for _, op := range sq.ops {
 		if op == mdm.AggCount || op == mdm.AggAvg {
@@ -85,17 +80,9 @@ func (sq *scanQuery) init(cards []int, budget int) {
 	}
 	sq.cards = cards
 	sq.space = mdm.NewKeySpace(cards)
-	if budget <= 0 {
-		return
+	if size, ok := sq.space.Size(); ok && size > 0 && size <= uint64(max(budget, 0)) {
+		sq.dense = int(size)
 	}
-	slots := 1
-	for _, card := range cards {
-		if card == 0 || slots > budget/card {
-			return
-		}
-		slots *= card
-	}
-	sq.dense = slots
 }
 
 // aggTable is one worker's accumulator columns for one query, indexed by
@@ -107,34 +94,22 @@ func (sq *scanQuery) init(cards []int, budget int) {
 // count increment into a mostly-not-taken branch.
 //
 // On a dense table the slot is the composite key and the columns span the
-// key space from the start. Otherwise the slot table below assigns the
-// next free slot to each key it has not met, and the columns grow with
-// it; slots never move once assigned.
+// key space from the start; otherwise the columns grow with the slots.
 type aggTable struct {
 	vals [][]float64 // per requested measure; nil for count measures
 	cnt  []int64     // accepted rows per slot; nil when seen suffices
 	seen []bool      // slot occupancy when no measure needs a count
 
-	keys  []uint64 // slot → composite key
-	index []int32  // open addressing over keys: bucket → slot+1, 0 = empty
-	shift uint     // 64 - log2(len(index))
-	// Key spaces past 64 bits have no composite key: slots are found by
-	// the coordinate's byte-string key and remember their coordinate.
-	wide   map[string]int32
-	coords []int32 // slot-major
+	slots *mdm.Slots // nil on a dense table
 }
 
 // newTable returns an empty partial for the query.
 func (sq *scanQuery) newTable() *aggTable {
 	t := &aggTable{vals: make([][]float64, len(sq.ops))}
-	switch {
-	case sq.dense > 0:
+	if sq.dense > 0 {
 		t.grow(sq, sq.dense)
-	case sq.space.Wide():
-		t.wide = make(map[string]int32)
-	default:
-		t.index = make([]int32, 1<<10)
-		t.shift = 64 - 10
+	} else {
+		t.slots = mdm.NewSlots(sq.space, 1<<9)
 	}
 	return t
 }
@@ -180,71 +155,13 @@ func (t *aggTable) reserve(sq *scanQuery, slots int) {
 	}
 }
 
-// fibHash is 2^64 / φ: multiplying by it and keeping the top bits spreads
-// the mixed-radix keys, whose low digits are the last group level, over
-// the buckets.
-const fibHash = 0x9E3779B97F4A7C15
-
-// slots translates composite keys into slots in place, assigning the next
-// free slot to every key it meets for the first time; collisions probe
-// linearly.
-func (t *aggTable) slots(dk []uint64) {
-	for i, k := range dk {
-		mask := len(t.index) - 1
-		for h := int(k * fibHash >> t.shift); ; h = (h + 1) & mask {
-			s := t.index[h]
-			if s == 0 {
-				t.keys = append(t.keys, k)
-				s = int32(len(t.keys))
-				t.index[h] = s
-				if 2*len(t.keys) > len(t.index) {
-					t.rehash()
-				}
-			} else if t.keys[s-1] != k {
-				continue
-			}
-			dk[i] = uint64(s - 1)
-			break
-		}
-	}
-}
-
-// rehash doubles the bucket array and re-inserts every slot under its
-// key; the slots themselves — and so the columns — stay where they are.
-func (t *aggTable) rehash() {
-	t.shift--
-	t.index = make([]int32, 2*len(t.index))
-	mask := len(t.index) - 1
-	for s, k := range t.keys {
-		h := int(k * fibHash >> t.shift)
-		for t.index[h] != 0 {
-			h = (h + 1) & mask
-		}
-		t.index[h] = int32(s + 1)
-	}
-}
-
-// wideSlot is slots for one coordinate of a key space past 64 bits.
-func (t *aggTable) wideSlot(coord mdm.Coordinate) uint64 {
-	key := mdm.WideKey(coord, nil)
-	s, ok := t.wide[key]
-	if !ok {
-		s = int32(len(t.wide))
-		t.wide[key] = s
-		t.coords = append(t.coords, coord...)
-	}
-	return uint64(s)
-}
-
 // morselScratch is per-worker reusable kernel memory: the selection
 // vector of accepted row indices, the composite keys (then slots) aligned
-// with it, the block decode buffers for segment-backed scans, and the
-// coordinate buffer of wide key spaces.
+// with it, and the block decode buffers for segment-backed scans.
 type morselScratch struct {
 	sel   []int
 	dk    []uint64
 	block storage.BlockScratch
-	coord mdm.Coordinate
 }
 
 // scratchPool recycles morsel scratch across scans and workers. A
@@ -319,13 +236,13 @@ func (sq *scanQuery) morsel(t *aggTable, sc *morselScratch, cols storage.BlockCo
 	}
 	dk := sc.dk[:n]
 	if sq.space.Wide() {
-		sq.wideSlots(t, sc, dk, sel, cols, lo)
-		t.reserve(sq, len(t.wide))
+		sq.wideSlots(t, dk, sel, cols, lo)
+		t.reserve(sq, t.slots.Len())
 	} else {
 		sq.compositeKeys(dk, sel, cols, lo)
 		if sq.dense == 0 {
-			t.slots(dk)
-			t.reserve(sq, len(t.keys))
+			t.slots.Assign(dk)
+			t.reserve(sq, t.slots.Len())
 		}
 	}
 	sq.accum(t, dk, sel, cols, lo)
@@ -366,11 +283,8 @@ func (sq *scanQuery) compositeKeys(dk []uint64, sel []int, cols storage.BlockCol
 
 // wideSlots fills dk with slots directly, row by row: a key space past
 // 64 bits has no composite key to vectorize over.
-func (sq *scanQuery) wideSlots(t *aggTable, sc *morselScratch, dk []uint64, sel []int, cols storage.BlockCols, lo int) {
-	if cap(sc.coord) < len(sq.group) {
-		sc.coord = make(mdm.Coordinate, len(sq.group))
-	}
-	coord := sc.coord[:len(sq.group)]
+func (sq *scanQuery) wideSlots(t *aggTable, dk []uint64, sel []int, cols storage.BlockCols, lo int) {
+	coord := make(mdm.Coordinate, len(sq.group))
 	for i := range dk {
 		r := lo + i
 		if sel != nil {
@@ -379,7 +293,7 @@ func (sq *scanQuery) wideSlots(t *aggTable, sc *morselScratch, dk []uint64, sel 
 		for gi, ref := range sq.group {
 			coord[gi] = sq.gmaps[gi][cols.Keys[ref.Hier][r]]
 		}
-		dk[i] = t.wideSlot(coord)
+		dk[i] = uint64(t.slots.AssignCoord(coord))
 	}
 }
 
@@ -534,18 +448,9 @@ func (sq *scanQuery) accum(t *aggTable, dk []uint64, sel []int, cols storage.Blo
 // or assigned — in dst's slot table.
 func (sq *scanQuery) merge(dst, src *aggTable) {
 	var at []uint64 // src slot → dst slot; nil when they coincide
-	switch {
-	case src.wide != nil:
-		w := len(sq.group)
-		at = make([]uint64, len(src.wide))
-		for s := range at {
-			at[s] = dst.wideSlot(src.coords[s*w : (s+1)*w])
-		}
-		dst.reserve(sq, len(dst.wide))
-	case sq.dense == 0:
-		at = slices.Clone(src.keys)
-		dst.slots(at)
-		dst.reserve(sq, len(dst.keys))
+	if sq.dense == 0 {
+		at = dst.slots.Absorb(src.slots)
+		dst.reserve(sq, dst.slots.Len())
 	}
 	n := src.size()
 	if at != nil {
@@ -636,7 +541,7 @@ func (sq *scanQuery) mergeTree(parts []*aggTable) *aggTable {
 // cells counts the slots that saw a row.
 func (sq *scanQuery) cells(t *aggTable) int {
 	if sq.dense == 0 {
-		return max(len(t.keys), len(t.wide))
+		return t.slots.Len()
 	}
 	n := 0
 	for _, c := range t.cnt {
@@ -655,22 +560,11 @@ func (sq *scanQuery) cells(t *aggTable) int {
 // occupied lists the slots that saw a row in ascending composite-key
 // order, which is coordinate-lexicographic and independent of morsel
 // scheduling. Dense slots are keys, so a counting pass sizes the list
-// exactly and a second fills it; slot tables sort their slots — all of
-// them occupied — by key, or by coordinate when the space is wide.
+// exactly and a second fills it; a slot table sorts its slots, all of
+// them occupied.
 func (sq *scanQuery) occupied(t *aggTable) []int {
 	if sq.dense == 0 {
-		slots := make([]int, sq.cells(t))
-		for s := range slots {
-			slots[s] = s
-		}
-		if w := len(sq.group); t.wide != nil {
-			slices.SortFunc(slots, func(a, b int) int {
-				return slices.Compare(t.coords[a*w:(a+1)*w], t.coords[b*w:(b+1)*w])
-			})
-		} else {
-			slices.SortFunc(slots, func(a, b int) int { return cmp.Compare(t.keys[a], t.keys[b]) })
-		}
-		return slots
+		return t.slots.Sorted()
 	}
 	slots := make([]int, 0, sq.cells(t))
 	for slot, c := range t.cnt {
@@ -697,18 +591,14 @@ func (sq *scanQuery) finalize(s *mdm.Schema, names []string, t *aggTable) (*cube
 // keys decodes each slot's composite key back into the member ids of its
 // coordinate, one column per group position.
 func (sq *scanQuery) keys(t *aggTable, slots []int) [][]int32 {
-	width := len(sq.group)
-	keys := make([][]int32, width)
+	keys := make([][]int32, len(sq.group))
 	for gi := range keys {
 		col := make([]int32, len(slots))
 		for i, slot := range slots {
-			switch {
-			case t.wide != nil:
-				col[i] = t.coords[slot*width+gi]
-			case sq.dense > 0:
+			if sq.dense > 0 {
 				col[i] = sq.space.Member(uint64(slot), gi)
-			default:
-				col[i] = sq.space.Member(t.keys[slot], gi)
+			} else {
+				col[i] = t.slots.Member(slot, gi)
 			}
 		}
 		keys[gi] = col

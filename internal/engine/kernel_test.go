@@ -413,40 +413,37 @@ func TestMorselWorkStealingStress(t *testing.T) {
 	}
 }
 
-// TestSlotTableGrowthKeepsSlots inserts enough keys to rehash the bucket
-// array several times: every key must keep the slot it was first given,
-// slots must be handed out in first-seen order, and looking all keys up
-// again must assign nothing new.
+// TestSlotTableGrowthKeepsSlots inserts enough keys through the kernel's
+// table to rehash its bucket array several times (mdm's TestSlots checks
+// the doublings): every key must keep the slot it was first given, slots
+// must be handed out in first-seen order, and looking all keys up again
+// must assign nothing new.
 func TestSlotTableGrowthKeepsSlots(t *testing.T) {
 	sq := mergeQuery()
 	tab := sq.newTable()
-	buckets := len(tab.index)
 	const n = 20000
 	key := func(i int) uint64 { return uint64(i) * 0x10001 << 20 } // collides in the low bits
 	first := make([]uint64, n)
 	for i := range first {
 		dk := []uint64{key(i), key(i / 2)} // one new key, one seen before
-		tab.slots(dk)
+		tab.slots.Assign(dk)
 		if dk[0] != uint64(i) || dk[1] != uint64(i/2) {
 			t.Fatalf("key %d got slots %v, want [%d %d]", i, dk, i, i/2)
 		}
 		first[i] = dk[0]
 	}
-	if len(tab.index) <= buckets {
-		t.Fatalf("bucket array never grew past %d for %d keys", buckets, n)
-	}
 	again := make([]uint64, n)
 	for i := range again {
 		again[i] = key(i)
 	}
-	tab.slots(again)
+	tab.slots.Assign(again)
 	for i := range again {
 		if again[i] != first[i] {
 			t.Fatalf("key %d moved from slot %d to %d across rehashes", i, first[i], again[i])
 		}
 	}
-	if len(tab.keys) != n {
-		t.Fatalf("table holds %d slots after a lookup-only pass, want %d", len(tab.keys), n)
+	if tab.slots.Len() != n {
+		t.Fatalf("table holds %d slots after a lookup-only pass, want %d", tab.slots.Len(), n)
 	}
 }
 
@@ -518,8 +515,8 @@ func TestMergeTreeSixteenWorkers(t *testing.T) {
 	const workers, cells = 16, 512
 	sq := mergeQuery()
 	out := sq.mergeTree(mergeParts(sq, workers, cells))
-	if len(out.keys) != 2*cells {
-		t.Fatalf("merged %d cells, want %d", len(out.keys), 2*cells)
+	if out.slots.Len() != 2*cells {
+		t.Fatalf("merged %d cells, want %d", out.slots.Len(), 2*cells)
 	}
 	c, err := sq.finalize(twoHierSchema(1, 1), []string{"s", "hi"}, out)
 	if err != nil {

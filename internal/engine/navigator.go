@@ -356,18 +356,10 @@ func (e *Engine) evictLRULocked() bool {
 // estimatedCells bounds a view's cell count: the product of the group
 // level cardinalities, capped by the fact rows.
 func estimatedCells(f *storage.FactTable, g mdm.GroupBy, rows int) int {
-	cells := 1
-	for _, ref := range g {
-		dom := f.Schema.Dict(ref).Len()
-		if dom <= 0 {
-			return rows
-		}
-		if cells > rows/dom {
-			return rows
-		}
-		cells *= dom
+	if size, ok := f.Schema.KeySpace(g).Size(); ok && size > 0 && size < uint64(rows) {
+		return int(size)
 	}
-	return cells
+	return rows
 }
 
 // ViewInfo describes one materialized view for stats endpoints.

@@ -355,12 +355,9 @@ func (v *matView) keeps(acc [][]bool, i int) bool {
 func aggregateFromView(v *matView, q Query) (*cube.Cube, error) {
 	data := v.data
 	s := data.Schema
-	names := make([]string, len(q.Measures))
-	for j, mi := range q.Measures {
-		if mi < 0 || mi >= len(s.Measures) {
-			return nil, fmt.Errorf("engine: measure index %d out of range for %s", mi, q.Fact)
-		}
-		names[j] = s.Measures[mi].Name
+	_, names, err := schemaOps(s, q)
+	if err != nil {
+		return nil, err
 	}
 	cols := make([][]float64, len(q.Measures))
 	for j, mi := range q.Measures {

@@ -16,7 +16,7 @@ package experiments
 
 import (
 	"fmt"
-	"time"
+	"slices"
 
 	"github.com/assess-olap/assess/internal/core"
 	"github.com/assess-olap/assess/internal/exec"
@@ -208,51 +208,64 @@ type Timing struct {
 	Intention string
 	Scale     string
 	Strategy  plan.Strategy
-	Seconds   float64        // mean over runs
+	Seconds   float64        // median over rounds
+	Rounds    []float64      // seconds of each round, in round order
 	Breakdown exec.Breakdown // of the last run
 	Cells     int
 }
 
 // RunMatrix executes every intention with every feasible strategy at
-// every scale, averaging wall time over runs (the paper averages five
-// runs to reduce caching effects). It powers Table 3, Figure 3, and
-// Figure 4.
+// every scale, runs rounds each. A round runs each plan of an intention
+// once, in an order that alternates from round to round, so drift in the
+// host's speed falls on every plan alike; a plan's time is its median
+// round. It powers Table 3, Figure 3, and Figure 4.
 func RunMatrix(envs []*Env, runs int, progress func(string)) ([]Timing, error) {
-	if runs < 1 {
-		runs = 1
-	}
+	runs = max(runs, 1)
 	var out []Timing
 	for _, env := range envs {
 		for _, in := range Intentions() {
+			var points []Timing
 			for _, strat := range plan.Strategies() {
-				if !plan.Feasible(strat, in.Kind) {
-					continue
-				}
-				if progress != nil {
-					progress(fmt.Sprintf("%s / %s / %v", env.Scale.Label, in.Name, strat))
-				}
-				var total time.Duration
-				var last *exec.Result
-				for r := 0; r < runs; r++ {
-					res, err := env.Session.ExecWith(in.Statement, strat)
-					if err != nil {
-						return nil, fmt.Errorf("%s %s %v: %w", env.Scale.Label, in.Name, strat, err)
+				if plan.Feasible(strat, in.Kind) {
+					points = append(points, Timing{Intention: in.Name, Scale: env.Scale.Label, Strategy: strat})
+					if progress != nil {
+						progress(fmt.Sprintf("%s / %s / %v", env.Scale.Label, in.Name, strat))
 					}
-					total += res.Total
-					last = res
 				}
-				out = append(out, Timing{
-					Intention: in.Name,
-					Scale:     env.Scale.Label,
-					Strategy:  strat,
-					Seconds:   total.Seconds() / float64(runs),
-					Breakdown: last.Breakdown,
-					Cells:     last.Cube.Len(),
-				})
 			}
+			for r := 0; r < runs; r++ {
+				for k := range points {
+					tm := &points[k]
+					if r%2 == 1 {
+						tm = &points[len(points)-1-k]
+					}
+					res, err := env.Session.ExecWith(in.Statement, tm.Strategy)
+					if err != nil {
+						return nil, fmt.Errorf("%s %s %v: %w", env.Scale.Label, in.Name, tm.Strategy, err)
+					}
+					tm.Rounds = append(tm.Rounds, res.Total.Seconds())
+					tm.Breakdown, tm.Cells = res.Breakdown, res.Cube.Len()
+				}
+			}
+			for k := range points {
+				points[k].Seconds = quantile(points[k].Rounds, 0.5)
+			}
+			out = append(out, points...)
 		}
 	}
 	return out, nil
+}
+
+// quantile is the q-quantile of xs, interpolated between order statistics.
+func quantile(xs []float64, q float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	pos := q * float64(len(s)-1)
+	lo := int(pos)
+	if lo+1 >= len(s) {
+		return s[lo]
+	}
+	return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
 }
 
 // MinRow is one row of Table 3: the best feasible time and the NP time.

@@ -106,7 +106,7 @@ func TestTable2ScalesWithSF(t *testing.T) {
 func TestRunMatrixAndDerivedViews(t *testing.T) {
 	envs := quickEnvs(t)[:1]
 	var progressCalls int
-	timings, err := RunMatrix(envs, 0, func(string) { progressCalls++ })
+	timings, err := RunMatrix(envs, 3, func(string) { progressCalls++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +118,8 @@ func TestRunMatrixAndDerivedViews(t *testing.T) {
 		t.Errorf("%d progress calls", progressCalls)
 	}
 	for _, tm := range timings {
-		if tm.Seconds < 0 || tm.Cells <= 0 {
-			t.Errorf("%s/%v: seconds %g cells %d", tm.Intention, tm.Strategy, tm.Seconds, tm.Cells)
+		if tm.Seconds < 0 || tm.Cells <= 0 || len(tm.Rounds) != 3 {
+			t.Errorf("%s/%v: seconds %g cells %d rounds %d", tm.Intention, tm.Strategy, tm.Seconds, tm.Cells, len(tm.Rounds))
 		}
 	}
 	min := Table3(timings, []Scale{{Label: "SSB1"}})
@@ -150,6 +150,36 @@ func TestRunMatrixAndDerivedViews(t *testing.T) {
 		}
 	}
 	_ = plan.NP
+}
+
+// TestRenderFig3Statistics: medians and quartiles in milliseconds, rounds
+// won, the fastest plan marked, and a plan whose quartiles overlap the
+// fastest's unresolved while one clear of them is not.
+func TestRenderFig3Statistics(t *testing.T) {
+	ms := func(v ...float64) []float64 {
+		for i := range v {
+			v[i] /= 1e3
+		}
+		return v
+	}
+	row := []Timing{
+		{Intention: "Sibling", Scale: "SSB1", Strategy: plan.NP, Rounds: ms(5, 6, 7, 8, 9)},
+		{Intention: "Sibling", Scale: "SSB1", Strategy: plan.JOP, Rounds: ms(4, 7, 5, 6, 3)},
+		{Intention: "Sibling", Scale: "SSB1", Strategy: plan.POP, Rounds: ms(20, 21, 22, 23, 24)},
+	}
+	for k := range row {
+		row[k].Seconds = quantile(row[k].Rounds, 0.5)
+	}
+	out := RenderFig3(row, []Scale{{Label: "SSB1"}})
+	for _, want := range []string{
+		"NP       7.000 [6.000–8.000]  wins 1 of 5  unresolved\n",
+		"JOP      5.000 [4.000–6.000]  wins 4 of 5  fastest\n",
+		"POP     22.000 [21.000–23.000]  wins 0 of 5\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("Figure 3 lacks %q:\n%s", want, out)
+		}
+	}
 }
 
 func TestQuickScales(t *testing.T) {

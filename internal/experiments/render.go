@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/assess-olap/assess/internal/plan"
@@ -74,27 +76,45 @@ func RenderTable3(rows []MinRow, scales []Scale) string {
 	return sb.String()
 }
 
-// RenderFig3 formats the full plan-time matrix as the series behind
-// Figure 3: one block per intention, one line per plan, one column per
-// scale.
+// RenderFig3 formats the plan-time matrix as the series behind Figure 3:
+// one block per intention and scale, one line per plan with its median
+// and quartiles in milliseconds and the rounds it won (was fastest in).
+// The fastest plan by median is marked; another plan whose quartiles
+// overlap the fastest's is "unresolved", the rounds cannot order the two.
 func RenderFig3(timings []Timing, scales []Scale) string {
 	var sb strings.Builder
-	sb.WriteString("Figure 3: Execution times (seconds) for increasing cardinalities of C\n")
+	sb.WriteString("Figure 3: Execution times (ms) for increasing cardinalities of C: median [q1–q3], rounds won\n")
 	for _, in := range Intentions() {
-		fmt.Fprintf(&sb, "%s\n", in.Name)
-		for _, strat := range plan.Strategies() {
-			var vals []string
-			for _, sc := range scales {
-				for _, tm := range timings {
-					if tm.Intention == in.Name && tm.Scale == sc.Label && tm.Strategy == strat {
-						vals = append(vals, fmt.Sprintf("%12.3f", tm.Seconds))
-					}
+		for _, sc := range scales {
+			var row []Timing
+			for _, tm := range timings {
+				if tm.Intention == in.Name && tm.Scale == sc.Label {
+					row = append(row, tm)
 				}
 			}
-			if len(vals) == 0 {
+			if len(row) == 0 {
 				continue
 			}
-			fmt.Fprintf(&sb, "  %-4v%s\n", strat, strings.Join(vals, ""))
+			fmt.Fprintf(&sb, "%s %s\n", in.Name, sc.Label)
+			best := slices.MinFunc(row, func(a, b Timing) int { return cmp.Compare(a.Seconds, b.Seconds) })
+			for _, tm := range row {
+				wins := 0
+				for r, v := range tm.Rounds {
+					if !slices.ContainsFunc(row, func(o Timing) bool { return o.Rounds[r] < v }) {
+						wins++
+					}
+				}
+				q1, q3 := quantile(tm.Rounds, 0.25), quantile(tm.Rounds, 0.75)
+				verdict := ""
+				switch {
+				case tm.Strategy == best.Strategy && len(row) > 1:
+					verdict = "  fastest"
+				case tm.Strategy != best.Strategy && q1 <= quantile(best.Rounds, 0.75):
+					verdict = "  unresolved"
+				}
+				fmt.Fprintf(&sb, "  %-4v %9.3f [%.3f–%.3f]  wins %d of %d%s\n",
+					tm.Strategy, 1e3*tm.Seconds, 1e3*q1, 1e3*q3, wins, len(tm.Rounds), verdict)
+			}
 		}
 	}
 	return sb.String()

@@ -15,10 +15,8 @@ import (
 //
 // over the levels' cardinalities — the same number the engine's dense
 // kernels use as the accumulator slot. Keys compare like coordinates
-// compare lexicographically by member id. Derived cubes, their joins and
-// the shard merge all key on it; when the product of the cardinalities
-// does not fit 64 bits the space is Wide and callers fall back to the
-// byte-string key (WideKey).
+// compare lexicographically by member id. Elsewhere a Slots table maps
+// them to compact slots; past 64 bits the space is Wide and has no keys.
 type KeySpace struct {
 	card   []uint64
 	stride []uint64
@@ -34,10 +32,7 @@ func NewKeySpace(cards []int) *KeySpace {
 		k.card[p] = uint64(cards[p])
 		k.stride[p] = size
 		hi, lo := bits.Mul64(size, max(k.card[p], 1))
-		if hi != 0 {
-			k.wide = true
-			return k
-		}
+		k.wide = k.wide || hi != 0
 		size = lo
 	}
 	return k
@@ -54,8 +49,18 @@ func (s *Schema) KeySpace(g GroupBy) *KeySpace {
 }
 
 // Wide reports that the space exceeds 64 bits: Keys, Stride and Member are
-// unusable and WideKey is the key.
+// unusable, and a coordinate is its own key.
 func (k *KeySpace) Wide() bool { return k.wide }
+
+// Size returns the number of coordinates in the space, Π |Dom(l_p)|, and
+// false when that does not fit 64 bits.
+func (k *KeySpace) Size() (uint64, bool) {
+	size := uint64(1)
+	for _, card := range k.card {
+		size *= card
+	}
+	return size, !k.wide
+}
 
 // Stride returns the weight of position p in the composite key.
 func (k *KeySpace) Stride(p int) uint64 { return k.stride[p] }
@@ -89,20 +94,19 @@ func (k *KeySpace) Member(key uint64, p int) int32 {
 	return int32(key / k.stride[p] % k.card[p])
 }
 
-// WideKey is the fallback key of a space that does not fit 64 bits (and
-// of coordinates a space cannot encode): the byte-string packing of the
-// coordinate, or of its projection onto pos when pos is non-nil.
+// WideKey is the byte-string packing of a coordinate, or of its
+// projection onto pos when pos is non-nil: the key of the string-keyed
+// reference implementations the tests hold the program to.
 func WideKey(c Coordinate, pos []int) string {
-	n := len(c)
 	if pos != nil {
-		n = len(pos)
-	}
-	buf := make([]byte, 0, 4*n)
-	for i := 0; i < n; i++ {
-		id := c[i]
-		if pos != nil {
-			id = c[pos[i]]
+		proj := make(Coordinate, len(pos))
+		for i, at := range pos {
+			proj[i] = c[at]
 		}
+		c = proj
+	}
+	buf := make([]byte, 0, 4*len(c))
+	for _, id := range c {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
 	}
 	return string(buf)

@@ -16,18 +16,22 @@ import (
 	"github.com/assess-olap/assess/internal/sales"
 )
 
-// fakeResult builds a result with n cells of one measure, big enough to
-// exercise byte accounting.
+// fakeResult builds a result with n cells of one measure over the sales
+// schema's 672 dates, big enough to exercise byte accounting. More cells
+// than dates spread over date × customer.
 func fakeResult(t testing.TB, n int) *exec.Result {
 	t.Helper()
 	s := sales.Schema()
-	g, err := mdm.NewGroupBy(s, "month")
-	if err != nil {
-		t.Fatal(err)
+	levels := []string{"date"}
+	dates := s.Dict(mdm.MustGroupBy(s, "date")[0]).Len()
+	if n > dates {
+		levels = append(levels, "customer")
 	}
+	g := mdm.MustGroupBy(s, levels...)
 	c := cube.New(s, g, "m")
 	for i := 0; i < n; i++ {
-		if err := c.AddCell(mdm.Coordinate{int32(i)}, []float64{float64(i)}); err != nil {
+		coord := mdm.Coordinate{int32(i % dates), int32(i / dates)}[:len(g)]
+		if err := c.AddCell(coord, []float64{float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
