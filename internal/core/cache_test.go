@@ -34,9 +34,14 @@ const cachedStmt = `with SALES for country = 'Italy' by product, country
 // TestSessionCacheSingleflight hammers one statement from 16 goroutines
 // and asserts exactly one evaluation ran: the miss counter counts
 // evaluations, and every other goroutine either joined the in-flight
-// call or hit the stored entry. Run with -race.
+// call or hit the stored entry. The statement was evaluated once before,
+// so the burst's evaluation is the one that is stored. Run with -race.
 func TestSessionCacheSingleflight(t *testing.T) {
 	s, _ := newCachedSession(t, 5000)
+	if _, state, err := s.ExecTracked(cachedStmt); err != nil || state != qcache.StateMiss {
+		t.Fatalf("first sighting = (%q, %v), want miss", state, err)
+	}
+	before, _ := s.CacheStats()
 
 	const workers = 16
 	var wg sync.WaitGroup
@@ -68,8 +73,8 @@ func TestSessionCacheSingleflight(t *testing.T) {
 	if !ok {
 		t.Fatal("cache not enabled")
 	}
-	if st.Misses != 1 {
-		t.Fatalf("%d evaluations ran, want exactly 1 (stats %+v)", st.Misses, st)
+	if st.Misses-before.Misses != 1 {
+		t.Fatalf("%d evaluations ran, want exactly 1 (stats %+v)", st.Misses-before.Misses, st)
 	}
 	if st.Hits+st.DedupJoins != workers-1 {
 		t.Fatalf("hits(%d) + dedup joins(%d) != %d (stats %+v)", st.Hits, st.DedupJoins, workers-1, st)
@@ -80,12 +85,16 @@ var errEmptyResult = errors.New("empty result")
 
 // TestSessionCacheInvalidation proves an entry stored under an older
 // catalog generation misses: appending fact rows (a load) and
-// materializing a view both bump the generation.
+// materializing a view both bump the generation. A result is stored on
+// its second evaluation at a generation.
 func TestSessionCacheInvalidation(t *testing.T) {
 	s, ds := newCachedSession(t, 5000)
 
 	if _, state, err := s.ExecTracked(cachedStmt); err != nil || state != qcache.StateMiss {
 		t.Fatalf("cold exec = (%q, %v), want miss", state, err)
+	}
+	if _, state, err := s.ExecTracked(cachedStmt); err != nil || state != qcache.StateMiss {
+		t.Fatalf("second exec = (%q, %v), want miss", state, err)
 	}
 	if _, state, err := s.ExecTracked(cachedStmt); err != nil || state != qcache.StateHit {
 		t.Fatalf("warm exec = (%q, %v), want hit", state, err)
@@ -110,6 +119,9 @@ func TestSessionCacheInvalidation(t *testing.T) {
 	}
 	if _, state, err := s.ExecTracked(cachedStmt); err != nil || state != qcache.StateMiss {
 		t.Fatalf("exec after append = (%q, %v), want miss", state, err)
+	}
+	if _, state, err := s.ExecTracked(cachedStmt); err != nil || state != qcache.StateMiss {
+		t.Fatalf("second exec after append = (%q, %v), want miss", state, err)
 	}
 	if _, state, err := s.ExecTracked(cachedStmt); err != nil || state != qcache.StateHit {
 		t.Fatalf("re-exec after append = (%q, %v), want hit", state, err)
@@ -152,9 +164,16 @@ func TestSessionAutoViewInvalidation(t *testing.T) {
 		t.Fatalf("after %d misses: views = %+v, want one auto view", len(stmts), vs.Views)
 	}
 	// The admission changes no answer, so it leaves the generation alone
-	// and a statement cached before it is still a hit.
+	// and a statement evaluated before it still counts as seen: its second
+	// run is stored, and its third is a hit.
 	if got := s.Generation(); got != gen {
 		t.Fatalf("generation after an admission = %d, want %d", got, gen)
+	}
+	if _, state, err := s.ExecTracked(stmts[0]); err != nil || state != qcache.StateMiss {
+		t.Fatalf("second exec = (%q, %v), want miss", state, err)
+	}
+	if st, _ := s.CacheStats(); st.Entries != 1 {
+		t.Fatalf("second exec not stored: %+v", st)
 	}
 	if _, state, err := s.ExecTracked(stmts[0]); err != nil || state != qcache.StateHit {
 		t.Fatalf("exec after the admission = (%q, %v), want hit", state, err)
@@ -226,7 +245,11 @@ func TestSessionAutoViewInvalidation(t *testing.T) {
 		}
 	}
 
-	// The fresh evaluation was stored under the new generation.
+	// The fresh evaluation was the first at the new generation: the next
+	// one is stored under it, and the one after hits.
+	if _, state, err := s.ExecTracked(stmts[0]); err != nil || state != qcache.StateMiss {
+		t.Fatalf("second exec after append = (%q, %v), want miss", state, err)
+	}
 	if _, state, err := s.ExecTracked(stmts[0]); err != nil || state != qcache.StateHit {
 		t.Fatalf("re-exec after append = (%q, %v), want hit", state, err)
 	}
@@ -258,8 +281,13 @@ func TestSessionCacheOffByDefault(t *testing.T) {
 func TestSessionCacheDeclareInvalidates(t *testing.T) {
 	s, _ := newCachedSession(t, 2000)
 	stmt := `with SALES by month assess storeSales labels quartiles`
-	if _, state, err := s.ExecTracked(stmt); err != nil || state != qcache.StateMiss {
-		t.Fatalf("cold exec = (%q, %v)", state, err)
+	for run := 1; run <= 2; run++ {
+		if _, state, err := s.ExecTracked(stmt); err != nil || state != qcache.StateMiss {
+			t.Fatalf("exec %d = (%q, %v)", run, state, err)
+		}
+	}
+	if st, _ := s.CacheStats(); st.Entries != 1 {
+		t.Fatalf("second exec not stored: %+v", st)
 	}
 	if err := s.Declare(`declare labels highlow {[-inf, 0): low, [0, inf]: high}`); err != nil {
 		t.Fatal(err)
@@ -290,6 +318,9 @@ func TestTrackBody(t *testing.T) {
 		}
 		return res, state, body
 	}
+	if res, state, _ := run(false); state != qcache.StateMiss || res.Cube == nil {
+		t.Fatalf("first sighting = (%+v, %q)", res, state)
+	}
 	res, state, body := run(true)
 	if state != qcache.StateMiss || res.Cube == nil {
 		t.Fatalf("cold exec = (%+v, %q)", res, state)
@@ -317,7 +348,9 @@ func TestTrackBody(t *testing.T) {
 // TestCacheBytesFollowHeap holds the cache's byte accounting against the
 // heap: what the entries are charged is what keeping them costs, within a
 // tenth, for many small results (where the plan and statement dominate)
-// and for a few large ones (where the cube's columns do).
+// and for a few large ones (where the cube's columns do). The statements
+// run once with the cache on before the heap is read, so that the next
+// run stores every result.
 func TestCacheBytesFollowHeap(t *testing.T) {
 	heap := func() int64 {
 		runtime.GC()
@@ -342,8 +375,9 @@ func TestCacheBytesFollowHeap(t *testing.T) {
 			}
 		}
 		run() // dictionaries, pools and lazily built tables are in place
-		before := heap()
 		s.EnableCache(0)
+		run() // first sightings: nothing is stored
+		before := heap()
 		run()
 		grown := heap() - before
 		st, _ := s.CacheStats()

@@ -45,8 +45,9 @@ type Cube struct {
 	// Deprecated: use Keys or Coord. ROADMAP.md item 14 deletes it.
 	Coords []mdm.Coordinate
 
-	n   int    // cells: a grand total has one and no key column to count
-	idx *index // coordinate → cell position, built on first use
+	n      int    // cells: a grand total has one and no key column to count
+	idx    *index // coordinate → cell position, built on first use
+	sorted bool   // SortByCoordinate completed, and no cell was added since
 }
 
 // New creates an empty derived cube with the given measure columns, to be
@@ -135,6 +136,7 @@ func (c *Cube) AddCell(coord mdm.Coordinate, vals []float64) error {
 		c.Cols[j] = append(c.Cols[j], v)
 	}
 	c.n++
+	c.sorted = false
 	// A member added to a dictionary after the index was built lies
 	// outside the index's space: index the cube again over the current one.
 	if c.idx.slots.Index(one(coord), 1)[0] < 0 {
@@ -219,11 +221,19 @@ func (c *Cube) SetLabels(labels []string) error {
 // deterministic rendering. Names are compared through the dictionaries'
 // rank tables — the composite of a cell's ranks is one uint64 that orders
 // like its names, summed column by column — so a cube already in order
-// (the usual case for the second sort of a statement) costs one pass and
-// no allocation beyond the keys, and one out of order is radix-sorted on
-// integers. Columns are permuted into fresh slices: cubes sharing the old
-// ones (Project) are unaffected.
+// costs one pass and no allocation beyond the keys, and one out of order
+// is radix-sorted on integers. Columns are permuted into fresh slices:
+// cubes sharing the old ones (Project) are unaffected. The cube remembers
+// that it is in order until AddCell appends a cell, so sorting it again
+// costs nothing (a statement's label op sorts its result, and the result
+// is sorted once more at the end); writing Keys in place does not make it
+// forget. A member added to a dictionary keeps the order of the names
+// already ranked.
 func (c *Cube) SortByCoordinate() {
+	if c.sorted {
+		return
+	}
+	c.sorted = true
 	if c.n < 2 {
 		return
 	}

@@ -383,6 +383,42 @@ func TestAppendMeasureAndLabels(t *testing.T) {
 	}
 }
 
+// TestSortAfterAddCell: a sorted cube remembers it is in order, so a
+// second sort is free, until a cell is added; the cell must then be
+// sorted into place, with its labels, and be found by Lookup.
+func TestSortAfterAddCell(t *testing.T) {
+	s, _, c, _ := fixture(t)
+	products := func() string {
+		names := make([]string, c.Len())
+		for i := range c.Len() {
+			names[i] = s.Dict(c.Group[0]).Name(c.Keys[0][i]) + "/" + c.Labels[i]
+		}
+		return strings.Join(names, ",")
+	}
+	if err := c.SetLabels([]string{"a", "p", "l"}); err != nil {
+		t.Fatal(err)
+	}
+	c.SortByCoordinate()
+	keys := c.Keys[0]
+	c.SortByCoordinate()
+	if &c.Keys[0][0] != &keys[0] {
+		t.Fatal("a second sort of a sorted cube permuted its columns")
+	}
+	if got, want := products(), "Apple/a,Lemon/l,Pear/p"; got != want {
+		t.Fatalf("sorted products = %s, want %s", got, want)
+	}
+
+	c.MustAddCell(mdm.Coordinate{3, 0}, 5) // Banana, Italy: belongs second
+	c.Labels = append(c.Labels, "b")
+	c.SortByCoordinate()
+	if got, want := products(), "Apple/a,Banana/b,Lemon/l,Pear/p"; got != want {
+		t.Fatalf("products after AddCell and a sort = %s, want %s", got, want)
+	}
+	if j, ok := c.Lookup(mdm.Coordinate{3, 0}); !ok || j != 1 || c.Cols[0][j] != 5 {
+		t.Fatalf("Lookup of the added cell = (%d, %v)", j, ok)
+	}
+}
+
 func TestSortByCoordinate(t *testing.T) {
 	s, _, c, _ := fixture(t)
 	c.MustAddCell(mdm.Coordinate{3, 0}, 5) // Banana, Italy

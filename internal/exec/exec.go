@@ -192,8 +192,9 @@ func RunContext(ctx context.Context, e *engine.Engine, p *plan.Plan) (*Result, e
 	if !ok {
 		return nil, fmt.Errorf("exec: plan produced no result cube %q", p.Result)
 	}
-	// A labelled result is already in order (the label op sorted it), so
-	// this is one pass; either way it is part of the statement's total.
+	// A labelled result is already sorted (the label op sorted it, and the
+	// cube remembers it), so this returns at once; either way it is part
+	// of the statement's total.
 	out.SortByCoordinate()
 	return &Result{Plan: p, Cube: out, Breakdown: bd, OpStats: stats, Total: time.Since(start)}, nil
 }

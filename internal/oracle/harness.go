@@ -59,10 +59,11 @@ type Report struct {
 // materializes strictly finer covering views (Case.LatticeViews),
 // forcing the aggregate navigator to re-aggregate view cells through the
 // roll-up lattice, serially (lattice) and morsel-parallel
-// (par+lattice). A cache axis runs every statement cold, then warm, and
-// its cold run is the same configuration without the cache: "cache" is
-// the serial scan and "cache+par+views" the morsel-parallel one over
-// exact views, so neither has an axis of its own. The segment axes
+// (par+lattice). A cache axis runs every statement cold, a second time
+// (the evaluation that is stored) and warm, and its cold run is the same
+// configuration without the cache: "cache" is the serial scan and
+// "cache+par+views" the morsel-parallel one over exact views, so neither
+// has an axis of its own. The segment axes
 // write both cubes once per seed as segment directories with segments
 // far smaller than the fact (segmentStores), so block-at-a-time scans,
 // zone-map pruning, code-space predicates, segment skips and gather
@@ -96,7 +97,7 @@ type axis struct {
 	name     string
 	parallel bool
 	views    string // "", "exact", or "lattice"
-	cache    bool   // a cold run, then a warm one: the cold run alone is the axis without the cache
+	cache    bool   // cold, second and warm runs: the cold run alone is the axis without the cache
 	segment  bool
 	sweep    bool // also runs the concurrent sweep
 	sharded  bool
@@ -369,28 +370,37 @@ func Run(seed int64) *Report {
 			for _, strat := range core.FeasibleStrategies(kind) {
 				runs := 1
 				if ax.cache {
-					runs = 2 // cold fill, then warm hit
+					runs = 3 // cold sighting, second run stored, warm hit
 				}
+				var last qcache.State
 				for r := 0; r < runs; r++ {
 					axis := fmt.Sprintf("%s/%v", ax.name, strat)
 					if ax.cache {
-						axis += map[int]string{0: " cold", 1: " warm"}[r]
+						axis += [...]string{" cold", " second", " warm"}[r]
 					}
-					// The cache-state expectation comes from a probe of the
-					// same session, so statements whose bound plans collide on
-					// one fingerprint (e.g. an explicit using clause spelling
-					// out the default) are expected to hit on their first run.
+					// The cold expectation comes from a probe of the same
+					// session, so statements whose bound plans collide on one
+					// fingerprint (e.g. an explicit using clause spelling out
+					// the default) are expected to hit on their first run. A
+					// result is stored on its second evaluation at a
+					// generation: the second run repeats the first run's
+					// state, and the warm run hits.
 					expect := qcache.StateOff
 					if ax.cache {
-						expect = qcache.StateMiss
-						if p, perr := sess.PrepareWith(stmt, strat); perr == nil {
-							expect = sess.CacheProbe(p)
-						}
-						if r == 1 {
+						switch r {
+						case 0:
+							expect = qcache.StateMiss
+							if p, perr := sess.PrepareWith(stmt, strat); perr == nil {
+								expect = sess.CacheProbe(p)
+							}
+						case 1:
+							expect = last
+						case 2:
 							expect = qcache.StateHit
 						}
 					}
 					res, state, span, err := execTracked(sess, stmt, strat)
+					last = state
 					if err != nil {
 						add(stmt, axis, err.Error())
 						break

@@ -7,12 +7,23 @@
 // by a canonical fingerprint of the bound logical plan.
 //
 // The cache is one LRU under one byte budget (a budget in MiB bounds
-// resident results, not entry counts; any result that fits it is
-// admitted), a singleflight layer (N concurrent identical statements run
-// one evaluation and share the result), and generation-based
-// invalidation: every entry is tagged with the catalog generation
-// observed when its evaluation started, and a lookup under a newer
-// generation treats the entry as stale, evicting it.
+// resident results, not entry counts), a singleflight layer (N concurrent
+// identical statements run one evaluation and share the result), and
+// generation-based invalidation: every entry is tagged with the catalog
+// generation observed when its evaluation started, and a lookup under a
+// newer generation treats the entry as stale, evicting it.
+//
+// Admission is rent-or-buy, as for the engine's views: a result is stored
+// only when its statement is evaluated for the second time at one
+// generation. The first evaluation leaves a ghost — a fingerprint of key
+// and generation — in a small direct-mapped table (the doorkeeper of
+// TinyLFU, Einziger et al.) and stores nothing, so traffic that never
+// repeats keeps no results. The price is one evaluation: a statement's
+// first repeat at a generation is a miss too, and its third run hits.
+// Ghosts are only hints — entries are still found by the whole Key — so
+// two keys sharing a slot can defer each other's admission, or admit one
+// early, but never serve each other's result. Singleflight joiners do not
+// evaluate and leave no ghost.
 //
 // An entry can also keep the encoded rows its result is served as (Body):
 // bytes a server builds the first time the entry is hit, charged to the
@@ -27,6 +38,8 @@ package qcache
 import (
 	"container/list"
 	"context"
+	"encoding/binary"
+	"math/bits"
 	"sync"
 
 	"github.com/assess-olap/assess/internal/exec"
@@ -57,8 +70,10 @@ type Stats struct {
 	Evictions  int64 `json:"evictions"`
 	DedupJoins int64 `json:"dedupJoins"`
 	// Rejected counts results that were evaluated but not cached because
-	// one alone exceeds the budget.
+	// one alone exceeds the budget; Deferred counts those not cached
+	// because their key had not been evaluated before at the generation.
 	Rejected int64 `json:"rejected"`
+	Deferred int64 `json:"deferred"`
 	Entries  int64 `json:"entries"`
 	// Bytes is what the entries hold, results and encoded rows; BodyBytes
 	// is the rows' share of it.
@@ -103,10 +118,18 @@ type Cache struct {
 	lru      *list.List // front = most recent; values are *entry
 	index    map[Key]*list.Element
 	inflight map[Key]*call
-	stats    Stats // BudgetBytes is fixed; the rest moves under mu
+	ghosts   []uint64 // the doorkeeper: per slot, the tag of its last evaluation
+	stats    Stats    // BudgetBytes is fixed; the rest moves under mu
 
 	onJoin func() // test hook: a caller is about to wait on an in-flight call
 }
+
+// Ghost slots: one per ghostSpan bytes of budget (4 096, 32 KiB of tags,
+// at DefaultMaxBytes), at least minGhosts, rounded up to a power of two.
+const (
+	ghostSpan = 16 << 10
+	minGhosts = 64
+)
 
 // New builds a cache with the given total byte budget; a non-positive
 // budget selects DefaultMaxBytes.
@@ -114,10 +137,12 @@ func New(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
+	slots := max(maxBytes/ghostSpan, minGhosts)
 	return &Cache{
 		lru:      list.New(),
 		index:    make(map[Key]*list.Element),
 		inflight: make(map[Key]*call),
+		ghosts:   make([]uint64, 1<<bits.Len64(uint64(slots-1))),
 		stats:    Stats{BudgetBytes: maxBytes},
 	}
 }
@@ -239,13 +264,19 @@ func (c *Cache) Peek(key Key, gen uint64) bool {
 
 // store inserts the result at the front of the LRU and evicts from its
 // tail until the cache is within budget. A result larger than the whole
-// budget is not cached, counts as rejected, and store returns nil.
+// budget is not cached and counts as rejected; one whose key was not
+// evaluated before at gen is not cached and counts as deferred. Either way
+// store returns nil.
 func (c *Cache) store(key Key, res *exec.Result, gen uint64) *entry {
 	e := &entry{key: key, res: res, gen: gen, size: resultBytes(res), cells: res.Cube.Len()}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e.size > c.stats.BudgetBytes {
 		c.stats.Rejected++
+		return nil
+	}
+	if !c.seen(key, gen) {
+		c.stats.Deferred++
 		return nil
 	}
 	if el, ok := c.index[key]; ok {
@@ -257,6 +288,21 @@ func (c *Cache) store(key Key, res *exec.Result, gen uint64) *entry {
 	c.stats.Bytes += e.size
 	c.evictFor(el)
 	return e
+}
+
+// seen reports whether key's ghost at gen is in its slot, and leaves it
+// there; c.mu must be held. The slot comes from the key's first eight
+// bytes and the tag from the next eight mixed with the generation, so a
+// newer generation finds every older ghost stale. Tags are odd: an empty
+// slot matches none.
+func (c *Cache) seen(key Key, gen uint64) bool {
+	slot := &c.ghosts[binary.LittleEndian.Uint64(key[:8])&uint64(len(c.ghosts)-1)]
+	tag := (binary.LittleEndian.Uint64(key[8:16]) ^ gen*0x9e3779b97f4a7c15) | 1
+	if *slot == tag {
+		return true
+	}
+	*slot = tag
+	return false
 }
 
 // evictFor drops least recently used entries, never keep itself, until

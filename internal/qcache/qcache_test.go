@@ -48,6 +48,19 @@ func testKey(head, tail byte) qcache.Key {
 	return k
 }
 
+// sight runs key's first evaluation at gen, which the cache does not
+// store: the sighting that lets the next evaluation's result in.
+func sight(t testing.TB, c *qcache.Cache, key qcache.Key, gen uint64) {
+	t.Helper()
+	deferred := c.Stats().Deferred
+	if _, state, err := c.Do(key, gen, func() (*exec.Result, error) { return fakeResult(t, 1), nil }); err != nil || state != qcache.StateMiss {
+		t.Fatalf("first sighting = (%q, %v), want a miss", state, err)
+	}
+	if got := c.Stats().Deferred; got != deferred+1 {
+		t.Fatalf("first sighting stored: %d deferred, want %d", got, deferred+1)
+	}
+}
+
 // joinSignal makes c report every caller that joins an in-flight
 // evaluation on the returned channel.
 func joinSignal(c *qcache.Cache, buffer int) <-chan struct{} {
@@ -62,19 +75,25 @@ func TestDoCachesAndHits(t *testing.T) {
 	var evals int
 	eval := func() (*exec.Result, error) { evals++; return res, nil }
 
+	// The first evaluation is not stored, the second is.
+	for run, entries := range []int64{0, 1} {
+		got, state, err := c.Do(testKey(0, 1), 7, eval)
+		if err != nil || got != res || state != qcache.StateMiss {
+			t.Fatalf("Do %d = (%p, %q, %v), want miss of %p", run+1, got, state, err, res)
+		}
+		if st := c.Stats(); st.Entries != entries {
+			t.Fatalf("after Do %d: stats = %+v, want %d entries", run+1, st, entries)
+		}
+	}
 	got, state, err := c.Do(testKey(0, 1), 7, eval)
-	if err != nil || got != res || state != qcache.StateMiss {
-		t.Fatalf("first Do = (%p, %q, %v), want miss of %p", got, state, err, res)
-	}
-	got, state, err = c.Do(testKey(0, 1), 7, eval)
 	if err != nil || got != res || state != qcache.StateHit {
-		t.Fatalf("second Do = (%p, %q, %v), want hit", got, state, err)
+		t.Fatalf("third Do = (%p, %q, %v), want hit", got, state, err)
 	}
-	if evals != 1 {
-		t.Fatalf("evaluations = %d, want 1", evals)
+	if evals != 2 {
+		t.Fatalf("evaluations = %d, want 2", evals)
 	}
 	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 || st.Bytes <= 0 {
+	if st.Hits != 1 || st.Misses != 2 || st.Deferred != 1 || st.Entries != 1 || st.Bytes <= 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if !c.Peek(testKey(0, 1), 7) {
@@ -91,21 +110,30 @@ func TestGenerationInvalidation(t *testing.T) {
 	var evals int
 	eval := func() (*exec.Result, error) { evals++; return fakeResult(t, 2), nil }
 
-	if _, state, _ := c.Do(key, 1, eval); state != qcache.StateMiss {
-		t.Fatalf("cold Do state = %q", state)
+	for _, name := range []string{"cold", "second"} {
+		if _, state, _ := c.Do(key, 1, eval); state != qcache.StateMiss {
+			t.Fatalf("%s Do state = %q", name, state)
+		}
 	}
 	// Same generation: served from cache.
 	if _, state, _ := c.Do(key, 1, eval); state != qcache.StateHit {
 		t.Fatalf("warm Do state = %q", state)
 	}
-	// Newer generation: the entry is stale and must be re-evaluated.
+	// Newer generation: the entry is stale and must be re-evaluated, and
+	// the ghost of generation 1 does not admit the result of generation 2.
 	if _, state, _ := c.Do(key, 2, eval); state != qcache.StateMiss {
 		t.Fatalf("stale Do state = %q", state)
 	}
-	if evals != 2 {
-		t.Fatalf("evaluations = %d, want 2", evals)
+	if st := c.Stats(); st.Entries != 0 || st.Deferred != 2 {
+		t.Fatalf("stale entry kept, or the new result admitted on an old ghost: %+v", st)
 	}
-	if st := c.Stats(); st.Entries != 1 {
+	if _, state, _ := c.Do(key, 2, eval); state != qcache.StateMiss {
+		t.Fatalf("second Do at the new generation: state = %q", state)
+	}
+	if evals != 4 {
+		t.Fatalf("evaluations = %d, want 4", evals)
+	}
+	if st := c.Stats(); st.Entries != 1 || !c.Peek(key, 2) {
 		t.Fatalf("stale entry not replaced: %+v", st)
 	}
 }
@@ -120,11 +148,17 @@ func TestErrorsAreNotCached(t *testing.T) {
 	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("error was cached: %+v", st)
 	}
-	// The next call evaluates again (and can succeed).
+	// The next call evaluates again (and can succeed). The failed one was
+	// no sighting: the first result is not stored, the second is.
 	res := fakeResult(t, 1)
-	got, state, err := c.Do(testKey(1, 1), 1, func() (*exec.Result, error) { return res, nil })
-	if err != nil || got != res || state != qcache.StateMiss {
-		t.Fatalf("retry = (%p, %q, %v)", got, state, err)
+	for retry, entries := range []int64{0, 1} {
+		got, state, err := c.Do(testKey(1, 1), 1, func() (*exec.Result, error) { return res, nil })
+		if err != nil || got != res || state != qcache.StateMiss {
+			t.Fatalf("retry %d = (%p, %q, %v)", retry+1, got, state, err)
+		}
+		if st := c.Stats(); st.Entries != entries {
+			t.Fatalf("after retry %d: stats = %+v, want %d entries", retry+1, st, entries)
+		}
 	}
 }
 
@@ -135,6 +169,7 @@ func TestLRUEvictionByBytes(t *testing.T) {
 	c := qcache.New(budget)
 	store := func(i int) {
 		t.Helper()
+		sight(t, c, testKey(byte(i), byte(i)), 1)
 		res := fakeResult(t, 40)
 		if _, _, err := c.Do(testKey(byte(i), byte(i)), 1, func() (*exec.Result, error) { return res, nil }); err != nil {
 			t.Fatal(err)
@@ -181,11 +216,14 @@ func TestOversizedResultNotCached(t *testing.T) {
 		}
 	}
 	// More than a sixteenth of the budget, which the sharded cache
-	// refused: the only per-result limit is the budget itself.
+	// refused: the only per-result limit is the budget itself. It is
+	// stored on its second evaluation.
+	do(1, 400)
 	do(1, 400)
 	if st := c.Stats(); st.Entries != 1 || st.Rejected != 0 || st.Bytes <= budget/16 {
 		t.Fatalf("result under the budget not cached: %+v", st)
 	}
+	// Too large for the budget: rejected on its first evaluation already.
 	do(2, 8000)
 	if st := c.Stats(); st.Entries != 1 || st.Rejected != 1 || !c.Peek(testKey(0, 1), 1) {
 		t.Fatalf("oversized result cached, uncounted, or evicted others: %+v", st)
@@ -248,6 +286,14 @@ func TestSingleflight(t *testing.T) {
 	st := c.Stats()
 	if st.Misses != 1 || st.DedupJoins != workers-1 {
 		t.Fatalf("stats = %+v, want 1 miss and %d dedup joins", st, workers-1)
+	}
+	// The joiners did not evaluate: the burst was one sighting, so the
+	// next evaluation is the one that is stored.
+	if st.Deferred != 1 || st.Entries != 0 {
+		t.Fatalf("stats = %+v, want the one evaluation deferred", st)
+	}
+	if _, state, err := c.Do(key, 1, func() (*exec.Result, error) { return res, nil }); err != nil || state != qcache.StateMiss || c.Stats().Entries != 1 {
+		t.Fatalf("Do after the burst = (%q, %v), stats %+v, want a stored miss", state, err, c.Stats())
 	}
 }
 
@@ -381,6 +427,7 @@ func TestBodyLifecycle(t *testing.T) {
 	var fills atomic.Int32
 	fill := rowsOf(&fills)
 
+	sight(t, c, key, 1)
 	got, state, body := tracked(t, c, key, 1, res)
 	if got != res || state != qcache.StateMiss {
 		t.Fatalf("first Do = (%p, %q)", got, state)
@@ -436,6 +483,7 @@ func TestBodyDroppedWithEntry(t *testing.T) {
 	var fills atomic.Int32
 	keep := func(key qcache.Key, gen uint64) {
 		t.Helper()
+		sight(t, c, key, gen)
 		_, _, body := tracked(t, c, key, gen, fakeResult(t, 40))
 		body.SetLen(2000)
 		_, _, hit := tracked(t, c, key, gen, nil)
@@ -448,6 +496,7 @@ func TestBodyDroppedWithEntry(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	res := fakeResult(t, 40)
+	sight(t, c, testKey(1, 1), 2)
 	got, state, body := tracked(t, c, testKey(1, 1), 2, res)
 	if got != res || state != qcache.StateMiss {
 		t.Fatalf("Do under a newer generation = (%p, %q), want a miss", got, state)
@@ -462,7 +511,7 @@ func TestBodyDroppedWithEntry(t *testing.T) {
 	// Fill the cache with rows-bearing entries until the first is evicted.
 	keep(testKey(2, 0), 2)
 	for i := 1; c.Stats().Evictions == 0; i++ {
-		keep(testKey(3, byte(i)), 2)
+		keep(testKey(byte(2+i), byte(i)), 2) // one ghost slot each
 	}
 	st := c.Stats()
 	if c.Peek(testKey(1, 1), 2) || st.BodyBytes != 2000*(st.Entries) || st.Bytes > st.BudgetBytes {
@@ -477,6 +526,9 @@ func TestBodyUnderBudget(t *testing.T) {
 	const budget = 64 << 10
 	c := qcache.New(budget)
 	var fills atomic.Int32
+	for head := byte(1); head <= 4; head++ {
+		sight(t, c, testKey(head, 0), 1)
+	}
 	tracked(t, c, testKey(1, 0), 1, fakeResult(t, 1000)) // ~16 KiB, the oldest
 	_, _, b := tracked(t, c, testKey(2, 0), 1, fakeResult(t, 100))
 	_, _, big := tracked(t, c, testKey(3, 0), 1, fakeResult(t, 1000))
@@ -521,11 +573,13 @@ func TestBodyUnderBudget(t *testing.T) {
 func TestBodyEvictedDuringFill(t *testing.T) {
 	c := qcache.New(1 << 20)
 	key := testKey(1, 1)
+	sight(t, c, key, 1)
 	_, _, body := tracked(t, c, key, 1, fakeResult(t, 40))
 	body.SetLen(1000)
 	_, _, hit := tracked(t, c, key, 1, nil)
 	rows, filled := hit.Rows(func(res *exec.Result, n int) []byte {
 		// A newer generation replaces the entry mid-fill.
+		sight(t, c, key, 2)
 		tracked(t, c, key, 2, fakeResult(t, 40))
 		return make([]byte, n)
 	})
@@ -548,6 +602,7 @@ func TestBodyFirstHitConcurrent(t *testing.T) {
 	c := qcache.New(1 << 20)
 	key := testKey(7, 7)
 	res := fakeResult(t, 200)
+	sight(t, c, key, 1)
 	_, _, body := tracked(t, c, key, 1, res)
 	body.SetLen(4096)
 
@@ -603,6 +658,7 @@ func BenchmarkCacheHitParallel(b *testing.B) {
 	res := fakeResult(b, 4)
 	const entries = 64
 	for i := 0; i < entries; i++ {
+		sight(b, c, testKey(byte(i), byte(i)), 1)
 		if _, _, err := c.Do(testKey(byte(i), byte(i)), 1, func() (*exec.Result, error) { return res, nil }); err != nil {
 			b.Fatal(err)
 		}

@@ -118,9 +118,9 @@ func bodyOutcomes(reg *obsv.Registry) (served, filled, skipped int64) {
 
 // TestRetainedBodiesAreStreamedBodies serves every oracle-generated
 // statement (all five benchmark kinds; get statements go to /query, which
-// has no cache) four times: the miss streams, the first hit fills the
-// entry's rows, the next two are served from them, with and without a
-// trace. Every body must be an encoding/json fixed point like the
+// has no cache) five times: two misses stream (the second is stored), the
+// first hit fills the entry's rows, the next two are served from them,
+// with and without a trace. Every body must be an encoding/json fixed point like the
 // streamed ones, and carry the very rows the miss streamed.
 func TestRetainedBodiesAreStreamedBodies(t *testing.T) {
 	kinds := map[string]int{}
@@ -136,13 +136,13 @@ func TestRetainedBodiesAreStreamedBodies(t *testing.T) {
 			kinds[kind.String()]++
 			var rows []byte
 			// The fill happens under a trace for every other statement.
-			for j, trace := range []bool{false, i%2 == 1, false, true} {
+			for j, trace := range []bool{false, false, i%2 == 1, false, true} {
 				body := serve(t, h, stmt, trace)
 				var ar assessResponse
 				if err := json.Unmarshal(body, &ar); err != nil {
 					t.Fatalf("seed %d: %s: reply %d: %v", seed, stmt, j, err)
 				}
-				if want := map[bool]string{true: "miss", false: "hit"}[j == 0]; ar.Cache != want || (ar.Trace != nil) != trace {
+				if want := map[bool]string{true: "miss", false: "hit"}[j <= 1]; ar.Cache != want || (ar.Trace != nil) != trace {
 					t.Fatalf("seed %d: %s: reply %d: cache %q (want %q), trace %v", seed, stmt, j, ar.Cache, want, ar.Trace != nil)
 				}
 				if ar.Cells != len(ar.Rows) || ar.Rows == nil {
@@ -193,8 +193,9 @@ func cacheStats(t testing.TB, session *core.Session) (bytes, bodyBytes, budget i
 }
 
 // TestBodyDroppedOnGenerationBump: an append and a materialization each
-// invalidate the entry, and its rows go with it — the next reply is
-// evaluated and streamed, and the one after fills them again.
+// invalidate the entry, and its rows go with it — the next two replies
+// are evaluated and streamed (the second is stored), and the one after
+// fills them again.
 func TestBodyDroppedOnGenerationBump(t *testing.T) {
 	session, ds := salesSession(t, 5000)
 	h, reg, _, _ := cachedHandler(t, session, 0)
@@ -213,6 +214,9 @@ func TestBodyDroppedOnGenerationBump(t *testing.T) {
 		}
 		if _, kept, _ := cacheStats(t, session); kept != 0 {
 			t.Fatalf("%d body bytes survive an invalidated entry", kept)
+		}
+		if again := serve(t, h, largeStatement, false); cacheOf(again) != "miss" {
+			t.Fatalf("second reply: cache = %q, want miss", cacheOf(again))
 		}
 		serve(t, h, largeStatement, false)
 		hit := serve(t, h, largeStatement, false)
@@ -253,6 +257,7 @@ func TestBodyDroppedOnGenerationBump(t *testing.T) {
 func TestBodyOverBudgetStillStreams(t *testing.T) {
 	probe, _ := salesSession(t, 50000)
 	h, _, _, _ := cachedHandler(t, probe, 0)
+	serve(t, h, largeStatement, false)
 	want := serve(t, h, largeStatement, false)
 	cube, _, _ := cacheStats(t, probe)
 	if rows := int64(len(rowsMember(t, want))); rows <= cube {
@@ -261,6 +266,7 @@ func TestBodyOverBudgetStillStreams(t *testing.T) {
 
 	session, _ := salesSession(t, 50000)
 	h, reg, _, _ := cachedHandler(t, session, cube+1024)
+	serve(t, h, largeStatement, false)
 	serve(t, h, largeStatement, false)
 	for i := 0; i < 3; i++ {
 		got := serve(t, h, largeStatement, false)
@@ -283,6 +289,7 @@ func TestBodyOverBudgetStillStreams(t *testing.T) {
 func TestFirstHitConcurrent(t *testing.T) {
 	session, _ := salesSession(t, 20000)
 	h, reg, _, _ := cachedHandler(t, session, 0)
+	serve(t, h, largeStatement, false)
 	want := rowsMember(t, serve(t, h, largeStatement, false))
 
 	start := make(chan struct{})
@@ -318,6 +325,7 @@ func TestWriteErrorOnRetainedBody(t *testing.T) {
 	session, _ := salesSession(t, 20000)
 	h, reg, slow, sink := cachedHandler(t, session, 0)
 	serve(t, h, largeStatement, false)
+	serve(t, h, largeStatement, false)
 	full := len(serve(t, h, largeStatement, false)) // fills
 
 	reqBody, _ := json.Marshal(map[string]any{"statement": largeStatement})
@@ -338,7 +346,7 @@ func TestWriteErrorOnRetainedBody(t *testing.T) {
 	}
 	lines := strings.Split(strings.TrimSpace(sink.String()), "\n")
 	var last obsv.SlowEntry
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil || len(lines) != 3 {
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil || len(lines) != 4 {
 		t.Fatalf("%d slow-log lines, last one: %v", len(lines), err)
 	}
 	if last.Bytes != int64(limit) || last.Cache != "hit" {
@@ -351,6 +359,7 @@ func TestWriteErrorOnRetainedBody(t *testing.T) {
 func TestBodyObservability(t *testing.T) {
 	session, _ := salesSession(t, 5000)
 	h, _, slow, sink := cachedHandler(t, session, 0)
+	serve(t, h, largeStatement, false)
 	serve(t, h, largeStatement, false)
 	serve(t, h, largeStatement, false)
 	body := serve(t, h, largeStatement, true)
@@ -384,8 +393,9 @@ func TestBodyObservability(t *testing.T) {
 		`assess_cache_body_total{outcome="skipped"} 0`,
 		`assess_cache_body_bytes ` + strconv.Itoa(kept),
 		`assess_cache_rejected_total 0`,
-		// The miss and the hit that filled were encoded; the served hit was not.
-		`assess_server_encode_bodies_total{endpoint="/assess",mode="inline"} 2`,
+		`assess_cache_deferred_total 1`,
+		// The misses and the hit that filled were encoded; the served hit was not.
+		`assess_server_encode_bodies_total{endpoint="/assess",mode="inline"} 3`,
 		`assess_server_encode_bodies_total{endpoint="/assess",mode="parallel"} 0`,
 	} {
 		if !strings.Contains(rec.Body.String(), want+"\n") {
@@ -401,19 +411,19 @@ func TestBodyObservability(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := stats.Cache["rejected"]; !ok || stats.Cache["bodyBytes"] != int64(kept) || stats.Cache["bytes"] <= int64(kept) {
-		t.Errorf("/stats cache section = %v, want rejected and %d bodyBytes within bytes", stats.Cache, kept)
+	if _, ok := stats.Cache["rejected"]; !ok || stats.Cache["bodyBytes"] != int64(kept) || stats.Cache["bytes"] <= int64(kept) || stats.Cache["deferred"] != 1 {
+		t.Errorf("/stats cache section = %v, want rejected, 1 deferred and %d bodyBytes within bytes", stats.Cache, kept)
 	}
 
 	if err := slow.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(sink.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("%d slow-log lines, want 3", len(lines))
+	if len(lines) != 4 {
+		t.Fatalf("%d slow-log lines, want 4", len(lines))
 	}
 	var last obsv.SlowEntry
-	for i, wantWorkers := range []int{1, 1, 0} { // streamed, filled, served from kept rows
+	for i, wantWorkers := range []int{1, 1, 1, 0} { // streamed twice, filled, served from kept rows
 		last = obsv.SlowEntry{}
 		if err := json.Unmarshal([]byte(lines[i]), &last); err != nil {
 			t.Fatal(err)
@@ -472,8 +482,9 @@ func BenchmarkAssessHit(b *testing.B) {
 		stmt := `with LINEORDER ` + tc.by + ` assess revenue against 1000000 using ratio(revenue, benchmark.revenue) ` + labels
 		b.Run("cells="+strconv.Itoa(cells), func(b *testing.B) {
 			reqBody, _ := json.Marshal(map[string]any{"statement": stmt})
-			// warm builds a server whose cache holds stmt's result and has
-			// answered two hits of it, and reports what the entry keeps.
+			// warm builds a server whose cache holds stmt's result (stored
+			// by its second evaluation) and has answered two hits of it,
+			// and reports what the entry keeps.
 			warm := func(budget int64) (request func(), cube, rows int64) {
 				session := core.NewSession()
 				if err := session.RegisterCube("LINEORDER", ds.Fact); err != nil {
@@ -486,6 +497,7 @@ func BenchmarkAssessHit(b *testing.B) {
 				if got := bytes.Count(serve(b, h, stmt, false), []byte(`{"coordinate":`)); got != cells {
 					b.Fatalf("%d cells, want %d", got, cells)
 				}
+				request()
 				cube, _, _ = cacheStats(b, session)
 				request()
 				request()

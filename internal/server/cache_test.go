@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -44,6 +45,14 @@ func TestAssessCacheField(t *testing.T) {
 	if out.Cache != "miss" {
 		t.Fatalf("first call cache = %q, want miss", out.Cache)
 	}
+	// The second evaluation is the one that is stored.
+	resp, body = post(t, srv, "/assess", req)
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || out.Cache != "miss" {
+		t.Fatalf("second call: status %d, cache = %q, want miss", resp.StatusCode, out.Cache)
+	}
 
 	resp, body = post(t, srv, "/assess", req)
 	if resp.StatusCode != http.StatusOK {
@@ -58,7 +67,7 @@ func TestAssessCacheField(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.Cache != "hit" {
-		t.Fatalf("second call cache = %q, want hit", out.Cache)
+		t.Fatalf("third call cache = %q, want hit", out.Cache)
 	}
 	if out.Cells != cells {
 		t.Fatalf("cached result has %d cells, evaluated had %d", out.Cells, cells)
@@ -107,10 +116,16 @@ func TestExplainCacheField(t *testing.T) {
 		t.Fatalf("explain before exec cache = %q, want miss", out.Cache)
 	}
 
-	post(t, srv, "/assess", map[string]any{"statement": siblingStatement})
-	_, body = post(t, srv, "/explain", map[string]any{"statement": siblingStatement})
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
+	// A first evaluation is not stored; the second is.
+	for _, want := range []string{"miss", "hit"} {
+		post(t, srv, "/assess", map[string]any{"statement": siblingStatement})
+		_, body = post(t, srv, "/explain", map[string]any{"statement": siblingStatement})
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Cache != want {
+			t.Fatalf("explain after exec cache = %q, want %q", out.Cache, want)
+		}
 	}
 	if out.Cache != "hit" {
 		t.Fatalf("explain after exec cache = %q, want hit", out.Cache)
@@ -119,8 +134,9 @@ func TestExplainCacheField(t *testing.T) {
 
 func TestStatsEndpoint(t *testing.T) {
 	srv := newCachedServer(t)
-	post(t, srv, "/assess", map[string]any{"statement": siblingStatement})
-	post(t, srv, "/assess", map[string]any{"statement": siblingStatement})
+	for range 3 {
+		post(t, srv, "/assess", map[string]any{"statement": siblingStatement})
+	}
 
 	resp, err := http.Get(srv.URL + "/stats")
 	if err != nil {
@@ -134,6 +150,7 @@ func TestStatsEndpoint(t *testing.T) {
 		Cache *struct {
 			Hits        int64 `json:"hits"`
 			Misses      int64 `json:"misses"`
+			Deferred    int64 `json:"deferred"`
 			Entries     int64 `json:"entries"`
 			Bytes       int64 `json:"bytes"`
 			BudgetBytes int64 `json:"budgetBytes"`
@@ -147,7 +164,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if out.Cache == nil {
 		t.Fatal("stats lacks cache counters with caching on")
 	}
-	if out.Cache.Hits != 1 || out.Cache.Misses != 1 || out.Cache.Entries != 1 {
+	if out.Cache.Hits != 1 || out.Cache.Misses != 2 || out.Cache.Deferred != 1 || out.Cache.Entries != 1 {
 		t.Fatalf("cache counters = %+v", *out.Cache)
 	}
 	if out.Cache.Bytes <= 0 || out.Cache.BudgetBytes != 64<<20 {
@@ -158,6 +175,56 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if len(out.Cubes) != 1 || out.Cubes[0] != "SALES" {
 		t.Fatalf("cubes = %v", out.Cubes)
+	}
+}
+
+// TestSecondSightAdmission: statements that are never repeated leave the
+// cache empty, and a statement's result is stored on its second
+// evaluation, so the third request is the first hit. /metrics and /stats
+// count the results that were not stored.
+func TestSecondSightAdmission(t *testing.T) {
+	session, _ := salesSession(t, 2000)
+	h, _, _, _ := cachedHandler(t, session, 0)
+	cacheOf := func(body []byte) string {
+		t.Helper()
+		var out struct{ Cache string }
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Cache
+	}
+	for i := range 50 {
+		stmt := fmt.Sprintf(`with SALES by product, country assess quantity against %d labels quartiles`, 100+i)
+		if got := cacheOf(serve(t, h, stmt, false)); got != "miss" {
+			t.Fatalf("distinct statement %d: cache %q, want miss", i, got)
+		}
+	}
+	if st, _ := session.CacheStats(); st.Entries != 0 || st.Bytes != 0 || st.Deferred != 50 || st.Evictions != 0 {
+		t.Fatalf("after 50 distinct statements: %+v, want an empty cache and 50 deferred", st)
+	}
+	for i, want := range []string{"miss", "miss", "hit"} {
+		if got := cacheOf(serve(t, h, siblingStatement, false)); got != want {
+			t.Fatalf("request %d of one statement: cache %q, want %q", i+1, got, want)
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, want := range []string{"assess_cache_deferred_total 51", "assess_cache_entries 1"} {
+		if !strings.Contains(rec.Body.String(), want+"\n") {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+	var stats struct {
+		Cache map[string]int64 `json:"cache"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Cache["deferred"] != 51 || stats.Cache["entries"] != 1 {
+		t.Errorf("/stats cache section = %v, want 51 deferred and 1 entry", stats.Cache)
 	}
 }
 

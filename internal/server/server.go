@@ -182,6 +182,8 @@ func (s *Server) registerSessionMetrics() {
 		cacheStat(func(st qcache.Stats) int64 { return st.Evictions }))
 	s.reg.CounterFunc("assess_cache_rejected_total", "Results not cached because one alone exceeds the cache budget.",
 		cacheStat(func(st qcache.Stats) int64 { return st.Rejected }))
+	s.reg.CounterFunc("assess_cache_deferred_total", "Results not cached because their statement had not been evaluated before at the catalog generation.",
+		cacheStat(func(st qcache.Stats) int64 { return st.Deferred }))
 	s.reg.GaugeFunc("assess_cache_body_bytes", "Encoded bodies kept with cache entries, a part of assess_cache_bytes.",
 		cacheStat(func(st qcache.Stats) int64 { return st.BodyBytes }))
 	s.reg.GaugeFunc("assess_cache_entries", "Query-result cache resident entries.",
