@@ -130,7 +130,7 @@ func main() {
 			addr:      *addr,
 			debugAddr: *debugAddr,
 			handler:   handler,
-			metrics:   http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { metricsHandler(w) }),
+			metrics:   handler, // the worker's GET /metrics
 			slow:      obsv.NewSlowLog(os.Stderr, 0),
 			logger:    logger,
 			drain:     5 * time.Second,
@@ -184,7 +184,7 @@ func main() {
 		addr:      *addr,
 		debugAddr: *debugAddr,
 		handler:   srv.Handler(),
-		metrics:   http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { metricsHandler(w) }),
+		metrics:   http.HandlerFunc(srv.Metrics),
 		slow:      slow,
 		logger:    logger,
 		drain:     5 * time.Second,
@@ -207,13 +207,6 @@ func addrString(a net.Addr) string {
 		return ""
 	}
 	return a.String()
-}
-
-// metricsHandler renders the default registry (the debug listener's
-// /metrics mirror; the API listener serves its own via the server).
-func metricsHandler(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	obsv.Default.WritePrometheus(w)
 }
 
 // openSlowLog builds the slow-query log: to a file when a path is

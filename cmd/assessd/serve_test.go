@@ -7,12 +7,14 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/assess-olap/assess/internal/obsv"
+	"github.com/assess-olap/assess/internal/server"
 )
 
 // syncBuffer is a goroutine-safe sink for the slow-query log under test.
@@ -145,5 +147,67 @@ func TestServeListenError(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("serve succeeded with a conflicting debug address")
+	}
+}
+
+// TestDebugMetricsMirrorsAPI: the debug listener's /metrics renders
+// through the server, so it lists the same families as the API's — the
+// process-wide ones and the server's own (cache, catalog, egress).
+func TestDebugMetricsMirrorsAPI(t *testing.T) {
+	session := newSalesSession(t)
+	session.EnableCache(1 << 20)
+	srv := server.New(session)
+	ctx, cancel := context.WithCancel(context.Background())
+	ready := make(chan [2]net.Addr, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- serve(ctx, serveConfig{
+			addr:      "127.0.0.1:0",
+			debugAddr: "127.0.0.1:0",
+			handler:   srv.Handler(),
+			metrics:   http.HandlerFunc(srv.Metrics),
+			slow:      obsv.NewSlowLog(io.Discard, 0),
+			drain:     2 * time.Second,
+			ready:     func(api, debug net.Addr) { ready <- [2]net.Addr{api, debug} },
+		})
+	}()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	}()
+	var addrs [2]net.Addr
+	select {
+	case addrs = <-ready:
+	case err := <-done:
+		t.Fatalf("serve exited before ready: %v", err)
+	}
+	apiURL, debugURL := "http://"+addrs[0].String(), "http://"+addrs[1].String()
+	// One request first, so the HTTP families exist before either scrape.
+	if code, _ := postJSON(t, apiURL+"/assess", map[string]string{"statement": `with SALES by country assess quantity labels quartiles`}); code != http.StatusOK {
+		t.Fatalf("/assess status %d", code)
+	}
+	families := func(url string) []string {
+		code, body := get(t, url+"/metrics")
+		if code != http.StatusOK {
+			t.Fatalf("%s/metrics status %d", url, code)
+		}
+		var out []string
+		for _, line := range strings.Split(body, "\n") {
+			if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+				out = append(out, f[2])
+			}
+		}
+		return out
+	}
+	api, debug := families(apiURL), families(debugURL)
+	if strings.Join(api, " ") != strings.Join(debug, " ") {
+		t.Errorf("families differ:\n  api   %v\n  debug %v", api, debug)
+	}
+	for _, want := range []string{"assess_cache_misses_total", "assess_catalog_generation", "assess_server_encode_seconds", "assess_queries_total", "assess_process_uptime_seconds"} {
+		if !slices.Contains(debug, want) {
+			t.Errorf("debug /metrics lacks %s", want)
+		}
 	}
 }

@@ -35,8 +35,9 @@ func (v value) column(n int) []float64 {
 }
 
 // evalColumn evaluates a bound using-clause expression over the cube,
-// returning one value per cell. Cell functions are applied row-at-a-time;
-// holistic functions receive whole argument columns (Section 3.2).
+// returning one value per cell. Cell functions are applied row-at-a-time,
+// or in one loop over the columns when they have a column form; holistic
+// functions receive whole argument columns (Section 3.2).
 func evalColumn(e semantic.Expr, c *cube.Cube) ([]float64, error) {
 	v, err := eval(e, c)
 	if err != nil {
@@ -89,6 +90,10 @@ func eval(e semantic.Expr, c *cube.Cube) (value, error) {
 				return value{konst: e.Fn.CellFn(buf), isConst: true}, nil
 			}
 			out := make([]float64, c.Len())
+			if e.Fn.ColFn != nil {
+				e.Fn.ColFn(out, args[0].column(len(out)), args[1].column(len(out)))
+				return value{col: out}, nil
+			}
 			for i := range out {
 				for j, a := range args {
 					buf[j] = a.at(i)

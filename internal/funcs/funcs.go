@@ -38,6 +38,10 @@ type Func struct {
 	Doc    string
 	CellFn func(args []float64) float64
 	HolFn  func(cols [][]float64) []float64
+	// ColFn, optional on a binary cell function, is CellFn over whole
+	// columns: dst[i] = CellFn([a[i], b[i]]), the same IEEE operation per
+	// element, so bit for bit the same. All three have one length.
+	ColFn func(dst, a, b []float64)
 	// ImplicitMeasureArg marks functions whose last argument defaults to
 	// the assessed measure m when omitted in the statement: the paper's
 	// percOfTotal(difference(quantity, benchmark.quantity)) implicitly
@@ -73,7 +77,8 @@ func (r *Registry) Register(f *Func) error {
 	if f.Arity == 0 || f.Arity < Variadic {
 		return fmt.Errorf("funcs: %s has invalid arity %d", f.Name, f.Arity)
 	}
-	if (f.Kind == Cell) != (f.CellFn != nil) || (f.Kind == Holistic) != (f.HolFn != nil) {
+	if (f.Kind == Cell) != (f.CellFn != nil) || (f.Kind == Holistic) != (f.HolFn != nil) ||
+		(f.ColFn != nil && (f.Kind != Cell || f.Arity != 2)) {
 		return fmt.Errorf("funcs: %s implementation does not match its kind", f.Name)
 	}
 	r.m[key] = f
@@ -102,26 +107,56 @@ func builtins() []*Func {
 			Name: "difference", Kind: Cell, Arity: 2,
 			Doc:    "difference(a, b) = a - b (algebraic difference, Listing 2)",
 			CellFn: func(a []float64) float64 { return a[0] - a[1] },
+			ColFn: func(dst, a, b []float64) {
+				a, b = a[:len(dst)], b[:len(dst)]
+				for i := range dst {
+					dst[i] = a[i] - b[i]
+				}
+			},
 		},
 		{
 			Name: "absDifference", Kind: Cell, Arity: 2,
 			Doc:    "absDifference(a, b) = |a - b|",
 			CellFn: func(a []float64) float64 { return math.Abs(a[0] - a[1]) },
+			ColFn: func(dst, a, b []float64) {
+				a, b = a[:len(dst)], b[:len(dst)]
+				for i := range dst {
+					dst[i] = math.Abs(a[i] - b[i])
+				}
+			},
 		},
 		{
 			Name: "ratio", Kind: Cell, Arity: 2,
 			Doc:    "ratio(a, b) = a / b",
 			CellFn: func(a []float64) float64 { return a[0] / a[1] },
+			ColFn: func(dst, a, b []float64) {
+				a, b = a[:len(dst)], b[:len(dst)]
+				for i := range dst {
+					dst[i] = a[i] / b[i]
+				}
+			},
 		},
 		{
 			Name: "percentage", Kind: Cell, Arity: 2,
 			Doc:    "percentage(a, b) = 100 · a / b",
 			CellFn: func(a []float64) float64 { return 100 * a[0] / a[1] },
+			ColFn: func(dst, a, b []float64) {
+				a, b = a[:len(dst)], b[:len(dst)]
+				for i := range dst {
+					dst[i] = 100 * a[i] / b[i]
+				}
+			},
 		},
 		{
 			Name: "normDifference", Kind: Cell, Arity: 2,
 			Doc:    "normDifference(a, b) = (a - b) / b (normalized difference)",
 			CellFn: func(a []float64) float64 { return (a[0] - a[1]) / a[1] },
+			ColFn: func(dst, a, b []float64) {
+				a, b = a[:len(dst)], b[:len(dst)]
+				for i := range dst {
+					dst[i] = (a[i] - b[i]) / b[i]
+				}
+			},
 		},
 		{
 			Name: "identity", Kind: Cell, Arity: 1,

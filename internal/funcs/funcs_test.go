@@ -2,6 +2,7 @@ package funcs
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -176,5 +177,53 @@ func TestRegressionFuncs(t *testing.T) {
 	lv := lookup(t, r, "lastValue")
 	if got := lv.CellFn([]float64{10, 20, math.NaN()}); got != 20 {
 		t.Errorf("lastValue skipping NaN = %g, want 20", got)
+	}
+}
+
+// specials are the IEEE values a column form must treat as CellFn does.
+var specials = []float64{
+	0, math.Copysign(0, -1), 1, -1, 100, math.NaN(), math.Inf(1), math.Inf(-1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030, -0x1p-1060,
+	math.MaxFloat64, -math.MaxFloat64, 0x1p-1022, math.Float64frombits(0x7ff8000000000abc),
+}
+
+// TestColFnMatchesCellFn holds every column form to its CellFn bit for
+// bit: every pair of specials (±0, NaN, ±Inf, subnormals, extremes), and
+// random bit patterns and random magnitudes.
+func TestColFnMatchesCellFn(t *testing.T) {
+	var a, b []float64
+	for _, x := range specials {
+		for _, y := range specials {
+			a, b = append(a, x), append(b, y)
+		}
+	}
+	rng := rand.New(rand.NewPCG(7, 43))
+	for range 20000 {
+		a = append(a, math.Float64frombits(rng.Uint64()), (rng.Float64()-0.5)*1e6)
+		b = append(b, math.Float64frombits(rng.Uint64()), (rng.Float64()-0.5)*1e3)
+	}
+	r := NewRegistry()
+	n := 0
+	for _, name := range r.Names() {
+		f := lookup(t, r, name)
+		if f.ColFn == nil {
+			continue
+		}
+		n++
+		dst := make([]float64, len(a))
+		f.ColFn(dst, a, b)
+		for i := range dst {
+			want := f.CellFn([]float64{a[i], b[i]})
+			if math.Float64bits(dst[i]) != math.Float64bits(want) {
+				t.Fatalf("%s(%g, %g): column form %x, CellFn %x", name, a[i], b[i], math.Float64bits(dst[i]), math.Float64bits(want))
+			}
+		}
+	}
+	if n != 5 {
+		t.Errorf("%d builtins have a column form, want 5 (difference, absDifference, ratio, percentage, normDifference)", n)
+	}
+	bad := &Func{Name: "unaryCol", Kind: Cell, Arity: 1, CellFn: func(a []float64) float64 { return a[0] }, ColFn: func(dst, a, b []float64) {}}
+	if err := r.Register(bad); err == nil {
+		t.Error("a column form on a unary function was accepted")
 	}
 }

@@ -5,10 +5,11 @@
 // the hot path: metric instances are plain atomics once created, and
 // tracing is zero-allocation when no trace is attached to the context.
 //
-// The engine, exec, plan, qcache, and core layers publish into the
-// Default registry; internal/server scrapes it on GET /metrics and the
-// enriched GET /stats, and attaches span trees to responses when the
-// client asks for them (?trace=1).
+// The engine, exec, plan, qcache, core and process series live in the
+// Default registry and close over no session. A server keeps the series
+// of its own session in a registry it owns, writes Default and then that
+// registry on GET /metrics and the enriched GET /stats, and attaches span
+// trees to responses when the client asks for them (?trace=1).
 package obsv
 
 import (
@@ -22,7 +23,9 @@ import (
 )
 
 // Default is the process-wide registry, like expvar's global namespace.
-// Library layers publish here; servers scrape it.
+// Library layers and the process gauges publish here; servers scrape it.
+// Nothing registered here may refer to a session, so that a dropped one
+// can be collected.
 var Default = NewRegistry()
 
 // Counter is a monotonically increasing metric.
@@ -79,9 +82,7 @@ type series struct {
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
-	// fn backs Func-registered series; atomic so a re-registration (a
-	// new Session taking over a series) is safe against scrapes.
-	fn atomic.Pointer[func() float64]
+	fn      func() float64 // backs Func-registered series
 }
 
 // family groups the series of one metric name.
@@ -219,33 +220,29 @@ func (r *Registry) histogram(name, help string, scale float64, labels []string) 
 	return s.hist
 }
 
-// GaugeFunc registers (or replaces) a gauge series whose value is read
-// from fn at scrape time — for values owned elsewhere, like cache entry
-// counts or runtime stats.
+// GaugeFunc registers a gauge series whose value is read from fn at
+// scrape time — for values owned elsewhere, like cache entry counts or
+// runtime stats.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
 	r.registerFunc(name, help, kindGauge, fn, labels)
 }
 
-// CounterFunc registers (or replaces) a counter series read from fn at
-// scrape time. fn must be monotonic (e.g. a cumulative hit count kept by
-// another subsystem).
+// CounterFunc registers a counter series read from fn at scrape time.
+// fn must be monotonic (e.g. a cumulative hit count kept by another
+// subsystem).
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
 	r.registerFunc(name, help, kindCounter, fn, labels)
 }
 
+// registerFunc adds a Func series. Its reader is fixed for the life of
+// the registry, so registering the same series twice panics, as a kind
+// mismatch does.
 func (r *Registry) registerFunc(name, help string, kind metricKind, fn func() float64, labels []string) {
-	f := r.familyFor(name, help, kind)
-	sig := labelSignature(labels)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if s, ok := f.series[sig]; ok {
-		s.fn.Store(&fn) // replace: a new Session/Server takes over the series
-		return
+	created := false
+	s := r.familyFor(name, help, kind).seriesFor(labels, func(s *series) { s.fn, created = fn, true })
+	if !created {
+		panic(fmt.Sprintf("obsv: metric %s%s registered twice", name, s.labels))
 	}
-	s := &series{labels: sig}
-	s.fn.Store(&fn)
-	f.series[sig] = s
-	f.order = append(f.order, sig)
 }
 
 // WritePrometheus renders every family in Prometheus text exposition
@@ -281,8 +278,8 @@ func (f *family) write(w io.Writer) {
 			fmt.Fprintf(w, "%s%s %d\n", f.name, s.labels, s.counter.Value())
 		case s.gauge != nil:
 			fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, formatFloat(s.gauge.Value()))
-		case s.fn.Load() != nil:
-			fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, formatFloat((*s.fn.Load())()))
+		case s.fn != nil:
+			fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, formatFloat(s.fn()))
 		case s.hist != nil:
 			s.hist.write(w, f.name, s.labels)
 		}
@@ -342,8 +339,8 @@ func (r *Registry) Snapshots() []Snapshot {
 				snap.Value = float64(s.counter.Value())
 			case s.gauge != nil:
 				snap.Value = s.gauge.Value()
-			case s.fn.Load() != nil:
-				snap.Value = (*s.fn.Load())()
+			case s.fn != nil:
+				snap.Value = s.fn()
 			case s.hist != nil:
 				count, sum := s.hist.CountSum()
 				snap.Count = count

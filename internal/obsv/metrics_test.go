@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -76,14 +77,27 @@ func TestWritePrometheusFormat(t *testing.T) {
 	}
 }
 
-func TestFuncReplacement(t *testing.T) {
+// TestFuncRegisteredTwicePanics: a Func series keeps its first reader;
+// a second registration of the same name and labels is a programming
+// error, and another label set is another series.
+func TestFuncRegisteredTwicePanics(t *testing.T) {
 	r := NewRegistry()
-	r.GaugeFunc("replace_me", "", func() float64 { return 1 })
-	r.GaugeFunc("replace_me", "", func() float64 { return 2 })
+	r.GaugeFunc("once", "", func() float64 { return 1 }, "k", "a")
+	r.GaugeFunc("once", "", func() float64 { return 2 }, "k", "b")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("second registration of once{k=\"a\"} did not panic")
+			}
+		}()
+		r.GaugeFunc("once", "", func() float64 { return 3 }, "k", "a")
+	}()
 	var buf bytes.Buffer
 	r.WritePrometheus(&buf)
-	if !strings.Contains(buf.String(), "replace_me 2") {
-		t.Fatalf("expected replaced func value 2, got:\n%s", buf.String())
+	for _, want := range []string{`once{k="a"} 1`, `once{k="b"} 2`} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, buf.String())
+		}
 	}
 }
 
@@ -93,7 +107,7 @@ func TestFuncReplacement(t *testing.T) {
 // serving path.
 func TestRegistryRace(t *testing.T) {
 	r := NewRegistry()
-	RegisterProcessMetrics(r)
+	registerProcessMetrics(r, time.Now())
 	const goroutines = 32
 	const iters = 200
 	var wg sync.WaitGroup
@@ -110,8 +124,8 @@ func TestRegistryRace(t *testing.T) {
 					r.WritePrometheus(&buf)
 					_ = r.Snapshots()
 				}
-				if i%40 == 0 {
-					r.GaugeFunc("race_fn", "h", func() float64 { return float64(i) })
+				if i == iters/2 {
+					r.GaugeFunc("race_fn", "h", func() float64 { return float64(gi) }, "worker", fmt.Sprint(gi))
 				}
 			}
 		}(gi)

@@ -5,12 +5,12 @@ import (
 	"time"
 )
 
-// RegisterProcessMetrics publishes runtime/process gauges into the
-// registry: goroutine count, heap bytes, cumulative GC cycles, and
-// uptime. Values are read at scrape time, so registration is one-shot
-// and free between scrapes. Calling it again replaces the readers.
-func RegisterProcessMetrics(r *Registry) {
-	start := time.Now()
+// The runtime/process gauges are registered in Default once per process:
+// goroutine count, heap bytes, cumulative GC cycles, and uptime. Values
+// are read at scrape time, so they cost nothing between scrapes.
+func init() { registerProcessMetrics(Default, time.Now()) }
+
+func registerProcessMetrics(r *Registry, start time.Time) {
 	r.GaugeFunc("assess_process_goroutines", "Live goroutines.", func() float64 {
 		return float64(runtime.NumGoroutine())
 	})
@@ -24,7 +24,7 @@ func RegisterProcessMetrics(r *Registry) {
 		runtime.ReadMemStats(&ms)
 		return float64(ms.NumGC)
 	})
-	r.GaugeFunc("assess_process_uptime_seconds", "Seconds since the process registered metrics.", func() float64 {
+	r.GaugeFunc("assess_process_uptime_seconds", "Seconds since the process started.", func() float64 {
 		return time.Since(start).Seconds()
 	})
 }

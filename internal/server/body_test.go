@@ -83,15 +83,15 @@ func TestRetainedRowsMatchStreamedBody(t *testing.T) {
 	}
 }
 
-// cachedHandler serves session, with the cache on, under a registry and a
-// slow log of its own.
+// cachedHandler serves session, with the cache on, under a slow log of its
+// own; the registry returned holds the server's series.
 func cachedHandler(t testing.TB, session *core.Session, budget int64) (http.Handler, *obsv.Registry, *obsv.SlowLog, *bytes.Buffer) {
 	t.Helper()
 	session.EnableCache(budget)
-	reg := obsv.NewRegistry()
 	var sink bytes.Buffer
 	slow := obsv.NewSlowLog(&sink, time.Nanosecond)
-	return New(session, WithRegistry(reg), WithSlowLog(slow)).Handler(), reg, slow, &sink
+	s := New(session, WithSlowLog(slow))
+	return s.Handler(), s.reg, slow, &sink
 }
 
 // serve posts one /assess request to the handler in-process.

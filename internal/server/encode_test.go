@@ -905,10 +905,10 @@ func TestWriteErrorStopsEncode(t *testing.T) {
 			t.Fatal(err)
 		}
 		session.Engine.SetParallelism(workers)
-		reg := obsv.NewRegistry()
 		var sink bytes.Buffer
 		slow := obsv.NewSlowLog(&sink, time.Nanosecond)
-		handler := New(session, WithRegistry(reg), WithSlowLog(slow)).Handler()
+		srv := New(session, WithSlowLog(slow))
+		handler, reg := srv.Handler(), srv.reg
 
 		var sizes []int
 		full := 0
@@ -963,8 +963,8 @@ func TestEncodeCancelStopsEncode(t *testing.T) {
 		t.Fatal(err)
 	}
 	session.Engine.SetParallelism(2)
-	reg := obsv.NewRegistry()
-	handler := New(session, WithRegistry(reg)).Handler()
+	srv := New(session)
+	handler, reg := srv.Handler(), srv.reg
 	reqBody, _ := json.Marshal(map[string]any{"statement": `with SALES by product, city, month assess quantity labels quartiles`})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -987,7 +987,7 @@ func TestEgressMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	session.Engine.SetParallelism(2)
-	srv := httptest.NewServer(New(session, WithRegistry(obsv.NewRegistry())).Handler())
+	srv := httptest.NewServer(New(session).Handler())
 	t.Cleanup(srv.Close)
 	post(t, srv, "/assess", map[string]any{"statement": siblingStatement})
 	post(t, srv, "/assess", map[string]any{"statement": `with SALES by product, city, month assess quantity labels quartiles`})

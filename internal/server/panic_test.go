@@ -95,7 +95,7 @@ func TestScanPanicReachesSlowLog(t *testing.T) {
 	}
 	var sink bytes.Buffer
 	slow := obsv.NewSlowLog(&sink, time.Hour)
-	srv := httptest.NewServer(New(session, WithRegistry(obsv.NewRegistry()), WithSlowLog(slow)).Handler())
+	srv := httptest.NewServer(New(session, WithSlowLog(slow)).Handler())
 	t.Cleanup(srv.Close)
 	for _, c := range []struct{ endpoint, stmt string }{
 		{"/assess", siblingStatement},

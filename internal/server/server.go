@@ -40,7 +40,7 @@ type Server struct {
 	mux          *http.ServeMux
 	handler      http.Handler
 	logger       *slog.Logger
-	reg          *obsv.Registry
+	reg          *obsv.Registry // this server's series; obsv.Default must not refer to the session
 	slow         *obsv.SlowLog
 	start        time.Time
 	admission    *sched.Admission
@@ -104,11 +104,6 @@ func WithLogger(l *slog.Logger) Option { return func(s *Server) { s.logger = l }
 // threshold are recorded as JSON lines.
 func WithSlowLog(sl *obsv.SlowLog) Option { return func(s *Server) { s.slow = sl } }
 
-// WithRegistry overrides the metrics registry (default obsv.Default).
-// Library-layer counters (engine, exec, core) always publish to
-// obsv.Default; this override scopes only the server-owned series.
-func WithRegistry(r *obsv.Registry) Option { return func(s *Server) { s.reg = r } }
-
 // WithAdmission gates /assess and /query behind the admission
 // controller: requests acquire an execution slot (queuing with
 // per-tenant fairness), and shed requests get a 429 with a Retry-After
@@ -127,13 +122,13 @@ func WithAdmission(adm *sched.Admission, tenantHeader string) Option {
 
 // New builds a server over the session.
 func New(session *core.Session, opts ...Option) *Server {
-	s := &Server{session: session, mux: http.NewServeMux(), reg: obsv.Default, start: time.Now()}
+	s := &Server{session: session, mux: http.NewServeMux(), reg: obsv.NewRegistry(), start: time.Now()}
 	for _, opt := range opts {
 		opt(s)
 	}
 	s.mux.HandleFunc("GET /healthz", s.health)
 	s.mux.HandleFunc("GET /stats", s.stats)
-	s.mux.HandleFunc("GET /metrics", s.metrics)
+	s.mux.HandleFunc("GET /metrics", s.Metrics)
 	s.mux.HandleFunc("GET /cubes", s.cubes)
 	s.mux.HandleFunc("POST /assess", s.assess)
 	s.mux.HandleFunc("POST /query", s.query)
@@ -145,10 +140,9 @@ func New(session *core.Session, opts ...Option) *Server {
 	return s
 }
 
-// registerSessionMetrics publishes session-owned values as scrape-time
-// funcs: cache counters, catalog generation, and process gauges.
+// registerSessionMetrics publishes the server's series: egress, and the
+// session's cache counters and catalog as scrape-time funcs.
 func (s *Server) registerSessionMetrics() {
-	obsv.RegisterProcessMetrics(s.reg)
 	s.assessEgress = newEgressMetrics(s.reg, "/assess")
 	s.queryEgress = newEgressMetrics(s.reg, "/query")
 	s.writeErrors = s.reg.Counter("assess_server_write_errors_total",
@@ -262,9 +256,11 @@ func (s *Server) cubes(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// metrics renders the registry in Prometheus text exposition format.
-func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
+// Metrics renders the process's series and then the server's own in
+// Prometheus text exposition format: GET /metrics.
+func (s *Server) Metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	obsv.Default.WritePrometheus(w)
 	s.reg.WritePrometheus(w)
 }
 
@@ -598,8 +594,8 @@ type statsResponse struct {
 	UptimeSeconds float64 `json:"uptimeSeconds"`
 	Goroutines    int     `json:"goroutines"`
 	HeapBytes     uint64  `json:"heapBytes"`
-	// Metrics is the full registry snapshot: every series with its
-	// current value (histograms report count/mean/p50/p95/p99).
+	// Metrics is every series of /metrics with its current value
+	// (histograms report count/mean/p50/p95/p99).
 	Metrics []obsv.Snapshot `json:"metrics"`
 }
 
@@ -615,7 +611,7 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Goroutines:    runtime.NumGoroutine(),
 		HeapBytes:     ms.HeapAlloc,
-		Metrics:       s.reg.Snapshots(),
+		Metrics:       append(obsv.Default.Snapshots(), s.reg.Snapshots()...),
 	}
 	if st, ok := s.session.CacheStats(); ok {
 		resp.Cache = &st
