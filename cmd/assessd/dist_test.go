@@ -3,14 +3,17 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	assess "github.com/assess-olap/assess"
+	"github.com/assess-olap/assess/internal/dist"
 	"github.com/assess-olap/assess/internal/server"
 )
 
@@ -46,22 +49,122 @@ func postJSON(t *testing.T, url string, body any) (int, []byte) {
 	return resp.StatusCode, out.Bytes()
 }
 
+// TestParseCluster pins the -cluster grammar: its three forms, and an
+// error quoting every other spec.
+func TestParseCluster(t *testing.T) {
+	for _, c := range []struct {
+		spec string
+		want cluster
+	}{
+		{"", cluster{}},
+		{"local:1", cluster{kind: local, shards: 1}},
+		{"local:3", cluster{kind: local, shards: 3}},
+		{"worker:0/1", cluster{kind: worker, shards: 1}},
+		{"worker:1/2", cluster{kind: worker, shards: 2, index: 1}},
+		{"http://a", remoteOf([]string{"http://a"})},
+		{"http://a|http://b, http://c", remoteOf([]string{"http://a", "http://b"}, []string{"http://c"})},
+		{"https://a:1|http://b:2|http://c:3,http://d:4", remoteOf([]string{"https://a:1", "http://b:2", "http://c:3"}, []string{"http://d:4"})},
+	} {
+		got, err := parseCluster(c.spec)
+		if err != nil {
+			t.Errorf("%q: %v", c.spec, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%q: parsed %+v, want %+v", c.spec, got, c.want)
+		}
+	}
+	for _, spec := range []string{
+		"local:0", "local:x", "local:", "local:-2",
+		"worker:2/2", "worker:1", "worker:-1/2", "worker:0/0", "worker:a/b",
+		"http://a,,http://b", "http://a,", "http://a|", "|", ",",
+		"local:2,http://a", "http://a,local:2", "http://a|worker:0/2",
+		"a:8080", "localhost:9000", "ftp://a", "http://",
+	} {
+		_, err := parseCluster(spec)
+		if err == nil {
+			t.Errorf("%q accepted", spec)
+			continue
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("%q", spec)) {
+			t.Errorf("%q: error does not quote the spec: %v", spec, err)
+		}
+	}
+}
+
+// remoteOf is the coordinator shape over the given replica chains.
+func remoteOf(chains ...[]string) cluster {
+	c := cluster{kind: remote}
+	for _, addrs := range chains {
+		var chain []dist.ShardClient
+		for _, addr := range addrs {
+			chain = append(chain, &dist.HTTPClient{BaseURL: addr})
+		}
+		c.chains = append(c.chains, chain)
+	}
+	return c
+}
+
+// TestCoordinatorFlagsNeedCoordinator: -shard-timeout and -dist-policy
+// do something only on a coordinator, so a solo server or a worker
+// refuses them.
+func TestCoordinatorFlagsNeedCoordinator(t *testing.T) {
+	for _, c := range []struct {
+		args    []string
+		wantErr bool
+	}{
+		{nil, false},
+		{[]string{"-cluster", "worker:0/2"}, false},
+		{[]string{"-cluster", "local:2", "-dist-policy", "partial", "-shard-timeout", "10s"}, false},
+		{[]string{"-cluster", "http://a,http://b", "-shard-timeout", "10s"}, false},
+		{[]string{"-dist-policy", "partial"}, true},
+		{[]string{"-cluster", "worker:0/2", "-shard-timeout", "10s"}, true},
+	} {
+		fs := flag.NewFlagSet("assessd", flag.ContinueOnError)
+		o := declareFlags(fs)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := resolveCluster(fs, o.cluster); (err != nil) != c.wantErr {
+			t.Errorf("%q: err %v, want error %v", c.args, err, c.wantErr)
+		}
+	}
+}
+
+// TestFlagSurface pins assessd's flags: every one has two values in
+// use or is an address, a path or a dataset choice.
+func TestFlagSurface(t *testing.T) {
+	fs := flag.NewFlagSet("assessd", flag.ContinueOnError)
+	declareFlags(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	want := []string{
+		"addr", "admit-slots", "cache-mb", "cluster", "data", "debug-addr",
+		"dist-policy", "latency-budget", "max-queue", "resident", "rows",
+		"seed", "sf", "shard-timeout", "slow-query-log", "slow-query-ms",
+		"store-dir",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flags %q\nwant  %q", got, want)
+	}
+}
+
 // TestWorkerCoordinatorEndToEnd drives the assessd wiring the way the
 // multi-process smoke does, but in-process: two sessions become shard
-// workers over HTTP, a third session scatter-gathers over them via
-// -shard-addrs-style configuration, and its answers must match a solo
-// server's bit for bit on the integer measure.
+// workers over HTTP (-cluster worker:I/2), a third session
+// scatter-gathers over them (-cluster URL,URL), and its answers must
+// match a solo server's bit for bit on the integer measure.
 func TestWorkerCoordinatorEndToEnd(t *testing.T) {
 	const nShards = 2
-	cfgBase := distConfig{shards: nShards, shardLevel: "product"}
 
 	// Shard workers: each opens the full dataset and keeps its slice.
 	var addrs []string
 	for i := 0; i < nShards; i++ {
-		wcfg := cfgBase
-		wcfg.worker = true
-		wcfg.shardIndex = i
-		h, err := workerHandler(newSalesSession(t), wcfg)
+		shape, err := parseCluster(fmt.Sprintf("worker:%d/%d", i, nShards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := workerHandler(newSalesSession(t), shape)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,9 +181,11 @@ func TestWorkerCoordinatorEndToEnd(t *testing.T) {
 
 	// Coordinator session over the remote workers.
 	coordSession := newSalesSession(t)
-	ccfg := cfgBase
-	ccfg.shardAddrs = strings.Join(addrs, ",")
-	if err := enableDistributed(coordSession, ccfg); err != nil {
+	shape, err := parseCluster(strings.Join(addrs, ","))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := enableDistributed(coordSession, shape, 0, "fail"); err != nil {
 		t.Fatal(err)
 	}
 	coord := httptest.NewServer(newServerHandler(coordSession))
@@ -138,46 +243,91 @@ func TestWorkerCoordinatorEndToEnd(t *testing.T) {
 	}
 }
 
-// TestInProcessClusterFlagWiring covers the -shards N (no addresses)
-// shape end to end through enableDistributed.
+// TestInProcessClusterFlagWiring covers the local:N shape end to end
+// through enableDistributed, one shard included: local:1 runs a real
+// one-shard cluster, not an undistributed server.
 func TestInProcessClusterFlagWiring(t *testing.T) {
-	session := newSalesSession(t)
-	if err := enableDistributed(session, distConfig{shards: 3, policy: "partial"}); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(newServerHandler(session))
-	t.Cleanup(srv.Close)
+	for _, spec := range []string{"local:1", "local:3"} {
+		shape, err := parseCluster(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		session := newSalesSession(t)
+		if err := enableDistributed(session, shape, 0, "partial"); err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(newServerHandler(session))
+		t.Cleanup(srv.Close)
 
-	code, body := postJSON(t, srv.URL+"/query", map[string]any{
-		"statement": `with SALES by country get quantity`,
-	})
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, body)
-	}
-	var out struct {
-		Partial bool `json:"partial"`
-		Cells   int  `json:"cells"`
-	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Partial || out.Cells == 0 {
-		t.Fatalf("response = %+v", out)
+		code, body := postJSON(t, srv.URL+"/query", map[string]any{
+			"statement": `with SALES by country get quantity`,
+		})
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", spec, code, body)
+		}
+		var out struct {
+			Partial bool `json:"partial"`
+			Cells   int  `json:"cells"`
+		}
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Partial || out.Cells == 0 {
+			t.Fatalf("%s: response = %+v", spec, out)
+		}
+		st, ok := session.DistStats()
+		if !ok || st.Fanouts == 0 || len(st.Tables) == 0 || len(st.Tables[0].Shards) != shape.shards {
+			t.Fatalf("%s: dist stats %+v, want fan-outs over %d shards", spec, st, shape.shards)
+		}
 	}
 }
 
-// TestWorkerHandlerValidation pins the flag-validation errors.
+// TestWorkerHandlerValidation: parseCluster leaves the worker wiring
+// no index to refuse, so this pins what the wiring still decides. The
+// workers of worker:I/N hold slices that partition each fact,
+// worker:0/1 holds all of it, and a coordinator refuses an unknown
+// -dist-policy.
 func TestWorkerHandlerValidation(t *testing.T) {
-	if _, err := workerHandler(newSalesSession(t), distConfig{worker: true, shards: 0}); err == nil {
-		t.Error("no error for -shards 0")
+	full := map[string]int{}
+	session := newSalesSession(t)
+	for _, name := range session.Engine.Facts() {
+		f, _ := session.Engine.Fact(name)
+		full[name] = f.Rows()
 	}
-	if _, err := workerHandler(newSalesSession(t), distConfig{worker: true, shards: 2, shardIndex: 2}); err == nil {
-		t.Error("no error for out-of-range -shard-index")
+	for _, n := range []int{1, 2} {
+		held := map[string]int{}
+		for i := 0; i < n; i++ {
+			shape, err := parseCluster(fmt.Sprintf("worker:%d/%d", i, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := workerHandler(newSalesSession(t), shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/dist/stats", nil))
+			var st dist.WorkerStats
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range st.Facts {
+				if f.Rows == 0 || (n > 1 && f.Rows == full[f.Fact]) {
+					t.Errorf("%s: worker:%d/%d holds %d of %d rows", f.Fact, i, n, f.Rows, full[f.Fact])
+				}
+				held[f.Fact] += f.Rows
+			}
+		}
+		if !reflect.DeepEqual(held, full) {
+			t.Errorf("%d workers hold %v rows, the facts have %v", n, held, full)
+		}
 	}
-	if _, err := workerHandler(newSalesSession(t), distConfig{worker: true, shards: 2, shardLevel: "nope"}); err == nil {
-		t.Error("no error for unknown -shard-level")
+
+	shape, err := parseCluster("local:2")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := enableDistributed(newSalesSession(t), distConfig{shards: 2, policy: "maybe"}); err == nil {
+	if err := enableDistributed(session, shape, 0, "maybe"); err == nil {
 		t.Error("no error for unknown -dist-policy")
 	}
 }

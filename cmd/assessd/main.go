@@ -15,29 +15,27 @@
 // With -debug-addr set, a second listener serves net/http/pprof,
 // expvar (/debug/vars), and /metrics, kept off the serving port.
 //
-// `-parallel N` is the workers one statement is given: its fact scans
-// are split over that many goroutines, and a result of more than a few
-// 512-row chunks is formatted by as many while the handler writes.
+// A serving assessd scans and encodes each statement on all cores.
 //
-// Distribution: `-shards N` scatter-gathers every query over N
-// in-process shard workers; `-shard-addrs` points at remote workers
-// started with `-worker -shards N -shard-index I` (replicas joined
-// with '|'). See docs/distribution.md.
+// Distribution: `-cluster local:N` scatter-gathers every query over N
+// in-process shard workers; `-cluster URL,URL` points at remote workers
+// started with `-cluster worker:I/N` (replicas joined with '|'). Facts
+// are sharded by dist.AutoShardLevel. See docs/distribution.md.
 //
 // `-store-dir DIR` serves the cubes of a directory written by
 // `assess -save` or `ssbgen -out-dir` (or a single cube directory),
 // scanned out of core unless `-resident` decodes them into memory.
 //
+// Admission reads the tenant of a request from its X-Tenant header.
+//
 // Usage:
 //
 //	assessd [-addr :8080] [-data sales|ssb] [-rows 50000] [-sf 0.01]
 //	        [-seed 42] [-store-dir DIR] [-resident]
-//	        [-worker] [-shards N] [-shard-index I] [-shard-addrs URLS]
-//	        [-shard-level LEVEL] [-shard-timeout 2s] [-dist-policy fail|partial]
-//	        [-parallel 0]
+//	        [-cluster local:N|worker:I/N|URL[|URL...],...]
+//	        [-shard-timeout 2s] [-dist-policy fail|partial]
 //	        [-cache-mb 64]
-//	        [-admit-slots 0] [-max-queue 256]
-//	        [-latency-budget 2s] [-tenant-header X-Tenant]
+//	        [-admit-slots 0] [-max-queue 256] [-latency-budget 2s]
 //	        [-debug-addr :6060] [-slow-query-ms 500] [-slow-query-log path]
 package main
 
@@ -60,141 +58,133 @@ import (
 	"github.com/assess-olap/assess/internal/server"
 )
 
+// options holds assessd's flags.
+type options struct {
+	addr, data, storeDir, cluster, distPolicy, debugAddr, slowPath string
+	rows, cacheMB, admitSlots, maxQueue, slowMS                    int
+	sf                                                             float64
+	seed                                                           int64
+	resident                                                       bool
+	latencyBudget, shardTimeout                                    time.Duration
+}
+
+// declareFlags declares every assessd flag on fs.
+func declareFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&o.data, "data", "sales", "dataset: sales or ssb")
+	fs.IntVar(&o.rows, "rows", 50_000, "fact rows for the sales dataset")
+	fs.Float64Var(&o.sf, "sf", 0.01, "scale factor for the ssb dataset")
+	fs.Int64Var(&o.seed, "seed", 42, "generator seed")
+	fs.StringVar(&o.storeDir, "store-dir", "", "serve the cubes of a directory of cube directories (out-of-core; see assess -save and ssbgen -out-dir)")
+	fs.BoolVar(&o.resident, "resident", false, "with -store-dir, load the segment directories fully into memory")
+	fs.IntVar(&o.cacheMB, "cache-mb", 64, "query-result cache budget in MiB, and the same again for adaptively admitted views (0 = neither)")
+	fs.IntVar(&o.admitSlots, "admit-slots", 0,
+		"admission-control execution slots (0 = GOMAXPROCS; admission enabled when -max-queue or -latency-budget is set)")
+	fs.IntVar(&o.maxQueue, "max-queue", 0,
+		"admission queue depth before shedding with 429 (0 disables admission control unless -latency-budget is set)")
+	fs.DurationVar(&o.latencyBudget, "latency-budget", 0,
+		"shed load with 429 when the p99 completion estimate exceeds this budget (0 disables)")
+	fs.StringVar(&o.cluster, "cluster", "",
+		"distribution: local:N (N in-process shards), worker:I/N (serve shard I of N), or URL[|URL...],... (coordinate remote workers, replicas joined with '|'); empty = not distributed")
+	fs.DurationVar(&o.shardTimeout, "shard-timeout", 0,
+		"coordinator: per-shard scan deadline before re-dispatching to a replica or the local copy (0 = default)")
+	fs.StringVar(&o.distPolicy, "dist-policy", "fail",
+		"coordinator: result policy when a shard is lost entirely: fail (503) or partial (annotated degraded result)")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "debug listener (pprof, expvar, metrics); empty disables")
+	fs.IntVar(&o.slowMS, "slow-query-ms", 500, "slow-query log threshold in ms (0 disables)")
+	fs.StringVar(&o.slowPath, "slow-query-log", "", "slow-query log file (default stderr)")
+	return o
+}
+
+// resolveCluster parses -cluster and refuses the coordinator's flags on
+// a process that coordinates no shards, where they would do nothing.
+func resolveCluster(fs *flag.FlagSet, spec string) (cluster, error) {
+	c, err := parseCluster(spec)
+	if err != nil || c.kind == local || c.kind == remote {
+		return c, err
+	}
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && (f.Name == "shard-timeout" || f.Name == "dist-policy") {
+			err = fmt.Errorf("assessd: -%s needs a coordinator -cluster (local:N or worker URLs), got -cluster %q", f.Name, spec)
+		}
+	})
+	return c, err
+}
+
 func main() {
-	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		data       = flag.String("data", "sales", "dataset: sales or ssb")
-		rows       = flag.Int("rows", 50_000, "fact rows for the sales dataset")
-		sf         = flag.Float64("sf", 0.01, "scale factor for the ssb dataset")
-		seed       = flag.Int64("seed", 42, "generator seed")
-		storeDir   = flag.String("store-dir", "", "serve the cubes of a directory of cube directories (out-of-core; see assess -save and ssbgen -out-dir)")
-		resident   = flag.Bool("resident", false, "with -store-dir, load the segment directories fully into memory")
-		parallel   = flag.Int("parallel", 1, "workers per statement, for its fact scans and for encoding its result (0 = all cores)")
-		cacheMB    = flag.Int("cache-mb", 64, "query-result cache budget in MiB, and the same again for adaptively admitted views (0 = neither)")
-		admitSlots = flag.Int("admit-slots", 0,
-			"admission-control execution slots (0 = GOMAXPROCS; admission enabled when -max-queue or -latency-budget is set)")
-		maxQueue = flag.Int("max-queue", 0,
-			"admission queue depth before shedding with 429 (0 disables admission control unless -latency-budget is set)")
-		latBudget = flag.Duration("latency-budget", 0,
-			"shed load with 429 when the p99 completion estimate exceeds this budget (0 disables)")
-		tenantHdr = flag.String("tenant-header", server.DefaultTenantHeader,
-			"request header naming the tenant for fair admission queuing")
-		worker = flag.Bool("worker", false,
-			"serve as a shard worker: keep shard -shard-index of -shards and answer the partial-aggregate RPC instead of the full API")
-		shards = flag.Int("shards", 0,
-			"shard count: with -worker, the cluster size; without, spin up that many in-process shard workers and scatter-gather over them")
-		shardAddrs = flag.String("shard-addrs", "",
-			"comma-separated shard worker base URLs (replicas joined with '|'); scatter-gather over remote workers")
-		shardIndex = flag.Int("shard-index", 0, "with -worker, which shard of -shards this process owns")
-		shardLevel = flag.String("shard-level", "",
-			"level name to hash-shard facts by (default: the base level with the largest dictionary)")
-		shardTimeout = flag.Duration("shard-timeout", 0,
-			"per-shard scan deadline before re-dispatching to a replica or the local copy (0 = default)")
-		distPolicy = flag.String("dist-policy", "fail",
-			"result policy when a shard is lost entirely: fail (503) or partial (annotated degraded result)")
-		debugAddr = flag.String("debug-addr", "", "debug listener (pprof, expvar, metrics); empty disables")
-		slowMS    = flag.Int("slow-query-ms", 500, "slow-query log threshold in ms (0 disables)")
-		slowPath  = flag.String("slow-query-log", "", "slow-query log file (default stderr)")
-	)
+	o := declareFlags(flag.CommandLine)
 	flag.Parse()
 
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 
-	distCfg := distConfig{
-		worker:     *worker,
-		shards:     *shards,
-		shardAddrs: *shardAddrs,
-		shardIndex: *shardIndex,
-		shardLevel: *shardLevel,
-		timeout:    *shardTimeout,
-		policy:     *distPolicy,
+	shape, err := resolveCluster(flag.CommandLine, o.cluster)
+	if err != nil {
+		log.Fatal(err)
 	}
 
-	session, closeStores, err := open(*data, *rows, *sf, *seed, *storeDir, *resident)
+	session, closeStores, err := open(o.data, o.rows, o.sf, o.seed, o.storeDir, o.resident)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer closeStores()
 
-	if distCfg.worker {
+	var (
+		handler, metrics http.Handler
+		slow             = obsv.NewSlowLog(os.Stderr, 0)
+		msg              = "assessd listening"
+		attrs            []any
+	)
+	if shape.kind == worker {
 		// Shard-worker mode: keep one hash slice of every fact and serve
 		// the compact partial-aggregate RPC; the full API, cache, views,
 		// and admission control live on the coordinator.
-		handler, err := workerHandler(session, distCfg)
-		if err != nil {
+		if handler, err = workerHandler(session, shape); err != nil {
 			log.Fatal(err)
 		}
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		err = serve(ctx, serveConfig{
-			addr:      *addr,
-			debugAddr: *debugAddr,
-			handler:   handler,
-			metrics:   handler, // the worker's GET /metrics
-			slow:      obsv.NewSlowLog(os.Stderr, 0),
-			logger:    logger,
-			drain:     5 * time.Second,
-			ready: func(api, debug net.Addr) {
-				logger.Info("assessd shard worker listening",
-					"addr", api.String(),
-					"shard", distCfg.shardIndex,
-					"shards", distCfg.shards,
-					"cubes", session.Engine.Facts())
-			},
-		})
-		if err != nil {
+		metrics, msg = handler, "assessd shard worker listening"
+	} else {
+		session.Engine.SetParallelism(0)
+		if err := enableCache(session, o.cacheMB); err != nil {
 			log.Fatal(err)
 		}
-		return
-	}
-
-	if *parallel != 1 {
-		session.Engine.SetParallelism(*parallel)
-	}
-	if err := enableCache(session, *cacheMB); err != nil {
-		log.Fatal(err)
-	}
-	if distCfg.active() {
-		if err := enableDistributed(session, distCfg); err != nil {
+		if shape.kind != solo {
+			if err := enableDistributed(session, shape, o.shardTimeout, o.distPolicy); err != nil {
+				log.Fatal(err)
+			}
+		}
+		if slow, err = openSlowLog(o.slowPath, time.Duration(o.slowMS)*time.Millisecond); err != nil {
 			log.Fatal(err)
 		}
-	}
+		defer slow.Close()
 
-	slow, err := openSlowLog(*slowPath, time.Duration(*slowMS)*time.Millisecond)
-	if err != nil {
-		log.Fatal(err)
+		opts := []server.Option{server.WithLogger(logger), server.WithSlowLog(slow)}
+		if o.maxQueue > 0 || o.latencyBudget > 0 {
+			adm := sched.NewAdmission(o.admitSlots, o.maxQueue, o.latencyBudget)
+			opts = append(opts, server.WithAdmission(adm, server.DefaultTenantHeader))
+		}
+		srv := server.New(session, opts...)
+		handler, metrics = srv.Handler(), http.HandlerFunc(srv.Metrics)
+		attrs = []any{"cubes", session.Engine.Facts(), "cacheMB", o.cacheMB, "slowQueryMs", o.slowMS}
 	}
-	defer slow.Close()
-
-	opts := []server.Option{
-		server.WithLogger(logger),
-		server.WithSlowLog(slow),
+	if shape.kind != solo {
+		attrs = append(attrs, "cluster", o.cluster, "shardLevels", shardLevels(session))
 	}
-	if *maxQueue > 0 || *latBudget > 0 {
-		adm := sched.NewAdmission(*admitSlots, *maxQueue, *latBudget)
-		opts = append(opts, server.WithAdmission(adm, *tenantHdr))
-	}
-	srv := server.New(session, opts...)
 
 	// Serve until SIGINT/SIGTERM, then drain in-flight requests for up
 	// to 5 s, close the debug listener, and flush the slow-query log.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	err = serve(ctx, serveConfig{
-		addr:      *addr,
-		debugAddr: *debugAddr,
-		handler:   srv.Handler(),
-		metrics:   http.HandlerFunc(srv.Metrics),
+		addr:      o.addr,
+		debugAddr: o.debugAddr,
+		handler:   handler,
+		metrics:   metrics,
 		slow:      slow,
 		logger:    logger,
 		drain:     5 * time.Second,
 		ready: func(api, debug net.Addr) {
-			logger.Info("assessd listening",
-				"addr", api.String(),
-				"debugAddr", addrString(debug),
-				"cubes", session.Engine.Facts(),
-				"cacheMB", *cacheMB,
-				"slowQueryMs", *slowMS)
+			logger.Info(msg, append([]any{"addr", api.String(), "debugAddr", addrString(debug)}, attrs...)...)
 		},
 	})
 	if err != nil {

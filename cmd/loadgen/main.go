@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"github.com/assess-olap/assess/internal/loadtest"
-	"github.com/assess-olap/assess/internal/server"
 )
 
 func main() {
@@ -66,9 +65,8 @@ func main() {
 
 	httpTarget := func(base string) loadtest.HTTPTarget {
 		return loadtest.HTTPTarget{
-			BaseURL:      strings.TrimRight(base, "/"),
-			Client:       &http.Client{Timeout: *timeout},
-			TenantHeader: server.DefaultTenantHeader,
+			BaseURL: strings.TrimRight(base, "/"),
+			Client:  &http.Client{Timeout: *timeout},
 		}
 	}
 	var target loadtest.Target = httpTarget(*url)

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"github.com/assess-olap/assess/internal/cube"
@@ -72,7 +71,7 @@ func (c *LocalClient) Append(ctx context.Context, fact string, keys []int32, val
 	return c.Worker.Append(fact, keys, vals)
 }
 
-// HTTPClient reaches an `assessd -worker` process over the HTTP RPC
+// HTTPClient reaches an `assessd -cluster worker:I/N` process over the HTTP RPC
 // (POST /dist/scan, POST /dist/append).
 type HTTPClient struct {
 	// BaseURL is the worker's address, e.g. "http://127.0.0.1:8311".
@@ -186,27 +185,4 @@ func (c *HTTPClient) Append(ctx context.Context, fact string, keys []int32, vals
 		return 0, err
 	}
 	return ar.Generation, nil
-}
-
-// ParseShardAddrs parses the -shard-addrs flag: comma-separated shard
-// groups, each a |-separated primary-then-replicas list of base URLs.
-// "http://a|http://b,http://c" → shard 0 with replica, shard 1 without.
-func ParseShardAddrs(spec string) ([][]ShardClient, error) {
-	if spec == "" {
-		return nil, fmt.Errorf("dist: empty shard address list")
-	}
-	var chains [][]ShardClient
-	for _, group := range strings.Split(spec, ",") {
-		var chain []ShardClient
-		for _, addr := range strings.Split(group, "|") {
-			if addr = strings.TrimSpace(addr); addr != "" {
-				chain = append(chain, &HTTPClient{BaseURL: addr})
-			}
-		}
-		if len(chain) == 0 {
-			return nil, fmt.Errorf("dist: empty shard group in %q", spec)
-		}
-		chains = append(chains, chain)
-	}
-	return chains, nil
 }

@@ -2,8 +2,8 @@
 // hash-sharded fact tables. A fact is partitioned by the hash of each
 // row's member at a chosen shard level; every shard's slice lives in a
 // worker — either an in-process *Worker (tests, benchmarks, single-box
-// deployments) or a separate `assessd -worker` process reached over a
-// compact partial-aggregate RPC (see http.go). A Coordinator implements
+// deployments) or a separate `assessd -cluster worker:I/N` process
+// reached over a compact partial-aggregate RPC (see http.go). A Coordinator implements
 // engine.ScanBatcher: it plans each fact scan once, fans per-shard
 // requests out concurrently (routing around shards the predicates prove
 // empty), and hands the replies to the engine, which re-aggregates them

@@ -472,20 +472,3 @@ func TestHTTPWorkerRoundTrip(t *testing.T) {
 		t.Fatalf("HTTP append did not reach owning worker (appends=%d)", got)
 	}
 }
-
-// TestParseShardAddrs covers the -shard-addrs grammar.
-func TestParseShardAddrs(t *testing.T) {
-	chains, err := ParseShardAddrs("http://a|http://b, http://c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chains) != 2 || len(chains[0]) != 2 || len(chains[1]) != 1 {
-		t.Fatalf("unexpected shape: %d groups", len(chains))
-	}
-	if chains[0][1].Target() != "http://b" || chains[1][0].Target() != "http://c" {
-		t.Fatalf("targets misparsed: %q %q", chains[0][1].Target(), chains[1][0].Target())
-	}
-	if _, err := ParseShardAddrs(""); err == nil {
-		t.Fatal("empty spec accepted")
-	}
-}

@@ -1,5 +1,5 @@
 // HTTP surface of a worker: the partial-aggregate RPC plus health,
-// stats, and metrics endpoints, mounted by `assessd -worker`.
+// stats, and metrics endpoints, mounted by `assessd -cluster worker:I/N`.
 package dist
 
 import (

@@ -101,7 +101,7 @@ func ownedMembers(s *mdm.Schema, level mdm.LevelRef, n int) [][]int32 {
 
 // LocalCluster is an in-process cluster: n workers, each holding its
 // hash-slice of every fact added to it. Tests, benchmarks, and the
-// single-box `-shards N` deployment mode build on it.
+// single-box `-cluster local:N` deployment mode build on it.
 type LocalCluster struct {
 	Workers []*Worker
 	n       int

@@ -25,6 +25,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/assess-olap/assess/internal/server"
 )
 
 // ErrShed marks a request rejected by admission control (HTTP 429).
@@ -270,14 +272,20 @@ func body(req Request) ([]byte, error) {
 	return json.Marshal(map[string]string{"statement": req.Statement})
 }
 
+// setHeaders marks the payload as JSON and names the request's tenant,
+// if it has one, under the header admission reads.
+func setHeaders(h http.Header, req Request) {
+	h.Set("Content-Type", "application/json")
+	if req.Tenant != "" {
+		h.Set(server.DefaultTenantHeader, req.Tenant)
+	}
+}
+
 // HandlerTarget drives an in-process http.Handler (server.Handler()),
 // skipping the network: the short-mode tests and in-repo experiments
 // use it so results reflect scheduler behavior, not loopback sockets.
 type HandlerTarget struct {
 	Handler http.Handler
-	// TenantHeader names the header carrying Request.Tenant; empty
-	// disables tenant tagging.
-	TenantHeader string
 }
 
 func (h HandlerTarget) Do(ctx context.Context, req Request) error {
@@ -286,10 +294,7 @@ func (h HandlerTarget) Do(ctx context.Context, req Request) error {
 		return err
 	}
 	r := httptest.NewRequest(http.MethodPost, req.Path, bytes.NewReader(buf)).WithContext(ctx)
-	r.Header.Set("Content-Type", "application/json")
-	if h.TenantHeader != "" && req.Tenant != "" {
-		r.Header.Set(h.TenantHeader, req.Tenant)
-	}
+	setHeaders(r.Header, req)
 	w := httptest.NewRecorder()
 	h.Handler.ServeHTTP(w, r)
 	return statusErr(w.Code, w.Body.String())
@@ -297,9 +302,8 @@ func (h HandlerTarget) Do(ctx context.Context, req Request) error {
 
 // HTTPTarget drives a live server over HTTP (cmd/loadgen).
 type HTTPTarget struct {
-	BaseURL      string
-	Client       *http.Client
-	TenantHeader string
+	BaseURL string
+	Client  *http.Client
 }
 
 func (h HTTPTarget) Do(ctx context.Context, req Request) error {
@@ -311,10 +315,7 @@ func (h HTTPTarget) Do(ctx context.Context, req Request) error {
 	if err != nil {
 		return err
 	}
-	hr.Header.Set("Content-Type", "application/json")
-	if h.TenantHeader != "" && req.Tenant != "" {
-		hr.Header.Set(h.TenantHeader, req.Tenant)
-	}
+	setHeaders(hr.Header, req)
 	client := h.Client
 	if client == nil {
 		client = http.DefaultClient

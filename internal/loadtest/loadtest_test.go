@@ -23,7 +23,7 @@ func newTarget(t *testing.T, slots, maxQueue int) (loadtest.HandlerTarget, *sche
 	}
 	adm := sched.NewAdmission(slots, maxQueue, 0)
 	srv := server.New(session, server.WithAdmission(adm, ""))
-	return loadtest.HandlerTarget{Handler: srv.Handler(), TenantHeader: server.DefaultTenantHeader}, adm
+	return loadtest.HandlerTarget{Handler: srv.Handler()}, adm
 }
 
 // TestClosedLoopSmoke is the short-mode harness run wired into the

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/assess-olap/assess/internal/core"
+	"github.com/assess-olap/assess/internal/obsv"
 	"github.com/assess-olap/assess/internal/sales"
 )
 
@@ -155,8 +156,8 @@ func TestStatsEndpoint(t *testing.T) {
 			Bytes       int64 `json:"bytes"`
 			BudgetBytes int64 `json:"budgetBytes"`
 		} `json:"cache"`
-		Generation uint64   `json:"generation"`
-		Cubes      []string `json:"cubes"`
+		Cubes   []string        `json:"cubes"`
+		Metrics []obsv.Snapshot `json:"metrics"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
@@ -170,7 +171,13 @@ func TestStatsEndpoint(t *testing.T) {
 	if out.Cache.Bytes <= 0 || out.Cache.BudgetBytes != 64<<20 {
 		t.Fatalf("byte accounting = %+v", *out.Cache)
 	}
-	if out.Generation == 0 {
+	var generation float64
+	for _, m := range out.Metrics {
+		if m.Name == "assess_catalog_generation" {
+			generation = m.Value
+		}
+	}
+	if generation == 0 {
 		t.Fatal("generation is zero after registering a cube")
 	}
 	if len(out.Cubes) != 1 || out.Cubes[0] != "SALES" {

@@ -322,8 +322,9 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 }
 
-// TestStatsEnriched verifies /stats now carries process info and the
-// metrics snapshot list.
+// TestStatsEnriched verifies /stats carries the metrics snapshot list,
+// and that the catalog and process values are read there, not from
+// top-level fields that would repeat them.
 func TestStatsEnriched(t *testing.T) {
 	srv := newServer(t)
 	post(t, srv, "/assess", map[string]any{"statement": siblingStatement})
@@ -332,19 +333,29 @@ func TestStatsEnriched(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out struct {
-		UptimeSeconds float64         `json:"uptimeSeconds"`
-		Goroutines    int             `json:"goroutines"`
-		HeapBytes     uint64          `json:"heapBytes"`
-		Metrics       []obsv.Snapshot `json:"metrics"`
-	}
+	var out map[string]json.RawMessage
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Goroutines <= 0 || out.HeapBytes == 0 {
-		t.Errorf("process stats missing: %+v", out)
+	for _, gone := range []string{"generation", "views", "goroutines", "heapBytes", "uptimeSeconds"} {
+		if _, ok := out[gone]; ok {
+			t.Errorf("/stats repeats %q beside its metrics", gone)
+		}
 	}
-	if len(out.Metrics) == 0 {
-		t.Error("no metric snapshots in /stats")
+	var metrics []obsv.Snapshot
+	if err := json.Unmarshal(out["metrics"], &metrics); err != nil {
+		t.Fatal(err)
+	}
+	values := map[string]float64{}
+	for _, m := range metrics {
+		values[m.Name] = m.Value
+	}
+	for _, name := range []string{"assess_catalog_generation", "assess_process_goroutines", "assess_process_heap_bytes"} {
+		if values[name] <= 0 {
+			t.Errorf("/stats metrics: %s = %v, want > 0", name, values[name])
+		}
+	}
+	if _, ok := values["assess_catalog_views"]; !ok {
+		t.Error("/stats metrics lack assess_catalog_views")
 	}
 }

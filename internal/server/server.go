@@ -18,7 +18,6 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"runtime"
 	"time"
 
 	"github.com/assess-olap/assess/internal/core"
@@ -42,7 +41,6 @@ type Server struct {
 	logger       *slog.Logger
 	reg          *obsv.Registry // this server's series; obsv.Default must not refer to the session
 	slow         *obsv.SlowLog
-	start        time.Time
 	admission    *sched.Admission
 	tenantHeader string
 	// Body metrics of the two result endpoints, resolved once so the
@@ -122,7 +120,7 @@ func WithAdmission(adm *sched.Admission, tenantHeader string) Option {
 
 // New builds a server over the session.
 func New(session *core.Session, opts ...Option) *Server {
-	s := &Server{session: session, mux: http.NewServeMux(), reg: obsv.NewRegistry(), start: time.Now()}
+	s := &Server{session: session, mux: http.NewServeMux(), reg: obsv.NewRegistry()}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -572,10 +570,8 @@ func (s *Server) explain(w http.ResponseWriter, r *http.Request) {
 type statsResponse struct {
 	// Cache holds the query-result cache counters, null when caching is
 	// off.
-	Cache      *qcache.Stats `json:"cache"`
-	Generation uint64        `json:"generation"`
-	Cubes      []string      `json:"cubes"`
-	Views      int           `json:"views"`
+	Cache *qcache.Stats `json:"cache"`
+	Cubes []string      `json:"cubes"`
 	// ViewStats is the aggregate-navigator section: every materialized
 	// view (explicit and auto-admitted) with cells, bytes, and hit
 	// counts, plus the admission budget accounting.
@@ -590,28 +586,18 @@ type statsResponse struct {
 	// snapshots (targets, generation, scans, errors, redispatches,
 	// fallbacks) — null when the session is not distributed.
 	Dist *dist.Stats `json:"dist,omitempty"`
-	// UptimeSeconds counts from server construction.
-	UptimeSeconds float64 `json:"uptimeSeconds"`
-	Goroutines    int     `json:"goroutines"`
-	HeapBytes     uint64  `json:"heapBytes"`
 	// Metrics is every series of /metrics with its current value
-	// (histograms report count/mean/p50/p95/p99).
+	// (histograms report count/mean/p50/p95/p99): the catalog generation
+	// and view count, goroutines, heap and uptime among them.
 	Metrics []obsv.Snapshot `json:"metrics"`
 }
 
 func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
 	resp := statsResponse{
-		Generation:    s.session.Generation(),
-		Cubes:         s.session.Engine.Facts(),
-		Views:         s.session.Engine.Views(),
-		ViewStats:     s.session.ViewStats(),
-		Storage:       s.session.Engine.StorageStats(),
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Goroutines:    runtime.NumGoroutine(),
-		HeapBytes:     ms.HeapAlloc,
-		Metrics:       append(obsv.Default.Snapshots(), s.reg.Snapshots()...),
+		Cubes:     s.session.Engine.Facts(),
+		ViewStats: s.session.ViewStats(),
+		Storage:   s.session.Engine.StorageStats(),
+		Metrics:   append(obsv.Default.Snapshots(), s.reg.Snapshots()...),
 	}
 	if st, ok := s.session.CacheStats(); ok {
 		resp.Cache = &st

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Multi-process distribution smoke: start two `assessd -worker` shard
-# processes and a coordinator pointed at them with -shard-addrs, run a
-# small query/assess suite against the coordinator and against a solo
-# (unsharded) assessd, and require identical answers on the
-# integer-valued quantity measure. Then kill one worker and require the
-# coordinator to keep answering exactly via its local-fallback scan
-# (recorded in /stats), never hanging and never serving wrong numbers.
+# Multi-process distribution smoke: start two `assessd -cluster
+# worker:I/2` shard processes and a coordinator pointed at them with
+# `-cluster URL,URL`, run a small query/assess suite against the
+# coordinator and against a solo (unsharded) assessd, and require
+# identical answers on the integer-valued quantity measure. Then kill
+# one worker and require the coordinator to keep answering exactly via
+# its local-fallback scan (recorded in /stats), never hanging and never
+# serving wrong numbers.
 #
 # Usage:
 #   scripts/distsmoke.sh
@@ -48,16 +49,16 @@ wait_healthy() { # addr log
 
 echo "== starting 2 shard workers + coordinator + solo reference"
 "$bin/assessd" -addr "$W0" -data sales -rows "$ROWS" \
-    -worker -shards 2 -shard-index 0 2>"$bin/w0.log" &
+    -cluster worker:0/2 2>"$bin/w0.log" &
 w0_pid=$!; pids+=("$w0_pid")
 "$bin/assessd" -addr "$W1" -data sales -rows "$ROWS" \
-    -worker -shards 2 -shard-index 1 2>"$bin/w1.log" &
+    -cluster worker:1/2 2>"$bin/w1.log" &
 w1_pid=$!; pids+=("$w1_pid")
 wait_healthy "$W0" "$bin/w0.log"
 wait_healthy "$W1" "$bin/w1.log"
 
 "$bin/assessd" -addr "$COORD" -data sales -rows "$ROWS" \
-    -shard-addrs "http://$W0,http://$W1" -dist-policy fail \
+    -cluster "http://$W0,http://$W1" -dist-policy fail \
     -shard-timeout 10s -slow-query-ms 0 2>"$bin/coord.log" &
 pids+=("$!")
 "$bin/assessd" -addr "$SOLO" -data sales -rows "$ROWS" \

@@ -45,7 +45,7 @@ go build -o "$bin/assessd" ./cmd/assessd
 go build -o "$bin/loadgen" ./cmd/loadgen
 
 echo "== starting assessd on $ADDR (rows=$ROWS max-queue=$MAX_QUEUE)"
-"$bin/assessd" -addr "$ADDR" -data sales -rows "$ROWS" -parallel 0 \
+"$bin/assessd" -addr "$ADDR" -data sales -rows "$ROWS" \
     -max-queue "$MAX_QUEUE" -admit-slots "$ADMIT_SLOTS" \
     -slow-query-ms 0 2>"$bin/assessd.log" &
 server_pid=$!
@@ -83,8 +83,8 @@ echo
 echo "== sharded: restart with a 2-worker in-process scatter-gather cluster"
 kill "$server_pid" 2>/dev/null || true
 wait "$server_pid" 2>/dev/null || true
-"$bin/assessd" -addr "$ADDR" -data sales -rows "$ROWS" -parallel 0 \
-    -shards 2 -dist-policy partial \
+"$bin/assessd" -addr "$ADDR" -data sales -rows "$ROWS" \
+    -cluster local:2 -dist-policy partial \
     -max-queue "$MAX_QUEUE" -admit-slots "$ADMIT_SLOTS" \
     -slow-query-ms 0 2>"$bin/assessd-sharded.log" &
 server_pid=$!
