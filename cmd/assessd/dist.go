@@ -83,19 +83,19 @@ func shardLevels(session *assess.Session) map[string]string {
 	return levels
 }
 
-// workerHandler turns the session into shard c.index of c.shards: every
-// registered fact is split by its shard level and only that slice is
-// kept, served over the compact partial-aggregate RPC (POST /dist/scan,
-// /dist/append, GET /dist/stats, /healthz, /metrics).
+// workerHandler turns the session into shard c.index of c.shards: of
+// every registered fact only that slice is built and kept, served over
+// the compact partial-aggregate RPC (POST /dist/scan, /dist/append, GET
+// /dist/stats, /healthz, /metrics).
 func workerHandler(session *assess.Session, c cluster) (http.Handler, error) {
 	w := dist.NewWorker()
 	for _, name := range session.Engine.Facts() {
 		f, _ := session.Engine.Fact(name)
-		shards, err := dist.SplitFact(f, dist.AutoShardLevel(f.Schema), c.shards)
+		shard, err := dist.FactShard(f, dist.AutoShardLevel(f.Schema), c.shards, c.index)
 		if err != nil {
 			return nil, fmt.Errorf("assessd: sharding %s: %w", name, err)
 		}
-		if err := w.Register(name, shards[c.index]); err != nil {
+		if err := w.Register(name, shard); err != nil {
 			return nil, err
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -107,7 +108,8 @@ func remoteOf(chains ...[]string) cluster {
 
 // TestCoordinatorFlagsNeedCoordinator: -shard-timeout and -dist-policy
 // do something only on a coordinator, so a solo server or a worker
-// refuses them.
+// refuses them; the API server's cache, admission and slow-query flags
+// do nothing on a worker, so a worker refuses those too.
 func TestCoordinatorFlagsNeedCoordinator(t *testing.T) {
 	for _, c := range []struct {
 		args    []string
@@ -119,14 +121,26 @@ func TestCoordinatorFlagsNeedCoordinator(t *testing.T) {
 		{[]string{"-cluster", "http://a,http://b", "-shard-timeout", "10s"}, false},
 		{[]string{"-dist-policy", "partial"}, true},
 		{[]string{"-cluster", "worker:0/2", "-shard-timeout", "10s"}, true},
+		{[]string{"-cluster", "worker:0/2", "-cache-mb", "0"}, true},
+		{[]string{"-cluster", "worker:1/2", "-admit-slots", "4"}, true},
+		{[]string{"-cluster", "worker:0/2", "-max-queue", "8"}, true},
+		{[]string{"-cluster", "worker:0/2", "-latency-budget", "1s"}, true},
+		{[]string{"-cluster", "worker:0/2", "-slow-query-ms", "0"}, true},
+		{[]string{"-cluster", "worker:0/2", "-slow-query-log", "slow.log"}, true},
+		{[]string{"-cluster", "local:2", "-cache-mb", "0", "-max-queue", "8", "-slow-query-ms", "0"}, false},
+		{[]string{"-cache-mb", "0", "-admit-slots", "4", "-latency-budget", "1s", "-slow-query-log", "slow.log"}, false},
 	} {
 		fs := flag.NewFlagSet("assessd", flag.ContinueOnError)
 		o := declareFlags(fs)
 		if err := fs.Parse(c.args); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := resolveCluster(fs, o.cluster); (err != nil) != c.wantErr {
+		_, err := resolveCluster(fs, o.cluster)
+		if (err != nil) != c.wantErr {
 			t.Errorf("%q: err %v, want error %v", c.args, err, c.wantErr)
+		}
+		if err != nil && !strings.Contains(err.Error(), strconv.Quote(o.cluster)) {
+			t.Errorf("%q: error %q does not quote the -cluster spec", c.args, err)
 		}
 	}
 }

@@ -97,19 +97,32 @@ func declareFlags(fs *flag.FlagSet) *options {
 	return o
 }
 
-// resolveCluster parses -cluster and refuses the coordinator's flags on
-// a process that coordinates no shards, where they would do nothing.
+// resolveCluster parses -cluster and refuses a flag set explicitly where
+// it would do nothing: the coordinator's flags on a process that
+// coordinates no shards, and the API server's on a shard worker, which
+// serves only the partial-aggregate RPC.
 func resolveCluster(fs *flag.FlagSet, spec string) (cluster, error) {
 	c, err := parseCluster(spec)
 	if err != nil || c.kind == local || c.kind == remote {
 		return c, err
 	}
 	fs.Visit(func(f *flag.Flag) {
-		if err == nil && (f.Name == "shard-timeout" || f.Name == "dist-policy") {
+		switch {
+		case err != nil:
+		case f.Name == "shard-timeout" || f.Name == "dist-policy":
 			err = fmt.Errorf("assessd: -%s needs a coordinator -cluster (local:N or worker URLs), got -cluster %q", f.Name, spec)
+		case c.kind == worker && apiFlags[f.Name]:
+			err = fmt.Errorf("assessd: -%s has no effect on a shard worker: set it on the coordinator, not with -cluster %q", f.Name, spec)
 		}
 	})
 	return c, err
+}
+
+// apiFlags configure the API server's cache, admission and slow-query
+// log, none of which a shard worker runs.
+var apiFlags = map[string]bool{
+	"cache-mb": true, "admit-slots": true, "max-queue": true,
+	"latency-budget": true, "slow-query-ms": true, "slow-query-log": true,
 }
 
 func main() {

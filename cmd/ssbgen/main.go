@@ -5,9 +5,10 @@
 //
 // With -out-dir it instead streams the rows straight into columnar
 // segment directories — <out>/LINEORDER and <out>/LINEORDER_BUDGET —
-// one row at a time, so generation is out-of-core: resident memory is
-// bounded by the dimension data plus one segment buffer regardless of
-// scale factor. The directories are served by assessd -store-dir.
+// one generated block at a time, so generation is out-of-core: resident
+// memory is bounded by the dimension data, one block and one segment
+// buffer regardless of scale factor. The directories are served by
+// assessd -store-dir.
 //
 // Usage:
 //
@@ -76,7 +77,7 @@ func main() {
 }
 
 // stream drains the generator into two segment directories, never
-// holding more than one segment of buffered rows in memory.
+// holding more than one block and one segment of buffered rows in memory.
 func stream(g *ssb.Generator, outDir string, segRows int) (int, error) {
 	if err := os.MkdirAll(outDir, 0o777); err != nil {
 		return 0, err
@@ -90,20 +91,20 @@ func stream(g *ssb.Generator, outDir string, segRows int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var bval [1]float64
-	n := g.Rows()
-	for r := 0; r < n; r++ {
-		keys, meas, budget := g.Next()
-		if err := fw.Append(keys, meas); err != nil {
+	for {
+		fact, budget := g.NextBlock(ssb.BlockRows)
+		if fact.Rows == 0 {
+			break
+		}
+		if err := fw.AppendBlock(fact); err != nil {
 			return 0, err
 		}
-		bval[0] = budget
-		if err := bw.Append(keys, bval[:]); err != nil {
+		if err := bw.AppendBlock(budget); err != nil {
 			return 0, err
 		}
 	}
 	if err := fw.Close(); err != nil {
 		return 0, err
 	}
-	return n, bw.Close()
+	return g.Rows(), bw.Close()
 }

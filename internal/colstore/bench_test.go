@@ -353,18 +353,8 @@ func benchSelectiveEngines(b *testing.B) (lazy, eager *engine.Engine, q engine.Q
 		if err != nil {
 			b.Fatal(err)
 		}
-		keys := make([]int32, len(ds.Fact.Keys))
-		vals := make([]float64, len(ds.Fact.Meas))
-		for r := range ds.Fact.Rows() {
-			for h := range keys {
-				keys[h] = ds.Fact.Keys[h][r]
-			}
-			for m := range vals {
-				vals[m] = ds.Fact.Meas[m][r]
-			}
-			if err := w.Append(keys, vals); err != nil {
-				b.Fatal(err)
-			}
+		if err := w.AppendBlock(storage.BlockCols{Keys: ds.Fact.Keys, Meas: ds.Fact.Meas, Rows: ds.Fact.Rows()}); err != nil {
+			b.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
 			b.Fatal(err)

@@ -1,9 +1,9 @@
-// Bulk loading: a streaming writer that builds a store directory
-// without ever holding more than one segment's rows in memory, so
-// generating SSB100 is out-of-core end to end. Rows bypass the WAL —
-// each full buffer flushes straight to a segment file — and the
-// manifest lands only at Close, so an interrupted bulk load leaves no
-// half-valid store behind.
+// Bulk loading: a streaming writer that builds a store directory from
+// blocks of rows without ever holding more than one segment's rows in
+// memory, so generating SSB100 is out-of-core end to end. Rows bypass
+// the WAL — each full buffer flushes straight to a segment file — and
+// the manifest lands only at Close, so an interrupted bulk load leaves
+// no half-valid store behind.
 package colstore
 
 import (
@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 
 	"github.com/assess-olap/assess/internal/mdm"
+	"github.com/assess-olap/assess/internal/storage"
 )
 
 // BulkWriter streams rows into a new store directory.
@@ -58,23 +59,44 @@ func CreateBulk(dir string, s *mdm.Schema, opts Options) (*BulkWriter, error) {
 	return w, nil
 }
 
-// Append buffers one row, flushing a segment when the buffer fills.
-func (w *BulkWriter) Append(keys []int32, vals []float64) error {
+// AppendBlock buffers a block of rows, one column per hierarchy and per
+// measure, each b.Rows long; it flushes a segment each time the buffer
+// fills, so a block may span segment boundaries. Keys are not checked
+// against the dictionaries: the writer is fed from generated or stored
+// tables whose keys already were.
+func (w *BulkWriter) AppendBlock(b storage.BlockCols) error {
 	if w.err != nil {
 		return w.err
 	}
-	if len(keys) != len(w.keys) || len(vals) != len(w.meas) {
-		return fmt.Errorf("colstore: bulk row shape mismatch")
+	if len(b.Keys) != len(w.keys) || len(b.Meas) != len(w.meas) {
+		return fmt.Errorf("colstore: bulk block has %d key and %d measure columns, want %d and %d",
+			len(b.Keys), len(b.Meas), len(w.keys), len(w.meas))
 	}
-	for h, k := range keys {
-		w.keys[h] = append(w.keys[h], k)
+	for _, col := range b.Keys {
+		if len(col) != b.Rows {
+			return fmt.Errorf("colstore: bulk block of %d rows has a key column of %d", b.Rows, len(col))
+		}
 	}
-	for m, v := range vals {
-		w.meas[m] = append(w.meas[m], v)
+	for _, col := range b.Meas {
+		if len(col) != b.Rows {
+			return fmt.Errorf("colstore: bulk block of %d rows has a measure column of %d", b.Rows, len(col))
+		}
 	}
-	w.rows++
-	if w.rows >= w.opts.SegmentRows {
-		return w.flush()
+	for lo := 0; lo < b.Rows; {
+		hi := min(b.Rows, lo+w.opts.SegmentRows-w.rows)
+		for h, col := range b.Keys {
+			w.keys[h] = append(w.keys[h], col[lo:hi]...)
+		}
+		for m, col := range b.Meas {
+			w.meas[m] = append(w.meas[m], col[lo:hi]...)
+		}
+		w.rows += hi - lo
+		lo = hi
+		if w.rows >= w.opts.SegmentRows {
+			if err := w.flush(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

@@ -552,12 +552,23 @@ func TestBulkWriterRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantK, wantM := genRows(s, 1000, 9)
-	row := make([]int32, 2)
-	for r := 0; r < 1000; r++ {
-		row[0], row[1] = wantK[0][r], wantK[1][r]
-		if err := w.Append(row, []float64{wantM[0][r], wantM[1][r]}); err != nil {
+	// Blocks of 300 rows: the second spans the boundary at row 256, the
+	// last is short.
+	for lo := 0; lo < 1000; lo += 300 {
+		hi := min(lo+300, 1000)
+		b := storage.BlockCols{Rows: hi - lo}
+		for _, col := range wantK {
+			b.Keys = append(b.Keys, col[lo:hi])
+		}
+		for _, col := range wantM {
+			b.Meas = append(b.Meas, col[lo:hi])
+		}
+		if err := w.AppendBlock(b); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := w.AppendBlock(storage.BlockCols{Keys: [][]int32{{0}, {0}}, Meas: [][]float64{{1}}, Rows: 1}); err == nil {
+		t.Error("a block without a measure column was accepted")
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -537,12 +537,9 @@ func TestEveryWritePathIndexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys, meas := genRows(s, 1000, 9)
-	row := make([]int32, 2)
-	for r := 0; r < 300; r++ {
-		row[0], row[1] = keys[0][r], keys[1][r]
-		if err := w.Append(row, []float64{meas[0][r], meas[1][r]}); err != nil {
-			t.Fatal(err)
-		}
+	first := storage.BlockCols{Keys: [][]int32{keys[0][:300], keys[1][:300]}, Meas: [][]float64{meas[0][:300], meas[1][:300]}, Rows: 300}
+	if err := w.AppendBlock(first); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

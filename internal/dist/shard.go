@@ -41,10 +41,36 @@ func AutoShardLevel(s *mdm.Schema) mdm.LevelRef {
 }
 
 // SplitFact partitions f's rows into n resident shard tables sharing
-// f's schema, assigning each row by the hash of its member at level.
-// It reads through the scan-source contract, so both resident and
-// segment-backed facts split the same way.
+// f's schema, assigning each row by the hash of its member at level; each
+// shard holds its rows in f's order. It reads through the scan-source
+// contract, so both resident and segment-backed facts split the same way.
 func SplitFact(f *storage.FactTable, level mdm.LevelRef, n int) ([]*storage.FactTable, error) {
+	return split(f, level, n, -1)
+}
+
+// FactShard returns shard i of SplitFact(f, level, n) without building
+// the other shards: what a worker of an n-shard cluster keeps.
+func FactShard(f *storage.FactTable, level mdm.LevelRef, n, i int) (*storage.FactTable, error) {
+	if i < 0 || i >= n {
+		return nil, fmt.Errorf("dist: shard %d of %d", i, n)
+	}
+	shards, err := split(f, level, n, i)
+	if err != nil {
+		return nil, err
+	}
+	return shards[i], nil
+}
+
+// splitChunk bounds the rows split scatters at once, and so its scratch.
+const splitChunk = 1 << 16
+
+// split builds shard only of SplitFact(f, level, n), or every shard when
+// only is negative; the shards it does not build stay nil. A first pass
+// over the shard key column alone counts each shard's rows, so every
+// shard reserves its exact size. The second goes through the source a
+// chunk at a time: it lists each shard's rows of the chunk in source
+// order, gathers them column by column into one block and appends it.
+func split(f *storage.FactTable, level mdm.LevelRef, n, only int) ([]*storage.FactTable, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("dist: cannot split into %d shards", n)
 	}
@@ -53,37 +79,86 @@ func SplitFact(f *storage.FactTable, level mdm.LevelRef, n int) ([]*storage.Fact
 	}
 	shards := make([]*storage.FactTable, n)
 	for i := range shards {
-		shards[i] = storage.NewFactTable(f.Schema)
+		if only < 0 || i == only {
+			shards[i] = storage.NewFactTable(f.Schema)
+		}
 	}
-	src := f.ScanSource(storage.ColSet{}, nil)
-	defer src.Close()
-	// Base key of the shard hierarchy → its member at the shard level.
+	// owner[k] is the shard of the rows whose shard-hierarchy base key is k.
 	member := f.Schema.Hiers[level.Hier].LevelMap(0, level.Level)
-	var sc storage.BlockScratch
-	keys := make([]int32, f.NumHiers())
-	vals := make([]float64, f.NumMeasures())
-	for b := 0; b < src.Blocks(); b++ {
-		cols, ok, err := src.Block(b, &sc)
-		if err != nil {
-			return nil, err
+	owner := make([]int32, len(member))
+	for k, m := range member {
+		owner[k] = int32(shardOf(m, n))
+	}
+
+	keyOnly := storage.ColSet{Keys: make([]bool, f.NumHiers()), Meas: make([]bool, f.NumMeasures())}
+	keyOnly.Keys[level.Hier] = true
+	counts := make([]int, n)
+	src := f.ScanSource(keyOnly, nil)
+	err := storage.ForBlocks(src, func(b storage.BlockCols) error {
+		for _, k := range b.Keys[level.Hier] {
+			counts[owner[k]]++
 		}
-		if !ok {
-			return nil, fmt.Errorf("dist: unpredicated scan pruned block %d", b)
+		return nil
+	})
+	src.Close()
+	if err != nil {
+		return nil, err
+	}
+	for i, sh := range shards {
+		if sh != nil {
+			sh.Reserve(counts[i])
 		}
-		for r := 0; r < cols.Rows; r++ {
-			for h := range keys {
-				keys[h] = cols.Keys[h][r]
+	}
+
+	rows := make([][]int32, n) // per shard: its rows of the chunk
+	out := storage.BlockCols{Keys: make([][]int32, f.NumHiers()), Meas: make([][]float64, f.NumMeasures())}
+	src = f.ScanSource(storage.ColSet{}, nil)
+	defer src.Close()
+	err = storage.ForBlocks(src, func(b storage.BlockCols) error {
+		for lo := 0; lo < b.Rows; lo += splitChunk {
+			for i := range rows {
+				rows[i] = rows[i][:0]
 			}
-			for m := range vals {
-				vals[m] = cols.Meas[m][r]
+			for r, k := range b.Keys[level.Hier][lo:min(lo+splitChunk, b.Rows)] {
+				if i := owner[k]; shards[i] != nil {
+					rows[i] = append(rows[i], int32(lo+r))
+				}
 			}
-			s := shardOf(member[keys[level.Hier]], n)
-			if err := shards[s].Append(keys, vals); err != nil {
-				return nil, err
+			for i, idx := range rows {
+				if len(idx) == 0 {
+					continue
+				}
+				for h, col := range b.Keys {
+					out.Keys[h] = gather(out.Keys[h], col, idx)
+				}
+				for m, col := range b.Meas {
+					out.Meas[m] = gather(out.Meas[m], col, idx)
+				}
+				out.Rows = len(idx)
+				if err := shards[i].AppendBlock(out); err != nil {
+					return err
+				}
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return shards, nil
+}
+
+// gather returns col's values at rows, in dst's storage when it is large
+// enough.
+func gather[T any](dst, col []T, rows []int32) []T {
+	if cap(dst) < len(rows) {
+		dst = make([]T, len(rows), splitChunk)
+	}
+	dst = dst[:len(rows)]
+	for j, r := range rows {
+		dst[j] = col[r]
+	}
+	return dst
 }
 
 // ownedMembers returns, per shard, the sorted shard-level member ids it

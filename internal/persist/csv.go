@@ -29,15 +29,20 @@ func ExportCSV(w io.Writer, f *storage.FactTable) error {
 	row := make([]string, len(header))
 	src := f.ScanSource(storage.ColSet{}, nil)
 	defer src.Close()
-	err := copyRows(func(keys []int32, vals []float64) error {
-		for h, k := range keys {
-			row[h] = s.Hiers[h].Dict(0).Name(k)
+	err := storage.ForBlocks(src, func(b storage.BlockCols) error {
+		for r := 0; r < b.Rows; r++ {
+			for h, col := range b.Keys {
+				row[h] = s.Hiers[h].Dict(0).Name(col[r])
+			}
+			for m, col := range b.Meas {
+				row[len(b.Keys)+m] = strconv.FormatFloat(col[r], 'g', -1, 64)
+			}
+			if err := cw.Write(row); err != nil {
+				return err
+			}
 		}
-		for m, v := range vals {
-			row[len(keys)+m] = strconv.FormatFloat(v, 'g', -1, 64)
-		}
-		return cw.Write(row)
-	}, src, len(s.Hiers), len(s.Measures))
+		return nil
+	})
 	if err != nil {
 		return err
 	}

@@ -39,8 +39,9 @@ const LabelersFile = "labelers.bin"
 const labelersMagic = "ASSESSLBL\x01"
 
 // SaveCubeDir writes the fact table into a colstore segment directory
-// at dir, streaming block by block — the encoded form never holds more
-// than one segment's rows in flight beyond the source table itself.
+// at dir, moving the table's blocks into the bulk writer — the encoded
+// form never holds more than one segment's rows in flight beyond the
+// source table itself.
 func SaveCubeDir(dir string, f *storage.FactTable, opts colstore.Options) error {
 	w, err := colstore.CreateBulk(dir, f.Schema, opts)
 	if err != nil {
@@ -48,7 +49,7 @@ func SaveCubeDir(dir string, f *storage.FactTable, opts colstore.Options) error 
 	}
 	src := f.ScanSource(storage.ColSet{}, nil)
 	defer src.Close()
-	if err := copyRows(w.Append, src, len(f.Schema.Hiers), len(f.Schema.Measures)); err != nil {
+	if err := storage.ForBlocks(src, w.AppendBlock); err != nil {
 		w.Close()
 		return err
 	}
@@ -67,7 +68,7 @@ func OpenCubeDir(dir string, opts colstore.Options) (*storage.FactTable, *colsto
 }
 
 // LoadCubeDirResident reads a segment directory fully into an in-memory
-// fact table, decoding every segment once.
+// fact table, decoding every segment once and appending it as a block.
 func LoadCubeDirResident(dir string) (*storage.FactTable, error) {
 	st, err := colstore.Open(dir, colstore.Options{AutoCompactRows: -1})
 	if err != nil {
@@ -78,38 +79,10 @@ func LoadCubeDirResident(dir string) (*storage.FactTable, error) {
 	f.Reserve(st.Rows())
 	src := st.Snapshot(storage.ColSet{}, nil)
 	defer src.Close()
-	if err := copyRows(f.Append, src, len(f.Schema.Hiers), len(f.Schema.Measures)); err != nil {
+	if err := storage.ForBlocks(src, f.AppendBlock); err != nil {
 		return nil, err
 	}
 	return f, nil
-}
-
-// copyRows streams every row of src into the append function.
-func copyRows(appendRow func([]int32, []float64) error, src storage.ScanSource, nkeys, nmeas int) error {
-	var sc storage.BlockScratch
-	keys := make([]int32, nkeys)
-	vals := make([]float64, nmeas)
-	for b := 0; b < src.Blocks(); b++ {
-		cols, ok, err := src.Block(b, &sc)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		for r := 0; r < cols.Rows; r++ {
-			for h := range keys {
-				keys[h] = cols.Keys[h][r]
-			}
-			for m := range vals {
-				vals[m] = cols.Meas[m][r]
-			}
-			if err := appendRow(keys, vals); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // SaveDir writes every cube, each into the store subdirectory of dir

@@ -151,3 +151,52 @@ func TestLabelersRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestCubeDirBlocksSpanSegments: SaveCubeDir hands the bulk writer the
+// resident table as one 3 000-row block, which spans eleven segment
+// boundaries at 256 rows a segment; OpenCubeDir serves every row back in
+// order, bit for bit, and LoadCubeDirResident's block appends leave the
+// version at the row count.
+func TestCubeDirBlocksSpanSegments(t *testing.T) {
+	ds := sales.Generate(3000, 81)
+	dir := t.TempDir()
+	if err := SaveCubeDir(dir, ds.Fact, colstore.Options{SegmentRows: 256}); err != nil {
+		t.Fatal(err)
+	}
+	seg, st, err := OpenCubeDir(dir, colstore.Options{AutoCompactRows: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if info := seg.Segments().Info(); info.Segments != 12 || info.SegmentRows != 3000 {
+		t.Fatalf("%d segments of %d rows, want 12 of 3000", info.Segments, info.SegmentRows)
+	}
+	src := seg.ScanSource(storage.ColSet{}, nil)
+	defer src.Close()
+	r := 0
+	err = storage.ForBlocks(src, func(b storage.BlockCols) error {
+		for i := 0; i < b.Rows; i, r = i+1, r+1 {
+			for h, col := range b.Keys {
+				if col[i] != ds.Fact.Keys[h][r] {
+					t.Fatalf("row %d hierarchy %d: key %d, saved %d", r, h, col[i], ds.Fact.Keys[h][r])
+				}
+			}
+			for m, col := range b.Meas {
+				if math.Float64bits(col[i]) != math.Float64bits(ds.Fact.Meas[m][r]) {
+					t.Fatalf("row %d measure %d: %v, saved %v", r, m, col[i], ds.Fact.Meas[m][r])
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil || r != 3000 {
+		t.Fatalf("read %d rows back, err %v", r, err)
+	}
+	loaded, err := LoadCubeDirResident(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Rows() != 3000 || loaded.Version() != 3000 {
+		t.Errorf("resident load: %d rows at version %d, want 3000 at 3000", loaded.Rows(), loaded.Version())
+	}
+}

@@ -123,6 +123,9 @@ func Schema() *mdm.Schema {
 		})
 }
 
+// blockRows is the most rows Generate draws before appending them.
+const blockRows = 1 << 16
+
 // Generate builds a deterministic SALES dataset with approximately rows
 // fact rows (rows must be positive). The same seed always yields the same
 // data. It also synthesizes the reconciled external-benchmark cube
@@ -150,17 +153,36 @@ func Generate(rows int, seed int64) *Dataset {
 	ex := storage.NewFactTable(exSchema)
 	ex.Reserve(rows)
 
-	keys := make([]int32, 4)
-	for r := 0; r < rows; r++ {
-		keys[0] = int32(rng.Intn(nDates))
-		keys[1] = int32(rng.Intn(nCustomers))
-		keys[2] = int32(rng.Intn(nProducts))
-		keys[3] = int32(rng.Intn(nStores))
-		qty := float64(1 + rng.Intn(20))
-		salesAmt := qty * price[keys[2]] * (0.9 + 0.2*rng.Float64())
-		cost := salesAmt * (0.6 + 0.2*rng.Float64())
-		f.MustAppend(keys, []float64{qty, salesAmt, cost})
-		ex.MustAppend(keys, []float64{salesAmt * (0.8 + 0.4*rng.Float64())})
+	// Rows are drawn into a reused block and appended a block at a time:
+	// the four key columns, then quantity, storeSales, storeCost and
+	// SALES_TARGET's expectedSales.
+	var keys [4][]int32
+	var meas [4][]float64
+	for i := range keys {
+		keys[i] = make([]int32, min(max(rows, 0), blockRows))
+		meas[i] = make([]float64, len(keys[i]))
+	}
+	for lo := 0; lo < rows; lo += blockRows {
+		n := min(blockRows, rows-lo)
+		for r := 0; r < n; r++ {
+			keys[0][r] = int32(rng.Intn(nDates))
+			keys[1][r] = int32(rng.Intn(nCustomers))
+			keys[2][r] = int32(rng.Intn(nProducts))
+			keys[3][r] = int32(rng.Intn(nStores))
+			qty := float64(1 + rng.Intn(20))
+			salesAmt := qty * price[keys[2][r]] * (0.9 + 0.2*rng.Float64())
+			cost := salesAmt * (0.6 + 0.2*rng.Float64())
+			meas[0][r], meas[1][r], meas[2][r], meas[3][r] = qty, salesAmt, cost, salesAmt*(0.8+0.4*rng.Float64())
+		}
+		for i := range keys { // only the last block is short
+			keys[i], meas[i] = keys[i][:n], meas[i][:n]
+		}
+		if err := f.AppendBlock(storage.BlockCols{Keys: keys[:], Meas: meas[:3], Rows: n}); err != nil {
+			panic(err)
+		}
+		if err := ex.AppendBlock(storage.BlockCols{Keys: keys[:], Meas: meas[3:], Rows: n}); err != nil {
+			panic(err)
+		}
 	}
 	return &Dataset{Schema: s, Fact: f, External: ex, ExternalSchema: exSchema}
 }

@@ -1,6 +1,14 @@
 package sales
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"github.com/assess-olap/assess/internal/mdm"
+	"github.com/assess-olap/assess/internal/storage"
+)
 
 func TestSchemaMatchesExampleTwoTwo(t *testing.T) {
 	s := Schema()
@@ -95,6 +103,64 @@ func TestFigureOneTotals(t *testing.T) {
 	for k, v := range want {
 		if totals[k] != v {
 			t.Errorf("%v = %g, want %g", k, totals[k], v)
+		}
+	}
+}
+
+// generateRows is Generate's draw loop one row at a time, kept as the
+// reference for its block fill.
+func generateRows(rows int, seed int64) (fact, ex *storage.FactTable) {
+	s := Schema()
+	rng := rand.New(rand.NewSource(seed))
+	n := [4]int{}
+	for h := range n {
+		n[h] = s.Hiers[h].Dict(0).Len()
+	}
+	price := make([]float64, n[2])
+	for i := range price {
+		price[i] = 1 + 9*rng.Float64()
+	}
+	fact = storage.NewFactTable(s)
+	ex = storage.NewFactTable(mdm.NewSchema("SALES_TARGET", s.Hiers,
+		[]mdm.Measure{{Name: "expectedSales", Op: mdm.AggSum}}))
+	keys := make([]int32, 4)
+	for r := 0; r < rows; r++ {
+		for h := range keys {
+			keys[h] = int32(rng.Intn(n[h]))
+		}
+		qty := float64(1 + rng.Intn(20))
+		salesAmt := qty * price[keys[2]] * (0.9 + 0.2*rng.Float64())
+		cost := salesAmt * (0.6 + 0.2*rng.Float64())
+		fact.MustAppend(keys, []float64{qty, salesAmt, cost})
+		ex.MustAppend(keys, []float64{salesAmt * (0.8 + 0.4*rng.Float64())})
+	}
+	return fact, ex
+}
+
+// TestGenerateMatchesRowLoop: the block fill yields the row loop's
+// tables bit for bit, Version included, across a block boundary.
+func TestGenerateMatchesRowLoop(t *testing.T) {
+	for _, rows := range []int{0, 1, blockRows + 1} {
+		ds := Generate(rows, 11)
+		fact, ex := generateRows(rows, 11)
+		for _, p := range [][2]*storage.FactTable{{ds.Fact, fact}, {ds.External, ex}} {
+			got, want := p[0], p[1]
+			if got.Rows() != want.Rows() || got.Version() != want.Version() {
+				t.Fatalf("%d rows: %s has %d rows at version %d, want %d at %d",
+					rows, got.Schema.Name, got.Rows(), got.Version(), want.Rows(), want.Version())
+			}
+			for h := range want.Keys {
+				if !slices.Equal(got.Keys[h], want.Keys[h]) {
+					t.Fatalf("%d rows: %s key column %d differs", rows, got.Schema.Name, h)
+				}
+			}
+			for m := range want.Meas {
+				for r, v := range want.Meas[m] {
+					if math.Float64bits(got.Meas[m][r]) != math.Float64bits(v) {
+						t.Fatalf("%d rows: %s measure %d row %d: %v, want %v", rows, got.Schema.Name, m, r, got.Meas[m][r], v)
+					}
+				}
+			}
 		}
 	}
 }

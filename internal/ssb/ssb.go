@@ -65,12 +65,12 @@ func geography(name, base, prefix string, n int, rng *rand.Rand) *mdm.Hierarchy 
 	return h
 }
 
-// Generator produces the SSB row stream one row at a time, so callers
-// can spill rows to disk without ever materializing the fact table in
-// memory (ssbgen -out-dir). Constructing the generator builds the
-// hierarchies, schemas, and per-part price table; Next then yields
-// exactly Rows() fact rows. The (sf, seed) → row mapping is identical
-// to Generate's, which is implemented on top of it.
+// Generator produces the SSB row stream a block (or a row) at a time, so
+// callers can spill rows to disk without ever materializing the fact
+// table in memory (ssbgen -out-dir). Constructing the generator builds
+// the hierarchies, schemas, and per-part price table; NextBlock and Next
+// then yield exactly Rows() fact rows between them. The (sf, seed) → row
+// mapping is identical to Generate's, which is implemented on top of it.
 type Generator struct {
 	Schema       *mdm.Schema
 	BudgetSchema *mdm.Schema
@@ -82,6 +82,10 @@ type Generator struct {
 	rows, emitted                int
 	keys                         []int32
 	meas                         [3]float64
+	// NextBlock's reusable columns: the four keys, then the three
+	// LINEORDER measures and the budget measure.
+	blockKeys [4][]int32
+	blockMeas [4][]float64
 }
 
 // NewGenerator builds the dimension data for a deterministic SSB stream.
@@ -141,6 +145,21 @@ func NewGenerator(sf float64, seed int64) *Generator {
 // Rows is the total number of fact rows the generator yields.
 func (g *Generator) Rows() int { return g.rows }
 
+// draw draws the next row from the stream: every row takes the same
+// draws in the same order, so Next and NextBlock yield the same rows.
+func (g *Generator) draw() (date, cust, supp, part int32, qty, revenue, cost, budget float64) {
+	rng := g.rng
+	date = int32(rng.Intn(g.nDates))
+	cust = int32(rng.Intn(g.nCust))
+	supp = int32(rng.Intn(g.nSupp))
+	part = int32(rng.Intn(g.nParts))
+	qty = float64(1 + rng.Intn(50))
+	discount := float64(rng.Intn(11)) / 100
+	revenue = qty * g.price[part] * (1 - discount)
+	cost = revenue * (0.55 + 0.15*rng.Float64())
+	return date, cust, supp, part, qty, revenue, cost, revenue * (0.85 + 0.3*rng.Float64())
+}
+
 // Next yields the next fact row: the four dimension keys, the LINEORDER
 // measures (quantity, revenue, supplycost), and the LINEORDER_BUDGET
 // measure. The returned slices are reused by the following call; copy
@@ -150,35 +169,66 @@ func (g *Generator) Next() (keys []int32, meas []float64, budget float64) {
 		panic("ssb: Generator.Next called past Rows()")
 	}
 	g.emitted++
-	rng := g.rng
-	g.keys[0] = int32(rng.Intn(g.nDates))
-	g.keys[1] = int32(rng.Intn(g.nCust))
-	g.keys[2] = int32(rng.Intn(g.nSupp))
-	g.keys[3] = int32(rng.Intn(g.nParts))
-	qty := float64(1 + rng.Intn(50))
-	discount := float64(rng.Intn(11)) / 100
-	revenue := qty * g.price[g.keys[3]] * (1 - discount)
-	cost := revenue * (0.55 + 0.15*rng.Float64())
-	g.meas[0], g.meas[1], g.meas[2] = qty, revenue, cost
-	return g.keys, g.meas[:], revenue * (0.85 + 0.3*rng.Float64())
+	g.keys[0], g.keys[1], g.keys[2], g.keys[3], g.meas[0], g.meas[1], g.meas[2], budget = g.draw()
+	return g.keys, g.meas[:], budget
 }
 
-// Materialize drains a fresh generator into in-memory fact tables.
+// BlockRows is the most rows one NextBlock call yields.
+const BlockRows = 1 << 16
+
+// NextBlock yields the next min(n, BlockRows) rows of the stream, fewer at
+// its end: the rows Next would yield, in the same order. fact holds
+// LINEORDER's columns and budget LINEORDER_BUDGET's; the two share their
+// key columns. Both live in a buffer the generator reuses, so they are
+// valid until its next NextBlock call. Past the last row the block is
+// empty.
+func (g *Generator) NextBlock(n int) (fact, budget storage.BlockCols) {
+	n = max(0, min(n, BlockRows, g.rows-g.emitted))
+	if cap(g.blockKeys[0]) < n {
+		for h := range g.blockKeys {
+			g.blockKeys[h] = make([]int32, n)
+		}
+		for m := range g.blockMeas {
+			g.blockMeas[m] = make([]float64, n)
+		}
+	}
+	k, m := &g.blockKeys, &g.blockMeas
+	for h := range k {
+		k[h] = k[h][:n]
+	}
+	for i := range m {
+		m[i] = m[i][:n]
+	}
+	for r := 0; r < n; r++ {
+		k[0][r], k[1][r], k[2][r], k[3][r], m[0][r], m[1][r], m[2][r], m[3][r] = g.draw()
+	}
+	g.emitted += n
+	fact = storage.BlockCols{Keys: k[:], Meas: m[:3], Rows: n}
+	budget = storage.BlockCols{Keys: k[:], Meas: m[3:], Rows: n}
+	return fact, budget
+}
+
+// Materialize drains a fresh generator into in-memory fact tables, one
+// block at a time.
 func (g *Generator) Materialize() *Dataset {
 	if g.emitted != 0 {
 		panic("ssb: Materialize on a partially consumed Generator")
 	}
-	n := g.Rows()
 	fact := storage.NewFactTable(g.Schema)
-	fact.Reserve(n)
+	fact.Reserve(g.Rows())
 	budget := storage.NewFactTable(g.BudgetSchema)
-	budget.Reserve(n)
-	var bval [1]float64
-	for r := 0; r < n; r++ {
-		keys, meas, b := g.Next()
-		fact.MustAppend(keys, meas)
-		bval[0] = b
-		budget.MustAppend(keys, bval[:])
+	budget.Reserve(g.Rows())
+	for {
+		fb, bb := g.NextBlock(BlockRows)
+		if fb.Rows == 0 {
+			break
+		}
+		if err := fact.AppendBlock(fb); err != nil {
+			panic(err)
+		}
+		if err := budget.AppendBlock(bb); err != nil {
+			panic(err)
+		}
 	}
 	return &Dataset{
 		Schema: g.Schema, Fact: fact,

@@ -1,6 +1,9 @@
 package ssb
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestGeneratorMatchesGenerate pins the streaming generator to the
 // materialized one: same (sf, seed) ⇒ identical rows in order. ssbgen
@@ -41,4 +44,48 @@ func TestGeneratorMatchesGenerate(t *testing.T) {
 		}
 	}()
 	g.Next()
+}
+
+// TestNextBlockMatchesNext: filling blocks draws the stream in Next's
+// order, bit for bit, including the short last block of a block size
+// that does not divide Rows().
+func TestNextBlockMatchesNext(t *testing.T) {
+	for _, sf := range []float64{0.01, 0.2} {
+		for _, seed := range []int64{1, 2} {
+			rows, blocks := NewGenerator(sf, seed), NewGenerator(sf, seed)
+			const size = 10_007
+			if rows.Rows()%size == 0 {
+				t.Fatalf("sf %g: block size %d divides %d rows", sf, size, rows.Rows())
+			}
+			r := 0
+			for {
+				fact, budget := blocks.NextBlock(size)
+				if fact.Rows == 0 {
+					break
+				}
+				if fact.Rows != min(size, rows.Rows()-r) || budget.Rows != fact.Rows {
+					t.Fatalf("sf %g seed %d: block at row %d has %d/%d rows", sf, seed, r, fact.Rows, budget.Rows)
+				}
+				for i := 0; i < fact.Rows; i, r = i+1, r+1 {
+					keys, meas, b := rows.Next()
+					for h, k := range keys {
+						if fact.Keys[h][i] != k || budget.Keys[h][i] != k {
+							t.Fatalf("sf %g seed %d row %d hier %d: block key %d, Next %d", sf, seed, r, h, fact.Keys[h][i], k)
+						}
+					}
+					for m, v := range meas {
+						if math.Float64bits(fact.Meas[m][i]) != math.Float64bits(v) {
+							t.Fatalf("sf %g seed %d row %d measure %d: block %v, Next %v", sf, seed, r, m, fact.Meas[m][i], v)
+						}
+					}
+					if math.Float64bits(budget.Meas[0][i]) != math.Float64bits(b) {
+						t.Fatalf("sf %g seed %d row %d budget: block %v, Next %v", sf, seed, r, budget.Meas[0][i], b)
+					}
+				}
+			}
+			if r != rows.Rows() {
+				t.Fatalf("sf %g seed %d: blocks held %d rows, want %d", sf, seed, r, rows.Rows())
+			}
+		}
+	}
 }

@@ -10,6 +10,7 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 
 	"github.com/assess-olap/assess/internal/mdm"
 )
@@ -160,6 +161,27 @@ type ScanSource interface {
 	// pruned by zone maps (no row can match the scan's predicates).
 	Block(b int, sc *BlockScratch) (cols BlockCols, ok bool, err error)
 	Close()
+}
+
+// ForBlocks hands every block of src to fn in order, decoding each into
+// one reused scratch, so fn must be done with a block when it returns.
+// src must have been opened without predicates: a pruned block is an
+// error. The caller still closes src.
+func ForBlocks(src ScanSource, fn func(BlockCols) error) error {
+	var sc BlockScratch
+	for b := 0; b < src.Blocks(); b++ {
+		cols, ok, err := src.Block(b, &sc)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return fmt.Errorf("storage: unpredicated scan pruned block %d", b)
+		}
+		if err := fn(cols); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // PruneProber has no caller in the program; it leaves with the

@@ -37,8 +37,8 @@ type FactTable struct {
 	Meas   [][]float64
 	mu     sync.Mutex
 	rows   int
-	// version counts Appends; readable concurrently with queries so the
-	// engine can derive a catalog generation for result-cache validity.
+	// version counts appended rows; readable concurrently with queries so
+	// the engine can derive a catalog generation for result-cache validity.
 	version atomic.Uint64
 	// seg, when non-nil, is the disk-resident segment backend and the
 	// resident columns above are unused.
@@ -46,7 +46,7 @@ type FactTable struct {
 }
 
 // Version is a monotonic data version for cache invalidation: it
-// advances with every append (and opens at the on-disk row count for
+// advances by one per appended row (and opens at the on-disk row count for
 // segment-backed tables, so reopening mid-process never rewinds it).
 func (f *FactTable) Version() uint64 { return f.version.Load() }
 
@@ -112,29 +112,112 @@ func (f *FactTable) ScanSource(need ColSet, preds []LevelPred) ScanSource {
 	return columnsSource{keys: slices.Clone(f.Keys), meas: slices.Clone(f.Meas), rows: f.rows}
 }
 
-// checkRow validates one row against the schema's dictionaries.
-func (f *FactTable) checkRow(keys []int32, vals []float64) error {
-	if len(keys) != len(f.Schema.Hiers) {
-		return fmt.Errorf("storage: %s expects %d keys, got %d", f.Schema.Name, len(f.Schema.Hiers), len(keys))
+// checkShape validates the column counts of a row or block.
+func (f *FactTable) checkShape(keys, meas int) error {
+	s := f.Schema
+	if keys != len(s.Hiers) {
+		return fmt.Errorf("storage: %s expects %d keys, got %d", s.Name, len(s.Hiers), keys)
 	}
-	if len(vals) != len(f.Schema.Measures) {
-		return fmt.Errorf("storage: %s expects %d measures, got %d", f.Schema.Name, len(f.Schema.Measures), len(vals))
+	if meas != len(s.Measures) {
+		return fmt.Errorf("storage: %s expects %d measures, got %d", s.Name, len(s.Measures), meas)
 	}
-	for h, k := range keys {
-		if k < 0 || int(k) >= f.Schema.Hiers[h].Dict(0).Len() {
+	return nil
+}
+
+// checkKeys validates one column of keys of hierarchy h against its base
+// dictionary, naming a bad key's row by the position it would take.
+func (f *FactTable) checkKeys(h int, col []int32) error {
+	hier := f.Schema.Hiers[h]
+	n := uint32(hier.Dict(0).Len())
+	for r, k := range col {
+		if uint32(k) >= n {
 			return fmt.Errorf("storage: %s row %d: key %d out of range for hierarchy %s",
-				f.Schema.Name, f.Rows(), k, f.Schema.Hiers[h].Name())
+				f.Schema.Name, f.Rows()+r, k, hier.Name())
 		}
 	}
 	return nil
 }
 
-// Append adds one fact row: keys are base-level member ids, one per
-// hierarchy in schema order; vals are measure values in schema order.
+// checkBlock validates a block before any of it is appended: one column
+// per hierarchy and per measure, each b.Rows long, and every key in its
+// hierarchy's base dictionary, column by column.
+func (f *FactTable) checkBlock(b BlockCols) error {
+	if err := f.checkShape(len(b.Keys), len(b.Meas)); err != nil {
+		return err
+	}
+	s := f.Schema
+	for h, col := range b.Keys {
+		if len(col) != b.Rows {
+			return fmt.Errorf("storage: %s block of %d rows has %d keys of hierarchy %s", s.Name, b.Rows, len(col), s.Hiers[h].Name())
+		}
+	}
+	for m, col := range b.Meas {
+		if len(col) != b.Rows {
+			return fmt.Errorf("storage: %s block of %d rows has %d values of measure %s", s.Name, b.Rows, len(col), s.Measures[m].Name)
+		}
+	}
+	for h, col := range b.Keys {
+		if err := f.checkKeys(h, col); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// AppendBlock appends a block of fact rows in order: b.Keys holds one
+// column of base-level member ids per hierarchy and b.Meas one column of
+// values per measure, in schema order, each b.Rows long. The whole block
+// is checked first, so a bad shape or key appends nothing; the resident
+// backend then appends every row under one lock. The segment backend WALs
+// the rows one by one, so a write fault part way leaves the rows before it
+// appended. Version advances by the rows appended: it counts rows, not
+// calls.
+func (f *FactTable) AppendBlock(b BlockCols) error {
+	if err := f.checkBlock(b); err != nil {
+		return err
+	}
+	if f.seg == nil {
+		f.mu.Lock()
+		for h, col := range b.Keys {
+			f.Keys[h] = append(f.Keys[h], col...)
+		}
+		for m, col := range b.Meas {
+			f.Meas[m] = append(f.Meas[m], col...)
+		}
+		f.rows += b.Rows
+		f.mu.Unlock()
+		f.version.Add(uint64(b.Rows))
+		return nil
+	}
+	keys, vals := make([]int32, len(b.Keys)), make([]float64, len(b.Meas))
+	for r := 0; r < b.Rows; r++ {
+		for h, col := range b.Keys {
+			keys[h] = col[r]
+		}
+		for m, col := range b.Meas {
+			vals[m] = col[r]
+		}
+		if err := f.seg.Append(keys, vals); err != nil {
+			return err
+		}
+		f.version.Add(1)
+	}
+	return nil
+}
+
+// Append adds one fact row, the block of one: keys are base-level member
+// ids, one per hierarchy in schema order; vals are measure values in
+// schema order. It makes AppendBlock's checks on the row, then appends
+// it value by value, which allocates nothing once capacity is reserved.
 // On the segment backend the row is WAL'd before it becomes visible.
 func (f *FactTable) Append(keys []int32, vals []float64) error {
-	if err := f.checkRow(keys, vals); err != nil {
+	if err := f.checkShape(len(keys), len(vals)); err != nil {
 		return err
+	}
+	for h := range keys {
+		if err := f.checkKeys(h, keys[h:h+1]); err != nil {
+			return err
+		}
 	}
 	if f.seg != nil {
 		if err := f.seg.Append(keys, vals); err != nil {
