@@ -105,7 +105,9 @@ func workerHandler(session *assess.Session, c cluster) (http.Handler, error) {
 // enableDistributed wires a scatter-gather coordinator onto the
 // session: an in-process cluster for local:N, else HTTP clients for the
 // remote shard chains. The session keeps its full local copy of every
-// fact for planning, views, and per-shard local fallback.
+// fact for planning, views, and per-shard local fallback; the shards of
+// a local:N cluster borrow their rows from that copy rather than copying
+// them, so the process holds each fact once.
 func enableDistributed(session *assess.Session, c cluster, timeout time.Duration, policyName string) error {
 	policy, err := dist.ParsePolicy(policyName)
 	if err != nil {

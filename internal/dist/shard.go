@@ -8,6 +8,7 @@ package dist
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/assess-olap/assess/internal/mdm"
 	"github.com/assess-olap/assess/internal/storage"
@@ -71,11 +72,8 @@ const splitChunk = 1 << 16
 // chunk at a time: it lists each shard's rows of the chunk in source
 // order, gathers them column by column into one block and appends it.
 func split(f *storage.FactTable, level mdm.LevelRef, n, only int) ([]*storage.FactTable, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("dist: cannot split into %d shards", n)
-	}
-	if !f.Schema.HasLevel(level) {
-		return nil, fmt.Errorf("dist: shard level out of range for schema %s", f.Schema.Name)
+	if err := checkSplit(f, level, n); err != nil {
+		return nil, err
 	}
 	shards := make([]*storage.FactTable, n)
 	for i := range shards {
@@ -83,23 +81,9 @@ func split(f *storage.FactTable, level mdm.LevelRef, n, only int) ([]*storage.Fa
 			shards[i] = storage.NewFactTable(f.Schema)
 		}
 	}
-	// owner[k] is the shard of the rows whose shard-hierarchy base key is k.
-	member := f.Schema.Hiers[level.Hier].LevelMap(0, level.Level)
-	owner := make([]int32, len(member))
-	for k, m := range member {
-		owner[k] = int32(shardOf(m, n))
-	}
-
-	keyOnly := storage.ColSet{Keys: make([]bool, f.NumHiers()), Meas: make([]bool, f.NumMeasures())}
-	keyOnly.Keys[level.Hier] = true
-	counts := make([]int, n)
-	src := f.ScanSource(keyOnly, nil)
-	err := storage.ForBlocks(src, func(b storage.BlockCols) error {
-		for _, k := range b.Keys[level.Hier] {
-			counts[owner[k]]++
-		}
-		return nil
-	})
+	owner := owners(f.Schema, level, n)
+	src := f.ScanSource(keyOnly(f, level), nil)
+	counts, err := countShards(src, level, owner, n)
 	src.Close()
 	if err != nil {
 		return nil, err
@@ -148,6 +132,49 @@ func split(f *storage.FactTable, level mdm.LevelRef, n, only int) ([]*storage.Fa
 	return shards, nil
 }
 
+// checkSplit refuses a split of f into n shards by level that cannot be
+// made.
+func checkSplit(f *storage.FactTable, level mdm.LevelRef, n int) error {
+	if n < 1 {
+		return fmt.Errorf("dist: cannot split into %d shards", n)
+	}
+	if !f.Schema.HasLevel(level) {
+		return fmt.Errorf("dist: shard level out of range for schema %s", f.Schema.Name)
+	}
+	return nil
+}
+
+// owners maps each base key of the shard hierarchy to the shard of n that
+// owns its rows: the hash of the member it rolls up to at level.
+func owners(s *mdm.Schema, level mdm.LevelRef, n int) []int32 {
+	member := s.Hiers[level.Hier].LevelMap(0, level.Level)
+	owner := make([]int32, len(member))
+	for k, m := range member {
+		owner[k] = int32(shardOf(m, n))
+	}
+	return owner
+}
+
+// keyOnly is the column set of f's shard key column alone.
+func keyOnly(f *storage.FactTable, level mdm.LevelRef) storage.ColSet {
+	cols := storage.ColSet{Keys: make([]bool, f.NumHiers()), Meas: make([]bool, f.NumMeasures())}
+	cols.Keys[level.Hier] = true
+	return cols
+}
+
+// countShards counts the rows of src, opened on the shard key column,
+// that each of the n shards owns.
+func countShards(src storage.ScanSource, level mdm.LevelRef, owner []int32, n int) ([]int, error) {
+	counts := make([]int, n)
+	err := storage.ForBlocks(src, func(b storage.BlockCols) error {
+		for _, k := range b.Keys[level.Hier] {
+			counts[owner[k]]++
+		}
+		return nil
+	})
+	return counts, err
+}
+
 // gather returns col's values at rows, in dst's storage when it is large
 // enough.
 func gather[T any](dst, col []T, rows []int32) []T {
@@ -174,9 +201,12 @@ func ownedMembers(s *mdm.Schema, level mdm.LevelRef, n int) [][]int32 {
 	return owned
 }
 
-// LocalCluster is an in-process cluster: n workers, each holding its
+// LocalCluster is an in-process cluster: n workers, each serving its
 // hash-slice of every fact added to it. Tests, benchmarks, and the
-// single-box `-cluster local:N` deployment mode build on it.
+// single-box `-cluster local:N` deployment mode build on it. Its shards
+// hold no copy of the fact: each lists the positions of its rows in the
+// fact it was given, the coordinator's own, and reads them there at scan
+// time (localShard), so a local cluster holds each fact once.
 type LocalCluster struct {
 	Workers []*Worker
 	n       int
@@ -191,18 +221,58 @@ func NewLocalCluster(n int) *LocalCluster {
 	return lc
 }
 
-// AddFact splits f by level and registers each slice with its worker.
+// AddFact registers with each worker its shard of f by level: the rows
+// SplitFact would give it, in f's order, borrowed rather than copied.
+// The shards keep 4 B a row of f, their rows' positions; f must outlive
+// them.
 func (lc *LocalCluster) AddFact(name string, f *storage.FactTable, level mdm.LevelRef) error {
-	shards, err := SplitFact(f, level, lc.n)
+	rows, err := shardRows(f, level, lc.n)
 	if err != nil {
 		return err
 	}
-	for i, sf := range shards {
-		if err := lc.Workers[i].Register(name, sf); err != nil {
+	for i, r := range rows {
+		shard := &localShard{parent: f, rows: r, tail: storage.NewFactTable(f.Schema)}
+		if err := lc.Workers[i].Register(name, storage.NewSegmentTable(f.Schema, shard)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// shardRows lists, per shard of an n-shard split of f by level, the
+// ascending positions in f of the rows it owns. A first pass over the
+// shard key column counts each shard's rows, and a second fills the
+// lists, which share one array of f's row count: 4 B a row in all.
+func shardRows(f *storage.FactTable, level mdm.LevelRef, n int) ([][]int32, error) {
+	if err := checkSplit(f, level, n); err != nil {
+		return nil, err
+	}
+	owner := owners(f.Schema, level, n)
+	src := f.ScanSource(keyOnly(f, level), nil)
+	defer src.Close()
+	counts, err := countShards(src, level, owner, n)
+	if err != nil {
+		return nil, err
+	}
+	if src.Rows() > math.MaxInt32 {
+		return nil, fmt.Errorf("dist: %s has %d rows, past a local shard's int32 positions", f.Schema.Name, src.Rows())
+	}
+	all := make([]int32, src.Rows())
+	rows := make([][]int32, n)
+	for i, off := 0, 0; i < n; i++ {
+		rows[i] = all[off : off : off+counts[i]]
+		off += counts[i]
+	}
+	pos := int32(0)
+	err = storage.ForBlocks(src, func(b storage.BlockCols) error {
+		for _, k := range b.Keys[level.Hier] {
+			i := owner[k]
+			rows[i] = append(rows[i], pos)
+			pos++
+		}
+		return nil
+	})
+	return rows, err
 }
 
 // Clients returns one single-replica client chain per shard.

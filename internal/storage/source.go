@@ -11,6 +11,8 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 
 	"github.com/assess-olap/assess/internal/mdm"
 )
@@ -307,6 +309,143 @@ func (r *rowsFrom) Block(b int, sc *BlockScratch) (BlockCols, bool, error) {
 		cols.Keys, cols.Meas, cols.Rows = trimCols(cols.Keys, r.skip), trimCols(cols.Meas, r.skip), cols.Rows-r.skip
 	}
 	return cols, true, nil
+}
+
+// atBlockRows bounds the listed rows one block of a RowsAt source over a
+// single-block source serves: the engine's default morsel.
+const atBlockRows = 1 << 16
+
+// rowsAt is a source narrowed to listed rows (see RowsAt).
+type rowsAt struct {
+	src     ScanSource
+	parts   []atPart
+	rows    int
+	need    ColSet
+	accepts []accept // one per predicated hierarchy; none serves every row
+}
+
+// atPart is one block of a RowsAt source: the listed rows that fall in
+// one block of the underlying source, which starts at row base.
+type atPart struct {
+	block, base int
+	rows        []int32
+}
+
+// accept is the prepared predicate of one hierarchy (LevelPred.Accept).
+type accept struct {
+	hier int
+	ok   []bool
+}
+
+// RowsAt narrows src to the rows at the given positions, which must be
+// ascending, distinct and below src.Rows(); the blocks concatenate to
+// those rows in that order. Like RowsFrom it relies on positions being
+// stable whatever the layout, so a compaction since the list was made
+// does not move a row. Each block gathers the columns the source serves
+// at the listed positions into the caller's scratch. A single-block
+// source (resident columns) is read zero-copy, so its rows are served
+// atBlockRows at a time, each part in a worker's own scratch; a
+// multi-block source decodes a block per call, so each of its blocks
+// with a listed row is served whole, and one with none is never decoded.
+// src must have been opened on need and without predicates: a Filtered
+// block is an error.
+//
+// preds, prepared by Accepts, are the scan's own: a block first reads
+// the predicated key columns at the listed rows, keeps the rows every
+// predicate accepts, and gathers the other columns need names at those
+// rows alone. It is Filtered, without its predicate-only columns, and a
+// block no row of which passes is served as pruned. With no predicates
+// every listed row is served. Closing the result closes src.
+func RowsAt(src ScanSource, rows []int32, need ColSet, preds []LevelPred) ScanSource {
+	r := &rowsAt{src: src, need: need}
+	for _, p := range preds {
+		if !slices.ContainsFunc(r.accepts, func(a accept) bool { return a.hier == p.Hier }) {
+			r.accepts = append(r.accepts, accept{hier: p.Hier, ok: p.Accept})
+		}
+	}
+	base := 0
+	for b, nb := 0, src.Blocks(); b < nb && len(rows) > 0; b++ {
+		end := base + src.BlockRows(b)
+		n := sort.Search(len(rows), func(i int) bool { return int(rows[i]) >= end })
+		for lo := 0; lo < n; {
+			hi := n
+			if nb == 1 {
+				hi = min(n, lo+atBlockRows)
+			}
+			r.parts = append(r.parts, atPart{block: b, base: base, rows: rows[lo:hi]})
+			lo = hi
+		}
+		r.rows += n
+		rows, base = rows[n:], end
+	}
+	return r
+}
+
+func (r *rowsAt) Rows() int           { return r.rows }
+func (r *rowsAt) Blocks() int         { return len(r.parts) }
+func (r *rowsAt) BlockRows(b int) int { return len(r.parts[b].rows) }
+func (r *rowsAt) Close()              { r.src.Close() }
+
+func (r *rowsAt) Block(b int, sc *BlockScratch) (BlockCols, bool, error) {
+	p := r.parts[b]
+	cols, ok, err := r.src.Block(p.block, sc)
+	if err != nil || !ok {
+		return cols, ok, err
+	}
+	if cols.Filtered {
+		return BlockCols{}, false, errors.New("storage: RowsAt over a source opened with predicates")
+	}
+	rows := p.rows
+	if len(r.accepts) > 0 {
+		if rows = r.pass(sc, cols, p); len(rows) == 0 {
+			return BlockCols{}, false, nil
+		}
+	}
+	out := BlockCols{Keys: make([][]int32, len(cols.Keys)), Meas: make([][]float64, len(cols.Meas)), Rows: len(rows), Filtered: len(r.accepts) > 0}
+	for h, col := range cols.Keys {
+		if col != nil && !(out.Filtered && r.need.PredOnlyKey(h)) {
+			out.Keys[h] = gatherAt(sc.KeyBuf(h, len(cols.Keys), out.Rows), col, rows, p.base)
+		}
+	}
+	for m, col := range cols.Meas {
+		if col != nil {
+			out.Meas[m] = gatherAt(sc.MeasBuf(m, len(cols.Meas), out.Rows), col, rows, p.base)
+		}
+	}
+	return out, true, nil
+}
+
+// pass returns the rows of part p that every predicate accepts, in
+// sc.Idx: the first predicate compacts the part's rows into it, later
+// ones compact it in place.
+func (r *rowsAt) pass(sc *BlockScratch, cols BlockCols, p atPart) []int32 {
+	if cap(sc.Idx) < len(p.rows) {
+		sc.Idx = make([]int32, len(p.rows))
+	}
+	sel, from := sc.Idx[:len(p.rows)], p.rows
+	for _, a := range r.accepts {
+		col, n := cols.Keys[a.hier], 0
+		for _, row := range from {
+			sel[n] = row
+			if a.ok[col[int(row)-p.base]] {
+				n++
+			}
+		}
+		sel, from = sel[:n], sel[:n]
+	}
+	return sel
+}
+
+// gatherAt sets dst[j] to col's value at row rows[j] of a block that
+// starts at row base, and returns dst. dst may begin where col does (a
+// block decoded into the same scratch): rows ascend from base, so
+// rows[j]-base >= j and no value is overwritten before it is read.
+func gatherAt[T any](dst, col []T, rows []int32, base int) []T {
+	dst = dst[:len(rows)]
+	for j, r := range rows {
+		dst[j] = col[int(r)-base]
+	}
+	return dst
 }
 
 // trimCols returns the columns without their first n values; columns the
