@@ -298,9 +298,9 @@ func TestSessionCacheDeclareInvalidates(t *testing.T) {
 }
 
 // TestTrackBody walks the contract between the session and a caller that
-// replies with encoded rows: the entry bound to the tracked Body can trade
-// its cube for the rows, tracked callers are then served without a cube,
-// and everyone else still gets one — by evaluating again.
+// replies with encoded rows: the entry a tracked hit was bound to can
+// trade its cube for the rows, tracked callers are then served without a
+// cube, and everyone else still gets one — by evaluating again.
 func TestTrackBody(t *testing.T) {
 	if _, body := newSession(t).TrackBody(context.Background()); body != nil {
 		t.Fatal("a session without a cache tracks a Body")
@@ -326,11 +326,12 @@ func TestTrackBody(t *testing.T) {
 		t.Fatalf("cold exec = (%+v, %q)", res, state)
 	}
 	cells := res.Cube.Len()
-	body.SetLen(64)
-	_, state, body = run(true)
-	rows, filled := body.Rows(func(res *exec.Result, n int) []byte { return make([]byte, n) })
-	if state != qcache.StateHit || len(rows) != 64 || !filled {
-		t.Fatalf("first tracked hit = %q, rows (%d bytes, %v)", state, len(rows), filled)
+	if rows, room := body.Rows(); rows != nil || room != 0 {
+		t.Fatalf("the storing exec's Body = (%d bytes, room %d), want none", len(rows), room)
+	}
+	res, state, body = run(true)
+	if rows, room := body.Rows(); state != qcache.StateHit || res.Cube == nil || rows != nil || room == 0 || !body.Keep(make([]byte, 64)) {
+		t.Fatalf("first tracked hit = (%+v, %q), rows (%d bytes, room %d), or it kept none", res, state, len(rows), room)
 	}
 	res, state, body = run(true)
 	if state != qcache.StateHit || res.Cube != nil || res.Plan == nil || body.Cells() != cells {

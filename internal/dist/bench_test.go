@@ -128,8 +128,9 @@ func runQueries(b *testing.B, c *Coordinator, qs []engine.Query) {
 
 // BenchmarkShardedScan is the full-fanout cost: an unpredicated
 // roll-up over a 4-shard cluster scatter-gathers to every shard and
-// merges the partials — the scatter/encode/decode/merge overhead on
-// top of the same total row count a solo scan pays.
+// merges the partials — the scatter and merge overhead on top of the
+// same total row count a solo scan pays. Its workers are in-process, so
+// no reply is framed.
 func BenchmarkShardedScan(b *testing.B) {
 	coord, s := benchCluster(b, 4)
 	q := engine.Query{

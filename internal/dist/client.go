@@ -1,7 +1,7 @@
-// Shard clients: how the coordinator reaches a shard's worker. The
-// in-process LocalClient round-trips through the same binary wire
-// format as the HTTP client, so tests and benchmarks exercise exactly
-// the remote encode/decode path.
+// Shard clients: how the coordinator reaches a shard's worker. A result
+// is serialized only where it leaves the process: the HTTPClient reads
+// ADP1 frames (EncodeResponse, DecodeResponse), and the in-process
+// LocalClient hands the worker's partial over by reference.
 package dist
 
 import (
@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/assess-olap/assess/internal/cube"
+	"github.com/assess-olap/assess/internal/engine"
 	"github.com/assess-olap/assess/internal/mdm"
 )
 
@@ -29,9 +30,9 @@ type ShardClient interface {
 	Target() string
 }
 
-// LocalClient calls an in-process worker directly, still passing
-// partials through EncodeResponse/DecodeResponse so in-process clusters
-// share the remote path's semantics.
+// LocalClient calls an in-process worker directly. The worker's partial
+// crosses no boundary, so it is not framed: its columns move, uncopied,
+// onto the coordinator's schema.
 type LocalClient struct {
 	Worker *Worker
 	Name   string
@@ -58,10 +59,16 @@ func (c *LocalClient) Scan(ctx context.Context, req *ScanRequest, s *mdm.Schema)
 		return 0, nil, err
 	}
 	gen, pc, err := c.Worker.Scan(ctx, req)
-	if err != nil {
-		return 0, nil, err
+	if err == nil {
+		pc, err = adopt(s, req, pc)
 	}
-	return DecodeResponse(s, mdm.GroupBy(req.Group), req.Names, EncodeResponse(gen, pc))
+	return gen, pc, err
+}
+
+// adopt moves a worker's partial for req, columns and all, onto the
+// coordinator's schema s, which may be another object with the same ids.
+func adopt(s *mdm.Schema, req *ScanRequest, pc *cube.Cube) (*cube.Cube, error) {
+	return cube.Build(s, mdm.GroupBy(req.Group), req.Names, pc.Len(), pc.Keys, pc.Cols)
 }
 
 func (c *LocalClient) Append(ctx context.Context, fact string, keys []int32, vals []float64) (uint64, error) {
@@ -112,7 +119,7 @@ const (
 // the ADP1 header plus one row for every key of the group-by's key space
 // over the coordinator's dictionaries.
 func scanReplyLimit(req *ScanRequest, s *mdm.Schema) int64 {
-	rowBytes := int64(4*len(req.Group) + 8*len(req.Names))
+	rowBytes := int64(engine.RowBytes(len(req.Group), len(req.Names)))
 	rows := int64(1)
 	for _, ref := range req.Group {
 		card := int64(max(s.Dict(ref).Len(), 1))

@@ -197,7 +197,7 @@ const respHeader = 4 + 8 + 12
 // EncodeResponse serializes a worker's partial cube: the ADP1 header,
 // then the cells in the engine's row codec (engine.AppendRows).
 func EncodeResponse(gen uint64, c *cube.Cube) []byte {
-	buf := make([]byte, 0, respHeader+c.Len()*(4*len(c.Group)+8*len(c.Cols)))
+	buf := make([]byte, 0, respHeader+c.Len()*engine.RowBytes(len(c.Group), len(c.Cols)))
 	buf = append(buf, respMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, gen)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.Group)))
@@ -222,7 +222,7 @@ func DecodeResponse(s *mdm.Schema, g mdm.GroupBy, names []string, buf []byte) (u
 	if ncoord != len(g) || ncols != len(names) {
 		return 0, nil, fmt.Errorf("dist: response shape %dx%d, want %dx%d", ncoord, ncols, len(g), len(names))
 	}
-	rowBytes := 4*ncoord + 8*ncols
+	rowBytes := engine.RowBytes(ncoord, ncols)
 	body := buf[respHeader:]
 	if len(body) != nrows*rowBytes || (rowBytes == 0 && nrows > 1) {
 		return 0, nil, fmt.Errorf("dist: response body %d bytes for %d rows of %d", len(body), nrows, rowBytes)

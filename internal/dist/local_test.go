@@ -235,7 +235,10 @@ func TestLocalShardMatchesSplit(t *testing.T) {
 // TestLocalClusterHoldsNoCopy: adding a 300 000-row SSB fact to a
 // 2-shard local cluster allocates the shards' row positions, 4 B a row,
 // and a fixed slack besides — not the 40 B a row of a copy. Measured as
-// the growth of the process's cumulative allocation, with no timer.
+// the growth of the process's cumulative allocation, with no timer. A
+// scan's partial is not copied either: the shard's client hands the
+// worker's key and measure columns over as they are, on the
+// coordinator's schema, which need not be the worker's object.
 func TestLocalClusterHoldsNoCopy(t *testing.T) {
 	const slack = 64 << 10
 	ds := ssb.Generate(0.05, 42)
@@ -252,6 +255,39 @@ func TestLocalClusterHoldsNoCopy(t *testing.T) {
 		t.Fatalf("AddFact of %d rows allocated %d B (%.1f B a row), want at most %d", rows, got, float64(got)/float64(rows), limit)
 	}
 	t.Logf("AddFact of %d rows allocated %d B (%.2f B a row)", rows, got, float64(got)/float64(rows))
+
+	coordSchema := mdm.NewSchema(ds.Schema.Name, ds.Schema.Hiers, ds.Schema.Measures)
+	req := &ScanRequest{Fact: "LINEORDER", Group: mdm.MustGroupBy(ds.Schema, "cnation", "year"),
+		Measures: []int{0, 1}, Ops: []int{int(mdm.AggSum), int(mdm.AggCount)}, Names: []string{"sum", "n"}}
+	_, pc, err := lc.Workers[0].Scan(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := adopt(coordSchema, req, pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if part.Schema != coordSchema || part.Len() != pc.Len() || pc.Len() == 0 {
+		t.Fatalf("adopted partial: schema %p (want %p), %d cells of %d", part.Schema, coordSchema, part.Len(), pc.Len())
+	}
+	for p := range pc.Keys {
+		if &part.Keys[p][0] != &pc.Keys[p][0] {
+			t.Errorf("key column %d was copied", p)
+		}
+	}
+	for j := range pc.Cols {
+		if &part.Cols[j][0] != &pc.Cols[j][0] {
+			t.Errorf("measure column %d was copied", j)
+		}
+	}
+	_, viaClient, err := lc.Clients()[0][0].Scan(context.Background(), req, coordSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if viaClient.Schema != coordSchema {
+		t.Errorf("client reply on schema %p, want the coordinator's %p", viaClient.Schema, coordSchema)
+	}
+	diffCubes(t, "client reply", pc, viaClient)
 }
 
 // TestLocalShardScanBesideAppend scans local shards, directly and through

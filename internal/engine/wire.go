@@ -13,15 +13,19 @@ import (
 // The wire format models the DBMS cursor boundary: a result set crossing
 // from the engine to the client is encoded row by row (coordinate member
 // ids as int32, measure values as IEEE-754 bits) and decoded into a fresh
-// client-side cube. The byte cost is 4·|G| + 8·|M| per cell, which makes
-// the transfer volume of a plan a genuine, measurable cost rather than a
+// client-side cube. The byte cost is RowBytes per cell, which makes the
+// transfer volume of a plan a genuine, measurable cost rather than a
 // simulated delay.
 
+// RowBytes is the length of one cell in the row codec, 4·|G| + 8·|M|:
+// levels member ids and measures values.
+func RowBytes(levels, measures int) int { return 4*levels + 8*measures }
+
 // AppendRows appends the wire form of every cell of c to buf. It is the
-// one row codec: the shard RPC of internal/dist frames the same bytes
-// behind its own header.
+// one row codec: the HTTP shard RPC of internal/dist frames the same
+// bytes behind its own header.
 func AppendRows(buf []byte, c *cube.Cube) []byte {
-	buf = slices.Grow(buf, (4*len(c.Group)+8*len(c.Cols))*c.Len())
+	buf = slices.Grow(buf, RowBytes(len(c.Group), len(c.Cols))*c.Len())
 	for i := range c.Len() {
 		for _, col := range c.Keys {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(col[i]))
@@ -39,7 +43,7 @@ func AppendRows(buf []byte, c *cube.Cube) []byte {
 // cannot be counted, so bytes for zero levels and zero measures decode to
 // no cells.
 func DecodeRows(s *mdm.Schema, g mdm.GroupBy, names []string, buf []byte) (*cube.Cube, error) {
-	rowLen := 4*len(g) + 8*len(names)
+	rowLen := RowBytes(len(g), len(names))
 	if rowLen == 0 {
 		return cube.New(s, g, names...), nil
 	}

@@ -112,23 +112,3 @@ func eval(e semantic.Expr, c *cube.Cube) (value, error) {
 	}
 	return value{}, fmt.Errorf("unsupported expression %T", e)
 }
-
-// exprIsHolistic reports whether evaluating the expression requires a
-// whole-column scan (mirrors the plan package's classification). Holistic
-// results can depend on row order through tie-breaking, so the executor
-// canonicalizes the cube before evaluating them.
-func exprIsHolistic(e semantic.Expr) bool {
-	call, ok := e.(*semantic.CallExpr)
-	if !ok {
-		return false
-	}
-	if call.Fn.HolFn != nil {
-		return true
-	}
-	for _, a := range call.Args {
-		if exprIsHolistic(a) {
-			return true
-		}
-	}
-	return false
-}

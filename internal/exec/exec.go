@@ -18,6 +18,7 @@ import (
 	"github.com/assess-olap/assess/internal/mdm"
 	"github.com/assess-olap/assess/internal/obsv"
 	"github.com/assess-olap/assess/internal/plan"
+	"github.com/assess-olap/assess/internal/semantic"
 )
 
 // Per-stage latency histograms (assess_stage_seconds{stage=...}), one
@@ -88,13 +89,13 @@ func engineSide(k plan.OpKind) bool {
 	return false
 }
 
-// wireBytes estimates a cube's size on the cursor wire: 4·|G| + 8·|M|
-// per cell (the encoding of wire.go).
+// wireBytes estimates a cube's size on the cursor wire (engine.RowBytes
+// per cell).
 func wireBytes(c *cube.Cube) int64 {
 	if c == nil {
 		return 0
 	}
-	return int64((4*len(c.Group) + 8*len(c.Cols)) * c.Len())
+	return int64(engine.RowBytes(len(c.Group), len(c.Cols)) * c.Len())
 }
 
 // Breakdown is the per-phase execution time of one plan run.
@@ -315,7 +316,7 @@ func runOp(ctx context.Context, e *engine.Engine, p *plan.Plan, op *plan.Op, cub
 		// value ties by row order, and row order differs between plan
 		// shapes and between serial and partitioned scans. Canonicalize
 		// first so every evaluation strategy labels ties identically.
-		if exprIsHolistic(op.Expr) {
+		if semantic.Holistic(op.Expr) {
 			c.SortByCoordinate()
 		}
 		col, err := evalColumn(op.Expr, c)

@@ -104,8 +104,8 @@ type axis struct {
 }
 
 // oracleShardCounts rotates the sharded axis' cluster size by seed:
-// a 1-shard cluster pins the degenerate wire round trip, the larger
-// counts exercise genuine cross-shard merges. Over a wide sweep every
+// a 1-shard cluster pins the degenerate fan-out of one reply, the
+// larger counts exercise genuine cross-shard merges. Over a wide sweep every
 // count is hit many times.
 var oracleShardCounts = []int{1, 2, 3, 5}
 

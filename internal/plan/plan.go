@@ -509,7 +509,7 @@ func (op *Op) describe(p *Plan) string {
 			op.SrcA, b.Schema.LevelName(op.Level), b.Schema.Dict(op.Level).Name(op.Ref))
 	case OpTransform:
 		kind := "⊟"
-		if exprIsHolistic(op.Expr) {
+		if semantic.Holistic(op.Expr) {
 			kind = "⊡"
 		}
 		return fmt.Sprintf("%s transform %s: %s%s", kind, op.Dst, op.OutCol, noteSuffix(op))
@@ -544,21 +544,4 @@ func describeQuery(b *semantic.Bound, q engine.Query) string {
 		sel = "; " + strings.Join(preds, ", ")
 	}
 	return fmt.Sprintf("[(%s, %s%s)]", q.Fact, q.Group.String(schema), sel)
-}
-
-// exprIsHolistic reports whether the expression needs a holistic scan.
-func exprIsHolistic(e semantic.Expr) bool {
-	call, ok := e.(*semantic.CallExpr)
-	if !ok {
-		return false
-	}
-	if call.Fn.HolFn != nil {
-		return true
-	}
-	for _, a := range call.Args {
-		if exprIsHolistic(a) {
-			return true
-		}
-	}
-	return false
 }

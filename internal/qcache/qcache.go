@@ -26,10 +26,14 @@
 // evaluate and leave no ghost.
 //
 // An entry can also keep the encoded rows its result is served as (Body):
-// bytes a server builds the first time the entry is hit, charged to the
-// same budget and dropped with the entry. They take the place of the
-// result's cube, so only callers that track a Body are served from such an
-// entry; for everyone else it is a miss, and the evaluation replaces it.
+// the bytes the reply of the entry's first hit streamed after its header,
+// handed over once that reply completed, charged to the same budget and
+// dropped with the entry. Rows are kept, like results, once reuse is
+// shown: the result at its second evaluation, its rows at its first hit,
+// so traffic that never hits keeps results the size of their cubes, not
+// of their rows. The rows take the place of the result's cube, so only
+// callers that track a Body are served from such an entry; for everyone
+// else it is a miss, and the evaluation replaces it.
 //
 // Cached *exec.Result values and rows are shared between callers and must
 // be treated as read-only.
@@ -92,12 +96,8 @@ type entry struct {
 	// and has no Cube, and cells remembers how many cells there were.
 	res   *exec.Result
 	cells int
-	// bodyLen is the length of the encoded rows, known once a reply has
-	// streamed them (Body.SetLen); body is those bytes, kept from the
-	// first hit after that; filling marks the one caller encoding them.
-	bodyLen int64
-	body    []byte
-	filling bool
+	body  []byte // the encoded rows, once a reply kept them (Body.Keep)
+	unfit bool   // a reply found they do not fit the budget
 }
 
 // call is one in-flight evaluation that concurrent identical statements
@@ -162,9 +162,9 @@ func (c *Cache) Do(key Key, gen uint64, eval func() (*exec.Result, error)) (*exe
 // (entry without a cube, of no use to a caller that tracks no Body) or
 // "join" (waited on a concurrent identical evaluation).
 //
-// When the context tracks a Body (TrackBody), the entry that answers the
-// call, hit or freshly stored, is bound to it, and a hit may return a
-// result whose Cube is nil: the Body then has the rows and the cell count.
+// When the context tracks a Body (TrackBody), the entry a hit found is
+// bound to it, and the hit may return a result whose Cube is nil: the
+// Body then has the rows and the cell count.
 func (c *Cache) DoContext(ctx context.Context, key Key, gen uint64, eval func() (*exec.Result, error)) (*exec.Result, State, error) {
 	_, probe := obsv.StartSpan(ctx, "cache.probe")
 	body, _ := ctx.Value(bodyKey{}).(*Body)
@@ -244,10 +244,7 @@ func (c *Cache) DoContext(ctx context.Context, key Key, gen uint64, eval func() 
 	cl.res, cl.err = res, err
 	if err == nil {
 		_, st := obsv.StartSpan(ctx, "cache.store")
-		e := c.store(key, res, gen)
-		if body != nil {
-			body.c, body.e = c, e
-		}
+		c.store(key, res, gen)
 		st.End()
 	}
 	return res, StateMiss, err
@@ -265,19 +262,18 @@ func (c *Cache) Peek(key Key, gen uint64) bool {
 // store inserts the result at the front of the LRU and evicts from its
 // tail until the cache is within budget. A result larger than the whole
 // budget is not cached and counts as rejected; one whose key was not
-// evaluated before at gen is not cached and counts as deferred. Either way
-// store returns nil.
-func (c *Cache) store(key Key, res *exec.Result, gen uint64) *entry {
+// evaluated before at gen is not cached and counts as deferred.
+func (c *Cache) store(key Key, res *exec.Result, gen uint64) {
 	e := &entry{key: key, res: res, gen: gen, size: resultBytes(res), cells: res.Cube.Len()}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e.size > c.stats.BudgetBytes {
 		c.stats.Rejected++
-		return nil
+		return
 	}
 	if !c.seen(key, gen) {
 		c.stats.Deferred++
-		return nil
+		return
 	}
 	if el, ok := c.index[key]; ok {
 		c.remove(el) // replaced by a fresher evaluation
@@ -287,7 +283,6 @@ func (c *Cache) store(key Key, res *exec.Result, gen uint64) *entry {
 	c.stats.Entries++
 	c.stats.Bytes += e.size
 	c.evictFor(el)
-	return e
 }
 
 // seen reports whether key's ghost at gen is in its slot, and leaves it
@@ -328,13 +323,12 @@ func (c *Cache) remove(el *list.Element) {
 	c.stats.BodyBytes -= int64(cap(e.body))
 }
 
-// Body is one request's handle on the cache entry that answered it, for a
-// caller that replies with encoded rows — a server — and so can be served
-// from an entry that keeps those instead of the cube. The caller tracks
-// one in the context it executes under; DoContext binds it to the entry
-// it hit or stored. A nil Body, and one that no entry was bound to (no
-// cache, a joined evaluation, a rejected result), has no rows and ignores
-// SetLen.
+// Body is one request's handle on the cache entry its statement hit, for
+// a caller that replies with encoded rows — a server — and so can be
+// served from an entry that keeps those instead of the cube. The caller
+// tracks one in the context it executes under; DoContext binds it to the
+// entry a hit found. A nil Body, and one that no entry was bound to (no
+// cache, a miss, a joined evaluation), has no rows and keeps none.
 type Body struct {
 	c *Cache
 	e *entry
@@ -348,69 +342,57 @@ func TrackBody(ctx context.Context) (context.Context, *Body) {
 	return context.WithValue(ctx, bodyKey{}, b), b
 }
 
-// SetLen records how long the encoded rows of the entry's result are, as
-// measured by a reply that just streamed them: what a later hit needs to
-// build them in one allocation.
-func (b *Body) SetLen(n int) {
-	if b == nil || b.e == nil {
-		return
-	}
-	b.c.mu.Lock()
-	b.e.bodyLen = int64(n)
-	b.c.mu.Unlock()
-}
-
 // Cells is the cell count of the entry's result, for a hit whose result
 // came without its cube.
 func (b *Body) Cells() int { return b.e.cells }
 
-// Rows returns the encoded rows kept with the entry, for a caller whose
-// statement hit it. If the entry has none yet, knows their length n
-// (SetLen) and they fit the budget, fill(res, n) is called — outside the
-// lock, by one caller at a time per entry — to encode them from the
-// entry's result. The bytes then replace the result's cube in the entry
-// and are charged to it, evicting from the LRU tail as a store does, and
-// filled is true. Nil rows tell the caller to encode the result it was
-// handed: the length is not known yet, the rows cannot fit, or another
-// caller is encoding them right now.
-func (b *Body) Rows(fill func(res *exec.Result, n int) []byte) (rows []byte, filled bool) {
+// Rows returns the encoded rows kept with the entry. When it keeps none
+// yet, room is the most bytes of rows it could take (the budget), and
+// the caller may hand over the rows it writes with Keep; room is 0 for a
+// Body no entry was bound to, and for an entry whose rows do not fit.
+func (b *Body) Rows() (rows []byte, room int64) {
 	if b == nil || b.e == nil {
-		return nil, false
+		return nil, 0
+	}
+	b.c.mu.Lock()
+	defer b.c.mu.Unlock()
+	if b.e.body != nil || b.e.unfit {
+		return b.e.body, 0
+	}
+	return nil, b.c.stats.BudgetBytes
+}
+
+// Keep hands the entry rows, the encoded form of its result as a reply
+// that completed just wrote it. They replace the result's cube in the
+// entry and are charged to it, evicting from the LRU tail as a store
+// does. They are dropped, and Keep reports false, when the entry already
+// keeps rows, has left the cache, or cannot fit them. Rows that cannot
+// fit, and nil rows (a reply whose rows outgrew the room Rows gave it),
+// leave the entry with no room, so no later reply copies them again.
+func (b *Body) Keep(rows []byte) bool {
+	if b == nil || b.e == nil {
+		return false
 	}
 	c, e := b.c, b.e
 	c.mu.Lock()
-	if e.body != nil || e.filling || e.bodyLen == 0 || e.bodyLen > c.stats.BudgetBytes {
-		rows = e.body
-		c.mu.Unlock()
-		return rows, false
-	}
-	e.filling = true
-	res, n := e.res, int(e.bodyLen)
-	c.mu.Unlock()
-
-	rows = fill(res, n)
-
-	c.mu.Lock()
 	defer c.mu.Unlock()
-	e.filling = false
-	if rows == nil {
-		return nil, false
+	el, ok := c.index[e.key]
+	if !ok || el.Value.(*entry) != e || e.body != nil {
+		return false
 	}
-	// The entry may have been evicted or invalidated while fill ran; the
-	// bytes still answer this caller, they are just not kept.
-	if el, ok := c.index[e.key]; ok && el.Value.(*entry) == e {
-		head := *res
-		head.Cube = nil
-		size := resultBytes(&head) + int64(cap(rows))
-		if size <= c.stats.BudgetBytes {
-			e.res, e.body = &head, rows
-			c.stats.Bytes += size - e.size
-			c.stats.BodyBytes += int64(cap(rows))
-			e.size = size
-			c.evictFor(el)
-		}
+	head := *e.res
+	head.Cube = nil
+	size := resultBytes(&head) + int64(cap(rows))
+	if rows == nil || size > c.stats.BudgetBytes {
+		e.unfit = true
+		return false
 	}
-	return rows, true
+	e.res, e.body = &head, rows
+	c.stats.Bytes += size - e.size
+	c.stats.BodyBytes += int64(cap(rows))
+	e.size = size
+	c.evictFor(el)
+	return true
 }
 
 // Stats snapshots the counters.

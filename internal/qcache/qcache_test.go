@@ -407,61 +407,65 @@ func tracked(t *testing.T, c *qcache.Cache, key qcache.Key, gen uint64, res *exe
 	return got, state, body
 }
 
-// rowsOf is a fill that "encodes" n bytes and counts its calls.
-func rowsOf(calls *atomic.Int32) func(*exec.Result, int) []byte {
-	return func(res *exec.Result, n int) []byte {
-		calls.Add(1)
-		if res.Cube == nil {
-			panic("fill was handed a result without its cube")
-		}
-		return bytes.Repeat([]byte{'r'}, n)
+// streamed is the rows of n bytes a hit's reply hands its entry.
+func streamed(n int) []byte { return bytes.Repeat([]byte{'r'}, n) }
+
+// hit is a tracked hit on key's entry at gen, and its Body.
+func hit(t *testing.T, c *qcache.Cache, key qcache.Key, gen uint64) *qcache.Body {
+	t.Helper()
+	_, state, body := tracked(t, c, key, gen, nil)
+	if state != qcache.StateHit {
+		t.Fatalf("Do = %q, want a hit", state)
 	}
+	return body
 }
 
-// TestBodyLifecycle walks one entry through miss, measured length, the
-// first hit that fills the rows, and the hits served from them.
+// TestBodyLifecycle walks one entry through the storing miss, the first
+// hit, whose reply keeps its rows, and the hits served from them.
 func TestBodyLifecycle(t *testing.T) {
 	c := qcache.New(1 << 20)
 	key := testKey(1, 1)
 	res := fakeResult(t, 100)
-	var fills atomic.Int32
-	fill := rowsOf(&fills)
 
 	sight(t, c, key, 1)
-	got, state, body := tracked(t, c, key, 1, res)
+	got, state, miss := tracked(t, c, key, 1, res)
 	if got != res || state != qcache.StateMiss {
 		t.Fatalf("first Do = (%p, %q)", got, state)
 	}
 	cubeBytes := c.Stats().Bytes
-	// A hit before any reply measured the rows has nothing to size them by.
-	_, _, early := tracked(t, c, key, 1, nil)
-	if rows, filled := early.Rows(fill); rows != nil || filled || fills.Load() != 0 {
-		t.Fatalf("rows before SetLen = (%d bytes, %v), %d fills", len(rows), filled, fills.Load())
+	// A miss is bound to no entry: its reply keeps nothing.
+	if rows, room := miss.Rows(); rows != nil || room != 0 || miss.Keep(streamed(5000)) {
+		t.Fatalf("rows of the storing miss = (%d bytes, room %d), or it kept some", len(rows), room)
 	}
-	body.SetLen(5000)
-
-	got, state, hit := tracked(t, c, key, 1, nil)
+	// The first hits get the cube, and room for the rows.
+	got, state, first := tracked(t, c, key, 1, nil)
 	if got != res || state != qcache.StateHit {
-		t.Fatalf("first measured hit = (%p, %q), want the evaluated result", got, state)
+		t.Fatalf("first hit = (%p, %q), want the evaluated result", got, state)
 	}
-	rows, filled := hit.Rows(fill)
-	if len(rows) != 5000 || !filled || fills.Load() != 1 {
-		t.Fatalf("first hit rows = (%d bytes, %v), %d fills", len(rows), filled, fills.Load())
+	early := hit(t, c, key, 1)
+	if rows, room := first.Rows(); rows != nil || room != 1<<20 {
+		t.Fatalf("rows at the first hit = (%d bytes, room %d), want none and the budget", len(rows), room)
+	}
+	rows := streamed(5000)
+	if !first.Keep(rows) {
+		t.Fatal("the first hit's rows were not kept")
 	}
 	st := c.Stats()
 	if st.BodyBytes != 5000 || st.Bytes < 5000 || st.Bytes >= cubeBytes+5000 || st.Entries != 1 {
-		t.Fatalf("after the fill (cube was %d bytes): %+v", cubeBytes, st)
+		t.Fatalf("after keeping the rows (cube was %d bytes): %+v", cubeBytes, st)
+	}
+	if early.Keep(streamed(5000)) || c.Stats().BodyBytes != 5000 {
+		t.Fatal("a second copy of the rows was kept")
 	}
 
 	// Later hits get a result without its cube, the cell count and the
-	// very same bytes; nothing is encoded again.
+	// very same bytes.
 	got, state, later := tracked(t, c, key, 1, nil)
 	if state != qcache.StateHit || got == nil || got.Cube != nil || later.Cells() != 100 {
 		t.Fatalf("later hit = (%+v, %q), cells %d", got, state, later.Cells())
 	}
-	again, filled := later.Rows(fill)
-	if &again[0] != &rows[0] || len(again) != len(rows) || filled || fills.Load() != 1 {
-		t.Fatalf("later hit rows = (%d bytes, %v), %d fills", len(again), filled, fills.Load())
+	if again, room := later.Rows(); &again[0] != &rows[0] || len(again) != len(rows) || room != 0 {
+		t.Fatalf("later hit rows = (%d bytes, room %d)", len(again), room)
 	}
 
 	// A caller that tracks no Body needs the cube: the entry is no use to
@@ -480,15 +484,12 @@ func TestBodyLifecycle(t *testing.T) {
 // their entry, and an eviction takes them along.
 func TestBodyDroppedWithEntry(t *testing.T) {
 	c := qcache.New(64 << 10)
-	var fills atomic.Int32
 	keep := func(key qcache.Key, gen uint64) {
 		t.Helper()
 		sight(t, c, key, gen)
-		_, _, body := tracked(t, c, key, gen, fakeResult(t, 40))
-		body.SetLen(2000)
-		_, _, hit := tracked(t, c, key, gen, nil)
-		if rows, filled := hit.Rows(rowsOf(&fills)); rows == nil || !filled {
-			t.Fatal("rows not filled")
+		tracked(t, c, key, gen, fakeResult(t, 40))
+		if !hit(t, c, key, gen).Keep(streamed(2000)) {
+			t.Fatal("rows not kept")
 		}
 	}
 	keep(testKey(1, 1), 1)
@@ -497,11 +498,11 @@ func TestBodyDroppedWithEntry(t *testing.T) {
 	}
 	res := fakeResult(t, 40)
 	sight(t, c, testKey(1, 1), 2)
-	got, state, body := tracked(t, c, testKey(1, 1), 2, res)
+	got, state, _ := tracked(t, c, testKey(1, 1), 2, res)
 	if got != res || state != qcache.StateMiss {
 		t.Fatalf("Do under a newer generation = (%p, %q), want a miss", got, state)
 	}
-	if rows, _ := body.Rows(rowsOf(&fills)); rows != nil {
+	if rows, _ := hit(t, c, testKey(1, 1), 2).Rows(); rows != nil {
 		t.Fatal("rows survived their entry's invalidation")
 	}
 	if st := c.Stats(); st.BodyBytes != 0 || st.Entries != 1 {
@@ -520,33 +521,32 @@ func TestBodyDroppedWithEntry(t *testing.T) {
 }
 
 // TestBodyUnderBudget: result plus rows stay under the budget — keeping
-// rows evicts from the LRU tail, and rows that cannot fit are not kept
-// (nor encoded into the cache at all when their length already says so).
+// rows evicts from the LRU tail, and rows that cannot fit are not kept,
+// nor copied by any later reply.
 func TestBodyUnderBudget(t *testing.T) {
 	const budget = 64 << 10
 	c := qcache.New(budget)
-	var fills atomic.Int32
 	for head := byte(1); head <= 4; head++ {
 		sight(t, c, testKey(head, 0), 1)
 	}
 	tracked(t, c, testKey(1, 0), 1, fakeResult(t, 1000)) // ~16 KiB, the oldest
-	_, _, b := tracked(t, c, testKey(2, 0), 1, fakeResult(t, 100))
-	_, _, big := tracked(t, c, testKey(3, 0), 1, fakeResult(t, 1000))
+	tracked(t, c, testKey(2, 0), 1, fakeResult(t, 100))
+	tracked(t, c, testKey(3, 0), 1, fakeResult(t, 1000))
 	if st := c.Stats(); st.Entries != 3 || st.Evictions != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
+	b, big := hit(t, c, testKey(2, 0), 1), hit(t, c, testKey(3, 0), 1)
 
-	big.SetLen(budget + 1)
-	_, _, hit := tracked(t, c, testKey(3, 0), 1, nil)
-	if rows, filled := hit.Rows(rowsOf(&fills)); rows != nil || filled || fills.Load() != 0 {
-		t.Fatalf("rows longer than the budget = (%d bytes, %v), %d fills", len(rows), filled, fills.Load())
+	if big.Keep(streamed(budget + 1)) {
+		t.Fatal("rows longer than the budget were kept")
+	}
+	if rows, room := hit(t, c, testKey(3, 0), 1).Rows(); rows != nil || room != 0 {
+		t.Fatalf("rows that do not fit = (%d bytes, room %d), want no room for another copy", len(rows), room)
 	}
 
 	// Half the budget in rows on top of two 16 KiB results: the oldest goes.
-	b.SetLen(budget / 2)
-	_, _, hit = tracked(t, c, testKey(2, 0), 1, nil)
-	if rows, filled := hit.Rows(rowsOf(&fills)); len(rows) != budget/2 || !filled {
-		t.Fatalf("rows = (%d bytes, %v)", len(rows), filled)
+	if !b.Keep(streamed(budget / 2)) {
+		t.Fatal("rows that fit were not kept")
 	}
 	st := c.Stats()
 	if st.Bytes > budget || st.Entries != 2 || st.Evictions != 1 || st.BodyBytes != budget/2 ||
@@ -554,37 +554,36 @@ func TestBodyUnderBudget(t *testing.T) {
 		t.Fatalf("after keeping large rows: %+v", st)
 	}
 
-	// The length is a promise, not a proof: a fill that comes back larger
-	// than fits still answers its caller and is not kept.
-	_, _, small := tracked(t, c, testKey(4, 0), 1, fakeResult(t, 10))
-	small.SetLen(100)
-	_, _, hit = tracked(t, c, testKey(4, 0), 1, nil)
-	rows, filled := hit.Rows(func(*exec.Result, int) []byte { return make([]byte, budget) })
-	if len(rows) != budget || !filled {
-		t.Fatalf("oversized fill = (%d bytes, %v), want it handed to the caller", len(rows), filled)
+	// A reply whose rows outgrew the room it was given hands over none,
+	// and the entry gives no room again. (A hit first makes b the most
+	// recent entry, so storing this one evicts the other.)
+	hit(t, c, testKey(2, 0), 1)
+	tracked(t, c, testKey(4, 0), 1, fakeResult(t, 10))
+	if hit(t, c, testKey(4, 0), 1).Keep(nil) {
+		t.Fatal("no rows were kept")
+	}
+	if rows, room := hit(t, c, testKey(4, 0), 1).Rows(); rows != nil || room != 0 {
+		t.Fatalf("rows that outgrew their room = (%d bytes, room %d)", len(rows), room)
 	}
 	if st := c.Stats(); st.Bytes > budget || st.BodyBytes != budget/2 {
-		t.Fatalf("oversized fill was kept: %+v", st)
+		t.Fatalf("after the rows that outgrew their room: %+v", st)
 	}
 }
 
-// TestBodyEvictedDuringFill: the entry goes away while its rows are being
-// encoded; the caller still gets them, the cache does not account them.
+// TestBodyEvictedDuringFill: the entry goes away while a reply streams its
+// rows; the reply has been answered, and the cache neither keeps nor
+// accounts them.
 func TestBodyEvictedDuringFill(t *testing.T) {
 	c := qcache.New(1 << 20)
 	key := testKey(1, 1)
 	sight(t, c, key, 1)
-	_, _, body := tracked(t, c, key, 1, fakeResult(t, 40))
-	body.SetLen(1000)
-	_, _, hit := tracked(t, c, key, 1, nil)
-	rows, filled := hit.Rows(func(res *exec.Result, n int) []byte {
-		// A newer generation replaces the entry mid-fill.
-		sight(t, c, key, 2)
-		tracked(t, c, key, 2, fakeResult(t, 40))
-		return make([]byte, n)
-	})
-	if len(rows) != 1000 || !filled {
-		t.Fatalf("rows = (%d bytes, %v)", len(rows), filled)
+	tracked(t, c, key, 1, fakeResult(t, 40))
+	body := hit(t, c, key, 1)
+	// A newer generation replaces the entry mid-reply.
+	sight(t, c, key, 2)
+	tracked(t, c, key, 2, fakeResult(t, 40))
+	if body.Keep(streamed(1000)) {
+		t.Fatal("rows of a removed entry were kept")
 	}
 	if st := c.Stats(); st.BodyBytes != 0 || st.Entries != 1 {
 		t.Fatalf("rows of a removed entry were accounted: %+v", st)
@@ -595,18 +594,19 @@ func TestBodyEvictedDuringFill(t *testing.T) {
 	}
 }
 
-// TestBodyFirstHitConcurrent: 8 callers take the first measured hit of
-// one entry at once. One of them encodes the rows; the rest either encode
-// for themselves (nil rows) or are served the kept bytes. Run with -race.
+// TestBodyFirstHitConcurrent: 8 callers hit one entry that keeps no rows
+// yet, at once. Each is either served the kept bytes or replies from the
+// cube and hands its rows over; exactly one hand-over is kept. Run with
+// -race.
 func TestBodyFirstHitConcurrent(t *testing.T) {
 	c := qcache.New(1 << 20)
 	key := testKey(7, 7)
-	res := fakeResult(t, 200)
 	sight(t, c, key, 1)
-	_, _, body := tracked(t, c, key, 1, res)
-	body.SetLen(4096)
+	if _, _, err := c.Do(key, 1, func() (*exec.Result, error) { return fakeResult(t, 200), nil }); err != nil {
+		t.Fatal(err)
+	}
 
-	var fills atomic.Int32
+	var keeps atomic.Int32
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	got := make([][]byte, 8)
@@ -621,27 +621,27 @@ func TestBodyFirstHitConcurrent(t *testing.T) {
 				t.Errorf("Do = (%q, %v)", state, err)
 				return
 			}
-			rows, _ := body.Rows(rowsOf(&fills))
-			if rows == nil && r.Cube == nil {
-				t.Error("neither rows nor cube to reply from")
+			rows, room := body.Rows()
+			switch {
+			case rows != nil:
+				got[g] = rows
+			case r.Cube == nil || room == 0:
+				t.Error("neither rows nor a cube and room to reply from")
+			case body.Keep(streamed(4096)):
+				keeps.Add(1)
 			}
-			got[g] = rows
 		}()
 	}
 	close(start)
 	wg.Wait()
-	if n := fills.Load(); n != 1 {
-		t.Fatalf("%d fills, want exactly 1", n)
+	if n := keeps.Load(); n != 1 {
+		t.Fatalf("%d hand-overs kept, want exactly 1", n)
 	}
-	var kept []byte
+	kept, _ := hit(t, c, key, 1).Rows()
 	for _, rows := range got {
-		if rows == nil {
-			continue
-		}
-		if kept != nil && &rows[0] != &kept[0] {
+		if rows != nil && &rows[0] != &kept[0] {
 			t.Fatal("two callers were served different rows")
 		}
-		kept = rows
 	}
 	if st := c.Stats(); kept == nil || st.BodyBytes != int64(cap(kept)) || st.Entries != 1 {
 		t.Fatalf("kept %d bytes, stats %+v", len(kept), st)

@@ -119,6 +119,25 @@ type CallExpr struct {
 
 func (*CallExpr) exprNode() {}
 
+// Holistic reports whether evaluating e needs a whole-column scan: some
+// call in it has a holistic form (rank, quantile-style normalizations).
+// Holistic results can depend on row order through tie-breaking.
+func Holistic(e Expr) bool {
+	call, ok := e.(*CallExpr)
+	if !ok {
+		return false
+	}
+	if call.Fn.HolFn != nil {
+		return true
+	}
+	for _, a := range call.Args {
+		if Holistic(a) {
+			return true
+		}
+	}
+	return false
+}
+
 // NumberExpr is a numeric literal.
 type NumberExpr struct{ Value float64 }
 

@@ -37,8 +37,9 @@ func rowsMember(t testing.TB, body []byte) []byte {
 }
 
 // TestRetainedRowsMatchStreamedBody runs encode_test.go's hostile table
-// through the retained path: rows encoded once into an allocation of the
-// measured length, then written behind each header.
+// through the retained path: rows copied as a miss streams them, into one
+// allocation of their length, then written behind each header. Rows one
+// byte over the room they are given are not kept.
 func TestRetainedRowsMatchStreamedBody(t *testing.T) {
 	hostile := hostileColumns()
 	noBench, noLabels := hostile, hostile
@@ -61,11 +62,22 @@ func TestRetainedRowsMatchStreamedBody(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := len(streamed) - (len(missHead) - 1) // what writeResult reports as the tail
+		n := len(streamed) - (len(missHead) - 1) // the part after the header
 		b := assessBody(cols)
-		rows := retainedRows(context.Background(), b, n, b.workers(2))
-		if len(rows) != n || cap(rows) != n {
-			t.Errorf("%s: %d retained bytes in an allocation of %d, measured %d", name, len(rows), cap(rows), n)
+		copyRows := func(room int64) []byte {
+			var sent bytes.Buffer
+			cp := &rowsCopy{w: &sent, skip: len(missHead) - 1, room: room}
+			if _, err := encodeBody(context.Background(), cp, missHead, b, b.workers(2)); err != nil || !bytes.Equal(sent.Bytes(), streamed) {
+				t.Fatalf("%s: copying the rows changed the reply (%v)", name, err)
+			}
+			return cp.bytes()
+		}
+		if over := copyRows(int64(n) - 1); over != nil {
+			t.Errorf("%s: %d bytes of rows kept in a room of %d", name, len(over), n-1)
+		}
+		rows := copyRows(int64(n))
+		if len(rows) != n || cap(rows)-n >= 8<<10 {
+			t.Errorf("%s: %d kept bytes in an allocation of %d, streamed %d", name, len(rows), cap(rows), n)
 		}
 		for _, head := range []assessHeader{plain, full} {
 			buf, err := json.Marshal(head)
@@ -318,35 +330,45 @@ func TestFirstHitConcurrent(t *testing.T) {
 	}
 }
 
-// TestWriteErrorOnRetainedBody drops the client partway through a reply
-// served from kept rows: it counts like a failed streamed write, and the
-// slow log records the bytes that got out.
+// TestWriteErrorOnRetainedBody drops the client partway through two
+// replies. The first hit, cut off, leaves no rows with its entry; the
+// next streams in full and fills it. A reply served from those rows that
+// is cut off counts like a failed streamed write, and the slow log
+// records the bytes that got out.
 func TestWriteErrorOnRetainedBody(t *testing.T) {
 	session, _ := salesSession(t, 20000)
 	h, reg, slow, sink := cachedHandler(t, session, 0)
+	reqBody, _ := json.Marshal(map[string]any{"statement": largeStatement})
+	cutOff := func(limit int) *failingWriter {
+		w := &failingWriter{header: http.Header{}, limit: limit}
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/assess", bytes.NewReader(reqBody)))
+		return w
+	}
 	serve(t, h, largeStatement, false)
 	serve(t, h, largeStatement, false)
+	cutOff(4096)
+	if _, held, _ := cacheStats(t, session); held != 0 {
+		t.Fatalf("a hit cut off after 4096 bytes left %d bytes of rows", held)
+	}
 	full := len(serve(t, h, largeStatement, false)) // fills
 
-	reqBody, _ := json.Marshal(map[string]any{"statement": largeStatement})
 	limit := full / 2
-	w := &failingWriter{header: http.Header{}, limit: limit}
-	h.ServeHTTP(w, httptest.NewRequest("POST", "/assess", bytes.NewReader(reqBody)))
+	w := cutOff(limit)
 	if w.writes != 2 || w.written != limit {
 		t.Errorf("%d writes delivering %d bytes, want 2 (the header, the failed rows) and %d", w.writes, w.written, limit)
 	}
-	if got := reg.Counter("assess_server_write_errors_total", "").Value(); got != 1 {
-		t.Errorf("assess_server_write_errors_total = %d, want 1", got)
+	if got := reg.Counter("assess_server_write_errors_total", "").Value(); got != 2 {
+		t.Errorf("assess_server_write_errors_total = %d, want 2", got)
 	}
-	if served, _, _ := bodyOutcomes(reg); served != 1 {
-		t.Errorf("%d replies served from kept rows, want 1", served)
+	if served, filled, skipped := bodyOutcomes(reg); served != 1 || filled != 1 || skipped != 1 {
+		t.Errorf("%d served, %d filled, %d skipped; want the cut-off hit skipped and the next one filling", served, filled, skipped)
 	}
 	if err := slow.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(sink.String()), "\n")
 	var last obsv.SlowEntry
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil || len(lines) != 4 {
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil || len(lines) != 5 {
 		t.Fatalf("%d slow-log lines, last one: %v", len(lines), err)
 	}
 	if last.Bytes != int64(limit) || last.Cache != "hit" {
@@ -466,7 +488,8 @@ func (w discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 // parse, bind, plan, probe, header, body — served from the rows kept with
 // the entry, against the same hit encoded from the cube (the reference: a
 // cache whose budget admits the cube but not its rows, so no entry ever
-// keeps any). "speedup" is the paired ratio, as in BenchmarkEncodeAssess;
+// keeps any, and no hit copies them after the first found they do not
+// fit). "speedup" is the paired ratio, as in BenchmarkEncodeAssess;
 // at 100 cells the statement's own parse and bind dominate both sides.
 func BenchmarkAssessHit(b *testing.B) {
 	ds := ssb.Generate(0.2, 1)

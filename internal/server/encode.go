@@ -311,22 +311,39 @@ func encodeBody(ctx context.Context, w io.Writer, head []byte, b body, workers i
 	return written, err
 }
 
-// retainedRows encodes what follows the header in an /assess body —
-// `,"rows":[…]}` and the newline — into one allocation of n bytes, the
-// length a streamed reply of the same columns measured. It is how a cache
-// entry's rows are filled (qcache.Body); nil when ctx ended first.
-func retainedRows(ctx context.Context, b body, n, workers int) []byte {
-	buf := bytes.NewBuffer(make([]byte, 0, n))
-	// Under an empty header encodeBody writes the rows member alone: it
-	// cuts the header's closing brace and adds nothing.
-	if _, err := encodeBody(ctx, buf, []byte("}"), b, workers); err != nil {
+// rowsCopy passes what is written to w on and keeps a copy of it after
+// the first skip bytes, the header's: for an /assess body, the part a
+// cache entry keeps (qcache.Body), `,"rows":[…]}` and the newline. It
+// keeps none once the copy outgrows room bytes, so room 0 copies nothing.
+type rowsCopy struct {
+	w      io.Writer
+	skip   int
+	room   int64 // below 0 once the copy outgrew it
+	chunks [][]byte
+}
+
+func (c *rowsCopy) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	k := min(c.skip, n)
+	c.skip -= k
+	if c.room -= int64(n - k); c.room < 0 {
+		c.chunks = nil
+	} else if n > k {
+		c.chunks = append(c.chunks, bytes.Clone(p[k:n]))
+	}
+	return n, err
+}
+
+// bytes returns the copy in one allocation, or nil if it outgrew room.
+func (c *rowsCopy) bytes() []byte {
+	if c.room < 0 {
 		return nil
 	}
-	return buf.Bytes()
+	return bytes.Join(c.chunks, nil)
 }
 
 // writeRetained writes the body encodeBody would have streamed for head
-// from rows, the bytes retainedRows kept of the same result.
+// from rows, the bytes a rowsCopy kept of the same result.
 func writeRetained(w io.Writer, head, rows []byte) (int64, error) {
 	n, err := w.Write(head[:len(head)-1])
 	if err != nil {

@@ -147,7 +147,7 @@ func (s *Server) registerSessionMetrics() {
 		"Result bodies abandoned because the client connection failed mid-write or the request was cancelled.")
 	bodyOutcome := func(outcome string) *obsv.Counter {
 		return s.reg.Counter("assess_cache_body_total",
-			"Cache hits of /assess by how the body was produced: served from bytes kept with the entry, filled (encoded into the entry and served from it), or skipped (encoded from the cube).",
+			"Cache hits of /assess by how the body was produced: served from bytes kept with the entry, filled (encoded from the cube and left with the entry), or skipped (encoded from the cube, not kept).",
 			"outcome", outcome)
 	}
 	s.bodyServed, s.bodyFilled, s.bodySkipped = bodyOutcome("served"), bodyOutcome("filled"), bodyOutcome("skipped")
@@ -354,37 +354,18 @@ func (s *Server) assess(w http.ResponseWriter, r *http.Request) {
 			head.Breakdown[plan.Phase(p).String()] = float64(d) / float64(time.Millisecond)
 		}
 	}
-	// A hit is answered from the rows the cache keeps with the result when
-	// it has them, or can build them now; everything else streams from the
-	// cube and tells the cache how long its rows came out.
+	// A hit is written from the rows its cache entry keeps, when it has
+	// them. Any other reply streams from the cube; a hit on an entry that
+	// has room for rows copies what it streams after the header and, once
+	// complete, hands that to the entry.
 	t0 := time.Now()
-	budget := s.session.Engine.Parallelism()
+	rows, room := body.Rows()
 	var (
-		rows    []byte
+		send    func(w io.Writer, head []byte) (int64, error)
 		workers int // that encoded this body; 0 when it is written from kept rows
 	)
-	if state == qcache.StateHit {
-		var filled bool
-		rows, filled = body.Rows(func(res *exec.Result, n int) []byte {
-			cols, err := res.Columns()
-			if err != nil {
-				return nil
-			}
-			b := assessBody(cols)
-			workers = b.workers(budget)
-			return retainedRows(r.Context(), b, n, workers)
-		})
-		switch {
-		case rows == nil:
-			s.bodySkipped.Inc()
-		case filled:
-			s.bodyFilled.Inc()
-		default:
-			s.bodyServed.Inc()
-		}
-	}
-	var send func(w io.Writer, head []byte) (int64, error)
 	if rows != nil {
+		s.bodyServed.Inc()
 		send = func(w io.Writer, head []byte) (int64, error) { return writeRetained(w, head, rows) }
 	} else {
 		cols, err := res.Columns()
@@ -393,16 +374,22 @@ func (s *Server) assess(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		b := assessBody(cols)
-		workers = b.workers(budget)
+		workers = b.workers(s.session.Engine.Parallelism())
 		send = func(w io.Writer, head []byte) (int64, error) {
-			return encodeBody(r.Context(), w, head, b, workers)
+			cp := &rowsCopy{w: w, skip: len(head) - 1, room: room}
+			n, err := encodeBody(r.Context(), cp, head, b, workers)
+			switch {
+			case state != qcache.StateHit:
+			case err == nil && body.Keep(cp.bytes()):
+				s.bodyFilled.Inc()
+			default:
+				s.bodySkipped.Inc()
+			}
+			return n, err
 		}
 	}
-	encode, n, tail := s.writeResult(w, r, s.assessEgress, t0, head, send)
+	encode, n := s.writeResult(w, r, s.assessEgress, t0, head, send)
 	s.assessEgress.encoded(workers)
-	if rows == nil && tail > 0 {
-		body.SetLen(tail)
-	}
 	s.slow.Log(time.Since(start), obsv.SlowEntry{
 		RequestID:     requestID(r.Context()),
 		Endpoint:      "/assess",
@@ -418,30 +405,27 @@ func (s *Server) assess(w http.ResponseWriter, r *http.Request) {
 
 // writeResult sends a 200 whose body is head — marshalled here — and what
 // send writes after it: the "rows" the encoder streams (encodeBody) or
-// bytes kept from an earlier encode (writeRetained). It records the time
+// bytes kept from an earlier reply (writeRetained). It records the time
 // since t0, when the caller began producing the body, and the body's
-// size, and returns both for the slow-query log, with the length of the
-// part after the header (0 unless all of it was written). A client that
-// went away mid-body counts as a write error and ends the encode early.
+// size, and returns both for the slow-query log. A client that went away
+// mid-body counts as a write error and ends the encode early.
 func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, m egressMetrics, t0 time.Time, head any,
-	send func(w io.Writer, head []byte) (int64, error)) (d time.Duration, n int64, tail int) {
+	send func(w io.Writer, head []byte) (int64, error)) (d time.Duration, n int64) {
 	buf, err := json.Marshal(head)
 	if err != nil {
 		writeError(w, r, http.StatusInternalServerError, err)
-		return 0, 0, 0
+		return 0, 0
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	n, err = send(w, buf)
 	if err != nil {
 		s.writeErrors.Inc()
-	} else {
-		tail = int(n) - (len(buf) - 1)
 	}
 	d = time.Since(t0)
 	m.encodeSeconds.Observe(d.Seconds())
 	m.responseBytes.Observe(float64(n))
-	return d, n, tail
+	return d, n
 }
 
 // queryHeader is every member of a /query body except the last, "rows":
@@ -516,7 +500,7 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 	}
 	b := queryBody(queryFields(head.Levels, c.Names, c.Cols), dicts, c.Keys, c.Len())
 	workers := b.workers(s.session.Engine.Parallelism())
-	encode, n, _ := s.writeResult(w, r, s.queryEgress, time.Now(), head, func(w io.Writer, head []byte) (int64, error) {
+	encode, n := s.writeResult(w, r, s.queryEgress, time.Now(), head, func(w io.Writer, head []byte) (int64, error) {
 		return encodeBody(r.Context(), w, head, b, workers)
 	})
 	s.queryEgress.encoded(workers)
