@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -85,62 +88,222 @@ func salesEngine(t *testing.T, ds *sales.Dataset) *Engine {
 	return e
 }
 
-// TestAdmissionRentOrBuy holds admission to the rows the misses swept.
-// On a resident fact every miss sweeps every row, so the second miss
-// admits. On a segment store each statement sliced on one product is
-// answered from postings and sweeps only that product's rows, so the
-// view is bought on the miss whose running total first reaches the
-// fact's rows, and not one miss before.
+// TestAdmissionRentOrBuy holds admission to the rows of the blocks the
+// misses read. A statement sliced on one product finds the product in
+// every segment: it reads every row on a resident fact and every segment
+// of a store, whatever its postings select, so both buy on miss
+// minViewSightings. A statement sliced on one month over a store sorted
+// by date reads only the segments whose zone maps hold the month, so the
+// view is bought on the miss whose running total of those segments' rows
+// first reaches the fact's rows, and not one miss before.
 func TestAdmissionRentOrBuy(t *testing.T) {
 	ds := sales.Generate(20000, 43)
 	s := ds.Schema
-	pref, _ := s.FindLevel("product")
-	perProduct := make([]int, s.Dict(pref).Len())
-	for _, k := range ds.Fact.Keys[pref.Hier] {
-		perProduct[k]++
-	}
-	seg, _ := segmentFact(t, ds.Fact, colstore.Options{SegmentRows: 4096, AutoCompactRows: -1})
 	rows := ds.Fact.Rows()
-	for _, c := range []struct {
-		name     string
-		resident bool
-	}{{"resident", true}, {"segment", false}} {
-		e := New()
-		f := ds.Fact
-		if !c.resident {
-			f = seg
+	t.Run("product", func(t *testing.T) {
+		pref, _ := s.FindLevel("product")
+		seg, _ := segmentFact(t, ds.Fact, colstore.Options{SegmentRows: 4096, AutoCompactRows: -1})
+		for p, read := range segmentRowsRead(t, ds.Fact, seg, pref) {
+			if read != rows {
+				t.Fatalf("product %d: its segments hold %d of %d rows, want every segment", p, read, rows)
+			}
 		}
+		for name, f := range map[string]*storage.FactTable{"resident": ds.Fact, "segment": seg} {
+			e := New()
+			if err := e.Register("SALES", f); err != nil {
+				t.Fatal(err)
+			}
+			e.SetAutoViews(64 << 20)
+			for p := range minViewSightings {
+				if got := e.Views(); got != 0 {
+					t.Fatalf("%s: %d views after %d misses, want none before miss %d", name, got, p, minViewSightings)
+				}
+				if _, err := e.Get(byCountryFor(t, s, "product", int32(p))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := e.Views(); got != 1 {
+				t.Errorf("%s: %d views after miss %d, want the (product, country) view", name, got, minViewSightings)
+			}
+		}
+	})
+	t.Run("month", func(t *testing.T) {
+		mref, _ := s.FindLevel("month")
+		byDate := sortedByHier(t, ds.Fact, mref.Hier)
+		seg, _ := segmentFact(t, byDate, colstore.Options{SegmentRows: 1024, AutoCompactRows: -1})
+		perMonth := segmentRowsRead(t, byDate, seg, mref)
+		e := New()
+		if err := e.Register("SALES", seg); err != nil {
+			t.Fatal(err)
+		}
+		e.SetAutoViews(64 << 20)
+		pruned := storePruned()
+		read, admittedAt := 0, 0
+		for m := range perMonth {
+			if _, err := e.Get(byCountryFor(t, s, "month", int32(m))); err != nil {
+				t.Fatal(err)
+			}
+			read += perMonth[m]
+			earned := m+1 >= minViewSightings && read >= rows
+			if got := e.Views(); got != 0 && admittedAt == 0 {
+				admittedAt = m + 1
+				if !earned {
+					t.Fatalf("admitted on miss %d with %d of %d rows read", m+1, read, rows)
+				}
+			} else if got == 0 && earned {
+				t.Fatalf("no view after miss %d with %d of %d rows read", m+1, read, rows)
+			}
+		}
+		if admittedAt <= minViewSightings {
+			t.Errorf("admitted on miss %d, want a later one (zone maps confine a month to its segments)", admittedAt)
+		}
+		if storePruned() == pruned {
+			t.Error("no segment pruned: the month slices read the whole store")
+		}
+	})
+}
+
+// TestAdmissionSameViewsOnBothBackends: one stream of statements over a
+// resident fact and over its segment copy, where no slicer lets a segment
+// be pruned or skipped, admits the same covering sets at the same miss
+// and gives the same answers, although the store's postings select only
+// a slice of each segment.
+func TestAdmissionSameViewsOnBothBackends(t *testing.T) {
+	ds := sales.Generate(20000, 59)
+	s := ds.Schema
+	seg, _ := segmentFact(t, ds.Fact, colstore.Options{SegmentRows: 4096, AutoCompactRows: -1})
+	qi, _ := s.MeasureIndex("quantity")
+	sliced := func(level string, id int32, group ...string) Query {
+		ref, ok := s.FindLevel(level)
+		if !ok {
+			t.Fatalf("level %s missing", level)
+		}
+		return Query{Fact: "SALES", Group: mdm.MustGroupBy(s, group...), Measures: []int{qi},
+			Preds: []Predicate{{Level: ref, Members: []int32{id}}}}
+	}
+	var stream []Query
+	for i := range int32(4) {
+		stream = append(stream,
+			sliced("product", i, "country"),
+			sliced("category", i%2, "year"),
+			sliced("gender", i%2, "city"),
+			Query{Fact: "SALES", Group: mdm.MustGroupBy(s, "month"), Measures: []int{qi}},
+			sliced("country", i, "customer", "date"), // too many cells to admit
+		)
+	}
+	engines := map[string]*Engine{}
+	for name, f := range map[string]*storage.FactTable{"resident": ds.Fact, "segment": seg} {
+		e := New()
 		if err := e.Register("SALES", f); err != nil {
 			t.Fatal(err)
 		}
 		e.SetAutoViews(64 << 20)
-		swept, admittedAt := 0, 0
-		for p := range perProduct {
-			if _, err := e.Get(byCountryFor(t, s, "product", int32(p))); err != nil {
-				t.Fatal(err)
-			}
-			if c.resident {
-				swept += rows
-			} else {
-				swept += perProduct[p]
-			}
-			earned := p+1 >= minViewSightings && swept >= rows
-			if got := e.Views(); got != 0 && admittedAt == 0 {
-				admittedAt = p + 1
-				if !earned {
-					t.Fatalf("%s: admitted on miss %d with %d of %d rows swept", c.name, p+1, swept, rows)
-				}
-			} else if got == 0 && earned {
-				t.Fatalf("%s: no view after miss %d with %d of %d rows swept", c.name, p+1, swept, rows)
-			}
+		engines[name] = e
+	}
+	viewSets := func(e *Engine) string {
+		var sets []string
+		for _, v := range e.ViewStatsSnapshot().Views {
+			sets = append(sets, fmt.Sprint(v.Levels))
 		}
-		switch {
-		case c.resident && admittedAt != minViewSightings:
-			t.Errorf("resident: admitted on miss %d, want %d", admittedAt, minViewSightings)
-		case !c.resident && admittedAt <= minViewSightings:
-			t.Errorf("segment: admitted on miss %d, want a later one (postings sweep a product's rows)", admittedAt)
+		sort.Strings(sets)
+		return strings.Join(sets, " ")
+	}
+	pruned, skipped := storePruned(), storeSkipped()
+	for i, q := range stream {
+		res, err := engines["resident"].Get(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := engines["segment"].Get(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != res.String() {
+			t.Fatalf("statement %d: segment answer\n%s\nresident answer\n%s", i, got, res)
+		}
+		if r, g := viewSets(engines["resident"]), viewSets(engines["segment"]); r != g {
+			t.Fatalf("after statement %d: resident views [%s], segment views [%s]", i, r, g)
 		}
 	}
+	if n := engines["segment"].Views(); n != 4 {
+		t.Errorf("%d views admitted, want 4: [%s]", n, viewSets(engines["segment"]))
+	}
+	if storePruned() != pruned || storeSkipped() != skipped {
+		t.Error("a segment was pruned or skipped: the stream does not hold both backends to one rent")
+	}
+}
+
+// storePruned and storeSkipped read the segment store's counters of
+// segments pruned by zone maps and skipped for holding no match.
+func storePruned() int64 {
+	return obsv.Default.Counter("assess_store_pruned_total", "").Value()
+}
+
+func storeSkipped() int64 {
+	return obsv.Default.Counter("assess_store_lazy_skipped_total", "").Value()
+}
+
+// sortedByHier is a resident copy of f with its rows ordered by their key
+// on hierarchy h (stably), so a store saved from it has segments that zone
+// maps tell apart on h.
+func sortedByHier(t *testing.T, f *storage.FactTable, h int) *storage.FactTable {
+	t.Helper()
+	order := make([]int, f.Rows())
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return f.Keys[h][order[a]] < f.Keys[h][order[b]] })
+	cols := storage.BlockCols{Rows: len(order)}
+	for _, k := range f.Keys {
+		col := make([]int32, len(order))
+		for i, r := range order {
+			col[i] = k[r]
+		}
+		cols.Keys = append(cols.Keys, col)
+	}
+	for _, m := range f.Meas {
+		col := make([]float64, len(order))
+		for i, r := range order {
+			col[i] = m[r]
+		}
+		cols.Meas = append(cols.Meas, col)
+	}
+	out := storage.NewFactTable(f.Schema)
+	if err := out.AppendBlock(cols); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// segmentRowsRead is, per member of level, the rows of the segments of
+// seg that hold at least one of the member's rows: what a scan sliced on
+// the member reads. seg must have been saved from f, whose rows give the
+// segments' contents in order; the boundaries are read off the store.
+func segmentRowsRead(t *testing.T, f, seg *storage.FactTable, level mdm.LevelRef) []int {
+	t.Helper()
+	h := f.Schema.Hiers[level.Hier]
+	up := h.LevelMap(0, level.Level)
+	read := make([]int, h.Dict(level.Level).Len())
+	src := seg.ScanSource(storage.ColSet{}, nil)
+	defer src.Close()
+	lo := 0
+	for b := range src.Blocks() {
+		n := src.BlockRows(b)
+		holds := make([]bool, len(read))
+		for _, k := range f.Keys[level.Hier][lo : lo+n] {
+			holds[up[k]] = true
+		}
+		for m, ok := range holds {
+			if ok {
+				read[m] += n
+			}
+		}
+		lo += n
+	}
+	if lo != f.Rows() {
+		t.Fatalf("store blocks hold %d rows, fact %d", lo, f.Rows())
+	}
+	return read
 }
 
 // TestMaterializePromotesAdmittedView: materializing a set the adaptive

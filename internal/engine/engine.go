@@ -148,8 +148,8 @@ func (e *Engine) Facts() []string {
 // from the view lattice when a materialized view covers the query
 // (exactly, or at a strictly finer group-by set re-aggregated by the
 // navigator), otherwise by a fact-table scan. A lattice miss feeds the
-// rows its scan swept to the adaptive admission tally once the scan has
-// answered it.
+// rows of the blocks its scan read to the adaptive admission tally once
+// the scan has answered it.
 func (e *Engine) aggregate(ctx context.Context, q Query) (*cube.Cube, error) {
 	if v, exact := e.lookupView(q); v != nil {
 		mScansView.Inc()
@@ -161,20 +161,20 @@ func (e *Engine) aggregate(ctx context.Context, q Query) (*cube.Cube, error) {
 		return e.rollupFromView(ctx, e.facts[q.Fact], v, q)
 	}
 	mViewMiss.Inc()
-	c, swept, err := e.scanAggregate(ctx, q)
+	c, read, err := e.scanAggregate(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	e.noteViewMiss(q, swept)
+	e.noteViewMiss(q, read)
 	return c, nil
 }
 
 // scanAggregate scans the fact table (serially, or partitioned across
 // workers when parallelism is enabled), filters rows through the
 // predicates, and aggregates the requested measures by the group-by
-// coordinates; it reports the rows the scan swept. With a coordinator
-// installed (SetScanBatcher) the scan is submitted there instead, and
-// counts as a sweep of the whole fact.
+// coordinates; it reports the rows of the blocks the scan read. With a
+// coordinator installed (SetScanBatcher) the scan is submitted there
+// instead, and counts as a read of the whole fact.
 func (e *Engine) scanAggregate(ctx context.Context, q Query) (*cube.Cube, int, error) {
 	f, ok := e.facts[q.Fact]
 	if !ok {
@@ -225,18 +225,18 @@ func (e *Engine) ScanWithOps(ctx context.Context, q Query, ops []mdm.AggOp, name
 }
 
 // scanWithOps is ScanWithOps over the registered fact f, reporting the
-// rows the scan swept.
+// rows of the blocks the scan read.
 func (e *Engine) scanWithOps(ctx context.Context, f *storage.FactTable, q Query, ops []mdm.AggOp, names []string) (*cube.Cube, int, error) {
 	sq, err := e.prepare(ctx, f, q, ops)
 	if err != nil {
 		return nil, 0, err
 	}
-	t, swept, err := e.scanFact(f, sq)
+	t, read, err := e.scanFact(f, sq)
 	if err != nil {
 		return nil, 0, err
 	}
 	c, err := sq.finalize(f.Schema, names, t)
-	return c, swept, err
+	return c, read, err
 }
 
 // prepare lays out everything a fact scan needs before touching data: the

@@ -20,7 +20,7 @@ import (
 // usual threshold), so a 500k-row scan collapses to a pass over a few
 // thousand view cells. The adaptive admission layer watches queries
 // that miss every view and auto-materializes the covering sets whose
-// misses have swept as many rows as a build would, under a byte budget,
+// misses have read as many rows as a build would, under a byte budget,
 // evicting least-recently-used admitted views. A view whose fact table
 // has since grown absorbs the appended rows — those past its high-water
 // mark — the next time a query picks it (views.go, absorb).
@@ -176,20 +176,25 @@ func (e *Engine) rollupFromView(ctx context.Context, f *storage.FactTable, v *ma
 }
 
 // Adaptive view admission is rent-or-buy. Every aggregate that misses
-// the view lattice adds the rows its scan swept to the tally of its
-// covering set — the coarsest group-by set whose view could have answered
-// it. Repeated misses pay rent in swept rows; a build costs one sweep of
-// the whole fact. So once a set has been sighted twice and its misses
-// have swept as many rows as the fact holds, it is bought: materialized,
-// provided its estimated cell count is at most half the fact rows (the
-// view must out-coarsen the fact) and its estimated size fits the byte
-// budget, with least-recently-used admitted views evicted to make room.
-// A full scan of a resident fact earns its set a view on the second miss;
-// a selective statement answered from a segment store's postings sweeps
-// few rows and takes as many misses as it takes to sweep the fact.
+// the view lattice adds the rows of the blocks its scan read to the tally
+// of its covering set — the coarsest group-by set whose view could have
+// answered it. Repeated misses pay rent in rows read; a build costs one
+// read of the whole fact. So once a set has been sighted twice and its
+// misses have read as many rows as the fact holds, it is bought:
+// materialized, provided its estimated cell count is at most half the
+// fact rows (the view must out-coarsen the fact) and its estimated size
+// fits the byte budget, with least-recently-used admitted views evicted
+// to make room. A block read costs all its rows even when postings
+// select a few of them: a build reads the same blocks in full, and a
+// gather scattered over a segment touches most pages of every column it
+// needs. A block pruned by its zone map, or skipped because no row
+// matches, costs nothing. So a resident fact and a segment store whose
+// every segment holds the slicer's members both earn a set on its second
+// miss; a slicer that zone maps confine to a few segments takes as many
+// misses as it takes to read the fact.
 
-// minViewSightings is how many misses a covering set needs before its
-// swept rows may buy it a view: one full scan is not yet a pattern.
+// minViewSightings is how many misses a covering set needs before the
+// rows they read may buy it a view: one full scan is not yet a pattern.
 const minViewSightings = 2
 
 // autoAdmit is the admission tally, guarded by its own small mutex (the
@@ -204,7 +209,7 @@ type autoAdmit struct {
 type viewTally struct {
 	group  mdm.GroupBy
 	misses int
-	swept  int
+	read   int
 }
 
 // maxTallyEntries bounds the admission tally; a workload with more
@@ -245,12 +250,12 @@ func coveringSet(q Query) mdm.GroupBy {
 	return g
 }
 
-// noteViewMiss adds a lattice miss that swept swept rows to the tally of
-// q's covering set and materializes the set once it has earned it. The
+// noteViewMiss adds a lattice miss whose scan read read rows to the tally
+// of q's covering set and materializes the set once it has earned it. The
 // build runs outside both locks; the building set, and the check for a
 // view installed since the miss, keep concurrent misses from building
 // one set twice.
-func (e *Engine) noteViewMiss(q Query, swept int) {
+func (e *Engine) noteViewMiss(q Query, read int) {
 	f, ok := e.facts[q.Fact]
 	if !ok {
 		return
@@ -276,10 +281,10 @@ func (e *Engine) noteViewMiss(q Query, swept int) {
 		a.tally[key] = t
 	}
 	t.misses++
-	t.swept += swept
+	t.read += read
 	rows := f.Rows()
 	est := estimatedCells(f, g, rows)
-	admit := t.misses >= minViewSightings && t.swept >= rows &&
+	admit := t.misses >= minViewSightings && t.read >= rows &&
 		2*est <= rows && // benefit: the view must out-coarsen the fact
 		viewSizeBytes(est, len(g), viewCols(f.Schema)) <= a.budget
 	if admit {

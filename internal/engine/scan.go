@@ -157,9 +157,12 @@ func (st *scanState) alive(ctx context.Context) bool {
 }
 
 // scan drives the query over the source with the given number of workers
-// and returns its merged table and the rows it swept, or the reason the
-// scan ended early. A block's rows all count as swept — for a Filtered
-// block, the rows its backend selected — and a pruned block sweeps none.
+// and returns its merged table, the rows it swept and the rows it read,
+// or the reason the scan ended early. A block's rows all count as swept —
+// for a Filtered block, the rows its backend selected — while a block
+// read counts all its rows (BlockRows), whatever it selected. A block
+// pruned by its zone map, or skipped because no row matches, sweeps and
+// reads none.
 // A single-block source — a resident table, a view's columns — is
 // decoded once, zero-copy, and workers steal fixed-size morsels inside
 // the block.
@@ -167,7 +170,7 @@ func (st *scanState) alive(ctx context.Context) bool {
 // each claimed block is decoded once into the worker's own scratch and
 // iterated morsel by morsel locally, so decode cost is paid once per
 // segment and the decoded buffers stay worker-private.
-func scan(sq *scanQuery, src storage.ScanSource, workers, morsel int) (*aggTable, int, error) {
+func scan(sq *scanQuery, src storage.ScanSource, workers, morsel int) (t *aggTable, swept, read int, err error) {
 	if sq.dense > 0 {
 		mKernelDense.Inc()
 	} else {
@@ -180,6 +183,7 @@ func scan(sq *scanQuery, src storage.ScanSource, workers, morsel int) (*aggTable
 	// The single block is decoded once here; every worker reads it.
 	nb := src.Blocks()
 	var one storage.BlockCols
+	var morsels, sweptRows, readRows atomic.Int64
 	if nb == 1 && st.alive(sq.ctx) {
 		func() {
 			defer st.contain()
@@ -189,11 +193,11 @@ func scan(sq *scanQuery, src storage.ScanSource, workers, morsel int) (*aggTable
 				st.fail(err)
 			case ok:
 				one = cols
+				sweptRows.Store(int64(cols.Rows))
+				readRows.Store(int64(src.BlockRows(0)))
 			}
 		}()
 	}
-	var morsels, swept atomic.Int64
-	swept.Store(int64(one.Rows))
 	worker := func(w int) {
 		defer st.contain()
 		sc := getScratch()
@@ -235,7 +239,8 @@ func scan(sq *scanQuery, src storage.ScanSource, workers, morsel int) (*aggTable
 			if !ok {
 				continue
 			}
-			swept.Add(int64(cols.Rows))
+			sweptRows.Add(int64(cols.Rows))
+			readRows.Add(int64(src.BlockRows(b)))
 			for lo := 0; lo < cols.Rows; lo += morsel {
 				aggregate(cols, lo, min(lo+morsel, cols.Rows))
 			}
@@ -256,22 +261,23 @@ func scan(sq *scanQuery, src storage.ScanSource, workers, morsel int) (*aggTable
 	}
 	mMorsels.Add(morsels.Load())
 	if st.err != nil {
-		return nil, 0, st.err
+		return nil, 0, 0, st.err
 	}
-	return sq.mergeTree(parts), int(swept.Load()), nil
+	return sq.mergeTree(parts), int(sweptRows.Load()), int(readRows.Load()), nil
 }
 
 // scanFact answers the query over f: it opens the source with the
 // query's own predicates and predicate-only columns, sizes the scan and
-// runs it.
+// runs it, reporting the rows of the blocks it read.
 func (e *Engine) scanFact(f *storage.FactTable, sq *scanQuery) (*aggTable, int, error) {
 	src := f.ScanSource(sq.need, sq.preds)
 	defer src.Close()
 	return e.scanRows(src, sq)
 }
 
-// scanRows sizes and runs the scan of fact rows the source covers, and
-// counts the rows it swept once it has answered.
+// scanRows sizes and runs the scan of fact rows the source covers,
+// counts the rows it swept once it has answered, and reports the rows of
+// the blocks it read.
 func (e *Engine) scanRows(src storage.ScanSource, sq *scanQuery) (*aggTable, int, error) {
 	workers, morsel := e.scanShape(src.Rows())
 	if workers > 1 {
@@ -279,9 +285,9 @@ func (e *Engine) scanRows(src storage.ScanSource, sq *scanQuery) (*aggTable, int
 	} else {
 		mScansSerial.Inc()
 	}
-	t, swept, err := scan(sq, src, workers, morsel)
+	t, swept, read, err := scan(sq, src, workers, morsel)
 	if err == nil {
 		mRowsScanned.Add(int64(swept))
 	}
-	return t, swept, err
+	return t, read, err
 }
