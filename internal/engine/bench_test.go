@@ -342,3 +342,68 @@ func BenchmarkViewRefresh(b *testing.B) {
 	sort.Float64s(ratios)
 	b.ReportMetric(ratios[len(ratios)/2], "speedup")
 }
+
+// BenchmarkViewSlice measures what the member index buys a sliced view
+// answer, as a paired ratio: each iteration times the navigator's answer,
+// read off the index, then the linear pass kept in viewindex_test.go over
+// the same view. brand is one brand in 1 000 of the 175 000 cells of a
+// (year, snation, brand) view over SSB at SF 0.5, rolled up by (snation,
+// year), as cold_segment asks; year is two years in seven of the 42 000
+// cells of an exact (year, customer) view at SF 0.2, Sibling POP's
+// two-year get. "speedup" is the median per-iteration linear/indexed
+// ratio (host-speed independent; the number scripts/bench.sh ratio gates
+// on). ns/op covers both sides and is not meaningful on its own. The
+// benchmark fails if an answer is not read off the index or differs in
+// size from the linear pass's.
+func BenchmarkViewSlice(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		sf    float64
+		view  []string
+		group []string
+		level string
+		slice []string
+	}{
+		{"brand", 0.5, []string{"year", "snation", "brand"}, []string{"snation", "year"}, "brand", []string{"MFGR#2221"}},
+		{"year", 0.2, []string{"year", "customer"}, []string{"year", "customer"}, "year", []string{"1997", "1998"}},
+	} {
+		ds := ssb.Generate(c.sf, 42)
+		e := New()
+		if err := e.Register("LINEORDER", ds.Fact); err != nil {
+			b.Fatal(err)
+		}
+		s := ds.Schema
+		if err := e.Materialize("LINEORDER", mdm.MustGroupBy(s, c.view...)); err != nil {
+			b.Fatal(err)
+		}
+		ri, _ := s.MeasureIndex("revenue")
+		q := Query{Fact: "LINEORDER", Group: mdm.MustGroupBy(s, c.group...), Measures: []int{ri},
+			Preds: []Predicate{ssbPred(b, s, c.level, c.slice...)}}
+		v, exact := e.lookupView(q)
+		b.Run(fmt.Sprintf("%s/cells=%d", c.name, v.data.Len()), func(b *testing.B) {
+			ratios := make([]float64, 0, b.N)
+			indexed := mViewSelectIndex.Value()
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				got, err := fromView(e, v, q, exact)
+				if err != nil {
+					b.Fatal(err)
+				}
+				t1 := time.Now()
+				want, err := linearFromView(context.Background(), e, v, q, exact)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ratios = append(ratios, float64(time.Since(t1))/float64(t1.Sub(t0)))
+				if got.Len() != want.Len() || got.Len() == 0 {
+					b.Fatalf("%d cells off the index, %d by the linear pass", got.Len(), want.Len())
+				}
+			}
+			if d := mViewSelectIndex.Value() - indexed; d != int64(b.N) {
+				b.Fatalf("%d of %d answers read off the member index", d, b.N)
+			}
+			sort.Float64s(ratios)
+			b.ReportMetric(ratios[len(ratios)/2], "speedup")
+		})
+	}
+}

@@ -180,9 +180,10 @@ func putScratch(sc *morselScratch) { scratchPool.Put(sc) }
 // selection evaluates the scan predicates once over the block-local
 // morsel [lo, hi) into a reusable selection vector of accepted row
 // indices: the first predicated hierarchy fills the vector, later ones
-// compact it in place. A Filtered block never comes here: its backend
-// already evaluated the predicates and left no predicate-only column to
-// evaluate them on.
+// compact it in place. On a listed scan the morsel is [lo, hi) of the
+// list, whose rows fill the vector first. A Filtered block never comes
+// here: its backend already evaluated the predicates and left no
+// predicate-only column to evaluate them on.
 func (sq *scanQuery) selection(sc *morselScratch, cols storage.BlockCols, lo, hi int) []int {
 	if cap(sc.sel) < hi-lo {
 		sc.sel = make([]int, hi-lo)
@@ -190,6 +191,12 @@ func (sq *scanQuery) selection(sc *morselScratch, cols storage.BlockCols, lo, hi
 	sel := sc.sel[:hi-lo]
 	first := true
 	n := 0
+	if sq.listed != nil {
+		for i, r := range sq.listed[lo:hi] {
+			sel[i] = int(r)
+		}
+		first, n = false, hi-lo
+	}
 	for h, acc := range sq.accepts {
 		if acc == nil {
 			continue
@@ -217,14 +224,14 @@ func (sq *scanQuery) selection(sc *morselScratch, cols storage.BlockCols, lo, hi
 	return sel[:n]
 }
 
-// morsel aggregates rows [lo, hi) of a block into the table: selection
-// vector (skipped entirely when every row is accepted, as in a Filtered
-// block), composite keys, slot lookup off the dense path, then
-// accumulate.
+// morsel aggregates rows [lo, hi) of a block, or of a listed scan's
+// list, into the table: selection vector (skipped entirely when every
+// row of the block is accepted, as in a Filtered block), composite keys,
+// slot lookup off the dense path, then accumulate.
 func (sq *scanQuery) morsel(t *aggTable, sc *morselScratch, cols storage.BlockCols, lo, hi int) {
 	var sel []int
 	n := hi - lo
-	if sq.filtered && !cols.Filtered {
+	if sq.listed != nil || sq.filtered && !cols.Filtered {
 		sel = sq.selection(sc, cols, lo, hi)
 		n = len(sel)
 		if n == 0 {

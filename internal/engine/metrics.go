@@ -36,6 +36,12 @@ var (
 		"Aggregate resolutions against the view lattice by mode.", "mode", "rollup")
 	mViewMiss = obsv.Default.Counter("assess_engine_view_total",
 		"Aggregate resolutions against the view lattice by mode.", "mode", "miss")
+	// A predicated view answer reads its cells off the member index, or a
+	// roll-up of a wide slice feeds the kernel every cell of the view.
+	mViewSelectIndex = obsv.Default.Counter("assess_engine_view_selects_total",
+		"Predicated view answers by how their cells were selected: off the view's member index, or every cell fed to a roll-up.", "path", "index")
+	mViewSelectLinear = obsv.Default.Counter("assess_engine_view_selects_total",
+		"Predicated view answers by how their cells were selected: off the view's member index, or every cell fed to a roll-up.", "path", "linear")
 	gViewBytes = obsv.Default.Gauge("assess_engine_view_bytes",
 		"Approximate resident bytes of materialized views.")
 	mViewAdmissions = obsv.Default.Counter("assess_engine_view_admissions_total",

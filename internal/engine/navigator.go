@@ -18,7 +18,8 @@ import (
 // (views.go); strictly coarser queries re-aggregate the view's cells
 // through the same scan pipeline as fact scans (morsel-parallel above the
 // usual threshold), so a 500k-row scan collapses to a pass over a few
-// thousand view cells. The adaptive admission layer watches queries
+// thousand view cells. Either path reads a narrow slice's cells alone,
+// off the view's member index. The adaptive admission layer watches queries
 // that miss every view and auto-materializes the covering sets whose
 // misses have read as many rows as a build would, under a byte budget,
 // evicting least-recently-used admitted views. A view whose fact table
@@ -142,7 +143,11 @@ func (e *Engine) refreshView(f *storage.FactTable, v *matView) *matView {
 // re-aggregating the view's cells (reaggregate, partials.go): the view's
 // key columns play the fact key columns, roll-up maps go from the view
 // level (not the base level) to the query level, and the view's
-// sub-aggregate columns stand in for the requested measures'.
+// sub-aggregate columns stand in for the requested measures'. A slice
+// of under 1/indexedShare of the view's cells is read off the member
+// index (selectCells): the kernel reads only the listed cells, which pass
+// the indexed predicate by construction, and tests the other predicates
+// on them alone. A wider slice feeds the kernel every cell.
 func (e *Engine) rollupFromView(ctx context.Context, f *storage.FactTable, v *matView, q Query) (*cube.Cube, error) {
 	s := f.Schema
 	ops, names, err := schemaOps(s, q)
@@ -152,6 +157,11 @@ func (e *Engine) rollupFromView(ctx context.Context, f *storage.FactTable, v *ma
 	acc, err := v.accepts(s, q)
 	if err != nil {
 		return nil, err
+	}
+	// n ≤ (cells-1)/indexedShare is n*indexedShare < cells.
+	listed, by, indexed := v.selectCells(acc, (v.data.Len()-1)/indexedShare)
+	if indexed {
+		acc[by] = nil
 	}
 	keys := make([][]int32, len(s.Hiers))
 	accepts := make([][]bool, len(s.Hiers))
@@ -172,7 +182,7 @@ func (e *Engine) rollupFromView(ctx context.Context, f *storage.FactTable, v *ma
 	if p.cnt >= 0 {
 		cols[p.cnt] = v.parts[held.cnt]
 	}
-	return e.reaggregate(ctx, s, q.Group, q.Group, gmaps, accepts, p, names, storage.ColumnsSource(keys, cols, v.data.Len()))
+	return e.reaggregate(ctx, s, q.Group, q.Group, gmaps, accepts, listed, p, names, storage.ColumnsSource(keys, cols, v.data.Len()))
 }
 
 // Adaptive view admission is rent-or-buy. Every aggregate that misses

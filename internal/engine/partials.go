@@ -94,8 +94,9 @@ func (p *Partials) read(cols [][]float64) [][]float64 {
 // counts through SUM, and the requested aggregates are read back at
 // group-by set g. from[gi].Hier names the key column that holds position
 // gi's member ids, gmaps[gi] takes those ids to g[gi]'s level, and
-// accepts, indexed like the key columns, filters cells.
-func (e *Engine) reaggregate(ctx context.Context, s *mdm.Schema, g, from mdm.GroupBy, gmaps [][]int32, accepts [][]bool, p *Partials, names []string, parts ...storage.ScanSource) (*cube.Cube, error) {
+// accepts, indexed like the key columns, filters cells. listed, when not
+// nil, are the only cells of a single part that are read, ascending.
+func (e *Engine) reaggregate(ctx context.Context, s *mdm.Schema, g, from mdm.GroupBy, gmaps [][]int32, accepts [][]bool, listed []int32, p *Partials, names []string, parts ...storage.ScanSource) (*cube.Cube, error) {
 	ops := slices.Clone(p.Ops)
 	if p.cnt >= 0 {
 		ops[p.cnt] = mdm.AggSum
@@ -108,20 +109,26 @@ func (e *Engine) reaggregate(ctx context.Context, s *mdm.Schema, g, from mdm.Gro
 	for gi, ref := range g {
 		cards[gi] = s.Dict(ref).Len()
 	}
-	sq := &scanQuery{ctx: ctx, group: from, measures: idx, ops: ops, accepts: accepts, gmaps: gmaps}
+	sq := &scanQuery{ctx: ctx, group: from, measures: idx, ops: ops, accepts: accepts, gmaps: gmaps, listed: listed}
 	sq.init(cards, e.denseKeyBudget())
+	read := func(part storage.ScanSource) int {
+		if listed != nil {
+			return len(listed)
+		}
+		return part.Rows()
+	}
 	cells := 0
 	for _, part := range parts {
-		cells += part.Rows()
+		cells += read(part)
 	}
 	if !worthDense(sq.dense, cells) {
 		sq.dense = 0
 	}
 	for _, part := range parts {
-		if part.Rows() == 0 {
+		if read(part) == 0 {
 			continue
 		}
-		workers, morsel := e.scanShape(part.Rows())
+		workers, morsel := e.scanShape(read(part))
 		t, _, _, err := scan(sq, part, workers, morsel)
 		if err != nil {
 			return nil, err
@@ -173,5 +180,5 @@ func (e *Engine) Combine(ctx context.Context, q Query, p *Partials, names []stri
 		}
 		cells[i] = storage.ColumnsSource(c.Keys, c.Cols, c.Len())
 	}
-	return e.reaggregate(ctx, f.Schema, q.Group, from, gmaps, nil, p, names, cells...)
+	return e.reaggregate(ctx, f.Schema, q.Group, from, gmaps, nil, nil, p, names, cells...)
 }

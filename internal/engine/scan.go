@@ -84,6 +84,10 @@ type scanQuery struct {
 	// rows: the scan accumulates into it in place and returns it. A scan
 	// that fails leaves it partly updated, fit only to be discarded.
 	into *aggTable
+	// listed, when set, are the rows of a single-block source the scan
+	// reads, ascending: morsels cut the list instead of the block, and
+	// the predicates are tested on the listed rows alone.
+	listed []int32
 
 	// What a fact scan opens its source with: the columns the query
 	// touches and its predicates in prunable form.
@@ -217,12 +221,16 @@ func scan(sq *scanQuery, src storage.ScanSource, workers, morsel int) (t *aggTab
 			sq.morsel(parts[w], sc, cols, lo, hi)
 		}
 		if nb == 1 {
+			rows := one.Rows
+			if sq.listed != nil {
+				rows = len(sq.listed)
+			}
 			for !st.stop.Load() {
 				lo := int(st.next.Add(1)-1) * morsel
-				if lo >= one.Rows {
+				if lo >= rows {
 					return
 				}
-				aggregate(one, lo, min(lo+morsel, one.Rows))
+				aggregate(one, lo, min(lo+morsel, rows))
 			}
 			return
 		}
