@@ -1,7 +1,7 @@
 // In-process shards: the segment backend a LocalCluster registers with
 // each worker. A shard is a list of its rows' positions in the
-// coordinator's fact, not a copy of them; a scan gathers the columns it
-// needs at those positions (storage.RowsAt), whatever backs the fact.
+// coordinator's fact, not a copy of them; a scan reads the fact's columns
+// in place at those positions (storage.RowsAt), whatever backs the fact.
 package dist
 
 import "github.com/assess-olap/assess/internal/storage"
@@ -23,14 +23,14 @@ func (s *localShard) Append(keys []int32, vals []float64) error {
 	return s.tail.Append(keys, vals)
 }
 
-// Snapshot serves the shard's rows of parent, filtered on the scan's
-// predicates before the columns they do not need are gathered, and then
-// its tail, which the engine filters as it does a resident table's.
-// parent is opened without predicates: its blocks must hold every row
-// for the positions to find theirs.
-func (s *localShard) Snapshot(need storage.ColSet, preds []storage.LevelPred) storage.ScanSource {
+// Snapshot serves the parent's blocks with the shard's rows listed in
+// them, and then its tail; the engine filters both on the scan's
+// predicates as it does a resident table. parent is opened without
+// predicates: its blocks must hold every row for the positions to find
+// theirs, so they carry the predicate-only columns too.
+func (s *localShard) Snapshot(need storage.ColSet, _ []storage.LevelPred) storage.ScanSource {
 	return &shardSource{
-		at:   storage.RowsAt(s.parent.ScanSource(need, nil), s.rows, need, preds),
+		at:   storage.RowsAt(s.parent.ScanSource(need, nil), s.rows),
 		tail: s.tail.ScanSource(need, nil),
 	}
 }

@@ -28,7 +28,7 @@ func NewWorker() *Worker {
 }
 
 // Engine exposes the worker's engine so callers can set scan knobs
-// (parallelism, dense budget, morsel size) on the shard side.
+// (parallelism, morsel size) on the shard side.
 func (w *Worker) Engine() *engine.Engine { return w.eng }
 
 // Register adds a shard fact under the coordinator-visible fact name.

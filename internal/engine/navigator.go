@@ -145,9 +145,10 @@ func (e *Engine) refreshView(f *storage.FactTable, v *matView) *matView {
 // level (not the base level) to the query level, and the view's
 // sub-aggregate columns stand in for the requested measures'. A slice
 // of under 1/indexedShare of the view's cells is read off the member
-// index (selectCells): the kernel reads only the listed cells, which pass
-// the indexed predicate by construction, and tests the other predicates
-// on them alone. A wider slice feeds the kernel every cell.
+// index (selectCells) through storage.RowsAt: the kernel reads only the
+// listed cells, in place, which pass the indexed predicate by
+// construction, and tests the other predicates on them alone. A wider
+// slice feeds the kernel every cell.
 func (e *Engine) rollupFromView(ctx context.Context, f *storage.FactTable, v *matView, q Query) (*cube.Cube, error) {
 	s := f.Schema
 	ops, names, err := schemaOps(s, q)
@@ -182,7 +183,11 @@ func (e *Engine) rollupFromView(ctx context.Context, f *storage.FactTable, v *ma
 	if p.cnt >= 0 {
 		cols[p.cnt] = v.parts[held.cnt]
 	}
-	return e.reaggregate(ctx, s, q.Group, q.Group, gmaps, accepts, listed, p, names, storage.ColumnsSource(keys, cols, v.data.Len()))
+	src := storage.ColumnsSource(keys, cols, v.data.Len())
+	if indexed {
+		src = storage.RowsAt(src, listed)
+	}
+	return e.reaggregate(ctx, s, q.Group, q.Group, gmaps, accepts, p, names, src)
 }
 
 // Adaptive view admission is rent-or-buy. Every aggregate that misses

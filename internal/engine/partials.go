@@ -94,9 +94,8 @@ func (p *Partials) read(cols [][]float64) [][]float64 {
 // counts through SUM, and the requested aggregates are read back at
 // group-by set g. from[gi].Hier names the key column that holds position
 // gi's member ids, gmaps[gi] takes those ids to g[gi]'s level, and
-// accepts, indexed like the key columns, filters cells. listed, when not
-// nil, are the only cells of a single part that are read, ascending.
-func (e *Engine) reaggregate(ctx context.Context, s *mdm.Schema, g, from mdm.GroupBy, gmaps [][]int32, accepts [][]bool, listed []int32, p *Partials, names []string, parts ...storage.ScanSource) (*cube.Cube, error) {
+// accepts, indexed like the key columns, filters cells.
+func (e *Engine) reaggregate(ctx context.Context, s *mdm.Schema, g, from mdm.GroupBy, gmaps [][]int32, accepts [][]bool, p *Partials, names []string, parts ...storage.ScanSource) (*cube.Cube, error) {
 	ops := slices.Clone(p.Ops)
 	if p.cnt >= 0 {
 		ops[p.cnt] = mdm.AggSum
@@ -109,26 +108,20 @@ func (e *Engine) reaggregate(ctx context.Context, s *mdm.Schema, g, from mdm.Gro
 	for gi, ref := range g {
 		cards[gi] = s.Dict(ref).Len()
 	}
-	sq := &scanQuery{ctx: ctx, group: from, measures: idx, ops: ops, accepts: accepts, gmaps: gmaps, listed: listed}
+	sq := &scanQuery{ctx: ctx, group: from, measures: idx, ops: ops, accepts: accepts, gmaps: gmaps}
 	sq.init(cards, e.denseKeyBudget())
-	read := func(part storage.ScanSource) int {
-		if listed != nil {
-			return len(listed)
-		}
-		return part.Rows()
-	}
 	cells := 0
 	for _, part := range parts {
-		cells += read(part)
+		cells += part.Rows()
 	}
 	if !worthDense(sq.dense, cells) {
 		sq.dense = 0
 	}
 	for _, part := range parts {
-		if read(part) == 0 {
+		if part.Rows() == 0 {
 			continue
 		}
-		workers, morsel := e.scanShape(read(part))
+		workers, morsel := e.scanShape(part.Rows())
 		t, _, _, err := scan(sq, part, workers, morsel)
 		if err != nil {
 			return nil, err
@@ -180,5 +173,5 @@ func (e *Engine) Combine(ctx context.Context, q Query, p *Partials, names []stri
 		}
 		cells[i] = storage.ColumnsSource(c.Keys, c.Cols, c.Len())
 	}
-	return e.reaggregate(ctx, f.Schema, q.Group, from, gmaps, nil, nil, p, names, cells...)
+	return e.reaggregate(ctx, f.Schema, q.Group, from, gmaps, nil, p, names, cells...)
 }

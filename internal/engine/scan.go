@@ -84,10 +84,6 @@ type scanQuery struct {
 	// rows: the scan accumulates into it in place and returns it. A scan
 	// that fails leaves it partly updated, fit only to be discarded.
 	into *aggTable
-	// listed, when set, are the rows of a single-block source the scan
-	// reads, ascending: morsels cut the list instead of the block, and
-	// the predicates are tested on the listed rows alone.
-	listed []int32
 
 	// What a fact scan opens its source with: the columns the query
 	// touches and its predicates in prunable form.
@@ -163,10 +159,10 @@ func (st *scanState) alive(ctx context.Context) bool {
 // scan drives the query over the source with the given number of workers
 // and returns its merged table, the rows it swept and the rows it read,
 // or the reason the scan ended early. A block's rows all count as swept —
-// for a Filtered block, the rows its backend selected — while a block
-// read counts all its rows (BlockRows), whatever it selected. A block
-// pruned by its zone map, or skipped because no row matches, sweeps and
-// reads none.
+// for a Filtered block, the rows its backend selected; for a listed one,
+// its Listed rows — while a block read counts all its rows (BlockRows),
+// whatever it selected. A block pruned by its zone map, or skipped
+// because no row matches, sweeps and reads none.
 // A single-block source — a resident table, a view's columns — is
 // decoded once, zero-copy, and workers steal fixed-size morsels inside
 // the block.
@@ -174,6 +170,8 @@ func (st *scanState) alive(ctx context.Context) bool {
 // each claimed block is decoded once into the worker's own scratch and
 // iterated morsel by morsel locally, so decode cost is paid once per
 // segment and the decoded buffers stay worker-private.
+// Either way a listed block (storage.RowsAt) is read in place: morsels
+// cut its Listed rows, not its columns.
 func scan(sq *scanQuery, src storage.ScanSource, workers, morsel int) (t *aggTable, swept, read int, err error) {
 	if sq.dense > 0 {
 		mKernelDense.Inc()
@@ -197,7 +195,7 @@ func scan(sq *scanQuery, src storage.ScanSource, workers, morsel int) (t *aggTab
 				st.fail(err)
 			case ok:
 				one = cols
-				sweptRows.Store(int64(cols.Rows))
+				sweptRows.Store(int64(served(cols)))
 				readRows.Store(int64(src.BlockRows(0)))
 			}
 		}()
@@ -221,10 +219,7 @@ func scan(sq *scanQuery, src storage.ScanSource, workers, morsel int) (t *aggTab
 			sq.morsel(parts[w], sc, cols, lo, hi)
 		}
 		if nb == 1 {
-			rows := one.Rows
-			if sq.listed != nil {
-				rows = len(sq.listed)
-			}
+			rows := served(one)
 			for !st.stop.Load() {
 				lo := int(st.next.Add(1)-1) * morsel
 				if lo >= rows {
@@ -247,10 +242,11 @@ func scan(sq *scanQuery, src storage.ScanSource, workers, morsel int) (t *aggTab
 			if !ok {
 				continue
 			}
-			sweptRows.Add(int64(cols.Rows))
+			rows := served(cols)
+			sweptRows.Add(int64(rows))
 			readRows.Add(int64(src.BlockRows(b)))
-			for lo := 0; lo < cols.Rows; lo += morsel {
-				aggregate(cols, lo, min(lo+morsel, cols.Rows))
+			for lo := 0; lo < rows; lo += morsel {
+				aggregate(cols, lo, min(lo+morsel, rows))
 			}
 		}
 	}
@@ -272,6 +268,15 @@ func scan(sq *scanQuery, src storage.ScanSource, workers, morsel int) (t *aggTab
 		return nil, 0, 0, st.err
 	}
 	return sq.mergeTree(parts), int(sweptRows.Load()), int(readRows.Load()), nil
+}
+
+// served is the rows a block serves a scan: its Listed rows when it has
+// them, else every row its columns hold.
+func served(cols storage.BlockCols) int {
+	if cols.Listed != nil {
+		return len(cols.Listed)
+	}
+	return cols.Rows
 }
 
 // scanFact answers the query over f: it opens the source with the

@@ -70,7 +70,7 @@ func linearFromView(ctx context.Context, e *Engine, v *matView, q Query, exact b
 	if p.cnt >= 0 {
 		cols[p.cnt] = v.parts[held.cnt]
 	}
-	return e.reaggregate(ctx, s, q.Group, q.Group, gmaps, accepts, nil, p, names, storage.ColumnsSource(keys, cols, v.data.Len()))
+	return e.reaggregate(ctx, s, q.Group, q.Group, gmaps, accepts, p, names, storage.ColumnsSource(keys, cols, v.data.Len()))
 }
 
 // fromView answers q from v the way the navigator does.

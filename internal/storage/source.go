@@ -11,7 +11,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"github.com/assess-olap/assess/internal/mdm"
@@ -86,12 +85,17 @@ type BlockCols struct {
 	Meas [][]float64
 	// Rows is the length of every column the block carries.
 	Rows int
+	// Listed, when set, holds the rows of the block a scan reads,
+	// ascending and block-relative (RowsAt): a consumer reads the columns
+	// at these rows alone, and len(Listed) is the rows the block serves.
+	Listed []int32
 	// Filtered reports that the backend already evaluated the scan's full
 	// predicate set row-exactly (late materialization): the block holds
 	// exactly the rows that pass, densely and in table order, so
 	// consumers must not filter it again — predicate-only key columns
 	// (ColSet.PredOnly) are nil in it. Without it the block holds every
-	// row of its range and the engine filters on decoded codes.
+	// row of its range, or lists those read, and the engine filters them
+	// on decoded codes.
 	Filtered bool
 }
 
@@ -105,6 +109,7 @@ type BlockScratch struct {
 	Buf []byte
 	// Sel and Idx are a late-materializing backend's row selection: its
 	// bitmap and the selected rows it compacts the block's columns to.
+	// RowsAt rebases a later block's listed rows into Idx.
 	Sel []uint64
 	Idx []int32
 }
@@ -167,8 +172,9 @@ type ScanSource interface {
 
 // ForBlocks hands every block of src to fn in order, decoding each into
 // one reused scratch, so fn must be done with a block when it returns.
-// src must have been opened without predicates: a pruned block is an
-// error. The caller still closes src.
+// Its callers read whole tables, so src must have been opened without
+// predicates and serve every row of each block: a pruned block, or a
+// listed one (RowsAt), is an error. The caller still closes src.
 func ForBlocks(src ScanSource, fn func(BlockCols) error) error {
 	var sc BlockScratch
 	for b := 0; b < src.Blocks(); b++ {
@@ -178,6 +184,9 @@ func ForBlocks(src ScanSource, fn func(BlockCols) error) error {
 		}
 		if !ok {
 			return fmt.Errorf("storage: unpredicated scan pruned block %d", b)
+		}
+		if cols.Listed != nil {
+			return fmt.Errorf("storage: block %d lists its rows", b)
 		}
 		if err := fn(cols); err != nil {
 			return err
@@ -270,9 +279,10 @@ type rowsFrom struct {
 // has since merged, the WAL tail — rows [from, Rows()) are the rows
 // appended after the table held from rows. Blocks that end at or before
 // the cut are skipped on BlockRows alone, never decoded; the one block the
-// cut falls inside is served with its leading rows sliced off. src must
-// have been opened without predicates: a Filtered block is an error.
-// Closing the result closes src.
+// cut falls inside is served with its leading rows sliced off — its
+// columns, or the first entries of its Listed rows. src must have been
+// opened without predicates: a Filtered block is an error. Closing the
+// result closes src.
 func RowsFrom(src ScanSource, from int) ScanSource {
 	if from <= 0 {
 		return src
@@ -304,6 +314,10 @@ func (r *rowsFrom) Block(b int, sc *BlockScratch) (BlockCols, bool, error) {
 		return BlockCols{}, false, errors.New("storage: RowsFrom over a source opened with predicates")
 	}
 	if b == 0 && r.skip > 0 {
+		if cols.Listed != nil {
+			cols.Listed = cols.Listed[r.skip:]
+			return cols, true, nil
+		}
 		// The outer slices may be the table's own (resident blocks alias
 		// them), so the trimmed columns get fresh ones.
 		cols.Keys, cols.Meas, cols.Rows = trimCols(cols.Keys, r.skip), trimCols(cols.Meas, r.skip), cols.Rows-r.skip
@@ -317,11 +331,9 @@ const atBlockRows = 1 << 16
 
 // rowsAt is a source narrowed to listed rows (see RowsAt).
 type rowsAt struct {
-	src     ScanSource
-	parts   []atPart
-	rows    int
-	need    ColSet
-	accepts []accept // one per predicated hierarchy; none serves every row
+	src   ScanSource
+	parts []atPart
+	rows  int
 }
 
 // atPart is one block of a RowsAt source: the listed rows that fall in
@@ -331,38 +343,21 @@ type atPart struct {
 	rows        []int32
 }
 
-// accept is the prepared predicate of one hierarchy (LevelPred.Accept).
-type accept struct {
-	hier int
-	ok   []bool
-}
-
 // RowsAt narrows src to the rows at the given positions, which must be
 // ascending, distinct and below src.Rows(); the blocks concatenate to
 // those rows in that order. Like RowsFrom it relies on positions being
 // stable whatever the layout, so a compaction since the list was made
-// does not move a row. Each block gathers the columns the source serves
-// at the listed positions into the caller's scratch. A single-block
-// source (resident columns) is read zero-copy, so its rows are served
-// atBlockRows at a time, each part in a worker's own scratch; a
-// multi-block source decodes a block per call, so each of its blocks
-// with a listed row is served whole, and one with none is never decoded.
-// src must have been opened on need and without predicates: a Filtered
-// block is an error.
-//
-// preds, prepared by Accepts, are the scan's own: a block first reads
-// the predicated key columns at the listed rows, keeps the rows every
-// predicate accepts, and gathers the other columns need names at those
-// rows alone. It is Filtered, without its predicate-only columns, and a
-// block no row of which passes is served as pruned. With no predicates
-// every listed row is served. Closing the result closes src.
-func RowsAt(src ScanSource, rows []int32, need ColSet, preds []LevelPred) ScanSource {
-	r := &rowsAt{src: src, need: need}
-	for _, p := range preds {
-		if !slices.ContainsFunc(r.accepts, func(a accept) bool { return a.hier == p.Hier }) {
-			r.accepts = append(r.accepts, accept{hier: p.Hier, ok: p.Accept})
-		}
-	}
+// does not move a row. Nothing is copied: each block is the underlying
+// block whole, its Listed the listed rows that fall in it. A single-block
+// source (resident columns) has its rows served atBlockRows at a time,
+// each part's Listed a slice of rows itself; a multi-block source decodes
+// a block per call, so each of its blocks with a listed row is served
+// once, its rows rebased to the block in the caller's scratch (Idx), and
+// one with none is never decoded. src must have been opened without
+// predicates: a Filtered block is an error. Closing the result closes
+// src.
+func RowsAt(src ScanSource, rows []int32) ScanSource {
+	r := &rowsAt{src: src}
 	base := 0
 	for b, nb := 0, src.Blocks(); b < nb && len(rows) > 0; b++ {
 		end := base + src.BlockRows(b)
@@ -395,57 +390,17 @@ func (r *rowsAt) Block(b int, sc *BlockScratch) (BlockCols, bool, error) {
 	if cols.Filtered {
 		return BlockCols{}, false, errors.New("storage: RowsAt over a source opened with predicates")
 	}
-	rows := p.rows
-	if len(r.accepts) > 0 {
-		if rows = r.pass(sc, cols, p); len(rows) == 0 {
-			return BlockCols{}, false, nil
+	cols.Listed = p.rows
+	if p.base > 0 {
+		if cap(sc.Idx) < len(p.rows) {
+			sc.Idx = make([]int32, len(p.rows))
+		}
+		cols.Listed = sc.Idx[:len(p.rows)]
+		for i, row := range p.rows {
+			cols.Listed[i] = row - int32(p.base)
 		}
 	}
-	out := BlockCols{Keys: make([][]int32, len(cols.Keys)), Meas: make([][]float64, len(cols.Meas)), Rows: len(rows), Filtered: len(r.accepts) > 0}
-	for h, col := range cols.Keys {
-		if col != nil && !(out.Filtered && r.need.PredOnlyKey(h)) {
-			out.Keys[h] = gatherAt(sc.KeyBuf(h, len(cols.Keys), out.Rows), col, rows, p.base)
-		}
-	}
-	for m, col := range cols.Meas {
-		if col != nil {
-			out.Meas[m] = gatherAt(sc.MeasBuf(m, len(cols.Meas), out.Rows), col, rows, p.base)
-		}
-	}
-	return out, true, nil
-}
-
-// pass returns the rows of part p that every predicate accepts, in
-// sc.Idx: the first predicate compacts the part's rows into it, later
-// ones compact it in place.
-func (r *rowsAt) pass(sc *BlockScratch, cols BlockCols, p atPart) []int32 {
-	if cap(sc.Idx) < len(p.rows) {
-		sc.Idx = make([]int32, len(p.rows))
-	}
-	sel, from := sc.Idx[:len(p.rows)], p.rows
-	for _, a := range r.accepts {
-		col, n := cols.Keys[a.hier], 0
-		for _, row := range from {
-			sel[n] = row
-			if a.ok[col[int(row)-p.base]] {
-				n++
-			}
-		}
-		sel, from = sel[:n], sel[:n]
-	}
-	return sel
-}
-
-// gatherAt sets dst[j] to col's value at row rows[j] of a block that
-// starts at row base, and returns dst. dst may begin where col does (a
-// block decoded into the same scratch): rows ascend from base, so
-// rows[j]-base >= j and no value is overwritten before it is read.
-func gatherAt[T any](dst, col []T, rows []int32, base int) []T {
-	dst = dst[:len(rows)]
-	for j, r := range rows {
-		dst[j] = col[int(r)-base]
-	}
-	return dst
+	return cols, true, nil
 }
 
 // trimCols returns the columns without their first n values; columns the

@@ -148,11 +148,66 @@ func TestRowsFromLeavesTheTableAlone(t *testing.T) {
 	}
 }
 
-// TestRowsAt narrows sources to listed rows and checks that the rows
-// served are exactly those, in order, with BlockRows agreeing with Block;
-// that blocks holding no listed row are never decoded; that a single
-// block is served in parts of at most atBlockRows; and that a source
-// decoding into the caller's scratch is gathered in place correctly.
+// TestRowsFromCutsListedRows: the block a cut falls inside of a listed
+// source loses the first entries of its Listed rows, not the first rows
+// of its columns; over a single-block source the rows left are still the
+// caller's own list.
+func TestRowsFromCutsListedRows(t *testing.T) {
+	rows := []int32{1, 3, 5, 6, 11}
+	src := RowsFrom(RowsAt(&blocksSource{sizes: []int{5, 4, 3}}, rows), 3)
+	var sc BlockScratch
+	var served []float64
+	for b := 0; b < src.Blocks(); b++ {
+		cols, ok, err := src.Block(b, &sc)
+		if err != nil || !ok {
+			t.Fatalf("block %d: ok=%v err=%v", b, ok, err)
+		}
+		if len(cols.Listed) != src.BlockRows(b) || len(cols.Meas[0]) != cols.Rows {
+			t.Fatalf("block %d: %d listed rows, BlockRows %d, %d measures in %d rows", b, len(cols.Listed), src.BlockRows(b), len(cols.Meas[0]), cols.Rows)
+		}
+		for _, r := range cols.Listed {
+			served = append(served, cols.Meas[0][r])
+		}
+	}
+	if want := []float64{6, 11}; !slices.Equal(served, want) {
+		t.Errorf("served rows %v, want %v", served, want)
+	}
+	if cols, _, _ := src.Block(0, &sc); cols.Rows != 4 {
+		t.Errorf("the cut block holds %d rows, want its 4: columns are not trimmed", cols.Rows)
+	}
+
+	one := []int32{2, 4, 7, 9}
+	cols, _, err := RowsFrom(RowsAt(&blocksSource{sizes: []int{10}}, one), 1).Block(0, &sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cols.Listed) != 3 || &cols.Listed[0] != &one[1] || cols.Rows != 10 {
+		t.Errorf("cut single block: listed %v of %d rows, want the caller's %v of 10", cols.Listed, cols.Rows, one[1:])
+	}
+}
+
+// TestForBlocksRefusesListedRows: ForBlocks hands whole blocks to callers
+// that read every row, so a block that lists its rows is an error, not a
+// block read whole.
+func TestForBlocksRefusesListedRows(t *testing.T) {
+	calls := 0
+	err := ForBlocks(RowsAt(&blocksSource{sizes: []int{5}}, []int32{1, 2}), func(BlockCols) error {
+		calls++
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "lists its rows") || calls != 0 {
+		t.Fatalf("ForBlocks over listed rows: err = %v after %d blocks, want an error before any", err, calls)
+	}
+}
+
+// TestRowsAt narrows sources to listed rows and checks that every block
+// is its underlying block whole, unread blocks never decoded, with the
+// listed rows that fall in it as Listed: ascending, block-relative, as
+// many as BlockRows says, and in all exactly the listed rows in order.
+// Over a single-block source Listed is the caller's list itself, cut in
+// parts of at most atBlockRows; over a multi-block source the first
+// block's is too, and a later block's is rebased into the caller's
+// scratch (Idx), beside a source that decodes into that scratch as well.
 func TestRowsAt(t *testing.T) {
 	every := func(n, step int) []int32 {
 		var rows []int32
@@ -180,34 +235,49 @@ func TestRowsAt(t *testing.T) {
 		for _, scratch := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/scratch=%v", tc.name, scratch), func(t *testing.T) {
 				under := &blocksSource{sizes: tc.sizes, scratch: scratch}
-				src := RowsAt(under, tc.rows, ColSet{}, nil)
+				src := RowsAt(under, tc.rows)
 				if src.Rows() != len(tc.rows) || src.Blocks() != tc.parts {
 					t.Fatalf("Rows() = %d in %d blocks, want %d in %d", src.Rows(), src.Blocks(), len(tc.rows), tc.parts)
 				}
 				var sc BlockScratch
-				var meas []float64
+				var served []float64
 				for b := 0; b < src.Blocks(); b++ {
 					cols, ok, err := src.Block(b, &sc)
 					if err != nil || !ok {
 						t.Fatalf("block %d: ok=%v err=%v", b, ok, err)
 					}
-					if cols.Rows != src.BlockRows(b) || cols.Rows > atBlockRows || len(cols.Meas[0]) != cols.Rows || len(cols.Keys[0]) != cols.Rows {
-						t.Fatalf("block %d: Rows %d, BlockRows %d, %d measures, %d keys", b, cols.Rows, src.BlockRows(b), len(cols.Meas[0]), len(cols.Keys[0]))
+					at := under.decoded[len(under.decoded)-1]
+					start := 0
+					for _, sz := range tc.sizes[:at] {
+						start += sz
 					}
-					if cols.Keys[1] != nil {
-						t.Fatalf("block %d: a column the source left nil came back non-nil", b)
+					n := len(cols.Listed)
+					if n == 0 || n != src.BlockRows(b) || n > atBlockRows {
+						t.Fatalf("block %d: %d listed rows, BlockRows %d", b, n, src.BlockRows(b))
 					}
-					for i, k := range cols.Keys[0] {
-						if k != int32(int(cols.Meas[0][i])%7) {
-							t.Fatalf("block %d row %d: key %d beside measure %v", b, i, k, cols.Meas[0][i])
+					if cols.Rows != tc.sizes[at] || len(cols.Meas[0]) != cols.Rows || len(cols.Keys[0]) != cols.Rows || cols.Keys[1] != nil {
+						t.Fatalf("block %d: %d rows, %d measures, %d keys: not block %d of %d rows whole", b, cols.Rows, len(cols.Meas[0]), len(cols.Keys[0]), at, tc.sizes[at])
+					}
+					switch own := &tc.rows[len(served)]; {
+					case start == 0 && &cols.Listed[0] != own:
+						t.Fatalf("block %d: the listed rows of a block at row 0 were copied", b)
+					case start > 0 && &cols.Listed[0] != &sc.Idx[0]:
+						t.Fatalf("block %d: the listed rows of a block at row %d are not rebased in the scratch", b, start)
+					}
+					for i, r := range cols.Listed {
+						if i > 0 && r <= cols.Listed[i-1] || int(r) >= cols.Rows {
+							t.Fatalf("block %d: listed rows %v not ascending within %d rows", b, cols.Listed, cols.Rows)
 						}
+						if cols.Keys[0][r] != int32(int(cols.Meas[0][r])%7) {
+							t.Fatalf("block %d row %d: key %d beside measure %v", b, r, cols.Keys[0][r], cols.Meas[0][r])
+						}
+						served = append(served, cols.Meas[0][r])
 					}
-					meas = append(meas, cols.Meas[0]...)
 				}
-				if len(meas) != len(tc.rows) {
-					t.Fatalf("blocks served %d rows, want %d", len(meas), len(tc.rows))
+				if len(served) != len(tc.rows) {
+					t.Fatalf("blocks served %d rows, want %d", len(served), len(tc.rows))
 				}
-				for i, v := range meas {
+				for i, v := range served {
 					if v != float64(tc.rows[i]) {
 						t.Fatalf("row %d served fact row %v, want %d", i, v, tc.rows[i])
 					}
@@ -227,59 +297,11 @@ func TestRowsAt(t *testing.T) {
 // TestRowsAtRejectsSelections: a Filtered block's rows are not positions
 // in the table.
 func TestRowsAtRejectsSelections(t *testing.T) {
-	src := RowsAt(&blocksSource{sizes: []int{5, 4, 3}, filtered: 1}, []int32{1, 6}, ColSet{}, nil)
+	src := RowsAt(&blocksSource{sizes: []int{5, 4, 3}, filtered: 1}, []int32{1, 6})
 	if _, _, err := src.Block(0, new(BlockScratch)); err != nil {
 		t.Fatalf("plain block: %v", err)
 	}
 	if _, _, err := src.Block(1, new(BlockScratch)); err == nil || !strings.Contains(err.Error(), "predicates") {
 		t.Fatalf("Filtered block: err = %v, want an error naming the predicates", err)
-	}
-}
-
-// TestRowsAtFilters: with predicates, a block serves only the listed rows
-// whose keys every predicate accepts, marked Filtered, without the
-// predicate-only columns; a block none of whose rows pass is served as
-// pruned; and the predicates of one hierarchy are evaluated once, on
-// their shared vector.
-func TestRowsAtFilters(t *testing.T) {
-	ok := []bool{false, true, false, true, false, false, false} // keys 1 and 3 (rows r%7)
-	preds := []LevelPred{{Hier: 0, Accept: ok}, {Hier: 0, Accept: ok}}
-	rows := []int32{0, 1, 2, 3, 4, 5, 8, 9, 10, 14, 15, 17, 19, 20}
-	for _, predOnly := range []bool{false, true} {
-		for _, scratch := range []bool{false, true} {
-			t.Run(fmt.Sprintf("predOnly=%v/scratch=%v", predOnly, scratch), func(t *testing.T) {
-				under := &blocksSource{sizes: []int{6, 6, 6, 6}, scratch: scratch}
-				need := ColSet{PredOnly: []bool{predOnly, false}}
-				src := RowsAt(under, rows, need, preds)
-				var sc BlockScratch
-				var served []float64
-				var pruned []int
-				for b := 0; b < src.Blocks(); b++ {
-					cols, ok, err := src.Block(b, &sc)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !ok {
-						pruned = append(pruned, b)
-						continue
-					}
-					if !cols.Filtered || len(cols.Meas[0]) != cols.Rows || (cols.Keys[0] == nil) != predOnly {
-						t.Fatalf("block %d: Filtered %v, %d rows, %d measures, key column %v with predOnly %v", b, cols.Filtered, cols.Rows, len(cols.Meas[0]), cols.Keys[0] != nil, predOnly)
-					}
-					for i, v := range cols.Meas[0] {
-						if cols.Keys[0] != nil && cols.Keys[0][i] != int32(int(v)%7) {
-							t.Fatalf("block %d row %d: key %d beside measure %v", b, i, cols.Keys[0][i], v)
-						}
-					}
-					served = append(served, cols.Meas[0]...)
-				}
-				if want := []float64{1, 3, 8, 10, 15, 17}; !slices.Equal(served, want) {
-					t.Errorf("served rows %v, want %v", served, want)
-				}
-				if !slices.Equal(pruned, []int{3}) {
-					t.Errorf("pruned blocks %v, want [3]: rows 19 and 20 hold keys 5 and 6", pruned)
-				}
-			})
-		}
 	}
 }
