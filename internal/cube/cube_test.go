@@ -256,7 +256,8 @@ func TestPivotFigureTwo(t *testing.T) {
 	}
 	country, _ := s.FindLevel("country")
 	italy, _ := s.Hiers[1].Dict(0).Lookup("Italy")
-	d, err := Pivot(cp, country, italy, nil, true, func(m, member string) string { return "qtyFrance" })
+	france, _ := s.Hiers[1].Dict(0).Lookup("France")
+	d, err := Pivot(cp, country, italy, []int32{france}, true, func(m, member string) string { return "qtyFrance" })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,14 +297,15 @@ func TestPivotStrictDropsIncomplete(t *testing.T) {
 	}
 	country, _ := s.FindLevel("country")
 	italy, _ := s.Hiers[1].Dict(0).Lookup("Italy")
-	strict, err := Pivot(cp, country, italy, nil, true, nil)
+	france, _ := s.Hiers[1].Dict(0).Lookup("France")
+	strict, err := Pivot(cp, country, italy, []int32{france}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strict.Len() != 2 {
 		t.Fatalf("strict |D| = %d, want 2 (Listing 5 filters nulls)", strict.Len())
 	}
-	loose, err := Pivot(cp, country, italy, nil, false, nil)
+	loose, err := Pivot(cp, country, italy, []int32{france}, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,8 +315,9 @@ func TestPivotStrictDropsIncomplete(t *testing.T) {
 }
 
 func TestPivotNeighborOrderChronological(t *testing.T) {
-	// Months pivot: neighbors must be ordered by member name, so ISO months
-	// come out chronologically (required by the regression transform).
+	// Months pivot: the columns follow the neighbors in the order given
+	// (chronological, as the regression transform needs), not the order
+	// the members were added to the dictionary.
 	hd := mdm.NewHierarchy("Date", "month")
 	for _, m := range []string{"1997-07", "1997-03", "1997-05", "1997-04", "1997-06"} {
 		hd.MustAddMember(m)
@@ -332,7 +335,12 @@ func TestPivotNeighborOrderChronological(t *testing.T) {
 	}
 	month, _ := s.FindLevel("month")
 	ref, _ := hd.Dict(0).Lookup("1997-07")
-	p, err := Pivot(c, month, ref, nil, true, nil)
+	var past []int32
+	for _, m := range []string{"1997-03", "1997-04", "1997-05", "1997-06"} {
+		id, _ := hd.Dict(0).Lookup(m)
+		past = append(past, id)
+	}
+	p, err := Pivot(c, month, ref, past, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +359,8 @@ func TestPivotEmptyReferenceSlice(t *testing.T) {
 	s, g, _, b := fixture(t)
 	country, _ := s.FindLevel("country")
 	italy, _ := s.Hiers[1].Dict(0).Lookup("Italy")
-	p, err := Pivot(b, country, italy, nil, true, nil) // b has only France cells
+	france, _ := s.Hiers[1].Dict(0).Lookup("France")
+	p, err := Pivot(b, country, italy, []int32{france}, true, nil) // b has only France cells
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -251,7 +251,7 @@ func TestPivotMatchesReference(t *testing.T) {
 		for i := range explicit {
 			explicit[i] = int32(rng.Intn(n)) // may be absent from the data, or ref itself
 		}
-		for _, neighbors := range [][]int32{nil, explicit} {
+		for _, neighbors := range [][]int32{neighborsOf(c.r, level, ref), explicit} {
 			for _, strict := range []bool{false, true} {
 				got, gerr := Pivot(c.c, level, ref, neighbors, strict, nil)
 				want, werr := refPivot(c.r, level, ref, neighbors, strict, nil)
@@ -425,8 +425,9 @@ func TestWideKeySpaceFallsBack(t *testing.T) {
 	want, werr = refMultiplyJoin(left.r, right.r, g[6], members, "b.", true)
 	same(t, "MultiplyJoin", got, gerr, want, werr)
 
-	got, gerr = Pivot(left.c, g[0], left.r.Coords[0][0], nil, false, nil)
-	want, werr = refPivot(left.r, g[0], left.r.Coords[0][0], nil, false, nil)
+	ref := left.r.Coords[0][0]
+	got, gerr = Pivot(left.c, g[0], ref, neighborsOf(left.r, g[0], ref), false, nil)
+	want, werr = refPivot(left.r, g[0], ref, neighborsOf(left.r, g[0], ref), false, nil)
 	same(t, "Pivot", got, gerr, want, werr)
 
 	got, gerr = RollupJoin(left.c, right.c, "b.", false)
@@ -464,8 +465,8 @@ func TestSmallCubes(t *testing.T) {
 				same(t, what+"RollupJoin", got, gerr, want, werr)
 
 				if len(g) > 0 {
-					got, gerr = Pivot(a.c, g[0], 0, nil, true, nil)
-					want, werr = refPivot(a.r, g[0], 0, nil, true, nil)
+					got, gerr = Pivot(a.c, g[0], 0, neighborsOf(a.r, g[0], 0), true, nil)
+					want, werr = refPivot(a.r, g[0], 0, neighborsOf(a.r, g[0], 0), true, nil)
 					same(t, what+"Pivot", got, gerr, want, werr)
 
 					got, gerr = MultiplyJoin(a.c, b.c, g[0], []int32{0}, "b.", false)

@@ -158,9 +158,8 @@ func PartialJoin(left, right *Cube, on []mdm.LevelRef, alias string, outer bool)
 // l on member ref and, for each kept cell, appends the measures of its
 // neighbor cells (same coordinate except for l) as new measures. Each
 // neighbor contributes one renamed copy of every measure, in the order of
-// the neighbors slice; when neighbors is nil the members present in the
-// cube are used, ordered by member name (chronological for ISO-formatted
-// temporal members). When strict is true, cells missing any neighbor are
+// the neighbors slice (plans fix them: the sibling, or the past slices in
+// chronological order). When strict is true, cells missing any neighbor are
 // dropped (the paper's "is not null" filter); otherwise missing neighbor
 // measures are NaN. rename maps a (measure, neighbor member) pair to the
 // new column name; by default names are "m@member".
@@ -173,23 +172,6 @@ func Pivot(c *Cube, level mdm.LevelRef, ref int32, neighbors []int32, strict boo
 		rename = func(measure, member string) string { return measure + "@" + member }
 	}
 	dict := c.Schema.Dict(level)
-
-	if neighbors == nil {
-		// Collect the neighbor members present in the cube, ordered by name.
-		present := make(map[int32]bool)
-		for _, id := range c.Keys[lp] {
-			present[id] = true
-		}
-		neighbors = make([]int32, 0, len(present))
-		for id := range present {
-			if id != ref {
-				neighbors = append(neighbors, id)
-			}
-		}
-		ranks := dict.Ranks()
-		slices.SortFunc(neighbors, func(a, b int32) int { return int(ranks[a]) - int(ranks[b]) })
-	}
-
 	names := append([]string(nil), c.Names...)
 	for _, id := range neighbors {
 		for _, m := range c.Names {

@@ -123,6 +123,23 @@ func refPartialJoin(left, right *refCube, on []mdm.LevelRef, alias string, outer
 	return out, nil
 }
 
+// neighborsOf lists the members of level present in c other than ref,
+// ordered by name: the slices a pivot on ref can find a neighbor in.
+func neighborsOf(c *refCube, level mdm.LevelRef, ref int32) []int32 {
+	lp := c.Group.PosOf(level)
+	seen := make(map[int32]bool)
+	var out []int32
+	for _, coord := range c.Coords {
+		if id := coord[lp]; id != ref && !seen[id] {
+			seen[id] = true
+			out = append(out, id)
+		}
+	}
+	dict := c.Schema.Dict(level)
+	sort.Slice(out, func(i, j int) bool { return dict.Name(out[i]) < dict.Name(out[j]) })
+	return out
+}
+
 func refPivot(c *refCube, level mdm.LevelRef, ref int32, neighbors []int32, strict bool, rename func(measure, member string) string) (*refCube, error) {
 	lp := c.Group.PosOf(level)
 	if lp < 0 {
@@ -132,20 +149,6 @@ func refPivot(c *refCube, level mdm.LevelRef, ref int32, neighbors []int32, stri
 		rename = func(measure, member string) string { return measure + "@" + member }
 	}
 	dict := c.Schema.Dict(level)
-
-	if neighbors == nil {
-		memberSet := make(map[int32]bool)
-		for _, coord := range c.Coords {
-			memberSet[coord[lp]] = true
-		}
-		neighbors = make([]int32, 0, len(memberSet))
-		for id := range memberSet {
-			if id != ref {
-				neighbors = append(neighbors, id)
-			}
-		}
-		sort.Slice(neighbors, func(i, j int) bool { return dict.Name(neighbors[i]) < dict.Name(neighbors[j]) })
-	}
 
 	names := append([]string(nil), c.Names...)
 	for _, id := range neighbors {

@@ -1,9 +1,10 @@
 // Package engine is the query engine standing in for the Oracle DBMS of
 // the paper's prototype (Section 6). It evaluates cube queries (the
 // logical get operator) over columnar star-schema fact tables and, like a
-// DBMS accepting richer SQL, can additionally evaluate drill-across joins
-// (Listing 4, used by JOP plans) and pivots (Listing 5, used by POP plans)
-// engine-side before results cross to the client.
+// DBMS accepting richer SQL, applies whatever cube operator a plan pushes
+// to it (Push: the drill-across joins of JOP plans, Listing 4, and the
+// pivots of POP plans, Listing 5) engine-side before results cross to the
+// client.
 //
 // The engine/client boundary is explicit: every result set is serialized
 // into a binary row format and decoded into a client cube, exactly like a
@@ -358,12 +359,17 @@ func (e *Engine) Get(q Query) (*cube.Cube, error) {
 // GetContext is Get with a caller context: cancelling it ends the fact
 // scan with the context's error.
 func (e *Engine) GetContext(ctx context.Context, q Query) (*cube.Cube, error) {
-	return e.pushed(ctx, func(cs ...*cube.Cube) (*cube.Cube, error) { return cs[0], nil }, q)
+	return e.Push(ctx, func(cs ...*cube.Cube) (*cube.Cube, error) { return cs[0], nil }, q)
 }
 
-// pushed evaluates the queries engine-side and transfers only op of their
-// cubes: the subexpression a plan pushes to SQL.
-func (e *Engine) pushed(ctx context.Context, op func(cs ...*cube.Cube) (*cube.Cube, error), qs ...Query) (*cube.Cube, error) {
+// Push evaluates the queries engine-side, applies op to their cubes (in
+// query order) and transfers only op's result: the subexpression a plan
+// pushes to SQL, such as the join C ⋈ B of a Join-Optimized Plan
+// (Listing 4) or the get+pivot of a Pivot-Optimized Plan (Listing 5).
+// Each aggregate is answered like any other (exact view, roll-up of a
+// finer view, or fact scan); op is the same cube operator a Naive Plan
+// runs client-side, so only the rows it keeps cross the cursor.
+func (e *Engine) Push(ctx context.Context, op func(cs ...*cube.Cube) (*cube.Cube, error), qs ...Query) (*cube.Cube, error) {
 	cs := make([]*cube.Cube, len(qs))
 	for i, q := range qs {
 		c, err := e.aggregate(ctx, q)
@@ -377,53 +383,6 @@ func (e *Engine) pushed(ctx context.Context, op func(cs ...*cube.Cube) (*cube.Cu
 		return nil, err
 	}
 	return transfer(out)
-}
-
-// GetJoinedContext evaluates two cube queries and their (partial,
-// possibly left-outer) join engine-side, transferring only the joined
-// rows: the subexpression C ⋈ B pushed to SQL by a Join-Optimized Plan
-// (Listing 4). The right cube's measures are prefixed with alias.
-func (e *Engine) GetJoinedContext(ctx context.Context, qc, qb Query, on []mdm.LevelRef, alias string, outer bool) (*cube.Cube, error) {
-	return e.pushed(ctx, func(cs ...*cube.Cube) (*cube.Cube, error) {
-		return cube.PartialJoin(cs[0], cs[1], on, alias, outer)
-	}, qc, qb)
-}
-
-// GetPivotedContext evaluates one cube query covering all slices and
-// pivots it engine-side on the reference member: the get+pivot
-// subexpression pushed to SQL by a Pivot-Optimized Plan (Listing 5). The
-// aggregate is answered like any other (exact view, roll-up of a finer
-// view, or fact scan) and pivoted by cube.Pivot, the same operator an NP
-// plan runs client-side, so only the pivoted rows cross the cursor
-// boundary. neighbors fixes the benchmark slice columns (nil infers them
-// from the data). When strict is true, cells missing any neighbor slice
-// are filtered out (the "is not null" clauses); the assess* variant keeps
-// them with nulls.
-func (e *Engine) GetPivotedContext(ctx context.Context, q Query, level mdm.LevelRef, ref int32, neighbors []int32, strict bool, rename func(measure, member string) string) (*cube.Cube, error) {
-	return e.pushed(ctx, func(cs ...*cube.Cube) (*cube.Cube, error) {
-		return cube.Pivot(cs[0], level, ref, neighbors, strict, rename)
-	}, q)
-}
-
-// GetMultipliedContext evaluates two cube queries and their one-to-many
-// partial join engine-side (the pushed C ⋈ B of a Join-Optimized Plan
-// over a past benchmark, Example 5.3): one output row per (target cell,
-// slice member) pair, transferred once.
-func (e *Engine) GetMultipliedContext(ctx context.Context, qc, qb Query, level mdm.LevelRef, members []int32, alias string, outer bool) (*cube.Cube, error) {
-	return e.pushed(ctx, func(cs ...*cube.Cube) (*cube.Cube, error) {
-		return cube.MultiplyJoin(cs[0], cs[1], level, members, alias, outer)
-	}, qc, qb)
-}
-
-// GetRollupJoinedContext evaluates the target query and its ancestor
-// benchmark engine-side: the benchmark is the target query re-grouped at
-// the coarser group-by set, and each target cell is joined with the
-// benchmark cell its coordinate rolls up to. Only the joined rows cross
-// to the client (the JOP form of an ancestor benchmark).
-func (e *Engine) GetRollupJoinedContext(ctx context.Context, qc, qb Query, alias string, outer bool) (*cube.Cube, error) {
-	return e.pushed(ctx, func(cs ...*cube.Cube) (*cube.Cube, error) {
-		return cube.RollupJoin(cs[0], cs[1], alias, outer)
-	}, qc, qb)
 }
 
 // Cardinality returns |C| for a cube query without transferring the

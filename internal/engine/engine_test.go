@@ -123,7 +123,7 @@ func TestGetJoinedSibling(t *testing.T) {
 	qc := freshFruitQuery(t, s, "Italy")
 	qb := freshFruitQuery(t, s, "France")
 	product, _ := s.FindLevel("product")
-	d, err := e.GetJoinedContext(context.Background(), qc, qb, []mdm.LevelRef{product}, "benchmark.", false)
+	d, err := pushJoin(e, qc, qb, []mdm.LevelRef{product}, "benchmark.", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestGetPivotedSibling(t *testing.T) {
 	countryRef, italy := member(t, s, "country", "Italy")
 	_, france := member(t, s, "country", "France")
 	q.Preds[1] = Predicate{Level: countryRef, Members: []int32{italy, france}}
-	d, err := e.GetPivotedContext(context.Background(), q, countryRef, italy, nil, true,
+	d, err := pushPivot(e, q, countryRef, italy, []int32{france}, true,
 		func(m, member string) string { return "qtyFrance" })
 	if err != nil {
 		t.Fatal(err)
@@ -185,13 +185,13 @@ func TestJOPEqualsNPEqualsPOP(t *testing.T) {
 	countryRef, italy := member(t, s, "country", "Italy")
 	_, france := member(t, s, "country", "France")
 
-	jop, err := e.GetJoinedContext(context.Background(), qc, qb, []mdm.LevelRef{product}, "benchmark.", false)
+	jop, err := pushJoin(e, qc, qb, []mdm.LevelRef{product}, "benchmark.", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	qAll := freshFruitQuery(t, s, "Italy")
 	qAll.Preds[1] = Predicate{Level: countryRef, Members: []int32{italy, france}}
-	pop, err := e.GetPivotedContext(context.Background(), qAll, countryRef, italy, nil, true,
+	pop, err := pushPivot(e, qAll, countryRef, italy, []int32{france}, true,
 		func(m, member string) string { return "benchmark." + m })
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +294,7 @@ func TestWireRoundTripNaN(t *testing.T) {
 	// Outer join against an empty benchmark: NaNs must survive the wire.
 	qb := freshFruitQuery(t, s, "Spain")
 	product, _ := s.FindLevel("product")
-	d, err := e.GetJoinedContext(context.Background(), qc, qb, []mdm.LevelRef{product}, "benchmark.", true)
+	d, err := pushJoin(e, qc, qb, []mdm.LevelRef{product}, "benchmark.", true)
 	if err != nil {
 		t.Fatal(err)
 	}

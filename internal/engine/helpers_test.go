@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
+	"github.com/assess-olap/assess/internal/cube"
 	"github.com/assess-olap/assess/internal/mdm"
 	"github.com/assess-olap/assess/internal/storage"
 )
@@ -33,4 +35,32 @@ func (e *Engine) setDenseKeyBudget(slots int) {
 	default:
 		e.denseBudget = 0
 	}
+}
+
+// The pushed operators of the plans: each pushes its cube operator over
+// the queries' aggregates through Engine.Push, so only the result crosses
+// the cursor.
+
+func pushJoin(e *Engine, qc, qb Query, on []mdm.LevelRef, alias string, outer bool) (*cube.Cube, error) {
+	return e.Push(context.Background(), func(cs ...*cube.Cube) (*cube.Cube, error) {
+		return cube.PartialJoin(cs[0], cs[1], on, alias, outer)
+	}, qc, qb)
+}
+
+func pushPivot(e *Engine, q Query, level mdm.LevelRef, ref int32, neighbors []int32, strict bool, rename func(measure, member string) string) (*cube.Cube, error) {
+	return e.Push(context.Background(), func(cs ...*cube.Cube) (*cube.Cube, error) {
+		return cube.Pivot(cs[0], level, ref, neighbors, strict, rename)
+	}, q)
+}
+
+func pushMultiply(e *Engine, qc, qb Query, level mdm.LevelRef, members []int32, alias string, outer bool) (*cube.Cube, error) {
+	return e.Push(context.Background(), func(cs ...*cube.Cube) (*cube.Cube, error) {
+		return cube.MultiplyJoin(cs[0], cs[1], level, members, alias, outer)
+	}, qc, qb)
+}
+
+func pushRollupJoin(e *Engine, qc, qb Query, alias string, outer bool) (*cube.Cube, error) {
+	return e.Push(context.Background(), func(cs ...*cube.Cube) (*cube.Cube, error) {
+		return cube.RollupJoin(cs[0], cs[1], alias, outer)
+	}, qc, qb)
 }

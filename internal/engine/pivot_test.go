@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"math"
 	"slices"
 	"testing"
@@ -94,14 +93,14 @@ func TestPivotFromViewMatchesScan(t *testing.T) {
 	for _, c := range cases {
 		for _, strict := range []bool{true, false} {
 			before := hits(c.view)
-			a, err := viewed.GetPivotedContext(context.Background(), c.q, c.level, c.ref, c.neighbors, strict, nil)
+			a, err := pushPivot(viewed, c.q, c.level, c.ref, c.neighbors, strict, nil)
 			if err != nil {
 				t.Fatalf("%s from the view: %v", c.name, err)
 			}
 			if d := hits(c.view) - before; d != 1 {
 				t.Errorf("%s strict=%v: the view counted %d hits for one pivot, want 1", c.name, strict, d)
 			}
-			b, err := scanned.GetPivotedContext(context.Background(), c.q, c.level, c.ref, c.neighbors, strict, nil)
+			b, err := pushPivot(scanned, c.q, c.level, c.ref, c.neighbors, strict, nil)
 			if err != nil {
 				t.Fatalf("%s from a scan: %v", c.name, err)
 			}
@@ -141,14 +140,14 @@ func TestGetMultipliedValidation(t *testing.T) {
 	q := Query{Fact: "SALES", Group: mdm.MustGroupBy(s, "product", "country"), Measures: []int{qi}}
 	bad := q
 	bad.Fact = "NOPE"
-	if _, err := e.GetMultipliedContext(context.Background(), bad, q, countryRef, nil, "b.", false); err == nil {
+	if _, err := pushMultiply(e, bad, q, countryRef, nil, "b.", false); err == nil {
 		t.Error("unknown left fact accepted")
 	}
-	if _, err := e.GetMultipliedContext(context.Background(), q, bad, countryRef, nil, "b.", false); err == nil {
+	if _, err := pushMultiply(e, q, bad, countryRef, nil, "b.", false); err == nil {
 		t.Error("unknown right fact accepted")
 	}
 	monthRef, _ := s.FindLevel("month")
-	if _, err := e.GetMultipliedContext(context.Background(), q, q, monthRef, nil, "b.", false); err == nil {
+	if _, err := pushMultiply(e, q, q, monthRef, nil, "b.", false); err == nil {
 		t.Error("multiply level outside the group-by accepted")
 	}
 }
@@ -163,7 +162,7 @@ func TestGetRollupJoinedValidation(t *testing.T) {
 	qi, _ := s.MeasureIndex("quantity")
 	qc := Query{Fact: "SALES", Group: mdm.MustGroupBy(s, "product"), Measures: []int{qi}}
 	qb := Query{Fact: "SALES", Group: mdm.MustGroupBy(s, "type"), Measures: []int{qi}}
-	j, err := e.GetRollupJoinedContext(context.Background(), qc, qb, "benchmark.", false)
+	j, err := pushRollupJoin(e, qc, qb, "benchmark.", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,15 +171,15 @@ func TestGetRollupJoinedValidation(t *testing.T) {
 	}
 	// Benchmark group that the target does not roll up to.
 	qbad := Query{Fact: "SALES", Group: mdm.MustGroupBy(s, "month"), Measures: []int{qi}}
-	if _, err := e.GetRollupJoinedContext(context.Background(), qc, qbad, "benchmark.", false); err == nil {
+	if _, err := pushRollupJoin(e, qc, qbad, "benchmark.", false); err == nil {
 		t.Error("non-rollup benchmark group accepted")
 	}
 	bad := qc
 	bad.Fact = "NOPE"
-	if _, err := e.GetRollupJoinedContext(context.Background(), bad, qb, "b.", false); err == nil {
+	if _, err := pushRollupJoin(e, bad, qb, "b.", false); err == nil {
 		t.Error("unknown target fact accepted")
 	}
-	if _, err := e.GetRollupJoinedContext(context.Background(), qc, bad, "b.", false); err == nil {
+	if _, err := pushRollupJoin(e, qc, bad, "b.", false); err == nil {
 		t.Error("unknown benchmark fact accepted")
 	}
 }

@@ -57,36 +57,26 @@ func phaseSlug(p plan.Phase) string {
 
 // opSpanName names the trace span of one plan operation by what the
 // engine or client actually does.
-func opSpanName(k plan.OpKind) string {
-	switch k {
+func opSpanName(op *plan.Op) string {
+	switch op.Kind {
 	case plan.OpGet:
 		return "engine.scan"
-	case plan.OpGetJoined, plan.OpGetRollupJoined, plan.OpGetMultiplied:
-		return "engine.join"
-	case plan.OpGetPivoted:
-		return "engine.pivot"
-	case plan.OpClientJoin, plan.OpClientRollupJoin:
+	case plan.OpJoin, plan.OpMultiply, plan.OpRollupJoin:
+		if op.Pushed() {
+			return "engine.join"
+		}
 		return "client.join"
-	case plan.OpClientPivot:
+	case plan.OpPivot:
+		if op.Pushed() {
+			return "engine.pivot"
+		}
 		return "client.pivot"
-	case plan.OpTransform:
-		return "transform"
-	case plan.OpProject, plan.OpReplaceSlice:
+	case plan.OpProject, plan.OpReplaceSlice, plan.OpTransform:
 		return "transform"
 	case plan.OpLabel:
 		return "label"
 	}
 	return "op"
-}
-
-// engineSide reports whether the op's result crossed the engine→client
-// wire (its span then carries the transfer byte estimate).
-func engineSide(k plan.OpKind) bool {
-	switch k {
-	case plan.OpGet, plan.OpGetJoined, plan.OpGetPivoted, plan.OpGetMultiplied, plan.OpGetRollupJoined:
-		return true
-	}
-	return false
 }
 
 // wireBytes estimates a cube's size on the cursor wire (engine.RowBytes
@@ -153,13 +143,13 @@ func RunContext(ctx context.Context, e *engine.Engine, p *plan.Plan) (*Result, e
 	stats := make([]OpStat, 0, len(p.Ops))
 	start := time.Now()
 	for i := range p.Ops {
-		// A caller that gave up (client disconnect, shared-scan detach on
-		// an earlier op) stops the plan between operations.
+		// A caller that gave up (client disconnect, a deadline) stops the
+		// plan between operations.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		op := &p.Ops[i]
-		_, sp := obsv.StartSpan(ctx, opSpanName(op.Kind))
+		_, sp := obsv.StartSpan(ctx, opSpanName(op))
 		if sp != nil { // guard so the disabled path skips the lookups too
 			sp.SetNote(p.DescribeOp(i))
 			if in, ok := cubes[op.SrcA]; ok {
@@ -179,7 +169,7 @@ func RunContext(ctx context.Context, e *engine.Engine, p *plan.Plan) (*Result, e
 		if sp != nil {
 			if out, ok := cubes[op.Dst]; ok {
 				sp.SetRows(0, int64(out.Len()))
-				if engineSide(op.Kind) {
+				if op.Pushed() { // the output crossed the engine→client wire
 					sp.AddBytes(wireBytes(out))
 				}
 			}
@@ -219,94 +209,6 @@ func runOp(ctx context.Context, e *engine.Engine, p *plan.Plan, op *plan.Op, cub
 		return c, nil
 	}
 	switch op.Kind {
-	case plan.OpGet:
-		c, err := e.GetContext(ctx, op.Query)
-		if err != nil {
-			return err
-		}
-		cubes[op.Dst] = c
-	case plan.OpGetJoined:
-		c, err := e.GetJoinedContext(ctx, op.Query, op.QueryB, op.On, op.Alias, op.Outer)
-		if err != nil {
-			return err
-		}
-		cubes[op.Dst] = c
-	case plan.OpGetPivoted:
-		c, err := e.GetPivotedContext(ctx, op.Query, op.Level, op.Ref, op.Neighbors, op.Strict, op.Rename)
-		if err != nil {
-			return err
-		}
-		cubes[op.Dst] = c
-	case plan.OpGetMultiplied:
-		c, err := e.GetMultipliedContext(ctx, op.Query, op.QueryB, op.Level, op.Members, op.Alias, op.Outer)
-		if err != nil {
-			return err
-		}
-		cubes[op.Dst] = c
-	case plan.OpGetRollupJoined:
-		c, err := e.GetRollupJoinedContext(ctx, op.Query, op.QueryB, op.Alias, op.Outer)
-		if err != nil {
-			return err
-		}
-		cubes[op.Dst] = c
-	case plan.OpClientRollupJoin:
-		a, err := src(op.SrcA)
-		if err != nil {
-			return err
-		}
-		b, err := src(op.SrcB)
-		if err != nil {
-			return err
-		}
-		c, err := cube.RollupJoin(a, b, op.Alias, op.Outer)
-		if err != nil {
-			return err
-		}
-		cubes[op.Dst] = c
-	case plan.OpClientJoin:
-		a, err := src(op.SrcA)
-		if err != nil {
-			return err
-		}
-		b, err := src(op.SrcB)
-		if err != nil {
-			return err
-		}
-		c, err := cube.PartialJoin(a, b, op.On, op.Alias, op.Outer)
-		if err != nil {
-			return err
-		}
-		cubes[op.Dst] = c
-	case plan.OpClientPivot:
-		a, err := src(op.SrcA)
-		if err != nil {
-			return err
-		}
-		c, err := cube.Pivot(a, op.Level, op.Ref, op.Neighbors, op.Strict, op.Rename)
-		if err != nil {
-			return err
-		}
-		cubes[op.Dst] = c
-	case plan.OpProject:
-		a, err := src(op.SrcA)
-		if err != nil {
-			return err
-		}
-		c, err := a.Project(op.ProjKeep, op.ProjRename)
-		if err != nil {
-			return err
-		}
-		cubes[op.Dst] = c
-	case plan.OpReplaceSlice:
-		a, err := src(op.SrcA)
-		if err != nil {
-			return err
-		}
-		c, err := a.ReplaceSlice(op.Level, op.Ref)
-		if err != nil {
-			return err
-		}
-		cubes[op.Dst] = c
 	case plan.OpTransform:
 		c, err := src(op.Dst)
 		if err != nil {
@@ -323,9 +225,7 @@ func runOp(ctx context.Context, e *engine.Engine, p *plan.Plan, op *plan.Op, cub
 		if err != nil {
 			return err
 		}
-		if err := c.AppendMeasure(op.OutCol, col); err != nil {
-			return err
-		}
+		return c.AppendMeasure(op.OutCol, col)
 	case plan.OpLabel:
 		c, err := src(op.Dst)
 		if err != nil {
@@ -343,13 +243,68 @@ func runOp(ctx context.Context, e *engine.Engine, p *plan.Plan, op *plan.Op, cub
 		if err != nil {
 			return err
 		}
-		if err := c.SetLabels(labels); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown plan operation %d", op.Kind)
+		return c.SetLabels(labels)
 	}
+	// Every other operator reads its inputs, through the engine when
+	// pushed and from the named cubes otherwise, and applies one operator.
+	apply := func(in ...*cube.Cube) (*cube.Cube, error) { return applyOp(op, in) }
+	var out *cube.Cube
+	var err error
+	if op.Pushed() {
+		qs := []engine.Query{op.Query}
+		if op.QueryB.Fact != "" {
+			qs = append(qs, op.QueryB)
+		}
+		out, err = e.Push(ctx, apply, qs...)
+	} else {
+		in := make([]*cube.Cube, 0, 2)
+		for _, name := range []string{op.SrcA, op.SrcB} {
+			if name == "" {
+				continue
+			}
+			c, err := src(name)
+			if err != nil {
+				return err
+			}
+			in = append(in, c)
+		}
+		out, err = apply(in...)
+	}
+	if err != nil {
+		return err
+	}
+	cubes[op.Dst] = out
 	return nil
+}
+
+// applyOp applies the op's operator to its input cubes, wherever they
+// were read: the one evaluation of every operator in both placements.
+func applyOp(op *plan.Op, in []*cube.Cube) (*cube.Cube, error) {
+	arity := 1
+	switch op.Kind {
+	case plan.OpJoin, plan.OpMultiply, plan.OpRollupJoin:
+		arity = 2
+	}
+	if len(in) != arity {
+		return nil, fmt.Errorf("plan operation %d has %d inputs, want %d", op.Kind, len(in), arity)
+	}
+	switch op.Kind {
+	case plan.OpGet:
+		return in[0], nil
+	case plan.OpJoin:
+		return cube.PartialJoin(in[0], in[1], op.On, op.Alias, op.Outer)
+	case plan.OpPivot:
+		return cube.Pivot(in[0], op.Level, op.Ref, op.Neighbors, op.Strict, op.Rename)
+	case plan.OpMultiply:
+		return cube.MultiplyJoin(in[0], in[1], op.Level, op.Members, op.Alias, op.Outer)
+	case plan.OpRollupJoin:
+		return cube.RollupJoin(in[0], in[1], op.Alias, op.Outer)
+	case plan.OpProject:
+		return in[0].Project(op.ProjKeep, op.ProjRename)
+	case plan.OpReplaceSlice:
+		return in[0].ReplaceSlice(op.Level, op.Ref)
+	}
+	return nil, fmt.Errorf("unknown plan operation %d", op.Kind)
 }
 
 // Row is the paper's per-cell result: coordinate member names, the value

@@ -1,12 +1,18 @@
 package exec
 
 import (
+	"context"
+	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"github.com/assess-olap/assess/internal/cube"
 	"github.com/assess-olap/assess/internal/engine"
 	"github.com/assess-olap/assess/internal/mdm"
+	"github.com/assess-olap/assess/internal/obsv"
 	"github.com/assess-olap/assess/internal/parser"
 	"github.com/assess-olap/assess/internal/plan"
 	"github.com/assess-olap/assess/internal/sales"
@@ -171,25 +177,152 @@ func TestHolisticOverConstantColumn(t *testing.T) {
 	}
 }
 
-func TestRunAllOpKinds(t *testing.T) {
-	// Drive the remaining op kinds (multiplied join, client pivot,
-	// project, replace-slice, rollup join) through full plan runs.
+// TestOperatorPlacements runs, op by op, every plan of every benchmark
+// kind under each feasible strategy, for assess and assess*, and so every
+// (operator, placement) pair the plans build. A pushed op adds exactly its
+// output's cells to assess_engine_transfer_cells_total and a client op
+// adds none. Each pushed join, pivot, multiply and roll-up join is run
+// again client-side, over the gets of its queries, and must give a
+// bit-identical cube; and every strategy yields as many cells as NP.
+func TestOperatorPlacements(t *testing.T) {
 	e, bd := session(t)
-	past := `with SALES for month = '1997-06' by month, store
-		assess storeSales against past 4
-		using ratio(storeSales, benchmark.storeSales)
-		labels {[0, 0.9): worse, [0.9, 1.1]: fine, (1.1, inf): better}`
-	jop := run(t, e, bd, past, plan.JOP)
-	np := run(t, e, bd, past, plan.NP)
-	if jop.Cube.Len() != np.Cube.Len() {
-		t.Errorf("JOP %d cells, NP %d", jop.Cube.Len(), np.Cube.Len())
+	ctx := context.Background()
+	transferred := obsv.Default.Counter("assess_engine_transfer_cells_total", "")
+	type placement struct {
+		kind   plan.OpKind
+		pushed bool
 	}
-	ancestor := `with SALES by product assess quantity against ancestor type
-		using ratio(quantity, benchmark.quantity) labels quartiles`
-	aJOP := run(t, e, bd, ancestor, plan.JOP)
-	aNP := run(t, e, bd, ancestor, plan.NP)
-	if aJOP.Cube.Len() != aNP.Cube.Len() {
-		t.Errorf("ancestor JOP %d cells, NP %d", aJOP.Cube.Len(), aNP.Cube.Len())
+	seen := make(map[placement]bool)
+	for _, stmt := range []string{
+		`with SALES by month assess storeSales against 1000
+			using ratio(storeSales, 1000) labels quartiles`,
+		`with SALES by month assess storeSales
+			against SALES_TARGET.expectedSales labels quartiles`,
+		`with SALES for country = 'Italy' by product, country
+			assess quantity against country = 'France' labels quartiles`,
+		// Sparse enough that some cells miss a past slice, so strict and
+		// non-strict pivots differ.
+		`with SALES for month = '1997-06' by month, product, store
+			assess storeSales against past 4
+			using ratio(storeSales, benchmark.storeSales)
+			labels {[0, 0.9): worse, [0.9, 1.1]: fine, (1.1, inf): better}`,
+		`with SALES by product assess quantity against ancestor type
+			using ratio(quantity, benchmark.quantity) labels quartiles`,
+	} {
+		for _, verb := range []string{"assess", "assess*"} {
+			st, err := parser.Parse(strings.Replace(stmt, "assess ", verb+" ", 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := bd.Bind(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			npCells := -1
+			for _, s := range plan.Strategies() {
+				if !plan.Feasible(s, b.Bench.Kind) {
+					continue
+				}
+				p, err := plan.Build(b, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cubes := make(map[string]*cube.Cube)
+				for i := range p.Ops {
+					op := &p.Ops[i]
+					what := fmt.Sprintf("%v %v %s op %d (%s)", s, b.Bench.Kind, verb, i+1, p.DescribeOp(i))
+					before := transferred.Value()
+					if err := runOp(ctx, e, p, op, cubes); err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					moved, want := transferred.Value()-before, int64(0)
+					if op.Pushed() {
+						want = int64(cubes[op.Dst].Len())
+					}
+					if moved != want {
+						t.Errorf("%s: %d cells crossed the cursor, want %d", what, moved, want)
+					}
+					seen[placement{op.Kind, op.Pushed()}] = true
+					if op.Pushed() && op.Kind != plan.OpGet {
+						identical(t, what, cubes[op.Dst], runClient(t, what, e, p, op, transferred))
+					}
+				}
+				n := cubes[p.Result].Len()
+				if npCells < 0 {
+					npCells = n
+				} else if n != npCells {
+					t.Errorf("%v %v %s: %d cells, NP %d", s, b.Bench.Kind, verb, n, npCells)
+				}
+			}
+		}
+	}
+	for _, want := range []placement{
+		{plan.OpGet, true},
+		{plan.OpJoin, true}, {plan.OpJoin, false},
+		{plan.OpPivot, true}, {plan.OpPivot, false},
+		{plan.OpMultiply, true},
+		{plan.OpRollupJoin, true}, {plan.OpRollupJoin, false},
+		{plan.OpProject, false}, {plan.OpReplaceSlice, false},
+		{plan.OpTransform, false}, {plan.OpLabel, false},
+	} {
+		if !seen[want] {
+			t.Errorf("no plan ran operator %d with pushed=%v", want.kind, want.pushed)
+		}
+		delete(seen, want)
+	}
+	for pl := range seen {
+		t.Errorf("unexpected placement: operator %d with pushed=%v", pl.kind, pl.pushed)
+	}
+}
+
+// runClient runs a pushed op's client-side twin: the same operator over
+// the transferred gets of its queries. The twin itself must transfer
+// nothing.
+func runClient(t *testing.T, what string, e *engine.Engine, p *plan.Plan, op *plan.Op, transferred *obsv.Counter) *cube.Cube {
+	t.Helper()
+	ctx := context.Background()
+	twin := *op
+	twin.Query, twin.QueryB, twin.SrcA, twin.Dst = engine.Query{}, engine.Query{}, "a", "out"
+	cubes := make(map[string]*cube.Cube)
+	var err error
+	if cubes["a"], err = e.GetContext(ctx, op.Query); err != nil {
+		t.Fatal(err)
+	}
+	if op.QueryB.Fact != "" {
+		twin.SrcB = "b"
+		if cubes["b"], err = e.GetContext(ctx, op.QueryB); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := transferred.Value()
+	if err := runOp(ctx, e, p, &twin, cubes); err != nil {
+		t.Fatal(err)
+	}
+	if moved := transferred.Value() - before; moved != 0 {
+		t.Errorf("%s run client-side: %d cells crossed the cursor", what, moved)
+	}
+	return cubes["out"]
+}
+
+// identical fails unless the two cubes have the same levels, columns and
+// cells in the same order, every value equal bit for bit.
+func identical(t *testing.T, what string, a, b *cube.Cube) {
+	t.Helper()
+	if !a.Group.Equal(b.Group) || !slices.Equal(a.Names, b.Names) || a.Len() != b.Len() {
+		t.Fatalf("%s: pushed %v %v (%d cells), client %v %v (%d cells)",
+			what, a.Group, a.Names, a.Len(), b.Group, b.Names, b.Len())
+	}
+	for p := range a.Keys {
+		if !slices.Equal(a.Keys[p], b.Keys[p]) {
+			t.Fatalf("%s: key column %d differs between placements", what, p)
+		}
+	}
+	for j := range a.Cols {
+		for i := range a.Len() {
+			if math.Float64bits(a.Cols[j][i]) != math.Float64bits(b.Cols[j][i]) {
+				t.Fatalf("%s: %s of cell %d: pushed %g, client %g", what, a.Names[j], i, a.Cols[j][i], b.Cols[j][i])
+			}
+		}
 	}
 }
 

@@ -77,8 +77,8 @@ func (m Mix) draw(rng *rand.Rand) Request {
 }
 
 // DefaultSalesMix is the query mix used by tests and scripts against
-// the built-in sales dataset: distinct group-bys and predicates so a
-// shared scan carries genuinely different aggregations.
+// the built-in sales dataset: distinct group-bys and predicates, so the
+// requests aggregate genuinely different cubes.
 func DefaultSalesMix() Mix {
 	return Mix{
 		Path: "/query",

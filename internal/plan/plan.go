@@ -117,38 +117,39 @@ func (p Phase) String() string {
 	return fmt.Sprintf("Phase(%d)", int(p))
 }
 
-// OpKind enumerates plan operations.
+// OpKind names a plan operation's operator; where it runs is decided by
+// its inputs (see Pushed).
 type OpKind int
 
-// Plan operation kinds. Get* operations are pushed to the engine (the
-// "SQL side"); Client* operations run in client memory on transferred
-// cubes; Transform evaluates a bound expression into a new column; Label
-// applies the labeling function.
+// Plan operators. Get, Join, Pivot, Multiply and RollupJoin are the cube
+// algebra of Section 4 (multiply is the one-to-many join of Example 5.3);
+// Project and ReplaceSlice reshape a cube; Transform evaluates a bound
+// expression into a new column; Label applies the labeling function.
 const (
 	OpGet OpKind = iota
-	OpGetJoined
-	OpGetPivoted
-	OpGetMultiplied
-	OpGetRollupJoined
-	OpClientJoin
-	OpClientPivot
-	OpClientRollupJoin
+	OpJoin
+	OpPivot
+	OpMultiply
+	OpRollupJoin
 	OpProject
 	OpReplaceSlice
 	OpTransform
 	OpLabel
 )
 
-// Op is one plan operation. The fields used depend on Kind.
+// Op is one plan operation. The fields used depend on Kind. Its inputs
+// are either gets (Query, plus QueryB for a binary operator), which
+// pushes the op to the engine, or named cubes (SrcA, SrcB), which runs it
+// client-side; Transform and Label rewrite Dst in place.
 type Op struct {
 	Kind  OpKind
 	Phase Phase
 	Dst   string // name of the produced (or mutated) cube
 	SrcA  string // primary input cube
-	SrcB  string // secondary input cube (client join)
+	SrcB  string // secondary input cube (binary operators)
 
-	Query  engine.Query // OpGet*, target query
-	QueryB engine.Query // OpGetJoined / OpGetMultiplied, benchmark query
+	Query  engine.Query // pushed op: target query
+	QueryB engine.Query // pushed binary op: benchmark query
 
 	On        []mdm.LevelRef // join levels
 	Alias     string         // prefix for benchmark measures
@@ -156,7 +157,7 @@ type Op struct {
 	Level     mdm.LevelRef   // pivot / multiply / replace-slice level
 	Ref       int32          // pivot reference member / replacement member
 	Members   []int32        // multiply-join slice members
-	Neighbors []int32        // pivot neighbor slices (nil infers from data)
+	Neighbors []int32        // pivot neighbor slices
 	Strict    bool           // pivot strictness (drop cells missing a slice)
 	Rename    func(measure, member string) string
 
@@ -170,6 +171,11 @@ type Op struct {
 
 	note string // for Describe
 }
+
+// Pushed reports whether the op is evaluated engine-side (the "SQL
+// side"): its inputs are gets, and only its output crosses the cursor to
+// the client.
+func (op *Op) Pushed() bool { return op.Query.Fact != "" }
 
 // Plan is an executable operation sequence for one statement.
 type Plan struct {
@@ -262,12 +268,12 @@ func (p *Plan) buildExternal(b *semantic.Bound, s Strategy) {
 		p.Ops = append(p.Ops,
 			Op{Kind: OpGet, Phase: PhaseGetC, Dst: "C", Query: qc},
 			Op{Kind: OpGet, Phase: PhaseGetB, Dst: "B", Query: qb},
-			Op{Kind: OpClientJoin, Phase: PhaseJoin, Dst: "C", SrcA: "C", SrcB: "B",
+			Op{Kind: OpJoin, Phase: PhaseJoin, Dst: "C", SrcA: "C", SrcB: "B",
 				On: on, Alias: "benchmark.", Outer: b.Star},
 		)
 	case JOP:
 		p.Ops = append(p.Ops,
-			Op{Kind: OpGetJoined, Phase: PhaseGetCB, Dst: "C", Query: qc, QueryB: qb,
+			Op{Kind: OpJoin, Phase: PhaseGetCB, Dst: "C", Query: qc, QueryB: qb,
 				On: on, Alias: "benchmark.", Outer: b.Star},
 		)
 	}
@@ -293,12 +299,12 @@ func (p *Plan) buildSibling(b *semantic.Bound, s Strategy) {
 		p.Ops = append(p.Ops,
 			Op{Kind: OpGet, Phase: PhaseGetC, Dst: "C", Query: qc},
 			Op{Kind: OpGet, Phase: PhaseGetB, Dst: "B", Query: qb},
-			Op{Kind: OpClientJoin, Phase: PhaseJoin, Dst: "C", SrcA: "C", SrcB: "B",
+			Op{Kind: OpJoin, Phase: PhaseJoin, Dst: "C", SrcA: "C", SrcB: "B",
 				On: on, Alias: "benchmark.", Outer: b.Star},
 		)
 	case JOP:
 		p.Ops = append(p.Ops,
-			Op{Kind: OpGetJoined, Phase: PhaseGetCB, Dst: "C", Query: qc, QueryB: qb,
+			Op{Kind: OpJoin, Phase: PhaseGetCB, Dst: "C", Query: qc, QueryB: qb,
 				On: on, Alias: "benchmark.", Outer: b.Star},
 		)
 	case POP:
@@ -306,7 +312,7 @@ func (p *Plan) buildSibling(b *semantic.Bound, s Strategy) {
 		qAll.Preds = replacePred(b.Preds, level,
 			[]int32{b.Bench.SliceMember, b.Bench.SiblingMember})
 		p.Ops = append(p.Ops,
-			Op{Kind: OpGetPivoted, Phase: PhaseGetCB, Dst: "C", Query: qAll,
+			Op{Kind: OpPivot, Phase: PhaseGetCB, Dst: "C", Query: qAll,
 				Level: level, Ref: b.Bench.SliceMember,
 				Neighbors: []int32{b.Bench.SiblingMember},
 				Strict:    !b.Star, Rename: rename},
@@ -346,7 +352,7 @@ func (p *Plan) buildPast(b *semantic.Bound, s Strategy) {
 			p.Ops = append(p.Ops,
 				Op{Kind: OpGet, Phase: PhaseGetC, Dst: "C", Query: qc},
 				Op{Kind: OpGet, Phase: PhaseGetB, Dst: "B", Query: qbs},
-				Op{Kind: OpClientPivot, Phase: PhaseTransform, Dst: "E", SrcA: "B",
+				Op{Kind: OpPivot, Phase: PhaseTransform, Dst: "E", SrcA: "B",
 					Level: level, Ref: b.Bench.SliceMember, Neighbors: past, Strict: false},
 				Op{Kind: OpTransform, Phase: PhaseTransform, Dst: "E",
 					Expr: regressionExpr(b, series), OutCol: predColumn, note: "regression"},
@@ -354,7 +360,7 @@ func (p *Plan) buildPast(b *semantic.Bound, s Strategy) {
 					ProjKeep:   []string{predColumn},
 					ProjRename: map[string]string{predColumn: m},
 					note:       "project prediction as " + m},
-				Op{Kind: OpClientJoin, Phase: PhaseJoin, Dst: "C", SrcA: "C", SrcB: "E",
+				Op{Kind: OpJoin, Phase: PhaseJoin, Dst: "C", SrcA: "C", SrcB: "E",
 					On: on, Alias: "benchmark.", Outer: true},
 			)
 			break
@@ -369,7 +375,7 @@ func (p *Plan) buildPast(b *semantic.Bound, s Strategy) {
 		p.Ops = append(p.Ops,
 			Op{Kind: OpGet, Phase: PhaseGetC, Dst: "C", Query: qc},
 			Op{Kind: OpGet, Phase: PhaseGetB, Dst: "B", Query: qb},
-			Op{Kind: OpClientPivot, Phase: PhaseTransform, Dst: "E", SrcA: "B",
+			Op{Kind: OpPivot, Phase: PhaseTransform, Dst: "E", SrcA: "B",
 				Level: level, Ref: latest, Neighbors: past[:len(past)-1], Strict: true},
 			Op{Kind: OpTransform, Phase: PhaseTransform, Dst: "E",
 				Expr: regressionExpr(b, series), OutCol: predColumn, note: "regression"},
@@ -377,7 +383,7 @@ func (p *Plan) buildPast(b *semantic.Bound, s Strategy) {
 				ProjKeep:   []string{predColumn},
 				ProjRename: map[string]string{predColumn: m},
 				note:       "project prediction as " + m},
-			Op{Kind: OpClientJoin, Phase: PhaseJoin, Dst: "C", SrcA: "C", SrcB: "E",
+			Op{Kind: OpJoin, Phase: PhaseJoin, Dst: "C", SrcA: "C", SrcB: "E",
 				On: on, Alias: "benchmark.", Outer: false},
 		)
 	case JOP:
@@ -392,9 +398,9 @@ func (p *Plan) buildPast(b *semantic.Bound, s Strategy) {
 		keep = append(keep, predColumn)
 		renames := map[string]string{predColumn: bench}
 		p.Ops = append(p.Ops,
-			Op{Kind: OpGetMultiplied, Phase: PhaseGetCB, Dst: "D", Query: qc, QueryB: qb,
+			Op{Kind: OpMultiply, Phase: PhaseGetCB, Dst: "D", Query: qc, QueryB: qb,
 				Level: level, Members: past, Alias: "benchmark.", Outer: b.Star},
-			Op{Kind: OpClientPivot, Phase: PhaseTransform, Dst: "E", SrcA: "D",
+			Op{Kind: OpPivot, Phase: PhaseTransform, Dst: "E", SrcA: "D",
 				Level: level, Ref: latest, Neighbors: past[:len(past)-1], Strict: !b.Star},
 			Op{Kind: OpTransform, Phase: PhaseTransform, Dst: "E",
 				Expr: regressionExpr(b, series), OutCol: predColumn, note: "regression"},
@@ -414,7 +420,7 @@ func (p *Plan) buildPast(b *semantic.Bound, s Strategy) {
 			series = append(series, &semantic.ColumnExpr{Column: m + "@" + dict.Name(id)})
 		}
 		p.Ops = append(p.Ops,
-			Op{Kind: OpGetPivoted, Phase: PhaseGetCB, Dst: "C", Query: qAll,
+			Op{Kind: OpPivot, Phase: PhaseGetCB, Dst: "C", Query: qAll,
 				Level: level, Ref: b.Bench.SliceMember,
 				Neighbors: past, Strict: !b.Star},
 			Op{Kind: OpTransform, Phase: PhaseTransform, Dst: "C",
@@ -431,12 +437,12 @@ func (p *Plan) buildAncestor(b *semantic.Bound, s Strategy) {
 		p.Ops = append(p.Ops,
 			Op{Kind: OpGet, Phase: PhaseGetC, Dst: "C", Query: qc},
 			Op{Kind: OpGet, Phase: PhaseGetB, Dst: "B", Query: qb},
-			Op{Kind: OpClientRollupJoin, Phase: PhaseJoin, Dst: "C", SrcA: "C", SrcB: "B",
+			Op{Kind: OpRollupJoin, Phase: PhaseJoin, Dst: "C", SrcA: "C", SrcB: "B",
 				Alias: "benchmark.", Outer: b.Star},
 		)
 	case JOP:
 		p.Ops = append(p.Ops,
-			Op{Kind: OpGetRollupJoined, Phase: PhaseGetCB, Dst: "C", Query: qc, QueryB: qb,
+			Op{Kind: OpRollupJoin, Phase: PhaseGetCB, Dst: "C", Query: qc, QueryB: qb,
 				Alias: "benchmark.", Outer: b.Star},
 		)
 	}
@@ -476,37 +482,40 @@ func (p *Plan) Explain() string {
 
 func (op *Op) describe(p *Plan) string {
 	b := p.Bound
+	// The operands: cube names client-side, the gets when pushed.
+	x, y, side := op.SrcA, op.SrcB, "client-side"
+	if op.Pushed() {
+		x, side = "get "+describeQuery(b, op.Query), "engine-side"
+		if op.QueryB.Fact != "" {
+			y = describeQuery(b, op.QueryB)
+		}
+	}
 	switch op.Kind {
 	case OpGet:
-		return fmt.Sprintf("get %s → %s%s", describeQuery(b, op.Query), op.Dst, noteSuffix(op))
-	case OpGetJoined:
-		return fmt.Sprintf("get %s ⋈ %s (engine-side join) → %s",
-			describeQuery(b, op.Query), describeQuery(b, op.QueryB), op.Dst)
-	case OpGetPivoted:
-		return fmt.Sprintf("get %s, pivot ⊞ on %s (engine-side) → %s",
-			describeQuery(b, op.Query), b.Schema.LevelName(op.Level), op.Dst)
-	case OpGetMultiplied:
-		return fmt.Sprintf("get %s ⋈ %s (engine-side 1:n join over %d slices) → %s",
-			describeQuery(b, op.Query), describeQuery(b, op.QueryB), len(op.Members), op.Dst)
-	case OpGetRollupJoined:
-		return fmt.Sprintf("get %s ⋈rup %s (engine-side roll-up join) → %s",
-			describeQuery(b, op.Query), describeQuery(b, op.QueryB), op.Dst)
-	case OpClientRollupJoin:
-		return fmt.Sprintf("%s ⋈rup %s (client-side roll-up join) → %s", op.SrcA, op.SrcB, op.Dst)
-	case OpClientJoin:
+		return fmt.Sprintf("%s → %s%s", x, op.Dst, noteSuffix(op))
+	case OpJoin:
+		if op.Pushed() {
+			return fmt.Sprintf("%s ⋈ %s (engine-side join) → %s", x, y, op.Dst)
+		}
 		kind := "⋈"
 		if op.Outer {
 			kind = "*⟕"
 		}
-		return fmt.Sprintf("%s %s %s (client-side) → %s", op.SrcA, kind, op.SrcB, op.Dst)
-	case OpClientPivot:
-		return fmt.Sprintf("⊞ pivot %s on %s (client-side) → %s",
-			op.SrcA, b.Schema.LevelName(op.Level), op.Dst)
+		return fmt.Sprintf("%s %s %s (client-side) → %s", x, kind, y, op.Dst)
+	case OpPivot:
+		if op.Pushed() {
+			return fmt.Sprintf("%s, pivot ⊞ on %s (engine-side) → %s", x, b.Schema.LevelName(op.Level), op.Dst)
+		}
+		return fmt.Sprintf("⊞ pivot %s on %s (client-side) → %s", x, b.Schema.LevelName(op.Level), op.Dst)
+	case OpMultiply:
+		return fmt.Sprintf("%s ⋈ %s (%s 1:n join over %d slices) → %s", x, y, side, len(op.Members), op.Dst)
+	case OpRollupJoin:
+		return fmt.Sprintf("%s ⋈rup %s (%s roll-up join) → %s", x, y, side, op.Dst)
 	case OpProject:
-		return fmt.Sprintf("π project %s → %s%s", op.SrcA, op.Dst, noteSuffix(op))
+		return fmt.Sprintf("π project %s → %s%s", x, op.Dst, noteSuffix(op))
 	case OpReplaceSlice:
 		return fmt.Sprintf("map coordinates of %s to slice %s = %s",
-			op.SrcA, b.Schema.LevelName(op.Level), b.Schema.Dict(op.Level).Name(op.Ref))
+			x, b.Schema.LevelName(op.Level), b.Schema.Dict(op.Level).Name(op.Ref))
 	case OpTransform:
 		kind := "⊟"
 		if semantic.Holistic(op.Expr) {

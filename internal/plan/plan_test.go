@@ -85,6 +85,20 @@ func opKinds(p *Plan) []OpKind {
 	return out
 }
 
+// placements renders where each op runs: P pushed to the engine, c
+// client-side.
+func placements(p *Plan) string {
+	var sb strings.Builder
+	for i := range p.Ops {
+		if p.Ops[i].Pushed() {
+			sb.WriteByte('P')
+		} else {
+			sb.WriteByte('c')
+		}
+	}
+	return sb.String()
+}
+
 func eqKinds(a []OpKind, b ...OpKind) bool {
 	if len(a) != len(b) {
 		return false
@@ -106,33 +120,54 @@ func TestPlanShapes(t *testing.T) {
 	if !eqKinds(opKinds(p), OpGet, OpTransform, OpTransform, OpLabel) {
 		t.Errorf("constant NP ops = %v", opKinds(p))
 	}
+	if got := placements(p); got != "Pccc" {
+		t.Errorf("constant NP placements = %s, want Pccc", got)
+	}
 
 	b = bind(t, siblingStmt)
 	p, _ = Build(b, NP)
-	if !eqKinds(opKinds(p), OpGet, OpGet, OpClientJoin, OpTransform, OpLabel) {
+	if !eqKinds(opKinds(p), OpGet, OpGet, OpJoin, OpTransform, OpLabel) {
 		t.Errorf("sibling NP ops = %v", opKinds(p))
 	}
+	if got := placements(p); got != "PPccc" {
+		t.Errorf("sibling NP placements = %s, want PPccc", got)
+	}
 	p, _ = Build(b, JOP)
-	if !eqKinds(opKinds(p), OpGetJoined, OpTransform, OpLabel) {
+	if !eqKinds(opKinds(p), OpJoin, OpTransform, OpLabel) {
 		t.Errorf("sibling JOP ops = %v", opKinds(p))
 	}
+	if got := placements(p); got != "Pcc" {
+		t.Errorf("sibling JOP placements = %s, want Pcc", got)
+	}
 	p, _ = Build(b, POP)
-	if !eqKinds(opKinds(p), OpGetPivoted, OpTransform, OpLabel) {
+	if !eqKinds(opKinds(p), OpPivot, OpTransform, OpLabel) {
 		t.Errorf("sibling POP ops = %v", opKinds(p))
+	}
+	if got := placements(p); got != "Pcc" {
+		t.Errorf("sibling POP placements = %s, want Pcc", got)
 	}
 
 	b = bind(t, pastStmt)
 	p, _ = Build(b, NP)
-	if !eqKinds(opKinds(p), OpGet, OpGet, OpClientPivot, OpTransform, OpProject, OpClientJoin, OpTransform, OpLabel) {
+	if !eqKinds(opKinds(p), OpGet, OpGet, OpPivot, OpTransform, OpProject, OpJoin, OpTransform, OpLabel) {
 		t.Errorf("past NP ops = %v", opKinds(p))
 	}
+	if got := placements(p); got != "PPcccccc" {
+		t.Errorf("past NP placements = %s, want PPcccccc", got)
+	}
 	p, _ = Build(b, JOP)
-	if !eqKinds(opKinds(p), OpGetMultiplied, OpClientPivot, OpTransform, OpProject, OpReplaceSlice, OpTransform, OpLabel) {
+	if !eqKinds(opKinds(p), OpMultiply, OpPivot, OpTransform, OpProject, OpReplaceSlice, OpTransform, OpLabel) {
 		t.Errorf("past JOP ops = %v", opKinds(p))
 	}
+	if got := placements(p); got != "Pcccccc" {
+		t.Errorf("past JOP placements = %s, want Pcccccc", got)
+	}
 	p, _ = Build(b, POP)
-	if !eqKinds(opKinds(p), OpGetPivoted, OpTransform, OpTransform, OpLabel) {
+	if !eqKinds(opKinds(p), OpPivot, OpTransform, OpTransform, OpLabel) {
 		t.Errorf("past POP ops = %v", opKinds(p))
+	}
+	if got := placements(p); got != "Pccc" {
+		t.Errorf("past POP placements = %s, want Pccc", got)
 	}
 }
 
@@ -250,8 +285,11 @@ func TestAncestorPlanShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eqKinds(opKinds(p), OpGet, OpGet, OpClientRollupJoin, OpTransform, OpLabel) {
+	if !eqKinds(opKinds(p), OpGet, OpGet, OpRollupJoin, OpTransform, OpLabel) {
 		t.Errorf("ancestor NP ops = %v", opKinds(p))
+	}
+	if got := placements(p); got != "PPccc" {
+		t.Errorf("ancestor NP placements = %s, want PPccc", got)
 	}
 	if !strings.Contains(p.Explain(), "roll-up join") {
 		t.Errorf("explain:\n%s", p.Explain())
@@ -260,8 +298,11 @@ func TestAncestorPlanShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eqKinds(opKinds(p), OpGetRollupJoined, OpTransform, OpLabel) {
+	if !eqKinds(opKinds(p), OpRollupJoin, OpTransform, OpLabel) {
 		t.Errorf("ancestor JOP ops = %v", opKinds(p))
+	}
+	if got := placements(p); got != "Pcc" {
+		t.Errorf("ancestor JOP placements = %s, want Pcc", got)
 	}
 	if !strings.Contains(p.Explain(), "engine-side roll-up join") {
 		t.Errorf("explain:\n%s", p.Explain())

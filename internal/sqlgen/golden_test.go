@@ -4,26 +4,67 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"github.com/assess-olap/assess/internal/parser"
 	"github.com/assess-olap/assess/internal/plan"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
-// TestGoldenSQL pins the exact SQL and Python emitted for one plan of
-// each strategy, so any change to the generated formulation (Table 1's
+// Statements of the other benchmark kinds; sibling uses siblingStmt.
+const (
+	goldenConstantStmt = `with SALES for country = 'Italy' by month, store
+	assess storeSales against 1000
+	using ratio(storeSales, 1000)
+	labels {[0, 0.9): low, [0.9, 1.1]: fair, (1.1, inf): high}`
+	goldenExternalStmt = `with SALES by month assess storeSales
+	against SALES_TARGET.expectedSales
+	using normDifference(storeSales, benchmark.expectedSales) labels quartiles`
+	goldenPastStmt = `with SALES for month = '1997-07', country = 'Italy' by month, store
+	assess storeSales against past 4
+	using ratio(storeSales, benchmark.storeSales)
+	labels {[0, 0.9): worse, [0.9, 1.1]: fine, (1.1, inf): better}`
+	goldenAncestorStmt = `with SALES for country = 'France' by product, country
+	assess quantity against ancestor type
+	using difference(quantity, benchmark.quantity) labels quartiles`
+)
+
+// TestGoldenSQL pins the exact SQL and Python emitted for the plan of
+// every benchmark kind under each feasible strategy, for assess and
+// assess*, so any change to the generated formulation (Table 1's
 // manual-effort baseline) shows up as a reviewable diff. Regenerate
 // with: go test ./internal/sqlgen -run TestGoldenSQL -update
 func TestGoldenSQL(t *testing.T) {
-	cases := []struct {
+	type golden struct {
 		name     string
 		stmt     string
 		strategy plan.Strategy
+	}
+	var cases []golden
+	for _, k := range []struct {
+		name string
+		stmt string
+		kind parser.BenchmarkKind
 	}{
-		{"sibling_np", siblingStmt, plan.NP},
-		{"sibling_jop", siblingStmt, plan.JOP},
-		{"sibling_pop", siblingStmt, plan.POP},
+		{"constant", goldenConstantStmt, parser.BenchConstant},
+		{"external", goldenExternalStmt, parser.BenchExternal},
+		{"sibling", siblingStmt, parser.BenchSibling},
+		{"past", goldenPastStmt, parser.BenchPast},
+		{"ancestor", goldenAncestorStmt, parser.BenchAncestor},
+	} {
+		for _, star := range []bool{false, true} {
+			stmt, suffix := k.stmt, ""
+			if star {
+				stmt, suffix = strings.Replace(stmt, "assess ", "assess* ", 1), "_star"
+			}
+			for _, s := range plan.Strategies() {
+				if plan.Feasible(s, k.kind) {
+					cases = append(cases, golden{k.name + "_" + strings.ToLower(s.String()) + suffix, stmt, s})
+				}
+			}
+		}
 	}
 	for _, c := range cases {
 		c := c

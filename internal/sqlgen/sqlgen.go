@@ -14,6 +14,7 @@ package sqlgen
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/assess-olap/assess/internal/engine"
@@ -183,7 +184,7 @@ func (g *generator) defs() string {
 			names = append(names, n)
 		}
 	}
-	sortStrings(names)
+	slices.Sort(names)
 	var sb strings.Builder
 	for _, n := range names {
 		sb.WriteString(defLibrary[n])
@@ -192,55 +193,43 @@ func (g *generator) defs() string {
 	return sb.String()
 }
 
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// op renders one plan operation.
+// op renders one plan operation: a pushed op as the SQL statement the
+// client fetches, any other as client-side Pandas.
 func (g *generator) op(op *plan.Op, p *plan.Plan) {
+	if op.Pushed() {
+		var sql string
+		switch op.Kind {
+		case plan.OpGet:
+			var extra []mdm.LevelRef
+			if g.b.Bench.Kind == parser.BenchAncestor && op.Query.Group.Equal(g.b.Group) {
+				// The hand-written target query carries the ancestor level so
+				// the client can merge on it.
+				extra = []mdm.LevelRef{g.b.Bench.AncestorLevel}
+			}
+			sql = g.selectFor(op.Query, extra)
+		case plan.OpJoin, plan.OpMultiply:
+			sql = g.joinSQL(op)
+		case plan.OpRollupJoin:
+			sql = g.rollupJoinSQL(op)
+		case plan.OpPivot:
+			sql = g.pivotSQL(op)
+		}
+		fmt.Fprintf(&g.py, "%s = fetch(%s)\n", op.Dst, g.pushSQL(sql))
+		return
+	}
 	switch op.Kind {
-	case plan.OpGet:
-		var extra []mdm.LevelRef
-		if g.b.Bench.Kind == parser.BenchAncestor && op.Query.Group.Equal(g.b.Group) {
-			// The hand-written target query carries the ancestor level so
-			// the client can merge on it.
-			extra = []mdm.LevelRef{g.b.Bench.AncestorLevel}
-		}
-		name := g.pushSQL(g.selectFor(op.Query, extra))
-		fmt.Fprintf(&g.py, "%s = fetch(%s)\n", op.Dst, name)
-	case plan.OpGetJoined:
-		name := g.pushSQL(g.joinSQL(op))
-		fmt.Fprintf(&g.py, "%s = fetch(%s)\n", op.Dst, name)
-	case plan.OpGetMultiplied:
-		name := g.pushSQL(g.joinSQL(op))
-		fmt.Fprintf(&g.py, "%s = fetch(%s)\n", op.Dst, name)
-	case plan.OpGetRollupJoined:
-		name := g.pushSQL(g.rollupJoinSQL(op))
-		fmt.Fprintf(&g.py, "%s = fetch(%s)\n", op.Dst, name)
-	case plan.OpClientRollupJoin:
-		on := g.rollupJoinLevels()
-		how := "inner"
-		if op.Outer {
-			how = "left"
-		}
-		fmt.Fprintf(&g.py, "%s = %s.merge(%s, on=[%s], how=%q, suffixes=('', '_bc'))\n",
-			op.Dst, op.SrcA, op.SrcB, on, how)
-	case plan.OpGetPivoted:
-		name := g.pushSQL(g.pivotSQL(op))
-		fmt.Fprintf(&g.py, "%s = fetch(%s)\n", op.Dst, name)
-	case plan.OpClientJoin:
+	case plan.OpJoin, plan.OpRollupJoin:
 		on := g.levelList(op.On)
+		if op.Kind == plan.OpRollupJoin {
+			on = g.rollupJoinLevels()
+		}
 		how := "inner"
 		if op.Outer {
 			how = "left"
 		}
 		fmt.Fprintf(&g.py, "%s = %s.merge(%s, on=[%s], how=%q, suffixes=('', '_bc'))\n",
 			op.Dst, op.SrcA, op.SrcB, on, how)
-	case plan.OpClientPivot:
+	case plan.OpPivot:
 		g.used["pivotslices"] = true
 		lvl := g.b.Schema.LevelName(op.Level)
 		var keys []string
@@ -356,7 +345,7 @@ func (g *generator) joinSQL(op *plan.Op) string {
 	for i, ref := range op.On {
 		onCols[i] = s.LevelName(ref)
 	}
-	if op.Kind == plan.OpGetMultiplied {
+	if op.Kind == plan.OpMultiply {
 		onCols = nil
 		for _, ref := range g.b.Group {
 			if ref != op.Level {
