@@ -249,7 +249,7 @@ func BenchmarkGatherCutoff(b *testing.B) {
 					col := &cols[c]
 					t0 := time.Now()
 					if c == 0 {
-						gatherKeys(kGather, col.enc, col.width, col.base, col.payload, idx)
+						gatherKeys(kGather, col.width, col.base, col.payload, idx)
 					} else {
 						gatherMeas(mGather, col.enc, col.width, col.base, col.payload, idx)
 					}

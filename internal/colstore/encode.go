@@ -18,7 +18,6 @@ import (
 const (
 	kencConst  = 0 // every row equals base; empty payload
 	kencPacked = 1 // (code − base) bit-packed at width bits
-	kencRaw    = 2 // little-endian int32 per row
 )
 
 // Measure column encodings.
@@ -30,8 +29,9 @@ const (
 )
 
 // maxPackWidth caps bit-packed widths so that any value plus a 7-bit
-// byte offset fits a single 64-bit word read. Wider ranges fall back
-// to raw encoding, which they would barely compress anyway.
+// byte offset fits a single 64-bit word read. Wider measure ranges fall
+// back to raw encoding, which they would barely compress anyway; key
+// codes are int32, so their width never exceeds 32.
 const maxPackWidth = 56
 
 // packedLen returns the padded byte length of n width-bit values.
@@ -70,13 +70,6 @@ func encodeKeys(codes []int32) (enc, width uint8, base uint64, payload []byte) {
 		return kencConst, 0, uint64(uint32(lo)), nil
 	}
 	w := uint(bits.Len64(uint64(hi - lo)))
-	if w > maxPackWidth { // unreachable for int32 codes, kept for safety
-		payload = make([]byte, 4*len(codes))
-		for i, c := range codes {
-			binary.LittleEndian.PutUint32(payload[4*i:], uint32(c))
-		}
-		return kencRaw, 32, 0, payload
-	}
 	payload = make([]byte, packedLen(len(codes), w))
 	for i, c := range codes {
 		packU64(payload, i, w, uint64(c-lo))
@@ -91,10 +84,6 @@ func decodeKeys(dst []int32, enc, width uint8, base uint64, payload []byte) {
 		c := int32(uint32(base))
 		for i := range dst {
 			dst[i] = c
-		}
-	case kencRaw:
-		for i := range dst {
-			dst[i] = int32(binary.LittleEndian.Uint32(payload[4*i:]))
 		}
 	default: // kencPacked
 		unpackWordsKeys(dst, int32(uint32(base)), uint(width), payload)
@@ -395,26 +384,16 @@ func unpackWordsDelta(dst []float64, v0 int64, w uint, payload []byte) {
 	}
 }
 
-// gatherKeys decodes rows idx of a key payload densely: dst[k] is row
-// idx[k] (len(dst) == len(idx)). It reports whether the encoding
-// supports random access: kencPacked and kencRaw do; kencConst never
-// carries a payload and is decoded for free.
-func gatherKeys(dst []int32, enc, width uint8, base uint64, payload []byte, idx []int32) bool {
+// gatherKeys decodes rows idx of a packed key payload densely: dst[k]
+// is row idx[k] (len(dst) == len(idx)). A kencConst column carries no
+// payload and is decoded for free, so packed is the only key encoding
+// that reaches here.
+func gatherKeys(dst []int32, width uint8, base uint64, payload []byte, idx []int32) {
 	dst = dst[:len(idx)]
-	switch enc {
-	case kencPacked:
-		lo, w := int32(uint32(base)), uint(width)
-		for k, r := range idx {
-			dst[k] = lo + int32(unpackU64(payload, int(r), w))
-		}
-		return true
-	case kencRaw:
-		for k, r := range idx {
-			dst[k] = int32(binary.LittleEndian.Uint32(payload[4*int(r):]))
-		}
-		return true
+	lo, w := int32(uint32(base)), uint(width)
+	for k, r := range idx {
+		dst[k] = lo + int32(unpackU64(payload, int(r), w))
 	}
-	return false
 }
 
 // gatherMeas decodes rows idx of a measure payload densely: dst[k] is

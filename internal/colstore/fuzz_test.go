@@ -18,8 +18,10 @@ import (
 // exactly the rows the linear reference — the acceptance vector applied
 // to the fully decoded columns — accepts, whether the columns were
 // gathered or decoded whole and compacted; never a panic. Seeded from a
-// version 1 file (the checked-in fixture) and two version 2 files of the
-// same schema, one of them with a delta-encoded measure.
+// version 1 file (the checked-in fixture), two version 2 files of the
+// same schema, one of them with a delta-encoded measure, and a copy of
+// the first whose key column 1 claims the raw encoding the reader
+// refuses.
 func FuzzOpenSegment(f *testing.F) {
 	s := testSchema(f, 120)
 	st := newStore(f.TempDir(), s, Options{})
@@ -38,12 +40,17 @@ func FuzzOpenSegment(f *testing.F) {
 	if enc, _, _, _ := encodeMeas(ramp); enc != mencDelta {
 		f.Fatalf("the ramp encodes as %d, not delta", enc)
 	}
+	var seeds []string
 	for i, m := range [][]float64{meas[0], ramp} {
 		v2 := filepath.Join(f.TempDir(), fmt.Sprintf("seed%d.seg", i))
 		if _, err := writeSegment(v2, keys, [][]float64{m, meas[1]}, 300, st.ruMaps); err != nil {
 			f.Fatal(err)
 		}
-		raw, err := os.ReadFile(v2)
+		seeds = append(seeds, v2)
+	}
+	seeds = append(seeds, withRawKey(f, seeds[0], 1, keys[1]))
+	for _, path := range seeds {
+		raw, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
 		}

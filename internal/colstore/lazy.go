@@ -7,16 +7,18 @@
 // rows and the WAL tail the engine filters pass through the very same
 // vector) and, from it, the sorted code list the postings are looked up
 // with. selectRows evaluates them per segment before any needed column is
-// touched: the accepted codes' postings give every predicate's exact
-// match count and the smallest builds the selection bitmap in time
-// proportional to its matches; the other predicates intersect by probing
-// the packed codes of the rows still set. A segment without postings (format version 1, or a column
-// the writer left unindexed) sweeps the first predicate's codes instead
-// — the same kernels the tests use as the reference. An empty bitmap
-// skips the segment; otherwise its rows become the block's index vector
-// and every needed column is handed over compacted to them — sparse
-// selections gather-decode only those rows, dense ones decode whole and
-// compact in place.
+// touched, and never decodes a column to do so: a const-encoded
+// predicated key settles the segment in O(1); the accepted codes'
+// postings give every other predicate's exact match count and the
+// smallest builds the selection bitmap in time proportional to its
+// matches; the remaining predicates intersect by probing the packed codes
+// of the rows still set. A segment without postings (format version 1,
+// or a column the writer left unindexed) sweeps the first predicate's
+// packed codes instead — the same kernel the tests use as the reference.
+// An empty bitmap skips the segment; otherwise its rows become the
+// block's index vector and every needed column is handed over compacted
+// to them — sparse selections gather-decode only those rows, dense ones
+// decode whole and compact in place.
 package colstore
 
 import (
@@ -107,8 +109,10 @@ func newPlan(hiers int, preds []storage.LevelPred) *scanPlan {
 // returns the selection bitmap (sc.Sel) with its population count — zero
 // when no row matches, and then the bitmap is not to be used — and the
 // bytes read. The bitmap is the same whichever predicate builds it, so
-// row order and every aggregate downstream are too.
-func (s *segment) selectRows(plan *scanPlan, need storage.ColSet, cols *storage.BlockCols, sc *storage.BlockScratch) (sel []uint64, count int, readBytes int64, err error) {
+// row order and every aggregate downstream are too. Every key column is
+// const or packed (parseFooter refuses any other encoding), so the
+// bitmap comes from postings or from the packed codes alone.
+func (s *segment) selectRows(plan *scanPlan, sc *storage.BlockScratch) (sel []uint64, count int, readBytes int64, err error) {
 	foot := s.foot
 	// O(1) code-space test: a const-encoded predicated key column
 	// settles the whole segment before anything is read.
@@ -169,32 +173,13 @@ func (s *segment) selectRows(plan *scanPlan, need storage.ColSet, cols *storage.
 			return nil, 0, 0, err
 		}
 		readBytes += km.size
-		if km.enc == kencPacked {
-			lo, w := int32(uint32(km.base)), uint(km.width)
-			if first {
-				count = selInitPacked(sel, foot.rows, acc, lo, w, payload)
-			} else {
-				count = selAndPacked(sel, acc, lo, w, payload)
-			}
-		} else {
-			// Raw-encoded keys (wider than the pack limit) have no
-			// code-space kernel: decode into scratch for the test, and
-			// hand the column over, to be compacted, if the scan reads
-			// it anyway.
-			dst := sc.KeyBuf(h, len(foot.keys), foot.rows)
-			decodeKeys(dst, km.enc, km.width, km.base, payload)
-			if first {
-				count = selInit(sel, dst, acc)
-			} else {
-				count = selAnd(sel, dst, acc)
-			}
-			if need.NeedKey(h) && !need.PredOnlyKey(h) {
-				cols.Keys[h] = dst
-			}
-		}
+		lo, w := int32(uint32(km.base)), uint(km.width)
 		if first {
+			count = selInitPacked(sel, foot.rows, acc, lo, w, payload)
 			first = false
 			mSelectLinear.Inc()
+		} else {
+			count = selAndPacked(sel, acc, lo, w, payload)
 		}
 		if count == 0 {
 			return nil, 0, readBytes, nil
@@ -254,27 +239,6 @@ func (foot *footer) prunedByPreds(pps []preparedPred) bool {
 // outside the dictionary the vector was built over matches nothing.
 func accepted(acc []bool, c int32) bool { return uint(c) < uint(len(acc)) && acc[c] }
 
-// selInit fills sel with the rows col's acceptance vector passes and
-// returns the surviving count. Trailing bits beyond len(col) stay zero.
-func selInit(sel []uint64, col []int32, acc []bool) int {
-	count := 0
-	for w := range sel {
-		c := col[w<<6:]
-		if len(c) > 64 {
-			c = c[:64]
-		}
-		var word uint64
-		for j, v := range c {
-			if accepted(acc, v) {
-				word |= 1 << uint(j)
-			}
-		}
-		sel[w] = word
-		count += bits.OnesCount64(word)
-	}
-	return count
-}
-
 // selInitPacked fills sel by evaluating acc against a bit-packed key
 // column straight off its payload — the column is never materialized.
 // 64·w bits is a whole number of bytes, so every 64-row block starts on
@@ -318,27 +282,6 @@ func selAndPacked(sel []uint64, acc []bool, lo int32, w uint, payload []byte) in
 			}
 		}
 		sel[wi] = word
-		count += bits.OnesCount64(word)
-	}
-	return count
-}
-
-// selAnd intersects sel with col's acceptance vector in place and
-// returns the surviving count; only currently-set rows are tested.
-func selAnd(sel []uint64, col []int32, acc []bool) int {
-	count := 0
-	for w, word := range sel {
-		if word == 0 {
-			continue
-		}
-		base := w << 6
-		for t := word; t != 0; t &= t - 1 {
-			j := bits.TrailingZeros64(t)
-			if !accepted(acc, col[base+j]) {
-				word &^= 1 << uint(j)
-			}
-		}
-		sel[w] = word
 		count += bits.OnesCount64(word)
 	}
 	return count

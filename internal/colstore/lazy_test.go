@@ -568,11 +568,34 @@ func TestConstFastPath(t *testing.T) {
 	}
 }
 
-// TestPreparedPruneMatchesLinear is the satellite-1 guard: the prepared
-// probe (sorted members, min-max reject, binary search) must make
-// exactly the decisions the linear member sweep makes, segment by
-// segment — checked structurally over random predicates and then
-// metric-asserted through a real scan.
+// prunedBy is the linear zone-map probe, the reference for
+// prunedByPreds: the zone maps prove that no row of the segment can
+// satisfy every predicate when some predicate's accepted member set
+// misses the segment's [min, max] code range at that level.
+func (foot *footer) prunedBy(preds []storage.LevelPred) bool {
+	for _, p := range preds {
+		if p.Hier >= len(foot.keys) || p.Level >= len(foot.keys[p.Hier].zones) {
+			continue
+		}
+		z := foot.keys[p.Hier].zones[p.Level]
+		hit := false
+		for _, w := range p.Members {
+			if w >= z.lo && w <= z.hi {
+				hit = true
+				break
+			}
+		}
+		if !hit {
+			return true
+		}
+	}
+	return false
+}
+
+// TestPreparedPruneMatchesLinear: the prepared probe (sorted members,
+// min-max reject, binary search) must make exactly the decisions the
+// linear member sweep makes, segment by segment — checked structurally
+// over random predicates and then metric-asserted through a real scan.
 func TestPreparedPruneMatchesLinear(t *testing.T) {
 	st := pruneFixture(t)
 	rng := rand.New(rand.NewSource(31))

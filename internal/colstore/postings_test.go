@@ -178,8 +178,12 @@ func asV1(t testing.TB, path string) string {
 	return out
 }
 
+// rawKeyEnc is the key encoding tag of a little-endian int32 per row:
+// no writer emits it, and the reader refuses it as unknown.
+const rawKeyEnc = 2
+
 // withRawKey writes a copy of the segment whose key column h is
-// raw-encoded (and therefore unindexed).
+// rewritten in the raw encoding (and left unindexed).
 func withRawKey(t testing.TB, path string, h int, col []int32) string {
 	payload := make([]byte, 4*len(col))
 	for i, c := range col {
@@ -188,7 +192,7 @@ func withRawKey(t testing.TB, path string, h int, col []int32) string {
 	out := path + ".raw"
 	rewriteSegment(t, path, out, segMagic, payload, func(foot *footer, off, size int64, crc uint32) {
 		km := &foot.keys[h]
-		km.enc, km.width, km.base = kencRaw, 32, 0
+		km.enc, km.width, km.base = rawKeyEnc, 32, 0
 		km.off, km.size, km.crc = off, size, crc
 		foot.post[h] = postMeta{}
 	})
@@ -233,38 +237,66 @@ func TestSelectRowsMatchesLinear(t *testing.T) {
 		if _, err := writeSegment(v2, keys, meas, rows, st.ruMaps); err != nil {
 			t.Fatal(err)
 		}
-		paths := []string{v2}
-		if rows > 1 {
-			paths = append(paths, withRawKey(t, v2, 0, keys[0]))
-		}
-		for _, path := range paths {
-			for _, noMmap := range []bool{false, true} {
-				idx, err := openSegment(path, noMmap)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lin, err := openSegment(asV1(t, path), noMmap)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rows > 1 && idx.foot.post[2].kind != postSorted {
-					t.Fatalf("rows=%d: sorted column indexed as kind %d", rows, idx.foot.post[2].kind)
-				}
-				cases := 24
-				if rows > 1<<16 {
-					cases = 8 // every shape once more; the small segments carry the breadth
-				}
-				for pc := 0; pc < cases; pc++ {
-					preds := randomPreds(rng, s, pc)
-					checkSelection(t, st, idx, lin, keys, meas, preds, rng.Intn(2) == 0)
-				}
-				idx.release()
-				lin.release()
+		v1 := asV1(t, v2)
+		for _, noMmap := range []bool{false, true} {
+			idx, err := openSegment(v2, noMmap)
+			if err != nil {
+				t.Fatal(err)
 			}
+			lin, err := openSegment(v1, noMmap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows > 1 && idx.foot.post[2].kind != postSorted {
+				t.Fatalf("rows=%d: sorted column indexed as kind %d", rows, idx.foot.post[2].kind)
+			}
+			cases := 24
+			if rows > 1<<16 {
+				cases = 8 // every shape once more; the small segments carry the breadth
+			}
+			for pc := 0; pc < cases; pc++ {
+				preds := randomPreds(rng, s, pc)
+				checkSelection(t, st, idx, lin, keys, meas, preds, rng.Intn(2) == 0)
+			}
+			idx.release()
+			lin.release()
 		}
 	}
 	if mSelectPostings.Value() == postingsBefore || mSelectLinear.Value() == linearBefore {
 		t.Fatal("the sweep did not exercise both access paths")
+	}
+}
+
+// TestRawKeyColumnRefused: a key column in the raw encoding, which no
+// writer emits, makes the segment corrupt — openSegment fails with an
+// unknown-encoding error on both the mmap and the pread reader, before
+// any selection or decode could reach it.
+func TestRawKeyColumnRefused(t *testing.T) {
+	s := propSchema()
+	st := newStore(t.TempDir(), s, Options{})
+	const rows = 300
+	keys := [][]int32{make([]int32, rows), make([]int32, rows), make([]int32, rows)}
+	meas := [][]float64{make([]float64, rows), make([]float64, rows)}
+	for r := 0; r < rows; r++ {
+		keys[0][r], keys[1][r], keys[2][r] = int32(r*7%3000), int32(r%50), int32(r%400)
+		meas[0][r] = float64(r)
+	}
+	path := filepath.Join(t.TempDir(), "a.seg")
+	if _, err := writeSegment(path, keys, meas, rows, st.ruMaps); err != nil {
+		t.Fatal(err)
+	}
+	for h := range keys {
+		raw := withRawKey(t, path, h, keys[h])
+		for _, noMmap := range []bool{false, true} {
+			seg, err := openSegment(raw, noMmap)
+			if err == nil {
+				seg.release()
+				t.Fatalf("key column %d raw-encoded (noMmap=%v): segment opened", h, noMmap)
+			}
+			if !strings.Contains(err.Error(), "unknown encoding") {
+				t.Fatalf("key column %d raw-encoded (noMmap=%v): %v, want an unknown encoding", h, noMmap, err)
+			}
+		}
 	}
 }
 

@@ -256,8 +256,6 @@ func parseFooter(buf []byte, version int, bodyEnd int64) (*footer, error) {
 				return nil, corruptf("key column %d packed at %d bits", h, km.width)
 			}
 			want = int64(packedLen(foot.rows, uint(km.width)))
-		case kencRaw:
-			want = 4 * int64(foot.rows)
 		default:
 			return nil, corruptf("key column %d has unknown encoding %d", h, km.enc)
 		}
@@ -328,29 +326,6 @@ func parseFooter(buf []byte, version int, bodyEnd int64) (*footer, error) {
 	return foot, nil
 }
 
-// prunedBy reports whether the zone maps prove that no row of the
-// segment can satisfy every predicate: some predicate's accepted member
-// set misses the segment's [min, max] code range at that level.
-func (foot *footer) prunedBy(preds []storage.LevelPred) bool {
-	for _, p := range preds {
-		if p.Hier >= len(foot.keys) || p.Level >= len(foot.keys[p.Hier].zones) {
-			continue
-		}
-		z := foot.keys[p.Hier].zones[p.Level]
-		hit := false
-		for _, w := range p.Members {
-			if w >= z.lo && w <= z.hi {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			return true
-		}
-	}
-	return false
-}
-
 // decodeInto decodes the segment's needed columns into sc and returns
 // the block. When plan is non-nil the segment is late-materialized:
 // predicates are evaluated before any needed column is touched — a
@@ -361,11 +336,11 @@ func (foot *footer) prunedBy(preds []storage.LevelPred) bool {
 // once into an index vector (sc.Idx), are the block's rows, and every
 // needed column comes compacted to them. Selections at or below
 // gatherCutoff×rows gather-decode the packed and raw columns (selected
-// rows only); delta measures, larger selections and raw predicate keys
-// already decoded whole are compacted in place. Key columns marked
-// predicate-only (storage.ColSet.PredOnly) are omitted from a Filtered
-// block. Section CRCs are verified once per open segment for stable
-// (mmap) blobs, every fetch for pread; counts decode metrics.
+// rows only); delta measures and larger selections are decoded whole and
+// compacted in place. Key columns marked predicate-only
+// (storage.ColSet.PredOnly) are omitted from a Filtered block. Section
+// CRCs are verified once per open segment for stable (mmap) blobs, every
+// fetch for pread; counts decode metrics.
 func (s *segment) decodeInto(need storage.ColSet, plan *scanPlan, gatherCutoff float64, sc *storage.BlockScratch) (storage.BlockCols, bool, error) {
 	foot := s.foot
 	cols := storage.BlockCols{
@@ -376,7 +351,7 @@ func (s *segment) decodeInto(need storage.ColSet, plan *scanPlan, gatherCutoff f
 	var readBytes int64
 	var idx []int32 // the selected rows; nil keeps every row
 	if plan != nil && len(plan.filtered) > 0 {
-		sel, count, n, err := s.selectRows(plan, need, &cols, sc)
+		sel, count, n, err := s.selectRows(plan, sc)
 		if err != nil {
 			return cols, false, err
 		}
@@ -393,13 +368,6 @@ func (s *segment) decodeInto(need storage.ColSet, plan *scanPlan, gatherCutoff f
 	}
 	gather := idx != nil && float64(len(idx)) <= gatherCutoff*float64(foot.rows)
 	for h := range foot.keys {
-		if cols.Keys[h] != nil {
-			// A raw predicate key selectRows decoded whole.
-			if idx != nil {
-				cols.Keys[h] = compact(cols.Keys[h], idx)
-			}
-			continue
-		}
 		if !need.NeedKey(h) || cols.Filtered && need.PredOnlyKey(h) {
 			// A Filtered block already accounts for a predicate-only
 			// column and no consumer reads it (ColSet.PredOnly).
@@ -414,7 +382,8 @@ func (s *segment) decodeInto(need storage.ColSet, plan *scanPlan, gatherCutoff f
 		switch {
 		case idx == nil || km.enc == kencConst:
 			decodeKeys(dst, km.enc, km.width, km.base, payload)
-		case gather && gatherKeys(dst, km.enc, km.width, km.base, payload, idx):
+		case gather:
+			gatherKeys(dst, km.width, km.base, payload, idx)
 			mLazyGathered.Inc()
 		default:
 			dst = sc.KeyBuf(h, len(foot.keys), foot.rows)

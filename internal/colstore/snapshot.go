@@ -101,11 +101,11 @@ func (sn *snapshot) Block(b int, sc *storage.BlockScratch) (storage.BlockCols, b
 // time, and leave with its benchmark-only PR (ROADMAP item 1c).
 
 // PrunedFor implements storage.PruneProber: zone maps of segment blocks
-// answer arbitrary predicate sets; the WAL tail has no zone maps and is
-// never pruned.
+// answer arbitrary predicate sets, through the same prepared probe a
+// scan's plan uses; the WAL tail has no zone maps and is never pruned.
 func (sn *snapshot) PrunedFor(b int, preds []storage.LevelPred) bool {
 	if b < len(sn.segs) {
-		return sn.segs[b].foot.prunedBy(preds)
+		return sn.segs[b].foot.prunedByPreds(preparePreds(preds))
 	}
 	return false
 }

@@ -276,8 +276,13 @@ func (s *Session) run(ctx context.Context, p *plan.Plan) (*exec.Result, CacheSta
 
 // execute prepares a statement with the strategy pick returns for its
 // benchmark kind, runs it, and observes the end-to-end statement latency
-// on success.
+// on success. A declare statement has no plan: it registers its labeler
+// under any strategy and returns a nil result.
 func (s *Session) execute(ctx context.Context, stmt string, pick func(parser.BenchmarkKind) plan.Strategy) (*exec.Result, CacheState, error) {
+	if parser.IsDeclaration(stmt) {
+		mDeclares.Inc()
+		return nil, qcache.StateOff, s.Declare(stmt)
+	}
 	start := time.Now()
 	p, err := s.prepare(ctx, stmt, pick)
 	if err != nil {
@@ -336,10 +341,6 @@ func (s *Session) ExecTracked(stmt string) (*exec.Result, CacheState, error) {
 // bind → plan-select → execute (cache probe/store and per-operation
 // engine/client spans nested beneath).
 func (s *Session) ExecTrackedContext(ctx context.Context, stmt string) (*exec.Result, CacheState, error) {
-	if parser.IsDeclaration(stmt) {
-		mDeclares.Inc()
-		return nil, qcache.StateOff, s.Declare(stmt)
-	}
 	return s.execute(ctx, stmt, BestStrategy)
 }
 
@@ -432,7 +433,8 @@ func (s *Session) Declare(stmt string) error {
 	return s.RegisterLabeler(l)
 }
 
-// ExecWith runs a statement with an explicit strategy.
+// ExecWith runs a statement with an explicit strategy. Like Exec, it
+// registers a declare statement's labeler and returns (nil, nil).
 func (s *Session) ExecWith(stmt string, strategy plan.Strategy) (*exec.Result, error) {
 	r, _, err := s.ExecWithTracked(stmt, strategy)
 	return r, err

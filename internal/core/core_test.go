@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"github.com/assess-olap/assess/internal/labeling"
 	"github.com/assess-olap/assess/internal/parser"
 	"github.com/assess-olap/assess/internal/plan"
+	"github.com/assess-olap/assess/internal/qcache"
 	"github.com/assess-olap/assess/internal/sales"
 )
 
@@ -182,5 +184,25 @@ func TestDeclareViaSession(t *testing.T) {
 	}
 	if err := s.Declare(`not a declaration`); err == nil {
 		t.Error("non-declaration accepted")
+	}
+}
+
+// TestDeclareUnderEveryStrategy: a declaration has no plan, so an
+// explicit strategy registers it exactly as the best one does.
+func TestDeclareUnderEveryStrategy(t *testing.T) {
+	s := newSession(t)
+	for _, strat := range []plan.Strategy{plan.NP, plan.JOP, plan.POP} {
+		name := "tiers" + strat.String()
+		res, state, err := s.ExecWithTrackedContext(context.Background(),
+			"declare labels "+name+" {[-inf, 0): low, [0, inf]: high}", strat)
+		if err != nil {
+			t.Fatalf("%v: %v", strat, err)
+		}
+		if res != nil || state != qcache.StateOff {
+			t.Errorf("%v: declaration returned (%v, %q)", strat, res, state)
+		}
+		if _, ok := s.Binder.Labelers.Lookup(name); !ok {
+			t.Errorf("%v: declared labeler not registered", strat)
+		}
 	}
 }

@@ -111,20 +111,12 @@ func (b Breakdown) String() string {
 	return strings.Join(parts, " ")
 }
 
-// OpStat is the measured execution of one plan operation (the
-// EXPLAIN-ANALYZE view of a run).
-type OpStat struct {
-	Description string
-	Phase       plan.Phase
-	Duration    time.Duration
-}
-
 // Result is the outcome of executing one assess statement.
 type Result struct {
 	Plan      *plan.Plan
 	Cube      *cube.Cube // final cube, sorted by coordinate
 	Breakdown Breakdown
-	OpStats   []OpStat // per-operation timings, in plan order
+	OpTimes   []time.Duration // per-operation durations, in plan order
 	Total     time.Duration
 }
 
@@ -140,7 +132,7 @@ func Run(e *engine.Engine, p *plan.Plan) (*Result, error) {
 func RunContext(ctx context.Context, e *engine.Engine, p *plan.Plan) (*Result, error) {
 	cubes := make(map[string]*cube.Cube)
 	var bd Breakdown
-	stats := make([]OpStat, 0, len(p.Ops))
+	times := make([]time.Duration, 0, len(p.Ops))
 	start := time.Now()
 	for i := range p.Ops {
 		// A caller that gave up (client disconnect, a deadline) stops the
@@ -177,7 +169,7 @@ func RunContext(ctx context.Context, e *engine.Engine, p *plan.Plan) (*Result, e
 		sp.End()
 		bd[op.Phase] += d
 		stageSeconds[op.Phase].Observe(d.Seconds())
-		stats = append(stats, OpStat{Description: p.DescribeOp(i), Phase: op.Phase, Duration: d})
+		times = append(times, d)
 	}
 	out, ok := cubes[p.Result]
 	if !ok {
@@ -187,15 +179,17 @@ func RunContext(ctx context.Context, e *engine.Engine, p *plan.Plan) (*Result, e
 	// cube remembers it), so this returns at once; either way it is part
 	// of the statement's total.
 	out.SortByCoordinate()
-	return &Result{Plan: p, Cube: out, Breakdown: bd, OpStats: stats, Total: time.Since(start)}, nil
+	return &Result{Plan: p, Cube: out, Breakdown: bd, OpTimes: times, Total: time.Since(start)}, nil
 }
 
-// ExplainAnalyze renders the executed plan with per-operation timings.
+// ExplainAnalyze renders the executed plan with per-operation timings:
+// each op's phase and description come off the plan, its time off the
+// run.
 func (r *Result) ExplainAnalyze() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%v plan, %v total:\n", r.Plan.Strategy, r.Total)
-	for i, st := range r.OpStats {
-		fmt.Fprintf(&sb, "  %d. [%s %10v] %s\n", i+1, st.Phase, st.Duration, st.Description)
+	for i, d := range r.OpTimes {
+		fmt.Fprintf(&sb, "  %d. [%s %10v] %s\n", i+1, r.Plan.Ops[i].Phase, d, r.Plan.DescribeOp(i))
 	}
 	return sb.String()
 }

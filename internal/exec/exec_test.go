@@ -352,25 +352,27 @@ func TestOpStatsAndExplainAnalyze(t *testing.T) {
 		assess storeSales against past 4
 		using ratio(storeSales, benchmark.storeSales)
 		labels {[0, 0.9): worse, [0.9, 1.1]: fine, (1.1, inf): better}`, plan.NP)
-	if len(r.OpStats) != len(r.Plan.Ops) {
-		t.Fatalf("%d op stats for %d ops", len(r.OpStats), len(r.Plan.Ops))
+	if len(r.OpTimes) != len(r.Plan.Ops) {
+		t.Fatalf("%d op times for %d ops", len(r.OpTimes), len(r.Plan.Ops))
 	}
 	var sum int64
-	for i, st := range r.OpStats {
-		if st.Description == "" {
-			t.Errorf("op %d has no description", i)
-		}
-		if st.Phase != r.Plan.Ops[i].Phase {
-			t.Errorf("op %d phase mismatch", i)
-		}
-		sum += int64(st.Duration)
+	for _, d := range r.OpTimes {
+		sum += int64(d)
 	}
 	if int64(r.Breakdown.Total()) != sum {
-		t.Errorf("op stats sum %d != breakdown total %d", sum, int64(r.Breakdown.Total()))
+		t.Errorf("op times sum %d != breakdown total %d", sum, int64(r.Breakdown.Total()))
 	}
 	out := r.ExplainAnalyze()
-	if !strings.Contains(out, "NP plan") || !strings.Contains(out, "1.") {
-		t.Errorf("ExplainAnalyze:\n%s", out)
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if !strings.HasPrefix(lines[0], "NP plan, ") || len(lines) != 1+len(r.Plan.Ops) {
+		t.Fatalf("ExplainAnalyze:\n%s", out)
+	}
+	for i, op := range r.Plan.Ops {
+		desc := r.Plan.DescribeOp(i)
+		line := lines[1+i]
+		if desc == "" || !strings.HasPrefix(line, fmt.Sprintf("  %d. [%s ", i+1, op.Phase)) || !strings.HasSuffix(line, "] "+desc) {
+			t.Errorf("op %d line %q, want phase %s and description %q", i, line, op.Phase, desc)
+		}
 	}
 }
 

@@ -403,7 +403,7 @@ func (c *Cache) Stats() Stats {
 }
 
 // resultBytes is what a cached result keeps alive: the plan, the bound
-// statement and the per-operation stats, and, unless encoded rows took
+// statement and the per-operation durations, and, unless encoded rows took
 // its place, the cube — member-id columns, measure columns and label
 // headers (label text is interned per labeler). Result
 // cubes are built without an index, and nothing looks a cached one up by
@@ -415,7 +415,7 @@ func resultBytes(r *exec.Result) int64 {
 		stringHeader = 16
 		fixed        = 4 << 10 // Result, Plan and Bound, as measured
 	)
-	size := int64(fixed) + int64(len(r.OpStats))*96
+	size := int64(fixed) + int64(cap(r.OpTimes))*8
 	if c := r.Cube; c != nil {
 		for _, col := range c.Keys {
 			size += sliceHeader + heapBytes(int64(cap(col))*4)

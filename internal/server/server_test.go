@@ -292,18 +292,22 @@ func TestQueryEndpoint(t *testing.T) {
 
 func TestAssessEndpointDeclaration(t *testing.T) {
 	srv := newServer(t)
-	resp, body := post(t, srv, "/assess", map[string]any{
-		"statement": `declare labels signs as {[-inf, 0): down, [0, inf]: up}`,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var out map[string]bool
-	if err := json.Unmarshal(body, &out); err != nil || !out["declared"] {
-		t.Fatalf("response = %s (%v)", body, err)
+	// A declaration has no plan: an explicit one registers it too.
+	for name, planName := range map[string]string{"signs": "", "tiers": "np"} {
+		resp, body := post(t, srv, "/assess", map[string]any{
+			"statement": `declare labels ` + name + ` as {[-inf, 0): down, [0, inf]: up}`,
+			"plan":      planName,
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("plan %q: status %d: %s", planName, resp.StatusCode, body)
+		}
+		var out map[string]bool
+		if err := json.Unmarshal(body, &out); err != nil || !out["declared"] {
+			t.Fatalf("plan %q: response = %s (%v)", planName, body, err)
+		}
 	}
 	// The declared labeler is usable in a later request.
-	resp, body = post(t, srv, "/assess", map[string]any{
+	resp, body := post(t, srv, "/assess", map[string]any{
 		"statement": `with SALES by product assess quantity against 80
 			using difference(quantity, benchmark.quantity) labels signs`,
 	})
