@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/assess-olap/assess/internal/exec"
 	"github.com/assess-olap/assess/internal/obsv"
+	"github.com/assess-olap/assess/internal/plan"
 	"github.com/assess-olap/assess/internal/qcache"
 	"github.com/assess-olap/assess/internal/sales"
 )
@@ -83,10 +85,10 @@ func TestSessionCacheSingleflight(t *testing.T) {
 
 var errEmptyResult = errors.New("empty result")
 
-// TestSessionCacheInvalidation proves an entry stored under an older
-// catalog generation misses: appending fact rows (a load) and
-// materializing a view both bump the generation. A result is stored on
-// its second evaluation at a generation.
+// TestSessionCacheInvalidation proves an entry misses once an append adds
+// a row under what it read, or a materialization bumps the catalog
+// generation. A result is stored on its second evaluation at a catalog
+// generation; an append does not reset that count.
 func TestSessionCacheInvalidation(t *testing.T) {
 	s, ds := newCachedSession(t, 5000)
 
@@ -100,28 +102,40 @@ func TestSessionCacheInvalidation(t *testing.T) {
 		t.Fatalf("warm exec = (%q, %v), want hit", state, err)
 	}
 
-	// A FactTable.Append-backed load advances the generation; the cached
-	// entry is stale and a fresh evaluation sees the new row.
+	// A row in Germany falls outside both gets, country = 'Italy' and
+	// country = 'France': the entry outlives it.
 	gen := s.Generation()
-	keys := make([]int32, len(ds.Fact.Keys))
-	for h := range keys {
-		keys[h] = ds.Fact.Keys[h][0]
-	}
 	vals := make([]float64, len(ds.Fact.Meas))
 	for m := range vals {
 		vals[m] = 1
 	}
-	if err := ds.Fact.Append(keys, vals); err != nil {
+	if err := ds.Fact.Append(countryRow(t, ds, "Germany"), vals); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Generation(); got != gen+1 {
 		t.Fatalf("generation after append = %d, want %d", got, gen+1)
 	}
-	if _, state, err := s.ExecTracked(cachedStmt); err != nil || state != qcache.StateMiss {
-		t.Fatalf("exec after append = (%q, %v), want miss", state, err)
+	if s.CacheProbe(mustPrepare(t, s, cachedStmt)) != qcache.StateHit {
+		t.Fatal("CacheProbe after a disjoint append: want hit")
+	}
+	if _, state, err := s.ExecTracked(cachedStmt); err != nil || state != qcache.StateHit {
+		t.Fatalf("exec after a disjoint append = (%q, %v), want hit", state, err)
+	}
+	if st, _ := s.CacheStats(); st.Kept != 1 {
+		t.Fatalf("stats after a disjoint append: %+v, want 1 kept", st)
+	}
+
+	// A row in France, which the benchmark get reads: the cached entry is
+	// stale, and a fresh evaluation sees the new row and, the statement
+	// having been seen at this catalog generation, is stored.
+	if err := ds.Fact.Append(countryRow(t, ds, "France"), vals); err != nil {
+		t.Fatal(err)
+	}
+	if s.CacheProbe(mustPrepare(t, s, cachedStmt)) != qcache.StateMiss {
+		t.Fatal("CacheProbe after an overlapping append: want miss")
 	}
 	if _, state, err := s.ExecTracked(cachedStmt); err != nil || state != qcache.StateMiss {
-		t.Fatalf("second exec after append = (%q, %v), want miss", state, err)
+		t.Fatalf("exec after append = (%q, %v), want miss", state, err)
 	}
 	if _, state, err := s.ExecTracked(cachedStmt); err != nil || state != qcache.StateHit {
 		t.Fatalf("re-exec after append = (%q, %v), want hit", state, err)
@@ -134,6 +148,38 @@ func TestSessionCacheInvalidation(t *testing.T) {
 	if _, state, err := s.ExecTracked(cachedStmt); err != nil || state != qcache.StateMiss {
 		t.Fatalf("exec after materialize = (%q, %v), want miss", state, err)
 	}
+}
+
+// countryRow returns the keys of a fact row of ds sold in the country.
+func countryRow(t *testing.T, ds *sales.Dataset, country string) []int32 {
+	t.Helper()
+	s := ds.Fact.Schema
+	h, _ := s.HierIndex("Store")
+	want, ok := s.Hiers[h].Dict(2).Lookup(country)
+	if !ok {
+		t.Fatalf("no country %q", country)
+	}
+	up := s.Hiers[h].LevelMap(0, 2)
+	for r, k := range ds.Fact.Keys[h] {
+		if up[k] == want {
+			keys := make([]int32, len(ds.Fact.Keys))
+			for i := range keys {
+				keys[i] = ds.Fact.Keys[i][r]
+			}
+			return keys
+		}
+	}
+	t.Fatalf("no row in %s", country)
+	return nil
+}
+
+func mustPrepare(t *testing.T, s *Session, stmt string) *plan.Plan {
+	t.Helper()
+	p, err := s.Prepare(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // TestSessionAutoViewInvalidation is the end-to-end regression for the
@@ -179,8 +225,8 @@ func TestSessionAutoViewInvalidation(t *testing.T) {
 		t.Fatalf("exec after the admission = (%q, %v), want hit", state, err)
 	}
 
-	// One appended fact row: the generation bumps, so the cached entries
-	// and the admitted view are both stale.
+	// One appended fact row, under every cell the statements read: the
+	// cached entries and the admitted view are both stale.
 	keys := make([]int32, len(ds.Fact.Keys))
 	for h := range keys {
 		keys[h] = ds.Fact.Keys[h][0]
@@ -245,11 +291,8 @@ func TestSessionAutoViewInvalidation(t *testing.T) {
 		}
 	}
 
-	// The fresh evaluation was the first at the new generation: the next
-	// one is stored under it, and the one after hits.
-	if _, state, err := s.ExecTracked(stmts[0]); err != nil || state != qcache.StateMiss {
-		t.Fatalf("second exec after append = (%q, %v), want miss", state, err)
-	}
+	// The statement was seen before at this catalog generation, so the
+	// fresh evaluation was stored, and the next run hits.
 	if _, state, err := s.ExecTracked(stmts[0]); err != nil || state != qcache.StateHit {
 		t.Fatalf("re-exec after append = (%q, %v), want hit", state, err)
 	}
@@ -386,5 +429,170 @@ func TestCacheBytesFollowHeap(t *testing.T) {
 			t.Errorf("%s: %d entries charged %d bytes, the heap grew by %d", name, st.Entries, st.Bytes, grown)
 		}
 		runtime.KeepAlive(s)
+	}
+}
+
+// dateRow returns the keys of the first fact row of ds with the date
+// replaced: a row on that date, under the members of row 0 elsewhere.
+func dateRow(t *testing.T, ds *sales.Dataset, date string) []int32 {
+	t.Helper()
+	id, ok := ds.Fact.Schema.Hiers[0].Dict(0).Lookup(date)
+	if !ok {
+		t.Fatalf("no date %s", date)
+	}
+	keys := make([]int32, len(ds.Fact.Keys))
+	for h := range keys {
+		keys[h] = ds.Fact.Keys[h][0]
+	}
+	keys[0] = id
+	return keys
+}
+
+// warm runs a statement until the cache holds it: a sighting, then the
+// stored evaluation.
+func warm(t *testing.T, s *Session, stmt string) {
+	t.Helper()
+	for range 2 {
+		if _, state, err := s.ExecTracked(stmt); err != nil || state != qcache.StateMiss {
+			t.Fatalf("warming = (%q, %v), want miss\n  stmt: %s", state, err, stmt)
+		}
+	}
+}
+
+// TestCacheKeepsAnswersAnAppendCannotChange runs each statement's cache
+// entry across appends to SALES: one over SALES_TARGET alone is never
+// touched; a past-4 answer survives a row after its months and is
+// dropped by a row in one of its benchmark months, after which it equals
+// a session without a cache; and a version bump with no row drops every
+// entry over SALES.
+func TestCacheKeepsAnswersAnAppendCannotChange(t *testing.T) {
+	s, ds := newCachedSession(t, 5000)
+	const (
+		budget = `with SALES_TARGET by product assess expectedSales against 100 labels quartiles`
+		past   = `with SALES for month = '1997-06' by month, product assess quantity against past 4 labels quartiles`
+	)
+	vals := make([]float64, len(ds.Fact.Meas))
+	for m := range vals {
+		vals[m] = 3
+	}
+	appendOn := func(date string) {
+		t.Helper()
+		if err := ds.Fact.Append(dateRow(t, ds, date), vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect := func(stmt string, want qcache.State, kept int64) {
+		t.Helper()
+		if _, state, err := s.ExecTracked(stmt); err != nil || state != want {
+			t.Fatalf("exec = (%q, %v), want %q\n  stmt: %s", state, err, want, stmt)
+		}
+		if st, _ := s.CacheStats(); st.Kept != kept {
+			t.Fatalf("%d kept, want %d\n  stmt: %s", st.Kept, kept, stmt)
+		}
+	}
+	warm(t, s, budget)
+	warm(t, s, past)
+
+	appendOn("1997-09-14")
+	expect(budget, qcache.StateHit, 0) // SALES_TARGET's version did not move
+	expect(past, qcache.StateHit, 1)
+
+	appendOn("1997-03-10")
+	expect(past, qcache.StateMiss, 1)
+	res, _, err := s.ExecTracked(past)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := NewSession()
+	if err := ref.RegisterCube("SALES", ds.Fact); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Exec(past)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cube.Len() != want.Cube.Len() {
+		t.Fatalf("after a row in a benchmark month: %d cells, reference %d", res.Cube.Len(), want.Cube.Len())
+	}
+	for j := range want.Cube.Cols {
+		for i := range want.Cube.Len() {
+			if res.Cube.Cols[j][i] != want.Cube.Cols[j][i] {
+				t.Fatalf("after a row in a benchmark month: %s[%d] = %g, reference %g", want.Cube.Names[j], i, res.Cube.Cols[j][i], want.Cube.Cols[j][i])
+			}
+		}
+	}
+
+	warm(t, s, cachedStmt)
+	ds.Fact.AdvanceVersion(1)
+	expect(past, qcache.StateMiss, 1)
+	expect(cachedStmt, qcache.StateMiss, 1)
+	expect(budget, qcache.StateHit, 1)
+}
+
+// TestCacheAppendBesideProbe: a writer appends rows beside a reader that
+// runs one statement over and over with the cache on, one row per run,
+// made while the run probes: a third under the statement's slice and the
+// rest outside it, so the reader's entries are both kept and dropped.
+// Every answer counts each row whose append returned before the reader's
+// call, and none appended after it returned. Run with -race.
+func TestCacheAppendBesideProbe(t *testing.T) {
+	s, ds := newCachedSession(t, 2000)
+	const stmt = `with SALES for country = 'Italy' by country assess quantity against 0 labels quartiles`
+	quantity := func() float64 {
+		t.Helper()
+		res, _, err := s.ExecTracked(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cube.Len() != 1 {
+			t.Fatalf("%d cells, want 1", res.Cube.Len())
+		}
+		return res.Cube.Cols[0][0]
+	}
+	base := quantity()
+	italy, germany := countryRow(t, ds, "Italy"), countryRow(t, ds, "Germany")
+	vals := make([]float64, len(ds.Fact.Meas))
+	for m := range vals {
+		vals[m] = 1
+	}
+
+	const rows = 300
+	var inside atomic.Int64
+	next := make(chan int)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := range next {
+			keys := germany
+			if i%3 == 0 {
+				keys = italy
+			}
+			if err := ds.Fact.Append(keys, vals); err != nil {
+				t.Error(err)
+				return
+			}
+			if i%3 == 0 {
+				inside.Add(1)
+			}
+		}
+	}()
+	for i := range rows {
+		before := inside.Load()
+		next <- i
+		got := quantity()
+		after := inside.Load()
+		// The row whose append is under way when the call returns may
+		// be in its answer already.
+		if got < base+float64(before) || got > base+float64(after+1) {
+			t.Fatalf("run %d: quantity %g, want within [%g, %g]: a stale answer", i, got, base+float64(before), base+float64(after+1))
+		}
+	}
+	close(next)
+	<-done
+	if got, want := quantity(), base+rows/3; got != want {
+		t.Fatalf("quantity after the writer = %g, want %g", got, want)
+	}
+	if st, _ := s.CacheStats(); st.Kept == 0 {
+		t.Errorf("no entry kept beside the writer: %+v", st)
 	}
 }

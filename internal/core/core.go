@@ -10,6 +10,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -72,7 +73,8 @@ type Session struct {
 	// bound plan. Enable with EnableCache.
 	cache *qcache.Cache
 	// regGen counts registry mutations (functions, labelers); folded into
-	// the cache generation so redefinitions invalidate cached results.
+	// the catalog generation of cache stamps so redefinitions invalidate
+	// cached results.
 	regGen atomic.Uint64
 	// dist, when non-nil, scatter-gathers scans over sharded facts.
 	// Enable with EnableDistributed.
@@ -137,11 +139,48 @@ func (s *Session) ViewStats() engine.ViewStats {
 	return s.Engine.ViewStatsSnapshot()
 }
 
-// Generation is the session's cache-invalidation generation: the engine
-// catalog generation (registrations, materializations, fact appends)
-// plus registry mutations.
+// Generation is the session's generation, as /metrics reports it: the
+// engine's (registrations, materializations, fact appends) plus registry
+// mutations. The result cache validates entries by a finer stamp (see
+// run).
 func (s *Session) Generation() uint64 {
 	return s.Engine.Generation() + s.regGen.Load()
+}
+
+// stamp reads what a result of p rests on, for the result cache: the
+// catalog generation without the facts' appends, and, per fact the plan's
+// gets read (Query and QueryB of every pushed op), those gets'
+// predicates and the fact's version. It must run before the evaluation:
+// a fact's version is loaded after its predicates' levels are watched
+// and before any scan of it takes its snapshot, so the answer holds
+// every row the version counts and every later row is marked
+// (storage.FactTable.publish).
+func (s *Session) stamp(p *plan.Plan) qcache.Stamp {
+	st := qcache.Stamp{Gen: s.Engine.CatalogGeneration() + s.regGen.Load()}
+	for i := range p.Ops {
+		for _, q := range []*engine.Query{&p.Ops[i].Query, &p.Ops[i].QueryB} {
+			f, ok := s.Engine.Fact(q.Fact)
+			if !ok {
+				continue // not a get, or a fact the evaluation will reject
+			}
+			j := slices.IndexFunc(st.Reads, func(r qcache.Read) bool { return r.Fact == f })
+			if j < 0 {
+				j = len(st.Reads)
+				st.Reads = append(st.Reads, qcache.Read{Fact: f})
+			}
+			st.Reads[j].Gets = append(st.Reads[j].Gets, q.Preds)
+		}
+	}
+	for i := range st.Reads {
+		r := &st.Reads[i]
+		for _, get := range r.Gets {
+			for _, pred := range get {
+				r.Fact.Watch(pred.Level)
+			}
+		}
+		r.Version = r.Fact.Version()
+	}
+	return st
 }
 
 // RegisterCube adds a detailed cube (fact table) to the catalog.
@@ -241,8 +280,10 @@ func (s *Session) bindContext(ctx context.Context, stmt string) (*semantic.Bound
 
 // run executes a built plan, consulting the query-result cache when one
 // is enabled: the cache key is the fingerprint of the bound plan and its
-// strategy, validated against the current catalog generation, and
-// concurrent identical statements share one evaluation (singleflight).
+// strategy, an entry is valid while it holds at the plan's stamp — same
+// catalog generation, and no row appended since under every get it read
+// — and concurrent identical statements at one stamp share one
+// evaluation (singleflight).
 // The "execute" span nests the cache probe/store and the per-operation
 // engine spans.
 func (s *Session) run(ctx context.Context, p *plan.Plan) (*exec.Result, CacheState, error) {
@@ -257,7 +298,7 @@ func (s *Session) run(ctx context.Context, p *plan.Plan) (*exec.Result, CacheSta
 		state = qcache.StateOff
 	} else {
 		key := qcache.Fingerprint(p.Bound, p.Strategy)
-		res, state, err = s.cache.DoContext(ctx, key, s.Generation(), func() (*exec.Result, error) {
+		res, state, err = s.cache.DoContext(ctx, key, s.stamp(p), func() (*exec.Result, error) {
 			return exec.RunContext(ctx, s.Engine, p)
 		})
 	}
@@ -296,12 +337,13 @@ func (s *Session) execute(ctx context.Context, stmt string, pick func(parser.Ben
 }
 
 // CacheProbe reports whether executing the plan now would hit the cache
-// (used by /explain); it does not touch counters or recency.
+// (used by /explain), by the rule run applies, kept entries included; it
+// does not touch counters or recency.
 func (s *Session) CacheProbe(p *plan.Plan) CacheState {
 	if s.cache == nil {
 		return qcache.StateOff
 	}
-	if s.cache.Peek(qcache.Fingerprint(p.Bound, p.Strategy), s.Generation()) {
+	if s.cache.Peek(qcache.Fingerprint(p.Bound, p.Strategy), s.stamp(p)) {
 		return qcache.StateHit
 	}
 	return qcache.StateMiss

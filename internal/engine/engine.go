@@ -71,10 +71,9 @@ type Engine struct {
 	// morselSize is the scan morsel size in rows (0 selects the
 	// DefaultMorselSize default).
 	morselSize int
-	// gen counts catalog mutations (Register, Materialize); together
-	// with the fact tables' append versions it forms the monotonic
-	// generation that invalidates query-result cache entries. Admitting
-	// or evicting a view changes no answer and leaves it alone.
+	// gen counts catalog mutations (Register, Materialize): a change of
+	// it invalidates every query-result cache entry. Admitting or
+	// evicting a view changes no answer and leaves it alone.
 	gen atomic.Uint64
 	// batcher, when set, answers query-path fact scans in the engine's
 	// place (see SetScanBatcher).
@@ -114,14 +113,16 @@ func (e *Engine) Register(name string, f *storage.FactTable) error {
 	return nil
 }
 
-// Generation is the monotonic catalog generation: it advances whenever a
-// cube is registered or materialized and whenever rows are appended to a
-// registered fact table, never when adaptive admission admits or evicts
-// a view, which changes no answer. Query-result cache entries are tagged
-// with the generation observed at evaluation time; a later generation
-// makes them stale. Registering facts concurrently with queries is
-// already unsupported (see Engine doc), so summing fact versions here is
-// safe.
+// Generation is the monotonic catalog generation plus every registered
+// fact's version: it advances whenever a cube is registered or
+// materialized and whenever rows are appended to a registered fact,
+// never when adaptive admission admits or evicts a view, which changes
+// no answer. It is what /metrics reports as the catalog generation. The
+// result cache does not validate by it, since an append would stale
+// every entry: it stamps an entry with CatalogGeneration and the
+// versions of the facts the entry read. Registering facts concurrently
+// with queries is already unsupported (see Engine doc), so summing fact
+// versions here is safe.
 func (e *Engine) Generation() uint64 {
 	g := e.gen.Load()
 	for _, f := range e.facts {
@@ -129,6 +130,10 @@ func (e *Engine) Generation() uint64 {
 	}
 	return g
 }
+
+// CatalogGeneration counts the catalog's own mutations, registrations
+// and materializations, without the facts' appends.
+func (e *Engine) CatalogGeneration() uint64 { return e.gen.Load() }
 
 // Fact returns the registered detailed cube.
 func (e *Engine) Fact(name string) (*storage.FactTable, bool) {

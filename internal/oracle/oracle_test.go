@@ -21,6 +21,7 @@ import (
 	"github.com/assess-olap/assess/internal/parser"
 	"github.com/assess-olap/assess/internal/persist"
 	"github.com/assess-olap/assess/internal/plan"
+	"github.com/assess-olap/assess/internal/qcache"
 	"github.com/assess-olap/assess/internal/sales"
 	"github.com/assess-olap/assess/internal/storage"
 	"github.com/assess-olap/assess/internal/testutil"
@@ -575,10 +576,20 @@ func TestSegmentWALCompaction(t *testing.T) {
 // dropped on the way, and none rebuilt more than once: a view whose dense
 // table was too sparse to keep is rebuilt through a slot table the first
 // time it is found stale, and refreshed like the others from then on.
+// The maintained session has the result cache on, and each statement is
+// run on it until it hits (the cache axis): every answer, entries kept
+// across the step's append included, must equal the cache-off
+// reference, and over the whole test some entry must have been kept.
 func TestViewMaintenanceByDelta(t *testing.T) {
 	counter := func(action string) int64 {
 		return obsv.Default.Counter("assess_engine_view_stale_total", "", "action", action).Value()
 	}
+	var kept int64 // hits on an entry that outlived an append, over every run
+	defer func() {
+		if !t.Failed() && kept == 0 {
+			t.Error("no cache entry outlived an append: the cache axis did not exercise kept entries")
+		}
+	}()
 	for _, seed := range seedsUnderTest(t) {
 		for _, ax := range []struct {
 			name              string
@@ -648,7 +659,8 @@ func TestViewMaintenanceByDelta(t *testing.T) {
 					return s
 				}
 				maintained := viewSession()
-				// Cache on: a result kept across an append would diverge.
+				// Cache on: an entry kept across an append that overlaps
+				// what it read would diverge.
 				maintained.EnableCache(0)
 
 				measures := make([]string, len(c.Schema.Measures))
@@ -680,8 +692,8 @@ func TestViewMaintenanceByDelta(t *testing.T) {
 							t.Fatal(err)
 						}
 						for _, strat := range core.FeasibleStrategies(kind) {
-							rows := make([][]exec.Row, 0, 3)
-							for _, s := range []*core.Session{ref, fresh, maintained} {
+							rows := make([][]exec.Row, 0, 2)
+							for _, s := range []*core.Session{ref, fresh} {
 								res, _, _, err := execTracked(s, stmt, strat)
 								if err != nil {
 									t.Fatalf("%s/%v: %v\n  stmt: %s", stage, strat, err, stmt)
@@ -695,8 +707,30 @@ func TestViewMaintenanceByDelta(t *testing.T) {
 							if d := diffRows(rows[0], rows[1]); d != "" {
 								t.Errorf("%s/%v: fresh views diverge from the reference: %s\n  stmt: %s", stage, strat, d, stmt)
 							}
-							if d := diffRows(rows[0], rows[2]); d != "" {
-								t.Errorf("%s/%v: maintained views diverge from the reference: %s\n  stmt: %s", stage, strat, d, stmt)
+							// The cache axis: run the statement on the maintained
+							// session until it hits. Each answer — an entry kept
+							// from before the step, an evaluation, the stored
+							// result — must be the cache-off reference's.
+							for run := 1; ; run++ {
+								res, state, _, err := execTracked(maintained, stmt, strat)
+								if err != nil {
+									t.Fatalf("%s/%v: maintained: %v\n  stmt: %s", stage, strat, err, stmt)
+								}
+								r, err := canonRows(res)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if d := diffRows(rows[0], r); d != "" {
+									t.Errorf("%s/%v run %d (%s): maintained views and cache diverge from the reference: %s\n  stmt: %s", stage, strat, run, state, d, stmt)
+									break
+								}
+								if state == qcache.StateHit {
+									break
+								}
+								if run == 3 {
+									t.Errorf("%s/%v: no hit in %d runs\n  stmt: %s", stage, strat, run, stmt)
+									break
+								}
 							}
 						}
 					}
@@ -743,6 +777,8 @@ func TestViewMaintenanceByDelta(t *testing.T) {
 				if len(sets) > 0 && counter("refreshed") == refreshed {
 					t.Error("no view was ever refreshed: the phase did not exercise the delta path")
 				}
+				st, _ := maintained.CacheStats()
+				kept += st.Kept
 			})
 		}
 	}

@@ -3,18 +3,25 @@ package qcache_test
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"github.com/assess-olap/assess/internal/engine"
 	"github.com/assess-olap/assess/internal/exec"
+	"github.com/assess-olap/assess/internal/mdm"
 	"github.com/assess-olap/assess/internal/qcache"
 )
 
 // TestSecondSightModel replays random Do traces over a few keys, while
-// the generation advances now and then and some evaluations fail, and
-// holds the cache to a plain-map statement of the admission rule: a
-// result is stored when its key was evaluated successfully before at the
-// same generation, and served until a Do under another generation finds
-// it stale. The budget holds every result, so nothing is evicted.
+// the catalog generation advances now and then, rows are appended to the
+// fact the keys read, and some evaluations fail, and holds the cache to a
+// plain-map statement of the admission and validity rules. A result is
+// stored when its key was evaluated successfully before at the same
+// catalog generation, whatever was appended in between. It is served
+// until a Do finds it stale: under another catalog generation, or after
+// a row under the members its get reads (every row, for a key whose get
+// reads the whole fact). Served across rows elsewhere, it counts as kept
+// and is restamped. The budget holds every result, so nothing is evicted.
 func TestSecondSightModel(t *testing.T) {
 	cube := fakeResult(t, 1).Cube
 	boom := errors.New("boom")
@@ -23,39 +30,76 @@ func TestSecondSightModel(t *testing.T) {
 		gen uint64
 	}
 	type stored struct {
-		gen uint64
-		res *exec.Result
+		gen, ver uint64
+		res      *exec.Result
 	}
+	var kept int64
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := qcache.New(1 << 20)
+		f, appendRow := salesFact(t)
+		monthDict := f.Schema.Dict(mdm.LevelRef{Hier: 0, Level: 1})
 		keys := make([]qcache.Key, 2+rng.Intn(4))
+		gets := make([][]engine.Predicate, len(keys))
 		for i := range keys {
 			rng.Read(keys[i][:])
 			keys[i][0] = byte(i) // one ghost slot per key: the reference has no collisions
+			if rng.Intn(4) > 0 {
+				// A month set among the first four of 1996; the rest reads all.
+				p := engine.Predicate{Level: mdm.LevelRef{Hier: 0, Level: 1}}
+				for m := range int32(4) {
+					if rng.Intn(2) == 0 {
+						p.Members = append(p.Members, m)
+					}
+				}
+				gets[i] = []engine.Predicate{p}
+			}
+		}
+		var rowMonths []int32 // rowMonths[v-1] is the month of the row that brought the fact to version v
+		touched := func(i int, since uint64) bool {
+			for _, m := range rowMonths[since:] {
+				if gets[i] == nil || slices.Contains(gets[i][0].Members, m) {
+					return true
+				}
+			}
+			return false
 		}
 		seen := map[sighting]bool{}
 		entries := map[qcache.Key]stored{}
 		var want qcache.Stats
 		gen := uint64(1)
 		for step := 0; step < 300; step++ {
-			if rng.Intn(10) == 0 {
+			switch rng.Intn(10) {
+			case 0:
 				gen++
+			case 1, 2:
+				m := int32(rng.Intn(6))
+				appendRow(monthDict.Name(m) + "-01")
+				rowMonths = append(rowMonths, m)
 			}
-			key := keys[rng.Intn(len(keys))]
+			stampOf := func(i int) qcache.Stamp {
+				return qcache.Stamp{Gen: gen, Reads: []qcache.Read{read(f, gets[i])}}
+			}
+			i := rng.Intn(len(keys))
+			key := keys[i]
 			fails := rng.Intn(6) == 0
 			res := &exec.Result{Cube: cube}
-			got, state, err := c.Do(key, gen, func() (*exec.Result, error) {
+			got, state, err := c.Do(key, stampOf(i), func() (*exec.Result, error) {
 				if fails {
 					return nil, boom
 				}
 				return res, nil
 			})
 
+			ver := f.Version()
 			wantState, wantRes, wantErr := qcache.StateMiss, res, error(nil)
-			if e, ok := entries[key]; ok && e.gen == gen {
+			if e, ok := entries[key]; ok && e.gen == gen && !touched(i, e.ver) {
 				wantState, wantRes = qcache.StateHit, e.res
 				want.Hits++
+				if e.ver != ver {
+					want.Kept++
+					entries[key] = stored{gen, ver, e.res}
+				}
 			} else {
 				delete(entries, key) // stale, or absent
 				want.Misses++
@@ -63,7 +107,7 @@ func TestSecondSightModel(t *testing.T) {
 				case fails:
 					wantRes, wantErr = nil, boom
 				case seen[s]:
-					entries[key] = stored{gen, res}
+					entries[key] = stored{gen, ver, res}
 				default:
 					seen[s] = true
 					want.Deferred++
@@ -75,16 +119,20 @@ func TestSecondSightModel(t *testing.T) {
 				t.Fatalf("seed %d step %d: Do = (%p, %q, %v), want (%p, %q, %v)", seed, step, got, state, err, wantRes, wantState, wantErr)
 			}
 			st := c.Stats()
-			if st.Hits != want.Hits || st.Misses != want.Misses || st.Deferred != want.Deferred || st.Entries != want.Entries {
+			if st.Hits != want.Hits || st.Misses != want.Misses || st.Deferred != want.Deferred || st.Kept != want.Kept || st.Entries != want.Entries {
 				t.Fatalf("seed %d step %d: stats %+v, want %+v", seed, step, st, want)
 			}
-			for _, k := range keys {
+			for j, k := range keys {
 				e, ok := entries[k]
-				if got, want := c.Peek(k, gen), ok && e.gen == gen; got != want {
+				if got, want := c.Peek(k, stampOf(j)), ok && e.gen == gen && !touched(j, e.ver); got != want {
 					t.Fatalf("seed %d step %d: Peek = %v, want %v", seed, step, got, want)
 				}
 			}
 		}
+		kept += want.Kept
+	}
+	if kept == 0 {
+		t.Fatal("no entry was ever kept across an append: the traces miss the rule")
 	}
 }
 
@@ -103,7 +151,7 @@ func TestGhostCollision(t *testing.T) {
 	do := func(key qcache.Key, wantState qcache.State, wantEntries int64) *exec.Result {
 		t.Helper()
 		res := fakeResult(t, 1)
-		got, state, err := c.Do(key, 1, func() (*exec.Result, error) { return res, nil })
+		got, state, err := c.Do(key, at(1), func() (*exec.Result, error) { return res, nil })
 		if err != nil || state != wantState || c.Stats().Entries != wantEntries {
 			t.Fatalf("Do(%x…) = (%q, %v) with %d entries, want %q with %d", key[:9], state, err, c.Stats().Entries, wantState, wantEntries)
 		}

@@ -9,17 +9,27 @@
 // The cache is one LRU under one byte budget (a budget in MiB bounds
 // resident results, not entry counts), a singleflight layer (N concurrent
 // identical statements run one evaluation and share the result), and
-// generation-based invalidation: every entry is tagged with the catalog
-// generation observed when its evaluation started, and a lookup under a
-// newer generation treats the entry as stale, evicting it.
+// invalidation by overlap: every entry is stamped with what its
+// evaluation read (Stamp), taken before the evaluation started — the
+// catalog generation, and the version of each fact the plan's gets read
+// with the predicates they read it under. A lookup under another catalog
+// generation finds the entry stale. So does one after an append that
+// may have added a row to one of its gets: for each fact whose version
+// moved, every get on it must have a predicate none of whose members
+// gained a row since the stamp (storage.FactTable.TouchedSince), or the
+// entry is evicted. An entry that passes outlived the append, is kept
+// and restamped (Stats.Kept). Two cube regions disjoint on some
+// hierarchy cannot affect each other (Vassiliadis).
 //
 // Admission is rent-or-buy, as for the engine's views: a result is stored
 // only when its statement is evaluated for the second time at one
-// generation. The first evaluation leaves a ghost — a fingerprint of key
-// and generation — in a small direct-mapped table (the doorkeeper of
-// TinyLFU, Einziger et al.) and stores nothing, so traffic that never
-// repeats keeps no results. The price is one evaluation: a statement's
-// first repeat at a generation is a miss too, and its third run hits.
+// catalog generation. The first evaluation leaves a ghost — a
+// fingerprint of key and catalog generation — in a small direct-mapped
+// table (the doorkeeper of TinyLFU, Einziger et al.) and stores nothing,
+// so traffic that never repeats keeps no results. Fact versions are not
+// in the ghost: a statement seen before an append is admitted after it,
+// whether or not the append overlaps it. The price is one evaluation: a
+// statement's first repeat is a miss too, and its third run hits.
 // Ghosts are only hints — entries are still found by the whole Key — so
 // two keys sharing a slot can defer each other's admission, or admit one
 // early, but never serve each other's result. Singleflight joiners do not
@@ -44,10 +54,13 @@ import (
 	"context"
 	"encoding/binary"
 	"math/bits"
+	"slices"
 	"sync"
 
+	"github.com/assess-olap/assess/internal/engine"
 	"github.com/assess-olap/assess/internal/exec"
 	"github.com/assess-olap/assess/internal/obsv"
+	"github.com/assess-olap/assess/internal/storage"
 )
 
 // State reports how a Do call was satisfied.
@@ -67,6 +80,74 @@ const (
 // DefaultMaxBytes is the default cache budget (64 MiB).
 const DefaultMaxBytes = 64 << 20
 
+// Stamp is what an answer was read from, taken before its evaluation
+// starts: Gen, the catalog generation (registered cubes, materialized
+// views and the session's functions and labelers), and one Read per fact
+// the plan's gets read. A Stamp with no Reads depends on the generation
+// alone.
+type Stamp struct {
+	Gen   uint64
+	Reads []Read
+}
+
+// Read is one fact's share of a Stamp: the fact's version when the
+// stamp was taken, which must be loaded before the evaluation's scans
+// take their snapshots, and the predicates of each get on the fact. A
+// get with no predicate reads the whole fact.
+type Read struct {
+	Fact    *storage.FactTable
+	Version uint64
+	Gets    [][]engine.Predicate
+}
+
+// holds reports whether an answer stamped at e still holds for a caller
+// stamped at now, which read the same facts (same Key): the catalog
+// generation is the same and, for every fact whose version moved past
+// e's, each get on the fact has a predicate whose members gained no row
+// since e's version. moved reports a fact that did move, so the answer
+// outlived an append. A fact's marks are loaded after now's version, so
+// every row that version counts is seen (storage.FactTable.publish).
+func holds(e, now *Stamp) (ok, moved bool) {
+	if e.Gen != now.Gen || len(e.Reads) != len(now.Reads) {
+		return false, false
+	}
+	for i := range e.Reads {
+		r := &e.Reads[i]
+		if r.Fact != now.Reads[i].Fact {
+			return false, false
+		}
+		if now.Reads[i].Version <= r.Version {
+			continue
+		}
+		for _, get := range r.Gets {
+			if !spared(r, get) {
+				return false, false
+			}
+		}
+		moved = true
+	}
+	return true, moved
+}
+
+// spared reports whether a get under preds reads no row added to r.Fact
+// since r.Version: some predicate's members gained none.
+func spared(r *Read, preds []engine.Predicate) bool {
+	for _, p := range preds {
+		if !r.Fact.TouchedSince(r.Version, p.Level, p.Members) {
+			return true
+		}
+	}
+	return false
+}
+
+// same reports whether two stamps of one Key saw the same catalog and
+// the same fact versions.
+func (s *Stamp) same(o *Stamp) bool {
+	return s.Gen == o.Gen && slices.EqualFunc(s.Reads, o.Reads, func(a, b Read) bool {
+		return a.Fact == b.Fact && a.Version == b.Version
+	})
+}
+
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
 	Hits       int64 `json:"hits"`
@@ -75,10 +156,14 @@ type Stats struct {
 	DedupJoins int64 `json:"dedupJoins"`
 	// Rejected counts results that were evaluated but not cached because
 	// one alone exceeds the budget; Deferred counts those not cached
-	// because their key had not been evaluated before at the generation.
+	// because their key had not been evaluated before at the catalog
+	// generation.
 	Rejected int64 `json:"rejected"`
 	Deferred int64 `json:"deferred"`
-	Entries  int64 `json:"entries"`
+	// Kept counts hits on an entry that outlived an append to a fact it
+	// read, because the append added no row to any of its gets.
+	Kept    int64 `json:"kept"`
+	Entries int64 `json:"entries"`
 	// Bytes is what the entries hold, results and encoded rows; BodyBytes
 	// is the rows' share of it.
 	Bytes       int64 `json:"bytes"`
@@ -88,9 +173,9 @@ type Stats struct {
 
 // entry is one cached result.
 type entry struct {
-	key  Key
-	gen  uint64
-	size int64 // res plus body, as charged to the budget
+	key   Key
+	stamp Stamp // its own Reads: a kept entry's versions move forward
+	size  int64 // res plus body, as charged to the budget
 	// res is the result as evaluated, until body takes the place of its
 	// cube: from then on res is a copy that keeps the plan and the timings
 	// and has no Cube, and cells remembers how many cells there were.
@@ -101,13 +186,14 @@ type entry struct {
 }
 
 // call is one in-flight evaluation that concurrent identical statements
-// join instead of re-evaluating. gen pins the catalog generation the
-// leader observed; a caller on a different generation does not join it.
+// join instead of re-evaluating. stamp pins the catalog generation and
+// fact versions the leader observed; a caller that observed others does
+// not join it.
 type call struct {
-	done chan struct{}
-	gen  uint64
-	res  *exec.Result
-	err  error
+	done  chan struct{}
+	stamp *Stamp
+	res   *exec.Result
+	err   error
 }
 
 // Cache is an LRU over finished execution results. One mutex guards all
@@ -147,25 +233,27 @@ func New(maxBytes int64) *Cache {
 	}
 }
 
-// Do returns the cached result for key if one exists at the current
-// generation; otherwise it evaluates. Concurrent Do calls for the same
-// (key, gen) run eval exactly once and share the result. Entries stored
-// under an older generation are treated as stale. Errors are not cached.
-func (c *Cache) Do(key Key, gen uint64, eval func() (*exec.Result, error)) (*exec.Result, State, error) {
-	return c.DoContext(context.Background(), key, gen, eval)
+// Do returns the cached result for key if one still holds at the
+// caller's stamp; otherwise it evaluates. Concurrent Do calls for the
+// same key at the same stamp run eval exactly once and share the result.
+// An entry that no longer holds is stale. Errors are not cached.
+func (c *Cache) Do(key Key, st Stamp, eval func() (*exec.Result, error)) (*exec.Result, State, error) {
+	return c.DoContext(context.Background(), key, st, eval)
 }
 
 // DoContext is Do, emitting "cache.probe" and "cache.store" trace spans
 // when the context carries a trace (obsv.NewTrace). The probe span notes
 // the outcome: "hit", "hit bytes" (the entry holds its encoded rows),
-// "miss", "stale" (entry invalidated by a newer generation), "rows only"
-// (entry without a cube, of no use to a caller that tracks no Body) or
-// "join" (waited on a concurrent identical evaluation).
+// "kept" (a hit on an entry that outlived an append it does not
+// overlap), "miss", "stale" (entry invalidated by another catalog
+// generation or an overlapping append), "rows only" (entry without a
+// cube, of no use to a caller that tracks no Body) or "join" (waited on
+// a concurrent identical evaluation).
 //
 // When the context tracks a Body (TrackBody), the entry a hit found is
 // bound to it, and the hit may return a result whose Cube is nil: the
 // Body then has the rows and the cell count.
-func (c *Cache) DoContext(ctx context.Context, key Key, gen uint64, eval func() (*exec.Result, error)) (*exec.Result, State, error) {
+func (c *Cache) DoContext(ctx context.Context, key Key, st Stamp, eval func() (*exec.Result, error)) (*exec.Result, State, error) {
 	_, probe := obsv.StartSpan(ctx, "cache.probe")
 	body, _ := ctx.Value(bodyKey{}).(*Body)
 	var cl *call
@@ -173,8 +261,9 @@ func (c *Cache) DoContext(ctx context.Context, key Key, gen uint64, eval func() 
 		c.mu.Lock()
 		if el, ok := c.index[key]; ok {
 			e := el.Value.(*entry)
+			valid, moved := holds(&e.stamp, &st)
 			switch {
-			case e.gen != gen:
+			case !valid:
 				c.remove(el)
 				probe.SetNote("stale")
 			case e.body != nil && body == nil:
@@ -187,6 +276,15 @@ func (c *Cache) DoContext(ctx context.Context, key Key, gen uint64, eval func() 
 				if e.body != nil {
 					note = "hit bytes"
 				}
+				if moved {
+					// Valid at the caller's versions too: the next probe
+					// need not look at the marks again.
+					for i, r := range st.Reads {
+						e.stamp.Reads[i].Version = max(e.stamp.Reads[i].Version, r.Version)
+					}
+					c.stats.Kept++
+					note = "kept"
+				}
 				if body != nil {
 					body.c, body.e = c, e
 				}
@@ -196,7 +294,7 @@ func (c *Cache) DoContext(ctx context.Context, key Key, gen uint64, eval func() 
 				return res, StateHit, nil
 			}
 		}
-		if lead, ok := c.inflight[key]; ok && lead.gen == gen {
+		if lead, ok := c.inflight[key]; ok && lead.stamp.same(&st) {
 			c.stats.DedupJoins++
 			c.mu.Unlock()
 			probe.SetNote("join")
@@ -220,7 +318,7 @@ func (c *Cache) DoContext(ctx context.Context, key Key, gen uint64, eval func() 
 			// again — typically becoming the new leader and re-evaluating.
 			continue
 		}
-		cl = &call{done: make(chan struct{}), gen: gen}
+		cl = &call{done: make(chan struct{}), stamp: &st}
 		c.inflight[key] = cl
 		c.stats.Misses++
 		c.mu.Unlock()
@@ -243,35 +341,42 @@ func (c *Cache) DoContext(ctx context.Context, key Key, gen uint64, eval func() 
 	res, err := eval()
 	cl.res, cl.err = res, err
 	if err == nil {
-		_, st := obsv.StartSpan(ctx, "cache.store")
-		c.store(key, res, gen)
-		st.End()
+		_, sp := obsv.StartSpan(ctx, "cache.store")
+		c.store(key, res, st)
+		sp.End()
 	}
 	return res, StateMiss, err
 }
 
-// Peek reports whether a valid entry exists for key at the generation,
-// without perturbing counters, recency, or in-flight calls.
-func (c *Cache) Peek(key Key, gen uint64) bool {
+// Peek reports whether an entry for key holds at the stamp, by the rule
+// DoContext applies, without perturbing counters, recency, stamps or
+// in-flight calls.
+func (c *Cache) Peek(key Key, st Stamp) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.index[key]
-	return ok && el.Value.(*entry).gen == gen
+	if !ok {
+		return false
+	}
+	ok, _ = holds(&el.Value.(*entry).stamp, &st)
+	return ok
 }
 
 // store inserts the result at the front of the LRU and evicts from its
 // tail until the cache is within budget. A result larger than the whole
 // budget is not cached and counts as rejected; one whose key was not
-// evaluated before at gen is not cached and counts as deferred.
-func (c *Cache) store(key Key, res *exec.Result, gen uint64) {
-	e := &entry{key: key, res: res, gen: gen, size: resultBytes(res), cells: res.Cube.Len()}
+// evaluated before at the stamp's catalog generation is not cached and
+// counts as deferred.
+func (c *Cache) store(key Key, res *exec.Result, st Stamp) {
+	st.Reads = slices.Clone(st.Reads)
+	e := &entry{key: key, res: res, stamp: st, size: resultBytes(res), cells: res.Cube.Len()}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e.size > c.stats.BudgetBytes {
 		c.stats.Rejected++
 		return
 	}
-	if !c.seen(key, gen) {
+	if !c.seen(key, st.Gen) {
 		c.stats.Deferred++
 		return
 	}
@@ -285,11 +390,12 @@ func (c *Cache) store(key Key, res *exec.Result, gen uint64) {
 	c.evictFor(el)
 }
 
-// seen reports whether key's ghost at gen is in its slot, and leaves it
-// there; c.mu must be held. The slot comes from the key's first eight
-// bytes and the tag from the next eight mixed with the generation, so a
-// newer generation finds every older ghost stale. Tags are odd: an empty
-// slot matches none.
+// seen reports whether key's ghost at catalog generation gen is in its
+// slot, and leaves it there; c.mu must be held. The slot comes from the
+// key's first eight bytes and the tag from the next eight mixed with the
+// generation, so a newer generation finds every older ghost stale; fact
+// versions are not mixed in, so an append does not. Tags are odd: an
+// empty slot matches none.
 func (c *Cache) seen(key Key, gen uint64) bool {
 	slot := &c.ghosts[binary.LittleEndian.Uint64(key[:8])&uint64(len(c.ghosts)-1)]
 	tag := (binary.LittleEndian.Uint64(key[8:16]) ^ gen*0x9e3779b97f4a7c15) | 1

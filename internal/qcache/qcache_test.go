@@ -48,12 +48,16 @@ func testKey(head, tail byte) qcache.Key {
 	return k
 }
 
+// at is the stamp of an answer that depends on the catalog generation
+// alone.
+func at(gen uint64) qcache.Stamp { return qcache.Stamp{Gen: gen} }
+
 // sight runs key's first evaluation at gen, which the cache does not
 // store: the sighting that lets the next evaluation's result in.
 func sight(t testing.TB, c *qcache.Cache, key qcache.Key, gen uint64) {
 	t.Helper()
 	deferred := c.Stats().Deferred
-	if _, state, err := c.Do(key, gen, func() (*exec.Result, error) { return fakeResult(t, 1), nil }); err != nil || state != qcache.StateMiss {
+	if _, state, err := c.Do(key, at(gen), func() (*exec.Result, error) { return fakeResult(t, 1), nil }); err != nil || state != qcache.StateMiss {
 		t.Fatalf("first sighting = (%q, %v), want a miss", state, err)
 	}
 	if got := c.Stats().Deferred; got != deferred+1 {
@@ -77,7 +81,7 @@ func TestDoCachesAndHits(t *testing.T) {
 
 	// The first evaluation is not stored, the second is.
 	for run, entries := range []int64{0, 1} {
-		got, state, err := c.Do(testKey(0, 1), 7, eval)
+		got, state, err := c.Do(testKey(0, 1), at(7), eval)
 		if err != nil || got != res || state != qcache.StateMiss {
 			t.Fatalf("Do %d = (%p, %q, %v), want miss of %p", run+1, got, state, err, res)
 		}
@@ -85,7 +89,7 @@ func TestDoCachesAndHits(t *testing.T) {
 			t.Fatalf("after Do %d: stats = %+v, want %d entries", run+1, st, entries)
 		}
 	}
-	got, state, err := c.Do(testKey(0, 1), 7, eval)
+	got, state, err := c.Do(testKey(0, 1), at(7), eval)
 	if err != nil || got != res || state != qcache.StateHit {
 		t.Fatalf("third Do = (%p, %q, %v), want hit", got, state, err)
 	}
@@ -96,10 +100,10 @@ func TestDoCachesAndHits(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 2 || st.Deferred != 1 || st.Entries != 1 || st.Bytes <= 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if !c.Peek(testKey(0, 1), 7) {
+	if !c.Peek(testKey(0, 1), at(7)) {
 		t.Fatal("Peek should see the entry at its generation")
 	}
-	if c.Peek(testKey(0, 1), 8) {
+	if c.Peek(testKey(0, 1), at(8)) {
 		t.Fatal("Peek should reject a newer generation")
 	}
 }
@@ -111,29 +115,29 @@ func TestGenerationInvalidation(t *testing.T) {
 	eval := func() (*exec.Result, error) { evals++; return fakeResult(t, 2), nil }
 
 	for _, name := range []string{"cold", "second"} {
-		if _, state, _ := c.Do(key, 1, eval); state != qcache.StateMiss {
+		if _, state, _ := c.Do(key, at(1), eval); state != qcache.StateMiss {
 			t.Fatalf("%s Do state = %q", name, state)
 		}
 	}
 	// Same generation: served from cache.
-	if _, state, _ := c.Do(key, 1, eval); state != qcache.StateHit {
+	if _, state, _ := c.Do(key, at(1), eval); state != qcache.StateHit {
 		t.Fatalf("warm Do state = %q", state)
 	}
 	// Newer generation: the entry is stale and must be re-evaluated, and
 	// the ghost of generation 1 does not admit the result of generation 2.
-	if _, state, _ := c.Do(key, 2, eval); state != qcache.StateMiss {
+	if _, state, _ := c.Do(key, at(2), eval); state != qcache.StateMiss {
 		t.Fatalf("stale Do state = %q", state)
 	}
 	if st := c.Stats(); st.Entries != 0 || st.Deferred != 2 {
 		t.Fatalf("stale entry kept, or the new result admitted on an old ghost: %+v", st)
 	}
-	if _, state, _ := c.Do(key, 2, eval); state != qcache.StateMiss {
+	if _, state, _ := c.Do(key, at(2), eval); state != qcache.StateMiss {
 		t.Fatalf("second Do at the new generation: state = %q", state)
 	}
 	if evals != 4 {
 		t.Fatalf("evaluations = %d, want 4", evals)
 	}
-	if st := c.Stats(); st.Entries != 1 || !c.Peek(key, 2) {
+	if st := c.Stats(); st.Entries != 1 || !c.Peek(key, at(2)) {
 		t.Fatalf("stale entry not replaced: %+v", st)
 	}
 }
@@ -141,7 +145,7 @@ func TestGenerationInvalidation(t *testing.T) {
 func TestErrorsAreNotCached(t *testing.T) {
 	c := qcache.New(1 << 20)
 	boom := errors.New("boom")
-	_, _, err := c.Do(testKey(1, 1), 1, func() (*exec.Result, error) { return nil, boom })
+	_, _, err := c.Do(testKey(1, 1), at(1), func() (*exec.Result, error) { return nil, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -152,7 +156,7 @@ func TestErrorsAreNotCached(t *testing.T) {
 	// no sighting: the first result is not stored, the second is.
 	res := fakeResult(t, 1)
 	for retry, entries := range []int64{0, 1} {
-		got, state, err := c.Do(testKey(1, 1), 1, func() (*exec.Result, error) { return res, nil })
+		got, state, err := c.Do(testKey(1, 1), at(1), func() (*exec.Result, error) { return res, nil })
 		if err != nil || got != res || state != qcache.StateMiss {
 			t.Fatalf("retry %d = (%p, %q, %v)", retry+1, got, state, err)
 		}
@@ -171,7 +175,7 @@ func TestLRUEvictionByBytes(t *testing.T) {
 		t.Helper()
 		sight(t, c, testKey(byte(i), byte(i)), 1)
 		res := fakeResult(t, 40)
-		if _, _, err := c.Do(testKey(byte(i), byte(i)), 1, func() (*exec.Result, error) { return res, nil }); err != nil {
+		if _, _, err := c.Do(testKey(byte(i), byte(i)), at(1), func() (*exec.Result, error) { return res, nil }); err != nil {
 			t.Fatal(err)
 		}
 		if st := c.Stats(); st.Bytes > budget {
@@ -182,7 +186,7 @@ func TestLRUEvictionByBytes(t *testing.T) {
 		store(i)
 	}
 	// A hit makes entry 0 the most recent: it must outlive entries 1..7.
-	if _, state, _ := c.Do(testKey(0, 0), 1, func() (*exec.Result, error) { return fakeResult(t, 40), nil }); state != qcache.StateHit {
+	if _, state, _ := c.Do(testKey(0, 0), at(1), func() (*exec.Result, error) { return fakeResult(t, 40), nil }); state != qcache.StateHit {
 		t.Fatalf("entry 0 state = %q, want hit", state)
 	}
 	for i := 8; i < 16; i++ {
@@ -194,12 +198,12 @@ func TestLRUEvictionByBytes(t *testing.T) {
 	}
 	// Eviction follows recency across all keys: entry 0 (just hit) and the
 	// newest stay, and the evicted ones are exactly the oldest of 1..15.
-	if !c.Peek(testKey(0, 0), 1) {
+	if !c.Peek(testKey(0, 0), at(1)) {
 		t.Fatal("recently hit entry evicted before older ones")
 	}
 	evicted := int(st.Evictions)
 	for i := 1; i < 16; i++ {
-		if got, want := c.Peek(testKey(byte(i), byte(i)), 1), i > evicted; got != want {
+		if got, want := c.Peek(testKey(byte(i), byte(i)), at(1)), i > evicted; got != want {
 			t.Errorf("entry %d cached = %v, want %v (%d evictions)", i, got, want, evicted)
 		}
 	}
@@ -211,7 +215,7 @@ func TestOversizedResultNotCached(t *testing.T) {
 	do := func(tail byte, cells int) {
 		t.Helper()
 		res := fakeResult(t, cells)
-		if _, state, err := c.Do(testKey(0, tail), 1, func() (*exec.Result, error) { return res, nil }); err != nil || state != qcache.StateMiss {
+		if _, state, err := c.Do(testKey(0, tail), at(1), func() (*exec.Result, error) { return res, nil }); err != nil || state != qcache.StateMiss {
 			t.Fatalf("Do = (%q, %v)", state, err)
 		}
 	}
@@ -225,7 +229,7 @@ func TestOversizedResultNotCached(t *testing.T) {
 	}
 	// Too large for the budget: rejected on its first evaluation already.
 	do(2, 8000)
-	if st := c.Stats(); st.Entries != 1 || st.Rejected != 1 || !c.Peek(testKey(0, 1), 1) {
+	if st := c.Stats(); st.Entries != 1 || st.Rejected != 1 || !c.Peek(testKey(0, 1), at(1)) {
 		t.Fatalf("oversized result cached, uncounted, or evicted others: %+v", st)
 	}
 }
@@ -255,7 +259,7 @@ func TestSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, state, err := c.Do(key, 1, eval)
+			got, state, err := c.Do(key, at(1), eval)
 			if err != nil {
 				errs <- err
 				return
@@ -292,7 +296,7 @@ func TestSingleflight(t *testing.T) {
 	if st.Deferred != 1 || st.Entries != 0 {
 		t.Fatalf("stats = %+v, want the one evaluation deferred", st)
 	}
-	if _, state, err := c.Do(key, 1, func() (*exec.Result, error) { return res, nil }); err != nil || state != qcache.StateMiss || c.Stats().Entries != 1 {
+	if _, state, err := c.Do(key, at(1), func() (*exec.Result, error) { return res, nil }); err != nil || state != qcache.StateMiss || c.Stats().Entries != 1 {
 		t.Fatalf("Do after the burst = (%q, %v), stats %+v, want a stored miss", state, err, c.Stats())
 	}
 }
@@ -313,7 +317,7 @@ func TestSingleflightLeaderFailureRetries(t *testing.T) {
 	leaderErr := errors.New("leader context cancelled")
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(key, 1, func() (*exec.Result, error) {
+		_, _, err := c.Do(key, at(1), func() (*exec.Result, error) {
 			close(started)
 			<-hold
 			return nil, leaderErr
@@ -326,7 +330,7 @@ func TestSingleflightLeaderFailureRetries(t *testing.T) {
 	waiterDone := make(chan error, 1)
 	var waiterRes *exec.Result
 	go func() {
-		got, _, err := c.Do(key, 1, func() (*exec.Result, error) {
+		got, _, err := c.Do(key, at(1), func() (*exec.Result, error) {
 			retries.Add(1)
 			return res, nil
 		})
@@ -365,7 +369,7 @@ func TestSingleflightWaiterContextCancel(t *testing.T) {
 	hold := make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(key, 1, func() (*exec.Result, error) {
+		_, _, err := c.Do(key, at(1), func() (*exec.Result, error) {
 			close(started)
 			<-hold
 			return res, nil
@@ -377,7 +381,7 @@ func TestSingleflightWaiterContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.DoContext(ctx, key, 1, func() (*exec.Result, error) {
+		_, _, err := c.DoContext(ctx, key, at(1), func() (*exec.Result, error) {
 			t.Error("cancelled waiter must not evaluate")
 			return nil, nil
 		})
@@ -400,7 +404,7 @@ func TestSingleflightWaiterContextCancel(t *testing.T) {
 func tracked(t *testing.T, c *qcache.Cache, key qcache.Key, gen uint64, res *exec.Result) (*exec.Result, qcache.State, *qcache.Body) {
 	t.Helper()
 	ctx, body := qcache.TrackBody(context.Background())
-	got, state, err := c.DoContext(ctx, key, gen, func() (*exec.Result, error) { return res, nil })
+	got, state, err := c.DoContext(ctx, key, at(gen), func() (*exec.Result, error) { return res, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +475,7 @@ func TestBodyLifecycle(t *testing.T) {
 	// A caller that tracks no Body needs the cube: the entry is no use to
 	// it, so it evaluates, and its result replaces the rows.
 	fresh := fakeResult(t, 100)
-	got, state, err := c.Do(key, 1, func() (*exec.Result, error) { return fresh, nil })
+	got, state, err := c.Do(key, at(1), func() (*exec.Result, error) { return fresh, nil })
 	if err != nil || got != fresh || state != qcache.StateMiss {
 		t.Fatalf("untracked Do on a rows-only entry = (%p, %q, %v), want a miss", got, state, err)
 	}
@@ -515,7 +519,7 @@ func TestBodyDroppedWithEntry(t *testing.T) {
 		keep(testKey(byte(2+i), byte(i)), 2) // one ghost slot each
 	}
 	st := c.Stats()
-	if c.Peek(testKey(1, 1), 2) || st.BodyBytes != 2000*(st.Entries) || st.Bytes > st.BudgetBytes {
+	if c.Peek(testKey(1, 1), at(2)) || st.BodyBytes != 2000*(st.Entries) || st.Bytes > st.BudgetBytes {
 		t.Fatalf("after eviction: %+v", st)
 	}
 }
@@ -550,7 +554,7 @@ func TestBodyUnderBudget(t *testing.T) {
 	}
 	st := c.Stats()
 	if st.Bytes > budget || st.Entries != 2 || st.Evictions != 1 || st.BodyBytes != budget/2 ||
-		c.Peek(testKey(1, 0), 1) || !c.Peek(testKey(2, 0), 1) || !c.Peek(testKey(3, 0), 1) {
+		c.Peek(testKey(1, 0), at(1)) || !c.Peek(testKey(2, 0), at(1)) || !c.Peek(testKey(3, 0), at(1)) {
 		t.Fatalf("after keeping large rows: %+v", st)
 	}
 
@@ -602,7 +606,7 @@ func TestBodyFirstHitConcurrent(t *testing.T) {
 	c := qcache.New(1 << 20)
 	key := testKey(7, 7)
 	sight(t, c, key, 1)
-	if _, _, err := c.Do(key, 1, func() (*exec.Result, error) { return fakeResult(t, 200), nil }); err != nil {
+	if _, _, err := c.Do(key, at(1), func() (*exec.Result, error) { return fakeResult(t, 200), nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -616,7 +620,7 @@ func TestBodyFirstHitConcurrent(t *testing.T) {
 			defer wg.Done()
 			<-start
 			ctx, body := qcache.TrackBody(context.Background())
-			r, state, err := c.DoContext(ctx, key, 1, nil)
+			r, state, err := c.DoContext(ctx, key, at(1), nil)
 			if err != nil || state != qcache.StateHit {
 				t.Errorf("Do = (%q, %v)", state, err)
 				return
@@ -659,7 +663,7 @@ func BenchmarkCacheHitParallel(b *testing.B) {
 	const entries = 64
 	for i := 0; i < entries; i++ {
 		sight(b, c, testKey(byte(i), byte(i)), 1)
-		if _, _, err := c.Do(testKey(byte(i), byte(i)), 1, func() (*exec.Result, error) { return res, nil }); err != nil {
+		if _, _, err := c.Do(testKey(byte(i), byte(i)), at(1), func() (*exec.Result, error) { return res, nil }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -669,7 +673,7 @@ func BenchmarkCacheHitParallel(b *testing.B) {
 		i := int(seq.Add(1)) * 17
 		for pb.Next() {
 			i++
-			if _, state, _ := c.Do(testKey(byte(i%entries), byte(i%entries)), 1, nil); state != qcache.StateHit {
+			if _, state, _ := c.Do(testKey(byte(i%entries), byte(i%entries)), at(1), nil); state != qcache.StateHit {
 				b.Error("resident entry missed")
 				return
 			}

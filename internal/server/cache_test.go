@@ -235,6 +235,87 @@ func TestSecondSightAdmission(t *testing.T) {
 	}
 }
 
+// TestKeptAcrossDisjointAppend: a row appended outside every get of a
+// cached statement leaves its entry valid. /explain reports the hit
+// before it is served, the reply is a hit whose probe note is "kept",
+// and /metrics and /stats count it.
+func TestKeptAcrossDisjointAppend(t *testing.T) {
+	session, ds := salesSession(t, 2000)
+	h, _, _, _ := cachedHandler(t, session, 0)
+	for range 3 {
+		serve(t, h, siblingStatement, false)
+	}
+
+	// A row sold in Germany: siblingStatement reads Italy and France.
+	s := ds.Fact.Schema
+	hs, _ := s.HierIndex("Store")
+	germany, _ := s.Hiers[hs].Dict(2).Lookup("Germany")
+	up := s.Hiers[hs].LevelMap(0, 2)
+	keys := make([]int32, len(ds.Fact.Keys))
+	for r, k := range ds.Fact.Keys[hs] {
+		if up[k] == germany {
+			for i := range keys {
+				keys[i] = ds.Fact.Keys[i][r]
+			}
+			break
+		}
+	}
+	if up[keys[hs]] != germany {
+		t.Fatal("no row in Germany")
+	}
+	if err := ds.Fact.Append(keys, make([]float64, len(ds.Fact.Meas))); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/explain", strings.NewReader(`{"statement": `+jsonString(siblingStatement)+`}`)))
+	var explained struct{ Cache string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &explained); err != nil || explained.Cache != "hit" {
+		t.Fatalf("/explain after a disjoint append: cache %q (%v), want hit", explained.Cache, err)
+	}
+	var traced struct {
+		Cache string
+		Trace *obsv.SpanJSON
+	}
+	if err := json.Unmarshal(serve(t, h, siblingStatement, true), &traced); err != nil {
+		t.Fatal(err)
+	}
+	note := ""
+	for _, sp := range traced.Trace.Children {
+		for _, c := range sp.Children {
+			if c.Name == "cache.probe" {
+				note = c.Note
+			}
+		}
+	}
+	if traced.Cache != "hit" || note != "kept" {
+		t.Fatalf("reply after a disjoint append: cache %q, probe note %q, want hit, kept", traced.Cache, note)
+	}
+
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if !strings.Contains(rec.Body.String(), "assess_cache_kept_total 1\n") {
+		t.Error("/metrics lacks assess_cache_kept_total 1")
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+	var stats struct {
+		Cache map[string]int64 `json:"cache"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Cache["kept"] != 1 {
+		t.Errorf("/stats cache section = %v, want 1 kept", stats.Cache)
+	}
+}
+
+// jsonString quotes s as a JSON string.
+func jsonString(s string) string {
+	b, _ := json.Marshal(s)
+	return string(b)
+}
+
 func TestStatsEndpointCacheOff(t *testing.T) {
 	srv := newServer(t)
 	resp, err := http.Get(srv.URL + "/stats")

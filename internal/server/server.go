@@ -152,7 +152,7 @@ func (s *Server) registerSessionMetrics() {
 	}
 	s.bodyServed, s.bodyFilled, s.bodySkipped = bodyOutcome("served"), bodyOutcome("filled"), bodyOutcome("skipped")
 	s.reg.GaugeFunc("assess_catalog_generation",
-		"Catalog generation (cache-invalidation epoch).",
+		"Catalog generation: registrations, materializations and registry changes, plus every fact's appended rows.",
 		func() float64 { return float64(s.session.Generation()) })
 	s.reg.GaugeFunc("assess_catalog_views",
 		"Materialized views registered.",
@@ -176,6 +176,8 @@ func (s *Server) registerSessionMetrics() {
 		cacheStat(func(st qcache.Stats) int64 { return st.Rejected }))
 	s.reg.CounterFunc("assess_cache_deferred_total", "Results not cached because their statement had not been evaluated before at the catalog generation.",
 		cacheStat(func(st qcache.Stats) int64 { return st.Deferred }))
+	s.reg.CounterFunc("assess_cache_kept_total", "Query-result cache hits on an entry that outlived an append to a fact it read, because the append added no row to what it read.",
+		cacheStat(func(st qcache.Stats) int64 { return st.Kept }))
 	s.reg.GaugeFunc("assess_cache_body_bytes", "Encoded bodies kept with cache entries, a part of assess_cache_bytes.",
 		cacheStat(func(st qcache.Stats) int64 { return st.BodyBytes }))
 	s.reg.GaugeFunc("assess_cache_entries", "Query-result cache resident entries.",

@@ -38,25 +38,175 @@ type FactTable struct {
 	mu     sync.Mutex
 	rows   int
 	// version counts appended rows; readable concurrently with queries so
-	// the engine can derive a catalog generation for result-cache validity.
+	// the result cache can stamp what an answer read. It is written only
+	// under mu, after marks (publish).
 	version atomic.Uint64
+	// marks records where appends landed (TouchedSince), at the levels
+	// a reader watches (Watch); nil before the first, so loading a fact
+	// pays nothing for it.
+	marks atomic.Pointer[marks]
 	// seg, when non-nil, is the disk-resident segment backend and the
 	// resident columns above are unused.
 	seg SegmentBackend
 }
 
-// Version is a monotonic data version for cache invalidation: it
-// advances by one per appended row (and opens at the on-disk row count for
-// segment-backed tables, so reopening mid-process never rewinds it).
+// Version is a monotonic data version: it advances by one per appended
+// row (and opens at the on-disk row count for segment-backed tables, so
+// reopening mid-process never rewinds it). The result cache stamps an
+// entry with the versions of the facts it read, and keeps it across a
+// version that moved only if TouchedSince shows the rows since then
+// fall outside every get of the entry. Views compare it with their mark
+// to find the rows they have not absorbed.
 func (f *FactTable) Version() uint64 { return f.version.Load() }
+
+// Watch starts recording where appends land at one level, for a reader
+// that will ask TouchedSince about the rows appended after the Version
+// it loads next. Loading a fact, and levels no reader watches, pay
+// nothing for it.
+func (f *FactTable) Watch(ref mdm.LevelRef) {
+	if m := f.marks.Load(); m != nil && m.levels[ref.Hier][ref.Level].Load() != nil {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	m := f.marks.Load()
+	if m == nil {
+		m = &marks{levels: make([][]atomic.Pointer[levelMarks], len(f.Schema.Hiers))}
+		for h, hier := range f.Schema.Hiers {
+			m.levels[h] = make([]atomic.Pointer[levelMarks], hier.Depth())
+		}
+		f.marks.Store(m)
+	}
+	if m.levels[ref.Hier][ref.Level].Load() == nil {
+		lm := &levelMarks{ref: ref, since: f.version.Load()}
+		m.watched = append(m.watched, lm)
+		m.levels[ref.Hier][ref.Level].Store(lm)
+	}
+}
 
 // AdvanceVersion bumps the version by delta without appending rows. The
 // distributed coordinator uses it to reconcile shard generations: when
 // a shard reports appends the coordinator has not accounted for (or a
 // result is degraded to a partial), advancing the local version
-// invalidates cached results and stale views exactly as local appends
-// would.
-func (f *FactTable) AdvanceVersion(delta uint64) { f.version.Add(delta) }
+// invalidates stale views as local appends would. It carries no rows,
+// so it touches the whole fact: no cached result that read the fact
+// outlives it.
+func (f *FactTable) AdvanceVersion(delta uint64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	v := f.version.Load() + delta
+	if m := f.marks.Load(); m != nil {
+		m.whole = v
+	}
+	f.version.Store(v)
+}
+
+// TouchedSince reports whether a row added after version v lies under
+// one of members at level ref: whether a get with the predicate ref ∈
+// members could now read a row that it could not read at version v. An
+// AdvanceVersion past v touches every member, and so does any row when
+// ref was not watched yet at v (Watch). The caller loads the version it
+// compares against before calling (see publish).
+func (f *FactTable) TouchedSince(v uint64, ref mdm.LevelRef, members []int32) bool {
+	m := f.marks.Load()
+	var lm *levelMarks
+	if m != nil {
+		lm = m.levels[ref.Hier][ref.Level].Load()
+	}
+	if lm == nil || v < lm.since {
+		return f.version.Load() > v
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if m.whole > v {
+		return true
+	}
+	for _, id := range members {
+		if uint(id) < uint(len(lm.col)) && lm.col[id] > v {
+			return true
+		}
+	}
+	return false
+}
+
+// marks is where appends landed at the watched levels, and in whole the
+// version the last AdvanceVersion reached. Marks only grow. They are
+// read and written under the fact's mu, so that an append stores them
+// with plain writes; levels is also read without it, to find whether a
+// level is watched.
+type marks struct {
+	whole   uint64
+	levels  [][]atomic.Pointer[levelMarks] // [hierarchy][level], nil until watched
+	watched []*levelMarks
+}
+
+// levelMarks is one watched level's marks: per member, the version the
+// last row appended under it brought the fact to, since the version the
+// level was first watched at; and the roll-up table from base members
+// the column was last grown by.
+type levelMarks struct {
+	ref   mdm.LevelRef
+	since uint64
+	up    []int32
+	col   []uint64
+}
+
+// publish makes n rows that were just appended, and are visible to a
+// scan snapshot taken from now on, known to the result cache. The order
+// is what makes a kept entry sound:
+//
+//  1. the rows become visible (the caller appended them);
+//  2. the version they bring the fact to is stored as the mark of every
+//     member their keys fall under, at every watched level;
+//  3. only then does the version advance;
+//  4. a cache entry loads the fact's version before its scans take
+//     their snapshots.
+//
+// So every row an entry's version counts is in its answer, and a probe
+// that loads a newer version and then takes mu (TouchedSince) finds the
+// marks of every row that version counts. keys holds the rows' keys, a
+// column per hierarchy. f.mu must be held, so marks and versions advance
+// together.
+func (f *FactTable) publish(n int, keys [][]int32) {
+	v := f.version.Load() + uint64(n)
+	if m := f.marks.Load(); m != nil {
+		m.touch(f.Schema, keys, v)
+	}
+	f.version.Store(v)
+}
+
+// publishRow is publish for one row, its keys one per hierarchy.
+func (f *FactTable) publishRow(keys []int32) {
+	var buf [8][]int32 // on the stack: the row allocates nothing
+	cols := buf[:0]
+	for h := range keys {
+		cols = append(cols, keys[h:h+1])
+	}
+	f.publish(1, cols)
+}
+
+// touch stores v as the mark of every member, at every watched level,
+// that the rows' keys (a column per hierarchy) fall under; the fact's mu
+// must be held.
+func (m *marks) touch(s *mdm.Schema, keys [][]int32, v uint64) {
+	for _, lm := range m.watched {
+		for _, k := range keys[lm.ref.Hier] {
+			if uint(k) >= uint(len(lm.up)) {
+				lm.grow(s.Hiers[lm.ref.Hier])
+			}
+			lm.col[lm.up[k]] = v
+		}
+	}
+}
+
+// grow takes the level's roll-up table and marks up to its dictionary;
+// the fact's mu must be held.
+func (lm *levelMarks) grow(hier *mdm.Hierarchy) {
+	lm.up = hier.LevelMap(0, lm.ref.Level)
+	if n := hier.Dict(lm.ref.Level).Len(); len(lm.col) < n {
+		lm.col = append(lm.col, make([]uint64, n-len(lm.col))...)
+	}
+}
 
 // NewFactTable creates an empty resident fact table for the schema.
 func NewFactTable(s *mdm.Schema) *FactTable {
@@ -176,32 +326,31 @@ func (f *FactTable) AppendBlock(b BlockCols) error {
 	if err := f.checkBlock(b); err != nil {
 		return err
 	}
-	if f.seg == nil {
-		f.mu.Lock()
-		for h, col := range b.Keys {
-			f.Keys[h] = append(f.Keys[h], col...)
+	if f.seg != nil {
+		keys, vals := make([]int32, len(b.Keys)), make([]float64, len(b.Meas))
+		for r := range b.Rows {
+			for h, col := range b.Keys {
+				keys[h] = col[r]
+			}
+			for m, col := range b.Meas {
+				vals[m] = col[r]
+			}
+			if err := f.appendSegmentRow(keys, vals); err != nil {
+				return err
+			}
 		}
-		for m, col := range b.Meas {
-			f.Meas[m] = append(f.Meas[m], col...)
-		}
-		f.rows += b.Rows
-		f.mu.Unlock()
-		f.version.Add(uint64(b.Rows))
 		return nil
 	}
-	keys, vals := make([]int32, len(b.Keys)), make([]float64, len(b.Meas))
-	for r := 0; r < b.Rows; r++ {
-		for h, col := range b.Keys {
-			keys[h] = col[r]
-		}
-		for m, col := range b.Meas {
-			vals[m] = col[r]
-		}
-		if err := f.seg.Append(keys, vals); err != nil {
-			return err
-		}
-		f.version.Add(1)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for h, col := range b.Keys {
+		f.Keys[h] = append(f.Keys[h], col...)
 	}
+	for m, col := range b.Meas {
+		f.Meas[m] = append(f.Meas[m], col...)
+	}
+	f.rows += b.Rows
+	f.publish(b.Rows, b.Keys)
 	return nil
 }
 
@@ -220,13 +369,10 @@ func (f *FactTable) Append(keys []int32, vals []float64) error {
 		}
 	}
 	if f.seg != nil {
-		if err := f.seg.Append(keys, vals); err != nil {
-			return err
-		}
-		f.version.Add(1)
-		return nil
+		return f.appendSegmentRow(keys, vals)
 	}
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	for h, k := range keys {
 		f.Keys[h] = append(f.Keys[h], k)
 	}
@@ -234,8 +380,19 @@ func (f *FactTable) Append(keys []int32, vals []float64) error {
 		f.Meas[m] = append(f.Meas[m], v)
 	}
 	f.rows++
-	f.mu.Unlock()
-	f.version.Add(1)
+	f.publishRow(keys)
+	return nil
+}
+
+// appendSegmentRow appends one checked row to the segment backend, which
+// makes it visible, and then publishes it.
+func (f *FactTable) appendSegmentRow(keys []int32, vals []float64) error {
+	if err := f.seg.Append(keys, vals); err != nil {
+		return err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.publishRow(keys)
 	return nil
 }
 

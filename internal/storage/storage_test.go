@@ -120,10 +120,13 @@ func TestAppendBlockAllOrNothing(t *testing.T) {
 }
 
 // TestAppendAllocFree: the one-row append views the caller's row as a
-// block on the stack, so with capacity reserved it allocates nothing.
+// block on the stack, so with capacity reserved it allocates nothing,
+// marks for the result cache included (after the first row allocates
+// their columns).
 func TestAppendAllocFree(t *testing.T) {
 	f := NewFactTable(schema(t))
 	f.Reserve(1000)
+	f.Watch(mdm.LevelRef{})
 	keys, vals := []int32{1}, []float64{2.5}
 	if n := testing.AllocsPerRun(500, func() {
 		if err := f.Append(keys, vals); err != nil {
