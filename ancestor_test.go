@@ -96,8 +96,8 @@ func TestAncestorAssessStar(t *testing.T) {
 	if star.Cube.Len() == 0 {
 		t.Fatal("empty result")
 	}
-	for _, l := range star.Cube.Labels {
-		if l == "null" {
+	for i := range star.Cube.Len() {
+		if star.Cube.Labels.Name(i) == "null" {
 			t.Error("ancestor benchmark produced a null label on complete data")
 		}
 	}

@@ -17,7 +17,7 @@ func TestFacadeLabelerConstructors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Apply([]float64{-1, 1}); got[0] != "fail" || got[1] != "pass" {
+	if got := r.Apply([]float64{-1, 1}); got.Name(0) != "fail" || got.Name(1) != "pass" {
 		t.Errorf("Apply = %v", got)
 	}
 	if _, err := assess.NewRangeLabeler("bad", []assess.Interval{{Lo: 1, Hi: 0, Label: "x"}}); err == nil {
@@ -27,7 +27,7 @@ func TestFacadeLabelerConstructors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := q.Apply([]float64{1, 2}); got[0] != "lo" || got[1] != "hi" {
+	if got := q.Apply([]float64{1, 2}); got.Name(0) != "lo" || got.Name(1) != "hi" {
 		t.Errorf("quantiles = %v", got)
 	}
 	if !math.IsInf(assess.Inf(1), 1) || !math.IsInf(assess.Inf(-1), -1) {

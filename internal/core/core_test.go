@@ -101,8 +101,8 @@ func TestRegisterCustomFuncAndLabeler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Cube.Labels[0] != "pass" {
-		t.Errorf("label = %q", r.Cube.Labels[0])
+	if r.Cube.Labels.Name(0) != "pass" {
+		t.Errorf("label = %q", r.Cube.Labels.Name(0))
 	}
 }
 

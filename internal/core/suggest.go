@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"github.com/assess-olap/assess/internal/labeling"
 	"github.com/assess-olap/assess/internal/mdm"
 	"github.com/assess-olap/assess/internal/parser"
 )
@@ -32,7 +33,7 @@ type Suggestion struct {
 	Cells int
 }
 
-// maximum sibling members tried per sliced level.
+// maximum sibling members tried per sliced level: the nearest ones.
 const maxSiblingCandidates = 4
 
 // Suggest completes a partial statement (missing against, using, and/or
@@ -121,10 +122,10 @@ type benchCandidate struct {
 	note  string
 }
 
-// benchmarkCandidates proposes against clauses: sibling members for every
-// single-member slice on a by-level, a past-3 benchmark when the sliced
-// level has predecessors, and the roll-up ancestor of every grouped
-// non-top level.
+// benchmarkCandidates proposes against clauses: the sibling members
+// nearest every single-member slice on a by-level, a past-3 benchmark
+// when the sliced level has predecessors, and the roll-up ancestor of
+// every grouped non-top level.
 func (s *Session) benchmarkCandidates(schema *mdm.Schema, st *parser.Statement) []benchCandidate {
 	var out []benchCandidate
 	group, err := mdm.NewGroupBy(schema, st.By...)
@@ -139,25 +140,17 @@ func (s *Session) benchmarkCandidates(schema *mdm.Schema, st *parser.Statement) 
 		if !ok || !group.Contains(ref) {
 			continue
 		}
-		// Sibling candidates: other members of the sliced level.
-		added := 0
-		for _, member := range schema.Dict(ref).SortedNames() {
-			if member == pred.Values[0] {
-				continue
-			}
+		names := schema.Dict(ref).SortedNames()
+		pos := sort.SearchStrings(names, pred.Values[0])
+		found := pos < len(names) && names[pos] == pred.Values[0]
+		for _, member := range nearest(names, pos, found, maxSiblingCandidates) {
 			out = append(out, benchCandidate{
 				bench: &parser.Benchmark{Kind: parser.BenchSibling, Level: pred.Level, Member: member},
 				note:  fmt.Sprintf("against sibling %s = '%s'", pred.Level, member),
 			})
-			added++
-			if added >= maxSiblingCandidates {
-				break
-			}
 		}
 		// Past candidate: the sliced member has lexicographic predecessors.
-		names := schema.Dict(ref).SortedNames()
-		pos := sort.SearchStrings(names, pred.Values[0])
-		if pos > 0 && pos < len(names) && names[pos] == pred.Values[0] {
+		if pos > 0 && found {
 			out = append(out, benchCandidate{
 				bench: &parser.Benchmark{Kind: parser.BenchPast, K: 3},
 				note:  "against past 3",
@@ -178,32 +171,64 @@ func (s *Session) benchmarkCandidates(schema *mdm.Schema, st *parser.Statement) 
 	return out
 }
 
+// nearest returns up to k members of the sorted names nearest position
+// pos, alternating before and after it: for 1997 among the years, 1996,
+// 1998, 1995, 1999. The member at pos is the sliced one when found.
+func nearest(names []string, pos int, found bool, k int) []string {
+	var out []string
+	before, after := pos-1, pos
+	if found {
+		after++
+	}
+	for len(out) < k && (before >= 0 || after < len(names)) {
+		if before >= 0 {
+			out = append(out, names[before])
+			before--
+		}
+		if after < len(names) && len(out) < k {
+			out = append(out, names[after])
+			after++
+		}
+	}
+	return out
+}
+
 // labelEntropy scores a labeling: the Shannon entropy of the non-null
 // label distribution, scaled by the fraction of cells that received a
 // real label (null labels carry no assessment information, so a
 // null-heavy result scores below an equally balanced fully-labeled one).
-func labelEntropy(labels []string) float64 {
-	if len(labels) == 0 {
+// Cells are counted by code, and codes by the name they read as.
+func labelEntropy(labels *labeling.Column) float64 {
+	if labels == nil || len(labels.Codes) == 0 {
 		return 0
 	}
+	var byCode [256]int
+	for _, c := range labels.Codes {
+		byCode[c]++
+	}
 	counts := map[string]int{}
+	var names []string // in code order, so that the sum is too
 	labeled := 0
-	for _, l := range labels {
-		if l == "null" {
+	for code, n := range byCode {
+		if n == 0 || labels.Names[code] == labeling.NullLabel {
 			continue
 		}
-		counts[l]++
-		labeled++
+		name := labels.Names[code]
+		if counts[name] == 0 {
+			names = append(names, name)
+		}
+		counts[name] += n
+		labeled += n
 	}
 	if labeled == 0 {
 		return 0
 	}
 	var h float64
-	for _, c := range counts {
-		p := float64(c) / float64(labeled)
+	for _, name := range names {
+		p := float64(counts[name]) / float64(labeled)
 		h -= p * math.Log2(p)
 	}
-	return h * float64(labeled) / float64(len(labels))
+	return h * float64(labeled) / float64(len(labels.Codes))
 }
 
 type labelCandidate struct {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/assess-olap/assess/internal/mdm"
+	"github.com/assess-olap/assess/internal/testutil"
 )
 
 // BenchmarkResultAssemble times the trip of a large Constant's result
@@ -121,7 +122,7 @@ func assembleColumns(b testing.TB, s *mdm.Schema, g mdm.GroupBy, space *mdm.KeyS
 		b.Fatal(err)
 	}
 	c.SortByCoordinate()
-	if err := c.SetLabels(labels); err != nil {
+	if err := c.SetLabels(testutil.LabelColumn(labels...)); err != nil {
 		b.Fatal(err)
 	}
 	c.SortByCoordinate()

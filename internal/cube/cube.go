@@ -14,6 +14,7 @@ import (
 	"slices"
 	"strings"
 
+	"github.com/assess-olap/assess/internal/labeling"
 	"github.com/assess-olap/assess/internal/mdm"
 )
 
@@ -23,20 +24,25 @@ import (
 // member-id column per position of the group-by set, so cell i sits at
 // ⟨Keys[0][i], …, Keys[|G|-1][i]⟩. Derived (transformed, compared)
 // measures are appended as extra columns; the label column, being
-// categorical, is kept separately in Labels.
+// categorical, is kept separately in Labels, coded like the coordinates:
+// one byte per cell into the labeler's label set.
 //
 // Assembly is columnar: producers hand Build whole columns, and nothing is
 // indexed until the first Lookup asks for a cell by coordinate (index.go).
 // A cube that is only transformed, labelled, sorted and encoded never
-// builds an index. No operator writes into a column a cube holds, so
-// cubes share columns (Project, a view's exact hits).
+// builds an index. Cubes share columns — Project, and an engine result
+// that aliases a materialized view's columns all the way to the encoder —
+// so no operator writes into a column it did not allocate: operators
+// gather into fresh columns, AppendMeasure and SetLabels attach new ones,
+// and SortByCoordinate permutes into fresh slices. Only AddCell appends in
+// place, to a cube its caller built.
 type Cube struct {
 	Schema *mdm.Schema
 	Group  mdm.GroupBy
-	Names  []string    // measure column names, e.g. "quantity", "benchmark.quantity", "diff"
-	Keys   [][]int32   // Keys[p][i] = member id of cell i at group position p
-	Cols   [][]float64 // Cols[j][i] = value of measure j in cell i
-	Labels []string    // optional, one per cell when present
+	Names  []string         // measure column names, e.g. "quantity", "benchmark.quantity", "diff"
+	Keys   [][]int32        // Keys[p][i] = member id of cell i at group position p
+	Cols   [][]float64      // Cols[j][i] = value of measure j in cell i
+	Labels *labeling.Column // optional: one code per cell when present
 
 	// Coords is nil on every cube but the results of core.Session.Query,
 	// which fills it for callers outside the program that still range
@@ -208,12 +214,16 @@ func (c *Cube) AppendMeasure(name string, col []float64) error {
 	return nil
 }
 
-// SetLabels attaches the label column.
-func (c *Cube) SetLabels(labels []string) error {
-	if len(labels) != c.Len() {
-		return fmt.Errorf("cube: %d labels for %d cells", len(labels), c.Len())
+// SetLabels attaches the label column: one code per cell, each naming
+// one of labels.Names.
+func (c *Cube) SetLabels(labels labeling.Column) error {
+	if len(labels.Codes) != c.Len() {
+		return fmt.Errorf("cube: %d labels for %d cells", len(labels.Codes), c.Len())
 	}
-	c.Labels = labels
+	if c.n > 0 && int(slices.Max(labels.Codes)) >= len(labels.Names) {
+		return fmt.Errorf("cube: label code %d outside a set of %d labels", slices.Max(labels.Codes), len(labels.Names))
+	}
+	c.Labels = &labels
 	return nil
 }
 
@@ -269,9 +279,7 @@ func (c *Cube) SortByCoordinate() {
 		}
 	}
 	c.Keys, c.Cols = take(c, order)
-	if c.Labels != nil {
-		c.Labels = gather(c.Labels, order)
-	}
+	c.Labels = labelsAt(c.Labels, order)
 	c.idx = new(index) // positions moved; re-index on demand
 }
 
@@ -319,6 +327,15 @@ func gather[T any](col []T, rows []int32) []T {
 	return out
 }
 
+// labelsAt returns the label column of the cells rows of a cube labelled
+// l, in that order, or nil for an unlabelled one.
+func labelsAt(l *labeling.Column, rows []int32) *labeling.Column {
+	if l == nil {
+		return nil
+	}
+	return &labeling.Column{Codes: gather(l.Codes, rows), Names: l.Names}
+}
+
 // String renders the cube as a small table, for debugging and examples.
 func (c *Cube) String() string {
 	var b strings.Builder
@@ -340,7 +357,7 @@ func (c *Cube) String() string {
 			fmt.Fprintf(&b, "%g\t", c.Cols[j][i])
 		}
 		if c.Labels != nil {
-			b.WriteString(c.Labels[i])
+			b.WriteString(c.Labels.Name(i))
 		}
 		b.WriteByte('\n')
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/assess-olap/assess/internal/mdm"
+	"github.com/assess-olap/assess/internal/testutil"
 )
 
 // fixture builds a product×country schema and the Figure 1 target (C) and
@@ -381,10 +382,10 @@ func TestAppendMeasureAndLabels(t *testing.T) {
 	if err := c.AppendMeasure("diff", []float64{1, 2, 3}); err == nil {
 		t.Fatal("duplicate measure name accepted")
 	}
-	if err := c.SetLabels([]string{"a"}); err == nil {
+	if err := c.SetLabels(testutil.LabelColumn("a")); err == nil {
 		t.Fatal("short label column accepted")
 	}
-	if err := c.SetLabels([]string{"a", "b", "c"}); err != nil {
+	if err := c.SetLabels(testutil.LabelColumn("a", "b", "c")); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(c.String(), "label") {
@@ -400,11 +401,11 @@ func TestSortAfterAddCell(t *testing.T) {
 	products := func() string {
 		names := make([]string, c.Len())
 		for i := range c.Len() {
-			names[i] = s.Dict(c.Group[0]).Name(c.Keys[0][i]) + "/" + c.Labels[i]
+			names[i] = s.Dict(c.Group[0]).Name(c.Keys[0][i]) + "/" + c.Labels.Name(i)
 		}
 		return strings.Join(names, ",")
 	}
-	if err := c.SetLabels([]string{"a", "p", "l"}); err != nil {
+	if err := c.SetLabels(testutil.LabelColumn("a", "p", "l")); err != nil {
 		t.Fatal(err)
 	}
 	c.SortByCoordinate()
@@ -418,7 +419,9 @@ func TestSortAfterAddCell(t *testing.T) {
 	}
 
 	c.MustAddCell(mdm.Coordinate{3, 0}, 5) // Banana, Italy: belongs second
-	c.Labels = append(c.Labels, "b")
+	if err := c.SetLabels(testutil.LabelColumn(append(testutil.LabelText(c.Labels), "b")...)); err != nil {
+		t.Fatal(err)
+	}
 	c.SortByCoordinate()
 	if got, want := products(), "Apple/a,Banana/b,Lemon/l,Pear/p"; got != want {
 		t.Fatalf("products after AddCell and a sort = %s, want %s", got, want)

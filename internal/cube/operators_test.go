@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/assess-olap/assess/internal/mdm"
+	"github.com/assess-olap/assess/internal/testutil"
 )
 
 // The tests here hold every operator of the package to the reference of
@@ -186,7 +187,7 @@ func same(t *testing.T, what string, got *Cube, gerr error, want *refCube, werr 
 			}
 		}
 	}
-	if !slices.Equal(got.Labels, want.Labels) {
+	if !slices.Equal(testutil.LabelText(got.Labels), want.Labels) {
 		t.Fatalf("%s: labels differ from the reference", what)
 	}
 	// The lazily built index agrees with the cells as they now stand.
@@ -338,7 +339,8 @@ func TestSliceProjectSortMatchReference(t *testing.T) {
 			for i := range labels {
 				labels[i] = fmt.Sprint("label", rng.Intn(3))
 			}
-			c.c.Labels, c.r.Labels = labels, slices.Clone(labels)
+			coded := testutil.LabelColumn(labels...)
+			c.c.Labels, c.r.Labels = &coded, slices.Clone(labels)
 		}
 
 		if lp >= 0 {

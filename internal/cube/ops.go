@@ -308,11 +308,7 @@ func RollupJoin(target, bench *Cube, alias string, outer bool) (*Cube, error) {
 // and measure column, and the labels, gathered into fresh slices.
 func (c *Cube) Select(rows []int32) *Cube {
 	keys, cols := take(c, rows)
-	out := &Cube{Schema: c.Schema, Group: c.Group, Names: slices.Clone(c.Names), Keys: keys, Cols: cols, n: len(rows), idx: new(index)}
-	if c.Labels != nil {
-		out.Labels = gather(c.Labels, rows)
-	}
-	return out
+	return &Cube{Schema: c.Schema, Group: c.Group, Names: slices.Clone(c.Names), Keys: keys, Cols: cols, Labels: labelsAt(c.Labels, rows), n: len(rows), idx: new(index)}
 }
 
 // Project returns a cube keeping only the named measure columns, renamed

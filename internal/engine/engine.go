@@ -6,12 +6,16 @@
 // pivots of POP plans, Listing 5) engine-side before results cross to the
 // client.
 //
-// The engine/client boundary is explicit: every result set is serialized
-// into a binary row format and decoded into a client cube, exactly like a
-// DBMS cursor. This is what differentiates the plans of Section 5: a
-// Naive Plan transfers the target and benchmark cubes separately
-// (including tuples that will not join) and joins them in client memory,
-// while JOP and POP transfer only the joined (or pivoted) rows once.
+// The engine/client boundary is explicit: Push is the one place a result
+// set crosses it, and it counts the cells and the row-codec bytes
+// (wire.go) the crossing would move over a DBMS cursor. This is what
+// differentiates the plans of Section 5: a Naive Plan transfers the
+// target and benchmark cubes separately (including tuples that will not
+// join) and joins them in client memory, while JOP and POP transfer only
+// the joined (or pivoted) rows once. In one process the result is handed
+// over by reference, since no client operator writes into a column it
+// did not allocate; the experiments of internal/experiments move every
+// pushed result through the row codec instead, as the paper's cursor did.
 package engine
 
 import (
@@ -373,7 +377,10 @@ func (e *Engine) GetContext(ctx context.Context, q Query) (*cube.Cube, error) {
 // (Listing 4) or the get+pivot of a Pivot-Optimized Plan (Listing 5).
 // Each aggregate is answered like any other (exact view, roll-up of a
 // finer view, or fact scan); op is the same cube operator a Naive Plan
-// runs client-side, so only the rows it keeps cross the cursor.
+// runs client-side, so only the rows it keeps cross the cursor. The
+// result is handed over by reference, and counted as the cells and
+// bytes a cursor would move; it may share columns with a materialized
+// view, so the caller writes into none of them.
 func (e *Engine) Push(ctx context.Context, op func(cs ...*cube.Cube) (*cube.Cube, error), qs ...Query) (*cube.Cube, error) {
 	cs := make([]*cube.Cube, len(qs))
 	for i, q := range qs {
@@ -387,7 +394,9 @@ func (e *Engine) Push(ctx context.Context, op func(cs ...*cube.Cube) (*cube.Cube
 	if err != nil {
 		return nil, err
 	}
-	return transfer(out)
+	mTransferBytes.Add(int64(RowBytes(len(out.Group), len(out.Cols)) * out.Len()))
+	mTransferCells.Add(int64(out.Len()))
+	return out, nil
 }
 
 // Cardinality returns |C| for a cube query without transferring the

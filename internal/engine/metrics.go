@@ -25,9 +25,9 @@ var (
 	mPanics = obsv.Default.Counter("assess_query_panics_total",
 		"Panics recovered on scan workers and shard fan-out goroutines: each failed its query or shard attempt, and the process went on.")
 	mTransferBytes = obsv.Default.Counter("assess_engine_transfer_bytes_total",
-		"Bytes crossing the engine-to-client cursor boundary.")
+		"Bytes the pushed results would move across an engine-to-client cursor, in the row codec.")
 	mTransferCells = obsv.Default.Counter("assess_engine_transfer_cells_total",
-		"Result cells crossing the engine-to-client cursor boundary.")
+		"Result cells the pushed results would move across an engine-to-client cursor.")
 	// Aggregate-navigator metrics: how each aggregate resolved against
 	// the view lattice, and the admission layer's churn.
 	mViewExact = obsv.Default.Counter("assess_engine_view_total",

@@ -490,8 +490,9 @@ func (v *matView) keeps(acc [][]bool, i int) bool {
 // the cells of the predicates' narrowest slice off the member index
 // (selectCells), test them against the other predicates, and project
 // the requested measures. The kept cells are gathered column by column;
-// the unpredicated case aliases the view's columns outright (results are
-// copied at the cursor boundary before anything can mutate them).
+// the unpredicated case aliases the view's columns outright, up to the
+// encoder: no operator writes into a column it did not allocate (see
+// cube.Cube), and the answer's column lists are its own.
 func aggregateFromView(v *matView, q Query) (*cube.Cube, error) {
 	data := v.data
 	s := data.Schema
@@ -503,7 +504,7 @@ func aggregateFromView(v *matView, q Query) (*cube.Cube, error) {
 	for j, mi := range q.Measures {
 		cols[j] = data.Cols[mi]
 	}
-	all, err := cube.Build(s, q.Group, names, data.Len(), data.Keys, cols)
+	all, err := cube.Build(s, q.Group, names, data.Len(), slices.Clone(data.Keys), cols)
 	if err != nil || len(q.Preds) == 0 {
 		return all, err
 	}

@@ -10,12 +10,15 @@ import (
 	"github.com/assess-olap/assess/internal/mdm"
 )
 
-// The wire format models the DBMS cursor boundary: a result set crossing
-// from the engine to the client is encoded row by row (coordinate member
-// ids as int32, measure values as IEEE-754 bits) and decoded into a fresh
-// client-side cube. The byte cost is RowBytes per cell, which makes the
-// transfer volume of a plan a genuine, measurable cost rather than a
-// simulated delay.
+// The row codec is what a result set would cost on a DBMS cursor: each
+// cell encoded row by row (coordinate member ids as int32, measure values
+// as IEEE-754 bits), RowBytes per cell, and decoded into a fresh cube.
+// Engine.Push counts that volume for every pushed result, the paper's
+// measure of what a plan moves, but hands the result over by reference.
+// The codec itself serves two users: the ADP1 frame of the HTTP shard hop
+// (internal/dist), and internal/experiments, whose engine wrapper moves
+// every pushed result through it so that Figure 3 measures the cursor the
+// paper's prototype paid for.
 
 // RowBytes is the length of one cell in the row codec, 4·|G| + 8·|M|:
 // levels member ids and measures values.
@@ -70,12 +73,4 @@ func DecodeRows(s *mdm.Schema, g mdm.GroupBy, names []string, buf []byte) (*cube
 		}
 	}
 	return cube.Build(s, g, names, n, keys, cols)
-}
-
-// transfer moves an engine-side result set across the cursor boundary.
-func transfer(c *cube.Cube) (*cube.Cube, error) {
-	buf := AppendRows(nil, c)
-	mTransferBytes.Add(int64(len(buf)))
-	mTransferCells.Add(int64(c.Len()))
-	return DecodeRows(c.Schema, c.Group, c.Names, buf)
 }

@@ -26,9 +26,14 @@ func wireFixture(t *testing.T) *cube.Cube {
 	return c
 }
 
+// roundTrip moves c through the row codec.
+func roundTrip(c *cube.Cube) (*cube.Cube, error) {
+	return DecodeRows(c.Schema, c.Group, c.Names, AppendRows(nil, c))
+}
+
 func TestWireRoundTripExact(t *testing.T) {
 	c := wireFixture(t)
-	out, err := transfer(c)
+	out, err := roundTrip(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +58,7 @@ func TestWireRoundTripExact(t *testing.T) {
 func TestWireEmptyCube(t *testing.T) {
 	c := wireFixture(t)
 	empty := cube.New(c.Schema, c.Group, "m")
-	out, err := transfer(empty)
+	out, err := roundTrip(empty)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,8 +120,16 @@ type Result struct {
 	Total     time.Duration
 }
 
+// Engine is what a plan runs on: engine.Engine's Push, which evaluates
+// gets engine-side, applies one cube operator to their cubes and hands
+// its result to the client by reference. A wrapper may move the result
+// across a cursor first (internal/experiments does, for Figure 3).
+type Engine interface {
+	Push(ctx context.Context, op func(cs ...*cube.Cube) (*cube.Cube, error), qs ...engine.Query) (*cube.Cube, error)
+}
+
 // Run executes the plan.
-func Run(e *engine.Engine, p *plan.Plan) (*Result, error) {
+func Run(e Engine, p *plan.Plan) (*Result, error) {
 	return RunContext(context.Background(), e, p)
 }
 
@@ -129,7 +137,7 @@ func Run(e *engine.Engine, p *plan.Plan) (*Result, error) {
 // when the context carries a trace (obsv.NewTrace) and observing each
 // phase's latency into the stage histograms. With no trace attached the
 // per-op overhead is one context lookup and one histogram update.
-func RunContext(ctx context.Context, e *engine.Engine, p *plan.Plan) (*Result, error) {
+func RunContext(ctx context.Context, e Engine, p *plan.Plan) (*Result, error) {
 	cubes := make(map[string]*cube.Cube)
 	var bd Breakdown
 	times := make([]time.Duration, 0, len(p.Ops))
@@ -194,7 +202,7 @@ func (r *Result) ExplainAnalyze() string {
 	return sb.String()
 }
 
-func runOp(ctx context.Context, e *engine.Engine, p *plan.Plan, op *plan.Op, cubes map[string]*cube.Cube) error {
+func runOp(ctx context.Context, e Engine, p *plan.Plan, op *plan.Op, cubes map[string]*cube.Cube) error {
 	src := func(name string) (*cube.Cube, error) {
 		c, ok := cubes[name]
 		if !ok {
@@ -315,7 +323,8 @@ type Row struct {
 // Columns is the columnar form of a result: one slice per field of Row,
 // all indexed by cell. Every slice aliases the result cube (and Dicts its
 // schema's dictionaries), so a Columns is free to take and must be
-// treated as read-only; cached results share their cube across requests.
+// treated as read-only; cached results share their cube across requests,
+// and an unpredicated view answer shares a materialized view's columns.
 type Columns struct {
 	// Dicts holds the member dictionary of each coordinate position and
 	// Keys its member-id column: Dicts[p].Name(Keys[p][i]) is cell i's
@@ -325,10 +334,11 @@ type Columns struct {
 	// Measure and Comparison are always present. Benchmark is nil when
 	// the result carries no benchmark column (every cell reads as NaN),
 	// Labels when it is unlabeled (every cell reads as NullLabel).
+	// Labels.Name(i) is cell i's label.
 	Measure    []float64
 	Benchmark  []float64
 	Comparison []float64
-	Labels     []string
+	Labels     *labeling.Column
 }
 
 // Columns returns the result's columns without copying any cell.
@@ -387,7 +397,7 @@ func (r *Result) Rows() ([]Row, error) {
 			row.Benchmark = cols.Benchmark[i]
 		}
 		if cols.Labels != nil {
-			row.Label = cols.Labels[i]
+			row.Label = cols.Labels.Name(i)
 		}
 		rows[i] = row
 	}

@@ -403,7 +403,7 @@ func TestSharedResultConcurrentReaders(t *testing.T) {
 					coord[p] = col[i]
 				}
 				at, ok := r.Cube.Lookup(coord)
-				if !ok || at != i || cols.Labels[at] != r.Cube.Labels[i] {
+				if !ok || at != i || cols.Labels.Name(at) != r.Cube.Labels.Name(i) {
 					t.Errorf("Lookup(%v) = %d, %v; the cell is at %d", coord, at, ok, i)
 					return
 				}

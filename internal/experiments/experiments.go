@@ -15,10 +15,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
 	"github.com/assess-olap/assess/internal/core"
+	"github.com/assess-olap/assess/internal/cube"
+	"github.com/assess-olap/assess/internal/engine"
 	"github.com/assess-olap/assess/internal/exec"
 	"github.com/assess-olap/assess/internal/parser"
 	"github.com/assess-olap/assess/internal/plan"
@@ -214,11 +217,29 @@ type Timing struct {
 	Cells     int
 }
 
+// cursor is the engine behind the paper's DBMS cursor: every result a
+// plan pushes is encoded in the row codec and decoded into a fresh client
+// cube (engine.AppendRows, engine.DecodeRows), so the rows a plan moves
+// are a real cost, as they were on Oracle. That cost is what separates
+// the plans of Figure 3; a served statement takes its results by
+// reference instead.
+type cursor struct{ *engine.Engine }
+
+// Push evaluates and pushes like the engine, then moves the result
+// across the cursor.
+func (c cursor) Push(ctx context.Context, op func(cs ...*cube.Cube) (*cube.Cube, error), qs ...engine.Query) (*cube.Cube, error) {
+	out, err := c.Engine.Push(ctx, op, qs...)
+	if err != nil {
+		return nil, err
+	}
+	return engine.DecodeRows(out.Schema, out.Group, out.Names, engine.AppendRows(nil, out))
+}
+
 // RunMatrix executes every intention with every feasible strategy at
-// every scale, runs rounds each. A round runs each plan of an intention
-// once, in an order that alternates from round to round, so drift in the
-// host's speed falls on every plan alike; a plan's time is its median
-// round. It powers Table 3, Figure 3, and Figure 4.
+// every scale, runs rounds each, across the cursor. A round runs each
+// plan of an intention once, in an order that alternates from round to
+// round, so drift in the host's speed falls on every plan alike; a plan's
+// time is its median round. It powers Table 3, Figure 3, and Figure 4.
 func RunMatrix(envs []*Env, runs int, progress func(string)) ([]Timing, error) {
 	runs = max(runs, 1)
 	var out []Timing
@@ -239,7 +260,11 @@ func RunMatrix(envs []*Env, runs int, progress func(string)) ([]Timing, error) {
 					if r%2 == 1 {
 						tm = &points[len(points)-1-k]
 					}
-					res, err := env.Session.ExecWith(in.Statement, tm.Strategy)
+					p, err := env.Session.PrepareWith(in.Statement, tm.Strategy)
+					if err != nil {
+						return nil, fmt.Errorf("%s %s %v: %w", env.Scale.Label, in.Name, tm.Strategy, err)
+					}
+					res, err := exec.Run(cursor{env.Session.Engine}, p)
 					if err != nil {
 						return nil, fmt.Errorf("%s %s %v: %w", env.Scale.Label, in.Name, tm.Strategy, err)
 					}

@@ -1,9 +1,16 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 
+	"github.com/assess-olap/assess/internal/cube"
+	"github.com/assess-olap/assess/internal/engine"
+	"github.com/assess-olap/assess/internal/exec"
+	"github.com/assess-olap/assess/internal/mdm"
+	"github.com/assess-olap/assess/internal/obsv"
 	"github.com/assess-olap/assess/internal/plan"
 )
 
@@ -190,5 +197,68 @@ func TestQuickScales(t *testing.T) {
 		if sc.SF <= 0 {
 			t.Errorf("%s: sf %g", sc.Label, sc.SF)
 		}
+	}
+}
+
+// TestCursorMovesRows: the experiments' engine moves every pushed result
+// through the row codec, so the rows a plan moves cost what they did on
+// the paper's cursor. Each intention's plans count their rows' codec
+// bytes in assess_engine_transfer_bytes_total and end in the answer the
+// served path gives by reference, and a pushed get comes back in fresh
+// columns, never the view's that answered it.
+func TestCursorMovesRows(t *testing.T) {
+	env := quickEnvs(t)[0]
+	moved := obsv.Default.Counter("assess_engine_transfer_bytes_total", "")
+	for _, in := range Intentions() {
+		for _, strat := range plan.Strategies() {
+			if !plan.Feasible(strat, in.Kind) {
+				continue
+			}
+			p, err := env.Session.PrepareWith(in.Statement, strat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := moved.Value()
+			got, err := exec.Run(cursor{env.Session.Engine}, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if moved.Value() == before {
+				t.Errorf("%s %v: no byte crossed the cursor", in.Name, strat)
+			}
+			want, err := exec.Run(env.Session.Engine, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, _ := got.Rows()
+			b, _ := want.Rows()
+			if fmt.Sprint(a) != fmt.Sprint(b) { // NaN prints as itself
+				t.Errorf("%s %v: the cursor changed the answer", in.Name, strat)
+			}
+		}
+	}
+
+	eng := env.Session.Engine
+	f, _ := eng.Fact("LINEORDER")
+	ri, _ := f.Schema.MeasureIndex("revenue")
+	q := engine.Query{Fact: "LINEORDER", Group: mdm.MustGroupBy(f.Schema, "customer", "year"), Measures: []int{ri}}
+	get := func(cs ...*cube.Cube) (*cube.Cube, error) { return cs[0], nil }
+	byRef, err := eng.Push(context.Background(), get, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := eng.Push(context.Background(), get, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &byRef.Cols[0][0] != &again.Cols[0][0] {
+		t.Fatal("two exact view answers do not share the view's column: the fixture misses the view")
+	}
+	copied, err := cursor{eng}.Push(context.Background(), get, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &copied.Cols[0][0] == &byRef.Cols[0][0] || &copied.Keys[0][0] == &byRef.Keys[0][0] {
+		t.Error("the cursor handed over the view's columns")
 	}
 }

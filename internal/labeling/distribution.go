@@ -11,9 +11,9 @@ import (
 // (Section 3.3.2). Custom group names can be supplied; 'quartiles' is
 // Quantiles with K=4.
 type Quantiles struct {
-	name   string
-	k      int
-	labels []string
+	name  string
+	k     int
+	names []string // NullLabel, then group g at code g+1
 }
 
 // NewQuantiles builds a K-quantile labeler. When labels is nil the groups
@@ -31,7 +31,11 @@ func NewQuantiles(name string, k int, labels []string) (*Quantiles, error) {
 	if len(labels) != k {
 		return nil, fmt.Errorf("labeling: %d labels for %d quantiles", len(labels), k)
 	}
-	return &Quantiles{name: name, k: k, labels: labels}, nil
+	names, err := labelSet(labels)
+	if err != nil {
+		return nil, err
+	}
+	return &Quantiles{name: name, k: k, names: names}, nil
 }
 
 // Name implements Labeler.
@@ -39,13 +43,11 @@ func (q *Quantiles) Name() string { return q.name }
 
 // Apply ranks the values descending and assigns group g = position·k/n, so
 // equal-size groups; ties keep input order (stable).
-func (q *Quantiles) Apply(values []float64) []string {
-	out := make([]string, len(values))
+func (q *Quantiles) Apply(values []float64) Column {
+	out := make([]uint8, len(values))
 	order := make([]int, 0, len(values))
 	for i, v := range values {
-		if math.IsNaN(v) {
-			out[i] = NullLabel
-		} else {
+		if !math.IsNaN(v) {
 			order = append(order, i)
 		}
 	}
@@ -56,17 +58,17 @@ func (q *Quantiles) Apply(values []float64) []string {
 		if g >= q.k {
 			g = q.k - 1
 		}
-		out[idx] = q.labels[g]
+		out[idx] = uint8(g + 1)
 	}
-	return out
+	return Column{Codes: out, Names: q.names}
 }
 
 // EquiWidth is an equi-width histogram labeler: the [min, max] span of the
 // comparison values is split into K equal-width bins (Section 3.3.2).
 type EquiWidth struct {
-	name   string
-	k      int
-	labels []string
+	name  string
+	k     int
+	names []string // NullLabel, then bin b at code b+1
 }
 
 // NewEquiWidth builds a K-bin equi-width labeler. When labels is nil the
@@ -84,14 +86,18 @@ func NewEquiWidth(name string, k int, labels []string) (*EquiWidth, error) {
 	if len(labels) != k {
 		return nil, fmt.Errorf("labeling: %d labels for %d bins", len(labels), k)
 	}
-	return &EquiWidth{name: name, k: k, labels: labels}, nil
+	names, err := labelSet(labels)
+	if err != nil {
+		return nil, err
+	}
+	return &EquiWidth{name: name, k: k, names: names}, nil
 }
 
 // Name implements Labeler.
 func (e *EquiWidth) Name() string { return e.name }
 
 // Apply implements Labeler.
-func (e *EquiWidth) Apply(values []float64) []string {
+func (e *EquiWidth) Apply(values []float64) Column {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, v := range values {
 		if math.IsNaN(v) {
@@ -100,29 +106,31 @@ func (e *EquiWidth) Apply(values []float64) []string {
 		lo = math.Min(lo, v)
 		hi = math.Max(hi, v)
 	}
-	out := make([]string, len(values))
+	out := make([]uint8, len(values))
 	span := hi - lo
 	for i, v := range values {
 		switch {
 		case math.IsNaN(v):
-			out[i] = NullLabel
 		case span == 0:
-			out[i] = e.labels[0]
+			out[i] = 1
 		default:
 			b := int(float64(e.k) * (v - lo) / span)
 			if b >= e.k {
 				b = e.k - 1
 			}
-			out[i] = e.labels[b]
+			out[i] = uint8(b + 1)
 		}
 	}
-	return out
+	return Column{Codes: out, Names: e.names}
 }
 
 // ZScoreRound is the "more simplistic scheme" of Section 3.3.2: each cell
 // is labeled with its comparison value's z-score rounded to the nearest
 // integer, clamped to [-3, +3] (e.g. "+2σ", "0σ", "-1σ").
 type ZScoreRound struct{ name string }
+
+// zscoreNames is ZScoreRound's label set: a rounded z-score r at code r+4.
+var zscoreNames = []string{NullLabel, "-3σ", "-2σ", "-1σ", "0σ", "+1σ", "+2σ", "+3σ"}
 
 // NewZScoreRound builds the rounded z-score labeler.
 func NewZScoreRound(name string) *ZScoreRound { return &ZScoreRound{name: name} }
@@ -131,7 +139,7 @@ func NewZScoreRound(name string) *ZScoreRound { return &ZScoreRound{name: name} 
 func (z *ZScoreRound) Name() string { return z.name }
 
 // Apply implements Labeler.
-func (z *ZScoreRound) Apply(values []float64) []string {
+func (z *ZScoreRound) Apply(values []float64) Column {
 	var n, sum float64
 	for _, v := range values {
 		if !math.IsNaN(v) {
@@ -139,11 +147,8 @@ func (z *ZScoreRound) Apply(values []float64) []string {
 			sum += v
 		}
 	}
-	out := make([]string, len(values))
+	out := Column{Codes: make([]uint8, len(values)), Names: zscoreNames}
 	if n == 0 {
-		for i := range out {
-			out[i] = NullLabel
-		}
 		return out
 	}
 	mean := sum / n
@@ -157,7 +162,6 @@ func (z *ZScoreRound) Apply(values []float64) []string {
 	sd := math.Sqrt(ss / n)
 	for i, v := range values {
 		if math.IsNaN(v) {
-			out[i] = NullLabel
 			continue
 		}
 		var zt float64
@@ -171,14 +175,7 @@ func (z *ZScoreRound) Apply(values []float64) []string {
 		if r < -3 {
 			r = -3
 		}
-		switch {
-		case r > 0:
-			out[i] = fmt.Sprintf("+%dσ", r)
-		case r < 0:
-			out[i] = fmt.Sprintf("%dσ", r)
-		default:
-			out[i] = "0σ"
-		}
+		out.Codes[i] = uint8(r + 4)
 	}
 	return out
 }
@@ -189,8 +186,9 @@ func (z *ZScoreRound) Apply(values []float64) []string {
 // best mean silhouette coefficient. Clusters are labeled cluster-1
 // (largest centroid) … cluster-k.
 type KMeans1D struct {
-	name string
-	maxK int
+	name  string
+	maxK  int
+	names []string // NullLabel, then cluster-j at code j
 }
 
 // NewKMeans1D builds the clustering labeler; maxK bounds the search.
@@ -198,20 +196,26 @@ func NewKMeans1D(name string, maxK int) (*KMeans1D, error) {
 	if maxK < 2 {
 		return nil, fmt.Errorf("labeling: kmeans labeler needs maxK >= 2, got %d", maxK)
 	}
-	return &KMeans1D{name: name, maxK: maxK}, nil
+	labels := make([]string, maxK)
+	for j := range labels {
+		labels[j] = fmt.Sprintf("cluster-%d", j+1)
+	}
+	names, err := labelSet(labels)
+	if err != nil {
+		return nil, err
+	}
+	return &KMeans1D{name: name, maxK: maxK, names: names}, nil
 }
 
 // Name implements Labeler.
 func (k *KMeans1D) Name() string { return k.name }
 
 // Apply implements Labeler.
-func (k *KMeans1D) Apply(values []float64) []string {
+func (k *KMeans1D) Apply(values []float64) Column {
 	idx := make([]int, 0, len(values))
-	out := make([]string, len(values))
+	out := Column{Codes: make([]uint8, len(values)), Names: k.names}
 	for i, v := range values {
-		if math.IsNaN(v) {
-			out[i] = NullLabel
-		} else {
+		if !math.IsNaN(v) {
 			idx = append(idx, i)
 		}
 	}
@@ -240,7 +244,7 @@ func (k *KMeans1D) Apply(values []float64) []string {
 	// Label clusters from the largest centroid down: the sorted order means
 	// cluster ids increase with value, so cluster-1 = highest id.
 	for p, i := range idx {
-		out[i] = fmt.Sprintf("cluster-%d", bestK-bestAssign[p])
+		out.Codes[i] = uint8(bestK - bestAssign[p])
 	}
 	return out
 }

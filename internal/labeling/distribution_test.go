@@ -14,7 +14,7 @@ func TestQuantiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	vals := []float64{80, 10, 60, 30, 70, 20, 50, 40}
-	got := q.Apply(vals)
+	got := text(q.Apply(vals))
 	want := []string{"top-1", "top-4", "top-2", "top-3", "top-1", "top-4", "top-2", "top-3"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("quartiles = %v, want %v", got, want)
@@ -32,7 +32,7 @@ func TestQuantilesValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := q.Apply([]float64{1, 2, 3, 4})
+	got := text(q.Apply([]float64{1, 2, 3, 4}))
 	want := []string{"fail", "fail", "pass", "pass"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("grades = %v, want %v", got, want)
@@ -51,7 +51,7 @@ func TestQuantilesBalancedProperty(t *testing.T) {
 		}
 		rng.Shuffle(n, func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
 		counts := map[string]int{}
-		for _, l := range q.Apply(vals) {
+		for _, l := range text(q.Apply(vals)) {
 			counts[l]++
 		}
 		lo, hi := n, 0
@@ -72,7 +72,7 @@ func TestQuantilesBalancedProperty(t *testing.T) {
 
 func TestQuantilesNaN(t *testing.T) {
 	q, _ := NewQuantiles("quartiles", 4, nil)
-	got := q.Apply([]float64{math.NaN(), 1, 2, 3, 4})
+	got := text(q.Apply([]float64{math.NaN(), 1, 2, 3, 4}))
 	if got[0] != NullLabel {
 		t.Errorf("NaN labeled %q", got[0])
 	}
@@ -86,13 +86,13 @@ func TestEquiWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := e.Apply([]float64{0, 4, 5, 10, math.NaN()})
+	got := text(e.Apply([]float64{0, 4, 5, 10, math.NaN()}))
 	want := []string{"low", "low", "high", "high", NullLabel}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("equi-width = %v, want %v", got, want)
 	}
 	// Constant column: everything in the first bin.
-	got = e.Apply([]float64{3, 3})
+	got = text(e.Apply([]float64{3, 3}))
 	if got[0] != "low" || got[1] != "low" {
 		t.Errorf("constant column = %v", got)
 	}
@@ -106,7 +106,7 @@ func TestEquiWidth(t *testing.T) {
 
 func TestZScoreRound(t *testing.T) {
 	z := NewZScoreRound("zscore")
-	got := z.Apply([]float64{0, 0, 0, 0, 100})
+	got := text(z.Apply([]float64{0, 0, 0, 0, 100}))
 	// The outlier is at +2σ of this distribution.
 	if got[4] != "+2σ" {
 		t.Errorf("outlier labeled %q, want +2σ", got[4])
@@ -114,16 +114,16 @@ func TestZScoreRound(t *testing.T) {
 	if got[0] == got[4] {
 		t.Error("outlier and bulk share a label")
 	}
-	if z.Apply([]float64{math.NaN()})[0] != NullLabel {
+	if text(z.Apply([]float64{math.NaN()}))[0] != NullLabel {
 		t.Error("NaN not null-labeled")
 	}
-	if z.Apply([]float64{5, 5})[0] != "0σ" {
+	if text(z.Apply([]float64{5, 5}))[0] != "0σ" {
 		t.Error("constant column not labeled 0σ")
 	}
 	// Clamping at ±3.
 	vals := make([]float64, 101)
 	vals[100] = 1e6
-	if got := z.Apply(vals); got[100] != "+3σ" {
+	if got := text(z.Apply(vals)); got[100] != "+3σ" {
 		t.Errorf("extreme outlier labeled %q, want +3σ", got[100])
 	}
 }
@@ -134,7 +134,7 @@ func TestKMeans1DSeparatedClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	vals := []float64{1, 1.1, 0.9, 100, 101, 99, 1000, 1001, 999}
-	got := km.Apply(vals)
+	got := text(km.Apply(vals))
 	// Three clear clusters: members of the same group share a label, the
 	// largest values get cluster-1.
 	if got[6] != "cluster-1" || got[7] != "cluster-1" || got[8] != "cluster-1" {
@@ -150,10 +150,10 @@ func TestKMeans1DSeparatedClusters(t *testing.T) {
 
 func TestKMeans1DDegenerate(t *testing.T) {
 	km, _ := NewKMeans1D("clusters", 8)
-	if got := km.Apply([]float64{math.NaN()}); got[0] != NullLabel {
+	if got := text(km.Apply([]float64{math.NaN()})); got[0] != NullLabel {
 		t.Errorf("all-NaN input labeled %q", got[0])
 	}
-	if got := km.Apply([]float64{5}); got[0] == "" {
+	if got := text(km.Apply([]float64{5})); got[0] == "" {
 		t.Error("single value got empty label")
 	}
 	if _, err := NewKMeans1D("k", 1); err == nil {

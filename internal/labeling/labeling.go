@@ -10,6 +10,7 @@ package labeling
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -18,13 +19,39 @@ import (
 // unmatched cells kept by the assess* variant).
 const NullLabel = "null"
 
+// MaxLabels is the most labels a labeler may name, besides NullLabel: a
+// label is one byte of a Column.
+const MaxLabels = 255
+
+// Column is a label column in coded form, the form coordinates have: cell
+// i's label is Names[Codes[i]]. Names is the labeler's label set,
+// NullLabel among them (library labelers put it at code 0); a labeler
+// hands the same Names to every Apply, so it is read-only.
+type Column struct {
+	Codes []uint8
+	Names []string
+}
+
+// Name returns cell i's label.
+func (c Column) Name(i int) string { return c.Names[c.Codes[i]] }
+
 // Labeler assigns one label to every value of the comparison column. NaN
 // values receive NullLabel.
 type Labeler interface {
 	// Name identifies the labeler (for Explain output).
 	Name() string
-	// Apply labels every value. The input is never modified.
-	Apply(values []float64) []string
+	// Apply labels every value, one code per value into the labeler's
+	// label set. The input is never modified.
+	Apply(values []float64) Column
+}
+
+// labelSet is the names of a Column whose codes 1… are labels: NullLabel
+// at code 0, then labels. It refuses more than MaxLabels.
+func labelSet(labels []string) ([]string, error) {
+	if len(labels) > MaxLabels {
+		return nil, fmt.Errorf("labeling: %d labels, at most %d", len(labels), MaxLabels)
+	}
+	return append([]string{NullLabel}, labels...), nil
 }
 
 // Interval is one labeling rule: values in the (possibly open, possibly
@@ -71,9 +98,19 @@ func fmtBound(v float64) string {
 // Ranges is a range-based labeling function: an ordered set of disjoint
 // intervals. It is the implementation behind inline `labels {…}` clauses
 // and predeclared functions such as 5stars.
+//
+// Apply finds a value's code without a branch: the intervals' ends are
+// ascending bounds, a value's position among them is how many it reaches,
+// and segment maps a position to the code of the interval it lies in, or
+// to null in a gap. Values and bounds are compared as order keys, whose
+// unsigned order is the floats' order, so a comparison is a subtraction's
+// borrow. NaN reaches none, and below the first bound is a gap.
 type Ranges struct {
 	name      string
 	intervals []Interval
+	names     []string // NullLabel, then each distinct label in interval order
+	bounds    []uint64 // ascending order keys
+	segment   []uint8  // len(bounds)+1 codes: segment[k] is the code of a value reaching k bounds
 }
 
 // NewRanges builds a range labeler and validates that the intervals are
@@ -106,7 +143,74 @@ func NewRanges(name string, intervals []Interval) (*Ranges, error) {
 			return nil, fmt.Errorf("labeling: overlapping intervals %s and %s", prev, iv)
 		}
 	}
-	return &Ranges{name: name, intervals: ivs}, nil
+	r := &Ranges{name: name, intervals: ivs, segment: []uint8{0}}
+	var labels []string
+	codes := make(map[string]uint8)
+	// reach adds bound b: values from b up to the next bound get code.
+	// Touching intervals share a bound, and the empty gap between them
+	// is dropped.
+	reach := func(b uint64, code uint8) {
+		if n := len(r.bounds); n > 0 && r.bounds[n-1] == b {
+			r.segment[n] = code
+			return
+		}
+		r.bounds = append(r.bounds, b)
+		r.segment = append(r.segment, code)
+	}
+	for _, iv := range ivs {
+		code, ok := codes[iv.Label]
+		if !ok {
+			labels = append(labels, iv.Label)
+			code = uint8(len(labels)) // more than MaxLabels fail below
+			codes[iv.Label] = code
+		}
+		reach(iv.start(), code)
+		reach(iv.past(), 0)
+	}
+	var err error
+	if r.names, err = labelSet(labels); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// orderKey maps v to a key whose unsigned order is the order of floats,
+// with -0 below +0, and NaN to 0, which no bound is.
+func orderKey(v float64) uint64 {
+	b := math.Float64bits(v)
+	key := b ^ (uint64(int64(b)>>63) | 1<<63)
+	_, nan := bits.Sub64(0x7FF0000000000000, b&^(1<<63), 0)
+	return key & (nan - 1)
+}
+
+// atLeast is the bound the values v ≥ t reach: t's key, or -0's for
+// either zero, so that both zeros reach it.
+func atLeast(t float64) uint64 {
+	if t == 0 {
+		t = math.Copysign(0, -1)
+	}
+	return orderKey(t)
+}
+
+// start is the bound every value of the interval reaches: v > Lo is
+// v ≥ the next float up.
+func (iv Interval) start() uint64 {
+	if iv.LoOpen {
+		return atLeast(math.Nextafter(iv.Lo, math.Inf(1)))
+	}
+	return atLeast(iv.Lo)
+}
+
+// past is the bound the values beyond the interval reach: v ≥ Hi past
+// an open end, v > Hi past a closed one, and none past a closed +inf.
+func (iv Interval) past() uint64 {
+	switch {
+	case iv.HiOpen:
+		return atLeast(iv.Hi)
+	case math.IsInf(iv.Hi, 1):
+		return math.MaxUint64 // only NaN keys are as high, and they are 0
+	}
+	return atLeast(math.Nextafter(iv.Hi, math.Inf(1)))
 }
 
 // MustRanges is NewRanges that panics on error.
@@ -143,33 +247,20 @@ func (r *Ranges) Complete() bool {
 	return true
 }
 
-// Apply implements Labeler by binary search over the ordered intervals.
-func (r *Ranges) Apply(values []float64) []string {
-	out := make([]string, len(values))
+// Apply implements Labeler: a value's code is the segment of the bounds
+// its key reaches, counted by the borrows of subtractions.
+func (r *Ranges) Apply(values []float64) Column {
+	codes := make([]uint8, len(values))
+	bounds, segment := r.bounds, r.segment
 	for i, v := range values {
-		out[i] = r.label(v)
-	}
-	return out
-}
-
-func (r *Ranges) label(v float64) string {
-	if math.IsNaN(v) {
-		return NullLabel
-	}
-	ivs := r.intervals
-	lo, hi := 0, len(ivs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case ivs[mid].Contains(v):
-			return ivs[mid].Label
-		case v < ivs[mid].Lo || (v == ivs[mid].Lo && ivs[mid].LoOpen):
-			hi = mid
-		default:
-			lo = mid + 1
+		key, k := orderKey(v), uint64(len(bounds))
+		for _, b := range bounds {
+			_, below := bits.Sub64(key, b, 0)
+			k -= below
 		}
+		codes[i] = segment[k]
 	}
-	return NullLabel
+	return Column{Codes: codes, Names: r.names}
 }
 
 // String renders the full rule set in the paper's inline syntax.

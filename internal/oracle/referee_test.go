@@ -517,8 +517,9 @@ func (r *referee) assess(text string) ([]refRow, error) {
 		for j, i := range cells {
 			vals[j] = comparison[i]
 		}
-		for j, l := range labeler.Apply(vals) {
-			labels[cells[j]] = l
+		coded := labeler.Apply(vals)
+		for j := range cells {
+			labels[cells[j]] = coded.Name(j)
 		}
 	}
 

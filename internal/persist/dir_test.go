@@ -144,9 +144,9 @@ func TestLabelersRoundTrip(t *testing.T) {
 			t.Errorf("labeler %d name %q, want %q", i, out[i].Name(), in[i].Name())
 		}
 		want, got := in[i].Apply(values), out[i].Apply(values)
-		for j := range want {
-			if got[j] != want[j] {
-				t.Errorf("labeler %q value %g: label %q, want %q", in[i].Name(), values[j], got[j], want[j])
+		for j := range values {
+			if got.Name(j) != want.Name(j) {
+				t.Errorf("labeler %q value %g: label %q, want %q", in[i].Name(), values[j], got.Name(j), want.Name(j))
 			}
 		}
 	}

@@ -16,19 +16,16 @@ import (
 // the catalog generation advances now and then, rows are appended to the
 // fact the keys read, and some evaluations fail, and holds the cache to a
 // plain-map statement of the admission and validity rules. A result is
-// stored when its key was evaluated successfully before at the same
-// catalog generation, whatever was appended in between. It is served
-// until a Do finds it stale: under another catalog generation, or after
-// a row under the members its get reads (every row, for a key whose get
-// reads the whole fact). Served across rows elsewhere, it counts as kept
-// and is restamped. The budget holds every result, so nothing is evicted.
+// stored when its key's previous successful evaluation was at the same
+// catalog generation and no row has been appended since under the
+// members its get reads: a key whose get reads the whole fact is never
+// stored across an append. It is served until a Do finds it stale: under
+// another catalog generation, or after a row under the members its get
+// reads. Served across rows elsewhere, it counts as kept and is
+// restamped. The budget holds every result, so nothing is evicted.
 func TestSecondSightModel(t *testing.T) {
 	cube := fakeResult(t, 1).Cube
 	boom := errors.New("boom")
-	type sighting struct {
-		key qcache.Key
-		gen uint64
-	}
 	type stored struct {
 		gen, ver uint64
 		res      *exec.Result
@@ -64,7 +61,7 @@ func TestSecondSightModel(t *testing.T) {
 			}
 			return false
 		}
-		seen := map[sighting]bool{}
+		seen := map[qcache.Key]stored{} // each key's last successful evaluation
 		entries := map[qcache.Key]stored{}
 		var want qcache.Stats
 		gen := uint64(1)
@@ -103,14 +100,17 @@ func TestSecondSightModel(t *testing.T) {
 			} else {
 				delete(entries, key) // stale, or absent
 				want.Misses++
-				switch s := (sighting{key, gen}); {
+				s, ok := seen[key]
+				switch {
 				case fails:
 					wantRes, wantErr = nil, boom
-				case seen[s]:
+				case ok && s.gen == gen && !touched(i, s.ver):
 					entries[key] = stored{gen, ver, res}
 				default:
-					seen[s] = true
 					want.Deferred++
+				}
+				if !fails {
+					seen[key] = stored{gen: gen, ver: ver}
 				}
 			}
 			want.Entries = int64(len(entries))
@@ -133,6 +133,32 @@ func TestSecondSightModel(t *testing.T) {
 	}
 	if kept == 0 {
 		t.Fatal("no entry was ever kept across an append: the traces miss the rule")
+	}
+
+	// A writer appending into February between every two reads: the key
+	// whose get reads the whole fact is never stored, each of its
+	// evaluations deferred, while the key sliced on May is admitted on
+	// its second sighting and then hit across the appends.
+	c := qcache.New(1 << 20)
+	f, appendRow := salesFact(t)
+	var whole, may qcache.Key
+	whole[0], may[0] = 1, 2
+	for step := 1; step <= 4; step++ {
+		appendRow("1996-02-10")
+		deferred := c.Stats().Deferred
+		if _, state, _ := c.Do(whole, stampOf(read(f, nil)), func() (*exec.Result, error) { return fakeResult(t, 1), nil }); state != qcache.StateMiss {
+			t.Fatalf("step %d: whole-fact key %q, want a miss", step, state)
+		}
+		if st := c.Stats(); st.Deferred != deferred+1 || c.Peek(whole, stampOf(read(f, nil))) {
+			t.Fatalf("step %d: whole-fact key stored across an append it overlaps (%+v)", step, st)
+		}
+		_, state, _ := c.Do(may, stampOf(read(f, months(t, f, "1996-05"))), func() (*exec.Result, error) { return fakeResult(t, 1), nil })
+		if want := map[bool]qcache.State{true: qcache.StateMiss, false: qcache.StateHit}[step <= 2]; state != want {
+			t.Fatalf("step %d: May key %q, want %q", step, state, want)
+		}
+	}
+	if st := c.Stats(); st.Deferred != 5 || st.Entries != 1 || st.Kept != 2 {
+		t.Fatalf("stats %+v, want 5 deferred (4 whole, 1 May), 1 entry, 2 kept hits", st)
 	}
 }
 

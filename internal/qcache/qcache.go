@@ -22,13 +22,16 @@
 // hierarchy cannot affect each other (Vassiliadis).
 //
 // Admission is rent-or-buy, as for the engine's views: a result is stored
-// only when its statement is evaluated for the second time at one
-// catalog generation. The first evaluation leaves a ghost — a
-// fingerprint of key and catalog generation — in a small direct-mapped
-// table (the doorkeeper of TinyLFU, Einziger et al.) and stores nothing,
-// so traffic that never repeats keeps no results. Fact versions are not
-// in the ghost: a statement seen before an append is admitted after it,
-// whether or not the append overlaps it. The price is one evaluation: a
+// only when its statement is evaluated for the second time with nothing
+// it read changed in between. The first evaluation leaves a ghost — a tag
+// of the key and the evaluation's stamp — in a small direct-mapped table
+// (the doorkeeper of TinyLFU, Einziger et al.) and stores nothing, so
+// traffic that never repeats keeps no results. A later evaluation is
+// admitted when the ghost's stamp holds at its own by the rule a probe
+// applies: same catalog generation, and no append since that overlaps
+// one of its gets. A statement whose gets every append overlaps would be
+// stale by its next probe, so it is never stored, and an append beside
+// the others' gets does not delay them. The price is one evaluation: a
 // statement's first repeat is a miss too, and its third run hits.
 // Ghosts are only hints — entries are still found by the whole Key — so
 // two keys sharing a slot can defer each other's admission, or admit one
@@ -204,14 +207,22 @@ type Cache struct {
 	lru      *list.List // front = most recent; values are *entry
 	index    map[Key]*list.Element
 	inflight map[Key]*call
-	ghosts   []uint64 // the doorkeeper: per slot, the tag of its last evaluation
-	stats    Stats    // BudgetBytes is fixed; the rest moves under mu
+	ghosts   []ghost // the doorkeeper: per slot, its last evaluation
+	stats    Stats   // BudgetBytes is fixed; the rest moves under mu
 
 	onJoin func() // test hook: a caller is about to wait on an in-flight call
 }
 
-// Ghost slots: one per ghostSpan bytes of budget (4 096, 32 KiB of tags,
-// at DefaultMaxBytes), at least minGhosts, rounded up to a power of two.
+// ghost is one evaluation the doorkeeper remembers: a tag of its key and
+// its stamp.
+type ghost struct {
+	tag   uint64
+	stamp Stamp
+}
+
+// Ghost slots: one per ghostSpan bytes of budget (4 096 at
+// DefaultMaxBytes: 160 KiB of ghosts, and the reads their stamps keep),
+// at least minGhosts, rounded up to a power of two.
 const (
 	ghostSpan = 16 << 10
 	minGhosts = 64
@@ -228,7 +239,7 @@ func New(maxBytes int64) *Cache {
 		lru:      list.New(),
 		index:    make(map[Key]*list.Element),
 		inflight: make(map[Key]*call),
-		ghosts:   make([]uint64, 1<<bits.Len64(uint64(slots-1))),
+		ghosts:   make([]ghost, 1<<bits.Len64(uint64(slots-1))),
 		stats:    Stats{BudgetBytes: maxBytes},
 	}
 }
@@ -364,19 +375,21 @@ func (c *Cache) Peek(key Key, st Stamp) bool {
 
 // store inserts the result at the front of the LRU and evicts from its
 // tail until the cache is within budget. A result larger than the whole
-// budget is not cached and counts as rejected; one whose key was not
-// evaluated before at the stamp's catalog generation is not cached and
-// counts as deferred.
+// budget is not cached and counts as rejected; one whose key's previous
+// evaluation does not hold at the stamp is not cached and counts as
+// deferred.
 func (c *Cache) store(key Key, res *exec.Result, st Stamp) {
+	// The ghost and the entry keep reads of their own: a kept entry's
+	// versions move forward.
 	st.Reads = slices.Clone(st.Reads)
-	e := &entry{key: key, res: res, stamp: st, size: resultBytes(res), cells: res.Cube.Len()}
+	e := &entry{key: key, res: res, stamp: Stamp{st.Gen, slices.Clone(st.Reads)}, size: resultBytes(res), cells: res.Cube.Len()}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e.size > c.stats.BudgetBytes {
 		c.stats.Rejected++
 		return
 	}
-	if !c.seen(key, st.Gen) {
+	if !c.seen(key, st) {
 		c.stats.Deferred++
 		return
 	}
@@ -390,20 +403,20 @@ func (c *Cache) store(key Key, res *exec.Result, st Stamp) {
 	c.evictFor(el)
 }
 
-// seen reports whether key's ghost at catalog generation gen is in its
-// slot, and leaves it there; c.mu must be held. The slot comes from the
-// key's first eight bytes and the tag from the next eight mixed with the
-// generation, so a newer generation finds every older ghost stale; fact
-// versions are not mixed in, so an append does not. Tags are odd: an
-// empty slot matches none.
-func (c *Cache) seen(key Key, gen uint64) bool {
+// seen reports whether key's ghost is in its slot and its stamp holds at
+// st, by holds: no catalog change and no overlapping append since that
+// evaluation. It leaves st's ghost there; c.mu must be held. The slot
+// comes from the key's first eight bytes and the tag from the next eight.
+// Tags are odd: an empty slot matches none.
+func (c *Cache) seen(key Key, st Stamp) bool {
 	slot := &c.ghosts[binary.LittleEndian.Uint64(key[:8])&uint64(len(c.ghosts)-1)]
-	tag := (binary.LittleEndian.Uint64(key[8:16]) ^ gen*0x9e3779b97f4a7c15) | 1
-	if *slot == tag {
-		return true
+	tag := binary.LittleEndian.Uint64(key[8:16]) | 1
+	ok := false
+	if slot.tag == tag {
+		ok, _ = holds(&slot.stamp, &st)
 	}
-	*slot = tag
-	return false
+	*slot = ghost{tag, st}
+	return ok
 }
 
 // evictFor drops least recently used entries, never keep itself, until
@@ -510,16 +523,15 @@ func (c *Cache) Stats() Stats {
 
 // resultBytes is what a cached result keeps alive: the plan, the bound
 // statement and the per-operation durations, and, unless encoded rows took
-// its place, the cube — member-id columns, measure columns and label
-// headers (label text is interned per labeler). Result
+// its place, the cube — member-id columns, measure columns and the label
+// codes, a byte a cell (the label set is the labeler's). Result
 // cubes are built without an index, and nothing looks a cached one up by
 // coordinate, so none is charged. TestCacheBytesFollowHeap in
 // internal/core holds the sum against the heap.
 func resultBytes(r *exec.Result) int64 {
 	const (
-		sliceHeader  = 24
-		stringHeader = 16
-		fixed        = 4 << 10 // Result, Plan and Bound, as measured
+		sliceHeader = 24
+		fixed       = 4 << 10 // Result, Plan and Bound, as measured
 	)
 	size := int64(fixed) + int64(cap(r.OpTimes))*8
 	if c := r.Cube; c != nil {
@@ -529,7 +541,9 @@ func resultBytes(r *exec.Result) int64 {
 		for _, col := range c.Cols {
 			size += sliceHeader + heapBytes(int64(cap(col))*8)
 		}
-		size += heapBytes(int64(cap(c.Labels)) * stringHeader)
+		if c.Labels != nil {
+			size += sliceHeader + heapBytes(int64(cap(c.Labels.Codes)))
+		}
 	}
 	return size
 }

@@ -367,12 +367,29 @@ func (e *encoder) member(p int, id int32) {
 
 // assessBody is the rows of an /assess result.
 func assessBody(c exec.Columns) body {
-	return body{len(c.Measure), c.Dicts, func(e *encoder, lo, hi int) { e.assessRows(c, lo, hi) }}
+	tails := labelTails(c.Labels)
+	return body{len(c.Measure), c.Dicts, func(e *encoder, lo, hi int) { e.assessRows(c, tails, lo, hi) }}
+}
+
+// labelTails is how a row ends for each label code, `,"label":"…"}`: a
+// body escapes each label once, as it does member names, and its workers
+// share the tails read-only. An unlabelled result has one, NullLabel's.
+func labelTails(l *labeling.Column) [][]byte {
+	names := []string{labeling.NullLabel}
+	if l != nil {
+		names = l.Names
+	}
+	tails := make([][]byte, len(names))
+	for k, name := range names {
+		tails[k] = append(appendString([]byte(`,"label":`), name), '}')
+	}
+	return tails
 }
 
 // assessRows appends cells [lo, hi) of an /assess result:
-// {"coordinate":[…],"measure":…,"benchmark":…,"comparison":…,"label":…}.
-func (e *encoder) assessRows(c exec.Columns, lo, hi int) {
+// {"coordinate":[…],"measure":…,"benchmark":…,"comparison":…,"label":…},
+// the label's tail from tails.
+func (e *encoder) assessRows(c exec.Columns, tails [][]byte, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		if i > 0 {
 			e.buf = append(e.buf, ',')
@@ -394,13 +411,11 @@ func (e *encoder) assessRows(c exec.Columns, lo, hi int) {
 		}
 		e.buf = append(e.buf, `,"comparison":`...)
 		e.buf = appendFloat(e.buf, c.Comparison[i])
-		e.buf = append(e.buf, `,"label":`...)
 		if c.Labels != nil {
-			e.buf = appendString(e.buf, c.Labels[i])
+			e.buf = append(e.buf, tails[c.Labels.Codes[i]]...)
 		} else {
-			e.buf = appendString(e.buf, labeling.NullLabel)
+			e.buf = append(e.buf, tails[0]...)
 		}
-		e.buf = append(e.buf, '}')
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"github.com/assess-olap/assess/internal/oracle"
 	"github.com/assess-olap/assess/internal/parser"
 	"github.com/assess-olap/assess/internal/sales"
+	"github.com/assess-olap/assess/internal/testutil"
 )
 
 // The reference: the response structs the handlers marshalled with
@@ -105,7 +106,7 @@ func referenceAssessTo(t testing.TB, w io.Writer, head assessHeader, c exec.Colu
 		}
 		label := labeling.NullLabel
 		if c.Labels != nil {
-			label = c.Labels[i]
+			label = c.Labels.Name(i)
 		}
 		resp.Rows[i] = resultRow{names, jsonFloat(c.Measure[i]), jsonFloat(bench), jsonFloat(c.Comparison[i]), label}
 	}
@@ -208,6 +209,12 @@ var hostileNames = []string{
 	"caf\u00e9 \u4e16\u754c \U0001F600", "\ufffd", strings.Repeat("long ", 40),
 }
 
+// labelled is a label column holding labels.
+func labelled(labels ...string) *labeling.Column {
+	c := testutil.LabelColumn(labels...)
+	return &c
+}
+
 func hostileColumns() exec.Columns {
 	d0, d1 := mdm.NewDict(), mdm.NewDict()
 	for _, n := range hostileNames {
@@ -221,15 +228,16 @@ func hostileColumns() exec.Columns {
 		Measure:    make([]float64, n),
 		Benchmark:  make([]float64, n),
 		Comparison: make([]float64, n),
-		Labels:     make([]string, n),
 	}
+	labels := make([]string, n)
 	for i := range n {
 		c.Keys[0][i], c.Keys[1][i] = int32(i%len(hostileNames)), int32((i*7)%len(hostileNames))
 		c.Measure[i] = hostileFloats[i]
 		c.Benchmark[i] = hostileFloats[(i+1)%n]
 		c.Comparison[i] = hostileFloats[(i+5)%n]
-		c.Labels[i] = hostileNames[(i*3)%len(hostileNames)]
+		labels[i] = hostileNames[(i*3)%len(hostileNames)]
 	}
+	c.Labels = labelled(labels...)
 	return c
 }
 
@@ -239,7 +247,7 @@ func TestEncodeAssessMatchesEncodingJSON(t *testing.T) {
 	noBench.Benchmark, noLabels.Labels = nil, nil
 	zeroLevel := exec.Columns{
 		Dicts: []*mdm.Dict{}, Keys: [][]int32{},
-		Measure: []float64{1}, Comparison: []float64{2}, Labels: []string{"ok"},
+		Measure: []float64{1}, Comparison: []float64{2}, Labels: labelled("ok"),
 	}
 	empty := exec.Columns{Dicts: hostile.Dicts}
 	trace := &obsv.SpanJSON{Name: "request", DurationMs: 1.25, Children: []obsv.SpanJSON{{Name: "parse", Note: "<n>"}}}
@@ -328,15 +336,16 @@ func gridColumns(n int) exec.Columns {
 		Measure:    make([]float64, n),
 		Benchmark:  make([]float64, n),
 		Comparison: make([]float64, n),
-		Labels:     make([]string, n),
 	}
+	labels := make([]string, n)
 	for i := range n {
 		c.Keys[0][i], c.Keys[1][i] = int32((i/7)%d0.Len()), int32((i*7)%d1.Len())
 		c.Measure[i] = hostileFloats[i%len(hostileFloats)] + float64(i/len(hostileFloats))/3
 		c.Benchmark[i] = hostileFloats[(i+1)%len(hostileFloats)]
 		c.Comparison[i] = c.Measure[i] / c.Benchmark[i]
-		c.Labels[i] = hostileNames[(i*3)%len(hostileNames)]
+		labels[i] = hostileNames[(i*3)%len(hostileNames)]
 	}
+	c.Labels = labelled(labels...)
 	return c
 }
 
@@ -592,8 +601,8 @@ func syntheticColumns(n int) exec.Columns {
 		Measure:    make([]float64, n),
 		Benchmark:  make([]float64, n),
 		Comparison: make([]float64, n),
-		Labels:     make([]string, n),
 	}
+	labels := make([]string, n)
 	for i := range n {
 		if i%7 == 0 {
 			customers.Intern(fmt.Sprintf("Customer#%09d", i/7))
@@ -602,8 +611,9 @@ func syntheticColumns(n int) exec.Columns {
 		c.Measure[i] = float64(1000000+i*37) + 0.25*float64(i%4)
 		c.Benchmark[i] = 2500000
 		c.Comparison[i] = c.Measure[i] / c.Benchmark[i]
-		c.Labels[i] = [...]string{"low", "mid", "high"}[i%3]
+		labels[i] = [...]string{"low", "mid", "high"}[i%3]
 	}
+	c.Labels = labelled(labels...)
 	return c
 }
 
