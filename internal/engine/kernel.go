@@ -305,117 +305,29 @@ func (sq *scanQuery) wideSlots(t *aggTable, dk []uint64, sel []int32, cols stora
 	}
 }
 
-// accum folds one morsel's slots into the accumulators: slot row counts
-// first, then the measure columns. Two or three sum-valued measures
-// (sum/avg) are accumulated in one fused pass — the slot loads once per
-// row however many measures ride the scan — which changes nothing about
-// per-slot addition order, so results stay bit-identical to the
-// per-measure loops.
+// accum folds one morsel's slots into the accumulators: slot occupancy
+// first (the row count, or the one-byte seen flag when no measure needs a
+// count), then one loop per measure column. Each column adds its rows to
+// each slot in row order, so a sum is the same at any measure count. One
+// loop per column also builds SSB's three-sum views faster than one pass
+// fused over the sums (docs/performance.md).
 func (sq *scanQuery) accum(t *aggTable, dk []uint64, sel []int32, cols storage.BlockCols, lo int) {
-	var a0, a1, a2, c0, c1, c2 []float64
-	ns := 0
-	for j, mi := range sq.measures {
-		if sq.ops[j] != mdm.AggSum && sq.ops[j] != mdm.AggAvg {
-			continue
-		}
-		switch ns {
-		case 0:
-			a0, c0 = t.vals[j], cols.Meas[mi]
-		case 1:
-			a1, c1 = t.vals[j], cols.Meas[mi]
-		case 2:
-			a2, c2 = t.vals[j], cols.Meas[mi]
-		}
-		ns++
-	}
-	fused := ns == 2 || ns == 3
-	switch {
-	case !fused && t.cnt != nil:
+	if t.cnt != nil {
 		for _, k := range dk {
 			t.cnt[k]++
 		}
-	case !fused:
+	} else {
 		seen := t.seen
 		for _, k := range dk {
 			if !seen[k] {
 				seen[k] = true
 			}
 		}
-	case t.cnt != nil:
-		// Occupancy rides the fused pass: one slot load per row covers
-		// the row count and every sum column.
-		cnt := t.cnt
-		switch {
-		case sel == nil && ns == 3:
-			for i, k := range dk {
-				r := lo + i
-				cnt[k]++
-				a0[k] += c0[r]
-				a1[k] += c1[r]
-				a2[k] += c2[r]
-			}
-		case sel == nil:
-			for i, k := range dk {
-				r := lo + i
-				cnt[k]++
-				a0[k] += c0[r]
-				a1[k] += c1[r]
-			}
-		default:
-			for i, k := range dk {
-				r := sel[i]
-				cnt[k]++
-				a0[k] += c0[r]
-				a1[k] += c1[r]
-				if ns == 3 {
-					a2[k] += c2[r]
-				}
-			}
-		}
-	default:
-		seen := t.seen
-		switch {
-		case sel == nil && ns == 3:
-			for i, k := range dk {
-				r := lo + i
-				if !seen[k] {
-					seen[k] = true
-				}
-				a0[k] += c0[r]
-				a1[k] += c1[r]
-				a2[k] += c2[r]
-			}
-		case sel == nil:
-			for i, k := range dk {
-				r := lo + i
-				if !seen[k] {
-					seen[k] = true
-				}
-				a0[k] += c0[r]
-				a1[k] += c1[r]
-			}
-		default:
-			for i, k := range dk {
-				r := sel[i]
-				if !seen[k] {
-					seen[k] = true
-				}
-				a0[k] += c0[r]
-				a1[k] += c1[r]
-				if ns == 3 {
-					a2[k] += c2[r]
-				}
-			}
-		}
 	}
 	for j, mi := range sq.measures {
-		op := sq.ops[j]
-		if fused && (op == mdm.AggSum || op == mdm.AggAvg) {
-			continue
-		}
 		col := cols.Meas[mi]
 		acc := t.vals[j]
-		switch op {
+		switch sq.ops[j] {
 		case mdm.AggSum, mdm.AggAvg:
 			if sel == nil {
 				for i, k := range dk {

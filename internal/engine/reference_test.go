@@ -88,8 +88,9 @@ rows:
 	return coords, vals
 }
 
-// refSchema is K(k→g) × C(c) × W0..W6(w), every aggregation operator.
-// Seven 1024-member W levels together span 2^70 coordinates: grouping by
+// refSchema is K(k→g) × C(c) × W0..W6(w), every aggregation operator,
+// then two more sums so that a case can request SSB's shape of several
+// sums with no count or average. Seven 1024-member W levels together span 2^70 coordinates: grouping by
 // all of them has no 64-bit composite key.
 func refSchema() *mdm.Schema {
 	hk := mdm.NewHierarchy("K", "k", "g")
@@ -114,11 +115,14 @@ func refSchema() *mdm.Schema {
 		{Name: "lo", Op: mdm.AggMin},
 		{Name: "hi", Op: mdm.AggMax},
 		{Name: "n", Op: mdm.AggCount},
+		{Name: "s2", Op: mdm.AggSum},
+		{Name: "s3", Op: mdm.AggSum},
 	})
 }
 
 // refRows appends n generated rows: k below kCard, each w one of two ids
-// at the ends of its domain (the last id of W3 is w3Top).
+// at the ends of its domain (the last id of W3 is w3Top). The two extra
+// sums are 2v+1 and the row's k id, so no two sum columns are alike.
 func refRows(t *testing.T, f *storage.FactTable, rng *rand.Rand, n, kCard int, w3Top int32) {
 	t.Helper()
 	for r := 0; r < n; r++ {
@@ -131,7 +135,7 @@ func refRows(t *testing.T, f *storage.FactTable, rng *rand.Rand, n, kCard int, w
 			keys = append(keys, []int32{int32(w), top}[rng.Intn(2)])
 		}
 		v := float64(rng.Intn(2001) - 1000)
-		if err := f.Append(keys, []float64{v, v, v, v, 0}); err != nil {
+		if err := f.Append(keys, []float64{v, v, v, v, 0, 2*v + 1, float64(keys[0])}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,6 +196,8 @@ func TestKernelMatchesReference(t *testing.T) {
 		{"dense", Query{Group: mdm.MustGroupBy(s, "k", "c"), Measures: []int{0, 2}, Preds: []Predicate{pred("k", 5, 6, 17, 70)}}, false},
 		{"dense", Query{Group: mdm.MustGroupBy(s, "k"), Measures: []int{0}, Preds: []Predicate{pred("g")}}, false},
 		{"dense", Query{Group: mdm.MustGroupBy(s, "g"), Measures: []int{1, 3}, Preds: []Predicate{pred("c", 2, 3), pred("k", 1, 2, 3, 5, 8, 13, 21, 34, 55, 61)}}, false},
+		{"dense", Query{Group: mdm.MustGroupBy(s, "g", "c"), Measures: []int{0, 5, 6}}, false},
+		{"dense", Query{Group: mdm.MustGroupBy(s, "k"), Measures: []int{5, 2, 6}, Preds: []Predicate{pred("c", 1, 2, 3)}}, false},
 		{"wide", Query{Group: mdm.MustGroupBy(s, wide...), Measures: all}, false},
 		{"wide", Query{Group: mdm.MustGroupBy(s, append([]string{"k"}, wide...)...), Measures: []int{0, 4}, Preds: []Predicate{pred("c", 1, 2, 3)}}, false},
 		{"wide", Query{Group: mdm.MustGroupBy(s, wide...), Measures: []int{0}, Preds: []Predicate{pred("g")}}, false},
