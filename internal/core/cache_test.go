@@ -396,12 +396,26 @@ func TestTrackBody(t *testing.T) {
 	}
 }
 
+// keptBase is what a server's base keeps, as TestCacheBytesFollowHeap
+// hands it to a base entry: rows and a row table.
+type keptBase struct {
+	rows []byte
+	at   []int32
+}
+
+func (b *keptBase) Bytes() int64 { return int64(cap(b.rows)) + 4*int64(cap(b.at)) }
+
 // TestCacheBytesFollowHeap holds the cache's byte accounting against the
 // heap: what the entries are charged is what keeping them costs, within a
-// tenth, for many small results (where the plan and statement dominate)
-// and for a few large ones (where the cube's columns do). The statements
-// run once with the cache on before the heap is read, so that the next
-// run stores every result.
+// tenth, for many small results (where the plan and statement dominate),
+// for a few large ones (where the cube's columns do), for large results
+// stored as bases (cube, rows and where each lies: a caller that tracks
+// a Body evaluates each statement again after an append that overlaps
+// it, and hands the entry rows of 120 bytes a cell and 12 bytes a cell of
+// row table, as a server's base holds) and for large results a
+// view answers (their key and measure columns may be the view's own). The
+// statements run once with the cache on before the heap is read, so that
+// the next run stores every result.
 func TestCacheBytesFollowHeap(t *testing.T) {
 	heap := func() int64 {
 		runtime.GC()
@@ -410,30 +424,68 @@ func TestCacheBytesFollowHeap(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
-	for name, stmt := range map[string]string{
-		"small": `with SALES by product, country assess quantity against %d labels quartiles`,
-		"large": `with SALES by product, city, month assess quantity against %d labels quartiles`,
+	const (
+		small = `with SALES by product, country assess quantity against %d labels quartiles`
+		large = `with SALES by product, city, month assess quantity against %d labels quartiles`
+	)
+	for _, tc := range []struct {
+		name, stmt string
+		view       []string // materialized before the first run
+		base       bool     // tracked runs, with an overlapping append before the stored one
+	}{
+		{name: "small", stmt: small},
+		{name: "large", stmt: large},
+		{name: "base", stmt: large, base: true},
+		{name: "view", stmt: large, view: []string{"product", "city", "month"}},
 	} {
 		s := NewSession()
-		if err := s.RegisterCube("SALES", sales.Generate(50000, 2).Fact); err != nil {
+		ds := sales.Generate(50000, 2)
+		if err := s.RegisterCube("SALES", ds.Fact); err != nil {
 			t.Fatal(err)
+		}
+		if tc.view != nil {
+			if err := s.Materialize("SALES", tc.view...); err != nil {
+				t.Fatal(err)
+			}
 		}
 		run := func() {
 			for i := 0; i < 40; i++ {
-				if _, err := s.Exec(fmt.Sprintf(stmt, 100+i)); err != nil {
+				ctx, body := context.Background(), (*qcache.Body)(nil)
+				if tc.base {
+					ctx, body = s.TrackBody(ctx)
+				}
+				res, _, err := s.ExecTrackedContext(ctx, fmt.Sprintf(tc.stmt, 100+i))
+				if err != nil {
 					t.Fatal(err)
+				}
+				if body.Based() {
+					n := res.Cube.Len()
+					if !body.KeepBase(&keptBase{make([]byte, 120*n), make([]int32, 3*n)}) {
+						t.Fatalf("%s: a base kept no rows", tc.name)
+					}
 				}
 			}
 		}
 		run() // dictionaries, pools and lazily built tables are in place
 		s.EnableCache(0)
 		run() // first sightings: nothing is stored
+		if tc.base {
+			if err := ds.Fact.Append(dateRow(t, ds, "1997-05-02"), make([]float64, len(ds.Fact.Meas))); err != nil {
+				t.Fatal(err)
+			}
+		}
 		before := heap()
 		run()
 		grown := heap() - before
 		st, _ := s.CacheStats()
-		if st.Entries != 40 || st.Bytes*10 < grown*9 || st.Bytes*9 > grown*10 {
-			t.Errorf("%s: %d entries charged %d bytes, the heap grew by %d", name, st.Entries, st.Bytes, grown)
+		t.Logf("%s: %d entries charged %d bytes (%d of them rows), the heap grew by %d", tc.name, st.Entries, st.Bytes, st.BodyBytes, grown)
+		if tc.view != nil {
+			if vs := s.ViewStats().Views; len(vs) != 1 || vs[0].Hits < 3*40 {
+				t.Errorf("%s: views %+v, want every run answered by the view", tc.name, vs)
+			}
+		}
+		if st.Entries != 40 || tc.base != (st.BodyBytes > 0) || st.Bytes*10 < grown*9 || st.Bytes*9 > grown*10 {
+			t.Errorf("%s: %d entries charged %d bytes (%d of them rows), the heap grew by %d", tc.name, st.Entries, st.Bytes, st.BodyBytes, grown)
 		}
 		runtime.KeepAlive(s)
 	}

@@ -36,6 +36,13 @@ type SlowEntry struct {
 	EncodeMs      float64 `json:"encodeMs,omitempty"`
 	EncodeWorkers int     `json:"encodeWorkers,omitempty"`
 	Bytes         int64   `json:"bytes,omitempty"`
+	// RowsFormatted and RowsReused count the body's rows formatted from
+	// the result's columns and copied from a base, the rows an earlier
+	// reply of an /assess statement wrote, which the cache keeps for a
+	// statement appends overlap; neither is written for a body written
+	// from kept rows.
+	RowsFormatted int `json:"rowsFormatted,omitempty"`
+	RowsReused    int `json:"rowsReused,omitempty"`
 	// Error and Stack describe a statement that panicked: the error it
 	// failed with and the stack of the goroutine that panicked.
 	Error       string  `json:"error,omitempty"`

@@ -577,9 +577,11 @@ func TestSegmentWALCompaction(t *testing.T) {
 // table was too sparse to keep is rebuilt through a slot table the first
 // time it is found stale, and refreshed like the others from then on.
 // The maintained session has the result cache on, and each statement is
-// run on it until it hits (the cache axis): every answer, entries kept
-// across the step's append included, must equal the cache-off
-// reference, and over the whole test some entry must have been kept.
+// run on it until it hits (the cache axis), tracking a Body as a server
+// does, so that an evaluation after an append that overlapped the
+// statement is stored as a base: every answer, entries kept across the
+// step's append and bases included, must equal the cache-off reference,
+// and over the whole test some entry must have been kept.
 func TestViewMaintenanceByDelta(t *testing.T) {
 	counter := func(action string) int64 {
 		return obsv.Default.Counter("assess_engine_view_stale_total", "", "action", action).Value()
@@ -712,7 +714,8 @@ func TestViewMaintenanceByDelta(t *testing.T) {
 							// from before the step, an evaluation, the stored
 							// result — must be the cache-off reference's.
 							for run := 1; ; run++ {
-								res, state, _, err := execTracked(maintained, stmt, strat)
+								ctx, _ := maintained.TrackBody(context.Background())
+								res, state, err := maintained.ExecWithTrackedContext(ctx, stmt, strat)
 								if err != nil {
 									t.Fatalf("%s/%v: maintained: %v\n  stmt: %s", stage, strat, err, stmt)
 								}

@@ -1,6 +1,7 @@
 package qcache_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"slices"
@@ -23,14 +24,23 @@ import (
 // another catalog generation, or after a row under the members its get
 // reads. Served across rows elsewhere, it counts as kept and is
 // restamped. The budget holds every result, so nothing is evicted.
+//
+// Half the calls track a Body, as a server does, and model the base rule
+// too: such a call whose key's previous evaluation was overlapped by an
+// append at the same generation stores its result as a base, and hands
+// it a Base; a later tracked call that finds the base stale only by an
+// overlapping append is handed it (Body.Base) instead of dropping it, and
+// stores its own result as the next base, and one that finds it valid
+// hits it and is handed it too.
 func TestSecondSightModel(t *testing.T) {
 	cube := fakeResult(t, 1).Cube
 	boom := errors.New("boom")
 	type stored struct {
 		gen, ver uint64
 		res      *exec.Result
+		base     qcache.Base // kept with the entry by a tracked call
 	}
-	var kept int64
+	var kept, bases int64
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := qcache.New(1 << 20)
@@ -80,32 +90,55 @@ func TestSecondSightModel(t *testing.T) {
 			i := rng.Intn(len(keys))
 			key := keys[i]
 			fails := rng.Intn(6) == 0
+			tracked := rng.Intn(2) == 0
+			ctx, body := context.Background(), (*qcache.Body)(nil)
+			if tracked {
+				ctx, body = qcache.TrackBody(ctx)
+			}
 			res := &exec.Result{Cube: cube}
-			got, state, err := c.Do(key, stampOf(i), func() (*exec.Result, error) {
+			got, state, err := c.DoContext(ctx, key, stampOf(i), func() (*exec.Result, error) {
 				if fails {
 					return nil, boom
 				}
 				return res, nil
 			})
+			// A miss is bound to an entry only when it stored a base; its
+			// reply hands it a Base. (Hits keep no rows here.)
+			handed := body.Base()
+			kept := &keptRows{64}
+			based := state == qcache.StateMiss && body.Based()
+			if based && !body.KeepBase(kept) {
+				t.Fatalf("seed %d step %d: a reply could not keep its base", seed, step)
+			}
 
 			ver := f.Version()
-			wantState, wantRes, wantErr := qcache.StateMiss, res, error(nil)
+			wantState, wantRes, wantErr, wantBase := qcache.StateMiss, res, error(nil), qcache.Base(nil)
 			if e, ok := entries[key]; ok && e.gen == gen && !touched(i, e.ver) {
 				wantState, wantRes = qcache.StateHit, e.res
+				if tracked {
+					wantBase = e.base // a hit on a base is encoded against it
+				}
 				want.Hits++
 				if e.ver != ver {
 					want.Kept++
-					entries[key] = stored{gen, ver, e.res}
+					entries[key] = stored{gen, ver, e.res, e.base}
 				}
 			} else {
+				if tracked && ok && e.base != nil && e.gen == gen {
+					wantBase = e.base
+					want.Bases++
+				}
 				delete(entries, key) // stale, or absent
 				want.Misses++
 				s, ok := seen[key]
+				overlapped := ok && s.gen == gen && touched(i, s.ver)
 				switch {
 				case fails:
 					wantRes, wantErr = nil, boom
-				case ok && s.gen == gen && !touched(i, s.ver):
-					entries[key] = stored{gen, ver, res}
+				case ok && s.gen == gen && !overlapped:
+					entries[key] = stored{gen, ver, res, nil}
+				case tracked && (overlapped || wantBase != nil):
+					entries[key] = stored{gen, ver, res, kept}
 				default:
 					want.Deferred++
 				}
@@ -115,11 +148,14 @@ func TestSecondSightModel(t *testing.T) {
 			}
 			want.Entries = int64(len(entries))
 
-			if state != wantState || got != wantRes || !errors.Is(err, wantErr) {
-				t.Fatalf("seed %d step %d: Do = (%p, %q, %v), want (%p, %q, %v)", seed, step, got, state, err, wantRes, wantState, wantErr)
+			if e, ok := entries[key]; state != wantState || got != wantRes || !errors.Is(err, wantErr) || handed != wantBase ||
+				based != (wantState == qcache.StateMiss && ok && e.base != nil) {
+				t.Fatalf("seed %d step %d: Do = (%p, %q, %v) handed base %v, stored a base %v; want (%p, %q, %v) and base %v",
+					seed, step, got, state, err, handed, based, wantRes, wantState, wantErr, wantBase)
 			}
 			st := c.Stats()
-			if st.Hits != want.Hits || st.Misses != want.Misses || st.Deferred != want.Deferred || st.Kept != want.Kept || st.Entries != want.Entries {
+			if st.Hits != want.Hits || st.Misses != want.Misses || st.Deferred != want.Deferred || st.Kept != want.Kept ||
+				st.Entries != want.Entries || st.Bases != want.Bases {
 				t.Fatalf("seed %d step %d: stats %+v, want %+v", seed, step, st, want)
 			}
 			for j, k := range keys {
@@ -130,19 +166,24 @@ func TestSecondSightModel(t *testing.T) {
 			}
 		}
 		kept += want.Kept
+		bases += want.Bases
 	}
-	if kept == 0 {
-		t.Fatal("no entry was ever kept across an append: the traces miss the rule")
+	if kept == 0 || bases == 0 {
+		t.Fatalf("%d entries kept across an append, %d bases handed over: the traces miss a rule", kept, bases)
 	}
 
 	// A writer appending into February between every two reads: the key
-	// whose get reads the whole fact is never stored, each of its
-	// evaluations deferred, while the key sliced on May is admitted on
-	// its second sighting and then hit across the appends.
+	// whose get reads the whole fact is never stored for an untracked
+	// caller, each of its evaluations deferred, while the key sliced on
+	// May is admitted on its second sighting and then hit across the
+	// appends. The same whole-fact statement from a caller that tracks a
+	// Body is stored as a base from its second evaluation on, and each
+	// evaluation after that is handed the one before.
 	c := qcache.New(1 << 20)
 	f, appendRow := salesFact(t)
-	var whole, may qcache.Key
-	whole[0], may[0] = 1, 2
+	var whole, tracked, may qcache.Key
+	whole[0], tracked[0], may[0] = 1, 3, 2
+	var prev qcache.Base
 	for step := 1; step <= 4; step++ {
 		appendRow("1996-02-10")
 		deferred := c.Stats().Deferred
@@ -156,9 +197,23 @@ func TestSecondSightModel(t *testing.T) {
 		if want := map[bool]qcache.State{true: qcache.StateMiss, false: qcache.StateHit}[step <= 2]; state != want {
 			t.Fatalf("step %d: May key %q, want %q", step, state, want)
 		}
+
+		ctx, body := qcache.TrackBody(context.Background())
+		if _, state, _ := c.DoContext(ctx, tracked, stampOf(read(f, nil)), func() (*exec.Result, error) { return fakeResult(t, 1), nil }); state != qcache.StateMiss {
+			t.Fatalf("step %d: tracked whole-fact key %q, want a miss", step, state)
+		}
+		base := body.Base()
+		if want := map[bool]qcache.Base{true: nil, false: prev}[step <= 2]; base != want || body.Based() != (step > 1) {
+			t.Fatalf("step %d: tracked whole-fact key handed base %v (want %v), stored a base %v", step, base, want, body.Based())
+		}
+		kept := &keptRows{64}
+		if step > 1 && !body.KeepBase(kept) {
+			t.Fatalf("step %d: the base kept nothing", step)
+		}
+		prev = kept
 	}
-	if st := c.Stats(); st.Deferred != 5 || st.Entries != 1 || st.Kept != 2 {
-		t.Fatalf("stats %+v, want 5 deferred (4 whole, 1 May), 1 entry, 2 kept hits", st)
+	if st := c.Stats(); st.Deferred != 6 || st.Entries != 2 || st.Kept != 2 || st.Bases != 2 {
+		t.Fatalf("stats %+v, want 6 deferred (4 whole, 1 tracked, 1 May), 2 entries, 2 kept hits, 2 bases", st)
 	}
 }
 

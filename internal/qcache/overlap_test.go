@@ -241,3 +241,93 @@ func TestNewerCallerDoesNotJoinOlderLeader(t *testing.T) {
 		t.Fatalf("stats %+v, want 1 join and 2 evaluations", st)
 	}
 }
+
+// keptRows is a Base of its size alone, as a test hands one to a base
+// entry.
+type keptRows struct{ size int64 }
+
+func (r *keptRows) Bytes() int64 { return r.size }
+
+// based runs key at the stamp for a caller that tracks a Body, traced,
+// and hands a base entry bound to it kept, as a server does. It reports
+// the state, the cache.probe note and the base the Body was handed.
+func based(t *testing.T, c *qcache.Cache, key qcache.Key, st qcache.Stamp, res *exec.Result, kept qcache.Base) (qcache.State, string, qcache.Base) {
+	t.Helper()
+	ctx, tr := obsv.NewTrace(context.Background(), "stmt")
+	ctx, body := qcache.TrackBody(ctx)
+	_, state, err := c.DoContext(ctx, key, st, func() (*exec.Result, error) { return res, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := body.Base()
+	if body.Based() && !body.KeepBase(kept) {
+		t.Fatal("base not kept")
+	}
+	for _, sp := range tr.Finish().Children {
+		if sp.Name == "cache.probe" {
+			return state, sp.Note, base
+		}
+	}
+	t.Fatal("no cache.probe span")
+	return state, "", nil
+}
+
+// TestBaseHandedOver follows one whole-fact key across appends for a
+// caller that tracks a Body. Its second evaluation is stored as a base,
+// which keeps its cube and is charged for the Base its reply hands it. An
+// overlapping append makes the next probe hand the base over ("base"),
+// with its Base, and the evaluation becomes the next base. A base that
+// still holds is a hit, with its cube, for a caller that tracks no Body,
+// and hands a caller that does its Base; another catalog generation
+// drops it ("stale").
+func TestBaseHandedOver(t *testing.T) {
+	c := qcache.New(1 << 20)
+	f, appendRow := salesFact(t)
+	key := testKey(9, 9)
+	whole := func(gen uint64) qcache.Stamp { return qcache.Stamp{Gen: gen, Reads: []qcache.Read{read(f, nil)}} }
+	first, second := &keptRows{3000}, &keptRows{2500}
+	if state, note, _ := based(t, c, key, whole(1), fakeResult(t, 40), first); state != qcache.StateMiss || note != "miss" {
+		t.Fatalf("first sighting = (%q, %q)", state, note)
+	}
+	appendRow("1996-02-10")
+	res := fakeResult(t, 40)
+	if state, note, base := based(t, c, key, whole(1), res, first); state != qcache.StateMiss || note != "miss" || base != nil {
+		t.Fatalf("evaluation after an overlapping append = (%q, %q, base %p), want a miss with no base", state, note, base)
+	}
+	st := c.Stats()
+	if st.Entries != 1 || st.Deferred != 1 || st.BodyBytes != 3000 {
+		t.Fatalf("after the base was stored: %+v, want 1 entry, 1 deferred, 3000 body bytes", st)
+	}
+	if got, state, _ := c.Do(key, whole(1), nil); state != qcache.StateHit || got != res || got.Cube == nil {
+		t.Fatalf("untracked call on a base that holds = (%p, %q), want its result with its cube", got, state)
+	}
+	if state, note, base := based(t, c, key, whole(1), nil, nil); state != qcache.StateHit || note != "hit" || base != first {
+		t.Fatalf("tracked call on a base that holds = (%q, %q, base %v), want a hit handed the base", state, note, base)
+	}
+
+	appendRow("1996-03-10")
+	ctx, body := qcache.TrackBody(context.Background())
+	if _, state, _ := c.DoContext(ctx, key, whole(1), func() (*exec.Result, error) { return fakeResult(t, 40), nil }); state != qcache.StateMiss {
+		t.Fatalf("evaluation after a second append: %q, want a miss", state)
+	}
+	if base := body.Base(); base != first {
+		t.Fatalf("handed base %v, want %v", base, first)
+	}
+	if !body.Based() || !body.KeepBase(second) || body.KeepBase(first) {
+		t.Fatal("the next base kept none, or two")
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Bases != 1 || st.BodyBytes != 2500 {
+		t.Fatalf("after the base was replaced: %+v, want 1 entry, 1 base, 2500 body bytes", st)
+	}
+
+	appendRow("1996-04-10")
+	if state, note, base := based(t, c, key, whole(1), fakeResult(t, 40), first); state != qcache.StateMiss || note != "base" || base != second {
+		t.Fatalf("probe after a third append = (%q, %q, base %v), want a miss noted base, handed %v", state, note, base, second)
+	}
+	if state, note, base := based(t, c, key, whole(2), fakeResult(t, 40), first); state != qcache.StateMiss || note != "stale" || base != nil {
+		t.Fatalf("probe under another generation = (%q, %q, base %v), want a miss noted stale", state, note, base)
+	}
+	if st := c.Stats(); st.Entries != 0 || st.BodyBytes != 0 || st.Bases != 2 {
+		t.Fatalf("after the generation moved: %+v, want no entry", st)
+	}
+}

@@ -29,14 +29,12 @@
 // traffic that never repeats keeps no results. A later evaluation is
 // admitted when the ghost's stamp holds at its own by the rule a probe
 // applies: same catalog generation, and no append since that overlaps
-// one of its gets. A statement whose gets every append overlaps would be
-// stale by its next probe, so it is never stored, and an append beside
-// the others' gets does not delay them. The price is one evaluation: a
-// statement's first repeat is a miss too, and its third run hits.
-// Ghosts are only hints — entries are still found by the whole Key — so
-// two keys sharing a slot can defer each other's admission, or admit one
-// early, but never serve each other's result. Singleflight joiners do not
-// evaluate and leave no ghost.
+// one of its gets; an append beside a statement's gets does not delay
+// it. The price is one evaluation: a statement's first repeat is a miss
+// too, and its third run hits. Ghosts are only hints — entries are still
+// found by the whole Key — so two keys sharing a slot can defer each
+// other's admission, or admit one early, but never serve each other's
+// result. Singleflight joiners do not evaluate and leave no ghost.
 //
 // An entry can also keep the encoded rows its result is served as (Body):
 // the bytes the reply of the entry's first hit streamed after its header,
@@ -47,6 +45,21 @@
 // of their rows. The rows take the place of the result's cube, so only
 // callers that track a Body are served from such an entry; for everyone
 // else it is a miss, and the evaluation replaces it.
+//
+// A statement whose gets every append overlaps is stale by its next
+// probe, so the rule above would never store it. For a caller that
+// tracks a Body it is stored anyway, as a base: an evaluation whose ghost
+// was overlapped by an append at the same catalog generation stores its
+// result, and its reply hands the entry a Base, the rows it wrote and
+// where each lies; the entry keeps its cube beside it. The next probe
+// that finds the base stale only because an append overlapped it hands
+// it to that caller's Body instead of dropping it, and the caller encodes
+// the new result against it: a row whose cell did not change is copied
+// from the base's bytes, not formatted again (Gray et al.: an insertion
+// changes only the aggregates it falls under). The new result and its
+// rows become the next base. A base that still holds is a hit: its cube
+// for a caller that tracks no Body, its cube and its Base for one that
+// does.
 //
 // Cached *exec.Result values and rows are shared between callers and must
 // be treated as read-only.
@@ -165,10 +178,13 @@ type Stats struct {
 	Deferred int64 `json:"deferred"`
 	// Kept counts hits on an entry that outlived an append to a fact it
 	// read, because the append added no row to any of its gets.
-	Kept    int64 `json:"kept"`
+	Kept int64 `json:"kept"`
+	// Bases counts evaluations whose probe handed them, as a base, the
+	// entry they replace: stale only because an append overlapped it.
+	Bases   int64 `json:"bases"`
 	Entries int64 `json:"entries"`
 	// Bytes is what the entries hold, results and encoded rows; BodyBytes
-	// is the rows' share of it.
+	// is the rows' share of it, bases' included.
 	Bytes       int64 `json:"bytes"`
 	BodyBytes   int64 `json:"bodyBytes"`
 	BudgetBytes int64 `json:"budgetBytes"`
@@ -186,7 +202,27 @@ type entry struct {
 	cells int
 	body  []byte // the encoded rows, once a reply kept them (Body.Keep)
 	unfit bool   // a reply found they do not fit the budget
+	// base marks an entry stored after an append overlapped its key's
+	// previous evaluation: it keeps its cube, and kept, what a reply
+	// handed it to encode the next reply against (Body.KeepBase).
+	base bool
+	kept Base
 }
+
+// bodyBytes is what the entry's rows cost.
+func (e *entry) bodyBytes() int64 {
+	n := int64(cap(e.body))
+	if e.kept != nil {
+		n += e.kept.Bytes()
+	}
+	return n
+}
+
+// Base is what a caller keeps with a base entry to encode the statement's
+// next reply against: for a server, the rows a reply wrote and where each
+// lies. Bytes is what it holds, charged to the budget as rows are. A Base
+// is shared between the calls that read it and must not change once kept.
+type Base interface{ Bytes() int64 }
 
 // call is one in-flight evaluation that concurrent identical statements
 // join instead of re-evaluating. stamp pins the catalog generation and
@@ -257,13 +293,16 @@ func (c *Cache) Do(key Key, st Stamp, eval func() (*exec.Result, error)) (*exec.
 // the outcome: "hit", "hit bytes" (the entry holds its encoded rows),
 // "kept" (a hit on an entry that outlived an append it does not
 // overlap), "miss", "stale" (entry invalidated by another catalog
-// generation or an overlapping append), "rows only" (entry without a
-// cube, of no use to a caller that tracks no Body) or "join" (waited on
-// a concurrent identical evaluation).
+// generation or an overlapping append), "base" (a base invalidated by an
+// overlapping append, handed to the caller's Body), "rows only" (entry
+// without a cube, of no use to a caller that tracks no Body) or "join"
+// (waited on a concurrent identical evaluation).
 //
 // When the context tracks a Body (TrackBody), the entry a hit found is
 // bound to it, and the hit may return a result whose Cube is nil: the
-// Body then has the rows and the cell count.
+// Body then has the rows and the cell count. A base this call's
+// evaluation stored is bound to it too, and the Body's Base is then what
+// the base that evaluation replaced kept.
 func (c *Cache) DoContext(ctx context.Context, key Key, st Stamp, eval func() (*exec.Result, error)) (*exec.Result, State, error) {
 	_, probe := obsv.StartSpan(ctx, "cache.probe")
 	body, _ := ctx.Value(bodyKey{}).(*Body)
@@ -276,8 +315,14 @@ func (c *Cache) DoContext(ctx context.Context, key Key, st Stamp, eval func() (*
 			switch {
 			case !valid:
 				c.remove(el)
-				probe.SetNote("stale")
-			case e.body != nil && body == nil:
+				note := "stale"
+				if body != nil && e.kept != nil && e.stamp.Gen == st.Gen {
+					body.base = e.kept
+					c.stats.Bases++
+					note = "base"
+				}
+				probe.SetNote(note)
+			case e.res.Cube == nil && body == nil:
 				c.remove(el)
 				probe.SetNote("rows only")
 			default:
@@ -353,7 +398,7 @@ func (c *Cache) DoContext(ctx context.Context, key Key, st Stamp, eval func() (*
 	cl.res, cl.err = res, err
 	if err == nil {
 		_, sp := obsv.StartSpan(ctx, "cache.store")
-		c.store(key, res, st)
+		c.store(key, res, st, body)
 		sp.End()
 	}
 	return res, StateMiss, err
@@ -377,8 +422,10 @@ func (c *Cache) Peek(key Key, st Stamp) bool {
 // tail until the cache is within budget. A result larger than the whole
 // budget is not cached and counts as rejected; one whose key's previous
 // evaluation does not hold at the stamp is not cached and counts as
-// deferred.
-func (c *Cache) store(key Key, res *exec.Result, st Stamp) {
+// deferred, unless body tracks the reply and an append overlapped that
+// evaluation (or the base body was handed): it is stored as a base, bound
+// to body, for the reply to hand its rows.
+func (c *Cache) store(key Key, res *exec.Result, st Stamp, body *Body) {
 	// The ghost and the entry keep reads of their own: a kept entry's
 	// versions move forward.
 	st.Reads = slices.Clone(st.Reads)
@@ -389,9 +436,13 @@ func (c *Cache) store(key Key, res *exec.Result, st Stamp) {
 		c.stats.Rejected++
 		return
 	}
-	if !c.seen(key, st) {
-		c.stats.Deferred++
-		return
+	if ok, overlapped := c.seen(key, st); !ok {
+		if body == nil || !overlapped && body.base == nil {
+			c.stats.Deferred++
+			return
+		}
+		e.base = true
+		body.c, body.e = c, e
 	}
 	if el, ok := c.index[key]; ok {
 		c.remove(el) // replaced by a fresher evaluation
@@ -405,18 +456,19 @@ func (c *Cache) store(key Key, res *exec.Result, st Stamp) {
 
 // seen reports whether key's ghost is in its slot and its stamp holds at
 // st, by holds: no catalog change and no overlapping append since that
-// evaluation. It leaves st's ghost there; c.mu must be held. The slot
-// comes from the key's first eight bytes and the tag from the next eight.
-// Tags are odd: an empty slot matches none.
-func (c *Cache) seen(key Key, st Stamp) bool {
+// evaluation; overlapped, when it is there and only an append stopped it
+// holding. It leaves st's ghost there; c.mu must be held. The slot comes
+// from the key's first eight bytes and the tag from the next eight. Tags
+// are odd: an empty slot matches none.
+func (c *Cache) seen(key Key, st Stamp) (ok, overlapped bool) {
 	slot := &c.ghosts[binary.LittleEndian.Uint64(key[:8])&uint64(len(c.ghosts)-1)]
 	tag := binary.LittleEndian.Uint64(key[8:16]) | 1
-	ok := false
 	if slot.tag == tag {
 		ok, _ = holds(&slot.stamp, &st)
+		overlapped = !ok && slot.stamp.Gen == st.Gen
 	}
 	*slot = ghost{tag, st}
-	return ok
+	return ok, overlapped
 }
 
 // evictFor drops least recently used entries, never keep itself, until
@@ -439,18 +491,21 @@ func (c *Cache) remove(el *list.Element) {
 	delete(c.index, e.key)
 	c.stats.Entries--
 	c.stats.Bytes -= e.size
-	c.stats.BodyBytes -= int64(cap(e.body))
+	c.stats.BodyBytes -= e.bodyBytes()
 }
 
 // Body is one request's handle on the cache entry its statement hit, for
 // a caller that replies with encoded rows — a server — and so can be
 // served from an entry that keeps those instead of the cube. The caller
 // tracks one in the context it executes under; DoContext binds it to the
-// entry a hit found. A nil Body, and one that no entry was bound to (no
-// cache, a miss, a joined evaluation), has no rows and keeps none.
+// entry a hit found, or to the base its evaluation stored, and hands it
+// the base that evaluation replaces. A nil Body, and one that no entry was
+// bound to (no cache, a miss, a joined evaluation), has no rows and keeps
+// none.
 type Body struct {
-	c *Cache
-	e *entry
+	c    *Cache
+	e    *entry
+	base Base // of the base this call's probe handed over
 }
 
 type bodyKey struct{}
@@ -468,26 +523,57 @@ func (b *Body) Cells() int { return b.e.cells }
 // Rows returns the encoded rows kept with the entry. When it keeps none
 // yet, room is the most bytes of rows it could take (the budget), and
 // the caller may hand over the rows it writes with Keep; room is 0 for a
-// Body no entry was bound to, and for an entry whose rows do not fit.
+// Body no entry was bound to, for an entry whose rows do not fit, and for
+// a base, which keeps a Base instead (Based).
 func (b *Body) Rows() (rows []byte, room int64) {
 	if b == nil || b.e == nil {
 		return nil, 0
 	}
 	b.c.mu.Lock()
 	defer b.c.mu.Unlock()
-	if b.e.body != nil || b.e.unfit {
+	if b.e.body != nil || b.e.unfit || b.e.base {
 		return b.e.body, 0
 	}
 	return nil, b.c.stats.BudgetBytes
+}
+
+// Base returns what the call's result is to be encoded against: the Base
+// kept by the base its probe handed over, or else by the base a hit
+// found; nil when there is neither.
+func (b *Body) Base() Base {
+	if b == nil {
+		return nil
+	}
+	if b.base != nil {
+		return b.base
+	}
+	if b.e == nil {
+		return nil
+	}
+	b.c.mu.Lock()
+	defer b.c.mu.Unlock()
+	return b.e.kept
+}
+
+// Based reports whether the entry bound to the Body is a base that keeps
+// no Base yet, so that the reply may hand it one (KeepBase).
+func (b *Body) Based() bool {
+	if b == nil || b.e == nil {
+		return false
+	}
+	b.c.mu.Lock()
+	defer b.c.mu.Unlock()
+	return b.e.base && b.e.kept == nil
 }
 
 // Keep hands the entry rows, the encoded form of its result as a reply
 // that completed just wrote it. They replace the result's cube in the
 // entry and are charged to it, evicting from the LRU tail as a store
 // does. They are dropped, and Keep reports false, when the entry already
-// keeps rows, has left the cache, or cannot fit them. Rows that cannot
-// fit, and nil rows (a reply whose rows outgrew the room Rows gave it),
-// leave the entry with no room, so no later reply copies them again.
+// keeps rows, is a base, has left the cache, or cannot fit them. Rows
+// that cannot fit, and nil rows (a reply whose rows outgrew the room Rows
+// gave it), leave the entry with no room, so no later reply copies them
+// again.
 func (b *Body) Keep(rows []byte) bool {
 	if b == nil || b.e == nil {
 		return false
@@ -496,7 +582,7 @@ func (b *Body) Keep(rows []byte) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.index[e.key]
-	if !ok || el.Value.(*entry) != e || e.body != nil {
+	if !ok || el.Value.(*entry) != e || e.body != nil || e.base {
 		return false
 	}
 	head := *e.res
@@ -514,6 +600,34 @@ func (b *Body) Keep(rows []byte) bool {
 	return true
 }
 
+// KeepBase hands a base entry bound to the Body what its reply kept to
+// encode the next reply against. It is charged beside the entry's cube,
+// evicting from the LRU tail as a store does, and dropped, with false,
+// when the entry is no base, keeps one already, has left the cache or
+// cannot fit it.
+func (b *Body) KeepBase(kept Base) bool {
+	if b == nil || b.e == nil {
+		return false
+	}
+	c, e := b.c, b.e
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.index[e.key]
+	if !ok || el.Value.(*entry) != e || !e.base || e.kept != nil {
+		return false
+	}
+	size := resultBytes(e.res) + kept.Bytes()
+	if size > c.stats.BudgetBytes {
+		return false
+	}
+	e.kept = kept
+	c.stats.Bytes += size - e.size
+	c.stats.BodyBytes += kept.Bytes()
+	e.size = size
+	c.evictFor(el)
+	return true
+}
+
 // Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
@@ -523,7 +637,7 @@ func (c *Cache) Stats() Stats {
 
 // resultBytes is what a cached result keeps alive: the plan, the bound
 // statement and the per-operation durations, and, unless encoded rows took
-// its place, the cube — member-id columns, measure columns and the label
+// its place (a base keeps both), the cube — member-id columns, measure columns and the label
 // codes, a byte a cell (the label set is the labeler's). Result
 // cubes are built without an index, and nothing looks a cached one up by
 // coordinate, so none is charged. TestCacheBytesFollowHeap in

@@ -206,9 +206,12 @@ func cacheStats(t testing.TB, session *core.Session) (bytes, bodyBytes, budget i
 
 // TestBodyDroppedOnGenerationBump: an append under the statement's cells
 // and a materialization each invalidate the entry, and its rows go with
-// it. After either, the next two replies are evaluated and streamed (the
-// second is stored: the first's previous evaluation read what changed),
-// and the one after fills the rows again.
+// it. After the materialization (another catalog generation) the next two
+// replies are evaluated and streamed (the second is stored: the first's
+// previous evaluation was under the old catalog), and the one after fills
+// the rows again. After the append, the first reply's evaluation is
+// stored as a base, which keeps the rows that reply wrote and where each
+// lies; the next reply is a hit encoded against it.
 func TestBodyDroppedOnGenerationBump(t *testing.T) {
 	session, ds := salesSession(t, 5000)
 	h, reg, _, _ := cachedHandler(t, session, 0)
@@ -251,16 +254,30 @@ func TestBodyDroppedOnGenerationBump(t *testing.T) {
 	if err := ds.Fact.Append(keys, vals); err != nil {
 		t.Fatal(err)
 	}
-	if after := warm(); bytes.Equal(before, after) {
+	miss := serve(t, h, largeStatement, false)
+	var head struct{ Cells int }
+	if err := json.Unmarshal(miss, &head); err != nil {
+		t.Fatal(err)
+	}
+	rows := rowsMember(t, miss)
+	if _, kept, _ := cacheStats(t, session); cacheOf(miss) != "miss" || kept < int64(len(rows)+12*head.Cells) || kept > int64(len(rows)+len(rows)/16+12*head.Cells+1024) {
+		t.Fatalf("reply after the append: cache = %q, %d body bytes kept, want a miss whose base keeps its %d bytes of rows and a place for each of %d",
+			cacheOf(miss), kept, len(rows), head.Cells)
+	}
+	if bytes.Equal(before, rows) {
 		t.Error("rows after an append are the rows from before it")
+	}
+	if hit := serve(t, h, largeStatement, false); cacheOf(hit) != "hit" || !bytes.Equal(rowsMember(t, hit), rows) {
+		t.Errorf("reply after the base: cache = %q, or rows other than the base's", cacheOf(hit))
 	}
 
 	if err := session.Materialize("SALES", "product", "city", "month"); err != nil {
 		t.Fatal(err)
 	}
 	warm()
-	if served, filled, skipped := bodyOutcomes(reg); served != 3 || filled != 3 || skipped != 0 {
-		t.Errorf("%d served, %d filled, %d skipped over three generations", served, filled, skipped)
+	reused := reg.Counter("assess_cache_body_total", "", "outcome", "reused").Value()
+	if served, filled, skipped := bodyOutcomes(reg); served != 2 || filled != 2 || skipped != 0 || reused != 1 {
+		t.Errorf("%d served, %d filled, %d skipped, %d reused over three generations", served, filled, skipped, reused)
 	}
 }
 

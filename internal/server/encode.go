@@ -1,11 +1,12 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 	"github.com/assess-olap/assess/internal/exec"
 	"github.com/assess-olap/assess/internal/labeling"
 	"github.com/assess-olap/assess/internal/mdm"
+	"github.com/assess-olap/assess/internal/qcache"
 )
 
 // Columnar result egress. The /assess and /query bodies are written
@@ -174,6 +176,9 @@ type body struct {
 	dicts []*mdm.Dict // of the coordinate positions rows passes to member
 	// rows appends rows [lo, hi) to e.buf, each but row 0 after a comma.
 	rows func(e *encoder, lo, hi int)
+	// sent, when not nil, is handed the rows of each chunk, in order, by
+	// the goroutine that writes them, once they are written.
+	sent func(rows []byte)
 }
 
 // chunks is how many pieces the body is formatted and written in; an
@@ -202,7 +207,7 @@ func (e *encoder) format(b body, first, stride int, emit func(chunk []byte) ([]b
 		hi := min(lo+chunkRows, b.n)
 		b.rows(e, lo, hi)
 		if hi == b.n {
-			e.buf = append(e.buf, "]}\n"...)
+			e.buf = append(e.buf, rowsTail...)
 		}
 		var ok bool
 		if e.buf, ok = emit(e.buf); !ok {
@@ -235,11 +240,34 @@ func encodeBody(ctx context.Context, w io.Writer, head []byte, b body, workers i
 		written += int64(n)
 		return err == nil
 	}
+	chunks := b.chunks()
+	// wrote writes chunk k and hands its rows to b.sent: chunk 0 begins
+	// with the head, and the last chunk ends with the tail.
+	wrote := func(k int, chunk []byte) bool {
+		if !write(chunk) {
+			return false
+		}
+		if b.sent != nil {
+			lo, hi := 0, len(chunk)
+			if k == 0 {
+				lo = len(head) - 1 + len(rowsHead)
+			}
+			if k == chunks-1 {
+				hi -= len(rowsTail)
+			}
+			b.sent(chunk[lo:hi])
+		}
+		return true
+	}
 	first := getEncoder(b.dicts)
 	first.buf = append(first.buf, head[:len(head)-1]...)
-	first.buf = append(first.buf, `,"rows":[`...)
+	first.buf = append(first.buf, rowsHead...)
 	if workers < 2 {
-		first.format(b, 0, 1, func(chunk []byte) ([]byte, bool) { return chunk[:0], write(chunk) })
+		k := 0
+		first.format(b, 0, 1, func(chunk []byte) ([]byte, bool) {
+			k++
+			return chunk[:0], wrote(k-1, chunk)
+		})
 		putEncoder(first)
 		return written, err
 	}
@@ -289,10 +317,10 @@ func encodeBody(ctx context.Context, w io.Writer, head []byte, b body, workers i
 			})
 		}(i)
 	}
-	for k, chunks := 0, b.chunks(); k < chunks; k++ {
+	for k := 0; k < chunks; k++ {
 		l := &lanes[k%workers]
 		chunk, ok := <-l.out
-		if !ok || !write(chunk) {
+		if !ok || !wrote(k, chunk) {
 			break
 		}
 		l.free <- struct{}{}
@@ -311,15 +339,27 @@ func encodeBody(ctx context.Context, w io.Writer, head []byte, b body, workers i
 	return written, err
 }
 
-// rowsCopy passes what is written to w on and keeps a copy of it after
-// the first skip bytes, the header's: for an /assess body, the part a
-// cache entry keeps (qcache.Body), `,"rows":[…]}` and the newline. It
-// keeps none once the copy outgrows room bytes, so room 0 copies nothing.
+// rowsHead and rowsTail are what a body's rows follow and what ends it:
+// the part of an /assess body a cache entry keeps is rowsHead, the rows
+// and rowsTail.
+const (
+	rowsHead = `,"rows":[`
+	rowsTail = "]}\n"
+)
+
+// rowsCopy passes what is written to w on and appends what follows the
+// first skip bytes, the header's, to one buffer: for an /assess body, the
+// part a cache entry keeps (qcache.Body). It keeps none once the copy
+// outgrows room bytes, so room 0 copies nothing. The buffer is sized at
+// the first write after the header, to that chunk times the body's
+// chunks (encodeBody writes a chunk at a time, and the first holds
+// min(rows, chunkRows) rows of the rows).
 type rowsCopy struct {
-	w      io.Writer
-	skip   int
-	room   int64 // below 0 once the copy outgrew it
-	chunks [][]byte
+	w    io.Writer
+	skip int
+	room int64 // below 0 once the copy outgrew it
+	rows int
+	buf  []byte
 }
 
 func (c *rowsCopy) Write(p []byte) (int, error) {
@@ -327,19 +367,24 @@ func (c *rowsCopy) Write(p []byte) (int, error) {
 	k := min(c.skip, n)
 	c.skip -= k
 	if c.room -= int64(n - k); c.room < 0 {
-		c.chunks = nil
+		c.buf = nil
 	} else if n > k {
-		c.chunks = append(c.chunks, bytes.Clone(p[k:n]))
+		if c.buf == nil {
+			size := int64(n-k) * int64(max(1, (c.rows+chunkRows-1)/chunkRows))
+			c.buf = make([]byte, 0, min(size, c.room+int64(n-k)))
+		}
+		c.buf = append(c.buf, p[k:n]...)
 	}
 	return n, err
 }
 
-// bytes returns the copy in one allocation, or nil if it outgrew room.
+// bytes returns the copy in an allocation of its length, or nil if it
+// outgrew room: a copy the estimate left room in is moved once more.
 func (c *rowsCopy) bytes() []byte {
-	if c.room < 0 {
-		return nil
+	if c.room < 0 || cap(c.buf) == len(c.buf) {
+		return c.buf
 	}
-	return bytes.Join(c.chunks, nil)
+	return append(make([]byte, 0, len(c.buf)), c.buf...)
 }
 
 // writeRetained writes the body encodeBody would have streamed for head
@@ -366,9 +411,236 @@ func (e *encoder) member(p int, id int32) {
 }
 
 // assessBody is the rows of an /assess result.
-func assessBody(c exec.Columns) body {
+func assessBody(c exec.Columns) body { return reuseBody(c, nil, nil, nil) }
+
+// base is an earlier reply of the same statement, as the cache keeps it
+// with a base entry (qcache.Base): the columns of the result it was
+// encoded from and where each of its rows lies, row i at
+// bufs[at[i].buf][at[i].lo:at[i].hi], without the comma before it. Rows
+// that followed each other in the reply that wrote them, and lie in one
+// buffer, lie there one comma apart.
+type base struct {
+	cols exec.Columns
+	bufs [][]byte
+	at   []rowAt
+}
+
+type rowAt struct{ buf, lo, hi int32 }
+
+// Bytes is what the base holds besides the result's columns: its
+// buffers and its row table.
+func (b *base) Bytes() int64 {
+	n := int64(cap(b.at))*12 + int64(cap(b.bufs))*24
+	for _, buf := range b.bufs {
+		n += int64(cap(buf))
+	}
+	return n
+}
+
+// baseOf is the base the cache handed body to encode against, if any.
+func baseOf(body *qcache.Body) *base {
+	b, _ := body.Base().(*base)
+	return b
+}
+
+// match walks c's rows and the base's by coordinate, both in
+// SortByCoordinate order, and returns for each row of c the base row that
+// wrote the bytes it would write, or -1: same coordinate, same measure,
+// benchmark and comparison bits, same label code. Coordinates that differ
+// are ordered through the dictionaries' rank tables, as the sort orders
+// them, so members added since the base keep the walk in step. It returns
+// nil, and no row, for a nil base, and when the two results do not share
+// their coordinate dictionaries, their benchmark column's presence or
+// their label names.
+func (b *base) match(c exec.Columns) (from []int32, reused int) {
+	if b == nil {
+		return nil, 0
+	}
+	o := b.cols
+	if !slices.Equal(o.Dicts, c.Dicts) || (o.Benchmark == nil) != (c.Benchmark == nil) ||
+		(o.Labels == nil) != (c.Labels == nil) || c.Labels != nil && !slices.Equal(o.Labels.Names, c.Labels.Names) {
+		return nil, 0
+	}
+	ranks := make([][]int32, len(c.Dicts))
+	for p, d := range c.Dicts {
+		ranks[p] = d.Ranks()
+	}
+	// order compares c's row i with the base's row j by coordinate.
+	order := func(i, j int) int32 {
+		for p, rank := range ranks {
+			if x, y := c.Keys[p][i], o.Keys[p][j]; x != y {
+				return rank[x] - rank[y]
+			}
+		}
+		return 0
+	}
+	same := func(x, y []float64, i, j int) bool {
+		return x == nil || math.Float64bits(x[i]) == math.Float64bits(y[j])
+	}
+	from = make([]int32, len(c.Measure))
+	j := 0
+	for i := range from {
+		from[i] = -1
+		for j < len(o.Measure) {
+			d := order(i, j)
+			if d > 0 {
+				j++
+				continue
+			}
+			if d == 0 {
+				if same(c.Measure, o.Measure, i, j) && same(c.Benchmark, o.Benchmark, i, j) &&
+					same(c.Comparison, o.Comparison, i, j) && (c.Labels == nil || c.Labels.Codes[i] == o.Labels.Codes[j]) {
+					from[i] = int32(j)
+					reused++
+				}
+				j++
+			}
+			break
+		}
+	}
+	return from, reused
+}
+
+// reuseBody is the rows of an /assess result encoded against b: row i is
+// copied from the base's row from[i], and formatted when that is -1 (or
+// from is nil), in the same chunks and lanes as any body, so the bytes are
+// the same. Rows that lie one comma apart in the base are copied in one
+// piece. lens, when not nil, receives each row's length, the comma before
+// it included.
+func reuseBody(c exec.Columns, b *base, from, lens []int32) body {
 	tails := labelTails(c.Labels)
-	return body{len(c.Measure), c.Dicts, func(e *encoder, lo, hi int) { e.assessRows(c, tails, lo, hi) }}
+	if from == nil {
+		return body{n: len(c.Measure), dicts: c.Dicts, rows: func(e *encoder, lo, hi int) { e.assessRows(c, tails, lens, lo, hi) }}
+	}
+	return body{n: len(c.Measure), dicts: c.Dicts, rows: func(e *encoder, lo, hi int) {
+		for i := lo; i < hi; {
+			j := from[i]
+			if j < 0 {
+				k := i + 1
+				for k < hi && from[k] < 0 {
+					k++
+				}
+				e.assessRows(c, tails, lens, i, k)
+				i = k
+				continue
+			}
+			first := b.at[j]
+			last, k := first, i+1
+			for ; k < hi && from[k] == from[k-1]+1; k++ {
+				next := b.at[from[k]]
+				if next.buf != last.buf || next.lo != last.hi+1 {
+					break
+				}
+				last = next
+			}
+			if i > 0 {
+				e.buf = append(e.buf, ',')
+			}
+			e.buf = append(e.buf, b.bufs[first.buf][first.lo:last.hi]...)
+			if lens != nil {
+				for t := i; t < k; t++ {
+					at := b.at[from[t]]
+					lens[t] = at.hi - at.lo + int32(min(t, 1))
+				}
+			}
+			i = k
+		}
+	}}
+}
+
+// baseCopy builds, as a reply's chunks are written (body.sent), the base
+// it leaves for the next reply: a row copied from the old base lies where
+// it lay, and a formatted row is copied into one new buffer. So an append
+// that changed a seventh of the cells copies a seventh of the rows.
+type baseCopy struct {
+	old  *base
+	from []int32 // as reuseBody's: nil when every row was formatted
+	lens []int32 // each row's length, the comma before it included
+	next *base   // holds nothing of old but its buffers
+	// remap is where each buffer of old is in next.bufs, 0 for none: the
+	// new buffer is next.bufs[0] once done.
+	remap []int32
+	buf   []byte
+	row   int
+	// long is set by a buffer that would outgrow the row table's int32
+	// positions: done then returns no base.
+	long bool
+}
+
+func newBaseCopy(c exec.Columns, old *base, from, lens []int32) *baseCopy {
+	bc := &baseCopy{old: old, from: from, lens: lens, next: &base{cols: c, bufs: [][]byte{nil}, at: make([]rowAt, len(c.Measure))}}
+	if from != nil {
+		bc.remap = make([]int32, len(old.bufs))
+	}
+	return bc
+}
+
+// sent takes the rows of the next chunk.
+func (bc *baseCopy) sent(rows []byte) {
+	for pos := 0; pos < len(rows); bc.row++ {
+		i := bc.row
+		obj := rows[pos : pos+int(bc.lens[i])]
+		pos += len(obj)
+		if i > 0 {
+			obj = obj[1:] // the comma before the row
+		}
+		if bc.from != nil && bc.from[i] >= 0 {
+			at := bc.old.at[bc.from[i]]
+			if bc.remap[at.buf] == 0 {
+				bc.remap[at.buf] = int32(len(bc.next.bufs))
+				bc.next.bufs = append(bc.next.bufs, bc.old.bufs[at.buf])
+			}
+			at.buf = bc.remap[at.buf]
+			bc.next.at[i] = at
+			continue
+		}
+		if len(bc.buf)+len(obj) >= math.MaxInt32 {
+			bc.long = true
+			continue
+		}
+		if len(bc.buf) > 0 {
+			bc.buf = append(bc.buf, ',')
+		}
+		lo := int32(len(bc.buf))
+		bc.buf = append(bc.buf, obj...)
+		bc.next.at[i] = rowAt{0, lo, int32(len(bc.buf))}
+	}
+}
+
+// done returns the base, once every row was sent, or nil. When its buffers hold
+// more than half again the bytes of its rows — most rows it shares with
+// the old base's buffers were replaced — its rows are moved into one
+// buffer of their own; else a new buffer with a sixteenth of its length
+// spare, as a first base's may have, is moved into one of its length.
+func (bc *baseCopy) done() *base {
+	b := bc.next
+	if cap(bc.buf)-len(bc.buf) > len(bc.buf)/16 {
+		bc.buf = append(make([]byte, 0, len(bc.buf)), bc.buf...)
+	}
+	b.bufs[0] = bc.buf
+	var rows, held int64
+	for _, at := range b.at {
+		rows += int64(at.hi-at.lo) + 1
+	}
+	for _, buf := range b.bufs {
+		held += int64(len(buf))
+	}
+	if bc.long || rows >= math.MaxInt32 {
+		return nil
+	}
+	if 2*held > 3*rows {
+		one := make([]byte, 0, rows)
+		for i, at := range b.at {
+			if i > 0 {
+				one = append(one, ',')
+			}
+			lo := int32(len(one))
+			one = append(one, b.bufs[at.buf][at.lo:at.hi]...)
+			b.at[i] = rowAt{0, lo, int32(len(one))}
+		}
+		b.bufs = [][]byte{one}
+	}
+	return b
 }
 
 // labelTails is how a row ends for each label code, `,"label":"…"}`: a
@@ -388,9 +660,11 @@ func labelTails(l *labeling.Column) [][]byte {
 
 // assessRows appends cells [lo, hi) of an /assess result:
 // {"coordinate":[…],"measure":…,"benchmark":…,"comparison":…,"label":…},
-// the label's tail from tails.
-func (e *encoder) assessRows(c exec.Columns, tails [][]byte, lo, hi int) {
+// the label's tail from tails. lens, when not nil, receives each row's
+// length.
+func (e *encoder) assessRows(c exec.Columns, tails [][]byte, lens []int32, lo, hi int) {
 	for i := lo; i < hi; i++ {
+		start := len(e.buf)
 		if i > 0 {
 			e.buf = append(e.buf, ',')
 		}
@@ -415,6 +689,9 @@ func (e *encoder) assessRows(c exec.Columns, tails [][]byte, lo, hi int) {
 			e.buf = append(e.buf, tails[c.Labels.Codes[i]]...)
 		} else {
 			e.buf = append(e.buf, tails[0]...)
+		}
+		if lens != nil {
+			lens[i] = int32(len(e.buf) - start)
 		}
 	}
 }
@@ -455,7 +732,7 @@ func queryFields(levels, measures []string, cols [][]float64) []queryField {
 // queryBody is the rows of a /query result of n cells with the key
 // columns keys.
 func queryBody(fields []queryField, dicts []*mdm.Dict, keys [][]int32, n int) body {
-	return body{n, dicts, func(e *encoder, lo, hi int) { e.queryRows(fields, keys, lo, hi) }}
+	return body{n: n, dicts: dicts, rows: func(e *encoder, lo, hi int) { e.queryRows(fields, keys, lo, hi) }}
 }
 
 // queryRows appends cells [lo, hi) of a /query result, one object per

@@ -47,8 +47,10 @@ type Server struct {
 	// request path does no registry lookup.
 	assessEgress, queryEgress egressMetrics
 	writeErrors               *obsv.Counter
-	// Hits of /assess by how their body was produced.
-	bodyServed, bodyFilled, bodySkipped *obsv.Counter
+	// Replies of /assess the cache took part in, by how their body was
+	// produced, and the rows of /assess bodies copied from a base.
+	bodyServed, bodyFilled, bodySkipped, bodyReused *obsv.Counter
+	rowsReused                                      *obsv.Counter
 }
 
 // egressMetrics are the per-endpoint series of streamed result bodies.
@@ -56,8 +58,18 @@ type egressMetrics struct {
 	encodeSeconds *obsv.Histogram
 	responseBytes *obsv.Histogram
 	// Bodies encoded, by who formatted them: the handler goroutine
-	// alone, or workers beside it.
+	// alone, or workers beside it; and the rows formatted.
 	inline, parallel *obsv.Counter
+	rowsFormatted    *obsv.Counter
+}
+
+// encodeRows is the counter of result rows written into bodies, by
+// endpoint and source: formatted from the result's columns, or copied from
+// the base the body was encoded against.
+func encodeRows(reg *obsv.Registry, endpoint, source string) *obsv.Counter {
+	return reg.Counter("assess_server_encode_rows_total",
+		"Result rows written into bodies, by endpoint and source: formatted from the result's columns, or base (/assess only: copied from the rows of a base the cache kept, their cell unchanged). Bodies served from a cache entry's kept rows write none.",
+		"endpoint", endpoint, "source", source)
 }
 
 func newEgressMetrics(reg *obsv.Registry, endpoint string) egressMetrics {
@@ -71,14 +83,17 @@ func newEgressMetrics(reg *obsv.Registry, endpoint string) egressMetrics {
 			"Time to encode a result body and write it to the client, by endpoint.", "endpoint", endpoint),
 		responseBytes: reg.ByteHistogram("assess_server_response_bytes",
 			"Result body size, by endpoint.", "endpoint", endpoint),
-		inline:   bodies("inline"),
-		parallel: bodies("parallel"),
+		inline:        bodies("inline"),
+		parallel:      bodies("parallel"),
+		rowsFormatted: encodeRows(reg, endpoint, "formatted"),
 	}
 }
 
-// encoded counts a body that workers goroutines formatted; none did when
-// it was written from rows kept with a cache entry.
-func (m egressMetrics) encoded(workers int) {
+// encoded counts a body that workers goroutines formatted, and the rows
+// of it they formatted; none did when it was written from rows kept with
+// a cache entry.
+func (m egressMetrics) encoded(workers, formatted int) {
+	m.rowsFormatted.Add(int64(formatted))
 	switch {
 	case workers > 1:
 		m.parallel.Inc()
@@ -147,10 +162,11 @@ func (s *Server) registerSessionMetrics() {
 		"Result bodies abandoned because the client connection failed mid-write or the request was cancelled.")
 	bodyOutcome := func(outcome string) *obsv.Counter {
 		return s.reg.Counter("assess_cache_body_total",
-			"Cache hits of /assess by how the body was produced: served from bytes kept with the entry, filled (encoded from the cube and left with the entry), or skipped (encoded from the cube, not kept).",
+			"Replies of /assess the cache took part in, by how the body was produced. Hits: served from bytes kept with the entry, filled (encoded from the cube and left with the entry), or skipped (encoded from the cube, not kept). Reused: encoded against a base, the rows an earlier reply of the statement wrote, which the cache keeps for a statement every append overlaps (a miss whose probe found the base stale, or a hit on it): a row whose cell did not change is copied, not formatted.",
 			"outcome", outcome)
 	}
 	s.bodyServed, s.bodyFilled, s.bodySkipped = bodyOutcome("served"), bodyOutcome("filled"), bodyOutcome("skipped")
+	s.bodyReused, s.rowsReused = bodyOutcome("reused"), encodeRows(s.reg, "/assess", "base")
 	s.reg.GaugeFunc("assess_catalog_generation",
 		"Catalog generation: registrations, materializations and registry changes, plus every fact's appended rows.",
 		func() float64 { return float64(s.session.Generation()) })
@@ -357,14 +373,18 @@ func (s *Server) assess(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// A hit is written from the rows its cache entry keeps, when it has
-	// them. Any other reply streams from the cube; a hit on an entry that
-	// has room for rows copies what it streams after the header and, once
-	// complete, hands that to the entry.
+	// them. Any other reply streams from the cube, copying the rows of a
+	// base the cache handed over where their cell did not change. A hit on
+	// an entry that has room for rows copies what it streams after the
+	// header and, once complete, hands that to the entry; a base this
+	// evaluation stored is handed where each row lies instead.
 	t0 := time.Now()
 	rows, room := body.Rows()
 	var (
 		send    func(w io.Writer, head []byte) (int64, error)
 		workers int // that encoded this body; 0 when it is written from kept rows
+		// Rows of the body copied from a base, and formatted.
+		reused, formatted int
 	)
 	if rows != nil {
 		s.bodyServed.Inc()
@@ -375,14 +395,42 @@ func (s *Server) assess(w http.ResponseWriter, r *http.Request) {
 			writeError(w, r, http.StatusInternalServerError, err)
 			return
 		}
-		b := assessBody(cols)
+		cells := len(cols.Measure)
+		bs := baseOf(body)
+		var from []int32
+		from, reused = bs.match(cols)
+		formatted = cells - reused
+		var (
+			lens []int32
+			next *baseCopy
+		)
+		if body.Based() {
+			lens = make([]int32, cells)
+			next = newBaseCopy(cols, bs, from, lens)
+		}
+		b := reuseBody(cols, bs, from, lens)
+		if next != nil {
+			b.sent = next.sent
+		}
 		workers = b.workers(s.session.Engine.Parallelism())
 		send = func(w io.Writer, head []byte) (int64, error) {
-			cp := &rowsCopy{w: w, skip: len(head) - 1, room: room}
+			cp := &rowsCopy{w: w, skip: len(head) - 1, room: room, rows: cells}
 			n, err := encodeBody(r.Context(), cp, head, b, workers)
+			kept := false
 			switch {
+			case err != nil:
+			case next != nil:
+				if nb := next.done(); nb != nil {
+					body.KeepBase(nb)
+				}
+			case room > 0:
+				kept = body.Keep(cp.bytes())
+			}
+			switch {
+			case from != nil:
+				s.bodyReused.Inc()
 			case state != qcache.StateHit:
-			case err == nil && body.Keep(cp.bytes()):
+			case kept:
 				s.bodyFilled.Inc()
 			default:
 				s.bodySkipped.Inc()
@@ -391,7 +439,8 @@ func (s *Server) assess(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	encode, n := s.writeResult(w, r, s.assessEgress, t0, head, send)
-	s.assessEgress.encoded(workers)
+	s.assessEgress.encoded(workers, formatted)
+	s.rowsReused.Add(int64(reused))
 	s.slow.Log(time.Since(start), obsv.SlowEntry{
 		RequestID:     requestID(r.Context()),
 		Endpoint:      "/assess",
@@ -401,6 +450,8 @@ func (s *Server) assess(w http.ResponseWriter, r *http.Request) {
 		Cells:         head.Cells,
 		EncodeMs:      float64(encode) / float64(time.Millisecond),
 		EncodeWorkers: workers,
+		RowsReused:    reused,
+		RowsFormatted: formatted,
 		Bytes:         n,
 	})
 }
@@ -505,7 +556,7 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 	encode, n := s.writeResult(w, r, s.queryEgress, time.Now(), head, func(w io.Writer, head []byte) (int64, error) {
 		return encodeBody(r.Context(), w, head, b, workers)
 	})
-	s.queryEgress.encoded(workers)
+	s.queryEgress.encoded(workers, head.Cells)
 	s.slow.Log(time.Since(start), obsv.SlowEntry{
 		RequestID:     requestID(r.Context()),
 		Endpoint:      "/query",
@@ -513,6 +564,7 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 		Cells:         head.Cells,
 		EncodeMs:      float64(encode) / float64(time.Millisecond),
 		EncodeWorkers: workers,
+		RowsFormatted: head.Cells,
 		Bytes:         n,
 	})
 }
